@@ -244,16 +244,7 @@ func (r *Relations) buildCtx() context.Context {
 }
 
 // Rel returns the relationship of x relative to y (P2C: x provides to y).
-func (r *Relations) Rel(x, y uint32) topology.Relationship {
-	rel, ok := r.rel[paths.NewLink(x, y)]
-	if !ok {
-		return topology.None
-	}
-	if paths.NewLink(x, y).A == x {
-		return rel
-	}
-	return rel.Invert()
-}
+func (r *Relations) Rel(x, y uint32) topology.Relationship { return topology.RelOf(r.rel, x, y) }
 
 // ASes returns every AS appearing in the relationship set, ascending.
 // The returned slice is shared; callers must not modify it.
@@ -478,9 +469,9 @@ func (r *Relations) observedBits(ctx context.Context, ds *paths.Dataset, needEnt
 	creditCtx, creditSpan := trace.StartSpan(ctx, "cone.credit")
 	pool.RangeCtx(creditCtx, r.workers, len(ds.Paths), func(_ context.Context, shard, lo, hi int) {
 		local := make([]asindex.Bitset, n)
-		var scratch chainScratch
+		var walk chainWalk
 		for _, p := range ds.Paths[lo:hi] {
-			r.addChains(local, p.ASNs, needEntry, &scratch)
+			r.addChains(local, p.ASNs, needEntry, &walk)
 		}
 		shards[shard] = local
 	})
@@ -502,72 +493,25 @@ func (r *Relations) observedBits(ctx context.Context, ds *paths.Dataset, needEnt
 	return &BitSets{idx: r.idx, cones: cones, workers: r.workers}
 }
 
-// chainScratch holds per-worker buffers addChains reuses across paths.
-type chainScratch struct {
-	pos       []int32
-	hopRel    []topology.Relationship
-	descendTo []int
-}
-
-// addChains walks one path and credits descending chains into cones.
-// With needEntry, a chain from position i is credited only when hop
-// i-1 → i comes from a provider or peer of path[i].
-func (r *Relations) addChains(cones []asindex.Bitset, asns []uint32, needEntry bool, sc *chainScratch) {
-	n := len(asns)
-	if n < 2 {
-		return
-	}
-	if cap(sc.pos) < n {
-		sc.pos = make([]int32, n)
-		sc.hopRel = make([]topology.Relationship, n)
-		sc.descendTo = make([]int, n)
-	}
-	pos, hopRel, descendTo := sc.pos[:n], sc.hopRel[:n-1], sc.descendTo[:n]
-	for i, a := range asns {
-		if p, ok := r.idx.Pos(a); ok {
-			pos[i] = p
-		} else {
-			pos[i] = -1
-		}
-	}
-	for i := 0; i+1 < n; i++ {
-		hopRel[i] = r.Rel(asns[i], asns[i+1])
-	}
-	// descendTo[i] is the furthest index reachable from i by consecutive
-	// p2c hops; computed right to left.
-	descendTo[n-1] = n - 1
-	for i := n - 2; i >= 0; i-- {
-		if hopRel[i] == topology.P2C {
-			descendTo[i] = descendTo[i+1]
-		} else {
-			descendTo[i] = i
-		}
-	}
-	for i := 0; i < n-1; i++ {
-		if descendTo[i] == i {
-			continue // no customer hop here
-		}
-		if needEntry {
-			if i == 0 {
-				continue // the VP has no entering hop
-			}
-			switch hopRel[i-1] {
-			case topology.P2C, topology.P2P:
-				// provider or peer of asns[i]: credited
-			default:
-				continue
-			}
+// addChains is the batch sink of the crediting walk: every credited
+// chain of one path is set into the owner's cone by interned position.
+func (r *Relations) addChains(cones []asindex.Bitset, asns []uint32, needEntry bool, w *chainWalk) {
+	for i, end := range w.credited(r.rel, asns, needEntry) {
+		if end == i {
+			continue
 		}
 		// A p2c hop out of position i implies the link is in the
 		// relationship set, so every chain position is interned.
-		cone := cones[pos[i]]
+		owner, _ := r.idx.Pos(asns[i])
+		cone := cones[owner]
 		if cone == nil {
 			cone = asindex.NewBitset(len(r.custIdx))
-			cone.Set(pos[i])
-			cones[pos[i]] = cone
+			cone.Set(owner)
+			cones[owner] = cone
 		}
-		for j := i + 1; j <= descendTo[i]; j++ {
-			cone.Set(pos[j])
+		for _, member := range asns[i+1 : end+1] {
+			m, _ := r.idx.Pos(member)
+			cone.Set(m)
 		}
 	}
 }

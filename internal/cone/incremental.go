@@ -2,108 +2,58 @@ package cone
 
 import (
 	"github.com/asrank-go/asrank/internal/asindex"
+	"github.com/asrank-go/asrank/internal/paths"
 	"github.com/asrank-go/asrank/internal/topology"
 )
 
-// RelLookup answers relationship queries during incremental crediting:
-// the relationship of x relative to y (P2C: x provides to y). Both
-// Relations.Rel and core.Result.Rel have this shape.
-type RelLookup func(x, y uint32) topology.Relationship
-
 // PairCounts maintains, for every (owner, member) ASN pair, how many
 // distinct corpus paths credit member into owner's provider/peer-
-// observed customer cone — the reference-counted form of the addChains
-// crediting walk with needEntry=true. Credits commute, so a streaming
-// engine can apply path adds and removes in any order and the pair
-// state is a pure function of the current (path set, relationship set):
-// the slab built from the counts is bit-identical to
+// observed customer cone — the reference-counted sink of the crediting
+// walk the batch engine runs with needEntry=true. Credits commute, so a
+// streaming engine can apply path adds and removes in any order and the
+// pair state is a pure function of the current (path set, relationship
+// set): the slab built from the counts is bit-identical to
 // ProviderPeerObservedBits over the equivalent batch corpus.
 //
 // PairCounts is not safe for concurrent use; the streaming engine
 // serializes all mutations.
 type PairCounts struct {
-	counts  map[uint64]int
-	touched map[uint64]struct{} // pairs whose membership (count>0) changed since the last Slab/Patch
-
-	// Crediting scratch, reused across Credit calls.
-	hopRel    []topology.Relationship
-	descendTo []int
+	counts map[uint64]int
+	walk   chainWalk
 }
 
 // NewPairCounts returns an empty credit table.
 func NewPairCounts() *PairCounts {
-	return &PairCounts{
-		counts:  make(map[uint64]int),
-		touched: make(map[uint64]struct{}),
-	}
+	return &PairCounts{counts: make(map[uint64]int)}
 }
 
 func pairKey(owner, member uint32) uint64 {
 	return uint64(owner)<<32 | uint64(member)
 }
 
-// Credit walks one path under the given relationships and adjusts the
-// pair refcounts by d (+1 when the path enters the corpus, -1 when it
-// leaves). The walk mirrors addChains with needEntry=true exactly: a
-// descending p2c chain out of position i is credited to asns[i] only
-// when hop i-1 → i comes from a provider or peer of asns[i]. Self
-// membership is not refcounted — Slab and Patch set every position's
-// self bit unconditionally, as the batch merge does.
+// Credit walks one path under rels (canonical orientation, as
+// core.Infer produces) and adjusts the pair refcounts by d (+1 when the
+// path enters the corpus, -1 when it leaves). Self membership is not
+// refcounted — Slab sets every position's self bit unconditionally, as
+// the batch merge does.
 //
 // A path must be uncredited with the same relationships it was credited
 // under; the streaming engine guarantees this by re-crediting affected
 // paths whenever a link's relationship changes.
 //
-// The scratch slices grow by capacity-guarded make calls only — the
-// steady state over a warm engine is allocation-free, which is what
-// the hotpath annotation holds it to.
-//
 //asrank:hotpath
-func (pc *PairCounts) Credit(rel RelLookup, asns []uint32, d int) {
-	n := len(asns)
-	if n < 2 {
-		return
-	}
-	if cap(pc.hopRel) < n {
-		pc.hopRel = make([]topology.Relationship, n)
-		pc.descendTo = make([]int, n)
-	}
-	hopRel, descendTo := pc.hopRel[:n-1], pc.descendTo[:n]
-	for i := 0; i+1 < n; i++ {
-		hopRel[i] = rel(asns[i], asns[i+1])
-	}
-	// descendTo[i] is the furthest index reachable from i by consecutive
-	// p2c hops; computed right to left (same recurrence as addChains).
-	descendTo[n-1] = n - 1
-	for i := n - 2; i >= 0; i-- {
-		if hopRel[i] == topology.P2C {
-			descendTo[i] = descendTo[i+1]
-		} else {
-			descendTo[i] = i
-		}
-	}
-	for i := 1; i < n-1; i++ { // i == 0 skipped: the VP has no entering hop
-		if descendTo[i] == i {
-			continue // no customer hop here
-		}
-		switch hopRel[i-1] {
-		case topology.P2C, topology.P2P:
-			// provider or peer of asns[i]: credited
-		default:
-			continue
-		}
-		owner := asns[i]
-		for j := i + 1; j <= descendTo[i]; j++ {
-			pc.add(owner, asns[j], d)
+func (pc *PairCounts) Credit(rels map[paths.Link]topology.Relationship, asns []uint32, d int) {
+	for i, end := range pc.walk.credited(rels, asns, true) {
+		for _, member := range asns[i+1 : end+1] {
+			pc.add(asns[i], member, d)
 		}
 	}
 }
 
-// add adjusts one pair refcount, tracking 0↔1 membership transitions.
+// add adjusts one pair refcount.
 func (pc *PairCounts) add(owner, member uint32, d int) {
 	k := pairKey(owner, member)
-	old := pc.counts[k]
-	n := old + d
+	n := pc.counts[k] + d
 	switch {
 	case n < 0:
 		panic("cone: pair credit refcount underflow")
@@ -112,21 +62,15 @@ func (pc *PairCounts) add(owner, member uint32, d int) {
 	default:
 		pc.counts[k] = n
 	}
-	if (old == 0) != (n == 0) {
-		pc.touched[k] = struct{}{}
-	}
 }
 
-// Dirty reports whether any pair's membership changed since the last
-// Slab or Patch — when false, a previously built slab is still exact.
-func (pc *PairCounts) Dirty() bool { return len(pc.touched) > 0 }
-
-// Slab builds the full provider/peer-observed cone slab over idx in the
+// Slab builds the provider/peer-observed cone slab over idx in the
 // ExportSlab layout: idx.Len() cones of (idx.Len()+63)/64 words each,
-// self bit always set. Every refcounted pair's owner and member must be
-// interned in idx — a miss means the caller's index is stale relative
-// to the credited relationships, a programming error. Slab resets the
-// touched set: subsequent Patch calls apply only later changes.
+// self bit always set. It reads only the current refcounts, so the
+// order in which credits were applied cannot matter. Every refcounted
+// pair's owner and member must be interned in idx — a miss means the
+// caller's index is stale relative to the credited relationships, a
+// programming error.
 func (pc *PairCounts) Slab(idx *asindex.Index) []uint64 {
 	n := idx.Len()
 	wps := (n + 63) / 64
@@ -135,47 +79,12 @@ func (pc *PairCounts) Slab(idx *asindex.Index) []uint64 {
 		slab[i*wps+i/64] |= 1 << uint(i%64)
 	}
 	for k := range pc.counts {
-		oi, mi := pc.positions(idx, k)
+		oi, ok1 := idx.Pos(uint32(k >> 32))
+		mi, ok2 := idx.Pos(uint32(k))
+		if !ok1 || !ok2 {
+			panic("cone: credited pair references an AS outside the index")
+		}
 		slab[int(oi)*wps+int(mi)/64] |= 1 << uint(mi%64)
 	}
-	pc.touched = make(map[uint64]struct{})
 	return slab
-}
-
-// Patch copies prev — a slab produced by Slab or Patch over an
-// identical index — and applies every membership change since, reading
-// the final refcount state so the order in which credits were applied
-// within the epoch cannot matter. The caller owns the contract that idx
-// is unchanged from the slab it passes; when the interned AS set
-// changes, rebuild with Slab instead.
-func (pc *PairCounts) Patch(idx *asindex.Index, prev []uint64) []uint64 {
-	n := idx.Len()
-	wps := (n + 63) / 64
-	if len(prev) != n*wps {
-		panic("cone: Patch slab size does not match index")
-	}
-	slab := append([]uint64(nil), prev...)
-	for k := range pc.touched {
-		oi, mi := pc.positions(idx, k)
-		w := int(oi)*wps + int(mi)/64
-		bit := uint64(1) << uint(mi%64)
-		if pc.counts[k] > 0 {
-			slab[w] |= bit
-		} else if oi != mi { // never clear a self bit
-			slab[w] &^= bit
-		}
-	}
-	pc.touched = make(map[uint64]struct{})
-	return slab
-}
-
-// positions resolves a pair key to interned positions, panicking on a
-// stale index (see Slab).
-func (pc *PairCounts) positions(idx *asindex.Index, k uint64) (oi, mi int32) {
-	oi, ok1 := idx.Pos(uint32(k >> 32))
-	mi, ok2 := idx.Pos(uint32(k))
-	if !ok1 || !ok2 {
-		panic("cone: credited pair references an AS outside the index")
-	}
-	return oi, mi
 }

@@ -37,62 +37,11 @@ func TestPairCountsMatchesBatch(t *testing.T) {
 
 	pc := NewPairCounts()
 	for _, p := range ds.Paths {
-		pc.Credit(res.Rel, p.ASNs, 1)
+		pc.Credit(res.Rels, p.ASNs, 1)
 	}
 	got := pc.Slab(r.Index())
 	if !reflect.DeepEqual(got, wantSlab) {
 		t.Fatal("incremental slab differs from batch ProviderPeerObservedBits")
-	}
-	if pc.Dirty() {
-		t.Error("Slab must reset the touched set")
-	}
-}
-
-// TestPairCountsPatch removes a deterministic subset of paths, patches
-// the previous slab, and checks the result equals a from-scratch batch
-// build over the surviving corpus — then re-adds the paths and checks
-// the patch rolls cleanly back to the original slab.
-func TestPairCountsPatch(t *testing.T) {
-	ds, res := creditCorpus(t, 78, 400)
-	r := NewRelations(res.Rels)
-	idx := r.Index()
-
-	pc := NewPairCounts()
-	for _, p := range ds.Paths {
-		pc.Credit(res.Rel, p.ASNs, 1)
-	}
-	full := pc.Slab(idx)
-
-	// Withdraw every third path.
-	survivors := &paths.Dataset{}
-	for i, p := range ds.Paths {
-		if i%3 == 0 {
-			pc.Credit(res.Rel, p.ASNs, -1)
-		} else {
-			survivors.Add(p)
-		}
-	}
-	patched := pc.Patch(idx, full)
-	wantSlab, _ := r.ProviderPeerObservedBits(survivors).ExportSlab()
-	if !reflect.DeepEqual(patched, wantSlab) {
-		t.Fatal("patched slab differs from batch build over the surviving corpus")
-	}
-
-	// The original slab must be untouched (Patch copies).
-	again := pc.Slab(idx)
-	if !reflect.DeepEqual(again, patched) {
-		t.Fatal("full rebuild after withdrawals differs from the patch")
-	}
-
-	// Re-announce the withdrawn paths: patch returns to the full slab.
-	for i, p := range ds.Paths {
-		if i%3 == 0 {
-			pc.Credit(res.Rel, p.ASNs, 1)
-		}
-	}
-	back := pc.Patch(idx, patched)
-	if !reflect.DeepEqual(back, full) {
-		t.Fatal("re-announcing withdrawn paths did not restore the original slab")
 	}
 }
 
@@ -101,13 +50,15 @@ func TestPairCountsPatch(t *testing.T) {
 // corruption.
 func TestPairCountsUnderflowPanics(t *testing.T) {
 	pc := NewPairCounts()
-	rel := func(x, y uint32) topology.Relationship {
-		return topology.P2C // every hop descends
+	rels := map[paths.Link]topology.Relationship{ // every hop descends
+		paths.NewLink(1, 2): topology.P2C,
+		paths.NewLink(2, 3): topology.P2C,
+		paths.NewLink(3, 4): topology.P2C,
 	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on refcount underflow")
 		}
 	}()
-	pc.Credit(rel, []uint32{1, 2, 3, 4}, -1)
+	pc.Credit(rels, []uint32{1, 2, 3, 4}, -1)
 }

@@ -149,16 +149,7 @@ type Result struct {
 
 // Rel returns the inferred relationship of x relative to y: P2C means x
 // is y's provider.
-func (r *Result) Rel(x, y uint32) topology.Relationship {
-	rel, ok := r.Rels[paths.NewLink(x, y)]
-	if !ok {
-		return topology.None
-	}
-	if paths.NewLink(x, y).A == x {
-		return rel
-	}
-	return rel.Invert()
-}
+func (r *Result) Rel(x, y uint32) topology.Relationship { return topology.RelOf(r.Rels, x, y) }
 
 // Providers returns the inferred providers of asn, ascending.
 func (r *Result) Providers(asn uint32) []uint32 {

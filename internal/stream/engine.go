@@ -17,8 +17,9 @@
 //     so core.InferIndexed — the one shared engine both paths execute
 //     — sees identical inputs.
 //  2. Cone credits (cone.PairCounts) are commutative refcounts of the
-//     same crediting walk the batch engine shards; patches read final
-//     refcount state, so within-epoch event order cannot matter.
+//     same crediting walk the batch engine shards, read at their final
+//     state when the slab is built, so within-epoch event order cannot
+//     matter.
 //  3. The dirty-region rule is conservative: a changed clique re-flags
 //     every path and rebuilds the kept layer and credits from scratch;
 //     an unchanged clique confines re-crediting to paths containing a
@@ -30,6 +31,7 @@ package stream
 import (
 	"context"
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -60,15 +62,12 @@ type Options struct {
 	Journal *oplog.Journal
 }
 
-// Stats counts what the engine has done — the differential harness
-// asserts Patched > 0 so "incremental" is a proven property, not a
-// label on a hidden full re-run.
+// Stats counts what the engine has done. Whether an epoch really ran
+// incrementally is read off its CommitReport (paths re-walked against
+// live entries), which the differential harness asserts on.
 type Stats struct {
 	Epochs       int // Commit calls
-	FullRebuilds int // epochs that re-flagged every path (clique changed)
-	FullSlabs    int // epochs that rebuilt the cone slab (rebuild or AS set changed)
-	Patched      int // epochs that patched the previous slab in place
-	Reused       int // epochs that reused the previous slab untouched
+	FullRebuilds int // epochs that re-flagged every path (first epoch or clique changed)
 	Entries      int // live distinct paths
 	RIBRoutes    int // live (collector, vp, prefix) routes
 }
@@ -93,10 +92,11 @@ type entryKey struct {
 // entry is one distinct sanitized path currently announced by refs
 // vantage-point routes.
 type entry struct {
-	path     paths.Path
-	refs     int
-	poisoned bool // under the last committed clique
-	credited bool // currently counted in the cone credit table
+	key      entryKey
+	asns     []uint32 // key.hops, unpacked
+	refs     int32    // int32 keeps entry in the 96-byte size class (one per distinct path)
+	poisoned bool     // under the last committed clique
+	credited bool     // currently counted in the cone credit table
 }
 
 // Engine is the incremental inference state machine. Announce and
@@ -134,15 +134,11 @@ type Engine struct {
 	cliqueSet map[uint32]bool
 	//asrank:guardedby mu
 	rels map[paths.Link]topology.Relationship
-	//asrank:guardedby mu
-	prevIdx *asindex.Index
-	//asrank:guardedby mu
-	prevSlab []uint64
 
 	//asrank:guardedby mu
 	pendingCredit map[*entry]struct{} // kept entries not yet credited
 	//asrank:guardedby mu
-	uncredit []paths.Path // ex-credited paths to remove under the old relationships
+	uncredit [][]uint32 // ex-credited paths to remove under the old relationships
 
 	//asrank:guardedby mu
 	stats Stats
@@ -211,12 +207,12 @@ func (e *Engine) Announce(collector string, vp uint32, prefix netip.Prefix, asns
 	}
 	ek := entryKey{collector: collector, prefix: prefix, hops: hopsKey(cleaned)}
 	if had && old != nil {
-		if keyOf(old) == ek {
+		if old.key == ek {
 			return // same route re-announced
 		}
 		e.releaseLocked(old)
 	}
-	e.rib[rk] = e.acquireLocked(ek, paths.Path{Collector: collector, Prefix: prefix, ASNs: cleaned})
+	e.rib[rk] = e.acquireLocked(ek, cleaned)
 }
 
 // Withdraw folds one route withdrawal. Withdrawing a prefix the
@@ -247,20 +243,17 @@ func (e *Engine) noteEventLocked() {
 	}
 }
 
-func keyOf(en *entry) entryKey {
-	return entryKey{collector: en.path.Collector, prefix: en.path.Prefix, hops: hopsKey(en.path.ASNs)}
-}
-
-// acquireLocked bumps (or creates) the distinct-path entry for ek.
-func (e *Engine) acquireLocked(ek entryKey, p paths.Path) *entry {
+// acquireLocked bumps (or creates) the distinct-path entry for ek,
+// whose unpacked hops are asns.
+func (e *Engine) acquireLocked(ek entryKey, asns []uint32) *entry {
 	if en, ok := e.entries[ek]; ok {
 		en.refs++
 		return en
 	}
-	en := &entry{path: p, refs: 1}
+	en := &entry{key: ek, asns: asns, refs: 1}
 	e.entries[ek] = en
-	e.ix.AddPath(p.ASNs, 1)
-	en.poisoned = core.Poisoned(p.ASNs, e.cliqueSet)
+	e.ix.AddPath(asns, 1)
+	en.poisoned = core.Poisoned(asns, e.cliqueSet)
 	if !en.poisoned {
 		e.keepLocked(en)
 	}
@@ -273,8 +266,8 @@ func (e *Engine) releaseLocked(en *entry) {
 	if en.refs > 0 {
 		return
 	}
-	delete(e.entries, keyOf(en))
-	e.ix.AddPath(en.path.ASNs, -1)
+	delete(e.entries, en.key)
+	e.ix.AddPath(en.asns, -1)
 	if !en.poisoned {
 		e.unkeepLocked(en)
 	}
@@ -283,9 +276,9 @@ func (e *Engine) releaseLocked(en *entry) {
 // keepLocked admits an entry to the kept (post-discard) layer: corpus
 // aggregates, link index, prefix counts, and the credit queue.
 func (e *Engine) keepLocked(en *entry) {
-	e.ix.AddKept(en.path.ASNs, 1)
-	for i := 0; i+1 < len(en.path.ASNs); i++ {
-		l := paths.NewLink(en.path.ASNs[i], en.path.ASNs[i+1])
+	e.ix.AddKept(en.asns, 1)
+	for i := 0; i+1 < len(en.asns); i++ {
+		l := paths.NewLink(en.asns[i], en.asns[i+1])
 		set, ok := e.linkIndex[l]
 		if !ok {
 			set = make(map[*entry]struct{})
@@ -293,8 +286,8 @@ func (e *Engine) keepLocked(en *entry) {
 		}
 		set[en] = struct{}{}
 	}
-	if en.path.Prefix.IsValid() {
-		k := pfxKey{origin: en.path.Origin(), prefix: en.path.Prefix.String()}
+	if en.key.prefix.IsValid() {
+		k := pfxKey{origin: en.asns[len(en.asns)-1], prefix: en.key.prefix.String()}
 		e.pfxRef[k]++
 		if e.pfxRef[k] == 1 {
 			e.pfxCount[k.origin]++
@@ -306,16 +299,16 @@ func (e *Engine) keepLocked(en *entry) {
 // unkeepLocked reverses keepLocked. A credited entry is queued for
 // uncrediting under the relationships it was credited with.
 func (e *Engine) unkeepLocked(en *entry) {
-	e.ix.AddKept(en.path.ASNs, -1)
-	for i := 0; i+1 < len(en.path.ASNs); i++ {
-		l := paths.NewLink(en.path.ASNs[i], en.path.ASNs[i+1])
+	e.ix.AddKept(en.asns, -1)
+	for i := 0; i+1 < len(en.asns); i++ {
+		l := paths.NewLink(en.asns[i], en.asns[i+1])
 		delete(e.linkIndex[l], en)
 		if len(e.linkIndex[l]) == 0 {
 			delete(e.linkIndex, l)
 		}
 	}
-	if en.path.Prefix.IsValid() {
-		k := pfxKey{origin: en.path.Origin(), prefix: en.path.Prefix.String()}
+	if en.key.prefix.IsValid() {
+		k := pfxKey{origin: en.asns[len(en.asns)-1], prefix: en.key.prefix.String()}
 		e.pfxRef[k]--
 		if e.pfxRef[k] == 0 {
 			delete(e.pfxRef, k)
@@ -327,33 +320,18 @@ func (e *Engine) unkeepLocked(en *entry) {
 	}
 	if en.credited {
 		en.credited = false
-		e.uncredit = append(e.uncredit, en.path)
+		e.uncredit = append(e.uncredit, en.asns)
 	} else {
 		delete(e.pendingCredit, en)
 	}
 }
 
-// relLookup adapts a canonical-orientation relationship map (relative
-// to Link.A, as core.Infer produces) to the crediting walk's (x, y)
-// query — the same inversion cone.Relations.Rel performs.
-func relLookup(rels map[paths.Link]topology.Relationship) cone.RelLookup {
-	return func(x, y uint32) topology.Relationship {
-		rel, ok := rels[paths.NewLink(x, y)]
-		if !ok {
-			return topology.None
-		}
-		if x < y {
-			return rel
-		}
-		return rel.Invert()
-	}
-}
-
 // Commit converges the current RIB into one epoch: re-runs the
 // affected region of the 11-step inference over the refcounted
-// aggregates, patches the cone credit slab, and composes the immutable
-// columnar snapshot — bit-identical to a batch run over the same
-// routes. The returned snapshot is immutable and safe to publish.
+// aggregates, builds the cone slab from the credit table, and composes
+// the immutable columnar snapshot — bit-identical to a batch run over
+// the same routes. The returned snapshot is immutable and safe to
+// publish.
 func (e *Engine) Commit(ctx context.Context) *warehouse.Snapshot {
 	snap, _ := e.CommitEpoch(ctx)
 	return snap
@@ -372,6 +350,7 @@ func (e *Engine) CommitEpoch(ctx context.Context) (*warehouse.Snapshot, CommitRe
 	rep := CommitReport{
 		Epoch:  e.stats.Epochs,
 		Events: e.pendingEvents,
+		Slab:   SlabFull,
 	}
 	e.pendingEvents = 0
 	// The watermark clock keeps running until the snapshot is composed
@@ -390,11 +369,12 @@ func (e *Engine) CommitEpoch(ctx context.Context) (*warehouse.Snapshot, CommitRe
 
 	// The first epoch is a rebuild by definition — there is no previous
 	// state to be incremental against — even when the computed clique
-	// happens to equal the initial empty one, so the reported decision,
-	// stats.FullRebuilds, and the slab path below all agree on it.
-	rebuild := e.prevIdx == nil || !equalASNSlices(clique, e.clique)
+	// happens to equal the initial empty one, so the reported decision
+	// and stats.FullRebuilds agree on it.
+	first := e.stats.Epochs == 1
+	rebuild := first || !slices.Equal(clique, e.clique)
 	switch {
-	case e.prevIdx == nil:
+	case first:
 		rep.Decision, rep.Reason = DecisionRebuild, ReasonInitial
 	case !rebuild:
 		rep.Decision, rep.Reason = DecisionIncremental, ReasonSteady
@@ -402,9 +382,9 @@ func (e *Engine) CommitEpoch(ctx context.Context) (*warehouse.Snapshot, CommitRe
 		rep.Decision, rep.Reason = DecisionRebuild, ReasonCliqueChurn
 	}
 	if rebuild {
-		// Dirty region = everything: the clique decides which paths are
-		// poisoned, so every kept-layer aggregate and every credit is
-		// suspect. Re-flag and rebuild from the ranked layer.
+		// The dirty region is everything: the clique decides which paths
+		// are poisoned, so every kept-layer aggregate and every credit
+		// is suspect. Re-flag and rebuild from the ranked layer.
 		e.stats.FullRebuilds++
 		e.clique = append([]uint32(nil), clique...)
 		e.cliqueSet = make(map[uint32]bool, len(clique))
@@ -420,7 +400,7 @@ func (e *Engine) CommitEpoch(ctx context.Context) (*warehouse.Snapshot, CommitRe
 		e.pc = cone.NewPairCounts()
 		for _, en := range e.entries {
 			en.credited = false
-			en.poisoned = core.Poisoned(en.path.ASNs, e.cliqueSet)
+			en.poisoned = core.Poisoned(en.asns, e.cliqueSet)
 			if !en.poisoned {
 				e.keepLocked(en)
 			}
@@ -439,11 +419,9 @@ func (e *Engine) CommitEpoch(ctx context.Context) (*warehouse.Snapshot, CommitRe
 	// everything else keeps its contribution (leg 3 of the package
 	// contract).
 	tCredit := time.Now()
-	oldRel := relLookup(e.rels)
-	newRel := relLookup(res.Rels)
 	rep.UncreditedPaths = len(e.uncredit)
-	for _, p := range e.uncredit {
-		e.pc.Credit(oldRel, p.ASNs, -1)
+	for _, asns := range e.uncredit {
+		e.pc.Credit(e.rels, asns, -1)
 	}
 	e.uncredit = nil
 	if !rebuild {
@@ -469,19 +447,18 @@ func (e *Engine) CommitEpoch(ctx context.Context) (*warehouse.Snapshot, CommitRe
 		for en := range affected {
 			if en.credited {
 				rep.RecreditedPaths++
-				e.pc.Credit(oldRel, en.path.ASNs, -1)
-				e.pc.Credit(newRel, en.path.ASNs, 1)
+				e.pc.Credit(e.rels, en.asns, -1)
+				e.pc.Credit(res.Rels, en.asns, 1)
 			}
 		}
 	}
 	rep.NewlyCredited = len(e.pendingCredit)
 	for en := range e.pendingCredit {
-		e.pc.Credit(newRel, en.path.ASNs, 1)
+		e.pc.Credit(res.Rels, en.asns, 1)
 		en.credited = true
 	}
 	e.pendingCredit = make(map[*entry]struct{})
 	e.rels = res.Rels
-	e.clique = append([]uint32(nil), clique...)
 	rep.record("credit", time.Since(tCredit))
 
 	// The serving index is the sorted endpoint set of the labeled
@@ -494,25 +471,7 @@ func (e *Engine) CommitEpoch(ctx context.Context) (*warehouse.Snapshot, CommitRe
 	idx := asindex.New(asns)
 
 	tSlab := time.Now()
-	var slab []uint64
-	switch {
-	// rebuild is always true on the first epoch, so e.prevIdx is
-	// non-nil whenever the second operand evaluates.
-	case rebuild || !equalASNSlices(idx.ASNs(), e.prevIdx.ASNs()):
-		e.stats.FullSlabs++
-		rep.Slab = SlabFull
-		slab = e.pc.Slab(idx)
-	case e.pc.Dirty():
-		e.stats.Patched++
-		rep.Slab = SlabPatched
-		slab = e.pc.Patch(idx, e.prevSlab)
-	default:
-		e.stats.Reused++
-		rep.Slab = SlabReused
-		slab = e.prevSlab
-	}
-	e.prevIdx = idx
-	e.prevSlab = slab
+	slab := e.pc.Slab(idx)
 	rep.record("slab", time.Since(tSlab))
 
 	tCompose := time.Now()
@@ -594,19 +553,7 @@ func (e *Engine) Corpus() *paths.Dataset {
 		if en == nil {
 			continue
 		}
-		ds.Add(paths.Path{Collector: en.path.Collector, Prefix: en.path.Prefix, ASNs: en.path.ASNs})
+		ds.Add(paths.Path{Collector: en.key.collector, Prefix: en.key.prefix, ASNs: en.asns})
 	}
 	return ds
-}
-
-func equalASNSlices(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -1,0 +1,112 @@
+package stream
+
+import (
+	"context"
+	"net/netip"
+	"testing"
+)
+
+var (
+	pfxA = netip.MustParsePrefix("192.0.2.0/24")
+	pfxB = netip.MustParsePrefix("198.51.100.0/24")
+)
+
+// tables is the engine state the event-folding tests assert on.
+type tables struct {
+	rib, entries, paths int
+}
+
+func tablesOf(e *Engine) tables {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return tables{rib: len(e.rib), entries: len(e.entries), paths: e.ix.PathCount()}
+}
+
+// soleEntryRefs returns the refcount of the engine's only entry.
+func soleEntryRefs(t *testing.T, e *Engine) int32 {
+	t.Helper()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if len(e.entries) != 1 {
+		t.Fatalf("engine holds %d entries, want 1", len(e.entries))
+	}
+	for _, en := range e.entries {
+		return en.refs
+	}
+	return 0
+}
+
+func TestReannounceSameRouteIsNoOp(t *testing.T) {
+	e := New(Options{})
+	e.Announce("rc0", 10, pfxA, []uint32{10, 20, 30})
+	before := tablesOf(e)
+	// Prepending differs on the wire but cleans to the same route.
+	e.Announce("rc0", 10, pfxA, []uint32{10, 20, 30, 30})
+	if after := tablesOf(e); after != before {
+		t.Errorf("re-announce changed tables: %+v → %+v", before, after)
+	}
+	if refs := soleEntryRefs(t, e); refs != 1 {
+		t.Errorf("re-announce left refs = %d, want 1", refs)
+	}
+}
+
+func TestWithdrawNeverAnnouncedIsNoOp(t *testing.T) {
+	e := New(Options{})
+	e.Announce("rc0", 10, pfxA, []uint32{10, 20, 30})
+	before := tablesOf(e)
+	e.Withdraw("rc0", 10, pfxB) // same VP, other prefix
+	e.Withdraw("rc0", 11, pfxA) // same prefix, other VP
+	if after := tablesOf(e); after != before {
+		t.Errorf("withdraw of a never-announced route changed tables: %+v → %+v", before, after)
+	}
+}
+
+func TestDroppedAnnounceThenWithdrawLeavesNoSlot(t *testing.T) {
+	e := New(Options{})
+	e.Announce("rc0", 10, pfxA, []uint32{10, 64512, 30}) // reserved ASN: sanitize drops it
+	if got := tablesOf(e); got != (tables{rib: 1}) {
+		t.Fatalf("dropped announce: tables = %+v, want a nil RIB slot only", got)
+	}
+	e.Withdraw("rc0", 10, pfxA)
+	if got := tablesOf(e); got != (tables{}) {
+		t.Errorf("withdraw after dropped announce: tables = %+v, want empty", got)
+	}
+}
+
+func TestSharedEntrySurvivesOneWithdraw(t *testing.T) {
+	e := New(Options{})
+	e.Announce("rc0", 10, pfxA, []uint32{10, 20, 30})
+	e.Announce("rc0", 11, pfxA, []uint32{10, 20, 30})
+	if got := tablesOf(e); got != (tables{rib: 2, entries: 1, paths: 1}) {
+		t.Fatalf("two VPs, one cleaned path: tables = %+v", got)
+	}
+	if refs := soleEntryRefs(t, e); refs != 2 {
+		t.Fatalf("shared entry refs = %d, want 2", refs)
+	}
+	e.Withdraw("rc0", 10, pfxA)
+	if got := tablesOf(e); got != (tables{rib: 1, entries: 1, paths: 1}) {
+		t.Errorf("after one withdraw: tables = %+v", got)
+	}
+	e.Withdraw("rc0", 11, pfxA)
+	if got := tablesOf(e); got != (tables{}) {
+		t.Errorf("after both withdraws: tables = %+v, want empty", got)
+	}
+}
+
+func TestFirstEpochIsInitialRebuild(t *testing.T) {
+	// Even with nothing announced — the computed clique then equals the
+	// engine's initial empty one — epoch 1 is a rebuild, and epoch 2 is
+	// not.
+	e := New(Options{})
+	_, first := e.CommitEpoch(context.Background())
+	if first.Decision != DecisionRebuild || first.Reason != ReasonInitial {
+		t.Errorf("epoch 1 = %s/%s, want %s/%s", first.Decision, first.Reason, DecisionRebuild, ReasonInitial)
+	}
+	_, second := e.CommitEpoch(context.Background())
+	if second.Decision != DecisionIncremental || second.Reason != ReasonSteady {
+		t.Errorf("epoch 2 = %s/%s, want %s/%s", second.Decision, second.Reason, DecisionIncremental, ReasonSteady)
+	}
+	if st := e.Stats(); st.Epochs != 2 || st.FullRebuilds != 1 {
+		t.Errorf("stats = %+v, want 2 epochs, 1 rebuild", st)
+	}
+}

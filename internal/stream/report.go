@@ -31,12 +31,9 @@ const (
 	ReasonSteady      = "steady"       // confined dirty region
 )
 
-// Slab values for CommitReport.
-const (
-	SlabFull    = "full"    // cone slab rebuilt from the credit table
-	SlabPatched = "patched" // previous slab patched in place
-	SlabReused  = "reused"  // previous slab untouched
-)
+// SlabFull is the only CommitReport.Slab value: every epoch builds the
+// cone slab from the credit table.
+const SlabFull = "full"
 
 // PhaseMillis breaks one commit into its serial phases, in wall-clock
 // milliseconds. Instrumentation only: phase times never influence what
@@ -45,7 +42,7 @@ type PhaseMillis struct {
 	RankClique float64 `json:"rankCliqueMillis"` // steps 2–3 + rebuild re-flagging
 	Infer      float64 `json:"inferMillis"`      // steps 5–9 over the kept layer
 	Credit     float64 `json:"creditMillis"`     // uncredit + re-credit walks
-	Slab       float64 `json:"slabMillis"`       // cone slab full/patch/reuse
+	Slab       float64 `json:"slabMillis"`       // cone slab build from the credit table
 	Compose    float64 `json:"composeMillis"`    // columnar snapshot composition
 }
 
@@ -60,11 +57,15 @@ type CommitReport struct {
 	Epoch    int    `json:"epoch"`
 	Decision string `json:"decision"`
 	Reason   string `json:"reason"`
-	Slab     string `json:"slab"`
+	// Slab is the constant SlabFull: patching or reusing the previous
+	// epoch's slab saved 0.4 ms of a 114 ms commit at 5k ASes and was
+	// removed. The field stays for readers of the report's JSON shape.
+	Slab string `json:"slab"`
 
-	// Dirty-region accounting. Events counts route events folded since
-	// the previous commit; DirtyLinks counts links whose inferred
-	// relationship changed or disappeared (incremental epochs only);
+	// Accounting for the dirty region. Events counts route events
+	// folded since the previous commit; DirtyLinks counts links whose
+	// inferred relationship changed or disappeared (incremental epochs
+	// only);
 	// RecreditedPaths counts live paths re-walked because they touch a
 	// dirty link; UncreditedPaths counts departed paths whose credits
 	// were removed; NewlyCredited counts paths credited for the first

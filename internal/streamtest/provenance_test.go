@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/asrank-go/asrank/internal/apiserver"
 	"github.com/asrank-go/asrank/internal/oplog"
 	"github.com/asrank-go/asrank/internal/stream"
 )
@@ -21,11 +22,13 @@ func TestCommitReportsMatchStats(t *testing.T) {
 	opts := stream.Options{Journal: journal}
 	eng := stream.New(opts)
 	sched := NewSchedule(7, baseCorpus(), 6, 20)
-	if _, _, err := RunScheduleOn(context.Background(), eng, sched, opts); err != nil {
+	etags, _, err := RunScheduleOn(context.Background(), eng, sched, opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// One extra commit with no events: the reused-slab path.
-	eng.Commit(context.Background())
+	// One extra commit with no events: nothing to re-credit, and the
+	// snapshot must be the one already served.
+	eventless := eng.Commit(context.Background())
 
 	st := eng.Stats()
 	reports := eng.Reports()
@@ -33,7 +36,7 @@ func TestCommitReportsMatchStats(t *testing.T) {
 		t.Fatalf("reports = %d, stats.Epochs = %d", len(reports), st.Epochs)
 	}
 
-	var rebuilds, fulls, patched, reused int
+	var rebuilds int
 	for i, rep := range reports {
 		if rep.Epoch != i+1 {
 			t.Errorf("report %d has epoch %d", i, rep.Epoch)
@@ -51,14 +54,7 @@ func TestCommitReportsMatchStats(t *testing.T) {
 		default:
 			t.Errorf("epoch %d: decision %q", rep.Epoch, rep.Decision)
 		}
-		switch rep.Slab {
-		case stream.SlabFull:
-			fulls++
-		case stream.SlabPatched:
-			patched++
-		case stream.SlabReused:
-			reused++
-		default:
+		if rep.Slab != stream.SlabFull {
 			t.Errorf("epoch %d: slab %q", rep.Epoch, rep.Slab)
 		}
 		if rep.TotalMillis <= 0 {
@@ -73,20 +69,15 @@ func TestCommitReportsMatchStats(t *testing.T) {
 	if rebuilds != st.FullRebuilds {
 		t.Errorf("rebuild decisions = %d, stats.FullRebuilds = %d", rebuilds, st.FullRebuilds)
 	}
-	if fulls != st.FullSlabs {
-		t.Errorf("full slabs = %d, stats.FullSlabs = %d", fulls, st.FullSlabs)
-	}
-	if patched != st.Patched {
-		t.Errorf("patched slabs = %d, stats.Patched = %d", patched, st.Patched)
-	}
-	if reused != st.Reused {
-		t.Errorf("reused slabs = %d, stats.Reused = %d", reused, st.Reused)
-	}
 
-	// The last report is the eventless commit: reused slab, 0 events.
+	// The last report is the eventless commit: 0 events, incremental,
+	// and the same serving ETag as the epoch before it.
 	last := reports[len(reports)-1]
-	if last.Events != 0 || last.Slab != stream.SlabReused || last.Decision != stream.DecisionIncremental {
+	if last.Events != 0 || last.Slab != stream.SlabFull || last.Decision != stream.DecisionIncremental {
 		t.Errorf("eventless commit report = %+v", last)
+	}
+	if got, want := apiserver.BuildSnapshot(eventless).ETag(), etags[len(etags)-1]; got != want {
+		t.Errorf("eventless commit serves ETag %s, previous epoch served %s", got, want)
 	}
 	if last.Entries != st.Entries || last.RIBRoutes != st.RIBRoutes {
 		t.Errorf("last report sizes (%d,%d) != stats (%d,%d)",
@@ -142,20 +133,9 @@ func TestStatsCompleteness(t *testing.T) {
 	if _, _, err := RunScheduleOn(context.Background(), eng, sched, opts); err != nil {
 		t.Fatal(err)
 	}
-	union := eng.Stats()
-	// An eventless commit exercises the reused-slab counter.
-	eng.Commit(context.Background())
-	after := eng.Stats()
-
-	uv := reflect.ValueOf(&union).Elem()
-	av := reflect.ValueOf(after)
-	for i := 0; i < uv.NumField(); i++ {
-		if av.Field(i).Int() > uv.Field(i).Int() {
-			uv.Field(i).SetInt(av.Field(i).Int())
-		}
-	}
-
-	typ := reflect.TypeOf(union)
+	st := eng.Stats()
+	sv := reflect.ValueOf(st)
+	typ := sv.Type()
 	var untouched []string
 	for i := 0; i < typ.NumField(); i++ {
 		f := typ.Field(i)
@@ -167,7 +147,7 @@ func TestStatsCompleteness(t *testing.T) {
 				f.Name, f.Type)
 			continue
 		}
-		if uv.Field(i).Int() == 0 {
+		if sv.Field(i).Int() == 0 {
 			untouched = append(untouched, f.Name)
 		}
 	}

@@ -54,6 +54,20 @@ func (r Relationship) Invert() Relationship {
 	return r
 }
 
+// RelOf returns the relationship of x relative to y (P2C: x is y's
+// provider) from a map in canonical orientation — each value relative
+// to its key's Link.A, as core.Infer and Topology.Links produce — or
+// None when the link is absent. This is the one place the "invert when
+// x is Link.B" rule lives.
+func RelOf(rels map[paths.Link]Relationship, x, y uint32) Relationship {
+	l := paths.NewLink(x, y)
+	r := rels[l] // absent → None, which Invert leaves alone
+	if l.A == x {
+		return r
+	}
+	return r.Invert()
+}
+
 // Class is the structural role of an AS in the synthetic Internet.
 type Class int8
 
@@ -183,16 +197,7 @@ func (t *Topology) HasLink(x, y uint32) bool {
 
 // Rel returns the relationship of x relative to y: P2C means x is y's
 // provider.
-func (t *Topology) Rel(x, y uint32) Relationship {
-	r, ok := t.rels[paths.NewLink(x, y)]
-	if !ok {
-		return None
-	}
-	if paths.NewLink(x, y).A == x {
-		return r
-	}
-	return r.Invert()
-}
+func (t *Topology) Rel(x, y uint32) Relationship { return RelOf(t.rels, x, y) }
 
 // Links returns the ground-truth relationship of every link, keyed by
 // normalized link with the canonical orientation (relative to Link.A).
