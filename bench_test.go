@@ -129,9 +129,9 @@ func BenchmarkInfer(b *testing.B) {
 	}
 }
 
-// BenchmarkConeRecursive measures the steady-state cost of the cone
-// query API: the first iteration computes, the rest hit the memoized
-// result — the pattern the experiment pipeline actually exhibits. The
+// BenchmarkConeRecursive measures the steady-state cost of the public
+// map-form cone query: the first iteration computes the closure, the
+// rest materialize the map from the memoized bitsets. The
 // *Seq/*Parallel variants below pin the cold compute cost.
 func BenchmarkConeRecursive(b *testing.B) {
 	_, _, res := benchCorpus(b)
@@ -144,7 +144,8 @@ func BenchmarkConeRecursive(b *testing.B) {
 }
 
 // BenchmarkConePPObserved measures the steady-state PP-cone query cost
-// (memoized after the first iteration, like BenchmarkConeRecursive).
+// (bitsets memoized after the first iteration, like
+// BenchmarkConeRecursive).
 func BenchmarkConePPObserved(b *testing.B) {
 	_, clean, res := benchCorpus(b)
 	rels := cone.NewRelations(res.Rels)

@@ -80,9 +80,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -231,9 +229,11 @@ func main() {
 
 	// publish swaps the serving snapshot and flips readiness on the
 	// first swap — the moment data routes stop answering 503.
+	var servedETag string
 	publish := func(data *apiserver.Data) {
 		live.Swap(data)
 		health.MarkReady()
+		servedETag = data.ETag()
 	}
 
 	// Serve whatever the store already holds before any inference runs,
@@ -250,38 +250,52 @@ func main() {
 		}
 	}
 
-	// Ingest each corpus as one epoch, hot-swapping the serving snapshot
-	// after every append. An epoch whose ETag matches the store's latest
-	// is a re-ingest and is skipped, keeping restarts idempotent.
-	ingest := func(label string, ds *paths.Dataset) {
-		start := time.Now()
-		startCtx, startSpan := tracer.StartSpan(context.Background(), "asrankd.startup")
-		res := core.InferCtx(startCtx, ds, core.Options{Sanitize: true, Workers: *workers})
-		snap := warehouse.FromResult(res)
+	// publishEpoch is the one publish sequence batch ingests and
+	// streaming commits share: build the serving data, skip an epoch
+	// whose ETag is already being served (a re-ingested corpus, a quiet
+	// streaming interval — the served ETag is also the store's latest,
+	// so restarts stay idempotent), append to the warehouse with the
+	// caller's manifest note, hot-swap, journal. It reports whether a
+	// new epoch went out. Callers run one at a time: the batch ingests
+	// finish before the streaming ticker starts.
+	publishEpoch := func(ctx context.Context, snap *warehouse.Snapshot, label, source string, note json.RawMessage) bool {
 		data := apiserver.BuildSnapshot(snap)
-		startSpan.End()
-		journal.Info(startCtx, "ingest.done",
-			oplog.String("label", label),
-			oplog.Int("links", int64(len(res.Rels))),
-			oplog.Duration("took", time.Since(start)),
-			oplog.String("etag", data.ETag()))
+		if data.ETag() == servedETag {
+			return false
+		}
 		if store != nil {
-			if _, last, ok := store.Latest(); ok && last.ETag == data.ETag() {
-				journal.Info(startCtx, "ingest.unchanged",
-					oplog.String("label", label), oplog.Int("epoch", int64(last.ID)))
-			} else {
-				info, err := store.Append(snap, label, data.ETag())
-				if err != nil {
-					log.Fatalf("asrankd: %v", err)
-				}
-				journal.Info(startCtx, "warehouse.append",
-					oplog.String("label", label),
-					oplog.Int("epoch", int64(info.ID)),
-					oplog.String("kind", info.Kind),
-					oplog.Int("bytes", info.Bytes))
+			info, err := store.AppendNote(snap, label, data.ETag(), note)
+			if err != nil {
+				log.Fatalf("asrankd: %v", err)
 			}
+			journal.Info(ctx, "warehouse.append",
+				oplog.String("label", label),
+				oplog.Int("epoch", int64(info.ID)),
+				oplog.String("kind", info.Kind),
+				oplog.Int("bytes", info.Bytes))
 		}
 		publish(data)
+		journal.Info(ctx, "snapshot.publish",
+			oplog.String("source", source),
+			oplog.String("label", label),
+			oplog.String("etag", data.ETag()))
+		return true
+	}
+
+	// Ingest each corpus as one epoch, hot-swapping the serving snapshot
+	// after every append.
+	ingest := func(label string, ds *paths.Dataset) {
+		start := time.Now()
+		ctx, span := tracer.StartSpan(context.Background(), "asrankd.startup")
+		defer span.End()
+		res := core.InferCtx(ctx, ds, core.Options{Sanitize: true, Workers: *workers})
+		journal.Info(ctx, "ingest.done",
+			oplog.String("label", label),
+			oplog.Int("links", int64(len(res.Rels))),
+			oplog.Duration("took", time.Since(start)))
+		if !publishEpoch(ctx, warehouse.FromResult(res), label, "batch", nil) {
+			journal.Info(ctx, "ingest.unchanged", oplog.String("label", label))
+		}
 	}
 
 	for _, corpus := range corpora {
@@ -335,12 +349,6 @@ func main() {
 		}
 		log.Printf("asrankd: streaming collector on %s, committing every %s", streamSrv.Addr(), *epochInterval)
 
-		var lastETag string
-		if store != nil {
-			if _, last, ok := store.Latest(); ok {
-				lastETag = last.ETag
-			}
-		}
 		epoch := 0
 		commit := func() {
 			if epoch == 0 && eng.Stats().RIBRoutes == 0 {
@@ -350,37 +358,16 @@ func main() {
 				return
 			}
 			ctx, span := tracer.StartSpan(context.Background(), "asrankd.stream_epoch")
+			defer span.End()
 			snap, rep := eng.CommitEpoch(ctx)
-			data := apiserver.BuildSnapshot(snap)
-			span.End()
-			if data.ETag() == lastETag {
-				return // quiet interval: keep serving the current epoch
+			note, merr := json.Marshal(rep)
+			if merr != nil {
+				note = nil
 			}
-			epoch++
-			label := fmt.Sprintf("stream-%d", epoch)
-			if store != nil {
-				note, merr := json.Marshal(rep)
-				if merr != nil {
-					note = nil
-				}
-				info, err := store.AppendNote(snap, label, data.ETag(), note)
-				if err != nil {
-					log.Fatalf("asrankd: %v", err)
-				}
-				journal.Info(ctx, "warehouse.append",
-					oplog.String("label", label),
-					oplog.Int("epoch", int64(info.ID)),
-					oplog.String("kind", info.Kind),
-					oplog.Int("bytes", info.Bytes))
+			// A quiet interval publishes nothing and keeps its label.
+			if publishEpoch(ctx, snap, fmt.Sprintf("stream-%d", epoch+1), "stream", note) {
+				epoch++
 			}
-			publish(data)
-			lastETag = data.ETag()
-			journal.Info(ctx, "snapshot.publish",
-				oplog.String("source", "stream"),
-				oplog.String("label", label),
-				oplog.Int("routes", int64(rep.RIBRoutes)),
-				oplog.Int("entries", int64(rep.Entries)),
-				oplog.String("etag", data.ETag()))
 		}
 		//lint:ignore noderivedgo epoch ticker lives until signal-driven drain, not a bounded fan-out
 		go func() {
@@ -414,16 +401,15 @@ func main() {
 	}
 
 	// The debug listener is deliberately separate from the API address:
-	// /metrics and pprof never share a port (or timeouts — CPU profiles
-	// and live trace captures stream for longer than any API response,
-	// so the debug server sets only ReadHeaderTimeout, never a write
-	// timeout) with user traffic.
-	var debug *http.Server
-	var debugCancel context.CancelFunc
+	// /metrics and pprof never share a port (or timeouts) with user
+	// traffic. Streaming mode adds the epoch provenance timeline.
+	var debug *oplog.DebugServer
 	if *debugListen != "" {
 		obs.NewRuntimeMetrics(obs.Default()).Start(0, stopPoll)
-		debug, debugCancel = debugServer(*debugListen, tracer, journal, eng)
-		defer debugCancel()
+		debug = oplog.NewDebugServer(*debugListen, obs.Default(), tracer, journal)
+		if eng != nil {
+			debug.Handle("GET /debug/epochs", stream.EpochsHandler(eng))
+		}
 		//lint:ignore noderivedgo debug listener lives for the process lifetime, not a bounded fan-out
 		go func() {
 			log.Printf("asrankd: debug surface on http://%s/metrics", *debugListen)
@@ -466,44 +452,10 @@ func main() {
 			api.Close()
 		}
 		if debug != nil {
-			// Cancel the debug BaseContext first: streaming handlers
-			// (/debug/trace mid-capture) end at the next context check
-			// instead of running out their full capture window.
-			debugCancel()
 			debug.Shutdown(sctx)
 		}
 		journal.Info(context.Background(), "drain.done",
 			oplog.Int("in_flight", int64(metrics.InFlight())),
 			oplog.Duration("took", time.Since(drainStart)))
 	}
-}
-
-// debugServer assembles the debug-surface HTTP server: metrics, pprof,
-// live trace capture, flight recorder, the structured event journal,
-// and (when the streaming engine runs) the epoch provenance timeline.
-// The returned cancel func cancels every in-flight request's context —
-// call it before Shutdown so streaming handlers (a 60s /debug/trace
-// capture, say) end promptly instead of holding the drain hostage.
-func debugServer(addr string, tracer *trace.Tracer, journal *oplog.Journal, eng *stream.Engine) (*http.Server, context.CancelFunc) {
-	dmux := http.NewServeMux()
-	dmux.Handle("GET /metrics", obs.Default().Handler())
-	dmux.HandleFunc("/debug/pprof/", pprof.Index)
-	dmux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	dmux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	dmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	dmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	dmux.Handle("GET /debug/trace", trace.CaptureHandler(tracer))
-	dmux.Handle("GET /debug/flight", trace.FlightHandler(tracer))
-	dmux.Handle("GET /debug/oplog", oplog.Handler(journal))
-	if eng != nil {
-		dmux.Handle("GET /debug/epochs", stream.EpochsHandler(eng))
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           dmux,
-		ReadHeaderTimeout: 5 * time.Second,
-		BaseContext:       func(net.Listener) context.Context { return ctx },
-	}
-	return srv, cancel
 }

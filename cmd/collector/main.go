@@ -22,12 +22,12 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -98,29 +98,13 @@ func main() {
 	}
 	log.Printf("collector: listening on %s (AS%d)", srv.Addr(), *localAS)
 
-	// Debug surface: same layout (and same timeout posture — only
-	// ReadHeaderTimeout, never a write timeout, so pprof profiles and
-	// live trace captures can stream) as asrankd's -debug-listen.
-	var debug *http.Server
+	// Debug surface: the same server asrankd mounts on -debug-listen.
+	var debug *oplog.DebugServer
 	stopPoll := make(chan struct{})
 	defer close(stopPoll)
 	if *debugListen != "" {
 		obs.NewRuntimeMetrics(obs.Default()).Start(0, stopPoll)
-		dmux := http.NewServeMux()
-		dmux.Handle("GET /metrics", obs.Default().Handler())
-		dmux.HandleFunc("/debug/pprof/", pprof.Index)
-		dmux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		dmux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		dmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		dmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		dmux.Handle("GET /debug/trace", trace.CaptureHandler(tracer))
-		dmux.Handle("GET /debug/flight", trace.FlightHandler(tracer))
-		dmux.Handle("GET /debug/oplog", oplog.Handler(journal))
-		debug = &http.Server{
-			Addr:              *debugListen,
-			Handler:           dmux,
-			ReadHeaderTimeout: 5 * time.Second,
-		}
+		debug = oplog.NewDebugServer(*debugListen, obs.Default(), tracer, journal)
 		//lint:ignore noderivedgo debug listener lives for the process lifetime, not a bounded fan-out
 		go func() {
 			log.Printf("collector: debug surface on http://%s/metrics", *debugListen)
@@ -138,7 +122,11 @@ func main() {
 		log.Printf("collector: close: %v", err)
 	}
 	if debug != nil {
-		debug.Close()
+		// Open trace captures are cancelled; a profile mid-stream gets a
+		// few seconds to finish.
+		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		debug.Shutdown(sctx)
 	}
 	sessions, updates := srv.Stats()
 	log.Printf("collector: %d sessions, %d updates", sessions, updates)

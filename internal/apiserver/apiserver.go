@@ -76,38 +76,14 @@ type Config struct {
 	Metrics *Metrics
 }
 
-// NewHandler returns the API's HTTP handler, instrumented into the
-// process-global metrics registry, with default load shedding.
-func NewHandler(d *Data) http.Handler {
-	return NewServer(d, Config{Shed: DefaultShedPolicy()})
-}
-
-// NewHandlerWith returns the API's HTTP handler with per-route request
-// metrics recorded into reg — injectable so tests can assert on a
-// fresh registry.
-func NewHandlerWith(d *Data, reg *obs.Registry) http.Handler {
-	return NewServer(d, Config{Registry: reg, Shed: DefaultShedPolicy()})
-}
-
-// NewHandlerTraced is NewHandlerWith plus request tracing.
-func NewHandlerTraced(d *Data, reg *obs.Registry, tr *trace.Tracer) http.Handler {
-	return NewServer(d, Config{Registry: reg, Tracer: tr, Shed: DefaultShedPolicy()})
-}
-
 // NewServer builds the production read path over snapshot d. Per
 // route, outermost first: trace span (when configured) → metrics →
 // admission gate → handler, so shed rejections are counted and traced
-// like any other response.
-func NewServer(d *Data, cfg Config) http.Handler {
-	return NewServerWithStore(d, nil, cfg)
-}
-
-// NewServerWithStore is NewServer plus the time-travel routes
-// (/epochs, /asns/{asn}/history, /diff) over an epoch warehouse; a nil
-// store yields exactly the NewServer route table. The history routes
-// run behind the same span → metrics → admission stack, under the
-// warehouse chain ETag instead of the snapshot ETag.
-func NewServerWithStore(d *Data, st *warehouse.Store, cfg Config) http.Handler {
+// like any other response. A non-nil store adds the time-travel routes
+// (/epochs, /asns/{asn}/history, /diff) over the epoch warehouse,
+// behind the same stack but under the warehouse chain ETag instead of
+// the snapshot ETag.
+func NewServer(d *Data, st *warehouse.Store, cfg Config) http.Handler {
 	reg := cfg.Registry
 	if reg == nil {
 		reg = obs.Default()

@@ -26,7 +26,7 @@ func testServer(t *testing.T) (*httptest.Server, *core.Result, *topology.Topolog
 	}
 	clean, _ := paths.Sanitize(sim.Dataset, paths.SanitizeOptions{})
 	res := core.Infer(clean, core.Options{})
-	srv := httptest.NewServer(NewHandler(Build(res)))
+	srv := httptest.NewServer(NewServer(Build(res), nil, Config{Shed: DefaultShedPolicy()}))
 	t.Cleanup(srv.Close)
 	return srv, res, topo
 }

@@ -1,6 +1,7 @@
 package apiserver
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"github.com/asrank-go/asrank/internal/core"
 	"github.com/asrank-go/asrank/internal/obs"
 	"github.com/asrank-go/asrank/internal/paths"
+	"github.com/asrank-go/asrank/internal/stream"
 	"github.com/asrank-go/asrank/internal/topology"
 	"github.com/asrank-go/asrank/internal/trace"
 )
@@ -31,7 +33,7 @@ func metricsServer(t *testing.T) (*httptest.Server, *obs.Registry) {
 	clean, _ := paths.Sanitize(sim.Dataset, paths.SanitizeOptions{})
 	res := core.Infer(clean, core.Options{})
 	reg := obs.NewRegistry()
-	srv := httptest.NewServer(NewHandlerWith(Build(res), reg))
+	srv := httptest.NewServer(NewServer(Build(res), nil, Config{Registry: reg, Shed: DefaultShedPolicy()}))
 	t.Cleanup(srv.Close)
 	return srv, reg
 }
@@ -199,11 +201,18 @@ func TestMetricsEndToEnd(t *testing.T) {
 	// default-registry handler exactly as asrankd wires it.
 	res := core.Infer(sim.Dataset, core.Options{Sanitize: true, Workers: 4})
 	data := Build(res)
-	srv := httptest.NewServer(LogRequests(NewHandler(data)))
+	srv := httptest.NewServer(LogRequests(NewServer(data, nil, Config{Shed: DefaultShedPolicy()})))
 	defer srv.Close()
 	for _, path := range []string{"/api/v1/health", "/api/v1/asns?limit=5", "/api/v1/asns/0"} {
 		get(t, srv.URL+path)
 	}
+	// One streaming commit, so the per-phase commit family is on the
+	// scrape too.
+	eng := stream.New(stream.Options{})
+	for _, p := range sim.Dataset.Paths {
+		eng.Announce(p.Collector, p.ASNs[0], p.Prefix, p.ASNs)
+	}
+	eng.Commit(context.Background())
 
 	// Serve /metrics the way the daemon's debug listener does.
 	msrv := httptest.NewServer(obs.Default().Handler())
@@ -235,6 +244,11 @@ func TestMetricsEndToEnd(t *testing.T) {
 		"asrank_pool_steals_total",
 		"asrank_pool_task_duration_seconds_count",
 		`asrank_cone_build_duration_seconds_count{engine="pp"}`,
+		`asrank_stream_commit_phase_duration_seconds_count{phase="rank_clique"}`,
+		`asrank_stream_commit_phase_duration_seconds_count{phase="infer"}`,
+		`asrank_stream_commit_phase_duration_seconds_count{phase="credit"}`,
+		`asrank_stream_commit_phase_duration_seconds_count{phase="slab"}`,
+		`asrank_stream_commit_phase_duration_seconds_count{phase="compose"}`,
 		`asrank_http_requests_total{route="/api/v1/health",class="2xx"}`,
 		`asrank_http_request_duration_seconds_bucket{route="/api/v1/health",class="2xx",le="+Inf"}`,
 	} {

@@ -154,7 +154,7 @@ func NewLive(st *warehouse.Store, cfg Config) *Live {
 
 // Swap atomically replaces the serving snapshot.
 func (lv *Live) Swap(d *Data) {
-	h := NewServerWithStore(d, lv.store, lv.cfg)
+	h := NewServer(d, lv.store, lv.cfg)
 	lv.cur.Store(&h)
 }
 

@@ -41,7 +41,7 @@ func timeTravelServer(t *testing.T) (*httptest.Server, *warehouse.Store) {
 			t.Fatal(err)
 		}
 	}
-	srv := httptest.NewServer(NewServerWithStore(head, st, Config{}))
+	srv := httptest.NewServer(NewServer(head, st, Config{}))
 	t.Cleanup(srv.Close)
 	return srv, st
 }

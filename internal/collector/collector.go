@@ -107,8 +107,11 @@ type Options struct {
 	// Malformed selects the malformed-UPDATE policy (default
 	// MalformedTeardown).
 	Malformed MalformedPolicy
-	// Routes, when non-nil, receives the live route stream — the seam
-	// the streaming inference engine ingests from.
+	// Routes receives the live route stream — the seam the streaming
+	// inference engine ingests from. It is the stream's only consumer:
+	// nil selects the corpus recorder behind Server.Corpus, and a server
+	// handed a sink keeps no paths of its own, so its state stays
+	// bounded however long the table churns.
 	Routes RouteSink
 	// Registry receives the degradation counters (default obs.Default()).
 	Registry *obs.Registry
@@ -143,8 +146,23 @@ func (o Options) withDefaults() Options {
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
 	}
+	if o.Routes == nil {
+		o.Routes = &corpusRecorder{}
+	}
 	return o
 }
+
+// corpusRecorder is the default RouteSink: it appends every announced
+// path and ignores withdrawals, so the corpus written on shutdown is
+// everything the collector heard — what a Route Views archive keeps.
+// Server.record calls it under Server.mu, the lock Corpus reads under.
+type corpusRecorder struct{ ds paths.Dataset }
+
+func (c *corpusRecorder) Announce(collector string, _ uint32, prefix netip.Prefix, asns []uint32) {
+	c.ds.Add(paths.Path{Collector: collector, Prefix: prefix, ASNs: asns})
+}
+
+func (c *corpusRecorder) Withdraw(string, uint32, netip.Prefix) {}
 
 // Server is a running collector.
 type Server struct {
@@ -153,8 +171,6 @@ type Server struct {
 	m    serverMetrics
 
 	mu sync.Mutex
-	//asrank:guardedby mu
-	ds *paths.Dataset
 	//asrank:guardedby mu
 	mw *mrt.Writer
 	//asrank:guardedby mu
@@ -186,7 +202,6 @@ func Serve(ln net.Listener, opts Options) *Server {
 		opts:     opts,
 		ln:       ln,
 		m:        newServerMetrics(opts.Registry),
-		ds:       &paths.Dataset{},
 		consumed: make(map[uint32]uint32),
 		closing:  make(chan struct{}),
 	}
@@ -210,11 +225,16 @@ func (s *Server) Close() error {
 	return err
 }
 
-// Corpus returns a snapshot of everything announced so far.
+// Corpus returns a snapshot of everything announced so far, as kept by
+// the default recorder; a server whose Options.Routes was supplied
+// keeps nothing and returns an empty dataset.
 func (s *Server) Corpus() *paths.Dataset {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := &paths.Dataset{Paths: append([]paths.Path(nil), s.ds.Paths...)}
+	out := &paths.Dataset{}
+	if rec, ok := s.opts.Routes.(*corpusRecorder); ok {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		out.Paths = append(out.Paths, rec.ds.Paths...)
+	}
 	return out
 }
 
@@ -426,7 +446,8 @@ func (s *Server) serve(conn net.Conn) error {
 	}
 }
 
-// record stores an UPDATE's announcements and archives the raw message.
+// record delivers an UPDATE's route events to the sink and archives the
+// raw message.
 func (s *Server) record(conn net.Conn, peer *bgp.Open, upd *bgp.Update, raw []byte, as4 bool) {
 	s.m.updates.With("recorded").Inc()
 	asPath := upd.Attrs.Path().Flatten()
@@ -437,10 +458,9 @@ func (s *Server) record(conn net.Conn, peer *bgp.Open, upd *bgp.Update, raw []by
 	// Route events are emitted under the same lock that advances the
 	// consumed counter, so a resuming speaker's replay boundary and the
 	// sink's delivery boundary are the same boundary: exactly-once.
-	if sink := s.opts.Routes; sink != nil {
-		for _, pfx := range upd.Withdrawn {
-			sink.Withdraw(s.opts.Collector, peer.ASN, pfx)
-		}
+	sink := s.opts.Routes
+	for _, pfx := range upd.Withdrawn {
+		sink.Withdraw(s.opts.Collector, peer.ASN, pfx)
 	}
 	if len(upd.NLRI) > 0 && len(asPath) > 0 && !upd.Attrs.Path().HasSet() {
 		asns := asPath
@@ -448,10 +468,7 @@ func (s *Server) record(conn net.Conn, peer *bgp.Open, upd *bgp.Update, raw []by
 			asns = append([]uint32{peer.ASN}, asns...)
 		}
 		for _, pfx := range upd.NLRI {
-			s.ds.Add(paths.Path{Collector: s.opts.Collector, Prefix: pfx, ASNs: asns})
-			if sink := s.opts.Routes; sink != nil {
-				sink.Announce(s.opts.Collector, peer.ASN, pfx, asns)
-			}
+			sink.Announce(s.opts.Collector, peer.ASN, pfx, asns)
 		}
 	}
 	if s.mw != nil {

@@ -319,3 +319,57 @@ func TestAcceptLoopRetriesTransientErrors(t *testing.T) {
 		t.Errorf("sessions ok = %d, want 1", got)
 	}
 }
+
+// countingSink tallies the route stream a caller-supplied sink sees.
+type countingSink struct{ announces, withdraws atomic.Int32 }
+
+func (c *countingSink) Announce(string, uint32, netip.Prefix, []uint32) { c.announces.Add(1) }
+func (c *countingSink) Withdraw(string, uint32, netip.Prefix)           { c.withdraws.Add(1) }
+
+// TestCallerSinkIsTheOnlyConsumer: a collector handed a RouteSink keeps
+// no corpus of its own, so churn on one prefix — the steady state of a
+// real table — grows nothing inside the server while every event still
+// reaches the sink exactly once.
+func TestCallerSinkIsTheOnlyConsumer(t *testing.T) {
+	const asn, rounds = 65006, 20
+	sink := &countingSink{}
+	srv, err := Listen("127.0.0.1:0", Options{Routes: sink, Registry: obs.NewRegistry(), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, br, _ := handshake(t, srv.Addr().String(), asn)
+	withdraw, err := bgp.EncodeUpdate(&bgp.Update{
+		Withdrawn: []netip.Prefix{netip.MustParsePrefix("192.0.2.0/24")},
+	}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < rounds; i++ {
+		if _, err := conn.Write(validUpdate(t, asn)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(withdraw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cease, _ := bgp.EncodeNotificationData(bgp.NotifCease, 0, []byte{0, 0, 0, 0})
+	if _, err := conn.Write(cease); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bgp.ReadMessage(br); err != nil {
+		t.Fatalf("no teardown ack: %v", err)
+	}
+	conn.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if a, w := sink.announces.Load(), sink.withdraws.Load(); a != rounds || w != rounds {
+		t.Errorf("sink saw %d announces and %d withdraws, want %d of each", a, w, rounds)
+	}
+	if got := srv.Corpus().NumPaths(); got != 0 {
+		t.Errorf("collector with a caller sink retained %d paths, want 0", got)
+	}
+	if got := srv.ResumeOffset(asn); got != 2*rounds {
+		t.Errorf("resume offset = %d, want %d", got, 2*rounds)
+	}
+}

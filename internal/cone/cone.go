@@ -26,7 +26,6 @@ import (
 	"net/netip"
 	"sort"
 	"sync"
-	"time"
 
 	"github.com/asrank-go/asrank/internal/asindex"
 	"github.com/asrank-go/asrank/internal/paths"
@@ -155,10 +154,12 @@ func PrefixCounts(ds *paths.Dataset) map[uint32]int {
 // digraph is stored as interned adjacency lists.
 //
 // Relations is immutable after construction (WithWorkers only tunes how
-// work is sharded, never what is computed), so every cone product is
-// memoized: repeated calls to Recursive, BGPObserved,
-// ProviderPeerObserved, or their *Bits variants return the same shared
-// value. Callers must treat returned Sets and BitSets as read-only.
+// work is sharded, never what is computed), so every cone is computed
+// once and memoized in its bitset form: repeated calls to RecursiveBits,
+// BGPObservedBits and ProviderPeerObservedBits return the same shared
+// value, which callers must treat as read-only. The map-of-maps forms
+// (Recursive, BGPObserved, ProviderPeerObserved) are materialized from
+// the memoized bitsets on every call.
 type Relations struct {
 	rel     map[paths.Link]topology.Relationship
 	idx     *asindex.Index
@@ -166,16 +167,14 @@ type Relations struct {
 	workers int             // worker-pool size; <= 0 selects GOMAXPROCS
 	ctx     context.Context // trace-span parent for builds; nil = background
 
-	mu      sync.Mutex
-	recBits *BitSets
-	recSets Sets
-	obsBits map[obsKey]*BitSets
-	obsSets map[obsKey]Sets
+	mu   sync.Mutex
+	memo map[memoKey]*BitSets
 }
 
-// obsKey identifies one observed-cone product: the path corpus it was
-// computed over and which crediting rule (BGP vs provider/peer) applied.
-type obsKey struct {
+// memoKey identifies one cone product: the zero key is the recursive
+// closure; an observed cone is keyed by the path corpus it was computed
+// over and which crediting rule (BGP vs provider/peer) applied.
+type memoKey struct {
 	ds        *paths.Dataset
 	needEntry bool
 }
@@ -253,35 +252,36 @@ func (r *Relations) ASes() []uint32 { return r.idx.ASNs() }
 // Index returns the dense ASN index the engine interned.
 func (r *Relations) Index() *asindex.Index { return r.idx }
 
-// Recursive computes the transitive-closure customer cone of every AS.
-// The result is memoized; treat it as read-only.
-func (r *Relations) Recursive() Sets {
-	bits := r.RecursiveBits()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.recSets == nil {
-		r.recSets = bits.Sets()
-	}
-	return r.recSets
+// Recursive computes the transitive-closure customer cone of every AS,
+// materialized from the memoized RecursiveBits as a fresh map.
+func (r *Relations) Recursive() Sets { return r.RecursiveBits().Sets() }
+
+// RecursiveBits is Recursive in the compact bitset representation. The
+// result is memoized; treat it as read-only.
+func (r *Relations) RecursiveBits() *BitSets {
+	return r.memoized(memoKey{}, "recursive", r.computeRecursiveBits)
 }
 
-// RecursiveBits is Recursive in the compact bitset representation,
-// memoized like Recursive.
-func (r *Relations) RecursiveBits() *BitSets {
+// memoized is the one memo table every engine shares: a hit is counted
+// and returned; a miss is counted and computed as one timed
+// "cone.build" phase carrying the engine attribute.
+func (r *Relations) memoized(k memoKey, engine string, compute func(context.Context) *BitSets) *BitSets {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.recBits == nil {
-		coneMemo.With("recursive", "miss").Inc()
-		t0 := time.Now()
-		ctx, span := trace.StartSpan(r.buildCtx(), "cone.build")
-		span.SetAttr("engine", "recursive")
-		r.recBits = r.computeRecursiveBits(ctx)
-		span.End()
-		coneBuildDuration.With("recursive").ObserveSince(t0)
-	} else {
-		coneMemo.With("recursive", "hit").Inc()
+	if b, ok := r.memo[k]; ok {
+		coneMemo.With(engine, "hit").Inc()
+		return b
 	}
-	return r.recBits
+	coneMemo.With(engine, "miss").Inc()
+	ctx, ph := trace.StartPhase(r.buildCtx(), "cone.build")
+	ph.Span.SetAttr("engine", engine)
+	b := compute(ctx)
+	ph.End(coneBuildDuration.With(engine), nil)
+	if r.memo == nil {
+		r.memo = make(map[memoKey]*BitSets)
+	}
+	r.memo[k] = b
+	return b
 }
 
 // computeRecursiveBits does the closure. On the (usual) acyclic p2c
@@ -386,14 +386,14 @@ func (r *Relations) RecursiveOne(asn uint32) map[uint32]bool {
 
 // BGPObserved computes cones from observed paths: starting at each
 // position where the next hop is one of the AS's customers, every AS on
-// the maximal descending (p2c) chain is in the cone. The result is
-// memoized per dataset; treat it as read-only.
+// the maximal descending (p2c) chain is in the cone. The map is
+// materialized from the memoized BGPObservedBits on every call.
 func (r *Relations) BGPObserved(ds *paths.Dataset) Sets {
-	return r.observedSetsCached(ds, false)
+	return r.observedBitsCached(ds, false).Sets()
 }
 
-// BGPObservedBits is BGPObserved in the compact bitset representation,
-// memoized like BGPObserved.
+// BGPObservedBits is BGPObserved in the compact bitset representation.
+// The result is memoized per dataset; treat it as read-only.
 func (r *Relations) BGPObservedBits(ds *paths.Dataset) *BitSets {
 	return r.observedBitsCached(ds, false)
 }
@@ -401,14 +401,15 @@ func (r *Relations) BGPObservedBits(ds *paths.Dataset) *BitSets {
 // ProviderPeerObserved computes the PP cone: like BGPObserved, but a
 // position only contributes when the path entered the AS from one of
 // its providers or peers — third parties demonstrably routing through
-// the AS to reach the cone member. The result is memoized per dataset;
-// treat it as read-only.
+// the AS to reach the cone member. The map is materialized from the
+// memoized ProviderPeerObservedBits on every call.
 func (r *Relations) ProviderPeerObserved(ds *paths.Dataset) Sets {
-	return r.observedSetsCached(ds, true)
+	return r.observedBitsCached(ds, true).Sets()
 }
 
 // ProviderPeerObservedBits is ProviderPeerObserved in the compact
-// bitset representation, memoized like ProviderPeerObserved.
+// bitset representation. The result is memoized per dataset; treat it
+// as read-only.
 func (r *Relations) ProviderPeerObservedBits(ds *paths.Dataset) *BitSets {
 	return r.observedBitsCached(ds, true)
 }
@@ -417,46 +418,10 @@ func (r *Relations) ProviderPeerObservedBits(ds *paths.Dataset) *BitSets {
 // Datasets are immutable once built (Sanitize returns a fresh one), so
 // pointer identity is a sound cache key.
 func (r *Relations) observedBitsCached(ds *paths.Dataset, needEntry bool) *BitSets {
-	k := obsKey{ds, needEntry}
-	engine := engineName(needEntry)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	b, ok := r.obsBits[k]
-	if !ok {
-		coneMemo.With(engine, "miss").Inc()
-		t0 := time.Now()
-		ctx, span := trace.StartSpan(r.buildCtx(), "cone.build")
-		span.SetAttr("engine", engine)
-		span.SetAttrInt("paths", int64(len(ds.Paths)))
-		b = r.observedBits(ctx, ds, needEntry)
-		span.End()
-		coneBuildDuration.With(engine).ObserveSince(t0)
-		if r.obsBits == nil {
-			r.obsBits = make(map[obsKey]*BitSets)
-		}
-		r.obsBits[k] = b
-	} else {
-		coneMemo.With(engine, "hit").Inc()
-	}
-	return b
-}
-
-// observedSetsCached memoizes the materialized map form alongside the
-// bitset form.
-func (r *Relations) observedSetsCached(ds *paths.Dataset, needEntry bool) Sets {
-	bits := r.observedBitsCached(ds, needEntry)
-	k := obsKey{ds, needEntry}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s, ok := r.obsSets[k]
-	if !ok {
-		s = bits.Sets()
-		if r.obsSets == nil {
-			r.obsSets = make(map[obsKey]Sets)
-		}
-		r.obsSets[k] = s
-	}
-	return s
+	return r.memoized(memoKey{ds, needEntry}, engineName(needEntry), func(ctx context.Context) *BitSets {
+		trace.FromContext(ctx).SetAttrInt("paths", int64(len(ds.Paths)))
+		return r.observedBits(ctx, ds, needEntry)
+	})
 }
 
 // observedBits shards the path corpus across the worker pool, credits

@@ -22,7 +22,6 @@ package core
 import (
 	"context"
 	"sort"
-	"time"
 
 	"github.com/asrank-go/asrank/internal/paths"
 	"github.com/asrank-go/asrank/internal/topology"
@@ -231,41 +230,55 @@ func Infer(ds *paths.Dataset, opts Options) *Result {
 // the per-step metrics.
 func InferCtx(ctx context.Context, ds *paths.Dataset, opts Options) *Result {
 	opts = opts.withDefaults()
-	t0 := time.Now()
 	inferRuns.Inc()
-	ctx, span := trace.StartSpan(ctx, "core.infer")
-	defer span.End()
-	span.SetAttrInt("paths", int64(len(ds.Paths)))
+	ctx, run := trace.StartPhase(ctx, "core.infer")
+	defer run.End(inferDuration, nil)
+	run.Span.SetAttrInt("paths", int64(len(ds.Paths)))
 	var st paths.SanitizeStats
 	if opts.Sanitize {
-		s0 := time.Now()
-		sctx, sspan := trace.StartSpan(ctx, "core.infer.sanitize")
+		sctx, ph := trace.StartPhase(ctx, "core.infer.sanitize")
 		ds, st = paths.SanitizeCtx(sctx, ds, paths.SanitizeOptions{IXPASes: opts.IXPASes, Workers: opts.Workers})
-		sspan.End()
-		inferStepDuration.With("sanitize").ObserveSince(s0)
+		ph.End(inferStepDuration.With("sanitize"), nil)
 	}
-	res := inferSanitized(ctx, ds, opts, st)
-	inferDuration.ObserveSince(t0)
-	return res
+	return inferSanitized(ctx, ds, opts, st)
+}
+
+// stager runs pipeline steps as timed phases: one span, one
+// asrank_infer_step_duration_seconds observation and — for the steps
+// that label links — one links-labeled count per step. steps is the
+// Result.Steps map being filled (nil for the corpus stages, which
+// label nothing); the labeled watermark attributes each new entry to
+// the stage that created it.
+type stager struct {
+	ctx     context.Context
+	steps   map[paths.Link]Step
+	labeled int
+}
+
+// run executes fn as the stage named step. spanName is a literal at
+// every call site so the obsnames analyzer can vet it.
+func (st *stager) run(spanName, step string, fn func()) {
+	_, ph := trace.StartPhase(st.ctx, spanName)
+	fn()
+	if n := len(st.steps); n > st.labeled {
+		inferStepLinks.With(step).Add(uint64(n - st.labeled))
+		ph.Span.SetAttrInt("links_labeled", int64(n-st.labeled))
+		st.labeled = n
+	}
+	ph.End(inferStepDuration.With(step), nil)
 }
 
 func inferSanitized(ctx context.Context, ds *paths.Dataset, opts Options, sanStats paths.SanitizeStats) *Result {
 	// Steps 2–4 are the only stages that touch the corpus itself; they
 	// build the two index layers the shared engine (InferIndexed)
 	// consumes. Their metric stages label no links.
-	stagePre := func(spanName, step string, fn func()) {
-		_, span := trace.StartSpan(ctx, spanName)
-		t0 := time.Now()
-		fn()
-		inferStepDuration.With(step).ObserveSince(t0)
-		span.End()
-	}
+	stages := stager{ctx: ctx}
 
 	ix := NewCorpusIndex()
 	var rank, clique []uint32
 
 	// Step 2: ranking.
-	stagePre("core.infer.rank", "rank", func() {
+	stages.run("core.infer.rank", "rank", func() {
 		for _, p := range ds.Paths {
 			ix.AddPath(p.ASNs, 1)
 		}
@@ -273,7 +286,7 @@ func inferSanitized(ctx context.Context, ds *paths.Dataset, opts Options, sanSta
 	})
 
 	// Step 3: clique.
-	stagePre("core.infer.clique", "clique", func() {
+	stages.run("core.infer.clique", "clique", func() {
 		clique = CliqueFromIndex(ix, rank, opts)
 	})
 	cliqueSet := make(map[uint32]bool, len(clique))
@@ -284,7 +297,7 @@ func inferSanitized(ctx context.Context, ds *paths.Dataset, opts Options, sanSta
 	// Step 4: discard poisoned paths and build the kept layer.
 	var kept *paths.Dataset
 	dropped := 0
-	stagePre("core.infer.poison", "poison", func() {
+	stages.run("core.infer.poison", "poison", func() {
 		kept, dropped = discardPoisoned(ds, cliqueSet)
 		for _, p := range kept.Paths {
 			ix.AddKept(p.ASNs, 1)
@@ -331,27 +344,10 @@ func InferIndexed(ctx context.Context, ix *CorpusIndex, rank, clique []uint32, o
 		cliqueSet[c] = true
 	}
 
-	// stage wraps one pipeline step with per-step duration and
-	// links-labeled metrics plus a trace span; the labeled watermark
-	// attributes each new entry in res.Steps to the stage that created
-	// it. spanName is a literal at every call site so the obsnames
-	// analyzer can vet it.
-	labeled := 0
-	stage := func(spanName, step string, fn func()) {
-		_, span := trace.StartSpan(ctx, spanName)
-		t0 := time.Now()
-		fn()
-		inferStepDuration.With(step).ObserveSince(t0)
-		if n := len(res.Steps); n > labeled {
-			inferStepLinks.With(step).Add(uint64(n - labeled))
-			span.SetAttrInt("links_labeled", int64(n-labeled))
-			labeled = n
-		}
-		span.End()
-	}
+	stages := stager{ctx: ctx, steps: res.Steps}
 
 	// Label intra-clique links p2p.
-	stage("core.infer.clique_p2p", "clique-p2p", func() {
+	stages.run("core.infer.clique_p2p", "clique-p2p", func() {
 		for l := range ix.links {
 			if cliqueSet[l.A] && cliqueSet[l.B] {
 				res.Rels[l] = topology.P2P
@@ -362,26 +358,14 @@ func InferIndexed(ctx context.Context, ix *CorpusIndex, rank, clique []uint32, o
 
 	inf := newInferencer(ix, opts, res, cliqueSet)
 	if !opts.DisableProviderless {
-		stage("core.infer.providerless", "providerless", inf.detectProviderless)
+		stages.run("core.infer.providerless", "providerless", inf.detectProviderless)
 	}
-	stage("core.infer.top_down", "top-down", inf.topDown)          // step 5
-	stage("core.infer.vp", "vp", inf.vpPass)                       // step 6
-	stage("core.infer.stub_clique", "stub-clique", inf.stubClique) // step 7
+	stages.run("core.infer.top_down", "top-down", inf.topDown)          // step 5
+	stages.run("core.infer.vp", "vp", inf.vpPass)                       // step 6
+	stages.run("core.infer.stub_clique", "stub-clique", inf.stubClique) // step 7
 	if !opts.DisableFold {
-		stage("core.infer.fold", "fold", inf.fold) // step 8
+		stages.run("core.infer.fold", "fold", inf.fold) // step 8
 	}
-	stage("core.infer.peer_default", "peer-default", inf.peerRest) // step 9
+	stages.run("core.infer.peer_default", "peer-default", inf.peerRest) // step 9
 	return res
-}
-
-// rankASes orders ASes by decreasing transit degree, then decreasing
-// node degree, then ascending ASN.
-func rankASes(ds *paths.Dataset, transit, degree map[uint32]int) []uint32 {
-	set := ds.ASes()
-	out := make([]uint32, 0, len(set))
-	for asn := range set {
-		out = append(out, asn)
-	}
-	sort.Slice(out, rankLess(out, transit, degree))
-	return out
 }

@@ -30,9 +30,12 @@ func TestRankASes(t *testing.T) {
 		[]uint32{10, 20, 31},
 		[]uint32{12, 30, 40},
 	)
-	td := d.TransitDegrees()
-	deg := d.Degrees()
-	rank := rankASes(d, td, deg)
+	ix := NewCorpusIndex()
+	for _, p := range d.Paths {
+		ix.AddPath(p.ASNs, 1)
+	}
+	td := ix.TransitDegrees()
+	rank := ix.Rank()
 	if rank[0] != 20 {
 		t.Errorf("rank[0] = %d, want 20 (transit degree %d)", rank[0], td[20])
 	}

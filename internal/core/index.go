@@ -215,29 +215,23 @@ func (ix *CorpusIndex) Degrees() map[uint32]int {
 
 // Rank orders every observed AS by decreasing transit degree, then
 // decreasing node degree, then ascending ASN — step 2 over the ranked
-// layer, equal to rankASes over the corresponding Dataset.
+// layer.
 func (ix *CorpusIndex) Rank() []uint32 {
 	out := make([]uint32, 0, len(ix.occur))
 	for asn := range ix.occur {
 		out = append(out, asn)
 	}
-	sort.Slice(out, rankLess(out, ix.transitDeg, ix.deg))
-	return out
-}
-
-// rankLess is the step-2 ordering over s: decreasing transit degree,
-// then decreasing node degree, then ascending ASN.
-func rankLess(s []uint32, transit, degree map[uint32]int) func(i, j int) bool {
-	return func(i, j int) bool {
-		a, b := s[i], s[j]
-		if transit[a] != transit[b] {
-			return transit[a] > transit[b]
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if ix.transitDeg[a] != ix.transitDeg[b] {
+			return ix.transitDeg[a] > ix.transitDeg[b]
 		}
-		if degree[a] != degree[b] {
-			return degree[a] > degree[b]
+		if ix.deg[a] != ix.deg[b] {
+			return ix.deg[a] > ix.deg[b]
 		}
 		return a < b
-	}
+	})
+	return out
 }
 
 // sortedTriples returns the keys of a triple map in (Mid, Next, Prev)

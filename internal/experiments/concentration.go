@@ -16,8 +16,8 @@ import (
 func R14ConeConcentration(l *Lab) *Report {
 	res := l.Infer()
 	rels := cone.NewRelations(res.Rels)
-	sets := rels.ProviderPeerObserved(res.Dataset)
-	sizes := sets.Sizes()
+	cones := rels.ProviderPeerObservedBits(res.Dataset)
+	sizes := cones.Sizes()
 	order := cone.Rank(sizes, res.TransitDegree)
 	totalASes := len(rels.ASes())
 
@@ -31,7 +31,7 @@ func R14ConeConcentration(l *Lab) *Report {
 			k = len(order)
 		}
 		for ; next < k; next++ {
-			for m := range sets[order[next]] {
+			for _, m := range cones.Members(order[next]) {
 				union[m] = true
 			}
 		}

@@ -35,11 +35,11 @@ func R07ConeDefinitions(l *Lab) *Report {
 	topo := l.Topo()
 	res := l.Infer()
 	rels := cone.NewRelations(res.Rels)
-	rec := rels.Recursive()
-	bgp := rels.BGPObserved(res.Dataset)
-	pp := rels.ProviderPeerObserved(res.Dataset)
+	rec := rels.RecursiveBits().Sizes()
+	bgp := rels.BGPObservedBits(res.Dataset).Sizes()
+	pp := rels.ProviderPeerObservedBits(res.Dataset).Sizes()
 
-	order := cone.Rank(pp.Sizes(), res.TransitDegree)
+	order := cone.Rank(pp, res.TransitDegree)
 	top := 15
 	if top > len(order) {
 		top = len(order)
@@ -52,16 +52,16 @@ func R07ConeDefinitions(l *Lab) *Report {
 		if a := topo.AS(asn); a != nil {
 			class = a.Class.String()
 		}
-		t.AddRow(i+1, asn, class, len(rec[asn]), len(bgp[asn]), len(pp[asn]), len(topo.TrueCone(asn)))
+		t.AddRow(i+1, asn, class, rec[asn], bgp[asn], pp[asn], len(topo.TrueCone(asn)))
 	}
 
 	// Distribution summary over all transit ASes (cone > 1).
 	var recS, bgpS, ppS []float64
 	for _, asn := range rels.ASes() {
-		if len(rec[asn]) > 1 {
-			recS = append(recS, float64(len(rec[asn])))
-			bgpS = append(bgpS, float64(len(bgp[asn])))
-			ppS = append(ppS, float64(len(pp[asn])))
+		if rec[asn] > 1 {
+			recS = append(recS, float64(rec[asn]))
+			bgpS = append(bgpS, float64(bgp[asn]))
+			ppS = append(ppS, float64(pp[asn]))
 		}
 	}
 	d := stats.NewTable("Cone size distribution (ASes with non-trivial cones)",
@@ -239,7 +239,7 @@ func R10Flattening(l *Lab) *Report {
 func R11DegreeVsCone(l *Lab) *Report {
 	res := l.Infer()
 	rels := cone.NewRelations(res.Rels)
-	pp := rels.ProviderPeerObserved(res.Dataset).Sizes()
+	pp := rels.ProviderPeerObservedBits(res.Dataset).Sizes()
 
 	var xs, ys []float64
 	for asn, td := range res.TransitDegree {

@@ -312,21 +312,6 @@ func isMutexType(t types.Type) bool {
 	return named.Obj().Name() == "Mutex" || named.Obj().Name() == "RWMutex"
 }
 
-// IsRWMutex reports whether t (a field's type) is specifically the
-// reader/writer flavor, which is what lets lockdiscipline distinguish
-// RLock-held reads from writes that need the exclusive lock.
-func IsRWMutex(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Pkg() != nil &&
-		named.Obj().Pkg().Path() == "sync" && named.Obj().Name() == "RWMutex"
-}
-
 // split parses "//asrank:verb rest..." returning (verb, trimmed rest).
 // ok is false for comments that are not //asrank: directives at all.
 func split(text string) (verb, rest string, ok bool) {

@@ -85,26 +85,6 @@ func pkgPathMatches(got, want string) bool {
 	return got == want || strings.HasSuffix(got, "/"+want)
 }
 
-// parentMap records each node's parent within one file.
-type parentMap map[ast.Node]ast.Node
-
-func buildParents(f *ast.File) parentMap {
-	pm := make(parentMap)
-	var stack []ast.Node
-	ast.Inspect(f, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return false
-		}
-		if len(stack) > 0 {
-			pm[n] = stack[len(stack)-1]
-		}
-		stack = append(stack, n)
-		return true
-	})
-	return pm
-}
-
 // enclosingFuncBody returns the body of the innermost enclosing
 // function declaration (not literal) containing pos, or nil.
 func enclosingFuncBody(f *ast.File, pos ast.Node) *ast.BlockStmt {

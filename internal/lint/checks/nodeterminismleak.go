@@ -11,15 +11,16 @@ import (
 // inference and chaos paths: chaos.Schedule() must equal the journal a
 // proxied run writes, and Infer must be byte-identical at any worker
 // count. Inside the deterministic packages (internal/core,
-// internal/cone, internal/chaos, internal/paths, internal/warehouse —
-// the last because the epoch store's encode/decode must be
-// byte-identical for the round-trip ETag proof) the analyzer flags:
+// internal/cone, internal/chaos, internal/paths, internal/stream,
+// internal/warehouse — the last because the epoch store's
+// encode/decode must be byte-identical for the round-trip ETag proof)
+// the analyzer flags:
 //
-//   - time.Now / time.Since, unless the value demonstrably flows only
-//     into duration instrumentation (x := time.Now() used solely by
-//     ObserveSince/Observe/record sinks, or time.Since passed straight
-//     to such a sink) — wall-clock reads feeding logic would make
-//     schedules depend on host speed;
+//   - every time.Now / time.Since call — wall-clock reads feeding
+//     logic would make schedules depend on host speed, and timing a
+//     unit of work needs none: trace.StartPhase owns the clock read
+//     and hands the elapsed time to histograms, spans and report
+//     fields without the package ever holding a time.Time;
 //   - package-level math/rand and math/rand/v2 functions, which draw
 //     from the shared global source; randomness must come from an
 //     explicitly seeded *rand.Rand (rand.New(rand.NewSource(seed)));
@@ -31,8 +32,8 @@ import (
 // state freely.
 var NoDeterminismLeak = &analysis.Analyzer{
 	Name: "nodeterminismleak",
-	Doc: "flags wall-clock reads, global math/rand use, and map-ordered " +
-		"slice writes in the deterministic packages",
+	Doc: "flags every time.Now/time.Since call (time work with trace.StartPhase), " +
+		"global math/rand use, and map-ordered slice writes in the deterministic packages",
 	Run: runNoDeterminismLeak,
 }
 
@@ -45,17 +46,6 @@ var DeterministicPackages = []string{
 	"internal/paths",
 	"internal/stream",
 	"internal/warehouse",
-}
-
-// instrumentationSinks are method names whose argument is considered
-// duration instrumentation, the one sanctioned use of wall-clock reads
-// in deterministic code.
-var instrumentationSinks = map[string]bool{
-	"ObserveSince": true,
-	"SetSince":     true,
-	"Observe":      true,
-	"Record":       true,
-	"record":       true,
 }
 
 // seededConstructors are the math/rand functions that build an
@@ -80,8 +70,7 @@ func runNoDeterminismLeak(pass *analysis.Pass) error {
 		if pass.InTestFile(f.Package) {
 			continue
 		}
-		pm := buildParents(f)
-		checkClockReads(pass, f, pm)
+		checkClockReads(pass, f)
 		checkGlobalRand(pass, f)
 		checkMapOrderedWrites(pass, f)
 	}
@@ -90,122 +79,19 @@ func runNoDeterminismLeak(pass *analysis.Pass) error {
 
 // --- wall-clock reads -------------------------------------------------
 
-func checkClockReads(pass *analysis.Pass, f *ast.File, pm parentMap) {
+func checkClockReads(pass *analysis.Pass, f *ast.File) {
 	ast.Inspect(f, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		fn := calleeFunc(pass.TypesInfo, call)
-		switch {
-		case isPkgFunc(fn, "time", "Now"):
-			if !nowIsInstrumentation(pass, f, pm, call) {
-				pass.Reportf(call.Pos(),
-					"time.Now in a deterministic package: wall clock must not influence inference or "+
-						"fault schedules (only ObserveSince/Observe-style instrumentation may consume it)")
-			}
-		case isPkgFunc(fn, "time", "Since"):
-			if !sinceIsInstrumentation(pm, call) {
-				pass.Reportf(call.Pos(),
-					"time.Since in a deterministic package: pass the elapsed time straight into an "+
-						"instrumentation sink (Observe/record), not into logic")
-			}
+		if fn := calleeFunc(pass.TypesInfo, call); isPkgFunc(fn, "time", "Now") || isPkgFunc(fn, "time", "Since") {
+			pass.Reportf(call.Pos(),
+				"time.%s in a deterministic package: wall clock must not be in reach of inference or "+
+					"fault schedules; time a unit of work with trace.StartPhase", fn.Name())
 		}
 		return true
 	})
-}
-
-// durationUnits are Duration methods that merely convert to a number;
-// the allowlist sees through them on the way to a sink.
-var durationUnits = map[string]bool{
-	"Seconds": true, "Milliseconds": true, "Microseconds": true, "Nanoseconds": true,
-}
-
-// sinceIsInstrumentation reports whether the time.Since call is an
-// argument of an instrumentation sink call, directly or through one
-// unit-conversion method (sink.Observe(time.Since(t0).Seconds())).
-func sinceIsInstrumentation(pm parentMap, call *ast.CallExpr) bool {
-	if parent, ok := pm[call].(*ast.CallExpr); ok {
-		return isSinkCall(parent)
-	}
-	if sel, ok := pm[call].(*ast.SelectorExpr); ok && durationUnits[sel.Sel.Name] {
-		if conv, ok := pm[sel].(*ast.CallExpr); ok {
-			if parent, ok := pm[conv].(*ast.CallExpr); ok {
-				return isSinkCall(parent)
-			}
-		}
-	}
-	return false
-}
-
-func isSinkCall(call *ast.CallExpr) bool {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.SelectorExpr:
-		return instrumentationSinks[fun.Sel.Name]
-	case *ast.Ident:
-		return instrumentationSinks[fun.Name]
-	}
-	return false
-}
-
-// nowIsInstrumentation reports whether a time.Now call feeds only
-// instrumentation: either it is itself a sink argument, or it seeds
-// `t := time.Now()` whose every use is a sink argument or an
-// instrumentation-consumed time.Since.
-func nowIsInstrumentation(pass *analysis.Pass, f *ast.File, pm parentMap, call *ast.CallExpr) bool {
-	if parent, ok := pm[call].(*ast.CallExpr); ok && isSinkCall(parent) {
-		return true
-	}
-	assign, ok := pm[call].(*ast.AssignStmt)
-	if !ok || len(assign.Lhs) != 1 || len(assign.Rhs) != 1 || assign.Rhs[0] != call {
-		return false
-	}
-	lhs, ok := assign.Lhs[0].(*ast.Ident)
-	if !ok || lhs.Name == "_" {
-		return false
-	}
-	obj := pass.TypesInfo.Defs[lhs]
-	if obj == nil {
-		// `t = time.Now()` re-assignment: resolve the object being
-		// written so its other uses can be audited.
-		obj = pass.TypesInfo.Uses[lhs]
-	}
-	if obj == nil {
-		return false
-	}
-	scope := enclosingFuncBody(f, assign)
-	if scope == nil {
-		return false
-	}
-	allowed := true
-	ast.Inspect(scope, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok || !allowed || pass.TypesInfo.Uses[id] != obj {
-			return allowed
-		}
-		if !useIsInstrumentation(pm, id) {
-			allowed = false
-		}
-		return allowed
-	})
-	return allowed
-}
-
-// useIsInstrumentation checks one use of a captured timestamp: a sink
-// argument, or the operand of an instrumentation-consumed time.Since.
-func useIsInstrumentation(pm parentMap, id *ast.Ident) bool {
-	parent := pm[id]
-	if call, ok := parent.(*ast.CallExpr); ok {
-		if isSinkCall(call) {
-			return true
-		}
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "time" && sel.Sel.Name == "Since" {
-				return sinceIsInstrumentation(pm, call)
-			}
-		}
-	}
-	return false
 }
 
 // --- global math/rand -------------------------------------------------

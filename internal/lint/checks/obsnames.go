@@ -28,16 +28,16 @@ import (
 // Registrations in _test.go files are exempt (tests exercise the
 // registry itself, including its panics on bad names).
 //
-// The same analyzer covers span names handed to trace.StartSpan (the
-// Tracer method and the package-level function alike): a literal name
-// must be two or more dot-separated lower_snake segments
-// (subsystem.operation..., e.g. core.infer.rank), and a name built at
+// The same analyzer covers span names handed to trace.StartSpan and
+// trace.StartPhase (the Tracer methods and the package-level functions
+// alike): a literal name must be two or more dot-separated lower_snake
+// segments (subsystem.operation..., e.g. core.infer.rank), and a name built at
 // the call site from runtime data — string concatenation or
 // fmt.Sprint* — is flagged as a cardinality bomb: per-entity span
 // names shatter trace aggregation, so variable data belongs in
 // SetAttr, not the name. A plain variable is allowed (helpers such as
-// core's stage() take the literal at their own call site, where this
-// analyzer still sees it as greppable text).
+// core's stager.run take the literal at their own call site, where
+// this analyzer still sees it as greppable text).
 //
 // Event names handed to the oplog journal (Emit, and the Debug / Info
 // / Warn / Error shorthands) follow the identical grammar and the
@@ -81,7 +81,7 @@ func runObsNames(pass *analysis.Pass) error {
 		if !ok {
 			return
 		}
-		if sel.Sel.Name == "StartSpan" && isTraceFunc(pass.TypesInfo, sel) && len(call.Args) >= 2 {
+		if (sel.Sel.Name == "StartSpan" || sel.Sel.Name == "StartPhase") && isTraceFunc(pass.TypesInfo, sel) && len(call.Args) >= 2 {
 			checkDottedName(pass, call.Args[1], "span name")
 			return
 		}
@@ -208,8 +208,8 @@ func checkHelp(pass *analysis.Pass, arg ast.Expr) {
 }
 
 // isTraceFunc reports whether the selected function or method is
-// defined by a package named trace — covering both (*trace.Tracer).
-// StartSpan and the package-level trace.StartSpan, and excluding
+// defined by a package named trace — covering the (*trace.Tracer)
+// methods and the package-level functions alike, and excluding
 // same-named methods on unrelated types.
 func isTraceFunc(info *types.Info, sel *ast.SelectorExpr) bool {
 	fn, ok := info.Uses[sel.Sel].(*types.Func)

@@ -1,7 +1,8 @@
 // Golden input for nodeterminismleak: this package path matches the
-// deterministic set, so wall-clock reads, global rand, and map-ordered
-// writes are flagged while the sanctioned instrumentation and
-// seeded-generator idioms are not.
+// deterministic set, so every wall-clock read — hand-rolled duration
+// instrumentation included; that goes through trace.StartPhase — global
+// rand, and map-ordered writes are flagged while the seeded-generator
+// and sorted-output idioms are not.
 package core
 
 import (
@@ -29,18 +30,18 @@ func clockIntoComparison(deadline time.Time) bool {
 }
 
 func instrumentedDuration(h histogram) {
-	t0 := time.Now()
+	t0 := time.Now() // want "time.Now in a deterministic package"
 	h.ObserveSince(t0)
 }
 
 func instrumentedSince(st stats) {
-	t0 := time.Now()
-	st.record(time.Since(t0))
+	t0 := time.Now()          // want "time.Now in a deterministic package"
+	st.record(time.Since(t0)) // want "time.Since in a deterministic package"
 }
 
 func instrumentedObserve(h histogram) {
-	t0 := time.Now()
-	h.Observe(time.Since(t0).Seconds())
+	t0 := time.Now()                    // want "time.Now in a deterministic package"
+	h.Observe(time.Since(t0).Seconds()) // want "time.Since in a deterministic package"
 }
 
 func globalRand() int {

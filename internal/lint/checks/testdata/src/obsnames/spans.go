@@ -1,7 +1,7 @@
 // Golden input for the span-name arm of obsnames: literals handed to
-// trace.StartSpan (method or package function) follow the dot-separated
-// lower_snake grammar, and names assembled from runtime data are
-// cardinality bombs.
+// trace.StartSpan or trace.StartPhase (method or package function)
+// follow the dot-separated lower_snake grammar, and names assembled from
+// runtime data are cardinality bombs.
 package obsnames
 
 import (
@@ -31,6 +31,13 @@ func spans(ctx context.Context, vp string) {
 	ctx, s8 := tr.StartSpan(ctx, "core..infer")                       // want "breaks the house style"
 	ctx, s9 := tr.StartSpan(ctx, "replay.vp."+vp)                     // want "cardinality bomb"
 	ctx, s10 := trace.StartSpan(ctx, fmt.Sprintf("replay.vp.%s", vp)) // want "cardinality bomb"
+
+	// Phase names are span names.
+	ctx, p1 := trace.StartPhase(ctx, "stream.commit.rank_clique")
+	ctx, p2 := tr.StartPhase(ctx, "warehouse.append")
+	ctx, p3 := trace.StartPhase(ctx, "commit")             // want "too flat"
+	ctx, p4 := tr.StartPhase(ctx, "stream.commit."+vp)     // want "cardinality bomb"
+	_, _, _, _ = p1, p2, p3, p4
 	_ = ctx
 	for _, s := range []*trace.Span{s1, s2, s3, s4, s5, s6, s7, s8, s9, s10} {
 		s.End()

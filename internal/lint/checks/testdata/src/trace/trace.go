@@ -1,6 +1,7 @@
 // Package trace is a minimal stand-in for the repo's span tracer,
-// giving the obsnames golden package a StartSpan method and function in
-// a package named trace — the shape the span-name arm keys on.
+// giving the obsnames golden package StartSpan / StartPhase methods and
+// functions in a package named trace — the shape the span-name arm keys
+// on.
 package trace
 
 import "context"
@@ -19,6 +20,17 @@ func (t *Tracer) StartSpan(ctx context.Context, name string) (context.Context, *
 // tracer found in ctx.
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	return ctx, nil
+}
+
+// Phase mirrors the real timed-phase value.
+type Phase struct{ Span *Span }
+
+func (t *Tracer) StartPhase(ctx context.Context, name string) (context.Context, Phase) {
+	return ctx, Phase{}
+}
+
+func StartPhase(ctx context.Context, name string) (context.Context, Phase) {
+	return ctx, Phase{}
 }
 
 func (s *Span) SetAttr(key, value string) {}

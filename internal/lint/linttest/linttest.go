@@ -15,11 +15,9 @@
 package linttest
 
 import (
-	"fmt"
 	"go/token"
 	"regexp"
 	"strconv"
-	"strings"
 	"testing"
 
 	"github.com/asrank-go/asrank/internal/lint/analysis"
@@ -132,21 +130,4 @@ func check(t *testing.T, fset *token.FileSet, pkg *load.Package, diags []analysi
 			t.Errorf("%s:%d: no diagnostic matched want %q", w.file, w.line, w.raw)
 		}
 	}
-}
-
-// MustFind is a convenience for driver-level tests: it fails unless a
-// diagnostic matching re exists in diags.
-func MustFind(t *testing.T, fset *token.FileSet, diags []analysis.Diagnostic, re string) {
-	t.Helper()
-	r := regexp.MustCompile(re)
-	for _, d := range diags {
-		if r.MatchString(d.Message) {
-			return
-		}
-	}
-	var got []string
-	for _, d := range diags {
-		got = append(got, fmt.Sprintf("%s: %s", fset.Position(d.Pos), d.Message))
-	}
-	t.Errorf("no diagnostic matched %q; got:\n%s", re, strings.Join(got, "\n"))
 }

@@ -1,9 +1,67 @@
 package oplog
 
 import (
+	"context"
+	"net"
 	"net/http"
+	"net/http/pprof"
 	"strconv"
+	"time"
+
+	"github.com/asrank-go/asrank/internal/obs"
+	"github.com/asrank-go/asrank/internal/trace"
 )
+
+// DebugServer is the operational HTTP surface a daemon mounts on its
+// -debug-listen address, deliberately separate from any user-facing
+// listener: /metrics, pprof, the live span capture, the flight
+// recorder, and the journal. It sets only ReadHeaderTimeout, never a
+// write timeout — CPU profiles and live trace captures stream for
+// longer than any API response.
+type DebugServer struct {
+	*http.Server
+	mux    *http.ServeMux
+	cancel context.CancelFunc
+}
+
+// NewDebugServer assembles the debug surface for addr over the three
+// telemetry stores; tracer and journal may be nil (their endpoints then
+// serve empty dumps).
+func NewDebugServer(addr string, reg *obs.Registry, tracer *trace.Tracer, journal *Journal) *DebugServer {
+	mux := http.NewServeMux()
+	mux.Handle("GET /metrics", reg.Handler())
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.Handle("GET /debug/trace", trace.CaptureHandler(tracer))
+	mux.Handle("GET /debug/flight", trace.FlightHandler(tracer))
+	mux.Handle("GET /debug/oplog", Handler(journal))
+	ctx, cancel := context.WithCancel(context.Background())
+	return &DebugServer{
+		Server: &http.Server{
+			Addr:              addr,
+			Handler:           mux,
+			ReadHeaderTimeout: 5 * time.Second,
+			BaseContext:       func(net.Listener) context.Context { return ctx },
+		},
+		mux:    mux,
+		cancel: cancel,
+	}
+}
+
+// Handle mounts one more endpoint (asrankd's /debug/epochs).
+func (d *DebugServer) Handle(pattern string, h http.Handler) { d.mux.Handle(pattern, h) }
+
+// Shutdown drains the server. Every in-flight request's context is
+// cancelled first, so streaming handlers (a 60s /debug/trace capture,
+// say) end at their next context check instead of holding the drain
+// hostage for their full window.
+func (d *DebugServer) Shutdown(ctx context.Context) error {
+	d.cancel()
+	return d.Server.Shutdown(ctx)
+}
 
 // Handler serves the journal's ring over HTTP — the /debug/oplog
 // surface. Query parameters:

@@ -6,8 +6,9 @@
 // active in the caller's context) the trace ID that correlates the
 // event with the flight recorder.
 //
-// Events land in a bounded lock-free ring — the journal never blocks
-// an instrumented goroutine and never grows without bound — and are
+// Events land in a bounded lock-free ring (trace.Ring, the same one
+// behind the span flight recorder) — the journal never blocks an
+// instrumented goroutine and never grows without bound — and are
 // optionally teed to an NDJSON sink (one JSON object per line, for
 // shipping) and a human-readable Logf (so asrankd's console output
 // stays greppable while the structured record is authoritative).
@@ -62,16 +63,9 @@ func (s Severity) String() string {
 	return "unknown"
 }
 
-// Attr is one key/value pair on an event. Values are strings or
-// int64s, kept flat (no interface) so an event's attribute slice stays
-// pointer-free after the keys — same shape as trace.Attr.
-type Attr struct {
-	Key string
-	Str string
-	Int int64
-	// IsInt selects which value field is live.
-	IsInt bool
-}
+// Attr is one key/value pair on an event: the same flat string-or-int64
+// pair a span carries, so one attribute type serves both surfaces.
+type Attr = trace.Attr
 
 // String returns a string attribute.
 func String(key, val string) Attr { return Attr{Key: key, Str: val} }
@@ -123,7 +117,7 @@ type Options struct {
 // Journal records events. The zero value is not usable; call New. A
 // nil *Journal is the disabled journal.
 type Journal struct {
-	ring *ring
+	ring *trace.Ring[Event]
 	seq  atomic.Uint64
 	min  Severity
 	logf func(format string, args ...any)
@@ -141,7 +135,7 @@ func New(opts Options) *Journal {
 		opts.RingSize = 4096
 	}
 	j := &Journal{
-		ring: newRing(opts.RingSize),
+		ring: trace.NewRing[Event](opts.RingSize),
 		min:  opts.MinSeverity,
 		sink: opts.Sink,
 		logf: opts.Logf,
@@ -174,7 +168,7 @@ func (j *Journal) Emit(ctx context.Context, sev Severity, name string, attrs ...
 			e.Trace = s.Trace.String()
 		}
 	}
-	j.ring.add(e)
+	j.ring.Add(e)
 	if j.events != nil {
 		j.events.With(sev.String()).Inc()
 	}
@@ -220,7 +214,7 @@ func (j *Journal) Recent() []*Event {
 	if j == nil {
 		return nil
 	}
-	return j.ring.snapshot()
+	return j.ring.Snapshot(func(a, b *Event) bool { return a.Seq < b.Seq })
 }
 
 // renderText formats an event for the Logf tee:

@@ -1,10 +1,6 @@
 package paths
 
-import (
-	"time"
-
-	"github.com/asrank-go/asrank/internal/obs"
-)
+import "github.com/asrank-go/asrank/internal/obs"
 
 // Sanitization metrics, recorded into the process-global registry on
 // every Sanitize call. Drop reasons mirror the SanitizeStats fields so
@@ -22,9 +18,8 @@ var (
 		"Kept paths rewritten by sanitization, by change.", "change")
 )
 
-// record publishes one pass's stats.
-func (st SanitizeStats) record(elapsed time.Duration) {
-	sanDuration.Observe(elapsed.Seconds())
+// record publishes one pass's counts.
+func (st SanitizeStats) record() {
 	sanInput.Add(uint64(st.Input))
 	sanKept.Add(uint64(st.Kept))
 	sanDropped.With("reserved").Add(uint64(st.ReservedDiscarded))

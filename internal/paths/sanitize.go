@@ -2,7 +2,6 @@ package paths
 
 import (
 	"context"
-	"time"
 
 	"github.com/asrank-go/asrank/internal/asn"
 	"github.com/asrank-go/asrank/internal/pool"
@@ -61,9 +60,7 @@ func Sanitize(ds *Dataset, opts SanitizeOptions) (*Dataset, SanitizeStats) {
 // across the worker goroutines; "paths.sanitize.sweep" is the
 // sequential bookkeeping walk) and input/kept counts as attributes.
 func SanitizeCtx(ctx context.Context, ds *Dataset, opts SanitizeOptions) (*Dataset, SanitizeStats) {
-	ctx, span := trace.StartSpan(ctx, "paths.sanitize")
-	defer span.End()
-	t0 := time.Now()
+	ctx, ph := trace.StartPhase(ctx, "paths.sanitize")
 	stats := SanitizeStats{Input: len(ds.Paths)}
 	out := &Dataset{Paths: make([]Path, 0, len(ds.Paths))}
 	seen := make(map[string]bool)
@@ -116,12 +113,13 @@ func SanitizeCtx(ctx context.Context, ds *Dataset, opts SanitizeOptions) (*Datas
 	}
 	sweepSpan.End()
 	stats.Kept = len(out.Paths)
-	if span != nil {
+	if span := ph.Span; span != nil {
 		span.SetAttrInt("input", int64(stats.Input))
 		span.SetAttrInt("kept", int64(stats.Kept))
 		span.SetAttrInt("duplicates", int64(stats.Duplicates))
 	}
-	stats.record(time.Since(t0))
+	ph.End(sanDuration, nil)
+	stats.record()
 	return out, stats
 }
 

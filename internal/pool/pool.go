@@ -23,7 +23,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/asrank-go/asrank/internal/obs"
 	"github.com/asrank-go/asrank/internal/trace"
@@ -72,17 +71,15 @@ func RangeCtx(ctx context.Context, workers, n int, fn func(ctx context.Context, 
 		workers = n
 	}
 	run := func(shard, lo, hi int) {
-		tctx, span := trace.StartSpan(ctx, "pool.task")
-		if span != nil {
+		tctx, ph := trace.StartPhase(ctx, "pool.task")
+		if span := ph.Span; span != nil {
 			span.SetAttr("mode", "range")
 			span.SetAttrInt("shard", int64(shard))
 			span.SetAttrInt("lo", int64(lo))
 			span.SetAttrInt("hi", int64(hi))
 		}
-		t0 := time.Now()
 		fn(tctx, shard, lo, hi)
-		span.End()
-		poolBusy.ObserveSince(t0)
+		ph.End(poolBusy, nil)
 		poolRangeTasks.Inc()
 	}
 	if workers <= 1 {
@@ -128,16 +125,14 @@ func ChunksCtx(ctx context.Context, workers, n, chunk int, fn func(ctx context.C
 		workers = nchunks
 	}
 	run := func(lo, hi int) {
-		tctx, span := trace.StartSpan(ctx, "pool.task")
-		if span != nil {
+		tctx, ph := trace.StartPhase(ctx, "pool.task")
+		if span := ph.Span; span != nil {
 			span.SetAttr("mode", "chunks")
 			span.SetAttrInt("lo", int64(lo))
 			span.SetAttrInt("hi", int64(hi))
 		}
-		t0 := time.Now()
 		fn(tctx, lo, hi)
-		span.End()
-		poolBusy.ObserveSince(t0)
+		ph.End(poolBusy, nil)
 	}
 	if workers <= 1 {
 		if n > 0 {

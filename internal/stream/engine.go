@@ -32,7 +32,6 @@ import (
 	"context"
 	"net/netip"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -42,6 +41,7 @@ import (
 	"github.com/asrank-go/asrank/internal/oplog"
 	"github.com/asrank-go/asrank/internal/paths"
 	"github.com/asrank-go/asrank/internal/topology"
+	"github.com/asrank-go/asrank/internal/trace"
 	"github.com/asrank-go/asrank/internal/warehouse"
 )
 
@@ -342,7 +342,7 @@ func (e *Engine) Commit(ctx context.Context) *warehouse.Snapshot {
 // journal is configured) journaled as a stream.commit event. The
 // report is instrumentation about the commit, never an input to it.
 func (e *Engine) CommitEpoch(ctx context.Context) (*warehouse.Snapshot, CommitReport) {
-	tTotal := time.Now()
+	ctx, total := trace.StartPhase(ctx, "stream.commit")
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.stats.Epochs++
@@ -363,7 +363,7 @@ func (e *Engine) CommitEpoch(ctx context.Context) (*warehouse.Snapshot, CommitRe
 	// Steps 2–3 always re-run: rank and clique are global, cheap
 	// relative to crediting, and the dirty-region rule hinges on the
 	// clique comparison below.
-	tRank := time.Now()
+	_, ph := trace.StartPhase(ctx, "stream.commit.rank_clique")
 	rank := e.ix.Rank()
 	clique := core.CliqueFromIndex(e.ix, rank, e.opts.Infer)
 
@@ -406,19 +406,19 @@ func (e *Engine) CommitEpoch(ctx context.Context) (*warehouse.Snapshot, CommitRe
 			}
 		}
 	}
-	rep.record("rank_clique", time.Since(tRank))
+	ph.End(commitPhaseDuration.With("rank_clique"), &rep.Phases.RankClique)
 
 	// Steps 5–9 over the kept-layer aggregates — the same engine the
 	// batch path executes.
-	tInfer := time.Now()
-	res := core.InferIndexed(ctx, e.ix, rank, clique, e.opts.Infer)
-	rep.record("infer", time.Since(tInfer))
+	ictx, ph := trace.StartPhase(ctx, "stream.commit.infer")
+	res := core.InferIndexed(ictx, e.ix, rank, clique, e.opts.Infer)
+	ph.End(commitPhaseDuration.With("infer"), &rep.Phases.Infer)
 
 	// Cone crediting. Removed paths leave under the relationships they
 	// were credited with; paths touching a changed link are re-walked;
 	// everything else keeps its contribution (leg 3 of the package
 	// contract).
-	tCredit := time.Now()
+	_, ph = trace.StartPhase(ctx, "stream.commit.credit")
 	rep.UncreditedPaths = len(e.uncredit)
 	for _, asns := range e.uncredit {
 		e.pc.Credit(e.rels, asns, -1)
@@ -459,7 +459,7 @@ func (e *Engine) CommitEpoch(ctx context.Context) (*warehouse.Snapshot, CommitRe
 	}
 	e.pendingCredit = make(map[*entry]struct{})
 	e.rels = res.Rels
-	rep.record("credit", time.Since(tCredit))
+	ph.End(commitPhaseDuration.With("credit"), &rep.Phases.Credit)
 
 	// The serving index is the sorted endpoint set of the labeled
 	// links — identical to what cone.NewRelations interns batch-side.
@@ -470,11 +470,11 @@ func (e *Engine) CommitEpoch(ctx context.Context) (*warehouse.Snapshot, CommitRe
 	}
 	idx := asindex.New(asns)
 
-	tSlab := time.Now()
+	_, ph = trace.StartPhase(ctx, "stream.commit.slab")
 	slab := e.pc.Slab(idx)
-	rep.record("slab", time.Since(tSlab))
+	ph.End(commitPhaseDuration.With("slab"), &rep.Phases.Slab)
 
-	tCompose := time.Now()
+	_, ph = trace.StartPhase(ctx, "stream.commit.compose")
 	snap := warehouse.Compose(warehouse.ComposeInput{
 		Index:         idx,
 		ConeWords:     slab,
@@ -487,14 +487,14 @@ func (e *Engine) CommitEpoch(ctx context.Context) (*warehouse.Snapshot, CommitRe
 		PathCount:     e.ix.PathCount(),
 		Workers:       e.opts.Workers,
 	})
-	rep.record("compose", time.Since(tCompose))
+	ph.End(commitPhaseDuration.With("compose"), &rep.Phases.Compose)
 
 	rep.Entries = len(e.entries)
 	rep.RIBRoutes = len(e.rib)
 	if !firstPendingAt.IsZero() {
-		rep.record("watermark", time.Since(firstPendingAt))
+		trace.PhaseSince(firstPendingAt).End(nil, &rep.WatermarkMillis)
 	}
-	rep.record("total", time.Since(tTotal))
+	total.End(nil, &rep.TotalMillis)
 
 	e.reports = append(e.reports, rep)
 	if len(e.reports) > maxReports {
@@ -522,38 +522,4 @@ func (e *Engine) Stats() Stats {
 	s.Entries = len(e.entries)
 	s.RIBRoutes = len(e.rib)
 	return s
-}
-
-// Corpus materializes the currently announced routes as a batch
-// dataset in deterministic (collector, vp, prefix) order. Rows carry
-// the per-path sanitized hops (cleaning is idempotent), so feeding
-// them to the batch pipeline with Sanitize enabled reconstructs — via
-// the duplicate collapse — exactly the distinct corpus the engine has
-// folded.
-func (e *Engine) Corpus() *paths.Dataset {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	keys := make([]ribKey, 0, len(e.rib))
-	for k := range e.rib {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.collector != b.collector {
-			return a.collector < b.collector
-		}
-		if a.vp != b.vp {
-			return a.vp < b.vp
-		}
-		return a.prefix.String() < b.prefix.String()
-	})
-	ds := &paths.Dataset{}
-	for _, k := range keys {
-		en := e.rib[k]
-		if en == nil {
-			continue
-		}
-		ds.Add(paths.Path{Collector: en.key.collector, Prefix: en.key.prefix, ASNs: en.asns})
-	}
-	return ds
 }

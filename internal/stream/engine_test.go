@@ -3,7 +3,13 @@ package stream
 import (
 	"context"
 	"net/netip"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
+
+	"github.com/asrank-go/asrank/internal/obs"
+	"github.com/asrank-go/asrank/internal/trace"
 )
 
 var (
@@ -108,5 +114,66 @@ func TestFirstEpochIsInitialRebuild(t *testing.T) {
 	}
 	if st := e.Stats(); st.Epochs != 2 || st.FullRebuilds != 1 {
 		t.Errorf("stats = %+v, want 2 epochs, 1 rebuild", st)
+	}
+}
+
+// TestCommitPhasesOneVocabulary: each serial phase of a commit is timed
+// once and lands on three surfaces under one name — a PhaseMillis
+// field, a label value of the commit-phase histogram family, and a
+// stream.commit.* span — and the total brackets them all.
+func TestCommitPhasesOneVocabulary(t *testing.T) {
+	want := []string{"compose", "credit", "infer", "rank_clique", "slab"}
+	if n := reflect.TypeOf(PhaseMillis{}).NumField(); n != len(want) {
+		t.Fatalf("PhaseMillis has %d fields, the test knows %d phases", n, len(want))
+	}
+
+	tr := trace.New(trace.Options{})
+	ctx, root := tr.StartSpan(context.Background(), "asrankd.stream_epoch")
+	e := New(Options{})
+	e.Announce("rc0", 10, pfxA, []uint32{10, 20, 30})
+	e.Announce("rc0", 11, pfxB, []uint32{11, 20, 40})
+	_, rep := e.CommitEpoch(ctx)
+	root.End()
+
+	ph := rep.Phases
+	for i, ms := range []float64{ph.Compose, ph.Credit, ph.Infer, ph.RankClique, ph.Slab} {
+		if ms <= 0 {
+			t.Errorf("phase %s reported %.6f ms", want[i], ms)
+		}
+	}
+	if sum := ph.RankClique + ph.Infer + ph.Credit + ph.Slab + ph.Compose; rep.TotalMillis < sum {
+		t.Errorf("total %.6f ms < sum of phases %.6f ms", rep.TotalMillis, sum)
+	}
+	if rep.WatermarkMillis <= 0 {
+		t.Errorf("watermark = %.6f ms with two events pending", rep.WatermarkMillis)
+	}
+
+	var labels []string
+	const series = `asrank_stream_commit_phase_duration_seconds_count{phase="`
+	for _, line := range strings.Split(obs.Default().Expose(), "\n") {
+		if rest, ok := strings.CutPrefix(line, series); ok {
+			labels = append(labels, rest[:strings.IndexByte(rest, '"')])
+		}
+	}
+	if !reflect.DeepEqual(labels, want) { // exposition sorts series by label value
+		t.Errorf("histogram phase labels = %v, want %v", labels, want)
+	}
+
+	var spans []string
+	var commit *trace.Span
+	for _, s := range tr.Flight() {
+		if s.Name == "stream.commit" {
+			commit = s
+		}
+		if rest, ok := strings.CutPrefix(s.Name, "stream.commit."); ok {
+			spans = append(spans, rest)
+		}
+	}
+	sort.Strings(spans)
+	if !reflect.DeepEqual(spans, want) {
+		t.Errorf("stream.commit.* spans = %v, want %v", spans, want)
+	}
+	if commit == nil || commit.Parent != root.ID {
+		t.Errorf("stream.commit span %+v is not a child of the epoch root", commit)
 	}
 }

@@ -3,7 +3,8 @@ package stream
 import (
 	"encoding/json"
 	"net/http"
-	"time"
+
+	"github.com/asrank-go/asrank/internal/obs"
 )
 
 // This file is the engine's provenance layer. The paper the pipeline
@@ -34,6 +35,14 @@ const (
 // SlabFull is the only CommitReport.Slab value: every epoch builds the
 // cone slab from the credit table.
 const SlabFull = "full"
+
+// commitPhaseDuration is the /metrics view of PhaseMillis: one series
+// per phase, labelled rank_clique, infer, credit, slab, compose — the
+// same names as the stream.commit.* spans, because each phase is timed
+// once (trace.Phase) and delivered to all three surfaces.
+var commitPhaseDuration = obs.Default().HistogramVec("asrank_stream_commit_phase_duration_seconds",
+	"Wall time of one serial phase of a streaming epoch commit, by phase.",
+	obs.DurationBuckets, "phase")
 
 // PhaseMillis breaks one commit into its serial phases, in wall-clock
 // milliseconds. Instrumentation only: phase times never influence what
@@ -81,29 +90,6 @@ type CommitReport struct {
 	Phases          PhaseMillis `json:"phases"`
 	TotalMillis     float64     `json:"totalMillis"`
 	WatermarkMillis float64     `json:"watermarkMillis"` // 0 when no events were pending
-}
-
-// record is the report's duration sink (the sanctioned consumer of
-// wall-clock reads in this deterministic package — see the
-// nodeterminismleak analyzer). Phase names match PhaseMillis fields.
-func (r *CommitReport) record(phase string, d time.Duration) {
-	ms := float64(d.Nanoseconds()) / 1e6
-	switch phase {
-	case "rank_clique":
-		r.Phases.RankClique = ms
-	case "infer":
-		r.Phases.Infer = ms
-	case "credit":
-		r.Phases.Credit = ms
-	case "slab":
-		r.Phases.Slab = ms
-	case "compose":
-		r.Phases.Compose = ms
-	case "total":
-		r.TotalMillis = ms
-	case "watermark":
-		r.WatermarkMillis = ms
-	}
 }
 
 // Reports returns the engine's trailing commit reports, oldest first.

@@ -2,6 +2,7 @@ package streamtest
 
 import (
 	"context"
+	"net/netip"
 	"testing"
 	"time"
 
@@ -10,10 +11,29 @@ import (
 	"github.com/asrank-go/asrank/internal/collector"
 	"github.com/asrank-go/asrank/internal/core"
 	"github.com/asrank-go/asrank/internal/obs"
+	"github.com/asrank-go/asrank/internal/paths"
 	"github.com/asrank-go/asrank/internal/stream"
 	"github.com/asrank-go/asrank/internal/topology"
 	"github.com/asrank-go/asrank/internal/warehouse"
 )
+
+// teeSink fans the collector's route stream out to the streaming engine
+// and to an everything-heard recorder (the corpus a sink-less collector
+// would keep), which is the independent batch reference. The collector
+// serializes sink calls under its own lock, so ds needs none.
+type teeSink struct {
+	eng *stream.Engine
+	ds  paths.Dataset
+}
+
+func (s *teeSink) Announce(collector string, vp uint32, prefix netip.Prefix, asns []uint32) {
+	s.ds.Add(paths.Path{Collector: collector, Prefix: prefix, ASNs: asns})
+	s.eng.Announce(collector, vp, prefix, asns)
+}
+
+func (s *teeSink) Withdraw(collector string, vp uint32, prefix netip.Prefix) {
+	s.eng.Withdraw(collector, vp, prefix)
+}
 
 // TestCollectorToEngineThroughChaos closes the live loop under fire:
 // a simulated collection replayed over real BGP sessions through a
@@ -36,9 +56,10 @@ func TestCollectorToEngineThroughChaos(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	eng := stream.New(stream.Options{})
+	tee := &teeSink{eng: eng}
 	srv, err := collector.Listen("127.0.0.1:0", collector.Options{
 		Registry: reg,
-		Routes:   eng,
+		Routes:   tee,
 		Logf:     t.Logf,
 	})
 	if err != nil {
@@ -93,7 +114,10 @@ func TestCollectorToEngineThroughChaos(t *testing.T) {
 	}
 
 	inc := eng.Commit(context.Background())
-	res := core.Infer(srv.Corpus(), core.Options{Sanitize: true})
+	if n := srv.Corpus().NumPaths(); n != 0 {
+		t.Errorf("collector with a caller sink retained %d paths, want 0", n)
+	}
+	res := core.Infer(&tee.ds, core.Options{Sanitize: true})
 	if err := EquivCheck(inc, warehouse.FromResult(res)); err != nil {
 		t.Fatal(err)
 	}

@@ -5,43 +5,41 @@ import (
 	"sync/atomic"
 )
 
-// ring is the flight recorder: a fixed array of atomic span slots and a
-// monotonically increasing head. A completed span claims the next slot
-// with a single fetch-add and stores itself with a single atomic
-// pointer write — no locks, no blocking, and readers racing a writer
-// see either the old span or the new one, both fully published (End
+// Ring is the bounded lock-free buffer behind the span flight recorder
+// and the oplog journal: a fixed array of atomic slots and a
+// monotonically increasing head. A writer claims the next slot with a
+// single fetch-add and stores its element with a single atomic pointer
+// write — no locks, no blocking, and readers racing a writer see either
+// the old element or the new one, both fully published (the writer
 // finishes every field write before the slot store, and the atomic
 // pointer store/load pair gives the happens-before edge).
-type ring struct {
-	slots []atomic.Pointer[Span]
+type Ring[T any] struct {
+	slots []atomic.Pointer[T]
 	head  atomic.Uint64
 }
 
-func newRing(size int) *ring {
-	return &ring{slots: make([]atomic.Pointer[Span], size)}
+// NewRing returns an empty ring that keeps the newest size elements.
+func NewRing[T any](size int) *Ring[T] {
+	return &Ring[T]{slots: make([]atomic.Pointer[T], size)}
 }
 
-func (r *ring) add(s *Span) {
+// Add stores v, evicting the oldest element once the ring is full.
+func (r *Ring[T]) Add(v *T) {
 	i := (r.head.Add(1) - 1) % uint64(len(r.slots))
-	r.slots[i].Store(s)
+	r.slots[i].Store(v)
 }
 
-// snapshot returns the ring's current spans ordered by start time.
-// Under concurrent writes the result is a consistent-enough view for a
-// post-hoc dump: each slot read is atomic, and ordering by Start keeps
-// the output stable regardless of eviction order.
-func (r *ring) snapshot() []*Span {
-	out := make([]*Span, 0, len(r.slots))
+// Snapshot returns the ring's current elements ordered by less. Under
+// concurrent writes the result is a consistent-enough view for a
+// post-hoc dump: each slot read is atomic, and sorting by the caller's
+// key keeps the output stable regardless of eviction order.
+func (r *Ring[T]) Snapshot(less func(a, b *T) bool) []*T {
+	out := make([]*T, 0, len(r.slots))
 	for i := range r.slots {
-		if s := r.slots[i].Load(); s != nil {
-			out = append(out, s)
+		if v := r.slots[i].Load(); v != nil {
+			out = append(out, v)
 		}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if !out[a].Start.Equal(out[b].Start) {
-			return out[a].Start.Before(out[b].Start)
-		}
-		return out[a].ID < out[b].ID
-	})
+	sort.Slice(out, func(a, b int) bool { return less(out[a], out[b]) })
 	return out
 }

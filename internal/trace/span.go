@@ -85,10 +85,18 @@ func Int(key string, val int64) Attr { return Attr{Key: key, Int: val, IsInt: tr
 // and live captures. Safe to call more than once; only the first End
 // publishes. No-op on a nil span.
 func (s *Span) End() {
-	if s == nil || !s.ended.CompareAndSwap(false, true) {
+	if s != nil {
+		s.endAfter(time.Since(s.Start))
+	}
+}
+
+// endAfter is End with the duration already measured (Phase.End owns
+// the clock read and shares it with its other sinks).
+func (s *Span) endAfter(d time.Duration) {
+	if !s.ended.CompareAndSwap(false, true) {
 		return
 	}
-	s.Dur = time.Since(s.Start)
+	s.Dur = d
 	s.tracer.publish(s)
 }
 

@@ -59,7 +59,7 @@ type Options struct {
 // New. A nil *Tracer is the disabled tracer: StartSpan returns the
 // context unchanged and a nil span.
 type Tracer struct {
-	ring    *ring
+	ring    *Ring[Span]
 	ids     atomic.Uint64 // span-ID allocator; 0 is reserved for "no parent"
 	traceLo atomic.Uint64 // per-root trace-ID allocator
 	epoch   [8]byte       // high half of every locally minted TraceID
@@ -73,7 +73,7 @@ func New(opts Options) *Tracer {
 	if opts.FlightSize <= 0 {
 		opts.FlightSize = 4096
 	}
-	t := &Tracer{ring: newRing(opts.FlightSize)}
+	t := &Tracer{ring: NewRing[Span](opts.FlightSize)}
 	// The epoch distinguishes trace IDs across processes; the low half
 	// is a counter so IDs stay unique and cheap within one.
 	nano := uint64(time.Now().UnixNano())
@@ -106,14 +106,6 @@ type (
 type remoteParent struct {
 	trace TraceID
 	span  uint64
-}
-
-// ContextWith returns ctx with s installed as the current span.
-func ContextWith(ctx context.Context, s *Span) context.Context {
-	if s == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, spanKey{}, s)
 }
 
 // FromContext returns the current span, or nil when the context carries
@@ -173,7 +165,7 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 
 // publish delivers a completed span to the flight ring and live sinks.
 func (t *Tracer) publish(s *Span) {
-	t.ring.add(s)
+	t.ring.Add(s)
 	if sinks := t.sinks.Load(); sinks != nil {
 		for _, c := range *sinks {
 			c.add(s)
@@ -181,13 +173,19 @@ func (t *Tracer) publish(s *Span) {
 	}
 }
 
-// Flight returns the flight recorder's current contents, oldest first.
-// The returned spans are completed and immutable.
+// Flight returns the flight recorder's current contents ordered by
+// start time, span ID breaking ties. The returned spans are completed
+// and immutable.
 func (t *Tracer) Flight() []*Span {
 	if t == nil {
 		return nil
 	}
-	return t.ring.snapshot()
+	return t.ring.Snapshot(func(a, b *Span) bool {
+		if !a.Start.Equal(b.Start) {
+			return a.Start.Before(b.Start)
+		}
+		return a.ID < b.ID
+	})
 }
 
 // Capture accumulates completed spans from the moment it is created

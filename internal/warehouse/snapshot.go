@@ -108,12 +108,6 @@ func (s *Snapshot) WordsPerCone() int { return (len(s.ASNs) + 63) / 64 }
 // NumASes returns the interned AS count.
 func (s *Snapshot) NumASes() int { return len(s.ASNs) }
 
-// Cone returns position p's cone bitset words (shared, not copied).
-func (s *Snapshot) Cone(p int32) []uint64 {
-	wps := s.WordsPerCone()
-	return s.ConeWords[int(p)*wps : (int(p)+1)*wps]
-}
-
 // FromResult converts an inference result into its columnar snapshot:
 // the same cone product, ranking, and per-AS aggregates the API
 // snapshot builder consumed before the warehouse existed, so

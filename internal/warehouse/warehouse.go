@@ -19,7 +19,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"github.com/asrank-go/asrank/internal/obs"
 	"github.com/asrank-go/asrank/internal/trace"
@@ -96,7 +95,7 @@ type Store struct {
 // so a crash mid-append leaves a store that reopens at the last good
 // epoch.
 func Open(dir string, opts Options) (*Store, error) {
-	ctx, span := startSpan(opts.Tracer, context.Background(), "warehouse.open")
+	ctx, span := opts.Tracer.StartSpan(context.Background(), "warehouse.open")
 	defer span.End()
 	span.SetAttr("dir", dir)
 
@@ -220,9 +219,8 @@ func (st *Store) Append(snap *Snapshot, label, etag string) (EpochInfo, error) {
 // entry and returned by Epochs/Latest, but never interpreted — epoch
 // identity (segment hash, ETag) is unchanged by it.
 func (st *Store) AppendNote(snap *Snapshot, label, etag string, note json.RawMessage) (EpochInfo, error) {
-	t0 := time.Now()
-	_, span := startSpan(st.tracer, context.Background(), "warehouse.append")
-	defer span.End()
+	_, ph := st.tracer.StartPhase(context.Background(), "warehouse.append")
+	defer ph.End(nil, nil) // error returns and metric-less stores still close the span
 
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -269,12 +267,12 @@ func (st *Store) AppendNote(snap *Snapshot, label, etag string, note json.RawMes
 
 	st.metrics.observeAppend(len(img))
 	st.metrics.setLive(len(st.epochs), st.totalBytesLocked())
+	ph.Span.SetAttrInt("epoch", int64(id))
+	ph.Span.SetAttr("kind", kindName)
+	ph.Span.SetAttrInt("bytes", int64(len(img)))
 	if st.metrics != nil {
-		st.metrics.appendSeconds.ObserveSince(t0)
+		ph.End(st.metrics.appendSeconds, nil)
 	}
-	span.SetAttrInt("epoch", int64(id))
-	span.SetAttr("kind", kindName)
-	span.SetAttrInt("bytes", int64(len(img)))
 	return info, nil
 }
 
@@ -347,10 +345,9 @@ func (st *Store) Latest() (*Snapshot, EpochInfo, bool) {
 // checkpoint at or below id and replaying the delta chain — bounded by
 // the checkpoint cadence, never by store length.
 func (st *Store) Snapshot(id uint32) (*Snapshot, error) {
-	t0 := time.Now()
-	_, span := startSpan(st.tracer, context.Background(), "warehouse.snapshot")
-	defer span.End()
-	span.SetAttrInt("epoch", int64(id))
+	_, ph := st.tracer.StartPhase(context.Background(), "warehouse.snapshot")
+	defer ph.End(nil, nil) // only chain replays reach the histogram below
+	ph.Span.SetAttrInt("epoch", int64(id))
 
 	st.mu.RLock()
 	if int(id) >= len(st.epochs) {
@@ -377,10 +374,10 @@ func (st *Store) Snapshot(id uint32) (*Snapshot, error) {
 		}
 		snap = next
 	}
+	ph.Span.SetAttrInt("chain", int64(len(chain)))
 	if st.metrics != nil {
-		st.metrics.decodeSeconds.ObserveSince(t0)
+		ph.End(st.metrics.decodeSeconds, nil)
 	}
-	span.SetAttrInt("chain", int64(len(chain)))
 	return snap, nil
 }
 
@@ -402,13 +399,4 @@ func (st *Store) totalBytesLocked() int64 {
 		sum += e.Bytes
 	}
 	return sum
-}
-
-// startSpan begins a span on t when non-nil, else falls back to the
-// ambient (context-carried) tracer.
-func startSpan(t *trace.Tracer, ctx context.Context, name string) (context.Context, *trace.Span) {
-	if t != nil {
-		return t.StartSpan(ctx, name)
-	}
-	return trace.StartSpan(ctx, name)
 }
