@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint lint-report bench ledger metrics-lint fuzz-smoke trace-demo
+.PHONY: build test check lint bench ledger metrics-lint fuzz-smoke trace-demo
 
 build:
 	$(GO) build ./...
@@ -21,14 +21,6 @@ check: lint
 # annotations the dataflow analyzers read (see DESIGN.md §9).
 lint:
 	$(GO) run ./cmd/asrank-lint ./...
-
-# Same run, but leave machine-readable reports at the repo root: a
-# SARIF 2.1.0 log (code-scanning upload) and the custom JSON report
-# (findings plus the registered-analyzer inventory). Exit status is
-# the same contract as `make lint`.
-lint-report:
-	$(GO) run ./cmd/asrank-lint -sarif lint.sarif -json lint.json ./...
-	@echo "reports in lint.sarif and lint.json"
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
@@ -78,4 +70,5 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseOpenBody$$' -fuzztime $(FUZZTIME) ./internal/bgp
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMessage$$' -fuzztime $(FUZZTIME) ./internal/bgp
 	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime $(FUZZTIME) ./internal/mrt
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSegment$$' -fuzztime $(FUZZTIME) ./internal/warehouse
 	$(GO) test -run '^$$' -fuzz '^FuzzCorpusMutator$$' -fuzztime $(FUZZTIME) ./internal/streamtest

@@ -7,15 +7,13 @@
 // with the //asrank: annotation grammar itself (asrankannotations).
 // See DESIGN.md §9.
 //
-//	asrank-lint ./...                    # lint the whole repository
-//	asrank-lint -list                    # describe the analyzers
-//	asrank-lint -only errwrap ./internal/collector
-//	asrank-lint -sarif lint.sarif ./...  # CI artifact
-//	asrank-lint -json - -timing ./...    # report to stdout, times to stderr
+//	asrank-lint ./...                  # lint the whole repository
+//	asrank-lint ./internal/collector   # or just some packages
+//	asrank-lint -list                  # describe the analyzers
 //
-// Packages parse concurrently on the bounded internal/pool (-workers
-// caps the fan-out); findings are sorted by file/offset/analyzer
-// before rendering, so output is byte-stable across worker counts.
+// The run is sequential (about a second for the whole repository) and
+// findings are sorted by file/offset/analyzer before rendering, so
+// output is byte-stable.
 //
 // Suppress one finding with a reasoned directive on (or directly
 // above) the offending line:
@@ -24,8 +22,8 @@
 //
 // Unused or reasonless directives — and directives naming an analyzer
 // that is not registered — are themselves findings. The dataflow
-// analyzers additionally read the //asrank:hotpath, //asrank:mutable,
-// and //asrank:guardedby annotations documented in DESIGN.md §9.
+// analyzers additionally read the //asrank:hotpath and
+// //asrank:guardedby annotations documented in DESIGN.md §9.
 //
 // Exit codes: 0 no findings; 1 findings; 2 the run itself failed.
 package main

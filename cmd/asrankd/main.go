@@ -103,6 +103,15 @@ import (
 // bleed visible after the spike passes.
 var sloWindows = []time.Duration{5 * time.Minute, time.Hour}
 
+// Serving policy. Deployment settings (addresses, files, intervals) are
+// flags; these have one value in use and are not. The admission limits
+// are apiserver.DefaultShedPolicy.
+const (
+	sloTarget    = 0.999            // availability objective behind the burn-rate gauges
+	sloBurnLimit = 10.0             // 5m burn rate above which /readyz reports degraded
+	drainTimeout = 10 * time.Second // how long in-flight requests get on SIGINT/SIGTERM
+)
+
 func main() {
 	var (
 		pathsFile    = flag.String("paths", "", "text path file, or a comma-separated epoch sequence with -warehouse")
@@ -111,19 +120,10 @@ func main() {
 		listen       = flag.String("listen", "127.0.0.1:8080", "listen address")
 		debugListen  = flag.String("debug-listen", "", "serve /metrics and /debug/pprof/ on this address (off when empty)")
 		workers      = flag.Int("workers", 0, "worker-pool size for parallel pipeline stages (0 = GOMAXPROCS)")
-		drainWait    = flag.Duration("shutdown-timeout", 10*time.Second, "how long to drain in-flight requests on SIGINT/SIGTERM")
 		oplogFile    = flag.String("oplog", "", "append structured journal events as NDJSON to this file (off when empty)")
 
 		streamListen  = flag.String("stream-listen", "", "run a live BGP collector on this address and infer incrementally (off when empty)")
 		epochInterval = flag.Duration("epoch-interval", 10*time.Second, "how often the streaming engine commits and publishes an epoch")
-
-		shedConc    = flag.Int("shed-concurrency", 64, "per-route concurrency limit for heavy routes; point lookups get 4x (0 disables shedding)")
-		shedQueue   = flag.Int("shed-queue", 0, "requests allowed to wait for an admission slot (0 = 2x concurrency)")
-		shedTimeout = flag.Duration("shed-timeout", 250*time.Millisecond, "max time a queued request waits before a 503")
-		retryAfter  = flag.Duration("shed-retry-after", time.Second, "Retry-After hint on shed 429/503 responses")
-
-		sloTarget = flag.Float64("slo-target", 0.999, "availability SLO target ratio for the burn-rate gauges and the readiness check")
-		sloBurn   = flag.Float64("slo-burn-threshold", 10, "5m burn rate above which /readyz reports degraded")
 	)
 	flag.Parse()
 
@@ -189,40 +189,31 @@ func main() {
 	}
 
 	metrics := apiserver.NewMetrics(obs.Default())
-	cfg := apiserver.Config{
+	shed := apiserver.DefaultShedPolicy()
+	live := apiserver.NewLive(store, apiserver.Config{
 		Registry: obs.Default(),
 		Tracer:   tracer,
 		Metrics:  metrics,
-		Shed: apiserver.ShedPolicy{
-			MaxConcurrent: *shedConc,
-			MaxQueue:      *shedQueue,
-			QueueTimeout:  *shedTimeout,
-			RetryAfter:    *retryAfter,
-		},
-	}
-	live := apiserver.NewLive(store, cfg)
+		Shed:     shed,
+	})
 
 	// The health plane: /readyz answers 503 until the first snapshot
 	// swap, then degrades (still 503, different body) when the SLO burn
 	// rate or the shed queue says new traffic should go elsewhere.
 	health := apiserver.NewHealth(journal)
-	slo := obs.NewSLOTracker(obs.Default(), sloWindows, metrics.Objectives(*sloTarget)...)
+	slo := obs.NewSLOTracker(obs.Default(), sloWindows, metrics.Objectives(sloTarget)...)
 	stopPoll := make(chan struct{})
 	defer close(stopPoll)
 	slo.Start(10*time.Second, stopPoll)
 	health.AddCheck("slo_burn", func() (bool, string) {
-		if b := slo.MaxBurn(sloWindows[0]); b > *sloBurn {
-			return false, fmt.Sprintf("%s burn rate %.1f exceeds %.1f", sloWindows[0], b, *sloBurn)
+		if b := slo.MaxBurn(sloWindows[0]); b > sloBurnLimit {
+			return false, fmt.Sprintf("%s burn rate %.1f exceeds %.1f", sloWindows[0], b, sloBurnLimit)
 		}
 		return true, ""
 	})
-	queueCap := *shedQueue
-	if queueCap <= 0 {
-		queueCap = 2 * *shedConc
-	}
 	health.AddCheck("shed_queue", func() (bool, string) {
-		if d := metrics.ShedQueueDepth(); queueCap > 0 && d >= float64(queueCap) {
-			return false, fmt.Sprintf("shed queue depth %.0f at capacity %d", d, queueCap)
+		if d := metrics.ShedQueueDepth(); d >= float64(shed.MaxQueue) {
+			return false, fmt.Sprintf("shed queue depth %.0f at capacity %d", d, shed.MaxQueue)
 		}
 		return true, ""
 	})
@@ -439,11 +430,11 @@ func main() {
 		drainStart := time.Now()
 		journal.Info(context.Background(), "drain.begin",
 			oplog.Int("in_flight", int64(metrics.InFlight())),
-			oplog.Duration("timeout", *drainWait))
+			oplog.Duration("timeout", drainTimeout))
 		if streamSrv != nil {
 			streamSrv.Close()
 		}
-		sctx, cancel := context.WithTimeout(context.Background(), *drainWait)
+		sctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 		defer cancel()
 		if err := api.Shutdown(sctx); err != nil {
 			journal.Warn(context.Background(), "drain.forced",

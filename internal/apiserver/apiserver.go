@@ -30,6 +30,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"github.com/asrank-go/asrank/internal/obs"
 	"github.com/asrank-go/asrank/internal/trace"
@@ -76,14 +77,25 @@ type Config struct {
 	Metrics *Metrics
 }
 
-// NewServer builds the production read path over snapshot d. Per
-// route, outermost first: trace span (when configured) → metrics →
-// admission gate → handler, so shed rejections are counted and traced
-// like any other response. A non-nil store adds the time-travel routes
-// (/epochs, /asns/{asn}/history, /diff) over the epoch warehouse,
-// behind the same stack but under the warehouse chain ETag instead of
-// the snapshot ETag.
-func NewServer(d *Data, st *warehouse.Store, cfg Config) http.Handler {
+// Live is the serving surface asrankd mounts. The route table and each
+// route's stack — outermost first: trace span (when configured) →
+// metrics → admission gate → handler, so shed rejections are counted
+// and traced like any other response — are built once, so a route's
+// in-flight and queued requests stay counted against the same gate
+// across snapshot swaps. A swap stores only the new *Data: every data
+// handler loads it once per request, so a request serves one snapshot
+// end to end and the next request sees the new epoch.
+type Live struct {
+	mux  *http.ServeMux
+	data atomic.Pointer[Data]
+}
+
+// NewLive returns a Live surface. A non-nil store adds the time-travel
+// routes (/epochs, /asns/{asn}/history, /diff) over the epoch
+// warehouse, behind the same stack but under the warehouse chain ETag
+// instead of the snapshot ETag. Until the first Swap every request is
+// answered 503.
+func NewLive(st *warehouse.Store, cfg Config) *Live {
 	reg := cfg.Registry
 	if reg == nil {
 		reg = obs.Default()
@@ -92,27 +104,50 @@ func NewServer(d *Data, st *warehouse.Store, cfg Config) http.Handler {
 	if m == nil {
 		m = NewMetrics(reg)
 	}
-	mux := http.NewServeMux()
+	lv := &Live{mux: http.NewServeMux()}
 	handle := func(route string, policy ShedPolicy, h http.HandlerFunc) {
-		mux.Handle("GET "+route,
+		lv.mux.Handle("GET "+route,
 			TraceRequests(cfg.Tracer, route, m.Wrap(route, Shed(route, policy, m, h))))
+	}
+	current := func(h func(*Data, http.ResponseWriter, *http.Request)) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) { h(lv.data.Load(), w, r) }
 	}
 	heavy := cfg.Shed
 	light := cfg.Shed.scaled(pointLookupFactor)
-	handle("/api/v1/health", light, d.handleHealth)
-	handle("/api/v1/clique", heavy, d.handleClique)
-	handle("/api/v1/asns", heavy, d.handleList)
-	handle("/api/v1/asns/{asn}", light, d.handleASN)
-	handle("/api/v1/asns/{asn}/links", heavy, d.handleLinks)
-	handle("/api/v1/asns/{asn}/cone", heavy, d.handleCone)
-	handle("/api/v1/asns/{asn}/cone/contains/{member}", light, d.handleConeContains)
+	handle("/api/v1/health", light, current((*Data).handleHealth))
+	handle("/api/v1/clique", heavy, current((*Data).handleClique))
+	handle("/api/v1/asns", heavy, current((*Data).handleList))
+	handle("/api/v1/asns/{asn}", light, current((*Data).handleASN))
+	handle("/api/v1/asns/{asn}/links", heavy, current((*Data).handleLinks))
+	handle("/api/v1/asns/{asn}/cone", heavy, current((*Data).handleCone))
+	handle("/api/v1/asns/{asn}/cone/contains/{member}", light, current((*Data).handleConeContains))
 	if st != nil {
 		tt := &timeTravel{store: st}
 		handle("/api/v1/epochs", light, tt.handleEpochs)
 		handle("/api/v1/asns/{asn}/history", heavy, tt.handleHistory)
 		handle("/api/v1/diff", heavy, tt.handleDiff)
 	}
-	return mux
+	return lv
+}
+
+// Swap atomically replaces the serving snapshot.
+func (lv *Live) Swap(d *Data) { lv.data.Store(d) }
+
+func (lv *Live) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if lv.data.Load() == nil {
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusServiceUnavailable, "no snapshot loaded yet")
+		return
+	}
+	lv.mux.ServeHTTP(w, r)
+}
+
+// NewServer is NewLive plus the first Swap: the production read path
+// over one snapshot d.
+func NewServer(d *Data, st *warehouse.Store, cfg Config) http.Handler {
+	lv := NewLive(st, cfg)
+	lv.Swap(d)
+	return lv
 }
 
 // bufPool recycles response staging buffers across requests, so the

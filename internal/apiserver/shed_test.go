@@ -204,3 +204,86 @@ func TestShedDisabled(t *testing.T) {
 		t.Fatal("handler not reached with shedding disabled")
 	}
 }
+
+// parkedWriter blocks inside the handler's first Write until released,
+// holding the route's admission slot for as long as the test needs.
+type parkedWriter struct {
+	*httptest.ResponseRecorder
+	entered chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func (w *parkedWriter) Write(b []byte) (int, error) {
+	w.once.Do(func() {
+		close(w.entered)
+		<-w.release
+	})
+	return w.ResponseRecorder.Write(b)
+}
+
+// TestLiveSwapKeepsAdmissionGate: a snapshot swap must not hand a
+// saturated route a fresh budget. With the only slot held by a request
+// parked inside the handler, a swap followed by two more requests
+// queues the first and sheds the second with 429 — exactly as without
+// the swap — and the parked request finishes on the snapshot it
+// started with while the queued one serves the new epoch.
+func TestLiveSwapKeepsAdmissionGate(t *testing.T) {
+	const route = "/api/v1/clique"
+	before, after := Build(inferSeed(t, 81, 120)), Build(inferSeed(t, 82, 120))
+	if before.ETag() == after.ETag() {
+		t.Fatal("test snapshots share an ETag")
+	}
+	reg := obs.NewRegistry()
+	m := NewMetrics(reg)
+	live := NewLive(nil, Config{Registry: reg, Metrics: m,
+		Shed: ShedPolicy{MaxConcurrent: 1, MaxQueue: 1, QueueTimeout: 10 * time.Second}})
+	live.Swap(before)
+
+	parked := &parkedWriter{ResponseRecorder: httptest.NewRecorder(),
+		entered: make(chan struct{}), release: make(chan struct{})}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // occupies the only slot, across the swap
+		defer wg.Done()
+		live.ServeHTTP(parked, httptest.NewRequest("GET", route, nil))
+	}()
+	<-parked.entered
+
+	live.Swap(after)
+
+	queued := httptest.NewRecorder()
+	done := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		live.ServeHTTP(queued, httptest.NewRequest("GET", route, nil))
+	}()
+	for deadline := time.Now().Add(5 * time.Second); m.shedQueue.With(route).Value() < 1; {
+		select {
+		case <-done:
+			t.Fatalf("request after the swap was admitted (status %d) while the slot was still held", queued.Code)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("request after the swap never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	shed := httptest.NewRecorder()
+	live.ServeHTTP(shed, httptest.NewRequest("GET", route, nil))
+	if shed.Code != http.StatusTooManyRequests {
+		t.Errorf("slot and queue full after a swap: status %d, want 429", shed.Code)
+	}
+
+	close(parked.release)
+	wg.Wait()
+	if got := parked.Header().Get("Etag"); parked.Code != http.StatusOK || got != before.ETag() {
+		t.Errorf("parked request: status %d etag %s, want 200 on the snapshot it started with (%s)", parked.Code, got, before.ETag())
+	}
+	if got := queued.Header().Get("Etag"); queued.Code != http.StatusOK || got != after.ETag() {
+		t.Errorf("queued request: status %d etag %s, want 200 on the swapped-in snapshot (%s)", queued.Code, got, after.ETag())
+	}
+}

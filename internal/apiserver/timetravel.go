@@ -2,7 +2,6 @@ package apiserver
 
 import (
 	"net/http"
-	"sync/atomic"
 
 	"github.com/asrank-go/asrank/internal/warehouse"
 )
@@ -125,39 +124,4 @@ func (tt *timeTravel) handleDiff(w http.ResponseWriter, r *http.Request) {
 	}
 	setChainTag(w, h.ETag())
 	writeJSON(w, wantPretty(r), diffResponse{From: from, To: to, Changes: changes})
-}
-
-// Live is the hot-swappable serving surface asrankd mounts: an
-// http.Handler whose entire route table (snapshot routes + time-travel
-// routes) is rebuilt around each new snapshot and swapped in with one
-// atomic pointer store. Requests in flight keep the handler they
-// started on; new requests see the new epoch — the same immutability
-// contract as Data, lifted to the whole mux.
-type Live struct {
-	cfg   Config
-	store *warehouse.Store
-	cur   atomic.Pointer[http.Handler]
-}
-
-// NewLive returns a Live surface over an optional warehouse (nil
-// disables the time-travel routes). Until the first Swap it answers
-// 503 on every route.
-func NewLive(st *warehouse.Store, cfg Config) *Live {
-	lv := &Live{cfg: cfg, store: st}
-	var warming http.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "no snapshot loaded yet")
-	})
-	lv.cur.Store(&warming)
-	return lv
-}
-
-// Swap atomically replaces the serving snapshot.
-func (lv *Live) Swap(d *Data) {
-	h := NewServer(d, lv.store, lv.cfg)
-	lv.cur.Store(&h)
-}
-
-func (lv *Live) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	(*lv.cur.Load()).ServeHTTP(w, r)
 }

@@ -8,23 +8,17 @@
 //	    allocation-forcing constructs inside it, and the AllocsPerRun
 //	    pins in the test suite are cross-checked against the marked set.
 //
-//	//asrank:mutable <reason>
-//	    On (or directly above) a write through a publish-frozen value.
-//	    The one escape hatch immutablepub honors; the reason is
-//	    mandatory, and a directive that excuses no write is reported so
-//	    stale escapes cannot accumulate.
-//
 //	//asrank:guardedby <mutex>
 //	    On a struct field (doc or trailing comment). Declares the field
 //	    readable/writable only while the named sibling mutex is held;
 //	    lockdiscipline enforces it on every intraprocedural path.
 //
-// Parsing is deliberately separated from enforcement: the three
+// Parsing is deliberately separated from enforcement: the two
 // analyzers consume only well-formed directives, while the
 // asrankannotations analyzer reports every grammar or anchoring
-// problem (unknown verb, missing reason, orphaned hotpath, guardedby
-// naming a nonexistent or non-mutex sibling), which is what lets CI
-// fail on malformed annotations without running the expensive checks.
+// problem (unknown verb, orphaned hotpath, guardedby naming a
+// nonexistent or non-mutex sibling), so a typo cannot silently disable
+// the invariant it was meant to carry.
 package annotate
 
 import (
@@ -42,7 +36,6 @@ const Prefix = "//asrank:"
 // Verbs recognized by the suite.
 const (
 	VerbHotpath   = "hotpath"
-	VerbMutable   = "mutable"
 	VerbGuardedBy = "guardedby"
 )
 
@@ -79,40 +72,6 @@ func Hotpaths(info *types.Info, files []*ast.File) map[*types.Func]*ast.FuncDecl
 	return out
 }
 
-// Mutable is one //asrank:mutable directive with the line it excuses.
-type Mutable struct {
-	Pos    token.Pos
-	File   string
-	Covers int // line whose frozen-type writes the directive excuses
-	Reason string
-	Used   bool
-}
-
-// Mutables parses every well-formed //asrank:mutable directive.
-// Coverage follows //lint:ignore: a trailing directive (code before it
-// on the line) covers its own line, a standalone one the next line.
-func Mutables(fset *token.FileSet, files []*ast.File) []*Mutable {
-	var out []*Mutable
-	for _, f := range files {
-		codeCols := codeColumnsByLine(fset, f)
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				verb, rest, ok := split(c.Text)
-				if !ok || verb != VerbMutable || rest == "" {
-					continue // reasonless: Validate reports it
-				}
-				pos := fset.Position(c.Pos())
-				m := &Mutable{Pos: c.Pos(), File: pos.Filename, Covers: pos.Line + 1, Reason: rest}
-				if col, ok := codeCols[pos.Line]; ok && col < pos.Column {
-					m.Covers = pos.Line
-				}
-				out = append(out, m)
-			}
-		}
-	}
-	return out
-}
-
 // Guard names the mutex protecting one annotated field.
 type Guard struct {
 	Mutex string     // sibling field name, e.g. "mu"
@@ -134,9 +93,9 @@ func Guarded(info *types.Info, files []*ast.File) map[*types.Var]Guard {
 
 // Validate reports every grammar or anchoring problem in the files'
 // //asrank: directives: unknown verbs, hotpath outside a function doc
-// comment or carrying arguments, mutable without a reason, guardedby
-// off a struct field or naming a nonexistent / non-mutex sibling.
-func Validate(fset *token.FileSet, info *types.Info, files []*ast.File) []Problem {
+// comment or carrying arguments, guardedby off a struct field or
+// naming a nonexistent / non-mutex sibling.
+func Validate(info *types.Info, files []*ast.File) []Problem {
 	var out []Problem
 	report := func(pos token.Pos, format string, args ...any) {
 		out = append(out, Problem{Pos: pos, Message: fmt.Sprintf(format, args...)})
@@ -180,10 +139,6 @@ func Validate(fset *token.FileSet, info *types.Info, files []*ast.File) []Proble
 					} else if !funcDoc[c] {
 						report(c.Pos(), "orphaned //asrank:hotpath: the directive must sit in a function's doc comment")
 					}
-				case VerbMutable:
-					if rest == "" {
-						report(c.Pos(), "malformed //asrank:mutable directive: a reason is mandatory")
-					}
 				case VerbGuardedBy:
 					if !fieldComment[c] {
 						report(c.Pos(), "orphaned //asrank:guardedby: the directive must annotate a struct field")
@@ -191,7 +146,7 @@ func Validate(fset *token.FileSet, info *types.Info, files []*ast.File) []Proble
 					// Field-anchored grammar (arity, sibling resolution)
 					// is checked in the per-field walk below.
 				default:
-					report(c.Pos(), "unknown //asrank: directive %q (want hotpath, mutable, or guardedby)", verb)
+					report(c.Pos(), "unknown //asrank: directive %q (want hotpath or guardedby)", verb)
 				}
 			}
 		}
@@ -325,26 +280,4 @@ func split(text string) (verb, rest string, ok bool) {
 	}
 	verb, rest, _ = strings.Cut(body, " ")
 	return strings.TrimSpace(verb), strings.TrimSpace(rest), true
-}
-
-// codeColumnsByLine maps each line holding non-comment code to the
-// smallest column any code token starts at — the same trailing-versus-
-// standalone test internal/lint/ignore applies to its directives.
-func codeColumnsByLine(fset *token.FileSet, f *ast.File) map[int]int {
-	cols := make(map[int]int)
-	ast.Inspect(f, func(n ast.Node) bool {
-		if n == nil {
-			return false
-		}
-		switch n.(type) {
-		case *ast.Comment, *ast.CommentGroup:
-			return false
-		}
-		pos := fset.Position(n.Pos())
-		if c, ok := cols[pos.Line]; !ok || pos.Column < c {
-			cols[pos.Line] = pos.Column
-		}
-		return true
-	})
-	return cols
 }

@@ -7,18 +7,16 @@ import (
 
 // AsrankAnnotations is the grammar gate for the //asrank: directive
 // family: it reports unknown verbs, hotpath directives outside a
-// function doc comment or carrying arguments, reasonless mutable
-// directives, and guardedby directives that are orphaned, name a
-// nonexistent sibling, or name a sibling that is not a sync.Mutex /
-// sync.RWMutex. CI runs this analyzer on its own (-only
-// asrankannotations) as a fast fail-closed step: a malformed
-// annotation silently disables the invariant it was meant to carry,
-// so grammar errors are build failures, not warnings.
+// function doc comment or carrying arguments, and guardedby directives
+// that are orphaned, name a nonexistent sibling, or name a sibling
+// that is not a sync.Mutex / sync.RWMutex. A malformed annotation
+// silently disables the invariant it was meant to carry, so grammar
+// errors are findings like any other.
 var AsrankAnnotations = &analysis.Analyzer{
 	Name: "asrankannotations",
-	Doc:  "reports malformed or orphaned //asrank: annotations (unknown verb, bad anchoring, missing reason, nonexistent or non-mutex guard)",
+	Doc:  "reports malformed or orphaned //asrank: annotations (unknown verb, bad anchoring, nonexistent or non-mutex guard)",
 	Run: func(pass *analysis.Pass) error {
-		for _, p := range annotate.Validate(pass.Fset, pass.TypesInfo, pass.Files) {
+		for _, p := range annotate.Validate(pass.TypesInfo, pass.Files) {
 			pass.Reportf(p.Pos, "%s", p.Message)
 		}
 		return nil

@@ -21,10 +21,9 @@
 //     malformed or orphaned annotations are findings, because a typo
 //     silently disables the invariant the annotation carries.
 //
-// Each analyzer honors the //lint:ignore suppression mechanism (see
-// internal/lint/ignore) applied by the driver, never by the analyzers
-// themselves; the three dataflow analyzers additionally honor the
-// //asrank:mutable escape hatch parsed by internal/lint/annotate.
+// The one escape is the //lint:ignore suppression mechanism (see
+// internal/lint/ignore), applied by the driver, never by the analyzers
+// themselves.
 package checks
 
 import (

@@ -52,8 +52,8 @@ func TestSuppression(t *testing.T) {
 }
 
 // TestImmutablePubForeign pins rule 1: outside the frozen type's own
-// package, every write through it is a finding, and //asrank:mutable
-// is the only escape.
+// package, every write through it is a finding, and a reasoned
+// //lint:ignore immutablepub is the only escape.
 func TestImmutablePubForeign(t *testing.T) {
 	linttest.Run(t, src, checks.ImmutablePub, "immutablepub")
 }
@@ -61,7 +61,7 @@ func TestImmutablePubForeign(t *testing.T) {
 // TestImmutablePubInPackage pins rule 2 on the warehouse golden:
 // construction writes are free, writes after the value flows into a
 // publish sink (Append, Compose) — including through aliases — are
-// findings, and unused mutable directives are reported.
+// findings, and an ignore directive that excuses no write is reported.
 func TestImmutablePubInPackage(t *testing.T) {
 	linttest.Run(t, src, checks.ImmutablePub, "internal/warehouse")
 }

@@ -6,7 +6,6 @@ import (
 	"go/types"
 
 	"github.com/asrank-go/asrank/internal/lint/analysis"
-	"github.com/asrank-go/asrank/internal/lint/annotate"
 )
 
 // ImmutablePub enforces the publish-freeze contract behind the serving
@@ -27,10 +26,9 @@ import (
 //     apiserver.Build/BuildSnapshot); writes through the value — or any
 //     alias taken after publication — at a later position are flagged.
 //
-// The one escape hatch is a reasoned //asrank:mutable directive on the
-// write line; a directive that excuses no write is itself reported, so
-// stale escapes cannot accumulate. Test files are exempt (the race
-// detector owns them).
+// The escape hatch is the suite's one suppression,
+// //lint:ignore immutablepub <reason>, on the write line. Test files
+// are exempt (the race detector owns them).
 var ImmutablePub = &analysis.Analyzer{
 	Name: "immutablepub",
 	Doc: "flags writes through publish-frozen snapshot types after they flow " +
@@ -115,19 +113,6 @@ func isPublishSink(fn *types.Func) bool {
 }
 
 func runImmutablePub(pass *analysis.Pass) error {
-	mutables := annotate.Mutables(pass.Fset, pass.Files)
-	excused := func(pos token.Pos) bool {
-		p := pass.Fset.Position(pos)
-		ok := false
-		for _, m := range mutables {
-			if m.File == p.Filename && m.Covers == p.Line {
-				m.Used = true
-				ok = true
-			}
-		}
-		return ok
-	}
-
 	for _, f := range pass.Files {
 		if pass.InTestFile(f.Package) {
 			continue
@@ -137,21 +122,14 @@ func runImmutablePub(pass *analysis.Pass) error {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkFuncImmutable(pass, fd, excused)
-		}
-	}
-
-	for _, m := range mutables {
-		if !m.Used && !pass.InTestFile(m.Pos) {
-			pass.Reportf(m.Pos,
-				"unused //asrank:mutable directive (no frozen-type write on the covered line)")
+			checkFuncImmutable(pass, fd)
 		}
 	}
 	return nil
 }
 
 // checkFuncImmutable applies both rules to one function body.
-func checkFuncImmutable(pass *analysis.Pass, fd *ast.FuncDecl, excused func(token.Pos) bool) {
+func checkFuncImmutable(pass *analysis.Pass, fd *ast.FuncDecl) {
 	// published maps a frozen value's object to the position at which
 	// it flowed into a publish sink.
 	published := make(map[types.Object]token.Pos)
@@ -218,15 +196,15 @@ func checkFuncImmutable(pass *analysis.Pass, fd *ast.FuncDecl, excused func(toke
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
-				checkFrozenWrite(pass, lhs, n.Pos(), published, excused)
+				checkFrozenWrite(pass, lhs, n.Pos(), published)
 			}
 		case *ast.IncDecStmt:
-			checkFrozenWrite(pass, n.X, n.Pos(), published, excused)
+			checkFrozenWrite(pass, n.X, n.Pos(), published)
 		case *ast.CallExpr:
 			// delete(v.Field, k) and clear(v.Field) mutate through the
 			// selector exactly like an assignment.
 			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && (id.Name == "delete" || id.Name == "clear") && len(n.Args) > 0 {
-				checkFrozenWrite(pass, n.Args[0], n.Pos(), published, excused)
+				checkFrozenWrite(pass, n.Args[0], n.Pos(), published)
 			}
 		}
 		return true
@@ -236,7 +214,7 @@ func checkFuncImmutable(pass *analysis.Pass, fd *ast.FuncDecl, excused func(toke
 // checkFrozenWrite reports expr when it writes through a field of a
 // frozen type. expr is an assignment LHS (possibly an index or star
 // chain over a selector).
-func checkFrozenWrite(pass *analysis.Pass, expr ast.Expr, at token.Pos, published map[types.Object]token.Pos, excused func(token.Pos) bool) {
+func checkFrozenWrite(pass *analysis.Pass, expr ast.Expr, at token.Pos, published map[types.Object]token.Pos) {
 	sel := rootSelector(expr)
 	if sel == nil {
 		return
@@ -260,20 +238,14 @@ func checkFrozenWrite(pass *analysis.Pass, expr ast.Expr, at token.Pos, publishe
 	}
 	switch {
 	case foreign:
-		if excused(at) {
-			return
-		}
 		pass.Reportf(at,
 			"write to %s.%s outside package %s: %s is publish-frozen; construct a new value instead, "+
-				"or excuse the write with //asrank:mutable <reason>",
+				"or excuse the write with //lint:ignore immutablepub <reason>",
 			named.Obj().Name(), sel.Sel.Name, named.Obj().Pkg().Name(), named.Obj().Name())
 	case isPublished && at > pubPos:
-		if excused(at) {
-			return
-		}
 		pass.Reportf(at,
 			"write to %s.%s after the value flowed into a publish sink at %s: published snapshots are "+
-				"read lock-free and must never be mutated (//asrank:mutable <reason> to excuse)",
+				"read lock-free and must never be mutated (//lint:ignore immutablepub <reason> to excuse)",
 			named.Obj().Name(), sel.Sel.Name, pass.Fset.Position(pubPos))
 	}
 }

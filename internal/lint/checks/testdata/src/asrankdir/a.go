@@ -18,9 +18,9 @@ var afterUnknown = 1
 //asrank:hotpath // want "orphaned //asrank:hotpath"
 var notAFunction = 2
 
-func reasonless() {
+func retiredVerb() {
 	x := 1
-	//asrank:mutable // want "a reason is mandatory"
+	//asrank:mutable use lint:ignore immutablepub // want "unknown //asrank: directive"
 	_ = x
 }
 

@@ -1,8 +1,7 @@
 // Golden input for immutablepub rule 1: outside the frozen type's own
 // package every write through it is a finding — construction happens
 // in-package, so a foreign write is by definition post-construction.
-// The //asrank:mutable escape hatch and its unused-directive report
-// are exercised too.
+// The //lint:ignore immutablepub escape is exercised too.
 package immutablepub
 
 import (
@@ -27,7 +26,14 @@ func growForeign(sn *warehouse.Snapshot) {
 }
 
 func excusedForeign(sn *warehouse.Snapshot) {
-	sn.Epoch = 9 //asrank:mutable migration shim rewrites epochs before first publish
+	sn.Epoch = 9 //lint:ignore immutablepub migration shim rewrites epochs before first publish
+}
+
+func reasonlessForeign(sn *warehouse.Snapshot) {
+	// The reason is mandatory: a bare directive is malformed and
+	// excuses nothing.
+	//lint:ignore immutablepub // want "malformed //lint:ignore directive"
+	sn.Epoch = 10 // want "write to Snapshot.Epoch outside package warehouse"
 }
 
 func readOnly(sn *warehouse.Snapshot, bs *cone.BitSets) uint64 {

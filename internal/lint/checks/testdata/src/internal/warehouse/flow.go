@@ -29,10 +29,10 @@ func composeIsASink() {
 func excusedRepublish(st *Store) {
 	sn := &Snapshot{}
 	_ = st.Append(sn)
-	sn.Epoch = 3 //asrank:mutable single-writer epoch restamp happens before the reader handoff
+	sn.Epoch = 3 //lint:ignore immutablepub single-writer epoch restamp happens before the reader handoff
 }
 
-//asrank:mutable no frozen write on the covered line // want "unused //asrank:mutable directive"
+//lint:ignore immutablepub no frozen write on the covered line // want "unused //lint:ignore directive"
 func neverPublished() {
 	sn := &Snapshot{}
 	sn.Epoch = 4 // never flows into a sink: clean

@@ -1,28 +1,22 @@
 // Package lint is the driver behind cmd/asrank-lint: it loads the
 // requested packages, runs the analyzer suite from internal/lint/checks
 // over each, applies //lint:ignore suppression, and renders findings in
-// the go-vet file:line:col style — or as a JSON / SARIF report for CI
-// artifacts.
+// the go-vet file:line:col style.
 //
-// The run is split into three phases: pattern expansion, a concurrent
-// parse fan-out on the bounded internal/pool, and a sequential
-// type-check (the importer cache is shared); analysis itself then fans
-// out per package again. However the phases interleave, the rendered
-// findings are deterministic: every diagnostic is collected first and
-// sorted by (file, offset, analyzer, message) before a byte is
-// written, so CI diffs and golden comparisons are stable across
-// worker counts.
+// The run is sequential — expand, parse, type-check over one shared
+// importer cache, analyze package by package — and every diagnostic is
+// collected and sorted by (file, offset, analyzer, message) before a
+// byte is written, so CI diffs and golden comparisons are stable.
 //
 // Exit-code contract (stable; CI depends on it):
 //
 //	0 — every analyzer ran, no findings
 //	1 — analyzers ran to completion and reported at least one finding
 //	2 — the run itself failed (bad flags, unresolvable packages,
-//	    type errors, unknown analyzer names, unwritable report files)
+//	    type errors)
 package lint
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -30,23 +24,20 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 
 	"github.com/asrank-go/asrank/internal/lint/analysis"
 	"github.com/asrank-go/asrank/internal/lint/checks"
 	"github.com/asrank-go/asrank/internal/lint/ignore"
 	"github.com/asrank-go/asrank/internal/lint/load"
-	"github.com/asrank-go/asrank/internal/pool"
 )
 
-// finding is one rendered diagnostic with its resolved position, the
-// unit shared by the text, JSON, and SARIF renderers.
+// finding is one rendered diagnostic with its resolved position.
 type finding struct {
-	File     string `json:"file"` // repo-relative, slash-separated
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
+	File     string // repo-relative, slash-separated
+	Line     int
+	Column   int
+	Analyzer string
+	Message  string
 	offset   int
 }
 
@@ -55,13 +46,8 @@ func Run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("asrank-lint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "print the analyzers and their invariants, then exit")
-	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
-	jsonOut := fs.String("json", "", "write findings as a JSON report to the given file (- for stdout)")
-	sarifOut := fs.String("sarif", "", "write findings as a SARIF 2.1.0 report to the given file (- for stdout)")
-	timing := fs.Bool("timing", false, "print per-analyzer wall time to stderr after the run")
-	workers := fs.Int("workers", 0, "parse/analysis parallelism (0 = GOMAXPROCS)")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: asrank-lint [-list] [-only a,b] [-json file] [-sarif file] [-timing] [-workers n] [packages]\n\n")
+		fmt.Fprintf(stderr, "usage: asrank-lint [-list] [packages]\n\n")
 		fmt.Fprintf(stderr, "Runs the repo's invariant analyzers over the given package\n")
 		fmt.Fprintf(stderr, "patterns (default ./...). Exit codes: 0 clean, 1 findings, 2 error.\n\n")
 		fs.PrintDefaults()
@@ -71,32 +57,17 @@ func Run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	suite := checks.All()
-	known := make(map[string]bool, len(suite)+1)
-	known[ignore.DiagnosticSource] = true
-	for _, a := range suite {
-		known[a.Name] = true
-	}
 	if *list {
 		for _, a := range suite {
 			fmt.Fprintf(stdout, "%s: %s\n", a.Name, a.Doc)
 		}
 		return 0
 	}
-	if *only != "" {
-		byName := make(map[string]*analysis.Analyzer)
-		for _, a := range suite {
-			byName[a.Name] = a
-		}
-		var picked []*analysis.Analyzer
-		for _, n := range strings.Split(*only, ",") {
-			a, ok := byName[n]
-			if !ok {
-				fmt.Fprintf(stderr, "asrank-lint: unknown analyzer %q\n", n)
-				return 2
-			}
-			picked = append(picked, a)
-		}
-		suite = picked
+	ran := make(map[string]bool, len(suite))
+	known := map[string]bool{ignore.DiagnosticSource: true}
+	for _, a := range suite {
+		ran[a.Name] = true
+		known[a.Name] = true
 	}
 
 	patterns := fs.Args()
@@ -114,53 +85,19 @@ func Run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "asrank-lint: %v\n", err)
 		return 2
 	}
-
-	// Phase 1+2: expand patterns, then parse every subject concurrently.
-	paths, err := loader.Expand(patterns...)
-	if err != nil {
-		fmt.Fprintf(stderr, "asrank-lint: %v\n", err)
-		return 2
-	}
-	loader.Preparse(paths, *workers)
-
-	// Phase 3: sequential type-check over the shared importer cache.
-	pkgs, err := loader.Load(paths...)
+	pkgs, err := loader.Load(patterns...)
 	if err != nil {
 		fmt.Fprintf(stderr, "asrank-lint: %v\n", err)
 		return 2
 	}
 
-	ran := make(map[string]bool, len(suite))
-	for _, a := range suite {
-		ran[a.Name] = true
-	}
-
-	// Phase 4: analysis fans out per package. Diagnostics land in a
-	// per-package slot, timings in a per-(analyzer × shard) matrix —
-	// no shared mutable state across workers, so the fan-out needs no
-	// locks and the merge is deterministic.
-	nshards := pool.NumShards(*workers, len(pkgs))
-	perPkg := make([][]analysis.Diagnostic, len(pkgs))
-	errs := make([]error, len(pkgs))
-	elapsed := make([][]time.Duration, nshards)
-	for i := range elapsed {
-		elapsed[i] = make([]time.Duration, len(suite))
-	}
-	pool.Range(*workers, len(pkgs), func(shard, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			perPkg[i], errs[i] = analyzePackage(loader, pkgs[i], suite, ran, known, elapsed[shard])
-		}
-	})
-	for i, err := range errs {
+	var all []finding
+	for _, pkg := range pkgs {
+		diags, err := analyzePackage(loader, pkg, suite, ran, known)
 		if err != nil {
-			fmt.Fprintf(stderr, "asrank-lint: %s: %v\n", pkgs[i].Path, err)
+			fmt.Fprintf(stderr, "asrank-lint: %s: %v\n", pkg.Path, err)
 			return 2
 		}
-	}
-
-	// Merge and order: global sort by file/offset/analyzer/message.
-	var all []finding
-	for _, diags := range perPkg {
 		for _, d := range diags {
 			pos := loader.Fset().Position(d.Pos)
 			all = append(all, finding{
@@ -178,22 +115,6 @@ func Run(args []string, stdout, stderr io.Writer) int {
 	for _, f := range all {
 		fmt.Fprintf(stdout, "%s:%d:%d: %s: %s\n", f.File, f.Line, f.Column, f.Analyzer, f.Message)
 	}
-	if *jsonOut != "" {
-		if err := writeReport(*jsonOut, stdout, jsonReport(suite, all)); err != nil {
-			fmt.Fprintf(stderr, "asrank-lint: %v\n", err)
-			return 2
-		}
-	}
-	if *sarifOut != "" {
-		if err := writeReport(*sarifOut, stdout, sarifReport(suite, all)); err != nil {
-			fmt.Fprintf(stderr, "asrank-lint: %v\n", err)
-			return 2
-		}
-	}
-	if *timing {
-		printTiming(stderr, suite, elapsed)
-	}
-
 	if len(all) > 0 {
 		fmt.Fprintf(stderr, "asrank-lint: %d finding(s)\n", len(all))
 		return 1
@@ -202,8 +123,7 @@ func Run(args []string, stdout, stderr io.Writer) int {
 }
 
 // sortFindings orders findings by (file, offset, analyzer, message) —
-// the total order that keeps rendered output byte-stable no matter how
-// the parallel phases interleaved.
+// the total order that keeps rendered output byte-stable.
 func sortFindings(all []finding) {
 	sort.Slice(all, func(i, j int) bool {
 		a, b := all[i], all[j]
@@ -221,12 +141,10 @@ func sortFindings(all []finding) {
 }
 
 // analyzePackage runs the suite over one package and applies the
-// //lint:ignore filter. elapsed accumulates per-analyzer wall time for
-// this worker's shard.
-func analyzePackage(loader *load.Loader, pkg *load.Package, suite []*analysis.Analyzer, ran, known map[string]bool, elapsed []time.Duration) ([]analysis.Diagnostic, error) {
+// //lint:ignore filter.
+func analyzePackage(loader *load.Loader, pkg *load.Package, suite []*analysis.Analyzer, ran, known map[string]bool) ([]analysis.Diagnostic, error) {
 	var diags []analysis.Diagnostic
-	for ai, a := range suite {
-		start := time.Now()
+	for _, a := range suite {
 		pass := &analysis.Pass{
 			Analyzer:  a,
 			Fset:      loader.Fset(),
@@ -244,156 +162,10 @@ func analyzePackage(loader *load.Loader, pkg *load.Package, suite []*analysis.An
 				diags[i].Analyzer = a.Name
 			}
 		}
-		elapsed[ai] += time.Since(start)
 	}
 	dirs, bad := ignore.Collect(loader.Fset(), pkg.Files)
 	diags = append(diags, bad...)
 	return ignore.Filter(loader.Fset(), diags, dirs, ran, known), nil
-}
-
-// printTiming renders the per-analyzer wall-time table, widest first.
-func printTiming(w io.Writer, suite []*analysis.Analyzer, elapsed [][]time.Duration) {
-	type row struct {
-		name string
-		d    time.Duration
-	}
-	rows := make([]row, len(suite))
-	for ai, a := range suite {
-		rows[ai].name = a.Name
-		for _, shard := range elapsed {
-			rows[ai].d += shard[ai]
-		}
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].d != rows[j].d {
-			return rows[i].d > rows[j].d
-		}
-		return rows[i].name < rows[j].name
-	})
-	fmt.Fprintf(w, "asrank-lint: analyzer wall time (summed across workers):\n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "  %-20s %s\n", r.name, r.d.Round(time.Microsecond))
-	}
-}
-
-// writeReport marshals v as indented JSON to path ("-" = stdout).
-func writeReport(path string, stdout io.Writer, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if path == "-" {
-		_, err = stdout.Write(data)
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
-// jsonReport is the machine-readable artifact CI archives next to the
-// SARIF upload: stable field names, findings already in render order.
-func jsonReport(suite []*analysis.Analyzer, all []finding) any {
-	type analyzerInfo struct {
-		Name string `json:"name"`
-		Doc  string `json:"doc"`
-	}
-	infos := make([]analyzerInfo, 0, len(suite))
-	for _, a := range suite {
-		infos = append(infos, analyzerInfo{Name: a.Name, Doc: a.Doc})
-	}
-	if all == nil {
-		all = []finding{}
-	}
-	return struct {
-		Tool      string         `json:"tool"`
-		Analyzers []analyzerInfo `json:"analyzers"`
-		Findings  []finding      `json:"findings"`
-	}{Tool: "asrank-lint", Analyzers: infos, Findings: all}
-}
-
-// SARIF 2.1.0 subset: one run, one rule per analyzer, one result per
-// finding. Enough structure for code-scanning UIs without pulling in a
-// schema dependency.
-type sarifLog struct {
-	Schema  string     `json:"$schema"`
-	Version string     `json:"version"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name  string      `json:"name"`
-	Rules []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID               string       `json:"id"`
-	ShortDescription sarifMessage `json:"shortDescription"`
-}
-
-type sarifMessage struct {
-	Text string `json:"text"`
-}
-
-type sarifResult struct {
-	RuleID    string          `json:"ruleId"`
-	Level     string          `json:"level"`
-	Message   sarifMessage    `json:"message"`
-	Locations []sarifLocation `json:"locations"`
-}
-
-type sarifLocation struct {
-	PhysicalLocation sarifPhysical `json:"physicalLocation"`
-}
-
-type sarifPhysical struct {
-	ArtifactLocation sarifArtifact `json:"artifactLocation"`
-	Region           sarifRegion   `json:"region"`
-}
-
-type sarifArtifact struct {
-	URI string `json:"uri"`
-}
-
-type sarifRegion struct {
-	StartLine   int `json:"startLine"`
-	StartColumn int `json:"startColumn"`
-}
-
-func sarifReport(suite []*analysis.Analyzer, all []finding) sarifLog {
-	rules := make([]sarifRule, 0, len(suite)+1)
-	for _, a := range suite {
-		rules = append(rules, sarifRule{ID: a.Name, ShortDescription: sarifMessage{Text: a.Doc}})
-	}
-	rules = append(rules, sarifRule{
-		ID:               ignore.DiagnosticSource,
-		ShortDescription: sarifMessage{Text: "problems with //lint:ignore directives themselves"},
-	})
-	results := make([]sarifResult, 0, len(all))
-	for _, f := range all {
-		results = append(results, sarifResult{
-			RuleID:  f.Analyzer,
-			Level:   "error",
-			Message: sarifMessage{Text: f.Message},
-			Locations: []sarifLocation{{PhysicalLocation: sarifPhysical{
-				ArtifactLocation: sarifArtifact{URI: f.File},
-				Region:           sarifRegion{StartLine: f.Line, StartColumn: f.Column},
-			}}},
-		})
-	}
-	return sarifLog{
-		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",
-		Version: "2.1.0",
-		Runs:    []sarifRun{{Tool: sarifTool{Driver: sarifDriver{Name: "asrank-lint", Rules: rules}}, Results: results}},
-	}
 }
 
 // moduleRoot walks up from the working directory to the go.mod dir.

@@ -2,9 +2,9 @@ package lint
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -34,16 +34,12 @@ func TestSortFindingsTotalOrder(t *testing.T) {
 	}
 }
 
-// TestRunReportsAndExitCodes drives the real CLI over a small clean
-// package: exit 0, empty text output, and well-formed JSON and SARIF
-// artifacts (stable top-level shape, rules present, zero results).
+// TestRunReportsAndExitCodes drives the real CLI: a small clean
+// package exits 0 with empty text output; the //lint:ignore golden
+// exits 1 with one go-vet-style line per finding, in position order.
 func TestRunReportsAndExitCodes(t *testing.T) {
-	dir := t.TempDir()
-	jsonPath := filepath.Join(dir, "lint.json")
-	sarifPath := filepath.Join(dir, "lint.sarif")
-
 	var stdout, stderr bytes.Buffer
-	code := Run([]string{"-json", jsonPath, "-sarif", sarifPath, "./internal/pool"}, &stdout, &stderr)
+	code := Run([]string{"./internal/pool"}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("exit code %d, want 0; stdout=%s stderr=%s", code, stdout.String(), stderr.String())
 	}
@@ -51,64 +47,39 @@ func TestRunReportsAndExitCodes(t *testing.T) {
 		t.Errorf("clean run produced text findings:\n%s", stdout.String())
 	}
 
-	var report struct {
-		Tool      string `json:"tool"`
-		Analyzers []struct {
-			Name string `json:"name"`
-		} `json:"analyzers"`
-		Findings []finding `json:"findings"`
+	stdout.Reset()
+	stderr.Reset()
+	const golden = "internal/lint/checks/testdata/src/suppress"
+	if code := Run([]string{"./" + golden}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit code %d, want 1; stderr=%s", code, stderr.String())
 	}
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
+	var got []string
+	for _, line := range strings.Split(strings.TrimSpace(stdout.String()), "\n") {
+		var ln, col int
+		var analyzer string
+		rest, ok := strings.CutPrefix(line, golden+"/a.go:")
+		if _, err := fmt.Sscanf(rest, "%d:%d: %s", &ln, &col, &analyzer); !ok || err != nil {
+			t.Fatalf("line %q is not file:line:col: analyzer: message", line)
+		}
+		got = append(got, fmt.Sprintf("%d %s", ln, analyzer))
 	}
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatalf("JSON report does not parse: %v", err)
-	}
-	if report.Tool != "asrank-lint" || len(report.Analyzers) < 9 {
-		t.Errorf("unexpected JSON report header: tool=%q analyzers=%d", report.Tool, len(report.Analyzers))
-	}
-	if report.Findings == nil || len(report.Findings) != 0 {
-		t.Errorf("expected empty (non-null) findings array, got %v", report.Findings)
-	}
-
-	var sarif struct {
-		Version string `json:"version"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Name  string `json:"name"`
-					Rules []struct {
-						ID string `json:"id"`
-					} `json:"rules"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []any `json:"results"`
-		} `json:"runs"`
-	}
-	data, err = os.ReadFile(sarifPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &sarif); err != nil {
-		t.Fatalf("SARIF report does not parse: %v", err)
-	}
-	if sarif.Version != "2.1.0" || len(sarif.Runs) != 1 {
-		t.Fatalf("unexpected SARIF shape: version=%q runs=%d", sarif.Version, len(sarif.Runs))
-	}
-	run := sarif.Runs[0]
-	if run.Tool.Driver.Name != "asrank-lint" || len(run.Tool.Driver.Rules) < 10 {
-		t.Errorf("SARIF driver: name=%q rules=%d", run.Tool.Driver.Name, len(run.Tool.Driver.Rules))
-	}
-	if len(run.Results) != 0 {
-		t.Errorf("clean run produced %d SARIF results", len(run.Results))
+	want := []string{"12 noderivedgo:", "20 lint:", "26 lint:", "27 noderivedgo:", "31 lint:", "32 noderivedgo:"}
+	if !slices.Equal(got, want) {
+		t.Errorf("findings = %q, want %q", got, want)
 	}
 }
 
-// TestRunUnknownAnalyzer pins the exit-code contract's failure leg.
-func TestRunUnknownAnalyzer(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := Run([]string{"-only", "nosuch", "./internal/pool"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("exit code %d, want 2", code)
+// TestRunFailureExitCode pins the exit-code contract's failure leg: a
+// run that cannot load its packages, or is given a flag it does not
+// have, exits 2 and prints no findings.
+func TestRunFailureExitCode(t *testing.T) {
+	for _, args := range [][]string{{"./internal/nosuchpkg"}, {"-nosuchflag", "./internal/pool"}} {
+		var stdout, stderr bytes.Buffer
+		if code := Run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("Run(%q): exit code %d, want 2", args, code)
+		}
+		if stdout.Len() != 0 || stderr.Len() == 0 {
+			t.Errorf("Run(%q): stdout=%q stderr=%q, want the error on stderr only", args, stdout.String(), stderr.String())
+		}
 	}
 }

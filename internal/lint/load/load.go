@@ -20,9 +20,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
-
-	"github.com/asrank-go/asrank/internal/pool"
 )
 
 // Package is one fully checked unit of analysis.
@@ -50,17 +47,6 @@ type Loader struct {
 	fset  *token.FileSet
 	ctx   build.Context
 	cache map[string]*entry
-
-	preMu sync.Mutex
-	pre   map[string]*preparsed
-}
-
-// preparsed is one package's parse result produced by the concurrent
-// Preparse phase and consumed by the (sequential) type-check phase.
-type preparsed struct {
-	bp    *build.Package
-	files []*ast.File
-	err   error
 }
 
 type entry struct {
@@ -107,67 +93,6 @@ func (l *Loader) init() {
 	// excluded, matching how the repo builds in CI containers.
 	l.ctx.CgoEnabled = false
 	l.cache = make(map[string]*entry)
-	l.pre = make(map[string]*preparsed)
-}
-
-// Expand turns CLI patterns ("./...", "./internal/cone", bare import
-// paths) into the concrete import-path work list, without loading
-// anything — the driver fans the result out to Preparse before the
-// sequential type-check.
-func (l *Loader) Expand(patterns ...string) ([]string, error) {
-	return l.expand(patterns)
-}
-
-// Preparse parses the given subject packages concurrently on the
-// bounded pool and caches the syntax for the type-check phase. Parsing
-// is the embarrassingly parallel half of a load (token.FileSet is
-// safe for concurrent AddFile); type-checking stays sequential because
-// the importer cache is a shared recursive structure. Parse errors are
-// held per package and surface from Load, so callers keep one error
-// path.
-func (l *Loader) Preparse(paths []string, workers int) {
-	pool.Range(workers, len(paths), func(_, lo, hi int) {
-		for _, p := range paths[lo:hi] {
-			pp := l.preparse(p)
-			l.preMu.Lock()
-			l.pre[p] = pp
-			l.preMu.Unlock()
-		}
-	})
-}
-
-// preparse parses one package in full-subject mode.
-func (l *Loader) preparse(importPath string) *preparsed {
-	dir := l.dirFor(importPath)
-	if dir == "" {
-		return &preparsed{err: fmt.Errorf("load: cannot resolve import %q", importPath)}
-	}
-	bp, err := l.ctx.ImportDir(dir, 0)
-	if err != nil {
-		return &preparsed{err: fmt.Errorf("load: %s: %w", importPath, err)}
-	}
-	names := append([]string(nil), bp.GoFiles...)
-	names = append(names, bp.TestGoFiles...)
-	sort.Strings(names)
-	files := make([]*ast.File, 0, len(names))
-	for _, name := range names {
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name),
-			nil, parser.SkipObjectResolution|parser.ParseComments)
-		if err != nil {
-			return &preparsed{err: fmt.Errorf("load: %w", err)}
-		}
-		files = append(files, f)
-	}
-	return &preparsed{bp: bp, files: files}
-}
-
-// takePre returns and removes the preparsed entry for importPath.
-func (l *Loader) takePre(importPath string) *preparsed {
-	l.preMu.Lock()
-	defer l.preMu.Unlock()
-	pp := l.pre[importPath]
-	delete(l.pre, importPath)
-	return pp
 }
 
 // Fset returns the shared FileSet positions refer to.
@@ -377,42 +302,31 @@ func (l *Loader) Import(importPath string) (*types.Package, error) {
 func (l *Loader) check(importPath string, subject bool) (*Package, error) {
 	full := subject || l.inModule(importPath)
 
-	var dir string
-	var files []*ast.File
-	if pp := l.takePre(importPath); pp != nil && full {
-		// Parsed ahead of time by the concurrent Preparse phase.
-		if pp.err != nil {
-			return nil, pp.err
-		}
-		dir = pp.bp.Dir
-		files = pp.files
-	} else {
-		dir = l.dirFor(importPath)
-		if dir == "" {
-			return nil, fmt.Errorf("load: cannot resolve import %q", importPath)
-		}
-		bp, err := l.ctx.ImportDir(dir, 0)
-		if err != nil {
-			return nil, fmt.Errorf("load: %s: %w", importPath, err)
-		}
-		names := append([]string(nil), bp.GoFiles...)
-		if full {
-			names = append(names, bp.TestGoFiles...)
-		}
-		sort.Strings(names)
+	dir := l.dirFor(importPath)
+	if dir == "" {
+		return nil, fmt.Errorf("load: cannot resolve import %q", importPath)
+	}
+	bp, err := l.ctx.ImportDir(dir, 0)
+	if err != nil {
+		return nil, fmt.Errorf("load: %s: %w", importPath, err)
+	}
+	names := append([]string(nil), bp.GoFiles...)
+	if full {
+		names = append(names, bp.TestGoFiles...)
+	}
+	sort.Strings(names)
 
-		mode := parser.SkipObjectResolution
-		if full {
-			mode |= parser.ParseComments
+	mode := parser.SkipObjectResolution
+	if full {
+		mode |= parser.ParseComments
+	}
+	files := make([]*ast.File, 0, len(names))
+	for _, name := range names {
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, mode)
+		if err != nil {
+			return nil, fmt.Errorf("load: %w", err)
 		}
-		files = make([]*ast.File, 0, len(names))
-		for _, name := range names {
-			f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, mode)
-			if err != nil {
-				return nil, fmt.Errorf("load: %w", err)
-			}
-			files = append(files, f)
-		}
+		files = append(files, f)
 	}
 
 	info := &types.Info{

@@ -135,50 +135,3 @@ func TestLoadBuildTags(t *testing.T) {
 		t.Errorf("Impl = %v, want the pure-Go declaration", impl)
 	}
 }
-
-// TestPreparseMatchesSequentialLoad proves the concurrent parse
-// fan-out is an optimization, not a semantic change: Expand → Preparse
-// → Load yields the same package set, file lists, and scopes as a
-// plain sequential Load.
-func TestPreparseMatchesSequentialLoad(t *testing.T) {
-	root := moduleRoot(t)
-	seq, err := New(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqPkgs, err := seq.Load("./internal/lint/...")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	par, err := New(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	paths, err := par.Expand("./internal/lint/...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	par.Preparse(paths, 4)
-	parPkgs, err := par.Load(paths...)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if len(parPkgs) != len(seqPkgs) {
-		t.Fatalf("package count: preparse %d, sequential %d", len(parPkgs), len(seqPkgs))
-	}
-	for i := range seqPkgs {
-		if parPkgs[i].Path != seqPkgs[i].Path {
-			t.Errorf("package %d: %s != %s", i, parPkgs[i].Path, seqPkgs[i].Path)
-			continue
-		}
-		if len(parPkgs[i].Files) != len(seqPkgs[i].Files) {
-			t.Errorf("%s: file count %d != %d", parPkgs[i].Path,
-				len(parPkgs[i].Files), len(seqPkgs[i].Files))
-		}
-		if parPkgs[i].Types.Scope().Len() != seqPkgs[i].Types.Scope().Len() {
-			t.Errorf("%s: scope size differs between preparsed and sequential load", parPkgs[i].Path)
-		}
-	}
-}

@@ -43,13 +43,31 @@ func (r *decodeReader) varint() (int64, error) {
 	return v, nil
 }
 
+// bytes takes the next n bytes. n comes straight off the wire (a block
+// or string length no checksum has covered yet), so the bound is
+// written so that it cannot overflow.
 func (r *decodeReader) bytes(n int) ([]byte, error) {
-	if n < 0 || r.off+n > len(r.buf) {
+	if n < 0 || n > len(r.buf)-r.off {
 		return nil, fmt.Errorf("warehouse: need %d bytes at offset %d, have %d", n, r.off, len(r.buf)-r.off)
 	}
 	b := r.buf[r.off : r.off+n]
 	r.off += n
 	return b, nil
+}
+
+// count reads an entry count and bounds it by the bytes that follow it
+// — every entry encodes to at least one — so a corrupt count fails here
+// instead of sizing an allocation.
+func (r *decodeReader) count() (uint64, error) {
+	at := r.off
+	n, err := r.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if rest := len(r.buf) - r.off; n > uint64(rest) {
+		return 0, fmt.Errorf("warehouse: count %d at offset %d exceeds the %d bytes that follow", n, at, rest)
+	}
+	return n, nil
 }
 
 // parseSegment validates a raw segment image end to end: header CRC,
@@ -136,7 +154,7 @@ func col(cols map[byte][]byte, id byte) ([]byte, error) {
 
 func decodeAscendingU32(payload []byte, id byte) ([]uint32, error) {
 	r := &decodeReader{buf: payload}
-	n, err := r.uvarint()
+	n, err := r.count()
 	if err != nil {
 		return nil, fmt.Errorf("warehouse: column %d count: %w", id, err)
 	}
@@ -147,13 +165,14 @@ func decodeAscendingU32(payload []byte, id byte) ([]uint32, error) {
 		if err != nil {
 			return nil, fmt.Errorf("warehouse: column %d entry %d: %w", id, i, err)
 		}
-		v := prev + d
 		if i > 0 && d == 0 {
 			return nil, fmt.Errorf("warehouse: column %d entry %d: not strictly ascending", id, i)
 		}
-		if v > 0xFFFFFFFF {
-			return nil, fmt.Errorf("warehouse: column %d entry %d: value %d overflows uint32", id, i, v)
+		// d is bounded first so the sum cannot wrap back into range.
+		if d > 0xFFFFFFFF || prev+d > 0xFFFFFFFF {
+			return nil, fmt.Errorf("warehouse: column %d entry %d: value %d+%d overflows uint32", id, i, prev, d)
 		}
+		v := prev + d
 		out = append(out, uint32(v))
 		prev = v
 	}
@@ -188,7 +207,7 @@ func decodeI64Column(payload []byte, n int, id byte) ([]int64, error) {
 
 func decodeStepNames(payload []byte) ([]string, error) {
 	r := &decodeReader{buf: payload}
-	cnt, err := r.uvarint()
+	cnt, err := r.count()
 	if err != nil {
 		return nil, fmt.Errorf("warehouse: step-name column count: %w", err)
 	}
@@ -207,9 +226,19 @@ func decodeStepNames(payload []byte) ([]string, error) {
 	return out, nil
 }
 
+// nextPos advances a delta-coded position by a gap read off the wire,
+// reporting whether the result stays inside [0, n). The comparison is
+// done before the add, in uint64, so no gap can wrap into range.
+func nextPos(prev int32, gap uint64, n int) (int32, bool) {
+	if gap >= uint64(n) || uint64(prev)+gap >= uint64(n) {
+		return 0, false
+	}
+	return prev + int32(gap), true
+}
+
 func decodeLinks(payload []byte, n, steps int, id byte) ([]LinkRec, error) {
 	r := &decodeReader{buf: payload}
-	cnt, err := r.uvarint()
+	cnt, err := r.count()
 	if err != nil {
 		return nil, fmt.Errorf("warehouse: link column %d count: %w", id, err)
 	}
@@ -228,11 +257,11 @@ func decodeLinks(payload []byte, n, steps int, id byte) ([]LinkRec, error) {
 		if err != nil {
 			return nil, fmt.Errorf("warehouse: link column %d entry %d: %w", id, i, err)
 		}
-		a := prevA + int32(dA)
+		a, ok := nextPos(prevA, dA, n)
 		rel := RelCode(code & 3)
 		step := code >> 2
-		if int(a) >= n || int(b) >= n {
-			return nil, fmt.Errorf("warehouse: link column %d entry %d: positions (%d,%d) out of range [0,%d)", id, i, a, b, n)
+		if !ok || b >= uint64(n) {
+			return nil, fmt.Errorf("warehouse: link column %d entry %d: positions (%d+%d,%d) out of range [0,%d)", id, i, prevA, dA, b, n)
 		}
 		if rel == 0 || rel > RelPeer {
 			return nil, fmt.Errorf("warehouse: link column %d entry %d: invalid relationship code %d", id, i, rel)
@@ -248,7 +277,7 @@ func decodeLinks(payload []byte, n, steps int, id byte) ([]LinkRec, error) {
 
 func decodePosPairs(payload []byte, n int) ([]posPair, error) {
 	r := &decodeReader{buf: payload}
-	cnt, err := r.uvarint()
+	cnt, err := r.count()
 	if err != nil {
 		return nil, fmt.Errorf("warehouse: removed-link column count: %w", err)
 	}
@@ -263,9 +292,9 @@ func decodePosPairs(payload []byte, n int) ([]posPair, error) {
 		if err != nil {
 			return nil, fmt.Errorf("warehouse: removed-link entry %d: %w", i, err)
 		}
-		a := prevA + int32(dA)
-		if int(a) >= n || int(b) >= n {
-			return nil, fmt.Errorf("warehouse: removed-link entry %d: positions (%d,%d) out of range [0,%d)", i, a, b, n)
+		a, ok := nextPos(prevA, dA, n)
+		if !ok || b >= uint64(n) {
+			return nil, fmt.Errorf("warehouse: removed-link entry %d: positions (%d+%d,%d) out of range [0,%d)", i, prevA, dA, b, n)
 		}
 		out = append(out, posPair{A: a, B: int32(b)})
 		prevA = a
@@ -273,11 +302,17 @@ func decodePosPairs(payload []byte, n int) ([]posPair, error) {
 	return out, nil
 }
 
-func decodeWordsRLE(payload []byte, id byte) ([]uint64, error) {
+// decodeWordsRLE rebuilds a word slab. want is the word count the
+// already-decoded AS count implies; the stored total must equal it
+// before it sizes anything.
+func decodeWordsRLE(payload []byte, want int, id byte) ([]uint64, error) {
 	r := &decodeReader{buf: payload}
 	total, err := r.uvarint()
 	if err != nil {
 		return nil, fmt.Errorf("warehouse: slab column %d count: %w", id, err)
+	}
+	if total != uint64(want) {
+		return nil, fmt.Errorf("warehouse: slab column %d has %d words, want %d", id, total, want)
 	}
 	out := make([]uint64, 0, total)
 	for uint64(len(out)) < total {
@@ -311,12 +346,16 @@ func decodeWordsRLE(payload []byte, id byte) ([]uint64, error) {
 }
 
 // decodeBitGaps rebuilds a word slab from its flipped-bit gap list
-// (the dcolConeXor encoding).
-func decodeBitGaps(payload []byte, id byte) ([]uint64, error) {
+// (the dcolConeXor encoding). want bounds the stored total exactly as
+// in decodeWordsRLE.
+func decodeBitGaps(payload []byte, want int, id byte) ([]uint64, error) {
 	r := &decodeReader{buf: payload}
 	total, err := r.uvarint()
 	if err != nil {
 		return nil, fmt.Errorf("warehouse: bit column %d count: %w", id, err)
+	}
+	if total != uint64(want) {
+		return nil, fmt.Errorf("warehouse: bit column %d has %d words, want %d", id, total, want)
 	}
 	out := make([]uint64, total)
 	limit := total * 64
@@ -329,10 +368,10 @@ func decodeBitGaps(payload []byte, id byte) ([]uint64, error) {
 		if !first && gap == 0 {
 			return nil, fmt.Errorf("warehouse: bit column %d: duplicate bit %d", id, prev)
 		}
-		idx := prev + gap
-		if idx >= limit {
-			return nil, fmt.Errorf("warehouse: bit column %d: bit %d out of range [0,%d)", id, idx, limit)
+		if gap >= limit-prev {
+			return nil, fmt.Errorf("warehouse: bit column %d: bit %d+%d out of range [0,%d)", id, prev, gap, limit)
 		}
+		idx := prev + gap
 		out[idx>>6] |= 1 << (idx & 63)
 		prev, first = idx, false
 	}
@@ -374,7 +413,7 @@ func computeRankPos(s *Snapshot) {
 
 func decodeSparse(payload []byte, n int, id byte) ([]sparseEntry, error) {
 	r := &decodeReader{buf: payload}
-	cnt, err := r.uvarint()
+	cnt, err := r.count()
 	if err != nil {
 		return nil, fmt.Errorf("warehouse: sparse column %d count: %w", id, err)
 	}
@@ -389,9 +428,9 @@ func decodeSparse(payload []byte, n int, id byte) ([]sparseEntry, error) {
 		if err != nil {
 			return nil, fmt.Errorf("warehouse: sparse column %d entry %d: %w", id, i, err)
 		}
-		pos := prev + int32(dPos)
-		if int(pos) >= n {
-			return nil, fmt.Errorf("warehouse: sparse column %d entry %d: position %d out of range [0,%d)", id, i, pos, n)
+		pos, ok := nextPos(prev, dPos, n)
+		if !ok {
+			return nil, fmt.Errorf("warehouse: sparse column %d entry %d: position %d+%d out of range [0,%d)", id, i, prev, dPos, n)
 		}
 		out = append(out, sparseEntry{pos: pos, diff: diff})
 		prev = pos
@@ -455,11 +494,8 @@ func decodeFull(cols map[byte][]byte) (*Snapshot, error) {
 	if p, err = col(cols, colConeWords); err != nil {
 		return nil, err
 	}
-	if s.ConeWords, err = decodeWordsRLE(p, colConeWords); err != nil {
+	if s.ConeWords, err = decodeWordsRLE(p, s.WordsPerCone()*n, colConeWords); err != nil {
 		return nil, err
-	}
-	if want := s.WordsPerCone() * n; len(s.ConeWords) != want {
-		return nil, fmt.Errorf("warehouse: cone slab has %d words, want %d for %d ASes", len(s.ConeWords), want, n)
 	}
 	computeRankPos(s)
 	return s, nil
@@ -511,7 +547,10 @@ func applyDelta(old *Snapshot, cols map[byte][]byte) (*Snapshot, error) {
 
 	// Rebuild the new ASN column by merging out removals and merging in
 	// additions, then derive the position maps.
-	newASNs := mergeASNs(old.ASNs, removed, added)
+	newASNs, err := mergeASNs(old.ASNs, removed, added)
+	if err != nil {
+		return nil, err
+	}
 	m := mapIndexes(old.ASNs, newASNs)
 	n := len(newASNs)
 	s := &Snapshot{ASNs: newASNs}
@@ -586,13 +625,10 @@ func applyDelta(old *Snapshot, cols map[byte][]byte) (*Snapshot, error) {
 	if p, err = col(cols, dcolConeXor); err != nil {
 		return nil, err
 	}
-	xor, err := decodeBitGaps(p, dcolConeXor)
+	slab := remapSlab(old, m, n)
+	xor, err := decodeBitGaps(p, len(slab), dcolConeXor)
 	if err != nil {
 		return nil, err
-	}
-	slab := remapSlab(old, m, n)
-	if len(xor) != len(slab) {
-		return nil, fmt.Errorf("warehouse: cone delta has %d words, want %d for %d ASes", len(xor), len(slab), n)
 	}
 	for i, w := range xor {
 		slab[i] ^= w
@@ -603,9 +639,11 @@ func applyDelta(old *Snapshot, cols map[byte][]byte) (*Snapshot, error) {
 }
 
 // mergeASNs applies a removal and an addition list to a sorted ASN
-// column, producing the successor epoch's sorted column.
-func mergeASNs(old, removed, added []uint32) []uint32 {
-	out := make([]uint32, 0, len(old)-len(removed)+len(added))
+// column, producing the successor epoch's sorted column. A removal the
+// predecessor does not hold, or an addition it already does, is an
+// error: the result must stay strictly ascending.
+func mergeASNs(old, removed, added []uint32) ([]uint32, error) {
+	out := make([]uint32, 0, len(old))
 	ri := 0
 	for _, a := range old {
 		if ri < len(removed) && removed[ri] == a {
@@ -614,19 +652,25 @@ func mergeASNs(old, removed, added []uint32) []uint32 {
 		}
 		out = append(out, a)
 	}
+	if ri != len(removed) {
+		return nil, fmt.Errorf("warehouse: removed AS%d is not in the predecessor epoch", removed[ri])
+	}
 	// Merge additions (both lists sorted, disjoint).
 	merged := make([]uint32, 0, len(out)+len(added))
 	i, j := 0, 0
 	for i < len(out) || j < len(added) {
-		if j >= len(added) || (i < len(out) && out[i] < added[j]) {
+		switch {
+		case j >= len(added) || (i < len(out) && out[i] < added[j]):
 			merged = append(merged, out[i])
 			i++
-		} else {
+		case i < len(out) && out[i] == added[j]:
+			return nil, fmt.Errorf("warehouse: added AS%d is already in the predecessor epoch", added[j])
+		default:
 			merged = append(merged, added[j])
 			j++
 		}
 	}
-	return merged
+	return merged, nil
 }
 
 // rebuildLinks reassembles the successor link list: old links survive
