@@ -8,10 +8,13 @@ build:
 test:
 	$(GO) test ./...
 
-# The race-enabled gate the parallel cone engine is held to.
+# The race-enabled gate the parallel cone engine is held to. The
+# warehouse's chain benchmarks run once so they cannot rot; their
+# allocation bound is a test (TestSnapshotChainAllocBound).
 check: lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	$(GO) test -run '^$$' -bench 'Chain$$' -benchtime 1x ./internal/warehouse
 
 # The repo's own analyzer suite (DESIGN.md §9): concurrency,
 # determinism, observability-naming, error-wrapping, publish-freeze,

@@ -163,7 +163,6 @@ func main() {
 	if *warehouseDir != "" {
 		var err error
 		store, err = warehouse.Open(*warehouseDir, warehouse.Options{
-			Workers:  *workers,
 			Registry: obs.Default(),
 			Tracer:   tracer,
 		})

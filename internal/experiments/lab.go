@@ -129,7 +129,9 @@ func (l *Lab) Series() []*topology.Topology {
 // EpochSnapshots returns the longitudinal inference series in columnar
 // (warehouse) form, one snapshot per series topology. With a warehouse
 // configured and already holding the full series, prior epochs are
-// decoded from the store — no simulation or inference re-runs; without
+// decoded from the store — no simulation or inference re-runs, but one
+// chain replay per epoch (Store.Snapshot starts each at its checkpoint,
+// so a cadence of k re-applies ~k/2 deltas per epoch on average); without
 // one (or with a short store) each snapshot is simulated, sanitized,
 // and inferred as before, and persisted when a warehouse is configured
 // so the next run skips the recompute.

@@ -1,12 +1,13 @@
 package warehouse
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 // segHeader is the fixed-size decoded prefix of a segment file.
@@ -302,53 +303,55 @@ func decodePosPairs(payload []byte, n int) ([]posPair, error) {
 	return out, nil
 }
 
-// decodeWordsRLE rebuilds a word slab. want is the word count the
-// already-decoded AS count implies; the stored total must equal it
-// before it sizes anything.
-func decodeWordsRLE(payload []byte, want int, id byte) ([]uint64, error) {
+// decodeWordsRLE rebuilds a word slab over every word of dst, whose
+// length is the word count the already-decoded AS count implies; the
+// stored total must equal it before anything is written. dst may hold
+// stale words: zero runs are cleared, not assumed.
+func decodeWordsRLE(payload []byte, dst []uint64, id byte) error {
 	r := &decodeReader{buf: payload}
 	total, err := r.uvarint()
 	if err != nil {
-		return nil, fmt.Errorf("warehouse: slab column %d count: %w", id, err)
+		return fmt.Errorf("warehouse: slab column %d count: %w", id, err)
 	}
-	if total != uint64(want) {
-		return nil, fmt.Errorf("warehouse: slab column %d has %d words, want %d", id, total, want)
+	if total != uint64(len(dst)) {
+		return fmt.Errorf("warehouse: slab column %d has %d words, want %d", id, total, len(dst))
 	}
-	out := make([]uint64, 0, total)
-	for uint64(len(out)) < total {
+	for at := uint64(0); at < total; {
 		flag, err := r.bytes(1)
 		if err != nil {
-			return nil, fmt.Errorf("warehouse: slab column %d run flag: %w", id, err)
+			return fmt.Errorf("warehouse: slab column %d run flag: %w", id, err)
 		}
 		run, err := r.uvarint()
 		if err != nil {
-			return nil, fmt.Errorf("warehouse: slab column %d run length: %w", id, err)
+			return fmt.Errorf("warehouse: slab column %d run length: %w", id, err)
 		}
-		if run == 0 || uint64(len(out))+run > total {
-			return nil, fmt.Errorf("warehouse: slab column %d run of %d words overruns total %d at word %d", id, run, total, len(out))
+		if run == 0 || run > total-at {
+			return fmt.Errorf("warehouse: slab column %d run of %d words overruns total %d at word %d", id, run, total, at)
 		}
 		switch flag[0] {
 		case 0:
-			out = out[:uint64(len(out))+run]
+			clear(dst[at : at+run])
 		case 1:
 			raw, err := r.bytes(int(run) * 8)
 			if err != nil {
-				return nil, fmt.Errorf("warehouse: slab column %d literal run: %w", id, err)
+				return fmt.Errorf("warehouse: slab column %d literal run: %w", id, err)
 			}
 			for i := uint64(0); i < run; i++ {
-				out = append(out, binary.LittleEndian.Uint64(raw[i*8:]))
+				dst[at+i] = binary.LittleEndian.Uint64(raw[i*8:])
 			}
 		default:
-			return nil, fmt.Errorf("warehouse: slab column %d: unknown run flag %d", id, flag[0])
+			return fmt.Errorf("warehouse: slab column %d: unknown run flag %d", id, flag[0])
 		}
+		at += run
 	}
-	return out, nil
+	return nil
 }
 
-// decodeBitGaps rebuilds a word slab from its flipped-bit gap list
-// (the dcolConeXor encoding). want bounds the stored total exactly as
-// in decodeWordsRLE.
-func decodeBitGaps(payload []byte, want int, id byte) ([]uint64, error) {
+// checkBitGaps walks a flipped-bit gap list (the dcolConeXor encoding)
+// once for range and duplicate errors and returns the gap bytes, which
+// the replayer may then apply without a check. want bounds the stored
+// total exactly as in decodeWordsRLE.
+func checkBitGaps(payload []byte, want int, id byte) ([]byte, error) {
 	r := &decodeReader{buf: payload}
 	total, err := r.uvarint()
 	if err != nil {
@@ -357,7 +360,7 @@ func decodeBitGaps(payload []byte, want int, id byte) ([]uint64, error) {
 	if total != uint64(want) {
 		return nil, fmt.Errorf("warehouse: bit column %d has %d words, want %d", id, total, want)
 	}
-	out := make([]uint64, total)
+	gaps := r.buf[r.off:]
 	limit := total * 64
 	prev, first := uint64(0), true
 	for r.off < len(r.buf) {
@@ -371,44 +374,47 @@ func decodeBitGaps(payload []byte, want int, id byte) ([]uint64, error) {
 		if gap >= limit-prev {
 			return nil, fmt.Errorf("warehouse: bit column %d: bit %d+%d out of range [0,%d)", id, prev, gap, limit)
 		}
-		idx := prev + gap
-		out[idx>>6] |= 1 << (idx & 63)
-		prev, first = idx, false
+		prev, first = prev+gap, false
 	}
-	return out, nil
+	return gaps, nil
 }
 
-// computeRankPos derives the AS Rank permutation the way cone.Rank
-// defines it — cone size descending, transit degree descending, ASN
-// ascending — from the decoded columns. Positions are ASN-ordered, so
-// the final tiebreak is position order; the result is the exact
-// RankPos FromResult computed before encoding.
-func computeRankPos(s *Snapshot) {
-	n := s.NumASes()
-	wps := s.WordsPerCone()
-	sizes := make([]int32, n)
-	for p := 0; p < n; p++ {
+// rankPos derives the AS Rank permutation the way cone.Rank defines it
+// — cone size descending, transit degree descending, ASN ascending —
+// from the decoded columns. Positions are ASN-ordered, so the final
+// tiebreak is position order; the result is the exact RankPos
+// FromResult computed before encoding.
+func rankPos(sizes, transitDegree []int32) []int32 {
+	rank := make([]int32, len(sizes))
+	for i := range rank {
+		rank[i] = int32(i)
+	}
+	slices.SortFunc(rank, func(a, b int32) int {
+		if sizes[a] != sizes[b] {
+			return cmp.Compare(sizes[b], sizes[a])
+		}
+		if transitDegree[a] != transitDegree[b] {
+			return cmp.Compare(transitDegree[b], transitDegree[a])
+		}
+		return cmp.Compare(a, b)
+	})
+	return rank
+}
+
+// coneSizes popcounts each position's row of a cone slab into sizes.
+func coneSizes(sizes []int32, words []uint64) []int32 {
+	if len(sizes) == 0 {
+		return sizes
+	}
+	wps := len(words) / len(sizes)
+	for p := range sizes {
 		c := 0
-		for _, w := range s.ConeWords[p*wps : (p+1)*wps] {
+		for _, w := range words[p*wps : (p+1)*wps] {
 			c += bits.OnesCount64(w)
 		}
 		sizes[p] = int32(c)
 	}
-	rank := make([]int32, n)
-	for i := range rank {
-		rank[i] = int32(i)
-	}
-	sort.Slice(rank, func(i, j int) bool {
-		a, b := rank[i], rank[j]
-		if sizes[a] != sizes[b] {
-			return sizes[a] > sizes[b]
-		}
-		if s.TransitDegree[a] != s.TransitDegree[b] {
-			return s.TransitDegree[a] > s.TransitDegree[b]
-		}
-		return a < b
-	})
-	s.RankPos = rank
+	return sizes
 }
 
 func decodeSparse(payload []byte, n int, id byte) ([]sparseEntry, error) {
@@ -451,56 +457,6 @@ func decodeScalars(payload []byte) (pathCount, numRels int64, err error) {
 	return int64(pc), int64(nr), nil
 }
 
-// decodeFull rebuilds a snapshot from a full epoch's columns.
-func decodeFull(cols map[byte][]byte) (*Snapshot, error) {
-	p, err := col(cols, colASNs)
-	if err != nil {
-		return nil, err
-	}
-	asns, err := decodeAscendingU32(p, colASNs)
-	if err != nil {
-		return nil, err
-	}
-	n := len(asns)
-	s := &Snapshot{ASNs: asns}
-
-	if p, err = col(cols, colTransitDeg); err != nil {
-		return nil, err
-	}
-	if s.TransitDegree, err = decodeI32Column(p, n, colTransitDeg); err != nil {
-		return nil, err
-	}
-	if p, err = col(cols, colDegree); err != nil {
-		return nil, err
-	}
-	if s.Degree, err = decodeI32Column(p, n, colDegree); err != nil {
-		return nil, err
-	}
-	if p, err = col(cols, colConePrefixes); err != nil {
-		return nil, err
-	}
-	if s.ConePrefixes, err = decodeI64Column(p, n, colConePrefixes); err != nil {
-		return nil, err
-	}
-	if err = decodeShared(cols, s); err != nil {
-		return nil, err
-	}
-	if p, err = col(cols, colLinks); err != nil {
-		return nil, err
-	}
-	if s.Links, err = decodeLinks(p, n, len(s.StepNames), colLinks); err != nil {
-		return nil, err
-	}
-	if p, err = col(cols, colConeWords); err != nil {
-		return nil, err
-	}
-	if s.ConeWords, err = decodeWordsRLE(p, s.WordsPerCone()*n, colConeWords); err != nil {
-		return nil, err
-	}
-	computeRankPos(s)
-	return s, nil
-}
-
 // decodeShared parses the columns full and delta epochs encode
 // identically: clique, step names, scalars.
 func decodeShared(cols map[byte][]byte, s *Snapshot) error {
@@ -526,161 +482,49 @@ func decodeShared(cols map[byte][]byte, s *Snapshot) error {
 	return nil
 }
 
-// applyDelta reconstructs the next snapshot from its predecessor and a
-// delta epoch's columns. old is not modified.
-func applyDelta(old *Snapshot, cols map[byte][]byte) (*Snapshot, error) {
-	p, err := col(cols, dcolRemovedASNs)
-	if err != nil {
-		return nil, err
-	}
-	removed, err := decodeAscendingU32(p, dcolRemovedASNs)
-	if err != nil {
-		return nil, err
-	}
-	if p, err = col(cols, dcolAddedASNs); err != nil {
-		return nil, err
-	}
-	added, err := decodeAscendingU32(p, dcolAddedASNs)
-	if err != nil {
-		return nil, err
-	}
-
-	// Rebuild the new ASN column by merging out removals and merging in
-	// additions, then derive the position maps.
-	newASNs, err := mergeASNs(old.ASNs, removed, added)
-	if err != nil {
-		return nil, err
-	}
-	m := mapIndexes(old.ASNs, newASNs)
-	n := len(newASNs)
-	s := &Snapshot{ASNs: newASNs}
-
-	// Dense columns: carry old values across surviving positions, then
-	// apply sparse diffs in new positions.
-	s.TransitDegree = make([]int32, n)
-	s.Degree = make([]int32, n)
-	s.ConePrefixes = make([]int64, n)
-	for np := 0; np < n; np++ {
-		if op := m.newToOld[np]; op >= 0 {
-			s.TransitDegree[np] = old.TransitDegree[op]
-			s.Degree[np] = old.Degree[op]
-			s.ConePrefixes[np] = old.ConePrefixes[op]
-		}
-	}
-	for _, spec := range []struct {
-		id    byte
-		apply func(sparseEntry)
-	}{
-		{dcolTransitDeg, func(e sparseEntry) { s.TransitDegree[e.pos] += int32(e.diff) }},
-		{dcolDegree, func(e sparseEntry) { s.Degree[e.pos] += int32(e.diff) }},
-		{dcolConePref, func(e sparseEntry) { s.ConePrefixes[e.pos] += e.diff }},
-	} {
-		if p, err = col(cols, spec.id); err != nil {
-			return nil, err
-		}
-		entries, err := decodeSparse(p, n, spec.id)
-		if err != nil {
-			return nil, err
-		}
-		for _, e := range entries {
-			spec.apply(e)
-		}
-	}
-
-	if err = decodeShared(cols, s); err != nil {
-		return nil, err
-	}
-
-	// Links: translate surviving old links to new positions, drop the
-	// removed set, apply changes, merge in additions, and restore (A,B)
-	// order. Old→new translation is monotonic (both indexes are
-	// ASN-ordered) so the translated list stays sorted.
-	if p, err = col(cols, dcolLinksRem); err != nil {
-		return nil, err
-	}
-	remLinks, err := decodePosPairs(p, len(old.ASNs))
-	if err != nil {
-		return nil, err
-	}
-	if p, err = col(cols, dcolLinksAdd); err != nil {
-		return nil, err
-	}
-	addLinks, err := decodeLinks(p, n, len(s.StepNames), dcolLinksAdd)
-	if err != nil {
-		return nil, err
-	}
-	if p, err = col(cols, dcolLinksChg); err != nil {
-		return nil, err
-	}
-	chgLinks, err := decodeLinks(p, n, len(s.StepNames), dcolLinksChg)
-	if err != nil {
-		return nil, err
-	}
-	s.Links, err = rebuildLinks(old, s, m, remLinks, addLinks, chgLinks)
-	if err != nil {
-		return nil, err
-	}
-
-	// Cone slab: XOR the stored delta into the remapped old slab.
-	if p, err = col(cols, dcolConeXor); err != nil {
-		return nil, err
-	}
-	slab := remapSlab(old, m, n)
-	xor, err := decodeBitGaps(p, len(slab), dcolConeXor)
-	if err != nil {
-		return nil, err
-	}
-	for i, w := range xor {
-		slab[i] ^= w
-	}
-	s.ConeWords = slab
-	computeRankPos(s)
-	return s, nil
-}
-
 // mergeASNs applies a removal and an addition list to a sorted ASN
 // column, producing the successor epoch's sorted column. A removal the
 // predecessor does not hold, or an addition it already does, is an
 // error: the result must stay strictly ascending.
 func mergeASNs(old, removed, added []uint32) ([]uint32, error) {
-	out := make([]uint32, 0, len(old))
-	ri := 0
+	out := make([]uint32, 0, max(len(old)-len(removed), 0)+len(added))
+	ri, j := 0, 0
 	for _, a := range old {
 		if ri < len(removed) && removed[ri] == a {
 			ri++
 			continue
+		}
+		for ; j < len(added) && added[j] < a; j++ {
+			out = append(out, added[j])
+		}
+		if j < len(added) && added[j] == a {
+			return nil, fmt.Errorf("warehouse: added AS%d is already in the predecessor epoch", a)
 		}
 		out = append(out, a)
 	}
 	if ri != len(removed) {
 		return nil, fmt.Errorf("warehouse: removed AS%d is not in the predecessor epoch", removed[ri])
 	}
-	// Merge additions (both lists sorted, disjoint).
-	merged := make([]uint32, 0, len(out)+len(added))
-	i, j := 0, 0
-	for i < len(out) || j < len(added) {
-		switch {
-		case j >= len(added) || (i < len(out) && out[i] < added[j]):
-			merged = append(merged, out[i])
-			i++
-		case i < len(out) && out[i] == added[j]:
-			return nil, fmt.Errorf("warehouse: added AS%d is already in the predecessor epoch", added[j])
-		default:
-			merged = append(merged, added[j])
-			j++
-		}
-	}
-	return merged, nil
+	return append(out, added[j:]...), nil
 }
 
 // rebuildLinks reassembles the successor link list: old links survive
 // unless removed or touching a departed AS, translated to new positions
 // and relabeled by the change set; added links merge in sorted.
 func rebuildLinks(old, cur *Snapshot, m *indexMap, removed []posPair, added, changed []LinkRec) ([]LinkRec, error) {
-	// The removed set and change set are consulted during a single
-	// ordered sweep; both are sorted the same way as the link lists.
-	ri, ci := 0, 0
-	translated := make([]LinkRec, 0, len(old.Links)+len(added))
+	// Provenance indexes cross (possibly re-ordered) step tables by name;
+	// a name the successor dropped is an error only if a surviving,
+	// unchanged link still carries it.
+	steps := make([]int, len(old.StepNames))
+	for i, name := range old.StepNames {
+		steps[i] = slices.Index(cur.StepNames, name)
+	}
+	// The removed set, the change set and the added list are consulted
+	// during a single ordered sweep; all are sorted the same way as the
+	// link lists, and old→new translation is monotonic (both indexes are
+	// ASN-ordered), so the output stays sorted.
+	ri, ci, ai := 0, 0, 0
+	out := make([]LinkRec, 0, max(len(old.Links)-len(removed), 0)+len(added))
 	for _, l := range old.Links {
 		if ri < len(removed) && removed[ri].A == l.A && removed[ri].B == l.B {
 			ri++
@@ -696,22 +540,15 @@ func rebuildLinks(old, cur *Snapshot, m *indexMap, removed []posPair, added, cha
 			// the successor's terms already.
 			nl.Rel, nl.Step = changed[ci].Rel, changed[ci].Step
 			ci++
+		} else if steps[l.Step] >= 0 {
+			nl.Step = uint8(steps[l.Step])
 		} else {
-			// Unchanged link: translate the provenance index across
-			// (possibly re-ordered) step tables by name.
-			name := old.StepNames[l.Step]
-			nl.Step = 0xFF
-			for si, sn := range cur.StepNames {
-				if sn == name {
-					nl.Step = uint8(si)
-					break
-				}
-			}
-			if nl.Step == 0xFF {
-				return nil, fmt.Errorf("warehouse: step name %q of link (%d,%d) missing from successor table", name, l.A, l.B)
-			}
+			return nil, fmt.Errorf("warehouse: step name %q of link (%d,%d) missing from successor table", old.StepNames[l.Step], l.A, l.B)
 		}
-		translated = append(translated, nl)
+		for ; ai < len(added) && (added[ai].A < na || (added[ai].A == na && added[ai].B <= nb)); ai++ {
+			out = append(out, added[ai])
+		}
+		out = append(out, nl)
 	}
 	if ri != len(removed) {
 		return nil, fmt.Errorf("warehouse: %d removed links not found in predecessor (first miss (%d,%d))", len(removed)-ri, removed[ri].A, removed[ri].B)
@@ -719,24 +556,5 @@ func rebuildLinks(old, cur *Snapshot, m *indexMap, removed []posPair, added, cha
 	if ci != len(changed) {
 		return nil, fmt.Errorf("warehouse: %d changed links not found in predecessor (first miss (%d,%d))", len(changed)-ci, changed[ci].A, changed[ci].B)
 	}
-	// Merge the sorted added list into the sorted translated list.
-	out := make([]LinkRec, 0, len(translated)+len(added))
-	i, j := 0, 0
-	for i < len(translated) || j < len(added) {
-		switch {
-		case j >= len(added):
-			out = append(out, translated[i])
-			i++
-		case i >= len(translated):
-			out = append(out, added[j])
-			j++
-		case translated[i].A < added[j].A || (translated[i].A == added[j].A && translated[i].B < added[j].B):
-			out = append(out, translated[i])
-			i++
-		default:
-			out = append(out, added[j])
-			j++
-		}
-	}
-	return out, nil
+	return append(out, added[ai:]...), nil
 }

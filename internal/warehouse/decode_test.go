@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -37,6 +38,27 @@ func twoEpochs(t testing.TB) (s0, s1 *Snapshot) {
 		snaps = append(snaps, FromResult(core.Infer(clean, core.Options{})))
 	}
 	return snaps[0], snaps[1]
+}
+
+// deltaCols encodes cur as a delta against old the way Append does.
+func deltaCols(old, cur *Snapshot) []segColumn {
+	return encodeDelta(old, cur, mapIndexes(old.ASNs, cur.ASNs), diffLinks(old, cur))
+}
+
+// replayerAt returns a replayer whose working epoch is s, loaded the
+// way a chain's checkpoint is.
+func replayerAt(t testing.TB, s *Snapshot) *replayer {
+	t.Helper()
+	img, _ := encodeSegment(kindFull, 0, 0, encodeFull(s))
+	_, cols, _, err := parseSegment(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp := newReplayer(nil)
+	if err := rp.full(cols); err != nil {
+		t.Fatal(err)
+	}
+	return rp
 }
 
 // withColumn returns cols with one column's payload replaced.
@@ -76,14 +98,13 @@ func TestCorruptLengthsAreErrors(t *testing.T) {
 		if err != nil {
 			return fmt.Errorf("crafted image must frame cleanly: %w", err)
 		}
+		rp := replayerAt(t, s0)
 		if kind == kindFull {
-			_, err = decodeFull(parsed)
-		} else {
-			_, err = applyDelta(s0, parsed)
+			return rp.full(parsed)
 		}
-		return err
+		return rp.delta(parsed)
 	}
-	full, delta := encodeFull(s1), encodeDelta(s0, s1)
+	full, delta := encodeFull(s1), deltaCols(s0, s1)
 
 	cases := []struct {
 		name string
@@ -165,7 +186,7 @@ func TestOpenRecoversFromCorruptLength(t *testing.T) {
 	// manifest so Open gets past the content-hash comparison and into
 	// the column decoders.
 	countImg, countHash := encodeSegment(kindDelta, 1, 0,
-		withColumn(encodeDelta(s0, s1), dcolRemovedASNs, binary.AppendUvarint(nil, 1<<62)))
+		withColumn(deltaCols(s0, s1), dcolRemovedASNs, binary.AppendUvarint(nil, 1<<62)))
 	for name, tc := range map[string]struct {
 		img  []byte
 		hash string
@@ -203,17 +224,22 @@ func TestOpenRecoversFromCorruptLength(t *testing.T) {
 }
 
 // FuzzParseSegment drives raw bytes through the whole read path of one
-// segment — framing, checksums, then the full or delta column decoders
+// segment — framing, checksums, then the replayer's full or delta path
 // against a real base epoch. Any input may be refused; none may panic,
-// and whatever decodes must survive a full re-encode unchanged.
+// a refused one must leave the working epoch exactly at the base, and
+// whatever decodes must survive a full re-encode unchanged.
 func FuzzParseSegment(f *testing.F) {
 	s0, s1 := twoEpochs(f)
 	fullImg, _ := encodeSegment(kindFull, 0, 0, encodeFull(s0))
-	deltaImg, _ := encodeSegment(kindDelta, 1, 0, encodeDelta(s0, s1))
+	deltaImg, _ := encodeSegment(kindDelta, 1, 0, deltaCols(s0, s1))
 	f.Add(fullImg)
 	f.Add(deltaImg)
 	f.Add(hugeBlockLength(kindFull, 0, 0))
 	f.Add([]byte{})
+	for _, fault := range TailFaults { // sealed, refused late: the seeds that reach the mutating half
+		img, _ := SealedFaultyDelta(s0, s1, 1, fault)
+		f.Add(img)
+	}
 	for _, img := range [][]byte{fullImg, deltaImg} {
 		for _, v := range chaos.CorruptVariants(20130401, img, 8) {
 			f.Add(v)
@@ -225,28 +251,33 @@ func FuzzParseSegment(f *testing.F) {
 		if err != nil {
 			return
 		}
-		var s *Snapshot
+		rp := replayerAt(t, s0)
+		before, sizes := rp.snapshot(), slices.Clone(rp.sizes)
 		if hdr.kind == kindFull {
-			s, err = decodeFull(cols)
+			err = rp.full(cols)
 		} else {
-			s, err = applyDelta(s0, cols)
+			err = rp.delta(cols)
 		}
 		if err != nil {
-			if s != nil {
-				t.Fatal("snapshot returned alongside error")
+			if !reflect.DeepEqual(rp.snapshot(), before) || !slices.Equal(rp.sizes, sizes) {
+				t.Fatalf("refused segment (%v) moved the working epoch", err)
 			}
 			return
+		}
+		s := rp.snapshot()
+		if !slices.Equal(rp.sizes, coneSizes(make([]int32, s.NumASes()), s.ConeWords)) {
+			t.Fatal("cone sizes drifted from the slab")
 		}
 		img, _ := encodeSegment(kindFull, hdr.epoch, hdr.epoch, encodeFull(s))
 		_, cols, _, err = parseSegment(img)
 		if err != nil {
 			t.Fatalf("re-encoded segment does not parse: %v", err)
 		}
-		again, err := decodeFull(cols)
-		if err != nil {
+		again := newReplayer(nil)
+		if err := again.full(cols); err != nil {
 			t.Fatalf("re-encoded segment does not decode: %v", err)
 		}
-		if !reflect.DeepEqual(s, again) {
+		if !reflect.DeepEqual(s, again.snapshot()) {
 			t.Fatal("snapshot changed across a re-encode")
 		}
 	})

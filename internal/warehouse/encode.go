@@ -35,9 +35,10 @@ var segMagic = [8]byte{'A', 'S', 'W', 'H', 0, 'S', 'E', 'G'}
 // dcol* set plus the full clique/steps/scalars columns (small and
 // unordered — deltas would not pay for themselves). The rank
 // permutation has no column at all: the AS Rank order is a pure
-// function of cone size, transit degree, and ASN, so both decode paths
-// recompute it (computeRankPos) instead of storing ~2.5 bytes per AS
-// per epoch. ID 5 is retired and must not be reused.
+// function of cone size, transit degree, and ASN, so the replayer
+// recomputes it (rankPos) for each snapshot it hands out instead of
+// storing ~2.5 bytes per AS per epoch. ID 5 is retired and must not be
+// reused.
 const (
 	colASNs         = 1  // uvarint count, then ascending uvarint deltas
 	colTransitDeg   = 2  // one svarint per position
@@ -152,7 +153,9 @@ func encodeLinks(out []byte, links []LinkRec) []byte {
 // posPair is a bare (A, B) position pair (removed-link encoding).
 type posPair struct{ A, B int32 }
 
-func encodePosPairs(out []byte, pairs []posPair) []byte {
+// encodePosPairs writes only the position pair of each link: a removed
+// link's label is the predecessor's to know.
+func encodePosPairs(out []byte, pairs []LinkRec) []byte {
 	out = binary.AppendUvarint(out, uint64(len(pairs)))
 	prevA := int32(0)
 	for _, p := range pairs {
@@ -192,21 +195,35 @@ func encodeWordsRLE(out []byte, words []uint64) []byte {
 	return out
 }
 
-// encodeBitGaps writes the set bits of a word slab as ascending
-// uvarint gaps over the global bit index (word*64 + bit). An epoch's
-// cone XOR flips a few hundred bits in a multi-megabit slab, so gaps
-// beat even zero-run-length words by ~3x: each flipped bit costs the
-// varint of its distance to the previous one, and untouched regions
-// cost nothing at all.
-func encodeBitGaps(out []byte, words []uint64) []byte {
-	out = binary.AppendUvarint(out, uint64(len(words)))
+// encodeConeXor writes the bits in which cur's cone slab differs from
+// old's slab projected into cur's index, as ascending uvarint gaps over
+// the global bit index (word*64 + bit). An epoch's cone XOR flips a few
+// hundred bits in a multi-megabit slab, so gaps beat even
+// zero-run-length words by ~3x: each flipped bit costs the varint of its
+// distance to the previous one, and untouched regions cost nothing at
+// all. The projection is made one row at a time over a one-row scratch;
+// neither the remapped slab nor the XOR slab is ever materialised.
+func encodeConeXor(out []byte, old, cur *Snapshot, m *indexMap) []byte {
+	n, wps, wpsOld := len(cur.ASNs), cur.WordsPerCone(), old.WordsPerCone()
+	out = binary.AppendUvarint(out, uint64(wps*n))
+	scratch, identity := make([]uint64, wps), m.identity()
 	prev := uint64(0)
-	for wi, w := range words {
-		for w != 0 {
-			idx := uint64(wi)<<6 + uint64(bits.TrailingZeros64(w))
-			out = binary.AppendUvarint(out, idx-prev)
-			prev = idx
-			w &= w - 1
+	for np := 0; np < n; np++ {
+		row := scratch
+		if op := int(m.newToOld[np]); identity {
+			row = old.ConeWords[op*wpsOld : (op+1)*wpsOld]
+		} else {
+			clear(scratch)
+			if op >= 0 {
+				remapRow(scratch, old.ConeWords[op*wpsOld:(op+1)*wpsOld], m.oldToNew)
+			}
+		}
+		for wi, w := range cur.ConeWords[np*wps : (np+1)*wps] {
+			for w ^= row[wi]; w != 0; w &= w - 1 {
+				idx := uint64(np*wps+wi)<<6 + uint64(bits.TrailingZeros64(w))
+				out = binary.AppendUvarint(out, idx-prev)
+				prev = idx
+			}
 		}
 	}
 	return out
@@ -260,10 +277,16 @@ type indexMap struct {
 }
 
 func mapIndexes(oldASNs, newASNs []uint32) *indexMap {
-	m := &indexMap{
-		oldToNew: make([]int32, len(oldASNs)),
-		newToOld: make([]int32, len(newASNs)),
-	}
+	return new(indexMap).align(oldASNs, newASNs, 0)
+}
+
+// align points m at a new pair of indexes, reusing its slices (grown to
+// at least hint when they must grow); whatever an earlier pair left in
+// them is overwritten.
+func (m *indexMap) align(oldASNs, newASNs []uint32, hint int) *indexMap {
+	m.oldToNew = fit(m.oldToNew, len(oldASNs), hint)
+	m.newToOld = fit(m.newToOld, len(newASNs), hint)
+	m.removed, m.added = m.removed[:0], m.added[:0]
 	i, j := 0, 0
 	for i < len(oldASNs) || j < len(newASNs) {
 		switch {
@@ -285,37 +308,28 @@ func mapIndexes(oldASNs, newASNs []uint32) *indexMap {
 	return m
 }
 
-// remapSlab projects an old cone slab into the new index's dimensions:
-// surviving ASes keep their cone bits at remapped positions, departed
-// ASes and departed members vanish, new ASes are all-zero. XORing the
-// result with the new slab yields the sparse cone delta.
-func remapSlab(old *Snapshot, m *indexMap, newN int) []uint64 {
-	wpsNew := (newN + 63) / 64
-	out := make([]uint64, wpsNew*newN)
-	wpsOld := old.WordsPerCone()
-	identity := len(m.removed) == 0 && len(m.added) == 0
-	if identity {
-		copy(out, old.ConeWords)
-		return out
-	}
-	for op := 0; op < len(old.ASNs); op++ {
-		np := m.oldToNew[op]
-		if np < 0 {
-			continue
-		}
-		row := out[int(np)*wpsNew : (int(np)+1)*wpsNew]
-		cone := old.ConeWords[op*wpsOld : (op+1)*wpsOld]
-		for wi, w := range cone {
-			for w != 0 {
-				bit := int32(wi<<6) + int32(bits.TrailingZeros64(w))
-				if nb := m.oldToNew[bit]; nb >= 0 {
-					row[nb>>6] |= 1 << (uint(nb) & 63)
-				}
-				w &= w - 1
+// identity reports that the two indexes hold the same AS set, so every
+// position maps to itself.
+func (m *indexMap) identity() bool { return len(m.removed) == 0 && len(m.added) == 0 }
+
+// remapRow projects one old cone row into the new index: surviving
+// members keep their bit at the remapped position, departed members
+// vanish. dst must be zero; the number of bits set in it is returned.
+// A bit in the row's padding (a crafted slab) names no AS and vanishes
+// too.
+func remapRow(dst, cone []uint64, oldToNew []int32) int {
+	set := 0
+	for wi, w := range cone {
+		for ; w != 0; w &= w - 1 {
+			bit := wi<<6 + bits.TrailingZeros64(w)
+			if bit < len(oldToNew) && oldToNew[bit] >= 0 {
+				nb := uint(oldToNew[bit])
+				dst[nb>>6] |= 1 << (nb & 63)
+				set++
 			}
 		}
 	}
-	return out
+	return set
 }
 
 // sparseDiff computes the sparse delta of an int64-view column aligned
@@ -334,10 +348,22 @@ func sparseDiff(oldVals func(int32) int64, newVals func(int32) int64, m *indexMa
 	return out
 }
 
-// diffLinks three-way-merges two sorted link lists. Removed links are
-// reported in old positions, added and changed in new positions with
-// the new snapshot's code.
-func diffLinks(old, cur *Snapshot, m *indexMap) (removed []posPair, added, changed []LinkRec) {
+// linkDiff is the link-level difference between two consecutive
+// epochs. Both the delta encoder and the history's change list are
+// renderings of it, so Append computes it once.
+type linkDiff struct {
+	removed        []LinkRec // old positions, old labels
+	added, changed []LinkRec // new positions, new labels
+	changedFrom    []RelCode // changed[i]'s relationship in the old epoch
+}
+
+// diffLinks three-way-merges two sorted link lists. The first epoch
+// (nil old) has nothing to differ from.
+func diffLinks(old, cur *Snapshot) linkDiff {
+	var d linkDiff
+	if old == nil {
+		return d
+	}
 	i, j := 0, 0
 	for i < len(old.Links) || j < len(cur.Links) {
 		var cmp int
@@ -359,34 +385,29 @@ func diffLinks(old, cur *Snapshot, m *indexMap) (removed []posPair, added, chang
 		}
 		switch cmp {
 		case -1:
-			removed = append(removed, posPair{A: old.Links[i].A, B: old.Links[i].B})
+			d.removed = append(d.removed, old.Links[i])
 			i++
 		case 1:
-			added = append(added, cur.Links[j])
+			d.added = append(d.added, cur.Links[j])
 			j++
 		default:
 			ol, nl := old.Links[i], cur.Links[j]
 			if ol.Rel != nl.Rel || old.StepNames[ol.Step] != cur.StepNames[nl.Step] {
-				changed = append(changed, nl)
+				d.changed = append(d.changed, nl)
+				d.changedFrom = append(d.changedFrom, ol.Rel)
 			}
 			i++
 			j++
 		}
 	}
-	return removed, added, changed
+	return d
 }
 
-// encodeDelta renders cur as a delta epoch against old.
-func encodeDelta(old, cur *Snapshot) []segColumn {
-	m := mapIndexes(old.ASNs, cur.ASNs)
+// encodeDelta renders cur as a delta epoch against old, given the two
+// alignments Append has already made: m of the AS indexes, d of the
+// link lists.
+func encodeDelta(old, cur *Snapshot, m *indexMap, d linkDiff) []segColumn {
 	newN := len(cur.ASNs)
-
-	xor := remapSlab(old, m, newN)
-	for i, w := range cur.ConeWords {
-		xor[i] ^= w
-	}
-
-	removed, added, changed := diffLinks(old, cur, m)
 
 	tdDiff := sparseDiff(
 		func(p int32) int64 { return int64(old.TransitDegree[p]) },
@@ -406,10 +427,10 @@ func encodeDelta(old, cur *Snapshot) []segColumn {
 		{dcolConePref, encodeSparse(nil, cpDiff)},
 		{colClique, encodeAscendingU32(nil, cur.Clique)},
 		{colStepNames, encodeStepNames(nil, cur.StepNames)},
-		{dcolLinksRem, encodePosPairs(nil, removed)},
-		{dcolLinksAdd, encodeLinks(nil, added)},
-		{dcolLinksChg, encodeLinks(nil, changed)},
-		{dcolConeXor, encodeBitGaps(nil, xor)},
+		{dcolLinksRem, encodePosPairs(nil, d.removed)},
+		{dcolLinksAdd, encodeLinks(nil, d.added)},
+		{dcolLinksChg, encodeLinks(nil, d.changed)},
+		{dcolConeXor, encodeConeXor(nil, old, cur, m)},
 		{colScalars, encodeScalars(nil, cur)},
 	}
 }

@@ -3,7 +3,6 @@ package warehouse
 import (
 	"fmt"
 	"hash/fnv"
-	"math/bits"
 	"sort"
 )
 
@@ -46,30 +45,22 @@ func newHistory() *History {
 }
 
 // extend returns a new History with snap appended as epoch info.ID.
-// prev is the preceding epoch's snapshot (nil for the first).
-func (h *History) extend(info EpochInfo, prev, snap *Snapshot) *History {
-	n := len(snap.ASNs)
+// rank lists snap's positions in rank order and coneASes its cone sizes
+// by position; changes is the relationship-change list against the
+// preceding epoch (nil for the first). The series keeps snap's columns,
+// coneASes and changes, none of which may be written afterwards.
+func (h *History) extend(info EpochInfo, snap *Snapshot, rank, coneASes []int32, changes []RelChange) *History {
 	s := epochSeries{
 		asns:          snap.ASNs,
-		rankOf:        make([]int32, n),
-		coneASes:      make([]int32, n),
+		rankOf:        make([]int32, len(rank)),
+		coneASes:      coneASes,
 		conePrefixes:  snap.ConePrefixes,
 		degree:        snap.Degree,
 		transitDegree: snap.TransitDegree,
+		changes:       changes,
 	}
-	for r, p := range snap.RankPos {
+	for r, p := range rank {
 		s.rankOf[p] = int32(r) + 1
-	}
-	wps := snap.WordsPerCone()
-	for p := 0; p < n; p++ {
-		c := 0
-		for _, w := range snap.ConeWords[p*wps : (p+1)*wps] {
-			c += bits.OnesCount64(w)
-		}
-		s.coneASes[p] = int32(c)
-	}
-	if prev != nil {
-		s.changes = relChanges(prev, snap)
 	}
 
 	epochs := append(append([]EpochInfo(nil), h.epochs...), info)
@@ -78,38 +69,24 @@ func (h *History) extend(info EpochInfo, prev, snap *Snapshot) *History {
 }
 
 // relChanges renders the link diff between consecutive snapshots in
-// ASN terms, sorted by (A, B).
-func relChanges(prev, snap *Snapshot) []RelChange {
-	m := mapIndexes(prev.ASNs, snap.ASNs)
-	removed, added, changed := diffLinks(prev, snap, m)
-	out := make([]RelChange, 0, len(removed)+len(added)+len(changed))
-	for _, p := range removed {
-		l := prev.Links // removed pairs are old positions; find the old rel
-		// removed came from diffLinks in old-link order; binary search the
-		// sorted old list for the pair to recover its relationship.
-		i := sort.Search(len(l), func(i int) bool {
-			return l[i].A > p.A || (l[i].A == p.A && l[i].B >= p.B)
-		})
-		var old RelCode
-		if i < len(l) && l[i].A == p.A && l[i].B == p.B {
-			old = l[i].Rel
-		}
-		out = append(out, RelChange{A: prev.ASNs[p.A], B: prev.ASNs[p.B], Old: old})
+// ASN terms, sorted by (A, B); nil for the first epoch (nil prev).
+func relChanges(prev, snap *Snapshot, d linkDiff) []RelChange {
+	if prev == nil {
+		return nil
 	}
-	for _, l := range added {
+	out := make([]RelChange, 0, len(d.removed)+len(d.added)+len(d.changed))
+	for _, l := range d.removed {
+		out = append(out, RelChange{A: prev.ASNs[l.A], B: prev.ASNs[l.B], Old: l.Rel})
+	}
+	for _, l := range d.added {
 		out = append(out, RelChange{
 			A: snap.ASNs[l.A], B: snap.ASNs[l.B], New: l.Rel, Step: snap.StepNames[l.Step],
 		})
 	}
-	for _, l := range changed {
-		a, b := snap.ASNs[l.A], snap.ASNs[l.B]
-		var old RelCode
-		if oa, ok1 := posOf(prev.ASNs, a); ok1 {
-			if ob, ok2 := posOf(prev.ASNs, b); ok2 {
-				old = relAt(prev, oa, ob)
-			}
-		}
-		out = append(out, RelChange{A: a, B: b, Old: old, New: l.Rel, Step: snap.StepNames[l.Step]})
+	for i, l := range d.changed {
+		out = append(out, RelChange{
+			A: snap.ASNs[l.A], B: snap.ASNs[l.B], Old: d.changedFrom[i], New: l.Rel, Step: snap.StepNames[l.Step],
+		})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].A != out[j].A {
@@ -127,18 +104,6 @@ func posOf(asns []uint32, asn uint32) (int32, bool) {
 		return int32(i), true
 	}
 	return 0, false
-}
-
-// relAt binary-searches a snapshot's sorted link list for (a, b).
-func relAt(s *Snapshot, a, b int32) RelCode {
-	l := s.Links
-	i := sort.Search(len(l), func(i int) bool {
-		return l[i].A > a || (l[i].A == a && l[i].B >= b)
-	})
-	if i < len(l) && l[i].A == a && l[i].B == b {
-		return l[i].Rel
-	}
-	return 0
 }
 
 // chainETag derives the strong ETag the time-travel routes serve

@@ -18,6 +18,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"github.com/asrank-go/asrank/internal/obs"
@@ -37,9 +38,6 @@ type Options struct {
 	// CheckpointEvery forces a full (non-delta) segment every N epochs;
 	// <= 0 selects DefaultCheckpointEvery.
 	CheckpointEvery int
-	// Workers bounds parallelism in snapshot reconstruction helpers
-	// (<= 0 selects GOMAXPROCS).
-	Workers int
 	// Registry and Tracer attach observability; both may be nil.
 	Registry *obs.Registry
 	Tracer   *trace.Tracer
@@ -124,18 +122,23 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 
 	dropped := 0
+	rp := newReplayer(man.Epochs)
 	for i, info := range man.Epochs {
-		snap, err := st.loadEpoch(info, st.last)
-		if err != nil {
+		prev := rp.cur
+		if err := st.loadEpoch(info, rp); err != nil {
 			// Tail truncation: everything from the first bad epoch on is
-			// unreadable (deltas chain), so recovery keeps the good prefix.
+			// unreadable (deltas chain), so recovery keeps the good prefix
+			// — the replayer still holds the last good epoch untouched.
 			dropped = len(man.Epochs) - i
 			span.SetAttr("recovery_error", err.Error())
 			break
 		}
 		st.epochs = append(st.epochs, info)
-		st.hist = st.hist.extend(info, st.last, snap)
-		st.last = snap
+		st.hist = st.hist.extend(info, rp.cur, rankPos(rp.sizes, rp.cur.TransitDegree), slices.Clone(rp.sizes),
+			relChanges(prev, rp.cur, diffLinks(prev, rp.cur)))
+	}
+	if rp.cur != nil {
+		st.last = rp.snapshot()
 	}
 	st.metrics.addTruncations(dropped)
 	st.metrics.setLive(len(st.epochs), st.totalBytesLocked())
@@ -167,35 +170,35 @@ func readManifest(path string) (*manifest, error) {
 	return &man, nil
 }
 
-// loadEpoch reads, validates, and decodes one epoch. prev is the
-// decoded predecessor (nil for the first epoch); delta epochs replay
-// against it.
-func (st *Store) loadEpoch(info EpochInfo, prev *Snapshot) (*Snapshot, error) {
+// loadEpoch reads and validates one epoch's segment and replays it into
+// rp, whose working epoch is the predecessor (none yet for the first
+// epoch of a chain); on error rp is left at that predecessor.
+func (st *Store) loadEpoch(info EpochInfo, rp *replayer) error {
 	raw, err := os.ReadFile(filepath.Join(st.dir, info.File))
 	if err != nil {
-		return nil, fmt.Errorf("warehouse: read segment %s: %w", info.File, err)
+		return fmt.Errorf("warehouse: read segment %s: %w", info.File, err)
 	}
 	hdr, cols, hash, err := parseSegment(raw)
 	if err != nil {
-		return nil, fmt.Errorf("warehouse: segment %s: %w", info.File, err)
+		return fmt.Errorf("warehouse: segment %s: %w", info.File, err)
 	}
 	if got := fmt.Sprintf("%016x", hash); got != info.Hash {
-		return nil, fmt.Errorf("warehouse: segment %s content hash %s does not match manifest %s", info.File, got, info.Hash)
+		return fmt.Errorf("warehouse: segment %s content hash %s does not match manifest %s", info.File, got, info.Hash)
 	}
 	if hdr.epoch != info.ID {
-		return nil, fmt.Errorf("warehouse: segment %s carries epoch %d, manifest says %d", info.File, hdr.epoch, info.ID)
+		return fmt.Errorf("warehouse: segment %s carries epoch %d, manifest says %d", info.File, hdr.epoch, info.ID)
 	}
 	switch hdr.kind {
 	case kindFull:
-		return decodeFull(cols)
+		return rp.full(cols)
 	default:
-		if prev == nil {
-			return nil, fmt.Errorf("warehouse: segment %s is a delta but epoch %d has no predecessor", info.File, info.ID)
+		if rp.cur == nil {
+			return fmt.Errorf("warehouse: segment %s is a delta but epoch %d has no predecessor", info.File, info.ID)
 		}
 		if hdr.base != info.ID-1 {
-			return nil, fmt.Errorf("warehouse: segment %s delta base %d is not the preceding epoch %d", info.File, hdr.base, info.ID-1)
+			return fmt.Errorf("warehouse: segment %s delta base %d is not the preceding epoch %d", info.File, hdr.base, info.ID-1)
 		}
-		return applyDelta(prev, cols)
+		return rp.delta(cols)
 	}
 }
 
@@ -233,11 +236,14 @@ func (st *Store) AppendNote(snap *Snapshot, label, etag string, note json.RawMes
 		base = id - 1
 	}
 
+	// One alignment against the predecessor serves both the delta
+	// encoder and the history's change list.
+	diff := diffLinks(st.last, snap)
 	var cols []segColumn
 	if kind == kindFull {
 		cols = encodeFull(snap)
 	} else {
-		cols = encodeDelta(st.last, snap)
+		cols = encodeDelta(st.last, snap, mapIndexes(st.last.ASNs, snap.ASNs), diff)
 	}
 	img, hash := encodeSegment(kind, id, base, cols)
 
@@ -261,7 +267,8 @@ func (st *Store) AppendNote(snap *Snapshot, label, etag string, note json.RawMes
 		return EpochInfo{}, err
 	}
 
-	st.hist = st.hist.extend(info, st.last, snap)
+	st.hist = st.hist.extend(info, snap, snap.RankPos, coneSizes(make([]int32, snap.NumASes()), snap.ConeWords),
+		relChanges(st.last, snap, diff))
 	st.epochs = next
 	st.last = snap
 
@@ -366,14 +373,13 @@ func (st *Store) Snapshot(id uint32) (*Snapshot, error) {
 	chain := append([]EpochInfo(nil), st.epochs[start:id+1]...)
 	st.mu.RUnlock()
 
-	var snap *Snapshot
+	rp := newReplayer(chain)
 	for _, info := range chain {
-		next, err := st.loadEpoch(info, snap)
-		if err != nil {
+		if err := st.loadEpoch(info, rp); err != nil {
 			return nil, fmt.Errorf("warehouse: materialize epoch %d: %w", id, err)
 		}
-		snap = next
 	}
+	snap := rp.snapshot()
 	ph.Span.SetAttrInt("chain", int64(len(chain)))
 	if st.metrics != nil {
 		ph.End(st.metrics.decodeSeconds, nil)
