@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint bench ledger metrics-lint fuzz-smoke trace-demo
+.PHONY: build test check lint ledger metrics-lint fuzz-smoke trace-demo
 
 build:
 	$(GO) build ./...
@@ -8,13 +8,13 @@ build:
 test:
 	$(GO) test ./...
 
-# The race-enabled gate the parallel cone engine is held to. The
-# warehouse's chain benchmarks run once so they cannot rot; their
-# allocation bound is a test (TestSnapshotChainAllocBound).
+# The race-enabled gate the parallel cone engine is held to. Every
+# package benchmark runs once so none can rot; numbers come from the
+# ledger (`make ledger`), not from here.
 check: lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -run '^$$' -bench 'Chain$$' -benchtime 1x ./internal/warehouse
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
 # The repo's own analyzer suite (DESIGN.md §9): concurrency,
 # determinism, observability-naming, error-wrapping, publish-freeze,
@@ -24,9 +24,6 @@ check: lint
 # annotations the dataflow analyzers read (see DESIGN.md §9).
 lint:
 	$(GO) run ./cmd/asrank-lint ./...
-
-bench:
-	$(GO) test -run xxx -bench . -benchmem .
 
 # The repo's benchmark ledger (benchmark/README.md): four workloads,
 # end-to-end and per-layer numbers, exit 1 on any failed output check.

@@ -32,21 +32,19 @@ func inferClique(ix *CorpusIndex, rank []uint32, opts Options) []uint32 {
 		seedN = len(rank)
 	}
 	seeds := rank[:seedN]
-	seedSet := make(map[uint32]bool, seedN)
-	for _, s := range seeds {
-		seedSet[s] = true
-	}
 
-	// Adjacency among the seeds.
+	// Adjacency among the seeds; (a, a) is probed too, because an
+	// unsanitized corpus can hold a prepended hop.
 	adj := make(map[uint32]map[uint32]bool, seedN)
 	for _, s := range seeds {
 		adj[s] = make(map[uint32]bool)
 	}
-	links := ix.preLinks
-	for l := range links {
-		if seedSet[l.A] && seedSet[l.B] {
-			adj[l.A][l.B] = true
-			adj[l.B][l.A] = true
+	for i, a := range seeds {
+		for _, b := range seeds[:i+1] {
+			if ix.adjacent(a, b) {
+				adj[a][b] = true
+				adj[b][a] = true
+			}
 		}
 	}
 
@@ -118,38 +116,38 @@ func inferClique(ix *CorpusIndex, rank []uint32, opts Options) []uint32 {
 	if limit > len(rank) {
 		limit = len(rank)
 	}
-	pred2 := ix.predecessorPairs()
-	member := make(map[uint32]bool, len(best))
-	for _, m := range best {
-		member[m] = true
-	}
 	for _, cand := range rank[:limit] {
-		if member[cand] {
+		if containsASN(best, cand) {
 			continue
 		}
 		adjacent := 0
 		for _, m := range best {
-			if _, ok := links[paths.NewLink(cand, m)]; ok {
+			if ix.adjacent(cand, m) {
 				adjacent++
 			}
 		}
 		tolerated := len(best) >= 5 && adjacent >= len(best)-1 &&
-			!crossedByMembers(pred2[cand], member)
+			!ix.crossedByMembers(cand, best)
 		if adjacent == len(best) || tolerated {
 			best = append(best, cand)
-			member[cand] = true
 		}
 	}
 	sort.Slice(best, func(i, j int) bool { return best[i] < best[j] })
 	return best
 }
 
-// crossedByMembers reports whether any predecessor pair lies entirely in
-// the member set — evidence the AS sits below the clique.
-func crossedByMembers(pairs [][2]uint32, member map[uint32]bool) bool {
-	for _, pr := range pairs {
-		if member[pr[0]] && member[pr[1]] {
-			return true
+// crossedByMembers reports whether some ranked-layer path shows cand
+// directly behind two members, (p, m, cand) — evidence the AS sits below
+// the clique. Prev == 0 marks a first-hop context, not a 3-hop window.
+func (ix *CorpusIndex) crossedByMembers(cand uint32, members []uint32) bool {
+	for _, p := range members {
+		if p == 0 {
+			continue
+		}
+		for _, m := range members {
+			if _, ok := ix.preTriples[Triple{Prev: p, Mid: m, Next: cand}]; ok {
+				return true
+			}
 		}
 	}
 	return false

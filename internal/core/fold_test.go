@@ -27,7 +27,7 @@ func foldFixture(links map[paths.Link]int, transit map[uint32]int, opts Options)
 	}
 	ix := NewCorpusIndex()
 	for l, c := range links {
-		ix.links[l] = c
+		ix.AddKept([]uint32{l.A, l.B}, c)
 	}
 	return newInferencer(ix, opts, res, map[uint32]bool{})
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"github.com/asrank-go/asrank/internal/paths"
@@ -47,13 +49,12 @@ type pairKey struct {
 // announced and withdrawn.
 type CorpusIndex struct {
 	// Ranked layer.
-	occur       map[uint32]int     // per-hop AS occurrences (ASes())
-	nbrPair     map[pairKey]int    // ordered (AS, neighbor) occurrences
-	deg         map[uint32]int     // distinct neighbors, derived from nbrPair
-	transitPair map[pairKey]int    // ordered (mid, neighbor) transit occurrences
-	transitDeg  map[uint32]int     // distinct transit neighbors, derived
-	preLinks    map[paths.Link]int // link occurrences
-	preTriples  map[Triple]int     // hop contexts (clique extension evidence)
+	occur       map[uint32]int  // per-hop AS occurrences (ASes())
+	nbrPair     map[pairKey]int // ordered (AS, neighbor) occurrences
+	deg         map[uint32]int  // distinct neighbors, derived from nbrPair
+	transitPair map[pairKey]int // ordered (mid, neighbor) transit occurrences
+	transitDeg  map[uint32]int  // distinct transit neighbors, derived
+	preTriples  map[Triple]int  // hop contexts (clique extension evidence)
 
 	// Kept layer.
 	pathCount   int
@@ -72,7 +73,6 @@ func NewCorpusIndex() *CorpusIndex {
 		deg:         make(map[uint32]int),
 		transitPair: make(map[pairKey]int),
 		transitDeg:  make(map[uint32]int),
-		preLinks:    make(map[paths.Link]int),
 		preTriples:  make(map[Triple]int),
 		links:       make(map[paths.Link]int),
 		triples:     make(map[Triple]int),
@@ -135,7 +135,6 @@ func (ix *CorpusIndex) AddPath(asns []uint32, d int) {
 		a, b := asns[i], asns[i+1]
 		bumpPair(ix.nbrPair, ix.deg, a, b, d)
 		bumpPair(ix.nbrPair, ix.deg, b, a, d)
-		bump(ix.preLinks, paths.NewLink(a, b), d)
 		var prev uint32
 		if i > 0 {
 			prev = asns[i-1]
@@ -151,8 +150,8 @@ func (ix *CorpusIndex) AddPath(asns []uint32, d int) {
 
 // AddKept folds one distinct non-poisoned path into (d=+1) or out of
 // (d=-1) the kept layer. Poisoned-ness is a per-path function of the
-// clique (see Poisoned); when the clique changes, the engine resets the
-// layer and re-adds every surviving path.
+// clique (see Poisoned); when the clique changes, the engine removes the
+// paths that became poisoned and adds the ones that stopped being so.
 func (ix *CorpusIndex) AddKept(asns []uint32, d int) {
 	if len(asns) == 0 {
 		return
@@ -173,16 +172,11 @@ func (ix *CorpusIndex) AddKept(asns []uint32, d int) {
 	}
 }
 
-// ResetKept clears the kept layer. The streaming engine calls this when
-// the clique changes (the global dirty region): every path's poisoned
-// flag is re-evaluated and the survivors re-added.
-func (ix *CorpusIndex) ResetKept() {
-	ix.pathCount = 0
-	ix.links = make(map[paths.Link]int)
-	ix.triples = make(map[Triple]int)
-	ix.origins = make(map[uint32]int)
-	ix.vpOrigins = make(map[VPPair]int)
-	ix.vpFirstHops = make(map[VPPair]int)
+// adjacent reports whether a and b are neighbors in some ranked-layer
+// path.
+func (ix *CorpusIndex) adjacent(a, b uint32) bool {
+	_, ok := ix.nbrPair[pairKey{a, b}]
+	return ok
 }
 
 // PathCount returns the number of distinct paths in the kept layer.
@@ -241,29 +235,14 @@ func sortedTriples(m map[Triple]int) []Triple {
 	for t := range m {
 		out = append(out, t)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Mid != out[j].Mid {
-			return out[i].Mid < out[j].Mid
+	slices.SortFunc(out, func(a, b Triple) int {
+		if a.Mid != b.Mid {
+			return cmp.Compare(a.Mid, b.Mid)
 		}
-		if out[i].Next != out[j].Next {
-			return out[i].Next < out[j].Next
+		if a.Next != b.Next {
+			return cmp.Compare(a.Next, b.Next)
 		}
-		return out[i].Prev < out[j].Prev
+		return cmp.Compare(a.Prev, b.Prev)
 	})
-	return out
-}
-
-// predecessorPairs maps each AS to the distinct ordered hop pairs that
-// directly precede it in ranked-layer paths — the clique-extension
-// evidence. Pair order within a slice is deterministic (sorted triple
-// order); consumers only test membership.
-func (ix *CorpusIndex) predecessorPairs() map[uint32][][2]uint32 {
-	out := make(map[uint32][][2]uint32)
-	for _, t := range sortedTriples(ix.preTriples) {
-		if t.Prev == 0 {
-			continue // first-hop context, not a 3-hop window
-		}
-		out[t.Next] = append(out[t.Next], [2]uint32{t.Prev, t.Mid})
-	}
 	return out
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"github.com/asrank-go/asrank/internal/asindex"
@@ -11,7 +13,7 @@ import (
 // inferencer carries the mutable state of steps 5–9, reading the
 // corpus only through the index's kept-layer aggregates. Every observed
 // AS is interned into a dense index so the cycle-prevention digraph and
-// its reachability queries run on ints and bitsets instead of maps.
+// its reachability queries run on ints and slices instead of maps.
 type inferencer struct {
 	ix     *CorpusIndex
 	opts   Options
@@ -24,13 +26,15 @@ type inferencer struct {
 	idx     *asindex.Index
 	custIdx [][]int32
 
-	// desc memoizes per-node descendant bitsets for createsCycle;
-	// entries are valid only while descEpoch matches epoch, which is
-	// bumped on every edge insert.
-	desc      []asindex.Bitset
-	descEpoch []uint64
-	epoch     uint64
-	stack     []int32 // DFS scratch
+	// createsCycle's DFS scratch: seen[i] == query marks position i
+	// visited by the current query, so no query clears or allocates.
+	seen  []uint32
+	query uint32
+	stack []int32
+
+	// links is the kept layer's link set in sorted order, shared by
+	// steps 7 and 8: the index does not change during one inference.
+	links []paths.Link
 
 	// providerless flags ASes inferred to peer with the clique rather
 	// than buy transit (large content networks): no c2p edge may point
@@ -49,9 +53,8 @@ func newInferencer(ix *CorpusIndex, opts Options, res *Result, clique map[uint32
 		clique:       clique,
 		idx:          idx,
 		custIdx:      make([][]int32, idx.Len()),
-		desc:         make([]asindex.Bitset, idx.Len()),
-		descEpoch:    make([]uint64, idx.Len()),
-		epoch:        1,
+		seen:         make([]uint32, idx.Len()),
+		links:        paths.SortedLinks(ix.links),
 		providerless: make(map[uint32]bool),
 	}
 }
@@ -123,7 +126,6 @@ func (in *inferencer) setC2P(provider, customer uint32, step Step) {
 	pi, _ := in.idx.Pos(provider)
 	ci, _ := in.idx.Pos(customer)
 	in.custIdx[pi] = append(in.custIdx[pi], ci)
-	in.epoch++ // invalidate memoized descendant sets
 }
 
 // labeled reports whether the link between x and y has a relationship.
@@ -134,7 +136,11 @@ func (in *inferencer) labeled(x, y uint32) bool {
 
 // createsCycle reports whether adding provider→customer would create a
 // cycle in the p2c digraph, i.e. whether provider is already reachable
-// from customer via customer edges.
+// from customer via customer edges: a DFS from customer that stops at
+// the first hit. The digraph hangs below the clique and most customers
+// are stubs, so the search usually ends after a node or two.
+//
+//asrank:hotpath
 func (in *inferencer) createsCycle(provider, customer uint32) bool {
 	if provider == customer {
 		return true
@@ -147,30 +153,23 @@ func (in *inferencer) createsCycle(provider, customer uint32) bool {
 	if !ok {
 		return false
 	}
-	return in.descendants(ci).Contains(pi)
-}
-
-// descendants returns the set of positions reachable from ci (inclusive)
-// via customer edges, memoized until the next edge insert.
-func (in *inferencer) descendants(ci int32) asindex.Bitset {
-	if in.descEpoch[ci] == in.epoch {
-		return in.desc[ci]
-	}
-	b := asindex.NewBitset(in.idx.Len())
-	b.Set(ci)
+	in.query++
+	in.seen[ci] = in.query
 	in.stack = append(in.stack[:0], ci)
 	for len(in.stack) > 0 {
 		x := in.stack[len(in.stack)-1]
 		in.stack = in.stack[:len(in.stack)-1]
 		for _, c := range in.custIdx[x] {
-			if b.TrySet(c) {
+			if c == pi {
+				return true
+			}
+			if in.seen[c] != in.query {
+				in.seen[c] = in.query
 				in.stack = append(in.stack, c)
 			}
 		}
 	}
-	in.desc[ci] = b
-	in.descEpoch[ci] = in.epoch
-	return b
+	return false
 }
 
 // triplet is one (previous, next) context for a middle AS in some path.
@@ -266,11 +265,11 @@ func (in *inferencer) vpPass() {
 	for k := range in.ix.vpFirstHops {
 		hops = append(hops, k)
 	}
-	sort.Slice(hops, func(i, j int) bool {
-		if hops[i].VP != hops[j].VP {
-			return hops[i].VP < hops[j].VP
+	slices.SortFunc(hops, func(a, b VPPair) int {
+		if a.VP != b.VP {
+			return cmp.Compare(a.VP, b.VP)
 		}
-		return hops[i].Other < hops[j].Other
+		return cmp.Compare(a.Other, b.Other)
 	})
 	threshold := in.opts.PartialFeedOriginFrac * float64(len(in.ix.origins))
 	for _, k := range hops {
@@ -292,7 +291,7 @@ func (in *inferencer) vpPass() {
 // a clique member is that member's customer — a stub cannot be peering
 // with the top of the hierarchy.
 func (in *inferencer) stubClique() {
-	for _, l := range paths.SortedLinks(in.ix.links) {
+	for _, l := range in.links {
 		if _, done := in.res.Rels[l]; done {
 			continue
 		}
@@ -326,14 +325,14 @@ func (in *inferencer) fold() {
 	// stale pre-pass snapshot: a network whose other links fold away
 	// earlier in the same pass is a stub, not peering-rich.
 	unlabeled := make(map[uint32]int)
-	for _, l := range paths.SortedLinks(in.ix.links) {
+	for _, l := range in.links {
 		if _, done := in.res.Rels[l]; !done {
 			unlabeled[l.A]++
 			unlabeled[l.B]++
 		}
 	}
 	const peeringRich = 6 // more unlabeled links than any plausible stub
-	for _, l := range paths.SortedLinks(in.ix.links) {
+	for _, l := range in.links {
 		if _, done := in.res.Rels[l]; done {
 			continue
 		}

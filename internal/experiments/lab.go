@@ -42,12 +42,6 @@ func DefaultConfig() Config {
 	return Config{Seed: 20130401, Scale: 4000, VPs: 40, Snapshots: 16}
 }
 
-// BenchConfig is a reduced configuration sized for the benchmark
-// harness.
-func BenchConfig() Config {
-	return Config{Seed: 20130401, Scale: 800, VPs: 12, Snapshots: 6}
-}
-
 // Lab lazily builds and caches the expensive shared artifacts: the base
 // topology, the simulated collection, the sanitized corpus, the
 // inference, and the longitudinal series.

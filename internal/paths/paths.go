@@ -6,9 +6,10 @@
 package paths
 
 import (
+	"cmp"
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 )
 
 // Path is one AS path as seen at a collector: ASNs[0] is the VP (the
@@ -103,11 +104,11 @@ func SortedLinks(links map[Link]int) []Link {
 	for l := range links {
 		out = append(out, l)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
+	slices.SortFunc(out, func(x, y Link) int {
+		if x.A != y.A {
+			return cmp.Compare(x.A, y.A)
 		}
-		return out[i].B < out[j].B
+		return cmp.Compare(x.B, y.B)
 	})
 	return out
 }

@@ -20,12 +20,14 @@
 //     same crediting walk the batch engine shards, read at their final
 //     state when the slab is built, so within-epoch event order cannot
 //     matter.
-//  3. The dirty-region rule is conservative: a changed clique re-flags
-//     every path and rebuilds the kept layer and credits from scratch;
-//     an unchanged clique confines re-crediting to paths containing a
-//     link whose inferred relationship changed — and a path's credit
-//     walk reads only its own links' relationships, so unaffected
-//     paths contribute identically by construction.
+//  3. The dirty-region rule is conservative: a path's poisoned flag is
+//     a function of the path and the clique, so a changed clique moves
+//     exactly the paths whose flag flipped into or out of the kept
+//     layer, through the same ±1 mutators a route event uses; of the
+//     paths that stay kept, re-crediting is confined to those
+//     containing a link whose inferred relationship changed — and a
+//     path's credit walk reads only its own links' relationships, so
+//     unaffected paths contribute identically by construction.
 package stream
 
 import (
@@ -62,12 +64,12 @@ type Options struct {
 	Journal *oplog.Journal
 }
 
-// Stats counts what the engine has done. Whether an epoch really ran
-// incrementally is read off its CommitReport (paths re-walked against
+// Stats counts what the engine has done. How much of the table an epoch
+// really walked is read off its CommitReport (paths re-walked against
 // live entries), which the differential harness asserts on.
 type Stats struct {
 	Epochs       int // Commit calls
-	FullRebuilds int // epochs that re-flagged every path (first epoch or clique changed)
+	FullRebuilds int // DecisionRebuild epochs: the first, and each whose clique changed (every poisoned flag re-evaluated)
 	Entries      int // live distinct paths
 	RIBRoutes    int // live (collector, vp, prefix) routes
 }
@@ -156,7 +158,7 @@ type Engine struct {
 
 type pfxKey struct {
 	origin uint32
-	prefix string
+	prefix netip.Prefix
 }
 
 // New returns an empty engine.
@@ -170,7 +172,6 @@ func New(opts Options) *Engine {
 		pc:            cone.NewPairCounts(),
 		pfxRef:        make(map[pfxKey]int),
 		pfxCount:      make(map[uint32]int),
-		cliqueSet:     map[uint32]bool{},
 		rels:          map[paths.Link]topology.Relationship{},
 		pendingCredit: make(map[*entry]struct{}),
 	}
@@ -287,7 +288,7 @@ func (e *Engine) keepLocked(en *entry) {
 		set[en] = struct{}{}
 	}
 	if en.key.prefix.IsValid() {
-		k := pfxKey{origin: en.asns[len(en.asns)-1], prefix: en.key.prefix.String()}
+		k := pfxKey{origin: en.asns[len(en.asns)-1], prefix: en.key.prefix}
 		e.pfxRef[k]++
 		if e.pfxRef[k] == 1 {
 			e.pfxCount[k.origin]++
@@ -308,7 +309,7 @@ func (e *Engine) unkeepLocked(en *entry) {
 		}
 	}
 	if en.key.prefix.IsValid() {
-		k := pfxKey{origin: en.asns[len(en.asns)-1], prefix: en.key.prefix.String()}
+		k := pfxKey{origin: en.asns[len(en.asns)-1], prefix: en.key.prefix}
 		e.pfxRef[k]--
 		if e.pfxRef[k] == 0 {
 			delete(e.pfxRef, k)
@@ -323,6 +324,31 @@ func (e *Engine) unkeepLocked(en *entry) {
 		e.uncredit = append(e.uncredit, en.asns)
 	} else {
 		delete(e.pendingCredit, en)
+	}
+}
+
+// reflagLocked adopts a changed clique: every entry's poisoned flag is
+// re-evaluated, and the entries whose flag flipped cross the step-4 cut
+// through keepLocked/unkeepLocked. The kept layer and the credit table
+// are refcounts, so the result is what folding the new kept set from
+// scratch would give.
+func (e *Engine) reflagLocked(clique []uint32) {
+	e.clique = append([]uint32(nil), clique...)
+	e.cliqueSet = make(map[uint32]bool, len(clique))
+	for _, m := range clique {
+		e.cliqueSet[m] = true
+	}
+	for _, en := range e.entries {
+		p := core.Poisoned(en.asns, e.cliqueSet)
+		if p == en.poisoned {
+			continue
+		}
+		en.poisoned = p
+		if p {
+			e.unkeepLocked(en)
+		} else {
+			e.keepLocked(en)
+		}
 	}
 }
 
@@ -360,51 +386,30 @@ func (e *Engine) CommitEpoch(ctx context.Context) (*warehouse.Snapshot, CommitRe
 	firstPendingAt := e.firstPending
 	e.firstPending = time.Time{}
 
-	// Steps 2–3 always re-run: rank and clique are global, cheap
-	// relative to crediting, and the dirty-region rule hinges on the
-	// clique comparison below.
+	// Steps 2–3 always re-run: rank and clique are global, and the
+	// clique decides which paths step 4 discards. A changed clique is a
+	// larger dirty set, not another algorithm: the entries whose poisoned
+	// flag flipped leave or enter the kept layer exactly as a withdrawn
+	// or announced route would.
 	_, ph := trace.StartPhase(ctx, "stream.commit.rank_clique")
 	rank := e.ix.Rank()
 	clique := core.CliqueFromIndex(e.ix, rank, e.opts.Infer)
-
-	// The first epoch is a rebuild by definition — there is no previous
-	// state to be incremental against — even when the computed clique
-	// happens to equal the initial empty one, so the reported decision
-	// and stats.FullRebuilds agree on it.
-	first := e.stats.Epochs == 1
-	rebuild := first || !slices.Equal(clique, e.clique)
-	switch {
-	case first:
-		rep.Decision, rep.Reason = DecisionRebuild, ReasonInitial
-	case !rebuild:
-		rep.Decision, rep.Reason = DecisionIncremental, ReasonSteady
-	default:
-		rep.Decision, rep.Reason = DecisionRebuild, ReasonCliqueChurn
+	cliqueChanged := !slices.Equal(clique, e.clique)
+	if cliqueChanged {
+		e.reflagLocked(clique)
 	}
-	if rebuild {
-		// The dirty region is everything: the clique decides which paths
-		// are poisoned, so every kept-layer aggregate and every credit
-		// is suspect. Re-flag and rebuild from the ranked layer.
+	switch {
+	case e.stats.Epochs == 1:
+		// Nothing to be incremental against — even when nothing is
+		// announced yet and the clique is still the empty one.
+		rep.Decision, rep.Reason = DecisionRebuild, ReasonInitial
+	case cliqueChanged:
+		rep.Decision, rep.Reason = DecisionRebuild, ReasonCliqueChurn
+	default:
+		rep.Decision, rep.Reason = DecisionIncremental, ReasonSteady
+	}
+	if rep.Decision == DecisionRebuild {
 		e.stats.FullRebuilds++
-		e.clique = append([]uint32(nil), clique...)
-		e.cliqueSet = make(map[uint32]bool, len(clique))
-		for _, m := range clique {
-			e.cliqueSet[m] = true
-		}
-		e.ix.ResetKept()
-		e.linkIndex = make(map[paths.Link]map[*entry]struct{})
-		e.pfxRef = make(map[pfxKey]int)
-		e.pfxCount = make(map[uint32]int)
-		e.pendingCredit = make(map[*entry]struct{})
-		e.uncredit = nil
-		e.pc = cone.NewPairCounts()
-		for _, en := range e.entries {
-			en.credited = false
-			en.poisoned = core.Poisoned(en.asns, e.cliqueSet)
-			if !en.poisoned {
-				e.keepLocked(en)
-			}
-		}
 	}
 	ph.End(commitPhaseDuration.With("rank_clique"), &rep.Phases.RankClique)
 
@@ -414,43 +419,40 @@ func (e *Engine) CommitEpoch(ctx context.Context) (*warehouse.Snapshot, CommitRe
 	res := core.InferIndexed(ictx, e.ix, rank, clique, e.opts.Infer)
 	ph.End(commitPhaseDuration.With("infer"), &rep.Phases.Infer)
 
-	// Cone crediting. Removed paths leave under the relationships they
-	// were credited with; paths touching a changed link are re-walked;
-	// everything else keeps its contribution (leg 3 of the package
-	// contract).
+	// Cone crediting. Paths that left the kept layer (withdrawn, or newly
+	// poisoned) are removed under the relationships they were credited
+	// with; credited paths touching a link whose relationship changed are
+	// re-walked; everything else keeps its contribution (leg 3 of the
+	// package contract).
 	_, ph = trace.StartPhase(ctx, "stream.commit.credit")
 	rep.UncreditedPaths = len(e.uncredit)
 	for _, asns := range e.uncredit {
 		e.pc.Credit(e.rels, asns, -1)
 	}
 	e.uncredit = nil
-	if !rebuild {
-		dirty := make(map[paths.Link]struct{})
-		affected := make(map[*entry]struct{})
-		for l, r := range res.Rels {
-			if old, ok := e.rels[l]; !ok || old != r {
-				dirty[l] = struct{}{}
-				for en := range e.linkIndex[l] {
-					affected[en] = struct{}{}
-				}
-			}
-		}
-		for l := range e.rels {
-			if _, ok := res.Rels[l]; !ok {
-				dirty[l] = struct{}{}
-				for en := range e.linkIndex[l] {
-					affected[en] = struct{}{}
-				}
-			}
-		}
-		rep.DirtyLinks = len(dirty)
-		for en := range affected {
+	affected := make(map[*entry]struct{})
+	dirty := func(l paths.Link) {
+		rep.DirtyLinks++
+		for en := range e.linkIndex[l] {
 			if en.credited {
-				rep.RecreditedPaths++
-				e.pc.Credit(e.rels, en.asns, -1)
-				e.pc.Credit(res.Rels, en.asns, 1)
+				affected[en] = struct{}{}
 			}
 		}
+	}
+	for l, r := range res.Rels {
+		if old, ok := e.rels[l]; !ok || old != r {
+			dirty(l)
+		}
+	}
+	for l := range e.rels {
+		if _, ok := res.Rels[l]; !ok {
+			dirty(l)
+		}
+	}
+	rep.RecreditedPaths = len(affected)
+	for en := range affected {
+		e.pc.Credit(e.rels, en.asns, -1)
+		e.pc.Credit(res.Rels, en.asns, 1)
 	}
 	rep.NewlyCredited = len(e.pendingCredit)
 	for en := range e.pendingCredit {

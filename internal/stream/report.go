@@ -10,16 +10,18 @@ import (
 // This file is the engine's provenance layer. The paper the pipeline
 // reproduces justifies every inferred relationship with a numbered
 // step; CommitReport applies the same standard to the engine's own
-// operational decisions — every epoch records whether it was served
-// incrementally or by a full rebuild, why, what region was dirty, and
-// where the time went, so "why was epoch 412 slow" is answered by a
-// ring lookup instead of a reconstruction.
+// operational decisions — every epoch records whether the clique held
+// or every path's poisoned flag had to be re-evaluated, why, what
+// region was dirty, and where the time went, so "why was epoch 412
+// slow" is answered by a ring lookup instead of a reconstruction.
 
 // maxReports bounds the in-engine report ring; /debug/epochs serves at
 // most this many trailing epochs.
 const maxReports = 64
 
-// Decision values for CommitReport.
+// Decision values for CommitReport. Both run the same commit path;
+// "rebuild" marks the epochs that re-evaluated every entry's poisoned
+// flag, and keeps its name for readers of the report.
 const (
 	DecisionRebuild     = "rebuild"
 	DecisionIncremental = "incremental"
@@ -28,8 +30,8 @@ const (
 // Reason values for CommitReport.
 const (
 	ReasonInitial     = "initial"      // first epoch: everything is new
-	ReasonCliqueChurn = "clique_churn" // clique changed, every credit suspect
-	ReasonSteady      = "steady"       // confined dirty region
+	ReasonCliqueChurn = "clique_churn" // clique changed, every poisoned flag re-evaluated
+	ReasonSteady      = "steady"       // clique held, dirty links only
 )
 
 // SlabFull is the only CommitReport.Slab value: every epoch builds the
@@ -48,19 +50,19 @@ var commitPhaseDuration = obs.Default().HistogramVec("asrank_stream_commit_phase
 // milliseconds. Instrumentation only: phase times never influence what
 // the engine computes.
 type PhaseMillis struct {
-	RankClique float64 `json:"rankCliqueMillis"` // steps 2–3 + rebuild re-flagging
+	RankClique float64 `json:"rankCliqueMillis"` // steps 2–3 + flag flips when the clique changed
 	Infer      float64 `json:"inferMillis"`      // steps 5–9 over the kept layer
 	Credit     float64 `json:"creditMillis"`     // uncredit + re-credit walks
 	Slab       float64 `json:"slabMillis"`       // cone slab build from the credit table
 	Compose    float64 `json:"composeMillis"`    // columnar snapshot composition
 }
 
-// CommitReport is one epoch's provenance record: the
-// rebuild-vs-incremental decision and its reason, the dirty-region
-// counts that justify it, per-phase durations, and the update-to-serve
-// watermark (how stale the oldest unserved route event was when the
-// epoch began serving). Reports are journaled, appended to the
-// warehouse manifest as an opaque annotation, and served on
+// CommitReport is one epoch's provenance record: whether the clique
+// held (Decision, Reason), the dirty-region counts — populated on
+// every epoch, clique churn included — per-phase durations, and the
+// update-to-serve watermark (how stale the oldest unserved route event
+// was when the epoch began serving). Reports are journaled, appended to
+// the warehouse manifest as an opaque annotation, and served on
 // /debug/epochs.
 type CommitReport struct {
 	Epoch    int    `json:"epoch"`
@@ -73,12 +75,12 @@ type CommitReport struct {
 
 	// Accounting for the dirty region. Events counts route events
 	// folded since the previous commit; DirtyLinks counts links whose
-	// inferred relationship changed or disappeared (incremental epochs
-	// only);
-	// RecreditedPaths counts live paths re-walked because they touch a
-	// dirty link; UncreditedPaths counts departed paths whose credits
-	// were removed; NewlyCredited counts paths credited for the first
-	// time this epoch.
+	// inferred relationship is new, changed or gone; RecreditedPaths
+	// counts credited paths re-walked because they touch a dirty link;
+	// UncreditedPaths counts paths that left the kept layer — withdrawn,
+	// or poisoned by a clique change — and had their credits removed;
+	// NewlyCredited counts paths credited this epoch that were not
+	// before: announced, or un-poisoned by a clique change.
 	Events          int `json:"events"`
 	DirtyLinks      int `json:"dirtyLinks"`
 	RecreditedPaths int `json:"recreditedPaths"`

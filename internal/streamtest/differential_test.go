@@ -3,6 +3,8 @@ package streamtest
 import (
 	"context"
 	"fmt"
+	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +13,7 @@ import (
 	"github.com/asrank-go/asrank/internal/paths"
 	"github.com/asrank-go/asrank/internal/stream"
 	"github.com/asrank-go/asrank/internal/topology"
+	"github.com/asrank-go/asrank/internal/warehouse"
 )
 
 // baseCorpus memoizes one simulated collection for all schedules: the
@@ -104,28 +107,111 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestCliqueChurnForcesRebuild drives a schedule that withdraws the
-// entire table mid-run, forcing the clique to change and the engine
-// through its full-rebuild (dirty region = everything) path — then
-// re-announces and checks equivalence holds on the other side.
-func TestCliqueChurnForcesRebuild(t *testing.T) {
-	base := baseCorpus()
-	sched := NewSchedule(3, base, 2, 10)
+// TestCliqueChurnRecreditsOnlyTheDirtySet drives the engine through
+// clique changes and checks, epoch by epoch against the batch
+// reference, that a changed clique is handled as a dirty set: the
+// entries whose poisoned flag flipped cross the step-4 cut, the paths
+// on a relabelled link are re-walked, and every other credit stands.
+//
+// Two shapes: tearing the whole table down and restoring it (the
+// clique empties and comes back), and swapping a single member — the
+// common case at the top of a stable hierarchy — with one planted path
+// that the swap un-poisons and one that it poisons.
+func TestCliqueChurnRecreditsOnlyTheDirtySet(t *testing.T) {
+	// drive returns a commit function over a fresh engine and mirror
+	// that have already run a short churn schedule.
+	drive := func(t *testing.T) (Mirror, func([]Event) (*warehouse.Snapshot, stream.CommitReport)) {
+		eng, mirror := stream.New(stream.Options{}), make(Mirror)
+		commit := func(evs []Event) (*warehouse.Snapshot, stream.CommitReport) {
+			t.Helper()
+			for _, ev := range evs {
+				applyBoth(eng, mirror, ev)
+			}
+			snap, rep := eng.CommitEpoch(context.Background())
+			if err := EquivCheck(snap, BatchReference(mirror, stream.Options{})); err != nil {
+				t.Fatalf("epoch %d: %v", rep.Epoch, err)
+			}
+			return snap, rep
+		}
+		for _, evs := range NewSchedule(3, baseCorpus(), 2, 10).Epochs {
+			commit(evs)
+		}
+		return mirror, commit
+	}
+	// routesThrough turns the live routes crossing asn (0: every route)
+	// into the events that withdraw them and the events that bring them
+	// back.
+	routesThrough := func(m Mirror, asn uint32) (down, up []Event) {
+		for k, asns := range m {
+			if asn == 0 || slices.Contains(asns, asn) {
+				down = append(down, Event{Withdraw: true, Key: k})
+				up = append(up, Event{Key: k, ASNs: asns})
+			}
+		}
+		return down, up
+	}
 
-	// Splice in a teardown epoch (withdraw every base route) and a
-	// full re-announce epoch after it.
-	var teardown, restore []Event
-	for _, ev := range sched.Epochs[0] {
-		teardown = append(teardown, Event{Withdraw: true, Key: ev.Key})
-		restore = append(restore, ev)
-	}
-	sched.Epochs = append(sched.Epochs, teardown, restore)
+	t.Run("teardown", func(t *testing.T) {
+		mirror, commit := drive(t)
+		down, up := routesThrough(mirror, 0)
+		for _, evs := range [][]Event{down, up} {
+			if _, rep := commit(evs); rep.Reason != stream.ReasonCliqueChurn {
+				t.Errorf("epoch %d: reason %q — the clique never changed", rep.Epoch, rep.Reason)
+			}
+		}
+	})
 
-	_, st, err := RunSchedule(context.Background(), sched, stream.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.FullRebuilds == 0 {
-		t.Error("tearing down the whole table never changed the clique — rebuild path untested")
-	}
+	t.Run("single member swap", func(t *testing.T) {
+		mirror, commit := drive(t)
+		// Learn the swap: without the routes through the clique's first
+		// member, exactly one other AS takes its place.
+		steady, _ := commit(nil)
+		out := steady.Clique[0]
+		down, up := routesThrough(mirror, out)
+		swapped, _ := commit(down)
+		var in, shared uint32
+		for _, m := range swapped.Clique {
+			if slices.Contains(steady.Clique, m) {
+				shared = m
+			} else if in != 0 {
+				t.Fatalf("clique %v → %v: more than one member changed", steady.Clique, swapped.Clique)
+			} else {
+				in = m
+			}
+		}
+		if in == 0 || shared == 0 || len(swapped.Clique) != len(steady.Clique) {
+			t.Fatalf("clique %v → %v is not a single-member swap", steady.Clique, swapped.Clique)
+		}
+		// Plant two member–outsider–member sandwiches: one poisoned only
+		// while out is a member, one only while in is.
+		const vp, outsider, origin = 3_100_000, 3_100_001, 3_100_002
+		plant := func(third byte, member uint32) Event {
+			return Event{
+				Key:  RouteKey{Collector: "planted", VP: vp, Prefix: netip.PrefixFrom(netip.AddrFrom4([4]byte{172, 16, third, 0}), 24)},
+				ASNs: []uint32{vp, member, outsider, shared, origin},
+			}
+		}
+		commit(append(up, plant(1, out), plant(2, in)))
+
+		for _, step := range []struct {
+			evs                  []Event
+			withdrawn, announced int
+		}{{down, len(down), 0}, {up, 0, len(up)}} {
+			snap, rep := commit(step.evs)
+			if rep.Reason != stream.ReasonCliqueChurn {
+				t.Fatalf("epoch %d: reason %q, clique %v", rep.Epoch, rep.Reason, snap.Clique)
+			}
+			// Both planted paths flip, one each way: one more path leaves
+			// the credit table, and one more enters it, than the events
+			// moved themselves.
+			if rep.UncreditedPaths != step.withdrawn+1 || rep.NewlyCredited != step.announced+1 {
+				t.Errorf("epoch %d: %d uncredited, %d newly credited for %d withdrawals and %d announcements — want exactly the two planted flips on top",
+					rep.Epoch, rep.UncreditedPaths, rep.NewlyCredited, step.withdrawn, step.announced)
+			}
+			if walked := rep.RecreditedPaths + rep.NewlyCredited; 4*walked >= rep.Entries {
+				t.Errorf("epoch %d: walked %d of %d live paths — a one-member clique change re-credited (nearly) everything",
+					rep.Epoch, walked, rep.Entries)
+			}
+		}
+	})
 }

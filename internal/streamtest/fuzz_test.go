@@ -91,6 +91,22 @@ func FuzzCorpusMutator(f *testing.F) {
 	}
 	f.Add(base)
 	f.Add([]byte{})
+	// A program that changes the clique between two commits, so the
+	// explored space starts on the flag-flip path: {1, 2} under the first
+	// commit (AS 2 ranks first), {10, 11} under the second (AS 10 does).
+	// The third path is a 1–7–8–2 sandwich the change un-poisons, the
+	// last a 10–20–22–11 sandwich it poisons.
+	f.Add([]byte{
+		2, 0, 0, 1, 3, 0, 1, 2,
+		2, 1, 0, 2, 3, 3, 1, 4,
+		2, 2, 0, 3, 6, 5, 0, 6, 7, 1, 8,
+		1, 0, 0, 0, 0,
+		2, 0, 1, 1, 3, 10, 9, 11,
+		2, 1, 1, 2, 3, 12, 9, 13,
+		2, 2, 1, 3, 3, 14, 9, 15,
+		2, 3, 1, 4, 3, 16, 9, 17,
+		2, 4, 1, 5, 6, 18, 9, 19, 21, 10, 20,
+	})
 	for _, v := range chaos.CorruptVariants(20130401, base, 8) {
 		f.Add(v)
 	}

@@ -280,6 +280,16 @@ func BatchReference(m Mirror, opts stream.Options) *warehouse.Snapshot {
 	return warehouse.FromResult(res)
 }
 
+// applyBoth folds one event into the engine and into the mirror.
+func applyBoth(eng *stream.Engine, m Mirror, ev Event) {
+	m.Apply(ev)
+	if ev.Withdraw {
+		eng.Withdraw(ev.Key.Collector, ev.Key.VP, ev.Key.Prefix)
+	} else {
+		eng.Announce(ev.Key.Collector, ev.Key.VP, ev.Key.Prefix, ev.ASNs)
+	}
+}
+
 // RunSchedule drives one schedule through a fresh engine and, at every
 // epoch boundary, through the batch reference, asserting equivalence
 // with EquivCheck. It returns the per-epoch serving ETags and the
@@ -299,12 +309,7 @@ func RunScheduleOn(ctx context.Context, eng *stream.Engine, sched *Schedule, opt
 	etags := make([]string, 0, len(sched.Epochs))
 	for ep, evs := range sched.Epochs {
 		for _, ev := range evs {
-			mirror.Apply(ev)
-			if ev.Withdraw {
-				eng.Withdraw(ev.Key.Collector, ev.Key.VP, ev.Key.Prefix)
-			} else {
-				eng.Announce(ev.Key.Collector, ev.Key.VP, ev.Key.Prefix, ev.ASNs)
-			}
+			applyBoth(eng, mirror, ev)
 		}
 		inc := eng.Commit(ctx)
 		batch := BatchReference(mirror, opts)
