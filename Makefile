@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint ledger metrics-lint fuzz-smoke trace-demo
+.PHONY: build test check lint examples ledger metrics-lint fuzz-smoke trace-demo
 
 build:
 	$(GO) build ./...
@@ -11,10 +11,16 @@ test:
 # The race-enabled gate the parallel cone engine is held to. Every
 # package benchmark runs once so none can rot; numbers come from the
 # ledger (`make ledger`), not from here.
-check: lint
+check: lint examples
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
+
+# The example programs are the facade's only callers besides its own
+# tests: run each end to end (loopback only, a few seconds each); a
+# non-zero exit fails the target.
+examples:
+	@for e in examples/*/; do echo "$(GO) run ./$$e"; $(GO) run ./$$e > /dev/null || exit 1; done
 
 # The repo's own analyzer suite (DESIGN.md §9): concurrency,
 # determinism, observability-naming, error-wrapping, publish-freeze,
@@ -37,15 +43,15 @@ metrics-lint:
 	$(GO) test -count=1 -run TestMetricsEndToEnd ./internal/apiserver
 
 # End-to-end span-trace demo (DESIGN.md §12): simulate a seed topology,
-# replay it into a live collector through chaos-injected dials, and run
-# inference — each stage writing a -trace capture. Every file is
+# replay it into a live collector through chaos-injected dials, run
+# inference, and write the PP cones — each stage writing a -trace capture. Every file is
 # schema-self-checked on write; drag any of them into
 # https://ui.perfetto.dev (or chrome://tracing) to browse.
 TRACEDIR ?= trace-demo
 
 trace-demo:
 	mkdir -p $(TRACEDIR)/bin
-	$(GO) build -o $(TRACEDIR)/bin/ ./cmd/topogen ./cmd/collector ./cmd/bgpsim ./cmd/asrank
+	$(GO) build -o $(TRACEDIR)/bin/ ./cmd/topogen ./cmd/collector ./cmd/bgpsim ./cmd/asrank ./cmd/ascone
 	$(TRACEDIR)/bin/topogen -ases 800 -seed 42 -o $(TRACEDIR)/topo.txt
 	$(TRACEDIR)/bin/bgpsim -topo $(TRACEDIR)/topo.txt -vps 8 -seed 42 \
 		-o $(TRACEDIR)/paths.txt -trace $(TRACEDIR)/bgpsim-trace.json
@@ -57,7 +63,9 @@ trace-demo:
 	kill -INT $$pid; wait $$pid
 	$(TRACEDIR)/bin/asrank -paths $(TRACEDIR)/paths.txt \
 		-o $(TRACEDIR)/rels.txt -trace $(TRACEDIR)/asrank-trace.json
-	@echo "traces in $(TRACEDIR)/: bgpsim-trace.json replay-trace.json asrank-trace.json"
+	$(TRACEDIR)/bin/ascone -paths $(TRACEDIR)/paths.txt -method pp \
+		-ppdc $(TRACEDIR)/ppdc.txt -trace $(TRACEDIR)/ascone-trace.json > $(TRACEDIR)/rank.txt
+	@echo "traces in $(TRACEDIR)/: bgpsim-trace.json replay-trace.json asrank-trace.json ascone-trace.json"
 
 # Short native-fuzzing pass over every decoder target, seeded with the
 # shared chaos-corrupted corpus. Each target gets FUZZTIME; `go test`

@@ -24,8 +24,11 @@
 //	clean, _ := asrank.Sanitize(ds, asrank.SanitizeOptions{})
 //	res := asrank.Infer(clean, asrank.InferOptions{})
 //	rels := asrank.NewRelations(res.Rels)
-//	cones := rels.ProviderPeerObserved(res.Dataset)
+//	cones := rels.ProviderPeerObservedBits(res.Dataset)
 //	rank := asrank.RankByCone(cones.Sizes(), res.TransitDegree)
+//
+// The parallel stages (sanitization, the cone engines) size their
+// worker pool from GOMAXPROCS; results are identical at any setting.
 //
 // Lacking real collector data, the topology generator plus simulator
 // produce a corpus with the same structure:
@@ -139,27 +142,15 @@ func ReadMRTUpdates(r io.Reader, collector string) (*Dataset, paths.UpdateStats,
 type (
 	// Relations indexes a relationship set for cone computation.
 	Relations = cone.Relations
-	// ConeSets maps each AS to its cone membership.
-	ConeSets = cone.Sets
-	// ConeBitSets is the compact bitset cone representation the
-	// parallel engine produces.
+	// ConeBitSets is a cone product: one bitset row of interned AS
+	// positions per AS, queried through Sizes, Members, Contains and
+	// WeightedSizes.
 	ConeBitSets = cone.BitSets
 )
 
 // NewRelations indexes an inferred or ground-truth relationship map.
-// The cone engines fan out over runtime.GOMAXPROCS workers by default;
-// chain WithWorkers to override:
-//
-//	rels := asrank.NewRelations(res.Rels).WithWorkers(4)
 func NewRelations(rels map[Link]Relationship) *Relations {
 	return cone.NewRelations(rels)
-}
-
-// NewRelationsWorkers is NewRelations with an explicit worker-pool
-// size for the cone engines (<= 0 selects runtime.GOMAXPROCS). Worker
-// count never changes results, only wall-clock time.
-func NewRelationsWorkers(rels map[Link]Relationship, workers int) *Relations {
-	return cone.NewRelations(rels).WithWorkers(workers)
 }
 
 // RankByCone orders ASes by decreasing cone size — the AS Rank order.

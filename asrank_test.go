@@ -28,7 +28,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 
 	rels := NewRelations(res.Rels)
-	cones := rels.ProviderPeerObserved(res.Dataset)
+	cones := rels.ProviderPeerObservedBits(res.Dataset)
 	rank := RankByCone(cones.Sizes(), res.TransitDegree)
 	if len(rank) == 0 {
 		t.Fatal("no ranking")

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -25,96 +26,115 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "ascone:", err)
+		os.Exit(1)
+	}
+}
+
+// run is one ascone invocation: the ranked table goes to stdout,
+// progress and the -stats report to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("ascone", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		pathsFile = flag.String("paths", "", "text path file (required)")
-		relsFile  = flag.String("rels", "", "relationship file; inferred when omitted")
-		method    = flag.String("method", "pp", "cone definition: pp, bgp, or recursive")
-		weight    = flag.String("weight", "ases", "cone size metric: ases, prefixes, or addresses")
-		top       = flag.Int("top", 20, "rows to print")
-		ppdc      = flag.String("ppdc", "", "also write cone membership in CAIDA ppdc-ases format here")
-		workers   = flag.Int("workers", 0, "worker-pool size for sanitization and cone engines (0 = GOMAXPROCS)")
-		report    = flag.Bool("stats", false, "dump the metrics registry as a run report to stderr after the run")
-		traceFile = flag.String("trace", "", "write a Chrome trace_event JSON span trace here (open in Perfetto)")
+		pathsFile = fs.String("paths", "", "text path file (required)")
+		relsFile  = fs.String("rels", "", "relationship file; inferred when omitted")
+		method    = fs.String("method", "pp", "cone definition: pp, bgp, or recursive")
+		weight    = fs.String("weight", "ases", "cone size metric: ases, prefixes, or addresses")
+		top       = fs.Int("top", 20, "rows to print")
+		ppdc      = fs.String("ppdc", "", "also write cone membership in CAIDA ppdc-ases format here")
+		report    = fs.Bool("stats", false, "dump the metrics registry as a run report to stderr after the run")
+		traceFile = fs.String("trace", "", "write a Chrome trace_event JSON span trace here (open in Perfetto)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *pathsFile == "" {
-		fatal(fmt.Errorf("-paths is required"))
+		return fmt.Errorf("-paths is required")
+	}
+	// Both selectors are resolved before the corpus is read, so a typo
+	// costs nothing and leaves no -ppdc file behind.
+	var engine func(*cone.Relations, *paths.Dataset) *cone.BitSets
+	switch *method {
+	case "pp":
+		engine = (*cone.Relations).ProviderPeerObservedBits
+	case "bgp":
+		engine = (*cone.Relations).BGPObservedBits
+	case "recursive":
+		engine = func(r *cone.Relations, _ *paths.Dataset) *cone.BitSets { return r.RecursiveBits() }
+	default:
+		return fmt.Errorf("unknown method %q (want pp, bgp, or recursive)", *method)
+	}
+	var weigh func(*cone.BitSets, *paths.Dataset) map[uint32]int
+	switch *weight {
+	case "ases":
+		weigh = func(cones *cone.BitSets, _ *paths.Dataset) map[uint32]int { return cones.Sizes() }
+	case "prefixes":
+		weigh = func(cones *cone.BitSets, ds *paths.Dataset) map[uint32]int {
+			return weightedSizes(cones, cone.PrefixCounts(ds))
+		}
+	case "addresses":
+		weigh = func(cones *cone.BitSets, ds *paths.Dataset) map[uint32]int {
+			return weightedSizes(cones, cone.AddressCounts(ds))
+		}
+	default:
+		return fmt.Errorf("unknown weight %q (want ases, prefixes, or addresses)", *weight)
 	}
 	f, err := os.Open(*pathsFile)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	ds, err := paths.Read(f)
 	f.Close()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	tr := tracecli.Start(*traceFile, "ascone.run")
 	tr.Root().SetAttr("method", *method)
 	tr.Root().SetAttr("weight", *weight)
-	ds, _ = paths.SanitizeCtx(tr.Context(), ds, paths.SanitizeOptions{Workers: *workers})
+	ds, _ = paths.SanitizeCtx(tr.Context(), ds, paths.SanitizeOptions{})
 
 	var rels map[paths.Link]topology.Relationship
 	var transitDegree map[uint32]int
 	if *relsFile != "" {
 		rf, err := os.Open(*relsFile)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		rels, err = relfile.Read(rf)
 		rf.Close()
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		transitDegree = ds.TransitDegrees()
 	} else {
-		res := core.InferCtx(tr.Context(), ds, core.Options{Workers: *workers})
+		res := core.InferCtx(tr.Context(), ds, core.Options{})
 		rels = res.Rels
 		transitDegree = res.TransitDegree
+		// Cones are credited and weighted over the corpus the
+		// relationships were inferred from — the one step 4 left, which
+		// is what asrankd serves (warehouse.FromResult).
+		ds = res.Dataset
 	}
 
-	r := cone.NewRelations(rels).WithWorkers(*workers).WithContext(tr.Context())
-	var cones cone.Sets
-	switch *method {
-	case "pp":
-		cones = r.ProviderPeerObserved(ds)
-	case "bgp":
-		cones = r.BGPObserved(ds)
-	case "recursive":
-		cones = r.Recursive()
-	default:
-		fatal(fmt.Errorf("unknown method %q (want pp, bgp, or recursive)", *method))
-	}
+	cones := engine(cone.NewRelations(rels).WithContext(tr.Context()), ds)
 	if *ppdc != "" {
 		f, err := os.Create(*ppdc)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		err = cone.WritePPDC(f, cones, fmt.Sprintf("%s customer cones", *method))
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "wrote cone membership to %s\n", *ppdc)
+		fmt.Fprintf(stderr, "wrote cone membership to %s\n", *ppdc)
 	}
 
-	var sizes map[uint32]int
-	switch *weight {
-	case "ases":
-		sizes = cones.Sizes()
-	case "prefixes":
-		sizes = cones.PrefixWeighted(cone.PrefixCounts(ds))
-	case "addresses":
-		addr64 := cones.AddressWeighted(cone.AddressCounts(ds))
-		sizes = make(map[uint32]int, len(addr64))
-		for asn, v := range addr64 {
-			sizes[asn] = int(v)
-		}
-	default:
-		fatal(fmt.Errorf("unknown weight %q (want ases, prefixes, or addresses)", *weight))
-	}
+	sizes := weigh(cones, ds)
 	order := cone.Rank(sizes, transitDegree)
 	if *top > len(order) {
 		*top = len(order)
@@ -125,20 +145,28 @@ func main() {
 		asn := order[i]
 		t.AddRow(i+1, asn, sizes[asn], transitDegree[asn])
 	}
-	fmt.Print(t.String())
-	if *report {
-		obs.Default().WriteReport(os.Stderr)
-	}
+	fmt.Fprint(stdout, t.String())
 	var tree io.Writer
 	if *report {
-		tree = os.Stderr
+		obs.Default().WriteReport(stderr)
+		tree = stderr
 	}
-	if err := tr.Finish(tree); err != nil {
-		fatal(err)
-	}
+	return tr.Finish(tree)
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ascone:", err)
-	os.Exit(1)
+// weightedSizes sums an origin-keyed weight (cone.PrefixCounts or
+// cone.AddressCounts) over every cone, keyed by ASN.
+func weightedSizes[V int | int64](cones *cone.BitSets, weight map[uint32]V) map[uint32]int {
+	idx := cones.Index()
+	w := make([]int64, idx.Len())
+	for asn, v := range weight {
+		if p, ok := idx.Pos(asn); ok {
+			w[p] = int64(v)
+		}
+	}
+	sizes := make(map[uint32]int, idx.Len())
+	for p, v := range cones.WeightedSizes(w) {
+		sizes[idx.ASN(int32(p))] = int(v)
+	}
+	return sizes
 }

@@ -29,7 +29,6 @@ func main() {
 		collector = flag.String("collector", "mrt", "collector label for -mrt input")
 		out       = flag.String("o", "-", "relationships output ('-' = stdout)")
 		steps     = flag.Bool("steps", false, "print per-step link counts to stderr")
-		workers   = flag.Int("workers", 0, "worker-pool size for parallel pipeline stages (0 = GOMAXPROCS)")
 		stats     = flag.Bool("stats", false, "dump the metrics registry as a run report to stderr after inference")
 		traceFile = flag.String("trace", "", "write a Chrome trace_event JSON span trace here (open in Perfetto)")
 	)
@@ -65,7 +64,7 @@ func main() {
 
 	tr := tracecli.Start(*traceFile, "asrank.run")
 	tr.Root().SetAttrInt("paths", int64(len(ds.Paths)))
-	res := core.InferCtx(tr.Context(), ds, core.Options{Sanitize: true, Workers: *workers})
+	res := core.InferCtx(tr.Context(), ds, core.Options{Sanitize: true})
 
 	var c2p, p2p int
 	for _, rel := range res.Rels {

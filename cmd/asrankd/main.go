@@ -119,7 +119,6 @@ func main() {
 		warehouseDir = flag.String("warehouse", "", "epoch warehouse directory: persist every inference, serve time-travel routes (off when empty)")
 		listen       = flag.String("listen", "127.0.0.1:8080", "listen address")
 		debugListen  = flag.String("debug-listen", "", "serve /metrics and /debug/pprof/ on this address (off when empty)")
-		workers      = flag.Int("workers", 0, "worker-pool size for parallel pipeline stages (0 = GOMAXPROCS)")
 		oplogFile    = flag.String("oplog", "", "append structured journal events as NDJSON to this file (off when empty)")
 
 		streamListen  = flag.String("stream-listen", "", "run a live BGP collector on this address and infer incrementally (off when empty)")
@@ -278,7 +277,7 @@ func main() {
 		start := time.Now()
 		ctx, span := tracer.StartSpan(context.Background(), "asrankd.startup")
 		defer span.End()
-		res := core.InferCtx(ctx, ds, core.Options{Sanitize: true, Workers: *workers})
+		res := core.InferCtx(ctx, ds, core.Options{Sanitize: true})
 		journal.Info(ctx, "ingest.done",
 			oplog.String("label", label),
 			oplog.Int("links", int64(len(res.Rels))),
@@ -325,7 +324,7 @@ func main() {
 	stopStream := make(chan struct{})
 	defer close(stopStream)
 	if *streamListen != "" {
-		eng = stream.New(stream.Options{Workers: *workers, Journal: journal})
+		eng = stream.New(stream.Options{Journal: journal})
 		var serr error
 		streamSrv, serr = collector.Listen(*streamListen, collector.Options{
 			Routes:   eng,

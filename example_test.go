@@ -37,9 +37,9 @@ rv2|10.0.6.0/24|101 11 2 112
 	// rel(1,2): p2p
 }
 
-// ExampleRelations_ProviderPeerObserved computes the provider/peer
+// ExampleRelations_ProviderPeerObservedBits computes the provider/peer
 // observed customer cone — the AS Rank metric — for the same corpus.
-func ExampleRelations_ProviderPeerObserved() {
+func ExampleRelations_ProviderPeerObservedBits() {
 	const corpus = `
 rv1|10.0.0.0/24|100 10 1 2 11 110
 rv1|10.0.1.0/24|100 10 1 3 12 120
@@ -49,8 +49,8 @@ rv2|10.0.4.0/24|101 11 2 1 10 100
 	clean := asrank.MustSanitize(ds)
 	res := asrank.Infer(clean, asrank.InferOptions{})
 	rels := asrank.NewRelations(res.Rels)
-	cones := rels.ProviderPeerObserved(res.Dataset)
-	fmt.Println("PP cone of AS1 has", len(cones[1]), "members")
+	cones := rels.ProviderPeerObservedBits(res.Dataset)
+	fmt.Println("PP cone of AS1 has", len(cones.Members(1)), "members")
 	// Output:
 	// PP cone of AS1 has 3 members
 }

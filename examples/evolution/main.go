@@ -36,7 +36,7 @@ func main() {
 		clean := asrank.MustSanitize(sim.Dataset)
 		res := asrank.Infer(clean, asrank.InferOptions{})
 		rels := asrank.NewRelations(res.Rels)
-		sizes := rels.ProviderPeerObserved(res.Dataset).Sizes()
+		sizes := rels.ProviderPeerObservedBits(res.Dataset).Sizes()
 		snaps = append(snaps, snapshot{
 			year:  2006 + i,
 			sizes: sizes,

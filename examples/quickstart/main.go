@@ -42,8 +42,7 @@ func main() {
 	// 4. Customer cones (provider/peer observed — the AS Rank metric)
 	//    and the resulting ranking.
 	rels := asrank.NewRelations(res.Rels)
-	cones := rels.ProviderPeerObserved(res.Dataset)
-	sizes := cones.Sizes()
+	sizes := rels.ProviderPeerObservedBits(res.Dataset).Sizes()
 	rank := asrank.RankByCone(sizes, res.TransitDegree)
 	fmt.Println("\ntop 10 ASes by customer cone:")
 	for i, asn := range rank[:10] {

@@ -199,7 +199,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	// Sanitize + infer inside Infer (records sanitize and step metrics),
 	// Build (cone + pool metrics), then serve requests through the
 	// default-registry handler exactly as asrankd wires it.
-	res := core.Infer(sim.Dataset, core.Options{Sanitize: true, Workers: 4})
+	res := core.Infer(sim.Dataset, core.Options{Sanitize: true})
 	data := Build(res)
 	srv := httptest.NewServer(LogRequests(NewServer(data, nil, Config{Shed: DefaultShedPolicy()})))
 	defer srv.Close()

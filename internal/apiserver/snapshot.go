@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"hash/fnv"
-	mathbits "math/bits"
 	"sort"
 	"strconv"
 
@@ -70,7 +69,7 @@ func Build(res *core.Result) *Data {
 // from the epoch store; the two are indistinguishable here.
 func BuildSnapshot(snap *warehouse.Snapshot) *Data {
 	idx := asindex.FromSorted(snap.ASNs)
-	bits := cone.FromSlab(idx, snap.ConeWords, 0)
+	bits := cone.FromSlab(idx, snap.ConeWords)
 	n := idx.Len()
 
 	rank := make([]uint32, len(snap.RankPos))
@@ -114,7 +113,7 @@ func BuildSnapshot(snap *warehouse.Snapshot) *Data {
 		cliqueSet[m] = true
 	}
 
-	wps := snap.WordsPerCone()
+	coneASes := cone.RowSizes(make([]int32, n), snap.ConeWords)
 	summaries := make([]asnSummary, n)
 	for i := 0; i < n; i++ {
 		var prov, cust, peer int
@@ -128,15 +127,11 @@ func BuildSnapshot(snap *warehouse.Snapshot) *Data {
 				peer++
 			}
 		}
-		coneASes := 0
-		for _, w := range snap.ConeWords[i*wps : (i+1)*wps] {
-			coneASes += mathbits.OnesCount64(w)
-		}
 		asn := snap.ASNs[i]
 		summaries[i] = asnSummary{
 			ASN:           asn,
 			Rank:          rankOf[asn],
-			ConeASes:      coneASes,
+			ConeASes:      int(coneASes[i]),
 			ConePrefixes:  int(snap.ConePrefixes[i]),
 			TransitDegree: int(snap.TransitDegree[i]),
 			Degree:        int(snap.Degree[i]),

@@ -37,7 +37,7 @@ func TestSnapshotMatchesNaiveComputation(t *testing.T) {
 	d := Build(res)
 
 	rels := cone.NewRelations(res.Rels)
-	sets := rels.ProviderPeerObserved(res.Dataset)
+	cones := rels.ProviderPeerObservedBits(res.Dataset)
 	prefixes := cone.PrefixCounts(res.Dataset)
 
 	checked := 0
@@ -46,15 +46,16 @@ func TestSnapshotMatchesNaiveComputation(t *testing.T) {
 		if !ok {
 			t.Fatalf("AS%d ranked but has no summary", asn)
 		}
+		members := cones.Members(asn)
 		wantPfx := 0
-		for member := range sets[asn] {
+		for _, member := range members {
 			wantPfx += prefixes[member]
 		}
 		if sum.ConePrefixes != wantPfx {
 			t.Errorf("AS%d conePrefixes = %d, want %d", asn, sum.ConePrefixes, wantPfx)
 		}
-		if sum.ConeASes != len(sets[asn]) {
-			t.Errorf("AS%d coneASes = %d, want %d", asn, sum.ConeASes, len(sets[asn]))
+		if sum.ConeASes != len(members) {
+			t.Errorf("AS%d coneASes = %d, want %d", asn, sum.ConeASes, len(members))
 		}
 		if want := len(res.Providers(asn)); sum.Providers != want {
 			t.Errorf("AS%d providers = %d, want %d", asn, sum.Providers, want)
@@ -151,14 +152,14 @@ func TestSummaryJSONCompact(t *testing.T) {
 	}
 }
 
-// TestConeContains probes the bitset path against the materialized
-// cone sets.
+// TestConeContains probes the served membership test against a
+// freshly computed cone's member list.
 func TestConeContains(t *testing.T) {
 	res := inferSeed(t, 81, 300)
 	d := Build(res)
-	sets := cone.NewRelations(res.Rels).ProviderPeerObserved(res.Dataset)
+	cones := cone.NewRelations(res.Rels).ProviderPeerObservedBits(res.Dataset)
 	top := res.Clique[0]
-	for member := range sets[top] {
+	for _, member := range cones.Members(top) {
 		if !d.ConeContains(top, member) {
 			t.Errorf("AS%d should contain AS%d", top, member)
 		}

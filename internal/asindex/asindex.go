@@ -85,20 +85,6 @@ type Bitset []uint64
 // NewBitset returns an empty bitset with capacity for n positions.
 func NewBitset(n int) Bitset { return make(Bitset, (n+63)/64) }
 
-// NewBitsets returns count empty bitsets, each with capacity for n
-// positions, carved out of a single backing allocation — one large
-// pointer-free slab instead of count small objects, which is what keeps
-// the GC out of the closure hot loop.
-func NewBitsets(n, count int) []Bitset {
-	words := (n + 63) / 64
-	slab := make([]uint64, words*count)
-	out := make([]Bitset, count)
-	for i := range out {
-		out[i] = Bitset(slab[i*words : (i+1)*words : (i+1)*words])
-	}
-	return out
-}
-
 // Set adds position i.
 func (b Bitset) Set(i int32) { b[i>>6] |= 1 << (uint(i) & 63) }
 

@@ -1,27 +1,54 @@
 package cone
 
 import (
+	"cmp"
 	"math/bits"
+	"slices"
 
 	"github.com/asrank-go/asrank/internal/asindex"
 	"github.com/asrank-go/asrank/internal/pool"
 )
 
-// BitSets is the compact cone representation the parallel engine
-// produces: one bitset of interned AS positions per AS. It answers
-// size and membership queries without materializing maps; Sets()
-// converts to the legacy map-of-sets form when callers need it.
+// BitSets is the one cone product: the interned AS index and one
+// contiguous word slab holding a bitset row of interned positions per
+// AS. Row i occupies words [i*wps, (i+1)*wps) with wps = (Len()+63)/64
+// — the layout the epoch warehouse persists and the API serves from, so
+// handing a product to a snapshot is reading Slab, not copying it.
 type BitSets struct {
-	idx     *asindex.Index
-	cones   []asindex.Bitset
-	workers int
+	idx   *asindex.Index
+	words []uint64
+	wps   int
+}
+
+// newBitSets returns an all-empty product over idx.
+func newBitSets(idx *asindex.Index) *BitSets {
+	wps := (idx.Len() + 63) / 64
+	return &BitSets{idx: idx, words: make([]uint64, idx.Len()*wps), wps: wps}
+}
+
+// FromSlab views a contiguous word slab (idx.Len() rows of
+// (idx.Len()+63)/64 words) as a BitSets over idx. Nothing is copied;
+// the slab must not be written afterwards.
+func FromSlab(idx *asindex.Index, words []uint64) *BitSets {
+	return &BitSets{idx: idx, words: words, wps: (idx.Len() + 63) / 64}
 }
 
 // Index returns the dense ASN index the cones are expressed in.
 func (bs *BitSets) Index() *asindex.Index { return bs.idx }
 
 // Len returns the number of ASes with a cone.
-func (bs *BitSets) Len() int { return len(bs.cones) }
+func (bs *BitSets) Len() int { return bs.idx.Len() }
+
+// Slab returns the product's word slab. It is shared, not copied: a
+// caller that stores it (warehouse.Snapshot.ConeWords) owns the product
+// from then on, and nobody may write to it.
+func (bs *BitSets) Slab() []uint64 { return bs.words }
+
+// row views position i's cone.
+func (bs *BitSets) row(i int32) asindex.Bitset {
+	lo := int(i) * bs.wps
+	return asindex.Bitset(bs.words[lo : lo+bs.wps : lo+bs.wps])
+}
 
 // Contains reports whether member is in asn's cone.
 //
@@ -29,38 +56,49 @@ func (bs *BitSets) Len() int { return len(bs.cones) }
 func (bs *BitSets) Contains(asn, member uint32) bool {
 	ai, ok1 := bs.idx.Pos(asn)
 	mi, ok2 := bs.idx.Pos(member)
-	return ok1 && ok2 && bs.cones[ai].Contains(mi)
+	return ok1 && ok2 && bs.row(ai).Contains(mi)
+}
+
+// RowSizes popcounts each row of a cone slab of len(sizes) rows into
+// sizes and returns it — the one cone-size rule, filling a caller's
+// buffer so a replayed warehouse chain sizes every epoch without
+// allocating.
+func RowSizes(sizes []int32, words []uint64) []int32 {
+	if len(sizes) == 0 {
+		return sizes
+	}
+	wps := len(words) / len(sizes)
+	for p := range sizes {
+		c := 0
+		for _, w := range words[p*wps : (p+1)*wps] {
+			c += bits.OnesCount64(w)
+		}
+		sizes[p] = int32(c)
+	}
+	return sizes
 }
 
 // Sizes returns per-AS cone sizes in number of ASes.
 func (bs *BitSets) Sizes() map[uint32]int {
-	n := len(bs.cones)
-	counts := make([]int, n)
-	pool.Chunks(bs.workers, n, 64, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			counts[i] = bs.cones[i].Count()
-		}
-	})
-	out := make(map[uint32]int, n)
-	for i, c := range counts {
-		out[bs.idx.ASN(int32(i))] = c
+	out := make(map[uint32]int, bs.Len())
+	for i, c := range RowSizes(make([]int32, bs.Len()), bs.words) {
+		out[bs.idx.ASN(int32(i))] = int(c)
 	}
 	return out
 }
 
 // WeightedSizes sums a per-position weight over each cone: out[i] is
 // the total weight of cone i's members, where w is indexed by interned
-// position (w[i] = 0 for unweighted ASes). One parallel pass over the
-// slab replaces a per-query walk — this is how the API server
-// precomputes cone-prefix totals at snapshot build time. w must have
-// at least Len() entries.
+// position (w[i] = 0 for unweighted ASes) — prefix- or address-weighted
+// cone sizes in one parallel pass over the slab. w must have at least
+// Len() entries.
 func (bs *BitSets) WeightedSizes(w []int64) []int64 {
-	n := len(bs.cones)
+	n := bs.Len()
 	out := make([]int64, n)
-	pool.Chunks(bs.workers, n, 64, func(lo, hi int) {
+	pool.Chunks(0, n, 64, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			var sum int64
-			for wi, word := range bs.cones[i] {
+			for wi, word := range bs.row(int32(i)) {
 				for word != 0 {
 					sum += w[wi<<6+bits.TrailingZeros64(word)]
 					word &= word - 1
@@ -72,34 +110,6 @@ func (bs *BitSets) WeightedSizes(w []int64) []int64 {
 	return out
 }
 
-// ExportSlab copies the cones into one contiguous word slab in
-// interned-position order — the serialization seam the epoch warehouse
-// persists. The slab holds Len() cones of wordsPerSet words each;
-// cone i occupies words [i*wordsPerSet, (i+1)*wordsPerSet).
-func (bs *BitSets) ExportSlab() (words []uint64, wordsPerSet int) {
-	wordsPerSet = (bs.idx.Len() + 63) / 64
-	words = make([]uint64, wordsPerSet*len(bs.cones))
-	for i, c := range bs.cones {
-		copy(words[i*wordsPerSet:(i+1)*wordsPerSet], c)
-	}
-	return words, wordsPerSet
-}
-
-// FromSlab is the inverse of ExportSlab: it rebuilds a BitSets over idx
-// from a contiguous word slab (one cone of (Len()+63)/64 words per
-// interned position). The slab is carved, not copied; callers hand over
-// ownership. workers bounds the parallel size/materialization passes
-// (<= 0 selects GOMAXPROCS).
-func FromSlab(idx *asindex.Index, words []uint64, workers int) *BitSets {
-	n := idx.Len()
-	wps := (n + 63) / 64
-	cones := make([]asindex.Bitset, n)
-	for i := 0; i < n; i++ {
-		cones[i] = asindex.Bitset(words[i*wps : (i+1)*wps : (i+1)*wps])
-	}
-	return &BitSets{idx: idx, cones: cones, workers: workers}
-}
-
 // Members returns asn's cone membership, ascending, or nil when asn is
 // not interned.
 func (bs *BitSets) Members(asn uint32) []uint32 {
@@ -107,36 +117,50 @@ func (bs *BitSets) Members(asn uint32) []uint32 {
 	if !ok {
 		return nil
 	}
-	b := bs.cones[ai]
+	b := bs.row(ai)
 	out := make([]uint32, 0, b.Count())
 	b.ForEach(func(i int32) { out = append(out, bs.idx.ASN(i)) })
 	return out
 }
 
-// Sets materializes the legacy map-of-sets representation, sharding
-// the per-AS conversion across the worker pool. The word loop is
-// inlined (rather than Bitset.ForEach) to keep a per-member closure
-// call out of the hottest conversion loop.
-func (bs *BitSets) Sets() Sets {
-	n := len(bs.cones)
-	ms := make([]map[uint32]bool, n)
-	asns := bs.idx.ASNs()
-	pool.Chunks(bs.workers, n, 64, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			b := bs.cones[i]
-			m := make(map[uint32]bool, b.Count())
-			for wi, w := range b {
-				for w != 0 {
-					m[asns[wi<<6+bits.TrailingZeros64(w)]] = true
-					w &= w - 1
-				}
-			}
-			ms[i] = m
+// RankPositions orders positions [0, len(sizes)) by decreasing cone
+// size, tie-broken by decreasing transit degree and then ascending
+// position — the AS Rank ordering, and a total one, so the result does
+// not depend on the sort algorithm. Positions of an interned index are
+// ASN-ordered, so the last tiebreak is ascending ASN.
+func RankPositions[T cmp.Ordered](sizes, transitDegree []T) []int32 {
+	rank := make([]int32, len(sizes))
+	for i := range rank {
+		rank[i] = int32(i)
+	}
+	slices.SortFunc(rank, func(a, b int32) int {
+		if sizes[a] != sizes[b] {
+			return cmp.Compare(sizes[b], sizes[a])
 		}
+		if transitDegree[a] != transitDegree[b] {
+			return cmp.Compare(transitDegree[b], transitDegree[a])
+		}
+		return cmp.Compare(a, b)
 	})
-	out := make(Sets, n)
-	for i, m := range ms {
-		out[bs.idx.ASN(int32(i))] = m
+	return rank
+}
+
+// Rank is RankPositions for ASN-keyed sizes — any cone weighting, not
+// only a product's own Sizes. ASes missing from transitDegree (which
+// may be nil) tie-break as degree zero.
+func Rank(sizes map[uint32]int, transitDegree map[uint32]int) []uint32 {
+	asns := make([]uint32, 0, len(sizes))
+	for asn := range sizes {
+		asns = append(asns, asn)
+	}
+	slices.Sort(asns)
+	sz, td := make([]int, len(asns)), make([]int, len(asns))
+	for i, asn := range asns {
+		sz[i], td[i] = sizes[asn], transitDegree[asn]
+	}
+	out := make([]uint32, len(asns))
+	for i, p := range RankPositions(sz, td) {
+		out[i] = asns[p]
 	}
 	return out
 }

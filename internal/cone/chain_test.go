@@ -98,8 +98,8 @@ func TestCreditingRule(t *testing.T) {
 			r := NewRelations(rels)
 			ref := newSeqRelations(rels)
 
-			want := func(credits map[uint32][]uint32) Sets {
-				sets := make(Sets)
+			want := func(credits map[uint32][]uint32) memberSets {
+				sets := make(memberSets)
 				for _, asn := range r.ASes() {
 					sets[asn] = map[uint32]bool{asn: true}
 					for _, m := range credits[asn] {
@@ -111,7 +111,7 @@ func TestCreditingRule(t *testing.T) {
 			for _, rule := range []struct {
 				name      string
 				needEntry bool
-				want      Sets
+				want      memberSets
 				batch     *BitSets
 			}{
 				{"pp", true, want(tc.pp), r.ProviderPeerObservedBits(ds)},
@@ -120,14 +120,14 @@ func TestCreditingRule(t *testing.T) {
 				if got := ref.observed(ds, rule.needEntry); !reflect.DeepEqual(got, rule.want) {
 					t.Errorf("%s: sequential reference = %v, want %v", rule.name, got, rule.want)
 				}
-				if got := rule.batch.Sets(); !reflect.DeepEqual(got, rule.want) {
+				if got := members(rule.batch); !reflect.DeepEqual(got, rule.want) {
 					t.Errorf("%s: bitset sink = %v, want %v", rule.name, got, rule.want)
 				}
 			}
 
 			pc := NewPairCounts()
 			pc.Credit(rels, tc.path, 1)
-			if got := FromSlab(r.Index(), pc.Slab(r.Index()), 1).Sets(); !reflect.DeepEqual(got, want(tc.pp)) {
+			if got := members(FromSlab(r.Index(), pc.Slab(r.Index()))); !reflect.DeepEqual(got, want(tc.pp)) {
 				t.Errorf("refcount sink = %v, want %v", got, want(tc.pp))
 			}
 			pc.Credit(rels, tc.path, -1)

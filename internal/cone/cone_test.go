@@ -2,9 +2,10 @@ package cone
 
 import (
 	"bytes"
+	"math/rand"
 	"net/netip"
 	"reflect"
-	"strings"
+	"sort"
 	"testing"
 
 	"github.com/asrank-go/asrank/internal/bgpsim"
@@ -47,9 +48,22 @@ func set(asns ...uint32) map[uint32]bool {
 	return m
 }
 
+// memberSets is the map-of-sets view of a cone product the tests
+// compare against hand-written or reference cones.
+type memberSets map[uint32]map[uint32]bool
+
+// members reads every row of bs back through Members.
+func members(bs *BitSets) memberSets {
+	out := make(memberSets, bs.Len())
+	for _, asn := range bs.Index().ASNs() {
+		out[asn] = set(bs.Members(asn)...)
+	}
+	return out
+}
+
 func TestRecursive(t *testing.T) {
 	r := hierarchy()
-	cones := r.Recursive()
+	cones := members(r.RecursiveBits())
 	if !reflect.DeepEqual(cones[1], set(1, 3, 4, 5)) {
 		t.Errorf("cone(1) = %v", cones[1])
 	}
@@ -61,9 +75,6 @@ func TestRecursive(t *testing.T) {
 	}
 	if !reflect.DeepEqual(cones[5], set(5)) {
 		t.Errorf("cone(5) = %v", cones[5])
-	}
-	if !reflect.DeepEqual(r.RecursiveOne(1), cones[1]) {
-		t.Error("RecursiveOne mismatch")
 	}
 }
 
@@ -84,7 +95,7 @@ func TestBGPObserved(t *testing.T) {
 	// Path 2~1>3>5: from 1 the descending chain reaches 3 and 5; from 3
 	// it reaches 5.
 	ds := dsOf([]uint32{2, 1, 3, 5})
-	cones := r.BGPObserved(ds)
+	cones := members(r.BGPObservedBits(ds))
 	if !reflect.DeepEqual(cones[1], set(1, 3, 5)) {
 		t.Errorf("BGP cone(1) = %v", cones[1])
 	}
@@ -106,7 +117,7 @@ func TestBGPObservedChainStopsAtNonCustomer(t *testing.T) {
 	// Path 5<3~4: hop 3→4 is peer, so 3's chain does not extend to 4...
 	// and hop 5→3 is c2p (5 is the customer), so 5 has no chain at all.
 	ds := dsOf([]uint32{5, 3, 4})
-	cones := r.BGPObserved(ds)
+	cones := members(r.BGPObservedBits(ds))
 	if len(cones[5]) != 1 {
 		t.Errorf("cone(5) = %v", cones[5])
 	}
@@ -121,7 +132,7 @@ func TestProviderPeerObserved(t *testing.T) {
 		[]uint32{2, 1, 3, 5}, // enters 1 from peer 2: chain 3,5 credited to 1; enters 3 from provider 1: 5 credited to 3
 		[]uint32{5, 3, 4},    // 5 is a VP: no entry; 3 entered from customer 5: nothing credited
 	)
-	cones := r.ProviderPeerObserved(ds)
+	cones := members(r.ProviderPeerObservedBits(ds))
 	if !reflect.DeepEqual(cones[1], set(1, 3, 5)) {
 		t.Errorf("PP cone(1) = %v", cones[1])
 	}
@@ -129,12 +140,12 @@ func TestProviderPeerObserved(t *testing.T) {
 		t.Errorf("PP cone(3) = %v", cones[3])
 	}
 	// VP-position chains are not credited in PP cones.
-	vpOnly := r.ProviderPeerObserved(dsOf([]uint32{1, 3, 5}))
+	vpOnly := members(r.ProviderPeerObservedBits(dsOf([]uint32{1, 3, 5})))
 	if len(vpOnly[1]) != 1 {
 		t.Errorf("PP cone(1) from VP position = %v", vpOnly[1])
 	}
 	// But BGP-observed credits them.
-	bgp := r.BGPObserved(dsOf([]uint32{1, 3, 5}))
+	bgp := members(r.BGPObservedBits(dsOf([]uint32{1, 3, 5})))
 	if !reflect.DeepEqual(bgp[1], set(1, 3, 5)) {
 		t.Errorf("BGP cone(1) from VP position = %v", bgp[1])
 	}
@@ -142,17 +153,18 @@ func TestProviderPeerObserved(t *testing.T) {
 
 func TestSizesAndPrefixWeighted(t *testing.T) {
 	r := hierarchy()
-	cones := r.Recursive()
+	cones := r.RecursiveBits()
 	sizes := cones.Sizes()
 	if sizes[1] != 4 || sizes[5] != 1 {
 		t.Errorf("sizes = %v", sizes)
 	}
-	weighted := cones.PrefixWeighted(map[uint32]int{1: 10, 3: 2, 4: 3, 5: 1})
-	if weighted[1] != 16 {
-		t.Errorf("prefix-weighted cone(1) = %d", weighted[1])
+	// Positions are ASNs 1..5 in order; AS 2 originates nothing.
+	weighted := cones.WeightedSizes([]int64{10, 0, 2, 3, 1})
+	if weighted[0] != 16 {
+		t.Errorf("prefix-weighted cone(1) = %d", weighted[0])
 	}
-	if weighted[3] != 3 {
-		t.Errorf("prefix-weighted cone(3) = %d", weighted[3])
+	if weighted[2] != 3 {
+		t.Errorf("prefix-weighted cone(3) = %d", weighted[2])
 	}
 }
 
@@ -167,6 +179,46 @@ func TestRank(t *testing.T) {
 	rank = Rank(map[uint32]int{7: 1, 5: 1}, nil)
 	if !reflect.DeepEqual(rank, []uint32{5, 7}) {
 		t.Errorf("rank = %v", rank)
+	}
+
+	// The ASN-keyed and the position-keyed form agree with a map-probing
+	// reference sort on random inputs drawn from ranges small enough to
+	// force ties on size, on size and degree, and on neither.
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 50; round++ {
+		n := 1 + rng.Intn(200)
+		asns := make([]uint32, 0, n)
+		sizes, td := map[uint32]int{}, map[uint32]int{}
+		for asn := uint32(1); len(asns) < n; asn += 1 + uint32(rng.Intn(3)) {
+			asns = append(asns, asn)
+			sizes[asn] = rng.Intn(4)
+			if rng.Intn(3) > 0 {
+				td[asn] = rng.Intn(3)
+			}
+		}
+		want := append([]uint32(nil), asns...)
+		sort.Slice(want, func(i, j int) bool {
+			a, b := want[i], want[j]
+			if sizes[a] != sizes[b] {
+				return sizes[a] > sizes[b]
+			}
+			if td[a] != td[b] {
+				return td[a] > td[b]
+			}
+			return a < b
+		})
+		if got := Rank(sizes, td); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: Rank = %v, want %v", round, got, want)
+		}
+		szPos, tdPos := make([]int32, n), make([]int32, n)
+		for i, asn := range asns {
+			szPos[i], tdPos[i] = int32(sizes[asn]), int32(td[asn])
+		}
+		for i, p := range RankPositions(szPos, tdPos) {
+			if asns[p] != want[i] {
+				t.Fatalf("round %d: RankPositions[%d] = AS %d, want AS %d", round, i, asns[p], want[i])
+			}
+		}
 	}
 }
 
@@ -186,44 +238,77 @@ func TestRelOrientationAndASes(t *testing.T) {
 	}
 }
 
-// TestConeNesting verifies PP ⊆ BGP-observed ⊆ recursive on a full
-// simulated corpus with inferred relationships.
+// TestConeNesting holds the paper's containment and the product's own
+// invariants on the rows themselves, over 20 generated Internets: PP ⊆
+// BGP-observed ⊆ recursive word for word, the self bit set in every row
+// of every product (the refcounted PairCounts slab included), the
+// recursive closure monotone under one added p2c link, and every engine
+// call returning a slab nobody else holds.
 func TestConeNesting(t *testing.T) {
-	p := topology.DefaultParams(77)
-	p.ASes = 500
-	topo := topology.Generate(p)
-	sim, err := bgpsim.Run(topo, bgpsim.DefaultOptions(77))
-	if err != nil {
-		t.Fatal(err)
-	}
-	clean, _ := paths.Sanitize(sim.Dataset, paths.SanitizeOptions{})
-	res := core.Infer(clean, core.Options{})
-	r := NewRelations(res.Rels)
-	rec := r.Recursive()
-	bgp := r.BGPObserved(res.Dataset)
-	pp := r.ProviderPeerObserved(res.Dataset)
-	for _, asn := range r.ASes() {
-		if !pp[asn][asn] || !bgp[asn][asn] || !rec[asn][asn] {
-			t.Fatalf("AS %d missing from its own cone", asn)
-		}
-		for member := range pp[asn] {
-			if !bgp[asn][member] {
-				t.Fatalf("PP cone(%d) member %d not in BGP cone", asn, member)
-			}
-		}
-		for member := range bgp[asn] {
-			if !rec[asn][member] {
-				t.Fatalf("BGP cone(%d) member %d not in recursive cone", asn, member)
-			}
-		}
-	}
-	// The gap must be real for large transit ASes: total recursive mass
-	// strictly exceeds total PP mass.
 	var recTotal, ppTotal int
-	for _, asn := range r.ASes() {
-		recTotal += len(rec[asn])
-		ppTotal += len(pp[asn])
+	for seed := int64(1); seed <= 20; seed++ {
+		res := inferredCorpus(t, seed, 150)
+		r := NewRelations(res.Rels)
+		rec := r.RecursiveBits()
+		bgp := r.BGPObservedBits(res.Dataset)
+		pp := r.ProviderPeerObservedBits(res.Dataset)
+		pc := NewPairCounts()
+		for _, p := range res.Dataset.Paths {
+			pc.Credit(res.Rels, p.ASNs, 1)
+		}
+		counted := FromSlab(r.Index(), pc.Slab(r.Index()))
+
+		for i, w := range pp.Slab() {
+			if w&^bgp.Slab()[i] != 0 || bgp.Slab()[i]&^rec.Slab()[i] != 0 {
+				t.Fatalf("seed %d: word %d breaks PP ⊆ BGP-observed ⊆ recursive", seed, i)
+			}
+		}
+		for _, asn := range r.ASes() {
+			for _, bs := range []*BitSets{rec, bgp, pp, counted} {
+				if !bs.Contains(asn, asn) {
+					t.Fatalf("seed %d: AS %d missing from its own cone", seed, asn)
+				}
+			}
+		}
+		for _, c := range RowSizes(make([]int32, rec.Len()), rec.Slab()) {
+			recTotal += int(c)
+		}
+		for _, c := range RowSizes(make([]int32, pp.Len()), pp.Slab()) {
+			ppTotal += int(c)
+		}
+
+		// One more p2c link between two interned, so far unlinked ASes
+		// (cycle or not) never clears a recursive bit.
+		rng := rand.New(rand.NewSource(seed))
+		asns := r.ASes()
+		grown := make(map[paths.Link]topology.Relationship, len(res.Rels)+1)
+		for l, rel := range res.Rels {
+			grown[l] = rel
+		}
+		for {
+			l := paths.NewLink(asns[rng.Intn(len(asns))], asns[rng.Intn(len(asns))])
+			if _, linked := grown[l]; l.A != l.B && !linked {
+				grown[l] = []topology.Relationship{topology.P2C, topology.C2P}[rng.Intn(2)]
+				break
+			}
+		}
+		after := NewRelations(grown).RecursiveBits()
+		for i, w := range rec.Slab() {
+			if w&^after.Slab()[i] != 0 {
+				t.Fatalf("seed %d: adding a p2c link cleared a bit in word %d of the recursive slab", seed, i)
+			}
+		}
+
+		again := r.ProviderPeerObservedBits(res.Dataset)
+		if !reflect.DeepEqual(again.Slab(), pp.Slab()) {
+			t.Fatalf("seed %d: a second ProviderPeerObservedBits call computed a different slab", seed)
+		}
+		if &again.Slab()[0] == &pp.Slab()[0] {
+			t.Fatalf("seed %d: two ProviderPeerObservedBits calls share one slab", seed)
+		}
 	}
+	// The gap must be real: total recursive mass strictly exceeds total
+	// PP mass.
 	if recTotal <= ppTotal {
 		t.Errorf("recursive total %d should exceed PP total %d", recTotal, ppTotal)
 	}
@@ -243,8 +328,7 @@ func TestConeAgainstGroundTruth(t *testing.T) {
 	}
 	clean, _ := paths.Sanitize(sim.Dataset, paths.SanitizeOptions{})
 	res := core.Infer(clean, core.Options{})
-	r := NewRelations(res.Rels)
-	rec := r.Recursive()
+	rec := members(NewRelations(res.Rels).RecursiveBits())
 
 	// Compare recursive inferred cones vs ground-truth cones across the
 	// inferred clique. Per-member recall varies with VP visibility (a
@@ -319,57 +403,29 @@ func TestAddressCountsIs4In6(t *testing.T) {
 }
 
 func TestAddressWeightedCones(t *testing.T) {
-	r := hierarchy()
-	cones := r.Recursive()
-	weighted := cones.AddressWeighted(map[uint32]int64{1: 1000, 3: 256, 4: 512, 5: 128})
-	if weighted[1] != 1000+256+512+128 {
-		t.Errorf("address-weighted cone(1) = %d", weighted[1])
+	weighted := hierarchy().RecursiveBits().WeightedSizes([]int64{1000, 0, 256, 512, 128})
+	if weighted[0] != 1000+256+512+128 {
+		t.Errorf("address-weighted cone(1) = %d", weighted[0])
 	}
-	if weighted[3] != 256+128 {
-		t.Errorf("address-weighted cone(3) = %d", weighted[3])
+	if weighted[2] != 256+128 {
+		t.Errorf("address-weighted cone(3) = %d", weighted[2])
 	}
 }
 
-func TestPPDCRoundTrip(t *testing.T) {
-	r := hierarchy()
-	sets := r.Recursive()
+// TestWritePPDCGolden pins the ppdc-ases text: comments first, one
+// line per AS ascending, the AS then its members ascending.
+func TestWritePPDCGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WritePPDC(&buf, sets, "ppdc-ases test"); err != nil {
+	if err := WritePPDC(&buf, hierarchy().RecursiveBits(), "ppdc-ases test", "second"); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	if !strings.Contains(out, "# ppdc-ases test") {
-		t.Error("comment missing")
-	}
-	if !strings.Contains(out, "1 1 3 4 5\n") {
-		t.Errorf("cone line for AS1 missing:\n%s", out)
-	}
-	got, err := ReadPPDC(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, sets) {
-		t.Errorf("round trip:\ngot  %v\nwant %v", got, sets)
-	}
-}
-
-func TestReadPPDCErrors(t *testing.T) {
-	cases := []string{
-		"x 1 2",    // bad ASN
-		"1 2 y",    // bad member
-		"1 2\n1 3", // duplicate AS
-	}
-	for i, c := range cases {
-		if _, err := ReadPPDC(strings.NewReader(c)); err == nil {
-			t.Errorf("case %d (%q) should fail", i, c)
-		}
-	}
-	// Self-membership is restored even if omitted in the file.
-	got, err := ReadPPDC(strings.NewReader("7 8 9\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got[7][7] {
-		t.Error("AS not in its own cone after read")
+	const want = "# ppdc-ases test\n# second\n" +
+		"1 1 3 4 5\n" +
+		"2 2 4\n" +
+		"3 3 5\n" +
+		"4 4\n" +
+		"5 5\n"
+	if got := buf.String(); got != want {
+		t.Errorf("WritePPDC wrote:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -65,7 +65,7 @@ func (pc *PairCounts) add(owner, member uint32, d int) {
 }
 
 // Slab builds the provider/peer-observed cone slab over idx in the
-// ExportSlab layout: idx.Len() cones of (idx.Len()+63)/64 words each,
+// BitSets layout: idx.Len() cones of (idx.Len()+63)/64 words each,
 // self bit always set. It reads only the current refcounts, so the
 // order in which credits were applied cannot matter. Every refcounted
 // pair's owner and member must be interned in idx — a miss means the

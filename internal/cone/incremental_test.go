@@ -29,11 +29,11 @@ func creditCorpus(t *testing.T, seed int64, ases int) (*paths.Dataset, *core.Res
 // TestPairCountsMatchesBatch proves the refcounted crediting walk is
 // bit-identical to the batch provider/peer-observed engine: crediting
 // every post-discard path +1 and building the slab must equal
-// ProviderPeerObservedBits.ExportSlab over the same corpus.
+// ProviderPeerObservedBits' slab over the same corpus.
 func TestPairCountsMatchesBatch(t *testing.T) {
 	ds, res := creditCorpus(t, 77, 400)
 	r := NewRelations(res.Rels)
-	wantSlab, _ := r.ProviderPeerObservedBits(ds).ExportSlab()
+	wantSlab := r.ProviderPeerObservedBits(ds).Slab()
 
 	pc := NewPairCounts()
 	for _, p := range ds.Paths {

@@ -3,6 +3,7 @@ package cone
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/asrank-go/asrank/internal/bgpsim"
@@ -57,8 +58,8 @@ func (r *seqRelations) relOf(x, y uint32) topology.Relationship {
 	return rel.Invert()
 }
 
-func (r *seqRelations) recursive() Sets {
-	out := make(Sets, len(r.ases))
+func (r *seqRelations) recursive() memberSets {
+	out := make(memberSets, len(r.ases))
 	for _, asn := range r.ases {
 		cone := map[uint32]bool{}
 		stack := []uint32{asn}
@@ -76,8 +77,8 @@ func (r *seqRelations) recursive() Sets {
 	return out
 }
 
-func (r *seqRelations) observed(ds *paths.Dataset, needEntry bool) Sets {
-	out := make(Sets, len(r.ases))
+func (r *seqRelations) observed(ds *paths.Dataset, needEntry bool) memberSets {
+	out := make(memberSets, len(r.ases))
 	for _, asn := range r.ases {
 		out[asn] = map[uint32]bool{asn: true}
 	}
@@ -140,10 +141,10 @@ func inferredCorpus(t *testing.T, seed int64, ases int) *core.Result {
 
 // TestParallelMatchesSequentialSeed is the property test for the
 // parallel engine: on randomized generated Internets, every cone
-// definition must produce Sets identical to the seed's sequential
-// map-based implementation at every worker count, and PP ⊆
-// BGP-observed ⊆ recursive must hold for every AS.
+// definition must produce cones identical to the seed's sequential
+// map-based implementation at every worker-pool size.
 func TestParallelMatchesSequentialSeed(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, seed := range []int64{1, 7, 42} {
 		res := inferredCorpus(t, seed, 400)
 		ref := newSeqRelations(res.Rels)
@@ -151,74 +152,45 @@ func TestParallelMatchesSequentialSeed(t *testing.T) {
 		wantBGP := ref.observed(res.Dataset, false)
 		wantPP := ref.observed(res.Dataset, true)
 
-		for _, workers := range []int{1, 3, 8} {
-			r := NewRelations(res.Rels).WithWorkers(workers)
-			if got := r.Recursive(); !reflect.DeepEqual(got, wantRec) {
-				t.Fatalf("seed %d workers %d: Recursive differs from sequential seed", seed, workers)
+		for _, procs := range []int{1, 3, 8} {
+			runtime.GOMAXPROCS(procs)
+			r := NewRelations(res.Rels)
+			if got := members(r.RecursiveBits()); !reflect.DeepEqual(got, wantRec) {
+				t.Fatalf("seed %d GOMAXPROCS %d: RecursiveBits differs from sequential seed", seed, procs)
 			}
-			if got := r.BGPObserved(res.Dataset); !reflect.DeepEqual(got, wantBGP) {
-				t.Fatalf("seed %d workers %d: BGPObserved differs from sequential seed", seed, workers)
+			if got := members(r.BGPObservedBits(res.Dataset)); !reflect.DeepEqual(got, wantBGP) {
+				t.Fatalf("seed %d GOMAXPROCS %d: BGPObservedBits differs from sequential seed", seed, procs)
 			}
-			if got := r.ProviderPeerObserved(res.Dataset); !reflect.DeepEqual(got, wantPP) {
-				t.Fatalf("seed %d workers %d: ProviderPeerObserved differs from sequential seed", seed, workers)
-			}
-		}
-
-		// Nesting: PP ⊆ BGP-observed ⊆ recursive for every AS.
-		r := NewRelations(res.Rels)
-		rec := r.RecursiveBits()
-		bgp := r.BGPObservedBits(res.Dataset)
-		pp := r.ProviderPeerObservedBits(res.Dataset)
-		for _, asn := range r.ASes() {
-			if !pp.Contains(asn, asn) {
-				t.Fatalf("seed %d: AS %d missing from its own PP cone", seed, asn)
-			}
-			for _, member := range pp.Members(asn) {
-				if !bgp.Contains(asn, member) {
-					t.Fatalf("seed %d: PP cone(%d) member %d not in BGP cone", seed, asn, member)
-				}
-			}
-			for _, member := range bgp.Members(asn) {
-				if !rec.Contains(asn, member) {
-					t.Fatalf("seed %d: BGP cone(%d) member %d not in recursive cone", seed, asn, member)
-				}
+			if got := members(r.ProviderPeerObservedBits(res.Dataset)); !reflect.DeepEqual(got, wantPP) {
+				t.Fatalf("seed %d GOMAXPROCS %d: ProviderPeerObservedBits differs from sequential seed", seed, procs)
 			}
 		}
 	}
 }
 
 // TestParallelPPDCByteIdentical pins the strongest determinism claim:
-// the serialized ppdc-ases output is byte-identical across worker
-// counts.
+// the serialized ppdc-ases output is byte-identical across worker-pool
+// sizes.
 func TestParallelPPDCByteIdentical(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	res := inferredCorpus(t, 9, 300)
-	var want bytes.Buffer
-	if err := WritePPDC(&want, NewRelations(res.Rels).WithWorkers(1).ProviderPeerObserved(res.Dataset)); err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 5, 16} {
-		var got bytes.Buffer
-		sets := NewRelations(res.Rels).WithWorkers(workers).ProviderPeerObserved(res.Dataset)
-		if err := WritePPDC(&got, sets); err != nil {
+	var out [2]bytes.Buffer
+	for i, procs := range []int{1, 7} {
+		runtime.GOMAXPROCS(procs)
+		if err := WritePPDC(&out[i], NewRelations(res.Rels).ProviderPeerObservedBits(res.Dataset)); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("workers=%d: ppdc output differs from sequential run", workers)
-		}
+	}
+	if !bytes.Equal(out[0].Bytes(), out[1].Bytes()) {
+		t.Fatal("ppdc output at GOMAXPROCS 7 differs from GOMAXPROCS 1")
 	}
 }
 
-// TestBitSetsAccessors covers the compact representation's query API
-// against the materialized Sets.
+// TestBitSetsAccessors covers the product's query API.
 func TestBitSetsAccessors(t *testing.T) {
-	r := hierarchy()
-	bits := r.RecursiveBits()
-	sets := r.Recursive()
-	if !reflect.DeepEqual(bits.Sets(), sets) {
-		t.Fatal("BitSets.Sets() differs from Recursive()")
-	}
-	if !reflect.DeepEqual(bits.Sizes(), sets.Sizes()) {
-		t.Fatal("BitSets.Sizes() differs from Sets.Sizes()")
+	bits := hierarchy().RecursiveBits()
+	if got, want := bits.Sizes(), map[uint32]int{1: 4, 2: 2, 3: 2, 4: 1, 5: 1}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Sizes() = %v, want %v", got, want)
 	}
 	if !bits.Contains(1, 5) || bits.Contains(5, 1) {
 		t.Error("Contains orientation wrong")
@@ -234,5 +206,8 @@ func TestBitSetsAccessors(t *testing.T) {
 	}
 	if bits.Len() != 5 || bits.Index().Len() != 5 {
 		t.Errorf("Len = %d, Index().Len() = %d", bits.Len(), bits.Index().Len())
+	}
+	if again := FromSlab(bits.Index(), bits.Slab()); !reflect.DeepEqual(members(again), members(bits)) {
+		t.Error("FromSlab over a product's own index and slab reads different cones")
 	}
 }

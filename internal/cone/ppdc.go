@@ -4,77 +4,30 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
-	"strings"
 )
 
 // WritePPDC renders cone membership in the CAIDA "ppdc-ases" convention:
 // one line per AS, the AS number followed by every cone member
 // (including itself), space separated, with '#' comment lines first.
-// ASes are emitted in ascending order, members ascending per line.
-func WritePPDC(w io.Writer, sets Sets, comments ...string) error {
+// ASes are emitted in ascending order, members ascending per line —
+// the order rows and bits already have.
+func WritePPDC(w io.Writer, cones *BitSets, comments ...string) error {
 	bw := bufio.NewWriter(w)
 	for _, c := range comments {
 		fmt.Fprintf(bw, "# %s\n", c)
 	}
-	asns := make([]uint32, 0, len(sets))
-	for asn := range sets {
-		asns = append(asns, asn)
-	}
-	sort.Slice(asns, func(i, j int) bool { return asns[i] < asns[j] })
-	for _, asn := range asns {
-		members := make([]uint32, 0, len(sets[asn]))
-		for m := range sets[asn] {
-			members = append(members, m)
-		}
-		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-		bw.WriteString(strconv.FormatUint(uint64(asn), 10))
-		for _, m := range members {
-			bw.WriteByte(' ')
-			bw.WriteString(strconv.FormatUint(uint64(m), 10))
-		}
-		if err := bw.WriteByte('\n'); err != nil {
+	var num []byte
+	for i, asn := range cones.idx.ASNs() {
+		num = strconv.AppendUint(num[:0], uint64(asn), 10)
+		cones.row(int32(i)).ForEach(func(m int32) {
+			num = append(num, ' ')
+			num = strconv.AppendUint(num, uint64(cones.idx.ASN(m)), 10)
+		})
+		num = append(num, '\n')
+		if _, err := bw.Write(num); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadPPDC parses the ppdc-ases format back into cone sets.
-func ReadPPDC(r io.Reader) (Sets, error) {
-	out := make(Sets)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<22)
-	lineno := 0
-	for sc.Scan() {
-		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		asn64, err := strconv.ParseUint(fields[0], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("cone: ppdc line %d: bad ASN %q", lineno, fields[0])
-		}
-		asn := uint32(asn64)
-		if _, dup := out[asn]; dup {
-			return nil, fmt.Errorf("cone: ppdc line %d: duplicate AS %d", lineno, asn)
-		}
-		members := make(map[uint32]bool, len(fields))
-		for _, f := range fields[1:] {
-			m, err := strconv.ParseUint(f, 10, 32)
-			if err != nil {
-				return nil, fmt.Errorf("cone: ppdc line %d: bad member %q", lineno, f)
-			}
-			members[uint32(m)] = true
-		}
-		members[asn] = true // an AS is always in its own cone
-		out[asn] = members
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -95,10 +95,6 @@ type Options struct {
 	Sanitize bool
 	// IXPASes is forwarded to sanitization when Sanitize is set.
 	IXPASes map[uint32]bool
-	// Workers bounds the worker pool of the parallel stages (currently
-	// path sanitization); <= 0 selects runtime.GOMAXPROCS. Worker count
-	// never changes results.
-	Workers int
 }
 
 func (o Options) withDefaults() Options {
@@ -237,7 +233,7 @@ func InferCtx(ctx context.Context, ds *paths.Dataset, opts Options) *Result {
 	var st paths.SanitizeStats
 	if opts.Sanitize {
 		sctx, ph := trace.StartPhase(ctx, "core.infer.sanitize")
-		ds, st = paths.SanitizeCtx(sctx, ds, paths.SanitizeOptions{IXPASes: opts.IXPASes, Workers: opts.Workers})
+		ds, st = paths.SanitizeCtx(sctx, ds, paths.SanitizeOptions{IXPASes: opts.IXPASes})
 		ph.End(inferStepDuration.With("sanitize"), nil)
 	}
 	return inferSanitized(ctx, ds, opts, st)

@@ -44,13 +44,12 @@ func R12VantagePoints(l *Lab) *Report {
 		cliqueRecall := float64(cliqueHit) / float64(len(tier1))
 
 		// Cone recall: recursive inferred cone of true tier-1s vs truth.
-		rels := cone.NewRelations(res.Rels)
+		rec := cone.NewRelations(res.Rels).RecursiveBits()
 		var hit, total int
 		for t1 := range tier1 {
 			trueCone := topo.TrueCone(t1)
-			inf := rels.RecursiveOne(t1)
-			for member := range inf {
-				if trueCone[member] {
+			for member := range trueCone {
+				if rec.Contains(t1, member) {
 					hit++
 				}
 			}

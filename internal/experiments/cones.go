@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 
 	"github.com/asrank-go/asrank/internal/bgpsim"
@@ -82,7 +81,7 @@ func R07ConeDefinitions(l *Lab) *Report {
 
 // snapshotCones derives per-snapshot PP-cone sizes and transit degrees
 // from the epoch series (warehouse-backed when configured); shared by
-// R8/R9. The cone slab popcount is the same PP-observed definition the
+// R8/R9. The slab's row sizes are the same PP-observed definition the
 // per-snapshot inference produced.
 func snapshotCones(l *Lab) ([]map[uint32]int, []map[uint32]int) {
 	snaps := l.EpochSnapshots()
@@ -91,13 +90,9 @@ func snapshotCones(l *Lab) ([]map[uint32]int, []map[uint32]int) {
 	for i, snap := range snaps {
 		pp := make(map[uint32]int, snap.NumASes())
 		td := make(map[uint32]int, snap.NumASes())
-		wps := snap.WordsPerCone()
+		sizes := cone.RowSizes(make([]int32, snap.NumASes()), snap.ConeWords)
 		for p, asn := range snap.ASNs {
-			c := 0
-			for _, w := range snap.ConeWords[p*wps : (p+1)*wps] {
-				c += bits.OnesCount64(w)
-			}
-			pp[asn] = c
+			pp[asn] = int(sizes[p])
 			td[asn] = int(snap.TransitDegree[p])
 		}
 		ppSizes[i] = pp

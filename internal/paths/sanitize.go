@@ -17,12 +17,6 @@ type SanitizeOptions struct {
 	// KeepDuplicates retains byte-identical (collector, prefix, path)
 	// duplicates instead of collapsing them.
 	KeepDuplicates bool
-	// Workers bounds the worker pool that cleans path shards in
-	// parallel; <= 0 selects runtime.GOMAXPROCS. Worker count never
-	// changes results: per-path cleaning is independent, and the
-	// order-dependent bookkeeping (stats, dedup, output order) runs
-	// over the cleaned shards in input order.
-	Workers int
 }
 
 // SanitizeStats counts what the sanitization pass did, feeding the
@@ -43,9 +37,9 @@ type SanitizeStats struct {
 // out, and paths containing reserved ASNs or loops are discarded, as are
 // (by default) exact duplicates.
 //
-// Per-path cleaning is sharded across a worker pool (SanitizeOptions.
-// Workers); the discard/dedup bookkeeping then walks the cleaned paths
-// in input order, so output and stats are identical at any worker count.
+// Per-path cleaning is sharded across a worker pool sized from
+// GOMAXPROCS; the discard/dedup bookkeeping then walks the cleaned paths
+// in input order, so output and stats are identical at any setting of it.
 // PrependingRemoved and IXPSpliced count kept paths only, preserving
 // Input == Kept + ReservedDiscarded + LoopDiscarded + TooShort +
 // Duplicates with each kept row attributable to the corpus that
@@ -71,7 +65,7 @@ func SanitizeCtx(ctx context.Context, ds *Dataset, opts SanitizeOptions) (*Datas
 	}
 	cleanedPaths := make([]cleanedPath, len(ds.Paths))
 	cleanCtx, cleanSpan := trace.StartSpan(ctx, "paths.sanitize.clean")
-	pool.RangeCtx(cleanCtx, opts.Workers, len(ds.Paths), func(_ context.Context, _, lo, hi int) {
+	pool.RangeCtx(cleanCtx, 0, len(ds.Paths), func(_ context.Context, _, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			asns, info := sanitizePath(ds.Paths[i].ASNs, opts.IXPASes)
 			cleanedPaths[i] = cleanedPath{asns: asns, info: info}

@@ -2,6 +2,7 @@ package paths
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -42,9 +43,10 @@ func TestSanitizeStatsArithmetic(t *testing.T) {
 	}
 }
 
-// TestSanitizeParallelDeterministic checks that worker count never
-// changes the output dataset or the stats.
+// TestSanitizeParallelDeterministic checks that the worker-pool size
+// (GOMAXPROCS) never changes the output dataset or the stats.
 func TestSanitizeParallelDeterministic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	ds := &Dataset{}
 	// A mix big enough that shards straddle every discard class.
 	for i := 0; i < 200; i++ {
@@ -58,14 +60,17 @@ func TestSanitizeParallelDeterministic(t *testing.T) {
 			ds.Add(mkPath(10, 555, base)) // splices too short
 		}
 	}
-	wantOut, wantStats := Sanitize(ds, SanitizeOptions{IXPASes: map[uint32]bool{555: true}, Workers: 1})
-	for _, workers := range []int{2, 7, 32} {
-		out, stats := Sanitize(ds, SanitizeOptions{IXPASes: map[uint32]bool{555: true}, Workers: workers})
+	opts := SanitizeOptions{IXPASes: map[uint32]bool{555: true}}
+	runtime.GOMAXPROCS(1)
+	wantOut, wantStats := Sanitize(ds, opts)
+	for _, procs := range []int{2, 7, 32} {
+		runtime.GOMAXPROCS(procs)
+		out, stats := Sanitize(ds, opts)
 		if stats != wantStats {
-			t.Fatalf("workers=%d: stats = %+v, want %+v", workers, stats, wantStats)
+			t.Fatalf("GOMAXPROCS=%d: stats = %+v, want %+v", procs, stats, wantStats)
 		}
 		if !reflect.DeepEqual(out, wantOut) {
-			t.Fatalf("workers=%d: output dataset differs from sequential run", workers)
+			t.Fatalf("GOMAXPROCS=%d: output dataset differs from sequential run", procs)
 		}
 	}
 }

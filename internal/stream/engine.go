@@ -54,9 +54,6 @@ type Options struct {
 	// Infer configures the 11-step inference shared with the batch
 	// path. Sanitize is ignored: the engine sanitizes per event.
 	Infer core.Options
-	// Workers bounds the parallel cone passes at commit (<= 0 selects
-	// GOMAXPROCS); worker count never changes a committed snapshot.
-	Workers int
 	// Journal, when non-nil, receives one stream.commit event per
 	// epoch carrying the CommitReport's headline fields. Journaling is
 	// instrumentation only: it never influences what the engine
@@ -473,13 +470,12 @@ func (e *Engine) CommitEpoch(ctx context.Context) (*warehouse.Snapshot, CommitRe
 	idx := asindex.New(asns)
 
 	_, ph = trace.StartPhase(ctx, "stream.commit.slab")
-	slab := e.pc.Slab(idx)
+	cones := cone.FromSlab(idx, e.pc.Slab(idx))
 	ph.End(commitPhaseDuration.With("slab"), &rep.Phases.Slab)
 
 	_, ph = trace.StartPhase(ctx, "stream.commit.compose")
 	snap := warehouse.Compose(warehouse.ComposeInput{
-		Index:         idx,
-		ConeWords:     slab,
+		Cones:         cones,
 		TransitDegree: res.TransitDegree,
 		Degree:        res.Degree,
 		PrefixCounts:  e.pfxCount,
@@ -487,7 +483,6 @@ func (e *Engine) CommitEpoch(ctx context.Context) (*warehouse.Snapshot, CommitRe
 		Steps:         res.Steps,
 		Clique:        clique,
 		PathCount:     e.ix.PathCount(),
-		Workers:       e.opts.Workers,
 	})
 	ph.End(commitPhaseDuration.With("compose"), &rep.Phases.Compose)
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -36,8 +37,7 @@ var baseCorpus = sync.OnceValue(func() *paths.Dataset {
 // announce/withdraw/churn schedules, each committed epoch compared
 // bit-for-bit (every snapshot column, cone slabs, serving ETag)
 // against a from-scratch batch run over an independently mirrored
-// route table. Worker counts alternate between 1 and 4 across the
-// schedule set. The aggregate assertion proves the incremental path
+// route table. The aggregate assertion proves the incremental path
 // actually ran incrementally — over the incremental epochs, far fewer
 // paths were walked by the crediting rule than were live — rather than
 // silently full-rebuilding its way to equality.
@@ -48,12 +48,8 @@ func TestDifferentialStreamVsBatch(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			workers := 1
-			if seed%2 == 1 {
-				workers = 4
-			}
 			sched := NewSchedule(seed, base, 4, 15)
-			opts := stream.Options{Workers: workers}
+			opts := stream.Options{}
 			eng := stream.New(opts)
 			_, st, err := RunScheduleOn(context.Background(), eng, sched, opts)
 			if err != nil {
@@ -85,15 +81,17 @@ func TestDifferentialStreamVsBatch(t *testing.T) {
 }
 
 // TestWorkerCountInvariance pins that a schedule's per-epoch serving
-// ETags are identical at any worker count: parallelism is a throughput
-// knob, never a semantic one.
+// ETags are identical at any worker-pool size (GOMAXPROCS): parallelism
+// is a throughput knob, never a semantic one.
 func TestWorkerCountInvariance(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	sched := NewSchedule(7, baseCorpus(), 5, 20)
 	var ref []string
 	for _, workers := range []int{1, 2, 8} {
-		etags, _, err := RunSchedule(context.Background(), sched, stream.Options{Workers: workers})
+		runtime.GOMAXPROCS(workers)
+		etags, _, err := RunSchedule(context.Background(), sched, stream.Options{})
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", workers, err)
 		}
 		if ref == nil {
 			ref = etags
@@ -101,7 +99,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 		}
 		for i := range ref {
 			if etags[i] != ref[i] {
-				t.Fatalf("workers=%d epoch %d: ETag %s, want %s", workers, i, etags[i], ref[i])
+				t.Fatalf("GOMAXPROCS=%d epoch %d: ETag %s, want %s", workers, i, etags[i], ref[i])
 			}
 		}
 	}

@@ -275,7 +275,6 @@ func BatchReference(m Mirror, opts stream.Options) *warehouse.Snapshot {
 	iopts := opts.Infer
 	iopts.Sanitize = true
 	iopts.IXPASes = opts.IXPASes
-	iopts.Workers = opts.Workers
 	res := core.Infer(m.Dataset(), iopts)
 	return warehouse.FromResult(res)
 }

@@ -19,7 +19,7 @@ import (
 // only grows).
 func churnedSeries(t testing.TB, order []int, scale int) ([]*warehouse.Snapshot, []string) {
 	t.Helper()
-	grown, tags := buildSeries(t, len(order), scale, 6, 0)
+	grown, tags := buildSeries(t, len(order), scale, 6)
 	snaps, etags := make([]*warehouse.Snapshot, len(order)), make([]string, len(order))
 	for i, from := range order {
 		snaps[i], etags[i] = grown[from], tags[from]

@@ -1,12 +1,10 @@
 package warehouse
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
-	"math/bits"
 	"slices"
 )
 
@@ -377,44 +375,6 @@ func checkBitGaps(payload []byte, want int, id byte) ([]byte, error) {
 		prev, first = prev+gap, false
 	}
 	return gaps, nil
-}
-
-// rankPos derives the AS Rank permutation the way cone.Rank defines it
-// — cone size descending, transit degree descending, ASN ascending —
-// from the decoded columns. Positions are ASN-ordered, so the final
-// tiebreak is position order; the result is the exact RankPos
-// FromResult computed before encoding.
-func rankPos(sizes, transitDegree []int32) []int32 {
-	rank := make([]int32, len(sizes))
-	for i := range rank {
-		rank[i] = int32(i)
-	}
-	slices.SortFunc(rank, func(a, b int32) int {
-		if sizes[a] != sizes[b] {
-			return cmp.Compare(sizes[b], sizes[a])
-		}
-		if transitDegree[a] != transitDegree[b] {
-			return cmp.Compare(transitDegree[b], transitDegree[a])
-		}
-		return cmp.Compare(a, b)
-	})
-	return rank
-}
-
-// coneSizes popcounts each position's row of a cone slab into sizes.
-func coneSizes(sizes []int32, words []uint64) []int32 {
-	if len(sizes) == 0 {
-		return sizes
-	}
-	wps := len(words) / len(sizes)
-	for p := range sizes {
-		c := 0
-		for _, w := range words[p*wps : (p+1)*wps] {
-			c += bits.OnesCount64(w)
-		}
-		sizes[p] = int32(c)
-	}
-	return sizes
 }
 
 func decodeSparse(payload []byte, n int, id byte) ([]sparseEntry, error) {

@@ -13,6 +13,7 @@ import (
 
 	"github.com/asrank-go/asrank/internal/bgpsim"
 	"github.com/asrank-go/asrank/internal/chaos"
+	"github.com/asrank-go/asrank/internal/cone"
 	"github.com/asrank-go/asrank/internal/core"
 	"github.com/asrank-go/asrank/internal/paths"
 	"github.com/asrank-go/asrank/internal/topology"
@@ -265,7 +266,7 @@ func FuzzParseSegment(f *testing.F) {
 			return
 		}
 		s := rp.snapshot()
-		if !slices.Equal(rp.sizes, coneSizes(make([]int32, s.NumASes()), s.ConeWords)) {
+		if !slices.Equal(rp.sizes, cone.RowSizes(make([]int32, s.NumASes()), s.ConeWords)) {
 			t.Fatal("cone sizes drifted from the slab")
 		}
 		img, _ := encodeSegment(kindFull, hdr.epoch, hdr.epoch, encodeFull(s))

@@ -1,6 +1,10 @@
 package warehouse
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"github.com/asrank-go/asrank/internal/cone"
+)
 
 // replayer is the one mutable working epoch a chain of segments is
 // replayed into (DESIGN.md §14): Open, Store.Snapshot and the fuzz
@@ -98,7 +102,7 @@ func (r *replayer) full(cols map[byte][]byte) error {
 		return err
 	}
 	r.cur, r.slab, r.spare = s, r.spare, r.slab
-	r.sizes = coneSizes(fit(r.sizes, n, r.ases), r.slab)
+	r.sizes = cone.RowSizes(fit(r.sizes, n, r.ases), r.slab)
 	return nil
 }
 
@@ -243,6 +247,6 @@ func (r *replayer) snapshot() *Snapshot {
 	s := *r.cur
 	s.ConeWords = make([]uint64, len(r.slab))
 	copy(s.ConeWords, r.slab)
-	s.RankPos = rankPos(r.sizes, s.TransitDegree)
+	s.RankPos = cone.RankPositions(r.sizes, s.TransitDegree)
 	return &s
 }

@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+
+	"github.com/asrank-go/asrank/internal/cone"
 )
 
 // synthSeries fabricates a chain of valid snapshots around n ASes
@@ -119,7 +121,7 @@ func synthSeries(n, epochs int, seed int64, still ...int) []*Snapshot {
 			s.Links = append(s.Links, LinkRec{A: a, B: b, Rel: l.rel, Step: uint8(slices.Index(s.StepNames, l.step))})
 		}
 		slices.SortFunc(s.Links, func(x, y LinkRec) int { return cmp.Or(cmp.Compare(x.A, y.A), cmp.Compare(x.B, y.B)) })
-		s.RankPos = rankPos(coneSizes(make([]int32, len(asns)), s.ConeWords), s.TransitDegree)
+		s.RankPos = cone.RankPositions(cone.RowSizes(make([]int32, len(asns)), s.ConeWords), s.TransitDegree)
 		out = append(out, s)
 	}
 	return out

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/asrank-go/asrank/internal/asindex"
 	"github.com/asrank-go/asrank/internal/cone"
 	"github.com/asrank-go/asrank/internal/core"
 	"github.com/asrank-go/asrank/internal/paths"
@@ -98,7 +97,7 @@ type Snapshot struct {
 	// Links holds every labeled adjacency, sorted by (A, B).
 	Links []LinkRec
 	// ConeWords is the provider/peer-observed customer-cone slab: one
-	// bitset of WordsPerCone() words per position (see cone.ExportSlab).
+	// bitset of WordsPerCone() words per position (cone.BitSets layout).
 	ConeWords []uint64
 }
 
@@ -115,12 +114,8 @@ func (s *Snapshot) NumASes() int { return len(s.ASNs) }
 // serve byte-identical responses. Deterministic at any worker count
 // (the cone engine guarantees it; everything else is sorted).
 func FromResult(res *core.Result) *Snapshot {
-	rels := cone.NewRelations(res.Rels)
-	bits := rels.ProviderPeerObservedBits(res.Dataset)
-	words, _ := bits.ExportSlab()
 	return Compose(ComposeInput{
-		Index:         bits.Index(),
-		ConeWords:     words,
+		Cones:         cone.NewRelations(res.Rels).ProviderPeerObservedBits(res.Dataset),
 		TransitDegree: res.TransitDegree,
 		Degree:        res.Degree,
 		PrefixCounts:  cone.PrefixCounts(res.Dataset),
@@ -132,18 +127,16 @@ func FromResult(res *core.Result) *Snapshot {
 }
 
 // ComposeInput carries the already-computed ingredients of one epoch:
-// the interned index, the cone slab expressed over it, the ranking
-// aggregates, and the labeled relationship set. FromResult derives
-// them from a batch inference result; the streaming engine maintains
-// them incrementally and hands them over directly.
+// the cone product over the interned index, the ranking aggregates, and
+// the labeled relationship set. FromResult derives them from a batch
+// inference result; the streaming engine maintains them incrementally
+// and hands them over directly.
 type ComposeInput struct {
-	// Index is the interned AS set (the sorted endpoints of Rels — the
-	// same index cone.NewRelations builds).
-	Index *asindex.Index
-	// ConeWords is the provider/peer-observed cone slab in ExportSlab
-	// layout over Index. Ownership passes to the snapshot; the caller
-	// must not mutate it afterwards.
-	ConeWords []uint64
+	// Cones is the provider/peer-observed cone product over the interned
+	// AS set (the sorted endpoints of Rels — the index cone.NewRelations
+	// builds). Ownership of its slab passes to the snapshot, uncopied; the
+	// caller must not write to it afterwards.
+	Cones *cone.BitSets
 	// TransitDegree and Degree are the step-2 ranking aggregates over
 	// the sanitized (pre-discard) corpus; missing ASes read as zero.
 	TransitDegree map[uint32]int
@@ -158,9 +151,6 @@ type ComposeInput struct {
 	Clique []uint32
 	// PathCount is the kept-corpus size.
 	PathCount int
-	// Workers bounds the parallel cone passes (<= 0 selects
-	// GOMAXPROCS); worker count never changes the snapshot.
-	Workers int
 }
 
 // Compose assembles a columnar snapshot from precomputed ingredients.
@@ -169,8 +159,7 @@ type ComposeInput struct {
 // is bit-identical to it — column for column, and therefore ETag for
 // ETag once built into an API snapshot.
 func Compose(in ComposeInput) *Snapshot {
-	idx := in.Index
-	bits := cone.FromSlab(idx, in.ConeWords, in.Workers)
+	idx, words := in.Cones.Index(), in.Cones.Slab()
 	n := idx.Len()
 
 	snap := &Snapshot{
@@ -194,14 +183,8 @@ func Compose(in ComposeInput) *Snapshot {
 			weights[p] = int64(c)
 		}
 	}
-	snap.ConePrefixes = bits.WeightedSizes(weights)
-
-	rank := cone.Rank(bits.Sizes(), in.TransitDegree)
-	snap.RankPos = make([]int32, len(rank))
-	for i, asn := range rank {
-		p, _ := idx.Pos(asn)
-		snap.RankPos[i] = p
-	}
+	snap.ConePrefixes = in.Cones.WeightedSizes(weights)
+	snap.RankPos = cone.RankPositions(cone.RowSizes(make([]int32, n), words), snap.TransitDegree)
 
 	snap.Clique = append([]uint32{}, in.Clique...)
 
@@ -248,6 +231,6 @@ func Compose(in ComposeInput) *Snapshot {
 		snap.Links[i].Step = id
 	}
 
-	snap.ConeWords = in.ConeWords
+	snap.ConeWords = words
 	return snap
 }

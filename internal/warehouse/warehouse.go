@@ -21,6 +21,7 @@ import (
 	"slices"
 	"sync"
 
+	"github.com/asrank-go/asrank/internal/cone"
 	"github.com/asrank-go/asrank/internal/obs"
 	"github.com/asrank-go/asrank/internal/trace"
 )
@@ -134,7 +135,7 @@ func Open(dir string, opts Options) (*Store, error) {
 			break
 		}
 		st.epochs = append(st.epochs, info)
-		st.hist = st.hist.extend(info, rp.cur, rankPos(rp.sizes, rp.cur.TransitDegree), slices.Clone(rp.sizes),
+		st.hist = st.hist.extend(info, rp.cur, cone.RankPositions(rp.sizes, rp.cur.TransitDegree), slices.Clone(rp.sizes),
 			relChanges(prev, rp.cur, diffLinks(prev, rp.cur)))
 	}
 	if rp.cur != nil {
@@ -267,7 +268,7 @@ func (st *Store) AppendNote(snap *Snapshot, label, etag string, note json.RawMes
 		return EpochInfo{}, err
 	}
 
-	st.hist = st.hist.extend(info, snap, snap.RankPos, coneSizes(make([]int32, snap.NumASes()), snap.ConeWords),
+	st.hist = st.hist.extend(info, snap, snap.RankPos, cone.RowSizes(make([]int32, snap.NumASes()), snap.ConeWords),
 		relChanges(st.last, snap, diff))
 	st.epochs = next
 	st.last = snap

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/asrank-go/asrank/internal/apiserver"
@@ -23,7 +24,7 @@ import (
 
 // buildSeries simulates an evolving topology and infers each snapshot,
 // returning the columnar epochs and their serving ETags.
-func buildSeries(t testing.TB, epochs, scale, vps, workers int) ([]*warehouse.Snapshot, []string) {
+func buildSeries(t testing.TB, epochs, scale, vps int) ([]*warehouse.Snapshot, []string) {
 	t.Helper()
 	p := topology.DefaultParams(42)
 	p.ASes = scale
@@ -40,7 +41,7 @@ func buildSeries(t testing.TB, epochs, scale, vps, workers int) ([]*warehouse.Sn
 			t.Fatalf("epoch %d: %v", i, err)
 		}
 		clean, _ := paths.Sanitize(sim.Dataset, paths.SanitizeOptions{})
-		res := core.Infer(clean, core.Options{Workers: workers})
+		res := core.Infer(clean, core.Options{})
 		snaps[i] = warehouse.FromResult(res)
 		etags[i] = apiserver.BuildSnapshot(snaps[i]).ETag()
 	}
@@ -67,7 +68,7 @@ func fill(t testing.TB, dir string, snaps []*warehouse.Snapshot, etags []string,
 // (full and delta paths both), and rebuilds the identical apiserver
 // ETag — the strong validator over the serving bytes.
 func TestRoundTripByteIdentity(t *testing.T) {
-	snaps, etags := buildSeries(t, 5, 400, 8, 0)
+	snaps, etags := buildSeries(t, 5, 400, 8)
 	dir := t.TempDir()
 	fill(t, dir, snaps, etags, warehouse.Options{})
 
@@ -93,18 +94,21 @@ func TestRoundTripByteIdentity(t *testing.T) {
 }
 
 // TestWorkerCountInvariance re-infers the same corpus at different
-// worker counts: the snapshots, their ETags, and the stored bytes must
-// be identical — the determinism contract of the whole pipeline.
+// worker-pool sizes (GOMAXPROCS): the snapshots, their ETags, and the
+// stored bytes must be identical — the determinism contract of the
+// whole pipeline.
 func TestWorkerCountInvariance(t *testing.T) {
-	base, baseTags := buildSeries(t, 3, 400, 8, 1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	base, baseTags := buildSeries(t, 3, 400, 8)
 	for _, workers := range []int{2, 5} {
-		again, tags := buildSeries(t, 3, 400, 8, workers)
+		runtime.GOMAXPROCS(workers)
+		again, tags := buildSeries(t, 3, 400, 8)
 		for i := range base {
 			if !reflect.DeepEqual(again[i], base[i]) {
-				t.Errorf("workers=%d epoch %d: snapshot differs from workers=1", workers, i)
+				t.Errorf("GOMAXPROCS=%d epoch %d: snapshot differs from GOMAXPROCS=1", workers, i)
 			}
 			if tags[i] != baseTags[i] {
-				t.Errorf("workers=%d epoch %d: ETag %s, want %s", workers, i, tags[i], baseTags[i])
+				t.Errorf("GOMAXPROCS=%d epoch %d: ETag %s, want %s", workers, i, tags[i], baseTags[i])
 			}
 		}
 	}
@@ -126,10 +130,36 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 }
 
+// TestFromResultOwnsItsSlab pins the hand-off FromResult relies on: the
+// cone engine gives every call a slab of its own, so a snapshot's
+// ConeWords — the engine's slab, uncopied — is neither shared with nor
+// written by a later conversion of the same result.
+func TestFromResultOwnsItsSlab(t *testing.T) {
+	p := topology.DefaultParams(11)
+	p.ASes = 200
+	sim, err := bgpsim.Run(topology.Generate(p), bgpsim.DefaultOptions(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := core.Infer(sim.Dataset, core.Options{Sanitize: true})
+	snap := warehouse.FromResult(res)
+	before := append([]uint64(nil), snap.ConeWords...)
+	again := warehouse.FromResult(res)
+	if &again.ConeWords[0] == &snap.ConeWords[0] {
+		t.Fatal("two FromResult snapshots share one cone slab")
+	}
+	if !reflect.DeepEqual(snap.ConeWords, before) {
+		t.Fatal("a later FromResult call wrote to an earlier snapshot's cone slab")
+	}
+	if !reflect.DeepEqual(again, snap) {
+		t.Fatal("FromResult is not a function of the result")
+	}
+}
+
 // TestDeltaChainBudget is the storage acceptance bound: 12+ consecutive
 // epochs must cost less than 3x one full epoch of the head topology.
 func TestDeltaChainBudget(t *testing.T) {
-	snaps, etags := buildSeries(t, 13, 400, 8, 0)
+	snaps, etags := buildSeries(t, 13, 400, 8)
 	st := fill(t, t.TempDir(), snaps, etags, warehouse.Options{})
 	allFull := fill(t, t.TempDir(), snaps, etags, warehouse.Options{CheckpointEvery: 1})
 
@@ -170,7 +200,7 @@ func copyDir(t *testing.T, src string) string {
 // requires every variant to reopen at the last good epoch — never an
 // error, never a wrong snapshot.
 func TestRecoveryFromCorruptTail(t *testing.T) {
-	snaps, etags := buildSeries(t, 4, 300, 6, 0)
+	snaps, etags := buildSeries(t, 4, 300, 6)
 	src := t.TempDir()
 	st := fill(t, src, snaps, etags, warehouse.Options{})
 	infos := st.Epochs()
@@ -237,7 +267,7 @@ func TestRecoveryFromCorruptTail(t *testing.T) {
 // that fails to parse cannot happen under atomic rename — treat it as
 // real damage, not as an empty store.
 func TestCorruptManifestIsAnError(t *testing.T) {
-	snaps, etags := buildSeries(t, 2, 300, 6, 0)
+	snaps, etags := buildSeries(t, 2, 300, 6)
 	dir := t.TempDir()
 	fill(t, dir, snaps, etags, warehouse.Options{})
 	if err := os.WriteFile(filepath.Join(dir, "MANIFEST.json"), []byte("{"), 0o644); err != nil {
@@ -261,7 +291,7 @@ func relsOf(s *warehouse.Snapshot) map[[2]uint32]warehouse.RelCode {
 // comparison of the two endpoint snapshots: same changed set, same
 // old/new labels, intermediate flaps dropped.
 func TestHistoryDiff(t *testing.T) {
-	snaps, etags := buildSeries(t, 4, 300, 6, 0)
+	snaps, etags := buildSeries(t, 4, 300, 6)
 	st := fill(t, t.TempDir(), snaps, etags, warehouse.Options{})
 	h := st.History()
 	if h.Len() != len(snaps) {
@@ -313,7 +343,7 @@ func TestHistoryDiff(t *testing.T) {
 // rank/cone figures matching the epoch's own snapshot, and the chain
 // ETag moving when (and only when) an epoch is appended.
 func TestHistoryASN(t *testing.T) {
-	snaps, etags := buildSeries(t, 3, 300, 6, 0)
+	snaps, etags := buildSeries(t, 3, 300, 6)
 	dir := t.TempDir()
 	st := fill(t, dir, snaps[:2], etags[:2], warehouse.Options{})
 	h := st.History()
@@ -352,7 +382,7 @@ func TestHistoryASN(t *testing.T) {
 // ETag, decoded bytes — is unchanged by it), and mixes freely with
 // un-annotated epochs.
 func TestAppendNoteRoundTrip(t *testing.T) {
-	snaps, etags := buildSeries(t, 3, 400, 8, 0)
+	snaps, etags := buildSeries(t, 3, 400, 8)
 	dir := t.TempDir()
 	st, err := warehouse.Open(dir, warehouse.Options{})
 	if err != nil {
