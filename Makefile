@@ -68,7 +68,8 @@ trace-demo:
 	@echo "traces in $(TRACEDIR)/: bgpsim-trace.json replay-trace.json asrank-trace.json ascone-trace.json"
 
 # Short native-fuzzing pass over every decoder target, seeded with the
-# shared chaos-corrupted corpus. Each target gets FUZZTIME; `go test`
+# shared chaos-corrupted corpus (FuzzRead diffs the path-text reader
+# against the reader it replaced). Each target gets FUZZTIME; `go test`
 # allows only one -fuzz pattern per invocation, hence one line each.
 FUZZTIME ?= 5s
 
@@ -78,5 +79,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseOpenBody$$' -fuzztime $(FUZZTIME) ./internal/bgp
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMessage$$' -fuzztime $(FUZZTIME) ./internal/bgp
 	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime $(FUZZTIME) ./internal/mrt
+	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME) ./internal/paths
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSegment$$' -fuzztime $(FUZZTIME) ./internal/warehouse
 	$(GO) test -run '^$$' -fuzz '^FuzzCorpusMutator$$' -fuzztime $(FUZZTIME) ./internal/streamtest

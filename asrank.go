@@ -50,9 +50,11 @@ import (
 
 // Core data types, re-exported from the internal packages.
 type (
-	// Path is one AS path observed at a collector.
+	// Path is one AS path observed at a collector. ASNs is read-only:
+	// rows that carry the same path may share one slice.
 	Path = paths.Path
-	// Dataset is a corpus of AS paths.
+	// Dataset is a corpus of AS paths, one row per (collector, prefix,
+	// path) observation.
 	Dataset = paths.Dataset
 	// Link is an undirected AS adjacency, normalized so A < B.
 	Link = paths.Link

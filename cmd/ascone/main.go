@@ -93,7 +93,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	tr := tracecli.Start(*traceFile, "ascone.run")
 	tr.Root().SetAttr("method", *method)
 	tr.Root().SetAttr("weight", *weight)
-	ds, _ = paths.SanitizeCtx(tr.Context(), ds, paths.SanitizeOptions{})
+	ds, _, _ = paths.SanitizeCtx(tr.Context(), ds, paths.SanitizeOptions{})
 
 	var rels map[paths.Link]topology.Relationship
 	var transitDegree map[uint32]int

@@ -2,8 +2,6 @@ package core
 
 import (
 	"sort"
-
-	"github.com/asrank-go/asrank/internal/paths"
 )
 
 // CliqueFromIndex implements step 3 over the index's ranked layer,
@@ -189,22 +187,6 @@ func removeASN(s []uint32, v uint32) []uint32 {
 		}
 	}
 	return out
-}
-
-// discardPoisoned implements step 4: drop paths where a non-clique AS
-// appears between two clique members — evidence of poisoning or a route
-// leak that would corrupt top-down inference.
-func discardPoisoned(ds *paths.Dataset, clique map[uint32]bool) (*paths.Dataset, int) {
-	out := &paths.Dataset{Paths: make([]paths.Path, 0, len(ds.Paths))}
-	dropped := 0
-	for _, p := range ds.Paths {
-		if poisoned(p.ASNs, clique) {
-			dropped++
-			continue
-		}
-		out.Add(p)
-	}
-	return out, dropped
 }
 
 // Poisoned reports whether a path is a clique–nonclique–clique sandwich

@@ -231,12 +231,15 @@ func InferCtx(ctx context.Context, ds *paths.Dataset, opts Options) *Result {
 	defer run.End(inferDuration, nil)
 	run.Span.SetAttrInt("paths", int64(len(ds.Paths)))
 	var st paths.SanitizeStats
+	var groups *paths.Groups
 	if opts.Sanitize {
 		sctx, ph := trace.StartPhase(ctx, "core.infer.sanitize")
-		ds, st = paths.SanitizeCtx(sctx, ds, paths.SanitizeOptions{IXPASes: opts.IXPASes})
+		ds, st, groups = paths.SanitizeCtx(sctx, ds, paths.SanitizeOptions{IXPASes: opts.IXPASes})
 		ph.End(inferStepDuration.With("sanitize"), nil)
+	} else {
+		groups = paths.GroupByHops(ds.Paths)
 	}
-	return inferSanitized(ctx, ds, opts, st)
+	return inferSanitized(ctx, ds, groups, opts, st)
 }
 
 // stager runs pipeline steps as timed phases: one span, one
@@ -264,19 +267,28 @@ func (st *stager) run(spanName, step string, fn func()) {
 	ph.End(inferStepDuration.With(step), nil)
 }
 
-func inferSanitized(ctx context.Context, ds *paths.Dataset, opts Options, sanStats paths.SanitizeStats) *Result {
+// inferSanitized runs steps 2–9 over a sanitized corpus and its
+// grouping by hop sequence.
+func inferSanitized(ctx context.Context, ds *paths.Dataset, groups *paths.Groups, opts Options, sanStats paths.SanitizeStats) *Result {
 	// Steps 2–4 are the only stages that touch the corpus itself; they
 	// build the two index layers the shared engine (InferIndexed)
-	// consumes. Their metric stages label no links.
+	// consumes. Their metric stages label no links. All three are
+	// functions of a path's hops, so each distinct hop sequence is
+	// folded once, with the number of rows carrying it as multiplicity.
 	stages := stager{ctx: ctx}
 
 	ix := NewCorpusIndex()
 	var rank, clique []uint32
 
+	rows := make([]int, len(groups.Hops)) // rows carrying each sequence
+	for _, g := range groups.Of {
+		rows[g]++
+	}
+
 	// Step 2: ranking.
 	stages.run("core.infer.rank", "rank", func() {
-		for _, p := range ds.Paths {
-			ix.AddPath(p.ASNs, 1)
+		for g, hops := range groups.Hops {
+			ix.AddPath(hops, rows[g])
 		}
 		rank = ix.Rank()
 	})
@@ -290,15 +302,31 @@ func inferSanitized(ctx context.Context, ds *paths.Dataset, opts Options, sanSta
 		cliqueSet[c] = true
 	}
 
-	// Step 4: discard poisoned paths and build the kept layer.
-	var kept *paths.Dataset
-	dropped := 0
+	// Step 4: discard poisoned paths — those where a non-clique AS
+	// appears between two clique members, evidence of poisoning or a
+	// route leak that would corrupt top-down inference — and build the
+	// kept layer from the rest.
+	kept := &paths.Dataset{}
 	stages.run("core.infer.poison", "poison", func() {
-		kept, dropped = discardPoisoned(ds, cliqueSet)
-		for _, p := range kept.Paths {
-			ix.AddKept(p.ASNs, 1)
+		drop := make([]bool, len(groups.Hops))
+		for g, hops := range groups.Hops {
+			if drop[g] = poisoned(hops, cliqueSet); !drop[g] {
+				ix.AddKept(hops, rows[g])
+			}
+		}
+		// A corpus this run sanitized is its own to filter in place; a
+		// caller's is copied.
+		kept.Paths = ds.Paths[:0]
+		if !opts.Sanitize {
+			kept.Paths = make([]paths.Path, 0, len(ds.Paths))
+		}
+		for i, p := range ds.Paths {
+			if !drop[groups.Of[i]] {
+				kept.Paths = append(kept.Paths, p)
+			}
 		}
 	})
+	dropped := len(ds.Paths) - len(kept.Paths)
 	inferPoisoned.Add(uint64(dropped))
 	if root := trace.FromContext(ctx); root != nil {
 		root.SetAttrInt("poisoned_paths", int64(dropped))

@@ -71,14 +71,19 @@ func TestPoisonedDetection(t *testing.T) {
 	}
 }
 
+// TestDiscardPoisoned checks step 4 through Infer: every row of a
+// poisoned hop sequence is counted and dropped, whatever prefix carried
+// it, and the surviving rows keep their input order.
 func TestDiscardPoisoned(t *testing.T) {
-	d := ds(
-		[]uint32{5, 1, 9, 2, 7},
-		[]uint32{5, 1, 2, 7},
-	)
-	out, n := discardPoisoned(d, map[uint32]bool{1: true, 2: true})
-	if n != 1 || out.NumPaths() != 1 {
-		t.Errorf("dropped %d, kept %d", n, out.NumPaths())
+	sandwich, clean, other := []uint32{5, 1, 9, 2, 7}, []uint32{5, 1, 2, 7}, []uint32{6, 2, 1, 8}
+	d := ds(sandwich, clean, sandwich, other, clean)
+	res := Infer(d, Options{Clique: []uint32{1, 2}})
+	if res.PoisonedPaths != 2 {
+		t.Errorf("PoisonedPaths = %d, want 2", res.PoisonedPaths)
+	}
+	want := []paths.Path{d.Paths[1], d.Paths[3], d.Paths[4]}
+	if !reflect.DeepEqual(res.Dataset.Paths, want) {
+		t.Errorf("kept rows = %+v, want %+v", res.Dataset.Paths, want)
 	}
 }
 

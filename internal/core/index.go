@@ -44,7 +44,8 @@ type pairKey struct {
 //     (paths not poisoned under the step-3 clique), feeding the
 //     intra-clique labeling, provider-less detection, and steps 5–9.
 //
-// Batch inference builds both layers by folding +1 over a Dataset; the
+// Batch inference builds both layers by folding each distinct hop
+// sequence of a Dataset once, with its row count as multiplicity; the
 // streaming engine calls the same mutators with ±1 deltas as routes are
 // announced and withdrawn.
 type CorpusIndex struct {
@@ -122,11 +123,13 @@ func bumpPair(pairs map[pairKey]int, counts map[uint32]int, x, y uint32, d int) 
 	}
 }
 
-// AddPath folds one distinct sanitized path into (d=+1) or out of
-// (d=-1) the ranked layer. The caller is responsible for distinctness:
-// the batch pipeline dedupes in Sanitize, the streaming engine
-// refcounts RIB entries per distinct path and calls AddPath only on
-// 0↔1 transitions.
+// AddPath folds d occurrences of a sanitized path into (d > 0) or out
+// of (d < 0) the ranked layer: d is a multiplicity. The tables count
+// corpus rows — the same hops recur under many prefixes — so the batch
+// pipeline folds each distinct hop sequence once with the number of
+// rows carrying it, and the streaming engine folds ±1 as each
+// (collector, prefix, hops) entry appears and disappears; both reach
+// the index a +1 per row would build.
 func (ix *CorpusIndex) AddPath(asns []uint32, d int) {
 	for _, a := range asns {
 		bump(ix.occur, a, d)
@@ -148,10 +151,11 @@ func (ix *CorpusIndex) AddPath(asns []uint32, d int) {
 	}
 }
 
-// AddKept folds one distinct non-poisoned path into (d=+1) or out of
-// (d=-1) the kept layer. Poisoned-ness is a per-path function of the
-// clique (see Poisoned); when the clique changes, the engine removes the
-// paths that became poisoned and adds the ones that stopped being so.
+// AddKept folds d occurrences of a non-poisoned path into (d > 0) or
+// out of (d < 0) the kept layer; d is a multiplicity, as in AddPath.
+// Poisoned-ness is a per-path function of the clique (see Poisoned);
+// when the clique changes, the engine removes the paths that became
+// poisoned and adds the ones that stopped being so.
 func (ix *CorpusIndex) AddKept(asns []uint32, d int) {
 	if len(asns) == 0 {
 		return
@@ -179,7 +183,7 @@ func (ix *CorpusIndex) adjacent(a, b uint32) bool {
 	return ok
 }
 
-// PathCount returns the number of distinct paths in the kept layer.
+// PathCount returns the number of paths (corpus rows) in the kept layer.
 func (ix *CorpusIndex) PathCount() int { return ix.pathCount }
 
 // Links returns the kept layer's link set, keyed like Dataset.Links.

@@ -8,13 +8,15 @@ import (
 	"github.com/asrank-go/asrank/internal/stats"
 )
 
-// TestIndexIsAFunctionOfThePathMultiset is the property the streaming
-// engine's single commit path rests on: whatever order paths are added,
-// removed, kept, poisoned and kept again in, the index ends equal —
-// every table, the ranking, the clique — to a fresh index folding +1
-// over the paths that are present and the subset of them that are kept.
+// TestIndexIsAFunctionOfThePathMultiset is the property both pipelines
+// rest on: whatever order and in whatever multiples paths are added,
+// removed, kept, poisoned and kept again, the index ends equal — every
+// table, the ranking, the clique — to a fresh index folding +1 per
+// unit over the paths that are present and the subset of them that are
+// kept. The streaming engine's single commit path uses it at d = ±1;
+// the batch fold, one call per distinct hop sequence with the row
+// count as d, uses it at d > 1.
 func TestIndexIsAFunctionOfThePathMultiset(t *testing.T) {
-	const absent, poisoned, kept = 0, 1, 2
 	for seed := int64(0); seed < 200; seed++ {
 		rng := stats.NewRNG(seed)
 		// Distinct loop-free paths over a small AS space, so tables
@@ -34,43 +36,51 @@ func TestIndexIsAFunctionOfThePathMultiset(t *testing.T) {
 		}
 
 		ix := NewCorpusIndex()
-		state := make([]int, len(pool))
+		units := make([]int, len(pool)) // copies of the path present
+		kept := make([]bool, len(pool)) // whether they are in the kept layer
 		for op := 0; op < 400; op++ {
 			i := rng.Intn(len(pool))
-			switch next := rng.Intn(3); {
-			case next == state[i]:
-			case state[i] == absent:
-				ix.AddPath(pool[i], 1)
-				if next == kept {
-					ix.AddKept(pool[i], 1)
+			switch rng.Intn(3) {
+			case 0: // add 1..4 units; an absent path draws its flag
+				d := rng.Range(1, 4)
+				if units[i] == 0 {
+					kept[i] = rng.Bool(0.5)
 				}
-				state[i] = next
-			case next == absent:
-				if state[i] == kept {
-					ix.AddKept(pool[i], -1)
+				ix.AddPath(pool[i], d)
+				if kept[i] {
+					ix.AddKept(pool[i], d)
 				}
-				ix.AddPath(pool[i], -1)
-				state[i] = next
-			case next == kept: // poisoned → kept: the clique moved, the path did not
-				ix.AddKept(pool[i], 1)
-				state[i] = next
-			default: // kept → poisoned
-				ix.AddKept(pool[i], -1)
-				state[i] = next
+				units[i] += d
+			case 1: // remove some of the units, or all
+				if units[i] == 0 {
+					continue
+				}
+				d := rng.Range(1, units[i])
+				if kept[i] {
+					ix.AddKept(pool[i], -d)
+				}
+				ix.AddPath(pool[i], -d)
+				units[i] -= d
+			case 2: // the clique moved, the path did not: flip every unit
+				if kept[i] = !kept[i]; kept[i] {
+					ix.AddKept(pool[i], units[i])
+				} else {
+					ix.AddKept(pool[i], -units[i])
+				}
 			}
 		}
 
 		fresh := NewCorpusIndex()
 		for i, p := range pool {
-			if state[i] != absent {
+			for u := 0; u < units[i]; u++ {
 				fresh.AddPath(p, 1)
-			}
-			if state[i] == kept {
-				fresh.AddKept(p, 1)
+				if kept[i] {
+					fresh.AddKept(p, 1)
+				}
 			}
 		}
 		if !reflect.DeepEqual(ix, fresh) {
-			t.Fatalf("seed %d: index after ±1 interleaving differs from a fresh fold:\n got %+v\nwant %+v", seed, ix, fresh)
+			t.Fatalf("seed %d: index after ±d interleaving differs from a fresh +1 fold:\n got %+v\nwant %+v", seed, ix, fresh)
 		}
 		rank, want := ix.Rank(), fresh.Rank()
 		if !reflect.DeepEqual(rank, want) {

@@ -2,11 +2,14 @@ package paths
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net/netip"
+	"slices"
 	"strconv"
-	"strings"
+	"unicode"
 )
 
 // The text interchange format is one path per line:
@@ -39,44 +42,90 @@ func Write(w io.Writer, ds *Dataset) error {
 	return bw.Flush()
 }
 
-// Read parses the text format.
+// readBlock is how many rows Read collects per block before starting
+// another: blocks are concatenated once at the end, so a corpus of any
+// size is copied once instead of being re-grown 1.25x at a time.
+const readBlock = 8192
+
+// Read parses the text format. Rows that carry the same AS-path text
+// share one ASNs slice and rows from the same collector share one
+// Collector string: a RIB is a few paths repeated across many prefixes,
+// so each distinct path is parsed and allocated once, and no row pins
+// the line it was read from.
 func Read(r io.Reader) (*Dataset, error) {
-	ds := &Dataset{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	lineno := 0
+	var (
+		blocks     [][]Path
+		cur        []Path
+		collectors = make(map[string]string)
+		hops       = make(map[string][]uint32)
+		lineno     int
+	)
 	for sc.Scan() {
 		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		parts := strings.Split(line, "|")
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("paths: line %d: want 3 |-separated fields, got %d", lineno, len(parts))
+		if n := bytes.Count(line, []byte{'|'}); n != 2 {
+			return nil, fmt.Errorf("paths: line %d: want 3 |-separated fields, got %d", lineno, n+1)
 		}
-		p := Path{Collector: parts[0]}
-		if parts[1] != "" {
-			prefix, err := netip.ParsePrefix(parts[1])
+		i, j := bytes.IndexByte(line, '|'), bytes.LastIndexByte(line, '|')
+		collector, ok := collectors[string(line[:i])]
+		if !ok {
+			collector = string(line[:i])
+			collectors[collector] = collector
+		}
+		p := Path{Collector: collector}
+		if i+1 < j {
+			prefix, err := netip.ParsePrefix(string(line[i+1 : j]))
 			if err != nil {
 				return nil, fmt.Errorf("paths: line %d: %w", lineno, err)
 			}
 			p.Prefix = prefix
 		}
-		for _, f := range strings.Fields(parts[2]) {
-			v, err := strconv.ParseUint(f, 10, 32)
-			if err != nil {
-				return nil, fmt.Errorf("paths: line %d: bad ASN %q", lineno, f)
+		if p.ASNs, ok = hops[string(line[j+1:])]; !ok {
+			var err error
+			if p.ASNs, err = parseHops(line[j+1:]); err != nil {
+				return nil, fmt.Errorf("paths: line %d: %w", lineno, err)
 			}
-			p.ASNs = append(p.ASNs, uint32(v))
+			hops[string(line[j+1:])] = p.ASNs
 		}
-		if len(p.ASNs) == 0 {
-			return nil, fmt.Errorf("paths: line %d: empty AS path", lineno)
+		if len(cur) == cap(cur) {
+			blocks = append(blocks, cur)
+			cur = make([]Path, 0, min(max(2*cap(cur), 64), readBlock))
 		}
-		ds.Add(p)
+		cur = append(cur, p)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("paths: line %d: %w", lineno+1, err)
 	}
-	return ds, nil
+	return &Dataset{Paths: slices.Concat(append(blocks, cur)...)}, nil
+}
+
+// parseHops parses a white-space-separated AS path, cutting fields
+// where strings.Fields would.
+func parseHops(text []byte) ([]uint32, error) {
+	asns := make([]uint32, 0, bytes.Count(text, []byte{' '})+1)
+	for {
+		text = bytes.TrimLeftFunc(text, unicode.IsSpace)
+		if len(text) == 0 {
+			break
+		}
+		end := bytes.IndexFunc(text, unicode.IsSpace)
+		if end < 0 {
+			end = len(text)
+		}
+		v, err := strconv.ParseUint(string(text[:end]), 10, 32)
+		if err != nil {
+			return nil, fmt.Errorf("bad ASN %q", text[:end])
+		}
+		asns = append(asns, uint32(v))
+		text = text[end:]
+	}
+	if len(asns) == 0 {
+		return nil, errors.New("empty AS path")
+	}
+	return asns, nil
 }

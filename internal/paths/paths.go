@@ -14,6 +14,11 @@ import (
 
 // Path is one AS path as seen at a collector: ASNs[0] is the VP (the
 // collector's BGP peer) and ASNs[len-1] is the origin AS of Prefix.
+//
+// ASNs is read-only: a RIB is a few paths repeated across many
+// prefixes, so Read and Sanitize hand every row that carries the same
+// path one shared slice. Give a row new hops by assigning a new slice,
+// never by writing through the old one.
 type Path struct {
 	Collector string
 	Prefix    netip.Prefix
@@ -52,7 +57,8 @@ func NewLink(x, y uint32) Link {
 // String renders the link as "a-b".
 func (l Link) String() string { return fmt.Sprintf("%d-%d", l.A, l.B) }
 
-// Dataset is a corpus of AS paths.
+// Dataset is a corpus of AS paths: one row per (collector, prefix,
+// path) observation. Rows may share one ASNs slice (see Path).
 type Dataset struct {
 	Paths []Path
 }

@@ -2,9 +2,11 @@ package paths
 
 import (
 	"context"
+	"encoding/binary"
+	"net/netip"
+	"slices"
 
 	"github.com/asrank-go/asrank/internal/asn"
-	"github.com/asrank-go/asrank/internal/pool"
 	"github.com/asrank-go/asrank/internal/trace"
 )
 
@@ -37,65 +39,64 @@ type SanitizeStats struct {
 // out, and paths containing reserved ASNs or loops are discarded, as are
 // (by default) exact duplicates.
 //
-// Per-path cleaning is sharded across a worker pool sized from
-// GOMAXPROCS; the discard/dedup bookkeeping then walks the cleaned paths
-// in input order, so output and stats are identical at any setting of it.
-// PrependingRemoved and IXPSpliced count kept paths only, preserving
-// Input == Kept + ReservedDiscarded + LoopDiscarded + TooShort +
-// Duplicates with each kept row attributable to the corpus that
-// inference actually sees.
+// Cleaned hop sequences are interned: output rows that carry the same
+// path share one ASNs slice (see Path). PrependingRemoved and IXPSpliced
+// count kept paths only, preserving Input == Kept + ReservedDiscarded +
+// LoopDiscarded + TooShort + Duplicates with each kept row attributable
+// to the corpus that inference actually sees.
 func Sanitize(ds *Dataset, opts SanitizeOptions) (*Dataset, SanitizeStats) {
-	return SanitizeCtx(context.Background(), ds, opts)
+	out, stats, _ := SanitizeCtx(context.Background(), ds, opts)
+	return out, stats
 }
 
 // SanitizeCtx is Sanitize with a context for tracing: when ctx carries
-// a span, the pass records a "paths.sanitize" span with per-stage
-// children ("paths.sanitize.clean" fans per-shard pool.task spans
-// across the worker goroutines; "paths.sanitize.sweep" is the
-// sequential bookkeeping walk) and input/kept counts as attributes.
-func SanitizeCtx(ctx context.Context, ds *Dataset, opts SanitizeOptions) (*Dataset, SanitizeStats) {
-	ctx, ph := trace.StartPhase(ctx, "paths.sanitize")
+// a span, the pass records a "paths.sanitize" span with input/kept
+// counts as attributes. It also returns the grouping of the output rows
+// by hop sequence — equal to GroupByHops(out.Paths), which the interning
+// has already computed.
+func SanitizeCtx(ctx context.Context, ds *Dataset, opts SanitizeOptions) (*Dataset, SanitizeStats, *Groups) {
+	_, ph := trace.StartPhase(ctx, "paths.sanitize")
 	stats := SanitizeStats{Input: len(ds.Paths)}
 	out := &Dataset{Paths: make([]Path, 0, len(ds.Paths))}
-	seen := make(map[string]bool)
-
-	type cleanedPath struct {
-		asns []uint32
-		info pathInfo
-	}
-	cleanedPaths := make([]cleanedPath, len(ds.Paths))
-	cleanCtx, cleanSpan := trace.StartSpan(ctx, "paths.sanitize.clean")
-	pool.RangeCtx(cleanCtx, 0, len(ds.Paths), func(_ context.Context, _, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			asns, info := sanitizePath(ds.Paths[i].ASNs, opts.IXPASes)
-			cleanedPaths[i] = cleanedPath{asns: asns, info: info}
-		}
-	})
-	cleanSpan.End()
-
-	_, sweepSpan := trace.StartSpan(ctx, "paths.sanitize.sweep")
-	for i, p := range ds.Paths {
-		cleaned, info := cleanedPaths[i].asns, cleanedPaths[i].info
-		switch info {
-		case pathReserved:
+	groups := &Groups{Of: make([]int32, 0, len(ds.Paths))}
+	var (
+		seqs       = hopTable{ids: make(map[string]int32)}
+		collectors = make(map[string]uint32)
+		seen       = make(map[rowKey]struct{}, len(ds.Paths))
+		buf        []uint32
+	)
+	for _, p := range ds.Paths {
+		var info pathInfo
+		buf, info = sanitizePath(buf[:0], p.ASNs, opts.IXPASes)
+		switch {
+		case info == pathReserved:
 			stats.ReservedDiscarded++
 			continue
-		case pathLoop:
+		case info == pathLoop:
 			stats.LoopDiscarded++
 			continue
-		}
-		if len(cleaned) < 2 {
+		case len(buf) < 2:
 			stats.TooShort++
 			continue
 		}
-		np := Path{Collector: p.Collector, Prefix: p.Prefix, ASNs: cleaned}
+		// The first row of a sequence is never a duplicate, so every
+		// interned sequence keeps at least one row.
+		seq, fresh := seqs.id(buf)
+		if fresh {
+			groups.Hops = append(groups.Hops, slices.Clone(buf))
+		}
 		if !opts.KeepDuplicates {
-			key := dupKey(np)
-			if seen[key] {
+			c, ok := collectors[p.Collector]
+			if !ok {
+				c = uint32(len(collectors))
+				collectors[p.Collector] = c
+			}
+			key := newRowKey(c, p.Prefix, seq)
+			if _, dup := seen[key]; dup {
 				stats.Duplicates++
 				continue
 			}
-			seen[key] = true
+			seen[key] = struct{}{}
 		}
 		if info&pathPrepended != 0 {
 			stats.PrependingRemoved++
@@ -103,9 +104,9 @@ func SanitizeCtx(ctx context.Context, ds *Dataset, opts SanitizeOptions) (*Datas
 		if info&pathIXP != 0 {
 			stats.IXPSpliced++
 		}
-		out.Add(np)
+		out.Paths = append(out.Paths, Path{Collector: p.Collector, Prefix: p.Prefix, ASNs: groups.Hops[seq]})
+		groups.Of = append(groups.Of, seq)
 	}
-	sweepSpan.End()
 	stats.Kept = len(out.Paths)
 	if span := ph.Span; span != nil {
 		span.SetAttrInt("input", int64(stats.Input))
@@ -114,7 +115,34 @@ func SanitizeCtx(ctx context.Context, ds *Dataset, opts SanitizeOptions) (*Datas
 	}
 	ph.End(sanDuration, nil)
 	stats.record()
-	return out, stats
+	return out, stats, groups
+}
+
+// rowKey identifies a (collector, prefix, hop sequence) row for the
+// duplicate collapse. The prefix is flattened to plain integers: a
+// netip.Prefix carries a unique.Handle, which sends every map operation
+// through the generic struct hash.
+type rowKey struct {
+	hi, lo    uint64 // address bits; zero for every invalid prefix
+	collector uint32
+	bits      int32 // prefix length, +256 unless IPv4; -1 for every invalid prefix
+	seq       int32
+}
+
+// newRowKey keeps apart exactly the prefixes Prefix.String keeps apart:
+// a.b.c.d/24 differs from ::ffff:a.b.c.d/120 and from ::ffff:a.b.c.d/24,
+// unmasked host bits are significant, and all invalid prefixes are one.
+func newRowKey(collector uint32, p netip.Prefix, seq int32) rowKey {
+	k := rowKey{collector: collector, bits: -1, seq: seq}
+	if p.IsValid() {
+		a := p.Addr().As16()
+		k.hi, k.lo = binary.BigEndian.Uint64(a[:8]), binary.BigEndian.Uint64(a[8:])
+		k.bits = int32(p.Bits())
+		if !p.Addr().Is4() {
+			k.bits += 256
+		}
+	}
+	return k
 }
 
 // SanitizeOne applies the per-path half of the step-1 cleaning to a
@@ -124,9 +152,11 @@ func SanitizeCtx(ctx context.Context, ds *Dataset, opts SanitizeOptions) (*Datas
 // — exactly the keep/clean decision Sanitize makes for each input row,
 // minus the corpus-level duplicate collapse (a streaming consumer
 // reference-counts distinct cleaned paths itself). The returned slice
-// is freshly allocated.
+// is freshly allocated, and is the call's only allocation.
+//
+//asrank:hotpath
 func SanitizeOne(asns []uint32, ixp map[uint32]bool) ([]uint32, bool) {
-	cleaned, info := sanitizePath(asns, ixp)
+	cleaned, info := sanitizePath(make([]uint32, 0, len(asns)), asns, ixp)
 	if info < 0 || len(cleaned) < 2 {
 		return nil, false
 	}
@@ -146,44 +176,30 @@ const (
 )
 
 // sanitizePath compresses prepending, splices IXP ASNs, and classifies
-// the path. It returns nil and a sentinel for discarded paths.
-func sanitizePath(asns []uint32, ixp map[uint32]bool) ([]uint32, pathInfo) {
+// the path, appending the cleaned hops to dst (which must not alias
+// asns). Discarded paths return a sentinel and hops of no meaning.
+func sanitizePath(dst, asns []uint32, ixp map[uint32]bool) ([]uint32, pathInfo) {
 	var info pathInfo
-	cleaned := make([]uint32, 0, len(asns))
 	for _, a := range asns {
 		if ixp[a] {
 			info |= pathIXP
 			continue
 		}
 		if asn.IsReserved(a) {
-			return nil, pathReserved
+			return dst, pathReserved
 		}
-		if n := len(cleaned); n > 0 && cleaned[n-1] == a {
+		if n := len(dst); n > 0 && dst[n-1] == a {
 			info |= pathPrepended
 			continue
 		}
-		cleaned = append(cleaned, a)
+		dst = append(dst, a)
 	}
-	// After compression any repeat is a loop.
-	seen := make(map[uint32]bool, len(cleaned))
-	for _, a := range cleaned {
-		if seen[a] {
-			return nil, pathLoop
+	// After compression any repeat is a loop. Paths are a handful of
+	// hops, so a scan beats a set.
+	for i, a := range dst {
+		if slices.Contains(dst[:i], a) {
+			return dst, pathLoop
 		}
-		seen[a] = true
 	}
-	return cleaned, info
-}
-
-func dupKey(p Path) string {
-	// Collector and prefix disambiguate; ASNs appended as raw bytes.
-	b := make([]byte, 0, len(p.Collector)+20+len(p.ASNs)*4)
-	b = append(b, p.Collector...)
-	b = append(b, 0)
-	b = append(b, p.Prefix.String()...)
-	b = append(b, 0)
-	for _, a := range p.ASNs {
-		b = append(b, byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
-	}
-	return string(b)
+	return dst, info
 }
