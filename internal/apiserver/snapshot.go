@@ -2,10 +2,11 @@ package apiserver
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"hash/fnv"
-	"sort"
+	"slices"
 	"strconv"
 
 	"github.com/asrank-go/asrank/internal/asindex"
@@ -101,7 +102,7 @@ func BuildSnapshot(snap *warehouse.Snapshot) *Data {
 		links[l.B] = append(links[l.B], linkEntry{Neighbor: snap.ASNs[l.A], Relationship: roleA, Step: step})
 	}
 	for _, row := range links {
-		sort.Slice(row, func(i, j int) bool { return row[i].Neighbor < row[j].Neighbor })
+		slices.SortFunc(row, func(a, b linkEntry) int { return cmp.Compare(a.Neighbor, b.Neighbor) })
 	}
 
 	clique := snap.Clique

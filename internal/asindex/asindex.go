@@ -8,7 +8,7 @@ package asindex
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 // Index is an immutable bijection between a set of ASNs and the dense
@@ -22,15 +22,9 @@ type Index struct {
 // New builds an index over the given ASNs (duplicates are collapsed).
 // The input slice is not retained.
 func New(asns []uint32) *Index {
-	sorted := append([]uint32(nil), asns...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	// Dedup in place.
-	out := sorted[:0]
-	for i, a := range sorted {
-		if i == 0 || a != sorted[i-1] {
-			out = append(out, a)
-		}
-	}
+	out := slices.Clone(asns)
+	slices.Sort(out)
+	out = slices.Compact(out)
 	ix := &Index{asns: out, pos: make(map[uint32]int32, len(out))}
 	for i, a := range out {
 		ix.pos[a] = int32(i)

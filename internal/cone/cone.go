@@ -24,7 +24,7 @@ package cone
 import (
 	"context"
 	"net/netip"
-	"sort"
+	"slices"
 
 	"github.com/asrank-go/asrank/internal/asindex"
 	"github.com/asrank-go/asrank/internal/paths"
@@ -144,7 +144,7 @@ func NewRelations(rels map[paths.Link]topology.Relationship) *Relations {
 		r.custIdx[pi] = append(r.custIdx[pi], ci)
 	}
 	for _, cs := range r.custIdx {
-		sort.Slice(cs, func(i, j int) bool { return cs[i] < cs[j] })
+		slices.Sort(cs)
 	}
 	return r
 }

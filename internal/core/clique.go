@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 )
 
 // CliqueFromIndex implements step 3 over the index's ranked layer,
@@ -12,7 +12,7 @@ func CliqueFromIndex(ix *CorpusIndex, rank []uint32, opts Options) []uint32 {
 	opts = opts.withDefaults()
 	if opts.Clique != nil {
 		out := append([]uint32(nil), opts.Clique...)
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		slices.Sort(out)
 		return out
 	}
 	return inferClique(ix, rank, opts)
@@ -56,7 +56,7 @@ func inferClique(ix *CorpusIndex, rank []uint32, opts Options) []uint32 {
 		if len(p) == 0 && len(x) == 0 {
 			if containsASN(r, top) && betterClique(r, best) {
 				best = append([]uint32(nil), r...)
-				sort.Slice(best, func(i, j int) bool { return best[i] < best[j] })
+				slices.Sort(best)
 			}
 			return
 		}
@@ -130,7 +130,7 @@ func inferClique(ix *CorpusIndex, rank []uint32, opts Options) []uint32 {
 			best = append(best, cand)
 		}
 	}
-	sort.Slice(best, func(i, j int) bool { return best[i] < best[j] })
+	slices.Sort(best)
 	return best
 }
 
@@ -161,7 +161,7 @@ func betterClique(a, b []uint32) bool {
 	}
 	// Deterministic tie-break: lexicographically smaller sorted members.
 	as := append([]uint32(nil), a...)
-	sort.Slice(as, func(i, j int) bool { return as[i] < as[j] })
+	slices.Sort(as)
 	for i := range as {
 		if as[i] != b[i] {
 			return as[i] < b[i]

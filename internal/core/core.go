@@ -21,7 +21,7 @@ package core
 
 import (
 	"context"
-	"sort"
+	"slices"
 
 	"github.com/asrank-go/asrank/internal/paths"
 	"github.com/asrank-go/asrank/internal/topology"
@@ -178,7 +178,7 @@ func (r *Result) neighborsWhere(asn uint32, want topology.Relationship) []uint32
 			out = append(out, other)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -244,14 +244,14 @@ func InferCtx(ctx context.Context, ds *paths.Dataset, opts Options) *Result {
 
 // stager runs pipeline steps as timed phases: one span, one
 // asrank_infer_step_duration_seconds observation and — for the steps
-// that label links — one links-labeled count per step. steps is the
-// Result.Steps map being filled (nil for the corpus stages, which
-// label nothing); the labeled watermark attributes each new entry to
-// the stage that created it.
+// that label links — one links-labeled count per step. labeled is the
+// inferencer's label counter (nil for the corpus stages, which label
+// nothing); the seen watermark attributes each new label to the stage
+// that made it.
 type stager struct {
 	ctx     context.Context
-	steps   map[paths.Link]Step
-	labeled int
+	labeled *int
+	seen    int
 }
 
 // run executes fn as the stage named step. spanName is a literal at
@@ -259,10 +259,11 @@ type stager struct {
 func (st *stager) run(spanName, step string, fn func()) {
 	_, ph := trace.StartPhase(st.ctx, spanName)
 	fn()
-	if n := len(st.steps); n > st.labeled {
-		inferStepLinks.With(step).Add(uint64(n - st.labeled))
-		ph.Span.SetAttrInt("links_labeled", int64(n-st.labeled))
-		st.labeled = n
+	if st.labeled != nil && *st.labeled > st.seen {
+		n := *st.labeled - st.seen
+		inferStepLinks.With(step).Add(uint64(n))
+		ph.Span.SetAttrInt("links_labeled", int64(n))
+		st.seen = *st.labeled
 	}
 	ph.End(inferStepDuration.With(step), nil)
 }
@@ -347,13 +348,19 @@ func inferSanitized(ctx context.Context, ds *paths.Dataset, groups *paths.Groups
 // aggregates, which is the heart of the incremental==batch equivalence
 // argument (DESIGN.md §15).
 //
-// rank and clique are copied into the Result; TransitDegree and Degree
+// rank must cover every AS of the index — ix.Rank() does — and
+// InferIndexed panics naming the first kept-layer AS it does not. rank
+// and clique are copied into the Result; TransitDegree and Degree
 // snapshot the index's current ranked-layer metrics.
 func InferIndexed(ctx context.Context, ix *CorpusIndex, rank, clique []uint32, opts Options) *Result {
+	return inferIndexed(ctx, ix, rank, clique, opts).res
+}
+
+// inferIndexed is InferIndexed returning the spent inferencer, whose
+// guard counts the package's tests and benchmarks read.
+func inferIndexed(ctx context.Context, ix *CorpusIndex, rank, clique []uint32, opts Options) *inferencer {
 	opts = opts.withDefaults()
 	res := &Result{
-		Rels:          make(map[paths.Link]topology.Relationship),
-		Steps:         make(map[paths.Link]Step),
 		Rank:          append([]uint32(nil), rank...),
 		Clique:        append([]uint32(nil), clique...),
 		TransitDegree: ix.TransitDegrees(),
@@ -363,24 +370,10 @@ func InferIndexed(ctx context.Context, ix *CorpusIndex, rank, clique []uint32, o
 	if root := trace.FromContext(ctx); root != nil {
 		root.SetAttrInt("clique_size", int64(len(res.Clique)))
 	}
-	cliqueSet := make(map[uint32]bool, len(res.Clique))
-	for _, c := range res.Clique {
-		cliqueSet[c] = true
-	}
 
-	stages := stager{ctx: ctx, steps: res.Steps}
-
-	// Label intra-clique links p2p.
-	stages.run("core.infer.clique_p2p", "clique-p2p", func() {
-		for l := range ix.links {
-			if cliqueSet[l.A] && cliqueSet[l.B] {
-				res.Rels[l] = topology.P2P
-				res.Steps[l] = StepClique
-			}
-		}
-	})
-
-	inf := newInferencer(ix, opts, res, cliqueSet)
+	inf := newInferencer(ix, opts, res)
+	stages := stager{ctx: ctx, labeled: &inf.labeled}
+	stages.run("core.infer.clique_p2p", "clique-p2p", inf.cliqueP2P)
 	if !opts.DisableProviderless {
 		stages.run("core.infer.providerless", "providerless", inf.detectProviderless)
 	}
@@ -391,5 +384,6 @@ func InferIndexed(ctx context.Context, ix *CorpusIndex, rank, clique []uint32, o
 		stages.run("core.infer.fold", "fold", inf.fold) // step 8
 	}
 	stages.run("core.infer.peer_default", "peer-default", inf.peerRest) // step 9
-	return res
+	inf.materialize()
+	return inf
 }

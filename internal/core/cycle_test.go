@@ -3,21 +3,18 @@ package core
 import (
 	"testing"
 
-	"github.com/asrank-go/asrank/internal/paths"
 	"github.com/asrank-go/asrank/internal/stats"
-	"github.com/asrank-go/asrank/internal/topology"
 )
 
-// guardFixture builds an inferencer over ASes 1..n with nothing labeled.
+// guardFixture builds an inferencer over n positions with no links, for
+// driving the cycle digraph directly: addEdge is the part of setC2P the
+// guard sees.
 func guardFixture(n int) *inferencer {
-	res := &Result{
-		Rels:  make(map[paths.Link]topology.Relationship),
-		Steps: make(map[paths.Link]Step),
-	}
+	res := &Result{}
 	for a := 1; a <= n; a++ {
 		res.Rank = append(res.Rank, uint32(a))
 	}
-	return newInferencer(NewCorpusIndex(), Options{}, res, nil)
+	return newInferencer(NewCorpusIndex(), Options{}, res)
 }
 
 // TestCreatesCycleMatchesNaiveReachability checks the acyclicity guard
@@ -30,9 +27,9 @@ func TestCreatesCycleMatchesNaiveReachability(t *testing.T) {
 		rng := stats.NewRNG(seed)
 		n := rng.Range(2, 30)
 		in := guardFixture(n)
-		customers := map[uint32][]uint32{}
-		var reaches func(from, to uint32, seen map[uint32]bool) bool
-		reaches = func(from, to uint32, seen map[uint32]bool) bool {
+		customers := map[int32][]int32{}
+		var reaches func(from, to int32, seen map[int32]bool) bool
+		reaches = func(from, to int32, seen map[int32]bool) bool {
 			if from == to {
 				return true
 			}
@@ -45,8 +42,8 @@ func TestCreatesCycleMatchesNaiveReachability(t *testing.T) {
 			return false
 		}
 		for step := 0; step < 4*n; step++ {
-			p, c := uint32(rng.Range(1, n)), uint32(rng.Range(1, n))
-			want := reaches(c, p, map[uint32]bool{})
+			p, c := int32(rng.Range(0, n-1)), int32(rng.Range(0, n-1))
+			want := reaches(c, p, map[int32]bool{})
 			if got := in.createsCycle(p, c); got != want {
 				t.Fatalf("seed %d step %d: createsCycle(%d, %d) = %v, naive reachability says %v (customers %v)",
 					seed, step, p, c, got, want, customers)
@@ -56,10 +53,8 @@ func TestCreatesCycleMatchesNaiveReachability(t *testing.T) {
 				continue
 			}
 			admitted++
-			if !in.labeled(p, c) {
-				in.setC2P(p, c, StepTopDown)
-				customers[p] = append(customers[p], c)
-			}
+			in.addEdge(p, c)
+			customers[p] = append(customers[p], c)
 		}
 	}
 	if refused == 0 || admitted == 0 {
@@ -67,24 +62,51 @@ func TestCreatesCycleMatchesNaiveReachability(t *testing.T) {
 	}
 }
 
-// TestCreatesCycleDoesNotAllocate pins the guard's reason for being a
-// stamped DFS rather than a memo: a query touches no allocator, whether
-// it stops at the first hit or visits everything. The graph is a
-// 200-node chain with a diamond at every node, plus one isolated AS.
+// TestCreatesCycleSeesAncestorsGainedElsewhere pins the one way the
+// kept ancestor set can go stale: it is held for p, and an edge whose
+// provider is *not* p gives one of p's ancestors a provider of its own.
+// The next question about p must see the new ancestor; edges p itself
+// adopts in between must not cost the set.
+func TestCreatesCycleSeesAncestorsGainedElsewhere(t *testing.T) {
+	const a, p, q, x, y = 0, 1, 2, 3, 4
+	in := guardFixture(5)
+	in.addEdge(a, p) // a is p's provider
+	if in.createsCycle(p, q) {
+		t.Fatal("q is no ancestor of p yet")
+	}
+	in.addEdge(p, x)
+	in.addEdge(p, y)
+	if !in.createsCycle(p, a) || in.createsCycle(p, q) {
+		t.Fatal("guard misjudges p's ancestors after p adopted customers")
+	}
+	if got := in.guard.recomputes; got != 1 {
+		t.Errorf("ancestor set of p walked %d times across p's own adoptions, want 1", got)
+	}
+	in.addEdge(q, a) // another provider adopts p's ancestor
+	if !in.createsCycle(p, q) {
+		t.Error("q adopted an ancestor of p, yet p→q is not seen to close a cycle")
+	}
+}
+
+// TestCreatesCycleDoesNotAllocate pins the guard's reason for keeping
+// its ancestor set in a stamped slice: a query touches no allocator,
+// whether it reads the held set or walks a fresh one. The graph is a
+// 200-node chain with a diamond at every node, plus one isolated AS;
+// alternating the provider asked about makes every query a full walk.
 func TestCreatesCycleDoesNotAllocate(t *testing.T) {
 	const n = 200
 	in := guardFixture(n + 1)
-	for a := uint32(1); a+2 <= n; a++ {
-		in.setC2P(a, a+1, StepTopDown)
-		in.setC2P(a, a+2, StepTopDown)
+	for a := int32(0); a+2 < n; a++ {
+		in.addEdge(a, a+1)
+		in.addEdge(a, a+2)
 	}
 	// The first full traversal sizes the DFS stack.
-	if in.createsCycle(n+1, 1) || !in.createsCycle(n, 1) {
+	if in.createsCycle(n, 0) || !in.createsCycle(n-1, 0) {
 		t.Fatal("guard misjudges the chain")
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		in.createsCycle(n, 1)
-		in.createsCycle(n+1, 1)
+		in.createsCycle(n-1, 0)
+		in.createsCycle(n, 0)
 	})
 	if allocs != 0 {
 		t.Errorf("createsCycle allocates %v times per pair of queries, want 0", allocs)

@@ -10,12 +10,7 @@ import (
 // foldFixture builds an inferencer with nothing labeled yet, links and
 // transit degrees given directly.
 func foldFixture(links map[paths.Link]int, transit map[uint32]int, opts Options) *inferencer {
-	res := &Result{
-		Rels:          make(map[paths.Link]topology.Relationship),
-		Steps:         make(map[paths.Link]Step),
-		TransitDegree: transit,
-		Degree:        map[uint32]int{},
-	}
+	res := &Result{}
 	seen := map[uint32]bool{}
 	for l := range links {
 		for _, a := range []uint32{l.A, l.B} {
@@ -29,7 +24,8 @@ func foldFixture(links map[paths.Link]int, transit map[uint32]int, opts Options)
 	for l, c := range links {
 		ix.AddKept([]uint32{l.A, l.B}, c)
 	}
-	return newInferencer(ix, opts, res, map[uint32]bool{})
+	ix.transitDeg = transit
+	return newInferencer(ix, opts, res)
 }
 
 // TestFoldLiveUnlabeledCounts pins the satellite bugfix: the
@@ -52,6 +48,7 @@ func TestFoldLiveUnlabeledCounts(t *testing.T) {
 	in := foldFixture(links, transit, Options{FoldRatio: 3})
 
 	in.fold()
+	in.materialize()
 
 	// Stub links fold with 100 as provider: td 3 >= 3*(0+1).
 	for _, stub := range []uint32{200, 300, 400, 500} {
@@ -85,6 +82,7 @@ func TestFoldPeeringRichStillGuarded(t *testing.T) {
 	in := foldFixture(links, transit, Options{FoldRatio: 3})
 
 	in.fold()
+	in.materialize()
 
 	for _, prov := range []uint32{900, 901, 902, 903, 904, 905} {
 		if got := in.res.Rel(prov, 100); got != topology.None {

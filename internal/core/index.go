@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"github.com/asrank-go/asrank/internal/paths"
 )
@@ -215,38 +214,26 @@ func (ix *CorpusIndex) Degrees() map[uint32]int {
 // decreasing node degree, then ascending ASN — step 2 over the ranked
 // layer.
 func (ix *CorpusIndex) Rank() []uint32 {
-	out := make([]uint32, 0, len(ix.occur))
+	// One key per AS, gathered once: the two degrees complemented and
+	// packed, so ascending key order is descending degree order.
+	type key struct {
+		degs uint64
+		asn  uint32
+	}
+	keys := make([]key, 0, len(ix.occur))
 	for asn := range ix.occur {
-		out = append(out, asn)
+		degs := uint64(^uint32(ix.transitDeg[asn]))<<32 | uint64(^uint32(ix.deg[asn]))
+		keys = append(keys, key{degs: degs, asn: asn})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if ix.transitDeg[a] != ix.transitDeg[b] {
-			return ix.transitDeg[a] > ix.transitDeg[b]
+	slices.SortFunc(keys, func(a, b key) int {
+		if a.degs != b.degs {
+			return cmp.Compare(a.degs, b.degs)
 		}
-		if ix.deg[a] != ix.deg[b] {
-			return ix.deg[a] > ix.deg[b]
-		}
-		return a < b
+		return cmp.Compare(a.asn, b.asn)
 	})
-	return out
-}
-
-// sortedTriples returns the keys of a triple map in (Mid, Next, Prev)
-// order, so map iteration order never reaches inference.
-func sortedTriples(m map[Triple]int) []Triple {
-	out := make([]Triple, 0, len(m))
-	for t := range m {
-		out = append(out, t)
+	out := make([]uint32, len(keys))
+	for i, k := range keys {
+		out[i] = k.asn
 	}
-	slices.SortFunc(out, func(a, b Triple) int {
-		if a.Mid != b.Mid {
-			return cmp.Compare(a.Mid, b.Mid)
-		}
-		if a.Next != b.Next {
-			return cmp.Compare(a.Next, b.Next)
-		}
-		return cmp.Compare(a.Prev, b.Prev)
-	})
 	return out
 }

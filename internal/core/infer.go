@@ -2,60 +2,311 @@ package core
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
-	"sort"
 
-	"github.com/asrank-go/asrank/internal/asindex"
 	"github.com/asrank-go/asrank/internal/paths"
 	"github.com/asrank-go/asrank/internal/topology"
 )
 
-// inferencer carries the mutable state of steps 5–9, reading the
-// corpus only through the index's kept-layer aggregates. Every observed
-// AS is interned into a dense index so the cycle-prevention digraph and
-// its reachability queries run on ints and slices instead of maps.
-type inferencer struct {
-	ix     *CorpusIndex
-	opts   Options
-	res    *Result
-	clique map[uint32]bool
-
-	// idx interns every ranked AS; custIdx is the p2c digraph built so
-	// far (provider position → customer positions), used for cycle
-	// prevention.
-	idx     *asindex.Index
-	custIdx [][]int32
-
-	// createsCycle's DFS scratch: seen[i] == query marks position i
-	// visited by the current query, so no query clears or allocates.
-	seen  []uint32
-	query uint32
-	stack []int32
-
-	// links is the kept layer's link set in sorted order, shared by
-	// steps 7 and 8: the index does not change during one inference.
-	links []paths.Link
-
-	// providerless flags ASes inferred to peer with the clique rather
+// Per-position flags of the dense inferencer.
+const (
+	isClique uint8 = 1 << iota
+	// isProviderless marks an AS inferred to peer with the clique rather
 	// than buy transit (large content networks): no c2p edge may point
-	// at them.
-	providerless map[uint32]bool
+	// at it.
+	isProviderless
+	// isCrossed marks a non-clique AS observed behind an intra-clique
+	// crossing, (clique, clique, X) — detectProviderless's evidence that
+	// X buys transit.
+	isCrossed
+)
+
+// neighbor is one entry of an AS's adjacency row.
+type neighbor struct {
+	asn  uint32
+	pos  int32 // the neighbor's position
+	link int32 // the link between the row's AS and the neighbor
 }
 
-// newInferencer interns the ranked AS set and prepares the mutable
-// inference state.
-func newInferencer(ix *CorpusIndex, opts Options, res *Result, clique map[uint32]bool) *inferencer {
-	idx := asindex.New(res.Rank)
-	return &inferencer{
-		ix:           ix,
-		opts:         opts,
-		res:          res,
-		clique:       clique,
-		idx:          idx,
-		custIdx:      make([][]int32, idx.Len()),
-		seen:         make([]uint32, idx.Len()),
-		links:        paths.SortedLinks(ix.links),
-		providerless: make(map[uint32]bool),
+// triplet is one (previous, next) context of a middle AS in some path,
+// resolved to positions and links. prev and prevLink are -1 when the
+// middle AS is the first hop (the VP).
+type triplet struct {
+	next, nextLink int32
+	prev, prevLink int32
+}
+
+// inferencer carries the mutable state of steps 5–9 in a dense id space
+// built once per InferIndexed call: an AS is its position in the
+// ranking, a link is its index in the kept layer's sorted link list.
+// Every question steps 5–9 ask of the labels so far — is this link
+// labeled, who is its provider, is this AS in the clique — is then an
+// array read; Result.Rels and Result.Steps are written once, at the end.
+type inferencer struct {
+	ix   *CorpusIndex
+	opts Options
+	res  *Result
+
+	// Per position (res.Rank order).
+	pos   map[uint32]int32 // ASN → position
+	flags []uint8
+	td    []int32 // transit degree
+
+	// Per link, in paths.SortedLinks order — the order steps 7 and 8
+	// visit. prov is the provider's position once a link is c2p, else -1.
+	links   []paths.Link
+	ends    [][2]int32 // positions of Link.A and Link.B
+	rel     []topology.Relationship
+	step    []Step
+	prov    []int32
+	labeled int // links with a relationship so far
+
+	// adj[adjStart[p]:adjStart[p+1]] is position p's adjacency row,
+	// ascending neighbor ASN.
+	adjStart []int32
+	adj      []neighbor
+
+	// trips[tripStart[z]:tripStart[z+1]] are the distinct triplets with
+	// middle AS z, in ascending (next ASN, prev ASN) order — the order
+	// step 5 visits them.
+	tripStart []int32
+	trips     []triplet
+
+	// The cycle guard (createsCycle). provs is the p2c digraph so far,
+	// customer position → provider positions; anc[i] == stamp marks i an
+	// ancestor of ancOf (or ancOf itself), and ancOf is -1 while no
+	// ancestor set is held.
+	provs [][]int32
+	anc   []uint32
+	stamp uint32
+	ancOf int32
+	stack []int32
+	guard guardCounts
+}
+
+// guardCounts is what the cycle guard did over one inference.
+type guardCounts struct {
+	queries    int // createsCycle calls
+	recomputes int // of which walked a fresh ancestor set
+	visited    int // ASes those walks marked
+}
+
+// newInferencer builds the dense id space over the index's kept layer.
+// It panics when a kept-layer AS is missing from res.Rank.
+func newInferencer(ix *CorpusIndex, opts Options, res *Result) *inferencer {
+	n := len(res.Rank)
+	in := &inferencer{
+		ix:    ix,
+		opts:  opts,
+		res:   res,
+		pos:   make(map[uint32]int32, n),
+		flags: make([]uint8, n),
+		td:    make([]int32, n),
+		links: paths.SortedLinks(ix.links),
+		provs: make([][]int32, n),
+		anc:   make([]uint32, n),
+		ancOf: -1,
+	}
+	for i, a := range res.Rank {
+		in.pos[a] = int32(i)
+		in.td[i] = int32(ix.transitDeg[a])
+	}
+	for _, c := range res.Clique {
+		if p, ok := in.pos[c]; ok {
+			in.flags[p] |= isClique
+		}
+	}
+
+	// Links, and the adjacency rows as one counting sort of their
+	// endpoints. Scanning the (A, B)-sorted list fills every row in
+	// ascending neighbor order: AS x first receives its smaller neighbors
+	// from the links (n, x) as A ascends to x, then its larger ones from
+	// the run of links (x, m).
+	m := len(in.links)
+	in.ends = make([][2]int32, m)
+	in.rel = make([]topology.Relationship, m)
+	in.step = make([]Step, m)
+	in.prov = make([]int32, m)
+	in.adjStart = make([]int32, n+1)
+	for i, l := range in.links {
+		a, b := in.at(l.A), in.at(l.B)
+		in.ends[i] = [2]int32{a, b}
+		in.prov[i] = -1
+		in.adjStart[a+1]++
+		if a != b {
+			in.adjStart[b+1]++
+		}
+	}
+	for p := 0; p < n; p++ {
+		in.adjStart[p+1] += in.adjStart[p]
+	}
+	in.adj = make([]neighbor, in.adjStart[n])
+	fill := slices.Clone(in.adjStart[:n])
+	for i, l := range in.links {
+		a, b := in.ends[i][0], in.ends[i][1]
+		in.adj[fill[a]] = neighbor{asn: l.B, pos: b, link: int32(i)}
+		fill[a]++
+		if a != b {
+			in.adj[fill[b]] = neighbor{asn: l.A, pos: a, link: int32(i)}
+			fill[b]++
+		}
+	}
+
+	in.buildTriplets()
+	return in
+}
+
+// at returns the position of an AS the index holds.
+func (in *inferencer) at(asn uint32) int32 {
+	p, ok := in.pos[asn]
+	if !ok {
+		panic(fmt.Sprintf("core: InferIndexed: AS %d is in the index but not in rank", asn))
+	}
+	return p
+}
+
+// row returns position p's adjacency row.
+func (in *inferencer) row(p int32) []neighbor {
+	return in.adj[in.adjStart[p]:in.adjStart[p+1]]
+}
+
+// find returns the entry for neighbor asn in an adjacency row that
+// holds it.
+func find(row []neighbor, asn uint32) neighbor {
+	i, _ := slices.BinarySearchFunc(row, asn, func(e neighbor, asn uint32) int {
+		return cmp.Compare(e.asn, asn)
+	})
+	return row[i]
+}
+
+// buildTriplets buckets the kept layer's hop contexts by middle AS (a
+// counting sort on its position), sorts each bucket as packed
+// next<<32|prev keys, and resolves the keys against the middle AS's
+// adjacency row: a context's next and previous hops are its neighbors,
+// and the sorted bucket meets the row's next hops in row order. The
+// (clique, clique, X) contexts flag X as crossed on the way.
+func (in *inferencer) buildTriplets() {
+	n := len(in.flags)
+	type entry struct {
+		mid int32
+		key uint64
+	}
+	entries := make([]entry, 0, len(in.ix.triples))
+	in.tripStart = make([]int32, n+1)
+	for t := range in.ix.triples {
+		z := in.at(t.Mid)
+		//lint:ignore nodeterminismleak the keys are scattered into per-AS buckets below and every bucket is sorted before it is read
+		entries = append(entries, entry{mid: z, key: uint64(t.Next)<<32 | uint64(t.Prev)})
+		in.tripStart[z+1]++
+	}
+	for p := 0; p < n; p++ {
+		in.tripStart[p+1] += in.tripStart[p]
+	}
+	sorted := make([]uint64, len(entries))
+	fill := slices.Clone(in.tripStart[:n])
+	for _, c := range entries {
+		sorted[fill[c.mid]] = c.key
+		fill[c.mid]++
+	}
+
+	in.trips = make([]triplet, len(sorted))
+	for z := int32(0); z < int32(n); z++ {
+		lo, hi := in.tripStart[z], in.tripStart[z+1]
+		bucket := sorted[lo:hi]
+		slices.Sort(bucket)
+		row, ri := in.row(z), 0
+		for j, k := range bucket {
+			next, prev := uint32(k>>32), uint32(k)
+			for row[ri].asn != next {
+				ri++
+			}
+			t := triplet{next: row[ri].pos, nextLink: row[ri].link, prev: -1, prevLink: -1}
+			if prev != 0 {
+				e := find(row, prev)
+				t.prev, t.prevLink = e.pos, e.link
+				if in.flags[z]&in.flags[t.prev]&isClique != 0 && in.flags[t.next]&isClique == 0 {
+					in.flags[t.next] |= isCrossed
+				}
+			}
+			in.trips[int(lo)+j] = t
+		}
+	}
+}
+
+// label records a relationship for an unlabeled link.
+func (in *inferencer) label(link int32, rel topology.Relationship, step Step) {
+	in.rel[link] = rel
+	in.step[link] = step
+	in.labeled++
+}
+
+// setC2P labels a link provider→customer, updating provenance and the
+// cycle digraph. It assumes the caller checked the link is unlabeled
+// and acyclic.
+func (in *inferencer) setC2P(link, provider, customer int32, step Step) {
+	rel := topology.C2P
+	if in.ends[link][0] == provider {
+		rel = topology.P2C
+	}
+	in.label(link, rel, step)
+	in.prov[link] = provider
+	in.addEdge(provider, customer)
+}
+
+// addEdge adds provider→customer to the cycle digraph. The edge cannot
+// change the provider's own ancestors, so an ancestor set held for that
+// provider stays; one held for any other AS may have grown and is
+// dropped.
+func (in *inferencer) addEdge(provider, customer int32) {
+	in.provs[customer] = append(in.provs[customer], provider)
+	if in.ancOf != provider {
+		in.ancOf = -1
+	}
+}
+
+// createsCycle reports whether making c a customer of p would close a
+// cycle in the p2c digraph, i.e. whether c is already an ancestor of p.
+// The question is asked from the provider's side because that side
+// holds still: provider sets are small where customer cones are large,
+// and steps 5 and 7 ask about one provider many times in a row while
+// only that provider gains customers — so p's ancestors are walked once
+// (a DFS over provider edges into a stamped set, nothing cleared or
+// allocated) and every further query about p is one array read.
+//
+//asrank:hotpath
+func (in *inferencer) createsCycle(p, c int32) bool {
+	in.guard.queries++
+	if p == c {
+		return true
+	}
+	if in.ancOf != p {
+		in.guard.recomputes++
+		in.ancOf = p
+		in.stamp++
+		in.anc[p] = in.stamp
+		in.stack = append(in.stack[:0], p)
+		for len(in.stack) > 0 {
+			x := in.stack[len(in.stack)-1]
+			in.stack = in.stack[:len(in.stack)-1]
+			in.guard.visited++
+			for _, q := range in.provs[x] {
+				if in.anc[q] != in.stamp {
+					in.anc[q] = in.stamp
+					in.stack = append(in.stack, q)
+				}
+			}
+		}
+	}
+	return in.anc[c] == in.stamp
+}
+
+// cliqueP2P labels the links between clique members p2p.
+func (in *inferencer) cliqueP2P() {
+	for l, e := range in.ends {
+		if in.flags[e[0]]&in.flags[e[1]]&isClique != 0 {
+			in.label(int32(l), topology.P2P, StepClique)
+		}
 	}
 }
 
@@ -75,107 +326,27 @@ func (in *inferencer) detectProviderless() {
 	if len(in.res.Clique) < 2 {
 		return
 	}
-	adjClique := make(map[uint32]int)
-	for l := range in.ix.links {
-		a, b := l.A, l.B
-		if in.clique[a] && !in.clique[b] {
+	adjClique := make([]int32, len(in.flags))
+	for _, e := range in.ends {
+		a, b := e[0], e[1]
+		if in.flags[a]&isClique != 0 && in.flags[b]&isClique == 0 {
 			adjClique[b]++
 		}
-		if in.clique[b] && !in.clique[a] {
+		if in.flags[b]&isClique != 0 && in.flags[a]&isClique == 0 {
 			adjClique[a]++
-		}
-	}
-	crossed := make(map[uint32]bool) // X observed as (clique, clique, X)
-	for t := range in.ix.triples {
-		if t.Prev != 0 && in.clique[t.Prev] && in.clique[t.Mid] && !in.clique[t.Next] {
-			crossed[t.Next] = true
 		}
 	}
 	// A provider-less network peers with most of the clique; a stub
 	// multihomed to two or three clique members does not. Require
 	// adjacency to at least a third of the clique (minimum 3).
-	need := len(in.res.Clique) / 3
-	if need < 3 {
-		need = 3
-	}
-	for asn, n := range adjClique {
-		if n >= need && !crossed[asn] && in.res.TransitDegree[asn] == 0 {
-			in.providerless[asn] = true
+	need := int32(max(len(in.res.Clique)/3, 3))
+	for p, n := range adjClique {
+		if n >= need && in.flags[p]&isCrossed == 0 && in.td[p] == 0 {
+			in.flags[p] |= isProviderless
+			in.res.Providerless = append(in.res.Providerless, in.res.Rank[p])
 		}
 	}
-	in.res.Providerless = in.res.Providerless[:0]
-	for asn := range in.providerless {
-		in.res.Providerless = append(in.res.Providerless, asn)
-	}
-	sort.Slice(in.res.Providerless, func(i, j int) bool {
-		return in.res.Providerless[i] < in.res.Providerless[j]
-	})
-}
-
-// setC2P labels provider→customer, updating provenance and the cycle
-// digraph. It assumes the caller checked the link is unlabeled and
-// acyclic.
-func (in *inferencer) setC2P(provider, customer uint32, step Step) {
-	l := paths.NewLink(provider, customer)
-	if l.A == provider {
-		in.res.Rels[l] = topology.P2C
-	} else {
-		in.res.Rels[l] = topology.C2P
-	}
-	in.res.Steps[l] = step
-	pi, _ := in.idx.Pos(provider)
-	ci, _ := in.idx.Pos(customer)
-	in.custIdx[pi] = append(in.custIdx[pi], ci)
-}
-
-// labeled reports whether the link between x and y has a relationship.
-func (in *inferencer) labeled(x, y uint32) bool {
-	_, ok := in.res.Rels[paths.NewLink(x, y)]
-	return ok
-}
-
-// createsCycle reports whether adding provider→customer would create a
-// cycle in the p2c digraph, i.e. whether provider is already reachable
-// from customer via customer edges: a DFS from customer that stops at
-// the first hit. The digraph hangs below the clique and most customers
-// are stubs, so the search usually ends after a node or two.
-//
-//asrank:hotpath
-func (in *inferencer) createsCycle(provider, customer uint32) bool {
-	if provider == customer {
-		return true
-	}
-	pi, ok := in.idx.Pos(provider)
-	if !ok {
-		return false
-	}
-	ci, ok := in.idx.Pos(customer)
-	if !ok {
-		return false
-	}
-	in.query++
-	in.seen[ci] = in.query
-	in.stack = append(in.stack[:0], ci)
-	for len(in.stack) > 0 {
-		x := in.stack[len(in.stack)-1]
-		in.stack = in.stack[:len(in.stack)-1]
-		for _, c := range in.custIdx[x] {
-			if c == pi {
-				return true
-			}
-			if in.seen[c] != in.query {
-				in.seen[c] = in.query
-				in.stack = append(in.stack, c)
-			}
-		}
-	}
-	return false
-}
-
-// triplet is one (previous, next) context for a middle AS in some path.
-type triplet struct {
-	prev uint32 // 0 when the middle AS is the first hop (the VP)
-	next uint32
+	slices.Sort(in.res.Providerless)
 }
 
 // topDown implements step 5: visiting ASes in rank order, a neighbor
@@ -187,39 +358,24 @@ type triplet struct {
 // The pass repeats until a fixpoint (bounded by TopDownPasses), since a
 // later AS's labels can unlock an earlier AS's triplets.
 func (in *inferencer) topDown() {
-	// Collect the distinct triplets per middle AS from the kept-layer
-	// contexts, keyed by interned position: every ranked AS has a dense
-	// slot, so the per-AS lookup in the fixpoint loop is an index, not a
-	// map probe. Appending in globally sorted (Mid, Next, Prev) order
-	// leaves each per-AS slice already in the deterministic (next, prev)
-	// order the fixpoint visits.
-	sortedTrips := make([][]triplet, in.idx.Len())
-	for _, t := range sortedTriples(in.ix.triples) {
-		zi, ok := in.idx.Pos(t.Mid)
-		if !ok {
-			continue // not ranked: cannot appear in Rank order below
-		}
-		sortedTrips[zi] = append(sortedTrips[zi], triplet{prev: t.Prev, next: t.Next})
-	}
-
 	for pass := 0; pass < in.opts.TopDownPasses; pass++ {
 		changed := false
-		for _, z := range in.res.Rank {
-			zi, _ := in.idx.Pos(z)
-			for _, t := range sortedTrips[zi] {
-				if t.next == z || in.clique[t.next] || in.providerless[t.next] {
+		for z := int32(0); z < int32(len(in.flags)); z++ {
+			top := in.flags[z]&isClique != 0
+			for _, t := range in.trips[in.tripStart[z]:in.tripStart[z+1]] {
+				if t.next == z || in.flags[t.next]&(isClique|isProviderless) != 0 {
 					continue
 				}
-				if in.labeled(z, t.next) {
+				if in.rel[t.nextLink] != topology.None {
 					continue
 				}
-				if !in.enteredFromAbove(z, t.prev) {
+				if !top && !in.enteredFromAbove(t) {
 					continue
 				}
 				if in.createsCycle(z, t.next) {
 					continue
 				}
-				in.setC2P(z, t.next, StepTopDown)
+				in.setC2P(t.nextLink, z, t.next, StepTopDown)
 				changed = true
 			}
 		}
@@ -229,23 +385,15 @@ func (in *inferencer) topDown() {
 	}
 }
 
-// enteredFromAbove reports whether a route observed at z arrived from a
-// provider or peer of z (or z is a clique member, the top of the
-// hierarchy), which forces the next hop to be a customer.
-func (in *inferencer) enteredFromAbove(z, prev uint32) bool {
-	if in.clique[z] {
-		return true
+// enteredFromAbove reports whether the route of context t arrived at
+// its (non-clique) middle AS from a provider or peer, which forces the
+// next hop to be a customer. A first-hop context has no entering hop to
+// reason from.
+func (in *inferencer) enteredFromAbove(t triplet) bool {
+	if t.prevLink < 0 {
+		return false
 	}
-	if prev == 0 {
-		return false // z is the VP; no entering hop to reason from
-	}
-	switch in.res.Rel(prev, z) {
-	case topology.P2C: // prev is z's provider
-		return true
-	case topology.P2P: // prev is z's peer
-		return true
-	}
-	return false
+	return in.rel[t.prevLink] == topology.P2P || in.prov[t.prevLink] == t.prev
 }
 
 // vpPass implements step 6: a vantage point whose feed reaches only a
@@ -276,14 +424,15 @@ func (in *inferencer) vpPass() {
 		if float64(vpOriginCount[k.VP]) >= threshold {
 			continue // full-ish feed: first hops may be providers/peers
 		}
-		vp, h := k.VP, k.Other
-		if in.labeled(vp, h) || in.clique[h] || in.providerless[h] {
+		vp := in.at(k.VP)
+		h := find(in.row(vp), k.Other)
+		if in.rel[h.link] != topology.None || in.flags[h.pos]&(isClique|isProviderless) != 0 {
 			continue
 		}
-		if in.createsCycle(vp, h) {
+		if in.createsCycle(vp, h.pos) {
 			continue
 		}
-		in.setC2P(vp, h, StepVP)
+		in.setC2P(h.link, vp, h.pos, StepVP)
 	}
 }
 
@@ -291,21 +440,22 @@ func (in *inferencer) vpPass() {
 // a clique member is that member's customer — a stub cannot be peering
 // with the top of the hierarchy.
 func (in *inferencer) stubClique() {
-	for _, l := range in.links {
-		if _, done := in.res.Rels[l]; done {
+	for l, e := range in.ends {
+		if in.rel[l] != topology.None {
 			continue
 		}
-		a, b := l.A, l.B
+		a, b := e[0], e[1]
+		fa, fb := in.flags[a], in.flags[b]
 		switch {
-		case in.providerless[a] || in.providerless[b]:
+		case (fa|fb)&isProviderless != 0:
 			// peers of the clique, not stub customers
-		case in.clique[a] && !in.clique[b] && in.res.TransitDegree[b] == 0:
+		case fa&isClique != 0 && fb&isClique == 0 && in.td[b] == 0:
 			if !in.createsCycle(a, b) {
-				in.setC2P(a, b, StepStubClique)
+				in.setC2P(int32(l), a, b, StepStubClique)
 			}
-		case in.clique[b] && !in.clique[a] && in.res.TransitDegree[a] == 0:
+		case fb&isClique != 0 && fa&isClique == 0 && in.td[a] == 0:
 			if !in.createsCycle(b, a) {
-				in.setC2P(b, a, StepStubClique)
+				in.setC2P(int32(l), b, a, StepStubClique)
 			}
 		}
 	}
@@ -324,30 +474,30 @@ func (in *inferencer) fold() {
 	// — so the peeringRich guard sees the current degree, not the
 	// stale pre-pass snapshot: a network whose other links fold away
 	// earlier in the same pass is a stub, not peering-rich.
-	unlabeled := make(map[uint32]int)
-	for _, l := range in.links {
-		if _, done := in.res.Rels[l]; !done {
-			unlabeled[l.A]++
-			unlabeled[l.B]++
+	unlabeled := make([]int32, len(in.flags))
+	for l, e := range in.ends {
+		if in.rel[l] == topology.None {
+			unlabeled[e[0]]++
+			unlabeled[e[1]]++
 		}
 	}
 	const peeringRich = 6 // more unlabeled links than any plausible stub
-	for _, l := range in.links {
-		if _, done := in.res.Rels[l]; done {
+	for l, e := range in.ends {
+		if in.rel[l] != topology.None {
 			continue
 		}
-		ta := float64(in.res.TransitDegree[l.A])
-		tb := float64(in.res.TransitDegree[l.B])
-		var provider, customer uint32
+		ta := float64(in.td[e[0]])
+		tb := float64(in.td[e[1]])
+		var provider, customer int32
 		switch {
 		case ta >= in.opts.FoldRatio*(tb+1) && ta > 0:
-			provider, customer = l.A, l.B
+			provider, customer = e[0], e[1]
 		case tb >= in.opts.FoldRatio*(ta+1) && tb > 0:
-			provider, customer = l.B, l.A
+			provider, customer = e[1], e[0]
 		default:
 			continue
 		}
-		if in.clique[customer] || in.providerless[customer] {
+		if in.flags[customer]&(isClique|isProviderless) != 0 {
 			continue
 		}
 		if unlabeled[customer] >= peeringRich {
@@ -356,19 +506,30 @@ func (in *inferencer) fold() {
 		if in.createsCycle(provider, customer) {
 			continue
 		}
-		in.setC2P(provider, customer, StepFold)
-		unlabeled[l.A]--
-		unlabeled[l.B]--
+		in.setC2P(int32(l), provider, customer, StepFold)
+		unlabeled[e[0]]--
+		unlabeled[e[1]]--
 	}
 }
 
 // peerRest implements step 9: everything still unlabeled is peering.
 func (in *inferencer) peerRest() {
-	for l := range in.ix.links {
-		if _, done := in.res.Rels[l]; done {
-			continue
+	for l, r := range in.rel {
+		if r == topology.None {
+			in.label(int32(l), topology.P2P, StepPeer)
 		}
-		in.res.Rels[l] = topology.P2P
-		in.res.Steps[l] = StepPeer
+	}
+}
+
+// materialize writes the labels so far into Result.Rels and
+// Result.Steps.
+func (in *inferencer) materialize() {
+	in.res.Rels = make(map[paths.Link]topology.Relationship, in.labeled)
+	in.res.Steps = make(map[paths.Link]Step, in.labeled)
+	for i, l := range in.links {
+		if in.rel[i] != topology.None {
+			in.res.Rels[l] = in.rel[i]
+			in.res.Steps[l] = in.step[i]
+		}
 	}
 }

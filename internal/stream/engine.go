@@ -415,6 +415,7 @@ func (e *Engine) CommitEpoch(ctx context.Context) (*warehouse.Snapshot, CommitRe
 	ictx, ph := trace.StartPhase(ctx, "stream.commit.infer")
 	res := core.InferIndexed(ictx, e.ix, rank, clique, e.opts.Infer)
 	ph.End(commitPhaseDuration.With("infer"), &rep.Phases.Infer)
+	rep.Links, rep.ASes = len(res.Rels), len(rank)
 
 	// Cone crediting. Paths that left the kept layer (withdrawn, or newly
 	// poisoned) are removed under the relationships they were credited
@@ -505,6 +506,8 @@ func (e *Engine) CommitEpoch(ctx context.Context) (*warehouse.Snapshot, CommitRe
 		oplog.Int("events", int64(rep.Events)),
 		oplog.Int("dirty_links", int64(rep.DirtyLinks)),
 		oplog.Int("recredited_paths", int64(rep.RecreditedPaths)),
+		oplog.Int("links", int64(rep.Links)),
+		oplog.Int("ases", int64(rep.ASes)),
 		oplog.Int("total_ms", int64(rep.TotalMillis)),
 		oplog.Int("watermark_ms", int64(rep.WatermarkMillis)))
 

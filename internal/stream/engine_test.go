@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/asrank-go/asrank/internal/obs"
+	"github.com/asrank-go/asrank/internal/oplog"
 	"github.com/asrank-go/asrank/internal/trace"
 )
 
@@ -175,5 +176,32 @@ func TestCommitPhasesOneVocabulary(t *testing.T) {
 	}
 	if commit == nil || commit.Parent != root.ID {
 		t.Errorf("stream.commit span %+v is not a child of the epoch root", commit)
+	}
+}
+
+// TestCommitReportSizesTheGraph: every report carries the size of the
+// graph steps 5–9 ran over — on the report, on /debug/epochs (the same
+// struct) and on the stream.commit journal event — and follows the
+// table as it shrinks.
+func TestCommitReportSizesTheGraph(t *testing.T) {
+	journal := oplog.New(oplog.Options{RingSize: 8})
+	e := New(Options{Journal: journal})
+	e.Announce("rc0", 10, pfxA, []uint32{10, 20, 30})
+	e.Announce("rc0", 11, pfxB, []uint32{11, 20, 40})
+	snap, rep := e.CommitEpoch(context.Background())
+	if rep.Links != 4 || rep.ASes != 5 || rep.Links != len(snap.Links) {
+		t.Errorf("report sizes the graph at %d links, %d ASes; the snapshot has %d links over 5 ASes", rep.Links, rep.ASes, len(snap.Links))
+	}
+	e.Withdraw("rc0", 11, pfxB)
+	if _, rep = e.CommitEpoch(context.Background()); rep.Links != 2 || rep.ASes != 3 {
+		t.Errorf("after the withdraw: %d links, %d ASes, want 2 and 3", rep.Links, rep.ASes)
+	}
+	last := journal.Recent()[len(journal.Recent())-1]
+	got := map[string]int64{}
+	for _, a := range last.Attrs {
+		got[a.Key] = a.Int
+	}
+	if last.Name != "stream.commit" || got["links"] != 2 || got["ases"] != 3 {
+		t.Errorf("journaled %s with links=%d ases=%d, want stream.commit with 2 and 3", last.Name, got["links"], got["ases"])
 	}
 }

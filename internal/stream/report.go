@@ -80,7 +80,9 @@ type CommitReport struct {
 	// UncreditedPaths counts paths that left the kept layer — withdrawn,
 	// or poisoned by a clique change — and had their credits removed;
 	// NewlyCredited counts paths credited this epoch that were not
-	// before: announced, or un-poisoned by a clique change.
+	// before: announced, or un-poisoned by a clique change. Links and
+	// ASes size the graph steps 5–9 ran over — labeled links and ranked
+	// ASes — so infer time per link is a division, not a profile.
 	Events          int `json:"events"`
 	DirtyLinks      int `json:"dirtyLinks"`
 	RecreditedPaths int `json:"recreditedPaths"`
@@ -88,6 +90,8 @@ type CommitReport struct {
 	NewlyCredited   int `json:"newlyCredited"`
 	Entries         int `json:"entries"`
 	RIBRoutes       int `json:"ribRoutes"`
+	Links           int `json:"links"`
+	ASes            int `json:"ases"`
 
 	Phases          PhaseMillis `json:"phases"`
 	TotalMillis     float64     `json:"totalMillis"`

@@ -1,8 +1,10 @@
 package warehouse
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 )
 
@@ -88,13 +90,16 @@ func relChanges(prev, snap *Snapshot, d linkDiff) []RelChange {
 			A: snap.ASNs[l.A], B: snap.ASNs[l.B], Old: d.changedFrom[i], New: l.Rel, Step: snap.StepNames[l.Step],
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
+	slices.SortFunc(out, byEndpoints)
 	return out
+}
+
+// byEndpoints orders relationship changes by (A, B).
+func byEndpoints(x, y RelChange) int {
+	if x.A != y.A {
+		return cmp.Compare(x.A, y.A)
+	}
+	return cmp.Compare(x.B, y.B)
 }
 
 // posOf binary-searches a sorted ASN column.
@@ -202,11 +207,6 @@ func (h *History) Diff(from, to uint32) ([]RelChange, error) {
 		}
 		out = append(out, RelChange{A: k.a, B: k.b, Old: f.orig, New: f.final, Step: f.step})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
+	slices.SortFunc(out, byEndpoints)
 	return out, nil
 }

@@ -1,8 +1,9 @@
 package warehouse
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/asrank-go/asrank/internal/cone"
 	"github.com/asrank-go/asrank/internal/core"
@@ -213,11 +214,11 @@ func Compose(in ComposeInput) *Snapshot {
 		// order, so pa < pb already.
 		snap.Links = append(snap.Links, LinkRec{A: pa, B: pb, Rel: code, Step: uint8(in.Steps[l])})
 	}
-	sort.Slice(snap.Links, func(i, j int) bool {
-		if snap.Links[i].A != snap.Links[j].A {
-			return snap.Links[i].A < snap.Links[j].A
+	slices.SortFunc(snap.Links, func(x, y LinkRec) int {
+		if x.A != y.A {
+			return cmp.Compare(x.A, y.A)
 		}
-		return snap.Links[i].B < snap.Links[j].B
+		return cmp.Compare(x.B, y.B)
 	})
 	stepIdx := map[string]uint8{}
 	for i := range snap.Links {
