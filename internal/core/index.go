@@ -30,10 +30,12 @@ type pairKey struct {
 // CorpusIndex holds every corpus-derived aggregate steps 2–9 consume,
 // maintained as reference counts so paths can be added and removed in
 // any order. The index state is a pure function of the current path
-// multiset — adds and removes commute — which is what makes incremental
-// inference provably equal to batch (DESIGN.md §15): inference reads
-// only key presence and the derived distinct-neighbor counts, never the
-// counts of the raw occurrence maps.
+// multiset — adds and removes commute — and inference reads only key
+// presence and the derived distinct-neighbor counts, never the counts
+// of the raw occurrence maps, so two multisets over the same distinct
+// hop sequences are one index to it whatever their multiplicities.
+// That is what makes incremental inference provably equal to batch
+// (DESIGN.md §15).
 //
 // The index has two layers mirroring the pipeline's step-4 cut:
 //
@@ -45,8 +47,10 @@ type pairKey struct {
 //
 // Batch inference builds both layers by folding each distinct hop
 // sequence of a Dataset once, with its row count as multiplicity; the
-// streaming engine calls the same mutators with ±1 deltas as routes are
-// announced and withdrawn.
+// streaming engine calls the same mutators with ±1 as a hop sequence
+// gains its first row and loses its last. The counts differ, the key
+// sets do not. Nothing per-row lives here: the kept-row count and the
+// prefix counts are the caller's.
 type CorpusIndex struct {
 	// Ranked layer.
 	occur       map[uint32]int  // per-hop AS occurrences (ASes())
@@ -57,7 +61,6 @@ type CorpusIndex struct {
 	preTriples  map[Triple]int  // hop contexts (clique extension evidence)
 
 	// Kept layer.
-	pathCount   int
 	links       map[paths.Link]int
 	triples     map[Triple]int // hop contexts incl. Prev==0 VP contexts (step 5)
 	origins     map[uint32]int // per-path origin occurrences (step 6 universe)
@@ -123,12 +126,11 @@ func bumpPair(pairs map[pairKey]int, counts map[uint32]int, x, y uint32, d int) 
 }
 
 // AddPath folds d occurrences of a sanitized path into (d > 0) or out
-// of (d < 0) the ranked layer: d is a multiplicity. The tables count
-// corpus rows — the same hops recur under many prefixes — so the batch
-// pipeline folds each distinct hop sequence once with the number of
-// rows carrying it, and the streaming engine folds ±1 as each
-// (collector, prefix, hops) entry appears and disappears; both reach
-// the index a +1 per row would build.
+// of (d < 0) the ranked layer: d is a multiplicity. The same hops recur
+// under many prefixes, so the batch pipeline folds each distinct hop
+// sequence once with the number of rows carrying it, and the streaming
+// engine folds +1 when a sequence's first row appears and -1 when its
+// last goes; both reach the key sets a +1 per row would build.
 func (ix *CorpusIndex) AddPath(asns []uint32, d int) {
 	for _, a := range asns {
 		bump(ix.occur, a, d)
@@ -159,7 +161,6 @@ func (ix *CorpusIndex) AddKept(asns []uint32, d int) {
 	if len(asns) == 0 {
 		return
 	}
-	ix.pathCount += d
 	bump(ix.origins, asns[len(asns)-1], d)
 	if len(asns) >= 2 {
 		bump(ix.vpOrigins, VPPair{VP: asns[0], Other: asns[len(asns)-1]}, d)
@@ -181,9 +182,6 @@ func (ix *CorpusIndex) adjacent(a, b uint32) bool {
 	_, ok := ix.nbrPair[pairKey{a, b}]
 	return ok
 }
-
-// PathCount returns the number of paths (corpus rows) in the kept layer.
-func (ix *CorpusIndex) PathCount() int { return ix.pathCount }
 
 // Links returns the kept layer's link set, keyed like Dataset.Links.
 // The map is shared with the index — callers must not mutate it, and

@@ -91,7 +91,7 @@ func SanitizeCtx(ctx context.Context, ds *Dataset, opts SanitizeOptions) (*Datas
 				c = uint32(len(collectors))
 				collectors[p.Collector] = c
 			}
-			key := newRowKey(c, p.Prefix, seq)
+			key := rowKey{prefix: FlatPrefix(p.Prefix), collector: c, seq: seq}
 			if _, dup := seen[key]; dup {
 				stats.Duplicates++
 				continue
@@ -118,31 +118,44 @@ func SanitizeCtx(ctx context.Context, ds *Dataset, opts SanitizeOptions) (*Datas
 	return out, stats, groups
 }
 
-// rowKey identifies a (collector, prefix, hop sequence) row for the
-// duplicate collapse. The prefix is flattened to plain integers: a
-// netip.Prefix carries a unique.Handle, which sends every map operation
-// through the generic struct hash.
-type rowKey struct {
-	hi, lo    uint64 // address bits; zero for every invalid prefix
-	collector uint32
-	bits      int32 // prefix length, +256 unless IPv4; -1 for every invalid prefix
-	seq       int32
+// PrefixKey is a netip.Prefix flattened to plain integers: the prefix
+// identity of a corpus row. Sanitize's duplicate collapse and the
+// streaming engine's row table both key on it, so the two agree on which
+// routes are one row. A netip.Prefix itself carries a unique.Handle,
+// which sends every map operation through the generic struct hash.
+type PrefixKey struct {
+	Hi, Lo uint64 // address bits; zero for every invalid prefix
+	Bits   int32  // prefix length, +256 unless IPv4; -1 for every invalid prefix
 }
 
-// newRowKey keeps apart exactly the prefixes Prefix.String keeps apart:
+// FlatPrefix keeps apart exactly the prefixes Prefix.String keeps apart:
 // a.b.c.d/24 differs from ::ffff:a.b.c.d/120 and from ::ffff:a.b.c.d/24,
 // unmasked host bits are significant, and all invalid prefixes are one.
-func newRowKey(collector uint32, p netip.Prefix, seq int32) rowKey {
-	k := rowKey{collector: collector, bits: -1, seq: seq}
-	if p.IsValid() {
-		a := p.Addr().As16()
-		k.hi, k.lo = binary.BigEndian.Uint64(a[:8]), binary.BigEndian.Uint64(a[8:])
-		k.bits = int32(p.Bits())
-		if !p.Addr().Is4() {
-			k.bits += 256
-		}
+func FlatPrefix(p netip.Prefix) PrefixKey {
+	if !p.IsValid() {
+		return PrefixKey{Bits: -1}
+	}
+	a := p.Addr().As16()
+	k := PrefixKey{
+		Hi:   binary.BigEndian.Uint64(a[:8]),
+		Lo:   binary.BigEndian.Uint64(a[8:]),
+		Bits: int32(p.Bits()),
+	}
+	if !p.Addr().Is4() {
+		k.Bits += 256
 	}
 	return k
+}
+
+// IsValid reports whether k flattens a valid prefix.
+func (k PrefixKey) IsValid() bool { return k.Bits >= 0 }
+
+// rowKey identifies a (collector, prefix, hop sequence) row for the
+// duplicate collapse.
+type rowKey struct {
+	prefix    PrefixKey
+	collector uint32
+	seq       int32
 }
 
 // SanitizeOne applies the per-path half of the step-1 cleaning to a

@@ -12,14 +12,17 @@
 // announced routes. The argument has three legs:
 //
 //  1. The corpus aggregates (core.CorpusIndex) are commutative
-//     refcounts: applying announce/withdraw deltas in any order leaves
-//     the same aggregate state as folding the equivalent batch corpus,
-//     so core.InferIndexed — the one shared engine both paths execute
-//     — sees identical inputs.
+//     refcounts whose key sets — all that core.InferIndexed, the one
+//     shared engine both paths execute, ever reads — are a function of
+//     the set of distinct hop sequences announced. The engine folds
+//     each sequence once, when its first row appears, and out when its
+//     last goes; batch folds it with its row count; the counts differ
+//     and the inputs inference sees do not.
 //  2. Cone credits (cone.PairCounts) are commutative refcounts of the
 //     same crediting walk the batch engine shards, read at their final
-//     state when the slab is built, so within-epoch event order cannot
-//     matter.
+//     state — and only as count > 0 — when the slab is built, so
+//     neither within-epoch event order nor crediting a sequence once
+//     for all its rows can matter.
 //  3. The dirty-region rule is conservative: a path's poisoned flag is
 //     a function of the path and the clique, so a changed clique moves
 //     exactly the paths whose flag flipped into or out of the kept
@@ -32,6 +35,7 @@ package stream
 
 import (
 	"context"
+	"encoding/binary"
 	"net/netip"
 	"slices"
 	"sync"
@@ -61,41 +65,69 @@ type Options struct {
 	Journal *oplog.Journal
 }
 
-// Stats counts what the engine has done. How much of the table an epoch
-// really walked is read off its CommitReport (paths re-walked against
-// live entries), which the differential harness asserts on.
+// Stats counts what the engine has done and what it holds. How much of
+// the table an epoch really walked is read off its CommitReport
+// (sequences re-walked against live sequences), which the differential
+// harness asserts on.
 type Stats struct {
 	Epochs       int // Commit calls
 	FullRebuilds int // DecisionRebuild epochs: the first, and each whose clique changed (every poisoned flag re-evaluated)
-	Entries      int // live distinct paths
-	RIBRoutes    int // live (collector, vp, prefix) routes
+	Entries      int // live corpus rows: distinct (collector, prefix, hop sequence)
+	RIBRoutes    int // live (collector, vp, prefix) routes, sanitizer-dropped ones included
+	Sequences    int // live distinct hop sequences
+	LinkIndex    int // link-index memberships: (kept link, sequence crossing it) pairs
 }
+
+// dropped is the RIB value of a route sanitize discarded: the slot is
+// remembered so the route's withdrawal is not a miss, but it carries no
+// row.
+const dropped int32 = -1
 
 // ribKey identifies one vantage point's route to one prefix — the unit
-// BGP announce/withdraw semantics operate on.
+// BGP announce/withdraw semantics operate on. Its prefix is the row's
+// flat key except that invalid prefixes stay as distinct as netip.Prefix
+// keeps them (see ribPrefix): withdrawing one must not withdraw another.
 type ribKey struct {
-	collector string
+	prefix    paths.PrefixKey
+	collector uint32 // Engine.collectors id
 	vp        uint32
-	prefix    netip.Prefix
 }
 
-// entryKey identifies one distinct corpus row: Sanitize collapses
-// duplicate (collector, prefix, cleaned-path) rows, so the engine
-// refcounts them.
-type entryKey struct {
-	collector string
-	prefix    netip.Prefix
-	hops      string // cleaned ASNs, packed big-endian
+// ribPrefix is the RIB's view of a prefix whose row key is flat. Every
+// invalid prefix is one row key, but an invalid netip.Prefix still has
+// an address and a family, and two routes that differ in either are two
+// routes; Bits below zero encodes the family.
+func ribPrefix(p netip.Prefix, flat paths.PrefixKey) paths.PrefixKey {
+	if flat.IsValid() {
+		return flat
+	}
+	a := p.Addr().As16()
+	k := paths.PrefixKey{Hi: binary.BigEndian.Uint64(a[:8]), Lo: binary.BigEndian.Uint64(a[8:]), Bits: -1}
+	switch {
+	case p.Addr().Is4():
+		k.Bits = -2
+	case p.Addr().Is6():
+		k.Bits = -3
+	}
+	return k
 }
 
-// entry is one distinct sanitized path currently announced by refs
-// vantage-point routes.
-type entry struct {
-	key      entryKey
-	asns     []uint32 // key.hops, unpacked
-	refs     int32    // int32 keeps entry in the 96-byte size class (one per distinct path)
-	poisoned bool     // under the last committed clique
-	credited bool     // currently counted in the cone credit table
+// rowKey identifies one corpus row. Sanitize collapses duplicate
+// (collector, prefix, cleaned-path) rows under the same prefix key, so
+// the engine refcounts the routes announcing each.
+type rowKey struct {
+	prefix    paths.PrefixKey
+	collector uint32 // Engine.collectors id
+	seq       int32  // Engine.seqs id
+}
+
+// sequence is one distinct cleaned hop sequence and everything that is
+// a function of hops alone, held once however many rows carry it.
+type sequence struct {
+	hops     []uint32
+	rows     int32 // live rows carrying hops; 0 marks a free slot
+	poisoned bool  // under the last committed clique
+	credited bool  // currently counted in the cone credit table
 }
 
 // Engine is the incremental inference state machine. Announce and
@@ -103,6 +135,13 @@ type entry struct {
 // the affected region of the inference and returns the epoch snapshot.
 // All methods are safe for concurrent use; Commit serializes against
 // event ingestion.
+//
+// Three tables hold the route state, keyed by plain integers so the big
+// maps carry no pointers: rib (route → sequence), rows (row → routes
+// announcing it) and seqs (sequence id → hops, rows carrying it, flags).
+// The corpus index, the link index and the credit table follow a
+// sequence's birth and death — first row appears, last row goes — and
+// only the kept-row count and the prefix counts follow rows.
 type Engine struct {
 	mu sync.Mutex
 	// opts is immutable after New and deliberately NOT guarded:
@@ -112,16 +151,30 @@ type Engine struct {
 	//asrank:guardedby mu
 	ix *core.CorpusIndex
 	//asrank:guardedby mu
-	rib map[ribKey]*entry // nil value: announced but dropped by sanitize
+	collectors map[string]uint32 // name → dense id; a deployment has a handful, none is retired
 	//asrank:guardedby mu
-	entries map[entryKey]*entry
+	rib map[ribKey]int32 // sequence id, or dropped
 	//asrank:guardedby mu
-	linkIndex map[paths.Link]map[*entry]struct{} // kept entries by adjacency
+	rows map[rowKey]int32 // routes announcing the row
+	//asrank:guardedby mu
+	seqs []sequence
+	//asrank:guardedby mu
+	free []int32 // unused seqs slots
+	//asrank:guardedby mu
+	seqID map[string]int32 // packed hops → seqs id
+	//asrank:guardedby mu
+	keyBuf []byte // scratch for one seqID key; valid only until the next packLocked
+	//asrank:guardedby mu
+	linkIndex map[paths.Link]map[int32]struct{} // kept sequences by adjacency
+	//asrank:guardedby mu
+	linkMembers int // memberships over all of linkIndex
 
 	//asrank:guardedby mu
 	pc *cone.PairCounts
 	//asrank:guardedby mu
-	pfxRef map[pfxKey]int
+	keptRows int // rows of non-poisoned sequences: the snapshot's PathCount
+	//asrank:guardedby mu
+	pfxRef map[pfxKey]int32 // kept rows announcing (origin, prefix)
 	//asrank:guardedby mu
 	pfxCount map[uint32]int
 
@@ -135,9 +188,9 @@ type Engine struct {
 	rels map[paths.Link]topology.Relationship
 
 	//asrank:guardedby mu
-	pendingCredit map[*entry]struct{} // kept entries not yet credited
+	pendingCredit map[int32]struct{} // kept sequences not yet credited
 	//asrank:guardedby mu
-	uncredit [][]uint32 // ex-credited paths to remove under the old relationships
+	uncredit [][]uint32 // ex-credited sequences to remove under the old relationships
 
 	//asrank:guardedby mu
 	stats Stats
@@ -154,8 +207,8 @@ type Engine struct {
 }
 
 type pfxKey struct {
+	prefix paths.PrefixKey
 	origin uint32
-	prefix netip.Prefix
 }
 
 // New returns an empty engine.
@@ -163,70 +216,87 @@ func New(opts Options) *Engine {
 	return &Engine{
 		opts:          opts,
 		ix:            core.NewCorpusIndex(),
-		rib:           make(map[ribKey]*entry),
-		entries:       make(map[entryKey]*entry),
-		linkIndex:     make(map[paths.Link]map[*entry]struct{}),
+		collectors:    make(map[string]uint32),
+		rib:           make(map[ribKey]int32),
+		rows:          make(map[rowKey]int32),
+		seqID:         make(map[string]int32),
+		linkIndex:     make(map[paths.Link]map[int32]struct{}),
 		pc:            cone.NewPairCounts(),
-		pfxRef:        make(map[pfxKey]int),
+		pfxRef:        make(map[pfxKey]int32),
 		pfxCount:      make(map[uint32]int),
 		rels:          map[paths.Link]topology.Relationship{},
-		pendingCredit: make(map[*entry]struct{}),
+		pendingCredit: make(map[int32]struct{}),
 	}
-}
-
-func hopsKey(asns []uint32) string {
-	b := make([]byte, 0, len(asns)*4)
-	for _, a := range asns {
-		b = append(b, byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
-	}
-	return string(b)
 }
 
 // Announce folds one route announcement: vantage point vp at the named
 // collector now reaches prefix via asns (raw wire hops; the engine
 // sanitizes). A re-announcement for the same (collector, vp, prefix)
-// implicitly withdraws the previous route, per BGP semantics.
+// implicitly withdraws the previous route, per BGP semantics. The
+// cleaned hops are the call's only allocation unless a table grows or
+// the sequence is new.
+//
+//asrank:hotpath
 func (e *Engine) Announce(collector string, vp uint32, prefix netip.Prefix, asns []uint32) {
 	cleaned, keep := paths.SanitizeOne(asns, e.opts.IXPASes)
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.noteEventLocked()
-	rk := ribKey{collector: collector, vp: vp, prefix: prefix}
+	c, ok := e.collectors[collector]
+	if !ok {
+		c = uint32(len(e.collectors))
+		e.collectors[collector] = c
+	}
+	flat := paths.FlatPrefix(prefix)
+	rk := ribKey{prefix: ribPrefix(prefix, flat), collector: c, vp: vp}
 	old, had := e.rib[rk]
+	had = had && old != dropped
 	if !keep {
 		// Announced but not corpus-worthy: remember the slot so a later
 		// withdraw is a no-op instead of a miss.
-		if had && old != nil {
-			e.releaseLocked(old)
+		if had {
+			e.releaseLocked(rowKey{prefix: flat, collector: c, seq: old})
 		}
-		e.rib[rk] = nil
+		e.rib[rk] = dropped
 		return
 	}
-	ek := entryKey{collector: collector, prefix: prefix, hops: hopsKey(cleaned)}
-	if had && old != nil {
-		if old.key == ek {
+	//lint:ignore hotpathalloc a map lookup keyed by string(bytes) reads the bytes in place
+	id, held := e.seqID[string(e.packLocked(cleaned))]
+	if had {
+		if held && id == old {
 			return // same route re-announced
 		}
-		e.releaseLocked(old)
+		e.releaseLocked(rowKey{prefix: flat, collector: c, seq: old})
 	}
-	e.rib[rk] = e.acquireLocked(ek, cleaned)
+	if !held {
+		id = e.newSequenceLocked(cleaned)
+	}
+	e.rib[rk] = id
+	e.acquireLocked(rowKey{prefix: flat, collector: c, seq: id})
 }
 
 // Withdraw folds one route withdrawal. Withdrawing a prefix the
 // vantage point never announced is a no-op, per BGP semantics.
+//
+//asrank:hotpath
 func (e *Engine) Withdraw(collector string, vp uint32, prefix netip.Prefix) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.noteEventLocked()
-	rk := ribKey{collector: collector, vp: vp, prefix: prefix}
+	c, ok := e.collectors[collector]
+	if !ok {
+		return
+	}
+	flat := paths.FlatPrefix(prefix)
+	rk := ribKey{prefix: ribPrefix(prefix, flat), collector: c, vp: vp}
 	old, had := e.rib[rk]
 	if !had {
 		return
 	}
 	delete(e.rib, rk)
-	if old != nil {
-		e.releaseLocked(old)
+	if old != dropped {
+		e.releaseLocked(rowKey{prefix: flat, collector: c, seq: old})
 	}
 }
 
@@ -241,110 +311,187 @@ func (e *Engine) noteEventLocked() {
 	}
 }
 
-// acquireLocked bumps (or creates) the distinct-path entry for ek,
-// whose unpacked hops are asns.
-func (e *Engine) acquireLocked(ek entryKey, asns []uint32) *entry {
-	if en, ok := e.entries[ek]; ok {
-		en.refs++
-		return en
+// packLocked writes hops' seqID key into the engine's one scratch
+// buffer. The result is overwritten by the next call, so each use packs
+// for itself: a route swap releases one sequence and may create another.
+func (e *Engine) packLocked(hops []uint32) []byte {
+	b := e.keyBuf[:0]
+	for _, a := range hops {
+		b = binary.BigEndian.AppendUint32(b, a)
 	}
-	en := &entry{key: ek, asns: asns, refs: 1}
-	e.entries[ek] = en
-	e.ix.AddPath(asns, 1)
-	en.poisoned = core.Poisoned(asns, e.cliqueSet)
-	if !en.poisoned {
-		e.keepLocked(en)
-	}
-	return en
+	e.keyBuf = b
+	return b
 }
 
-// releaseLocked drops one reference, retiring the entry at zero.
-func (e *Engine) releaseLocked(en *entry) {
-	en.refs--
-	if en.refs > 0 {
+// newSequenceLocked creates the sequence for hops, which no live sequence
+// holds, and folds it into everything that follows sequences. It has no
+// rows yet; the caller acquires the first.
+func (e *Engine) newSequenceLocked(hops []uint32) int32 {
+	var id int32
+	if n := len(e.free); n > 0 {
+		id, e.free = e.free[n-1], e.free[:n-1]
+	} else {
+		id = int32(len(e.seqs))
+		e.seqs = append(e.seqs, sequence{})
+	}
+	e.seqID[string(e.packLocked(hops))] = id
+	e.seqs[id] = sequence{hops: hops, poisoned: core.Poisoned(hops, e.cliqueSet)}
+	e.ix.AddPath(hops, 1)
+	if !e.seqs[id].poisoned {
+		e.keepLocked(id)
+	}
+	return id
+}
+
+// acquireLocked adds one route to row k, whose sequence exists; the
+// first route creates the row.
+func (e *Engine) acquireLocked(k rowKey) {
+	n := e.rows[k] + 1
+	e.rows[k] = n
+	if n > 1 {
 		return
 	}
-	delete(e.entries, en.key)
-	e.ix.AddPath(en.asns, -1)
-	if !en.poisoned {
-		e.unkeepLocked(en)
+	s := &e.seqs[k.seq]
+	s.rows++
+	if !s.poisoned {
+		e.countRowLocked(s.hops, k.prefix, 1)
 	}
 }
 
-// keepLocked admits an entry to the kept (post-discard) layer: corpus
-// aggregates, link index, prefix counts, and the credit queue.
-func (e *Engine) keepLocked(en *entry) {
-	e.ix.AddKept(en.asns, 1)
-	for i := 0; i+1 < len(en.asns); i++ {
-		l := paths.NewLink(en.asns[i], en.asns[i+1])
-		set, ok := e.linkIndex[l]
-		if !ok {
-			set = make(map[*entry]struct{})
-			e.linkIndex[l] = set
-		}
-		set[en] = struct{}{}
+// releaseLocked drops one route from row k, retiring the row at zero —
+// and, when it was the sequence's last row, the sequence.
+func (e *Engine) releaseLocked(k rowKey) {
+	if n := e.rows[k]; n > 1 {
+		e.rows[k] = n - 1
+		return
 	}
-	if en.key.prefix.IsValid() {
-		k := pfxKey{origin: en.asns[len(en.asns)-1], prefix: en.key.prefix}
-		e.pfxRef[k]++
-		if e.pfxRef[k] == 1 {
+	delete(e.rows, k)
+	s := &e.seqs[k.seq]
+	s.rows--
+	if !s.poisoned {
+		e.countRowLocked(s.hops, k.prefix, -1)
+	}
+	if s.rows > 0 {
+		return
+	}
+	e.ix.AddPath(s.hops, -1)
+	if !s.poisoned {
+		e.unkeepLocked(k.seq)
+	}
+	delete(e.seqID, string(e.packLocked(s.hops)))
+	*s = sequence{}
+	e.free = append(e.free, k.seq)
+}
+
+// countRowLocked moves one row of a kept sequence into (d = 1) or out of
+// (d = -1) the two aggregates that follow rows: the kept-row count and
+// the prefix count of the row's origin. Rows without a valid prefix
+// weigh nothing there, as in cone.PrefixCounts.
+func (e *Engine) countRowLocked(hops []uint32, prefix paths.PrefixKey, d int32) {
+	e.keptRows += int(d)
+	if !prefix.IsValid() {
+		return
+	}
+	k := pfxKey{prefix: prefix, origin: hops[len(hops)-1]}
+	n := e.pfxRef[k] + d
+	if n > 0 {
+		e.pfxRef[k] = n
+		if n == 1 && d > 0 {
 			e.pfxCount[k.origin]++
 		}
+		return
 	}
-	e.pendingCredit[en] = struct{}{}
+	delete(e.pfxRef, k)
+	e.pfxCount[k.origin]--
+	if e.pfxCount[k.origin] == 0 {
+		delete(e.pfxCount, k.origin)
+	}
 }
 
-// unkeepLocked reverses keepLocked. A credited entry is queued for
+// keepLocked admits a sequence to the kept (post-discard) layer: corpus
+// aggregates, link index, and the credit queue.
+func (e *Engine) keepLocked(id int32) {
+	hops := e.seqs[id].hops
+	e.ix.AddKept(hops, 1)
+	for i := 0; i+1 < len(hops); i++ {
+		l := paths.NewLink(hops[i], hops[i+1])
+		set, ok := e.linkIndex[l]
+		if !ok {
+			set = make(map[int32]struct{})
+			e.linkIndex[l] = set
+		}
+		set[id] = struct{}{}
+	}
+	e.linkMembers += len(hops) - 1
+	e.pendingCredit[id] = struct{}{}
+}
+
+// unkeepLocked reverses keepLocked. A credited sequence is queued for
 // uncrediting under the relationships it was credited with.
-func (e *Engine) unkeepLocked(en *entry) {
-	e.ix.AddKept(en.asns, -1)
-	for i := 0; i+1 < len(en.asns); i++ {
-		l := paths.NewLink(en.asns[i], en.asns[i+1])
-		delete(e.linkIndex[l], en)
+func (e *Engine) unkeepLocked(id int32) {
+	s := &e.seqs[id]
+	e.ix.AddKept(s.hops, -1)
+	for i := 0; i+1 < len(s.hops); i++ {
+		l := paths.NewLink(s.hops[i], s.hops[i+1])
+		delete(e.linkIndex[l], id)
 		if len(e.linkIndex[l]) == 0 {
 			delete(e.linkIndex, l)
 		}
 	}
-	if en.key.prefix.IsValid() {
-		k := pfxKey{origin: en.asns[len(en.asns)-1], prefix: en.key.prefix}
-		e.pfxRef[k]--
-		if e.pfxRef[k] == 0 {
-			delete(e.pfxRef, k)
-			e.pfxCount[k.origin]--
-			if e.pfxCount[k.origin] == 0 {
-				delete(e.pfxCount, k.origin)
-			}
-		}
-	}
-	if en.credited {
-		en.credited = false
-		e.uncredit = append(e.uncredit, en.asns)
+	e.linkMembers -= len(s.hops) - 1
+	if s.credited {
+		s.credited = false
+		e.uncredit = append(e.uncredit, s.hops)
 	} else {
-		delete(e.pendingCredit, en)
+		delete(e.pendingCredit, id)
 	}
 }
 
-// reflagLocked adopts a changed clique: every entry's poisoned flag is
-// re-evaluated, and the entries whose flag flipped cross the step-4 cut
-// through keepLocked/unkeepLocked. The kept layer and the credit table
-// are refcounts, so the result is what folding the new kept set from
-// scratch would give.
+// reflagLocked adopts a changed clique: every sequence's poisoned flag
+// is re-evaluated, and the sequences whose flag flipped cross the step-4
+// cut through keepLocked/unkeepLocked. The kept layer and the credit
+// table are refcounts, so the result is what folding the new kept set
+// from scratch would give. Rows are visited only when some flag flipped,
+// in one pass that moves the flipped sequences' rows into or out of the
+// per-row aggregates.
 func (e *Engine) reflagLocked(clique []uint32) {
 	e.clique = append([]uint32(nil), clique...)
 	e.cliqueSet = make(map[uint32]bool, len(clique))
 	for _, m := range clique {
 		e.cliqueSet[m] = true
 	}
-	for _, en := range e.entries {
-		p := core.Poisoned(en.asns, e.cliqueSet)
-		if p == en.poisoned {
+	var flipped []bool // by sequence id; nil until a flag flips
+	for id := range e.seqs {
+		s := &e.seqs[id]
+		if s.rows == 0 {
 			continue
 		}
-		en.poisoned = p
+		p := core.Poisoned(s.hops, e.cliqueSet)
+		if p == s.poisoned {
+			continue
+		}
+		s.poisoned = p
+		if flipped == nil {
+			flipped = make([]bool, len(e.seqs))
+		}
+		flipped[id] = true
 		if p {
-			e.unkeepLocked(en)
+			e.unkeepLocked(int32(id))
 		} else {
-			e.keepLocked(en)
+			e.keepLocked(int32(id))
+		}
+	}
+	if flipped == nil {
+		return
+	}
+	for k := range e.rows {
+		if !flipped[k.seq] {
+			continue
+		}
+		if s := &e.seqs[k.seq]; s.poisoned {
+			e.countRowLocked(s.hops, k.prefix, -1)
+		} else {
+			e.countRowLocked(s.hops, k.prefix, 1)
 		}
 	}
 }
@@ -428,12 +575,12 @@ func (e *Engine) CommitEpoch(ctx context.Context) (*warehouse.Snapshot, CommitRe
 		e.pc.Credit(e.rels, asns, -1)
 	}
 	e.uncredit = nil
-	affected := make(map[*entry]struct{})
+	affected := make(map[int32]struct{})
 	dirty := func(l paths.Link) {
 		rep.DirtyLinks++
-		for en := range e.linkIndex[l] {
-			if en.credited {
-				affected[en] = struct{}{}
+		for id := range e.linkIndex[l] {
+			if e.seqs[id].credited {
+				affected[id] = struct{}{}
 			}
 		}
 	}
@@ -448,16 +595,16 @@ func (e *Engine) CommitEpoch(ctx context.Context) (*warehouse.Snapshot, CommitRe
 		}
 	}
 	rep.RecreditedPaths = len(affected)
-	for en := range affected {
-		e.pc.Credit(e.rels, en.asns, -1)
-		e.pc.Credit(res.Rels, en.asns, 1)
+	for id := range affected {
+		e.pc.Credit(e.rels, e.seqs[id].hops, -1)
+		e.pc.Credit(res.Rels, e.seqs[id].hops, 1)
 	}
 	rep.NewlyCredited = len(e.pendingCredit)
-	for en := range e.pendingCredit {
-		e.pc.Credit(res.Rels, en.asns, 1)
-		en.credited = true
+	for id := range e.pendingCredit {
+		e.pc.Credit(res.Rels, e.seqs[id].hops, 1)
+		e.seqs[id].credited = true
 	}
-	e.pendingCredit = make(map[*entry]struct{})
+	e.pendingCredit = make(map[int32]struct{})
 	e.rels = res.Rels
 	ph.End(commitPhaseDuration.With("credit"), &rep.Phases.Credit)
 
@@ -483,12 +630,12 @@ func (e *Engine) CommitEpoch(ctx context.Context) (*warehouse.Snapshot, CommitRe
 		Rels:          res.Rels,
 		Steps:         res.Steps,
 		Clique:        clique,
-		PathCount:     e.ix.PathCount(),
+		PathCount:     e.keptRows,
 	})
 	ph.End(commitPhaseDuration.With("compose"), &rep.Phases.Compose)
 
-	rep.Entries = len(e.entries)
-	rep.RIBRoutes = len(e.rib)
+	held := e.statsLocked()
+	rep.Entries, rep.RIBRoutes, rep.Sequences, rep.LinkIndex = held.Entries, held.RIBRoutes, held.Sequences, held.LinkIndex
 	if !firstPendingAt.IsZero() {
 		trace.PhaseSince(firstPendingAt).End(nil, &rep.WatermarkMillis)
 	}
@@ -508,6 +655,8 @@ func (e *Engine) CommitEpoch(ctx context.Context) (*warehouse.Snapshot, CommitRe
 		oplog.Int("recredited_paths", int64(rep.RecreditedPaths)),
 		oplog.Int("links", int64(rep.Links)),
 		oplog.Int("ases", int64(rep.ASes)),
+		oplog.Int("sequences", int64(rep.Sequences)),
+		oplog.Int("link_index", int64(rep.LinkIndex)),
 		oplog.Int("total_ms", int64(rep.TotalMillis)),
 		oplog.Int("watermark_ms", int64(rep.WatermarkMillis)))
 
@@ -518,8 +667,16 @@ func (e *Engine) CommitEpoch(ctx context.Context) (*warehouse.Snapshot, CommitRe
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.statsLocked()
+}
+
+// statsLocked is the one place the table sizes are read, for Stats and
+// for every CommitReport.
+func (e *Engine) statsLocked() Stats {
 	s := e.stats
-	s.Entries = len(e.entries)
+	s.Entries = len(e.rows)
 	s.RIBRoutes = len(e.rib)
+	s.Sequences = len(e.seqs) - len(e.free)
+	s.LinkIndex = e.linkMembers
 	return s
 }

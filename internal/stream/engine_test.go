@@ -18,27 +18,28 @@ var (
 	pfxB = netip.MustParsePrefix("198.51.100.0/24")
 )
 
-// tables is the engine state the event-folding tests assert on.
+// tables is the engine state the event-folding tests assert on: routes,
+// rows, live sequences and kept rows.
 type tables struct {
-	rib, entries, paths int
+	rib, entries, seqs, paths int
 }
 
 func tablesOf(e *Engine) tables {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return tables{rib: len(e.rib), entries: len(e.entries), paths: e.ix.PathCount()}
+	return tables{rib: len(e.rib), entries: len(e.rows), seqs: len(e.seqs) - len(e.free), paths: e.keptRows}
 }
 
-// soleEntryRefs returns the refcount of the engine's only entry.
+// soleEntryRefs returns the route count of the engine's only row.
 func soleEntryRefs(t *testing.T, e *Engine) int32 {
 	t.Helper()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if len(e.entries) != 1 {
-		t.Fatalf("engine holds %d entries, want 1", len(e.entries))
+	if len(e.rows) != 1 {
+		t.Fatalf("engine holds %d rows, want 1", len(e.rows))
 	}
-	for _, en := range e.entries {
-		return en.refs
+	for _, refs := range e.rows {
+		return refs
 	}
 	return 0
 }
@@ -84,14 +85,14 @@ func TestSharedEntrySurvivesOneWithdraw(t *testing.T) {
 	e := New(Options{})
 	e.Announce("rc0", 10, pfxA, []uint32{10, 20, 30})
 	e.Announce("rc0", 11, pfxA, []uint32{10, 20, 30})
-	if got := tablesOf(e); got != (tables{rib: 2, entries: 1, paths: 1}) {
+	if got := tablesOf(e); got != (tables{rib: 2, entries: 1, seqs: 1, paths: 1}) {
 		t.Fatalf("two VPs, one cleaned path: tables = %+v", got)
 	}
 	if refs := soleEntryRefs(t, e); refs != 2 {
 		t.Fatalf("shared entry refs = %d, want 2", refs)
 	}
 	e.Withdraw("rc0", 10, pfxA)
-	if got := tablesOf(e); got != (tables{rib: 1, entries: 1, paths: 1}) {
+	if got := tablesOf(e); got != (tables{rib: 1, entries: 1, seqs: 1, paths: 1}) {
 		t.Errorf("after one withdraw: tables = %+v", got)
 	}
 	e.Withdraw("rc0", 11, pfxA)

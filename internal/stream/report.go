@@ -75,14 +75,21 @@ type CommitReport struct {
 
 	// Accounting for the dirty region. Events counts route events
 	// folded since the previous commit; DirtyLinks counts links whose
-	// inferred relationship is new, changed or gone; RecreditedPaths
-	// counts credited paths re-walked because they touch a dirty link;
-	// UncreditedPaths counts paths that left the kept layer — withdrawn,
-	// or poisoned by a clique change — and had their credits removed;
-	// NewlyCredited counts paths credited this epoch that were not
-	// before: announced, or un-poisoned by a clique change. Links and
-	// ASes size the graph steps 5–9 ran over — labeled links and ranked
-	// ASes — so infer time per link is a division, not a profile.
+	// inferred relationship is new, changed or gone. The three path
+	// counts are in distinct hop sequences — the unit the credit table
+	// is kept in — not rows: RecreditedPaths counts credited sequences
+	// re-walked because they touch a dirty link; UncreditedPaths counts
+	// sequences that left the kept layer — their last row withdrawn, or
+	// poisoned by a clique change — and had their credits removed;
+	// NewlyCredited counts sequences credited this epoch that were not
+	// before: first announced, or un-poisoned by a clique change.
+	//
+	// What the engine holds after the commit: Entries is corpus rows,
+	// RIBRoutes routes, Sequences the distinct hop sequences those rows
+	// carry, LinkIndex the link-index memberships ((kept link, sequence
+	// crossing it) pairs). Links and ASes size the graph steps 5–9 ran
+	// over — labeled links and ranked ASes — so infer time per link is a
+	// division, not a profile.
 	Events          int `json:"events"`
 	DirtyLinks      int `json:"dirtyLinks"`
 	RecreditedPaths int `json:"recreditedPaths"`
@@ -90,6 +97,8 @@ type CommitReport struct {
 	NewlyCredited   int `json:"newlyCredited"`
 	Entries         int `json:"entries"`
 	RIBRoutes       int `json:"ribRoutes"`
+	Sequences       int `json:"sequences"`
+	LinkIndex       int `json:"linkIndex"`
 	Links           int `json:"links"`
 	ASes            int `json:"ases"`
 

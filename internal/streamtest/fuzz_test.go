@@ -107,6 +107,23 @@ func FuzzCorpusMutator(f *testing.F) {
 		2, 3, 1, 4, 3, 16, 9, 17,
 		2, 4, 1, 5, 6, 18, 9, 19, 21, 10, 20,
 	})
+	// A program about sequences rather than routes: path 1–2–3 under two
+	// prefixes (one sequence, two rows); a reroute of the first to 1–2–7–3
+	// (a row dies, the sequence survives); a reroute of the second to
+	// 1–2–8–3 (one Announce retires the sequence's last row and creates
+	// another sequence); a commit; then 1–2–3 announced again under a
+	// third prefix (a resurrection) and the first prefix withdrawn.
+	f.Add([]byte{
+		2, 0, 0, 1, 3, 0, 1, 2,
+		2, 0, 0, 2, 3, 0, 1, 2,
+		2, 1, 0, 3, 3, 4, 1, 5,
+		1, 0, 0, 0, 0,
+		2, 0, 0, 1, 4, 0, 1, 6, 2,
+		2, 0, 0, 2, 4, 0, 1, 7, 2,
+		1, 0, 0, 0, 0,
+		2, 0, 0, 4, 3, 0, 1, 2,
+		0, 0, 0, 1, 0,
+	})
 	for _, v := range chaos.CorruptVariants(20130401, base, 8) {
 		f.Add(v)
 	}

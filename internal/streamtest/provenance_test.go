@@ -79,9 +79,17 @@ func TestCommitReportsMatchStats(t *testing.T) {
 	if got, want := apiserver.BuildSnapshot(eventless).ETag(), etags[len(etags)-1]; got != want {
 		t.Errorf("eventless commit serves ETag %s, previous epoch served %s", got, want)
 	}
-	if last.Entries != st.Entries || last.RIBRoutes != st.RIBRoutes {
-		t.Errorf("last report sizes (%d,%d) != stats (%d,%d)",
-			last.Entries, last.RIBRoutes, st.Entries, st.RIBRoutes)
+	if last.Entries != st.Entries || last.RIBRoutes != st.RIBRoutes ||
+		last.Sequences != st.Sequences || last.LinkIndex != st.LinkIndex {
+		t.Errorf("last report sizes %+v != stats %+v", last, st)
+	}
+	// What the engine holds nests: routes share rows, rows share
+	// sequences, and a kept sequence is in the link index once per link.
+	for _, rep := range reports {
+		if !(0 < rep.Sequences && rep.Sequences < rep.Entries && rep.Entries <= rep.RIBRoutes && rep.Sequences <= rep.LinkIndex) {
+			t.Errorf("epoch %d: %d routes, %d rows, %d sequences, %d link-index memberships do not nest",
+				rep.Epoch, rep.RIBRoutes, rep.Entries, rep.Sequences, rep.LinkIndex)
+		}
 	}
 	// Epoch 1 announced the whole base corpus: events and a watermark.
 	if reports[0].Events == 0 || reports[0].WatermarkMillis <= 0 {
@@ -109,12 +117,22 @@ func TestCommitReportsMatchStats(t *testing.T) {
 		}
 	}
 
-	// Every commit journaled a stream.commit event.
+	// Every commit journaled a stream.commit event, sized like its report.
 	commits := 0
 	for _, ev := range journal.Recent() {
-		if ev.Name == "stream.commit" {
-			commits++
+		if ev.Name != "stream.commit" {
+			continue
 		}
+		got := map[string]int64{}
+		for _, a := range ev.Attrs {
+			got[a.Key] = a.Int
+		}
+		rep := reports[commits]
+		if got["epoch"] != int64(rep.Epoch) || got["sequences"] != int64(rep.Sequences) || got["link_index"] != int64(rep.LinkIndex) {
+			t.Errorf("journaled commit %v does not carry report %d's sizes (%d sequences, %d memberships)",
+				got, rep.Epoch, rep.Sequences, rep.LinkIndex)
+		}
+		commits++
 	}
 	if commits != st.Epochs {
 		t.Errorf("journaled commits = %d, want %d", commits, st.Epochs)
