@@ -69,7 +69,8 @@ trace-demo:
 
 # Short native-fuzzing pass over every decoder target, seeded with the
 # shared chaos-corrupted corpus (FuzzRead diffs the path-text reader
-# against the reader it replaced, FuzzInferDenseVsOracle steps 5–9
+# against the reader it replaced, FuzzSanitize step 1 against the
+# per-row sanitizer it replaced, FuzzInferDenseVsOracle steps 5–9
 # against the inferencer they replaced). Each target gets FUZZTIME; `go test`
 # allows only one -fuzz pattern per invocation, hence one line each.
 FUZZTIME ?= 5s
@@ -81,6 +82,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMessage$$' -fuzztime $(FUZZTIME) ./internal/bgp
 	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime $(FUZZTIME) ./internal/mrt
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME) ./internal/paths
+	$(GO) test -run '^$$' -fuzz '^FuzzSanitize$$' -fuzztime $(FUZZTIME) ./internal/paths
 	$(GO) test -run '^$$' -fuzz '^FuzzInferDenseVsOracle$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSegment$$' -fuzztime $(FUZZTIME) ./internal/warehouse
 	$(GO) test -run '^$$' -fuzz '^FuzzCorpusMutator$$' -fuzztime $(FUZZTIME) ./internal/streamtest

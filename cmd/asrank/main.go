@@ -98,7 +98,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		defer w.Close()
 	}
 	comments := []string{
 		"inferred by asrank (reproduction of Luckie et al., IMC 2013)",
@@ -106,6 +105,10 @@ func main() {
 		fmt.Sprintf("links: %d (c2p %d, p2p %d)", len(res.Rels), c2p, p2p),
 	}
 	if err := relfile.Write(w, res.Rels, comments...); err != nil {
+		fatal(err)
+	}
+	// Quota and NFS report a failed write only here.
+	if err := w.Close(); err != nil {
 		fatal(err)
 	}
 }

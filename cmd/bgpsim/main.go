@@ -123,7 +123,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		defer w.Close()
 	}
 	switch *format {
 	case "text":
@@ -134,6 +133,10 @@ func main() {
 		err = fmt.Errorf("unknown format %q", *format)
 	}
 	if err != nil {
+		fatal(err)
+	}
+	// Quota and NFS report a failed write only here.
+	if err := w.Close(); err != nil {
 		fatal(err)
 	}
 	finishTrace(tr, *stats)

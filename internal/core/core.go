@@ -24,6 +24,7 @@ import (
 	"slices"
 
 	"github.com/asrank-go/asrank/internal/paths"
+	"github.com/asrank-go/asrank/internal/pool"
 	"github.com/asrank-go/asrank/internal/topology"
 	"github.com/asrank-go/asrank/internal/trace"
 )
@@ -230,16 +231,16 @@ func InferCtx(ctx context.Context, ds *paths.Dataset, opts Options) *Result {
 	ctx, run := trace.StartPhase(ctx, "core.infer")
 	defer run.End(inferDuration, nil)
 	run.Span.SetAttrInt("paths", int64(len(ds.Paths)))
-	var st paths.SanitizeStats
-	var groups *paths.Groups
-	if opts.Sanitize {
-		sctx, ph := trace.StartPhase(ctx, "core.infer.sanitize")
-		ds, st, groups = paths.SanitizeCtx(sctx, ds, paths.SanitizeOptions{IXPASes: opts.IXPASes})
-		ph.End(inferStepDuration.With("sanitize"), nil)
-	} else {
-		groups = paths.GroupByHops(ds.Paths)
-	}
-	return inferSanitized(ctx, ds, groups, opts, st)
+
+	in := indexCorpus(ctx, ds, opts)
+	inferPoisoned.Add(uint64(in.poisoned))
+	run.Span.SetAttrInt("poisoned_paths", int64(in.poisoned))
+
+	res := InferIndexed(ctx, in.ix, in.rank, in.clique, opts)
+	res.PoisonedPaths = in.poisoned
+	res.Dataset = in.kept
+	res.SanitizeStats = in.sanStats
+	return res
 }
 
 // stager runs pipeline steps as timed phases: one span, one
@@ -268,76 +269,134 @@ func (st *stager) run(spanName, step string, fn func()) {
 	ph.End(inferStepDuration.With(step), nil)
 }
 
-// inferSanitized runs steps 2–9 over a sanitized corpus and its
-// grouping by hop sequence.
-func inferSanitized(ctx context.Context, ds *paths.Dataset, groups *paths.Groups, opts Options, sanStats paths.SanitizeStats) *Result {
-	// Steps 2–4 are the only stages that touch the corpus itself; they
-	// build the two index layers the shared engine (InferIndexed)
-	// consumes. Their metric stages label no links. All three are
-	// functions of a path's hops, so each distinct hop sequence is
-	// folded once, with the number of rows carrying it as multiplicity.
+// indexed is what steps 1–4 leave: the index InferIndexed reads, the
+// ranking and clique taken from its ranked layer, and the post-step-4
+// corpus beside the number of rows step 4 discarded.
+type indexed struct {
+	ix           *CorpusIndex
+	rank, clique []uint32
+	kept         *paths.Dataset
+	poisoned     int
+	sanStats     paths.SanitizeStats
+}
+
+// indexCorpus runs steps 1–4, the only stages that touch the corpus
+// itself. All four are functions of a path's hops, so each distinct hop
+// sequence is folded once. Their metric stages label no links.
+func indexCorpus(ctx context.Context, ds *paths.Dataset, opts Options) indexed {
+	ix, ds, groups, sanStats := foldAtBirth(ctx, ds, opts)
+	in := indexed{ix: ix, kept: &paths.Dataset{}, sanStats: sanStats}
 	stages := stager{ctx: ctx}
 
-	ix := NewCorpusIndex()
-	var rank, clique []uint32
-
-	rows := make([]int, len(groups.Hops)) // rows carrying each sequence
-	for _, g := range groups.Of {
-		rows[g]++
-	}
-
 	// Step 2: ranking.
-	stages.run("core.infer.rank", "rank", func() {
-		for g, hops := range groups.Hops {
-			ix.AddPath(hops, rows[g])
-		}
-		rank = ix.Rank()
-	})
+	stages.run("core.infer.rank", "rank", func() { in.rank = ix.Rank() })
 
 	// Step 3: clique.
 	stages.run("core.infer.clique", "clique", func() {
-		clique = CliqueFromIndex(ix, rank, opts)
+		in.clique = CliqueFromIndex(ix, in.rank, opts)
 	})
-	cliqueSet := make(map[uint32]bool, len(clique))
-	for _, c := range clique {
+	cliqueSet := make(map[uint32]bool, len(in.clique))
+	for _, c := range in.clique {
 		cliqueSet[c] = true
 	}
 
 	// Step 4: discard poisoned paths — those where a non-clique AS
 	// appears between two clique members, evidence of poisoning or a
-	// route leak that would corrupt top-down inference — and build the
-	// kept layer from the rest.
-	kept := &paths.Dataset{}
+	// route leak that would corrupt top-down inference. The kept layer
+	// was folded over every sequence, before there was a clique to test
+	// them against: kept = ranked − poisoned, so the few poisoned ones
+	// are folded back out.
 	stages.run("core.infer.poison", "poison", func() {
 		drop := make([]bool, len(groups.Hops))
 		for g, hops := range groups.Hops {
-			if drop[g] = poisoned(hops, cliqueSet); !drop[g] {
-				ix.AddKept(hops, rows[g])
+			if drop[g] = poisoned(hops, cliqueSet); drop[g] {
+				ix.AddKept(hops, -1)
 			}
 		}
 		// A corpus this run sanitized is its own to filter in place; a
 		// caller's is copied.
-		kept.Paths = ds.Paths[:0]
+		in.kept.Paths = ds.Paths[:0]
 		if !opts.Sanitize {
-			kept.Paths = make([]paths.Path, 0, len(ds.Paths))
+			in.kept.Paths = make([]paths.Path, 0, len(ds.Paths))
 		}
 		for i, p := range ds.Paths {
 			if !drop[groups.Of[i]] {
-				kept.Paths = append(kept.Paths, p)
+				in.kept.Paths = append(in.kept.Paths, p)
 			}
 		}
 	})
-	dropped := len(ds.Paths) - len(kept.Paths)
-	inferPoisoned.Add(uint64(dropped))
-	if root := trace.FromContext(ctx); root != nil {
-		root.SetAttrInt("poisoned_paths", int64(dropped))
-	}
+	in.poisoned = len(ds.Paths) - len(in.kept.Paths)
+	return in
+}
 
-	res := InferIndexed(ctx, ix, rank, clique, opts)
-	res.PoisonedPaths = dropped
-	res.Dataset = kept
-	res.SanitizeStats = sanStats
-	return res
+// foldAtBirth runs step 1 — or, over a caller's sanitized corpus, only
+// its grouping by hop sequence — with both index layers folding beside
+// it: the pass hands each sequence to a feed as it is born, and two
+// folders drain the feed, the ranked layer through AddPath and the kept
+// layer through AddKept, +1 per sequence. The layers share no table, so
+// the folders share no lock. Inference reads key presence and the
+// derived distinct-neighbour counts only, so +1 per sequence builds the
+// index a +1 per row would (DESIGN.md §5) — the rule the streaming
+// engine folds by.
+//
+// The three tasks go through the pool one chunk each: with two workers
+// one runs step 1 and the other the ranked folder, and whichever is
+// done first takes the kept folder; with one worker they run in order,
+// each folder finding the feed already closed.
+//
+// The "index" stage measures what step 1 did not hide: it starts where
+// step 1 ends, on the goroutine that ran it, and ends when both folders
+// have drained.
+func foldAtBirth(ctx context.Context, ds *paths.Dataset, opts Options) (*CorpusIndex, *paths.Dataset, *paths.Groups, paths.SanitizeStats) {
+	var (
+		ix       = NewCorpusIndex()
+		feed     = paths.NewFeed()
+		groups   *paths.Groups
+		sanStats paths.SanitizeStats
+		index    trace.Phase
+		rankedMs float64 // each folder's time in its task
+		keptMs   float64
+		failed   any
+	)
+	stepOne := func() {
+		// A pass that panics must still release the folders; the panic
+		// is re-raised on the caller's goroutine, where it was raised
+		// before step 1 moved into the pool.
+		defer feed.Close()
+		defer func() { failed = recover() }()
+		if opts.Sanitize {
+			sctx, ph := trace.StartPhase(ctx, "core.infer.sanitize")
+			ds, sanStats, groups = paths.SanitizeFeed(sctx, ds, paths.SanitizeOptions{IXPASes: opts.IXPASes}, feed)
+			ph.End(inferStepDuration.With("sanitize"), nil)
+		} else {
+			groups = paths.GroupByHopsFeed(ds.Paths, feed)
+		}
+		_, index = trace.StartPhase(ctx, "core.infer.index")
+	}
+	pool.ChunksCtx(ctx, 0, 3, 1, func(ctx context.Context, lo, hi int) {
+		for task := lo; task < hi; task++ {
+			switch task {
+			case 0:
+				stepOne()
+			case 1:
+				_, ph := trace.StartPhase(ctx, "core.infer.index.ranked")
+				feed.Each(func(hops []uint32) { ix.AddPath(hops, 1) })
+				ph.End(nil, &rankedMs)
+			case 2:
+				_, ph := trace.StartPhase(ctx, "core.infer.index.kept")
+				feed.Each(func(hops []uint32) { ix.AddKept(hops, 1) })
+				ph.End(nil, &keptMs)
+			}
+		}
+	})
+	if failed != nil {
+		panic(failed)
+	}
+	index.Span.SetAttrInt("sequences", int64(len(groups.Hops)))
+	index.Span.SetAttrInt("ranked_busy_ms", int64(rankedMs))
+	index.Span.SetAttrInt("kept_busy_ms", int64(keptMs))
+	index.End(inferStepDuration.With("index"), nil)
+	return ix, ds, groups, sanStats
 }
 
 // InferIndexed runs inference over an already-built corpus index with a

@@ -2,12 +2,15 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"fmt"
 	"net/netip"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	"github.com/asrank-go/asrank/internal/bgpsim"
 	"github.com/asrank-go/asrank/internal/paths"
@@ -19,33 +22,41 @@ import (
 // against the public stage functions: every row folded +1 into both
 // index layers and tested for poisoning on its own.
 func inferPerRow(ds *paths.Dataset, opts Options) *Result {
-	var st paths.SanitizeStats
+	ix, res := indexPerRow(ds, opts)
+	out := InferIndexed(context.Background(), ix, res.Rank, res.Clique, opts)
+	out.PoisonedPaths, out.Dataset, out.SanitizeStats = res.PoisonedPaths, res.Dataset, res.SanitizeStats
+	return out
+}
+
+// indexPerRow is inferPerRow's steps 1–4: the index two passes over the
+// rows build — the ranked layer, then, with the clique known, the kept
+// layer over the rows that are not poisoned — and, in a Result with
+// nothing labelled yet, what those steps decide.
+func indexPerRow(ds *paths.Dataset, opts Options) (*CorpusIndex, *Result) {
+	res := &Result{}
 	if opts.Sanitize {
-		ds, st = paths.Sanitize(ds, paths.SanitizeOptions{IXPASes: opts.IXPASes})
+		ds, res.SanitizeStats = paths.Sanitize(ds, paths.SanitizeOptions{IXPASes: opts.IXPASes})
 	}
 	ix := NewCorpusIndex()
 	for _, p := range ds.Paths {
 		ix.AddPath(p.ASNs, 1)
 	}
-	rank := ix.Rank()
-	clique := CliqueFromIndex(ix, rank, opts.withDefaults())
-	inClique := make(map[uint32]bool, len(clique))
-	for _, c := range clique {
+	res.Rank = ix.Rank()
+	res.Clique = CliqueFromIndex(ix, res.Rank, opts.withDefaults())
+	inClique := make(map[uint32]bool, len(res.Clique))
+	for _, c := range res.Clique {
 		inClique[c] = true
 	}
-	kept := &paths.Dataset{Paths: make([]paths.Path, 0, len(ds.Paths))}
+	res.Dataset = &paths.Dataset{Paths: make([]paths.Path, 0, len(ds.Paths))}
 	for _, p := range ds.Paths {
 		if Poisoned(p.ASNs, inClique) {
 			continue
 		}
-		kept.Paths = append(kept.Paths, p)
+		res.Dataset.Paths = append(res.Dataset.Paths, p)
 		ix.AddKept(p.ASNs, 1)
 	}
-	res := InferIndexed(context.Background(), ix, rank, clique, opts)
-	res.PoisonedPaths = len(ds.Paths) - len(kept.Paths)
-	res.Dataset = kept
-	res.SanitizeStats = st
-	return res
+	res.PoisonedPaths = len(ds.Paths) - len(res.Dataset.Paths)
+	return ix, res
 }
 
 // duplicatedCorpus plants the duplication a RIB has over a three-tier
@@ -143,6 +154,115 @@ func TestInferGroupedEqualsPerRow(t *testing.T) {
 	}
 }
 
+// keySet is a table's keys; tables holds every table of an index by
+// name, the two derived degree tables with their values.
+func keySet[K comparable](m map[K]int) map[K]bool {
+	keys := make(map[K]bool, len(m))
+	for k := range m {
+		keys[k] = true
+	}
+	return keys
+}
+
+func tables(ix *CorpusIndex) map[string]any {
+	return map[string]any{
+		"occur": keySet(ix.occur), "nbrPair": keySet(ix.nbrPair), "deg": ix.deg,
+		"transitPair": keySet(ix.transitPair), "transitDeg": ix.transitDeg, "preTriples": keySet(ix.preTriples),
+		"links": keySet(ix.links), "triples": keySet(ix.triples), "origins": keySet(ix.origins),
+		"vpOrigins": keySet(ix.vpOrigins), "vpFirstHops": keySet(ix.vpFirstHops),
+	}
+}
+
+// TestFoldAtBirthBuildsThePerRowIndex licenses kept = ranked − poisoned
+// and the fold beside step 1: under a clique that poisons a tenth of the
+// sequences and more, the index Infer's steps 1–4 leave — every
+// sequence folded +1 into both layers as it was interned, the poisoned
+// ones folded back out — has the key sets and the derived degrees of
+// the two passes over rows, a poisoned sequence's kept-layer keys gone
+// and not left at zero; and the whole Result is equal. With one worker
+// the three tasks run in order; under -race the two folders and step 1
+// are checked against each other.
+func TestFoldAtBirthBuildsThePerRowIndex(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		sequences, poisonedSeqs := 0, 0
+		for seed := int64(0); seed < 30; seed++ {
+			raw := duplicatedCorpus(stats.NewRNG(seed))
+			opts := Options{Clique: []uint32{1, 2, 3, 4}, Sanitize: seed%3 != 0}
+			if !opts.Sanitize {
+				raw, _ = paths.Sanitize(raw, paths.SanitizeOptions{KeepDuplicates: true})
+			}
+			wantIx, want := indexPerRow(raw, opts)
+			got := indexCorpus(context.Background(), raw, opts.withDefaults())
+			wantTables := tables(wantIx)
+			for name, table := range tables(got.ix) {
+				if !reflect.DeepEqual(table, wantTables[name]) {
+					t.Fatalf("GOMAXPROCS=%d seed %d: table %s\n got %v\nwant %v", procs, seed, name, table, wantTables[name])
+				}
+			}
+			if !reflect.DeepEqual(got.kept, want.Dataset) || got.poisoned != want.PoisonedPaths {
+				t.Fatalf("GOMAXPROCS=%d seed %d: kept rows differ from the per-row passes'", procs, seed)
+			}
+			if res, want := Infer(raw, opts), inferPerRow(raw, opts); !reflect.DeepEqual(res, want) {
+				t.Fatalf("GOMAXPROCS=%d seed %d: Infer differs from the per-row pipeline:\n got %+v\nwant %+v", procs, seed, res, want)
+			}
+			clean := raw
+			if opts.Sanitize {
+				clean, _ = paths.Sanitize(raw, paths.SanitizeOptions{})
+			}
+			for _, hops := range paths.GroupByHops(clean.Paths).Hops {
+				sequences++
+				if Poisoned(hops, map[uint32]bool{1: true, 2: true, 3: true, 4: true}) {
+					poisonedSeqs++
+				}
+			}
+		}
+		if poisonedSeqs*10 < sequences {
+			t.Errorf("GOMAXPROCS=%d: %d of %d sequences poisoned, want a tenth or more", procs, poisonedSeqs, sequences)
+		}
+	}
+}
+
+// TestFoldersDoNotOutliveInfer: the folders are pool tasks, so Infer
+// returns — or panics — only after both have drained. A step 1 that
+// panics (here on a nil corpus row table) must still close the feed the
+// folders wait on, and re-raise on the caller's goroutine; a cancelled
+// context changes nothing, inference does not watch it.
+func TestFoldersDoNotOutliveInfer(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	raw := duplicatedCorpus(stats.NewRNG(1))
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, procs := range []int{1, 3} {
+		runtime.GOMAXPROCS(procs)
+		before := runtime.NumGoroutine()
+		for _, sanitize := range []bool{true, false} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("GOMAXPROCS=%d sanitize=%v: step 1 over a nil dataset did not panic on the caller's goroutine", procs, sanitize)
+					}
+				}()
+				indexCorpus(context.Background(), nil, Options{Sanitize: sanitize}.withDefaults())
+			}()
+		}
+		opts := Options{Sanitize: true}
+		if got, want := InferCtx(cancelled, raw, opts), inferPerRow(raw, opts); !reflect.DeepEqual(got, want) {
+			t.Errorf("GOMAXPROCS=%d: Infer under a cancelled context differs from the per-row pipeline", procs)
+		}
+		// A pool worker that has signalled its WaitGroup may not have
+		// left the scheduler's count yet.
+		after := runtime.NumGoroutine()
+		for deadline := time.Now().Add(5 * time.Second); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
+			runtime.Gosched()
+		}
+		if after > before {
+			t.Errorf("GOMAXPROCS=%d: %d goroutines before, %d after", procs, before, after)
+		}
+	}
+}
+
 // batchCorpus is the corpus the owner benchmarks of paths and core
 // share: a simulated collection with a RIB's duplication (about three
 // rows per distinct path), as the text file the batch pipeline starts
@@ -163,16 +283,35 @@ func batchCorpus(tb testing.TB) (file []byte, rows int) {
 	return buf.Bytes(), len(sim.Dataset.Paths)
 }
 
+// prefixMajor returns ds's rows ordered by prefix, ties in input order:
+// the order of an MRT TABLE_DUMP_V2 file, where the rows of one hop
+// sequence lie scattered across the table.
+func prefixMajor(ds *paths.Dataset) *paths.Dataset {
+	out := &paths.Dataset{Paths: slices.Clone(ds.Paths)}
+	slices.SortStableFunc(out.Paths, func(a, b paths.Path) int {
+		return cmp.Or(a.Prefix.Addr().Compare(b.Prefix.Addr()), cmp.Compare(a.Prefix.Bits(), b.Prefix.Bits()))
+	})
+	return out
+}
+
+// BenchmarkInferBatch runs the corpus in the order bgpsim writes it
+// (origin-major: consecutive rows share a path) and in a RIB dump's.
 func BenchmarkInferBatch(b *testing.B) {
 	file, _ := batchCorpus(b)
 	ds, err := paths.Read(bytes.NewReader(file))
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Infer(ds, Options{Sanitize: true})
+	for _, order := range []struct {
+		name string
+		ds   *paths.Dataset
+	}{{"origin-major", ds}, {"prefix-major", prefixMajor(ds)}} {
+		b.Run(order.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Infer(order.ds, Options{Sanitize: true})
+			}
+		})
 	}
 }
 

@@ -45,11 +45,13 @@ type pairKey struct {
 //     (paths not poisoned under the step-3 clique), feeding the
 //     intra-clique labeling, provider-less detection, and steps 5–9.
 //
-// Batch inference builds both layers by folding each distinct hop
-// sequence of a Dataset once, with its row count as multiplicity; the
-// streaming engine calls the same mutators with ±1 as a hop sequence
-// gains its first row and loses its last. The counts differ, the key
-// sets do not. Nothing per-row lives here: the kept-row count and the
+// Both pipelines fold ±1 per distinct hop sequence: batch inference
+// folds every sequence of a Dataset into both layers as step 1 interns
+// it and folds the poisoned ones back out of the kept layer once the
+// clique is known (kept = ranked − poisoned); the streaming engine
+// calls the same mutators as a sequence gains its first row and loses
+// its last. A fold of +1 per row would build the same key sets with
+// other counts. Nothing per-row lives here: the kept-row count and the
 // prefix counts are the caller's.
 type CorpusIndex struct {
 	// Ranked layer.
@@ -127,10 +129,10 @@ func bumpPair(pairs map[pairKey]int, counts map[uint32]int, x, y uint32, d int) 
 
 // AddPath folds d occurrences of a sanitized path into (d > 0) or out
 // of (d < 0) the ranked layer: d is a multiplicity. The same hops recur
-// under many prefixes, so the batch pipeline folds each distinct hop
-// sequence once with the number of rows carrying it, and the streaming
-// engine folds +1 when a sequence's first row appears and -1 when its
-// last goes; both reach the key sets a +1 per row would build.
+// under many prefixes, so both pipelines fold each distinct hop
+// sequence once — +1 when its first row appears, and in the streaming
+// engine -1 when its last goes — and reach the key sets a +1 per row
+// would build.
 func (ix *CorpusIndex) AddPath(asns []uint32, d int) {
 	for _, a := range asns {
 		bump(ix.occur, a, d)
@@ -154,9 +156,11 @@ func (ix *CorpusIndex) AddPath(asns []uint32, d int) {
 
 // AddKept folds d occurrences of a non-poisoned path into (d > 0) or
 // out of (d < 0) the kept layer; d is a multiplicity, as in AddPath.
-// Poisoned-ness is a per-path function of the clique (see Poisoned);
-// when the clique changes, the engine removes the paths that became
-// poisoned and adds the ones that stopped being so.
+// Poisoned-ness is a per-path function of the clique (see Poisoned):
+// the batch pipeline keeps every sequence and removes the poisoned ones
+// once it has a clique; when the clique changes, the streaming engine
+// removes the paths that became poisoned and adds the ones that stopped
+// being so.
 func (ix *CorpusIndex) AddKept(asns []uint32, d int) {
 	if len(asns) == 0 {
 		return

@@ -41,14 +41,23 @@ func BenchmarkRead(b *testing.B) {
 	}
 }
 
+// BenchmarkSanitize runs the corpus in the order bgpsim writes it
+// (origin-major: consecutive rows share a path) and in the order an MRT
+// TABLE_DUMP_V2 file has (prefix-major: a path's rows lie scattered).
 func BenchmarkSanitize(b *testing.B) {
 	ds, err := paths.Read(bytes.NewReader(batchCorpus(b)))
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		paths.Sanitize(ds, paths.SanitizeOptions{})
+	for _, order := range []struct {
+		name string
+		ds   *paths.Dataset
+	}{{"origin-major", ds}, {"prefix-major", paths.PrefixMajor(ds)}} {
+		b.Run(order.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				paths.Sanitize(order.ds, paths.SanitizeOptions{})
+			}
+		})
 	}
 }

@@ -1,10 +1,12 @@
 package paths
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"net/netip"
 	"slices"
+	"strings"
 
 	"github.com/asrank-go/asrank/internal/asn"
 	"github.com/asrank-go/asrank/internal/trace"
@@ -55,19 +57,33 @@ func Sanitize(ds *Dataset, opts SanitizeOptions) (*Dataset, SanitizeStats) {
 // by hop sequence — equal to GroupByHops(out.Paths), which the interning
 // has already computed.
 func SanitizeCtx(ctx context.Context, ds *Dataset, opts SanitizeOptions) (*Dataset, SanitizeStats, *Groups) {
+	return SanitizeFeed(ctx, ds, opts, nil)
+}
+
+// SanitizeFeed is SanitizeCtx handing each distinct cleaned hop sequence
+// to feed (which may be nil) as it is first seen, and closing the feed
+// once the last is known — before the duplicate collapse, so a reader
+// has every sequence while the pass still works.
+//
+// The pass runs in three sweeps. The first cleans and interns each row
+// and records its sequence. The second finds duplicates: two rows are
+// duplicates only if they clean to the same sequence, so the rows of
+// each sequence (a handful) are ordered by prefix and collector and the
+// equal runs collapsed — no corpus-wide set of row keys. The third
+// emits the survivors in input order.
+func SanitizeFeed(ctx context.Context, ds *Dataset, opts SanitizeOptions, feed *Feed) (*Dataset, SanitizeStats, *Groups) {
 	_, ph := trace.StartPhase(ctx, "paths.sanitize")
 	stats := SanitizeStats{Input: len(ds.Paths)}
-	out := &Dataset{Paths: make([]Path, 0, len(ds.Paths))}
-	groups := &Groups{Of: make([]int32, 0, len(ds.Paths))}
+	groups := &Groups{}
 	var (
-		seqs       = hopTable{ids: make(map[string]int32)}
-		collectors = make(map[string]uint32)
-		seen       = make(map[rowKey]struct{}, len(ds.Paths))
-		buf        []uint32
+		seqs = hopTable{ids: make(map[string]int32)}
+		rows = make([]int32, len(ds.Paths)) // per input row: seq<<rowInfoBits | info, or rowDropped
+		buf  []uint32
 	)
-	for _, p := range ds.Paths {
+	for i, p := range ds.Paths {
 		var info pathInfo
 		buf, info = sanitizePath(buf[:0], p.ASNs, opts.IXPASes)
+		rows[i] = rowDropped
 		switch {
 		case info == pathReserved:
 			stats.ReservedDiscarded++
@@ -79,35 +95,41 @@ func SanitizeCtx(ctx context.Context, ds *Dataset, opts SanitizeOptions) (*Datas
 			stats.TooShort++
 			continue
 		}
-		// The first row of a sequence is never a duplicate, so every
-		// interned sequence keeps at least one row.
 		seq, fresh := seqs.id(buf)
 		if fresh {
 			groups.Hops = append(groups.Hops, slices.Clone(buf))
-		}
-		if !opts.KeepDuplicates {
-			c, ok := collectors[p.Collector]
-			if !ok {
-				c = uint32(len(collectors))
-				collectors[p.Collector] = c
+			if len(groups.Hops)%feedBatch == 0 {
+				feed.publish(groups.Hops)
 			}
-			key := rowKey{prefix: FlatPrefix(p.Prefix), collector: c, seq: seq}
-			if _, dup := seen[key]; dup {
-				stats.Duplicates++
-				continue
-			}
-			seen[key] = struct{}{}
 		}
-		if info&pathPrepended != 0 {
+		rows[i] = seq<<rowInfoBits | int32(info)
+	}
+	feed.publish(groups.Hops)
+	feed.Close()
+
+	if !opts.KeepDuplicates {
+		stats.Duplicates = dropDuplicates(ds.Paths, rows, len(groups.Hops))
+	}
+
+	// The first row of a sequence is never a duplicate, so every
+	// interned sequence keeps at least one row.
+	stats.Kept = stats.Input - stats.ReservedDiscarded - stats.LoopDiscarded - stats.TooShort - stats.Duplicates
+	out := &Dataset{Paths: make([]Path, 0, stats.Kept)}
+	groups.Of = make([]int32, 0, stats.Kept)
+	for i, row := range rows {
+		if row == rowDropped {
+			continue
+		}
+		if pathInfo(row)&pathPrepended != 0 {
 			stats.PrependingRemoved++
 		}
-		if info&pathIXP != 0 {
+		if pathInfo(row)&pathIXP != 0 {
 			stats.IXPSpliced++
 		}
+		p, seq := &ds.Paths[i], row>>rowInfoBits
 		out.Paths = append(out.Paths, Path{Collector: p.Collector, Prefix: p.Prefix, ASNs: groups.Hops[seq]})
 		groups.Of = append(groups.Of, seq)
 	}
-	stats.Kept = len(out.Paths)
 	if span := ph.Span; span != nil {
 		span.SetAttrInt("input", int64(stats.Input))
 		span.SetAttrInt("kept", int64(stats.Kept))
@@ -116,6 +138,89 @@ func SanitizeCtx(ctx context.Context, ds *Dataset, opts SanitizeOptions) (*Datas
 	ph.End(sanDuration, nil)
 	stats.record()
 	return out, stats, groups
+}
+
+// A surviving row is its sequence id above the two pathInfo bits
+// sanitizePath reported for it.
+const (
+	rowInfoBits       = 2
+	rowDropped  int32 = -1
+)
+
+// dupKey orders the rows of one sequence so that duplicates are
+// neighbours, the earliest first.
+type dupKey struct {
+	prefix    PrefixKey
+	collector string
+	row       int32
+}
+
+func (k dupKey) compare(o dupKey) int {
+	if k.prefix != o.prefix {
+		return cmp.Or(
+			cmp.Compare(k.prefix.Hi, o.prefix.Hi),
+			cmp.Compare(k.prefix.Lo, o.prefix.Lo),
+			cmp.Compare(k.prefix.Bits, o.prefix.Bits),
+		)
+	}
+	if k.collector != o.collector {
+		return strings.Compare(k.collector, o.collector)
+	}
+	return cmp.Compare(k.row, o.row)
+}
+
+// dropDuplicates marks as dropped every surviving row that repeats an
+// earlier row's (collector, prefix, sequence), and returns how many it
+// marked. Rows are bucketed by sequence with one counting sort; a bucket
+// of n rows is then sorted, so one path under every prefix of the table
+// costs n log n, not n².
+func dropDuplicates(in []Path, rows []int32, nseq int) int {
+	end := make([]int32, nseq) // end[s]: where sequence s's bucket ends in byseq
+	survivors := 0
+	for _, row := range rows {
+		if row != rowDropped {
+			end[row>>rowInfoBits]++
+			survivors++
+		}
+	}
+	var sum int32
+	for s, n := range end {
+		end[s] = sum // the bucket's start, advanced to its end by the fill
+		sum += n
+	}
+	byseq := make([]int32, survivors) // surviving row numbers, bucketed, ascending within a bucket
+	for i, row := range rows {
+		if row != rowDropped {
+			s := row >> rowInfoBits
+			byseq[end[s]] = int32(i)
+			end[s]++
+		}
+	}
+
+	var (
+		dups int
+		keys []dupKey
+		lo   int32
+	)
+	for _, hi := range end {
+		bucket := byseq[lo:hi]
+		lo = hi
+		if len(bucket) < 2 {
+			continue
+		}
+		keys = keys[:0]
+		for _, i := range bucket {
+			keys = append(keys, dupKey{prefix: FlatPrefix(in[i].Prefix), collector: in[i].Collector, row: i})
+		}
+		slices.SortFunc(keys, dupKey.compare)
+		for k := 1; k < len(keys); k++ {
+			if keys[k].prefix == keys[k-1].prefix && keys[k].collector == keys[k-1].collector {
+				rows[keys[k].row] = rowDropped
+				dups++
+			}
+		}
+	}
+	return dups
 }
 
 // PrefixKey is a netip.Prefix flattened to plain integers: the prefix
@@ -149,14 +254,6 @@ func FlatPrefix(p netip.Prefix) PrefixKey {
 
 // IsValid reports whether k flattens a valid prefix.
 func (k PrefixKey) IsValid() bool { return k.Bits >= 0 }
-
-// rowKey identifies a (collector, prefix, hop sequence) row for the
-// duplicate collapse.
-type rowKey struct {
-	prefix    PrefixKey
-	collector uint32
-	seq       int32
-}
 
 // SanitizeOne applies the per-path half of the step-1 cleaning to a
 // single AS path: prepending compressed, IXP route-server ASNs spliced
