@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint examples ledger metrics-lint fuzz-smoke trace-demo
+.PHONY: build test check lint examples ledger metrics-lint fuzz-smoke trace-demo size
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,15 @@ lint:
 # end-to-end and per-layer numbers, exit 1 on any failed output check.
 ledger:
 	$(GO) run ./benchmark
+
+# The number a simplicity PR quotes: non-test Go lines outside
+# benchmark/ and testdata/, comments and blanks included, in total and
+# per package directory.
+size:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' \
+		| xargs wc -l | sed 's|/[^/]*\.go$$||' \
+		| awk '$$2 == "total" { total += $$1; next } { n[$$2] += $$1 } \
+			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", total }' | sort -k2
 
 # Standalone exposition-format gate: the strict Prometheus text-format
 # checks on obs itself plus the end-to-end /metrics surface.
@@ -83,6 +92,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime $(FUZZTIME) ./internal/mrt
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME) ./internal/paths
 	$(GO) test -run '^$$' -fuzz '^FuzzSanitize$$' -fuzztime $(FUZZTIME) ./internal/paths
+	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME) ./internal/relfile
 	$(GO) test -run '^$$' -fuzz '^FuzzInferDenseVsOracle$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSegment$$' -fuzztime $(FUZZTIME) ./internal/warehouse
 	$(GO) test -run '^$$' -fuzz '^FuzzCorpusMutator$$' -fuzztime $(FUZZTIME) ./internal/streamtest

@@ -1,13 +1,13 @@
 // Command collector runs a miniature BGP route collector: it accepts
-// BGP sessions, records every announced path, and archives the raw
-// updates as BGP4MP MRT records — a small-scale Route Views.
+// BGP sessions, keeps the route table they converge to, and archives
+// the raw updates as BGP4MP MRT records — a small-scale Route Views.
 //
 // Usage:
 //
 //	collector -listen 127.0.0.1:1790 -archive updates.mrt -paths paths.txt
 //
 // The server runs until interrupted (SIGINT/SIGTERM), then writes the
-// collected path corpus and exits. Feed it with:
+// routes then live as a path corpus and exits. Feed it with:
 //
 //	bgpsim -topo topo.txt -replay 127.0.0.1:1790
 //
@@ -23,6 +23,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -67,8 +68,10 @@ func main() {
 
 	// The journal keeps a ring of structured lifecycle events (served on
 	// /debug/oplog when the debug surface is up) and tees each one to
-	// the text log, replacing nothing but duplicating nothing either:
-	// collector-internal sites emit through the journal, not log.Printf.
+	// the text log. A server handed a journal reports session up, session
+	// end and malformed updates through it alone, so each prints once;
+	// its Logf carries only what is not journaled (accept and archive
+	// errors).
 	journal := oplog.New(oplog.Options{
 		RingSize: 1024,
 		Logf:     log.Printf,
@@ -81,7 +84,6 @@ func main() {
 		if err != nil {
 			log.Fatalf("collector: %v", err)
 		}
-		defer f.Close()
 		arch = f
 	}
 	srv, err := collector.Listen(*listen, collector.Options{
@@ -138,15 +140,21 @@ func main() {
 
 	w := os.Stdout
 	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
+		if w, err = os.Create(*out); err != nil {
 			log.Fatalf("collector: %v", err)
 		}
-		defer f.Close()
-		w = f
 	}
-	if err := paths.Write(w, srv.Corpus()); err != nil {
+	corpus := srv.Corpus()
+	if err := paths.Write(w, corpus); err != nil {
 		log.Fatalf("collector: writing corpus: %v", err)
 	}
-	fmt.Fprintf(os.Stderr, "wrote %d paths\n", srv.Corpus().NumPaths())
+	// Quota and NFS report a failed write only at Close.
+	closeErr := w.Close()
+	if f, ok := arch.(*os.File); ok {
+		closeErr = errors.Join(closeErr, f.Close())
+	}
+	if closeErr != nil {
+		log.Fatalf("collector: %v", closeErr)
+	}
+	fmt.Fprintf(os.Stderr, "wrote %d paths\n", corpus.NumPaths())
 }

@@ -38,7 +38,8 @@ const (
 func NewChaos(opts ChaosOptions) *ChaosInjector { return chaos.New(opts) }
 
 // ListenCollector starts a BGP collector on addr (e.g. "127.0.0.1:0").
-// Close the returned server to stop it; Corpus() yields what it heard.
+// Close the returned server to stop it; Corpus() yields the route table
+// its sessions have converged to.
 func ListenCollector(addr string, opts CollectorOptions) (*CollectorServer, error) {
 	return collector.Listen(addr, opts)
 }

@@ -48,8 +48,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("read back: %d RIB entries -> %d paths (%d AS_SET discarded)\n",
-		stats.Entries, ds.NumPaths(), stats.ASSets)
+	fmt.Printf("read back: %d RIB entries -> %d paths (%d with an unusable AS path discarded)\n",
+		stats.Entries, ds.NumPaths(), stats.Unusable)
 
 	res := asrank.Infer(asrank.MustSanitize(ds), asrank.InferOptions{})
 	m := asrank.Evaluate(res.Rels, topo.Links())

@@ -1,11 +1,11 @@
 // Package collector implements a miniature BGP route collector — the
 // kind of infrastructure (Route Views, RIPE RIS) whose archives the
 // paper's inference consumes. The Server accepts BGP sessions over TCP,
-// negotiates the four-byte-AS capability, gathers every announced path
-// into a corpus, and optionally archives the raw messages as BGP4MP MRT
-// records. The Replay client (replay.go) plays a simulated collection
-// into it, closing the loop: simulator → BGP over TCP → collector →
-// MRT → inference.
+// negotiates the four-byte-AS capability, keeps the route table its
+// sessions converge to (paths.RIB) as a corpus, and optionally archives
+// the raw messages as BGP4MP MRT records. The Replay client (replay.go)
+// plays a simulated collection into it, closing the loop: simulator →
+// BGP over TCP → collector → MRT → inference.
 //
 // The server is hardened against the faults internal/chaos injects:
 // transient Accept errors are retried with capped backoff, malformed
@@ -79,13 +79,15 @@ func ParseMalformedPolicy(s string) (MalformedPolicy, error) {
 // per withdrawn prefix and one Announce per NLRI prefix, in the order
 // the session consumed them (withdrawals of an UPDATE before its
 // announcements, per BGP semantics). vp is the announcing peer's ASN;
-// asns carries the flattened AS path with the peer prepended when
-// absent — exactly the row the batch corpus records. Callbacks run on
+// asns is what paths.WireHops makes of the AS path — exactly the row the
+// batch corpus records, or nil for a path it cannot use, which still
+// replaces vp's previous route to the prefix. Callbacks run on
 // session goroutines under the server's exactly-once consumed
 // accounting: a route a resuming speaker re-sends after a torn session
 // is never delivered twice, and a skipped malformed UPDATE (counted as
-// consumed) delivers nothing. Implementations must be safe for
-// concurrent use and must not call back into the Server.
+// consumed) delivers nothing. They run one at a time, under the lock
+// that accounting takes, so only a sink shared between servers needs a
+// lock of its own; none may call back into the Server.
 type RouteSink interface {
 	Announce(collector string, vp uint32, prefix netip.Prefix, asns []uint32)
 	Withdraw(collector string, vp uint32, prefix netip.Prefix)
@@ -109,21 +111,23 @@ type Options struct {
 	Malformed MalformedPolicy
 	// Routes receives the live route stream — the seam the streaming
 	// inference engine ingests from. It is the stream's only consumer:
-	// nil selects the corpus recorder behind Server.Corpus, and a server
-	// handed a sink keeps no paths of its own, so its state stays
-	// bounded however long the table churns.
+	// nil selects the paths.RIB behind Server.Corpus, whose state is
+	// bounded by the live routes however long the table churns, and a
+	// server handed a sink keeps no paths of its own.
 	Routes RouteSink
 	// Registry receives the degradation counters (default obs.Default()).
 	Registry *obs.Registry
 	// Tracer, when non-nil, records a "collector.session" span per BGP
 	// session (peer ASN, updates consumed, malformed events).
 	Tracer *trace.Tracer
-	// Logf, when non-nil, receives session lifecycle messages.
+	// Logf, when non-nil, receives accept and archive errors, and the
+	// session lifecycle when no Journal is set.
 	Logf func(format string, args ...any)
-	// Journal, when non-nil, receives the same lifecycle moments as
-	// structured events (collector.session_up, collector.session_end,
-	// collector.update_malformed) — queryable where Logf lines are only
-	// greppable. May be nil.
+	// Journal receives the session lifecycle as structured events
+	// (collector.session_up, collector.session_end,
+	// collector.update_malformed) and nothing else reports them: a
+	// journal with a Logf tee prints each once. Nil selects a journal
+	// that only renders the events to Logf.
 	Journal *oplog.Journal
 }
 
@@ -146,23 +150,14 @@ func (o Options) withDefaults() Options {
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
 	}
+	if o.Journal == nil {
+		o.Journal = oplog.New(oplog.Options{RingSize: 1, Logf: o.Logf})
+	}
 	if o.Routes == nil {
-		o.Routes = &corpusRecorder{}
+		o.Routes = paths.NewRIB()
 	}
 	return o
 }
-
-// corpusRecorder is the default RouteSink: it appends every announced
-// path and ignores withdrawals, so the corpus written on shutdown is
-// everything the collector heard — what a Route Views archive keeps.
-// Server.record calls it under Server.mu, the lock Corpus reads under.
-type corpusRecorder struct{ ds paths.Dataset }
-
-func (c *corpusRecorder) Announce(collector string, _ uint32, prefix netip.Prefix, asns []uint32) {
-	c.ds.Add(paths.Path{Collector: collector, Prefix: prefix, ASNs: asns})
-}
-
-func (c *corpusRecorder) Withdraw(string, uint32, netip.Prefix) {}
 
 // Server is a running collector.
 type Server struct {
@@ -225,17 +220,16 @@ func (s *Server) Close() error {
 	return err
 }
 
-// Corpus returns a snapshot of everything announced so far, as kept by
-// the default recorder; a server whose Options.Routes was supplied
-// keeps nothing and returns an empty dataset.
+// Corpus returns the routes live in the default RIB; a server whose
+// Options.Routes was supplied keeps nothing and returns an empty
+// dataset.
 func (s *Server) Corpus() *paths.Dataset {
-	out := &paths.Dataset{}
-	if rec, ok := s.opts.Routes.(*corpusRecorder); ok {
-		s.mu.Lock()
+	if rib, ok := s.opts.Routes.(*paths.RIB); ok {
+		s.mu.Lock() // the lock record calls the sink under
 		defer s.mu.Unlock()
-		out.Paths = append(out.Paths, rec.ds.Paths...)
+		return rib.Dataset()
 	}
-	return out
+	return &paths.Dataset{}
 }
 
 // Stats returns the number of completed sessions and recorded updates.
@@ -297,28 +291,18 @@ func (s *Server) acceptLoop() {
 			defer s.wg.Done()
 			err := s.serve(conn)
 			var nerr net.Error
-			outcome := "ok"
-			switch {
-			case err == nil:
-				s.m.sessions.With("ok").Inc()
-			case errors.As(err, &nerr) && nerr.Timeout():
-				outcome = "holdtime_expired"
-				s.m.sessions.With("holdtime_expired").Inc()
-				s.opts.Logf("collector: session %v: hold timer expired: %v", conn.RemoteAddr(), err)
-			default:
-				outcome = "error"
-				s.m.sessions.With("error").Inc()
-				if !errors.Is(err, io.EOF) {
-					s.opts.Logf("collector: session %v: %v", conn.RemoteAddr(), err)
+			outcome, sev := "ok", oplog.Info
+			attrs := []oplog.Attr{oplog.String("remote", conn.RemoteAddr().String())}
+			if err != nil {
+				outcome, sev = "error", oplog.Warn
+				if errors.As(err, &nerr) && nerr.Timeout() {
+					outcome = "holdtime_expired"
 				}
+				attrs = append(attrs, oplog.String("error", err.Error()))
 			}
-			sev := oplog.Info
-			if outcome != "ok" {
-				sev = oplog.Warn
-			}
+			s.m.sessions.With(outcome).Inc()
 			s.opts.Journal.Emit(context.Background(), sev, "collector.session_end",
-				oplog.String("remote", conn.RemoteAddr().String()),
-				oplog.String("outcome", outcome))
+				append(attrs, oplog.String("outcome", outcome))...)
 		}()
 	}
 }
@@ -380,8 +364,6 @@ func (s *Server) serve(conn net.Conn) error {
 	as4 := peer.FourByteAS // we always offer it; effective iff both do
 	span.SetAttrInt("peer_asn", int64(peer.ASN))
 	span.SetAttrInt("resume", int64(binary.BigEndian.Uint32(resume[:])))
-	s.opts.Logf("collector: session up with AS%d (%v, as4=%v, resume=%d)",
-		peer.ASN, conn.RemoteAddr(), as4, binary.BigEndian.Uint32(resume[:]))
 	s.opts.Journal.Info(context.Background(), "collector.session_up",
 		oplog.Int("peer_asn", int64(peer.ASN)),
 		oplog.String("remote", conn.RemoteAddr().String()),
@@ -419,10 +401,10 @@ func (s *Server) serve(conn net.Conn) error {
 					s.mu.Lock()
 					s.consumed[peer.ASN]++
 					s.mu.Unlock()
-					s.opts.Logf("collector: session AS%d: skipped malformed UPDATE: %v", peer.ASN, err)
 					s.opts.Journal.Warn(context.Background(), "collector.update_malformed",
 						oplog.Int("peer_asn", int64(peer.ASN)),
-						oplog.String("policy", s.opts.Malformed.String()))
+						oplog.String("policy", s.opts.Malformed.String()),
+						oplog.String("error", err.Error()))
 					continue
 				}
 				s.m.updates.With("malformed_teardown").Inc()
@@ -450,7 +432,7 @@ func (s *Server) serve(conn net.Conn) error {
 // raw message.
 func (s *Server) record(conn net.Conn, peer *bgp.Open, upd *bgp.Update, raw []byte, as4 bool) {
 	s.m.updates.With("recorded").Inc()
-	asPath := upd.Attrs.Path().Flatten()
+	hops, _ := paths.WireHops(peer.ASN, upd.Attrs.Path())
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.updates++
@@ -462,14 +444,8 @@ func (s *Server) record(conn net.Conn, peer *bgp.Open, upd *bgp.Update, raw []by
 	for _, pfx := range upd.Withdrawn {
 		sink.Withdraw(s.opts.Collector, peer.ASN, pfx)
 	}
-	if len(upd.NLRI) > 0 && len(asPath) > 0 && !upd.Attrs.Path().HasSet() {
-		asns := asPath
-		if asns[0] != peer.ASN {
-			asns = append([]uint32{peer.ASN}, asns...)
-		}
-		for _, pfx := range upd.NLRI {
-			sink.Announce(s.opts.Collector, peer.ASN, pfx, asns)
-		}
+	for _, pfx := range upd.NLRI {
+		sink.Announce(s.opts.Collector, peer.ASN, pfx, hops)
 	}
 	if s.mw != nil {
 		peerAddr := addrOf(conn.RemoteAddr())

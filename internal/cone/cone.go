@@ -35,28 +35,16 @@ import (
 
 // v4Prefix normalizes a corpus prefix to plain IPv4, accepting the
 // IPv4-mapped-in-IPv6 form (::ffff:a.b.c.d/96+n) that MRT feeds can
-// legitimately carry. It reports false for everything else.
-func v4Prefix(p netip.Prefix) (netip.Prefix, bool) {
-	if !p.IsValid() {
-		return netip.Prefix{}, false
-	}
+// legitimately carry. Everything else gives the invalid zero prefix.
+func v4Prefix(p netip.Prefix) netip.Prefix {
 	addr, bits := p.Addr(), p.Bits()
-	if addr.Is4In6() {
-		if bits < 96 {
-			return netip.Prefix{}, false
-		}
+	if addr.Is4In6() && bits >= 96 {
 		addr, bits = addr.Unmap(), bits-96
 	}
-	if !addr.Is4() {
-		return netip.Prefix{}, false
+	if !p.IsValid() || !addr.Is4() {
+		return netip.Prefix{}
 	}
-	return netip.PrefixFrom(addr, bits), true
-}
-
-// originPrefix identifies one origin's announcement of one prefix.
-type originPrefix struct {
-	origin uint32
-	prefix netip.Prefix
+	return netip.PrefixFrom(addr, bits)
 }
 
 // AddressCounts sums the address span of each origin's prefixes from a
@@ -65,37 +53,31 @@ type originPrefix struct {
 // matches how the paper counts routed space. IPv4-mapped IPv6 prefixes
 // are normalized to their embedded IPv4 prefix first.
 func AddressCounts(ds *paths.Dataset) map[uint32]int64 {
-	seen := make(map[originPrefix]struct{})
-	out := make(map[uint32]int64)
-	for _, p := range ds.Paths {
-		prefix, ok := v4Prefix(p.Prefix)
-		if !ok {
-			continue
-		}
-		k := originPrefix{p.Origin(), prefix}
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
-		out[k.origin] += int64(1) << (32 - prefix.Bits())
-	}
-	return out
+	return originWeights(ds, func(p netip.Prefix) (netip.Prefix, int64) {
+		p = v4Prefix(p)
+		return p, int64(1) << (32 - p.Bits())
+	})
 }
 
 // PrefixCounts counts each origin's distinct prefixes in a corpus.
 func PrefixCounts(ds *paths.Dataset) map[uint32]int {
-	seen := make(map[originPrefix]struct{})
-	out := make(map[uint32]int)
+	return originWeights(ds, func(p netip.Prefix) (netip.Prefix, int) { return p, 1 })
+}
+
+// originWeights sums, per origin, the weight of each distinct prefix it
+// announces. weigh returns the prefix a row counts as — an invalid one
+// counts for nothing — and its weight.
+func originWeights[W int | int64](ds *paths.Dataset, weigh func(netip.Prefix) (netip.Prefix, W)) map[uint32]W {
+	seen := make(map[paths.OriginPrefix]struct{})
+	out := make(map[uint32]W)
 	for _, p := range ds.Paths {
-		if !p.Prefix.IsValid() {
-			continue
-		}
-		k := originPrefix{p.Origin(), p.Prefix}
-		if _, dup := seen[k]; dup {
+		prefix, w := weigh(p.Prefix)
+		k := paths.OriginPrefix{Prefix: paths.FlatPrefix(prefix), Origin: p.Origin()}
+		if _, dup := seen[k]; dup || !k.Prefix.IsValid() {
 			continue
 		}
 		seen[k] = struct{}{}
-		out[k.origin]++
+		out[k.Origin] += w
 	}
 	return out
 }
@@ -114,19 +96,22 @@ type Relations struct {
 	ctx     context.Context // trace-span parent for builds; nil = background
 }
 
-// NewRelations indexes rels, whose orientation is canonical (relative to
-// Link.A, as produced by core.Infer and topology.Links). The map is
-// retained, not copied — callers must not mutate it afterwards.
-func NewRelations(rels map[paths.Link]topology.Relationship) *Relations {
+// EndpointIndex interns the endpoints of the labeled links: the dense
+// index cones are computed on and a snapshot is laid out on.
+func EndpointIndex(rels map[paths.Link]topology.Relationship) *asindex.Index {
 	asns := make([]uint32, 0, 2*len(rels))
 	for l := range rels {
 		//lint:ignore nodeterminismleak asindex.New sorts and dedups its input, so collection order cannot leak
 		asns = append(asns, l.A, l.B)
 	}
-	r := &Relations{
-		rel: rels,
-		idx: asindex.New(asns),
-	}
+	return asindex.New(asns)
+}
+
+// NewRelations indexes rels, whose orientation is canonical (relative to
+// Link.A, as produced by core.Infer and topology.Links). The map is
+// retained, not copied — callers must not mutate it afterwards.
+func NewRelations(rels map[paths.Link]topology.Relationship) *Relations {
+	r := &Relations{rel: rels, idx: EndpointIndex(rels)}
 	r.custIdx = make([][]int32, r.idx.Len())
 	for l, rel := range rels {
 		var provider, customer uint32

@@ -18,6 +18,10 @@ func CliqueFromIndex(ix *CorpusIndex, rank []uint32, opts Options) []uint32 {
 	return inferClique(ix, rank, opts)
 }
 
+// cliqueExtendLimit is how far down the ranking the greedy clique
+// extension looks.
+const cliqueExtendLimit = 50
+
 // inferClique implements step 3: a Bron–Kerbosch maximum-clique search
 // over the links among the top-ranked ASes, seeded on the #1 AS, then a
 // greedy extension further down the ranking requiring full adjacency.
@@ -110,11 +114,7 @@ func inferClique(ix *CorpusIndex, rank []uint32, opts Options) []uint32 {
 	// *behind* an intra-clique crossing: a customer of a clique member
 	// shows up as (member, member, candidate) in paths, a true clique
 	// member never does.
-	limit := opts.CliqueExtendLimit
-	if limit > len(rank) {
-		limit = len(rank)
-	}
-	for _, cand := range rank[:limit] {
+	for _, cand := range rank[:min(cliqueExtendLimit, len(rank))] {
 		if containsASN(best, cand) {
 			continue
 		}

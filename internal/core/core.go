@@ -70,9 +70,6 @@ type Options struct {
 	// CliqueSeedSize is how many top-ranked ASes feed the Bron–Kerbosch
 	// maximum-clique search (default 10).
 	CliqueSeedSize int
-	// CliqueExtendLimit is how far down the ranking the greedy clique
-	// extension looks (default 50).
-	CliqueExtendLimit int
 	// FoldRatio is the step-8 threshold: label a link c2p when one
 	// side's transit degree is at least FoldRatio times the other's
 	// (default 10).
@@ -101,9 +98,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.CliqueSeedSize <= 0 {
 		o.CliqueSeedSize = 10
-	}
-	if o.CliqueExtendLimit <= 0 {
-		o.CliqueExtendLimit = 50
 	}
 	if o.FoldRatio <= 0 {
 		o.FoldRatio = 10

@@ -1,30 +1,6 @@
 package paths
 
-import (
-	"encoding/binary"
-	"sync"
-)
-
-// hopTable interns hop sequences: id numbers each distinct sequence in
-// first-seen order.
-type hopTable struct {
-	ids map[string]int32
-	key []byte
-}
-
-// id returns the sequence's number and whether this call assigned it.
-func (t *hopTable) id(asns []uint32) (int32, bool) {
-	t.key = t.key[:0]
-	for _, a := range asns {
-		t.key = binary.BigEndian.AppendUint32(t.key, a)
-	}
-	id, ok := t.ids[string(t.key)]
-	if !ok {
-		id = int32(len(t.ids))
-		t.ids[string(t.key)] = id
-	}
-	return id, !ok
-}
+import "sync"
 
 // Groups partitions rows by hop sequence. Steps 1–4 of the pipeline are
 // functions of a path's hops, never of the prefix or collector that
@@ -43,21 +19,13 @@ func GroupByHops(rows []Path) *Groups { return GroupByHopsFeed(rows, nil) }
 // GroupByHopsFeed is GroupByHops handing each group's hop sequence to
 // feed (which may be nil) as the group is born, and closing it.
 func GroupByHopsFeed(rows []Path, feed *Feed) *Groups {
-	g := &Groups{Of: make([]int32, len(rows))}
-	t := hopTable{ids: make(map[string]int32)}
+	seqs, of := NewSequences(), make([]int32, len(rows))
 	for i, p := range rows {
-		id, fresh := t.id(p.ASNs)
-		if fresh {
-			g.Hops = append(g.Hops, p.ASNs)
-			if len(g.Hops)%feedBatch == 0 {
-				feed.publish(g.Hops)
-			}
-		}
-		g.Of[i] = id
+		of[i] = feed.intern(seqs, p.ASNs, false)
 	}
-	feed.publish(g.Hops)
+	feed.publish(seqs.hops)
 	feed.Close()
-	return g
+	return &Groups{Of: of, Hops: seqs.hops}
 }
 
 // feedBatch is how many new sequences the interning pass gathers before
@@ -82,6 +50,17 @@ func NewFeed() *Feed {
 	f := &Feed{}
 	f.grew.L = &f.mu
 	return f
+}
+
+// intern is the step GroupByHops and Sanitize share: seqs.Intern, with
+// the table — which nothing is released from, so its hops by id are the
+// groups — published at every feedBatch-th birth.
+func (f *Feed) intern(seqs *Sequences, hops []uint32, scratch bool) int32 {
+	id, fresh := seqs.Intern(hops, scratch)
+	if fresh && seqs.Len()%feedBatch == 0 {
+		f.publish(seqs.hops)
+	}
+	return id
 }
 
 // publish makes seqs — every sequence interned so far, each call a

@@ -9,17 +9,15 @@ import (
 // MRTStats counts what FromMRT saw while flattening a RIB snapshot.
 type MRTStats struct {
 	Entries     int // RIB entries read
-	ASSets      int // entries discarded because the path contains AS_SETs
-	EmptyPaths  int // entries discarded for empty AS paths
+	Unusable    int // entries discarded: the AS path has an AS_SET or no hops
 	VPPrepended int // entries whose path lacked the peer AS as first hop
 }
 
-// FromMRT flattens a TABLE_DUMP_V2 RIB snapshot into a path dataset.
-// Paths with AS_SET segments (aggregated routes) are discarded, matching
-// the paper's handling. If a path does not begin with the announcing
-// peer's ASN, the peer ASN is prepended so that ASNs[0] is always the VP.
+// FromMRT flattens a TABLE_DUMP_V2 RIB snapshot into a path dataset,
+// one row per entry whose AS path WireHops can use. Rows with equal hops
+// share one slice (see Path).
 func FromMRT(r io.Reader, collector string) (*Dataset, MRTStats, error) {
-	ds := &Dataset{}
+	ds, seqs := &Dataset{}, NewSequences()
 	var stats MRTStats
 	rr := mrt.NewRIBReader(r)
 	for {
@@ -31,20 +29,15 @@ func FromMRT(r io.Reader, collector string) (*Dataset, MRTStats, error) {
 			return nil, stats, err
 		}
 		stats.Entries++
-		path := e.RIBEntry.Attrs.Path()
-		if path.HasSet() {
-			stats.ASSets++
+		hops, prepended := WireHops(e.Peer.ASN, e.RIBEntry.Attrs.Path())
+		if hops == nil {
+			stats.Unusable++
 			continue
 		}
-		asns := path.Flatten()
-		if len(asns) == 0 {
-			stats.EmptyPaths++
-			continue
-		}
-		if asns[0] != e.Peer.ASN {
+		if prepended {
 			stats.VPPrepended++
-			asns = append([]uint32{e.Peer.ASN}, asns...)
 		}
-		ds.Add(Path{Collector: collector, Prefix: e.Prefix, ASNs: asns})
+		id, _ := seqs.Intern(hops, false)
+		ds.Add(Path{Collector: collector, Prefix: e.Prefix, ASNs: seqs.Hops(id)})
 	}
 }

@@ -10,29 +10,22 @@ import (
 type UpdateStats struct {
 	Messages     int // BGP4MP message records
 	Updates      int // of which parseable UPDATEs
-	Announced    int // prefixes announced
+	Announced    int // prefixes announced with a usable AS path
 	Withdrawn    int // prefixes withdrawn
 	StateChanges int
-	ASSets       int // announcements discarded for AS_SET paths
+	Unusable     int // prefixes announced with an unusable one, which only clears the route
 }
 
 // FromMRTUpdates flattens a BGP4MP update trace into a path corpus: the
-// latest announcement per (peer, prefix) wins and withdrawals remove
-// the route, so the result is the RIB the trace would converge to.
+// RIB the trace converges to.
 func FromMRTUpdates(r io.Reader, collector string) (*Dataset, UpdateStats, error) {
 	var stats UpdateStats
-	type key struct {
-		peer   uint32
-		prefix string
-	}
-	rib := make(map[key]Path)
-	var order []key // first-announcement order for deterministic output
-
+	rib, seqs := NewRIB(), NewSequences() // equal hops share one slice across the trace
 	mr := mrt.NewReader(r)
 	for {
 		rec, err := mr.Next()
 		if err == io.EOF {
-			break
+			return rib.Dataset(), stats, nil
 		}
 		if err != nil {
 			return nil, stats, err
@@ -47,40 +40,21 @@ func FromMRTUpdates(r io.Reader, collector string) (*Dataset, UpdateStats, error
 				continue // non-UPDATE or unparseable message
 			}
 			stats.Updates++
+			stats.Withdrawn += len(upd.Withdrawn)
 			for _, pfx := range upd.Withdrawn {
-				stats.Withdrawn++
-				delete(rib, key{body.PeerAS, pfx.String()})
+				rib.Withdraw(collector, body.PeerAS, pfx)
 			}
-			path := upd.Attrs.Path()
-			if len(upd.NLRI) == 0 {
-				continue
-			}
-			if path.HasSet() {
-				stats.ASSets += len(upd.NLRI)
-				continue
-			}
-			asns := path.Flatten()
-			if len(asns) == 0 {
-				continue
-			}
-			if asns[0] != body.PeerAS {
-				asns = append([]uint32{body.PeerAS}, asns...)
+			hops, _ := WireHops(body.PeerAS, upd.Attrs.Path())
+			if hops != nil {
+				stats.Announced += len(upd.NLRI)
+				id, _ := seqs.Intern(hops, false)
+				hops = seqs.Hops(id)
+			} else {
+				stats.Unusable += len(upd.NLRI)
 			}
 			for _, pfx := range upd.NLRI {
-				stats.Announced++
-				k := key{body.PeerAS, pfx.String()}
-				if _, seen := rib[k]; !seen {
-					order = append(order, k)
-				}
-				rib[k] = Path{Collector: collector, Prefix: pfx, ASNs: asns}
+				rib.Announce(collector, body.PeerAS, pfx, hops)
 			}
 		}
 	}
-	ds := &Dataset{}
-	for _, k := range order {
-		if p, ok := rib[k]; ok {
-			ds.Add(p)
-		}
-	}
-	return ds, stats, nil
 }

@@ -121,49 +121,37 @@ func SortedLinks(links map[Link]int) []Link {
 
 // Degrees returns the node degree (number of distinct neighbors) of
 // every AS in the corpus.
-func (d *Dataset) Degrees() map[uint32]int {
-	neighbors := make(map[uint32]map[uint32]bool)
-	addNbr := func(a, b uint32) {
-		m, ok := neighbors[a]
-		if !ok {
-			m = make(map[uint32]bool)
-			neighbors[a] = m
-		}
-		m[b] = true
-	}
-	for _, p := range d.Paths {
-		for i := 0; i+1 < len(p.ASNs); i++ {
-			addNbr(p.ASNs[i], p.ASNs[i+1])
-			addNbr(p.ASNs[i+1], p.ASNs[i])
-		}
-	}
-	deg := make(map[uint32]int, len(neighbors))
-	for a, m := range neighbors {
-		deg[a] = len(m)
-	}
-	return deg
-}
+func (d *Dataset) Degrees() map[uint32]int { return d.neighborCounts(0) }
 
 // TransitDegrees returns the transit degree of every AS: the number of
 // distinct neighbors an AS appears adjacent to in paths where it is in a
 // transit (non-edge) position. Stub ASes and pure VP/origin endpoints
 // have transit degree 0. This is the paper's primary ranking metric.
-func (d *Dataset) TransitDegrees() map[uint32]int {
-	transit := make(map[uint32]map[uint32]bool)
+func (d *Dataset) TransitDegrees() map[uint32]int { return d.neighborCounts(1) }
+
+// neighborCounts counts each AS's distinct neighbors over the hop
+// positions at least edge hops from both ends of a path — all of them
+// for the node degree, the transit ones for the transit degree. A path
+// of one hop has no neighbors to count and registers no AS.
+func (d *Dataset) neighborCounts(edge int) map[uint32]int {
+	nbrs := make(map[uint32]map[uint32]bool)
 	for _, p := range d.Paths {
-		for i := 1; i+1 < len(p.ASNs); i++ {
-			mid := p.ASNs[i]
-			m, ok := transit[mid]
+		for i := edge; i+edge < len(p.ASNs) && len(p.ASNs) > 1; i++ {
+			m, ok := nbrs[p.ASNs[i]]
 			if !ok {
 				m = make(map[uint32]bool)
-				transit[mid] = m
+				nbrs[p.ASNs[i]] = m
 			}
-			m[p.ASNs[i-1]] = true
-			m[p.ASNs[i+1]] = true
+			if i > 0 {
+				m[p.ASNs[i-1]] = true
+			}
+			if i+1 < len(p.ASNs) {
+				m[p.ASNs[i+1]] = true
+			}
 		}
 	}
-	out := make(map[uint32]int, len(transit))
-	for a, m := range transit {
+	out := make(map[uint32]int, len(nbrs))
+	for a, m := range nbrs {
 		out[a] = len(m)
 	}
 	return out

@@ -338,7 +338,7 @@ func TestFromMRT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Entries != 3 || stats.ASSets != 1 || stats.VPPrepended != 1 {
+	if stats.Entries != 3 || stats.Unusable != 1 || stats.VPPrepended != 1 {
 		t.Errorf("stats = %+v", stats)
 	}
 	if ds.NumPaths() != 2 {

@@ -3,8 +3,6 @@ package paths
 import (
 	"cmp"
 	"context"
-	"encoding/binary"
-	"net/netip"
 	"slices"
 	"strings"
 
@@ -74,9 +72,8 @@ func SanitizeCtx(ctx context.Context, ds *Dataset, opts SanitizeOptions) (*Datas
 func SanitizeFeed(ctx context.Context, ds *Dataset, opts SanitizeOptions, feed *Feed) (*Dataset, SanitizeStats, *Groups) {
 	_, ph := trace.StartPhase(ctx, "paths.sanitize")
 	stats := SanitizeStats{Input: len(ds.Paths)}
-	groups := &Groups{}
 	var (
-		seqs = hopTable{ids: make(map[string]int32)}
+		seqs = NewSequences()
 		rows = make([]int32, len(ds.Paths)) // per input row: seq<<rowInfoBits | info, or rowDropped
 		buf  []uint32
 	)
@@ -95,17 +92,11 @@ func SanitizeFeed(ctx context.Context, ds *Dataset, opts SanitizeOptions, feed *
 			stats.TooShort++
 			continue
 		}
-		seq, fresh := seqs.id(buf)
-		if fresh {
-			groups.Hops = append(groups.Hops, slices.Clone(buf))
-			if len(groups.Hops)%feedBatch == 0 {
-				feed.publish(groups.Hops)
-			}
-		}
-		rows[i] = seq<<rowInfoBits | int32(info)
+		rows[i] = feed.intern(seqs, buf, true)<<rowInfoBits | int32(info)
 	}
-	feed.publish(groups.Hops)
+	feed.publish(seqs.hops)
 	feed.Close()
+	groups := &Groups{Hops: seqs.hops}
 
 	if !opts.KeepDuplicates {
 		stats.Duplicates = dropDuplicates(ds.Paths, rows, len(groups.Hops))
@@ -157,11 +148,7 @@ type dupKey struct {
 
 func (k dupKey) compare(o dupKey) int {
 	if k.prefix != o.prefix {
-		return cmp.Or(
-			cmp.Compare(k.prefix.Hi, o.prefix.Hi),
-			cmp.Compare(k.prefix.Lo, o.prefix.Lo),
-			cmp.Compare(k.prefix.Bits, o.prefix.Bits),
-		)
+		return k.prefix.Compare(o.prefix)
 	}
 	if k.collector != o.collector {
 		return strings.Compare(k.collector, o.collector)
@@ -222,38 +209,6 @@ func dropDuplicates(in []Path, rows []int32, nseq int) int {
 	}
 	return dups
 }
-
-// PrefixKey is a netip.Prefix flattened to plain integers: the prefix
-// identity of a corpus row. Sanitize's duplicate collapse and the
-// streaming engine's row table both key on it, so the two agree on which
-// routes are one row. A netip.Prefix itself carries a unique.Handle,
-// which sends every map operation through the generic struct hash.
-type PrefixKey struct {
-	Hi, Lo uint64 // address bits; zero for every invalid prefix
-	Bits   int32  // prefix length, +256 unless IPv4; -1 for every invalid prefix
-}
-
-// FlatPrefix keeps apart exactly the prefixes Prefix.String keeps apart:
-// a.b.c.d/24 differs from ::ffff:a.b.c.d/120 and from ::ffff:a.b.c.d/24,
-// unmasked host bits are significant, and all invalid prefixes are one.
-func FlatPrefix(p netip.Prefix) PrefixKey {
-	if !p.IsValid() {
-		return PrefixKey{Bits: -1}
-	}
-	a := p.Addr().As16()
-	k := PrefixKey{
-		Hi:   binary.BigEndian.Uint64(a[:8]),
-		Lo:   binary.BigEndian.Uint64(a[8:]),
-		Bits: int32(p.Bits()),
-	}
-	if !p.Addr().Is4() {
-		k.Bits += 256
-	}
-	return k
-}
-
-// IsValid reports whether k flattens a valid prefix.
-func (k PrefixKey) IsValid() bool { return k.Bits >= 0 }
 
 // SanitizeOne applies the per-path half of the step-1 cleaning to a
 // single AS path: prepending compressed, IXP route-server ASNs spliced

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/asrank-go/asrank/internal/chaos"
 	"github.com/asrank-go/asrank/internal/paths"
 	"github.com/asrank-go/asrank/internal/topology"
 )
@@ -55,4 +56,30 @@ func TestReadErrors(t *testing.T) {
 			t.Errorf("case %d (%q) should fail", i, c)
 		}
 	}
+}
+
+// FuzzRead feeds the relationship-file reader arbitrary bytes — it is
+// the input surface of asvalidate and ascone -rels: it must not panic,
+// and whatever it accepts must survive Write → Read unchanged.
+func FuzzRead(f *testing.F) {
+	seed := "# clique: 1 2\n1|2|-1\n4|3|-1\n5|6|0\n\n 7|7|0 \n4294967295|1|-1\n"
+	f.Add([]byte(seed))
+	f.Add([]byte("1|2|-1\n2|1|-1\n1|2|0"))
+	for _, v := range chaos.CorruptVariants(20130401, []byte(seed), 8) {
+		f.Add(v)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rels, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, rels); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Read(&buf)
+		if err != nil || !reflect.DeepEqual(rels, again) {
+			t.Fatalf("accepted %q as %v, which round-trips to %v (%v)", data, rels, again, err)
+		}
+	})
 }

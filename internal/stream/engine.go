@@ -35,13 +35,11 @@ package stream
 
 import (
 	"context"
-	"encoding/binary"
 	"net/netip"
 	"slices"
 	"sync"
 	"time"
 
-	"github.com/asrank-go/asrank/internal/asindex"
 	"github.com/asrank-go/asrank/internal/cone"
 	"github.com/asrank-go/asrank/internal/core"
 	"github.com/asrank-go/asrank/internal/oplog"
@@ -55,9 +53,6 @@ import (
 type Options struct {
 	// IXPASes is forwarded to per-path sanitization (step 1).
 	IXPASes map[uint32]bool
-	// Infer configures the 11-step inference shared with the batch
-	// path. Sanitize is ignored: the engine sanitizes per event.
-	Infer core.Options
 	// Journal, when non-nil, receives one stream.commit event per
 	// epoch carrying the CommitReport's headline fields. Journaling is
 	// instrumentation only: it never influences what the engine
@@ -84,32 +79,11 @@ type Stats struct {
 const dropped int32 = -1
 
 // ribKey identifies one vantage point's route to one prefix — the unit
-// BGP announce/withdraw semantics operate on. Its prefix is the row's
-// flat key except that invalid prefixes stay as distinct as netip.Prefix
-// keeps them (see ribPrefix): withdrawing one must not withdraw another.
+// BGP announce/withdraw semantics operate on.
 type ribKey struct {
-	prefix    paths.PrefixKey
-	collector uint32 // Engine.collectors id
+	prefix    paths.PrefixKey // PrefixKey.Route: invalid prefixes stay distinct routes
+	collector uint32          // Engine.collectors id
 	vp        uint32
-}
-
-// ribPrefix is the RIB's view of a prefix whose row key is flat. Every
-// invalid prefix is one row key, but an invalid netip.Prefix still has
-// an address and a family, and two routes that differ in either are two
-// routes; Bits below zero encodes the family.
-func ribPrefix(p netip.Prefix, flat paths.PrefixKey) paths.PrefixKey {
-	if flat.IsValid() {
-		return flat
-	}
-	a := p.Addr().As16()
-	k := paths.PrefixKey{Hi: binary.BigEndian.Uint64(a[:8]), Lo: binary.BigEndian.Uint64(a[8:]), Bits: -1}
-	switch {
-	case p.Addr().Is4():
-		k.Bits = -2
-	case p.Addr().Is6():
-		k.Bits = -3
-	}
-	return k
 }
 
 // rowKey identifies one corpus row. Sanitize collapses duplicate
@@ -121,11 +95,11 @@ type rowKey struct {
 	seq       int32  // Engine.seqs id
 }
 
-// sequence is one distinct cleaned hop sequence and everything that is
+// sequence is what the engine knows of one distinct cleaned hop
+// sequence beyond its hops (Engine.seqs holds those): everything that is
 // a function of hops alone, held once however many rows carry it.
 type sequence struct {
-	hops     []uint32
-	rows     int32 // live rows carrying hops; 0 marks a free slot
+	rows     int32 // live rows carrying the hops; 0 marks a released id
 	poisoned bool  // under the last committed clique
 	credited bool  // currently counted in the cone credit table
 }
@@ -138,10 +112,10 @@ type sequence struct {
 //
 // Three tables hold the route state, keyed by plain integers so the big
 // maps carry no pointers: rib (route → sequence), rows (row → routes
-// announcing it) and seqs (sequence id → hops, rows carrying it, flags).
-// The corpus index, the link index and the credit table follow a
-// sequence's birth and death — first row appears, last row goes — and
-// only the kept-row count and the prefix counts follow rows.
+// announcing it) and seqs (sequence ⇄ id) with held (id → rows carrying
+// it, flags). The corpus index, the link index and the credit table
+// follow a sequence's birth and death — first row appears, last row
+// goes — and only the kept-row count and the prefix counts follow rows.
 type Engine struct {
 	mu sync.Mutex
 	// opts is immutable after New and deliberately NOT guarded:
@@ -157,13 +131,9 @@ type Engine struct {
 	//asrank:guardedby mu
 	rows map[rowKey]int32 // routes announcing the row
 	//asrank:guardedby mu
-	seqs []sequence
+	seqs *paths.Sequences
 	//asrank:guardedby mu
-	free []int32 // unused seqs slots
-	//asrank:guardedby mu
-	seqID map[string]int32 // packed hops → seqs id
-	//asrank:guardedby mu
-	keyBuf []byte // scratch for one seqID key; valid only until the next packLocked
+	held []sequence // by seqs id
 	//asrank:guardedby mu
 	linkIndex map[paths.Link]map[int32]struct{} // kept sequences by adjacency
 	//asrank:guardedby mu
@@ -174,7 +144,7 @@ type Engine struct {
 	//asrank:guardedby mu
 	keptRows int // rows of non-poisoned sequences: the snapshot's PathCount
 	//asrank:guardedby mu
-	pfxRef map[pfxKey]int32 // kept rows announcing (origin, prefix)
+	pfxRef map[paths.OriginPrefix]int32 // kept rows announcing (origin, prefix)
 	//asrank:guardedby mu
 	pfxCount map[uint32]int
 
@@ -206,11 +176,6 @@ type Engine struct {
 	firstPending time.Time // arrival of the oldest unserved event
 }
 
-type pfxKey struct {
-	prefix paths.PrefixKey
-	origin uint32
-}
-
 // New returns an empty engine.
 func New(opts Options) *Engine {
 	return &Engine{
@@ -219,10 +184,10 @@ func New(opts Options) *Engine {
 		collectors:    make(map[string]uint32),
 		rib:           make(map[ribKey]int32),
 		rows:          make(map[rowKey]int32),
-		seqID:         make(map[string]int32),
+		seqs:          paths.NewSequences(),
 		linkIndex:     make(map[paths.Link]map[int32]struct{}),
 		pc:            cone.NewPairCounts(),
-		pfxRef:        make(map[pfxKey]int32),
+		pfxRef:        make(map[paths.OriginPrefix]int32),
 		pfxCount:      make(map[uint32]int),
 		rels:          map[paths.Link]topology.Relationship{},
 		pendingCredit: make(map[int32]struct{}),
@@ -249,28 +214,25 @@ func (e *Engine) Announce(collector string, vp uint32, prefix netip.Prefix, asns
 		e.collectors[collector] = c
 	}
 	flat := paths.FlatPrefix(prefix)
-	rk := ribKey{prefix: ribPrefix(prefix, flat), collector: c, vp: vp}
+	rk := ribKey{prefix: flat.Route(prefix), collector: c, vp: vp}
 	old, had := e.rib[rk]
 	had = had && old != dropped
 	if !keep {
-		// Announced but not corpus-worthy: remember the slot so a later
-		// withdraw is a no-op instead of a miss.
 		if had {
 			e.releaseLocked(rowKey{prefix: flat, collector: c, seq: old})
 		}
 		e.rib[rk] = dropped
 		return
 	}
-	//lint:ignore hotpathalloc a map lookup keyed by string(bytes) reads the bytes in place
-	id, held := e.seqID[string(e.packLocked(cleaned))]
+	id, fresh := e.seqs.Intern(cleaned, false)
+	if fresh {
+		e.bornLocked(id, cleaned)
+	}
 	if had {
-		if held && id == old {
+		if id == old {
 			return // same route re-announced
 		}
 		e.releaseLocked(rowKey{prefix: flat, collector: c, seq: old})
-	}
-	if !held {
-		id = e.newSequenceLocked(cleaned)
 	}
 	e.rib[rk] = id
 	e.acquireLocked(rowKey{prefix: flat, collector: c, seq: id})
@@ -289,7 +251,7 @@ func (e *Engine) Withdraw(collector string, vp uint32, prefix netip.Prefix) {
 		return
 	}
 	flat := paths.FlatPrefix(prefix)
-	rk := ribKey{prefix: ribPrefix(prefix, flat), collector: c, vp: vp}
+	rk := ribKey{prefix: flat.Route(prefix), collector: c, vp: vp}
 	old, had := e.rib[rk]
 	if !had {
 		return
@@ -311,36 +273,18 @@ func (e *Engine) noteEventLocked() {
 	}
 }
 
-// packLocked writes hops' seqID key into the engine's one scratch
-// buffer. The result is overwritten by the next call, so each use packs
-// for itself: a route swap releases one sequence and may create another.
-func (e *Engine) packLocked(hops []uint32) []byte {
-	b := e.keyBuf[:0]
-	for _, a := range hops {
-		b = binary.BigEndian.AppendUint32(b, a)
+// bornLocked folds the sequence just interned under id into everything
+// that follows sequences. It has no rows yet; the caller acquires the
+// first.
+func (e *Engine) bornLocked(id int32, hops []uint32) {
+	if int(id) == len(e.held) {
+		e.held = append(e.held, sequence{})
 	}
-	e.keyBuf = b
-	return b
-}
-
-// newSequenceLocked creates the sequence for hops, which no live sequence
-// holds, and folds it into everything that follows sequences. It has no
-// rows yet; the caller acquires the first.
-func (e *Engine) newSequenceLocked(hops []uint32) int32 {
-	var id int32
-	if n := len(e.free); n > 0 {
-		id, e.free = e.free[n-1], e.free[:n-1]
-	} else {
-		id = int32(len(e.seqs))
-		e.seqs = append(e.seqs, sequence{})
-	}
-	e.seqID[string(e.packLocked(hops))] = id
-	e.seqs[id] = sequence{hops: hops, poisoned: core.Poisoned(hops, e.cliqueSet)}
+	e.held[id] = sequence{poisoned: core.Poisoned(hops, e.cliqueSet)}
 	e.ix.AddPath(hops, 1)
-	if !e.seqs[id].poisoned {
+	if !e.held[id].poisoned {
 		e.keepLocked(id)
 	}
-	return id
 }
 
 // acquireLocked adds one route to row k, whose sequence exists; the
@@ -351,10 +295,10 @@ func (e *Engine) acquireLocked(k rowKey) {
 	if n > 1 {
 		return
 	}
-	s := &e.seqs[k.seq]
+	s := &e.held[k.seq]
 	s.rows++
 	if !s.poisoned {
-		e.countRowLocked(s.hops, k.prefix, 1)
+		e.countRowLocked(e.seqs.Hops(k.seq), k.prefix, 1)
 	}
 }
 
@@ -366,21 +310,20 @@ func (e *Engine) releaseLocked(k rowKey) {
 		return
 	}
 	delete(e.rows, k)
-	s := &e.seqs[k.seq]
+	s, hops := &e.held[k.seq], e.seqs.Hops(k.seq)
 	s.rows--
 	if !s.poisoned {
-		e.countRowLocked(s.hops, k.prefix, -1)
+		e.countRowLocked(hops, k.prefix, -1)
 	}
 	if s.rows > 0 {
 		return
 	}
-	e.ix.AddPath(s.hops, -1)
+	e.ix.AddPath(hops, -1)
 	if !s.poisoned {
 		e.unkeepLocked(k.seq)
 	}
-	delete(e.seqID, string(e.packLocked(s.hops)))
 	*s = sequence{}
-	e.free = append(e.free, k.seq)
+	e.seqs.Release(k.seq)
 }
 
 // countRowLocked moves one row of a kept sequence into (d = 1) or out of
@@ -392,26 +335,26 @@ func (e *Engine) countRowLocked(hops []uint32, prefix paths.PrefixKey, d int32) 
 	if !prefix.IsValid() {
 		return
 	}
-	k := pfxKey{prefix: prefix, origin: hops[len(hops)-1]}
+	k := paths.OriginPrefix{Prefix: prefix, Origin: hops[len(hops)-1]}
 	n := e.pfxRef[k] + d
 	if n > 0 {
 		e.pfxRef[k] = n
 		if n == 1 && d > 0 {
-			e.pfxCount[k.origin]++
+			e.pfxCount[k.Origin]++
 		}
 		return
 	}
 	delete(e.pfxRef, k)
-	e.pfxCount[k.origin]--
-	if e.pfxCount[k.origin] == 0 {
-		delete(e.pfxCount, k.origin)
+	e.pfxCount[k.Origin]--
+	if e.pfxCount[k.Origin] == 0 {
+		delete(e.pfxCount, k.Origin)
 	}
 }
 
 // keepLocked admits a sequence to the kept (post-discard) layer: corpus
 // aggregates, link index, and the credit queue.
 func (e *Engine) keepLocked(id int32) {
-	hops := e.seqs[id].hops
+	hops := e.seqs.Hops(id)
 	e.ix.AddKept(hops, 1)
 	for i := 0; i+1 < len(hops); i++ {
 		l := paths.NewLink(hops[i], hops[i+1])
@@ -429,19 +372,19 @@ func (e *Engine) keepLocked(id int32) {
 // unkeepLocked reverses keepLocked. A credited sequence is queued for
 // uncrediting under the relationships it was credited with.
 func (e *Engine) unkeepLocked(id int32) {
-	s := &e.seqs[id]
-	e.ix.AddKept(s.hops, -1)
-	for i := 0; i+1 < len(s.hops); i++ {
-		l := paths.NewLink(s.hops[i], s.hops[i+1])
+	s, hops := &e.held[id], e.seqs.Hops(id)
+	e.ix.AddKept(hops, -1)
+	for i := 0; i+1 < len(hops); i++ {
+		l := paths.NewLink(hops[i], hops[i+1])
 		delete(e.linkIndex[l], id)
 		if len(e.linkIndex[l]) == 0 {
 			delete(e.linkIndex, l)
 		}
 	}
-	e.linkMembers -= len(s.hops) - 1
+	e.linkMembers -= len(hops) - 1
 	if s.credited {
 		s.credited = false
-		e.uncredit = append(e.uncredit, s.hops)
+		e.uncredit = append(e.uncredit, hops)
 	} else {
 		delete(e.pendingCredit, id)
 	}
@@ -461,18 +404,18 @@ func (e *Engine) reflagLocked(clique []uint32) {
 		e.cliqueSet[m] = true
 	}
 	var flipped []bool // by sequence id; nil until a flag flips
-	for id := range e.seqs {
-		s := &e.seqs[id]
+	for id := range e.held {
+		s := &e.held[id]
 		if s.rows == 0 {
 			continue
 		}
-		p := core.Poisoned(s.hops, e.cliqueSet)
+		p := core.Poisoned(e.seqs.Hops(int32(id)), e.cliqueSet)
 		if p == s.poisoned {
 			continue
 		}
 		s.poisoned = p
 		if flipped == nil {
-			flipped = make([]bool, len(e.seqs))
+			flipped = make([]bool, len(e.held))
 		}
 		flipped[id] = true
 		if p {
@@ -488,10 +431,10 @@ func (e *Engine) reflagLocked(clique []uint32) {
 		if !flipped[k.seq] {
 			continue
 		}
-		if s := &e.seqs[k.seq]; s.poisoned {
-			e.countRowLocked(s.hops, k.prefix, -1)
+		if hops := e.seqs.Hops(k.seq); e.held[k.seq].poisoned {
+			e.countRowLocked(hops, k.prefix, -1)
 		} else {
-			e.countRowLocked(s.hops, k.prefix, 1)
+			e.countRowLocked(hops, k.prefix, 1)
 		}
 	}
 }
@@ -537,7 +480,7 @@ func (e *Engine) CommitEpoch(ctx context.Context) (*warehouse.Snapshot, CommitRe
 	// or announced route would.
 	_, ph := trace.StartPhase(ctx, "stream.commit.rank_clique")
 	rank := e.ix.Rank()
-	clique := core.CliqueFromIndex(e.ix, rank, e.opts.Infer)
+	clique := core.CliqueFromIndex(e.ix, rank, core.Options{})
 	cliqueChanged := !slices.Equal(clique, e.clique)
 	if cliqueChanged {
 		e.reflagLocked(clique)
@@ -560,7 +503,7 @@ func (e *Engine) CommitEpoch(ctx context.Context) (*warehouse.Snapshot, CommitRe
 	// Steps 5–9 over the kept-layer aggregates — the same engine the
 	// batch path executes.
 	ictx, ph := trace.StartPhase(ctx, "stream.commit.infer")
-	res := core.InferIndexed(ictx, e.ix, rank, clique, e.opts.Infer)
+	res := core.InferIndexed(ictx, e.ix, rank, clique, core.Options{})
 	ph.End(commitPhaseDuration.With("infer"), &rep.Phases.Infer)
 	rep.Links, rep.ASes = len(res.Rels), len(rank)
 
@@ -579,7 +522,7 @@ func (e *Engine) CommitEpoch(ctx context.Context) (*warehouse.Snapshot, CommitRe
 	dirty := func(l paths.Link) {
 		rep.DirtyLinks++
 		for id := range e.linkIndex[l] {
-			if e.seqs[id].credited {
+			if e.held[id].credited {
 				affected[id] = struct{}{}
 			}
 		}
@@ -596,27 +539,19 @@ func (e *Engine) CommitEpoch(ctx context.Context) (*warehouse.Snapshot, CommitRe
 	}
 	rep.RecreditedPaths = len(affected)
 	for id := range affected {
-		e.pc.Credit(e.rels, e.seqs[id].hops, -1)
-		e.pc.Credit(res.Rels, e.seqs[id].hops, 1)
+		e.pc.Credit(e.rels, e.seqs.Hops(id), -1)
+		e.pc.Credit(res.Rels, e.seqs.Hops(id), 1)
 	}
 	rep.NewlyCredited = len(e.pendingCredit)
 	for id := range e.pendingCredit {
-		e.pc.Credit(res.Rels, e.seqs[id].hops, 1)
-		e.seqs[id].credited = true
+		e.pc.Credit(res.Rels, e.seqs.Hops(id), 1)
+		e.held[id].credited = true
 	}
 	e.pendingCredit = make(map[int32]struct{})
 	e.rels = res.Rels
 	ph.End(commitPhaseDuration.With("credit"), &rep.Phases.Credit)
 
-	// The serving index is the sorted endpoint set of the labeled
-	// links — identical to what cone.NewRelations interns batch-side.
-	asns := make([]uint32, 0, 2*len(res.Rels))
-	for l := range res.Rels {
-		//lint:ignore nodeterminismleak asindex.New sorts and dedups its input, so collection order cannot leak
-		asns = append(asns, l.A, l.B)
-	}
-	idx := asindex.New(asns)
-
+	idx := cone.EndpointIndex(res.Rels) // as cone.NewRelations interns batch-side
 	_, ph = trace.StartPhase(ctx, "stream.commit.slab")
 	cones := cone.FromSlab(idx, e.pc.Slab(idx))
 	ph.End(commitPhaseDuration.With("slab"), &rep.Phases.Slab)
@@ -676,7 +611,7 @@ func (e *Engine) statsLocked() Stats {
 	s := e.stats
 	s.Entries = len(e.rows)
 	s.RIBRoutes = len(e.rib)
-	s.Sequences = len(e.seqs) - len(e.free)
+	s.Sequences = e.seqs.Len()
 	s.LinkIndex = e.linkMembers
 	return s
 }

@@ -27,7 +27,7 @@ type tables struct {
 func tablesOf(e *Engine) tables {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return tables{rib: len(e.rib), entries: len(e.rows), seqs: len(e.seqs) - len(e.free), paths: e.keptRows}
+	return tables{rib: len(e.rib), entries: len(e.rows), seqs: e.seqs.Len(), paths: e.keptRows}
 }
 
 // soleEntryRefs returns the route count of the engine's only row.

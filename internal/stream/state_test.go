@@ -36,12 +36,16 @@ func simCorpus(t testing.TB, ases, vps int, seed int64) *paths.Dataset {
 func sequenceFold(e *Engine) string {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return fmt.Sprint(e.ix, e.linkIndex, e.linkMembers, e.pendingCredit, e.seqID)
+	hops := make([][]uint32, len(e.held))
+	for id := range hops {
+		hops[id] = e.seqs.Hops(int32(id))
+	}
+	return fmt.Sprint(e.ix, e.linkIndex, e.linkMembers, e.pendingCredit, hops)
 }
 
 // checkSequenceTable asserts the sequence table's invariants: every live
-// slot is findable under its own hops, carries exactly the rows the row
-// table says, and every other slot is zeroed and on the free list.
+// id is findable under its own hops, carries exactly the rows the row
+// table says, and every other id is zeroed and released.
 func checkSequenceTable(t *testing.T, e *Engine) {
 	t.Helper()
 	e.mu.Lock()
@@ -51,24 +55,24 @@ func checkSequenceTable(t *testing.T, e *Engine) {
 		rows[k.seq]++
 	}
 	live := 0
-	for id := range e.seqs {
-		s := &e.seqs[id]
+	for id := range e.held {
+		s, hops := &e.held[id], e.seqs.Hops(int32(id))
 		if s.rows == 0 {
-			if s.hops != nil || !slices.Contains(e.free, int32(id)) {
-				t.Errorf("slot %d has no rows but holds %v (free list %v)", id, s.hops, e.free)
+			if hops != nil || *s != (sequence{}) {
+				t.Errorf("id %d has no rows but holds %v, %+v", id, hops, *s)
 			}
 			continue
 		}
 		live++
-		if got, ok := e.seqID[string(e.packLocked(s.hops))]; !ok || got != int32(id) {
-			t.Errorf("sequence %d %v is filed under id %d (found %v)", id, s.hops, got, ok)
+		if got, fresh := e.seqs.Intern(hops, true); fresh || got != int32(id) {
+			t.Fatalf("sequence %d %v is filed under id %d (fresh: %v)", id, hops, got, fresh)
 		}
 		if s.rows != rows[int32(id)] {
 			t.Errorf("sequence %d counts %d rows, the row table has %d", id, s.rows, rows[int32(id)])
 		}
 	}
-	if live != len(e.seqID) || live != len(e.seqs)-len(e.free) {
-		t.Errorf("%d live slots, %d keys, %d slots - %d free", live, len(e.seqID), len(e.seqs), len(e.free))
+	if live != e.seqs.Len() {
+		t.Errorf("%d ids carry rows, the table holds %d sequences", live, e.seqs.Len())
 	}
 }
 
@@ -103,7 +107,7 @@ func TestSecondPrefixOnHeldSequence(t *testing.T) {
 
 // TestRouteSwapRetiresOneSequenceAndBearsAnother: one Announce takes
 // sequence A's last row away and creates B — both keys go through the
-// engine's one scratch buffer — then A comes back, then everything goes.
+// table's one scratch buffer — then A comes back, then everything goes.
 func TestRouteSwapRetiresOneSequenceAndBearsAnother(t *testing.T) {
 	e := New(Options{})
 	a, b := []uint32{10, 20, 30}, []uint32{10, 21, 22, 30}
@@ -119,8 +123,8 @@ func TestRouteSwapRetiresOneSequenceAndBearsAnother(t *testing.T) {
 	}
 	e.Announce("rc0", 10, pfxB, a) // A re-announced, into the slot it left
 	checkSequenceTable(t, e)
-	if got := tablesOf(e); got != (tables{rib: 2, entries: 2, seqs: 2, paths: 2}) || len(e.seqs) != 2 {
-		t.Fatalf("after the resurrection: tables = %+v over %d slots, want A and B in two", got, len(e.seqs))
+	if got := tablesOf(e); got != (tables{rib: 2, entries: 2, seqs: 2, paths: 2}) || len(e.held) != 2 {
+		t.Fatalf("after the resurrection: tables = %+v over %d slots, want A and B in two", got, len(e.held))
 	}
 	snap := e.Commit(context.Background())
 	if snap.PathCount != 2 || len(snap.Links) != 5 {
@@ -185,7 +189,7 @@ func checkDrained(t *testing.T, e *Engine) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for name, n := range map[string]int{
-		"rib": len(e.rib), "rows": len(e.rows), "seqID": len(e.seqID), "live sequences": len(e.seqs) - len(e.free),
+		"rib": len(e.rib), "rows": len(e.rows), "live sequences": e.seqs.Len(),
 		"linkIndex": len(e.linkIndex), "linkMembers": e.linkMembers, "keptRows": e.keptRows,
 		"pfxRef": len(e.pfxRef), "pfxCount": len(e.pfxCount), "pendingCredit": len(e.pendingCredit),
 		"uncredit": len(e.uncredit), "rels": len(e.rels), "clique": len(e.clique),
@@ -252,7 +256,7 @@ func TestDrainToEmpty(t *testing.T) {
 				}
 			}
 			e.Commit(ctx)
-			recycled = recycled || len(e.free) > 0
+			recycled = recycled || e.seqs.Len() < len(e.held)
 			for _, r := range routes {
 				if slices.Contains(r.hops, snap.Clique[0]) {
 					announce(r)

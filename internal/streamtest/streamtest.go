@@ -272,10 +272,7 @@ func (m Mirror) Dataset() *paths.Dataset {
 // route table. This is the ground truth every streaming epoch is
 // compared against.
 func BatchReference(m Mirror, opts stream.Options) *warehouse.Snapshot {
-	iopts := opts.Infer
-	iopts.Sanitize = true
-	iopts.IXPASes = opts.IXPASes
-	res := core.Infer(m.Dataset(), iopts)
+	res := core.Infer(m.Dataset(), core.Options{Sanitize: true, IXPASes: opts.IXPASes})
 	return warehouse.FromResult(res)
 }
 
