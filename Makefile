@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint examples ledger metrics-lint fuzz-smoke trace-demo size
+.PHONY: build test check lint examples ledger metrics-lint fuzz-smoke trace-demo size results-check
 
 build:
 	$(GO) build ./...
@@ -44,6 +44,16 @@ size:
 		| xargs wc -l | sed 's|/[^/]*\.go$$||' \
 		| awk '$$2 == "total" { total += $$1; next } { n[$$2] += $$1 } \
 			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", total }' | sort -k2
+
+# The committed results/ are what the code produces: regenerate every
+# experiment at full scale into a temp dir (~25 s) and diff it against
+# the tree. A diff means a change moved a generated corpus or an
+# inference — regenerate results/ on purpose and re-read
+# EXPERIMENTS.md's shape checks, or fix the change.
+results-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+		$(GO) run ./cmd/experiments -out "$$tmp" > /dev/null && \
+		diff -r "$$tmp" results && echo "results/ is what cmd/experiments writes"
 
 # Standalone exposition-format gate: the strict Prometheus text-format
 # checks on obs itself plus the end-to-end /metrics surface.

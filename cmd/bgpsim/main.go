@@ -10,6 +10,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -27,40 +28,67 @@ import (
 )
 
 func main() {
-	var (
-		topoFile  = flag.String("topo", "", "topology file from topogen (required)")
-		seed      = flag.Int64("seed", 20130401, "deterministic seed")
-		vps       = flag.Int("vps", 20, "number of vantage points")
-		partial   = flag.Float64("partial", 0.35, "fraction of VPs exporting only customer routes")
-		prepend   = flag.Float64("prepend", 0.08, "fraction of origins that prepend")
-		poison    = flag.Float64("poison", 0.0005, "per-path poisoned-path probability")
-		leak      = flag.Float64("leak", 0.0003, "per-path private-ASN leak probability")
-		docs      = flag.Float64("communities", 0.25, "fraction of ASes attaching relationship communities")
-		collector = flag.String("collector", "sim-rv2", "collector name")
-		format    = flag.String("format", "text", "output format: text or mrt")
-		out       = flag.String("o", "-", "output file ('-' = stdout)")
-		replay    = flag.String("replay", "", "instead of writing a file, announce over BGP to this collector address")
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "bgpsim:", err)
+		os.Exit(1)
+	}
+}
 
-		retries     = flag.Int("retries", 0, "replay retries per VP session (0 = default)")
-		workers     = flag.Int("workers", 0, "concurrent replay sessions (0 = GOMAXPROCS)")
-		chaosSeed   = flag.Int64("chaos-seed", 0, "inject deterministic faults into replay dials (0 = off)")
-		chaosFaults = flag.Int("chaos-faults", 16, "fault budget when -chaos-seed is set (0 = unlimited)")
-		stats       = flag.Bool("stats", false, "print the metrics report to stderr after replay")
-		traceFile   = flag.String("trace", "", "write a Chrome trace_event JSON span trace here (open in Perfetto)")
+// run is one bgpsim invocation: the corpus goes to -o (stdout for "-",
+// closed here so a failed flush is reported), progress and the -stats
+// report to stderr.
+func run(args []string, stdout io.WriteCloser, stderr io.Writer) error {
+	fs := flag.NewFlagSet("bgpsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		topoFile  = fs.String("topo", "", "topology file from topogen (required)")
+		seed      = fs.Int64("seed", 20130401, "deterministic seed")
+		vps       = fs.Int("vps", 20, "number of vantage points")
+		partial   = fs.Float64("partial", 0.35, "fraction of VPs exporting only customer routes")
+		prepend   = fs.Float64("prepend", 0.08, "fraction of origins that prepend")
+		poison    = fs.Float64("poison", 0.0005, "per-path poisoned-path probability")
+		leak      = fs.Float64("leak", 0.0003, "per-path private-ASN leak probability")
+		docs      = fs.Float64("communities", 0.25, "fraction of ASes attaching relationship communities")
+		collector = fs.String("collector", "sim-rv2", "collector name")
+		format    = fs.String("format", "text", "output format: text or mrt")
+		out       = fs.String("o", "-", "output file ('-' = stdout)")
+		replay    = fs.String("replay", "", "instead of writing a file, announce over BGP to this collector address")
+
+		retries     = fs.Int("retries", 0, "replay retries per VP session (0 = default)")
+		workers     = fs.Int("workers", 0, "concurrent replay sessions (0 = GOMAXPROCS)")
+		chaosSeed   = fs.Int64("chaos-seed", 0, "inject deterministic faults into replay dials (0 = off)")
+		chaosFaults = fs.Int("chaos-faults", 16, "fault budget when -chaos-seed is set (0 = unlimited)")
+		stats       = fs.Bool("stats", false, "print the metrics report to stderr after replay")
+		traceFile   = fs.String("trace", "", "write a Chrome trace_event JSON span trace here (open in Perfetto)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *topoFile == "" {
-		fatal(fmt.Errorf("-topo is required"))
+		return fmt.Errorf("-topo is required")
+	}
+	// The format is resolved before the topology is read, so a typo
+	// costs nothing and truncates no -o file.
+	var export func(io.Writer, *bgpsim.Result) error
+	switch *format {
+	case "text":
+		export = func(w io.Writer, res *bgpsim.Result) error { return paths.Write(w, res.Dataset) }
+	case "mrt":
+		export = func(w io.Writer, res *bgpsim.Result) error {
+			return bgpsim.ExportMRT(w, res, time.Date(2013, 4, 1, 0, 0, 0, 0, time.UTC))
+		}
+	default:
+		return fmt.Errorf("unknown format %q (want text or mrt)", *format)
 	}
 
 	f, err := os.Open(*topoFile)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	topo, err := topology.Read(f)
 	f.Close()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	opts := bgpsim.Options{
@@ -79,11 +107,11 @@ func main() {
 	_, propSpan := trace.StartSpan(tr.Context(), "bgpsim.propagate")
 	res, err := bgpsim.Run(topo, opts)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	propSpan.SetAttrInt("paths", int64(res.Dataset.NumPaths()))
 	propSpan.End()
-	fmt.Fprintf(os.Stderr, "propagated routes: %d paths from %d VPs (%d partial)\n",
+	fmt.Fprintf(stderr, "propagated routes: %d paths from %d VPs (%d partial)\n",
 		res.Dataset.NumPaths(), len(res.VPs), len(res.PartialVPs))
 
 	if *replay != "" {
@@ -100,60 +128,44 @@ func main() {
 			})
 			ropts.Dial = inj.Dialer(nil)
 			defer func() {
-				fmt.Fprintf(os.Stderr, "chaos: %d faults injected (seed %d)\n",
+				fmt.Fprintf(stderr, "chaos: %d faults injected (seed %d)\n",
 					inj.FaultsInjected(), *chaosSeed)
 			}()
 		}
 		if err := collectorpkg.ReplayAllCtx(tr.Context(), *replay, res, ropts); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "replayed %d VP sessions into %s\n", len(res.VPs), *replay)
+		fmt.Fprintf(stderr, "replayed %d VP sessions into %s\n", len(res.VPs), *replay)
 		if *stats {
-			if err := obs.Default().WriteReport(os.Stderr); err != nil {
-				fatal(err)
+			if err := obs.Default().WriteReport(stderr); err != nil {
+				return err
 			}
 		}
-		finishTrace(tr, *stats)
-		return
+		return finishTrace(tr, *stats, stderr)
 	}
 
-	w := os.Stdout
+	w := stdout
 	if *out != "-" {
 		w, err = os.Create(*out)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 	}
-	switch *format {
-	case "text":
-		err = paths.Write(w, res.Dataset)
-	case "mrt":
-		err = bgpsim.ExportMRT(w, res, time.Date(2013, 4, 1, 0, 0, 0, 0, time.UTC))
-	default:
-		err = fmt.Errorf("unknown format %q", *format)
-	}
-	if err != nil {
-		fatal(err)
+	if err := export(w, res); err != nil {
+		return err
 	}
 	// Quota and NFS report a failed write only here.
 	if err := w.Close(); err != nil {
-		fatal(err)
+		return err
 	}
-	finishTrace(tr, *stats)
+	return finishTrace(tr, *stats, stderr)
 }
 
 // finishTrace writes the -trace file (tree to stderr too when -stats).
-func finishTrace(tr *tracecli.Run, stats bool) {
+func finishTrace(tr *tracecli.Run, stats bool, stderr io.Writer) error {
 	var tree io.Writer
 	if stats {
-		tree = os.Stderr
+		tree = stderr
 	}
-	if err := tr.Finish(tree); err != nil {
-		fatal(err)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "bgpsim:", err)
-	os.Exit(1)
+	return tr.Finish(tree)
 }

@@ -2,9 +2,11 @@ package bgpsim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"sync/atomic"
 
 	"github.com/asrank-go/asrank/internal/paths"
+	"github.com/asrank-go/asrank/internal/pool"
 	"github.com/asrank-go/asrank/internal/stats"
 	"github.com/asrank-go/asrank/internal/topology"
 )
@@ -14,7 +16,8 @@ type Options struct {
 	Seed int64
 
 	// VPs are the vantage-point ASes peering with the collector; when
-	// nil, NumVPs ASes are selected with SelectVPs.
+	// nil, NumVPs ASes are selected with SelectVPs. Run refuses an ASN
+	// that is not in the topology or is listed twice.
 	VPs    []uint32
 	NumVPs int
 
@@ -95,7 +98,8 @@ type ArtifactStats struct {
 }
 
 // Run propagates routes from every AS and assembles the collector's
-// path corpus.
+// path corpus. Propagation uses every core (GOMAXPROCS); the corpus —
+// rows, their order, the artifact counters — is the same at any count.
 func Run(topo *topology.Topology, opts Options) (*Result, error) {
 	if opts.Collector == "" {
 		opts.Collector = "sim-rv"
@@ -109,10 +113,16 @@ func Run(topo *topology.Topology, opts Options) (*Result, error) {
 		}
 		vps = SelectVPs(topo, n, opts.Seed)
 	}
-	for _, vp := range vps {
-		if topo.AS(vp) == nil {
+	vpIdx := make([]int32, len(vps)) // dense index of each VP
+	for j, vp := range vps {
+		x, ok := sim.idx[vp]
+		if !ok {
 			return nil, fmt.Errorf("bgpsim: VP %d not in topology", vp)
 		}
+		if slices.Contains(vps[:j], vp) {
+			return nil, fmt.Errorf("bgpsim: VP %d listed twice", vp)
+		}
+		vpIdx[j] = int32(x)
 	}
 
 	rng := stats.NewRNG(opts.Seed)
@@ -123,9 +133,9 @@ func Run(topo *topology.Topology, opts Options) (*Result, error) {
 		}
 	}
 
-	// Deterministic destination order: ascending ASN.
-	dsts := append([]uint32(nil), topo.ASNs()...)
-	sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
+	// Deterministic destination order: ascending ASN, which is the
+	// simulator's dense order — destination i is dense index i.
+	dsts := sim.asns
 
 	// Documenting ASes and prepending origins.
 	doc := make(map[uint32]bool)
@@ -172,25 +182,44 @@ func Run(topo *topology.Topology, opts Options) (*Result, error) {
 		art.routeServers = res.RouteServerASNs
 	}
 
-	for _, dst := range dsts {
-		routes, err := sim.RoutesTo(dst)
-		if err != nil {
-			return nil, err
+	// Propagation is the expensive part and depends on nothing but the
+	// topology, so destinations fan out: each worker propagates one
+	// destination at a time on its chunk's scratch and records the base
+	// path of every VP that exports a route (slot i*len(vps)+j for
+	// destination i, VP j; nil when the VP exports none).
+	base := make([][]uint32, len(dsts)*len(vps))
+	var rows atomic.Int64 // corpus rows the base paths will become
+	chunk := max(1, len(dsts)/(8*pool.Resolve(0)))
+	pool.Chunks(0, len(dsts), chunk, func(lo, hi int) {
+		sc := sim.newScratch()
+		n := 0
+		for i := lo; i < hi; i++ {
+			sim.propagate(sc, int32(i))
+			for j, v := range vpIdx {
+				// A VP does not report its own prefixes, and a
+				// partial feed carries customer routes only.
+				typ := sc.routes[v].Type
+				if int(v) == i || typ == rtNone || partial[vps[j]] && typ != rtCustomer {
+					continue
+				}
+				base[i*len(vps)+j] = sim.pathFrom(sc, v)
+				n += len(topo.AS(dsts[i]).Prefixes)
+			}
 		}
+		rows.Add(int64(n))
+	})
+
+	// What depends on order stays serial, in the order it always had —
+	// destinations ascending, VPs as listed: every draw of the artifact
+	// RNG, the counters it moves, and the position of each row.
+	res.Dataset.Paths = make([]paths.Path, 0, rows.Load())
+	for i, dst := range dsts {
 		prefixes := topo.AS(dst).Prefixes
-		for _, vp := range vps {
-			if vp == dst {
+		for _, b := range base[i*len(vps) : (i+1)*len(vps)] {
+			if b == nil {
 				continue
 			}
-			typ := sim.RouteTypeAt(routes, vp)
-			if typ == rtNone {
-				continue
-			}
-			if partial[vp] && typ != rtCustomer && typ != rtOwn {
-				continue
-			}
-			base := sim.Path(routes, vp)
-			path := art.mutate(base, dst, prependers, nonClique, &res.Artifacts)
+			path := art.mutate(b, dst, prependers, nonClique, &res.Artifacts)
 			for _, pfx := range prefixes {
 				res.Dataset.Add(paths.Path{
 					Collector: opts.Collector,
@@ -212,7 +241,7 @@ func nonCliqueTransits(topo *topology.Topology) []uint32 {
 			out = append(out, asn)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -16,7 +16,7 @@ package bgpsim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/asrank-go/asrank/internal/stats"
 	"github.com/asrank-go/asrank/internal/topology"
@@ -57,7 +57,7 @@ type Sim struct {
 // New indexes a topology for propagation.
 func New(topo *topology.Topology) *Sim {
 	asns := append([]uint32(nil), topo.ASNs()...)
-	sort.Slice(asns, func(i, j int) bool { return asns[i] < asns[j] })
+	slices.Sort(asns)
 	s := &Sim{
 		topo:      topo,
 		asns:      asns,
@@ -74,7 +74,7 @@ func New(topo *topology.Topology) *Sim {
 		for i, a := range list {
 			out[i] = int32(s.idx[a])
 		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		slices.Sort(out)
 		return out
 	}
 	for i, asn := range asns {
@@ -97,91 +97,133 @@ func (s *Sim) RoutesTo(dst uint32) ([]Route, error) {
 	if !ok {
 		return nil, fmt.Errorf("bgpsim: unknown destination AS %d", dst)
 	}
-	routes := make([]Route, len(s.asns))
-	routes[d] = Route{Type: rtOwn, Len: 0}
+	sc := s.newScratch()
+	s.propagate(sc, int32(d))
+	return sc.routes, nil
+}
+
+// scratch is the state of one propagation, reused from destination to
+// destination by the worker that owns it: propagate clears the route
+// table and truncates the queues, and allocates only while a queue is
+// still growing toward its high-water mark.
+type scratch struct {
+	routes []Route
+	// next is the next hop as a dense index, beside routes[x].Next (its
+	// ASN): meaningful only where routes[x] is a learned route. Tie
+	// rules compare it and path extraction walks it, so neither probes
+	// s.idx.
+	next []int32
+	// routed lists every AS holding a route in the order it got one:
+	// the destination, phase 1's BFS levels, then phase 2's peers.
+	routed []int32
+	// buckets is phase 3's queue: buckets[n] holds the ASes whose route
+	// is n hops long, in push order.
+	buckets [][]int32
+}
+
+func (s *Sim) newScratch() *scratch {
+	return &scratch{
+		routes: make([]Route, len(s.asns)),
+		next:   make([]int32, len(s.asns)),
+	}
+}
+
+// propagate fills sc.routes with every AS's best route toward the AS
+// at dense index d. Within one route type and length the exporter with
+// the lower dense index — the lower ASN, asns being ascending — wins,
+// and the rule is applied as a comparison wherever two candidates can
+// meet, so no level is ever sorted and the order in which a level is
+// walked does not show in the result.
+func (s *Sim) propagate(sc *scratch, d int32) {
+	routes, next := sc.routes, sc.next
+	clear(routes)
+	routes[d] = Route{Type: rtOwn}
 
 	// Phase 1: customer routes climb provider edges, BFS by level so
-	// shorter paths win; within a level the lowest-ASN exporter wins
-	// because frontiers are kept sorted and candidates only improve.
-	frontier := []int32{int32(d)}
-	for len(frontier) > 0 {
-		var next []int32
-		for _, x := range frontier {
+	// shorter paths win. A provider already holding a customer route of
+	// this level's length got it from another exporter of this level:
+	// the lower exporter keeps it.
+	q := append(sc.routed[:0], d)
+	for lo, length := 0, 1; lo < len(q); length++ {
+		hi := len(q)
+		for _, x := range q[lo:hi] {
 			for _, p := range s.providers[x] {
-				if routes[p].Valid() {
-					continue
+				switch r := &routes[p]; {
+				case r.Type == rtNone:
+					*r = Route{Type: rtCustomer, Len: length, Next: s.asns[x]}
+					next[p] = x
+					q = append(q, p)
+				case r.Type == rtCustomer && r.Len == length && x < next[p]:
+					r.Next, next[p] = s.asns[x], x
 				}
-				// Tentatively mark; since frontier is ASN-sorted and we
-				// never overwrite, the lowest exporter at this level wins.
-				routes[p] = Route{Type: rtCustomer, Len: routes[x].Len + 1, Next: s.asns[x]}
-				next = append(next, p)
 			}
 		}
-		sort.Slice(next, func(i, j int) bool { return next[i] < next[j] })
-		frontier = next
+		lo = hi
 	}
 
-	// Phase 2: one peer hop. Every AS with an own/customer route offers
-	// it to peers; receivers without a customer route take the best
-	// offer (shortest, then lowest exporter ASN). Offers are based on
-	// phase-1 state only, so iteration order cannot leak peer routes.
-	type offer struct {
-		len  int
-		from int32
-	}
-	best := make(map[int32]offer)
-	for x := range s.asns {
-		r := routes[x]
-		if r.Type != rtOwn && r.Type != rtCustomer {
-			continue
-		}
+	// Phase 2: one peer hop. Every AS with an own/customer route — q,
+	// exactly — offers it to its peers; a peer without one takes the
+	// best offer (shortest, then lowest exporter). Receivers join q
+	// behind the exporters, which the loop does not reach, so offers
+	// are based on phase-1 state only and no peer route is re-exported.
+	for _, x := range q {
+		length := routes[x].Len + 1
 		for _, y := range s.peers[x] {
-			if routes[y].Type == rtOwn || routes[y].Type == rtCustomer {
-				continue
-			}
-			o, seen := best[y]
-			cand := offer{len: r.Len + 1, from: int32(x)}
-			if !seen || cand.len < o.len || (cand.len == o.len && s.asns[cand.from] < s.asns[o.from]) {
-				best[y] = cand
+			switch r := &routes[y]; {
+			case r.Type == rtNone:
+				*r = Route{Type: rtPeer, Len: length, Next: s.asns[x]}
+				next[y] = x
+				q = append(q, y)
+			case r.Type == rtPeer && (length < r.Len || length == r.Len && x < next[y]):
+				r.Len, r.Next, next[y] = length, s.asns[x], x
 			}
 		}
 	}
-	for y, o := range best {
-		routes[y] = Route{Type: rtPeer, Len: o.len, Next: s.asns[o.from]}
-	}
+	sc.routed = q
 
 	// Phase 3: routes descend customer edges (provider routes). A
 	// bucket queue by path length implements multi-source BFS; existing
-	// routes of any type are never displaced (type precedence).
-	buckets := make([][]int32, 1, 16)
-	push := func(x int32, length int) {
-		for len(buckets) <= length {
-			buckets = append(buckets, nil)
-		}
-		buckets[length] = append(buckets[length], x)
+	// routes of any type are never displaced (type precedence), and a
+	// provider route of this level's length + 1 was assigned within
+	// this level, where again the lower exporter keeps it.
+	for i := range sc.buckets {
+		sc.buckets[i] = sc.buckets[i][:0]
 	}
-	for x := range s.asns {
-		if routes[x].Valid() {
-			push(int32(x), routes[x].Len)
-		}
+	for _, x := range q {
+		sc.push(x, routes[x].Len)
 	}
-	for length := 0; length < len(buckets); length++ {
-		level := buckets[length]
-		sort.Slice(level, func(i, j int) bool { return level[i] < level[j] })
-		for _, x := range level {
-			if routes[x].Len != length {
-				continue // stale entry
-			}
+	for length := 0; length < len(sc.buckets); length++ {
+		for _, x := range sc.buckets[length] {
 			for _, c := range s.customers[x] {
-				if routes[c].Valid() {
-					continue
+				switch r := &routes[c]; {
+				case r.Type == rtNone:
+					*r = Route{Type: rtProvider, Len: length + 1, Next: s.asns[x]}
+					next[c] = x
+					sc.push(c, length+1)
+				case r.Type == rtProvider && r.Len == length+1 && x < next[c]:
+					r.Next, next[c] = s.asns[x], x
 				}
-				routes[c] = Route{Type: rtProvider, Len: length + 1, Next: s.asns[x]}
-				push(c, length+1)
 			}
 		}
 	}
-	return routes, nil
+}
+
+func (sc *scratch) push(x int32, length int) {
+	for len(sc.buckets) <= length {
+		sc.buckets = append(sc.buckets, nil)
+	}
+	sc.buckets[length] = append(sc.buckets[length], x)
+}
+
+// pathFrom is Path on a scratch: it walks the dense next-hop column
+// from index x to the destination sc was propagated for. routes[x] must
+// be valid.
+func (s *Sim) pathFrom(sc *scratch, x int32) []uint32 {
+	path := make([]uint32, 0, sc.routes[x].Len+1)
+	for ; sc.routes[x].Type != rtOwn; x = sc.next[x] {
+		path = append(path, s.asns[x])
+	}
+	return append(path, s.asns[x])
 }
 
 // Path returns the full AS path from src toward the destination the
@@ -230,16 +272,16 @@ func SelectVPs(topo *topology.Topology, n int, seed int64) []uint32 {
 			stub = append(stub, asn)
 		}
 	}
-	sort.Slice(tier1, func(i, j int) bool { return tier1[i] < tier1[j] })
-	sort.Slice(transit, func(i, j int) bool { return transit[i] < transit[j] })
-	sort.Slice(stub, func(i, j int) bool { return stub[i] < stub[j] })
+	slices.Sort(tier1)
+	slices.Sort(transit)
+	slices.Sort(stub)
 
 	take := func(pool []uint32, k int) []uint32 {
 		if k > len(pool) {
 			k = len(pool)
 		}
 		idxs := rng.SampleInts(len(pool), k)
-		sort.Ints(idxs)
+		slices.Sort(idxs)
 		out := make([]uint32, 0, k)
 		for _, i := range idxs {
 			out = append(out, pool[i])
@@ -266,6 +308,6 @@ func SelectVPs(topo *topology.Topology, n int, seed int64) []uint32 {
 			}
 		}
 	}
-	sort.Slice(vps, func(i, j int) bool { return vps[i] < vps[j] })
+	slices.Sort(vps)
 	return vps
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
 
@@ -46,7 +47,7 @@ func ExportUpdates(w io.Writer, res *Result, start time.Time) error {
 	}
 
 	vps := append([]uint32(nil), res.VPs...)
-	sort.Slice(vps, func(i, j int) bool { return vps[i] < vps[j] })
+	slices.Sort(vps)
 	for i, vp := range vps {
 		peerAddr := ipv4(0xcb007100 + uint32(i) + 1)
 		state := &mrt.BGP4MPStateChange{
