@@ -10,11 +10,16 @@ test:
 
 # The race-enabled gate the parallel cone engine is held to. Every
 # package benchmark runs once so none can rot; numbers come from the
-# ledger (`make ledger`), not from here.
+# ledger (`make ledger`), not from here. The GOMAXPROCS=1 line runs the
+# in-order, one-worker path of the three batch fan-outs (Read's blocks,
+# foldAtBirth, FromResult), which a multi-core runner never takes, and
+# BenchmarkRead runs at one and two CPUs for the same reason.
 check: lint examples
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	GOMAXPROCS=1 $(GO) test ./internal/paths/... ./internal/core/... ./internal/warehouse/...
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
+	$(GO) test -run '^$$' -bench '^BenchmarkRead$$' -benchtime 1x -cpu 1,2 ./internal/paths
 
 # The example programs are the facade's only callers besides its own
 # tests: run each end to end (loopback only, a few seconds each); a

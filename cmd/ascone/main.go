@@ -85,14 +85,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	ds, err := paths.Read(f)
+	tr := tracecli.Start(*traceFile, "ascone.run")
+	tr.Root().SetAttr("method", *method)
+	tr.Root().SetAttr("weight", *weight)
+	ds, err := paths.ReadCtx(tr.Context(), f)
 	f.Close()
 	if err != nil {
 		return err
 	}
-	tr := tracecli.Start(*traceFile, "ascone.run")
-	tr.Root().SetAttr("method", *method)
-	tr.Root().SetAttr("weight", *weight)
 	ds, _, _ = paths.SanitizeCtx(tr.Context(), ds, paths.SanitizeOptions{})
 
 	var rels map[paths.Link]topology.Relationship

@@ -34,6 +34,9 @@ func main() {
 	)
 	flag.Parse()
 
+	// The trace starts before the corpus is read: the read is a stage of
+	// the run like any other.
+	tr := tracecli.Start(*traceFile, "asrank.run")
 	var (
 		ds  *paths.Dataset
 		err error
@@ -46,7 +49,7 @@ func main() {
 		if ferr != nil {
 			fatal(ferr)
 		}
-		ds, err = paths.Read(f)
+		ds, err = paths.ReadCtx(tr.Context(), f)
 		f.Close()
 	case *mrtFile != "":
 		f, ferr := os.Open(*mrtFile)
@@ -62,7 +65,6 @@ func main() {
 		fatal(err)
 	}
 
-	tr := tracecli.Start(*traceFile, "asrank.run")
 	tr.Root().SetAttrInt("paths", int64(len(ds.Paths)))
 	res := core.InferCtx(tr.Context(), ds, core.Options{Sanitize: true})
 

@@ -79,6 +79,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -272,44 +273,39 @@ func main() {
 	}
 
 	// Ingest each corpus as one epoch, hot-swapping the serving snapshot
-	// after every append.
-	ingest := func(label string, ds *paths.Dataset) {
-		start := time.Now()
+	// after every append. The read runs under the ingest's span, so the
+	// flight recorder shows it beside the inference it feeds.
+	ingest := func(file string, read func(context.Context, io.Reader) (*paths.Dataset, error)) {
 		ctx, span := tracer.StartSpan(context.Background(), "asrankd.startup")
 		defer span.End()
+		f, err := os.Open(file)
+		if err != nil {
+			log.Fatalf("asrankd: %v", err)
+		}
+		ds, err := read(ctx, f)
+		f.Close()
+		if err != nil {
+			log.Fatalf("asrankd: %v", err)
+		}
+		start := time.Now()
 		res := core.InferCtx(ctx, ds, core.Options{Sanitize: true})
 		journal.Info(ctx, "ingest.done",
-			oplog.String("label", label),
+			oplog.String("label", file),
 			oplog.Int("links", int64(len(res.Rels))),
 			oplog.Duration("took", time.Since(start)))
-		if !publishEpoch(ctx, warehouse.FromResult(res), label, "batch", nil) {
-			journal.Info(ctx, "ingest.unchanged", oplog.String("label", label))
+		if !publishEpoch(ctx, warehouse.FromResult(res), file, "batch", nil) {
+			journal.Info(ctx, "ingest.unchanged", oplog.String("label", file))
 		}
 	}
 
 	for _, corpus := range corpora {
-		f, ferr := os.Open(corpus)
-		if ferr != nil {
-			log.Fatalf("asrankd: %v", ferr)
-		}
-		ds, err := paths.Read(f)
-		f.Close()
-		if err != nil {
-			log.Fatalf("asrankd: %v", err)
-		}
-		ingest(corpus, ds)
+		ingest(corpus, paths.ReadCtx)
 	}
 	if len(corpora) == 0 && *mrtFile != "" {
-		f, ferr := os.Open(*mrtFile)
-		if ferr != nil {
-			log.Fatalf("asrankd: %v", ferr)
-		}
-		ds, _, err := paths.FromMRT(f, "asrankd")
-		f.Close()
-		if err != nil {
-			log.Fatalf("asrankd: %v", err)
-		}
-		ingest(*mrtFile, ds)
+		ingest(*mrtFile, func(_ context.Context, r io.Reader) (*paths.Dataset, error) {
+			ds, _, err := paths.FromMRT(r, "asrankd")
+			return ds, err
+		})
 	}
 
 	// Streaming mode: a live collector feeds the incremental engine, and

@@ -88,9 +88,15 @@ func NewCorpusIndex() *CorpusIndex {
 }
 
 // bump adjusts a reference count, deleting the key at zero so key
-// presence always means "at least one backing occurrence". Negative
-// counts are a caller bug: a remove of a path never added.
+// presence always means "at least one backing occurrence". That
+// invariant is what lets an add probe its key once: an absent key reads
+// as the zero count it stands for. Negative counts are a caller bug: a
+// remove of a path never added.
 func bump[K comparable](m map[K]int, k K, d int) {
+	if d > 0 {
+		m[k] += d
+		return
+	}
 	n := m[k] + d
 	switch {
 	case n < 0:
@@ -103,9 +109,19 @@ func bump[K comparable](m map[K]int, k K, d int) {
 }
 
 // bumpPair adjusts an adjacency refcount and folds its 0↔1 transitions
-// into the derived distinct-neighbor count of x.
+// into the derived distinct-neighbor count of x. An add sees the 0→1
+// transition as the table growing, again because presence means a
+// positive count.
 func bumpPair(pairs map[pairKey]int, counts map[uint32]int, x, y uint32, d int) {
 	k := pairKey{x, y}
+	if d > 0 {
+		before := len(pairs)
+		pairs[k] += d
+		if len(pairs) != before {
+			counts[x]++
+		}
+		return
+	}
 	old := pairs[k]
 	n := old + d
 	switch {
@@ -116,9 +132,7 @@ func bumpPair(pairs map[pairKey]int, counts map[uint32]int, x, y uint32, d int) 
 	default:
 		pairs[k] = n
 	}
-	if old == 0 && n > 0 {
-		counts[x]++
-	} else if old > 0 && n == 0 {
+	if old > 0 && n == 0 {
 		if counts[x] == 1 {
 			delete(counts, x)
 		} else {

@@ -2,6 +2,8 @@ package paths_test
 
 import (
 	"bytes"
+	"reflect"
+	"sync"
 	"testing"
 
 	"github.com/asrank-go/asrank/internal/bgpsim"
@@ -13,7 +15,7 @@ import (
 // generator, same parameters): a simulated collection with a RIB's
 // duplication, about three rows per distinct path. It lives in the
 // external test package because bgpsim imports paths.
-func batchCorpus(b *testing.B) []byte {
+func batchCorpus(b testing.TB) []byte {
 	p := topology.DefaultParams(1)
 	p.ASes = 2000
 	so := bgpsim.DefaultOptions(1)
@@ -39,6 +41,32 @@ func BenchmarkRead(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestReadConcurrently: a Read shares nothing with another — its wave
+// of buffers and tables is its own — so four at once over one file,
+// each fanning out over the pool, return what one alone does. `make
+// check` runs it under the race detector.
+func TestReadConcurrently(t *testing.T) {
+	file := batchCorpus(t)
+	want, err := paths.Read(bytes.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := paths.Read(bytes.NewReader(file))
+			if err != nil {
+				t.Error(err)
+			} else if !reflect.DeepEqual(got, want) {
+				t.Error("a Read beside three others returned other rows than one alone")
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // BenchmarkSanitize runs the corpus in the order bgpsim writes it

@@ -3,13 +3,18 @@ package paths
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net/netip"
 	"slices"
 	"strconv"
+	"strings"
 	"unicode"
+
+	"github.com/asrank-go/asrank/internal/pool"
+	"github.com/asrank-go/asrank/internal/trace"
 )
 
 // The text interchange format is one path per line:
@@ -19,18 +24,37 @@ import (
 // Lines starting with '#' and blank lines are ignored. The format is a
 // cousin of the "|"-separated dumps BGP tooling commonly emits.
 
-// Write renders the dataset in the text format.
+// Write renders the dataset in the text format. A row the format cannot
+// carry — an empty AS path, or a collector name that holds '|', CR or
+// LF, starts with '#', or begins or ends with white space, all of which
+// Read would drop, trim or refuse — is an error naming the row; the
+// rows before it are written whole and nothing of it is.
 func Write(w io.Writer, ds *Dataset) error {
 	bw := bufio.NewWriter(w)
-	for _, p := range ds.Paths {
+	checked := make(map[string]error) // each distinct collector name's verdict
+	for i, p := range ds.Paths {
+		err, seen := checked[p.Collector]
+		if !seen {
+			err = checkCollector(p.Collector)
+			checked[p.Collector] = err
+		}
+		if err == nil && len(p.ASNs) == 0 {
+			err = errors.New("empty AS path")
+		}
+		if err != nil {
+			// The row's error is the one to report; a failing writer would
+			// only have lost rows the caller is about to discard anyway.
+			_ = bw.Flush()
+			return fmt.Errorf("paths: row %d: %w", i, err)
+		}
 		bw.WriteString(p.Collector)
 		bw.WriteByte('|')
 		if p.Prefix.IsValid() {
 			bw.WriteString(p.Prefix.String())
 		}
 		bw.WriteByte('|')
-		for i, a := range p.ASNs {
-			if i > 0 {
+		for k, a := range p.ASNs {
+			if k > 0 {
 				bw.WriteByte(' ')
 			}
 			bw.WriteString(strconv.FormatUint(uint64(a), 10))
@@ -42,10 +66,30 @@ func Write(w io.Writer, ds *Dataset) error {
 	return bw.Flush()
 }
 
-// readBlock is how many rows Read collects per block before starting
-// another: blocks are concatenated once at the end, so a corpus of any
-// size is copied once instead of being re-grown 1.25x at a time.
-const readBlock = 8192
+// checkCollector reports why name cannot be a line's first field.
+func checkCollector(name string) error {
+	switch {
+	case strings.ContainsAny(name, "|\r\n"):
+		return fmt.Errorf("collector %q contains '|' or a line end", name)
+	case strings.HasPrefix(name, "#"):
+		return fmt.Errorf("collector %q starts a comment line", name)
+	case strings.TrimSpace(name) != name:
+		return fmt.Errorf("collector %q begins or ends with white space", name)
+	}
+	return nil
+}
+
+const (
+	// maxLine is the line length Read refuses at: the limit of the
+	// bufio.Scanner it once read through, whose error it still returns.
+	maxLine = 1 << 20
+	// readBlockSize is how much input one parse task gets: a block's
+	// buffer and tables are sized by it and held once per worker, so
+	// it is kept small beside the corpus (at 1 MiB a two-worker read of
+	// a 10 MB file allocated more than the row-table copy this design
+	// removes), yet thousands of rows, so a wave's fan-out is noise.
+	readBlockSize = 256 << 10
+)
 
 // Read parses the text format. Rows that carry the same AS-path text
 // share one ASNs slice and rows from the same collector share one
@@ -53,55 +97,269 @@ const readBlock = 8192
 // so each distinct path is parsed and allocated once, and no row pins
 // the line it was read from.
 func Read(r io.Reader) (*Dataset, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	var (
-		blocks     [][]Path
-		cur        []Path
-		collectors = make(map[string]string)
-		hops       = make(map[string][]uint32)
-		lineno     int
-	)
-	for sc.Scan() {
-		lineno++
-		line := bytes.TrimSpace(sc.Bytes())
+	return ReadCtx(context.Background(), r)
+}
+
+// ReadCtx is Read with a context for tracing: when ctx carries a span,
+// the read records a "paths.read" span with its row, distinct AS-path
+// text and block counts as attributes.
+func ReadCtx(ctx context.Context, r io.Reader) (*Dataset, error) {
+	_, ph := trace.StartPhase(ctx, "paths.read")
+	rd := newReader(r, readBlockSize)
+	ds, err := rd.read()
+	if err == nil {
+		ph.Span.SetAttrInt("rows", int64(len(ds.Paths)))
+		ph.Span.SetAttrInt("sequences", int64(rd.sequences))
+		ph.Span.SetAttrInt("blocks", int64(len(rd.parsed)))
+		readRows.Add(uint64(len(ds.Paths)))
+	}
+	ph.End(readDuration, nil)
+	return ds, err
+}
+
+// reader parses the text format a block of whole lines at a time, a
+// wave of blocks in parallel, each block interning collector names and
+// AS-path texts in tables of its own. When the input ends the blocks'
+// distinct texts — a third of the rows — are unified in file order, so
+// a text's rows share the slice of the first block that saw it, and the
+// rows are written, again in parallel, into a dataset allocated at its
+// size. The block buffers and intern tables belong to the wave's slots
+// and are reused by the next wave.
+type reader struct {
+	src       io.Reader
+	blockSize int
+	srcErr    error  // what ended the input: io.EOF, or a read error
+	carry     []byte // read past the last block's end: the next block's start
+
+	wave      []block
+	parsed    []parsedBlock
+	lines     int // in parsed
+	sequences int // distinct AS-path texts, once unified
+}
+
+func newReader(src io.Reader, blockSize int) *reader {
+	return &reader{src: src, blockSize: blockSize, wave: make([]block, pool.Resolve(0))}
+}
+
+func (rd *reader) read() (*Dataset, error) {
+	for rd.srcErr == nil {
+		wave := rd.wave[:0]
+		for len(wave) < cap(wave) && rd.srcErr == nil {
+			b := &rd.wave[len(wave)]
+			if b.buf = rd.fill(b.buf); len(b.buf) > 0 {
+				wave = wave[:len(wave)+1]
+			}
+		}
+		pool.Chunks(0, len(wave), 1, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				wave[i].parse()
+			}
+		})
+		// The first error in file order is the first of the first wave
+		// that has one: every earlier wave was clean.
+		for i := range wave {
+			b := &wave[i]
+			if b.err != nil {
+				return nil, fmt.Errorf("paths: line %d: %w", rd.lines+b.lines, b.err)
+			}
+			rd.lines += b.lines
+			rd.parsed = append(rd.parsed, b.out)
+		}
+	}
+	if rd.srcErr != io.EOF {
+		return nil, fmt.Errorf("paths: line %d: %w", rd.lines+1, rd.srcErr)
+	}
+	rd.unify()
+	return &Dataset{Paths: rd.rows()}, nil
+}
+
+// fill reads the next block into buf: every whole line of the next
+// blockSize bytes — more when they hold no line end — or, at the end of
+// the input, whatever is left.
+func (rd *reader) fill(buf []byte) []byte {
+	buf = append(buf[:0], rd.carry...)
+	rd.carry = rd.carry[:0]
+	for want, idle := rd.blockSize, 0; rd.srcErr == nil; {
+		if len(buf) < want {
+			buf = slices.Grow(buf, want-len(buf))
+			n, err := rd.src.Read(buf[len(buf):want])
+			if n > 0 {
+				idle = 0
+			} else if idle++; idle == 100 && err == nil {
+				err = io.ErrNoProgress // as the bufio.Scanner this replaced
+			}
+			buf, rd.srcErr = buf[:len(buf)+n], err
+			continue
+		}
+		if end := bytes.LastIndexByte(buf, '\n') + 1; end > 0 {
+			rd.carry = append(rd.carry, buf[end:]...)
+			return buf[:end]
+		}
+		if len(buf) >= maxLine {
+			// No line end this far in: parse refuses the line, and
+			// nothing after the first error matters.
+			rd.srcErr = io.EOF
+			break
+		}
+		want = 2 * len(buf)
+	}
+	return buf
+}
+
+// block is one slot of a wave: a buffer of whole lines, the tables its
+// parse interns through, and what the parse leaves for the dataset.
+type block struct {
+	buf        []byte
+	textIDs    map[string]uint32 // AS-path text → index in texts
+	texts      []text
+	collectors map[string]uint32 // collector name → index in names
+	names      []string
+
+	lines int   // lines parsed, the one err is about included
+	err   error // the block's first error, without its line number
+	out   parsedBlock
+}
+
+// text is one distinct AS-path text of a block and the hops it parsed
+// to — after unify, the hops every block's rows of that text share.
+type text struct {
+	key  string
+	hops []uint32
+}
+
+// parsedBlock is a block's rows and the tables their ids index, copied
+// out of the slot at their size.
+type parsedBlock struct {
+	rows  []row
+	texts []text
+	names []string
+}
+
+// row is a parsed line: ids index its block's tables.
+type row struct {
+	prefix    netip.Prefix
+	collector uint32
+	text      uint32
+}
+
+func (b *block) parse() {
+	// Every line could be a row and every row a new text, so tables of
+	// that many entries are sized once; a slot's later blocks reuse them.
+	n := bytes.Count(b.buf, []byte{'\n'}) + 1
+	if b.textIDs == nil {
+		b.textIDs, b.collectors = make(map[string]uint32, n), make(map[string]uint32)
+	}
+	clear(b.textIDs)
+	clear(b.collectors)
+	b.texts, b.names = slices.Grow(b.texts[:0], n), b.names[:0]
+	b.lines, b.err = 0, nil
+	rows := make([]row, 0, n)
+	for rest := b.buf; len(rest) > 0 && b.err == nil; {
+		line := rest
+		if i := bytes.IndexByte(rest, '\n'); i >= 0 {
+			line, rest = rest[:i], rest[i+1:]
+		} else {
+			rest = nil
+		}
+		b.lines++
+		if len(line) >= maxLine {
+			b.err = bufio.ErrTooLong
+			break
+		}
+		line = bytes.TrimSpace(line)
 		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		if n := bytes.Count(line, []byte{'|'}); n != 2 {
-			return nil, fmt.Errorf("paths: line %d: want 3 |-separated fields, got %d", lineno, n+1)
+		var r row
+		if r, b.err = b.parseLine(line); b.err == nil {
+			rows = append(rows, r)
 		}
-		i, j := bytes.IndexByte(line, '|'), bytes.LastIndexByte(line, '|')
-		collector, ok := collectors[string(line[:i])]
-		if !ok {
-			collector = string(line[:i])
-			collectors[collector] = collector
-		}
-		p := Path{Collector: collector}
-		if i+1 < j {
-			prefix, err := netip.ParsePrefix(string(line[i+1 : j]))
-			if err != nil {
-				return nil, fmt.Errorf("paths: line %d: %w", lineno, err)
-			}
-			p.Prefix = prefix
-		}
-		if p.ASNs, ok = hops[string(line[j+1:])]; !ok {
-			var err error
-			if p.ASNs, err = parseHops(line[j+1:]); err != nil {
-				return nil, fmt.Errorf("paths: line %d: %w", lineno, err)
-			}
-			hops[string(line[j+1:])] = p.ASNs
-		}
-		if len(cur) == cap(cur) {
-			blocks = append(blocks, cur)
-			cur = make([]Path, 0, min(max(2*cap(cur), 64), readBlock))
-		}
-		cur = append(cur, p)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("paths: line %d: %w", lineno+1, err)
+	b.out = parsedBlock{rows: rows, texts: slices.Clone(b.texts), names: slices.Clone(b.names)}
+}
+
+func (b *block) parseLine(line []byte) (row, error) {
+	if n := bytes.Count(line, []byte{'|'}); n != 2 {
+		return row{}, fmt.Errorf("want 3 |-separated fields, got %d", n+1)
 	}
-	return &Dataset{Paths: slices.Concat(append(blocks, cur)...)}, nil
+	i, j := bytes.IndexByte(line, '|'), bytes.LastIndexByte(line, '|')
+	var r row
+	var ok bool
+	if r.collector, ok = b.collectors[string(line[:i])]; !ok {
+		r.collector = uint32(len(b.names))
+		b.names = append(b.names, string(line[:i]))
+		b.collectors[b.names[r.collector]] = r.collector
+	}
+	if i+1 < j {
+		var err error
+		if r.prefix, err = netip.ParsePrefix(string(line[i+1 : j])); err != nil {
+			return row{}, err
+		}
+	}
+	if r.text, ok = b.textIDs[string(line[j+1:])]; !ok {
+		hops, err := parseHops(line[j+1:])
+		if err != nil {
+			return row{}, err
+		}
+		r.text = uint32(len(b.texts))
+		b.texts = append(b.texts, text{key: string(line[j+1:]), hops: hops})
+		b.textIDs[b.texts[r.text].key] = r.text
+	}
+	return r, nil
+}
+
+// unify makes equal texts and equal names of different blocks one slice
+// and one string: the first block's in file order. The table is sized
+// by the blocks' distinct texts, of which few repeat across blocks.
+func (rd *reader) unify() {
+	n := 0
+	for _, pb := range rd.parsed {
+		n += len(pb.texts)
+	}
+	hops := make(map[string][]uint32, n)
+	collectors := make(map[string]string)
+	for _, pb := range rd.parsed {
+		for i := range pb.texts {
+			t := &pb.texts[i]
+			if shared, ok := hops[t.key]; ok {
+				t.hops = shared
+			} else {
+				hops[t.key] = t.hops
+			}
+		}
+		for i, name := range pb.names {
+			if shared, ok := collectors[name]; ok {
+				pb.names[i] = shared
+			} else {
+				collectors[name] = name
+			}
+		}
+	}
+	rd.sequences = len(hops)
+}
+
+// rows writes the parsed blocks' rows into one slice of their size; nil
+// when there are none, as the dataset no row was added to.
+func (rd *reader) rows() []Path {
+	starts := make([]int, len(rd.parsed)+1)
+	for i, pb := range rd.parsed {
+		starts[i+1] = starts[i] + len(pb.rows)
+	}
+	total := starts[len(rd.parsed)]
+	if total == 0 {
+		return nil
+	}
+	out := make([]Path, total)
+	pool.Chunks(0, len(rd.parsed), 1, func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			pb := &rd.parsed[k]
+			dst := out[starts[k]:starts[k+1]]
+			for i, r := range pb.rows {
+				dst[i] = Path{Collector: pb.names[r.collector], Prefix: r.prefix, ASNs: pb.texts[r.text].hops}
+			}
+		}
+	})
+	return out
 }
 
 // parseHops parses a white-space-separated AS path, cutting fields

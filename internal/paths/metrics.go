@@ -2,6 +2,15 @@ package paths
 
 import "github.com/asrank-go/asrank/internal/obs"
 
+// Read metrics, recorded into the process-global registry on every Read
+// call: the stage's wall time and the rows it produced.
+var (
+	readDuration = obs.Default().Histogram("asrank_paths_read_duration_seconds",
+		"Wall time of one Read of a path-text corpus.", obs.DurationBuckets)
+	readRows = obs.Default().Counter("asrank_paths_read_rows_total",
+		"Rows parsed from path-text corpora.")
+)
+
 // Sanitization metrics, recorded into the process-global registry on
 // every Sanitize call. Drop reasons mirror the SanitizeStats fields so
 // the /metrics surface and the R1 experiment table agree.

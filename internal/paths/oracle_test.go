@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -12,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"unsafe"
 
 	"github.com/asrank-go/asrank/internal/asn"
@@ -144,25 +146,30 @@ func oracleDupKey(p Path) string {
 	return string(b)
 }
 
-// diffRead fails unless Read and the oracle agree on input: the same
-// error text, or DeepEqual datasets.
-func diffRead(t *testing.T, input []byte) {
+// diffRead fails unless the reader, cutting its input into blocks of
+// blockSize bytes, and the oracle agree on input: the same error text,
+// or DeepEqual datasets.
+func diffRead(t *testing.T, input []byte, blockSize int) {
 	t.Helper()
-	got, gotErr := Read(bytes.NewReader(input))
+	got, gotErr := newReader(bytes.NewReader(input), blockSize).read()
 	want, wantErr := oracleRead(bytes.NewReader(input))
 	switch {
 	case gotErr != nil && wantErr != nil:
 		// A scanner failure is the one error Read words differently:
 		// the oracle returned it bare.
 		if gotErr.Error() != wantErr.Error() && !strings.HasSuffix(gotErr.Error(), ": "+wantErr.Error()) {
-			t.Fatalf("Read(%q): error %q, oracle %q", input, gotErr, wantErr)
+			t.Fatalf("block size %d, Read(%q): error %q, oracle %q", blockSize, input, gotErr, wantErr)
 		}
 	case gotErr != nil || wantErr != nil:
-		t.Fatalf("Read(%q): error %v, oracle %v", input, gotErr, wantErr)
+		t.Fatalf("block size %d, Read(%q): error %v, oracle %v", blockSize, input, gotErr, wantErr)
 	case !reflect.DeepEqual(got, want):
-		t.Fatalf("Read(%q):\n got %+v\nwant %+v", input, got.Paths, want.Paths)
+		t.Fatalf("block size %d, Read(%q):\n got %+v\nwant %+v", blockSize, input, got.Paths, want.Paths)
 	}
 }
+
+// readBlockSizes cut a line into many blocks (1, 2, 7), a few lines
+// into one (64, 4096), and everything the tests read into one.
+var readBlockSizes = []int{1, 2, 7, 64, 4096, readBlockSize}
 
 // readSeeds are inputs that reach every branch of the reader.
 var readSeeds = []string{
@@ -185,18 +192,158 @@ var readSeeds = []string{
 }
 
 func TestReadMatchesOracle(t *testing.T) {
-	for _, in := range readSeeds {
-		diffRead(t, []byte(in))
-	}
 	var buf bytes.Buffer
 	if err := Write(&buf, randomCorpus(rand.New(rand.NewSource(1)), 5000)); err != nil {
 		t.Fatal(err)
 	}
-	diffRead(t, buf.Bytes())
+	for _, size := range readBlockSizes {
+		for _, in := range readSeeds {
+			diffRead(t, []byte(in), size)
+		}
+		diffRead(t, buf.Bytes(), size)
+		diffRead(t, ragged(buf.Bytes()), size)
+	}
 }
 
-// FuzzRead diffs the in-place reader against the Split/Fields one on
-// arbitrary bytes.
+// ragged rewrites a rendered corpus into the shapes a block cut must
+// not mind: a comment and a blank line after every fifth row (so every
+// block of 4 KiB or less that holds five rows holds both), CRLF on every
+// third, indented every seventh, and no line end after the last.
+func ragged(file []byte) []byte {
+	var out []byte
+	for i, line := range bytes.SplitAfter(bytes.TrimSuffix(file, []byte("\n")), []byte("\n")) {
+		if i%7 == 6 {
+			out = append(out, " \t"...)
+		}
+		if i%3 == 2 {
+			line = append(bytes.TrimSuffix(line, []byte("\n")), "\r\n"...)
+		}
+		out = append(out, line...)
+		if i%5 == 4 {
+			out = append(out, "# five more\n\n"...)
+		}
+	}
+	return bytes.TrimRight(out, "\r\n")
+}
+
+// TestReadSharesAcrossBlocks: the interning contract holds however the
+// input is cut — rows with one AS-path text share one slice and rows of
+// one collector one string, though the first and the last sit blocks
+// apart and every block interned them on its own.
+func TestReadSharesAcrossBlocks(t *testing.T) {
+	ds := randomCorpus(rand.New(rand.NewSource(3)), 2000)
+	ds.Add(ds.Paths[0]) // first seen in the first block, again in the last
+	var buf bytes.Buffer
+	if err := Write(&buf, ds); err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range readBlockSizes {
+		rd := newReader(bytes.NewReader(buf.Bytes()), size)
+		got, err := rd.read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if blocks := len(rd.parsed); size <= 4096 && blocks < 10 {
+			t.Fatalf("block size %d: %d blocks, want the corpus cut into 10 or more", size, blocks)
+		}
+		hops := map[string]*uint32{}
+		names := map[string]*byte{}
+		for i, p := range got.Paths {
+			text := fmt.Sprint(p.ASNs)
+			if first, ok := hops[text]; !ok {
+				hops[text] = unsafe.SliceData(p.ASNs)
+			} else if first != unsafe.SliceData(p.ASNs) {
+				t.Fatalf("block size %d: row %d does not share the hop slice of the first row with %s", size, i, text)
+			}
+			if first, ok := names[p.Collector]; !ok {
+				names[p.Collector] = unsafe.StringData(p.Collector)
+			} else if first != unsafe.StringData(p.Collector) {
+				t.Fatalf("block size %d: row %d does not share the first %q string", size, i, p.Collector)
+			}
+		}
+		if rd.sequences != len(hops) {
+			t.Errorf("block size %d: reader counts %d distinct texts, the rows hold %d", size, rd.sequences, len(hops))
+		}
+	}
+}
+
+// TestReadReportsFirstErrorInFileOrder: blocks are parsed side by side,
+// and the later of two bad lines may well be found first. The error is
+// the earlier line's, numbered from the top of the file, comments and
+// blank lines counted.
+func TestReadReportsFirstErrorInFileOrder(t *testing.T) {
+	var in strings.Builder
+	for i := 1; i <= 400; i++ {
+		switch {
+		case i == 150:
+			in.WriteString("rv1|not-a-prefix|1 2\n")
+		case i == 310:
+			in.WriteString("rv1|10.0.0.0/8|1 x\n")
+		case i%10 == 0:
+			in.WriteString("# ten\n")
+		default:
+			fmt.Fprintf(&in, "rv1|10.0.%d.0/24|%d 2 3\n", i%256, 1+i%9)
+		}
+	}
+	const want = `paths: line 150: netip.ParsePrefix("not-a-prefix"): no '/'`
+	for _, size := range readBlockSizes {
+		_, err := newReader(strings.NewReader(in.String()), size).read()
+		if err == nil || err.Error() != want {
+			t.Errorf("block size %d: error = %v, want %s", size, err, want)
+		}
+		diffRead(t, []byte(in.String()), size)
+	}
+}
+
+// TestReadReturnsReaderError: a reader that fails ends the input where
+// it fails — the bytes before it are lines like any other, a bad one
+// among them is the earlier error — and one that stalls is given up on.
+func TestReadReturnsReaderError(t *testing.T) {
+	boom := errors.New("boom")
+	for _, c := range []struct {
+		text string
+		end  io.Reader
+		want string
+		is   error
+	}{
+		{"c1||1 2\nc1||3 4", iotest.ErrReader(boom), "paths: line 3: boom", boom},
+		{"c1||1 2\nc1||x", iotest.ErrReader(boom), `paths: line 2: bad ASN "x"`, nil},
+		{"c1||1 2\n", stalled{}, "paths: line 2: " + io.ErrNoProgress.Error(), io.ErrNoProgress},
+	} {
+		for _, size := range readBlockSizes {
+			_, err := newReader(io.MultiReader(strings.NewReader(c.text), c.end), size).read()
+			if err == nil || err.Error() != c.want || c.is != nil && !errors.Is(err, c.is) {
+				t.Errorf("block size %d, %q then %T: error = %v, want %s", size, c.text, c.end, err, c.want)
+			}
+		}
+	}
+}
+
+// stalled is a reader that never has anything and never says so.
+type stalled struct{}
+
+func (stalled) Read([]byte) (int, error) { return 0, nil }
+
+// TestReadLineLimit walks the one length at which a line stops being
+// read: the scanner's buffer, which the block reader has no need of and
+// keeps as the format's limit. A comment is a line like any other.
+func TestReadLineLimit(t *testing.T) {
+	for _, head := range []string{"c1|192.0.2.0/24|1 2", "# no row"} {
+		for _, length := range []int{maxLine - 2, maxLine - 1, maxLine, maxLine + 1} {
+			line := head + strings.Repeat(" ", length-len(head)-1) + "9"
+			for _, tail := range []string{"", "\n", "\r\n", "\nc1||1 2\n"} {
+				in := []byte("c0||3 4\n" + line + tail)
+				for _, size := range []int{7, 4096, readBlockSize} {
+					diffRead(t, in, size)
+				}
+			}
+		}
+	}
+}
+
+// FuzzRead diffs the block reader against the Split/Fields one on
+// arbitrary bytes, cut into blocks of 1 to 256 bytes (the input's first
+// byte says which) and read as one block.
 func FuzzRead(f *testing.F) {
 	for _, in := range readSeeds {
 		f.Add([]byte(in))
@@ -210,7 +357,12 @@ func FuzzRead(f *testing.F) {
 	for _, v := range chaos.CorruptVariants(20130401, buf.Bytes(), 8) {
 		f.Add(v)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) { diffRead(t, data) })
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 0 {
+			diffRead(t, data, 1+int(data[0]))
+		}
+		diffRead(t, data, readBlockSize)
+	})
 }
 
 // TestReadInternsCollectors pins the fix for the reader pinning every

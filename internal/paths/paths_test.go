@@ -2,6 +2,9 @@ package paths
 
 import (
 	"bytes"
+	"fmt"
+	"io"
+	"math/rand"
 	"net/netip"
 	"reflect"
 	"strings"
@@ -273,6 +276,88 @@ func TestTextCodecRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Paths, ds.Paths) {
 		t.Errorf("round trip:\ngot  %+v\nwant %+v", got.Paths, ds.Paths)
+	}
+}
+
+// TestWriteRefusesWhatReadCannotReturn: the writer and the reader agree
+// on what a file can carry. Whatever Write accepts Read returns, row for
+// row; a row Read would drop, trim or refuse is an error from Write,
+// which by then has written the rows before it whole and nothing of it.
+func TestWriteRefusesWhatReadCannotReturn(t *testing.T) {
+	for _, c := range []struct {
+		why string
+		row Path
+	}{
+		{"a comment line: Read returned no row and no error", Path{Collector: "#rv1", ASNs: []uint32{1, 2}}},
+		{"a fourth field", Path{Collector: "a|b", ASNs: []uint32{1, 2}}},
+		{"two lines", Path{Collector: "rv\n", ASNs: []uint32{1, 2}}},
+		{"a line end", Path{Collector: "r\rv", ASNs: []uint32{1, 2}}},
+		{"read back as rv", Path{Collector: " rv", ASNs: []uint32{1, 2}}},
+		{"read back as rv", Path{Collector: "\u00a0rv", ASNs: []uint32{1, 2}}},
+		{"trailing white space", Path{Collector: "rv\t", ASNs: []uint32{1, 2}}},
+		{"an empty AS path", Path{Collector: "rv"}},
+	} {
+		var buf bytes.Buffer
+		err := Write(&buf, &Dataset{Paths: []Path{{Collector: "ok", ASNs: []uint32{7}}, c.row}})
+		if err == nil || !strings.Contains(err.Error(), "row 1") {
+			t.Errorf("collector %q, %d hops (%s): error = %v, want one naming row 1", c.row.Collector, len(c.row.ASNs), c.why, err)
+		}
+		if got := buf.String(); got != "ok||7\n" {
+			t.Errorf("collector %q (%s): wrote %q, want row 0 alone", c.row.Collector, c.why, got)
+		}
+	}
+
+	// Random corpora with collectors drawn from the bytes that matter to
+	// a line and a hop list emptied now and then.
+	alphabet := []string{"r", "v", "1", "|", "#", " ", "\t", "\n", "\r", "\u00a0", "\u0085", "\xff"}
+	var refused, accepted int
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ds := randomCorpus(rng, 1+rng.Intn(40))
+		for i := range ds.Paths {
+			p := &ds.Paths[i]
+			if !p.Prefix.IsValid() {
+				p.Prefix = netip.Prefix{} // an invalid prefix is written as none
+			}
+			switch rng.Intn(40) {
+			case 0:
+				p.ASNs = nil
+			case 1, 2, 3, 4:
+				p.Collector = ""
+				for n := rng.Intn(4); n > 0; n-- {
+					p.Collector += alphabet[rng.Intn(len(alphabet))]
+				}
+			}
+		}
+		var buf bytes.Buffer
+		err := Write(&buf, ds)
+		got, rerr := Read(bytes.NewReader(buf.Bytes()))
+		if rerr != nil {
+			t.Fatalf("seed %d: Write (error %v) left a file Read refuses: %v\n%q", seed, err, rerr, buf.Bytes())
+		}
+		if err == nil {
+			accepted++
+			if !reflect.DeepEqual(got.Paths, ds.Paths) {
+				t.Fatalf("seed %d: round trip:\ngot  %+v\nwant %+v", seed, got.Paths, ds.Paths)
+			}
+			continue
+		}
+		// The file is the rows before the refused one, and that one,
+		// alone, is refused too.
+		refused++
+		n := len(got.Paths)
+		if n >= len(ds.Paths) || n > 0 && !reflect.DeepEqual(got.Paths, ds.Paths[:n]) {
+			t.Fatalf("seed %d: Write failed with %v having written\n%q\nnot a prefix of %+v", seed, err, buf.Bytes(), ds.Paths)
+		}
+		if !strings.Contains(err.Error(), fmt.Sprintf("row %d:", n)) {
+			t.Fatalf("seed %d: error %q, want it to name row %d", seed, err, n)
+		}
+		if Write(io.Discard, &Dataset{Paths: ds.Paths[n : n+1]}) == nil {
+			t.Fatalf("seed %d: row %d (%+v) stopped the corpus but is written alone", seed, n, ds.Paths[n])
+		}
+	}
+	if refused < 50 || accepted < 50 {
+		t.Errorf("%d corpora refused and %d accepted: the draw does not cover both", refused, accepted)
 	}
 }
 

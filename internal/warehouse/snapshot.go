@@ -8,6 +8,7 @@ import (
 	"github.com/asrank-go/asrank/internal/cone"
 	"github.com/asrank-go/asrank/internal/core"
 	"github.com/asrank-go/asrank/internal/paths"
+	"github.com/asrank-go/asrank/internal/pool"
 	"github.com/asrank-go/asrank/internal/topology"
 )
 
@@ -113,13 +114,30 @@ func (s *Snapshot) NumASes() int { return len(s.ASNs) }
 // snapshot builder consumed before the warehouse existed, so
 // apiserver.Build(res) and apiserver.BuildSnapshot(FromResult(res))
 // serve byte-identical responses. Deterministic at any worker count
-// (the cone engine guarantees it; everything else is sorted).
+// (the cone engine guarantees it; everything else is sorted). The cone
+// product and the prefix counts only read res, so they are two tasks of
+// one pool call: the serial prefix count runs beside the cone crediting
+// instead of after it.
 func FromResult(res *core.Result) *Snapshot {
+	var (
+		cones        *cone.BitSets
+		prefixCounts map[uint32]int
+	)
+	pool.Chunks(0, 2, 1, func(lo, hi int) {
+		for task := lo; task < hi; task++ {
+			switch task {
+			case 0:
+				cones = cone.NewRelations(res.Rels).ProviderPeerObservedBits(res.Dataset)
+			case 1:
+				prefixCounts = cone.PrefixCounts(res.Dataset)
+			}
+		}
+	})
 	return Compose(ComposeInput{
-		Cones:         cone.NewRelations(res.Rels).ProviderPeerObservedBits(res.Dataset),
+		Cones:         cones,
 		TransitDegree: res.TransitDegree,
 		Degree:        res.Degree,
-		PrefixCounts:  cone.PrefixCounts(res.Dataset),
+		PrefixCounts:  prefixCounts,
 		Rels:          res.Rels,
 		Steps:         res.Steps,
 		Clique:        res.Clique,
