@@ -95,7 +95,8 @@ trace-demo:
 # shared chaos-corrupted corpus (FuzzRead diffs the path-text reader
 # against the reader it replaced, FuzzSanitize step 1 against the
 # per-row sanitizer it replaced, FuzzInferDenseVsOracle steps 5–9
-# against the inferencer they replaced). Each target gets FUZZTIME; `go test`
+# against the inferencer they replaced, FuzzManifest a store's honest
+# segments against any manifest at all). Each target gets FUZZTIME; `go test`
 # allows only one -fuzz pattern per invocation, hence one line each.
 FUZZTIME ?= 5s
 
@@ -110,4 +111,5 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME) ./internal/relfile
 	$(GO) test -run '^$$' -fuzz '^FuzzInferDenseVsOracle$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSegment$$' -fuzztime $(FUZZTIME) ./internal/warehouse
+	$(GO) test -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime $(FUZZTIME) ./internal/warehouse
 	$(GO) test -run '^$$' -fuzz '^FuzzCorpusMutator$$' -fuzztime $(FUZZTIME) ./internal/streamtest

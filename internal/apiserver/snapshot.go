@@ -114,7 +114,7 @@ func BuildSnapshot(snap *warehouse.Snapshot) *Data {
 		cliqueSet[m] = true
 	}
 
-	coneASes := cone.RowSizes(make([]int32, n), snap.ConeWords)
+	coneASes := snap.ConeSizes()
 	summaries := make([]asnSummary, n)
 	for i := 0; i < n; i++ {
 		var prov, cust, peer int

@@ -90,7 +90,7 @@ func snapshotCones(l *Lab) ([]map[uint32]int, []map[uint32]int) {
 	for i, snap := range snaps {
 		pp := make(map[uint32]int, snap.NumASes())
 		td := make(map[uint32]int, snap.NumASes())
-		sizes := cone.RowSizes(make([]int32, snap.NumASes()), snap.ConeWords)
+		sizes := snap.ConeSizes()
 		for p, asn := range snap.ASNs {
 			pp[asn] = int(sizes[p])
 			td[asn] = int(snap.TransitDegree[p])

@@ -29,7 +29,7 @@ import (
 
 // EquivCheck compares two epoch snapshots for bit-identity: every
 // column (relationships, degrees, cone-prefix weights, rank
-// permutation, clique, provenance, cone slabs) plus the serving ETag
+// permutation, clique, provenance, cone slabs and sizes) plus the serving ETag
 // each would carry once built into an API snapshot. It returns nil
 // when they are indistinguishable, else an error naming the first
 // divergent column. It is the reusable oracle every streaming test —
@@ -50,6 +50,7 @@ func EquivCheck(inc, batch *warehouse.Snapshot) error {
 		{"StepNames", inc.StepNames, batch.StepNames},
 		{"Links", inc.Links, batch.Links},
 		{"ConeWords", inc.ConeWords, batch.ConeWords},
+		{"ConeSizes", inc.ConeSizes(), batch.ConeSizes()},
 	}
 	for _, c := range cols {
 		if !reflect.DeepEqual(c.a, c.b) {

@@ -27,27 +27,41 @@ func churnedSeries(t testing.TB, order []int, scale int) ([]*warehouse.Snapshot,
 	return snaps, etags
 }
 
-// appendManifestEntry lists one more epoch in a store's manifest.
-func appendManifestEntry(t *testing.T, dir string, info warehouse.EpochInfo) {
+// manifestFile is MANIFEST.json as the tests that craft one read and
+// write it.
+type manifestFile struct {
+	Version         int                   `json:"version"`
+	CheckpointEvery int                   `json:"checkpointEvery"`
+	Epochs          []warehouse.EpochInfo `json:"epochs"`
+}
+
+func readManifestFile(t testing.TB, dir string) (man manifestFile) {
 	t.Helper()
-	path := filepath.Join(dir, "MANIFEST.json")
-	raw, err := os.ReadFile(path)
+	raw, err := os.ReadFile(filepath.Join(dir, "MANIFEST.json"))
 	if err != nil {
 		t.Fatal(err)
-	}
-	var man struct {
-		Version         int                   `json:"version"`
-		CheckpointEvery int                   `json:"checkpointEvery"`
-		Epochs          []warehouse.EpochInfo `json:"epochs"`
 	}
 	if err := json.Unmarshal(raw, &man); err != nil {
 		t.Fatal(err)
 	}
-	man.Epochs = append(man.Epochs, info)
-	if raw, err = json.Marshal(&man); err != nil {
+	return man
+}
+
+func (man manifestFile) bytes(t testing.TB) []byte {
+	t.Helper()
+	raw, err := json.Marshal(&man)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
+	return raw
+}
+
+// appendManifestEntry lists one more epoch in a store's manifest.
+func appendManifestEntry(t *testing.T, dir string, info warehouse.EpochInfo) {
+	t.Helper()
+	man := readManifestFile(t, dir)
+	man.Epochs = append(man.Epochs, info)
+	if err := os.WriteFile(filepath.Join(dir, "MANIFEST.json"), man.bytes(t), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
+	"math/bits"
 	"slices"
 )
 
@@ -301,11 +302,13 @@ func decodePosPairs(payload []byte, n int) ([]posPair, error) {
 	return out, nil
 }
 
-// decodeWordsRLE rebuilds a word slab over every word of dst, whose
-// length is the word count the already-decoded AS count implies; the
-// stored total must equal it before anything is written. dst may hold
-// stale words: zero runs are cleared, not assumed.
-func decodeWordsRLE(payload []byte, dst []uint64, id byte) error {
+// decodeWordsRLE rebuilds a cone slab in dst, whose length is the word
+// count the already-decoded AS count implies; the stored total must
+// equal it before anything is written. dst must be zero: only literal
+// runs are written, a zero run just moves on. sizes, one entry per row,
+// receives the rows' popcounts, counted from the literal runs as they
+// are written, so the slab is never read back.
+func decodeWordsRLE(payload []byte, dst []uint64, sizes []int32, id byte) error {
 	r := &decodeReader{buf: payload}
 	total, err := r.uvarint()
 	if err != nil {
@@ -314,6 +317,8 @@ func decodeWordsRLE(payload []byte, dst []uint64, id byte) error {
 	if total != uint64(len(dst)) {
 		return fmt.Errorf("warehouse: slab column %d has %d words, want %d", id, total, len(dst))
 	}
+	clear(sizes)
+	wps := uint64((len(sizes) + 63) / 64)
 	for at := uint64(0); at < total; {
 		flag, err := r.bytes(1)
 		if err != nil {
@@ -327,15 +332,16 @@ func decodeWordsRLE(payload []byte, dst []uint64, id byte) error {
 			return fmt.Errorf("warehouse: slab column %d run of %d words overruns total %d at word %d", id, run, total, at)
 		}
 		switch flag[0] {
-		case 0:
-			clear(dst[at : at+run])
+		case 0: // dst holds the zeros already
 		case 1:
 			raw, err := r.bytes(int(run) * 8)
 			if err != nil {
 				return fmt.Errorf("warehouse: slab column %d literal run: %w", id, err)
 			}
 			for i := uint64(0); i < run; i++ {
-				dst[at+i] = binary.LittleEndian.Uint64(raw[i*8:])
+				w := binary.LittleEndian.Uint64(raw[i*8:])
+				dst[at+i] = w
+				sizes[(at+i)/wps] += int32(bits.OnesCount64(w))
 			}
 		default:
 			return fmt.Errorf("warehouse: slab column %d: unknown run flag %d", id, flag[0])

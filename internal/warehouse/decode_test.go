@@ -19,14 +19,14 @@ import (
 	"github.com/asrank-go/asrank/internal/topology"
 )
 
-// twoEpochs infers two consecutive snapshots of a small evolving
-// topology: a full epoch and the base its delta successor replays on.
-func twoEpochs(t testing.TB) (s0, s1 *Snapshot) {
+// inferEpochs infers n consecutive snapshots of a small evolving
+// topology.
+func inferEpochs(t testing.TB, n int) []*Snapshot {
 	t.Helper()
 	p := topology.DefaultParams(42)
 	p.ASes = 120
 	e := topology.DefaultEvolveParams()
-	e.Snapshots = 2
+	e.Snapshots = n
 	var snaps []*Snapshot
 	for i, topo := range topology.GenerateSeries(p, e) {
 		opts := bgpsim.DefaultOptions(42 + 1000*int64(i))
@@ -38,6 +38,13 @@ func twoEpochs(t testing.TB) (s0, s1 *Snapshot) {
 		clean, _ := paths.Sanitize(sim.Dataset, paths.SanitizeOptions{})
 		snaps = append(snaps, FromResult(core.Infer(clean, core.Options{})))
 	}
+	return snaps
+}
+
+// twoEpochs infers a full epoch and the base its delta successor
+// replays on.
+func twoEpochs(t testing.TB) (s0, s1 *Snapshot) {
+	snaps := inferEpochs(t, 2)
 	return snaps[0], snaps[1]
 }
 
@@ -228,9 +235,18 @@ func TestOpenRecoversFromCorruptLength(t *testing.T) {
 // segment — framing, checksums, then the replayer's full or delta path
 // against a real base epoch. Any input may be refused; none may panic,
 // a refused one must leave the working epoch exactly at the base, and
-// whatever decodes must survive a full re-encode unchanged.
+// whatever decodes must survive a full re-encode unchanged. The bases
+// carry crafted rows (craftRows), and "cone sizes drifted from the slab"
+// is the invariant the {self} predicate rests on: a delta with an even
+// base replays on the first epoch, one with an odd base on the second,
+// so seeds can move the AS set both ways.
 func FuzzParseSegment(f *testing.F) {
 	s0, s1 := twoEpochs(f)
+	gone := droppedBy(s1, s0)
+	if gone < 0 {
+		f.Fatal("the second epoch holds no AS the first lacks")
+	}
+	bases := [2]*Snapshot{craftRows(f, s0, -1), craftRows(f, s1, gone)}
 	fullImg, _ := encodeSegment(kindFull, 0, 0, encodeFull(s0))
 	deltaImg, _ := encodeSegment(kindDelta, 1, 0, deltaCols(s0, s1))
 	f.Add(fullImg)
@@ -246,13 +262,30 @@ func FuzzParseSegment(f *testing.F) {
 			f.Add(v)
 		}
 	}
+	// Crafted rows on the wire: as a full epoch, gaining ASes, losing them
+	// (one of them a crafted row's only member), and keeping the AS set.
+	for _, seed := range []struct {
+		kind        byte
+		epoch, base uint32
+		cols        []segColumn
+	}{
+		{kindFull, 0, 0, encodeFull(bases[0])},
+		{kindFull, 1, 1, encodeFull(bases[1])},
+		{kindDelta, 1, 0, deltaCols(bases[0], bases[1])},
+		{kindDelta, 2, 1, deltaCols(bases[1], bases[0])},
+		{kindDelta, 2, 1, deltaCols(bases[1], s0)},
+		{kindDelta, 1, 0, deltaCols(bases[0], s0)},
+	} {
+		img, _ := encodeSegment(seed.kind, seed.epoch, seed.base, seed.cols)
+		f.Add(img)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		hdr, cols, _, err := parseSegment(data)
 		if err != nil {
 			return
 		}
-		rp := replayerAt(t, s0)
+		rp := replayerAt(t, bases[hdr.base%2])
 		before, sizes := rp.snapshot(), slices.Clone(rp.sizes)
 		if hdr.kind == kindFull {
 			err = rp.full(cols)

@@ -195,22 +195,38 @@ func encodeWordsRLE(out []byte, words []uint64) []byte {
 	return out
 }
 
+// selfOnly reports that row p of a cone slab is exactly {p} — a stub's
+// cone, which is almost every row of a real slab (DESIGN.md §14).
+// sizes holds the rows' popcounts. A popcount of one may be any bit in a
+// crafted slab, so the self word is compared too: one bit in the row,
+// and that word holding the self bit alone, leaves nothing else set.
+func selfOnly(words []uint64, sizes []int32, wps, p int) bool {
+	return sizes[p] == 1 && words[p*wps+p>>6] == 1<<(uint(p)&63)
+}
+
 // encodeConeXor writes the bits in which cur's cone slab differs from
 // old's slab projected into cur's index, as ascending uvarint gaps over
 // the global bit index (word*64 + bit). An epoch's cone XOR flips a few
 // hundred bits in a multi-megabit slab, so gaps beat even
 // zero-run-length words by ~3x: each flipped bit costs the varint of its
 // distance to the previous one, and untouched regions cost nothing at
-// all. The projection is made one row at a time over a one-row scratch;
-// neither the remapped slab nor the XOR slab is ever materialised.
+// all. A row that is {self} on both sides is not read: its projection
+// lands on the new self bit, so it flips nothing. Any other row is
+// projected over a one-row scratch; neither the remapped slab nor the
+// XOR slab is ever materialised.
 func encodeConeXor(out []byte, old, cur *Snapshot, m *indexMap) []byte {
 	n, wps, wpsOld := len(cur.ASNs), cur.WordsPerCone(), old.WordsPerCone()
+	oldSizes, curSizes := old.ConeSizes(), cur.ConeSizes()
 	out = binary.AppendUvarint(out, uint64(wps*n))
 	scratch, identity := make([]uint64, wps), m.identity()
 	prev := uint64(0)
 	for np := 0; np < n; np++ {
+		op := int(m.newToOld[np])
+		if op >= 0 && selfOnly(cur.ConeWords, curSizes, wps, np) && selfOnly(old.ConeWords, oldSizes, wpsOld, op) {
+			continue
+		}
 		row := scratch
-		if op := int(m.newToOld[np]); identity {
+		if identity {
 			row = old.ConeWords[op*wpsOld : (op+1)*wpsOld]
 		} else {
 			clear(scratch)

@@ -18,6 +18,13 @@ var TailFaults = []string{"duplicate xor bit", "xor bit out of range", "removed 
 // manifest. It exists for the external test package, which can reach
 // apiserver but not the encoder.
 func SealedFaultyDelta(prev, next *Snapshot, id uint32, fault string) (img []byte, hash string) {
+	img, sum := encodeSegment(kindDelta, id, id-1, faultyCols(prev, next, fault))
+	return img, fmt.Sprintf("%016x", sum)
+}
+
+// faultyCols is next's delta column set against prev with the named
+// fault in it.
+func faultyCols(prev, next *Snapshot, fault string) []segColumn {
 	n := len(next.ASNs)
 	words := uint64(next.WordsPerCone() * n)
 	var col byte
@@ -39,6 +46,5 @@ func SealedFaultyDelta(prev, next *Snapshot, id uint32, fault string) (img []byt
 	default:
 		panic("unknown fault " + fault)
 	}
-	img, sum := encodeSegment(kindDelta, id, id-1, withColumn(deltaCols(prev, next), col, payload))
-	return img, fmt.Sprintf("%016x", sum)
+	return withColumn(deltaCols(prev, next), col, payload)
 }

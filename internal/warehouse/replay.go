@@ -2,6 +2,7 @@ package warehouse
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"github.com/asrank-go/asrank/internal/cone"
 )
@@ -12,35 +13,45 @@ import (
 //
 // The small columns of cur are immutable values, replaced whole by each
 // epoch, so a predecessor's columns stay readable after the next epoch
-// lands (History keeps them). The cone slab is the only state written in
-// place: a delta whose AS set is unchanged XORs its flipped bits straight
-// into slab, a delta that adds or removes ASes remaps slab into spare
-// and the two swap. Every epoch is applied validate-then-mutate — all
-// columns decoded and cross-checked before the first write to slab,
-// spare's contents being nobody's state — so an epoch that fails leaves
-// the replayer exactly at its predecessor.
+// lands (History keeps them). The cone slab and its row sizes are the
+// only state written in place: a delta whose AS set is unchanged XORs
+// its flipped bits straight into slab and steps sizes with them, a delta
+// that adds or removes ASes remaps slab and sizes into the spare pair
+// and the pairs swap. Every epoch is applied validate-then-mutate — all
+// columns decoded and cross-checked before the first write to slab or
+// sizes, the spare pair's contents being nobody's state — so an epoch
+// that fails leaves the replayer exactly at its predecessor.
 type replayer struct {
-	cur         *Snapshot // columns of the working epoch; ConeWords and RankPos stay nil
-	slab, spare []uint64  // cur's cone slab and the other half of the ping-pong pair
-	sizes       []int32   // cone size by position, kept current from the flipped bits
-	m           indexMap  // scratch: the alignment of the delta being applied
-	ases        int       // the chain's largest epoch, which sizes and both slabs are made for
+	cur                *Snapshot // columns of the working epoch; ConeWords, coneSizes and RankPos stay nil
+	slab, spare        []uint64  // cur's cone slab and the other half of the ping-pong pair
+	sizes, spareSizes  []int32   // cone size by position, kept current from the flipped bits, and its other half
+	m                  indexMap  // scratch: the alignment of the delta being applied
+	promised, capacity int       // AS counts: the manifest's claim for the chain, and what the buffers are made for
 }
 
 // newReplayer notes the largest AS count the chain's manifest entries
-// promise: the working buffers are made for it, so no epoch of the chain
-// reallocates them (fit still grows one if the manifest under-promised).
+// promise. Nothing has validated that number, so it sizes no buffer by
+// itself: full bounds it by what the chain's own checkpoint decodes to.
 func newReplayer(chain []EpochInfo) *replayer {
 	r := &replayer{}
 	for _, info := range chain {
-		r.ases = max(r.ases, info.ASes)
+		r.promised = max(r.promised, info.ASes)
 	}
 	return r
 }
 
-// slabFor returns buf resliced to the slab of an n-AS epoch.
-func (r *replayer) slabFor(buf []uint64, n int) []uint64 {
-	return fit(buf, (n+63)/64*n, (r.ases+63)/64*r.ases)
+// zeroSpare readies the spare pair for an n-AS epoch: sizes of n
+// entries, contents unspecified, and a slab of n rows of zeros. A slab
+// just made is zero already and is not cleared again.
+func (r *replayer) zeroSpare(n int) {
+	words := (n + 63) / 64 * n
+	if cap(r.spare) < words {
+		r.spare = make([]uint64, words, max(words, (r.capacity+63)/64*r.capacity))
+	} else {
+		r.spare = r.spare[:words]
+		clear(r.spare)
+	}
+	r.spareSizes = fit(r.spareSizes, n, r.capacity)
 }
 
 // fit reslices buf to n elements, replacing it (with at least hint
@@ -95,15 +106,26 @@ func (r *replayer) full(cols map[byte][]byte) error {
 	if p, err = col(cols, colConeWords); err != nil {
 		return err
 	}
-	// The slab decodes into spare, so a run that fails midway has
-	// written nothing the working epoch reads.
-	r.spare = r.slabFor(r.spare, n)
-	if err = decodeWordsRLE(p, r.spare, colConeWords); err != nil {
+	// The working buffers are made for the chain's largest epoch, so no
+	// epoch of it reallocates them — as far as the manifest's promise can
+	// be believed: at most twice what this checkpoint holds (fit grows a
+	// buffer on demand should the chain really outgrow that).
+	r.capacity = min(max(r.promised, n), 2*n)
+	// The slab and its sizes decode into the spare pair, so a run that
+	// fails midway has written nothing the working epoch reads.
+	r.zeroSpare(n)
+	if err = decodeWordsRLE(p, r.spare, r.spareSizes, colConeWords); err != nil {
 		return err
 	}
-	r.cur, r.slab, r.spare = s, r.spare, r.slab
-	r.sizes = cone.RowSizes(fit(r.sizes, n, r.ases), r.slab)
+	r.cur = s
+	r.swap()
 	return nil
+}
+
+// swap makes the spare slab and sizes the working pair.
+func (r *replayer) swap() {
+	r.slab, r.spare = r.spare, r.slab
+	r.sizes, r.spareSizes = r.spareSizes, r.sizes
 }
 
 // delta advances the working epoch by a delta epoch's columns.
@@ -134,7 +156,7 @@ func (r *replayer) delta(cols map[byte][]byte) error {
 			return err
 		}
 	}
-	m := r.m.align(old.ASNs, asns, r.ases)
+	m := r.m.align(old.ASNs, asns, r.capacity)
 	n := len(asns)
 	s := &Snapshot{ASNs: asns}
 
@@ -202,7 +224,7 @@ func (r *replayer) delta(cols map[byte][]byte) error {
 	if p, err = col(cols, dcolConeXor); err != nil {
 		return err
 	}
-	wps, wpsOld := s.WordsPerCone(), old.WordsPerCone()
+	wps := s.WordsPerCone()
 	gaps, err := checkBitGaps(p, wps*n, dcolConeXor)
 	if err != nil {
 		return err
@@ -211,17 +233,9 @@ func (r *replayer) delta(cols map[byte][]byte) error {
 	// Nothing below can fail. Cone slab: project the predecessor's rows
 	// into the new index if the AS set moved, then flip the stored bits.
 	if !m.identity() {
-		r.spare = r.slabFor(r.spare, n)
-		r.sizes = fit(r.sizes, n, r.ases) // rewritten below, never read
-		for np := 0; np < n; np++ {
-			row := r.spare[np*wps : (np+1)*wps]
-			clear(row)
-			r.sizes[np] = 0
-			if op := int(m.newToOld[np]); op >= 0 {
-				r.sizes[np] = int32(remapRow(row, r.slab[op*wpsOld:(op+1)*wpsOld], m.oldToNew))
-			}
-		}
-		r.slab, r.spare = r.spare, r.slab
+		r.zeroSpare(n)
+		remapSlab(r.spare, r.spareSizes, r.slab, r.sizes, m)
+		r.swap()
 	}
 	for idx := uint64(0); len(gaps) > 0; {
 		gap, k := binary.Uvarint(gaps)
@@ -239,14 +253,51 @@ func (r *replayer) delta(cols map[byte][]byte) error {
 	return nil
 }
 
-// snapshot hands out the working epoch. The result owns its slab (a
-// copy at exact capacity — the working pair never escapes) and is the
-// only place a chain pays for the rank permutation; the replayer can go
-// on to later epochs afterwards.
+// remapSlab projects a cone slab and its row sizes into the index m
+// aligns it to. Old sizes are read at old positions while new ones are
+// written at new ones, hence two buffers. dst must be zero: a {self}
+// row — almost every row — is one bit written at the new self position,
+// and only the rest are read and remapped bit by bit.
+func remapSlab(dst []uint64, dstSizes []int32, src []uint64, srcSizes []int32, m *indexMap) {
+	n, nOld := len(dstSizes), len(srcSizes)
+	wps, wpsOld := (n+63)/64, (nOld+63)/64
+	for np := 0; np < n; np++ {
+		switch op := int(m.newToOld[np]); {
+		case op < 0:
+			dstSizes[np] = 0
+		case selfOnly(src, srcSizes, wpsOld, op):
+			dst[np*wps+np>>6] = 1 << (uint(np) & 63)
+			dstSizes[np] = 1
+		default:
+			dstSizes[np] = int32(remapRow(dst[np*wps:(np+1)*wps], src[op*wpsOld:(op+1)*wpsOld], m.oldToNew))
+		}
+	}
+}
+
+// snapshot hands out a copy of the working epoch: the result owns its
+// slab and sizes (at exact capacity) and the replayer can go on to later
+// epochs. It is the only place a chain pays for the rank permutation.
 func (r *replayer) snapshot() *Snapshot {
+	return r.handOut(slices.Clone(r.slab), slices.Clone(r.sizes))
+}
+
+// release hands out the working epoch itself. A replayer that has
+// reached the epoch it was made for is spent, so the result takes its
+// working slab and sizes instead of a copy of them, resliced to exact
+// length and capacity — the arrays behind them may be as large as the
+// chain's largest epoch. The replayer must not be used afterwards.
+func (r *replayer) release() *Snapshot {
+	s := r.handOut(r.slab[:len(r.slab):len(r.slab)], r.sizes[:len(r.sizes):len(r.sizes)])
+	*r = replayer{}
+	return s
+}
+
+// handOut completes the working epoch's columns with a slab, its sizes
+// and the rank order they imply.
+func (r *replayer) handOut(slab []uint64, sizes []int32) *Snapshot {
 	s := *r.cur
-	s.ConeWords = make([]uint64, len(r.slab))
-	copy(s.ConeWords, r.slab)
-	s.RankPos = cone.RankPositions(r.sizes, s.TransitDegree)
+	s.ConeWords = slab
+	s.setConeSizes(sizes)
+	s.RankPos = cone.RankPositions(sizes, s.TransitDegree)
 	return &s
 }

@@ -1,12 +1,16 @@
 package warehouse
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"github.com/asrank-go/asrank/internal/cone"
@@ -152,7 +156,9 @@ func synthStore(t testing.TB, snaps []*Snapshot, checkpointEvery int) (appended,
 
 // TestSynthSeriesRoundTrip keeps the fabricated series honest: ASes
 // enter and leave, some epochs keep their AS set, and every epoch
-// decodes back deep-equal at two checkpoint cadences.
+// decodes back deep-equal at two checkpoint cadences — to the appended
+// snapshot plus the size column the replayer kept beside it, which must
+// be what an independent count of the slab gives.
 func TestSynthSeriesRoundTrip(t *testing.T) {
 	snaps := synthSeries(300, 9, 7, 3, 4)
 	churned, kept := 0, 0
@@ -173,7 +179,7 @@ func TestSynthSeriesRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, want) {
+			if !reflect.DeepEqual(got, sized(want)) {
 				t.Errorf("checkpointEvery=%d epoch %d: decoded snapshot differs from the appended one", every, i)
 			}
 		}
@@ -181,14 +187,30 @@ func TestSynthSeriesRoundTrip(t *testing.T) {
 }
 
 // TestSnapshotChainAllocBound is the machine-independent guard on the
-// replayer: materializing the deepest epoch of a 15-delta chain may
-// allocate at most 3x what decoding the same epoch stored full does.
-// With a slab pair per delta it was ~30x.
+// replayer, counted in slabs: Snapshot(id) may allocate the columns of
+// the epochs it replays (their segment images and decoded columns) plus
+// one cone slab for an epoch stored full or reached through deltas that
+// keep the AS set — the one it hands over — and two when a delta of the
+// chain moves the AS set. A quarter slab of slack is anything short of
+// one more. (With a copy handed out the three cases allocated 1 218,
+// 3 302 and 2 630 KB; with a slab pair per delta the second was ~30x the
+// first.)
 func TestSnapshotChainAllocBound(t *testing.T) {
-	snaps := synthSeries(2000, 17, 11)
-	_, chained := synthStore(t, snaps, 16)
-	_, flat := synthStore(t, snaps, 1)
-	measure := func(st *Store) float64 {
+	var still []int
+	for e := 1; e < 17; e++ {
+		still = append(still, e)
+	}
+	churned, kept := synthSeries(2000, 17, 11), synthSeries(2000, 17, 11, still...)
+	for _, tc := range []struct {
+		name            string
+		snaps           []*Snapshot
+		every, maxSlabs int
+	}{
+		{"stored full", churned, 1, 1},
+		{"depth 15", churned, 16, 2},
+		{"depth 15, AS set kept", kept, 16, 1},
+	} {
+		_, st := synthStore(t, tc.snaps, tc.every)
 		const runs = 4
 		var before, after runtime.MemStats
 		for i := 0; i <= runs; i++ {
@@ -200,12 +222,133 @@ func TestSnapshotChainAllocBound(t *testing.T) {
 			}
 		}
 		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+		got := int((after.TotalAlloc - before.TotalAlloc) / runs)
+
+		slab, columns := 8*len(tc.snaps[15].ConeWords), 0
+		for id := 15 - 15%tc.every; id <= 15; id++ {
+			s := tc.snaps[id]
+			columns += int(st.Epochs()[id].Bytes) + 28*len(s.ASNs) + 12*len(s.Links)
+		}
+		budget := tc.maxSlabs*slab + columns + slab/4
+		t.Logf("Snapshot(15), %s: %d KB; %d slab(s) of %d KB + %d KB of columns allow %d KB", tc.name, got/1024, tc.maxSlabs, slab/1024, columns/1024, budget/1024)
+		if got > budget {
+			t.Errorf("Snapshot(15), %s: allocates %d KB, want <= %d KB (%d slab(s) + columns)", tc.name, got/1024, budget/1024, tc.maxSlabs)
+		}
 	}
-	deep, full := measure(chained), measure(flat)
-	t.Logf("Snapshot(15): %.0f KB at chain depth 15, %.0f KB stored full (%.1fx)", deep/1024, full/1024, deep/full)
-	if deep > 3*full {
-		t.Errorf("a depth-15 replay allocates %.1fx a full decode, want <= 3x", deep/full)
+}
+
+// TestHandBuiltAppendsLikeComposed: the size column is a by-product, not
+// an input. A snapshot out of Compose and the same snapshot without the
+// column (as hand-built ones are) append to the same segment bytes and
+// manifest hashes, and the two stores' histories hold the same columns.
+func TestHandBuiltAppendsLikeComposed(t *testing.T) {
+	composed := inferEpochs(t, 3)
+	dirs := [2]string{t.TempDir(), t.TempDir()}
+	var stores [2]*Store
+	for i := range stores {
+		st, err := Open(dirs[i], Options{CheckpointEvery: 2}) // full, delta, full
+		if err != nil {
+			t.Fatal(err)
+		}
+		for e, s := range composed {
+			if s.sizedSlab == nil || !slices.Equal(s.coneSizes, sized(s).coneSizes) {
+				t.Fatal("Compose left the size column empty or wrong")
+			}
+			if i == 1 {
+				bare := *s
+				bare.coneSizes, bare.sizedSlab = nil, nil
+				s = &bare
+			}
+			if _, err := st.Append(s, fmt.Sprintf("epoch-%d", e), ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stores[i] = st
+	}
+	a, b := stores[0].Epochs(), stores[1].Epochs()
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("manifest entries differ:\n%+v\n%+v", a, b)
+	}
+	for _, info := range a {
+		x, err1 := os.ReadFile(filepath.Join(dirs[0], info.File))
+		y, err2 := os.ReadFile(filepath.Join(dirs[1], info.File))
+		if err1 != nil || err2 != nil || !bytes.Equal(x, y) {
+			t.Errorf("%s (%s) differs between the two stores (%v, %v)", info.File, info.Kind, err1, err2)
+		}
+	}
+	if ha, hb := stores[0].History(), stores[1].History(); ha.ETag() != hb.ETag() || !reflect.DeepEqual(ha.series, hb.series) {
+		t.Error("the two histories hold different columns")
+	}
+}
+
+// TestConeSizesFollowTheSlab: the size column answers for the slab it
+// was counted from and no other — a copy of a snapshot given a slab of
+// its own is counted afresh, not trusted.
+func TestConeSizesFollowTheSlab(t *testing.T) {
+	s := inferEpochs(t, 1)[0]
+	if &s.ConeSizes()[0] != &s.coneSizes[0] {
+		t.Error("a composed snapshot recounts the slab its column was counted from")
+	}
+	moved := *s
+	moved.ConeWords = slices.Clone(s.ConeWords)
+	moved.ConeWords[0] ^= 2
+	want := cone.RowSizes(make([]int32, len(s.ASNs)), moved.ConeWords)
+	if got := moved.ConeSizes(); !slices.Equal(got, want) || slices.Equal(got, s.coneSizes) {
+		t.Error("a copy with another slab answers with the original's sizes")
+	}
+}
+
+// TestSnapshotResultIsTheCallers: Snapshot(id) hands over the slab its
+// replayer worked in, so nobody else may hold it. A result stays intact
+// through a hundred further Snapshot and Append calls (run beside each
+// other under -race), and a caller scribbling over its result changes
+// nothing the store answers afterwards.
+func TestSnapshotResultIsTheCallers(t *testing.T) {
+	snaps := synthSeries(300, 60, 5)
+	_, st := synthStore(t, snaps[:10], 4)
+	const id = 7 // three deltas past the checkpoint at 4
+	held, err := st.Snapshot(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(held, sized(snaps[id])) {
+		t.Fatal("epoch 7 decodes differently from the snapshot appended")
+	}
+
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				at := (r + 3*i) % 10
+				got, err := st.Snapshot(uint32(at))
+				if err != nil || !reflect.DeepEqual(got, sized(snaps[at])) {
+					t.Errorf("epoch %d beside appends: differs from the snapshot appended (%v)", at, err)
+					return
+				}
+			}
+		}(r)
+	}
+	for e := 10; e < 60; e++ {
+		if _, err := st.Append(snaps[e], "epoch", ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	if !reflect.DeepEqual(held, sized(snaps[id])) {
+		t.Error("a held result changed while the store went on")
+	}
+
+	for i := range held.ConeWords {
+		held.ConeWords[i] = ^uint64(0)
+	}
+	clear(held.coneSizes)
+	for _, at := range []uint32{id, id - 1, id + 1, 58} {
+		got, err := st.Snapshot(at)
+		if err != nil || !reflect.DeepEqual(got, sized(snaps[at])) {
+			t.Errorf("epoch %d after a caller wrote to its result: differs from the snapshot appended (%v)", at, err)
+		}
 	}
 }
 
@@ -223,6 +366,25 @@ func BenchmarkSnapshotChain(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := st.Snapshot(15); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAppendChain writes that series to a fresh store: two
+// checkpoints and 15 deltas.
+func BenchmarkAppendChain(b *testing.B) {
+	snaps := synthSeries(2000, 17, 11)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := Open(b.TempDir(), Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, s := range snaps {
+			if _, err := st.Append(s, "epoch", ""); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -101,6 +101,13 @@ type Snapshot struct {
 	// ConeWords is the provider/peer-observed customer-cone slab: one
 	// bitset of WordsPerCone() words per position (cone.BitSets layout).
 	ConeWords []uint64
+	// coneSizes is the popcount of each ConeWords row, by position, and
+	// sizedSlab the slab it was counted from. Only the producers that
+	// count the slab anyway fill them (Compose, for the rank order; the
+	// replayer, bit by bit), so they are private: a hand-built snapshot,
+	// or a copy given another slab, has no column and ConeSizes counts.
+	coneSizes []int32
+	sizedSlab *uint64
 }
 
 // WordsPerCone returns the per-AS bitset width of ConeWords.
@@ -108,6 +115,25 @@ func (s *Snapshot) WordsPerCone() int { return (len(s.ASNs) + 63) / 64 }
 
 // NumASes returns the interned AS count.
 func (s *Snapshot) NumASes() int { return len(s.ASNs) }
+
+// ConeSizes returns each position's cone size in ASes: the column that
+// rode along with the snapshot, or a fresh count of ConeWords when there
+// is none. Shared; callers must not modify it.
+func (s *Snapshot) ConeSizes() []int32 {
+	if len(s.coneSizes) == len(s.ASNs) && len(s.ConeWords) > 0 && &s.ConeWords[0] == s.sizedSlab {
+		return s.coneSizes
+	}
+	return cone.RowSizes(make([]int32, len(s.ASNs)), s.ConeWords)
+}
+
+// setConeSizes attaches the size column a producer counted from
+// s.ConeWords as it stands.
+func (s *Snapshot) setConeSizes(sizes []int32) {
+	s.coneSizes, s.sizedSlab = sizes, nil
+	if len(s.ConeWords) > 0 {
+		s.sizedSlab = &s.ConeWords[0]
+	}
+}
 
 // FromResult converts an inference result into its columnar snapshot:
 // the same cone product, ranking, and per-AS aggregates the API
@@ -203,7 +229,9 @@ func Compose(in ComposeInput) *Snapshot {
 		}
 	}
 	snap.ConePrefixes = in.Cones.WeightedSizes(weights)
-	snap.RankPos = cone.RankPositions(cone.RowSizes(make([]int32, n), words), snap.TransitDegree)
+	snap.ConeWords = words
+	snap.setConeSizes(cone.RowSizes(make([]int32, n), words))
+	snap.RankPos = cone.RankPositions(snap.coneSizes, snap.TransitDegree)
 
 	snap.Clique = append([]uint32{}, in.Clique...)
 
@@ -249,7 +277,5 @@ func Compose(in ComposeInput) *Snapshot {
 		}
 		snap.Links[i].Step = id
 	}
-
-	snap.ConeWords = words
 	return snap
 }

@@ -126,7 +126,13 @@ func Open(dir string, opts Options) (*Store, error) {
 	rp := newReplayer(man.Epochs)
 	for i, info := range man.Epochs {
 		prev := rp.cur
-		if err := st.loadEpoch(info, rp); err != nil {
+		var err error
+		if info.ID != uint32(i) {
+			err = fmt.Errorf("warehouse: manifest lists epoch %d at position %d", info.ID, i)
+		} else {
+			err = st.loadEpoch(info, rp)
+		}
+		if err != nil {
 			// Tail truncation: everything from the first bad epoch on is
 			// unreadable (deltas chain), so recovery keeps the good prefix
 			// — the replayer still holds the last good epoch untouched.
@@ -139,6 +145,8 @@ func Open(dir string, opts Options) (*Store, error) {
 			relChanges(prev, rp.cur, diffLinks(prev, rp.cur)))
 	}
 	if rp.cur != nil {
+		// A copy at exact size, not the working slab: the store keeps its
+		// head for as long as it is open, the chain's largest epoch need not.
 		st.last = rp.snapshot()
 	}
 	st.metrics.addTruncations(dropped)
@@ -175,6 +183,11 @@ func readManifest(path string) (*manifest, error) {
 // rp, whose working epoch is the predecessor (none yet for the first
 // epoch of a chain); on error rp is left at that predecessor.
 func (st *Store) loadEpoch(info EpochInfo, rp *replayer) error {
+	// The manifest is not checksummed: a file name is followed only if it
+	// is the one Append gives this epoch, never out of the directory.
+	if want := segmentName(info.ID); info.File != want {
+		return fmt.Errorf("warehouse: manifest names segment %q for epoch %d, want %s", info.File, info.ID, want)
+	}
 	raw, err := os.ReadFile(filepath.Join(st.dir, info.File))
 	if err != nil {
 		return fmt.Errorf("warehouse: read segment %s: %w", info.File, err)
@@ -188,6 +201,9 @@ func (st *Store) loadEpoch(info EpochInfo, rp *replayer) error {
 	}
 	if hdr.epoch != info.ID {
 		return fmt.Errorf("warehouse: segment %s carries epoch %d, manifest says %d", info.File, hdr.epoch, info.ID)
+	}
+	if got := kindName(hdr.kind); got != info.Kind {
+		return fmt.Errorf("warehouse: segment %s is a %s epoch, manifest says %q", info.File, got, info.Kind)
 	}
 	switch hdr.kind {
 	case kindFull:
@@ -204,6 +220,14 @@ func (st *Store) loadEpoch(info EpochInfo, rp *replayer) error {
 }
 
 func segmentName(id uint32) string { return fmt.Sprintf("epoch-%06d.seg", id) }
+
+// kindName is a segment kind as manifest entries spell it.
+func kindName(kind byte) string {
+	if kind == kindDelta {
+		return "delta"
+	}
+	return "full"
+}
 
 // Append persists snap as the next epoch and publishes it to readers
 // atomically: the segment file is written and synced first, the
@@ -253,12 +277,8 @@ func (st *Store) AppendNote(snap *Snapshot, label, etag string, note json.RawMes
 		return EpochInfo{}, err
 	}
 
-	kindName := "full"
-	if kind == kindDelta {
-		kindName = "delta"
-	}
 	info := EpochInfo{
-		ID: id, Label: label, Kind: kindName, Base: base,
+		ID: id, Label: label, Kind: kindName(kind), Base: base,
 		File: file, Bytes: int64(len(img)), Hash: fmt.Sprintf("%016x", hash),
 		ETag: etag, ASes: snap.NumASes(), Links: len(snap.Links),
 		Note: note,
@@ -268,15 +288,14 @@ func (st *Store) AppendNote(snap *Snapshot, label, etag string, note json.RawMes
 		return EpochInfo{}, err
 	}
 
-	st.hist = st.hist.extend(info, snap, snap.RankPos, cone.RowSizes(make([]int32, snap.NumASes()), snap.ConeWords),
-		relChanges(st.last, snap, diff))
+	st.hist = st.hist.extend(info, snap, snap.RankPos, snap.ConeSizes(), relChanges(st.last, snap, diff))
 	st.epochs = next
 	st.last = snap
 
 	st.metrics.observeAppend(len(img))
 	st.metrics.setLive(len(st.epochs), st.totalBytesLocked())
 	ph.Span.SetAttrInt("epoch", int64(id))
-	ph.Span.SetAttr("kind", kindName)
+	ph.Span.SetAttr("kind", info.Kind)
 	ph.Span.SetAttrInt("bytes", int64(len(img)))
 	if st.metrics != nil {
 		ph.End(st.metrics.appendSeconds, nil)
@@ -351,7 +370,9 @@ func (st *Store) Latest() (*Snapshot, EpochInfo, bool) {
 
 // Snapshot materializes epoch id by decoding from the nearest full
 // checkpoint at or below id and replaying the delta chain — bounded by
-// the checkpoint cadence, never by store length.
+// the checkpoint cadence, never by store length. A replayed result is
+// the caller's own — it shares no slab with the store or with any other
+// result; the head epoch is the shared value Latest returns.
 func (st *Store) Snapshot(id uint32) (*Snapshot, error) {
 	_, ph := st.tracer.StartPhase(context.Background(), "warehouse.snapshot")
 	defer ph.End(nil, nil) // only chain replays reach the histogram below
@@ -368,9 +389,15 @@ func (st *Store) Snapshot(id uint32) (*Snapshot, error) {
 		st.mu.RUnlock()
 		return snap, nil
 	}
+	// The chain starts where the segments say it does (loadEpoch held
+	// each entry's kind to its segment header; epoch 0 is always full),
+	// not where the manifest's cadence would put a checkpoint.
+	start := id
+	for start > 0 && st.epochs[start].Kind != "full" {
+		start--
+	}
 	// Copy the chain's manifest entries so decoding runs without the
 	// lock (appends never rewrite published epochs).
-	start := id - id%uint32(st.opts.CheckpointEvery)
 	chain := append([]EpochInfo(nil), st.epochs[start:id+1]...)
 	st.mu.RUnlock()
 
@@ -380,7 +407,7 @@ func (st *Store) Snapshot(id uint32) (*Snapshot, error) {
 			return nil, fmt.Errorf("warehouse: materialize epoch %d: %w", id, err)
 		}
 	}
-	snap := rp.snapshot()
+	snap := rp.release()
 	ph.Span.SetAttrInt("chain", int64(len(chain)))
 	if st.metrics != nil {
 		ph.End(st.metrics.decodeSeconds, nil)
