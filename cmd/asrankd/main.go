@@ -133,7 +133,7 @@ func main() {
 	// code one branch.
 	var tracer *trace.Tracer
 	if *debugListen != "" {
-		tracer = trace.New(trace.Options{})
+		tracer = trace.New()
 	}
 
 	// The journal is the structured successor of the ad-hoc text log:

@@ -63,7 +63,7 @@ func main() {
 	// session spans are read back through /debug/trace and /debug/flight.
 	var tracer *trace.Tracer
 	if *debugListen != "" {
-		tracer = trace.New(trace.Options{})
+		tracer = trace.New()
 	}
 
 	// The journal keeps a ring of structured lifecycle events (served on

@@ -147,7 +147,7 @@ func TestStatusWriterDefaultsTo200(t *testing.T) {
 func TestFlushThroughMiddlewareStack(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
-	tr := trace.New(trace.Options{})
+	tr := trace.New()
 	var flushErr error
 	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if _, err := w.Write([]byte("chunk")); err != nil {

@@ -34,7 +34,7 @@ func TestExemplarResolvesToFlightRecorder(t *testing.T) {
 	res := inferSeed(t, 81, 300)
 	d := Build(res)
 	reg := obs.NewRegistry()
-	tracer := trace.New(trace.Options{})
+	tracer := trace.New()
 	srv := httptest.NewServer(NewServer(d, nil, Config{Registry: reg, Tracer: tracer, Shed: DefaultShedPolicy()}))
 	t.Cleanup(srv.Close)
 

@@ -38,7 +38,7 @@ func TestReplayTraceEndToEnd(t *testing.T) {
 		Registry:       reg,
 	})
 
-	tracer := trace.New(trace.Options{})
+	tracer := trace.New()
 	capt := tracer.NewCapture(0)
 	ctx, root := tracer.StartSpan(context.Background(), "bgpsim.run")
 	err = ReplayAllCtx(ctx, srv.Addr().String(), res, ReplayOptions{

@@ -67,25 +67,6 @@ func TestObserveExemplar(t *testing.T) {
 	}
 }
 
-// TestAtMost covers the SLO good-count read, including bound alignment.
-func TestAtMost(t *testing.T) {
-	h := newHistogram([]float64{0.1, 1, 10})
-	for _, v := range []float64{0.05, 0.5, 0.9, 5, 50} {
-		h.Observe(v)
-	}
-	for le, want := range map[float64]uint64{
-		0.1:  1,
-		1:    3,
-		10:   4,
-		0.5:  1, // not a bound: falls back to the 0.1 bucket
-		0.01: 0,
-	} {
-		if got := h.AtMost(le); got != want {
-			t.Errorf("AtMost(%v) = %d, want %d", le, got, want)
-		}
-	}
-}
-
 // TestVecAggregation covers the family-wide sums the SLO layer reads.
 func TestVecAggregation(t *testing.T) {
 	reg := NewRegistry()
@@ -102,17 +83,6 @@ func TestVecAggregation(t *testing.T) {
 	gv.With("b").Set(2)
 	if got := gv.Sum(); got != 3.5 {
 		t.Errorf("GaugeVec.Sum = %v, want 3.5", got)
-	}
-
-	hv := reg.HistogramVec("asrank_test_lat_seconds", "Test.", []float64{0.1, 1}, "route")
-	hv.With("a").Observe(0.05)
-	hv.With("a").Observe(5)
-	hv.With("b").Observe(0.9)
-	if got := hv.SumCount(); got != 3 {
-		t.Errorf("HistogramVec.SumCount = %d, want 3", got)
-	}
-	if got := hv.SumAtMost(1); got != 2 {
-		t.Errorf("HistogramVec.SumAtMost(1) = %d, want 2", got)
 	}
 }
 

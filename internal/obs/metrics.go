@@ -160,22 +160,6 @@ func (h *Histogram) ObserveExemplar(v float64, traceID string) {
 	h.ex[i].Store(&exemplar{value: v, trace: traceID, when: time.Now()})
 }
 
-// AtMost returns how many observations so far were <= le. Exact when
-// le is one of the histogram's bucket bounds; otherwise the count for
-// the largest bound not above le (so SLO thresholds should be chosen
-// from the bucket layout).
-func (h *Histogram) AtMost(le float64) uint64 {
-	buckets, _, _ := h.snapshot()
-	var n uint64
-	for i, bound := range h.bounds {
-		if bound > le {
-			break
-		}
-		n += buckets[i]
-	}
-	return n
-}
-
 // snapshot sums the stripes: per-bucket (non-cumulative) counts, the
 // total observation count, and the value sum. Concurrent observations
 // may be partially included; each bucket count is internally exact.

@@ -275,27 +275,6 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 	return v.f.childFor(values).(*Histogram)
 }
 
-// SumCount returns the total observation count across every series in
-// the family.
-func (v *HistogramVec) SumCount() uint64 {
-	var n uint64
-	for _, c := range v.f.snapshotChildren() {
-		n += c.metric.(*Histogram).Count()
-	}
-	return n
-}
-
-// SumAtMost returns how many observations across every series were
-// <= le, with the same bound-alignment caveat as Histogram.AtMost —
-// the good-event count of a latency SLO.
-func (v *HistogramVec) SumAtMost(le float64) uint64 {
-	var n uint64
-	for _, c := range v.f.snapshotChildren() {
-		n += c.metric.(*Histogram).AtMost(le)
-	}
-	return n
-}
-
 // joinValues builds the child map key; NUL never appears in our label
 // values (they are fixed enum-like strings).
 func joinValues(values []string) string {

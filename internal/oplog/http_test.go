@@ -52,7 +52,7 @@ func TestDebugServerRoutes(t *testing.T) {
 // the capture ends at its next context check and the drain completes in
 // milliseconds instead of waiting out the 60-second capture window.
 func TestDrainWithOpenTraceCapture(t *testing.T) {
-	tracer := trace.New(trace.Options{})
+	tracer := trace.New()
 	journal := New(Options{RingSize: 64})
 	srv := NewDebugServer("127.0.0.1:0", obs.NewRegistry(), tracer, journal)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

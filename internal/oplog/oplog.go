@@ -37,8 +37,8 @@ import (
 	"github.com/asrank-go/asrank/internal/trace"
 )
 
-// Severity classifies an event. The zero value is Debug so that an
-// unset Options.MinSeverity keeps everything.
+// Severity classifies an event. The journal keeps every severity;
+// readers filter (/debug/oplog?sev=).
 type Severity uint8
 
 const (
@@ -96,15 +96,12 @@ type Options struct {
 	// RingSize is how many events the in-memory ring keeps before
 	// overwriting the oldest (default 4096).
 	RingSize int
-	// MinSeverity drops events below this level before they reach the
-	// ring or any sink. Default keeps everything.
-	MinSeverity Severity
-	// Sink, when non-nil, receives every kept event as one NDJSON
+	// Sink, when non-nil, receives every event as one NDJSON
 	// line. Writes are serialized by the journal; a slow sink slows
 	// emitters, so point it at a file or buffered pipe, not a socket.
 	Sink io.Writer
 	// Logf, when non-nil, receives a human-readable rendering of every
-	// kept event ("info asrankd.listen addr=127.0.0.1:8080") — the tee
+	// event ("info asrankd.listen addr=127.0.0.1:8080") — the tee
 	// that keeps console output alive while the structured record is
 	// the one that ships.
 	Logf func(format string, args ...any)
@@ -119,7 +116,6 @@ type Options struct {
 type Journal struct {
 	ring *trace.Ring[Event]
 	seq  atomic.Uint64
-	min  Severity
 	logf func(format string, args ...any)
 
 	events *obs.CounterVec // nil when no registry was given
@@ -136,7 +132,6 @@ func New(opts Options) *Journal {
 	}
 	j := &Journal{
 		ring: trace.NewRing[Event](opts.RingSize),
-		min:  opts.MinSeverity,
 		sink: opts.Sink,
 		logf: opts.Logf,
 	}
@@ -153,7 +148,7 @@ func New(opts Options) *Journal {
 // a span is active (trace.FromContext), the event carries its trace
 // ID. Safe on a nil Journal, and from any goroutine.
 func (j *Journal) Emit(ctx context.Context, sev Severity, name string, attrs ...Attr) {
-	if j == nil || sev < j.min {
+	if j == nil {
 		return
 	}
 	e := &Event{

@@ -69,31 +69,10 @@ func TestRingEviction(t *testing.T) {
 	}
 }
 
-// TestMinSeverity: events below the floor reach neither ring nor sink.
-func TestMinSeverity(t *testing.T) {
-	var sink bytes.Buffer
-	j := New(Options{MinSeverity: Warn, Sink: &sink})
-	j.Debug(nil, "a.dropped")
-	j.Info(nil, "a.dropped")
-	j.Warn(nil, "a.kept")
-	j.Error(nil, "a.kept")
-	got := j.Recent()
-	if len(got) != 2 {
-		t.Fatalf("Recent() = %d events, want 2", len(got))
-	}
-	// Sequence numbers are only spent on kept events.
-	if got[0].Seq != 1 || got[1].Seq != 2 {
-		t.Errorf("seqs = %d,%d, want 1,2", got[0].Seq, got[1].Seq)
-	}
-	if n := strings.Count(sink.String(), "\n"); n != 2 {
-		t.Errorf("sink lines = %d, want 2", n)
-	}
-}
-
 // TestTraceCorrelation: an active span in the context stamps its trace
 // ID on the event; no span, no trace field.
 func TestTraceCorrelation(t *testing.T) {
-	tr := trace.New(trace.Options{})
+	tr := trace.New()
 	ctx, span := tr.StartSpan(context.Background(), "test.op")
 	j := New(Options{})
 	j.Info(ctx, "a.correlated")

@@ -211,17 +211,17 @@ func dropDuplicates(in []Path, rows []int32, nseq int) int {
 }
 
 // SanitizeOne applies the per-path half of the step-1 cleaning to a
-// single AS path: prepending compressed, IXP route-server ASNs spliced
-// out, reserved-ASN and loop paths discarded, too-short results
-// discarded. It returns the cleaned hops and whether the path survives
-// — exactly the keep/clean decision Sanitize makes for each input row,
-// minus the corpus-level duplicate collapse (a streaming consumer
+// single AS path: prepending compressed, reserved-ASN and loop paths
+// discarded, too-short results discarded. It returns the cleaned hops
+// and whether the path survives — exactly the keep/clean decision
+// Sanitize makes for each input row when given no IXP list, minus the
+// corpus-level duplicate collapse (a streaming consumer
 // reference-counts distinct cleaned paths itself). The returned slice
 // is freshly allocated, and is the call's only allocation.
 //
 //asrank:hotpath
-func SanitizeOne(asns []uint32, ixp map[uint32]bool) ([]uint32, bool) {
-	cleaned, info := sanitizePath(make([]uint32, 0, len(asns)), asns, ixp)
+func SanitizeOne(asns []uint32) ([]uint32, bool) {
+	cleaned, info := sanitizePath(make([]uint32, 0, len(asns)), asns, nil)
 	if info < 0 || len(cleaned) < 2 {
 		return nil, false
 	}

@@ -46,9 +46,13 @@ func asCounts(m map[paths.Link]topology.Relationship) map[paths.Link]int {
 	return out
 }
 
-// Read parses a relationship file back into canonical orientation.
+// Read parses a relationship file back into canonical orientation. A
+// self link, or a second line for a link already given, is an error
+// naming the lines: a concatenated or corrupt file must not flip a
+// relationship without a word.
 func Read(r io.Reader) (map[paths.Link]topology.Relationship, error) {
 	out := make(map[paths.Link]topology.Relationship)
+	first := make(map[paths.Link]int) // line each link was given on
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	lineno := 0
@@ -70,7 +74,14 @@ func Read(r io.Reader) (map[paths.Link]topology.Relationship, error) {
 		if err != nil {
 			return nil, fmt.Errorf("relfile: line %d: bad ASN %q", lineno, parts[1])
 		}
+		if a == b {
+			return nil, fmt.Errorf("relfile: line %d: self link %d", lineno, a)
+		}
 		l := paths.NewLink(uint32(a), uint32(b))
+		if prev, dup := first[l]; dup {
+			return nil, fmt.Errorf("relfile: line %d: link %d-%d already given on line %d", lineno, l.A, l.B, prev)
+		}
+		first[l] = lineno
 		switch parts[2] {
 		case "-1":
 			if l.A == uint32(a) {

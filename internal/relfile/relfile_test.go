@@ -44,23 +44,27 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestReadErrors(t *testing.T) {
-	cases := []string{
-		"1|2",      // too few fields
-		"x|2|-1",   // bad ASN
-		"1|y|-1",   // bad ASN
-		"1|2|7",    // bad code
-		"1|2|-1|z", // too many fields
+	cases := map[string]string{
+		"1|2":                   "line 1: want 3 fields",
+		"x|2|-1":                "line 1: bad ASN",
+		"1|y|-1":                "line 1: bad ASN",
+		"1|2|7":                 "line 1: bad relationship code",
+		"1|2|-1|z":              "line 1: want 3 fields",
+		"# c\n7|7|0":            "line 2: self link 7",
+		"1|2|-1\n# c\n\n2|1|-1": "line 4: link 1-2 already given on line 1", // the provider flipped
+		"3|4|0\n1|2|-1\n1|2|-1": "line 3: link 1-2 already given on line 2", // even agreeing
 	}
-	for i, c := range cases {
-		if _, err := Read(strings.NewReader(c)); err == nil {
-			t.Errorf("case %d (%q) should fail", i, c)
+	for c, want := range cases {
+		if _, err := Read(strings.NewReader(c)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Read(%q) = %v, want an error containing %q", c, err, want)
 		}
 	}
 }
 
 // FuzzRead feeds the relationship-file reader arbitrary bytes — it is
 // the input surface of asvalidate and ascone -rels: it must not panic,
-// and whatever it accepts must survive Write → Read unchanged.
+// whatever it accepts must hold one link per relationship line, and it
+// must survive Write → Read unchanged.
 func FuzzRead(f *testing.F) {
 	seed := "# clique: 1 2\n1|2|-1\n4|3|-1\n5|6|0\n\n 7|7|0 \n4294967295|1|-1\n"
 	f.Add([]byte(seed))
@@ -68,10 +72,20 @@ func FuzzRead(f *testing.F) {
 	for _, v := range chaos.CorruptVariants(20130401, []byte(seed), 8) {
 		f.Add(v)
 	}
+	f.Add([]byte(strings.Replace(seed, " 7|7|0 ", " 7|8|0 ", 1)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rels, err := Read(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		lines := 0
+		for _, line := range strings.Split(string(data), "\n") {
+			if line = strings.TrimSpace(line); line != "" && !strings.HasPrefix(line, "#") {
+				lines++
+			}
+		}
+		if lines != len(rels) {
+			t.Fatalf("accepted %q: %d relationship lines read as %d links", data, lines, len(rels))
 		}
 		var buf bytes.Buffer
 		if err := Write(&buf, rels); err != nil {

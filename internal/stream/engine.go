@@ -22,15 +22,17 @@
 //     same crediting walk the batch engine shards, read at their final
 //     state — and only as count > 0 — when the slab is built, so
 //     neither within-epoch event order nor crediting a sequence once
-//     for all its rows can matter.
-//  3. The dirty-region rule is conservative: a path's poisoned flag is
-//     a function of the path and the clique, so a changed clique moves
-//     exactly the paths whose flag flipped into or out of the kept
-//     layer, through the same ±1 mutators a route event uses; of the
-//     paths that stay kept, re-crediting is confined to those
-//     containing a link whose inferred relationship changed — and a
-//     path's credit walk reads only its own links' relationships, so
-//     unaffected paths contribute identically by construction.
+//     for all its rows can matter. Between any two calls the table
+//     holds exactly the walks of every live kept sequence under the
+//     relationships of the last commit: a sequence's walk is added as
+//     it enters the kept layer and removed as it leaves, by the same
+//     two mutators whether a route event or a clique change moved it.
+//  3. A sequence's credit walk reads only its own links'
+//     relationships, so when a commit adopts new relationships the
+//     sequences whose contribution changes are exactly the kept ones
+//     crossing a link whose relationship changed — the link index
+//     finds them, and re-walking them restores leg 2's invariant under
+//     the new relationships.
 package stream
 
 import (
@@ -51,8 +53,6 @@ import (
 
 // Options configures an Engine.
 type Options struct {
-	// IXPASes is forwarded to per-path sanitization (step 1).
-	IXPASes map[uint32]bool
 	// Journal, when non-nil, receives one stream.commit event per
 	// epoch carrying the CommitReport's headline fields. Journaling is
 	// instrumentation only: it never influences what the engine
@@ -101,7 +101,6 @@ type rowKey struct {
 type sequence struct {
 	rows     int32 // live rows carrying the hops; 0 marks a released id
 	poisoned bool  // under the last committed clique
-	credited bool  // currently counted in the cone credit table
 }
 
 // Engine is the incremental inference state machine. Announce and
@@ -117,10 +116,8 @@ type sequence struct {
 // follow a sequence's birth and death — first row appears, last row
 // goes — and only the kept-row count and the prefix counts follow rows.
 type Engine struct {
-	mu sync.Mutex
-	// opts is immutable after New and deliberately NOT guarded:
-	// Announce reads opts.IXPASes before taking the lock.
-	opts Options
+	mu   sync.Mutex
+	opts Options // immutable after New
 
 	//asrank:guardedby mu
 	ix *core.CorpusIndex
@@ -135,12 +132,12 @@ type Engine struct {
 	//asrank:guardedby mu
 	held []sequence // by seqs id
 	//asrank:guardedby mu
-	linkIndex map[paths.Link]map[int32]struct{} // kept sequences by adjacency
+	linkIndex map[paths.Link][]int32 // kept sequences crossing each link, each once
 	//asrank:guardedby mu
 	linkMembers int // memberships over all of linkIndex
 
 	//asrank:guardedby mu
-	pc *cone.PairCounts
+	pc *cone.PairCounts // every live kept sequence's walk under rels
 	//asrank:guardedby mu
 	keptRows int // rows of non-poisoned sequences: the snapshot's PathCount
 	//asrank:guardedby mu
@@ -158,11 +155,6 @@ type Engine struct {
 	rels map[paths.Link]topology.Relationship
 
 	//asrank:guardedby mu
-	pendingCredit map[int32]struct{} // kept sequences not yet credited
-	//asrank:guardedby mu
-	uncredit [][]uint32 // ex-credited sequences to remove under the old relationships
-
-	//asrank:guardedby mu
 	stats Stats
 
 	// Provenance: the trailing commit reports (/debug/epochs) and the
@@ -174,23 +166,26 @@ type Engine struct {
 	pendingEvents int // route events folded since the last commit
 	//asrank:guardedby mu
 	firstPending time.Time // arrival of the oldest unserved event
+	//asrank:guardedby mu
+	entered int // sequences that entered the kept layer since the last commit
+	//asrank:guardedby mu
+	left int // sequences that left it
 }
 
 // New returns an empty engine.
 func New(opts Options) *Engine {
 	return &Engine{
-		opts:          opts,
-		ix:            core.NewCorpusIndex(),
-		collectors:    make(map[string]uint32),
-		rib:           make(map[ribKey]int32),
-		rows:          make(map[rowKey]int32),
-		seqs:          paths.NewSequences(),
-		linkIndex:     make(map[paths.Link]map[int32]struct{}),
-		pc:            cone.NewPairCounts(),
-		pfxRef:        make(map[paths.OriginPrefix]int32),
-		pfxCount:      make(map[uint32]int),
-		rels:          map[paths.Link]topology.Relationship{},
-		pendingCredit: make(map[int32]struct{}),
+		opts:       opts,
+		ix:         core.NewCorpusIndex(),
+		collectors: make(map[string]uint32),
+		rib:        make(map[ribKey]int32),
+		rows:       make(map[rowKey]int32),
+		seqs:       paths.NewSequences(),
+		linkIndex:  make(map[paths.Link][]int32),
+		pc:         cone.NewPairCounts(),
+		pfxRef:     make(map[paths.OriginPrefix]int32),
+		pfxCount:   make(map[uint32]int),
+		rels:       map[paths.Link]topology.Relationship{},
 	}
 }
 
@@ -203,7 +198,7 @@ func New(opts Options) *Engine {
 //
 //asrank:hotpath
 func (e *Engine) Announce(collector string, vp uint32, prefix netip.Prefix, asns []uint32) {
-	cleaned, keep := paths.SanitizeOne(asns, e.opts.IXPASes)
+	cleaned, keep := paths.SanitizeOne(asns)
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -352,42 +347,51 @@ func (e *Engine) countRowLocked(hops []uint32, prefix paths.PrefixKey, d int32) 
 }
 
 // keepLocked admits a sequence to the kept (post-discard) layer: corpus
-// aggregates, link index, and the credit queue.
+// aggregates, link index, and the credit table under the committed
+// relationships.
 func (e *Engine) keepLocked(id int32) {
 	hops := e.seqs.Hops(id)
 	e.ix.AddKept(hops, 1)
 	for i := 0; i+1 < len(hops); i++ {
 		l := paths.NewLink(hops[i], hops[i+1])
-		set, ok := e.linkIndex[l]
-		if !ok {
-			set = make(map[int32]struct{})
-			e.linkIndex[l] = set
-		}
-		set[id] = struct{}{}
+		e.linkIndex[l] = append(e.linkIndex[l], id)
 	}
 	e.linkMembers += len(hops) - 1
-	e.pendingCredit[id] = struct{}{}
+	e.pc.Credit(e.rels, hops, 1)
+	e.entered++
 }
 
-// unkeepLocked reverses keepLocked. A credited sequence is queued for
-// uncrediting under the relationships it was credited with.
+// unkeepLocked reverses keepLocked. A sanitized sequence has no loop, so
+// it crosses each of its links once: its id is in each link's slice
+// exactly once, and is swap-deleted from it. The search runs from the
+// end: churn's sequences mostly die young, near where they were
+// appended, and on the links thousands of sequences cross (a dozen at
+// 5k ASes, up to 5 000 ids each) a search from the front cost a tenth
+// of a churn epoch's apply time.
 func (e *Engine) unkeepLocked(id int32) {
-	s, hops := &e.held[id], e.seqs.Hops(id)
+	hops := e.seqs.Hops(id)
 	e.ix.AddKept(hops, -1)
 	for i := 0; i+1 < len(hops); i++ {
 		l := paths.NewLink(hops[i], hops[i+1])
-		delete(e.linkIndex[l], id)
-		if len(e.linkIndex[l]) == 0 {
+		ids := e.linkIndex[l]
+		last := len(ids) - 1
+		j := last
+		for j >= 0 && ids[j] != id {
+			j--
+		}
+		if j < 0 {
+			panic("stream: kept sequence missing from its link's index")
+		}
+		ids[j] = ids[last]
+		if last == 0 {
 			delete(e.linkIndex, l)
+		} else {
+			e.linkIndex[l] = ids[:last]
 		}
 	}
 	e.linkMembers -= len(hops) - 1
-	if s.credited {
-		s.credited = false
-		e.uncredit = append(e.uncredit, hops)
-	} else {
-		delete(e.pendingCredit, id)
-	}
+	e.pc.Credit(e.rels, hops, -1)
+	e.left++
 }
 
 // reflagLocked adopts a changed clique: every sequence's poisoned flag
@@ -507,24 +511,18 @@ func (e *Engine) CommitEpoch(ctx context.Context) (*warehouse.Snapshot, CommitRe
 	ph.End(commitPhaseDuration.With("infer"), &rep.Phases.Infer)
 	rep.Links, rep.ASes = len(res.Rels), len(rank)
 
-	// Cone crediting. Paths that left the kept layer (withdrawn, or newly
-	// poisoned) are removed under the relationships they were credited
-	// with; credited paths touching a link whose relationship changed are
-	// re-walked; everything else keeps its contribution (leg 3 of the
-	// package contract).
+	// Cone crediting. The credit table already holds every kept
+	// sequence under the previous relationships; of those, only the ones
+	// crossing a link whose relationship changed walk differently under
+	// the new ones (leg 3 of the package contract).
 	_, ph = trace.StartPhase(ctx, "stream.commit.credit")
-	rep.UncreditedPaths = len(e.uncredit)
-	for _, asns := range e.uncredit {
-		e.pc.Credit(e.rels, asns, -1)
-	}
-	e.uncredit = nil
+	rep.NewlyCredited, rep.UncreditedPaths = e.entered, e.left
+	e.entered, e.left = 0, 0
 	affected := make(map[int32]struct{})
 	dirty := func(l paths.Link) {
 		rep.DirtyLinks++
-		for id := range e.linkIndex[l] {
-			if e.held[id].credited {
-				affected[id] = struct{}{}
-			}
+		for _, id := range e.linkIndex[l] {
+			affected[id] = struct{}{}
 		}
 	}
 	for l, r := range res.Rels {
@@ -539,15 +537,10 @@ func (e *Engine) CommitEpoch(ctx context.Context) (*warehouse.Snapshot, CommitRe
 	}
 	rep.RecreditedPaths = len(affected)
 	for id := range affected {
-		e.pc.Credit(e.rels, e.seqs.Hops(id), -1)
-		e.pc.Credit(res.Rels, e.seqs.Hops(id), 1)
+		hops := e.seqs.Hops(id)
+		e.pc.Credit(e.rels, hops, -1)
+		e.pc.Credit(res.Rels, hops, 1)
 	}
-	rep.NewlyCredited = len(e.pendingCredit)
-	for id := range e.pendingCredit {
-		e.pc.Credit(res.Rels, e.seqs.Hops(id), 1)
-		e.held[id].credited = true
-	}
-	e.pendingCredit = make(map[int32]struct{})
 	e.rels = res.Rels
 	ph.End(commitPhaseDuration.With("credit"), &rep.Phases.Credit)
 

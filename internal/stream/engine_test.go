@@ -129,7 +129,7 @@ func TestCommitPhasesOneVocabulary(t *testing.T) {
 		t.Fatalf("PhaseMillis has %d fields, the test knows %d phases", n, len(want))
 	}
 
-	tr := trace.New(trace.Options{})
+	tr := trace.New()
 	ctx, root := tr.StartSpan(context.Background(), "asrankd.stream_epoch")
 	e := New(Options{})
 	e.Announce("rc0", 10, pfxA, []uint32{10, 20, 30})

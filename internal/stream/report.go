@@ -52,7 +52,7 @@ var commitPhaseDuration = obs.Default().HistogramVec("asrank_stream_commit_phase
 type PhaseMillis struct {
 	RankClique float64 `json:"rankCliqueMillis"` // steps 2–3 + flag flips when the clique changed
 	Infer      float64 `json:"inferMillis"`      // steps 5–9 over the kept layer
-	Credit     float64 `json:"creditMillis"`     // uncredit + re-credit walks
+	Credit     float64 `json:"creditMillis"`     // re-credit walks over the dirty links
 	Slab       float64 `json:"slabMillis"`       // cone slab build from the credit table
 	Compose    float64 `json:"composeMillis"`    // columnar snapshot composition
 }
@@ -77,12 +77,13 @@ type CommitReport struct {
 	// folded since the previous commit; DirtyLinks counts links whose
 	// inferred relationship is new, changed or gone. The three path
 	// counts are in distinct hop sequences — the unit the credit table
-	// is kept in — not rows: RecreditedPaths counts credited sequences
-	// re-walked because they touch a dirty link; UncreditedPaths counts
-	// sequences that left the kept layer — their last row withdrawn, or
-	// poisoned by a clique change — and had their credits removed;
-	// NewlyCredited counts sequences credited this epoch that were not
-	// before: first announced, or un-poisoned by a clique change.
+	// is kept in — not rows: RecreditedPaths counts kept sequences
+	// re-walked because they cross a dirty link, those that entered
+	// since the last commit included; NewlyCredited and UncreditedPaths
+	// count sequences that entered and left the kept layer since the
+	// last commit — first announced or un-poisoned by a clique change,
+	// last row withdrawn or poisoned by one. A sequence that entered
+	// and left between two commits counts in both.
 	//
 	// What the engine holds after the commit: Entries is corpus rows,
 	// RIBRoutes routes, Sequences the distinct hop sequences those rows

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/asrank-go/asrank/internal/bgpsim"
+	"github.com/asrank-go/asrank/internal/cone"
 	"github.com/asrank-go/asrank/internal/paths"
 	"github.com/asrank-go/asrank/internal/stats"
 	"github.com/asrank-go/asrank/internal/topology"
@@ -40,7 +41,13 @@ func sequenceFold(e *Engine) string {
 	for id := range hops {
 		hops[id] = e.seqs.Hops(int32(id))
 	}
-	return fmt.Sprint(e.ix, e.linkIndex, e.linkMembers, e.pendingCredit, hops)
+	return fmt.Sprint(e.ix, e.linkIndex, e.linkMembers, creditCounts(e.pc), hops)
+}
+
+// creditCounts renders a credit table's pair refcounts comparably — the
+// counts alone, not the walker's scratch beside them.
+func creditCounts(pc *cone.PairCounts) string {
+	return fmt.Sprint(reflect.ValueOf(pc).Elem().FieldByName("counts"))
 }
 
 // checkSequenceTable asserts the sequence table's invariants: every live
@@ -112,27 +119,30 @@ func TestRouteSwapRetiresOneSequenceAndBearsAnother(t *testing.T) {
 	e := New(Options{})
 	a, b := []uint32{10, 20, 30}, []uint32{10, 21, 22, 30}
 	e.Announce("rc0", 10, pfxA, a)
-	e.Commit(context.Background()) // A is credited: its death must queue an uncredit
+	e.Commit(context.Background()) // A's links have relationships: its death must remove real credits
 	e.Announce("rc0", 10, pfxA, b)
 	checkSequenceTable(t, e)
 	if got := tablesOf(e); got != (tables{rib: 1, entries: 1, seqs: 1, paths: 1}) {
 		t.Fatalf("after the swap: tables = %+v, want B alone", got)
 	}
-	if len(e.uncredit) != 1 || !slices.Equal(e.uncredit[0], a) || len(e.pendingCredit) != 1 {
-		t.Errorf("after the swap: uncredit queue %v, %d pending — want A out, B in", e.uncredit, len(e.pendingCredit))
+	if e.entered != 1 || e.left != 1 {
+		t.Errorf("after the swap: %d entered, %d left the kept layer — want B in, A out", e.entered, e.left)
 	}
 	e.Announce("rc0", 10, pfxB, a) // A re-announced, into the slot it left
 	checkSequenceTable(t, e)
 	if got := tablesOf(e); got != (tables{rib: 2, entries: 2, seqs: 2, paths: 2}) || len(e.held) != 2 {
 		t.Fatalf("after the resurrection: tables = %+v over %d slots, want A and B in two", got, len(e.held))
 	}
-	snap := e.Commit(context.Background())
+	snap, rep := e.CommitEpoch(context.Background())
 	if snap.PathCount != 2 || len(snap.Links) != 5 {
 		t.Errorf("snapshot has %d paths, %d links, want 2 and 5", snap.PathCount, len(snap.Links))
 	}
+	if rep.NewlyCredited != 2 || rep.UncreditedPaths != 1 || e.entered+e.left != 0 {
+		t.Errorf("report counts %d entered, %d left (engine still holds %d, %d) — want B and A in, A out, reset",
+			rep.NewlyCredited, rep.UncreditedPaths, e.entered, e.left)
+	}
 	e.Withdraw("rc0", 10, pfxA)
 	e.Withdraw("rc0", 10, pfxB)
-	e.Commit(context.Background())
 	checkDrained(t, e)
 }
 
@@ -181,18 +191,18 @@ func mapSizes(v any) (sizes []int) {
 }
 
 // checkDrained asserts that an engine whose every route was withdrawn
-// and committed holds nothing: a leaked refcount anywhere is invisible
-// to snapshot bit-identity, and is memory that never comes back.
+// holds nothing — before the next commit, since no table waits for one
+// — and that the commit then leaves no relationships or clique behind:
+// a leaked refcount anywhere is invisible to snapshot bit-identity, and
+// is memory that never comes back.
 func checkDrained(t *testing.T, e *Engine) {
 	t.Helper()
 	checkSequenceTable(t, e)
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	for name, n := range map[string]int{
 		"rib": len(e.rib), "rows": len(e.rows), "live sequences": e.seqs.Len(),
 		"linkIndex": len(e.linkIndex), "linkMembers": e.linkMembers, "keptRows": e.keptRows,
-		"pfxRef": len(e.pfxRef), "pfxCount": len(e.pfxCount), "pendingCredit": len(e.pendingCredit),
-		"uncredit": len(e.uncredit), "rels": len(e.rels), "clique": len(e.clique),
+		"pfxRef": len(e.pfxRef), "pfxCount": len(e.pfxCount),
 	} {
 		if n != 0 {
 			t.Errorf("drained engine still holds %s = %d", name, n)
@@ -204,23 +214,40 @@ func checkDrained(t *testing.T, e *Engine) {
 	if sizes := mapSizes(e.pc); len(sizes) != 1 || sizes[0] != 0 {
 		t.Errorf("drained PairCounts holds %v, want one empty table", sizes)
 	}
+	e.mu.Unlock()
+	e.Commit(context.Background())
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if len(e.rels) != 0 || len(e.clique) != 0 {
+		t.Errorf("drained engine committed %d relationships and a clique of %d", len(e.rels), len(e.clique))
+	}
 }
 
-// TestDrainToEmpty churns a simulated table — withdrawals, resurrections,
-// reroutes, shared sequences under new prefixes, garbage, a clique
-// member torn out and restored — then withdraws every route ever
-// announced.
-func TestDrainToEmpty(t *testing.T) {
-	type route struct {
-		collector string
-		vp        uint32
-		prefix    netip.Prefix
-		hops      []uint32
-	}
+// route is one (collector, vp, prefix) route as churn announces it.
+type route struct {
+	collector string
+	vp        uint32
+	prefix    netip.Prefix
+	hops      []uint32
+}
+
+// churn drives e through a simulated table — withdrawals,
+// resurrections, reroutes, shared sequences under new prefixes,
+// garbage, a clique member torn out and restored, a commit after each
+// round — calling after once after every route event. It returns every
+// route it ever announced.
+func churn(t *testing.T, e *Engine, after func()) []route {
+	t.Helper()
 	var routes []route
-	e := New(Options{})
 	ctx := context.Background()
-	announce := func(r route) { e.Announce(r.collector, r.vp, r.prefix, r.hops) }
+	announce := func(r route) {
+		e.Announce(r.collector, r.vp, r.prefix, r.hops)
+		after()
+	}
+	withdraw := func(r route) {
+		e.Withdraw(r.collector, r.vp, r.prefix)
+		after()
+	}
 	for _, p := range simCorpus(t, 150, 5, 9).Paths {
 		routes = append(routes, route{p.Collector, p.ASNs[0], p.Prefix, p.ASNs})
 		announce(routes[len(routes)-1])
@@ -232,7 +259,7 @@ func TestDrainToEmpty(t *testing.T) {
 			r := &routes[rng.Intn(len(routes))]
 			switch rng.Intn(5) {
 			case 0:
-				e.Withdraw(r.collector, r.vp, r.prefix)
+				withdraw(*r)
 			case 1:
 				announce(*r)
 			case 2: // reroute through a detour
@@ -245,14 +272,14 @@ func TestDrainToEmpty(t *testing.T) {
 				routes = append(routes, nr)
 				announce(nr)
 			case 4: // garbage: the slot holds a dropped route
-				e.Announce(r.collector, r.vp, r.prefix, append(slices.Clone(r.hops), 64512))
+				announce(route{r.collector, r.vp, r.prefix, append(slices.Clone(r.hops), 64512)})
 			}
 		}
 		snap := e.Commit(ctx)
 		if round == 2 || round == 4 { // tear a clique member out, then restore it
 			for _, r := range routes {
 				if slices.Contains(r.hops, snap.Clique[0]) {
-					e.Withdraw(r.collector, r.vp, r.prefix)
+					withdraw(r)
 				}
 			}
 			e.Commit(ctx)
@@ -270,14 +297,77 @@ func TestDrainToEmpty(t *testing.T) {
 	if st.FullRebuilds < 5 || !recycled || st.Sequences == 0 || st.Sequences >= st.Entries {
 		t.Fatalf("churn too tame to mean anything: stats %+v, slots recycled: %v", st, recycled)
 	}
-	for _, r := range routes {
+	return routes
+}
+
+// TestDrainToEmpty withdraws every route churn ever announced.
+func TestDrainToEmpty(t *testing.T) {
+	e := New(Options{})
+	for _, r := range churn(t, e, func() {}) {
 		e.Withdraw(r.collector, r.vp, r.prefix)
 	}
-	e.Commit(ctx)
 	checkDrained(t, e)
 	if st := e.Stats(); st.Entries+st.RIBRoutes+st.Sequences+st.LinkIndex != 0 {
 		t.Errorf("drained engine reports %+v", st)
 	}
+}
+
+// TestCreditTableIsAnInvariant holds the engine, after every route event
+// and not only at commits, to what a commit reads: the credit table
+// equals one built from scratch over the live kept sequences under the
+// committed relationships, and each link's index slice holds exactly
+// the kept sequences crossing the link, each once.
+func TestCreditTableIsAnInvariant(t *testing.T) {
+	e := New(Options{})
+	events := 0
+	churn(t, e, func() {
+		events++
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		fresh := cone.NewPairCounts()
+		crossing := make(map[paths.Link]map[int32]bool)
+		for id, s := range e.held {
+			if s.rows == 0 || s.poisoned {
+				continue
+			}
+			hops := e.seqs.Hops(int32(id))
+			fresh.Credit(e.rels, hops, 1)
+			for i := 0; i+1 < len(hops); i++ {
+				l := paths.NewLink(hops[i], hops[i+1])
+				if crossing[l] == nil {
+					crossing[l] = make(map[int32]bool)
+				}
+				crossing[l][int32(id)] = true
+			}
+		}
+		if creditCounts(e.pc) != creditCounts(fresh) {
+			t.Fatalf("event %d: the credit table (%d pairs) is not the live kept sequences' walks under the committed relationships (%d pairs)",
+				events, mapSizes(e.pc)[0], mapSizes(fresh)[0])
+		}
+		links, members := e.ix.Links(), 0
+		if len(e.linkIndex) != len(crossing) || len(e.linkIndex) != len(links) {
+			t.Fatalf("event %d: the link index has %d links, the kept sequences cross %d, the corpus index counts %d",
+				events, len(e.linkIndex), len(crossing), len(links))
+		}
+		for l, ids := range e.linkIndex {
+			members += len(ids)
+			seen := make(map[int32]bool, len(ids))
+			for _, id := range ids {
+				if !crossing[l][id] || seen[id] {
+					t.Fatalf("event %d: link %v lists %v, the kept sequences crossing it are %v", events, l, ids, crossing[l])
+				}
+				seen[id] = true
+			}
+			if len(ids) != len(crossing[l]) || len(ids) != links[l] {
+				t.Fatalf("event %d: link %v lists %d sequences, %d kept ones cross it, the corpus index counts %d",
+					events, l, len(ids), len(crossing[l]), links[l])
+			}
+		}
+		if members != e.linkMembers {
+			t.Fatalf("event %d: the link index holds %d memberships, counted %d", events, members, e.linkMembers)
+		}
+	})
+	t.Logf("checked after %d route events", events)
 }
 
 // TestAnnounceHeldSequenceAllocates pins the ingest path's steady state:

@@ -83,7 +83,7 @@ func TestDifferentialStreamVsBatch(t *testing.T) {
 // cleanedKey names the hop sequence a route's raw hops clean to — the
 // unit the engine folds and credits in — and whether sanitize keeps it.
 func cleanedKey(asns []uint32) (string, bool) {
-	cleaned, keep := paths.SanitizeOne(asns, nil)
+	cleaned, keep := paths.SanitizeOne(asns)
 	return fmt.Sprint(cleaned), keep
 }
 

@@ -271,9 +271,10 @@ func (m Mirror) Dataset() *paths.Dataset {
 // BatchReference runs the full batch pipeline — sanitize, the 11-step
 // inference, cone crediting, snapshot composition — over the mirrored
 // route table. This is the ground truth every streaming epoch is
-// compared against.
+// compared against. No engine option bears on what is computed; opts
+// is taken so the reference is called like the engine it checks.
 func BatchReference(m Mirror, opts stream.Options) *warehouse.Snapshot {
-	res := core.Infer(m.Dataset(), core.Options{Sanitize: true, IXPASes: opts.IXPASes})
+	res := core.Infer(m.Dataset(), core.Options{Sanitize: true})
 	return warehouse.FromResult(res)
 }
 

@@ -36,7 +36,7 @@ func BenchmarkStartSpanNoParent(b *testing.B) {
 // BenchmarkStartSpanEnabled is the enabled-path cost for scale: span
 // alloc + goid parse + ring publish.
 func BenchmarkStartSpanEnabled(b *testing.B) {
-	tr := New(Options{})
+	tr := New()
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -13,7 +13,7 @@ import (
 // child with an event, and two cross-goroutine children (flow arrows).
 func buildSample(t *testing.T) []*Span {
 	t.Helper()
-	tr := New(Options{})
+	tr := New()
 	ctx, root := tr.StartSpan(context.Background(), "sample.run")
 	root.SetAttrInt("ases", 200)
 
@@ -142,7 +142,7 @@ func TestCheckChromeRejectsMalformed(t *testing.T) {
 }
 
 func TestTraceparentRoundTrip(t *testing.T) {
-	tr := New(Options{})
+	tr := New()
 	_, s := tr.StartSpan(context.Background(), "rt.span")
 	defer s.End()
 	h := Traceparent(s)

@@ -14,7 +14,7 @@ import (
 // the span's trace, and a report field in milliseconds — and all three
 // carry the same elapsed time.
 func TestPhaseFeedsEverySink(t *testing.T) {
-	tr := New(Options{})
+	tr := New()
 	reg := obs.NewRegistry()
 	hist := reg.Histogram("asrank_test_phase_duration_seconds", "Test.", obs.DurationBuckets)
 	ctx, root := tr.StartSpan(context.Background(), "test.root")

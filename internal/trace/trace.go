@@ -47,12 +47,9 @@ func (id TraceID) IsValid() bool { return id != TraceID{} }
 // String renders the ID as 32 lowercase hex digits.
 func (id TraceID) String() string { return hex.EncodeToString(id[:]) }
 
-// Options configures a Tracer.
-type Options struct {
-	// FlightSize is how many completed spans the flight-recorder ring
-	// keeps before evicting the oldest (default 4096).
-	FlightSize int
-}
+// flightSize is how many completed spans the flight-recorder ring keeps
+// before evicting the oldest.
+const flightSize = 4096
 
 // Tracer allocates span identity and fans completed spans out to the
 // flight ring and any live captures. The zero value is not usable; call
@@ -69,11 +66,8 @@ type Tracer struct {
 }
 
 // New returns a Tracer with an empty flight recorder.
-func New(opts Options) *Tracer {
-	if opts.FlightSize <= 0 {
-		opts.FlightSize = 4096
-	}
-	t := &Tracer{ring: NewRing[Span](opts.FlightSize)}
+func New() *Tracer {
+	t := &Tracer{ring: NewRing[Span](flightSize)}
 	// The epoch distinguishes trace IDs across processes; the low half
 	// is a counter so IDs stay unique and cheap within one.
 	nano := uint64(time.Now().UnixNano())

@@ -34,7 +34,7 @@ func TestNilTracerAndNilSpanAreNoOps(t *testing.T) {
 }
 
 func TestSpanParenting(t *testing.T) {
-	tr := New(Options{})
+	tr := New()
 	ctx, root := tr.StartSpan(context.Background(), "root.run")
 	ctx2, child := StartSpan(ctx, "child.step")
 	_, grand := StartSpan(ctx2, "grand.step")
@@ -65,7 +65,7 @@ func TestSpanParenting(t *testing.T) {
 }
 
 func TestAttrsEventsAndDoubleEnd(t *testing.T) {
-	tr := New(Options{})
+	tr := New()
 	_, s := tr.StartSpan(context.Background(), "a.b")
 	s.SetAttr("engine", "recursive")
 	s.SetAttrInt("links", 42)
@@ -92,25 +92,23 @@ func TestAttrsEventsAndDoubleEnd(t *testing.T) {
 }
 
 func TestFlightRingEvictsOldest(t *testing.T) {
-	tr := New(Options{FlightSize: 4})
+	r := NewRing[int](4)
 	for i := 0; i < 10; i++ {
-		_, s := tr.StartSpan(context.Background(), "fill.span")
-		s.SetAttrInt("i", int64(i))
-		s.End()
+		r.Add(&i)
 	}
-	spans := tr.Flight()
-	if len(spans) != 4 {
-		t.Fatalf("ring holds %d, want 4", len(spans))
+	got := r.Snapshot(func(a, b *int) bool { return *a < *b })
+	if len(got) != 4 {
+		t.Fatalf("ring holds %d, want 4", len(got))
 	}
-	for _, s := range spans {
-		if s.Attrs[0].Int < 6 {
-			t.Errorf("old span %d survived eviction", s.Attrs[0].Int)
+	for j, v := range got {
+		if *v != 6+j {
+			t.Errorf("ring slot %d holds %d, want %d: an old element survived eviction", j, *v, 6+j)
 		}
 	}
 }
 
 func TestCaptureWindowAndStop(t *testing.T) {
-	tr := New(Options{})
+	tr := New()
 	_, before := tr.StartSpan(context.Background(), "before.capture")
 	before.End()
 	c := tr.NewCapture(2)
@@ -137,7 +135,7 @@ func TestCaptureWindowAndStop(t *testing.T) {
 }
 
 func TestCrossGoroutineParenting(t *testing.T) {
-	tr := New(Options{})
+	tr := New()
 	ctx, root := tr.StartSpan(context.Background(), "submit.side")
 	var wg sync.WaitGroup
 	children := make([]*Span, 4)
@@ -164,7 +162,7 @@ func TestCrossGoroutineParenting(t *testing.T) {
 }
 
 func TestRemoteParentViaTraceparent(t *testing.T) {
-	tr := New(Options{})
+	tr := New()
 	_, up := tr.StartSpan(context.Background(), "client.side")
 	header := Traceparent(up)
 	up.End()
@@ -204,7 +202,7 @@ func TestParseTraceparentRejectsGarbage(t *testing.T) {
 }
 
 func TestWriteTree(t *testing.T) {
-	tr := New(Options{})
+	tr := New()
 	ctx, root := tr.StartSpan(context.Background(), "run.root")
 	root.SetAttrInt("ases", 200)
 	_, child := StartSpan(ctx, "run.child")
@@ -232,8 +230,9 @@ func TestWriteTree(t *testing.T) {
 
 func TestConcurrentSpansRace(t *testing.T) {
 	// Exercised under -race: many goroutines start/end spans, attach
-	// events, and snapshot the ring and captures concurrently.
-	tr := New(Options{FlightSize: 64})
+	// events, and snapshot the ring and captures concurrently — enough
+	// spans that the flight ring wraps.
+	tr := New()
 	ctx, root := tr.StartSpan(context.Background(), "race.root")
 	c := tr.NewCapture(1 << 10)
 	var wg sync.WaitGroup
@@ -241,7 +240,7 @@ func TestConcurrentSpansRace(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 200; i++ {
+			for i := 0; i < flightSize/4; i++ {
 				_, s := StartSpan(ctx, "race.child")
 				s.SetAttrInt("g", int64(g))
 				s.AddEvent("tick")
@@ -264,7 +263,7 @@ func TestConcurrentSpansRace(t *testing.T) {
 	<-done
 	c.Stop()
 	root.End()
-	if got := len(c.Spans()); got != 1<<10 && got != 8*200 {
+	if got := len(c.Spans()); got != 1<<10 {
 		t.Fatalf("capture got %d spans", got)
 	}
 }

@@ -33,7 +33,7 @@ func Start(path, rootName string) *Run {
 	if path == "" {
 		return nil
 	}
-	tracer := trace.New(trace.Options{})
+	tracer := trace.New()
 	r := &Run{tracer: tracer, cap: tracer.NewCapture(0), path: path}
 	r.ctx, r.root = tracer.StartSpan(context.Background(), rootName)
 	return r
