@@ -1,7 +1,6 @@
 package cone
 
 import (
-	"cmp"
 	"math/bits"
 	"slices"
 
@@ -128,21 +127,92 @@ func (bs *BitSets) Members(asn uint32) []uint32 {
 // position — the AS Rank ordering, and a total one, so the result does
 // not depend on the sort algorithm. Positions of an interned index are
 // ASN-ordered, so the last tiebreak is ascending ASN.
-func RankPositions[T cmp.Ordered](sizes, transitDegree []T) []int32 {
-	rank := make([]int32, len(sizes))
+//
+// It is a least-significant-key-first radix sort: stable passes from
+// position order, by transit degree and then by size, each on a key
+// whose ascending order is the value's descending one. It allocates the
+// result and one scratch of the same length, nothing else.
+func RankPositions[T int32 | int](sizes, transitDegree []T) []int32 {
+	rank, scratch := make([]int32, len(sizes)), make([]int32, len(sizes))
 	for i := range rank {
 		rank[i] = int32(i)
 	}
-	slices.SortFunc(rank, func(a, b int32) int {
-		if sizes[a] != sizes[b] {
-			return cmp.Compare(sizes[b], sizes[a])
-		}
-		if transitDegree[a] != transitDegree[b] {
-			return cmp.Compare(transitDegree[b], transitDegree[a])
-		}
-		return cmp.Compare(a, b)
-	})
+	rank, scratch = sortDescending(rank, scratch, transitDegree)
+	rank, _ = sortDescending(rank, scratch, sizes)
 	return rank
+}
+
+// InRankOrder reports that rank is what RankPositions returns for sizes
+// and transitDegree, in one walk: every entry a position of [0,
+// len(sizes)) and each pair of neighbours in the AS Rank order. That
+// order is strict, so a list ascending in it pair by pair names no
+// position twice, and len(sizes) such entries name every position.
+func InRankOrder(rank, sizes, transitDegree []int32) bool {
+	if len(rank) != len(sizes) {
+		return false
+	}
+	for i, p := range rank {
+		if p < 0 || int(p) >= len(sizes) {
+			return false
+		}
+		if i == 0 {
+			continue
+		}
+		q := rank[i-1]
+		switch {
+		case sizes[q] != sizes[p]:
+			if sizes[q] < sizes[p] {
+				return false
+			}
+		case transitDegree[q] != transitDegree[p]:
+			if transitDegree[q] < transitDegree[p] {
+				return false
+			}
+		case q >= p:
+			return false
+		}
+	}
+	return true
+}
+
+// descendingKey maps v to an unsigned key that sorts ascending as v
+// sorts descending: the complement of v's order-preserving image (v
+// with its sign bit flipped).
+func descendingKey[T int32 | int](v T) uint64 {
+	return ^(uint64(int64(v)) ^ 1<<63)
+}
+
+// sortDescending stably reorders the positions in src by decreasing
+// key[p], one byte of descendingKey a pass, skipping the bytes every key
+// shares. It returns the sorted positions and the other buffer, the two
+// being src and dst in some order.
+func sortDescending[T int32 | int](src, dst []int32, key []T) (sorted, spare []int32) {
+	if len(src) == 0 {
+		return src, dst
+	}
+	first, differ := descendingKey(key[src[0]]), uint64(0)
+	for _, p := range src {
+		differ |= descendingKey(key[p]) ^ first
+	}
+	for shift := uint(0); shift < 64; shift += 8 {
+		if byte(differ>>shift) == 0 {
+			continue
+		}
+		var at [257]int
+		for _, p := range src {
+			at[int(byte(descendingKey(key[p])>>shift))+1]++
+		}
+		for b := 1; b < len(at); b++ {
+			at[b] += at[b-1]
+		}
+		for _, p := range src {
+			b := byte(descendingKey(key[p]) >> shift)
+			dst[at[b]] = p
+			at[b]++
+		}
+		src, dst = dst, src
+	}
+	return src, dst
 }
 
 // Rank is RankPositions for ASN-keyed sizes — any cone weighting, not

@@ -2,9 +2,13 @@ package cone
 
 import (
 	"bytes"
+	"cmp"
+	"fmt"
+	"math"
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -221,6 +225,121 @@ func TestRank(t *testing.T) {
 		}
 	}
 }
+
+// comparatorRank is RankPositions as a comparison sort over the AS Rank
+// comparator — the implementation the radix sort replaced, kept as its
+// reference.
+func comparatorRank[T cmp.Ordered](sizes, transitDegree []T) []int32 {
+	rank := make([]int32, len(sizes))
+	for i := range rank {
+		rank[i] = int32(i)
+	}
+	slices.SortFunc(rank, func(a, b int32) int {
+		if sizes[a] != sizes[b] {
+			return cmp.Compare(sizes[b], sizes[a])
+		}
+		if transitDegree[a] != transitDegree[b] {
+			return cmp.Compare(transitDegree[b], transitDegree[a])
+		}
+		return cmp.Compare(a, b)
+	})
+	return rank
+}
+
+// TestRankPositionsEqualsComparatorSort holds the radix sort to the
+// comparator sort at both instantiations: no positions, one, every key
+// tied, keys drawn from a few values (ties on size, on size and degree),
+// and keys at the ends of their type — a crafted segment's transit
+// degree can be any int32, and the ASN-keyed Rank passes ints.
+func TestRankPositionsEqualsComparatorSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	extremes32 := []int32{math.MinInt32, math.MinInt32 + 1, -256, -1, 0, 1, 255, 256, 1 << 16, math.MaxInt32 - 1, math.MaxInt32}
+	extremes := []int{math.MinInt64, math.MinInt32 - 1, -1 << 40, -1, 0, 1, math.MaxInt32 + 1, 1 << 40, math.MaxInt64}
+	draw32 := func(n int, from []int32) []int32 {
+		out := make([]int32, n)
+		for i := range out {
+			out[i] = from[rng.Intn(len(from))]
+		}
+		return out
+	}
+	check := func(name string, got, want []int32) {
+		t.Helper()
+		if !slices.Equal(got, want) || got == nil {
+			t.Errorf("%s: RankPositions = %v, the comparator sort gives %v", name, got, want)
+		}
+	}
+	// InRankOrder accepts the sorted positions and refuses them with two
+	// neighbours swapped, the last cut off, or the first named twice.
+	check32 := func(name string, sz, td []int32) {
+		t.Helper()
+		got := RankPositions(sz, td)
+		check(name, got, comparatorRank(sz, td))
+		if !InRankOrder(got, sz, td) {
+			t.Errorf("%s: InRankOrder refuses RankPositions' order", name)
+		}
+		if len(got) < 2 {
+			return
+		}
+		swapped, twice := slices.Clone(got), slices.Clone(got)
+		swapped[0], swapped[1] = swapped[1], swapped[0]
+		twice[1] = twice[0]
+		for what, rank := range map[string][]int32{"swapped": swapped, "cut": got[:len(got)-1], "twice": twice} {
+			if InRankOrder(rank, sz, td) {
+				t.Errorf("%s: InRankOrder accepts the order with %s positions", name, what)
+			}
+		}
+	}
+	for _, n := range []int{0, 1, 2, 7, 300, 5000} {
+		tied := make([]int32, n)
+		for i := range tied {
+			tied[i] = 7
+		}
+		check32(fmt.Sprintf("n=%d all tied", n), tied, tied)
+		for round := 0; round < 4; round++ {
+			few := []int32{0, 1, 2, 3}
+			check32(fmt.Sprintf("n=%d few values", n), draw32(n, few), draw32(n, few))
+			check32(fmt.Sprintf("n=%d int32 extremes", n), draw32(n, extremes32), draw32(n, extremes32))
+			sz, td := make([]int32, n), make([]int32, n)
+			for i := range sz {
+				sz[i], td[i] = int32(rng.Uint32()), int32(rng.Uint32())
+			}
+			check32(fmt.Sprintf("n=%d any int32", n), sz, td)
+			wide, wideTD := make([]int, n), make([]int, n)
+			for i := range wide {
+				wide[i], wideTD[i] = extremes[rng.Intn(len(extremes))], extremes[rng.Intn(len(extremes))]
+			}
+			check(fmt.Sprintf("n=%d int beyond int32", n), RankPositions(wide, wideTD), comparatorRank(wide, wideTD))
+		}
+	}
+}
+
+// rankInput is a 5k-position rank input shaped like a real epoch's: most
+// cones are the AS alone and most ASes transit nothing, a few are large.
+func rankInput(n int) (sizes, transitDegree []int32) {
+	rng := rand.New(rand.NewSource(5))
+	sizes, transitDegree = make([]int32, n), make([]int32, n)
+	for i := range sizes {
+		sizes[i] = 1
+		if rng.Intn(5) == 0 {
+			sizes[i] += int32(rng.ExpFloat64() * 40)
+			transitDegree[i] = int32(rng.Intn(60))
+		}
+	}
+	return sizes, transitDegree
+}
+
+// BenchmarkRankPositions ranks 5 000 positions, what the warehouse does
+// for every epoch it replays and Compose for every epoch it builds.
+func BenchmarkRankPositions(b *testing.B) {
+	sizes, td := rankInput(5000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rankSink = RankPositions(sizes, td)
+	}
+}
+
+var rankSink []int32
 
 func TestRelOrientationAndASes(t *testing.T) {
 	r := hierarchy()

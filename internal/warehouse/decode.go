@@ -302,53 +302,73 @@ func decodePosPairs(payload []byte, n int) ([]posPair, error) {
 	return out, nil
 }
 
-// decodeWordsRLE rebuilds a cone slab in dst, whose length is the word
-// count the already-decoded AS count implies; the stored total must
-// equal it before anything is written. dst must be zero: only literal
-// runs are written, a zero run just moves on. sizes, one entry per row,
-// receives the rows' popcounts, counted from the literal runs as they
-// are written, so the slab is never read back.
-func decodeWordsRLE(payload []byte, dst []uint64, sizes []int32, id byte) error {
+// checkWordsRLE walks a zero-run-length slab column (colConeWords) once
+// for every error it can hold — a total other than want, the word count
+// the already-decoded AS count implies; an unknown run flag; a run that
+// is empty, overruns the total or is cut short — and returns the runs,
+// which decodeWordsRLE may then write without a check.
+func checkWordsRLE(payload []byte, want int, id byte) ([]byte, error) {
 	r := &decodeReader{buf: payload}
 	total, err := r.uvarint()
 	if err != nil {
-		return fmt.Errorf("warehouse: slab column %d count: %w", id, err)
+		return nil, fmt.Errorf("warehouse: slab column %d count: %w", id, err)
 	}
-	if total != uint64(len(dst)) {
-		return fmt.Errorf("warehouse: slab column %d has %d words, want %d", id, total, len(dst))
+	if total != uint64(want) {
+		return nil, fmt.Errorf("warehouse: slab column %d has %d words, want %d", id, total, want)
 	}
-	clear(sizes)
-	wps := uint64((len(sizes) + 63) / 64)
+	runs := r.buf[r.off:]
 	for at := uint64(0); at < total; {
 		flag, err := r.bytes(1)
 		if err != nil {
-			return fmt.Errorf("warehouse: slab column %d run flag: %w", id, err)
+			return nil, fmt.Errorf("warehouse: slab column %d run flag: %w", id, err)
 		}
 		run, err := r.uvarint()
 		if err != nil {
-			return fmt.Errorf("warehouse: slab column %d run length: %w", id, err)
+			return nil, fmt.Errorf("warehouse: slab column %d run length: %w", id, err)
 		}
 		if run == 0 || run > total-at {
-			return fmt.Errorf("warehouse: slab column %d run of %d words overruns total %d at word %d", id, run, total, at)
+			return nil, fmt.Errorf("warehouse: slab column %d run of %d words overruns total %d at word %d", id, run, total, at)
 		}
 		switch flag[0] {
-		case 0: // dst holds the zeros already
+		case 0:
 		case 1:
-			raw, err := r.bytes(int(run) * 8)
-			if err != nil {
-				return fmt.Errorf("warehouse: slab column %d literal run: %w", id, err)
-			}
-			for i := uint64(0); i < run; i++ {
-				w := binary.LittleEndian.Uint64(raw[i*8:])
-				dst[at+i] = w
-				sizes[(at+i)/wps] += int32(bits.OnesCount64(w))
+			if _, err := r.bytes(int(run) * 8); err != nil {
+				return nil, fmt.Errorf("warehouse: slab column %d literal run: %w", id, err)
 			}
 		default:
-			return fmt.Errorf("warehouse: slab column %d: unknown run flag %d", id, flag[0])
+			return nil, fmt.Errorf("warehouse: slab column %d: unknown run flag %d", id, flag[0])
 		}
 		at += run
 	}
-	return nil
+	return runs, nil
+}
+
+// decodeWordsRLE writes the runs checkWordsRLE passed over dst, a slab
+// of the word count it checked. sizes, one entry per row, receives the
+// rows' popcounts, counted from the literal runs as they are written, so
+// the slab is never read back. zeroed says dst holds zeros already, as a
+// slab just made does: a zero run then writes nothing.
+func decodeWordsRLE(runs []byte, dst []uint64, sizes []int32, zeroed bool) {
+	clear(sizes)
+	wps := (len(sizes) + 63) / 64
+	for at, off := 0, 0; at < len(dst); {
+		literal := runs[off] == 1
+		run, k := binary.Uvarint(runs[off+1:])
+		off += 1 + k
+		words := dst[at : at+int(run)]
+		switch {
+		case literal:
+			for i := range words {
+				w := binary.LittleEndian.Uint64(runs[off:])
+				words[i] = w
+				sizes[(at+i)/wps] += int32(bits.OnesCount64(w))
+				off += 8
+			}
+		case !zeroed:
+			clear(words)
+		}
+		at += len(words)
+	}
 }
 
 // checkBitGaps walks a flipped-bit gap list (the dcolConeXor encoding)

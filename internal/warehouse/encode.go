@@ -36,9 +36,9 @@ var segMagic = [8]byte{'A', 'S', 'W', 'H', 0, 'S', 'E', 'G'}
 // unordered — deltas would not pay for themselves). The rank
 // permutation has no column at all: the AS Rank order is a pure
 // function of cone size, transit degree, and ASN, so the replayer
-// recomputes it (rankPos) for each snapshot it hands out instead of
-// storing ~2.5 bytes per AS per epoch. ID 5 is retired and must not be
-// reused.
+// recomputes it (cone.RankPositions) for each snapshot it hands out
+// instead of storing ~2.5 bytes per AS per epoch. ID 5 is retired and
+// must not be reused.
 const (
 	colASNs         = 1  // uvarint count, then ascending uvarint deltas
 	colTransitDeg   = 2  // one svarint per position
@@ -195,13 +195,13 @@ func encodeWordsRLE(out []byte, words []uint64) []byte {
 	return out
 }
 
-// selfOnly reports that row p of a cone slab is exactly {p} — a stub's
-// cone, which is almost every row of a real slab (DESIGN.md §14).
-// sizes holds the rows' popcounts. A popcount of one may be any bit in a
+// selfOnly reports that row, position p's cone row, is exactly {p} — a
+// stub's cone, which is almost every row of a real slab (DESIGN.md §14).
+// size is the row's popcount. A popcount of one may be any bit in a
 // crafted slab, so the self word is compared too: one bit in the row,
 // and that word holding the self bit alone, leaves nothing else set.
-func selfOnly(words []uint64, sizes []int32, wps, p int) bool {
-	return sizes[p] == 1 && words[p*wps+p>>6] == 1<<(uint(p)&63)
+func selfOnly(row []uint64, size int32, p int) bool {
+	return size == 1 && row[p>>6] == 1<<(uint(p)&63)
 }
 
 // encodeConeXor writes the bits in which cur's cone slab differs from
@@ -222,7 +222,7 @@ func encodeConeXor(out []byte, old, cur *Snapshot, m *indexMap) []byte {
 	prev := uint64(0)
 	for np := 0; np < n; np++ {
 		op := int(m.newToOld[np])
-		if op >= 0 && selfOnly(cur.ConeWords, curSizes, wps, np) && selfOnly(old.ConeWords, oldSizes, wpsOld, op) {
+		if op >= 0 && selfOnly(cur.ConeWords[np*wps:], curSizes[np], np) && selfOnly(old.ConeWords[op*wpsOld:], oldSizes[op], op) {
 			continue
 		}
 		row := scratch
@@ -327,6 +327,17 @@ func (m *indexMap) align(oldASNs, newASNs []uint32, hint int) *indexMap {
 // identity reports that the two indexes hold the same AS set, so every
 // position maps to itself.
 func (m *indexMap) identity() bool { return len(m.removed) == 0 && len(m.added) == 0 }
+
+// firstMoved returns the first position that does not map to itself —
+// the same in both indexes, whose positions below it hold the same ASes
+// — or the shorter index's length when every position of it does.
+func (m *indexMap) firstMoved() int {
+	f := 0
+	for f < len(m.newToOld) && m.newToOld[f] == int32(f) {
+		f++
+	}
+	return f
+}
 
 // remapRow projects one old cone row into the new index: surviving
 // members keep their bit at the remapped position, departed members

@@ -178,35 +178,65 @@ func (h *History) ASN(asn uint32) []ASNEpoch {
 // at `from` cancel out, however often they flapped in between. No
 // inference re-runs and no segment reads: the fold walks the in-memory
 // change lists only.
+//
+// Each epoch's list is sorted by (A, B) and names a link at most once,
+// so the fold is a merge: every list merges into a running one, sorted
+// the same way, in which a link keeps the Old of its first change and
+// takes New and Step from its latest. The running list lives in one
+// buffer sized for every change in the range, merged into from the
+// back so no entry is overwritten before it is read.
 func (h *History) Diff(from, to uint32) ([]RelChange, error) {
 	if from >= to || int(to) >= len(h.series) {
 		return nil, fmt.Errorf("warehouse: diff range [%d,%d] invalid for %d epochs", from, to, len(h.series))
 	}
-	type linkKey struct{ a, b uint32 }
-	type fold struct {
-		orig, final RelCode
-		step        string
-	}
-	acc := make(map[linkKey]*fold)
+	total := 0
 	for e := from + 1; e <= to; e++ {
-		for _, c := range h.series[e].changes {
-			k := linkKey{c.A, c.B}
-			f, ok := acc[k]
-			if !ok {
-				f = &fold{orig: c.Old}
-				acc[k] = f
-			}
-			f.final = c.New
-			f.step = c.Step
+		total += len(h.series[e].changes)
+	}
+	acc := make([]RelChange, 0, total)
+	for e := from + 1; e <= to; e++ {
+		acc = mergeChanges(acc, h.series[e].changes)
+	}
+	out := acc[:0]
+	for _, c := range acc {
+		if c.Old != c.New {
+			out = append(out, c)
 		}
 	}
-	out := make([]RelChange, 0, len(acc))
-	for k, f := range acc {
-		if f.orig == f.final {
-			continue
-		}
-		out = append(out, RelChange{A: k.a, B: k.b, Old: f.orig, New: f.final, Step: f.step})
-	}
-	slices.SortFunc(out, byEndpoints)
 	return out, nil
+}
+
+// mergeChanges folds the next epoch's changes cs into acc, both sorted
+// by (A, B), in acc's own array, whose capacity must hold both lists. It
+// writes from the back — the larger link of the two heads goes last — so
+// the write position never passes the unread part of acc; a link in both
+// lists takes one slot, and the gap it leaves at the front is closed by
+// one copy at the end.
+func mergeChanges(acc, cs []RelChange) []RelChange {
+	i, j := len(acc)-1, len(cs)-1
+	buf := acc[:len(acc)+len(cs)]
+	k := len(buf)
+	for j >= 0 {
+		k--
+		order := -1
+		if i >= 0 {
+			order = byEndpoints(acc[i], cs[j])
+		}
+		switch {
+		case order < 0:
+			buf[k] = cs[j]
+			j--
+		case order > 0:
+			buf[k] = acc[i]
+			i--
+		default:
+			buf[k] = RelChange{A: cs[j].A, B: cs[j].B, Old: acc[i].Old, New: cs[j].New, Step: cs[j].Step}
+			i--
+			j--
+		}
+	}
+	// acc[:i+1] is already in place at the front; the merged tail moves
+	// down to meet it.
+	n := copy(buf[i+1:], buf[k:])
+	return buf[:i+1+n]
 }

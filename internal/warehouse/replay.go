@@ -2,6 +2,7 @@ package warehouse
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"slices"
 
 	"github.com/asrank-go/asrank/internal/cone"
@@ -16,17 +17,21 @@ import (
 // lands (History keeps them). The cone slab and its row sizes are the
 // only state written in place: a delta whose AS set is unchanged XORs
 // its flipped bits straight into slab and steps sizes with them, a delta
-// that adds or removes ASes remaps slab and sizes into the spare pair
-// and the pairs swap. Every epoch is applied validate-then-mutate — all
-// columns decoded and cross-checked before the first write to slab or
-// sizes, the spare pair's contents being nobody's state — so an epoch
+// that adds or removes ASes first remaps both in place from the first
+// position it moves (remap), and a full epoch decodes over them. Every
+// epoch is applied validate-then-mutate — all columns decoded and
+// cross-checked before the first write to slab or sizes — so an epoch
 // that fails leaves the replayer exactly at its predecessor.
 type replayer struct {
-	cur                *Snapshot // columns of the working epoch; ConeWords, coneSizes and RankPos stay nil
-	slab, spare        []uint64  // cur's cone slab and the other half of the ping-pong pair
-	sizes, spareSizes  []int32   // cone size by position, kept current from the flipped bits, and its other half
-	m                  indexMap  // scratch: the alignment of the delta being applied
-	promised, capacity int       // AS counts: the manifest's claim for the chain, and what the buffers are made for
+	cur   *Snapshot // columns of the working epoch; ConeWords, coneSizes and RankPos stay nil
+	slab  []uint64  // cur's cone slab
+	sizes []int32   // cone size by position, kept current from the flipped bits
+	// Scratch for remap: the predecessor's rows from the first moved
+	// position on, and their sizes, set aside while the rows below move.
+	aside              []uint64
+	asideSizes         []int32
+	m                  indexMap // scratch: the alignment of the delta being applied
+	promised, capacity int      // AS counts: the manifest's claim for the chain, and what the buffers are made for
 }
 
 // newReplayer notes the largest AS count the chain's manifest entries
@@ -40,25 +45,24 @@ func newReplayer(chain []EpochInfo) *replayer {
 	return r
 }
 
-// zeroSpare readies the spare pair for an n-AS epoch: sizes of n
-// entries, contents unspecified, and a slab of n rows of zeros. A slab
-// just made is zero already and is not cleared again.
-func (r *replayer) zeroSpare(n int) {
-	words := (n + 63) / 64 * n
-	if cap(r.spare) < words {
-		r.spare = make([]uint64, words, max(words, (r.capacity+63)/64*r.capacity))
-	} else {
-		r.spare = r.spare[:words]
-		clear(r.spare)
-	}
-	r.spareSizes = fit(r.spareSizes, n, r.capacity)
-}
+// slabWords is the length of an n-AS cone slab.
+func slabWords(n int) int { return (n + 63) / 64 * n }
 
 // fit reslices buf to n elements, replacing it (with at least hint
-// capacity) when it is too small. The contents are unspecified.
+// capacity) when it is too small. The contents are unspecified; a
+// replacement is zero.
 func fit[T any](buf []T, n, hint int) []T {
 	if cap(buf) < n {
 		return make([]T, n, max(n, hint))
+	}
+	return buf[:n]
+}
+
+// grow is fit keeping buf's contents: a replacement starts with a copy
+// of them. Elements past buf's length are unspecified.
+func grow[T any](buf []T, n, hint int) []T {
+	if cap(buf) < n {
+		return append(make([]T, 0, max(n, hint)), buf...)[:n]
 	}
 	return buf[:n]
 }
@@ -106,26 +110,24 @@ func (r *replayer) full(cols map[byte][]byte) error {
 	if p, err = col(cols, colConeWords); err != nil {
 		return err
 	}
-	// The working buffers are made for the chain's largest epoch, so no
-	// epoch of it reallocates them — as far as the manifest's promise can
-	// be believed: at most twice what this checkpoint holds (fit grows a
-	// buffer on demand should the chain really outgrow that).
-	r.capacity = min(max(r.promised, n), 2*n)
-	// The slab and its sizes decode into the spare pair, so a run that
-	// fails midway has written nothing the working epoch reads.
-	r.zeroSpare(n)
-	if err = decodeWordsRLE(p, r.spare, r.spareSizes, colConeWords); err != nil {
+	words := slabWords(n)
+	runs, err := checkWordsRLE(p, words, colConeWords)
+	if err != nil {
 		return err
 	}
-	r.cur = s
-	r.swap()
-	return nil
-}
 
-// swap makes the spare slab and sizes the working pair.
-func (r *replayer) swap() {
-	r.slab, r.spare = r.spare, r.slab
-	r.sizes, r.spareSizes = r.spareSizes, r.sizes
+	// Nothing below can fail. The working buffers are made for the
+	// chain's largest epoch, so no epoch of it reallocates them — as far
+	// as the manifest's promise can be believed: at most twice what this
+	// checkpoint holds (fit and grow replace a buffer on demand should
+	// the chain really outgrow that).
+	r.capacity = min(max(r.promised, n), 2*n)
+	zeroed := cap(r.slab) < words // a slab made now holds zeros already
+	r.slab = fit(r.slab, words, slabWords(r.capacity))
+	r.sizes = fit(r.sizes, n, r.capacity)
+	decodeWordsRLE(runs, r.slab, r.sizes, zeroed)
+	r.cur = s
+	return nil
 }
 
 // delta advances the working epoch by a delta epoch's columns.
@@ -233,9 +235,7 @@ func (r *replayer) delta(cols map[byte][]byte) error {
 	// Nothing below can fail. Cone slab: project the predecessor's rows
 	// into the new index if the AS set moved, then flip the stored bits.
 	if !m.identity() {
-		r.zeroSpare(n)
-		remapSlab(r.spare, r.spareSizes, r.slab, r.sizes, m)
-		r.swap()
+		r.remap(m)
 	}
 	for idx := uint64(0); len(gaps) > 0; {
 		gap, k := binary.Uvarint(gaps)
@@ -253,25 +253,87 @@ func (r *replayer) delta(cols map[byte][]byte) error {
 	return nil
 }
 
-// remapSlab projects a cone slab and its row sizes into the index m
-// aligns it to. Old sizes are read at old positions while new ones are
-// written at new ones, hence two buffers. dst must be zero: a {self}
-// row — almost every row — is one bit written at the new self position,
-// and only the rest are read and remapped bit by bit.
-func remapSlab(dst []uint64, dstSizes []int32, src []uint64, srcSizes []int32, m *indexMap) {
-	n, nOld := len(dstSizes), len(srcSizes)
+// remap projects the working slab and sizes, in place, into the index m
+// aligns the working epoch's to (DESIGN.md §14). The first position m
+// does not map to itself, f, splits the rows. A row below f keeps its
+// position and every member below f, so only its words from f>>6 on are
+// read and only a member there is remapped. The rows from f on are set
+// aside and rebuilt at their new positions, a {self} row as one bit.
+// When the row width changes, the rows below f move to the new one —
+// walking down when rows widen and up when they narrow, so no row is
+// overwritten before it is read. New ASes carry new, high numbers, so f
+// is usually near the end of the index and most rows are not touched.
+func (r *replayer) remap(m *indexMap) {
+	n, nOld := len(m.newToOld), len(m.oldToNew)
 	wps, wpsOld := (n+63)/64, (nOld+63)/64
-	for np := 0; np < n; np++ {
-		switch op := int(m.newToOld[np]); {
-		case op < 0:
-			dstSizes[np] = 0
-		case selfOnly(src, srcSizes, wpsOld, op):
-			dst[np*wps+np>>6] = 1 << (uint(np) & 63)
-			dstSizes[np] = 1
-		default:
-			dstSizes[np] = int32(remapRow(dst[np*wps:(np+1)*wps], src[op*wpsOld:(op+1)*wpsOld], m.oldToNew))
+	f := m.firstMoved()
+
+	// The scratch is made once per chain where it can be: twice the rows
+	// this delta moves, up to a whole slab, so a later delta that moves
+	// somewhat more reuses it.
+	moved := nOld - f
+	r.aside = fit(r.aside, moved*wpsOld, min(2*moved*wpsOld, slabWords(r.capacity)))
+	copy(r.aside, r.slab[f*wpsOld:nOld*wpsOld])
+	r.asideSizes = fit(r.asideSizes, moved, min(2*moved, r.capacity))
+	copy(r.asideSizes, r.sizes[f:nOld])
+	// Both layouts must fit while the rows below f move between them.
+	r.slab = grow(r.slab, max(n*wps, nOld*wpsOld), slabWords(r.capacity))
+	r.sizes = grow(r.sizes, max(n, nOld), r.capacity)
+
+	lo, under := f>>6, uint64(1)<<(uint(f)&63)-1 // the word holding f, and its bits below f
+	tail := make([]uint64, wpsOld-lo)
+	np, end, step := 0, f, 1
+	if wps > wpsOld {
+		np, end, step = f-1, -1, -1
+	}
+	for ; np != end; np += step {
+		src := r.slab[np*wpsOld : (np+1)*wpsOld]
+		hit := false // a member at f or past it
+		for i, w := range src[lo:] {
+			if i == 0 {
+				w &^= under
+			}
+			if w != 0 {
+				hit = true
+				break
+			}
+		}
+		if !hit && wps == wpsOld {
+			continue
+		}
+		copy(tail, src[lo:])
+		dst := r.slab[np*wps : (np+1)*wps]
+		copy(dst[:lo], src[:lo])
+		clear(dst[lo:])
+		if len(tail) > 0 {
+			if lo < wps {
+				dst[lo] = tail[0] & under
+			}
+			tail[0] &^= under
+			members := 0
+			for _, w := range tail {
+				members += bits.OnesCount64(w)
+			}
+			r.sizes[np] -= int32(members - remapRow(dst, tail, m.oldToNew[lo<<6:]))
 		}
 	}
+
+	clear(r.slab[f*wps : n*wps])
+	for np := f; np < n; np++ {
+		op := int(m.newToOld[np])
+		if op < 0 {
+			r.sizes[np] = 0
+			continue
+		}
+		row, size := r.aside[(op-f)*wpsOld:(op-f+1)*wpsOld], r.asideSizes[op-f]
+		if selfOnly(row, size, op) {
+			r.slab[np*wps+np>>6] = 1 << (uint(np) & 63)
+			r.sizes[np] = 1
+		} else {
+			r.sizes[np] = int32(remapRow(r.slab[np*wps:(np+1)*wps], row, m.oldToNew))
+		}
+	}
+	r.slab, r.sizes = r.slab[:n*wps], r.sizes[:n]
 }
 
 // snapshot hands out a copy of the working epoch: the result owns its

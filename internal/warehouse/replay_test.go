@@ -24,6 +24,18 @@ import (
 // columns exist for, with every replay path (remap, in-place XOR, step
 // translation) taken. Epochs listed in still keep their AS set.
 func synthSeries(n, epochs int, seed int64, still ...int) []*Snapshot {
+	return synthChain(n, epochs, seed, false, still)
+}
+
+// tailSeries is synthSeries whose ASes leave only from among the last
+// n/20 positions, so every epoch moves the AS set at the tail of the
+// index: ASes enter with new, high numbers and the ones that leave are
+// the newest — the shape of store_5k's chain.
+func tailSeries(n, epochs int, seed int64) []*Snapshot {
+	return synthChain(n, epochs, seed, true, nil)
+}
+
+func synthChain(n, epochs int, seed int64, tail bool, still []int) []*Snapshot {
 	type as struct {
 		td, deg int32
 		pref    int64
@@ -66,7 +78,12 @@ func synthSeries(n, epochs int, seed int64, still ...int) []*Snapshot {
 		if e > 0 {
 			if !slices.Contains(still, e) {
 				for i := 0; i < 1+n/200; i++ {
-					gone := asns[30+rng.Intn(len(asns)-30)]
+					var gone uint32
+					if tail {
+						gone = asns[len(asns)-1-rng.Intn(n/20)]
+					} else {
+						gone = asns[30+rng.Intn(len(asns)-30)]
+					}
 					if ases[gone] == nil {
 						continue
 					}
@@ -190,11 +207,13 @@ func TestSynthSeriesRoundTrip(t *testing.T) {
 // replayer, counted in slabs: Snapshot(id) may allocate the columns of
 // the epochs it replays (their segment images and decoded columns) plus
 // one cone slab for an epoch stored full or reached through deltas that
-// keep the AS set — the one it hands over — and two when a delta of the
-// chain moves the AS set. A quarter slab of slack is anything short of
-// one more. (With a copy handed out the three cases allocated 1 218,
-// 3 302 and 2 630 KB; with a slab pair per delta the second was ~30x the
-// first.)
+// keep the AS set — the one it hands over — and two when deltas of the
+// chain move the AS set anywhere, the second being the rows they set
+// aside. Where they move it only at the tail, the set-aside rows of the
+// largest move are allowed instead of the second slab. A quarter slab of
+// slack is anything short of one more. (With a copy handed out the first
+// three cases allocated 1 218, 3 302 and 2 630 KB; with a slab pair per
+// delta the second was ~30x the first.)
 func TestSnapshotChainAllocBound(t *testing.T) {
 	var still []int
 	for e := 1; e < 17; e++ {
@@ -205,10 +224,12 @@ func TestSnapshotChainAllocBound(t *testing.T) {
 		name            string
 		snaps           []*Snapshot
 		every, maxSlabs int
+		movedRows       bool
 	}{
-		{"stored full", churned, 1, 1},
-		{"depth 15", churned, 16, 2},
-		{"depth 15, AS set kept", kept, 16, 1},
+		{"stored full", churned, 1, 1, false},
+		{"depth 15", churned, 16, 2, false},
+		{"depth 15, AS set kept", kept, 16, 1, false},
+		{"depth 15, AS set moved at the tail", tailSeries(2000, 17, 11), 16, 1, true},
 	} {
 		_, st := synthStore(t, tc.snaps, tc.every)
 		const runs = 4
@@ -224,15 +245,21 @@ func TestSnapshotChainAllocBound(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		got := int((after.TotalAlloc - before.TotalAlloc) / runs)
 
-		slab, columns := 8*len(tc.snaps[15].ConeWords), 0
+		slab, columns, moved := 8*len(tc.snaps[15].ConeWords), 0, 0
 		for id := 15 - 15%tc.every; id <= 15; id++ {
 			s := tc.snaps[id]
 			columns += int(st.Epochs()[id].Bytes) + 28*len(s.ASNs) + 12*len(s.Links)
+			if tc.movedRows && id%tc.every > 0 {
+				old := tc.snaps[id-1]
+				rows := len(old.ASNs) - mapIndexes(old.ASNs, s.ASNs).firstMoved()
+				moved = max(moved, rows*(8*old.WordsPerCone()+4))
+			}
 		}
-		budget := tc.maxSlabs*slab + columns + slab/4
-		t.Logf("Snapshot(15), %s: %d KB; %d slab(s) of %d KB + %d KB of columns allow %d KB", tc.name, got/1024, tc.maxSlabs, slab/1024, columns/1024, budget/1024)
+		budget := tc.maxSlabs*slab + columns + moved + slab/4
+		t.Logf("Snapshot(15), %s: %d KB; %d slab(s) of %d KB + %d KB of columns + %d KB of moved rows allow %d KB",
+			tc.name, got/1024, tc.maxSlabs, slab/1024, columns/1024, moved/1024, budget/1024)
 		if got > budget {
-			t.Errorf("Snapshot(15), %s: allocates %d KB, want <= %d KB (%d slab(s) + columns)", tc.name, got/1024, budget/1024, tc.maxSlabs)
+			t.Errorf("Snapshot(15), %s: allocates %d KB, want <= %d KB (%d slab(s) + columns + moved rows)", tc.name, got/1024, budget/1024, tc.maxSlabs)
 		}
 	}
 }
@@ -278,6 +305,39 @@ func TestHandBuiltAppendsLikeComposed(t *testing.T) {
 	}
 	if ha, hb := stores[0].History(), stores[1].History(); ha.ETag() != hb.ETag() || !reflect.DeepEqual(ha.series, hb.series) {
 		t.Error("the two histories hold different columns")
+	}
+}
+
+// TestAppendRanksWhatItIsNotHanded: Open ranks every epoch it replays,
+// so Append may take a snapshot's RankPos only when it is that rank. A
+// series appended with no RankPos, a reversed (stale) one, one cut
+// short or one naming a position twice answers History.ASN for every AS
+// without a panic, and as the reopened store does.
+func TestAppendRanksWhatItIsNotHanded(t *testing.T) {
+	snaps := synthSeries(300, 5, 13)
+	for name, spoil := range map[string]func([]int32) []int32{
+		"nil":       func([]int32) []int32 { return nil },
+		"reversed":  func(r []int32) []int32 { r = slices.Clone(r); slices.Reverse(r); return r },
+		"truncated": func(r []int32) []int32 { return r[:len(r)-1] },
+		"repeated":  func(r []int32) []int32 { r = slices.Clone(r); r[1] = r[0]; return r },
+	} {
+		t.Run(name, func(t *testing.T) {
+			spoilt := make([]*Snapshot, len(snaps))
+			for i, s := range snaps {
+				c := *s
+				c.RankPos = spoil(s.RankPos)
+				spoilt[i] = &c
+			}
+			appended, reopened := synthStore(t, spoilt, 3)
+			for _, s := range snaps {
+				for _, asn := range s.ASNs {
+					got, want := appended.History().ASN(asn), reopened.History().ASN(asn)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("AS%d: appended store answers %+v, reopened %+v", asn, got, want)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -383,6 +443,20 @@ func BenchmarkAppendChain(b *testing.B) {
 		}
 		for _, s := range snaps {
 			if _, err := st.Append(s, "epoch", ""); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkHistoryDiff folds that store's change lists over every range
+// that ends at its last epoch, one to sixteen epochs long.
+func BenchmarkHistoryDiff(b *testing.B) {
+	h := benchChain(b).History()
+	last := uint32(h.Len() - 1)
+	for i := 0; i < b.N; i++ {
+		for from := uint32(0); from < last; from++ {
+			if _, err := h.Diff(from, last); err != nil {
 				b.Fatal(err)
 			}
 		}

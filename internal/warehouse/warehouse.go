@@ -288,7 +288,14 @@ func (st *Store) AppendNote(snap *Snapshot, label, etag string, note json.RawMes
 		return EpochInfo{}, err
 	}
 
-	st.hist = st.hist.extend(info, snap, snap.RankPos, snap.ConeSizes(), relChanges(st.last, snap, diff))
+	// The caller's rank order is taken only once it is checked, as Open
+	// ranks every epoch afresh: History must answer alike before and
+	// after a reopen.
+	sizes, rank := snap.ConeSizes(), snap.RankPos
+	if !cone.InRankOrder(rank, sizes, snap.TransitDegree) {
+		rank = cone.RankPositions(sizes, snap.TransitDegree)
+	}
+	st.hist = st.hist.extend(info, snap, rank, sizes, relChanges(st.last, snap, diff))
 	st.epochs = next
 	st.last = snap
 
