@@ -128,6 +128,7 @@ func TestReadPathAcceptance(t *testing.T) {
 func TestBulkAndCursorPagination(t *testing.T) {
 	res := inferSeed(t, 81, 300)
 	d := Build(res)
+	rank := rankOrder(d)
 	srv, _ := e2eServer(t, d, DefaultShedPolicy())
 
 	// Cursor walk: pages chain through nextCursor and cover the
@@ -135,7 +136,7 @@ func TestBulkAndCursorPagination(t *testing.T) {
 	var walked []uint32
 	cursor := ""
 	for hops := 0; ; hops++ {
-		if hops > len(d.rank) {
+		if hops > len(rank) {
 			t.Fatal("cursor walk does not terminate")
 		}
 		url := srv.URL + "/api/v1/asns?limit=37"
@@ -151,8 +152,8 @@ func TestBulkAndCursorPagination(t *testing.T) {
 		if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
 			t.Fatal(err)
 		}
-		if page.Total != len(d.rank) {
-			t.Fatalf("total = %d, want %d", page.Total, len(d.rank))
+		if page.Total != len(rank) {
+			t.Fatalf("total = %d, want %d", page.Total, len(rank))
 		}
 		for _, s := range page.Data {
 			walked = append(walked, s.ASN)
@@ -162,17 +163,17 @@ func TestBulkAndCursorPagination(t *testing.T) {
 		}
 		cursor = page.NextCursor
 	}
-	if len(walked) != len(d.rank) {
-		t.Fatalf("cursor walk visited %d of %d ASes", len(walked), len(d.rank))
+	if len(walked) != len(rank) {
+		t.Fatalf("cursor walk visited %d of %d ASes", len(walked), len(rank))
 	}
 	for i, asn := range walked {
-		if asn != d.rank[i] {
-			t.Fatalf("cursor walk out of rank order at %d: %d vs %d", i, asn, d.rank[i])
+		if asn != rank[i] {
+			t.Fatalf("cursor walk out of rank order at %d: %d vs %d", i, asn, rank[i])
 		}
 	}
 
 	// Bulk: request order preserved, unknown ids split out, never null.
-	known1, known2 := itoa(d.rank[0]), itoa(d.rank[1])
+	known1, known2 := itoa(rank[0]), itoa(rank[1])
 	resp := fetch(t, srv.URL+"/api/v1/asns?ids="+known1+",4294967294,"+known2, nil)
 	var bulk struct {
 		Data    []asnSummary `json:"data"`
@@ -181,7 +182,7 @@ func TestBulkAndCursorPagination(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&bulk); err != nil {
 		t.Fatal(err)
 	}
-	if len(bulk.Data) != 2 || bulk.Data[0].ASN != d.rank[0] || bulk.Data[1].ASN != d.rank[1] {
+	if len(bulk.Data) != 2 || bulk.Data[0].ASN != rank[0] || bulk.Data[1].ASN != rank[1] {
 		t.Errorf("bulk data = %+v", bulk.Data)
 	}
 	if len(bulk.Missing) != 1 || bulk.Missing[0] != 4294967294 {
@@ -259,7 +260,7 @@ func TestLinksNeverNull(t *testing.T) {
 	d.links[pos] = nil
 	defer func() { d.links[pos] = saved }()
 	srv, _ := e2eServer(t, d, DefaultShedPolicy())
-	resp := fetch(t, srv.URL+"/api/v1/asns/"+itoa(d.rank[0])+"/links", nil)
+	resp := fetch(t, srv.URL+"/api/v1/asns/"+itoa(d.idx.ASN(pos))+"/links", nil)
 	raw, _ := io.ReadAll(resp.Body)
 	if got := strings.TrimSpace(string(raw)); got != "[]" {
 		t.Errorf("empty links = %q, want []", got)

@@ -30,9 +30,7 @@ type Data struct {
 	idx  *asindex.Index
 	bits *cone.BitSets
 
-	rank    []uint32 // rank order (best first)
-	rankPos []int32  // rank index → interned position
-	rankOf  map[uint32]int
+	rankPos []int32 // rank index → interned position (AS Rank order, best first)
 
 	summaries   []asnSummary // by interned position
 	summaryJSON [][]byte     // by interned position, compact, newline-free
@@ -73,13 +71,10 @@ func BuildSnapshot(snap *warehouse.Snapshot) *Data {
 	bits := cone.FromSlab(idx, snap.ConeWords)
 	n := idx.Len()
 
-	rank := make([]uint32, len(snap.RankPos))
-	rankPos := append([]int32(nil), snap.RankPos...)
-	rankOf := make(map[uint32]int, len(rank))
-	for i, p := range snap.RankPos {
-		asn := snap.ASNs[p]
-		rank[i] = asn
-		rankOf[asn] = i + 1
+	rankPos := snap.Rank()
+	rankOf := make([]int, n) // interned position → 1-based rank
+	for r, p := range rankPos {
+		rankOf[p] = r + 1
 	}
 
 	// Neighbor lists from the sorted link column: each link feeds both
@@ -131,7 +126,7 @@ func BuildSnapshot(snap *warehouse.Snapshot) *Data {
 		asn := snap.ASNs[i]
 		summaries[i] = asnSummary{
 			ASN:           asn,
-			Rank:          rankOf[asn],
+			Rank:          rankOf[i],
 			ConeASes:      int(coneASes[i]),
 			ConePrefixes:  int(snap.ConePrefixes[i]),
 			TransitDegree: int(snap.TransitDegree[i]),
@@ -160,9 +155,7 @@ func BuildSnapshot(snap *warehouse.Snapshot) *Data {
 	d := &Data{
 		idx:         idx,
 		bits:        bits,
-		rank:        rank,
 		rankPos:     rankPos,
-		rankOf:      rankOf,
 		summaries:   summaries,
 		summaryJSON: summaryJSON,
 		links:       links,
@@ -201,7 +194,7 @@ func (d *Data) computeETag() string {
 func (d *Data) serializeHot() {
 	d.healthJSON = mustJSON(map[string]any{
 		"status": "ok",
-		"ases":   len(d.rank),
+		"ases":   len(d.rankPos),
 		"links":  d.numRels,
 		"paths":  d.pathCount,
 		"clique": d.clique,
@@ -240,21 +233,21 @@ type listPage struct {
 // offset is clamped to the ranking; the cursor in the response is the
 // next offset, omitted on the last page.
 func (d *Data) page(offset, limit int) listPage {
-	if offset > len(d.rank) {
-		offset = len(d.rank)
+	if offset > len(d.rankPos) {
+		offset = len(d.rankPos)
 	}
 	end := offset + limit
-	if end > len(d.rank) {
-		end = len(d.rank)
+	if end > len(d.rankPos) {
+		end = len(d.rankPos)
 	}
 	out := listPage{
-		Total: len(d.rank),
+		Total: len(d.rankPos),
 		Data:  make([]json.RawMessage, 0, end-offset),
 	}
 	for _, p := range d.rankPos[offset:end] {
 		out.Data = append(out.Data, json.RawMessage(d.summaryJSON[p]))
 	}
-	if end < len(d.rank) {
+	if end < len(d.rankPos) {
 		out.NextCursor = strconv.Itoa(end)
 	}
 	return out

@@ -3,6 +3,8 @@ package apiserver
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"slices"
 	"testing"
 
 	"github.com/asrank-go/asrank/internal/bgpsim"
@@ -10,6 +12,7 @@ import (
 	"github.com/asrank-go/asrank/internal/core"
 	"github.com/asrank-go/asrank/internal/paths"
 	"github.com/asrank-go/asrank/internal/topology"
+	"github.com/asrank-go/asrank/internal/warehouse"
 )
 
 // inferSeed runs the pipeline on a small simulated topology.
@@ -28,6 +31,15 @@ func inferSeed(t testing.TB, seed int64, ases int) *core.Result {
 	return core.Infer(clean, core.Options{})
 }
 
+// rankOrder lists d's ASes in the order it serves /asns.
+func rankOrder(d *Data) []uint32 {
+	out := make([]uint32, len(d.rankPos))
+	for i, p := range d.rankPos {
+		out[i] = d.idx.ASN(p)
+	}
+	return out
+}
+
 // TestSnapshotMatchesNaiveComputation pins the precomputed summaries
 // against the quantities computed the slow way the old per-request
 // code did: cone-prefix sums by walking the cone map, neighbor counts
@@ -41,7 +53,7 @@ func TestSnapshotMatchesNaiveComputation(t *testing.T) {
 	prefixes := cone.PrefixCounts(res.Dataset)
 
 	checked := 0
-	for _, asn := range d.rank {
+	for _, asn := range rankOrder(d) {
 		sum, ok := d.Summary(asn)
 		if !ok {
 			t.Fatalf("AS%d ranked but has no summary", asn)
@@ -115,6 +127,55 @@ func TestETagStableAndSnapshotSensitive(t *testing.T) {
 	other := Build(inferSeed(t, 82, 310))
 	if other.ETag() == a.ETag() {
 		t.Errorf("different snapshots share ETag %s", a.ETag())
+	}
+}
+
+// TestHandBuiltServesLikeComposed: a snapshot assembled by hand from its
+// stored columns — ASNs, degrees, cone prefixes, slab, links, scalars,
+// nothing derived — serves the same /api/v1/asns order, bytes and ETag
+// as its Compose twin: the rank is computed where it is read.
+func TestHandBuiltServesLikeComposed(t *testing.T) {
+	composed := warehouse.FromResult(inferSeed(t, 81, 300))
+	hand := &warehouse.Snapshot{
+		ASNs:          slices.Clone(composed.ASNs),
+		TransitDegree: slices.Clone(composed.TransitDegree),
+		Degree:        slices.Clone(composed.Degree),
+		ConePrefixes:  slices.Clone(composed.ConePrefixes),
+		Clique:        slices.Clone(composed.Clique),
+		PathCount:     composed.PathCount,
+		NumRels:       composed.NumRels,
+		StepNames:     slices.Clone(composed.StepNames),
+		Links:         slices.Clone(composed.Links),
+		ConeWords:     slices.Clone(composed.ConeWords),
+	}
+	var bodies [2][]byte
+	var etags [2]string
+	for i, snap := range []*warehouse.Snapshot{composed, hand} {
+		d := BuildSnapshot(snap)
+		etags[i] = d.ETag()
+		srv, _ := e2eServer(t, d, DefaultShedPolicy())
+		resp := fetch(t, srv.URL+"/api/v1/asns?limit=1000", nil)
+		bodies[i], _ = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if got := resp.Header.Get("ETag"); got != d.ETag() {
+			t.Errorf("snapshot %d served ETag %s, built %s", i, got, d.ETag())
+		}
+		var page struct {
+			Total int          `json:"total"`
+			Data  []asnSummary `json:"data"`
+		}
+		if err := json.Unmarshal(bodies[i], &page); err != nil {
+			t.Fatal(err)
+		}
+		if page.Total != len(snap.ASNs) || len(page.Data) != len(snap.ASNs) || page.Data[0].Rank != 1 {
+			t.Fatalf("snapshot %d lists %d of %d ASes (total %d)", i, len(page.Data), len(snap.ASNs), page.Total)
+		}
+	}
+	if etags[0] != etags[1] {
+		t.Errorf("hand-built snapshot builds ETag %s, its Compose twin %s", etags[1], etags[0])
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Error("hand-built snapshot lists /api/v1/asns differently from its Compose twin")
 	}
 }
 

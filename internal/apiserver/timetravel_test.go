@@ -84,7 +84,7 @@ func TestHistoryEndpoint(t *testing.T) {
 	if !ok {
 		t.Fatal("store is empty")
 	}
-	asn := snap.ASNs[snap.RankPos[0]]
+	asn := snap.ASNs[snap.Rank()[0]]
 
 	var page struct {
 		ASN    uint32               `json:"asn"`

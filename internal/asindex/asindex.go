@@ -47,15 +47,6 @@ func FromSorted(asns []uint32) *Index {
 	return ix
 }
 
-// FromSet builds an index over the keys of set.
-func FromSet(set map[uint32]bool) *Index {
-	asns := make([]uint32, 0, len(set))
-	for a := range set {
-		asns = append(asns, a)
-	}
-	return New(asns)
-}
-
 // Len returns the number of interned ASNs.
 func (ix *Index) Len() int { return len(ix.asns) }
 

@@ -27,13 +27,6 @@ func TestIndexInterning(t *testing.T) {
 	}
 }
 
-func TestFromSet(t *testing.T) {
-	ix := FromSet(map[uint32]bool{7: true, 3: true, 5: true})
-	if !reflect.DeepEqual(ix.ASNs(), []uint32{3, 5, 7}) {
-		t.Errorf("ASNs = %v", ix.ASNs())
-	}
-}
-
 func TestBitsetBasics(t *testing.T) {
 	b := NewBitset(130)
 	for _, i := range []int32{0, 63, 64, 129} {

@@ -74,22 +74,6 @@ func IsReserved(a uint32) bool {
 	return IsPrivate(a) || IsDocumentation(a)
 }
 
-// IsPublic reports whether a is a plausibly assignable public ASN.
-func IsPublic(a uint32) bool { return !IsReserved(a) }
-
-// Is4Byte reports whether a requires 4-byte ASN support on the wire.
-func Is4Byte(a uint32) bool { return a > Last16 }
-
-// FormatASDot renders a in asdot notation (RFC 5396): 4-byte ASNs are
-// written high.low, 2-byte ASNs as plain decimal.
-func FormatASDot(a uint32) string {
-	if a <= Last16 {
-		return strconv.FormatUint(uint64(a), 10)
-	}
-	return strconv.FormatUint(uint64(a>>16), 10) + "." +
-		strconv.FormatUint(uint64(a&0xffff), 10)
-}
-
 // Parse parses an AS number in either asplain ("65550") or asdot ("1.14")
 // notation, with an optional "AS" prefix in any case ("AS174", "as1.14").
 func Parse(s string) (uint32, error) {

@@ -1,6 +1,7 @@
 package asn
 
 import (
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -36,9 +37,6 @@ func TestIsReserved(t *testing.T) {
 		if got := IsReserved(tt.a); got != tt.want {
 			t.Errorf("IsReserved(%d) = %v, want %v", tt.a, got, tt.want)
 		}
-		if got := IsPublic(tt.a); got != !tt.want {
-			t.Errorf("IsPublic(%d) = %v, want %v", tt.a, got, !tt.want)
-		}
 	}
 }
 
@@ -63,34 +61,6 @@ func TestIsDocumentation(t *testing.T) {
 	}
 	if IsDocumentation(1) || IsDocumentation(Private16First) {
 		t.Error("IsDocumentation misclassified a non-documentation ASN")
-	}
-}
-
-func TestIs4Byte(t *testing.T) {
-	if Is4Byte(65535) {
-		t.Error("Is4Byte(65535) = true, want false")
-	}
-	if !Is4Byte(65536) {
-		t.Error("Is4Byte(65536) = false, want true")
-	}
-}
-
-func TestFormatASDot(t *testing.T) {
-	tests := []struct {
-		a    uint32
-		want string
-	}{
-		{0, "0"},
-		{174, "174"},
-		{65535, "65535"},
-		{65536, "1.0"},
-		{65550, "1.14"},
-		{4294967295, "65535.65535"},
-	}
-	for _, tt := range tests {
-		if got := FormatASDot(tt.a); got != tt.want {
-			t.Errorf("FormatASDot(%d) = %q, want %q", tt.a, got, tt.want)
-		}
 	}
 }
 
@@ -129,10 +99,34 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// TestParseASDot: the asdot spellings (RFC 5396) of 2-byte and 4-byte ASNs
+// parse to the ASN they name.
+func TestParseASDot(t *testing.T) {
+	tests := []struct {
+		in   string
+		want uint32
+	}{
+		{"0", 0},
+		{"174", 174},
+		{"65535", 65535},
+		{"1.0", 65536},
+		{"1.14", 65550},
+		{"65535.65535", 4294967295},
+	}
+	for _, tt := range tests {
+		if got, err := Parse(tt.in); err != nil || got != tt.want {
+			t.Errorf("Parse(%q) = %d, %v; want %d", tt.in, got, err, tt.want)
+		}
+	}
+}
+
+// TestParseFormatRoundTrip: Parse reads back any ASN written in asplain
+// or in asdot (RFC 5396: high.low).
 func TestParseFormatRoundTrip(t *testing.T) {
 	f := func(a uint32) bool {
-		got, err := Parse(FormatASDot(a))
-		return err == nil && got == a
+		plain, err1 := Parse(strconv.FormatUint(uint64(a), 10))
+		dot, err2 := Parse(strconv.Itoa(int(a>>16)) + "." + strconv.Itoa(int(a&0xffff)))
+		return err1 == nil && err2 == nil && plain == a && dot == a
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // Message types (RFC 4271 §4.1).
@@ -72,23 +71,6 @@ func (c Community) Value() uint16 { return uint16(c) }
 // String renders the community in canonical asn:value form.
 func (c Community) String() string {
 	return strconv.Itoa(int(c.ASN())) + ":" + strconv.Itoa(int(c.Value()))
-}
-
-// ParseCommunity parses the canonical asn:value form.
-func ParseCommunity(s string) (Community, error) {
-	a, v, ok := strings.Cut(s, ":")
-	if !ok {
-		return 0, fmt.Errorf("bgp: community %q: missing colon", s)
-	}
-	asn, err := strconv.ParseUint(a, 10, 16)
-	if err != nil {
-		return 0, fmt.Errorf("bgp: community %q: %w", s, err)
-	}
-	val, err := strconv.ParseUint(v, 10, 16)
-	if err != nil {
-		return 0, fmt.Errorf("bgp: community %q: %w", s, err)
-	}
-	return NewCommunity(uint16(asn), uint16(val)), nil
 }
 
 // Well-known communities (RFC 1997 §2).

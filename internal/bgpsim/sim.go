@@ -246,16 +246,6 @@ func (s *Sim) Path(routes []Route, src uint32) []uint32 {
 	return path
 }
 
-// RouteTypeAt reports how src learned its route (own, customer, peer,
-// provider) in a routes slice, for partial-feed modeling.
-func (s *Sim) RouteTypeAt(routes []Route, src uint32) routeType {
-	x, ok := s.idx[src]
-	if !ok {
-		return rtNone
-	}
-	return routes[x].Type
-}
-
 // SelectVPs picks vantage-point ASes the way real collector deployments
 // skew: mostly transit networks of varying size, a few tier-1s, a few
 // stubs. The choice is deterministic in the seed.

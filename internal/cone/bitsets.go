@@ -142,39 +142,6 @@ func RankPositions[T int32 | int](sizes, transitDegree []T) []int32 {
 	return rank
 }
 
-// InRankOrder reports that rank is what RankPositions returns for sizes
-// and transitDegree, in one walk: every entry a position of [0,
-// len(sizes)) and each pair of neighbours in the AS Rank order. That
-// order is strict, so a list ascending in it pair by pair names no
-// position twice, and len(sizes) such entries name every position.
-func InRankOrder(rank, sizes, transitDegree []int32) bool {
-	if len(rank) != len(sizes) {
-		return false
-	}
-	for i, p := range rank {
-		if p < 0 || int(p) >= len(sizes) {
-			return false
-		}
-		if i == 0 {
-			continue
-		}
-		q := rank[i-1]
-		switch {
-		case sizes[q] != sizes[p]:
-			if sizes[q] < sizes[p] {
-				return false
-			}
-		case transitDegree[q] != transitDegree[p]:
-			if transitDegree[q] < transitDegree[p] {
-				return false
-			}
-		case q >= p:
-			return false
-		}
-	}
-	return true
-}
-
 // descendingKey maps v to an unsigned key that sorts ascending as v
 // sorts descending: the complement of v's order-preserving image (v
 // with its sign bit flipped).

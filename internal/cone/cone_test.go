@@ -268,26 +268,9 @@ func TestRankPositionsEqualsComparatorSort(t *testing.T) {
 			t.Errorf("%s: RankPositions = %v, the comparator sort gives %v", name, got, want)
 		}
 	}
-	// InRankOrder accepts the sorted positions and refuses them with two
-	// neighbours swapped, the last cut off, or the first named twice.
 	check32 := func(name string, sz, td []int32) {
 		t.Helper()
-		got := RankPositions(sz, td)
-		check(name, got, comparatorRank(sz, td))
-		if !InRankOrder(got, sz, td) {
-			t.Errorf("%s: InRankOrder refuses RankPositions' order", name)
-		}
-		if len(got) < 2 {
-			return
-		}
-		swapped, twice := slices.Clone(got), slices.Clone(got)
-		swapped[0], swapped[1] = swapped[1], swapped[0]
-		twice[1] = twice[0]
-		for what, rank := range map[string][]int32{"swapped": swapped, "cut": got[:len(got)-1], "twice": twice} {
-			if InRankOrder(rank, sz, td) {
-				t.Errorf("%s: InRankOrder accepts the order with %s positions", name, what)
-			}
-		}
+		check(name, RankPositions(sz, td), comparatorRank(sz, td))
 	}
 	for _, n := range []int{0, 1, 2, 7, 300, 5000} {
 		tied := make([]int32, n)

@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/asrank-go/asrank/internal/bgpsim"
 	"github.com/asrank-go/asrank/internal/cone"
@@ -79,37 +79,37 @@ func R07ConeDefinitions(l *Lab) *Report {
 	}
 }
 
-// snapshotCones derives per-snapshot PP-cone sizes and transit degrees
-// from the epoch series (warehouse-backed when configured); shared by
-// R8/R9. The slab's row sizes are the same PP-observed definition the
-// per-snapshot inference produced.
-func snapshotCones(l *Lab) ([]map[uint32]int, []map[uint32]int) {
+// snapshotCones reads each epoch snapshot (warehouse-backed when
+// configured) for R8/R9: its PP-cone sizes by ASN — the slab's row
+// sizes are the PP-observed definition the per-snapshot inference
+// produced — and its ASes in AS Rank order, the order the API serves.
+func snapshotCones(l *Lab) (ppSizes []map[uint32]int, orders [][]uint32) {
 	snaps := l.EpochSnapshots()
-	ppSizes := make([]map[uint32]int, len(snaps))
-	tds := make([]map[uint32]int, len(snaps))
+	ppSizes = make([]map[uint32]int, len(snaps))
+	orders = make([][]uint32, len(snaps))
 	for i, snap := range snaps {
 		pp := make(map[uint32]int, snap.NumASes())
-		td := make(map[uint32]int, snap.NumASes())
 		sizes := snap.ConeSizes()
 		for p, asn := range snap.ASNs {
 			pp[asn] = int(sizes[p])
-			td[asn] = int(snap.TransitDegree[p])
 		}
-		ppSizes[i] = pp
-		tds[i] = td
+		order := make([]uint32, snap.NumASes())
+		for r, p := range snap.Rank() {
+			order[r] = snap.ASNs[p]
+		}
+		ppSizes[i], orders[i] = pp, order
 	}
-	return ppSizes, tds
+	return ppSizes, orders
 }
 
 // R08ConeEvolution reproduces the cone-size-over-time figure for the
 // largest ASes.
 func R08ConeEvolution(l *Lab) *Report {
-	ppSizes, tds := snapshotCones(l)
+	ppSizes, orders := snapshotCones(l)
 	series := l.Series()
 	labels := l.SeriesLabels()
-	last := len(series) - 1
 
-	order := cone.Rank(ppSizes[last], tds[last])
+	order := orders[len(orders)-1]
 	top := 5
 	if top > len(order) {
 		top = len(order)
@@ -141,7 +141,7 @@ func R08ConeEvolution(l *Lab) *Report {
 // R09RankStability reproduces the rank-stability analysis: Kendall tau
 // between consecutive snapshots and top-10 trajectories.
 func R09RankStability(l *Lab) *Report {
-	ppSizes, tds := snapshotCones(l)
+	ppSizes, orders := snapshotCones(l)
 	series := l.Series()
 	labels := l.SeriesLabels()
 
@@ -158,8 +158,7 @@ func R09RankStability(l *Lab) *Report {
 		taus = append(taus, stats.KendallTau(xs, ys))
 	}
 
-	last := len(series) - 1
-	order := cone.Rank(ppSizes[last], tds[last])
+	order := orders[len(orders)-1]
 	top := 10
 	if top > len(order) {
 		top = len(order)
@@ -169,17 +168,9 @@ func R09RankStability(l *Lab) *Report {
 		asn := order[i]
 		row := make([]any, 0, len(series)+1)
 		row = append(row, asn)
-		for s := range series {
-			ids := make([]uint32, 0, len(ppSizes[s]))
-			score := make(map[uint32]float64, len(ppSizes[s]))
-			for a, sz := range ppSizes[s] {
-				ids = append(ids, a)
-				score[a] = float64(sz)
-			}
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-			ranks := stats.RankOf(ids, score)
-			if r, ok := ranks[asn]; ok {
-				row = append(row, r)
+		for _, o := range orders {
+			if r := slices.Index(o, asn); r >= 0 {
+				row = append(row, r+1)
 			} else {
 				row = append(row, "-")
 			}

@@ -127,23 +127,3 @@ func mergeCount(y, buf []float64) int64 {
 	}
 	return inv
 }
-
-// RankOf returns, for each element of ids, its 1-based position in the
-// ranking defined by score (highest score = rank 1, ties broken by lower
-// id). It is used for rank-trajectory experiments.
-func RankOf(ids []uint32, score map[uint32]float64) map[uint32]int {
-	order := make([]uint32, len(ids))
-	copy(order, ids)
-	sort.Slice(order, func(i, j int) bool {
-		si, sj := score[order[i]], score[order[j]]
-		if si != sj {
-			return si > sj
-		}
-		return order[i] < order[j]
-	})
-	ranks := make(map[uint32]int, len(order))
-	for i, id := range order {
-		ranks[id] = i + 1
-	}
-	return ranks
-}

@@ -10,7 +10,6 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // RNG is a deterministic random source with the sampling helpers the
@@ -140,25 +139,4 @@ func (r *RNG) SampleInts(n, k int) []int {
 	}
 	r.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
 	return out
-}
-
-// Choice returns one element of xs drawn with probability proportional to
-// weight(x). It panics if xs is empty.
-func Choice[T any](r *RNG, xs []T, weight func(T) float64) T {
-	ws := make([]float64, len(xs))
-	for i, x := range xs {
-		ws[i] = weight(x)
-	}
-	return xs[r.WeightedIndex(ws)]
-}
-
-// SortedKeys returns the keys of m in ascending order; used wherever map
-// iteration order must not leak into generated output.
-func SortedKeys[V any](m map[uint32]V) []uint32 {
-	ks := make([]uint32, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	return ks
 }

@@ -71,31 +71,6 @@ func Quantile(sorted []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// CDFPoint is one point of an empirical CDF.
-type CDFPoint struct {
-	X float64 // value
-	P float64 // P(sample <= X)
-}
-
-// CDF returns the empirical CDF of xs, one point per distinct value.
-func CDF(xs []float64) []CDFPoint {
-	if len(xs) == 0 {
-		return nil
-	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	var out []CDFPoint
-	n := float64(len(s))
-	for i := 0; i < len(s); i++ {
-		if i+1 < len(s) && s[i+1] == s[i] {
-			continue
-		}
-		out = append(out, CDFPoint{X: s[i], P: float64(i+1) / n})
-	}
-	return out
-}
-
 // PearsonLogLog returns the Pearson correlation of log(x) vs log(y),
 // skipping pairs where either value is <= 0. It is the correlation used
 // for degree-vs-cone comparisons, where both quantities are heavy-tailed.

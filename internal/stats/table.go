@@ -42,9 +42,6 @@ func formatFloat(v float64) string {
 	return fmt.Sprintf("%.3f", v)
 }
 
-// NumRows returns the number of data rows added so far.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // String renders the table with aligned columns.
 func (t *Table) String() string {
 	cols := len(t.headers)

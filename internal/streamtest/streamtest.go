@@ -43,7 +43,7 @@ func EquivCheck(inc, batch *warehouse.Snapshot) error {
 		{"TransitDegree", inc.TransitDegree, batch.TransitDegree},
 		{"Degree", inc.Degree, batch.Degree},
 		{"ConePrefixes", inc.ConePrefixes, batch.ConePrefixes},
-		{"RankPos", inc.RankPos, batch.RankPos},
+		{"Rank", inc.Rank(), batch.Rank()},
 		{"Clique", inc.Clique, batch.Clique},
 		{"PathCount", inc.PathCount, batch.PathCount},
 		{"NumRels", inc.NumRels, batch.NumRels},

@@ -143,7 +143,7 @@ func TestFailedDeltaLeavesPredecessor(t *testing.T) {
 // snapshots handed to Append, a reopened store's from the replayer's
 // working epoch. Over a series whose ASes enter and leave, the two must
 // answer every query alike, every decoded epoch must equal the appended
-// one down to RankPos, and no two results may share a slab.
+// one down to its size column, and no two results may share a slab.
 func TestReopenedEqualsAppended(t *testing.T) {
 	snaps, etags := churnedSeries(t, []int{0, 3, 1, 5, 2, 6, 4}, 300)
 	dir := t.TempDir()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
+	"math"
 	"math/bits"
 	"slices"
 )
@@ -179,28 +180,22 @@ func decodeAscendingU32(payload []byte, id byte) ([]uint32, error) {
 	return out, nil
 }
 
-func decodeI32Column(payload []byte, n int, id byte) ([]int32, error) {
+// decodeCounts reads a column of n counts — degrees, cone-prefix totals
+// — refusing a negative value or one the column's type cannot hold
+// rather than narrowing it.
+func decodeCounts[T int32 | int64](payload []byte, n int, id byte) ([]T, error) {
 	r := &decodeReader{buf: payload}
-	out := make([]int32, n)
-	for i := 0; i < n; i++ {
+	out := make([]T, n)
+	for i := range out {
+		at := r.off
 		v, err := r.varint()
 		if err != nil {
 			return nil, fmt.Errorf("warehouse: column %d entry %d: %w", id, i, err)
 		}
-		out[i] = int32(v)
-	}
-	return out, nil
-}
-
-func decodeI64Column(payload []byte, n int, id byte) ([]int64, error) {
-	r := &decodeReader{buf: payload}
-	out := make([]int64, n)
-	for i := 0; i < n; i++ {
-		v, err := r.varint()
-		if err != nil {
-			return nil, fmt.Errorf("warehouse: column %d entry %d: %w", id, i, err)
+		if v < 0 || int64(T(v)) != v {
+			return nil, fmt.Errorf("warehouse: column %d entry %d at offset %d: count %d out of range", id, i, at, v)
 		}
-		out[i] = v
+		out[i] = T(v)
 	}
 	return out, nil
 }
@@ -243,6 +238,7 @@ func decodeLinks(payload []byte, n, steps int, id byte) ([]LinkRec, error) {
 		return nil, fmt.Errorf("warehouse: link column %d count: %w", id, err)
 	}
 	out := make([]LinkRec, 0, cnt)
+	steps = min(steps, math.MaxUint8+1) // no more fit LinkRec.Step
 	prevA := int32(0)
 	for i := uint64(0); i < cnt; i++ {
 		dA, err := r.uvarint()
@@ -266,7 +262,7 @@ func decodeLinks(payload []byte, n, steps int, id byte) ([]LinkRec, error) {
 		if rel == 0 || rel > RelPeer {
 			return nil, fmt.Errorf("warehouse: link column %d entry %d: invalid relationship code %d", id, i, rel)
 		}
-		if int(step) >= steps {
+		if step >= uint64(steps) {
 			return nil, fmt.Errorf("warehouse: link column %d entry %d: step %d out of range [0,%d)", id, i, step, steps)
 		}
 		out = append(out, LinkRec{A: a, B: int32(b), Rel: rel, Step: uint8(step)})
@@ -403,44 +399,58 @@ func checkBitGaps(payload []byte, want int, id byte) ([]byte, error) {
 	return gaps, nil
 }
 
-func decodeSparse(payload []byte, n int, id byte) ([]sparseEntry, error) {
+// applySparse adds a sparse column delta to vals, the successor's
+// column as carried over from its predecessor, refusing an entry whose
+// result would be negative or not fit the column's type. vals is the
+// new epoch's own column, so an error leaves nothing the replayer keeps.
+func applySparse[T int32 | int64](payload []byte, vals []T, id byte) error {
 	r := &decodeReader{buf: payload}
 	cnt, err := r.count()
 	if err != nil {
-		return nil, fmt.Errorf("warehouse: sparse column %d count: %w", id, err)
+		return fmt.Errorf("warehouse: sparse column %d count: %w", id, err)
 	}
-	out := make([]sparseEntry, 0, cnt)
 	prev := int32(0)
 	for i := uint64(0); i < cnt; i++ {
+		at := r.off
 		dPos, err := r.uvarint()
 		if err != nil {
-			return nil, fmt.Errorf("warehouse: sparse column %d entry %d: %w", id, i, err)
+			return fmt.Errorf("warehouse: sparse column %d entry %d: %w", id, i, err)
 		}
 		diff, err := r.varint()
 		if err != nil {
-			return nil, fmt.Errorf("warehouse: sparse column %d entry %d: %w", id, i, err)
+			return fmt.Errorf("warehouse: sparse column %d entry %d: %w", id, i, err)
 		}
-		pos, ok := nextPos(prev, dPos, n)
+		pos, ok := nextPos(prev, dPos, len(vals))
 		if !ok {
-			return nil, fmt.Errorf("warehouse: sparse column %d entry %d: position %d+%d out of range [0,%d)", id, i, prev, dPos, n)
+			return fmt.Errorf("warehouse: sparse column %d entry %d: position %d+%d out of range [0,%d)", id, i, prev, dPos, len(vals))
 		}
-		out = append(out, sparseEntry{pos: pos, diff: diff})
+		// The carried value is a count, never negative, so the sum can
+		// only overflow upward.
+		old := int64(vals[pos])
+		if diff > math.MaxInt64-old || old+diff < 0 || int64(T(old+diff)) != old+diff {
+			return fmt.Errorf("warehouse: sparse column %d entry %d at offset %d: %d%+d out of range", id, i, at, old, diff)
+		}
+		vals[pos] = T(old + diff)
 		prev = pos
 	}
-	return out, nil
+	return nil
 }
 
 func decodeScalars(payload []byte) (pathCount, numRels int64, err error) {
 	r := &decodeReader{buf: payload}
-	pc, err := r.uvarint()
-	if err != nil {
-		return 0, 0, fmt.Errorf("warehouse: scalar column path count: %w", err)
+	var counts [2]int64
+	for i, name := range []string{"path count", "rel count"} {
+		at := r.off
+		v, err := r.uvarint()
+		if err != nil {
+			return 0, 0, fmt.Errorf("warehouse: scalar column %s: %w", name, err)
+		}
+		if v > math.MaxInt64 {
+			return 0, 0, fmt.Errorf("warehouse: scalar column %s at offset %d: %d out of range", name, at, v)
+		}
+		counts[i] = int64(v)
 	}
-	nr, err := r.uvarint()
-	if err != nil {
-		return 0, 0, fmt.Errorf("warehouse: scalar column rel count: %w", err)
-	}
-	return int64(pc), int64(nr), nil
+	return counts[0], counts[1], nil
 }
 
 // decodeShared parses the columns full and delta epochs encode

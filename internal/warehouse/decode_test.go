@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -162,6 +163,88 @@ func TestCorruptLengthsAreErrors(t *testing.T) {
 	}
 }
 
+// outOfRange lists well-framed segments (CRCs and trailer valid) that
+// hold a count their column cannot: s1 in full, or as a delta on s0,
+// with one value past its type, negative, or made so by a delta.
+func outOfRange(s0, s1 *Snapshot) []struct {
+	name string
+	kind byte
+	cols []segColumn
+} {
+	counts := func(first int64, rest []int32) []byte {
+		out := binary.AppendVarint(nil, first)
+		return encodeI32Column(out, rest[1:])
+	}
+	scalars := func(pathCount, numRels uint64) []byte {
+		return binary.AppendUvarint(binary.AppendUvarint(nil, pathCount), numRels)
+	}
+	// One sparse entry at a position s1 carries over from s0 with a
+	// non-zero cone-prefix total, so every diff below lands on a count.
+	m, carried := mapIndexes(s0.ASNs, s1.ASNs), int32(-1)
+	for np, op := range m.newToOld {
+		if op >= 0 && s0.ConePrefixes[op] > 0 {
+			carried = int32(np)
+			break
+		}
+	}
+	sparse := func(diff int64) []byte {
+		return encodeSparse(nil, []sparseEntry{{pos: carried, diff: diff}})
+	}
+	full, delta := encodeFull(s1), deltaCols(s0, s1)
+	return []struct {
+		name string
+		kind byte
+		cols []segColumn
+	}{
+		{"transit degree 2^40+3", kindFull, withColumn(full, colTransitDeg, counts(1<<40+3, s1.TransitDegree))},
+		{"negative transit degree", kindFull, withColumn(full, colTransitDeg, counts(-7, s1.TransitDegree))},
+		{"negative degree", kindFull, withColumn(full, colDegree, counts(-1, s1.Degree))},
+		{"negative cone prefixes", kindFull, withColumn(full, colConePrefixes,
+			encodeI64Column(binary.AppendVarint(nil, -1), s1.ConePrefixes[1:]))},
+		{"path count 2^64-1", kindFull, withColumn(full, colScalars, scalars(1<<64-1, uint64(s1.NumRels)))},
+		{"link count 2^63", kindFull, withColumn(full, colScalars, scalars(uint64(s1.PathCount), 1<<63))},
+		{"transit degree delta past int32", kindDelta, withColumn(delta, dcolTransitDeg, sparse(1<<40))},
+		{"degree delta below zero", kindDelta, withColumn(delta, dcolDegree, sparse(-1<<40))},
+		{"cone-prefix delta past int64", kindDelta, withColumn(delta, dcolConePref, sparse(math.MaxInt64))},
+		{"cone-prefix delta below zero", kindDelta, withColumn(delta, dcolConePref, sparse(math.MinInt64))},
+	}
+}
+
+// TestOutOfRangeCountsAreRefused: a count the decoder would have to
+// narrow or that is negative — in a full column, a scalar, or as the
+// result of a delta — is refused with an error naming its offset, and a
+// refused delta leaves the working epoch at its predecessor.
+func TestOutOfRangeCountsAreRefused(t *testing.T) {
+	s0, s1 := twoEpochs(t)
+	for _, tc := range outOfRange(s0, s1) {
+		t.Run(tc.name, func(t *testing.T) {
+			img, _ := encodeSegment(tc.kind, 1, 0, tc.cols)
+			_, cols, _, err := parseSegment(img)
+			if err != nil {
+				t.Fatalf("crafted image must frame cleanly: %v", err)
+			}
+			rp := replayerAt(t, s0)
+			before := rp.snapshot()
+			if tc.kind == kindFull {
+				err = rp.full(cols)
+			} else {
+				err = rp.delta(cols)
+			}
+			if err == nil {
+				s := rp.snapshot()
+				t.Fatalf("decoded: transit degree %d, degree %d, cone prefixes %d, path count %d, links %d",
+					s.TransitDegree[0], s.Degree[0], s.ConePrefixes[0], s.PathCount, s.NumRels)
+			}
+			if !strings.Contains(err.Error(), "at offset ") {
+				t.Errorf("error names no offset: %v", err)
+			}
+			if !reflect.DeepEqual(rp.snapshot(), before) {
+				t.Errorf("refused segment (%v) moved the working epoch", err)
+			}
+		})
+	}
+}
+
 // TestOpenRecoversFromCorruptLength: a tail segment damaged in a length
 // or a count is a tail that never landed — Open keeps the good prefix
 // and serves the previous epoch, as for any other corruption.
@@ -277,6 +360,10 @@ func FuzzParseSegment(f *testing.F) {
 		{kindDelta, 1, 0, deltaCols(bases[0], s0)},
 	} {
 		img, _ := encodeSegment(seed.kind, seed.epoch, seed.base, seed.cols)
+		f.Add(img)
+	}
+	for _, seed := range outOfRange(s0, s1) {
+		img, _ := encodeSegment(seed.kind, 1, 0, seed.cols)
 		f.Add(img)
 	}
 

@@ -35,10 +35,9 @@ var segMagic = [8]byte{'A', 'S', 'W', 'H', 0, 'S', 'E', 'G'}
 // dcol* set plus the full clique/steps/scalars columns (small and
 // unordered — deltas would not pay for themselves). The rank
 // permutation has no column at all: the AS Rank order is a pure
-// function of cone size, transit degree, and ASN, so the replayer
-// recomputes it (cone.RankPositions) for each snapshot it hands out
-// instead of storing ~2.5 bytes per AS per epoch. ID 5 is retired and
-// must not be reused.
+// function of cone size, transit degree, and ASN, so readers derive it
+// (Snapshot.Rank) instead of storing ~2.5 bytes per AS per epoch. ID 5
+// is retired and must not be reused.
 const (
 	colASNs         = 1  // uvarint count, then ascending uvarint deltas
 	colTransitDeg   = 2  // one svarint per position

@@ -6,6 +6,8 @@ import (
 	"hash/fnv"
 	"slices"
 	"sort"
+
+	"github.com/asrank-go/asrank/internal/cone"
 )
 
 // History is the immutable in-memory time-travel index the API layer
@@ -47,11 +49,13 @@ func newHistory() *History {
 }
 
 // extend returns a new History with snap appended as epoch info.ID.
-// rank lists snap's positions in rank order and coneASes its cone sizes
-// by position; changes is the relationship-change list against the
-// preceding epoch (nil for the first). The series keeps snap's columns,
-// coneASes and changes, none of which may be written afterwards.
-func (h *History) extend(info EpochInfo, snap *Snapshot, rank, coneASes []int32, changes []RelChange) *History {
+// coneASes is snap's cone sizes by position, from which the epoch is
+// ranked by the rule Snapshot.Rank applies; changes is the
+// relationship-change list against the preceding epoch (nil for the
+// first). The series keeps snap's columns, coneASes and changes, none of
+// which may be written afterwards.
+func (h *History) extend(info EpochInfo, snap *Snapshot, coneASes []int32, changes []RelChange) *History {
+	rank := cone.RankPositions(coneASes, snap.TransitDegree)
 	s := epochSeries{
 		asns:          snap.ASNs,
 		rankOf:        make([]int32, len(rank)),

@@ -234,7 +234,6 @@ func craftRows(t testing.TB, s *Snapshot, dropped int) *Snapshot {
 	if dropped >= 0 {
 		row(4, dropped)
 	}
-	c.RankPos = cone.RankPositions(c.ConeSizes(), c.TransitDegree)
 	return &c
 }
 

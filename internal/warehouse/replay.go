@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"math/bits"
 	"slices"
-
-	"github.com/asrank-go/asrank/internal/cone"
 )
 
 // replayer is the one mutable working epoch a chain of segments is
@@ -23,7 +21,7 @@ import (
 // cross-checked before the first write to slab or sizes — so an epoch
 // that fails leaves the replayer exactly at its predecessor.
 type replayer struct {
-	cur   *Snapshot // columns of the working epoch; ConeWords, coneSizes and RankPos stay nil
+	cur   *Snapshot // columns of the working epoch; ConeWords and coneSizes stay nil
 	slab  []uint64  // cur's cone slab
 	sizes []int32   // cone size by position, kept current from the flipped bits
 	// Scratch for remap: the predecessor's rows from the first moved
@@ -83,19 +81,19 @@ func (r *replayer) full(cols map[byte][]byte) error {
 	if p, err = col(cols, colTransitDeg); err != nil {
 		return err
 	}
-	if s.TransitDegree, err = decodeI32Column(p, n, colTransitDeg); err != nil {
+	if s.TransitDegree, err = decodeCounts[int32](p, n, colTransitDeg); err != nil {
 		return err
 	}
 	if p, err = col(cols, colDegree); err != nil {
 		return err
 	}
-	if s.Degree, err = decodeI32Column(p, n, colDegree); err != nil {
+	if s.Degree, err = decodeCounts[int32](p, n, colDegree); err != nil {
 		return err
 	}
 	if p, err = col(cols, colConePrefixes); err != nil {
 		return err
 	}
-	if s.ConePrefixes, err = decodeI64Column(p, n, colConePrefixes); err != nil {
+	if s.ConePrefixes, err = decodeCounts[int64](p, n, colConePrefixes); err != nil {
 		return err
 	}
 	if err = decodeShared(cols, s); err != nil {
@@ -174,24 +172,23 @@ func (r *replayer) delta(cols map[byte][]byte) error {
 			s.ConePrefixes[np] = old.ConePrefixes[op]
 		}
 	}
-	for _, spec := range []struct {
-		id    byte
-		apply func(sparseEntry)
-	}{
-		{dcolTransitDeg, func(e sparseEntry) { s.TransitDegree[e.pos] += int32(e.diff) }},
-		{dcolDegree, func(e sparseEntry) { s.Degree[e.pos] += int32(e.diff) }},
-		{dcolConePref, func(e sparseEntry) { s.ConePrefixes[e.pos] += e.diff }},
-	} {
-		if p, err = col(cols, spec.id); err != nil {
-			return err
-		}
-		entries, err := decodeSparse(p, n, spec.id)
-		if err != nil {
-			return err
-		}
-		for _, e := range entries {
-			spec.apply(e)
-		}
+	if p, err = col(cols, dcolTransitDeg); err != nil {
+		return err
+	}
+	if err = applySparse(p, s.TransitDegree, dcolTransitDeg); err != nil {
+		return err
+	}
+	if p, err = col(cols, dcolDegree); err != nil {
+		return err
+	}
+	if err = applySparse(p, s.Degree, dcolDegree); err != nil {
+		return err
+	}
+	if p, err = col(cols, dcolConePref); err != nil {
+		return err
+	}
+	if err = applySparse(p, s.ConePrefixes, dcolConePref); err != nil {
+		return err
 	}
 
 	if err = decodeShared(cols, s); err != nil {
@@ -338,7 +335,7 @@ func (r *replayer) remap(m *indexMap) {
 
 // snapshot hands out a copy of the working epoch: the result owns its
 // slab and sizes (at exact capacity) and the replayer can go on to later
-// epochs. It is the only place a chain pays for the rank permutation.
+// epochs.
 func (r *replayer) snapshot() *Snapshot {
 	return r.handOut(slices.Clone(r.slab), slices.Clone(r.sizes))
 }
@@ -354,12 +351,11 @@ func (r *replayer) release() *Snapshot {
 	return s
 }
 
-// handOut completes the working epoch's columns with a slab, its sizes
-// and the rank order they imply.
+// handOut completes the working epoch's columns with a slab and its
+// sizes.
 func (r *replayer) handOut(slab []uint64, sizes []int32) *Snapshot {
 	s := *r.cur
 	s.ConeWords = slab
 	s.setConeSizes(sizes)
-	s.RankPos = cone.RankPositions(sizes, s.TransitDegree)
 	return &s
 }

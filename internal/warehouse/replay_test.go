@@ -142,7 +142,6 @@ func synthChain(n, epochs int, seed int64, tail bool, still []int) []*Snapshot {
 			s.Links = append(s.Links, LinkRec{A: a, B: b, Rel: l.rel, Step: uint8(slices.Index(s.StepNames, l.step))})
 		}
 		slices.SortFunc(s.Links, func(x, y LinkRec) int { return cmp.Or(cmp.Compare(x.A, y.A), cmp.Compare(x.B, y.B)) })
-		s.RankPos = cone.RankPositions(cone.RowSizes(make([]int32, len(asns)), s.ConeWords), s.TransitDegree)
 		out = append(out, s)
 	}
 	return out
@@ -308,11 +307,13 @@ func TestHandBuiltAppendsLikeComposed(t *testing.T) {
 	}
 }
 
-// TestAppendRanksWhatItIsNotHanded: Open ranks every epoch it replays,
-// so Append may take a snapshot's RankPos only when it is that rank. A
-// series appended with no RankPos, a reversed (stale) one, one cut
-// short or one naming a position twice answers History.ASN for every AS
-// without a panic, and as the reopened store does.
+// TestAppendRanksWhatItIsNotHanded: a snapshot carries no rank, so
+// Append ranks every epoch from the sizes its slab gives, as Open ranks
+// every epoch it replays. The one derived column a snapshot may carry,
+// its cone sizes, answers only for the slab it was counted from: a
+// series of copies given slabs of their own, each still holding a
+// column that is empty, reversed, cut short or names one size twice,
+// answers History.ASN for every AS as the reopened store does.
 func TestAppendRanksWhatItIsNotHanded(t *testing.T) {
 	snaps := synthSeries(300, 5, 13)
 	for name, spoil := range map[string]func([]int32) []int32{
@@ -324,8 +325,9 @@ func TestAppendRanksWhatItIsNotHanded(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			spoilt := make([]*Snapshot, len(snaps))
 			for i, s := range snaps {
-				c := *s
-				c.RankPos = spoil(s.RankPos)
+				c := *sized(s)
+				c.coneSizes = spoil(c.coneSizes)
+				c.ConeWords = slices.Clone(s.ConeWords)
 				spoilt[i] = &c
 			}
 			appended, reopened := synthStore(t, spoilt, 3)

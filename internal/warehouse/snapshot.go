@@ -85,8 +85,6 @@ type Snapshot struct {
 	Degree        []int32
 	// ConePrefixes is the prefix-weighted cone size, by position.
 	ConePrefixes []int64
-	// RankPos lists positions in rank order, best first.
-	RankPos []int32
 	// Clique is the inferred clique, ascending ASN.
 	Clique []uint32
 	// PathCount is the size of the corpus the inference consumed;
@@ -103,9 +101,9 @@ type Snapshot struct {
 	ConeWords []uint64
 	// coneSizes is the popcount of each ConeWords row, by position, and
 	// sizedSlab the slab it was counted from. Only the producers that
-	// count the slab anyway fill them (Compose, for the rank order; the
-	// replayer, bit by bit), so they are private: a hand-built snapshot,
-	// or a copy given another slab, has no column and ConeSizes counts.
+	// count the slab anyway fill them (Compose; the replayer, bit by
+	// bit), so they are private: a hand-built snapshot, or a copy given
+	// another slab, has no column and ConeSizes counts.
 	coneSizes []int32
 	sizedSlab *uint64
 }
@@ -126,6 +124,14 @@ func (s *Snapshot) ConeSizes() []int32 {
 	return cone.RowSizes(make([]int32, len(s.ASNs)), s.ConeWords)
 }
 
+// Rank lists positions in AS Rank order, best first:
+// cone.RankPositions over ConeSizes and TransitDegree, computed on every
+// call and stored nowhere, so no producer can hand a reader another
+// order. The result is the caller's.
+func (s *Snapshot) Rank() []int32 {
+	return cone.RankPositions(s.ConeSizes(), s.TransitDegree)
+}
+
 // setConeSizes attaches the size column a producer counted from
 // s.ConeWords as it stands.
 func (s *Snapshot) setConeSizes(sizes []int32) {
@@ -136,11 +142,11 @@ func (s *Snapshot) setConeSizes(sizes []int32) {
 }
 
 // FromResult converts an inference result into its columnar snapshot:
-// the same cone product, ranking, and per-AS aggregates the API
-// snapshot builder consumed before the warehouse existed, so
-// apiserver.Build(res) and apiserver.BuildSnapshot(FromResult(res))
-// serve byte-identical responses. Deterministic at any worker count
-// (the cone engine guarantees it; everything else is sorted). The cone
+// the same cone product and per-AS aggregates the API snapshot builder
+// consumed before the warehouse existed, so apiserver.Build(res) and
+// apiserver.BuildSnapshot(FromResult(res)) serve byte-identical
+// responses. Deterministic at any worker count (the cone engine
+// guarantees it; everything else is sorted). The cone
 // product and the prefix counts only read res, so they are two tasks of
 // one pool call: the serial prefix count runs beside the cone crediting
 // instead of after it.
@@ -231,7 +237,6 @@ func Compose(in ComposeInput) *Snapshot {
 	snap.ConePrefixes = in.Cones.WeightedSizes(weights)
 	snap.ConeWords = words
 	snap.setConeSizes(cone.RowSizes(make([]int32, n), words))
-	snap.RankPos = cone.RankPositions(snap.coneSizes, snap.TransitDegree)
 
 	snap.Clique = append([]uint32{}, in.Clique...)
 

@@ -21,7 +21,6 @@ import (
 	"slices"
 	"sync"
 
-	"github.com/asrank-go/asrank/internal/cone"
 	"github.com/asrank-go/asrank/internal/obs"
 	"github.com/asrank-go/asrank/internal/trace"
 )
@@ -141,8 +140,7 @@ func Open(dir string, opts Options) (*Store, error) {
 			break
 		}
 		st.epochs = append(st.epochs, info)
-		st.hist = st.hist.extend(info, rp.cur, cone.RankPositions(rp.sizes, rp.cur.TransitDegree), slices.Clone(rp.sizes),
-			relChanges(prev, rp.cur, diffLinks(prev, rp.cur)))
+		st.hist = st.hist.extend(info, rp.cur, slices.Clone(rp.sizes), relChanges(prev, rp.cur, diffLinks(prev, rp.cur)))
 	}
 	if rp.cur != nil {
 		// A copy at exact size, not the working slab: the store keeps its
@@ -288,14 +286,7 @@ func (st *Store) AppendNote(snap *Snapshot, label, etag string, note json.RawMes
 		return EpochInfo{}, err
 	}
 
-	// The caller's rank order is taken only once it is checked, as Open
-	// ranks every epoch afresh: History must answer alike before and
-	// after a reopen.
-	sizes, rank := snap.ConeSizes(), snap.RankPos
-	if !cone.InRankOrder(rank, sizes, snap.TransitDegree) {
-		rank = cone.RankPositions(sizes, snap.TransitDegree)
-	}
-	st.hist = st.hist.extend(info, snap, rank, sizes, relChanges(st.last, snap, diff))
+	st.hist = st.hist.extend(info, snap, snap.ConeSizes(), relChanges(st.last, snap, diff))
 	st.epochs = next
 	st.last = snap
 

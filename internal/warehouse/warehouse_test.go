@@ -350,7 +350,8 @@ func TestHistoryASN(t *testing.T) {
 	tagBefore := h.ETag()
 
 	last := snaps[1]
-	asn := last.ASNs[last.RankPos[0]] // the top-ranked AS of epoch 1
+	top := last.Rank()[0]
+	asn := last.ASNs[top] // the top-ranked AS of epoch 1
 	eps := h.ASN(asn)
 	if len(eps) != 2 {
 		t.Fatalf("trajectory has %d epochs, want 2", len(eps))
@@ -358,8 +359,8 @@ func TestHistoryASN(t *testing.T) {
 	if !eps[1].Present || eps[1].Rank != 1 {
 		t.Errorf("top AS of epoch 1: %+v", eps[1])
 	}
-	if int(eps[1].Degree) != int(last.Degree[last.RankPos[0]]) {
-		t.Errorf("degree %d, want %d", eps[1].Degree, last.Degree[last.RankPos[0]])
+	if int(eps[1].Degree) != int(last.Degree[top]) {
+		t.Errorf("degree %d, want %d", eps[1].Degree, last.Degree[top])
 	}
 
 	if _, err := st.Append(snaps[2], "next", etags[2]); err != nil {
