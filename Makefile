@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint examples ledger metrics-lint fuzz-smoke trace-demo size results-check
+.PHONY: build test check fmt-check lint examples ledger metrics-lint fuzz-smoke trace-demo size results-check
 
 build:
 	$(GO) build ./...
@@ -14,12 +14,18 @@ test:
 # in-order, one-worker path of the three batch fan-outs (Read's blocks,
 # foldAtBirth, FromResult), which a multi-core runner never takes, and
 # BenchmarkRead runs at one and two CPUs for the same reason.
-check: lint examples
+check: fmt-check lint examples
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	GOMAXPROCS=1 $(GO) test ./internal/paths/... ./internal/core/... ./internal/warehouse/...
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 	$(GO) test -run '^$$' -bench '^BenchmarkRead$$' -benchtime 1x -cpu 1,2 ./internal/paths
+
+# Every Go file outside testdata/ (whose analyzer fixtures pin their own
+# layout) is gofmt-clean; the target lists any that is not and fails.
+fmt-check:
+	@out=$$(find . -name '*.go' ! -path '*/testdata/*' | xargs gofmt -l) && \
+		{ [ -z "$$out" ] || { echo "gofmt -l lists:"; echo "$$out"; exit 1; }; }
 
 # The example programs are the facade's only callers besides its own
 # tests: run each end to end (loopback only, a few seconds each); a

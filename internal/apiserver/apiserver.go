@@ -469,7 +469,7 @@ func (d *Data) handleCone(w http.ResponseWriter, r *http.Request) {
 			offset = len(members)
 		}
 		end := len(members)
-		if limit > 0 && offset+limit < end {
+		if limit > 0 && limit < end-offset { // offset+limit may overflow
 			end = offset + limit
 			resp.NextCursor = strconv.Itoa(end)
 		}

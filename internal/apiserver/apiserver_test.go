@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -135,6 +136,29 @@ func TestASNDetailAndLinks(t *testing.T) {
 	}
 	if coneResp.Size != sum.ConeASes || len(coneResp.Members) != coneResp.Size {
 		t.Errorf("cone size mismatch: %d vs %d", coneResp.Size, sum.ConeASes)
+	}
+}
+
+// TestConePageLimitPastMaxInt: a limit so large that cursor+limit
+// overflows an int pages to the end of the cone, as any limit past the
+// end does — a 200 with every member from the cursor on and no
+// nextCursor, not a handler panic.
+func TestConePageLimitPastMaxInt(t *testing.T) {
+	srv, res, _ := testServer(t)
+	top := itoa(res.Clique[0])
+	var whole, page struct {
+		Members    []uint32 `json:"members"`
+		NextCursor string   `json:"nextCursor"`
+	}
+	if code := getJSON(t, srv.URL+"/api/v1/asns/"+top+"/cone", &whole); code != 200 || len(whole.Members) < 2 {
+		t.Fatalf("status %d, %d members", code, len(whole.Members))
+	}
+	if code := getJSON(t, srv.URL+"/api/v1/asns/"+top+"/cone?cursor=1&limit=9223372036854775807", &page); code != 200 {
+		t.Fatalf("status %d", code)
+	}
+	if !slices.Equal(page.Members, whole.Members[1:]) || page.NextCursor != "" {
+		t.Errorf("page holds %d members with nextCursor %q, want the %d from position 1 and none",
+			len(page.Members), page.NextCursor, len(whole.Members)-1)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"github.com/asrank-go/asrank/internal/cone"
 	"github.com/asrank-go/asrank/internal/core"
 	"github.com/asrank-go/asrank/internal/pool"
+	"github.com/asrank-go/asrank/internal/topology"
 	"github.com/asrank-go/asrank/internal/warehouse"
 )
 
@@ -38,7 +39,7 @@ type Data struct {
 	clique      []uint32 // never nil
 
 	pathCount int
-	numRels   int
+	numLinks  int
 
 	etag       string   // strong validator, quoted
 	etagHeader []string // shared header value slice for alloc-free sets
@@ -81,14 +82,14 @@ func BuildSnapshot(snap *warehouse.Snapshot) *Data {
 	// endpoints' rows.
 	links := make([][]linkEntry, n)
 	for _, l := range snap.Links {
-		step := snap.StepNames[l.Step]
+		step := l.Step.String()
 		var roleB, roleA string // role of the neighbor, relative to the queried AS
 		switch l.Rel {
-		case warehouse.RelAProvB:
+		case topology.P2C:
 			roleB, roleA = "customer", "provider"
-		case warehouse.RelBProvA:
+		case topology.C2P:
 			roleB, roleA = "provider", "customer"
-		case warehouse.RelPeer:
+		case topology.P2P:
 			roleB, roleA = "peer", "peer"
 		default:
 			continue
@@ -161,7 +162,7 @@ func BuildSnapshot(snap *warehouse.Snapshot) *Data {
 		links:       links,
 		clique:      clique,
 		pathCount:   int(snap.PathCount),
-		numRels:     int(snap.NumRels),
+		numLinks:    len(snap.Links),
 	}
 	d.etag = d.computeETag()
 	d.etagHeader = []string{d.etag}
@@ -195,7 +196,7 @@ func (d *Data) serializeHot() {
 	d.healthJSON = mustJSON(map[string]any{
 		"status": "ok",
 		"ases":   len(d.rankPos),
-		"links":  d.numRels,
+		"links":  d.numLinks,
 		"paths":  d.pathCount,
 		"clique": d.clique,
 		"etag":   d.etag,

@@ -143,8 +143,6 @@ func TestHandBuiltServesLikeComposed(t *testing.T) {
 		ConePrefixes:  slices.Clone(composed.ConePrefixes),
 		Clique:        slices.Clone(composed.Clique),
 		PathCount:     composed.PathCount,
-		NumRels:       composed.NumRels,
-		StepNames:     slices.Clone(composed.StepNames),
 		Links:         slices.Clone(composed.Links),
 		ConeWords:     slices.Clone(composed.ConeWords),
 	}

@@ -176,7 +176,8 @@ func (p *Proxy) forward(dec *decider, client, backend net.Conn) {
 			changed := corrupt(dec.rng, msg, f.Arg)
 			p.in.m.bytesCorrupted.Add(uint64(changed))
 			backend.Write(msg) //nolint:errcheck
-			return // framing trust is gone; kill the pair
+			// Framing trust is gone; kill the pair.
+			return
 		case FaultStall:
 			time.Sleep(time.Duration(f.Arg))
 			return

@@ -120,7 +120,7 @@ func TestMalformedUpdatePolicy(t *testing.T) {
 			}
 			const asn = 65001
 			conn, br, _ := handshake(t, srv.Addr().String(), asn)
-			conn.Write(malformedUpdate(t)) //nolint:errcheck
+			conn.Write(malformedUpdate(t))  //nolint:errcheck
 			conn.Write(validUpdate(t, asn)) //nolint:errcheck
 			if tc.wantSessionOK {
 				// Orderly teardown must still work after the skip.

@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"net"
 	"net/netip"
-	"sort"
 	"time"
 
 	"github.com/asrank-go/asrank/internal/bgp"
@@ -106,7 +105,10 @@ func ReplayCtx(ctx context.Context, addr string, res *bgpsim.Result, vp uint32, 
 	ctx, span := trace.StartSpan(ctx, "replay.vp")
 	defer span.End()
 	span.SetAttrInt("vp", int64(vp))
-	msgs, err := buildAnnouncements(res, vp, opts)
+	// Encoded once, in Announcements' deterministic order, so every retry
+	// re-sends byte-identical messages and the collector's consumed count
+	// indexes into the same sequence.
+	msgs, err := bgpsim.Announcements(res, vp, opts.BGPID)
 	if err != nil {
 		return fmt.Errorf("replay: AS%d: %w", vp, err)
 	}
@@ -149,64 +151,6 @@ func ReplayCtx(ctx context.Context, addr string, res *bgpsim.Result, vp uint32, 
 		lastErr = err
 	}
 	return fmt.Errorf("replay: AS%d: giving up after %d attempts: %w", vp, opts.MaxRetries+1, lastErr)
-}
-
-// buildAnnouncements encodes the VP's full announcement sequence once,
-// in a deterministic order (prefixes sharing a path are packed into one
-// UPDATE, groups sorted by path, NLRI chunked), so every retry re-sends
-// byte-identical messages and the collector's consumed count indexes
-// into the same sequence.
-func buildAnnouncements(res *bgpsim.Result, vp uint32, opts ReplayOptions) ([][]byte, error) {
-	type group struct {
-		key string
-		upd *bgp.Update
-	}
-	groups := map[string]*group{}
-	for _, p := range res.Dataset.Paths {
-		if p.VP() != vp {
-			continue
-		}
-		key := fmt.Sprint(p.ASNs)
-		g, ok := groups[key]
-		if !ok {
-			g = &group{
-				key: key,
-				upd: &bgp.Update{Attrs: bgp.PathAttributes{
-					Origin:      bgp.OriginIGP,
-					ASPath:      bgp.Sequence(p.ASNs...),
-					NextHop:     opts.BGPID,
-					Communities: bgpsim.PathCommunities(res.Topo, p.ASNs, res.DocASes),
-				}},
-			}
-			groups[key] = g
-		}
-		g.upd.NLRI = append(g.upd.NLRI, p.Prefix)
-	}
-	ordered := make([]*group, 0, len(groups))
-	for _, g := range groups {
-		ordered = append(ordered, g)
-	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].key < ordered[j].key })
-
-	var msgs [][]byte
-	for _, g := range ordered {
-		nlri := g.upd.NLRI
-		for len(nlri) > 0 {
-			chunk := nlri
-			if len(chunk) > 200 {
-				chunk = chunk[:200]
-			}
-			nlri = nlri[len(chunk):]
-			one := *g.upd
-			one.NLRI = chunk
-			msg, err := bgp.EncodeUpdate(&one, true)
-			if err != nil {
-				return nil, err
-			}
-			msgs = append(msgs, msg)
-		}
-	}
-	return msgs, nil
 }
 
 // replayOnce runs a single session attempt: handshake, resume at the

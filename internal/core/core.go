@@ -64,6 +64,17 @@ func (s Step) String() string {
 	return "step?"
 }
 
+// ParseStep returns the step whose String is name, and false when no
+// step has that name.
+func ParseStep(name string) (Step, bool) {
+	for s := StepNone; s <= StepPeer; s++ {
+		if s.String() == name {
+			return s, true
+		}
+	}
+	return StepNone, false
+}
+
 // Options tunes the inference pipeline. The zero value selects the
 // defaults used in the experiments.
 type Options struct {

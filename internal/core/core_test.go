@@ -221,6 +221,14 @@ func TestStepString(t *testing.T) {
 		if s.String() != want {
 			t.Errorf("Step(%d) = %q want %q", s, s.String(), want)
 		}
+		if got, ok := ParseStep(want); !ok || got != s {
+			t.Errorf("ParseStep(%q) = %d, %v; want %d", want, got, ok, s)
+		}
+	}
+	for _, name := range []string{"step?", "", "Clique"} {
+		if _, ok := ParseStep(name); ok {
+			t.Errorf("ParseStep(%q) names a step", name)
+		}
 	}
 }
 

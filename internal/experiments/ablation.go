@@ -68,62 +68,43 @@ func R12VantagePoints(l *Lab) *Report {
 	}
 }
 
-// All runs every experiment in order.
-func All(l *Lab) []*Report {
-	return []*Report{
-		R01DataSummary(l),
-		R02PipelineSteps(l),
-		R03CliqueEvolution(l),
-		R04ValidationCorpus(l),
-		R05PPV(l),
-		R06Baselines(l),
-		R07ConeDefinitions(l),
-		R08ConeEvolution(l),
-		R09RankStability(l),
-		R10Flattening(l),
-		R11DegreeVsCone(l),
-		R12VantagePoints(l),
-		R13Ablations(l),
-		R14ConeConcentration(l),
-	}
+// registry lists every experiment once, in order.
+var registry = []struct {
+	id  string
+	run func(*Lab) *Report
+}{
+	{"R1", R01DataSummary},
+	{"R2", R02PipelineSteps},
+	{"R3", R03CliqueEvolution},
+	{"R4", R04ValidationCorpus},
+	{"R5", R05PPV},
+	{"R6", R06Baselines},
+	{"R7", R07ConeDefinitions},
+	{"R8", R08ConeEvolution},
+	{"R9", R09RankStability},
+	{"R10", R10Flattening},
+	{"R11", R11DegreeVsCone},
+	{"R12", R12VantagePoints},
+	{"R13", R13Ablations},
+	{"R14", R14ConeConcentration},
 }
 
-// ByID returns the experiment function with the given ID, or nil.
+// ByID returns the experiment function with the given ID ("R01" works
+// for "R1"), or nil.
 func ByID(id string) func(*Lab) *Report {
-	switch id {
-	case "R1", "R01":
-		return R01DataSummary
-	case "R2", "R02":
-		return R02PipelineSteps
-	case "R3", "R03":
-		return R03CliqueEvolution
-	case "R4", "R04":
-		return R04ValidationCorpus
-	case "R5", "R05":
-		return R05PPV
-	case "R6", "R06":
-		return R06Baselines
-	case "R7", "R07":
-		return R07ConeDefinitions
-	case "R8", "R08":
-		return R08ConeEvolution
-	case "R9", "R09":
-		return R09RankStability
-	case "R10":
-		return R10Flattening
-	case "R11":
-		return R11DegreeVsCone
-	case "R12":
-		return R12VantagePoints
-	case "R13":
-		return R13Ablations
-	case "R14":
-		return R14ConeConcentration
+	for _, e := range registry {
+		if e.id == id || (len(e.id) == 2 && id == "R0"+e.id[1:]) {
+			return e.run
+		}
 	}
 	return nil
 }
 
 // IDs lists every experiment ID in order.
 func IDs() []string {
-	return []string{"R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9", "R10", "R11", "R12", "R13", "R14"}
+	ids := make([]string, len(registry))
+	for i, e := range registry {
+		ids[i] = e.id
+	}
+	return ids
 }

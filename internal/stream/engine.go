@@ -550,16 +550,7 @@ func (e *Engine) CommitEpoch(ctx context.Context) (*warehouse.Snapshot, CommitRe
 	ph.End(commitPhaseDuration.With("slab"), &rep.Phases.Slab)
 
 	_, ph = trace.StartPhase(ctx, "stream.commit.compose")
-	snap := warehouse.Compose(warehouse.ComposeInput{
-		Cones:         cones,
-		TransitDegree: res.TransitDegree,
-		Degree:        res.Degree,
-		PrefixCounts:  e.pfxCount,
-		Rels:          res.Rels,
-		Steps:         res.Steps,
-		Clique:        clique,
-		PathCount:     e.keptRows,
-	})
+	snap := warehouse.Compose(res, cones, e.pfxCount, e.keptRows)
 	ph.End(commitPhaseDuration.With("compose"), &rep.Phases.Compose)
 
 	held := e.statsLocked()

@@ -43,6 +43,21 @@ func (r Relationship) String() string {
 	return fmt.Sprintf("rel(%d)", int8(r))
 }
 
+// MarshalText renders the relationship as its String name, so JSON
+// says "p2c", not 1.
+func (r Relationship) MarshalText() ([]byte, error) { return []byte(r.String()), nil }
+
+// UnmarshalText parses a name MarshalText writes.
+func (r *Relationship) UnmarshalText(b []byte) error {
+	for v := None; v <= P2P; v++ {
+		if string(b) == v.String() {
+			*r = v
+			return nil
+		}
+	}
+	return fmt.Errorf("topology: unknown relationship %q", b)
+}
+
 // Invert flips the orientation of a relationship.
 func (r Relationship) Invert() Relationship {
 	switch r {

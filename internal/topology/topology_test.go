@@ -63,6 +63,17 @@ func TestRelationshipStringInvert(t *testing.T) {
 	if Relationship(9).String() == "" {
 		t.Error("unknown relationship should still render")
 	}
+	for _, r := range []Relationship{None, P2C, C2P, P2P} {
+		text, _ := r.MarshalText()
+		var back Relationship
+		if err := back.UnmarshalText(text); err != nil || back != r || string(text) != r.String() {
+			t.Errorf("%v: text %q parses back to %v (%v)", r, text, back, err)
+		}
+	}
+	var r Relationship
+	if err := r.UnmarshalText([]byte("sideways")); err == nil {
+		t.Error("an unknown name should not parse")
+	}
 }
 
 func TestClassString(t *testing.T) {

@@ -7,7 +7,9 @@ import (
 	"hash/fnv"
 	"math"
 	"math/bits"
-	"slices"
+
+	"github.com/asrank-go/asrank/internal/core"
+	"github.com/asrank-go/asrank/internal/topology"
 )
 
 // segHeader is the fixed-size decoded prefix of a segment file.
@@ -200,23 +202,30 @@ func decodeCounts[T int32 | int64](payload []byte, n int, id byte) ([]T, error) 
 	return out, nil
 }
 
-func decodeStepNames(payload []byte) ([]string, error) {
+// decodeStepNames reads the step-name column as the steps the link
+// columns index, refusing a name no core.Step has.
+func decodeStepNames(payload []byte) ([]core.Step, error) {
 	r := &decodeReader{buf: payload}
 	cnt, err := r.count()
 	if err != nil {
 		return nil, fmt.Errorf("warehouse: step-name column count: %w", err)
 	}
-	out := make([]string, 0, cnt)
+	out := make([]core.Step, 0, cnt)
 	for i := uint64(0); i < cnt; i++ {
 		l, err := r.uvarint()
 		if err != nil {
 			return nil, fmt.Errorf("warehouse: step-name %d length: %w", i, err)
 		}
+		at := r.off
 		b, err := r.bytes(int(l))
 		if err != nil {
 			return nil, fmt.Errorf("warehouse: step-name %d: %w", i, err)
 		}
-		out = append(out, string(b))
+		step, ok := core.ParseStep(string(b))
+		if !ok {
+			return nil, fmt.Errorf("warehouse: step-name %d at offset %d: no step is named %q", i, at, b)
+		}
+		out = append(out, step)
 	}
 	return out, nil
 }
@@ -231,14 +240,13 @@ func nextPos(prev int32, gap uint64, n int) (int32, bool) {
 	return prev + int32(gap), true
 }
 
-func decodeLinks(payload []byte, n, steps int, id byte) ([]LinkRec, error) {
+func decodeLinks(payload []byte, n int, steps []core.Step, id byte) ([]LinkRec, error) {
 	r := &decodeReader{buf: payload}
 	cnt, err := r.count()
 	if err != nil {
 		return nil, fmt.Errorf("warehouse: link column %d count: %w", id, err)
 	}
 	out := make([]LinkRec, 0, cnt)
-	steps = min(steps, math.MaxUint8+1) // no more fit LinkRec.Step
 	prevA := int32(0)
 	for i := uint64(0); i < cnt; i++ {
 		dA, err := r.uvarint()
@@ -254,18 +262,18 @@ func decodeLinks(payload []byte, n, steps int, id byte) ([]LinkRec, error) {
 			return nil, fmt.Errorf("warehouse: link column %d entry %d: %w", id, i, err)
 		}
 		a, ok := nextPos(prevA, dA, n)
-		rel := RelCode(code & 3)
+		rel := topology.Relationship(code & 3)
 		step := code >> 2
 		if !ok || b >= uint64(n) {
 			return nil, fmt.Errorf("warehouse: link column %d entry %d: positions (%d+%d,%d) out of range [0,%d)", id, i, prevA, dA, b, n)
 		}
-		if rel == 0 || rel > RelPeer {
+		if rel == topology.None {
 			return nil, fmt.Errorf("warehouse: link column %d entry %d: invalid relationship code %d", id, i, rel)
 		}
-		if step >= uint64(steps) {
-			return nil, fmt.Errorf("warehouse: link column %d entry %d: step %d out of range [0,%d)", id, i, step, steps)
+		if step >= uint64(len(steps)) {
+			return nil, fmt.Errorf("warehouse: link column %d entry %d: step %d out of range [0,%d)", id, i, step, len(steps))
 		}
-		out = append(out, LinkRec{A: a, B: int32(b), Rel: rel, Step: uint8(step)})
+		out = append(out, LinkRec{A: a, B: int32(b), Rel: rel, Step: steps[step]})
 		prevA = a
 	}
 	return out, nil
@@ -436,10 +444,10 @@ func applySparse[T int32 | int64](payload []byte, vals []T, id byte) error {
 	return nil
 }
 
-func decodeScalars(payload []byte) (pathCount, numRels int64, err error) {
+func decodeScalars(payload []byte) (pathCount, links int64, err error) {
 	r := &decodeReader{buf: payload}
 	var counts [2]int64
-	for i, name := range []string{"path count", "rel count"} {
+	for i, name := range []string{"path count", "link count"} {
 		at := r.off
 		v, err := r.uvarint()
 		if err != nil {
@@ -454,26 +462,37 @@ func decodeScalars(payload []byte) (pathCount, numRels int64, err error) {
 }
 
 // decodeShared parses the columns full and delta epochs encode
-// identically: clique, step names, scalars.
-func decodeShared(cols map[byte][]byte, s *Snapshot) error {
+// identically: clique, step names, scalars. It returns the steps the
+// link columns index and the link count the epoch records, which
+// checkLinkCount holds to the decoded link column.
+func decodeShared(cols map[byte][]byte, s *Snapshot) (steps []core.Step, links int64, err error) {
 	p, err := col(cols, colClique)
 	if err != nil {
-		return err
+		return nil, 0, err
 	}
 	if s.Clique, err = decodeAscendingU32(p, colClique); err != nil {
-		return err
+		return nil, 0, err
 	}
 	if p, err = col(cols, colStepNames); err != nil {
-		return err
+		return nil, 0, err
 	}
-	if s.StepNames, err = decodeStepNames(p); err != nil {
-		return err
+	if steps, err = decodeStepNames(p); err != nil {
+		return nil, 0, err
 	}
 	if p, err = col(cols, colScalars); err != nil {
-		return err
+		return nil, 0, err
 	}
-	if s.PathCount, s.NumRels, err = decodeScalars(p); err != nil {
-		return err
+	if s.PathCount, links, err = decodeScalars(p); err != nil {
+		return nil, 0, err
+	}
+	return steps, links, nil
+}
+
+// checkLinkCount refuses an epoch whose recorded link count is not the
+// length of the link column it decodes to.
+func checkLinkCount(recorded int64, links []LinkRec) error {
+	if recorded != int64(len(links)) {
+		return fmt.Errorf("warehouse: scalar column records %d links, the link column holds %d", recorded, len(links))
 	}
 	return nil
 }
@@ -507,14 +526,7 @@ func mergeASNs(old, removed, added []uint32) ([]uint32, error) {
 // rebuildLinks reassembles the successor link list: old links survive
 // unless removed or touching a departed AS, translated to new positions
 // and relabeled by the change set; added links merge in sorted.
-func rebuildLinks(old, cur *Snapshot, m *indexMap, removed []posPair, added, changed []LinkRec) ([]LinkRec, error) {
-	// Provenance indexes cross (possibly re-ordered) step tables by name;
-	// a name the successor dropped is an error only if a surviving,
-	// unchanged link still carries it.
-	steps := make([]int, len(old.StepNames))
-	for i, name := range old.StepNames {
-		steps[i] = slices.Index(cur.StepNames, name)
-	}
+func rebuildLinks(old *Snapshot, m *indexMap, removed []posPair, added, changed []LinkRec) ([]LinkRec, error) {
 	// The removed set, the change set and the added list are consulted
 	// during a single ordered sweep; all are sorted the same way as the
 	// link lists, and old→new translation is monotonic (both indexes are
@@ -530,16 +542,10 @@ func rebuildLinks(old, cur *Snapshot, m *indexMap, removed []posPair, added, cha
 		if na < 0 || nb < 0 {
 			return nil, fmt.Errorf("warehouse: link (%d,%d) touches a removed AS but is not in the removed set", l.A, l.B)
 		}
-		nl := LinkRec{A: na, B: nb, Rel: l.Rel}
+		nl := LinkRec{A: na, B: nb, Rel: l.Rel, Step: l.Step}
 		if ci < len(changed) && changed[ci].A == na && changed[ci].B == nb {
-			// Relabeled link: the change record carries rel and step in
-			// the successor's terms already.
-			nl.Rel, nl.Step = changed[ci].Rel, changed[ci].Step
+			nl.Rel, nl.Step = changed[ci].Rel, changed[ci].Step // relabeled
 			ci++
-		} else if steps[l.Step] >= 0 {
-			nl.Step = uint8(steps[l.Step])
-		} else {
-			return nil, fmt.Errorf("warehouse: step name %q of link (%d,%d) missing from successor table", old.StepNames[l.Step], l.A, l.B)
 		}
 		for ; ai < len(added) && (added[ai].A < na || (added[ai].A == na && added[ai].B <= nb)); ai++ {
 			out = append(out, added[ai])

@@ -175,8 +175,8 @@ func outOfRange(s0, s1 *Snapshot) []struct {
 		out := binary.AppendVarint(nil, first)
 		return encodeI32Column(out, rest[1:])
 	}
-	scalars := func(pathCount, numRels uint64) []byte {
-		return binary.AppendUvarint(binary.AppendUvarint(nil, pathCount), numRels)
+	scalars := func(pathCount, links uint64) []byte {
+		return binary.AppendUvarint(binary.AppendUvarint(nil, pathCount), links)
 	}
 	// One sparse entry at a position s1 carries over from s0 with a
 	// non-zero cone-prefix total, so every diff below lands on a count.
@@ -201,13 +201,70 @@ func outOfRange(s0, s1 *Snapshot) []struct {
 		{"negative degree", kindFull, withColumn(full, colDegree, counts(-1, s1.Degree))},
 		{"negative cone prefixes", kindFull, withColumn(full, colConePrefixes,
 			encodeI64Column(binary.AppendVarint(nil, -1), s1.ConePrefixes[1:]))},
-		{"path count 2^64-1", kindFull, withColumn(full, colScalars, scalars(1<<64-1, uint64(s1.NumRels)))},
+		{"path count 2^64-1", kindFull, withColumn(full, colScalars, scalars(1<<64-1, uint64(len(s1.Links))))},
 		{"link count 2^63", kindFull, withColumn(full, colScalars, scalars(uint64(s1.PathCount), 1<<63))},
 		{"transit degree delta past int32", kindDelta, withColumn(delta, dcolTransitDeg, sparse(1<<40))},
 		{"degree delta below zero", kindDelta, withColumn(delta, dcolDegree, sparse(-1<<40))},
 		{"cone-prefix delta past int64", kindDelta, withColumn(delta, dcolConePref, sparse(math.MaxInt64))},
 		{"cone-prefix delta below zero", kindDelta, withColumn(delta, dcolConePref, sparse(math.MinInt64))},
 	}
+}
+
+// unwritable lists well-framed segments (CRCs and trailer valid) whose
+// link columns say what the pipeline cannot write: s1 in full, or as a
+// delta on s0, with a step-name column holding a name no core.Step has,
+// or a scalar column recording a link count the link column does not
+// hold.
+func unwritable(s0, s1 *Snapshot) []struct {
+	name string
+	kind byte
+	cols []segColumn
+} {
+	names := newStepTable(s1.Links).names
+	renamed := append([]string{"sideways"}, names[1:]...) // the first link's step
+	extra := append(slices.Clone(names), "sideways")      // no link's step
+	scalars := func(links int) []byte {
+		return binary.AppendUvarint(binary.AppendUvarint(nil, uint64(s1.PathCount)), uint64(links))
+	}
+	full, delta := encodeFull(s1), deltaCols(s0, s1)
+	return []struct {
+		name string
+		kind byte
+		cols []segColumn
+	}{
+		{"full: unknown step name", kindFull, withColumn(full, colStepNames, encodeStepNames(nil, renamed))},
+		{"delta: unknown step name", kindDelta, withColumn(delta, colStepNames, encodeStepNames(nil, extra))},
+		{"full: link count one short", kindFull, withColumn(full, colScalars, scalars(len(s1.Links)-1))},
+		{"delta: link count one over", kindDelta, withColumn(delta, colScalars, scalars(len(s1.Links)+1))},
+	}
+}
+
+// refusal decodes a crafted segment on a replayer whose working epoch is
+// s0 and returns the decoder's error, failing t if there is none or if
+// the refused segment moved the working epoch.
+func refusal(t *testing.T, s0 *Snapshot, kind byte, crafted []segColumn) error {
+	t.Helper()
+	img, _ := encodeSegment(kind, 1, 0, crafted)
+	_, cols, _, err := parseSegment(img)
+	if err != nil {
+		t.Fatalf("crafted image must frame cleanly: %v", err)
+	}
+	rp := replayerAt(t, s0)
+	before := rp.snapshot()
+	if kind == kindFull {
+		err = rp.full(cols)
+	} else {
+		err = rp.delta(cols)
+	}
+	if err == nil {
+		s := rp.snapshot()
+		t.Fatalf("decoded: transit degree %d, degree %d, cone prefixes %d, path count %d, links %d",
+			s.TransitDegree[0], s.Degree[0], s.ConePrefixes[0], s.PathCount, len(s.Links))
+	}
+	if !reflect.DeepEqual(rp.snapshot(), before) {
+		t.Errorf("refused segment (%v) moved the working epoch", err)
+	}
+	return err
 }
 
 // TestOutOfRangeCountsAreRefused: a count the decoder would have to
@@ -218,28 +275,24 @@ func TestOutOfRangeCountsAreRefused(t *testing.T) {
 	s0, s1 := twoEpochs(t)
 	for _, tc := range outOfRange(s0, s1) {
 		t.Run(tc.name, func(t *testing.T) {
-			img, _ := encodeSegment(tc.kind, 1, 0, tc.cols)
-			_, cols, _, err := parseSegment(img)
-			if err != nil {
-				t.Fatalf("crafted image must frame cleanly: %v", err)
-			}
-			rp := replayerAt(t, s0)
-			before := rp.snapshot()
-			if tc.kind == kindFull {
-				err = rp.full(cols)
-			} else {
-				err = rp.delta(cols)
-			}
-			if err == nil {
-				s := rp.snapshot()
-				t.Fatalf("decoded: transit degree %d, degree %d, cone prefixes %d, path count %d, links %d",
-					s.TransitDegree[0], s.Degree[0], s.ConePrefixes[0], s.PathCount, s.NumRels)
-			}
-			if !strings.Contains(err.Error(), "at offset ") {
+			if err := refusal(t, s0, tc.kind, tc.cols); !strings.Contains(err.Error(), "at offset ") {
 				t.Errorf("error names no offset: %v", err)
 			}
-			if !reflect.DeepEqual(rp.snapshot(), before) {
-				t.Errorf("refused segment (%v) moved the working epoch", err)
+		})
+	}
+}
+
+// TestUnwritableLinkColumnsAreRefused: a step name no core.Step has is
+// refused with an error naming its offset, and a recorded link count
+// that is not the link column's length is refused too — in a full epoch
+// and in a delta, leaving the working epoch where it was.
+func TestUnwritableLinkColumnsAreRefused(t *testing.T) {
+	s0, s1 := twoEpochs(t)
+	for _, tc := range unwritable(s0, s1) {
+		t.Run(tc.name, func(t *testing.T) {
+			err := refusal(t, s0, tc.kind, tc.cols)
+			if strings.Contains(tc.name, "step name") && !strings.Contains(err.Error(), "at offset ") {
+				t.Errorf("error names no offset: %v", err)
 			}
 		})
 	}
@@ -363,6 +416,10 @@ func FuzzParseSegment(f *testing.F) {
 		f.Add(img)
 	}
 	for _, seed := range outOfRange(s0, s1) {
+		img, _ := encodeSegment(seed.kind, 1, 0, seed.cols)
+		f.Add(img)
+	}
+	for _, seed := range unwritable(s0, s1) {
 		img, _ := encodeSegment(seed.kind, 1, 0, seed.cols)
 		f.Add(img)
 	}

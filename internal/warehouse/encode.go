@@ -5,6 +5,9 @@ import (
 	"hash/crc32"
 	"hash/fnv"
 	"math/bits"
+
+	"github.com/asrank-go/asrank/internal/core"
+	"github.com/asrank-go/asrank/internal/topology"
 )
 
 // On-disk segment layout (DESIGN.md §14). One segment file holds one
@@ -44,10 +47,10 @@ const (
 	colDegree       = 3  // one svarint per position
 	colConePrefixes = 4  // one svarint per position
 	colClique       = 6  // uvarint count, then ascending uvarint deltas
-	colStepNames    = 7  // uvarint count, then (uvarint len, bytes) each
-	colLinks        = 8  // uvarint count, then (uvarint dA, uvarint B, uvarint code) with code = step<<2 | rel
+	colStepNames    = 7  // uvarint count, then (uvarint len, bytes) each: stepTable.names
+	colLinks        = 8  // uvarint count, then (uvarint dA, uvarint B, uvarint code) with code = stepTable index<<2 | rel
 	colConeWords    = 9  // zero-run-length words: (flag 0, uvarint zeroRun) | (flag 1, uvarint n, n×u64le)
-	colScalars      = 10 // uvarint pathCount, uvarint numRels
+	colScalars      = 10 // uvarint pathCount, uvarint len(Links)
 
 	dcolRemovedASNs = 11 // uvarint count, ascending uvarint deltas (ASNs leaving the index)
 	dcolAddedASNs   = 12 // uvarint count, ascending uvarint deltas (ASNs entering)
@@ -135,15 +138,35 @@ func encodeStepNames(out []byte, names []string) []byte {
 	return out
 }
 
-func linkCode(l LinkRec) uint64 { return uint64(l.Step)<<2 | uint64(l.Rel) }
+// stepTable is the step-name column of an epoch: the names of the steps
+// its links carry, in order of first appearance over the sorted link
+// column, and each step's index among them, which is what a link column
+// writes for the step.
+type stepTable struct {
+	names []string
+	index [core.StepPeer + 1]uint8
+}
 
-func encodeLinks(out []byte, links []LinkRec) []byte {
+func newStepTable(links []LinkRec) *stepTable {
+	t := &stepTable{}
+	var seen [core.StepPeer + 1]bool
+	for _, l := range links {
+		if !seen[l.Step] {
+			seen[l.Step] = true
+			t.index[l.Step] = uint8(len(t.names))
+			t.names = append(t.names, l.Step.String())
+		}
+	}
+	return t
+}
+
+func encodeLinks(out []byte, links []LinkRec, steps *stepTable) []byte {
 	out = binary.AppendUvarint(out, uint64(len(links)))
 	prevA := int32(0)
 	for _, l := range links {
 		out = binary.AppendUvarint(out, uint64(l.A-prevA))
 		out = binary.AppendUvarint(out, uint64(l.B))
-		out = binary.AppendUvarint(out, linkCode(l))
+		out = binary.AppendUvarint(out, uint64(steps.index[l.Step])<<2|uint64(l.Rel))
 		prevA = l.A
 	}
 	return out
@@ -265,19 +288,20 @@ func encodeSparse(out []byte, entries []sparseEntry) []byte {
 
 func encodeScalars(out []byte, s *Snapshot) []byte {
 	out = binary.AppendUvarint(out, uint64(s.PathCount))
-	return binary.AppendUvarint(out, uint64(s.NumRels))
+	return binary.AppendUvarint(out, uint64(len(s.Links)))
 }
 
 // encodeFull renders a snapshot as a full epoch's column set.
 func encodeFull(s *Snapshot) []segColumn {
+	steps := newStepTable(s.Links)
 	return []segColumn{
 		{colASNs, encodeAscendingU32(nil, s.ASNs)},
 		{colTransitDeg, encodeI32Column(nil, s.TransitDegree)},
 		{colDegree, encodeI32Column(nil, s.Degree)},
 		{colConePrefixes, encodeI64Column(nil, s.ConePrefixes)},
 		{colClique, encodeAscendingU32(nil, s.Clique)},
-		{colStepNames, encodeStepNames(nil, s.StepNames)},
-		{colLinks, encodeLinks(nil, s.Links)},
+		{colStepNames, encodeStepNames(nil, steps.names)},
+		{colLinks, encodeLinks(nil, s.Links, steps)},
 		{colConeWords, encodeWordsRLE(nil, s.ConeWords)},
 		{colScalars, encodeScalars(nil, s)},
 	}
@@ -378,9 +402,9 @@ func sparseDiff(oldVals func(int32) int64, newVals func(int32) int64, m *indexMa
 // epochs. Both the delta encoder and the history's change list are
 // renderings of it, so Append computes it once.
 type linkDiff struct {
-	removed        []LinkRec // old positions, old labels
-	added, changed []LinkRec // new positions, new labels
-	changedFrom    []RelCode // changed[i]'s relationship in the old epoch
+	removed        []LinkRec               // old positions, old labels
+	added, changed []LinkRec               // new positions, new labels
+	changedFrom    []topology.Relationship // changed[i]'s relationship in the old epoch
 }
 
 // diffLinks three-way-merges two sorted link lists. The first epoch
@@ -418,7 +442,7 @@ func diffLinks(old, cur *Snapshot) linkDiff {
 			j++
 		default:
 			ol, nl := old.Links[i], cur.Links[j]
-			if ol.Rel != nl.Rel || old.StepNames[ol.Step] != cur.StepNames[nl.Step] {
+			if ol.Rel != nl.Rel || ol.Step != nl.Step {
 				d.changed = append(d.changed, nl)
 				d.changedFrom = append(d.changedFrom, ol.Rel)
 			}
@@ -445,6 +469,7 @@ func encodeDelta(old, cur *Snapshot, m *indexMap, d linkDiff) []segColumn {
 		func(p int32) int64 { return old.ConePrefixes[p] },
 		func(p int32) int64 { return cur.ConePrefixes[p] }, m, newN)
 
+	steps := newStepTable(cur.Links)
 	return []segColumn{
 		{dcolRemovedASNs, encodeAscendingU32(nil, m.removed)},
 		{dcolAddedASNs, encodeAscendingU32(nil, m.added)},
@@ -452,10 +477,10 @@ func encodeDelta(old, cur *Snapshot, m *indexMap, d linkDiff) []segColumn {
 		{dcolDegree, encodeSparse(nil, degDiff)},
 		{dcolConePref, encodeSparse(nil, cpDiff)},
 		{colClique, encodeAscendingU32(nil, cur.Clique)},
-		{colStepNames, encodeStepNames(nil, cur.StepNames)},
+		{colStepNames, encodeStepNames(nil, steps.names)},
 		{dcolLinksRem, encodePosPairs(nil, d.removed)},
-		{dcolLinksAdd, encodeLinks(nil, d.added)},
-		{dcolLinksChg, encodeLinks(nil, d.changed)},
+		{dcolLinksAdd, encodeLinks(nil, d.added, steps)},
+		{dcolLinksChg, encodeLinks(nil, d.changed, steps)},
 		{dcolConeXor, encodeConeXor(nil, old, cur, m)},
 		{colScalars, encodeScalars(nil, cur)},
 	}

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+
+	"github.com/asrank-go/asrank/internal/topology"
 )
 
 // TailFaults names the corruptions SealedFaultyDelta can make. Each
@@ -42,7 +44,8 @@ func faultyCols(prev, next *Snapshot, fault string) []segColumn {
 		for slices.ContainsFunc(next.Links, func(l LinkRec) bool { return l.A == 0 && l.B == b }) {
 			b--
 		}
-		col, payload = dcolLinksChg, encodeLinks(nil, []LinkRec{{A: 0, B: b, Rel: RelPeer}})
+		l := LinkRec{A: 0, B: b, Rel: topology.P2P, Step: next.Links[0].Step}
+		col, payload = dcolLinksChg, encodeLinks(nil, []LinkRec{l}, newStepTable(next.Links))
 	default:
 		panic("unknown fault " + fault)
 	}

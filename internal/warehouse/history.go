@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"github.com/asrank-go/asrank/internal/cone"
+	"github.com/asrank-go/asrank/internal/topology"
 )
 
 // History is the immutable in-memory time-travel index the API layer
@@ -33,15 +34,15 @@ type epochSeries struct {
 }
 
 // RelChange is one link whose relationship differs from the previous
-// epoch, in ASN terms. Old/New use zero for "absent", so an appeared
-// link has Old == 0 and a vanished link has New == 0. Step is the
-// provenance of the new labeling ("" when the link vanished).
+// epoch, in ASN terms. Old/New use topology.None for "absent", so an
+// appeared link has Old == None and a vanished link has New == None.
+// Step names the step of the new labeling ("" when the link vanished).
 type RelChange struct {
-	A    uint32  `json:"a"`
-	B    uint32  `json:"b"`
-	Old  RelCode `json:"old"`
-	New  RelCode `json:"new"`
-	Step string  `json:"step,omitempty"`
+	A    uint32                `json:"a"`
+	B    uint32                `json:"b"`
+	Old  topology.Relationship `json:"old"`
+	New  topology.Relationship `json:"new"`
+	Step string                `json:"step,omitempty"`
 }
 
 func newHistory() *History {
@@ -86,12 +87,12 @@ func relChanges(prev, snap *Snapshot, d linkDiff) []RelChange {
 	}
 	for _, l := range d.added {
 		out = append(out, RelChange{
-			A: snap.ASNs[l.A], B: snap.ASNs[l.B], New: l.Rel, Step: snap.StepNames[l.Step],
+			A: snap.ASNs[l.A], B: snap.ASNs[l.B], New: l.Rel, Step: l.Step.String(),
 		})
 	}
 	for i, l := range d.changed {
 		out = append(out, RelChange{
-			A: snap.ASNs[l.A], B: snap.ASNs[l.B], Old: d.changedFrom[i], New: l.Rel, Step: snap.StepNames[l.Step],
+			A: snap.ASNs[l.A], B: snap.ASNs[l.B], Old: d.changedFrom[i], New: l.Rel, Step: l.Step.String(),
 		})
 	}
 	slices.SortFunc(out, byEndpoints)

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"github.com/asrank-go/asrank/internal/cone"
+	"github.com/asrank-go/asrank/internal/topology"
 )
 
 // The passes below are the warehouse's cone-slab passes as they stood
@@ -115,7 +116,7 @@ func oracleDiff(h *History, from, to uint32) ([]RelChange, error) {
 	}
 	type linkKey struct{ a, b uint32 }
 	type fold struct {
-		orig, final RelCode
+		orig, final topology.Relationship
 		step        string
 	}
 	acc := make(map[linkKey]*fold)
@@ -158,14 +159,14 @@ func flappingHistory(rng *rand.Rand, epochs, links int) *History {
 		}
 	}
 	slices.SortFunc(keys, func(x, y [2]uint32) int { return cmp.Or(cmp.Compare(x[0], y[0]), cmp.Compare(x[1], y[1])) })
-	state := make([]RelCode, links)
+	state := make([]topology.Relationship, links)
 	h := &History{series: make([]epochSeries, epochs)}
 	for e := 1; e < epochs; e++ {
 		for i, k := range keys {
 			if rng.Intn(3) > 0 {
 				continue
 			}
-			c := RelChange{A: k[0], B: k[1], Old: state[i], New: RelCode((int(state[i]) + 1 + rng.Intn(3)) % 4)}
+			c := RelChange{A: k[0], B: k[1], Old: state[i], New: topology.Relationship((int(state[i]) + 1 + rng.Intn(3)) % 4)}
 			if c.New != 0 {
 				c.Step = steps[rng.Intn(len(steps))]
 			}

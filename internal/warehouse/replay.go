@@ -96,13 +96,17 @@ func (r *replayer) full(cols map[byte][]byte) error {
 	if s.ConePrefixes, err = decodeCounts[int64](p, n, colConePrefixes); err != nil {
 		return err
 	}
-	if err = decodeShared(cols, s); err != nil {
+	steps, links, err := decodeShared(cols, s)
+	if err != nil {
 		return err
 	}
 	if p, err = col(cols, colLinks); err != nil {
 		return err
 	}
-	if s.Links, err = decodeLinks(p, n, len(s.StepNames), colLinks); err != nil {
+	if s.Links, err = decodeLinks(p, n, steps, colLinks); err != nil {
+		return err
+	}
+	if err = checkLinkCount(links, s.Links); err != nil {
 		return err
 	}
 	if p, err = col(cols, colConeWords); err != nil {
@@ -191,7 +195,8 @@ func (r *replayer) delta(cols map[byte][]byte) error {
 		return err
 	}
 
-	if err = decodeShared(cols, s); err != nil {
+	steps, links, err := decodeShared(cols, s)
+	if err != nil {
 		return err
 	}
 
@@ -205,18 +210,21 @@ func (r *replayer) delta(cols map[byte][]byte) error {
 	if p, err = col(cols, dcolLinksAdd); err != nil {
 		return err
 	}
-	addLinks, err := decodeLinks(p, n, len(s.StepNames), dcolLinksAdd)
+	addLinks, err := decodeLinks(p, n, steps, dcolLinksAdd)
 	if err != nil {
 		return err
 	}
 	if p, err = col(cols, dcolLinksChg); err != nil {
 		return err
 	}
-	chgLinks, err := decodeLinks(p, n, len(s.StepNames), dcolLinksChg)
+	chgLinks, err := decodeLinks(p, n, steps, dcolLinksChg)
 	if err != nil {
 		return err
 	}
-	if s.Links, err = rebuildLinks(old, s, m, remLinks, addLinks, chgLinks); err != nil {
+	if s.Links, err = rebuildLinks(old, m, remLinks, addLinks, chgLinks); err != nil {
+		return err
+	}
+	if err = checkLinkCount(links, s.Links); err != nil {
 		return err
 	}
 

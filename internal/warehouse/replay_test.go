@@ -14,15 +14,17 @@ import (
 	"testing"
 
 	"github.com/asrank-go/asrank/internal/cone"
+	"github.com/asrank-go/asrank/internal/core"
+	"github.com/asrank-go/asrank/internal/topology"
 )
 
 // synthSeries fabricates a chain of valid snapshots around n ASes
 // without running inference, so chain-depth tests and benchmarks set up
 // in milliseconds. Every epoch retires and admits a few ASes, redraws a
-// few metrics, drops, adds and relabels links, toggles a few hundred
-// cone members and rotates the provenance table — the drift the delta
-// columns exist for, with every replay path (remap, in-place XOR, step
-// translation) taken. Epochs listed in still keep their AS set.
+// few metrics, drops, adds and relabels links and toggles a few hundred
+// cone members — the drift the delta columns exist for, with every
+// replay path (remap, in-place XOR) taken. Epochs listed in still keep
+// their AS set.
 func synthSeries(n, epochs int, seed int64, still ...int) []*Snapshot {
 	return synthChain(n, epochs, seed, false, still)
 }
@@ -42,11 +44,11 @@ func synthChain(n, epochs int, seed int64, tail bool, still []int) []*Snapshot {
 		cone    map[uint32]bool
 	}
 	type link struct {
-		rel  RelCode
-		step string
+		rel  topology.Relationship
+		step core.Step
 	}
 	rng := rand.New(rand.NewSource(seed))
-	names := []string{"clique", "top-down", "fold", "vp"}
+	steps := []core.Step{core.StepClique, core.StepTopDown, core.StepFold, core.StepVP}
 	ases := map[uint32]*as{}
 	links := map[[2]uint32]link{}
 	next := uint32(1000)
@@ -64,7 +66,7 @@ func synthChain(n, epochs int, seed int64, tail bool, still []int) []*Snapshot {
 		ases[next] = a
 		for i := 0; i < 2 && len(asns) > 0; i++ {
 			peer := asns[rng.Intn(len(asns))]
-			links[[2]uint32{peer, next}] = link{RelCode(1 + rng.Intn(3)), names[rng.Intn(len(names))]}
+			links[[2]uint32{peer, next}] = link{topology.Relationship(1 + rng.Intn(3)), steps[rng.Intn(len(steps))]}
 			ases[peer].cone[next] = true
 		}
 	}
@@ -110,7 +112,7 @@ func synthChain(n, epochs int, seed int64, tail bool, still []int) []*Snapshot {
 				case i%3 == 0:
 					delete(links, k)
 				default:
-					links[k] = link{RelCode(1 + rng.Intn(3)), names[rng.Intn(len(names))]}
+					links[k] = link{topology.Relationship(1 + rng.Intn(3)), steps[rng.Intn(len(steps))]}
 				}
 				if top := ases[asns[rng.Intn(30)]]; top.cone[b] && top != ases[b] {
 					delete(top.cone, b)
@@ -120,10 +122,7 @@ func synthChain(n, epochs int, seed int64, tail bool, still []int) []*Snapshot {
 			}
 		}
 
-		s := &Snapshot{ASNs: asns, Clique: slices.Clone(asns[:5]), PathCount: int64(1000 + e), NumRels: int64(len(links))}
-		for i := range names { // rotate, so provenance indexes move between epochs
-			s.StepNames = append(s.StepNames, names[(i+e)%len(names)])
-		}
+		s := &Snapshot{ASNs: asns, Clique: slices.Clone(asns[:5]), PathCount: int64(1000 + e)}
 		wps := s.WordsPerCone()
 		s.ConeWords = make([]uint64, wps*len(asns))
 		for p, asn := range asns {
@@ -139,7 +138,7 @@ func synthChain(n, epochs int, seed int64, tail bool, still []int) []*Snapshot {
 		for k, l := range links {
 			a, _ := posOf(asns, k[0])
 			b, _ := posOf(asns, k[1])
-			s.Links = append(s.Links, LinkRec{A: a, B: b, Rel: l.rel, Step: uint8(slices.Index(s.StepNames, l.step))})
+			s.Links = append(s.Links, LinkRec{A: a, B: b, Rel: l.rel, Step: l.step})
 		}
 		slices.SortFunc(s.Links, func(x, y LinkRec) int { return cmp.Or(cmp.Compare(x.A, y.A), cmp.Compare(x.B, y.B)) })
 		out = append(out, s)

@@ -2,73 +2,21 @@ package warehouse
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 
 	"github.com/asrank-go/asrank/internal/cone"
 	"github.com/asrank-go/asrank/internal/core"
-	"github.com/asrank-go/asrank/internal/paths"
 	"github.com/asrank-go/asrank/internal/pool"
 	"github.com/asrank-go/asrank/internal/topology"
 )
 
-// RelCode is the on-disk relationship encoding of one link record,
-// relative to the record's (A, B) position pair.
-type RelCode uint8
-
-// Relationship codes. Zero is reserved so a zero-valued record is
-// detectably invalid.
-const (
-	RelAProvB RelCode = 1 // A is B's provider (p2c in A→B orientation)
-	RelBProvA RelCode = 2 // B is A's provider
-	RelPeer   RelCode = 3 // A and B peer
-)
-
-// String names the code in A→B orientation ("none" for the zero
-// value, which history diffs use for "link absent").
-func (rc RelCode) String() string {
-	switch rc {
-	case RelAProvB:
-		return "p2c"
-	case RelBProvA:
-		return "c2p"
-	case RelPeer:
-		return "p2p"
-	}
-	return "none"
-}
-
-// MarshalJSON renders the code as its name — time-travel responses say
-// "p2c", not 1.
-func (rc RelCode) MarshalJSON() ([]byte, error) {
-	return []byte(`"` + rc.String() + `"`), nil
-}
-
-// UnmarshalJSON parses the name form back, so API clients can decode
-// time-travel responses into the same types the server serializes.
-func (rc *RelCode) UnmarshalJSON(b []byte) error {
-	switch string(b) {
-	case `"p2c"`:
-		*rc = RelAProvB
-	case `"c2p"`:
-		*rc = RelBProvA
-	case `"p2p"`:
-		*rc = RelPeer
-	case `"none"`:
-		*rc = 0
-	default:
-		return fmt.Errorf("warehouse: unknown relationship code %s", b)
-	}
-	return nil
-}
-
 // LinkRec is one inferred adjacency in a snapshot, expressed over
-// interned positions (A < B) with its relationship and the index of
-// its provenance string in Snapshot.StepNames.
+// interned positions (A < B) with its relationship, relative to A (P2C:
+// A is B's provider), and the pipeline step that labeled it.
 type LinkRec struct {
 	A, B int32
-	Rel  RelCode
-	Step uint8
+	Rel  topology.Relationship
+	Step core.Step
 }
 
 // Snapshot is the columnar form of one inference epoch: everything the
@@ -87,13 +35,8 @@ type Snapshot struct {
 	ConePrefixes []int64
 	// Clique is the inferred clique, ascending ASN.
 	Clique []uint32
-	// PathCount is the size of the corpus the inference consumed;
-	// NumRels the total number of labeled links (== len(Links) unless a
-	// future engine emits unlabeled entries).
+	// PathCount is the size of the corpus the inference consumed.
 	PathCount int64
-	NumRels   int64
-	// StepNames is the provenance string table LinkRec.Step indexes.
-	StepNames []string
 	// Links holds every labeled adjacency, sorted by (A, B).
 	Links []LinkRec
 	// ConeWords is the provider/peer-observed customer-cone slab: one
@@ -165,105 +108,57 @@ func FromResult(res *core.Result) *Snapshot {
 			}
 		}
 	})
-	return Compose(ComposeInput{
-		Cones:         cones,
-		TransitDegree: res.TransitDegree,
-		Degree:        res.Degree,
-		PrefixCounts:  prefixCounts,
-		Rels:          res.Rels,
-		Steps:         res.Steps,
-		Clique:        res.Clique,
-		PathCount:     res.Dataset.NumPaths(),
-	})
+	return Compose(res, cones, prefixCounts, res.Dataset.NumPaths())
 }
 
-// ComposeInput carries the already-computed ingredients of one epoch:
-// the cone product over the interned index, the ranking aggregates, and
-// the labeled relationship set. FromResult derives them from a batch
-// inference result; the streaming engine maintains them incrementally
-// and hands them over directly.
-type ComposeInput struct {
-	// Cones is the provider/peer-observed cone product over the interned
-	// AS set (the sorted endpoints of Rels — the index cone.NewRelations
-	// builds). Ownership of its slab passes to the snapshot, uncopied; the
-	// caller must not write to it afterwards.
-	Cones *cone.BitSets
-	// TransitDegree and Degree are the step-2 ranking aggregates over
-	// the sanitized (pre-discard) corpus; missing ASes read as zero.
-	TransitDegree map[uint32]int
-	Degree        map[uint32]int
-	// PrefixCounts is each origin's distinct announced prefix count in
-	// the kept corpus (cone.PrefixCounts semantics).
-	PrefixCounts map[uint32]int
-	// Rels and Steps are the labeled links with provenance.
-	Rels  map[paths.Link]topology.Relationship
-	Steps map[paths.Link]core.Step
-	// Clique is the inferred clique, ascending ASN.
-	Clique []uint32
-	// PathCount is the kept-corpus size.
-	PathCount int
-}
-
-// Compose assembles a columnar snapshot from precomputed ingredients.
-// Batch (FromResult) and streaming epochs flow through this one
-// function, so a streaming epoch whose ingredients match a batch run's
-// is bit-identical to it — column for column, and therefore ETag for
-// ETag once built into an API snapshot.
-func Compose(in ComposeInput) *Snapshot {
-	idx, words := in.Cones.Index(), in.Cones.Slab()
+// Compose assembles res's columnar snapshot around ingredients computed
+// elsewhere: cones, the provider/peer-observed cone product over the
+// sorted endpoints of res.Rels (the index cone.NewRelations and
+// cone.EndpointIndex build); prefixCounts, each origin's distinct
+// announced prefix count in the kept corpus (cone.PrefixCounts
+// semantics); and pathCount, the kept-corpus size. The slab of cones
+// passes to the snapshot uncopied; the caller must not write to it
+// afterwards. Batch (FromResult) and streaming epochs flow through this
+// one function, so a streaming epoch whose ingredients match a batch
+// run's is bit-identical to it — column for column, and therefore ETag
+// for ETag once built into an API snapshot.
+func Compose(res *core.Result, cones *cone.BitSets, prefixCounts map[uint32]int, pathCount int) *Snapshot {
+	idx, words := cones.Index(), cones.Slab()
 	n := idx.Len()
 
 	snap := &Snapshot{
 		ASNs:      append([]uint32(nil), idx.ASNs()...),
-		PathCount: int64(in.PathCount),
-		NumRels:   int64(len(in.Rels)),
+		PathCount: int64(pathCount),
 	}
 
 	snap.TransitDegree = make([]int32, n)
 	snap.Degree = make([]int32, n)
 	for i := 0; i < n; i++ {
 		asn := idx.ASN(int32(i))
-		snap.TransitDegree[i] = int32(in.TransitDegree[asn])
-		snap.Degree[i] = int32(in.Degree[asn])
+		snap.TransitDegree[i] = int32(res.TransitDegree[asn])
+		snap.Degree[i] = int32(res.Degree[asn])
 	}
 
 	// Cone-prefix totals, exactly as the API snapshot precomputes them.
 	weights := make([]int64, n)
-	for asn, c := range in.PrefixCounts {
+	for asn, c := range prefixCounts {
 		if p, ok := idx.Pos(asn); ok {
 			weights[p] = int64(c)
 		}
 	}
-	snap.ConePrefixes = in.Cones.WeightedSizes(weights)
+	snap.ConePrefixes = cones.WeightedSizes(weights)
 	snap.ConeWords = words
 	snap.setConeSizes(cone.RowSizes(make([]int32, n), words))
 
-	snap.Clique = append([]uint32{}, in.Clique...)
+	snap.Clique = append([]uint32{}, res.Clique...)
 
-	// Links sorted by position pair; the provenance table is assigned
-	// in first-appearance order over the sorted links, so two identical
-	// results produce identical tables regardless of map iteration.
-	snap.Links = make([]LinkRec, 0, len(in.Rels))
-	for l, rel := range in.Rels {
-		pa, oka := idx.Pos(l.A)
-		pb, okb := idx.Pos(l.B)
-		if !oka || !okb {
-			continue // an AS filtered from the cone index has no serving row
-		}
-		var code RelCode
-		switch rel {
-		case topology.P2C:
-			code = RelAProvB
-		case topology.C2P:
-			code = RelBProvA
-		case topology.P2P:
-			code = RelPeer
-		default:
-			continue
-		}
-		// paths.Link is normalized A < B and interning preserves ASN
-		// order, so pa < pb already.
-		snap.Links = append(snap.Links, LinkRec{A: pa, B: pb, Rel: code, Step: uint8(in.Steps[l])})
+	// Links sorted by position pair. paths.Link is normalized A < B and
+	// interning preserves ASN order, so pa < pb already.
+	snap.Links = make([]LinkRec, 0, len(res.Rels))
+	for l, rel := range res.Rels {
+		pa, _ := idx.Pos(l.A)
+		pb, _ := idx.Pos(l.B)
+		snap.Links = append(snap.Links, LinkRec{A: pa, B: pb, Rel: rel, Step: res.Steps[l]})
 	}
 	slices.SortFunc(snap.Links, func(x, y LinkRec) int {
 		if x.A != y.A {
@@ -271,16 +166,5 @@ func Compose(in ComposeInput) *Snapshot {
 		}
 		return cmp.Compare(x.B, y.B)
 	})
-	stepIdx := map[string]uint8{}
-	for i := range snap.Links {
-		name := core.Step(snap.Links[i].Step).String()
-		id, ok := stepIdx[name]
-		if !ok {
-			id = uint8(len(snap.StepNames))
-			stepIdx[name] = id
-			snap.StepNames = append(snap.StepNames, name)
-		}
-		snap.Links[i].Step = id
-	}
 	return snap
 }

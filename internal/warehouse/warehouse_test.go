@@ -279,8 +279,8 @@ func TestCorruptManifestIsAnError(t *testing.T) {
 }
 
 // relsOf flattens a snapshot's links into an ASN-keyed relationship map.
-func relsOf(s *warehouse.Snapshot) map[[2]uint32]warehouse.RelCode {
-	out := make(map[[2]uint32]warehouse.RelCode, len(s.Links))
+func relsOf(s *warehouse.Snapshot) map[[2]uint32]topology.Relationship {
+	out := make(map[[2]uint32]topology.Relationship, len(s.Links))
 	for _, l := range s.Links {
 		out[[2]uint32{s.ASNs[l.A], s.ASNs[l.B]}] = l.Rel
 	}
