@@ -102,7 +102,8 @@ trace-demo:
 # against the reader it replaced, FuzzSanitize step 1 against the
 # per-row sanitizer it replaced, FuzzInferDenseVsOracle steps 5–9
 # against the inferencer they replaced, FuzzManifest a store's honest
-# segments against any manifest at all). Each target gets FUZZTIME; `go test`
+# segments against any manifest at all, FuzzParseTraceparent the API's
+# traceparent request header). Each target gets FUZZTIME; `go test`
 # allows only one -fuzz pattern per invocation, hence one line each.
 FUZZTIME ?= 5s
 
@@ -118,4 +119,5 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzInferDenseVsOracle$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSegment$$' -fuzztime $(FUZZTIME) ./internal/warehouse
 	$(GO) test -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime $(FUZZTIME) ./internal/warehouse
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzCorpusMutator$$' -fuzztime $(FUZZTIME) ./internal/streamtest

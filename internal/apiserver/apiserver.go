@@ -64,7 +64,8 @@ type Config struct {
 	// Registry receives per-route HTTP metrics; nil selects the
 	// process-global obs.Default().
 	Registry *obs.Registry
-	// Tracer, when non-nil, wraps every route in request spans.
+	// Tracer, when non-nil, records every request as an http.request
+	// span.
 	Tracer *trace.Tracer
 	// Shed is the per-route admission policy; the zero value disables
 	// shedding (use DefaultShedPolicy for production limits).
@@ -78,13 +79,13 @@ type Config struct {
 }
 
 // Live is the serving surface asrankd mounts. The route table and each
-// route's stack — outermost first: trace span (when configured) →
-// metrics → admission gate → handler, so shed rejections are counted
-// and traced like any other response — are built once, so a route's
-// in-flight and queued requests stay counted against the same gate
-// across snapshot swaps. A swap stores only the new *Data: every data
-// handler loads it once per request, so a request serves one snapshot
-// end to end and the next request sees the new epoch.
+// route's one request path (serveRoute: an http.request phase around
+// the admission gate and the handler, so shed rejections are timed,
+// traced and counted like any other response) are built once, so a
+// route's in-flight and queued requests stay counted against the same
+// gate across snapshot swaps. A swap stores only the new *Data: every
+// data handler loads it once per request, so a request serves one
+// snapshot end to end and the next request sees the new epoch.
 type Live struct {
 	mux  *http.ServeMux
 	data atomic.Pointer[Data]
@@ -106,8 +107,7 @@ func NewLive(st *warehouse.Store, cfg Config) *Live {
 	}
 	lv := &Live{mux: http.NewServeMux()}
 	handle := func(route string, policy ShedPolicy, h http.HandlerFunc) {
-		lv.mux.Handle("GET "+route,
-			TraceRequests(cfg.Tracer, route, m.Wrap(route, Shed(route, policy, m, h))))
+		lv.mux.Handle("GET "+route, serveRoute(route, policy, m, cfg.Tracer, h))
 	}
 	current := func(h func(*Data, http.ResponseWriter, *http.Request)) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) { h(lv.data.Load(), w, r) }
@@ -217,14 +217,14 @@ func (d *Data) writeHot(w http.ResponseWriter, r *http.Request, body []byte) {
 			http.Error(w, "internal error: response encoding failed", http.StatusInternalServerError)
 			return
 		}
-		d.setHot(w.Header())
+		setTag(w.Header(), d.etagHeader)
 		w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 		if _, err := w.Write(buf.Bytes()); err != nil {
 			writeFailures.Inc()
 		}
 		return
 	}
-	d.setHot(w.Header())
+	setTag(w.Header(), d.etagHeader)
 	if _, err := w.Write(body); err != nil {
 		writeFailures.Inc()
 	}
@@ -237,7 +237,7 @@ func (d *Data) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 func (d *Data) handleClique(w http.ResponseWriter, r *http.Request) {
-	if d.notModified(w, r) {
+	if notModified(w, r, d.etagHeader) {
 		return
 	}
 	d.writeHot(w, r, d.cliqueJSON)
@@ -247,7 +247,7 @@ func (d *Data) handleClique(w http.ResponseWriter, r *http.Request) {
 // (?cursor=&limit=), or legacy offset (?limit=&offset=) paging. The
 // bare request (no query) is the pre-serialized first page.
 func (d *Data) handleList(w http.ResponseWriter, r *http.Request) {
-	if d.notModified(w, r) {
+	if notModified(w, r, d.etagHeader) {
 		return
 	}
 	if r.URL.RawQuery == "" {
@@ -278,7 +278,7 @@ func (d *Data) handleList(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	d.setHot(w.Header())
+	setTag(w.Header(), d.etagHeader)
 	writeJSON(w, wantPretty(r), d.page(offset, limit))
 }
 
@@ -316,7 +316,7 @@ func (d *Data) handleBulk(w http.ResponseWriter, r *http.Request, ids string) {
 			out.Missing = append(out.Missing, asn)
 		}
 	}
-	d.setHot(w.Header())
+	setTag(w.Header(), d.etagHeader)
 	writeJSON(w, wantPretty(r), out)
 }
 
@@ -368,7 +368,7 @@ func (d *Data) handleASN(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if d.notModified(w, r) {
+	if notModified(w, r, d.etagHeader) {
 		return
 	}
 	d.writeHot(w, r, d.summaryJSON[pos])
@@ -396,7 +396,7 @@ func (d *Data) handleConeContains(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad member AS number")
 		return
 	}
-	if d.notModified(w, r) {
+	if notModified(w, r, d.etagHeader) {
 		return
 	}
 	bp := coneContainsBufPool.Get().(*[]byte)
@@ -410,7 +410,7 @@ func (d *Data) handleConeContains(w http.ResponseWriter, r *http.Request) {
 	b = strconv.AppendBool(b, d.ConeContains(asn, member))
 	b = append(b, '}')
 	*bp = b
-	d.setHot(w.Header())
+	setTag(w.Header(), d.etagHeader)
 	if _, err := w.Write(b); err != nil {
 		writeFailures.Inc()
 	}
@@ -421,14 +421,14 @@ func (d *Data) handleLinks(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if d.notModified(w, r) {
+	if notModified(w, r, d.etagHeader) {
 		return
 	}
 	out := d.links[pos]
 	if out == nil {
 		out = []linkEntry{} // an AS with no links serializes as [], never null
 	}
-	d.setHot(w.Header())
+	setTag(w.Header(), d.etagHeader)
 	writeJSON(w, wantPretty(r), out)
 }
 
@@ -448,7 +448,7 @@ func (d *Data) handleCone(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if d.notModified(w, r) {
+	if notModified(w, r, d.etagHeader) {
 		return
 	}
 	members := d.coneMembers(asn)
@@ -478,7 +478,7 @@ func (d *Data) handleCone(w http.ResponseWriter, r *http.Request) {
 	if resp.Members == nil {
 		resp.Members = []uint32{}
 	}
-	d.setHot(w.Header())
+	setTag(w.Header(), d.etagHeader)
 	writeJSON(w, wantPretty(r), resp)
 }
 

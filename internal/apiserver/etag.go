@@ -5,40 +5,43 @@ import (
 	"strings"
 )
 
-// The ETag scheme is snapshot-wide: every data route carries the same
-// strong validator (Data.etag), because every response is a pure
-// function of one immutable snapshot. A client that revalidates any
-// cached response with If-None-Match gets a body-free 304 until the
-// serving snapshot is swapped, at which point the tag changes and
-// every cached entry misses together — exactly the invalidation
-// granularity an atomically swapped snapshot has.
+// Two ETag schemes share one conditional-GET pair. The snapshot routes
+// carry one snapshot-wide strong validator (Data.etagHeader), because
+// every response is a pure function of one immutable snapshot: a
+// client that revalidates any cached response with If-None-Match gets
+// a body-free 304 until the serving snapshot is swapped, at which point
+// the tag changes and every cached entry misses together — exactly the
+// invalidation granularity an atomically swapped snapshot has. The
+// time-travel routes carry the warehouse chain ETag instead (see
+// timetravel.go). Either way the tag travels as a one-element header
+// value slice, so the snapshot routes never allocate one per request.
 
-// headerJSON and headerNoBody are shared header value slices assigned
-// by direct map index so the hot handlers never allocate a per-request
-// []string. Keys must be in canonical MIME form (as http.Header.Set
-// would produce) for the rest of net/http to see them.
+// headerJSON is a shared header value slice assigned by direct map
+// index so the hot handlers never allocate a per-request []string.
+// Keys must be in canonical MIME form (as http.Header.Set would
+// produce) for the rest of net/http to see them.
 var headerJSON = []string{"application/json"}
 
-// setHot stamps the alloc-free response headers for a pre-serialized
-// body: content type plus the snapshot validator.
+// setTag stamps the alloc-free headers of a JSON body: content type
+// plus the validator tag (a one-element header value).
 //
 //asrank:hotpath
-func (d *Data) setHot(h http.Header) {
+func setTag(h http.Header, tag []string) {
 	h["Content-Type"] = headerJSON
-	h["Etag"] = d.etagHeader
+	h["Etag"] = tag
 }
 
 // notModified answers a conditional request: when If-None-Match
-// matches the snapshot tag it writes a body-free 304 (with the tag, so
-// caches refresh their metadata) and reports true. Allocation-free.
+// matches tag it writes a body-free 304 (with the tag, so caches
+// refresh their metadata) and reports true. Allocation-free.
 //
 //asrank:hotpath
-func (d *Data) notModified(w http.ResponseWriter, r *http.Request) bool {
+func notModified(w http.ResponseWriter, r *http.Request, tag []string) bool {
 	inm := r.Header.Get("If-None-Match")
-	if inm == "" || !etagMatch(inm, d.etag) {
+	if inm == "" || !etagMatch(inm, tag[0]) {
 		return false
 	}
-	w.Header()["Etag"] = d.etagHeader
+	w.Header()["Etag"] = tag
 	w.WriteHeader(http.StatusNotModified)
 	return true
 }

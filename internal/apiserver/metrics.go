@@ -20,7 +20,7 @@ type Metrics struct {
 	inFlight  *obs.Gauge
 	shed      *obs.CounterVec // route, reason
 	shedQueue *obs.GaugeVec   // route
-	// SLO event counters: every wrapped response counts toward
+	// SLO event counters: every response a route writes counts toward
 	// sloTotal; server faults (5xx) and shed rejections (429) count
 	// toward sloErrors. The availability objective reads both.
 	sloTotal  *obs.Counter
@@ -56,30 +56,49 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	}
 }
 
-// Wrap instruments one route's handler.
-func (m *Metrics) Wrap(route string, next http.Handler) http.Handler {
-	if m == nil {
-		return next
-	}
+// serveRoute is one route's whole request path. The request counts as
+// in flight from arrival, queued time included, and runs as one
+// "http.request" phase under tr: with a tracer, the phase's span joins
+// a valid incoming traceparent, carries route, method, status, bytes
+// and class attributes, and is echoed back in the response traceparent
+// (a nil tr times the request without a span). The route's admission
+// gate then runs h or answers 429/503 itself, and the response — shed
+// rejections included — is counted once, by status class, into the
+// request counter, the latency histogram (with the span's trace ID as
+// the bucket's exemplar) and the SLO counters. A client that hangs up
+// while queued wrote nothing and is counted only as shed.
+func serveRoute(route string, policy ShedPolicy, m *Metrics, tr *trace.Tracer, h http.Handler) http.Handler {
+	g := newGate(route, policy, m)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		m.inFlight.Inc()
 		defer m.inFlight.Dec()
-		sw := &statusWriter{ResponseWriter: w}
-		t0 := time.Now()
-		next.ServeHTTP(sw, r)
-		class := statusClass(sw.Status())
-		m.requests.With(route, class).Inc()
-		hist := m.latency.With(route, class)
-		// When the request ran under a trace span, stamp the latency
-		// bucket with its trace ID — the exemplar a scraper follows from
-		// a histogram outlier straight into the flight recorder.
-		if span := trace.FromContext(r.Context()); span != nil && span.Trace.IsValid() {
-			hist.ObserveExemplar(time.Since(t0).Seconds(), span.Trace.String())
-		} else {
-			hist.ObserveSince(t0)
+		ctx := r.Context()
+		if tr != nil {
+			if id, span, ok := trace.ParseTraceparent(r.Header.Get("traceparent")); ok {
+				ctx = trace.ContextWithRemote(ctx, id, span)
+			}
 		}
+		ctx, ph := tr.StartPhase(ctx, "http.request")
+		if ph.Span != nil {
+			ph.Span.SetAttr("route", route)
+			ph.Span.SetAttr("method", r.Method)
+			w.Header().Set("traceparent", trace.Traceparent(ph.Span))
+			r = r.WithContext(ctx)
+		}
+		sw := &statusWriter{ResponseWriter: w}
+		if !g.serve(sw, r, h) {
+			ph.End(nil, nil)
+			return
+		}
+		code := sw.Status()
+		class := statusClass(code)
+		m.requests.With(route, class).Inc()
+		ph.Span.SetAttrInt("status", int64(code))
+		ph.Span.SetAttrInt("bytes", int64(sw.bytes))
+		ph.Span.SetAttr("class", class)
+		ph.End(m.latency.With(route, class), nil)
 		m.sloTotal.Inc()
-		if code := sw.Status(); code >= 500 || code == http.StatusTooManyRequests {
+		if code >= 500 || code == http.StatusTooManyRequests {
 			m.sloErrors.Inc()
 		}
 	})
@@ -110,25 +129,15 @@ func (m *Metrics) Objectives(target float64) []obs.Objective {
 	}}
 }
 
-// InFlight reports the number of requests currently inside wrapped
-// handlers — the drain loop's readback for "is anything still being
-// served".
-func (m *Metrics) InFlight() float64 {
-	if m == nil {
-		return 0
-	}
-	return m.inFlight.Value()
-}
+// InFlight reports the number of requests currently inside a route,
+// queued or running — the drain loop's readback for "is anything still
+// being served".
+func (m *Metrics) InFlight() float64 { return m.inFlight.Value() }
 
 // ShedQueueDepth reports the total number of requests waiting for an
 // admission slot across all routes — a readiness signal: a deep queue
 // means new work will wait or be rejected.
-func (m *Metrics) ShedQueueDepth() float64 {
-	if m == nil {
-		return 0
-	}
-	return m.shedQueue.Sum()
-}
+func (m *Metrics) ShedQueueDepth() float64 { return m.shedQueue.Sum() }
 
 // statusWriter captures the status code and body size a handler wrote.
 type statusWriter struct {
@@ -156,8 +165,9 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // Unwrap exposes the wrapped writer to http.ResponseController (Go
 // 1.20+), so Flusher/ReaderFrom/Hijacker reach streaming handlers
 // through the middleware stack instead of being hidden by the
-// embedding — without it, a flush through LogRequests or Wrap reports
-// http.ErrNotSupported even though the underlying writer flushes fine.
+// embedding — without it, a flush through LogRequests or serveRoute
+// reports http.ErrNotSupported even though the underlying writer
+// flushes fine.
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // Status returns the response status, defaulting to 200 when the

@@ -141,8 +141,8 @@ func TestStatusWriterDefaultsTo200(t *testing.T) {
 
 // TestFlushThroughMiddlewareStack is the regression test for the
 // statusWriter hiding http.Flusher: a streaming handler must be able
-// to flush through the full production stack (access log → trace →
-// metrics → shed), which requires Unwrap on every wrapping writer so
+// to flush through the full production stack (access log → the traced,
+// gated route), which requires Unwrap on every wrapping writer so
 // http.ResponseController can reach the real connection.
 func TestFlushThroughMiddlewareStack(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -155,8 +155,7 @@ func TestFlushThroughMiddlewareStack(t *testing.T) {
 		}
 		flushErr = http.NewResponseController(w).Flush()
 	})
-	stack := LogRequests(TraceRequests(tr, "/stream", m.Wrap("/stream",
-		Shed("/stream", DefaultShedPolicy(), m, inner))))
+	stack := LogRequests(serveRoute("/stream", DefaultShedPolicy(), m, tr, inner))
 
 	rr := httptest.NewRecorder()
 	stack.ServeHTTP(rr, httptest.NewRequest("GET", "/stream", nil))

@@ -69,9 +69,11 @@ func (p ShedPolicy) scaled(factor int) ShedPolicy {
 	return p
 }
 
-// shedder is one route's admission gate: a buffered-channel semaphore
-// plus a typed-atomic queue depth counter.
-type shedder struct {
+// gate is one route's admission gate: a buffered-channel semaphore
+// plus a typed-atomic queue depth counter. Rejections are recorded in
+// m (asrank_http_requests_shed_total by route and reason, plus a live
+// queue-depth gauge).
+type gate struct {
 	policy     ShedPolicy
 	sem        chan struct{}
 	queued     atomic.Int64
@@ -81,94 +83,92 @@ type shedder struct {
 	route string
 }
 
-// Shed wraps one route's handler in the admission gate described by
-// policy, recording rejections into m (asrank_http_requests_shed_total
-// by route and reason, plus a live queue-depth gauge). A non-positive
-// MaxConcurrent returns next unwrapped.
-func Shed(route string, policy ShedPolicy, m *Metrics, next http.Handler) http.Handler {
+// newGate builds the gate policy describes for route, or nil — a gate
+// that admits everything — when MaxConcurrent is not positive.
+func newGate(route string, policy ShedPolicy, m *Metrics) *gate {
 	if policy.MaxConcurrent <= 0 {
-		return next
+		return nil
 	}
 	policy = policy.withDefaults()
 	secs := int(policy.RetryAfter.Round(time.Second) / time.Second)
 	if secs < 1 {
 		secs = 1
 	}
-	s := &shedder{
+	// Pre-create the children so the overload series exist at 0 from
+	// startup — a dashboard can alert on them before the first incident
+	// ever increments them.
+	m.shedQueue.With(route)
+	for _, reason := range []string{"queue_full", "queue_timeout", "canceled"} {
+		m.shed.With(route, reason)
+	}
+	return &gate{
 		policy:     policy,
 		sem:        make(chan struct{}, policy.MaxConcurrent),
 		retryAfter: strconv.Itoa(secs),
 		m:          m,
 		route:      route,
 	}
-	if m != nil {
-		// Pre-create the children so the overload series exist at 0
-		// from startup — a dashboard can alert on them before the
-		// first incident ever increments them.
-		m.shedQueue.With(route)
-		for _, reason := range []string{"queue_full", "queue_timeout", "canceled"} {
-			m.shed.With(route, reason)
-		}
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case s.sem <- struct{}{}: // free slot, no queueing
-		default:
-			if !s.waitForSlot(w, r) {
-				return
-			}
-		}
-		defer func() { <-s.sem }()
-		next.ServeHTTP(w, r)
-	})
 }
 
-// waitForSlot queues the request for up to QueueTimeout, rejecting
-// immediately when the queue itself is full. It reports whether a slot
-// was acquired.
-func (s *shedder) waitForSlot(w http.ResponseWriter, r *http.Request) bool {
-	if s.queued.Add(1) > int64(s.policy.MaxQueue) {
-		s.queued.Add(-1)
-		s.reject(w, http.StatusTooManyRequests, "queue_full")
-		return false
+// serve runs h once the request holds a slot, or answers it with the
+// 429 or 503 itself. It returns false only when the client canceled
+// while queued: nothing was written, and the request is not a response.
+func (g *gate) serve(w http.ResponseWriter, r *http.Request, h http.Handler) bool {
+	if g == nil {
+		h.ServeHTTP(w, r)
+		return true
 	}
-	if s.m != nil {
-		s.m.shedQueue.With(s.route).Inc()
-		defer s.m.shedQueue.With(s.route).Dec()
+	select {
+	case g.sem <- struct{}{}: // free slot, no queueing
+	default:
+		if reason := g.wait(w, r); reason != "" {
+			return reason != "canceled"
+		}
 	}
-	defer s.queued.Add(-1)
-	t := time.NewTimer(s.policy.QueueTimeout)
+	defer func() { <-g.sem }()
+	h.ServeHTTP(w, r)
+	return true
+}
+
+// wait queues the request for up to QueueTimeout, rejecting
+// immediately when the queue itself is full. It returns "" once a slot
+// is held, or the reason the request was turned away.
+func (g *gate) wait(w http.ResponseWriter, r *http.Request) string {
+	if g.queued.Add(1) > int64(g.policy.MaxQueue) {
+		g.queued.Add(-1)
+		return g.reject(w, http.StatusTooManyRequests, "queue_full")
+	}
+	depth := g.m.shedQueue.With(g.route)
+	depth.Inc()
+	defer depth.Dec()
+	defer g.queued.Add(-1)
+	t := time.NewTimer(g.policy.QueueTimeout)
 	defer t.Stop()
 	select {
-	case s.sem <- struct{}{}:
-		return true
+	case g.sem <- struct{}{}:
+		return ""
 	case <-t.C:
-		s.reject(w, http.StatusServiceUnavailable, "queue_timeout")
-		return false
+		return g.reject(w, http.StatusServiceUnavailable, "queue_timeout")
 	case <-r.Context().Done():
 		// The client gave up while queued; nothing useful to write,
 		// but the rejection is still counted so a retry storm that
 		// cancels aggressively stays visible.
-		s.count("canceled")
-		return false
+		g.m.shed.With(g.route, "canceled").Inc()
+		return "canceled"
 	}
 }
 
-func (s *shedder) count(reason string) {
-	if s.m != nil {
-		s.m.shed.With(s.route, reason).Inc()
-	}
-}
-
-// reject writes the shed response: Retry-After plus a small JSON body.
-func (s *shedder) reject(w http.ResponseWriter, status int, reason string) {
-	s.count(reason)
+// reject counts the rejection and writes the shed response:
+// Retry-After plus a small JSON body. It returns reason.
+func (g *gate) reject(w http.ResponseWriter, status int, reason string) string {
+	g.m.shed.With(g.route, reason).Inc()
 	h := w.Header()
-	h.Set("Retry-After", s.retryAfter)
+	h.Set("Retry-After", g.retryAfter)
 	h.Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	body := `{"error":"overloaded","reason":"` + reason + `"}` + "\n"
 	if _, err := w.Write([]byte(body)); err != nil {
 		writeFailures.Inc()
 	}
+	return reason
 }

@@ -37,7 +37,7 @@ func newShedHarness(t *testing.T, p ShedPolicy) *shedHarness {
 		<-hs.release
 		w.WriteHeader(http.StatusOK)
 	})
-	hs.h = m.Wrap("/test", Shed("/test", p, m, inner))
+	hs.h = serveRoute("/test", p, m, nil, inner)
 	return hs
 }
 
@@ -157,7 +157,9 @@ func TestShedQueueTimeout503(t *testing.T) {
 }
 
 // TestShedCanceledWhileQueued: a client that gives up while queued is
-// counted under its own reason and never admitted.
+// counted under its own reason, never admitted, and — having been
+// served nothing — counted nowhere else: not as a 2xx, not in the
+// latency histogram, not as an SLO event.
 func TestShedCanceledWhileQueued(t *testing.T) {
 	p := ShedPolicy{MaxConcurrent: 1, MaxQueue: 4, QueueTimeout: 10 * time.Second}
 	hs := newShedHarness(t, p)
@@ -191,12 +193,30 @@ func TestShedCanceledWhileQueued(t *testing.T) {
 	if got := len(hs.entered); got != 0 {
 		t.Errorf("%d extra handler entries; the canceled request must not run", got)
 	}
+	// Only the occupant was served.
+	if got := counterValue(hs.reg, "/test", "2xx"); got != 1 {
+		t.Errorf("requests_total 2xx = %d, want 1 (the canceled request counted as served)", got)
+	}
+	if got := hs.m.latency.With("/test", "2xx").Count(); got != 1 {
+		t.Errorf("latency 2xx count = %d, want 1", got)
+	}
+	if got := hs.m.sloTotal.Value(); got != 1 {
+		t.Errorf("SLO total = %d, want 1", got)
+	}
+	if got := hs.m.sloErrors.Value(); got != 0 {
+		t.Errorf("SLO errors = %d, want 0", got)
+	}
 }
 
-// TestShedDisabled: a non-positive limit leaves the route unwrapped.
+// TestShedDisabled: a non-positive limit builds no gate, and the route
+// runs its handler directly.
 func TestShedDisabled(t *testing.T) {
+	m := NewMetrics(obs.NewRegistry())
+	if g := newGate("/test", ShedPolicy{}, m); g != nil {
+		t.Fatal("gate built with shedding disabled")
+	}
 	called := false
-	h := Shed("/test", ShedPolicy{}, nil, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := serveRoute("/test", ShedPolicy{}, m, nil, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		called = true
 	}))
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/test", nil))

@@ -6,8 +6,8 @@ import (
 	"github.com/asrank-go/asrank/internal/warehouse"
 )
 
-// Time-travel routes (all GET, all behind the same shed/metrics/trace
-// stack as the snapshot routes):
+// Time-travel routes (all GET, all served through serveRoute like the
+// snapshot routes):
 //
 //	/api/v1/epochs                     every stored epoch: id, label, sizes, hashes
 //	/api/v1/asns/{asn}/history         one AS across all epochs: rank, cone, changes
@@ -27,23 +27,6 @@ type timeTravel struct {
 	store *warehouse.Store
 }
 
-// histNotModified answers conditional requests against the chain ETag.
-func histNotModified(w http.ResponseWriter, r *http.Request, etag string) bool {
-	inm := r.Header.Get("If-None-Match")
-	if inm == "" || !etagMatch(inm, etag) {
-		return false
-	}
-	w.Header().Set("Etag", etag)
-	w.WriteHeader(http.StatusNotModified)
-	return true
-}
-
-func setChainTag(w http.ResponseWriter, etag string) {
-	h := w.Header()
-	h["Content-Type"] = headerJSON
-	h.Set("Etag", etag)
-}
-
 // epochsResponse is the JSON shape of /epochs.
 type epochsResponse struct {
 	ETag   string                `json:"etag"`
@@ -52,15 +35,16 @@ type epochsResponse struct {
 
 func (tt *timeTravel) handleEpochs(w http.ResponseWriter, r *http.Request) {
 	h := tt.store.History()
-	if histNotModified(w, r, h.ETag()) {
+	tag := []string{h.ETag()}
+	if notModified(w, r, tag) {
 		return
 	}
 	eps := h.Epochs()
 	if eps == nil {
 		eps = []warehouse.EpochInfo{}
 	}
-	setChainTag(w, h.ETag())
-	writeJSON(w, wantPretty(r), epochsResponse{ETag: h.ETag(), Epochs: eps})
+	setTag(w.Header(), tag)
+	writeJSON(w, wantPretty(r), epochsResponse{ETag: tag[0], Epochs: eps})
 }
 
 // historyResponse is the JSON shape of /asns/{asn}/history.
@@ -76,7 +60,8 @@ func (tt *timeTravel) handleHistory(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	h := tt.store.History()
-	if histNotModified(w, r, h.ETag()) {
+	tag := []string{h.ETag()}
+	if notModified(w, r, tag) {
 		return
 	}
 	epochs := h.ASN(asn)
@@ -91,7 +76,7 @@ func (tt *timeTravel) handleHistory(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "AS not observed in any stored epoch")
 		return
 	}
-	setChainTag(w, h.ETag())
+	setTag(w.Header(), tag)
 	writeJSON(w, wantPretty(r), historyResponse{ASN: asn, Epochs: epochs})
 }
 
@@ -111,7 +96,8 @@ func (tt *timeTravel) handleDiff(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	h := tt.store.History()
-	if histNotModified(w, r, h.ETag()) {
+	tag := []string{h.ETag()}
+	if notModified(w, r, tag) {
 		return
 	}
 	changes, err := h.Diff(from, to)
@@ -122,6 +108,6 @@ func (tt *timeTravel) handleDiff(w http.ResponseWriter, r *http.Request) {
 	if changes == nil {
 		changes = []warehouse.RelChange{}
 	}
-	setChainTag(w, h.ETag())
+	setTag(w.Header(), tag)
 	writeJSON(w, wantPretty(r), diffResponse{From: from, To: to, Changes: changes})
 }

@@ -139,9 +139,6 @@ func (h *Histogram) Observe(v float64) {
 	h.ids.Put(id)
 }
 
-// ObserveSince records the seconds elapsed since t0.
-func (h *Histogram) ObserveSince(t0 time.Time) { h.Observe(time.Since(t0).Seconds()) }
-
 // ObserveExemplar records one value and pins it, with its trace ID, as
 // the exemplar of the bucket it lands in (last write wins). The
 // OpenMetrics exposition (negotiated via Accept; classic 0.0.4 output

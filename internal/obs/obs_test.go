@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestCounter(t *testing.T) {
@@ -59,18 +58,6 @@ func TestHistogram(t *testing.T) {
 	}
 	if h.Count() != 5 || h.Sum() != 106 {
 		t.Errorf("Count/Sum = %d/%v", h.Count(), h.Sum())
-	}
-}
-
-func TestHistogramObserveSince(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("test_since", "help", DurationBuckets)
-	h.ObserveSince(time.Now().Add(-10 * time.Millisecond))
-	if h.Count() != 1 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if s := h.Sum(); s < 0.01 || s > 1 {
-		t.Fatalf("sum = %v, want ~0.01", s)
 	}
 }
 

@@ -25,29 +25,25 @@ type RuntimeMetrics struct {
 	heapBytes  *Gauge
 	gcPause    *Histogram
 
-	samples   []metrics.Sample
-	pauseIdx  int // index of the pause sample in samples, -1 if unsupported
+	samples   []metrics.Sample // goroutines, heap bytes, GC pauses
 	lastPause *metrics.Float64Histogram
 }
 
-// runtime/metrics names polled. The GC pause metric moved between Go
-// releases; the first supported candidate wins.
+// runtime/metrics names polled. The GC pause histogram is the one Go
+// 1.22 (go.mod's floor) introduced in place of the deprecated
+// /gc/pauses:seconds.
 const (
 	rmGoroutines = "/sched/goroutines:goroutines"
 	rmHeapBytes  = "/memory/classes/heap/objects:bytes"
+	rmGCPauses   = "/sched/pauses/total/gc:seconds"
 )
-
-var rmPauseCandidates = []string{
-	"/sched/pauses/total/gc:seconds", // go1.22+
-	"/gc/pauses:seconds",             // earlier
-}
 
 // NewRuntimeMetrics registers the runtime metric families in reg and
 // returns a poller. Call Poll on whatever cadence the surface needs
 // (Start runs a background ticker). Registration is idempotent like
 // every obs constructor.
 func NewRuntimeMetrics(reg *Registry) *RuntimeMetrics {
-	rm := &RuntimeMetrics{
+	return &RuntimeMetrics{
 		goroutines: reg.Gauge("asrank_runtime_goroutines",
 			"Goroutines currently live in the process."),
 		heapBytes: reg.Gauge("asrank_runtime_heap_bytes",
@@ -55,22 +51,8 @@ func NewRuntimeMetrics(reg *Registry) *RuntimeMetrics {
 		gcPause: reg.Histogram("asrank_runtime_gc_pause_seconds",
 			"GC stop-the-world pause durations.",
 			ExpBuckets(1e-6, 4, 10)),
-		pauseIdx: -1,
+		samples: []metrics.Sample{{Name: rmGoroutines}, {Name: rmHeapBytes}, {Name: rmGCPauses}},
 	}
-	rm.samples = []metrics.Sample{{Name: rmGoroutines}, {Name: rmHeapBytes}}
-	all := metrics.All()
-	supported := make(map[string]bool, len(all))
-	for _, d := range all {
-		supported[d.Name] = true
-	}
-	for _, name := range rmPauseCandidates {
-		if supported[name] {
-			rm.pauseIdx = len(rm.samples)
-			rm.samples = append(rm.samples, metrics.Sample{Name: name})
-			break
-		}
-	}
-	return rm
 }
 
 // Poll reads the runtime counters once and updates the registry.
@@ -82,10 +64,7 @@ func (rm *RuntimeMetrics) Poll() {
 	if v := rm.samples[1].Value; v.Kind() == metrics.KindUint64 {
 		rm.heapBytes.Set(float64(v.Uint64()))
 	}
-	if rm.pauseIdx < 0 {
-		return
-	}
-	if v := rm.samples[rm.pauseIdx].Value; v.Kind() == metrics.KindFloat64Histogram {
+	if v := rm.samples[2].Value; v.Kind() == metrics.KindFloat64Histogram {
 		rm.observePauseDelta(v.Float64Histogram())
 	}
 }

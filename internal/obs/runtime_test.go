@@ -12,8 +12,7 @@ func TestRuntimeMetricsPoll(t *testing.T) {
 	reg := NewRegistry()
 	rm := NewRuntimeMetrics(reg)
 	// Force a GC so the pause histogram has at least one observation to
-	// translate (pauseIdx may be -1 on exotic toolchains; Poll must not
-	// care either way).
+	// translate.
 	runtime.GC()
 	rm.Poll()
 
@@ -38,9 +37,6 @@ func TestRuntimeMetricsPoll(t *testing.T) {
 func TestRuntimeMetricsPauseDeltaNoDoubleCount(t *testing.T) {
 	reg := NewRegistry()
 	rm := NewRuntimeMetrics(reg)
-	if rm.pauseIdx < 0 {
-		t.Skip("runtime exposes no GC pause histogram")
-	}
 	runtime.GC()
 	rm.Poll()
 	afterFirst := rm.gcPause.Count()

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -190,6 +191,10 @@ func TestParseTraceparentRejectsGarbage(t *testing.T) {
 		"00-0123456789abcdef0123456789abcdef-0000000000000000-01", // zero span
 		"not-a-header",
 		"00-0123456789abcdef0123456789abcdef-01",
+		"ff-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",       // version ff is invalid
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01-extra", // version 00 ends at the flags
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-zz",       // non-hex flags
+		"00-0AF7651916CD43DD8448EB211C80319C-B7AD6B7169203331-01",       // uppercase IDs
 	}
 	for _, h := range bad {
 		if _, _, ok := ParseTraceparent(h); ok {
@@ -199,6 +204,37 @@ func TestParseTraceparentRejectsGarbage(t *testing.T) {
 	if _, _, ok := ParseTraceparent("cc-0123456789abcdef0123456789abcdef-0123456789abcdef-01"); !ok {
 		t.Errorf("future version byte rejected; spec says parse as 00")
 	}
+}
+
+// FuzzParseTraceparent: an accepted header names a nonzero trace and
+// span, and the version-00 header Traceparent would write for that pair
+// parses back to it.
+func FuzzParseTraceparent(f *testing.F) {
+	for _, seed := range []string{
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",
+		"cc-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01-future",
+		"ff-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01-extra",
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-zz",
+		"00-0AF7651916CD43DD8448EB211C80319C-B7AD6B7169203331-01",
+		"00-00000000000000000000000000000000-0000000000000001-01",
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		id, span, ok := ParseTraceparent(h)
+		if !ok {
+			return
+		}
+		if !id.IsValid() || span == 0 {
+			t.Fatalf("ParseTraceparent(%q) accepted a zero ID: %s %d", h, id, span)
+		}
+		again := fmt.Sprintf("00-%s-%016x-01", id, span)
+		if id2, span2, ok := ParseTraceparent(again); !ok || id2 != id || span2 != span {
+			t.Fatalf("%q -> %q parsed back as (%s, %d, %v)", h, again, id2, span2, ok)
+		}
+	})
 }
 
 func TestWriteTree(t *testing.T) {
