@@ -101,9 +101,12 @@ trace-demo:
 # shared chaos-corrupted corpus (FuzzRead diffs the path-text reader
 # against the reader it replaced, FuzzSanitize step 1 against the
 # per-row sanitizer it replaced, FuzzInferDenseVsOracle steps 5–9
-# against the inferencer they replaced, FuzzManifest a store's honest
-# segments against any manifest at all, FuzzParseTraceparent the API's
-# traceparent request header). Each target gets FUZZTIME; `go test`
+# against the inferencer they replaced, FuzzCorpusIndex the corpus
+# index after any add/remove program against a naive recount,
+# FuzzManifest a store's honest segments against any manifest at all,
+# FuzzParseTraceparent the API's traceparent request header, and the
+# RPSL and topology-text readers of the shipped CLIs through a write
+# and a second read). Each target gets FUZZTIME; `go test`
 # allows only one -fuzz pattern per invocation, hence one line each.
 FUZZTIME ?= 5s
 
@@ -117,6 +120,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSanitize$$' -fuzztime $(FUZZTIME) ./internal/paths
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME) ./internal/relfile
 	$(GO) test -run '^$$' -fuzz '^FuzzInferDenseVsOracle$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzCorpusIndex$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/rpsl
+	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME) ./internal/topology
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSegment$$' -fuzztime $(FUZZTIME) ./internal/warehouse
 	$(GO) test -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime $(FUZZTIME) ./internal/warehouse
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime $(FUZZTIME) ./internal/trace

@@ -136,14 +136,12 @@ func inferClique(ix *CorpusIndex, rank []uint32, opts Options) []uint32 {
 
 // crossedByMembers reports whether some ranked-layer path shows cand
 // directly behind two members, (p, m, cand) — evidence the AS sits below
-// the clique. Prev == 0 marks a first-hop context, not a 3-hop window.
+// the clique. The members come from the ranking, which never holds AS
+// 0, so no probe meets a first-hop context.
 func (ix *CorpusIndex) crossedByMembers(cand uint32, members []uint32) bool {
 	for _, p := range members {
-		if p == 0 {
-			continue
-		}
 		for _, m := range members {
-			if _, ok := ix.preTriples[Triple{Prev: p, Mid: m, Next: cand}]; ok {
+			if ix.triples[Triple{Prev: p, Mid: m, Next: cand}].ranked > 0 {
 				return true
 			}
 		}

@@ -335,23 +335,25 @@ func indexCorpus(ctx context.Context, ds *paths.Dataset, opts Options) indexed {
 }
 
 // foldAtBirth runs step 1 — or, over a caller's sanitized corpus, only
-// its grouping by hop sequence — with both index layers folding beside
-// it: the pass hands each sequence to a feed as it is born, and two
-// folders drain the feed, the ranked layer through AddPath and the kept
-// layer through AddKept, +1 per sequence. The layers share no table, so
-// the folders share no lock. Inference reads key presence and the
+// its grouping by hop sequence — with the index folding beside it: the
+// pass hands each sequence to a feed as it is born, and one folder
+// drains the feed into both layers at once, +1 per sequence, each hop
+// context probed once for the two. Inference reads key presence and the
 // derived distinct-neighbour counts only, so +1 per sequence builds the
 // index a +1 per row would (DESIGN.md §5) — the rule the streaming
 // engine folds by.
 //
-// The three tasks go through the pool one chunk each: with two workers
-// one runs step 1 and the other the ranked folder, and whichever is
-// done first takes the kept folder; with one worker they run in order,
-// each folder finding the feed already closed.
+// A caller's corpus loses its rows holding AS 0 first: the number is
+// reserved (RFC 7607), step 1 drops it, and the index keeps it as the
+// first-hop sentinel.
+//
+// The two tasks go through the pool one chunk each: with two workers
+// they run side by side; with one they run in order, the folder finding
+// the feed already closed.
 //
 // The "index" stage measures what step 1 did not hide: it starts where
-// step 1 ends, on the goroutine that ran it, and ends when both folders
-// have drained.
+// step 1 ends, on the goroutine that ran it, and ends when the folder
+// has drained.
 func foldAtBirth(ctx context.Context, ds *paths.Dataset, opts Options) (*CorpusIndex, *paths.Dataset, *paths.Groups, paths.SanitizeStats) {
 	var (
 		ix       = NewCorpusIndex()
@@ -359,12 +361,11 @@ func foldAtBirth(ctx context.Context, ds *paths.Dataset, opts Options) (*CorpusI
 		groups   *paths.Groups
 		sanStats paths.SanitizeStats
 		index    trace.Phase
-		rankedMs float64 // each folder's time in its task
-		keptMs   float64
+		foldMs   float64 // the folder's time in its task
 		failed   any
 	)
 	stepOne := func() {
-		// A pass that panics must still release the folders; the panic
+		// A pass that panics must still release the folder; the panic
 		// is re-raised on the caller's goroutine, where it was raised
 		// before step 1 moved into the pool.
 		defer feed.Close()
@@ -374,23 +375,20 @@ func foldAtBirth(ctx context.Context, ds *paths.Dataset, opts Options) (*CorpusI
 			ds, sanStats, groups = paths.SanitizeFeed(sctx, ds, paths.SanitizeOptions{IXPASes: opts.IXPASes}, feed)
 			ph.End(inferStepDuration.With("sanitize"), nil)
 		} else {
+			ds = withoutASZero(ds)
 			groups = paths.GroupByHopsFeed(ds.Paths, feed)
 		}
 		_, index = trace.StartPhase(ctx, "core.infer.index")
 	}
-	pool.ChunksCtx(ctx, 0, 3, 1, func(ctx context.Context, lo, hi int) {
+	pool.ChunksCtx(ctx, 0, 2, 1, func(ctx context.Context, lo, hi int) {
 		for task := lo; task < hi; task++ {
 			switch task {
 			case 0:
 				stepOne()
 			case 1:
-				_, ph := trace.StartPhase(ctx, "core.infer.index.ranked")
-				feed.Each(func(hops []uint32) { ix.AddPath(hops, 1) })
-				ph.End(nil, &rankedMs)
-			case 2:
-				_, ph := trace.StartPhase(ctx, "core.infer.index.kept")
-				feed.Each(func(hops []uint32) { ix.AddKept(hops, 1) })
-				ph.End(nil, &keptMs)
+				_, ph := trace.StartPhase(ctx, "core.infer.index.fold")
+				feed.Each(func(hops []uint32) { ix.fold(hops, 1, 1) })
+				ph.End(nil, &foldMs)
 			}
 		}
 	})
@@ -398,10 +396,22 @@ func foldAtBirth(ctx context.Context, ds *paths.Dataset, opts Options) (*CorpusI
 		panic(failed)
 	}
 	index.Span.SetAttrInt("sequences", int64(len(groups.Hops)))
-	index.Span.SetAttrInt("ranked_busy_ms", int64(rankedMs))
-	index.Span.SetAttrInt("kept_busy_ms", int64(keptMs))
+	index.Span.SetAttrInt("triples", int64(len(ix.triples)))
+	index.Span.SetAttrInt("links", int64(len(ix.links)))
+	index.Span.SetAttrInt("transit_pairs", int64(len(ix.transitPair)))
+	index.Span.SetAttrInt("fold_busy_ms", int64(foldMs))
 	index.End(inferStepDuration.With("index"), nil)
 	return ix, ds, groups, sanStats
+}
+
+// withoutASZero returns ds, or a copy of it without the rows that hold
+// AS 0 when it has any.
+func withoutASZero(ds *paths.Dataset) *paths.Dataset {
+	holds := func(p paths.Path) bool { return slices.Contains(p.ASNs, 0) }
+	if !slices.ContainsFunc(ds.Paths, holds) {
+		return ds
+	}
+	return &paths.Dataset{Paths: slices.DeleteFunc(slices.Clone(ds.Paths), holds)}
 }
 
 // InferIndexed runs inference over an already-built corpus index with a

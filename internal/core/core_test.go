@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"net/netip"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/asrank-go/asrank/internal/bgpsim"
@@ -84,6 +86,41 @@ func TestDiscardPoisoned(t *testing.T) {
 	want := []paths.Path{d.Paths[1], d.Paths[3], d.Paths[4]}
 	if !reflect.DeepEqual(res.Dataset.Paths, want) {
 		t.Errorf("kept rows = %+v, want %+v", res.Dataset.Paths, want)
+	}
+}
+
+// TestUnsanitizedASZeroRowsWeighNothing: AS 0 is reserved (RFC 7607)
+// and is the index's first-hop sentinel, so a row holding it, in a
+// corpus Infer was told not to sanitize, must not reach the index — as
+// a hop, or as the vantage point of the AS behind it (7 0 10 1 would
+// fold the context (0, 10, 1)). Infer over a corpus with such rows is
+// Infer over the corpus without them, and the index refuses a path
+// holding AS 0 the way it refuses an underflow.
+func TestUnsanitizedASZeroRowsWeighNothing(t *testing.T) {
+	clean := cliqueCorpus()
+	zeros := [][]uint32{{7, 0, 10, 1}, {0, 11, 2, 112}, {101, 11, 3, 0}}
+	with := &paths.Dataset{}
+	for i, p := range clean.Paths {
+		with.Add(p)
+		if i%3 == 0 {
+			with.Add(paths.Path{Collector: "t", ASNs: zeros[i/3]})
+		}
+	}
+	if got, want := Infer(with, Options{}), Infer(clean, Options{}); !reflect.DeepEqual(got, want) {
+		t.Errorf("Infer over rows holding AS 0 differs from Infer without them:\n got %+v\nwant %+v", got, want)
+	}
+	for name, fold := range map[string]func(*CorpusIndex, []uint32){
+		"AddPath": func(ix *CorpusIndex, hops []uint32) { ix.AddPath(hops, 1) },
+		"AddKept": func(ix *CorpusIndex, hops []uint32) { ix.AddKept(hops, 1) },
+	} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "AS 0") {
+					t.Errorf("%s of a path holding AS 0: recovered %s, want a panic naming AS 0", name, msg)
+				}
+			}()
+			fold(NewCorpusIndex(), zeros[0])
+		}()
 	}
 }
 

@@ -48,7 +48,7 @@ func diffDenseOracle(ix *CorpusIndex, rank, clique []uint32, opts Options) (stri
 	switch {
 	case !reflect.DeepEqual(dense.Rels, oracle.Rels), !reflect.DeepEqual(dense.Steps, oracle.Steps):
 		diff = fmt.Sprintf("label maps differ: dense %d links, oracle %d", len(dense.Rels), len(oracle.Rels))
-		for _, l := range paths.SortedLinks(ix.Links()) {
+		for _, l := range ix.Links() {
 			if dense.Rels[l] != oracle.Rels[l] || dense.Steps[l] != oracle.Steps[l] {
 				diff = fmt.Sprintf("link %v: dense %v by %v, oracle %v by %v",
 					l, dense.Rels[l], dense.Steps[l], oracle.Rels[l], oracle.Steps[l])

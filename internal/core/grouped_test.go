@@ -154,8 +154,9 @@ func TestInferGroupedEqualsPerRow(t *testing.T) {
 	}
 }
 
-// keySet is a table's keys; tables holds every table of an index by
-// name, the two derived degree tables with their values.
+// keySet is a per-path table's keys, layers a two-layer table's keys
+// present in each layer; tables holds every table of an index by name,
+// the ones counted over distinct hop contexts with their values.
 func keySet[K comparable](m map[K]int) map[K]bool {
 	keys := make(map[K]bool, len(m))
 	for k := range m {
@@ -164,12 +165,24 @@ func keySet[K comparable](m map[K]int) map[K]bool {
 	return keys
 }
 
+func layers[K comparable](m map[K]counts) [2]map[K]bool {
+	sets := [2]map[K]bool{{}, {}}
+	for k, c := range m {
+		if c.ranked > 0 {
+			sets[0][k] = true
+		}
+		if c.kept > 0 {
+			sets[1][k] = true
+		}
+	}
+	return sets
+}
+
 func tables(ix *CorpusIndex) map[string]any {
 	return map[string]any{
-		"occur": keySet(ix.occur), "nbrPair": keySet(ix.nbrPair), "deg": ix.deg,
-		"transitPair": keySet(ix.transitPair), "transitDeg": ix.transitDeg, "preTriples": keySet(ix.preTriples),
-		"links": keySet(ix.links), "triples": keySet(ix.triples), "origins": keySet(ix.origins),
-		"vpOrigins": keySet(ix.vpOrigins), "vpFirstHops": keySet(ix.vpFirstHops),
+		"triples": layers(ix.triples), "occur": keySet(ix.occur),
+		"origins": keySet(ix.origins), "vpOrigins": keySet(ix.vpOrigins),
+		"links": ix.links, "deg": ix.deg, "transitPair": ix.transitPair, "transitDeg": ix.transitDeg,
 	}
 }
 
@@ -177,11 +190,11 @@ func tables(ix *CorpusIndex) map[string]any {
 // and the fold beside step 1: under a clique that poisons a tenth of the
 // sequences and more, the index Infer's steps 1–4 leave — every
 // sequence folded +1 into both layers as it was interned, the poisoned
-// ones folded back out — has the key sets and the derived degrees of
-// the two passes over rows, a poisoned sequence's kept-layer keys gone
-// and not left at zero; and the whole Result is equal. With one worker
-// the three tasks run in order; under -race the two folders and step 1
-// are checked against each other.
+// ones folded back out — has the key sets of the two passes over rows,
+// a poisoned sequence's kept-layer keys gone and not left at zero, and
+// their very tables where those count distinct hop contexts; and the
+// whole Result is equal. With one worker the two tasks run in order;
+// under -race the folder and step 1 are checked against each other.
 func TestFoldAtBirthBuildsThePerRowIndex(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 4} {
@@ -224,11 +237,11 @@ func TestFoldAtBirthBuildsThePerRowIndex(t *testing.T) {
 	}
 }
 
-// TestFoldersDoNotOutliveInfer: the folders are pool tasks, so Infer
-// returns — or panics — only after both have drained. A step 1 that
-// panics (here on a nil corpus row table) must still close the feed the
-// folders wait on, and re-raise on the caller's goroutine; a cancelled
-// context changes nothing, inference does not watch it.
+// TestFoldersDoNotOutliveInfer: the folder is a pool task, so Infer
+// returns — or panics — only after it has drained. A step 1 that panics
+// (here on a nil corpus row table) must still close the feed the folder
+// waits on, and re-raise on the caller's goroutine; a cancelled context
+// changes nothing, inference does not watch it.
 func TestFoldersDoNotOutliveInfer(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	raw := duplicatedCorpus(stats.NewRNG(1))

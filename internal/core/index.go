@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"github.com/asrank-go/asrank/internal/paths"
@@ -10,13 +11,15 @@ import (
 // Triple is one consecutive-hop context observed in the corpus: Mid was
 // seen between Prev and Next in some path. Prev is 0 when Mid is the
 // first hop (the vantage point) — the same sentinel step 5 has always
-// used for "no entering hop to reason from".
+// used for "no entering hop to reason from". AS 0 is reserved (RFC
+// 7607), and the index refuses a path holding it, so the sentinel
+// cannot be a hop.
 type Triple struct {
 	Prev, Mid, Next uint32
 }
 
-// VPPair keys the per-vantage-point aggregates of step 6: which origins
-// a VP's feed reaches, and which first hops it exits through.
+// VPPair keys the per-vantage-point aggregate of step 6: which origins
+// a VP's feed reaches.
 type VPPair struct {
 	VP, Other uint32
 }
@@ -25,6 +28,11 @@ type VPPair struct {
 // distinct-neighbor counts under reference counting.
 type pairKey struct {
 	x, y uint32
+}
+
+// counts is one key's reference count in each layer of the index.
+type counts struct {
+	ranked, kept int32
 }
 
 // CorpusIndex holds every corpus-derived aggregate steps 2–9 consume,
@@ -45,6 +53,12 @@ type pairKey struct {
 //     (paths not poisoned under the step-3 clique), feeding the
 //     intra-clique labeling, provider-less detection, and steps 5–9.
 //
+// A path's hops probe one table, the hop contexts, whose entry holds
+// both layers' counts; everything else the layers hold — links, node
+// and transit degrees, a VP's first hops — is a projection of the
+// distinct contexts, and moves only when a context's count in a layer
+// crosses zero. The origin tables are the only other per-path folds.
+//
 // Both pipelines fold ±1 per distinct hop sequence: batch inference
 // folds every sequence of a Dataset into both layers as step 1 interns
 // it and folds the poisoned ones back out of the kept layer once the
@@ -54,50 +68,50 @@ type pairKey struct {
 // other counts. Nothing per-row lives here: the kept-row count and the
 // prefix counts are the caller's.
 type CorpusIndex struct {
-	// Ranked layer.
-	occur       map[uint32]int  // per-hop AS occurrences (ASes())
-	nbrPair     map[pairKey]int // ordered (AS, neighbor) occurrences
-	deg         map[uint32]int  // distinct neighbors, derived from nbrPair
-	transitPair map[pairKey]int // ordered (mid, neighbor) transit occurrences
-	transitDeg  map[uint32]int  // distinct transit neighbors, derived
-	preTriples  map[Triple]int  // hop contexts (clique extension evidence)
+	// Folded per path.
+	triples   map[Triple]counts // hop contexts, incl. Prev==0 VP contexts
+	occur     map[uint32]int    // ranked one-hop paths' ASes
+	origins   map[uint32]int    // kept paths' origins (step 6 universe)
+	vpOrigins map[VPPair]int    // (VP, origin), kept paths of len>=2 only
 
-	// Kept layer.
-	links       map[paths.Link]int
-	triples     map[Triple]int // hop contexts incl. Prev==0 VP contexts (step 5)
-	origins     map[uint32]int // per-path origin occurrences (step 6 universe)
-	vpOrigins   map[VPPair]int // (VP, origin), len>=2 paths only
-	vpFirstHops map[VPPair]int // (VP, first hop), len>=2 paths only
+	// Counted over distinct contexts.
+	links       map[paths.Link]counts // contexts whose {Mid, Next} is the link
+	deg         map[uint32]int        // distinct ranked neighbors
+	transitPair map[pairKey]int       // ranked (Mid, Prev), (Mid, Next) of contexts with Prev != 0
+	transitDeg  map[uint32]int        // distinct ranked transit neighbors
 }
 
 // NewCorpusIndex returns an empty index.
 func NewCorpusIndex() *CorpusIndex {
 	return &CorpusIndex{
+		triples:     make(map[Triple]counts),
 		occur:       make(map[uint32]int),
-		nbrPair:     make(map[pairKey]int),
+		origins:     make(map[uint32]int),
+		vpOrigins:   make(map[VPPair]int),
+		links:       make(map[paths.Link]counts),
 		deg:         make(map[uint32]int),
 		transitPair: make(map[pairKey]int),
 		transitDeg:  make(map[uint32]int),
-		preTriples:  make(map[Triple]int),
-		links:       make(map[paths.Link]int),
-		triples:     make(map[Triple]int),
-		origins:     make(map[uint32]int),
-		vpOrigins:   make(map[VPPair]int),
-		vpFirstHops: make(map[VPPair]int),
 	}
 }
 
 // bump adjusts a reference count, deleting the key at zero so key
-// presence always means "at least one backing occurrence". That
-// invariant is what lets an add probe its key once: an absent key reads
-// as the zero count it stands for. Negative counts are a caller bug: a
-// remove of a path never added.
-func bump[K comparable](m map[K]int, k K, d int) {
+// presence always means "at least one backing occurrence", and reports
+// the key's birth (1), death (-1) or neither (0). The invariant lets an
+// add probe its key once: an absent key reads as the zero count it
+// stands for, and a birth is the table growing. Negative counts are a
+// caller bug: a remove of a path never added.
+func bump[K comparable](m map[K]int, k K, d int) int {
 	if d > 0 {
+		before := len(m)
 		m[k] += d
-		return
+		if len(m) != before {
+			return 1
+		}
+		return 0
 	}
-	n := m[k] + d
+	old := m[k]
+	n := old + d
 	switch {
 	case n < 0:
 		panic("core: corpus index refcount underflow")
@@ -106,39 +120,37 @@ func bump[K comparable](m map[K]int, k K, d int) {
 	default:
 		m[k] = n
 	}
+	return crossing(old, n)
 }
 
-// bumpPair adjusts an adjacency refcount and folds its 0↔1 transitions
-// into the derived distinct-neighbor count of x. An add sees the 0→1
-// transition as the table growing, again because presence means a
-// positive count.
-func bumpPair(pairs map[pairKey]int, counts map[uint32]int, x, y uint32, d int) {
-	k := pairKey{x, y}
-	if d > 0 {
-		before := len(pairs)
-		pairs[k] += d
-		if len(pairs) != before {
-			counts[x]++
-		}
-		return
-	}
-	old := pairs[k]
-	n := old + d
+// add adjusts both layers' counts of k, deleting the entry when both
+// reach zero, and reports each layer's crossing as bump does.
+func add[K comparable](m map[K]counts, k K, dr, dk int) (ranked, kept int) {
+	old := m[k]
+	r, c := int(old.ranked)+dr, int(old.kept)+dk
 	switch {
-	case n < 0:
+	case r < 0 || c < 0:
 		panic("core: corpus index refcount underflow")
-	case n == 0:
-		delete(pairs, k)
+	case r > math.MaxInt32 || c > math.MaxInt32:
+		panic("core: corpus index refcount overflow")
+	case r == 0 && c == 0:
+		delete(m, k)
 	default:
-		pairs[k] = n
+		m[k] = counts{ranked: int32(r), kept: int32(c)}
 	}
-	if old > 0 && n == 0 {
-		if counts[x] == 1 {
-			delete(counts, x)
-		} else {
-			counts[x]--
-		}
+	return crossing(int(old.ranked), r), crossing(int(old.kept), c)
+}
+
+// crossing is 1 when a count rose from zero, -1 when it fell to zero,
+// and 0 when its key's presence held.
+func crossing(before, after int) int {
+	switch {
+	case before == 0 && after > 0:
+		return 1
+	case before > 0 && after == 0:
+		return -1
 	}
+	return 0
 }
 
 // AddPath folds d occurrences of a sanitized path into (d > 0) or out
@@ -146,27 +158,8 @@ func bumpPair(pairs map[pairKey]int, counts map[uint32]int, x, y uint32, d int) 
 // under many prefixes, so both pipelines fold each distinct hop
 // sequence once — +1 when its first row appears, and in the streaming
 // engine -1 when its last goes — and reach the key sets a +1 per row
-// would build.
-func (ix *CorpusIndex) AddPath(asns []uint32, d int) {
-	for _, a := range asns {
-		bump(ix.occur, a, d)
-	}
-	for i := 0; i+1 < len(asns); i++ {
-		a, b := asns[i], asns[i+1]
-		bumpPair(ix.nbrPair, ix.deg, a, b, d)
-		bumpPair(ix.nbrPair, ix.deg, b, a, d)
-		var prev uint32
-		if i > 0 {
-			prev = asns[i-1]
-		}
-		bump(ix.preTriples, Triple{Prev: prev, Mid: a, Next: b}, d)
-	}
-	for i := 1; i+1 < len(asns); i++ {
-		mid := asns[i]
-		bumpPair(ix.transitPair, ix.transitDeg, mid, asns[i-1], d)
-		bumpPair(ix.transitPair, ix.transitDeg, mid, asns[i+1], d)
-	}
-}
+// would build. It panics on a path holding AS 0, as on an underflow.
+func (ix *CorpusIndex) AddPath(asns []uint32, d int) { ix.fold(asns, d, 0) }
 
 // AddKept folds d occurrences of a non-poisoned path into (d > 0) or
 // out of (d < 0) the kept layer; d is a multiplicity, as in AddPath.
@@ -174,37 +167,88 @@ func (ix *CorpusIndex) AddPath(asns []uint32, d int) {
 // the batch pipeline keeps every sequence and removes the poisoned ones
 // once it has a clique; when the clique changes, the streaming engine
 // removes the paths that became poisoned and adds the ones that stopped
-// being so.
-func (ix *CorpusIndex) AddKept(asns []uint32, d int) {
+// being so. The layers cross zero independently, so a path may leave
+// the ranked layer before it leaves the kept one.
+func (ix *CorpusIndex) AddKept(asns []uint32, d int) { ix.fold(asns, 0, d) }
+
+// fold folds dr occurrences of a path into the ranked layer and dk into
+// the kept layer. A path of L hops probes its L−1 contexts; a context
+// born or gone in a layer moves that layer's derived tables.
+func (ix *CorpusIndex) fold(asns []uint32, dr, dk int) {
+	if slices.Contains(asns, 0) {
+		panic("core: corpus index path holds AS 0")
+	}
 	if len(asns) == 0 {
 		return
 	}
-	bump(ix.origins, asns[len(asns)-1], d)
-	if len(asns) >= 2 {
-		bump(ix.vpOrigins, VPPair{VP: asns[0], Other: asns[len(asns)-1]}, d)
-		bump(ix.vpFirstHops, VPPair{VP: asns[0], Other: asns[1]}, d)
+	if len(asns) == 1 && dr != 0 {
+		bump(ix.occur, asns[0], dr)
 	}
-	for i := 0; i+1 < len(asns); i++ {
-		bump(ix.links, paths.NewLink(asns[i], asns[i+1]), d)
-		var prev uint32
-		if i > 0 {
-			prev = asns[i-1]
+	if dk != 0 {
+		origin := asns[len(asns)-1]
+		bump(ix.origins, origin, dk)
+		if len(asns) >= 2 {
+			bump(ix.vpOrigins, VPPair{VP: asns[0], Other: origin}, dk)
 		}
-		bump(ix.triples, Triple{Prev: prev, Mid: asns[i], Next: asns[i+1]}, d)
+	}
+	var prev uint32
+	for i := 0; i+1 < len(asns); i++ {
+		t := Triple{Prev: prev, Mid: asns[i], Next: asns[i+1]}
+		prev = t.Mid
+		r, k := add(ix.triples, t, dr, dk)
+		if r != 0 {
+			ix.rankedContext(t, r)
+		}
+		if k != 0 {
+			add(ix.links, paths.NewLink(t.Mid, t.Next), 0, k)
+		}
+	}
+}
+
+// rankedContext folds the birth (s = 1) or death (s = -1) of a ranked
+// context into what it projects to: its link, whose own crossing moves
+// the degree of each end, and — when Mid is a transit hop — its two
+// transit pairs, whose crossings move Mid's transit degree.
+func (ix *CorpusIndex) rankedContext(t Triple, s int) {
+	if r, _ := add(ix.links, paths.NewLink(t.Mid, t.Next), s, 0); r != 0 {
+		bump(ix.deg, t.Mid, r)
+		if t.Next != t.Mid {
+			bump(ix.deg, t.Next, r)
+		}
+	}
+	if t.Prev == 0 {
+		return
+	}
+	for _, y := range [2]uint32{t.Prev, t.Next} {
+		if c := bump(ix.transitPair, pairKey{t.Mid, y}, s); c != 0 {
+			bump(ix.transitDeg, t.Mid, c)
+		}
 	}
 }
 
 // adjacent reports whether a and b are neighbors in some ranked-layer
 // path.
 func (ix *CorpusIndex) adjacent(a, b uint32) bool {
-	_, ok := ix.nbrPair[pairKey{a, b}]
-	return ok
+	return ix.links[paths.NewLink(a, b)].ranked > 0
 }
 
-// Links returns the kept layer's link set, keyed like Dataset.Links.
-// The map is shared with the index — callers must not mutate it, and
-// must not retain it across further Add calls.
-func (ix *CorpusIndex) Links() map[paths.Link]int { return ix.links }
+// Links returns the kept layer's link set — the links of
+// Dataset.Links over the kept corpus — in paths.SortedLinks order.
+func (ix *CorpusIndex) Links() []paths.Link {
+	// Sorted as packed A<<32|B keys: an ordered sort, no comparator.
+	keys := make([]uint64, 0, len(ix.links))
+	for l, c := range ix.links {
+		if c.kept > 0 {
+			keys = append(keys, uint64(l.A)<<32|uint64(l.B))
+		}
+	}
+	slices.Sort(keys)
+	out := make([]paths.Link, len(keys))
+	for i, k := range keys {
+		out[i] = paths.Link{A: uint32(k >> 32), B: uint32(k)}
+	}
+	return out
+}
 
 // TransitDegrees returns a copy of the transit-degree metric, equal to
 // Dataset.TransitDegrees over the ranked corpus.
@@ -228,7 +272,8 @@ func (ix *CorpusIndex) Degrees() map[uint32]int {
 
 // Rank orders every observed AS by decreasing transit degree, then
 // decreasing node degree, then ascending ASN — step 2 over the ranked
-// layer.
+// layer. An AS of the ranked layer has a neighbor, and so a degree,
+// unless every ranked path it is on is one hop long.
 func (ix *CorpusIndex) Rank() []uint32 {
 	// One key per AS, gathered once: the two degrees complemented and
 	// packed, so ascending key order is descending degree order.
@@ -236,10 +281,17 @@ func (ix *CorpusIndex) Rank() []uint32 {
 		degs uint64
 		asn  uint32
 	}
-	keys := make([]key, 0, len(ix.occur))
+	keys := make([]key, 0, len(ix.deg)+len(ix.occur))
+	pack := func(asn uint32, deg int) key {
+		return key{degs: uint64(^uint32(ix.transitDeg[asn]))<<32 | uint64(^uint32(deg)), asn: asn}
+	}
+	for asn, deg := range ix.deg {
+		keys = append(keys, pack(asn, deg))
+	}
 	for asn := range ix.occur {
-		degs := uint64(^uint32(ix.transitDeg[asn]))<<32 | uint64(^uint32(ix.deg[asn]))
-		keys = append(keys, key{degs: degs, asn: asn})
+		if _, ok := ix.deg[asn]; !ok {
+			keys = append(keys, pack(asn, 0))
+		}
 	}
 	slices.SortFunc(keys, func(a, b key) int {
 		if a.degs != b.degs {

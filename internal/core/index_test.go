@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -102,82 +104,112 @@ func interleavedIndex(seed int64) (ix *CorpusIndex, pool [][]uint32, units []int
 	return ix, pool, units, kept
 }
 
+// recount builds by plain loops over the live paths — each with its
+// units in the ranked and the kept layer — the index a fold of them
+// holds, calling no mutator: the hop contexts and the per-path tables
+// count units; links and transit pairs count the distinct contexts that
+// project to them, per layer; the degrees are paths.Dataset's own over
+// the ranked units. It also returns what the kept units hold by
+// paths.Dataset's reckoning and by a scan of their first two hops: the
+// link set, and the (VP, first hop) pairs in step 6's order.
+func recount(pool [][]uint32, ranked, kept []int) (want *CorpusIndex, links map[paths.Link]int, starts []VPPair) {
+	want = NewCorpusIndex()
+	var rankedDS, keptDS paths.Dataset
+	seen := map[VPPair]bool{}
+	for i, p := range pool {
+		r, k := ranked[i], kept[i]
+		for u := 0; u < r; u++ {
+			rankedDS.Add(paths.Path{ASNs: p})
+		}
+		for u := 0; u < k; u++ {
+			keptDS.Add(paths.Path{ASNs: p})
+		}
+		if len(p) == 1 && r > 0 {
+			want.occur[p[0]] += r
+		}
+		if k > 0 {
+			want.origins[p[len(p)-1]] += k
+			if len(p) >= 2 {
+				want.vpOrigins[VPPair{VP: p[0], Other: p[len(p)-1]}] += k
+				if vp := (VPPair{VP: p[0], Other: p[1]}); !seen[vp] {
+					seen[vp] = true
+					starts = append(starts, vp)
+				}
+			}
+		}
+		for j := 0; j+1 < len(p) && r+k > 0; j++ {
+			var prev uint32
+			if j > 0 {
+				prev = p[j-1]
+			}
+			t := Triple{Prev: prev, Mid: p[j], Next: p[j+1]}
+			c := want.triples[t]
+			c.ranked += int32(r)
+			c.kept += int32(k)
+			want.triples[t] = c
+		}
+	}
+	for t, c := range want.triples {
+		l := paths.NewLink(t.Mid, t.Next)
+		e := want.links[l]
+		if c.ranked > 0 {
+			e.ranked++
+			if t.Prev != 0 {
+				want.transitPair[pairKey{t.Mid, t.Prev}]++
+				want.transitPair[pairKey{t.Mid, t.Next}]++
+			}
+		}
+		if c.kept > 0 {
+			e.kept++
+		}
+		want.links[l] = e
+	}
+	want.deg, want.transitDeg = rankedDS.Degrees(), rankedDS.TransitDegrees()
+	slices.SortFunc(starts, func(a, b VPPair) int {
+		return cmp.Or(cmp.Compare(a.VP, b.VP), cmp.Compare(a.Other, b.Other))
+	})
+	return want, keptDS.Links(), starts
+}
+
+// checkRecount holds ix to the recount of the live paths: every table,
+// the kept link set against Dataset.Links', and the first hops step 6
+// visits against the kept paths' own.
+func checkRecount(t *testing.T, what string, ix *CorpusIndex, pool [][]uint32, ranked, kept []int) {
+	t.Helper()
+	want, links, starts := recount(pool, ranked, kept)
+	if !reflect.DeepEqual(ix, want) {
+		t.Fatalf("%s: index differs from the naive recount:\n got %+v\nwant %+v", what, ix, want)
+	}
+	if got, want := ix.Links(), paths.SortedLinks(links); !slices.Equal(got, want) {
+		t.Fatalf("%s: Links() = %v, Dataset.Links over the kept paths %v", what, got, want)
+	}
+	if got := firstHops(ix); !slices.Equal(got, starts) {
+		t.Fatalf("%s: first hops %v, the kept paths start %v", what, got, starts)
+	}
+}
+
 // TestIndexMatchesNaiveRecount holds the mutators to a reference they
-// did not build: after the same ±d interleaving every table is compared
-// with a recount by plain loops over the live multiset, the two derived
-// degree tables with paths.Dataset's own and the link table's key set
-// with Dataset.Links'. The fresh index of the test above is folded by
-// the mutators under test, so a fault common to add and remove — an add
-// that miscounts a key it finds absent, say — would pass there.
+// did not build: after the same ±d interleaving the index is compared
+// with a recount by plain loops over the live multiset (recount). The
+// fresh index of the test above is folded by the mutators under test,
+// so a fault common to add and remove — an add that miscounts a key it
+// finds absent, say — would pass there.
 func TestIndexMatchesNaiveRecount(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		ix, pool, units, kept := interleavedIndex(seed)
-
-		want := NewCorpusIndex()
-		var ranked, keptDS paths.Dataset // one row per live unit
-		for i, p := range pool {
-			n := units[i]
-			if n == 0 {
-				continue
-			}
-			for u := 0; u < n; u++ {
-				ranked.Add(paths.Path{ASNs: p})
-			}
-			for j, a := range p {
-				want.occur[a] += n
-				var prev uint32
-				if j > 0 {
-					prev = p[j-1]
-				}
-				if j+1 < len(p) {
-					want.nbrPair[pairKey{a, p[j+1]}] += n
-					want.nbrPair[pairKey{p[j+1], a}] += n
-					want.preTriples[Triple{Prev: prev, Mid: a, Next: p[j+1]}] += n
-				}
-				if j > 0 && j+1 < len(p) {
-					want.transitPair[pairKey{a, p[j-1]}] += n
-					want.transitPair[pairKey{a, p[j+1]}] += n
-				}
-			}
-			if !kept[i] {
-				continue
-			}
-			for u := 0; u < n; u++ {
-				keptDS.Add(paths.Path{ASNs: p})
-			}
-			vp, origin := p[0], p[len(p)-1]
-			want.origins[origin] += n
-			want.vpOrigins[VPPair{VP: vp, Other: origin}] += n
-			want.vpFirstHops[VPPair{VP: vp, Other: p[1]}] += n
-			for j := 0; j+1 < len(p); j++ {
-				var prev uint32
-				if j > 0 {
-					prev = p[j-1]
-				}
-				want.links[paths.NewLink(p[j], p[j+1])] += n
-				want.triples[Triple{Prev: prev, Mid: p[j], Next: p[j+1]}] += n
+		keptUnits := make([]int, len(pool))
+		for i := range pool {
+			if kept[i] {
+				keptUnits[i] = units[i]
 			}
 		}
-		want.deg, want.transitDeg = ranked.Degrees(), ranked.TransitDegrees()
-
-		if !reflect.DeepEqual(ix, want) {
-			t.Fatalf("seed %d: index after ±d interleaving differs from the naive recount:\n got %+v\nwant %+v", seed, ix, want)
-		}
-		got, links := ix.Links(), keptDS.Links()
-		if len(got) != len(links) {
-			t.Fatalf("seed %d: index holds %d links, Dataset.Links %d", seed, len(got), len(links))
-		}
-		for l := range got {
-			if _, ok := links[l]; !ok {
-				t.Fatalf("seed %d: index holds link %v, Dataset.Links does not", seed, l)
-			}
-		}
+		checkRecount(t, fmt.Sprintf("seed %d", seed), ix, pool, units, keptUnits)
 	}
 }
 
 // TestIndexRefcountUnderflowPanics: taking out what was never put in is
-// a caller bug every table reports, whatever else the index holds. The
-// one-probe add left the remove path as it was; this pins that it did.
+// a caller bug every table reports, whatever else the index holds, and
+// each layer of a two-layer entry reports it on its own.
 func TestIndexRefcountUnderflowPanics(t *testing.T) {
 	const absent = 99 // the interleaving draws ASes 1..12
 	populated := func() *CorpusIndex { ix, _, _, _ := interleavedIndex(1); return ix }
@@ -185,20 +217,23 @@ func TestIndexRefcountUnderflowPanics(t *testing.T) {
 		table  string
 		remove func(ix *CorpusIndex)
 	}{
+		{"triples", func(ix *CorpusIndex) { add(ix.triples, Triple{Prev: 1, Mid: absent, Next: 2}, -1, 0) }},
 		{"occur", func(ix *CorpusIndex) { bump(ix.occur, absent, -1) }},
-		{"nbrPair", func(ix *CorpusIndex) { bumpPair(ix.nbrPair, ix.deg, 1, absent, -1) }},
-		{"transitPair", func(ix *CorpusIndex) { bumpPair(ix.transitPair, ix.transitDeg, 1, absent, -1) }},
-		{"preTriples", func(ix *CorpusIndex) { bump(ix.preTriples, Triple{Prev: 1, Mid: absent, Next: 2}, -1) }},
-		{"links", func(ix *CorpusIndex) { bump(ix.links, paths.NewLink(1, absent), -1) }},
-		{"triples", func(ix *CorpusIndex) { bump(ix.triples, Triple{Prev: 1, Mid: absent, Next: 2}, -1) }},
 		{"origins", func(ix *CorpusIndex) { bump(ix.origins, absent, -1) }},
 		{"vpOrigins", func(ix *CorpusIndex) { bump(ix.vpOrigins, VPPair{VP: 1, Other: absent}, -1) }},
-		{"vpFirstHops", func(ix *CorpusIndex) { bump(ix.vpFirstHops, VPPair{VP: 1, Other: absent}, -1) }},
+		{"links", func(ix *CorpusIndex) { add(ix.links, paths.NewLink(1, absent), 0, -1) }},
+		{"deg", func(ix *CorpusIndex) { bump(ix.deg, absent, -1) }},
+		{"transitPair", func(ix *CorpusIndex) { bump(ix.transitPair, pairKey{1, absent}, -1) }},
+		{"transitDeg", func(ix *CorpusIndex) { bump(ix.transitDeg, absent, -1) }},
 		{"AddPath", func(ix *CorpusIndex) { ix.AddPath([]uint32{absent, 1}, -1) }},
 		{"AddKept", func(ix *CorpusIndex) { ix.AddKept([]uint32{absent, 1}, -1) }},
 		{"more units than held", func(ix *CorpusIndex) {
 			ix.AddPath([]uint32{absent, 1}, 2)
 			ix.AddPath([]uint32{absent, 1}, -3)
+		}},
+		{"kept units the ranked layer holds", func(ix *CorpusIndex) {
+			ix.AddPath([]uint32{absent, 1, 2}, 2)
+			ix.AddKept([]uint32{absent, 1, 2}, -1)
 		}},
 	} {
 		t.Run(tc.table, func(t *testing.T) {
@@ -210,4 +245,83 @@ func TestIndexRefcountUnderflowPanics(t *testing.T) {
 			tc.remove(populated())
 		})
 	}
+}
+
+// FuzzCorpusIndex runs a byte program of AddPath/AddKept(±d) calls over
+// paths of ASes 1..12 — prepending, loops and one-hop paths included —
+// whose removals never take out more units than the layer holds, and
+// holds the index after it to the naive recount of what is live, and
+// its ranking and clique to a fresh fold of +1 per live path per layer.
+//
+// Each call is a header byte — bit 0 the layer, bit 1 a removal, bits
+// 2–3 the multiplicity less one, bits 4–7 the path length less one
+// (modulo 6) — then one byte per hop.
+func FuzzCorpusIndex(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x20, 1, 2, 3, 0x21, 1, 2, 3, 0x23, 1, 2, 3, 0x22, 1, 2, 3})
+	f.Add([]byte{0x34, 5, 5, 6, 7, 0x01, 4, 0x30, 1, 2, 1, 2, 0x12, 1, 2})
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := stats.NewRNG(seed)
+		prog := make([]byte, 256)
+		for i := range prog {
+			prog[i] = byte(rng.Intn(256))
+		}
+		f.Add(prog)
+	}
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		ix := NewCorpusIndex()
+		var pool [][]uint32
+		id := map[string]int{}
+		var units [2][]int // per layer, per pool path
+		for calls := 0; len(prog) > 0 && calls < 64; calls++ {
+			h := prog[0]
+			n := min(1+int(h>>4)%6, len(prog)-1)
+			hops := make([]uint32, n)
+			for j, b := range prog[1 : 1+n] {
+				hops[j] = 1 + uint32(b)%12
+			}
+			prog = prog[1+n:]
+			if n == 0 {
+				break
+			}
+			key := fmt.Sprint(hops)
+			i, ok := id[key]
+			if !ok {
+				i = len(pool)
+				id[key] = i
+				pool = append(pool, hops)
+				units[0], units[1] = append(units[0], 0), append(units[1], 0)
+			}
+			layer, d := h&1, 1+int(h>>2)&3
+			if h&2 != 0 {
+				if d = -min(d, units[layer][i]); d == 0 {
+					continue
+				}
+			}
+			units[layer][i] += d
+			if layer == 0 {
+				ix.AddPath(hops, d)
+			} else {
+				ix.AddKept(hops, d)
+			}
+		}
+		checkRecount(t, "after the program", ix, pool, units[0], units[1])
+
+		fresh := NewCorpusIndex()
+		for i, p := range pool {
+			if units[0][i] > 0 {
+				fresh.AddPath(p, 1)
+			}
+			if units[1][i] > 0 {
+				fresh.AddKept(p, 1)
+			}
+		}
+		rank, want := ix.Rank(), fresh.Rank()
+		if !slices.Equal(rank, want) {
+			t.Fatalf("Rank() = %v, a fresh +1 fold gives %v", rank, want)
+		}
+		if got, want := CliqueFromIndex(ix, rank, Options{}), CliqueFromIndex(fresh, want, Options{}); !slices.Equal(got, want) {
+			t.Fatalf("clique = %v, a fresh +1 fold gives %v", got, want)
+		}
+	})
 }

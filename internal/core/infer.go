@@ -69,7 +69,7 @@ type inferencer struct {
 
 	// trips[tripStart[z]:tripStart[z+1]] are the distinct triplets with
 	// middle AS z, in ascending (next ASN, prev ASN) order — the order
-	// step 5 visits them.
+	// step 5 visits them, and step 6 a VP's first hops (prev -1).
 	tripStart []int32
 	trips     []triplet
 
@@ -103,7 +103,7 @@ func newInferencer(ix *CorpusIndex, opts Options, res *Result) *inferencer {
 		pos:   make(map[uint32]int32, n),
 		flags: make([]uint8, n),
 		td:    make([]int32, n),
-		links: paths.SortedLinks(ix.links),
+		links: ix.Links(),
 		provs: make([][]int32, n),
 		anc:   make([]uint32, n),
 		ancOf: -1,
@@ -194,7 +194,10 @@ func (in *inferencer) buildTriplets() {
 	}
 	entries := make([]entry, 0, len(in.ix.triples))
 	in.tripStart = make([]int32, n+1)
-	for t := range in.ix.triples {
+	for t, c := range in.ix.triples {
+		if c.kept == 0 {
+			continue
+		}
 		z := in.at(t.Mid)
 		//lint:ignore nodeterminismleak the keys are scattered into per-AS buckets below and every bucket is sorted before it is read
 		entries = append(entries, entry{mid: z, key: uint64(t.Next)<<32 | uint64(t.Prev)})
@@ -407,32 +410,30 @@ func (in *inferencer) vpPass() {
 	for k := range in.ix.vpOrigins {
 		vpOriginCount[k.VP]++
 	}
-	// Visiting (VP, first hop) keys in ascending order reproduces the
-	// batch order exactly: VPs ascending, hops ascending within a VP.
-	hops := make([]VPPair, 0, len(in.ix.vpFirstHops))
-	for k := range in.ix.vpFirstHops {
-		hops = append(hops, k)
+	// The VPs are those counts' keys. A VP's first hops are its
+	// triplets without a previous hop, which its bucket holds in
+	// ascending hop order; visiting VPs in ascending ASN order then
+	// reproduces the batch order exactly.
+	vps := make([]uint32, 0, len(vpOriginCount))
+	for vp := range vpOriginCount {
+		vps = append(vps, vp)
 	}
-	slices.SortFunc(hops, func(a, b VPPair) int {
-		if a.VP != b.VP {
-			return cmp.Compare(a.VP, b.VP)
-		}
-		return cmp.Compare(a.Other, b.Other)
-	})
+	slices.Sort(vps)
 	threshold := in.opts.PartialFeedOriginFrac * float64(len(in.ix.origins))
-	for _, k := range hops {
-		if float64(vpOriginCount[k.VP]) >= threshold {
+	for _, asn := range vps {
+		if float64(vpOriginCount[asn]) >= threshold {
 			continue // full-ish feed: first hops may be providers/peers
 		}
-		vp := in.at(k.VP)
-		h := find(in.row(vp), k.Other)
-		if in.rel[h.link] != topology.None || in.flags[h.pos]&(isClique|isProviderless) != 0 {
-			continue
+		vp := in.at(asn)
+		for _, t := range in.trips[in.tripStart[vp]:in.tripStart[vp+1]] {
+			if t.prev >= 0 || in.rel[t.nextLink] != topology.None || in.flags[t.next]&(isClique|isProviderless) != 0 {
+				continue
+			}
+			if in.createsCycle(vp, t.next) {
+				continue
+			}
+			in.setC2P(t.nextLink, vp, t.next, StepVP)
 		}
-		if in.createsCycle(vp, h.pos) {
-			continue
-		}
-		in.setC2P(h.link, vp, h.pos, StepVP)
 	}
 }
 

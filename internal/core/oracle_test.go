@@ -67,7 +67,7 @@ func newOracleInferencer(ix *CorpusIndex, opts Options, res *Result, clique map[
 		idx:          idx,
 		custIdx:      make([][]int32, idx.Len()),
 		seen:         make([]uint32, idx.Len()),
-		links:        paths.SortedLinks(ix.links),
+		links:        ix.Links(),
 		providerless: make(map[uint32]bool),
 		refused:      make(map[Step]int),
 	}
@@ -90,7 +90,7 @@ func (in *oracleInferencer) detectProviderless() {
 		return
 	}
 	adjClique := make(map[uint32]int)
-	for l := range in.ix.links {
+	for _, l := range in.links {
 		a, b := l.A, l.B
 		if in.clique[a] && !in.clique[b] {
 			adjClique[b]++
@@ -100,8 +100,8 @@ func (in *oracleInferencer) detectProviderless() {
 		}
 	}
 	crossed := make(map[uint32]bool) // X observed as (clique, clique, X)
-	for t := range in.ix.triples {
-		if t.Prev != 0 && in.clique[t.Prev] && in.clique[t.Mid] && !in.clique[t.Next] {
+	for t, c := range in.ix.triples {
+		if c.kept > 0 && t.Prev != 0 && in.clique[t.Prev] && in.clique[t.Mid] && !in.clique[t.Next] {
 			crossed[t.Next] = true
 		}
 	}
@@ -281,18 +281,8 @@ func (in *oracleInferencer) vpPass() {
 	}
 	// Visiting (VP, first hop) keys in ascending order reproduces the
 	// batch order exactly: VPs ascending, hops ascending within a VP.
-	hops := make([]VPPair, 0, len(in.ix.vpFirstHops))
-	for k := range in.ix.vpFirstHops {
-		hops = append(hops, k)
-	}
-	slices.SortFunc(hops, func(a, b VPPair) int {
-		if a.VP != b.VP {
-			return cmp.Compare(a.VP, b.VP)
-		}
-		return cmp.Compare(a.Other, b.Other)
-	})
 	threshold := in.opts.PartialFeedOriginFrac * float64(len(in.ix.origins))
-	for _, k := range hops {
+	for _, k := range firstHops(in.ix) {
 		if float64(vpOriginCount[k.VP]) >= threshold {
 			continue // full-ish feed: first hops may be providers/peers
 		}
@@ -384,7 +374,7 @@ func (in *oracleInferencer) fold() {
 
 // peerRest implements step 9: everything still unlabeled is peering.
 func (in *oracleInferencer) peerRest() {
-	for l := range in.ix.links {
+	for _, l := range in.links {
 		if _, done := in.res.Rels[l]; done {
 			continue
 		}
@@ -393,12 +383,29 @@ func (in *oracleInferencer) peerRest() {
 	}
 }
 
-// sortedTriples returns the keys of a triple map in (Mid, Next, Prev)
-// order, so map iteration order never reaches inference.
-func sortedTriples(m map[Triple]int) []Triple {
+// firstHops returns the kept layer's (VP, first hop) pairs — its
+// contexts whose Mid is the first hop — ascending by VP, then by hop.
+func firstHops(ix *CorpusIndex) []VPPair {
+	var out []VPPair
+	for t, c := range ix.triples {
+		if t.Prev == 0 && c.kept > 0 {
+			out = append(out, VPPair{VP: t.Mid, Other: t.Next})
+		}
+	}
+	slices.SortFunc(out, func(a, b VPPair) int {
+		return cmp.Or(cmp.Compare(a.VP, b.VP), cmp.Compare(a.Other, b.Other))
+	})
+	return out
+}
+
+// sortedTriples returns the kept-layer keys of a triple map in (Mid,
+// Next, Prev) order, so map iteration order never reaches inference.
+func sortedTriples(m map[Triple]counts) []Triple {
 	out := make([]Triple, 0, len(m))
-	for t := range m {
-		out = append(out, t)
+	for t, c := range m {
+		if c.kept > 0 {
+			out = append(out, t)
+		}
 	}
 	slices.SortFunc(out, func(a, b Triple) int {
 		if a.Mid != b.Mid {
@@ -431,7 +438,7 @@ func oracleInferIndexed(ix *CorpusIndex, rank, clique []uint32, opts Options) (*
 	for _, c := range res.Clique {
 		cliqueSet[c] = true
 	}
-	for l := range ix.links {
+	for _, l := range ix.Links() {
 		if cliqueSet[l.A] && cliqueSet[l.B] {
 			res.Rels[l] = topology.P2P
 			res.Steps[l] = StepClique

@@ -2,9 +2,11 @@ package rpsl
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
+	"github.com/asrank-go/asrank/internal/chaos"
 	"github.com/asrank-go/asrank/internal/paths"
 	"github.com/asrank-go/asrank/internal/topology"
 )
@@ -222,4 +224,34 @@ func TestGenerateStaleEntries(t *testing.T) {
 	if stale == 0 {
 		t.Error("expected some stale relationships outside the topology")
 	}
+}
+
+// FuzzParse feeds arbitrary text to the RPSL parser. Whatever objects it
+// accepts must survive Write and a second Parse unchanged. Inputs are
+// capped well below the parser's 1 MiB line limit: continuation lines
+// fold into one written line, so a longer input could write a line the
+// parser refuses.
+func FuzzParse(f *testing.F) {
+	f.Add([]byte(sample))
+	f.Add([]byte("a:\n+b\n\tc # note\n\nX : Y:Z\n\n\n:\n"))
+	for _, v := range chaos.CorruptVariants(20130401, []byte(sample), 8) {
+		f.Add(v)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 64<<10 {
+			return
+		}
+		objs, err := Parse(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, objs); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Parse(bytes.NewReader(buf.Bytes()))
+		if err != nil || !reflect.DeepEqual(objs, again) {
+			t.Fatalf("accepted %q, wrote it as %q, which parses to other objects (%v)", data, buf.Bytes(), err)
+		}
+	})
 }

@@ -2,8 +2,11 @@ package topology
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/asrank-go/asrank/internal/chaos"
 )
 
 // tiny builds a 5-AS toy topology:
@@ -382,4 +385,45 @@ func TestReadErrors(t *testing.T) {
 	if _, err := Read(strings.NewReader(cases[len(cases)-1])); err != nil {
 		t.Errorf("valid input failed: %v", err)
 	}
+}
+
+// FuzzRead feeds arbitrary text to the topology reader. Whatever it
+// accepts, Write renders in its canonical form: reading that back must
+// succeed and write the same bytes again, with the same links.
+func FuzzRead(f *testing.F) {
+	p := DefaultParams(5)
+	p.ASes = 30
+	var gen bytes.Buffer
+	if err := Generate(p).Write(&gen); err != nil {
+		f.Fatal(err)
+	}
+	seed := "# toy\nA|1|tier1|0\nA|2|tier1|+1\nA|3|stub|-2\nP|3|192.0.2.0/24\nP|3|2001:db8::/32\n R|1|3|p2c \nR|2|1|p2p\nR|3|2|p2p\n"
+	f.Add([]byte(seed))
+	f.Add(gen.Bytes())
+	for _, v := range chaos.CorruptVariants(20130401, []byte(seed), 8) {
+		f.Add(v)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		topo, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var once, twice bytes.Buffer
+		if err := topo.Write(&once); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Read(bytes.NewReader(once.Bytes()))
+		if err != nil {
+			t.Fatalf("accepted %q, but not what Write made of it, %q: %v", data, once.Bytes(), err)
+		}
+		if err := again.Write(&twice); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatalf("accepted %q: Write gives %q, then %q after a Read", data, once.Bytes(), twice.Bytes())
+		}
+		if !reflect.DeepEqual(topo.Links(), again.Links()) {
+			t.Fatalf("accepted %q: links %v, %v after Write and Read", data, topo.Links(), again.Links())
+		}
+	})
 }
