@@ -11,13 +11,14 @@ test:
 # The race-enabled gate the parallel cone engine is held to. Every
 # package benchmark runs once so none can rot; numbers come from the
 # ledger (`make ledger`), not from here. The GOMAXPROCS=1 line runs the
-# in-order, one-worker path of the three batch fan-outs (Read's blocks,
-# foldAtBirth, FromResult), which a multi-core runner never takes, and
-# BenchmarkRead runs at one and two CPUs for the same reason.
+# in-order, one-worker path of the batch fan-outs (Read's blocks,
+# foldAtBirth, FromResult and the cone crediting it drives), which a
+# multi-core runner never takes, and BenchmarkRead runs at one and two
+# CPUs for the same reason.
 check: fmt-check lint examples
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	GOMAXPROCS=1 $(GO) test ./internal/paths/... ./internal/core/... ./internal/warehouse/...
+	GOMAXPROCS=1 $(GO) test ./internal/paths/... ./internal/core/... ./internal/cone/... ./internal/warehouse/...
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 	$(GO) test -run '^$$' -bench '^BenchmarkRead$$' -benchtime 1x -cpu 1,2 ./internal/paths
 
@@ -100,7 +101,8 @@ trace-demo:
 # Short native-fuzzing pass over every decoder target, seeded with the
 # shared chaos-corrupted corpus (FuzzRead diffs the path-text reader
 # against the reader it replaced, FuzzSanitize step 1 against the
-# per-row sanitizer it replaced, FuzzInferDenseVsOracle steps 5–9
+# per-row sanitizer it replaced, FuzzSequences the sequence table
+# against a string-keyed map and free list, FuzzInferDenseVsOracle steps 5–9
 # against the inferencer they replaced, FuzzCorpusIndex the corpus
 # index after any add/remove program against a naive recount,
 # FuzzManifest a store's honest segments against any manifest at all,
@@ -118,6 +120,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime $(FUZZTIME) ./internal/mrt
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME) ./internal/paths
 	$(GO) test -run '^$$' -fuzz '^FuzzSanitize$$' -fuzztime $(FUZZTIME) ./internal/paths
+	$(GO) test -run '^$$' -fuzz '^FuzzSequences$$' -fuzztime $(FUZZTIME) ./internal/paths
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME) ./internal/relfile
 	$(GO) test -run '^$$' -fuzz '^FuzzInferDenseVsOracle$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzCorpusIndex$$' -fuzztime $(FUZZTIME) ./internal/core

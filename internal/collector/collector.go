@@ -13,8 +13,9 @@
 // 4271, or skip-and-count in the treat-as-withdraw spirit of RFC 7606),
 // and every session advertises a resume offset (bgp.CapResumeOffset)
 // plus a counted teardown ack so a replaying speaker can retry a killed
-// session without duplicating or losing a single prefix. Every
-// degradation is counted through internal/obs.
+// session without duplicating or losing a single prefix; a peer's newer
+// session supersedes its older one, so only one consumes at a time.
+// Every degradation is counted through internal/obs.
 package collector
 
 import (
@@ -174,6 +175,8 @@ type Server struct {
 	updates int
 	//asrank:guardedby mu
 	consumed map[uint32]uint32 // per-peer-ASN UPDATEs consumed (the resume offset)
+	//asrank:guardedby mu
+	live map[uint32]*session // per peer ASN, the one session that may consume
 
 	wg      sync.WaitGroup
 	closing chan struct{}
@@ -198,6 +201,7 @@ func Serve(ln net.Listener, opts Options) *Server {
 		ln:       ln,
 		m:        newServerMetrics(opts.Registry),
 		consumed: make(map[uint32]uint32),
+		live:     make(map[uint32]*session),
 		closing:  make(chan struct{}),
 	}
 	if opts.Archive != nil {
@@ -245,6 +249,37 @@ func (s *Server) ResumeOffset(asn uint32) uint32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.consumed[asn]
+}
+
+// session is one BGP session's claim on its peer ASN's resume offset.
+type session struct{ conn net.Conn }
+
+// errSuperseded ends a session whose peer opened a newer one.
+var errSuperseded = errors.New("superseded by a newer session from the same peer")
+
+// claim makes ss the session that consumes asn's UPDATEs and returns the
+// offset it resumes at. An older session still open for asn — one whose
+// speaker already gave up on it and redialed, while it drains what was
+// in flight — is closed and consumes nothing more: taking the offset and
+// the claim under one lock keeps every UPDATE after the offset this
+// session's, so no count runs ahead of what the sink was given.
+func (s *Server) claim(asn uint32, ss *session) uint32 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if old := s.live[asn]; old != nil {
+		old.conn.Close() //nolint:errcheck // its reader fails and ends the old session
+	}
+	s.live[asn] = ss
+	return s.consumed[asn]
+}
+
+// release drops ss's claim on asn unless a newer session holds it.
+func (s *Server) release(asn uint32, ss *session) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.live[asn] == ss {
+		delete(s.live, asn)
+	}
 }
 
 // acceptBackoff bounds the retry backoff for transient Accept errors.
@@ -344,8 +379,10 @@ func (s *Server) serve(conn net.Conn) error {
 	if err != nil {
 		return fmt.Errorf("parsing OPEN: %w", err)
 	}
+	ss := &session{conn: conn}
 	var resume [4]byte
-	binary.BigEndian.PutUint32(resume[:], s.ResumeOffset(peer.ASN))
+	binary.BigEndian.PutUint32(resume[:], s.claim(peer.ASN, ss))
+	defer s.release(peer.ASN, ss)
 	ourOpen, err := bgp.EncodeOpen(&bgp.Open{
 		ASN:      s.opts.LocalAS,
 		HoldTime: s.opts.HoldTime,
@@ -397,10 +434,16 @@ func (s *Server) serve(conn net.Conn) error {
 					// routes, count the loss, keep the session — and
 					// count it as consumed so a resuming speaker does
 					// not re-send what we deliberately dropped.
-					s.m.updates.With("malformed_skipped").Inc()
 					s.mu.Lock()
-					s.consumed[peer.ASN]++
+					owner := s.live[peer.ASN] == ss
+					if owner {
+						s.consumed[peer.ASN]++
+					}
 					s.mu.Unlock()
+					if !owner {
+						return errSuperseded
+					}
+					s.m.updates.With("malformed_skipped").Inc()
 					s.opts.Journal.Warn(context.Background(), "collector.update_malformed",
 						oplog.Int("peer_asn", int64(peer.ASN)),
 						oplog.String("policy", s.opts.Malformed.String()),
@@ -410,7 +453,9 @@ func (s *Server) serve(conn net.Conn) error {
 				s.m.updates.With("malformed_teardown").Inc()
 				return fmt.Errorf("parsing UPDATE from AS%d: %w", peer.ASN, err)
 			}
-			s.record(conn, peer, upd, raw, as4)
+			if !s.record(conn, ss, peer, upd, raw, as4) {
+				return errSuperseded
+			}
 		case bgp.MsgNotification:
 			// Orderly teardown. Acknowledge with the consumed count so
 			// the speaker can verify nothing it sent was lost in
@@ -429,12 +474,16 @@ func (s *Server) serve(conn net.Conn) error {
 }
 
 // record delivers an UPDATE's route events to the sink and archives the
-// raw message.
-func (s *Server) record(conn net.Conn, peer *bgp.Open, upd *bgp.Update, raw []byte, as4 bool) {
-	s.m.updates.With("recorded").Inc()
+// raw message. It records nothing and reports false when ss no longer
+// holds its peer's claim.
+func (s *Server) record(conn net.Conn, ss *session, peer *bgp.Open, upd *bgp.Update, raw []byte, as4 bool) bool {
 	hops, _ := paths.WireHops(peer.ASN, upd.Attrs.Path())
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.live[peer.ASN] != ss {
+		return false
+	}
+	s.m.updates.With("recorded").Inc()
 	s.updates++
 	s.consumed[peer.ASN]++
 	// Route events are emitted under the same lock that advances the
@@ -471,6 +520,7 @@ func (s *Server) record(conn net.Conn, peer *bgp.Open, upd *bgp.Update, raw []by
 			s.opts.Logf("collector: archive: %v", err)
 		}
 	}
+	return true
 }
 
 func addrOf(a net.Addr) netip.Addr {

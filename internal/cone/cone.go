@@ -72,8 +72,12 @@ func originWeights[W int | int64](ds *paths.Dataset, weigh func(netip.Prefix) (n
 	out := make(map[uint32]W)
 	for _, p := range ds.Paths {
 		prefix, w := weigh(p.Prefix)
-		k := paths.OriginPrefix{Prefix: paths.FlatPrefix(prefix), Origin: p.Origin()}
-		if _, dup := seen[k]; dup || !k.Prefix.IsValid() {
+		fp := paths.FlatPrefix(prefix)
+		if !fp.IsValid() {
+			continue
+		}
+		k := fp.WithOrigin(p.Origin())
+		if _, dup := seen[k]; dup {
 			continue
 		}
 		seen[k] = struct{}{}
@@ -251,7 +255,7 @@ func (r *Relations) reverseTopo() ([]int32, bool) {
 // position where the next hop is one of the AS's customers, every AS on
 // the maximal descending (p2c) chain is in the cone.
 func (r *Relations) BGPObservedBits(ds *paths.Dataset) *BitSets {
-	return r.observedBits(ds, false)
+	return r.observedBits(len(ds.Paths), func(i int) []uint32 { return ds.Paths[i].ASNs }, false)
 }
 
 // ProviderPeerObservedBits computes the PP cone: like BGPObservedBits,
@@ -259,24 +263,32 @@ func (r *Relations) BGPObservedBits(ds *paths.Dataset) *BitSets {
 // of its providers or peers — third parties demonstrably routing
 // through the AS to reach the cone member.
 func (r *Relations) ProviderPeerObservedBits(ds *paths.Dataset) *BitSets {
-	return r.observedBits(ds, true)
+	return r.observedBits(len(ds.Paths), func(i int) []uint32 { return ds.Paths[i].ASNs }, true)
 }
 
-// observedBits shards the path corpus across the worker pool, credits
-// descending chains into per-shard cone accumulators, and merges the
-// shards in fixed shard order so the result is independent of worker
-// scheduling.
-func (r *Relations) observedBits(ds *paths.Dataset, needEntry bool) *BitSets {
+// ProviderPeerObservedSequences is ProviderPeerObservedBits over a
+// corpus's distinct hop sequences (core.Result.Sequences). Crediting is
+// a union, so a sequence credited once sets exactly the bits its rows
+// set, at a fraction of the walks.
+func (r *Relations) ProviderPeerObservedSequences(seqs [][]uint32) *BitSets {
+	return r.observedBits(len(seqs), func(i int) []uint32 { return seqs[i] }, true)
+}
+
+// observedBits shards the count paths hops(0), hops(1), ... across the
+// worker pool, credits descending chains into per-shard cone
+// accumulators, and merges the shards in fixed shard order so the
+// result is independent of worker scheduling.
+func (r *Relations) observedBits(count int, hops func(int) []uint32, needEntry bool) *BitSets {
 	return r.build(engineName(needEntry), func(ctx context.Context) *BitSets {
-		trace.FromContext(ctx).SetAttrInt("paths", int64(len(ds.Paths)))
+		trace.FromContext(ctx).SetAttrInt("paths", int64(count))
 		n := r.idx.Len()
-		shards := make([][]asindex.Bitset, pool.NumShards(0, len(ds.Paths)))
+		shards := make([][]asindex.Bitset, pool.NumShards(0, count))
 		creditCtx, creditSpan := trace.StartSpan(ctx, "cone.credit")
-		pool.RangeCtx(creditCtx, 0, len(ds.Paths), func(_ context.Context, shard, lo, hi int) {
+		pool.RangeCtx(creditCtx, 0, count, func(_ context.Context, shard, lo, hi int) {
 			local := make([]asindex.Bitset, n)
 			var walk chainWalk
-			for _, p := range ds.Paths[lo:hi] {
-				r.addChains(local, p.ASNs, needEntry, &walk)
+			for i := lo; i < hi; i++ {
+				r.addChains(local, hops(i), needEntry, &walk)
 			}
 			shards[shard] = local
 		})

@@ -164,6 +164,17 @@ func TestParallelMatchesSequentialSeed(t *testing.T) {
 			if got := members(r.ProviderPeerObservedBits(res.Dataset)); !reflect.DeepEqual(got, wantPP) {
 				t.Fatalf("seed %d GOMAXPROCS %d: ProviderPeerObservedBits differs from sequential seed", seed, procs)
 			}
+			// Credited once per distinct sequence, the cones are the rows'.
+			if got := members(r.ProviderPeerObservedSequences(res.Sequences)); !reflect.DeepEqual(got, wantPP) {
+				t.Fatalf("seed %d GOMAXPROCS %d: ProviderPeerObservedSequences differs from sequential seed", seed, procs)
+			}
+			bgp := r.observedBits(len(res.Sequences), func(i int) []uint32 { return res.Sequences[i] }, false)
+			if got := members(bgp); !reflect.DeepEqual(got, wantBGP) {
+				t.Fatalf("seed %d GOMAXPROCS %d: BGP-observed crediting per sequence differs from sequential seed", seed, procs)
+			}
+		}
+		if len(res.Sequences) >= len(res.Dataset.Paths) {
+			t.Fatalf("seed %d: %d sequences for %d rows, want rows that share a sequence", seed, len(res.Sequences), len(res.Dataset.Paths))
 		}
 	}
 }

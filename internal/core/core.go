@@ -146,6 +146,12 @@ type Result struct {
 	SanitizeStats paths.SanitizeStats
 	// Dataset is the post-step-4 corpus the inference actually used.
 	Dataset *paths.Dataset
+	// Sequences are Dataset's distinct hop sequences in first-seen row
+	// order, each the slice its first row holds: the grouping step 1
+	// computed, for consumers that work per sequence. InferIndexed, which
+	// has no corpus, leaves it nil; a caller that edits Dataset must
+	// set it to nil or recompute it.
+	Sequences [][]uint32
 }
 
 // Rel returns the inferred relationship of x relative to y: P2C means x
@@ -244,6 +250,7 @@ func InferCtx(ctx context.Context, ds *paths.Dataset, opts Options) *Result {
 	res := InferIndexed(ctx, in.ix, in.rank, in.clique, opts)
 	res.PoisonedPaths = in.poisoned
 	res.Dataset = in.kept
+	res.Sequences = in.keptSeqs
 	res.SanitizeStats = in.sanStats
 	return res
 }
@@ -276,11 +283,13 @@ func (st *stager) run(spanName, step string, fn func()) {
 
 // indexed is what steps 1–4 leave: the index InferIndexed reads, the
 // ranking and clique taken from its ranked layer, and the post-step-4
-// corpus beside the number of rows step 4 discarded.
+// corpus and its distinct sequences beside the number of rows step 4
+// discarded.
 type indexed struct {
 	ix           *CorpusIndex
 	rank, clique []uint32
 	kept         *paths.Dataset
+	keptSeqs     [][]uint32
 	poisoned     int
 	sanStats     paths.SanitizeStats
 }
@@ -310,13 +319,18 @@ func indexCorpus(ctx context.Context, ds *paths.Dataset, opts Options) indexed {
 	// route leak that would corrupt top-down inference. The kept layer
 	// was folded over every sequence, before there was a clique to test
 	// them against: kept = ranked − poisoned, so the few poisoned ones
-	// are folded back out.
+	// are folded back out. The rest are compacted in place into the
+	// kept sequences: every group has a row, so they are exactly the
+	// kept rows' distinct sequences.
 	stages.run("core.infer.poison", "poison", func() {
 		drop := make([]bool, len(groups.Hops))
+		in.keptSeqs = groups.Hops[:0]
 		for g, hops := range groups.Hops {
 			if drop[g] = poisoned(hops, cliqueSet); drop[g] {
 				ix.AddKept(hops, -1)
+				continue
 			}
+			in.keptSeqs = append(in.keptSeqs, hops)
 		}
 		// A corpus this run sanitized is its own to filter in place; a
 		// caller's is copied.

@@ -24,18 +24,21 @@ import (
 func inferPerRow(ds *paths.Dataset, opts Options) *Result {
 	ix, res := indexPerRow(ds, opts)
 	out := InferIndexed(context.Background(), ix, res.Rank, res.Clique, opts)
-	out.PoisonedPaths, out.Dataset, out.SanitizeStats = res.PoisonedPaths, res.Dataset, res.SanitizeStats
+	out.PoisonedPaths, out.Dataset, out.Sequences, out.SanitizeStats = res.PoisonedPaths, res.Dataset, res.Sequences, res.SanitizeStats
 	return out
 }
 
 // indexPerRow is inferPerRow's steps 1–4: the index two passes over the
 // rows build — the ranked layer, then, with the clique known, the kept
 // layer over the rows that are not poisoned — and, in a Result with
-// nothing labelled yet, what those steps decide.
+// nothing labelled yet, what those steps decide, the kept rows' distinct
+// hop sequences in first-seen order among them.
 func indexPerRow(ds *paths.Dataset, opts Options) (*CorpusIndex, *Result) {
 	res := &Result{}
 	if opts.Sanitize {
 		ds, res.SanitizeStats = paths.Sanitize(ds, paths.SanitizeOptions{IXPASes: opts.IXPASes})
+	} else {
+		ds = &paths.Dataset{Paths: slices.DeleteFunc(slices.Clone(ds.Paths), func(p paths.Path) bool { return slices.Contains(p.ASNs, 0) })}
 	}
 	ix := NewCorpusIndex()
 	for _, p := range ds.Paths {
@@ -54,6 +57,9 @@ func indexPerRow(ds *paths.Dataset, opts Options) (*CorpusIndex, *Result) {
 		}
 		res.Dataset.Paths = append(res.Dataset.Paths, p)
 		ix.AddKept(p.ASNs, 1)
+		if !slices.ContainsFunc(res.Sequences, func(seq []uint32) bool { return slices.Equal(seq, p.ASNs) }) {
+			res.Sequences = append(res.Sequences, p.ASNs)
+		}
 	}
 	res.PoisonedPaths = len(ds.Paths) - len(res.Dataset.Paths)
 	return ix, res
@@ -119,9 +125,10 @@ func duplicatedCorpus(rng *stats.RNG) *paths.Dataset {
 // TestInferGroupedEqualsPerRow licenses folding each distinct hop
 // sequence once: over corpora with planted duplication the whole
 // Result — relationships, steps, rank, clique, the kept rows and their
-// order, the poisoned count, the sanitize stats — equals the per-row
-// pipeline's, from both entries (sanitizing, and over a caller's
-// dataset that still holds duplicate rows).
+// order, their distinct sequences, the poisoned count, the sanitize
+// stats — equals the per-row pipeline's, from both entries (sanitizing,
+// and over a caller's dataset that still holds duplicate rows and a row
+// holding AS 0).
 func TestInferGroupedEqualsPerRow(t *testing.T) {
 	multiRowPoison := 0
 	for seed := int64(0); seed < 60; seed++ {
@@ -142,10 +149,11 @@ func TestInferGroupedEqualsPerRow(t *testing.T) {
 
 		opts.Sanitize = false
 		dup, _ := paths.Sanitize(raw, paths.SanitizeOptions{KeepDuplicates: true})
+		dup.Paths = slices.Insert(dup.Paths, len(dup.Paths)/2, paths.Path{Collector: "rv0", ASNs: []uint32{110, 0, 10, 1}})
 		if got, want := Infer(dup, opts), inferPerRow(dup, opts); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: Infer over duplicate rows differs from the per-row pipeline:\n got %+v\nwant %+v", seed, got, want)
 		}
-		if len(dup.Paths) == got.SanitizeStats.Kept {
+		if len(dup.Paths)-1 == got.SanitizeStats.Kept {
 			t.Fatalf("seed %d: corpus has no duplicate rows", seed)
 		}
 	}
@@ -214,7 +222,7 @@ func TestFoldAtBirthBuildsThePerRowIndex(t *testing.T) {
 					t.Fatalf("GOMAXPROCS=%d seed %d: table %s\n got %v\nwant %v", procs, seed, name, table, wantTables[name])
 				}
 			}
-			if !reflect.DeepEqual(got.kept, want.Dataset) || got.poisoned != want.PoisonedPaths {
+			if !reflect.DeepEqual(got.kept, want.Dataset) || !reflect.DeepEqual(got.keptSeqs, want.Sequences) || got.poisoned != want.PoisonedPaths {
 				t.Fatalf("GOMAXPROCS=%d seed %d: kept rows differ from the per-row passes'", procs, seed)
 			}
 			if res, want := Infer(raw, opts), inferPerRow(raw, opts); !reflect.DeepEqual(res, want) {

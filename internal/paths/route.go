@@ -86,10 +86,19 @@ func (k PrefixKey) Route(p netip.Prefix) PrefixKey {
 }
 
 // OriginPrefix identifies one origin's announcement of one prefix, the
-// unit the prefix and address cone weights count.
+// unit the prefix and address cone weights count. It is a PrefixKey's
+// fields with the origin in the padding after Bits: 24 bytes with no
+// hole, so a map keyed by it hashes the memory in one call instead of
+// field by field.
 type OriginPrefix struct {
-	Prefix PrefixKey
+	Hi, Lo uint64
+	Bits   int32
 	Origin uint32
+}
+
+// WithOrigin returns the key of origin's announcement of k.
+func (k PrefixKey) WithOrigin(origin uint32) OriginPrefix {
+	return OriginPrefix{Hi: k.Hi, Lo: k.Lo, Bits: k.Bits, Origin: origin}
 }
 
 // RIB is the route table a collection converges to, under plain BGP

@@ -3,9 +3,11 @@ package paths
 import (
 	"bytes"
 	"net/netip"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/asrank-go/asrank/internal/bgp"
 	"github.com/asrank-go/asrank/internal/mrt"
@@ -43,6 +45,20 @@ func TestSequences(t *testing.T) {
 	}
 	if id, fresh := seqs.Intern(b, false); id != 3 || !fresh {
 		t.Errorf("the released sequence came back as %d, %v; want a fresh id 3, none being free", id, fresh)
+	}
+}
+
+// TestOriginPrefixHasNoPadding: a key with no padding is hashed as one
+// block of memory; one padding byte sends every map operation on it
+// through a hash generated field by field.
+func TestOriginPrefixHasNoPadding(t *testing.T) {
+	var fields uintptr
+	typ := reflect.TypeFor[OriginPrefix]()
+	for i := 0; i < typ.NumField(); i++ {
+		fields += typ.Field(i).Type.Size()
+	}
+	if size := unsafe.Sizeof(OriginPrefix{}); size != fields {
+		t.Errorf("OriginPrefix is %d bytes, its fields %d", size, fields)
 	}
 }
 

@@ -330,7 +330,7 @@ func (e *Engine) countRowLocked(hops []uint32, prefix paths.PrefixKey, d int32) 
 	if !prefix.IsValid() {
 		return
 	}
-	k := paths.OriginPrefix{Prefix: prefix, Origin: hops[len(hops)-1]}
+	k := prefix.WithOrigin(hops[len(hops)-1])
 	n := e.pfxRef[k] + d
 	if n > 0 {
 		e.pfxRef[k] = n

@@ -119,12 +119,18 @@ func ContextWithRemote(ctx context.Context, id TraceID, span uint64) context.Con
 // StartSpan starts a span named name as a child of the span in ctx (or
 // of a remote parent installed by ContextWithRemote, or as a new root)
 // and returns a context carrying it. On a nil Tracer it returns
-// (ctx, nil) — a single branch, cheap enough for unconditioned
-// instrumentation. The caller must End the span.
+// (ctx, nil) — a single branch, inlined at the call site, cheap enough
+// for unconditioned instrumentation. The caller must End the span.
 func (t *Tracer) StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	if t == nil {
 		return ctx, nil
 	}
+	return t.start(ctx, name)
+}
+
+// start is StartSpan on a live Tracer, kept out of line so that the nil
+// check above stays small enough to inline.
+func (t *Tracer) start(ctx context.Context, name string) (context.Context, *Span) {
 	s := &Span{
 		tracer:    t,
 		Name:      name,

@@ -92,7 +92,9 @@ func (s *Snapshot) setConeSizes(sizes []int32) {
 // guarantees it; everything else is sorted). The cone
 // product and the prefix counts only read res, so they are two tasks of
 // one pool call: the serial prefix count runs beside the cone crediting
-// instead of after it.
+// instead of after it. The cones are credited per distinct sequence
+// (res.Sequences), and per row when a hand-built res has none; the
+// prefix is per row, so the prefix count always reads the rows.
 func FromResult(res *core.Result) *Snapshot {
 	var (
 		cones        *cone.BitSets
@@ -102,7 +104,12 @@ func FromResult(res *core.Result) *Snapshot {
 		for task := lo; task < hi; task++ {
 			switch task {
 			case 0:
-				cones = cone.NewRelations(res.Rels).ProviderPeerObservedBits(res.Dataset)
+				rels := cone.NewRelations(res.Rels)
+				if res.Sequences != nil {
+					cones = rels.ProviderPeerObservedSequences(res.Sequences)
+				} else {
+					cones = rels.ProviderPeerObservedBits(res.Dataset)
+				}
 			case 1:
 				prefixCounts = cone.PrefixCounts(res.Dataset)
 			}

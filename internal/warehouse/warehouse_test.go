@@ -156,6 +156,57 @@ func TestFromResultOwnsItsSlab(t *testing.T) {
 	}
 }
 
+// inferredCorpus infers a simulated collection at the given size from
+// the raw rows, sanitizing them, as the asrank CLI does.
+func inferredCorpus(tb testing.TB, seed int64, ases, vps int) *core.Result {
+	tb.Helper()
+	p := topology.DefaultParams(seed)
+	p.ASes = ases
+	opts := bgpsim.DefaultOptions(seed)
+	opts.NumVPs = vps
+	sim, err := bgpsim.Run(topology.Generate(p), opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return core.Infer(sim.Dataset, core.Options{Sanitize: true})
+}
+
+// TestFromResultCreditsSequencesAsRows: crediting each distinct sequence
+// once sets the cones crediting every row sets, so a Result built by
+// hand, which has no Sequences, gives the snapshot Infer's does.
+func TestFromResultCreditsSequencesAsRows(t *testing.T) {
+	for _, seed := range []int64{3, 12} {
+		res := inferredCorpus(t, seed, 400, 8)
+		if len(res.Sequences) == 0 || len(res.Sequences) >= len(res.Dataset.Paths) {
+			t.Fatalf("seed %d: %d sequences for %d kept rows, want rows that share one", seed, len(res.Sequences), len(res.Dataset.Paths))
+		}
+		byHand := *res
+		byHand.Sequences = nil
+		if !reflect.DeepEqual(warehouse.FromResult(&byHand), warehouse.FromResult(res)) {
+			t.Errorf("seed %d: the snapshot credited per row differs from the one credited per sequence", seed)
+		}
+	}
+}
+
+// BenchmarkFromResult converts one 2k-AS inference, credited per
+// distinct sequence as Infer's Result is and per row as a hand-built one.
+func BenchmarkFromResult(b *testing.B) {
+	res := inferredCorpus(b, 1, 2000, 12)
+	byHand := *res
+	byHand.Sequences = nil
+	for _, tc := range []struct {
+		name string
+		res  *core.Result
+	}{{"sequences", res}, {"rows", &byHand}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				warehouse.FromResult(tc.res)
+			}
+		})
+	}
+}
+
 // TestDeltaChainBudget is the storage acceptance bound: 12+ consecutive
 // epochs must cost less than 3x one full epoch of the head topology.
 func TestDeltaChainBudget(t *testing.T) {
