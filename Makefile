@@ -100,11 +100,13 @@ trace-demo:
 
 # Short native-fuzzing pass over every decoder target, seeded with the
 # shared chaos-corrupted corpus (FuzzRead diffs the path-text reader
-# against the reader it replaced, FuzzSanitize step 1 against the
-# per-row sanitizer it replaced, FuzzSequences the sequence table
-# against a string-keyed map and free list, FuzzInferDenseVsOracle steps 5–9
-# against the inferencer they replaced, FuzzCorpusIndex the corpus
-# index after any add/remove program against a naive recount,
+# against the reader it replaced, FuzzFromMRT loads a simulated RIB
+# snapshot as exactly its rows and refuses its update trace,
+# FuzzSanitize step 1 against the per-row sanitizer it replaced,
+# FuzzSequences the sequence table against a string-keyed map and free
+# list, FuzzInferDenseVsOracle steps 5–9 against the inferencer they
+# replaced, FuzzCorpusIndex the corpus index after any add/remove
+# program against a naive recount,
 # FuzzManifest a store's honest segments against any manifest at all,
 # FuzzParseTraceparent the API's traceparent request header, and the
 # RPSL and topology-text readers of the shipped CLIs through a write
@@ -119,6 +121,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMessage$$' -fuzztime $(FUZZTIME) ./internal/bgp
 	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime $(FUZZTIME) ./internal/mrt
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME) ./internal/paths
+	$(GO) test -run '^$$' -fuzz '^FuzzFromMRT$$' -fuzztime $(FUZZTIME) ./internal/paths
 	$(GO) test -run '^$$' -fuzz '^FuzzSanitize$$' -fuzztime $(FUZZTIME) ./internal/paths
 	$(GO) test -run '^$$' -fuzz '^FuzzSequences$$' -fuzztime $(FUZZTIME) ./internal/paths
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME) ./internal/relfile

@@ -126,6 +126,9 @@ func main() {
 		epochInterval = flag.Duration("epoch-interval", 10*time.Second, "how often the streaming engine commits and publishes an epoch")
 	)
 	flag.Parse()
+	if *pathsFile != "" && *mrtFile != "" {
+		log.Fatal("asrankd: use -paths or -mrt, not both")
+	}
 
 	// The tracer exists only when the debug surface does: spans are read
 	// through /debug/trace and /debug/flight, so without a listener a
@@ -301,7 +304,7 @@ func main() {
 	for _, corpus := range corpora {
 		ingest(corpus, paths.ReadCtx)
 	}
-	if len(corpora) == 0 && *mrtFile != "" {
+	if *mrtFile != "" {
 		ingest(*mrtFile, func(_ context.Context, r io.Reader) (*paths.Dataset, error) {
 			ds, _, err := paths.FromMRT(r, "asrankd")
 			return ds, err

@@ -30,12 +30,11 @@ func main() {
 		scale     = flag.Int("scale", def.Scale, "base topology size (ASes)")
 		vps       = flag.Int("vps", def.VPs, "vantage points")
 		snapshots = flag.Int("snapshots", def.Snapshots, "longitudinal snapshots")
-		warehouse = flag.String("warehouse", "", "epoch-store dir for the evolution runners: reuse stored epochs, persist computed ones")
 		out       = flag.String("out", "", "output directory (default: stdout)")
 	)
 	flag.Parse()
 
-	cfg := experiments.Config{Seed: *seed, Scale: *scale, VPs: *vps, Snapshots: *snapshots, Warehouse: *warehouse}
+	cfg := experiments.Config{Seed: *seed, Scale: *scale, VPs: *vps, Snapshots: *snapshots}
 	lab := experiments.NewLab(cfg)
 
 	ids := experiments.IDs()

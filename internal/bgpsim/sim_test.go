@@ -335,6 +335,34 @@ func TestPathCommunities(t *testing.T) {
 	}
 }
 
+// TestFromMRTRefusesAnUpdateTrace: a BGP4MP update trace is not a RIB
+// snapshot, so paths.FromMRT fails on it instead of loading no rows,
+// while paths.FromMRTUpdates loads the same bytes.
+func TestFromMRTRefusesAnUpdateTrace(t *testing.T) {
+	p := topology.DefaultParams(19)
+	p.ASes = 150
+	opts := DefaultOptions(19)
+	opts.NumVPs = 4
+	res, err := Run(topology.Generate(p), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ExportUpdates(&buf, res, time.Date(2013, 4, 1, 0, 0, 0, 0, time.UTC)); err != nil {
+		t.Fatal(err)
+	}
+	if ds, _, err := paths.FromMRT(bytes.NewReader(buf.Bytes()), "rv"); err == nil {
+		t.Errorf("FromMRT loaded %d rows from an update trace and no error", ds.NumPaths())
+	}
+	ds, _, err := paths.FromMRTUpdates(bytes.NewReader(buf.Bytes()), "rv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds.NumPaths() == 0 {
+		t.Error("FromMRTUpdates loaded no rows from the update trace")
+	}
+}
+
 func TestExportMRTRoundTrip(t *testing.T) {
 	p := topology.DefaultParams(19)
 	p.ASes = 150

@@ -98,8 +98,6 @@ type RouteSink interface {
 type Options struct {
 	// LocalAS is the collector's AS number (default 64497).
 	LocalAS uint32
-	// BGPID is the collector's router ID (default 198.51.100.1).
-	BGPID netip.Addr
 	// HoldTime in seconds governs the session read deadline (default 90).
 	HoldTime uint16
 	// Archive, when non-nil, receives every UPDATE as a BGP4MP
@@ -135,9 +133,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.LocalAS == 0 {
 		o.LocalAS = 64497
-	}
-	if !o.BGPID.IsValid() {
-		o.BGPID = netip.AddrFrom4([4]byte{198, 51, 100, 1})
 	}
 	if o.HoldTime == 0 {
 		o.HoldTime = 90
@@ -386,7 +381,7 @@ func (s *Server) serve(conn net.Conn) error {
 	ourOpen, err := bgp.EncodeOpen(&bgp.Open{
 		ASN:      s.opts.LocalAS,
 		HoldTime: s.opts.HoldTime,
-		BGPID:    s.opts.BGPID,
+		BGPID:    netip.AddrFrom4([4]byte{198, 51, 100, 1}), // the collector's router ID
 		RawCaps:  []bgp.RawCapability{{Code: bgp.CapResumeOffset, Value: resume[:]}},
 	})
 	if err != nil {

@@ -19,12 +19,17 @@ import (
 	"github.com/asrank-go/asrank/internal/trace"
 )
 
+// speakerHoldTime is the hold time, in seconds, a replay speaker offers.
+const speakerHoldTime = 90
+
+// speakerID is the BGP identifier a replay speaker for vp announces
+// under: 10.x.y.z from the VP's low 24 bits.
+func speakerID(vp uint32) netip.Addr {
+	return netip.AddrFrom4([4]byte{10, byte(vp >> 16), byte(vp >> 8), byte(vp)})
+}
+
 // ReplayOptions configures one replay session.
 type ReplayOptions struct {
-	// HoldTime in seconds for the speaker's side (default 90).
-	HoldTime uint16
-	// BGPID of the speaker (default derived from the VP ASN).
-	BGPID netip.Addr
 	// Timeout bounds each session attempt (default 30s).
 	Timeout time.Duration
 
@@ -49,15 +54,9 @@ type ReplayOptions struct {
 	Registry *obs.Registry
 }
 
-func (o ReplayOptions) withDefaults(vp uint32) ReplayOptions {
-	if o.HoldTime == 0 {
-		o.HoldTime = 90
-	}
+func (o ReplayOptions) withDefaults() ReplayOptions {
 	if o.Timeout == 0 {
 		o.Timeout = 30 * time.Second
-	}
-	if !o.BGPID.IsValid() {
-		o.BGPID = netip.AddrFrom4([4]byte{10, byte(vp >> 16), byte(vp >> 8), byte(vp)})
 	}
 	if o.MaxRetries == 0 {
 		o.MaxRetries = 3
@@ -100,7 +99,7 @@ func Replay(addr string, res *bgpsim.Result, vp uint32, opts ReplayOptions) erro
 // operation ordinal, so a chaos run's trace shows exactly which fault
 // hit which vantage point.
 func ReplayCtx(ctx context.Context, addr string, res *bgpsim.Result, vp uint32, opts ReplayOptions) error {
-	opts = opts.withDefaults(vp)
+	opts = opts.withDefaults()
 	m := newReplayMetrics(opts.Registry)
 	ctx, span := trace.StartSpan(ctx, "replay.vp")
 	defer span.End()
@@ -108,7 +107,7 @@ func ReplayCtx(ctx context.Context, addr string, res *bgpsim.Result, vp uint32, 
 	// Encoded once, in Announcements' deterministic order, so every retry
 	// re-sends byte-identical messages and the collector's consumed count
 	// indexes into the same sequence.
-	msgs, err := bgpsim.Announcements(res, vp, opts.BGPID)
+	msgs, err := bgpsim.Announcements(res, vp, speakerID(vp))
 	if err != nil {
 		return fmt.Errorf("replay: AS%d: %w", vp, err)
 	}
@@ -167,7 +166,7 @@ func replayOnce(addr string, vp uint32, msgs [][]byte, opts ReplayOptions, m rep
 	}
 	br := bufio.NewReader(conn)
 
-	open, err := bgp.EncodeOpen(&bgp.Open{ASN: vp, HoldTime: opts.HoldTime, BGPID: opts.BGPID})
+	open, err := bgp.EncodeOpen(&bgp.Open{ASN: vp, HoldTime: speakerHoldTime, BGPID: speakerID(vp)})
 	if err != nil {
 		return err
 	}

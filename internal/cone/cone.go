@@ -176,27 +176,16 @@ func (r *Relations) build(engine string, compute func(context.Context) *BitSets)
 // AS.
 func (r *Relations) RecursiveBits() *BitSets { return r.build("recursive", r.closure) }
 
-// closure is the recursive engine. On the (usual) acyclic p2c digraph
-// each cone is the word-wise OR of its customers' cones in reverse
-// topological order; cyclic inputs — possible when indexing an
-// arbitrary relationship file — fall back to an independent DFS per AS,
-// sharded across the worker pool.
+// closure is the recursive engine: each AS's cone is the set a
+// depth-first walk down its customer links reaches, one independent
+// walk per AS sharded across the worker pool. A walk stops at bits it
+// has already set, so a p2c cycle — possible when indexing an
+// arbitrary relationship file — puts the whole cycle in every member's
+// cone and terminates.
 func (r *Relations) closure(ctx context.Context) *BitSets {
 	cones := newBitSets(r.idx)
 	closureCtx, closureSpan := trace.StartSpan(ctx, "cone.closure")
 	defer closureSpan.End()
-	if order, acyclic := r.reverseTopo(); acyclic {
-		closureSpan.SetAttr("order", "kahn")
-		for _, x := range order {
-			b := cones.row(x)
-			b.Set(x)
-			for _, c := range r.custIdx[x] {
-				b.Or(cones.row(c))
-			}
-		}
-		return cones
-	}
-	closureSpan.SetAttr("order", "dfs")
 	pool.ChunksCtx(closureCtx, 0, r.idx.Len(), 64, func(_ context.Context, lo, hi int) {
 		var stack []int32
 		for i := int32(lo); i < int32(hi); i++ {
@@ -215,40 +204,6 @@ func (r *Relations) closure(ctx context.Context) *BitSets {
 		}
 	})
 	return cones
-}
-
-// reverseTopo returns the positions of the p2c digraph ordered so every
-// customer precedes its providers, and whether the graph is acyclic
-// (positions on a cycle never drain in Kahn's algorithm).
-func (r *Relations) reverseTopo() ([]int32, bool) {
-	n := r.idx.Len()
-	indeg := make([]int32, n) // providers pointing at each position
-	for _, cs := range r.custIdx {
-		for _, c := range cs {
-			indeg[c]++
-		}
-	}
-	order := make([]int32, 0, n)
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			order = append(order, int32(i))
-		}
-	}
-	for head := 0; head < len(order); head++ {
-		for _, c := range r.custIdx[order[head]] {
-			if indeg[c]--; indeg[c] == 0 {
-				order = append(order, c)
-			}
-		}
-	}
-	if len(order) < n {
-		return nil, false
-	}
-	// order currently runs providers → customers; reverse it.
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	return order, true
 }
 
 // BGPObservedBits computes cones from observed paths: starting at each

@@ -82,6 +82,26 @@ func TestRecursive(t *testing.T) {
 	}
 }
 
+// TestRecursiveCycle feeds the closure a p2c cycle 1 > 2 > 3 > 1 with a
+// customer tail 3 > 4 > 5 and a provider 6 above it: every cycle member
+// reaches the whole cycle and the tail, the tail reaches only its own
+// customers, and the provider reaches everything.
+func TestRecursiveCycle(t *testing.T) {
+	r := NewRelations(rels([][2]uint32{{1, 2}, {2, 3}, {3, 1}, {3, 4}, {4, 5}, {6, 1}}, nil))
+	cones := members(r.RecursiveBits())
+	want := memberSets{
+		1: set(1, 2, 3, 4, 5),
+		2: set(1, 2, 3, 4, 5),
+		3: set(1, 2, 3, 4, 5),
+		4: set(4, 5),
+		5: set(5),
+		6: set(1, 2, 3, 4, 5, 6),
+	}
+	if !reflect.DeepEqual(cones, want) {
+		t.Errorf("recursive cones = %v, want %v", cones, want)
+	}
+}
+
 func dsOf(pathList ...[]uint32) *paths.Dataset {
 	d := &paths.Dataset{}
 	for i, p := range pathList {

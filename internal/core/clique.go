@@ -51,8 +51,8 @@ func inferClique(ix *CorpusIndex, rank []uint32, opts Options) []uint32 {
 	}
 
 	// Bron–Kerbosch with pivoting over the seed set, keeping the largest
-	// clique containing the top-ranked AS (ties: larger total transit
-	// degree, then lexicographically smaller member list).
+	// clique containing the top-ranked AS (ties: the lexicographically
+	// smaller sorted member list; see betterClique).
 	top := rank[0]
 	var best []uint32
 	var maximal func(r, p, x []uint32)
@@ -149,7 +149,10 @@ func (ix *CorpusIndex) crossedByMembers(cand uint32, members []uint32) bool {
 	return false
 }
 
-// betterClique reports whether a beats b: larger wins; nil b loses.
+// betterClique reports whether clique a beats b, whose members are
+// sorted: the larger wins, a nil b loses, and between equal sizes the
+// lexicographically smaller sorted member list wins. Transit degree
+// plays no part.
 func betterClique(a, b []uint32) bool {
 	if b == nil {
 		return true
@@ -157,15 +160,9 @@ func betterClique(a, b []uint32) bool {
 	if len(a) != len(b) {
 		return len(a) > len(b)
 	}
-	// Deterministic tie-break: lexicographically smaller sorted members.
-	as := append([]uint32(nil), a...)
-	slices.Sort(as)
-	for i := range as {
-		if as[i] != b[i] {
-			return as[i] < b[i]
-		}
-	}
-	return false
+	sorted := slices.Clone(a)
+	slices.Sort(sorted)
+	return slices.Compare(sorted, b) < 0
 }
 
 func containsASN(s []uint32, v uint32) bool {

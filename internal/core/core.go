@@ -85,10 +85,6 @@ type Options struct {
 	// side's transit degree is at least FoldRatio times the other's
 	// (default 10).
 	FoldRatio float64
-	// PartialFeedOriginFrac is the step-6 threshold: a VP whose paths
-	// reach fewer than this fraction of observed origins is treated as
-	// exporting only customer routes (default 0.25).
-	PartialFeedOriginFrac float64
 	// TopDownPasses bounds the step-5 fixpoint iteration (default 3).
 	TopDownPasses int
 	// Clique, when non-nil, skips clique inference and uses the given
@@ -99,11 +95,10 @@ type Options struct {
 	DisableProviderless bool
 	// DisableFold turns off the step-8 transit-degree fold (ablation).
 	DisableFold bool
-	// Sanitize, when set, runs path sanitization first (step 1); most
-	// callers pass already-sanitized data.
+	// Sanitize, when set, runs path sanitization first (step 1) with no
+	// IXP route servers to splice; a caller that has some runs
+	// paths.Sanitize itself. Most callers pass already-sanitized data.
 	Sanitize bool
-	// IXPASes is forwarded to sanitization when Sanitize is set.
-	IXPASes map[uint32]bool
 }
 
 func (o Options) withDefaults() Options {
@@ -112,9 +107,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.FoldRatio <= 0 {
 		o.FoldRatio = 10
-	}
-	if o.PartialFeedOriginFrac <= 0 {
-		o.PartialFeedOriginFrac = 0.25
 	}
 	if o.TopDownPasses <= 0 {
 		o.TopDownPasses = 3
@@ -386,7 +378,7 @@ func foldAtBirth(ctx context.Context, ds *paths.Dataset, opts Options) (*CorpusI
 		defer func() { failed = recover() }()
 		if opts.Sanitize {
 			sctx, ph := trace.StartPhase(ctx, "core.infer.sanitize")
-			ds, sanStats, groups = paths.SanitizeFeed(sctx, ds, paths.SanitizeOptions{IXPASes: opts.IXPASes}, feed)
+			ds, sanStats, groups = paths.SanitizeFeed(sctx, ds, paths.SanitizeOptions{}, feed)
 			ph.End(inferStepDuration.With("sanitize"), nil)
 		} else {
 			ds = withoutASZero(ds)

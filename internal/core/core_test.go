@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/netip"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -153,6 +154,40 @@ func TestInferClique(t *testing.T) {
 		l := paths.NewLink(pair[0], pair[1])
 		if res.Rels[l] != topology.P2P || res.Steps[l] != StepClique {
 			t.Errorf("link %v: rel=%v step=%v", l, res.Rels[l], res.Steps[l])
+		}
+	}
+}
+
+// TestCliqueTieBreaksOnMembers pins the rule betterClique implements:
+// of two maximal cliques of one size around the top AS, the one whose
+// sorted members compare smaller wins, whatever the transit degrees.
+// Here {1, 4, 5} outranks {1, 2, 3} on transit degree, and loses.
+func TestCliqueTieBreaksOnMembers(t *testing.T) {
+	ix := NewCorpusIndex()
+	for _, p := range [][]uint32{{2, 1, 3}, {2, 3}, {4, 1, 5}, {4, 5}, {9, 4, 8}, {9, 5, 8}} {
+		ix.AddPath(p, 1)
+	}
+	rank := ix.Rank()
+	if at := func(asn uint32) int { return slices.Index(rank, asn) }; rank[0] != 1 || max(at(4), at(5)) > min(at(2), at(3)) {
+		t.Fatalf("rank %v: want 1 first and 4, 5 above 2, 3", rank)
+	}
+	if got := CliqueFromIndex(ix, rank, Options{}); !reflect.DeepEqual(got, []uint32{1, 2, 3}) {
+		t.Errorf("clique = %v, want [1 2 3]", got)
+	}
+
+	for _, c := range []struct {
+		a, b []uint32
+		want bool
+	}{
+		{[]uint32{3, 1, 2}, []uint32{1, 4, 5}, true},
+		{[]uint32{5, 4, 1}, []uint32{1, 2, 3}, false},
+		{[]uint32{1, 9}, []uint32{1, 2, 3}, false},
+		{[]uint32{9, 8, 7, 6}, []uint32{1, 2, 3}, true},
+		{[]uint32{3, 2, 1}, []uint32{1, 2, 3}, false},
+		{[]uint32{7}, nil, true},
+	} {
+		if got := betterClique(c.a, c.b); got != c.want {
+			t.Errorf("betterClique(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
 }

@@ -194,9 +194,6 @@ func fuzzIndex(data []byte) (*CorpusIndex, []uint32, []uint32, Options) {
 		if mode&8 != 0 {
 			opts.FoldRatio = 1.5
 		}
-		if mode&16 != 0 {
-			opts.PartialFeedOriginFrac = 0.9
-		}
 	}
 	if len(data) > 256 {
 		data = data[:256]
@@ -245,7 +242,7 @@ func FuzzInferDenseVsOracle(f *testing.F) {
 	f.Add([]byte{})
 	for mode, ds := range []*paths.Dataset{cliqueCorpus(), duplicatedCorpus(stats.NewRNG(5))} {
 		f.Add(fuzzSeed(byte(mode), ds))
-		f.Add(fuzzSeed(byte(16|mode<<2), ds))
+		f.Add(fuzzSeed(byte(8|mode<<2), ds))
 	}
 	for seed := int64(1); seed <= 2; seed++ {
 		p := topology.DefaultParams(seed)

@@ -36,7 +36,7 @@ func inferPerRow(ds *paths.Dataset, opts Options) *Result {
 func indexPerRow(ds *paths.Dataset, opts Options) (*CorpusIndex, *Result) {
 	res := &Result{}
 	if opts.Sanitize {
-		ds, res.SanitizeStats = paths.Sanitize(ds, paths.SanitizeOptions{IXPASes: opts.IXPASes})
+		ds, res.SanitizeStats = paths.Sanitize(ds, paths.SanitizeOptions{})
 	} else {
 		ds = &paths.Dataset{Paths: slices.DeleteFunc(slices.Clone(ds.Paths), func(p paths.Path) bool { return slices.Contains(p.ASNs, 0) })}
 	}
@@ -148,7 +148,7 @@ func TestInferGroupedEqualsPerRow(t *testing.T) {
 		}
 
 		opts.Sanitize = false
-		dup, _ := paths.Sanitize(raw, paths.SanitizeOptions{KeepDuplicates: true})
+		dup := sanitizedRows(raw)
 		dup.Paths = slices.Insert(dup.Paths, len(dup.Paths)/2, paths.Path{Collector: "rv0", ASNs: []uint32{110, 0, 10, 1}})
 		if got, want := Infer(dup, opts), inferPerRow(dup, opts); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: Infer over duplicate rows differs from the per-row pipeline:\n got %+v\nwant %+v", seed, got, want)
@@ -160,6 +160,17 @@ func TestInferGroupedEqualsPerRow(t *testing.T) {
 	if multiRowPoison < 10 {
 		t.Errorf("only %d corpora had a poisoned sequence on several rows", multiRowPoison)
 	}
+}
+
+// sanitizedRows cleans raw row by row as paths.Sanitize cleans a row,
+// collapsing no duplicate.
+func sanitizedRows(raw *paths.Dataset) *paths.Dataset {
+	out := &paths.Dataset{}
+	for _, p := range raw.Paths {
+		clean, _ := paths.Sanitize(&paths.Dataset{Paths: []paths.Path{p}}, paths.SanitizeOptions{})
+		out.Paths = append(out.Paths, clean.Paths...)
+	}
+	return out
 }
 
 // keySet is a per-path table's keys, layers a two-layer table's keys
@@ -212,7 +223,7 @@ func TestFoldAtBirthBuildsThePerRowIndex(t *testing.T) {
 			raw := duplicatedCorpus(stats.NewRNG(seed))
 			opts := Options{Clique: []uint32{1, 2, 3, 4}, Sanitize: seed%3 != 0}
 			if !opts.Sanitize {
-				raw, _ = paths.Sanitize(raw, paths.SanitizeOptions{KeepDuplicates: true})
+				raw = sanitizedRows(raw)
 			}
 			wantIx, want := indexPerRow(raw, opts)
 			got := indexCorpus(context.Background(), raw, opts.withDefaults())

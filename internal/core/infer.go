@@ -399,6 +399,11 @@ func (in *inferencer) enteredFromAbove(t triplet) bool {
 	return in.rel[t.prevLink] == topology.P2P || in.prov[t.prevLink] == t.prev
 }
 
+// partialFeedOriginFrac is the step-6 threshold: a VP whose paths
+// reach fewer than this fraction of observed origins is treated as
+// exporting only customer routes.
+const partialFeedOriginFrac = 0.25
+
 // vpPass implements step 6: a vantage point whose feed reaches only a
 // small fraction of observed origins is exporting only customer routes
 // (it treats the collector as a peer), so every unlabeled first hop of
@@ -419,7 +424,7 @@ func (in *inferencer) vpPass() {
 		vps = append(vps, vp)
 	}
 	slices.Sort(vps)
-	threshold := in.opts.PartialFeedOriginFrac * float64(len(in.ix.origins))
+	threshold := partialFeedOriginFrac * float64(len(in.ix.origins))
 	for _, asn := range vps {
 		if float64(vpOriginCount[asn]) >= threshold {
 			continue // full-ish feed: first hops may be providers/peers

@@ -281,7 +281,7 @@ func (in *oracleInferencer) vpPass() {
 	}
 	// Visiting (VP, first hop) keys in ascending order reproduces the
 	// batch order exactly: VPs ascending, hops ascending within a VP.
-	threshold := in.opts.PartialFeedOriginFrac * float64(len(in.ix.origins))
+	threshold := partialFeedOriginFrac * float64(len(in.ix.origins))
 	for _, k := range firstHops(in.ix) {
 		if float64(vpOriginCount[k.VP]) >= threshold {
 			continue // full-ish feed: first hops may be providers/peers

@@ -26,13 +26,6 @@ type Config struct {
 	Scale     int // AS count of the base topology
 	VPs       int // vantage points in the base collection
 	Snapshots int // longitudinal series length
-	// Warehouse optionally names an epoch-store directory backing the
-	// evolution runners (R3/R8/R9): when it already holds the series,
-	// prior epochs are decoded instead of re-simulated and re-inferred;
-	// when it does not, the computed series is persisted into it for
-	// the next run. The directory must belong to this configuration —
-	// epochs are matched by position, not by content.
-	Warehouse string
 }
 
 // DefaultConfig is the full-size configuration used by the
@@ -121,50 +114,19 @@ func (l *Lab) Series() []*topology.Topology {
 }
 
 // EpochSnapshots returns the longitudinal inference series in columnar
-// (warehouse) form, one snapshot per series topology. With a warehouse
-// configured and already holding the full series, prior epochs are
-// decoded from the store — no simulation or inference re-runs, but one
-// chain replay per epoch (Store.Snapshot starts each at its checkpoint,
-// so a cadence of k re-applies ~k/2 deltas per epoch on average); without
-// one (or with a short store) each snapshot is simulated, sanitized,
-// and inferred as before, and persisted when a warehouse is configured
-// so the next run skips the recompute.
+// (warehouse) form: each series topology simulated, sanitized and
+// inferred, one snapshot per topology.
 func (l *Lab) EpochSnapshots() []*warehouse.Snapshot {
 	if l.snaps != nil {
 		return l.snaps
 	}
 	series := l.Series()
-	var store *warehouse.Store
-	if l.Cfg.Warehouse != "" {
-		st, err := warehouse.Open(l.Cfg.Warehouse, warehouse.Options{})
-		if err != nil {
-			panic(fmt.Sprintf("experiments: warehouse: %v", err))
-		}
-		store = st
-	}
-	if store != nil && store.Len() >= len(series) {
-		out := make([]*warehouse.Snapshot, len(series))
-		for i := range out {
-			s, err := store.Snapshot(uint32(i))
-			if err != nil {
-				panic(fmt.Sprintf("experiments: warehouse epoch %d: %v", i, err))
-			}
-			out[i] = s
-		}
-		l.snaps = out
-		return out
-	}
 	out := make([]*warehouse.Snapshot, len(series))
 	for i, topo := range series {
 		sim := mustRun(topo, simOptsFor(l, int64(i)))
 		clean, _ := paths.Sanitize(sim.Dataset, paths.SanitizeOptions{})
 		res := core.Infer(clean, core.Options{})
 		out[i] = warehouse.FromResult(res)
-		if store != nil && store.Len() == i {
-			if _, err := store.Append(out[i], fmt.Sprintf("snapshot-%02d", i), ""); err != nil {
-				panic(fmt.Sprintf("experiments: warehouse append %d: %v", i, err))
-			}
-		}
 	}
 	l.snaps = out
 	return out

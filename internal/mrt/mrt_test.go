@@ -423,6 +423,43 @@ func TestRIBReaderSkipsUnrelatedRecords(t *testing.T) {
 	}
 }
 
+// TestRIBReaderRefusesAStreamWithoutPeerIndex: an empty stream, a
+// TABLE_DUMP (v1) dump and a BGP4MP trace hold no PEER_INDEX_TABLE, so
+// the reader ends them with an error rather than an empty snapshot's
+// io.EOF; a snapshot with a peer table and no prefix still ends in EOF.
+func TestRIBReaderRefusesAStreamWithoutPeerIndex(t *testing.T) {
+	records := map[string]*Record{
+		"TABLE_DUMP": {Timestamp: testTime, Type: TypeTableDump, Subtype: SubtypeAFIIPv4, Body: &TableDump{
+			Prefix: prefix("10.1.0.0/16"), PeerAddr: addr("203.0.113.9"), PeerAS: 701, Attrs: testAttrs(701, 174),
+		}},
+		"BGP4MP": {Timestamp: testTime, Type: TypeBGP4MP, Subtype: SubtypeStateChangeAS4, Body: &BGP4MPStateChange{
+			PeerAS: 1, LocalAS: 2, PeerAddr: addr("203.0.113.1"), LocalAddr: addr("198.51.100.1"), AS4: true,
+			OldState: StateOpenConfirm, NewState: StateEstablished,
+		}},
+	}
+	streams := map[string][]byte{"empty": nil}
+	for name, rec := range records {
+		var buf bytes.Buffer
+		if err := NewWriter(&buf).WriteRecord(rec); err != nil {
+			t.Fatal(err)
+		}
+		streams[name] = buf.Bytes()
+	}
+	for name, stream := range streams {
+		if _, err := NewRIBReader(bytes.NewReader(stream)).Next(); err == nil || err == io.EOF {
+			t.Errorf("%s stream: Next = %v, want an error other than io.EOF", name, err)
+		}
+	}
+
+	var buf bytes.Buffer
+	if err := NewRIBWriter(&buf, addr("198.51.100.1"), "v", nil, testTime).Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewRIBReader(&buf).Next(); err != io.EOF {
+		t.Errorf("peer table only: Next = %v, want io.EOF", err)
+	}
+}
+
 func TestParseErrorsTruncatedBodies(t *testing.T) {
 	cases := []struct {
 		sub  uint16

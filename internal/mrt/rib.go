@@ -76,7 +76,9 @@ func (rw *RIBWriter) Flush() error { return rw.writeIndex() }
 
 // RIBReader iterates a TABLE_DUMP_V2 snapshot, resolving peer indexes
 // through the PEER_INDEX_TABLE. Non-RIB records in the stream are
-// skipped.
+// skipped, but a stream that ends without a PEER_INDEX_TABLE — an
+// empty file, a TABLE_DUMP (v1) dump, a BGP4MP update trace — is not a
+// snapshot and ends with an error, not io.EOF.
 type RIBReader struct {
 	r     *Reader
 	index *PeerIndexTable
@@ -98,7 +100,8 @@ type Entry struct {
 	RIBEntry   *RIBEntry
 }
 
-// Next returns the next flattened entry, or io.EOF.
+// Next returns the next flattened entry, or io.EOF at the end of a
+// snapshot.
 func (rr *RIBReader) Next() (*Entry, error) {
 	for {
 		if rr.rib != nil && rr.next < len(rr.rib.Entries) {
@@ -118,6 +121,9 @@ func (rr *RIBReader) Next() (*Entry, error) {
 			}, nil
 		}
 		rec, err := rr.r.Next()
+		if err == io.EOF && rr.index == nil {
+			return nil, fmt.Errorf("mrt: stream holds no TABLE_DUMP_V2 PEER_INDEX_TABLE")
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -87,14 +87,12 @@ func oracleSanitize(ds *Dataset, opts SanitizeOptions) (*Dataset, SanitizeStats)
 			continue
 		}
 		np := Path{Collector: p.Collector, Prefix: p.Prefix, ASNs: cleaned}
-		if !opts.KeepDuplicates {
-			key := oracleDupKey(np)
-			if seen[key] {
-				stats.Duplicates++
-				continue
-			}
-			seen[key] = true
+		key := oracleDupKey(np)
+		if seen[key] {
+			stats.Duplicates++
+			continue
 		}
+		seen[key] = true
 		if info&pathPrepended != 0 {
 			stats.PrependingRemoved++
 		}
@@ -455,7 +453,7 @@ func TestSanitizeMatchesOracle(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		ds := randomCorpus(rng, 20+rng.Intn(300))
-		opts := SanitizeOptions{KeepDuplicates: seed%4 == 3}
+		var opts SanitizeOptions
 		if seed%2 == 0 {
 			opts.IXPASes = map[uint32]bool{555: true}
 		}

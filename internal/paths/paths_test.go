@@ -192,10 +192,6 @@ func TestSanitizeDuplicates(t *testing.T) {
 	if stats.Duplicates != 1 || out.NumPaths() != 1 {
 		t.Errorf("dedup failed: %+v", stats)
 	}
-	out, stats = Sanitize(ds, SanitizeOptions{KeepDuplicates: true})
-	if stats.Duplicates != 0 || out.NumPaths() != 2 {
-		t.Errorf("KeepDuplicates failed: %+v", stats)
-	}
 	// Different prefixes are not duplicates.
 	ds2 := &Dataset{}
 	p1 := mkPath(10, 20, 30)

@@ -16,9 +16,6 @@ type SanitizeOptions struct {
 	// servers are not party to the business relationship between the
 	// ASes they connect.
 	IXPASes map[uint32]bool
-	// KeepDuplicates retains byte-identical (collector, prefix, path)
-	// duplicates instead of collapsing them.
-	KeepDuplicates bool
 }
 
 // SanitizeStats counts what the sanitization pass did, feeding the
@@ -37,7 +34,7 @@ type SanitizeStats struct {
 // Sanitize applies the paper's step-1 cleaning to ds and returns a new
 // dataset: prepending is compressed, IXP route-server ASNs are spliced
 // out, and paths containing reserved ASNs or loops are discarded, as are
-// (by default) exact duplicates.
+// exact duplicates.
 //
 // Cleaned hop sequences are interned: output rows that carry the same
 // path share one ASNs slice (see Path). PrependingRemoved and IXPSpliced
@@ -98,9 +95,7 @@ func SanitizeFeed(ctx context.Context, ds *Dataset, opts SanitizeOptions, feed *
 	feed.Close()
 	groups := &Groups{Hops: seqs.hops}
 
-	if !opts.KeepDuplicates {
-		stats.Duplicates = dropDuplicates(ds.Paths, rows, len(groups.Hops))
-	}
+	stats.Duplicates = dropDuplicates(ds.Paths, rows, len(groups.Hops))
 
 	// The first row of a sequence is never a duplicate, so every
 	// interned sequence keeps at least one row.

@@ -136,7 +136,6 @@ func TestSanitizeDuplicatesBySequence(t *testing.T) {
 	cases := []struct {
 		name string
 		ds   *Dataset
-		opts SanitizeOptions
 		want SanitizeStats
 		// slowdown bounds the pass's wall time as a multiple of the
 		// per-row oracle's, which hashes every row once: sorting the one
@@ -186,27 +185,17 @@ func TestSanitizeDuplicatesBySequence(t *testing.T) {
 			}},
 			want: SanitizeStats{Input: 3, Kept: 2, Duplicates: 1, PrependingRemoved: 1},
 		},
-		{
-			name: "duplicates kept on request",
-			ds: &Dataset{Paths: []Path{
-				row("rv1", pfx("10.0.0.0/24"), 10, 10, 20, 30),
-				row("rv1", pfx("10.0.0.0/24"), 10, 20, 30),
-				row("rv1", pfx("10.0.0.0/24"), 10, 20, 30),
-			}},
-			opts: SanitizeOptions{KeepDuplicates: true},
-			want: SanitizeStats{Input: 3, Kept: 3, PrependingRemoved: 1},
-		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			if c.slowdown > 0 {
-				pass := fastestOf(3, func() { Sanitize(c.ds, c.opts) })
-				oracle := fastestOf(3, func() { oracleSanitize(c.ds, c.opts) })
+				pass := fastestOf(3, func() { Sanitize(c.ds, SanitizeOptions{}) })
+				oracle := fastestOf(3, func() { oracleSanitize(c.ds, SanitizeOptions{}) })
 				if pass > time.Duration(c.slowdown)*oracle {
 					t.Errorf("Sanitize took %v, the per-row oracle %v: more than %d× slower", pass, oracle, c.slowdown)
 				}
 			}
-			if _, stats := diffSanitize(t, c.ds, c.opts); stats != c.want {
+			if _, stats := diffSanitize(t, c.ds, SanitizeOptions{}); stats != c.want {
 				t.Errorf("stats = %+v, want %+v", stats, c.want)
 			}
 		})
@@ -231,7 +220,7 @@ func TestSanitizeMatchesOraclePrefixMajor(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		ds := PrefixMajor(randomCorpus(rng, 20+rng.Intn(300)))
-		opts := SanitizeOptions{KeepDuplicates: seed%4 == 3}
+		var opts SanitizeOptions
 		if seed%2 == 0 {
 			opts.IXPASes = map[uint32]bool{555: true}
 		}
@@ -251,12 +240,16 @@ func FuzzSanitize(f *testing.F) {
 	}
 	f.Add(buf.Bytes(), false)
 	f.Add(buf.Bytes(), true)
-	f.Fuzz(func(t *testing.T, data []byte, keep bool) {
+	f.Fuzz(func(t *testing.T, data []byte, noIXP bool) {
 		ds, err := Read(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		diffSanitize(t, ds, SanitizeOptions{IXPASes: map[uint32]bool{555: true}, KeepDuplicates: keep})
+		var opts SanitizeOptions
+		if !noIXP {
+			opts.IXPASes = map[uint32]bool{555: true}
+		}
+		diffSanitize(t, ds, opts)
 	})
 }
 

@@ -223,7 +223,9 @@ func FromPathCommunities(path []uint32, comms []bgp.Community) map[paths.Link]to
 
 // FromCommunitiesMRT scans a TABLE_DUMP_V2 RIB snapshot and extracts
 // every community-encoded relationship, dropping links whose community
-// evidence is self-contradictory.
+// evidence is self-contradictory. An entry's hops are read as
+// paths.WireHops reads them, so an entry with an AS_SET contributes
+// nothing.
 func FromCommunitiesMRT(r io.Reader) (map[paths.Link]topology.Relationship, error) {
 	votes := make(map[paths.Link]map[topology.Relationship]bool)
 	rr := mrt.NewRIBReader(r)
@@ -236,8 +238,8 @@ func FromCommunitiesMRT(r io.Reader) (map[paths.Link]topology.Relationship, erro
 			return nil, fmt.Errorf("validation: reading RIB: %w", err)
 		}
 		attrs := e.RIBEntry.Attrs
-		path := attrs.Path().Flatten()
-		for l, rel := range FromPathCommunities(path, attrs.Communities) {
+		hops, _ := paths.WireHops(e.Peer.ASN, attrs.Path())
+		for l, rel := range FromPathCommunities(hops, attrs.Communities) {
 			m, ok := votes[l]
 			if !ok {
 				m = make(map[topology.Relationship]bool, 1)

@@ -2,12 +2,15 @@ package validation
 
 import (
 	"bytes"
+	"net/netip"
+	"reflect"
 	"testing"
 	"time"
 
 	"github.com/asrank-go/asrank/internal/bgp"
 	"github.com/asrank-go/asrank/internal/bgpsim"
 	"github.com/asrank-go/asrank/internal/core"
+	"github.com/asrank-go/asrank/internal/mrt"
 	"github.com/asrank-go/asrank/internal/paths"
 	"github.com/asrank-go/asrank/internal/rpsl"
 	"github.com/asrank-go/asrank/internal/topology"
@@ -145,6 +148,49 @@ func TestFromCommunitiesMRTEndToEnd(t *testing.T) {
 		if truth[l] != r {
 			t.Fatalf("link %v: community says %v, truth %v", l, r, truth[l])
 		}
+	}
+}
+
+// TestFromCommunitiesMRTReadsWireHops: an entry's hops are the ones
+// paths.WireHops reads. The AS_SET entry's community would label 20>30
+// through the flattened set, but the entry is discarded; the entry whose
+// path lacks its peer AS gets the peer in front, so the peer's own
+// community labels its first link.
+func TestFromCommunitiesMRTReadsWireHops(t *testing.T) {
+	peers := []mrt.Peer{
+		{BGPID: netip.MustParseAddr("10.0.0.1"), Addr: netip.MustParseAddr("203.0.113.1"), ASN: 10},
+		{BGPID: netip.MustParseAddr("10.0.0.2"), Addr: netip.MustParseAddr("203.0.113.2"), ASN: 11},
+	}
+	attrs := func(path bgp.ASPath, comms ...bgp.Community) *bgp.PathAttributes {
+		return &bgp.PathAttributes{ASPath: path, NextHop: netip.MustParseAddr("192.0.2.1"), Communities: comms}
+	}
+	aggregate := bgp.ASPath{{Type: bgp.ASSequence, ASNs: []uint32{10, 20}}, {Type: bgp.ASSet, ASNs: []uint32{30, 40}}}
+	var buf bytes.Buffer
+	rw := mrt.NewRIBWriter(&buf, netip.MustParseAddr("198.51.100.1"), "v", peers, time.Date(2013, 4, 1, 0, 0, 0, 0, time.UTC))
+	for i, entry := range []mrt.RIBEntry{
+		{PeerIndex: 0, Attrs: attrs(aggregate, bgp.NewCommunity(20, bgpsim.CommunityFromCustomer))},
+		{PeerIndex: 0, Attrs: attrs(bgp.Sequence(10, 20, 50), bgp.NewCommunity(20, bgpsim.CommunityFromCustomer))},
+		{PeerIndex: 1, Attrs: attrs(bgp.Sequence(60, 70), bgp.NewCommunity(11, bgpsim.CommunityFromPeer))},
+	} {
+		if err := rw.WritePrefix(netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i), 0, 0}), 16), []mrt.RIBEntry{entry}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rels, err := FromCommunitiesMRT(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2c := topology.P2C
+	if link(20, 50).A != 20 {
+		p2c = p2c.Invert()
+	}
+	want := map[paths.Link]topology.Relationship{link(20, 50): p2c, link(11, 60): topology.P2P}
+	if !reflect.DeepEqual(rels, want) {
+		t.Errorf("rels = %v, want %v", rels, want)
+	}
+
+	if _, err := FromCommunitiesMRT(bytes.NewReader(nil)); err == nil {
+		t.Error("an empty stream gave no error")
 	}
 }
 
