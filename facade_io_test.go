@@ -105,9 +105,9 @@ func TestInferAblationOptions(t *testing.T) {
 	}
 	clean := MustSanitize(sim.Dataset)
 	noFold := Infer(clean, InferOptions{DisableFold: true})
-	for l, s := range noFold.Steps {
-		if s.String() == "fold" {
-			t.Fatalf("link %v labeled by disabled fold step", l)
+	for _, l := range noFold.Labels {
+		if l.Step.String() == "fold" {
+			t.Fatalf("link %v labeled by disabled fold step", l.Link)
 		}
 	}
 	noPL := Infer(clean, InferOptions{DisableProviderless: true})

@@ -2,11 +2,9 @@ package apiserver
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"hash/fnv"
-	"slices"
 	"strconv"
 
 	"github.com/asrank-go/asrank/internal/asindex"
@@ -79,7 +77,10 @@ func BuildSnapshot(snap *warehouse.Snapshot) *Data {
 	}
 
 	// Neighbor lists from the sorted link column: each link feeds both
-	// endpoints' rows.
+	// endpoints' rows. The column is sorted by (A, B) with A < B, so
+	// each row comes out ascending: AS x receives its smaller neighbors
+	// from the links (n, x) as A ascends to x, then its larger ones from
+	// the run of links (x, m).
 	links := make([][]linkEntry, n)
 	for _, l := range snap.Links {
 		step := l.Step.String()
@@ -96,9 +97,6 @@ func BuildSnapshot(snap *warehouse.Snapshot) *Data {
 		}
 		links[l.A] = append(links[l.A], linkEntry{Neighbor: snap.ASNs[l.B], Relationship: roleB, Step: step})
 		links[l.B] = append(links[l.B], linkEntry{Neighbor: snap.ASNs[l.A], Relationship: roleA, Step: step})
-	}
-	for _, row := range links {
-		slices.SortFunc(row, func(a, b linkEntry) int { return cmp.Compare(a.Neighbor, b.Neighbor) })
 	}
 
 	clique := snap.Clique

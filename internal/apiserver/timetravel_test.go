@@ -189,3 +189,35 @@ func TestLiveSwap(t *testing.T) {
 		t.Fatalf("after swap: epochs status/len = %d/%d", code, len(page.Epochs))
 	}
 }
+
+// TestDecodedRowsAscend: BuildSnapshot fills each AS's neighbour row
+// straight from the (A, B)-sorted link column and sorts nothing, so the
+// rows of a snapshot decoded from a reopened store — a full epoch and
+// the deltas on it, whose columns the decoder refuses out of that
+// order — come out strictly ascending, and serve the ETag the epoch was
+// appended with.
+func TestDecodedRowsAscend(t *testing.T) {
+	_, st := timeTravelServer(t)
+	re, err := warehouse.Open(st.Dir(), warehouse.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, info := range re.Epochs() {
+		snap, err := re.Snapshot(info.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := BuildSnapshot(snap)
+		if d.ETag() != info.ETag {
+			t.Errorf("epoch %d (%s) serves ETag %s, appended with %s", info.ID, info.Kind, d.ETag(), info.ETag)
+		}
+		for p, row := range d.links {
+			for i := 1; i < len(row); i++ {
+				if row[i-1].Neighbor >= row[i].Neighbor {
+					t.Fatalf("epoch %d (%s): AS %d's row has neighbour %d before %d",
+						info.ID, info.Kind, snap.ASNs[p], row[i-1].Neighbor, row[i].Neighbor)
+				}
+			}
+		}
+	}
+}

@@ -100,9 +100,9 @@ type Relations struct {
 	ctx     context.Context // trace-span parent for builds; nil = background
 }
 
-// EndpointIndex interns the endpoints of the labeled links: the dense
+// endpointIndex interns the endpoints of the labeled links: the dense
 // index cones are computed on and a snapshot is laid out on.
-func EndpointIndex(rels map[paths.Link]topology.Relationship) *asindex.Index {
+func endpointIndex(rels map[paths.Link]topology.Relationship) *asindex.Index {
 	asns := make([]uint32, 0, 2*len(rels))
 	for l := range rels {
 		//lint:ignore nodeterminismleak asindex.New sorts and dedups its input, so collection order cannot leak
@@ -115,7 +115,7 @@ func EndpointIndex(rels map[paths.Link]topology.Relationship) *asindex.Index {
 // Link.A, as produced by core.Infer and topology.Links). The map is
 // retained, not copied — callers must not mutate it afterwards.
 func NewRelations(rels map[paths.Link]topology.Relationship) *Relations {
-	r := &Relations{rel: rels, idx: EndpointIndex(rels)}
+	r := &Relations{rel: rels, idx: endpointIndex(rels)}
 	r.custIdx = make([][]int32, r.idx.Len())
 	for l, rel := range rels {
 		var provider, customer uint32

@@ -114,14 +114,24 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// Label is one inferred link: its relationship in the canonical
+// orientation (relative to Link.A) and the pipeline stage that labeled
+// it.
+type Label struct {
+	Link paths.Link
+	Rel  topology.Relationship
+	Step Step
+}
+
 // Result is the output of relationship inference.
 type Result struct {
+	// Labels lists each observed link with its relationship and the
+	// step that labeled it, in paths.SortedLinks order.
+	Labels []Label
 	// Rels maps each observed link to its inferred relationship in the
 	// canonical orientation (relative to Link.A): P2C means Link.A is
-	// the provider of Link.B.
+	// the provider of Link.B. It holds the links of Labels, for lookup.
 	Rels map[paths.Link]topology.Relationship
-	// Steps records which pipeline stage labeled each link.
-	Steps map[paths.Link]Step
 	// Clique is the inferred top clique, ascending ASN.
 	Clique []uint32
 	// Rank lists every observed AS in rank order (highest first).
@@ -196,23 +206,20 @@ type StepCounts struct {
 // CountsByStep returns per-step link tallies in step order, feeding the
 // pipeline-table experiment (R2).
 func (r *Result) CountsByStep() []StepCounts {
-	byStep := map[Step]*StepCounts{}
-	for l, s := range r.Steps {
-		c, ok := byStep[s]
-		if !ok {
-			c = &StepCounts{Step: s}
-			byStep[s] = c
-		}
-		if r.Rels[l] == topology.P2P {
+	var byStep [StepPeer + 1]StepCounts
+	for _, l := range r.Labels {
+		c := &byStep[l.Step]
+		if l.Rel == topology.P2P {
 			c.P2P++
 		} else {
 			c.C2P++
 		}
 	}
 	var out []StepCounts
-	for _, s := range []Step{StepClique, StepTopDown, StepVP, StepStubClique, StepFold, StepPeer} {
-		if c, ok := byStep[s]; ok {
-			out = append(out, *c)
+	for s := StepClique; s <= StepPeer; s++ {
+		if c := byStep[s]; c.C2P+c.P2P > 0 {
+			c.Step = s
+			out = append(out, c)
 		}
 	}
 	return out
@@ -451,7 +458,11 @@ func inferIndexed(ctx context.Context, ix *CorpusIndex, rank, clique []uint32, o
 		root.SetAttrInt("clique_size", int64(len(res.Clique)))
 	}
 
-	inf := newInferencer(ix, opts, res)
+	// The dense build and the write-back around the labelling stages
+	// label nothing themselves.
+	var inf *inferencer
+	frame := stager{ctx: ctx}
+	frame.run("core.infer.build", "build", func() { inf = newInferencer(ix, opts, res) })
 	stages := stager{ctx: ctx, labeled: &inf.labeled}
 	stages.run("core.infer.clique_p2p", "clique-p2p", inf.cliqueP2P)
 	if !opts.DisableProviderless {
@@ -464,6 +475,6 @@ func inferIndexed(ctx context.Context, ix *CorpusIndex, rank, clique []uint32, o
 		stages.run("core.infer.fold", "fold", inf.fold) // step 8
 	}
 	stages.run("core.infer.peer_default", "peer-default", inf.peerRest) // step 9
-	inf.materialize()
+	frame.run("core.infer.materialize", "materialize", inf.materialize)
 	return inf
 }

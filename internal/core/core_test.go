@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"net/netip"
 	"reflect"
@@ -11,6 +12,7 @@ import (
 	"github.com/asrank-go/asrank/internal/bgpsim"
 	"github.com/asrank-go/asrank/internal/paths"
 	"github.com/asrank-go/asrank/internal/topology"
+	"github.com/asrank-go/asrank/internal/trace"
 )
 
 func ds(pathList ...[]uint32) *paths.Dataset {
@@ -150,10 +152,11 @@ func TestInferClique(t *testing.T) {
 		t.Errorf("clique = %v, want %v", res.Clique, want)
 	}
 	// Intra-clique links are p2p with clique provenance.
+	steps := stepsOf(res)
 	for _, pair := range [][2]uint32{{1, 2}, {1, 3}, {2, 3}} {
 		l := paths.NewLink(pair[0], pair[1])
-		if res.Rels[l] != topology.P2P || res.Steps[l] != StepClique {
-			t.Errorf("link %v: rel=%v step=%v", l, res.Rels[l], res.Steps[l])
+		if res.Rels[l] != topology.P2P || steps[l] != StepClique {
+			t.Errorf("link %v: rel=%v step=%v", l, res.Rels[l], steps[l])
 		}
 	}
 }
@@ -255,11 +258,12 @@ func TestAcyclicInvariant(t *testing.T) {
 func TestEveryLinkLabeled(t *testing.T) {
 	d := cliqueCorpus()
 	res := Infer(d, Options{})
+	steps := stepsOf(res)
 	for l := range res.Dataset.Links() {
 		if _, ok := res.Rels[l]; !ok {
 			t.Errorf("link %v unlabeled", l)
 		}
-		if res.Steps[l] == StepNone {
+		if steps[l] == StepNone {
 			t.Errorf("link %v has no provenance", l)
 		}
 	}
@@ -301,6 +305,35 @@ func TestStepString(t *testing.T) {
 		if _, ok := ParseStep(name); ok {
 			t.Errorf("ParseStep(%q) names a step", name)
 		}
+	}
+}
+
+// TestInferPhasesCoverInferIndexed: a traced run opens InferIndexed's
+// dense build and its write-back into the Result as phases of their
+// own, so after step 4 every part of core.infer is a child span: the
+// build, the labelling stages in order, then the write-back.
+func TestInferPhasesCoverInferIndexed(t *testing.T) {
+	tr := trace.New()
+	ctx, root := tr.StartSpan(context.Background(), "test.root")
+	InferCtx(ctx, cliqueCorpus(), Options{})
+	root.End()
+	var infer uint64
+	for _, s := range tr.Flight() {
+		if s.Name == "core.infer" {
+			infer = s.ID
+		}
+	}
+	var got []string
+	for _, s := range tr.Flight() {
+		if s.Parent == infer && infer != 0 {
+			got = append(got, s.Name)
+		}
+	}
+	i := slices.Index(got, "core.infer.poison")
+	want := []string{"core.infer.build", "core.infer.clique_p2p", "core.infer.providerless", "core.infer.top_down",
+		"core.infer.vp", "core.infer.stub_clique", "core.infer.fold", "core.infer.peer_default", "core.infer.materialize"}
+	if i < 0 || !slices.Equal(got[i+1:], want) {
+		t.Errorf("core.infer's children: %v, want core.infer.poison then %v", got, want)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,6 +13,15 @@ import (
 	"github.com/asrank-go/asrank/internal/stats"
 	"github.com/asrank-go/asrank/internal/topology"
 )
+
+// stepsOf maps each labeled link of res to the step that labeled it.
+func stepsOf(res *Result) map[paths.Link]Step {
+	out := make(map[paths.Link]Step, len(res.Labels))
+	for _, l := range res.Labels {
+		out[l.Link] = l.Step
+	}
+	return out
+}
 
 // indexRows builds both index layers the way the per-row pipeline did —
 // every row folded +1 — and returns them with the ranking and clique
@@ -37,7 +47,7 @@ func indexRows(ds *paths.Dataset, opts Options) (ix *CorpusIndex, rank, clique [
 
 // diffDenseOracle runs both inferencers over one index and returns a
 // description of the first difference between their whole label maps,
-// or "" when Rels, Steps, Providerless and CountsByStep all agree —
+// or "" when Rels, Labels, Providerless and CountsByStep all agree —
 // with the spent dense inferencer (its Result and guard counts) and the
 // oracle's refused-cycle tally.
 func diffDenseOracle(ix *CorpusIndex, rank, clique []uint32, opts Options) (string, *inferencer, map[Step]int) {
@@ -46,12 +56,13 @@ func diffDenseOracle(ix *CorpusIndex, rank, clique []uint32, opts Options) (stri
 	oracle, refused := oracleInferIndexed(ix, rank, clique, opts)
 	diff := ""
 	switch {
-	case !reflect.DeepEqual(dense.Rels, oracle.Rels), !reflect.DeepEqual(dense.Steps, oracle.Steps):
-		diff = fmt.Sprintf("label maps differ: dense %d links, oracle %d", len(dense.Rels), len(oracle.Rels))
+	case !reflect.DeepEqual(dense.Rels, oracle.Rels), !slices.Equal(dense.Labels, oracle.Labels):
+		diff = fmt.Sprintf("label maps differ: dense %d links, oracle %d", len(dense.Labels), len(oracle.Labels))
+		ds, os := stepsOf(dense), stepsOf(oracle)
 		for _, l := range ix.Links() {
-			if dense.Rels[l] != oracle.Rels[l] || dense.Steps[l] != oracle.Steps[l] {
+			if dense.Rels[l] != oracle.Rels[l] || ds[l] != os[l] {
 				diff = fmt.Sprintf("link %v: dense %v by %v, oracle %v by %v",
-					l, dense.Rels[l], dense.Steps[l], oracle.Rels[l], oracle.Steps[l])
+					l, dense.Rels[l], ds[l], oracle.Rels[l], os[l])
 				break
 			}
 		}

@@ -55,7 +55,7 @@ func TestFoldLiveUnlabeledCounts(t *testing.T) {
 		if got := in.res.Rel(100, stub); got != topology.P2C {
 			t.Errorf("Rel(100, %d) = %v, want P2C", stub, got)
 		}
-		if got := in.res.Steps[paths.NewLink(100, stub)]; got != StepFold {
+		if got := stepsOf(in.res)[paths.NewLink(100, stub)]; got != StepFold {
 			t.Errorf("step for 100-%d = %v, want fold", stub, got)
 		}
 	}

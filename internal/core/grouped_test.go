@@ -175,7 +175,8 @@ func sanitizedRows(raw *paths.Dataset) *paths.Dataset {
 
 // keySet is a per-path table's keys, layers a two-layer table's keys
 // present in each layer; tables holds every table of an index by name,
-// the ones counted over distinct hop contexts with their values.
+// the ones counted over distinct hop contexts with their values, and
+// its kept runs settled.
 func keySet[K comparable](m map[K]int) map[K]bool {
 	keys := make(map[K]bool, len(m))
 	for k := range m {
@@ -198,10 +199,12 @@ func layers[K comparable](m map[K]counts) [2]map[K]bool {
 }
 
 func tables(ix *CorpusIndex) map[string]any {
+	settled(ix)
 	return map[string]any{
 		"triples": layers(ix.triples), "occur": keySet(ix.occur),
 		"origins": keySet(ix.origins), "vpOrigins": keySet(ix.vpOrigins),
 		"links": ix.links, "deg": ix.deg, "transitPair": ix.transitPair, "transitDeg": ix.transitDeg,
+		"keptContexts": ix.keptContexts, "keptLinks": ix.keptLinks,
 	}
 }
 

@@ -59,6 +59,12 @@ type counts struct {
 // distinct contexts, and moves only when a context's count in a layer
 // crosses zero. The origin tables are the only other per-path folds.
 //
+// The kept layer is also held in the orders steps 5–9 read it in: each
+// middle AS's kept contexts as packed next<<32|prev keys, and the kept
+// links as packed A<<32|B keys, each a keptRun that births and deaths
+// append to. InferIndexed settles the runs it reads, so calls on one
+// index, readers included, must not overlap.
+//
 // Both pipelines fold ±1 per distinct hop sequence: batch inference
 // folds every sequence of a Dataset into both layers as step 1 interns
 // it and folds the poisoned ones back out of the kept layer once the
@@ -79,19 +85,95 @@ type CorpusIndex struct {
 	deg         map[uint32]int        // distinct ranked neighbors
 	transitPair map[pairKey]int       // ranked (Mid, Prev), (Mid, Next) of contexts with Prev != 0
 	transitDeg  map[uint32]int        // distinct ranked transit neighbors
+
+	// The kept layer in order, following the same crossings.
+	keptContexts map[uint32]*keptRun // by Mid: next<<32|prev of its kept contexts
+	keptLinks    keptRun             // A<<32|B of the kept links
+}
+
+// keptRun is a set of packed keys held in ascending order lazily: keys
+// is the set as the last settle left it, ascending, and born and dead
+// are the keys added and taken out since, in arrival order. Churn moves
+// a few keys of a run between reads, so a birth or a death is one
+// append, and a read sorts the few that arrived and merges them in.
+// A key may be in born and dead both, even more than once in each
+// (born, dead, born again), but its count — one if keys holds it, plus
+// its births, less its deaths — is always 0 or 1.
+type keptRun struct {
+	keys, born, dead []uint64
+}
+
+// add puts a key the run does not hold into it.
+func (r *keptRun) add(k uint64) { r.born = append(r.born, k) }
+
+// remove takes a key the run holds out of it.
+func (r *keptRun) remove(k uint64) { r.dead = append(r.dead, k) }
+
+// size is the number of keys the run holds.
+func (r *keptRun) size() int { return len(r.keys) + len(r.born) - len(r.dead) }
+
+// settle applies the births and deaths since the last settle and
+// returns the run, ascending: it sorts them and merges them into keys
+// in one pass from the back, in place, then moves the result down to
+// the front. The run holds on to the result.
+func (r *keptRun) settle() []uint64 {
+	if len(r.born)+len(r.dead) == 0 {
+		return r.keys
+	}
+	slices.Sort(r.born)
+	slices.Sort(r.dead)
+	n := len(r.keys)
+	keys := slices.Grow(r.keys, len(r.born))[:n+len(r.born)]
+	// w only falls as far as keys and born are read, so it stays above
+	// every key of keys not yet read.
+	i, j, d, w := n-1, len(r.born)-1, len(r.dead)-1, len(keys)
+	for i >= 0 || j >= 0 {
+		k := keys[max(i, 0)] // the larger of keys[i] and born[j]
+		if i < 0 || j >= 0 && r.born[j] > k {
+			k = r.born[j]
+		}
+		c := 0
+		for ; i >= 0 && keys[i] == k; i-- {
+			c++
+		}
+		for ; j >= 0 && r.born[j] == k; j-- {
+			c++
+		}
+		for ; d >= 0 && r.dead[d] >= k; d-- {
+			if r.dead[d] > k {
+				panic("core: corpus index kept run lost a key it never held")
+			}
+			c--
+		}
+		switch c {
+		case 0:
+		case 1:
+			w--
+			keys[w] = k
+		default:
+			panic("core: corpus index kept run counts a key neither once nor not at all")
+		}
+	}
+	if d >= 0 {
+		panic("core: corpus index kept run lost a key it never held")
+	}
+	r.keys = keys[:copy(keys, keys[w:])]
+	r.born, r.dead = r.born[:0], r.dead[:0]
+	return r.keys
 }
 
 // NewCorpusIndex returns an empty index.
 func NewCorpusIndex() *CorpusIndex {
 	return &CorpusIndex{
-		triples:     make(map[Triple]counts),
-		occur:       make(map[uint32]int),
-		origins:     make(map[uint32]int),
-		vpOrigins:   make(map[VPPair]int),
-		links:       make(map[paths.Link]counts),
-		deg:         make(map[uint32]int),
-		transitPair: make(map[pairKey]int),
-		transitDeg:  make(map[uint32]int),
+		triples:      make(map[Triple]counts),
+		occur:        make(map[uint32]int),
+		origins:      make(map[uint32]int),
+		vpOrigins:    make(map[VPPair]int),
+		links:        make(map[paths.Link]counts),
+		deg:          make(map[uint32]int),
+		transitPair:  make(map[pairKey]int),
+		transitDeg:   make(map[uint32]int),
+		keptContexts: make(map[uint32]*keptRun),
 	}
 }
 
@@ -200,8 +282,35 @@ func (ix *CorpusIndex) fold(asns []uint32, dr, dk int) {
 			ix.rankedContext(t, r)
 		}
 		if k != 0 {
-			add(ix.links, paths.NewLink(t.Mid, t.Next), 0, k)
+			ix.keptContext(t, k)
 		}
+	}
+}
+
+// keptContext folds the birth (s = 1) or death (s = -1) of a kept
+// context into its middle AS's run and into its link, whose own
+// crossing moves the kept-link run.
+func (ix *CorpusIndex) keptContext(t Triple, s int) {
+	key := uint64(t.Next)<<32 | uint64(t.Prev)
+	run := ix.keptContexts[t.Mid]
+	if s > 0 {
+		if run == nil {
+			run = &keptRun{}
+			ix.keptContexts[t.Mid] = run
+		}
+		run.add(key)
+	} else {
+		run.remove(key)
+		if run.size() == 0 {
+			delete(ix.keptContexts, t.Mid)
+		}
+	}
+	l := paths.NewLink(t.Mid, t.Next)
+	switch _, c := add(ix.links, l, 0, s); c {
+	case 1:
+		ix.keptLinks.add(uint64(l.A)<<32 | uint64(l.B))
+	case -1:
+		ix.keptLinks.remove(uint64(l.A)<<32 | uint64(l.B))
 	}
 }
 
@@ -233,16 +342,10 @@ func (ix *CorpusIndex) adjacent(a, b uint32) bool {
 }
 
 // Links returns the kept layer's link set — the links of
-// Dataset.Links over the kept corpus — in paths.SortedLinks order.
+// Dataset.Links over the kept corpus — in paths.SortedLinks order. It
+// settles the kept-link run, so it must not overlap another call on ix.
 func (ix *CorpusIndex) Links() []paths.Link {
-	// Sorted as packed A<<32|B keys: an ordered sort, no comparator.
-	keys := make([]uint64, 0, len(ix.links))
-	for l, c := range ix.links {
-		if c.kept > 0 {
-			keys = append(keys, uint64(l.A)<<32|uint64(l.B))
-		}
-	}
-	slices.Sort(keys)
+	keys := ix.keptLinks.settle()
 	out := make([]paths.Link, len(keys))
 	for i, k := range keys {
 		out[i] = paths.Link{A: uint32(k >> 32), B: uint32(k)}

@@ -33,7 +33,7 @@ func TestIndexIsAFunctionOfThePathMultiset(t *testing.T) {
 				}
 			}
 		}
-		if !reflect.DeepEqual(ix, fresh) {
+		if !reflect.DeepEqual(settled(ix), settled(fresh)) {
 			t.Fatalf("seed %d: index after ±d interleaving differs from a fresh +1 fold:\n got %+v\nwant %+v", seed, ix, fresh)
 		}
 		rank, want := ix.Rank(), fresh.Rank()
@@ -44,6 +44,24 @@ func TestIndexIsAFunctionOfThePathMultiset(t *testing.T) {
 			t.Fatalf("seed %d: clique = %v, fresh fold gives %v", seed, got, want)
 		}
 	}
+}
+
+// settled settles every kept run of ix, as InferIndexed does before it
+// reads them, and returns ix: two indexes over one key set then hold
+// their runs alike, whatever order the keys arrived in. An emptied
+// slice is a fresh run's nil.
+func settled(ix *CorpusIndex) *CorpusIndex {
+	runs := []*keptRun{&ix.keptLinks}
+	for _, r := range ix.keptContexts {
+		runs = append(runs, r)
+	}
+	for _, r := range runs {
+		if len(r.settle()) == 0 {
+			r.keys = nil
+		}
+		r.born, r.dead = nil, nil
+	}
+	return ix
 }
 
 // interleavedIndex draws 40 distinct loop-free paths over a small AS
@@ -109,7 +127,8 @@ func interleavedIndex(seed int64) (ix *CorpusIndex, pool [][]uint32, units []int
 // holds, calling no mutator: the hop contexts and the per-path tables
 // count units; links and transit pairs count the distinct contexts that
 // project to them, per layer; the degrees are paths.Dataset's own over
-// the ranked units. It also returns what the kept units hold by
+// the ranked units; the kept runs are the kept contexts by middle AS
+// and the kept links, each sorted. It also returns what the kept units hold by
 // paths.Dataset's reckoning and by a scan of their first two hops: the
 // link set, and the (VP, first hop) pairs in step 6's order.
 func recount(pool [][]uint32, ranked, kept []int) (want *CorpusIndex, links map[paths.Link]int, starts []VPPair) {
@@ -161,9 +180,24 @@ func recount(pool [][]uint32, ranked, kept []int) (want *CorpusIndex, links map[
 		}
 		if c.kept > 0 {
 			e.kept++
+			r := want.keptContexts[t.Mid]
+			if r == nil {
+				r = &keptRun{}
+				want.keptContexts[t.Mid] = r
+			}
+			r.keys = append(r.keys, uint64(t.Next)<<32|uint64(t.Prev))
 		}
 		want.links[l] = e
 	}
+	for l, e := range want.links {
+		if e.kept > 0 {
+			want.keptLinks.keys = append(want.keptLinks.keys, uint64(l.A)<<32|uint64(l.B))
+		}
+	}
+	for _, r := range want.keptContexts {
+		slices.Sort(r.keys)
+	}
+	slices.Sort(want.keptLinks.keys)
 	want.deg, want.transitDeg = rankedDS.Degrees(), rankedDS.TransitDegrees()
 	slices.SortFunc(starts, func(a, b VPPair) int {
 		return cmp.Or(cmp.Compare(a.VP, b.VP), cmp.Compare(a.Other, b.Other))
@@ -171,12 +205,21 @@ func recount(pool [][]uint32, ranked, kept []int) (want *CorpusIndex, links map[
 	return want, keptDS.Links(), starts
 }
 
-// checkRecount holds ix to the recount of the live paths: every table,
-// the kept link set against Dataset.Links', and the first hops step 6
-// visits against the kept paths' own.
+// checkRecount holds ix to the recount of the live paths: each settled
+// kept run, every table, the kept link set against Dataset.Links', and
+// the first hops step 6 visits against the kept paths' own.
 func checkRecount(t *testing.T, what string, ix *CorpusIndex, pool [][]uint32, ranked, kept []int) {
 	t.Helper()
 	want, links, starts := recount(pool, ranked, kept)
+	settled(ix)
+	for mid, r := range want.keptContexts {
+		if got := ix.keptContexts[mid]; got == nil || !slices.Equal(got.keys, r.keys) {
+			t.Fatalf("%s: AS %d's settled kept run is %v, the recount's %v", what, mid, got, r.keys)
+		}
+	}
+	if !slices.Equal(ix.keptLinks.keys, want.keptLinks.keys) {
+		t.Fatalf("%s: settled kept-link run %v, the recount's %v", what, ix.keptLinks.keys, want.keptLinks.keys)
+	}
 	if !reflect.DeepEqual(ix, want) {
 		t.Fatalf("%s: index differs from the naive recount:\n got %+v\nwant %+v", what, ix, want)
 	}

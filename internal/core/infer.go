@@ -42,7 +42,7 @@ type triplet struct {
 // ranking, a link is its index in the kept layer's sorted link list.
 // Every question steps 5–9 ask of the labels so far — is this link
 // labeled, who is its provider, is this AS in the clique — is then an
-// array read; Result.Rels and Result.Steps are written once, at the end.
+// array read; Result.Labels and Result.Rels are written once, at the end.
 type inferencer struct {
 	ix   *CorpusIndex
 	opts Options
@@ -180,46 +180,28 @@ func find(row []neighbor, asn uint32) neighbor {
 	return row[i]
 }
 
-// buildTriplets buckets the kept layer's hop contexts by middle AS (a
-// counting sort on its position), sorts each bucket as packed
-// next<<32|prev keys, and resolves the keys against the middle AS's
+// buildTriplets reads the kept layer's hop contexts run by run in rank
+// order — each middle AS's run, settled, is its contexts as ascending
+// next<<32|prev keys — and resolves the keys against the middle AS's
 // adjacency row: a context's next and previous hops are its neighbors,
-// and the sorted bucket meets the row's next hops in row order. The
+// and the sorted run meets the row's next hops in row order. The
 // (clique, clique, X) contexts flag X as crossed on the way.
 func (in *inferencer) buildTriplets() {
 	n := len(in.flags)
-	type entry struct {
-		mid int32
-		key uint64
-	}
-	entries := make([]entry, 0, len(in.ix.triples))
+	runs := make([][]uint64, n)
 	in.tripStart = make([]int32, n+1)
-	for t, c := range in.ix.triples {
-		if c.kept == 0 {
-			continue
+	for z, asn := range in.res.Rank {
+		if r := in.ix.keptContexts[asn]; r != nil {
+			runs[z] = r.settle()
 		}
-		z := in.at(t.Mid)
-		//lint:ignore nodeterminismleak the keys are scattered into per-AS buckets below and every bucket is sorted before it is read
-		entries = append(entries, entry{mid: z, key: uint64(t.Next)<<32 | uint64(t.Prev)})
-		in.tripStart[z+1]++
-	}
-	for p := 0; p < n; p++ {
-		in.tripStart[p+1] += in.tripStart[p]
-	}
-	sorted := make([]uint64, len(entries))
-	fill := slices.Clone(in.tripStart[:n])
-	for _, c := range entries {
-		sorted[fill[c.mid]] = c.key
-		fill[c.mid]++
+		in.tripStart[z+1] = in.tripStart[z] + int32(len(runs[z]))
 	}
 
-	in.trips = make([]triplet, len(sorted))
-	for z := int32(0); z < int32(n); z++ {
-		lo, hi := in.tripStart[z], in.tripStart[z+1]
-		bucket := sorted[lo:hi]
-		slices.Sort(bucket)
-		row, ri := in.row(z), 0
-		for j, k := range bucket {
+	in.trips = make([]triplet, in.tripStart[n])
+	for z, run := range runs {
+		row, ri := in.row(int32(z)), 0
+		lo := int(in.tripStart[z])
+		for j, k := range run {
 			next, prev := uint32(k>>32), uint32(k)
 			for row[ri].asn != next {
 				ri++
@@ -232,7 +214,7 @@ func (in *inferencer) buildTriplets() {
 					in.flags[t.next] |= isCrossed
 				}
 			}
-			in.trips[int(lo)+j] = t
+			in.trips[lo+j] = t
 		}
 	}
 }
@@ -527,15 +509,15 @@ func (in *inferencer) peerRest() {
 	}
 }
 
-// materialize writes the labels so far into Result.Rels and
-// Result.Steps.
+// materialize writes the labels so far into Result.Labels, in link
+// order, and Result.Rels.
 func (in *inferencer) materialize() {
 	in.res.Rels = make(map[paths.Link]topology.Relationship, in.labeled)
-	in.res.Steps = make(map[paths.Link]Step, in.labeled)
+	in.res.Labels = make([]Label, 0, in.labeled)
 	for i, l := range in.links {
 		if in.rel[i] != topology.None {
 			in.res.Rels[l] = in.rel[i]
-			in.res.Steps[l] = in.step[i]
+			in.res.Labels = append(in.res.Labels, Label{Link: l, Rel: in.rel[i], Step: in.step[i]})
 		}
 	}
 }

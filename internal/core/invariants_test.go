@@ -32,11 +32,22 @@ func TestInferInvariantsQuick(t *testing.T) {
 		if len(res.Rels) != len(links) {
 			return false
 		}
+		// Labels: the same links in paths.SortedLinks order, each with
+		// its relationship in Rels and a step.
+		if len(res.Labels) != len(res.Rels) {
+			return false
+		}
+		for i, l := range res.Labels {
+			if i > 0 && paths.CompareLinks(res.Labels[i-1].Link, l.Link) >= 0 || res.Rels[l.Link] != l.Rel {
+				return false
+			}
+		}
+		steps := stepsOf(res)
 		for l := range links {
 			if _, ok := res.Rels[l]; !ok {
 				return false
 			}
-			if res.Steps[l] == StepNone {
+			if steps[l] == StepNone {
 				return false
 			}
 		}

@@ -4,11 +4,13 @@ import (
 	"github.com/asrank-go/asrank/internal/obs"
 )
 
-// Inference metrics. Step labels name the 12 pipeline stages in
-// execution order: sanitize, index, rank, clique, poison, clique-p2p,
-// providerless, top-down, vp, stub-clique, fold, peer-default. index is
-// the part of folding the corpus index that step 1 did not hide (the
-// folders run beside it); fold is step 8. Stages that label links
+// Inference metrics. Step labels name the 14 pipeline stages in
+// execution order: sanitize, index, rank, clique, poison, build,
+// clique-p2p, providerless, top-down, vp, stub-clique, fold,
+// peer-default, materialize. index is the part of folding the corpus
+// index that step 1 did not hide (the folders run beside it); build is
+// InferIndexed's dense id space over the kept layer, and materialize its
+// write-back into the Result; fold is step 8. Stages that label links
 // additionally count them into inferStepLinks under the same label.
 var (
 	inferRuns = obs.Default().Counter("asrank_infer_runs_total",

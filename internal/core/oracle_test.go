@@ -11,7 +11,7 @@ import (
 )
 
 // This file is the inferencer the dense one in infer.go replaced, kept
-// as its oracle: steps 5–9 probing Result.Rels and Result.Steps per
+// as its oracle: steps 5–9 probing Result.Rels and a step map per
 // question, three map[uint32] probes per triplet, one comparator sort
 // of all triples, and a cycle guard that walks the would-be customer's
 // cone per query. It is moved here unchanged but for the refused-cycle
@@ -49,6 +49,10 @@ type oracleInferencer struct {
 	// at them.
 	providerless map[uint32]bool
 
+	// steps records which stage labeled each link of res.Rels; the
+	// Result's Labels are written from the two at the end.
+	steps map[paths.Link]Step
+
 	// refused tallies the createsCycle calls answered yes, by the step
 	// running (stage) when they were asked.
 	stage   Step
@@ -69,6 +73,7 @@ func newOracleInferencer(ix *CorpusIndex, opts Options, res *Result, clique map[
 		seen:         make([]uint32, idx.Len()),
 		links:        ix.Links(),
 		providerless: make(map[uint32]bool),
+		steps:        make(map[paths.Link]Step),
 		refused:      make(map[Step]int),
 	}
 }
@@ -136,7 +141,7 @@ func (in *oracleInferencer) setC2P(provider, customer uint32, step Step) {
 	} else {
 		in.res.Rels[l] = topology.C2P
 	}
-	in.res.Steps[l] = step
+	in.steps[l] = step
 	pi, _ := in.idx.Pos(provider)
 	ci, _ := in.idx.Pos(customer)
 	in.custIdx[pi] = append(in.custIdx[pi], ci)
@@ -379,7 +384,7 @@ func (in *oracleInferencer) peerRest() {
 			continue
 		}
 		in.res.Rels[l] = topology.P2P
-		in.res.Steps[l] = StepPeer
+		in.steps[l] = StepPeer
 	}
 }
 
@@ -428,7 +433,6 @@ func oracleInferIndexed(ix *CorpusIndex, rank, clique []uint32, opts Options) (*
 	opts = opts.withDefaults()
 	res := &Result{
 		Rels:          make(map[paths.Link]topology.Relationship),
-		Steps:         make(map[paths.Link]Step),
 		Rank:          append([]uint32(nil), rank...),
 		Clique:        append([]uint32(nil), clique...),
 		TransitDegree: ix.TransitDegrees(),
@@ -438,13 +442,13 @@ func oracleInferIndexed(ix *CorpusIndex, rank, clique []uint32, opts Options) (*
 	for _, c := range res.Clique {
 		cliqueSet[c] = true
 	}
-	for _, l := range ix.Links() {
+	inf := newOracleInferencer(ix, opts, res, cliqueSet)
+	for _, l := range inf.links {
 		if cliqueSet[l.A] && cliqueSet[l.B] {
 			res.Rels[l] = topology.P2P
-			res.Steps[l] = StepClique
+			inf.steps[l] = StepClique
 		}
 	}
-	inf := newOracleInferencer(ix, opts, res, cliqueSet)
 	if !opts.DisableProviderless {
 		inf.detectProviderless()
 	}
@@ -459,5 +463,10 @@ func oracleInferIndexed(ix *CorpusIndex, rank, clique []uint32, opts Options) (*
 		inf.fold()
 	}
 	inf.peerRest()
+	for _, l := range inf.links {
+		if rel, ok := res.Rels[l]; ok {
+			res.Labels = append(res.Labels, Label{Link: l, Rel: rel, Step: inf.steps[l]})
+		}
+	}
 	return res, inf.refused
 }

@@ -50,9 +50,9 @@ func R02PipelineSteps(l *Lab) *Report {
 		"step", "c2p", "p2p", "PPV vs truth")
 	for _, c := range res.CountsByStep() {
 		sub := map[paths.Link]topology.Relationship{}
-		for link, s := range res.Steps {
-			if s == c.Step {
-				sub[link] = res.Rels[link]
+		for _, l := range res.Labels {
+			if l.Step == c.Step {
+				sub[l.Link] = l.Rel
 			}
 		}
 		m := validation.Evaluate(sub, truth)

@@ -104,19 +104,20 @@ func (d *Dataset) Links() map[Link]int {
 	return links
 }
 
-// SortedLinks returns the keys of Links in deterministic order.
+// SortedLinks returns the keys of Links in deterministic order:
+// CompareLinks order.
 func SortedLinks(links map[Link]int) []Link {
 	out := make([]Link, 0, len(links))
 	for l := range links {
 		out = append(out, l)
 	}
-	slices.SortFunc(out, func(x, y Link) int {
-		if x.A != y.A {
-			return cmp.Compare(x.A, y.A)
-		}
-		return cmp.Compare(x.B, y.B)
-	})
+	slices.SortFunc(out, CompareLinks)
 	return out
+}
+
+// CompareLinks orders links by A, then by B.
+func CompareLinks(x, y Link) int {
+	return cmp.Or(cmp.Compare(x.A, y.A), cmp.Compare(x.B, y.B))
 }
 
 // Degrees returns the node degree (number of distinct neighbors) of

@@ -42,6 +42,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/asrank-go/asrank/internal/asindex"
 	"github.com/asrank-go/asrank/internal/cone"
 	"github.com/asrank-go/asrank/internal/core"
 	"github.com/asrank-go/asrank/internal/oplog"
@@ -153,6 +154,8 @@ type Engine struct {
 	cliqueSet map[uint32]bool
 	//asrank:guardedby mu
 	rels map[paths.Link]topology.Relationship
+	//asrank:guardedby mu
+	labels []core.Label // rels in link order
 
 	//asrank:guardedby mu
 	stats Stats
@@ -525,14 +528,29 @@ func (e *Engine) CommitEpoch(ctx context.Context) (*warehouse.Snapshot, CommitRe
 			affected[id] = struct{}{}
 		}
 	}
-	for l, r := range res.Rels {
-		if old, ok := e.rels[l]; !ok || old != r {
-			dirty(l)
+	// Both epochs' labels are in link order: one merge finds the links
+	// whose relationship is new, changed or gone.
+	old, cur := e.labels, res.Labels
+	for len(old) > 0 || len(cur) > 0 {
+		c := -1 // old[0] comes first
+		switch {
+		case len(old) == 0:
+			c = 1
+		case len(cur) > 0:
+			c = paths.CompareLinks(old[0].Link, cur[0].Link)
 		}
-	}
-	for l := range e.rels {
-		if _, ok := res.Rels[l]; !ok {
-			dirty(l)
+		switch {
+		case c < 0:
+			dirty(old[0].Link)
+			old = old[1:]
+		case c > 0:
+			dirty(cur[0].Link)
+			cur = cur[1:]
+		default:
+			if old[0].Rel != cur[0].Rel {
+				dirty(cur[0].Link)
+			}
+			old, cur = old[1:], cur[1:]
 		}
 	}
 	rep.RecreditedPaths = len(affected)
@@ -541,11 +559,17 @@ func (e *Engine) CommitEpoch(ctx context.Context) (*warehouse.Snapshot, CommitRe
 		e.pc.Credit(e.rels, hops, -1)
 		e.pc.Credit(res.Rels, hops, 1)
 	}
-	e.rels = res.Rels
+	e.rels, e.labels = res.Rels, res.Labels
 	ph.End(commitPhaseDuration.With("credit"), &rep.Phases.Credit)
 
-	idx := cone.EndpointIndex(res.Rels) // as cone.NewRelations interns batch-side
+	// The slab is laid out on the labeled links' endpoints, the index
+	// cone.NewRelations interns batch-side.
 	_, ph = trace.StartPhase(ctx, "stream.commit.slab")
+	ends := make([]uint32, 0, 2*len(res.Labels))
+	for _, l := range res.Labels {
+		ends = append(ends, l.Link.A, l.Link.B)
+	}
+	idx := asindex.New(ends)
 	cones := cone.FromSlab(idx, e.pc.Slab(idx))
 	ph.End(commitPhaseDuration.With("slab"), &rep.Phases.Slab)
 

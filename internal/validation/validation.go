@@ -335,14 +335,13 @@ func EvaluateCorpus(inferred map[paths.Link]topology.Relationship, c *Corpus) Me
 // table in R5).
 func StepMetrics(res *core.Result, truth map[paths.Link]topology.Relationship) map[core.Step]Metrics {
 	byStep := map[core.Step]map[paths.Link]topology.Relationship{}
-	for l, rel := range res.Rels {
-		s := res.Steps[l]
-		m, ok := byStep[s]
+	for _, l := range res.Labels {
+		m, ok := byStep[l.Step]
 		if !ok {
 			m = make(map[paths.Link]topology.Relationship)
-			byStep[s] = m
+			byStep[l.Step] = m
 		}
-		m[l] = rel
+		m[l.Link] = l.Rel
 	}
 	out := make(map[core.Step]Metrics, len(byStep))
 	for s, rels := range byStep {

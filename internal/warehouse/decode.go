@@ -240,6 +240,16 @@ func nextPos(prev int32, gap uint64, n int) (int32, bool) {
 	return prev + int32(gap), true
 }
 
+// pairAfter reports whether the link (a, b) may follow (prevA, prevB)
+// in a link column: it is ordered A < B and sorts strictly after its
+// predecessor (first is set for the first entry, which has none). A
+// column that breaks either rule was not written by encodeLinks, and
+// readers rely on both: rebuildLinks merges by that order, and a
+// snapshot's adjacency rows come out ascending only from it.
+func pairAfter(a, b, prevA, prevB int32, first bool) bool {
+	return a < b && (first || a > prevA || a == prevA && b > prevB)
+}
+
 func decodeLinks(payload []byte, n int, steps []core.Step, id byte) ([]LinkRec, error) {
 	r := &decodeReader{buf: payload}
 	cnt, err := r.count()
@@ -247,7 +257,7 @@ func decodeLinks(payload []byte, n int, steps []core.Step, id byte) ([]LinkRec, 
 		return nil, fmt.Errorf("warehouse: link column %d count: %w", id, err)
 	}
 	out := make([]LinkRec, 0, cnt)
-	prevA := int32(0)
+	prevA, prevB := int32(0), int32(0)
 	for i := uint64(0); i < cnt; i++ {
 		dA, err := r.uvarint()
 		if err != nil {
@@ -273,8 +283,11 @@ func decodeLinks(payload []byte, n int, steps []core.Step, id byte) ([]LinkRec, 
 		if step >= uint64(len(steps)) {
 			return nil, fmt.Errorf("warehouse: link column %d entry %d: step %d out of range [0,%d)", id, i, step, len(steps))
 		}
+		if !pairAfter(a, int32(b), prevA, prevB, i == 0) {
+			return nil, fmt.Errorf("warehouse: link column %d entry %d: (%d,%d) is not an ordered pair sorting after (%d,%d)", id, i, a, b, prevA, prevB)
+		}
 		out = append(out, LinkRec{A: a, B: int32(b), Rel: rel, Step: steps[step]})
-		prevA = a
+		prevA, prevB = a, int32(b)
 	}
 	return out, nil
 }
@@ -286,7 +299,7 @@ func decodePosPairs(payload []byte, n int) ([]posPair, error) {
 		return nil, fmt.Errorf("warehouse: removed-link column count: %w", err)
 	}
 	out := make([]posPair, 0, cnt)
-	prevA := int32(0)
+	prevA, prevB := int32(0), int32(0)
 	for i := uint64(0); i < cnt; i++ {
 		dA, err := r.uvarint()
 		if err != nil {
@@ -300,8 +313,11 @@ func decodePosPairs(payload []byte, n int) ([]posPair, error) {
 		if !ok || b >= uint64(n) {
 			return nil, fmt.Errorf("warehouse: removed-link entry %d: positions (%d+%d,%d) out of range [0,%d)", i, prevA, dA, b, n)
 		}
+		if !pairAfter(a, int32(b), prevA, prevB, i == 0) {
+			return nil, fmt.Errorf("warehouse: removed-link entry %d: (%d,%d) is not an ordered pair sorting after (%d,%d)", i, a, b, prevA, prevB)
+		}
 		out = append(out, posPair{A: a, B: int32(b)})
-		prevA = a
+		prevA, prevB = a, int32(b)
 	}
 	return out, nil
 }
@@ -525,7 +541,8 @@ func mergeASNs(old, removed, added []uint32) ([]uint32, error) {
 
 // rebuildLinks reassembles the successor link list: old links survive
 // unless removed or touching a departed AS, translated to new positions
-// and relabeled by the change set; added links merge in sorted.
+// and relabeled by the change set; added links merge in sorted, and one
+// the predecessor still holds is refused.
 func rebuildLinks(old *Snapshot, m *indexMap, removed []posPair, added, changed []LinkRec) ([]LinkRec, error) {
 	// The removed set, the change set and the added list are consulted
 	// during a single ordered sweep; all are sorted the same way as the
@@ -548,6 +565,9 @@ func rebuildLinks(old *Snapshot, m *indexMap, removed []posPair, added, changed 
 			ci++
 		}
 		for ; ai < len(added) && (added[ai].A < na || (added[ai].A == na && added[ai].B <= nb)); ai++ {
+			if added[ai].A == na && added[ai].B == nb {
+				return nil, fmt.Errorf("warehouse: added link (%d,%d) is already in predecessor", na, nb)
+			}
 			out = append(out, added[ai])
 		}
 		out = append(out, nl)

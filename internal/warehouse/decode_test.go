@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -213,8 +214,12 @@ func outOfRange(s0, s1 *Snapshot) []struct {
 // unwritable lists well-framed segments (CRCs and trailer valid) whose
 // link columns say what the pipeline cannot write: s1 in full, or as a
 // delta on s0, with a step-name column holding a name no core.Step has,
-// or a scalar column recording a link count the link column does not
-// hold.
+// a scalar column recording a link count the link column does not hold,
+// a link column (full, removed, added or changed) holding an entry that
+// does not sort strictly after its predecessor or whose ends are not
+// A < B, or an added link the predecessor already holds. Where the bad
+// column holds one link more, the scalar count says so too, so only the
+// ordering refuses it.
 func unwritable(s0, s1 *Snapshot) []struct {
 	name string
 	kind byte
@@ -227,6 +232,38 @@ func unwritable(s0, s1 *Snapshot) []struct {
 		return binary.AppendUvarint(binary.AppendUvarint(nil, uint64(s1.PathCount)), uint64(links))
 	}
 	full, delta := encodeFull(s1), deltaCols(s0, s1)
+	steps, d := newStepTable(s1.Links), diffLinks(s0, s1)
+	links := func(ls []LinkRec) []byte { return encodeLinks(nil, ls, steps) }
+	repeated := func(ls []LinkRec) []LinkRec { return append([]LinkRec{ls[0]}, ls...) }
+	swapped := func(ls []LinkRec) []LinkRec { // the first two links under one A
+		ls = slices.Clone(ls)
+		i := 0
+		for i+2 < len(ls) && ls[i].A != ls[i+1].A {
+			i++
+		}
+		ls[i], ls[i+1] = ls[i+1], ls[i]
+		return ls
+	}
+	reversed := slices.Clone(s1.Links) // the last link B→A: still after its predecessor
+	last := &reversed[len(reversed)-1]
+	last.A, last.B = last.B, last.A
+	// held is the added column with one link more: the first of s1 that
+	// the delta neither adds nor relabels, so s0 holds it already.
+	touched := map[[2]int32]bool{}
+	for _, l := range append(slices.Clone(d.added), d.changed...) {
+		touched[[2]int32{l.A, l.B}] = true
+	}
+	var held []LinkRec
+	for i, l := range s1.Links {
+		if !touched[[2]int32{l.A, l.B}] {
+			at, _ := slices.BinarySearchFunc(d.added, l, func(x, y LinkRec) int {
+				return cmp.Or(cmp.Compare(x.A, y.A), cmp.Compare(x.B, y.B))
+			})
+			held = slices.Insert(slices.Clone(d.added), at, s1.Links[i])
+			break
+		}
+	}
+	oneMore := func(cols []segColumn) []segColumn { return withColumn(cols, colScalars, scalars(len(s1.Links)+1)) }
 	return []struct {
 		name string
 		kind byte
@@ -236,6 +273,16 @@ func unwritable(s0, s1 *Snapshot) []struct {
 		{"delta: unknown step name", kindDelta, withColumn(delta, colStepNames, encodeStepNames(nil, extra))},
 		{"full: link count one short", kindFull, withColumn(full, colScalars, scalars(len(s1.Links)-1))},
 		{"delta: link count one over", kindDelta, withColumn(delta, colScalars, scalars(len(s1.Links)+1))},
+		{"full: first link repeated", kindFull, oneMore(withColumn(full, colLinks, links(repeated(s1.Links))))},
+		{"full: two links under one A swapped", kindFull, withColumn(full, colLinks, links(swapped(s1.Links)))},
+		{"full: a link's ends reversed", kindFull, withColumn(full, colLinks, links(reversed))},
+		{"delta: first removed link repeated", kindDelta, withColumn(delta, dcolLinksRem, encodePosPairs(nil, repeated(d.removed)))},
+		{"delta: two removed links swapped", kindDelta, withColumn(delta, dcolLinksRem, encodePosPairs(nil, swapped(d.removed)))},
+		{"delta: first added link repeated", kindDelta, oneMore(withColumn(delta, dcolLinksAdd, links(repeated(d.added))))},
+		{"delta: two added links swapped", kindDelta, withColumn(delta, dcolLinksAdd, links(swapped(d.added)))},
+		{"delta: added link the predecessor holds", kindDelta, oneMore(withColumn(delta, dcolLinksAdd, links(held)))},
+		{"delta: first changed link repeated", kindDelta, withColumn(delta, dcolLinksChg, links(repeated(d.changed)))},
+		{"delta: two changed links swapped", kindDelta, withColumn(delta, dcolLinksChg, links(swapped(d.changed)))},
 	}
 }
 

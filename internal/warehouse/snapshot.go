@@ -1,9 +1,6 @@
 package warehouse
 
 import (
-	"cmp"
-	"slices"
-
 	"github.com/asrank-go/asrank/internal/cone"
 	"github.com/asrank-go/asrank/internal/core"
 	"github.com/asrank-go/asrank/internal/pool"
@@ -120,8 +117,8 @@ func FromResult(res *core.Result) *Snapshot {
 
 // Compose assembles res's columnar snapshot around ingredients computed
 // elsewhere: cones, the provider/peer-observed cone product over the
-// sorted endpoints of res.Rels (the index cone.NewRelations and
-// cone.EndpointIndex build); prefixCounts, each origin's distinct
+// sorted endpoints of the labeled links (the index cone.NewRelations
+// builds); prefixCounts, each origin's distinct
 // announced prefix count in the kept corpus (cone.PrefixCounts
 // semantics); and pathCount, the kept-corpus size. The slab of cones
 // passes to the snapshot uncopied; the caller must not write to it
@@ -159,19 +156,14 @@ func Compose(res *core.Result, cones *cone.BitSets, prefixCounts map[uint32]int,
 
 	snap.Clique = append([]uint32{}, res.Clique...)
 
-	// Links sorted by position pair. paths.Link is normalized A < B and
-	// interning preserves ASN order, so pa < pb already.
-	snap.Links = make([]LinkRec, 0, len(res.Rels))
-	for l, rel := range res.Rels {
-		pa, _ := idx.Pos(l.A)
-		pb, _ := idx.Pos(l.B)
-		snap.Links = append(snap.Links, LinkRec{A: pa, B: pb, Rel: rel, Step: res.Steps[l]})
+	// Links by position pair. res.Labels is in (A, B) ASN order with
+	// A < B, and interning preserves ASN order, so the positions come
+	// out sorted with pa < pb.
+	snap.Links = make([]LinkRec, len(res.Labels))
+	for i, l := range res.Labels {
+		pa, _ := idx.Pos(l.Link.A)
+		pb, _ := idx.Pos(l.Link.B)
+		snap.Links[i] = LinkRec{A: pa, B: pb, Rel: l.Rel, Step: l.Step}
 	}
-	slices.SortFunc(snap.Links, func(x, y LinkRec) int {
-		if x.A != y.A {
-			return cmp.Compare(x.A, y.A)
-		}
-		return cmp.Compare(x.B, y.B)
-	})
 	return snap
 }
