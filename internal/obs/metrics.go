@@ -2,8 +2,6 @@ package obs
 
 import (
 	"math"
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -45,33 +43,12 @@ func (g *Gauge) Dec() { g.Add(-1) }
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// atomicFloat is a float64 with atomic add, for histogram sums.
-type atomicFloat struct{ bits atomic.Uint64 }
-
-func (f *atomicFloat) Add(d float64) {
-	for {
-		old := f.bits.Load()
-		if f.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
-
-func (f *atomicFloat) Load() float64 { return math.Float64frombits(f.bits.Load()) }
-
-// Histogram is a fixed-bucket histogram whose hot path is striped:
-// observations land in one of several cache-line-padded stripes, each a
-// private set of atomic bucket counters, so concurrent workers (the
-// pool's goroutines, HTTP handlers) do not contend on shared cache
-// lines. Stripe affinity rides on a sync.Pool — Get usually returns
-// the id last used on the same P, which approximates per-P sharding
-// without runtime internals. Gather sums the stripes.
+// Histogram is a fixed-bucket histogram: one atomic counter per
+// bucket and an atomic sum, shared by every observer.
 type Histogram struct {
-	bounds  []float64 // upper bounds, strictly ascending; +Inf implicit
-	stripes []histStripe
-	mask    uint32
-	ids     sync.Pool
-	nextID  atomic.Uint32
+	bounds []float64       // upper bounds, strictly ascending; +Inf implicit
+	counts []atomic.Uint64 // len(bounds)+1; last is the +Inf bucket
+	sum    Gauge
 
 	// ex holds one exemplar per bucket (len(bounds)+1, last is +Inf),
 	// written only by ObserveExemplar. Last write wins: each slot is an
@@ -89,54 +66,26 @@ type exemplar struct {
 	when  time.Time
 }
 
-// histStripe is one shard of bucket counters, padded so neighboring
-// stripes never share a cache line.
-type histStripe struct {
-	counts []atomic.Uint64 // len(bounds)+1; last is the +Inf bucket
-	sum    atomicFloat
-	_      [40]byte
-}
-
-// stripeID is the pooled token carrying a goroutine's stripe affinity.
-type stripeID struct{ n uint32 }
-
 func newHistogram(bounds []float64) *Histogram {
-	n := nextPow2(runtime.GOMAXPROCS(0))
-	if n > 64 {
-		n = 64
+	return &Histogram{
+		bounds: append([]float64(nil), bounds...),
+		counts: make([]atomic.Uint64, len(bounds)+1),
+		ex:     make([]atomic.Pointer[exemplar], len(bounds)+1),
 	}
-	h := &Histogram{
-		bounds:  append([]float64(nil), bounds...),
-		stripes: make([]histStripe, n),
-		mask:    uint32(n - 1),
-	}
-	for i := range h.stripes {
-		h.stripes[i].counts = make([]atomic.Uint64, len(bounds)+1)
-	}
-	h.ex = make([]atomic.Pointer[exemplar], len(bounds)+1)
-	h.ids.New = func() any { return &stripeID{n: h.nextID.Add(1) - 1} }
-	return h
-}
-
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
 }
 
 // Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	id := h.ids.Get().(*stripeID)
-	s := &h.stripes[id.n&h.mask]
+func (h *Histogram) Observe(v float64) { h.observe(v) }
+
+// observe records v and returns the index of the bucket it landed in.
+func (h *Histogram) observe(v float64) int {
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	s.counts[i].Add(1)
-	s.sum.Add(v)
-	h.ids.Put(id)
+	h.counts[i].Add(1)
+	h.sum.Add(v)
+	return i
 }
 
 // ObserveExemplar records one value and pins it, with its trace ID, as
@@ -146,33 +95,23 @@ func (h *Histogram) Observe(v float64) {
 // outlier links straight to its span in the flight recorder. An empty
 // traceID degrades to a plain Observe.
 func (h *Histogram) ObserveExemplar(v float64, traceID string) {
-	h.Observe(v)
+	i := h.observe(v)
 	if traceID == "" {
 		return
-	}
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
 	}
 	h.ex[i].Store(&exemplar{value: v, trace: traceID, when: time.Now()})
 }
 
-// snapshot sums the stripes: per-bucket (non-cumulative) counts, the
-// total observation count, and the value sum. Concurrent observations
-// may be partially included; each bucket count is internally exact.
+// snapshot returns the per-bucket (non-cumulative) counts, the total
+// observation count, and the value sum. Concurrent observations may be
+// partially included; each bucket count is internally exact.
 func (h *Histogram) snapshot() (buckets []uint64, count uint64, sum float64) {
-	buckets = make([]uint64, len(h.bounds)+1)
-	for si := range h.stripes {
-		s := &h.stripes[si]
-		for i := range buckets {
-			buckets[i] += s.counts[i].Load()
-		}
-		sum += s.sum.Load()
+	buckets = make([]uint64, len(h.counts))
+	for i := range h.counts {
+		buckets[i] = h.counts[i].Load()
+		count += buckets[i]
 	}
-	for _, b := range buckets {
-		count += b
-	}
-	return buckets, count, sum
+	return buckets, count, h.sum.Value()
 }
 
 // Count returns the number of observations so far.

@@ -1,8 +1,8 @@
 // Package obs is the repo's dependency-free observability subsystem:
-// atomic counters and gauges, fixed-bucket histograms with striped hot
-// paths (so instrumentation never serializes the parallel engines), a
-// process-global default registry plus injectable registries for tests,
-// and Prometheus text-format exposition.
+// atomic counters and gauges, fixed-bucket histograms of atomic bucket
+// counters (so instrumentation never takes a lock on the parallel
+// engines' paths), a process-global default registry plus injectable
+// registries for tests, and Prometheus text-format exposition.
 //
 // Metric names follow the scheme asrank_<subsystem>_<name>, e.g.
 // asrank_pool_tasks_total or asrank_http_request_duration_seconds.
@@ -15,6 +15,7 @@ package obs
 import (
 	"fmt"
 	"regexp"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -97,7 +98,7 @@ func (r *Registry) familyFor(name, help string, kind metricKind, bounds []float6
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if f, ok := r.fams[name]; ok {
-		if f.kind != kind || !equalStrings(f.labels, labels) || !equalFloats(f.bounds, bounds) {
+		if f.kind != kind || !slices.Equal(f.labels, labels) || !slices.Equal(f.bounds, bounds) {
 			panic(fmt.Sprintf("obs: conflicting registration of %q", name))
 		}
 		return f
@@ -296,28 +297,4 @@ func joinValues(values []string) string {
 		b = append(b, v...)
 	}
 	return string(b)
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalFloats(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // TestConcurrentWritesAndGather hammers every metric type from many
-// goroutines while Gather runs concurrently — the contract the striped
-// histogram and atomic counters exist for. Run under -race (make check).
+// goroutines while Gather runs concurrently — the contract the atomic
+// histogram buckets and counters exist for. Run under -race (make check).
 func TestConcurrentWritesAndGather(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("race_counter_total", "h")

@@ -136,8 +136,6 @@ func ChunksCtx(ctx context.Context, workers, n, chunk int, fn func(ctx context.C
 	}
 	if workers <= 1 {
 		if n > 0 {
-			poolQueueDepth.Inc()
-			poolQueueDepth.Dec()
 			run(0, n)
 			poolChunkTasks.Inc()
 		}

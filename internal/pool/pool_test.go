@@ -46,7 +46,7 @@ func TestRangeShardIDsAreStable(t *testing.T) {
 // TestMetricsRecordedAndRaceWithGather drives both pool schedulers from
 // several goroutines — each task writing pool metrics on the hot path —
 // while Gather renders the default registry concurrently. This is the
-// acceptance gate for the striped instrumentation: it must pass under
+// acceptance gate for the atomic instrumentation: it must pass under
 // go test -race (the make check target).
 func TestMetricsRecordedAndRaceWithGather(t *testing.T) {
 	tasksBefore := poolChunkTasks.Value() + poolRangeTasks.Value()

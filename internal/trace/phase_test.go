@@ -101,7 +101,6 @@ func TestPhaseAllocFreeUntraced(t *testing.T) {
 	hist := obs.NewRegistry().Histogram("asrank_test_phase_duration_seconds", "Test.", obs.DurationBuckets)
 	ctx := context.Background()
 	var ms float64
-	hist.Observe(0) // warm the stripe-affinity pool
 	if n := testing.AllocsPerRun(200, func() {
 		_, ph := StartPhase(ctx, "test.alloc")
 		ph.End(hist, &ms)
