@@ -61,10 +61,13 @@ type Options struct {
 	Journal *oplog.Journal
 }
 
-// Stats counts what the engine has done and what it holds. How much of
-// the table an epoch really walked is read off its CommitReport
-// (sequences re-walked against live sequences), which the differential
-// harness asserts on.
+// Stats counts what the engine has done and what it holds. RIBRoutes and
+// Entries are the lengths of the two maps that grow with the feed; their
+// keys name a prefix by its prefix-table id, so each route and each row
+// is one 16-byte map slot, and each distinct prefix is held once beside
+// them. How much of the table an epoch really walked is read off its
+// CommitReport (sequences re-walked against live sequences), which the
+// differential harness asserts on.
 type Stats struct {
 	Epochs       int // Commit calls
 	FullRebuilds int // DecisionRebuild epochs: the first, and each whose clique changed (every poisoned flag re-evaluated)
@@ -82,8 +85,8 @@ const dropped int32 = -1
 // ribKey identifies one vantage point's route to one prefix — the unit
 // BGP announce/withdraw semantics operate on.
 type ribKey struct {
-	prefix    paths.PrefixKey // PrefixKey.Route: invalid prefixes stay distinct routes
-	collector uint32          // Engine.collectors id
+	prefix    uint32 // Engine.prefixes id of the PrefixKey.Route form: invalid prefixes stay distinct routes
+	collector uint32 // Engine.collectors id
 	vp        uint32
 }
 
@@ -91,9 +94,20 @@ type ribKey struct {
 // (collector, prefix, cleaned-path) rows under the same prefix key, so
 // the engine refcounts the routes announcing each.
 type rowKey struct {
-	prefix    paths.PrefixKey
+	prefix    uint32 // Engine.prefixes id of the FlatPrefix form
 	collector uint32 // Engine.collectors id
 	seq       int32  // Engine.seqs id
+}
+
+// prefixSlot is one id of the engine's prefix table. The two forms a
+// prefix takes differ only for an invalid prefix, whose Route form is
+// its own route but whose flat form is the one {Bits: -1} row key, so a
+// Route form holds a reference on the flat form's id. A row needs no
+// reference of its own: some route of the row's holds one.
+type prefixSlot struct {
+	key  paths.PrefixKey
+	flat uint32 // id of key's FlatPrefix form: the slot's own id but for an invalid Route form
+	refs int32  // RIB routes keyed by the id, plus Route forms whose flat form it is; 0 marks a released id
 }
 
 // sequence is what the engine knows of one distinct cleaned hop
@@ -113,9 +127,12 @@ type sequence struct {
 // Three tables hold the route state, keyed by plain integers so the big
 // maps carry no pointers: rib (route → sequence), rows (row → routes
 // announcing it) and seqs (sequence ⇄ id) with held (id → rows carrying
-// it, flags). The corpus index, the link index and the credit table
-// follow a sequence's birth and death — first row appears, last row
-// goes — and only the kept-row count and the prefix counts follow rows.
+// it, flags). A prefix enters their keys as an id of the prefix table,
+// which holds each distinct prefix once however many routes name it and
+// frees the id with the last of them. The corpus index, the link index
+// and the credit table follow a sequence's birth and death — first row
+// appears, last row goes — and only the kept-row count and the prefix
+// counts follow rows.
 type Engine struct {
 	mu   sync.Mutex
 	opts Options // immutable after New
@@ -124,6 +141,12 @@ type Engine struct {
 	ix *core.CorpusIndex
 	//asrank:guardedby mu
 	collectors map[string]uint32 // name → dense id; a deployment has a handful, none is retired
+	//asrank:guardedby mu
+	prefixIDs map[paths.PrefixKey]uint32 // live id of each prefix form
+	//asrank:guardedby mu
+	prefixes []prefixSlot // by id
+	//asrank:guardedby mu
+	freePrefixes []uint32 // released ids
 	//asrank:guardedby mu
 	rib map[ribKey]int32 // sequence id, or dropped
 	//asrank:guardedby mu
@@ -142,7 +165,7 @@ type Engine struct {
 	//asrank:guardedby mu
 	keptRows int // rows of non-poisoned sequences: the snapshot's PathCount
 	//asrank:guardedby mu
-	pfxRef map[paths.OriginPrefix]int32 // kept rows announcing (origin, prefix)
+	pfxRef map[uint64]int32 // kept rows announcing (flat prefix id << 32 | origin)
 	//asrank:guardedby mu
 	pfxCount map[uint32]int
 
@@ -181,12 +204,13 @@ func New(opts Options) *Engine {
 		opts:       opts,
 		ix:         core.NewCorpusIndex(),
 		collectors: make(map[string]uint32),
+		prefixIDs:  make(map[paths.PrefixKey]uint32),
 		rib:        make(map[ribKey]int32),
 		rows:       make(map[rowKey]int32),
 		seqs:       paths.NewSequences(),
 		linkIndex:  make(map[paths.Link][]int32),
 		pc:         cone.NewPairCounts(),
-		pfxRef:     make(map[paths.OriginPrefix]int32),
+		pfxRef:     make(map[uint64]int32),
 		pfxCount:   make(map[uint32]int),
 		rels:       map[paths.Link]topology.Relationship{},
 	}
@@ -212,12 +236,17 @@ func (e *Engine) Announce(collector string, vp uint32, prefix netip.Prefix, asns
 		e.collectors[collector] = c
 	}
 	flat := paths.FlatPrefix(prefix)
-	rk := ribKey{prefix: flat.Route(prefix), collector: c, vp: vp}
+	p := e.internPrefixLocked(flat.Route(prefix), flat)
+	rk := ribKey{prefix: p, collector: c, vp: vp}
 	old, had := e.rib[rk]
+	if !had {
+		e.prefixes[p].refs++ // the route's own
+	}
 	had = had && old != dropped
+	f := e.prefixes[p].flat
 	if !keep {
 		if had {
-			e.releaseLocked(rowKey{prefix: flat, collector: c, seq: old})
+			e.releaseLocked(rowKey{prefix: f, collector: c, seq: old})
 		}
 		e.rib[rk] = dropped
 		return
@@ -230,10 +259,10 @@ func (e *Engine) Announce(collector string, vp uint32, prefix netip.Prefix, asns
 		if id == old {
 			return // same route re-announced
 		}
-		e.releaseLocked(rowKey{prefix: flat, collector: c, seq: old})
+		e.releaseLocked(rowKey{prefix: f, collector: c, seq: old})
 	}
 	e.rib[rk] = id
-	e.acquireLocked(rowKey{prefix: flat, collector: c, seq: id})
+	e.acquireLocked(rowKey{prefix: f, collector: c, seq: id})
 }
 
 // Withdraw folds one route withdrawal. Withdrawing a prefix the
@@ -248,15 +277,60 @@ func (e *Engine) Withdraw(collector string, vp uint32, prefix netip.Prefix) {
 	if !ok {
 		return
 	}
-	flat := paths.FlatPrefix(prefix)
-	rk := ribKey{prefix: flat.Route(prefix), collector: c, vp: vp}
+	p, ok := e.prefixIDs[paths.FlatPrefix(prefix).Route(prefix)]
+	if !ok {
+		return
+	}
+	rk := ribKey{prefix: p, collector: c, vp: vp}
 	old, had := e.rib[rk]
 	if !had {
 		return
 	}
 	delete(e.rib, rk)
 	if old != dropped {
-		e.releaseLocked(rowKey{prefix: flat, collector: c, seq: old})
+		e.releaseLocked(rowKey{prefix: e.prefixes[p].flat, collector: c, seq: old})
+	}
+	e.releasePrefixLocked(p)
+}
+
+// internPrefixLocked returns the id of route, a prefix's Route form
+// whose FlatPrefix form is flat, assigning one — and, for an invalid
+// prefix, a reference on flat's — when no route holds it. A fresh id
+// holds no reference yet: the caller's new RIB route takes the first.
+func (e *Engine) internPrefixLocked(route, flat paths.PrefixKey) uint32 {
+	if id, ok := e.prefixIDs[route]; ok {
+		return id
+	}
+	var id uint32
+	if n := len(e.freePrefixes); n > 0 {
+		id, e.freePrefixes = e.freePrefixes[n-1], e.freePrefixes[:n-1]
+	} else {
+		id = uint32(len(e.prefixes))
+		e.prefixes = append(e.prefixes, prefixSlot{})
+	}
+	e.prefixIDs[route] = id
+	f := id
+	if route != flat {
+		f = e.internPrefixLocked(flat, flat)
+		e.prefixes[f].refs++
+	}
+	e.prefixes[id] = prefixSlot{key: route, flat: f}
+	return id
+}
+
+// releasePrefixLocked drops one reference on prefix id, retiring the id
+// at zero — and with it a Route form's reference on its flat form.
+func (e *Engine) releasePrefixLocked(id uint32) {
+	s := &e.prefixes[id]
+	if s.refs--; s.refs > 0 {
+		return
+	}
+	delete(e.prefixIDs, s.key)
+	f := s.flat
+	*s = prefixSlot{}
+	e.freePrefixes = append(e.freePrefixes, id)
+	if f != id {
+		e.releasePrefixLocked(f)
 	}
 }
 
@@ -327,25 +401,27 @@ func (e *Engine) releaseLocked(k rowKey) {
 // countRowLocked moves one row of a kept sequence into (d = 1) or out of
 // (d = -1) the two aggregates that follow rows: the kept-row count and
 // the prefix count of the row's origin. Rows without a valid prefix
-// weigh nothing there, as in cone.PrefixCounts.
-func (e *Engine) countRowLocked(hops []uint32, prefix paths.PrefixKey, d int32) {
+// weigh nothing there, as in cone.PrefixCounts. prefix is the row's
+// flat prefix id, which no other prefix holds while the row lives.
+func (e *Engine) countRowLocked(hops []uint32, prefix uint32, d int32) {
 	e.keptRows += int(d)
-	if !prefix.IsValid() {
+	if !e.prefixes[prefix].key.IsValid() {
 		return
 	}
-	k := prefix.WithOrigin(hops[len(hops)-1])
+	origin := hops[len(hops)-1]
+	k := uint64(prefix)<<32 | uint64(origin)
 	n := e.pfxRef[k] + d
 	if n > 0 {
 		e.pfxRef[k] = n
 		if n == 1 && d > 0 {
-			e.pfxCount[k.Origin]++
+			e.pfxCount[origin]++
 		}
 		return
 	}
 	delete(e.pfxRef, k)
-	e.pfxCount[k.Origin]--
-	if e.pfxCount[k.Origin] == 0 {
-		delete(e.pfxCount, k.Origin)
+	e.pfxCount[origin]--
+	if e.pfxCount[origin] == 0 {
+		delete(e.pfxCount, origin)
 	}
 }
 

@@ -84,6 +84,54 @@ func checkSequenceTable(t *testing.T, e *Engine) {
 	}
 }
 
+// checkPrefixTable asserts the prefix table's invariants: every live id
+// is filed under its own key, its flat form is itself unless the key is
+// an invalid prefix's Route form (whose flat form is the one {Bits: -1}
+// key), it holds exactly one reference per RIB route keyed by it and per
+// Route form whose flat form it is, and every row's prefix is a live
+// flat form. Every other id is zeroed and on the free list.
+func checkPrefixTable(t *testing.T, e *Engine) {
+	t.Helper()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	refs := make(map[uint32]int32)
+	for k := range e.rib {
+		refs[k.prefix]++
+	}
+	live := 0
+	for id, s := range e.prefixes {
+		if s.refs == 0 {
+			if s != (prefixSlot{}) || !slices.Contains(e.freePrefixes, uint32(id)) {
+				t.Errorf("prefix id %d holds no reference but is %+v, free: %v", id, s, slices.Contains(e.freePrefixes, uint32(id)))
+			}
+			continue
+		}
+		live++
+		if got, ok := e.prefixIDs[s.key]; !ok || got != uint32(id) {
+			t.Errorf("prefix id %d %+v is filed under %d (found: %v)", id, s.key, got, ok)
+		}
+		if s.flat != uint32(id) {
+			refs[s.flat]++
+			if s.key.IsValid() || e.prefixes[s.flat].key != (paths.PrefixKey{Bits: -1}) {
+				t.Errorf("prefix id %d %+v has flat form %d %+v", id, s.key, s.flat, e.prefixes[s.flat].key)
+			}
+		}
+	}
+	for id, s := range e.prefixes {
+		if s.refs != refs[uint32(id)] {
+			t.Errorf("prefix id %d %+v counts %d references, the tables hold %d", id, s.key, s.refs, refs[uint32(id)])
+		}
+	}
+	if live != len(e.prefixIDs) || live+len(e.freePrefixes) != len(e.prefixes) {
+		t.Errorf("%d live prefix ids, %d filed, %d free of %d", live, len(e.prefixIDs), len(e.freePrefixes), len(e.prefixes))
+	}
+	for k := range e.rows {
+		if s := e.prefixes[k.prefix]; s.refs == 0 || s.flat != k.prefix {
+			t.Fatalf("row %+v names prefix id %d, which is %+v", k, k.prefix, s)
+		}
+	}
+}
+
 // TestSecondPrefixOnHeldSequence: a row is a prefix's business, not the
 // sequence's — a held sequence announced under another prefix moves the
 // row table, the kept-row count and the prefix counts, and nothing that
@@ -147,18 +195,22 @@ func TestRouteSwapRetiresOneSequenceAndBearsAnother(t *testing.T) {
 	checkDrained(t, e)
 }
 
+// invalidPrefixes are five invalid prefixes that are five routes: the
+// zero prefix first.
+var invalidPrefixes = []netip.Prefix{
+	{},
+	netip.PrefixFrom(netip.MustParseAddr("192.0.2.1"), 99),
+	netip.PrefixFrom(netip.MustParseAddr("192.0.2.2"), 99),
+	netip.PrefixFrom(netip.MustParseAddr("::ffff:192.0.2.1"), 200), // the same 128 bits as the second, another family
+	netip.PrefixFrom(netip.MustParseAddr("::"), 200),               // the zero prefix's bits, with a family
+}
+
 // TestInvalidPrefixRoutesShareARow: every invalid prefix is one row key
 // (Sanitize's rule) but each is its own route.
 func TestInvalidPrefixRoutesShareARow(t *testing.T) {
 	e := New(Options{})
 	hops := []uint32{10, 20, 30}
-	invalid := []netip.Prefix{
-		{},
-		netip.PrefixFrom(netip.MustParseAddr("192.0.2.1"), 99),
-		netip.PrefixFrom(netip.MustParseAddr("192.0.2.2"), 99),
-		netip.PrefixFrom(netip.MustParseAddr("::ffff:192.0.2.1"), 200), // the same 128 bits as the first, another family
-		netip.PrefixFrom(netip.MustParseAddr("::"), 200),               // the zero prefix's bits, with a family
-	}
+	invalid := invalidPrefixes
 	for _, p := range invalid {
 		e.Announce("rc0", 10, p, hops)
 	}
@@ -177,6 +229,33 @@ func TestInvalidPrefixRoutesShareARow(t *testing.T) {
 			t.Fatalf("after withdrawing %v: tables = %+v, want %+v", p, got, want)
 		}
 	}
+}
+
+// TestInvalidRouteFormsHoldTheirFlatForm: the invalid routes of
+// TestInvalidPrefixRoutesShareARow are one prefix id each, and the zero
+// prefix's is also the flat form the row is keyed by, which the other
+// four hold: it outlives its own route while any of them lives.
+func TestInvalidRouteFormsHoldTheirFlatForm(t *testing.T) {
+	e := New(Options{})
+	for _, p := range invalidPrefixes {
+		e.Announce("rc0", 10, p, []uint32{10, 20, 30})
+	}
+	checkPrefixTable(t, e)
+	e.Withdraw("rc0", 10, netip.Prefix{})
+	checkPrefixTable(t, e)
+	e.mu.Lock()
+	flat, ok := e.prefixIDs[paths.PrefixKey{Bits: -1}]
+	ids, refs := len(e.prefixIDs), e.prefixes[flat].refs
+	e.mu.Unlock()
+	if !ok || ids != len(invalidPrefixes) || refs != int32(len(invalidPrefixes)-1) {
+		t.Fatalf("after the zero prefix's withdrawal: flat form filed %v with %d references among %d ids, want %d references among %d",
+			ok, refs, ids, len(invalidPrefixes)-1, len(invalidPrefixes))
+	}
+	for _, p := range invalidPrefixes[1:] {
+		e.Withdraw("rc0", 10, p)
+		checkPrefixTable(t, e)
+	}
+	checkDrained(t, e)
 }
 
 // mapSizes returns the length of every map field of the struct v points
@@ -199,14 +278,20 @@ func mapSizes(v any) (sizes []int) {
 func checkDrained(t *testing.T, e *Engine) {
 	t.Helper()
 	checkSequenceTable(t, e)
+	checkPrefixTable(t, e)
 	e.mu.Lock()
 	for name, n := range map[string]int{
 		"rib": len(e.rib), "rows": len(e.rows), "live sequences": e.seqs.Len(),
 		"linkIndex": len(e.linkIndex), "linkMembers": e.linkMembers, "keptRows": e.keptRows,
-		"pfxRef": len(e.pfxRef), "pfxCount": len(e.pfxCount),
+		"pfxRef": len(e.pfxRef), "pfxCount": len(e.pfxCount), "prefixIDs": len(e.prefixIDs),
 	} {
 		if n != 0 {
 			t.Errorf("drained engine still holds %s = %d", name, n)
+		}
+	}
+	for id, s := range e.prefixes {
+		if s != (prefixSlot{}) {
+			t.Errorf("drained engine's prefix id %d still holds %+v", id, s)
 		}
 	}
 	if sizes, tables := mapSizes(e.ix), mapSizes(core.NewCorpusIndex()); len(sizes) != len(tables) || slices.Max(sizes) != 0 {
@@ -293,6 +378,7 @@ func churn(t *testing.T, e *Engine, after func()) []route {
 			e.Commit(ctx)
 		}
 		checkSequenceTable(t, e)
+		checkPrefixTable(t, e)
 	}
 	st := e.Stats()
 	if st.FullRebuilds < 5 || !recycled || st.Sequences == 0 || st.Sequences >= st.Entries {
@@ -310,6 +396,27 @@ func TestDrainToEmpty(t *testing.T) {
 	checkDrained(t, e)
 	if st := e.Stats(); st.Entries+st.RIBRoutes+st.Sequences+st.LinkIndex != 0 {
 		t.Errorf("drained engine reports %+v", st)
+	}
+}
+
+// TestPrefixIDsAreReused drains churn's table, then runs churn again on
+// the same engine: the prefix table's slice only grows when no freed id
+// is left, so the second run, which never holds more prefixes at once
+// than the first, must fit in the first run's peak.
+func TestPrefixIDsAreReused(t *testing.T) {
+	e := New(Options{})
+	run := func() int {
+		for _, r := range churn(t, e, func() {}) {
+			e.Withdraw(r.collector, r.vp, r.prefix)
+		}
+		checkDrained(t, e)
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		return len(e.prefixes)
+	}
+	peak := run()
+	if again := run(); peak == 0 || again > peak {
+		t.Errorf("the prefix table grew to %d ids in the first run and %d in the second, want the second within the first", peak, again)
 	}
 }
 
@@ -400,10 +507,11 @@ func TestAnnounceHeldSequenceAllocates(t *testing.T) {
 
 // TestHeapPerRoute pins what the engine holds per RIB route after a
 // bootstrap and one commit. At 1k ASes and 12 vantage points (25k
-// routes over 8k distinct hop sequences) it measures 234 B per route,
-// and 314 B at 5k ASes; the per-row entry objects keyed by netip.Prefix
-// and strings that this state model replaced measured 459 B and 584 B.
-// The bound leaves ≈ 25 %.
+// routes over 8k distinct hop sequences) it measures 134 B per route,
+// and 166 B at 5k ASes; route and row keys that each carried their own
+// 24-byte PrefixKey measured 204 B and 280 B, and the per-row entry
+// objects keyed by netip.Prefix and strings before them 459 B and
+// 584 B. The bound leaves ≈ 25 %.
 func TestHeapPerRoute(t *testing.T) {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range bi.Settings {
@@ -428,7 +536,7 @@ func TestHeapPerRoute(t *testing.T) {
 	st := e.Stats()
 	perRoute := float64(after.HeapAlloc-before.HeapAlloc) / float64(st.RIBRoutes)
 	t.Logf("%d routes, %d rows, %d sequences: %.0f B of heap per route", st.RIBRoutes, st.Entries, st.Sequences, perRoute)
-	const bound = 295
+	const bound = 168
 	if perRoute > bound {
 		t.Errorf("engine holds %.0f B per RIB route, bound %d", perRoute, bound)
 	}

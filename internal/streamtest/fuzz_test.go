@@ -21,12 +21,26 @@ var fuzzASNs = func() []uint32 {
 	return append(tab, 0, 64512, 23456, 65535, 4_200_000_000, 4_294_967_295)
 }()
 
+// fuzzPrefixes are the prefixes a program's pfxHi byte picks from 250
+// up: the five invalid prefixes, v4-mapped and zero ones among them,
+// that are five routes on one row (stream's
+// TestInvalidPrefixRoutesShareARow), and one valid IPv6 prefix.
+var fuzzPrefixes = []netip.Prefix{
+	{},
+	netip.PrefixFrom(netip.MustParseAddr("192.0.2.1"), 99),
+	netip.PrefixFrom(netip.MustParseAddr("192.0.2.2"), 99),
+	netip.PrefixFrom(netip.MustParseAddr("::ffff:192.0.2.1"), 200),
+	netip.PrefixFrom(netip.MustParseAddr("::"), 200),
+	netip.MustParsePrefix("2001:db8::/32"),
+}
+
 // applyFuzzProgram decodes one byte stream as a route-event program
 // and applies it to both the engine and the independent mirror,
 // committing (and differentially checking) whenever the program says
 // to. Layout per op: [opcode][vp][pfxHi][pfxLo][pathLen][pathLen ASN
 // picks]; opcode%8 selects withdraw (0), commit+check (1), announce
-// (2..7, biased toward announces so tables actually grow).
+// (2..7, biased toward announces so tables actually grow). The prefix
+// is 10.pfxHi.pfxLo.0/24, or fuzzPrefixes[pfxHi-250] from 250 up.
 func applyFuzzProgram(t *testing.T, data []byte) {
 	eng := stream.New(stream.Options{})
 	mirror := make(Mirror)
@@ -44,6 +58,9 @@ func applyFuzzProgram(t *testing.T, data []byte) {
 			Collector: string(rune('a' + data[i+1]%2)),
 			VP:        vp,
 			Prefix:    netip.PrefixFrom(netip.AddrFrom4([4]byte{10, data[i+2], data[i+3], 0}), 24),
+		}
+		if s := int(data[i+2]) - 250; s >= 0 {
+			key.Prefix = fuzzPrefixes[s]
 		}
 		n := int(data[i+4] % 12)
 		i += 5
@@ -123,6 +140,20 @@ func FuzzCorpusMutator(f *testing.F) {
 		1, 0, 0, 0, 0,
 		2, 0, 0, 4, 3, 0, 1, 2,
 		0, 0, 0, 1, 0,
+	})
+	// A program about prefix forms: VP 0 announces 1–2–3 under two
+	// invalid prefixes (two routes, one row), VP 1 under a /24 and the
+	// IPv6 prefix; then VP 0 withdraws the invalid routes one at a time,
+	// a commit after each, and the row goes with the second.
+	f.Add([]byte{
+		2, 0, 250, 0, 3, 0, 1, 2,
+		2, 0, 251, 0, 3, 0, 1, 2,
+		2, 1, 0, 1, 3, 0, 1, 2,
+		2, 1, 255, 0, 3, 0, 1, 2,
+		1, 0, 0, 0, 0,
+		0, 0, 250, 0, 0,
+		1, 0, 0, 0, 0,
+		0, 0, 251, 0, 0,
 	})
 	for _, v := range chaos.CorruptVariants(20130401, base, 8) {
 		f.Add(v)
