@@ -36,7 +36,7 @@
 //	curl http://127.0.0.1:6060/debug/trace?sec=10 > trace.json   # live span capture
 //	curl http://127.0.0.1:6060/debug/flight > flight.json        # flight-recorder dump
 //	curl http://127.0.0.1:6060/debug/oplog?n=50   # recent structured events (NDJSON)
-//	curl http://127.0.0.1:6060/debug/epochs       # per-epoch commit provenance (streaming mode)
+//	curl http://127.0.0.1:6060/debug/epochs       # commit reports in the journal's ring (streaming mode)
 //
 // Trace JSON loads directly in Perfetto (ui.perfetto.dev) or
 // chrome://tracing; append &format=tree for a terminal-readable view.
@@ -61,8 +61,9 @@
 // appended to the warehouse (when configured) and hot-swapped into the
 // serving snapshot atomically. Each commit's provenance record (the
 // rebuild-vs-incremental decision, dirty counts, phase timings, the
-// update-to-serve watermark) is journaled, annotated onto the
-// warehouse manifest entry, and served on /debug/epochs:
+// update-to-serve watermark) is journaled whole, annotated onto the
+// warehouse manifest entry, and served from the journal on
+// /debug/epochs:
 //
 //	asrankd -stream-listen 127.0.0.1:1790 -epoch-interval 5s -warehouse ./wh
 //	bgpsim -topo topo.txt -vps 8 -seed 42 -replay 127.0.0.1:1790
@@ -396,7 +397,7 @@ func main() {
 		obs.NewRuntimeMetrics(obs.Default()).Start(0, stopPoll)
 		debug = oplog.NewDebugServer(*debugListen, obs.Default(), tracer, journal)
 		if eng != nil {
-			debug.Handle("GET /debug/epochs", stream.EpochsHandler(eng))
+			debug.Handle("GET /debug/epochs", stream.EpochsHandler(journal))
 		}
 		//lint:ignore noderivedgo debug listener lives for the process lifetime, not a bounded fan-out
 		go func() {

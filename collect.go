@@ -21,8 +21,8 @@ type (
 
 	// ChaosOptions configures deterministic fault injection.
 	ChaosOptions = chaos.Options
-	// ChaosInjector wraps connections, listeners, dialers, and proxies
-	// with seed-driven faults for robustness testing.
+	// ChaosInjector wraps connections, through its Dialer, with
+	// seed-driven faults for robustness testing.
 	ChaosInjector = chaos.Injector
 )
 
@@ -33,8 +33,8 @@ const (
 )
 
 // NewChaos builds a fault injector from the given options. Wire its
-// Dialer into ReplayOptions.Dial, or stand up a Proxy in front of a
-// collector, to exercise the retry/resume machinery deterministically.
+// Dialer into ReplayOptions.Dial to exercise the retry/resume machinery
+// deterministically.
 func NewChaos(opts ChaosOptions) *ChaosInjector { return chaos.New(opts) }
 
 // ListenCollector starts a BGP collector on addr (e.g. "127.0.0.1:0").

@@ -91,7 +91,7 @@ func FuzzParseOpenBody(f *testing.F) {
 }
 
 // FuzzReadMessage drives the stream framer with arbitrary byte soup —
-// the exact surface the chaos proxy and a flaky network hit. It must
+// the exact surface the chaos injector and a flaky network hit. It must
 // never panic, never return a frame longer than the wire limit, and any
 // UPDATE it frames must survive the body parser without panicking.
 func FuzzReadMessage(f *testing.F) {

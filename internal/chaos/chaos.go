@@ -1,11 +1,16 @@
 // Package chaos is a deterministic, seed-driven fault-injection layer
-// for the live-collection path: a net.Conn/net.Listener wrapper and an
-// in-process proxy that inject connection resets, partial reads/writes,
-// delays, short writes at BGP message boundaries, byte corruption, and
-// stalled peers — reproducibly from a seed. It exists so the
-// partial-visibility failure modes that AS-relationship inference is
-// most sensitive to (a vantage point's session dying mid-table) are
-// *testable*, not just survivable.
+// for the live-collection path: a net.Conn wrapper, handed out by a
+// dialer, that injects connection resets, partial reads/writes, delays,
+// short writes, byte corruption, and stalled peers — reproducibly from
+// a seed. It exists so the partial-visibility failure modes that
+// AS-relationship inference is most sensitive to (a vantage point's
+// session dying mid-table) are *testable*, not just survivable.
+//
+// One injector is enough because every destructive fault ends the
+// connection: replay writes each BGP message in one Write, and the
+// collector records only whole messages, so what it records of a
+// session is always a prefix of what the speaker sent — the invariant
+// resumable replay relies on. A torn frame ends the session uncounted.
 //
 // Determinism. Every connection an Injector touches gets its own fault
 // stream derived from (Seed, connection ordinal): the nth operation on
@@ -51,8 +56,8 @@ const (
 	FaultChunk
 	// FaultReset closes the connection before the operation.
 	FaultReset
-	// FaultShortWrite delivers a prefix of the buffer, then resets — a
-	// short write at (for the proxy, exactly at) a message boundary.
+	// FaultShortWrite delivers a strict prefix of the buffer, then
+	// resets — a message cut mid-frame.
 	FaultShortWrite
 	// FaultCorrupt flips bytes (marker-biased, see package doc),
 	// delivers the damaged buffer, then resets.
@@ -85,7 +90,7 @@ func (k FaultKind) String() string {
 // Fault is one decision in a connection's fault schedule.
 type Fault struct {
 	// Op is the 0-based operation ordinal on the connection (each Read
-	// or Write call, or each forwarded message on the proxy, is one op).
+	// or Write call is one op).
 	Op int
 	// Kind is what was injected; FaultNone for a clean operation.
 	Kind FaultKind
@@ -150,12 +155,12 @@ func newMetrics(r *obs.Registry) metrics {
 		bytesCorrupted: r.Counter("asrank_chaos_bytes_corrupted_total",
 			"Bytes the chaos layer corrupted in flight (always detectably: marker-biased)."),
 		conns: r.Counter("asrank_chaos_conns_total",
-			"Connections wrapped or proxied by the chaos layer."),
+			"Connections wrapped by the chaos layer."),
 	}
 }
 
-// Injector hands out fault-wrapped connections, listeners, dialers, and
-// proxies that all share one seed and one fault budget.
+// Injector hands out fault-wrapped connections, through WrapConn or a
+// Dialer, that all share one seed and one fault budget.
 type Injector struct {
 	opts    Options
 	m       metrics
@@ -280,12 +285,11 @@ func Schedule(opts Options, connID int64, n, bufLen int) []Fault {
 
 // bgpMarkerLen is the BGP message-header marker length; chaos knows the
 // framing shape (not the protocol) so corruption can be made detectable
-// and the proxy can cut at message boundaries without importing
-// internal/bgp (which would cycle through its fuzz tests).
+// without importing internal/bgp (which would cycle through its fuzz
+// tests).
 const (
 	bgpMarkerLen = 16
 	bgpHeaderLen = 19
-	bgpMaxMsgLen = 4096
 )
 
 // corrupt damages up to nBytes bytes of p in place, biased into the BGP

@@ -175,117 +175,6 @@ func TestFaultBudgetExhausts(t *testing.T) {
 	}
 }
 
-func TestProxyPassesCleanTraffic(t *testing.T) {
-	// With all probabilities zero the proxy is a transparent
-	// message-boundary pipe, both directions.
-	backendLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer backendLn.Close()
-
-	msg := validFrame(200, 2)
-	reply := validFrame(19, 4)
-	serverDone := make(chan error, 1)
-	go func() {
-		conn, err := backendLn.Accept()
-		if err != nil {
-			serverDone <- err
-			return
-		}
-		defer conn.Close()
-		got := make([]byte, len(msg))
-		if _, err := io.ReadFull(conn, got); err != nil {
-			serverDone <- err
-			return
-		}
-		if !bytes.Equal(got, msg) {
-			serverDone <- errors.New("backend received altered bytes")
-			return
-		}
-		_, err = conn.Write(reply)
-		serverDone <- err
-	}()
-
-	in := New(Options{Seed: 5, Registry: obs.NewRegistry()})
-	px, err := in.Proxy("127.0.0.1:0", backendLn.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer px.Close()
-
-	conn, err := net.Dial("tcp", px.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if _, err := conn.Write(msg); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, len(reply))
-	if _, err := io.ReadFull(conn, got); err != nil {
-		t.Fatalf("reading reply through proxy: %v", err)
-	}
-	if !bytes.Equal(got, reply) {
-		t.Error("reply altered by clean proxy")
-	}
-	if err := <-serverDone; err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestProxyCutsAtMessageBoundary(t *testing.T) {
-	// A reset fault must drop whole messages: the backend either gets a
-	// complete frame or nothing of it.
-	backendLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer backendLn.Close()
-	received := make(chan []byte, 1)
-	go func() {
-		conn, err := backendLn.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		all, _ := io.ReadAll(conn)
-		received <- all
-	}()
-
-	// Resets drop whole messages, never split them: whatever count of
-	// frames survives, the backend's byte count is a multiple of the
-	// frame size. The seed fixes which message the reset lands on.
-	in := New(Options{Seed: 11, ResetProb: 0.3, Registry: obs.NewRegistry()})
-	px, err := in.Proxy("127.0.0.1:0", backendLn.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer px.Close()
-
-	conn, err := net.Dial("tcp", px.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	msg := validFrame(100, 2)
-	for i := 0; i < 10; i++ {
-		if _, err := conn.Write(msg); err != nil {
-			break // the pair may already be severed
-		}
-	}
-	conn.Close()
-	select {
-	case all := <-received:
-		if len(all)%len(msg) != 0 {
-			t.Fatalf("backend received %d bytes — a torn frame (message is %d bytes)", len(all), len(msg))
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("backend never finished reading")
-	}
-}
-
 // validFrame builds a marker-framed pseudo-BGP message of the given
 // total length and type, with a deterministic body.
 func validFrame(length int, typ byte) []byte {
@@ -322,33 +211,5 @@ func TestCorruptVariantsDeterministic(t *testing.T) {
 	}
 	if reflect.DeepEqual(a, CorruptVariants(1, base, 16)) {
 		t.Error("different seeds produced identical corpora")
-	}
-}
-
-func TestListenerWrapsAcceptedConns(t *testing.T) {
-	reg := obs.NewRegistry()
-	in := New(Options{Seed: 2, ResetProb: 1, Registry: reg})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrapped := in.Listener(ln)
-	defer wrapped.Close()
-
-	go func() {
-		c, err := net.Dial("tcp", ln.Addr().String())
-		if err == nil {
-			defer c.Close()
-			c.SetReadDeadline(time.Now().Add(2 * time.Second))
-			io.ReadAll(c) //nolint:errcheck
-		}
-	}()
-	conn, err := wrapped.Accept()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte("x")); err == nil {
-		t.Error("accepted conn not fault-wrapped: write survived ResetProb=1")
 	}
 }

@@ -134,26 +134,6 @@ func (c *Conn) Read(p []byte) (int, error) {
 	return c.Conn.Read(p)
 }
 
-// listener wraps Accept to hand out fault-injecting conns — chaos on
-// the collector's side of every session.
-type listener struct {
-	net.Listener
-	in *Injector
-}
-
-// Listener wraps ln so every accepted connection is fault-injected.
-func (in *Injector) Listener(ln net.Listener) net.Listener {
-	return &listener{Listener: ln, in: in}
-}
-
-func (l *listener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return l.in.WrapConn(c), nil
-}
-
 // Dialer wraps a dial function (net.DialTimeout over TCP when base is
 // nil) so every dialed connection is fault-injected — chaos on the
 // speaker's side. The signature matches collector.ReplayOptions.Dial.

@@ -3,8 +3,8 @@ package chaos
 import "math/rand"
 
 // CorruptVariants derives n deterministic damaged variants of a valid
-// wire encoding, for seeding fuzz corpora: the same chaotic shapes the
-// proxy injects (bit flips, truncations, inflated length fields, zeroed
+// wire encoding, for seeding fuzz corpora: the chaotic shapes a flaky
+// link delivers (bit flips, truncations, inflated length fields, zeroed
 // runs, duplicated tails), reproducible from the seed. The bgp and mrt
 // fuzz targets share these so both codecs chew on the same breakage the
 // live path is hardened against.

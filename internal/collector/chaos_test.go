@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/asrank-go/asrank/internal/bgpsim"
 	"github.com/asrank-go/asrank/internal/chaos"
 	"github.com/asrank-go/asrank/internal/obs"
 	"github.com/asrank-go/asrank/internal/paths"
@@ -38,34 +39,40 @@ func canonical(t *testing.T, ds *paths.Dataset) []byte {
 	return buf.Bytes()
 }
 
-// TestReplayAllThroughChaosProxyByteIdentical is the tentpole
-// acceptance test: a chaos-proxied ReplayAll with resets, short writes,
-// partial writes, and byte corruption enabled must — once retries
-// settle — deliver a corpus byte-identical to the fault-free run, with
-// the degradations visible in the obs counters.
-func TestReplayAllThroughChaosProxyByteIdentical(t *testing.T) {
-	res := simResult(t, 73, 200, 5)
-
-	// Fault-free reference run.
-	cleanReg := obs.NewRegistry()
-	cleanSrv, err := Listen("127.0.0.1:0", Options{Registry: cleanReg})
+// cleanCorpus replays res into a fresh collector with no faults and
+// returns its canonical corpus, the reference a chaos run must match.
+func cleanCorpus(t *testing.T, res *bgpsim.Result) []byte {
+	t.Helper()
+	reg := obs.NewRegistry()
+	srv, err := Listen("127.0.0.1:0", Options{Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ReplayAll(cleanSrv.Addr().String(), res, ReplayOptions{
-		Timeout: 20 * time.Second, Registry: cleanReg,
+	if err := ReplayAll(srv.Addr().String(), res, ReplayOptions{
+		Timeout: 20 * time.Second, Registry: reg,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cleanSrv.Close(); err != nil {
+	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	want := canonical(t, cleanSrv.Corpus())
+	want := canonical(t, srv.Corpus())
 	if len(want) == 0 {
 		t.Fatal("clean run produced an empty corpus")
 	}
+	return want
+}
 
-	// Chaos run: everything flows through a fault-injecting proxy. The
+// TestReplayAllThroughChaosByteIdentical is the acceptance test for
+// resumable replay: a ReplayAll dialed through the chaos injector with
+// resets, short writes, partial writes, and byte corruption enabled
+// must — once retries settle — deliver a corpus byte-identical to the
+// fault-free run, with the degradations visible in the obs counters.
+func TestReplayAllThroughChaosByteIdentical(t *testing.T) {
+	res := simResult(t, 73, 200, 5)
+	want := cleanCorpus(t, res)
+
+	// Chaos run: every session is dialed through the fault injector. The
 	// bounded fault budget is what guarantees convergence — once spent,
 	// sessions run clean and the retries settle.
 	reg := obs.NewRegistry()
@@ -84,22 +91,17 @@ func TestReplayAllThroughChaosProxyByteIdentical(t *testing.T) {
 		FaultBudget:    32,
 		Registry:       reg,
 	})
-	px, err := inj.Proxy("127.0.0.1:0", srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer px.Close()
-
-	err = ReplayAll(px.Addr().String(), res, ReplayOptions{
+	err = ReplayAll(srv.Addr().String(), res, ReplayOptions{
 		Timeout:    20 * time.Second,
 		MaxRetries: 64,
 		RetryBase:  time.Millisecond,
 		RetryMax:   20 * time.Millisecond,
 		Workers:    4,
+		Dial:       inj.Dialer(nil),
 		Registry:   reg,
 	})
 	if err != nil {
-		t.Fatalf("chaos-proxied ReplayAll never settled: %v", err)
+		t.Fatalf("chaos-dialed ReplayAll never settled: %v", err)
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
@@ -114,7 +116,7 @@ func TestReplayAllThroughChaosProxyByteIdentical(t *testing.T) {
 	// The run must actually have hurt: faults injected, retries taken,
 	// resumes used — all auditable in the registry.
 	if inj.FaultsInjected() == 0 {
-		t.Error("chaos proxy injected no faults; the test proved nothing")
+		t.Error("chaos injector injected no faults; the test proved nothing")
 	}
 	retries := reg.Counter("asrank_replay_retries_total", "").Value()
 	if retries == 0 {
@@ -123,6 +125,62 @@ func TestReplayAllThroughChaosProxyByteIdentical(t *testing.T) {
 	t.Logf("chaos run settled: %d faults injected, %d retries, %d updates resumed",
 		inj.FaultsInjected(), retries,
 		reg.Counter("asrank_replay_updates_resumed_total", "").Value())
+}
+
+// TestEachDestructiveFaultSettles replays through the dialer with one
+// destructive fault kind at a time, so each kind is proven to fire and
+// to leave the collector's record a prefix the retry resumes from: the
+// settled corpus is byte-identical to a fault-free run.
+func TestEachDestructiveFaultSettles(t *testing.T) {
+	res := simResult(t, 75, 120, 4)
+	want := cleanCorpus(t, res)
+
+	for _, kind := range []chaos.FaultKind{chaos.FaultReset, chaos.FaultShortWrite, chaos.FaultCorrupt, chaos.FaultStall} {
+		t.Run(kind.String(), func(t *testing.T) {
+			opts := chaos.Options{Seed: 20130401, StallTime: 20 * time.Millisecond, FaultBudget: 6}
+			switch kind {
+			case chaos.FaultReset:
+				opts.ResetProb = 0.2
+			case chaos.FaultShortWrite:
+				opts.ShortWriteProb = 0.2
+			case chaos.FaultCorrupt:
+				opts.CorruptProb = 0.2
+			case chaos.FaultStall:
+				opts.StallProb = 0.2
+			}
+			reg := obs.NewRegistry()
+			opts.Registry = reg
+			inj := chaos.New(opts)
+			srv, err := Listen("127.0.0.1:0", Options{Registry: reg, Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = ReplayAll(srv.Addr().String(), res, ReplayOptions{
+				Timeout:    20 * time.Second,
+				MaxRetries: 64,
+				RetryBase:  time.Millisecond,
+				RetryMax:   20 * time.Millisecond,
+				Workers:    4,
+				Dial:       inj.Dialer(nil),
+				Registry:   reg,
+			})
+			if err != nil {
+				t.Fatalf("ReplayAll never settled: %v", err)
+			}
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got := canonical(t, srv.Corpus()); !bytes.Equal(got, want) {
+				t.Fatalf("corpus differs from the clean run: %d vs %d bytes", len(got), len(want))
+			}
+			fired := reg.CounterVec("asrank_chaos_faults_total", "", "kind").With(kind.String()).Value()
+			if fired == 0 {
+				t.Errorf("asrank_chaos_faults_total{kind=%q} never moved", kind)
+			}
+			t.Logf("%s: %d fired, %d retries", kind, fired,
+				reg.Counter("asrank_replay_retries_total", "").Value())
+		})
+	}
 }
 
 // TestReplayAllReportsEveryFailedVP pins the joined-error contract:

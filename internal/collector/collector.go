@@ -187,8 +187,8 @@ func Listen(addr string, opts Options) (*Server, error) {
 }
 
 // Serve starts a collector on an existing listener — the seam the
-// fault-injection tests use to wrap Accept, and chaos.Listener's way
-// into the server side of a session.
+// degradation tests use to wrap Accept (a listener whose Accept fails
+// transiently).
 func Serve(ln net.Listener, opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{

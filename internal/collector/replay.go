@@ -210,8 +210,8 @@ func replayOnce(addr string, vp uint32, msgs [][]byte, opts ReplayOptions, m rep
 	// Orderly teardown: CEASE carrying the count we believe the
 	// collector now holds, then its counted ack back. A session only
 	// succeeds when the collector confirms it consumed everything —
-	// anything less (a proxy ate buffered messages, a fault killed the
-	// tail) triggers a retry that resumes at the true offset.
+	// anything less (a fault tore a message or killed the tail)
+	// triggers a retry that resumes at the true offset.
 	var expect [4]byte
 	binary.BigEndian.PutUint32(expect[:], uint32(len(msgs)))
 	cease, err := bgp.EncodeNotificationData(bgp.NotifCease, 0, expect[:])

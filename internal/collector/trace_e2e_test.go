@@ -17,9 +17,9 @@ import (
 // passing the exporter's own schema check, (b) contains pool.task spans
 // parented across goroutines to the replay.all span, and (c) records at
 // least one chaos.fault event on the replay.vp span of an affected VP.
-// Faults are injected by wrapping the dialer (as bgpsim -chaos-seed
-// does), not a proxy: only the dial path surfaces typed
-// *chaos.FaultError values for the instrumentation to classify.
+// Faults are injected by wrapping the dialer, as bgpsim -chaos-seed
+// does: the dial path surfaces typed *chaos.FaultError values for the
+// instrumentation to classify.
 func TestReplayTraceEndToEnd(t *testing.T) {
 	res := simResult(t, 73, 200, 5)
 	reg := obs.NewRegistry()

@@ -18,7 +18,8 @@ import (
 //	 "name":"asrankd.listen","trace":"0123…","attrs":{"addr":"…"}}
 //
 // trace is omitted when empty; attrs is omitted when the event has
-// none. Duplicate attribute keys are emitted as-is (callers own key
+// none. A JSON attribute (oplog.JSON) is nested as the value it
+// encodes. Duplicate attribute keys are emitted as-is (callers own key
 // uniqueness; JSON parsers keep the last value).
 func appendNDJSON(b []byte, e *Event) []byte {
 	b = append(b, `{"seq":`...)
@@ -41,9 +42,12 @@ func appendNDJSON(b []byte, e *Event) []byte {
 			}
 			b = appendJSONString(b, a.Key)
 			b = append(b, ':')
-			if a.IsInt {
+			switch {
+			case a.IsInt:
 				b = strconv.AppendInt(b, a.Int, 10)
-			} else {
+			case a.JSON:
+				b = append(b, a.Str...)
+			default:
 				b = appendJSONString(b, a.Str)
 			}
 		}

@@ -28,6 +28,7 @@ package oplog
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -64,7 +65,8 @@ func (s Severity) String() string {
 }
 
 // Attr is one key/value pair on an event: the same flat string-or-int64
-// pair a span carries, so one attribute type serves both surfaces.
+// pair a span carries, so one attribute type serves both surfaces. A
+// JSON attribute's Str is an encoded JSON value.
 type Attr = trace.Attr
 
 // String returns a string attribute.
@@ -72,6 +74,17 @@ func String(key, val string) Attr { return Attr{Key: key, Str: val} }
 
 // Int returns an integer attribute.
 func Int(key string, val int64) Attr { return Attr{Key: key, Int: val, IsInt: true} }
+
+// JSON returns v, marshalled once, as a JSON attribute: the NDJSON
+// sink nests it as a value and the text tee prints it as is. A value
+// that does not marshal is recorded as the error's text.
+func JSON(key string, v any) Attr {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return Attr{Key: key, Str: err.Error()}
+	}
+	return Attr{Key: key, Str: string(b), JSON: true}
+}
 
 // Duration returns the duration as integer milliseconds under key.
 // Millisecond resolution keeps operational timings readable; phase

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -120,6 +121,38 @@ func TestNDJSONSink(t *testing.T) {
 	}
 	if decoded.Time == "" {
 		t.Error("time missing")
+	}
+}
+
+// TestJSONAttrNests: a JSON attribute is marshalled once, nested as an
+// object on the sink line and printed as is by the text tee; a value
+// that does not marshal is recorded as the error's text.
+func TestJSONAttrNests(t *testing.T) {
+	var sink bytes.Buffer
+	var lines []string
+	j := New(Options{Sink: &sink, Logf: func(format string, args ...any) {
+		lines = append(lines, args[0].(string))
+	}})
+	type report struct {
+		Epoch int     `json:"epoch"`
+		Total float64 `json:"totalMillis"`
+	}
+	j.Info(nil, "a.b", JSON("report", report{Epoch: 3, Total: 1.5}))
+
+	var decoded struct {
+		Attrs map[string]report `json:"attrs"`
+	}
+	if err := json.Unmarshal(sink.Bytes(), &decoded); err != nil {
+		t.Fatalf("sink line does not nest the report: %v\n%s", err, sink.String())
+	}
+	if got := decoded.Attrs["report"]; got != (report{Epoch: 3, Total: 1.5}) {
+		t.Errorf("nested report = %+v", got)
+	}
+	if want := `info a.b report={"epoch":3,"totalMillis":1.5}`; len(lines) != 1 || lines[0] != want {
+		t.Errorf("tee = %q, want %q", lines, want)
+	}
+	if a := JSON("bad", math.NaN()); a.JSON || a.Str == "" {
+		t.Errorf("unmarshalable value gave %+v, want its error as a string attribute", a)
 	}
 }
 

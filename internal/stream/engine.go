@@ -55,9 +55,10 @@ import (
 // Options configures an Engine.
 type Options struct {
 	// Journal, when non-nil, receives one stream.commit event per
-	// epoch carrying the CommitReport's headline fields. Journaling is
-	// instrumentation only: it never influences what the engine
-	// computes.
+	// epoch whose one attribute, report, is the whole CommitReport —
+	// the only store of past reports, which /debug/epochs reads.
+	// Journaling is instrumentation only: it never influences what the
+	// engine computes.
 	Journal *oplog.Journal
 }
 
@@ -183,11 +184,9 @@ type Engine struct {
 	//asrank:guardedby mu
 	stats Stats
 
-	// Provenance: the trailing commit reports (/debug/epochs) and the
-	// between-commit event accounting that feeds them.
+	// Provenance: the between-commit event accounting that feeds each
+	// CommitReport.
 
-	//asrank:guardedby mu
-	reports []CommitReport
 	//asrank:guardedby mu
 	pendingEvents int // route events folded since the last commit
 	//asrank:guardedby mu
@@ -534,9 +533,9 @@ func (e *Engine) Commit(ctx context.Context) *warehouse.Snapshot {
 }
 
 // CommitEpoch is Commit plus provenance: it also returns the epoch's
-// CommitReport, already appended to the /debug/epochs ring and (when a
-// journal is configured) journaled as a stream.commit event. The
-// report is instrumentation about the commit, never an input to it.
+// CommitReport, already journaled (when a journal is configured) as a
+// stream.commit event, which /debug/epochs serves. The report is
+// instrumentation about the commit, never an input to it.
 func (e *Engine) CommitEpoch(ctx context.Context) (*warehouse.Snapshot, CommitReport) {
 	ctx, total := trace.StartPhase(ctx, "stream.commit")
 	e.mu.Lock()
@@ -660,24 +659,7 @@ func (e *Engine) CommitEpoch(ctx context.Context) (*warehouse.Snapshot, CommitRe
 	}
 	total.End(nil, &rep.TotalMillis)
 
-	e.reports = append(e.reports, rep)
-	if len(e.reports) > maxReports {
-		e.reports = append(e.reports[:0], e.reports[1:]...)
-	}
-	e.opts.Journal.Info(ctx, "stream.commit",
-		oplog.Int("epoch", int64(rep.Epoch)),
-		oplog.String("decision", rep.Decision),
-		oplog.String("reason", rep.Reason),
-		oplog.String("slab", rep.Slab),
-		oplog.Int("events", int64(rep.Events)),
-		oplog.Int("dirty_links", int64(rep.DirtyLinks)),
-		oplog.Int("recredited_paths", int64(rep.RecreditedPaths)),
-		oplog.Int("links", int64(rep.Links)),
-		oplog.Int("ases", int64(rep.ASes)),
-		oplog.Int("sequences", int64(rep.Sequences)),
-		oplog.Int("link_index", int64(rep.LinkIndex)),
-		oplog.Int("total_ms", int64(rep.TotalMillis)),
-		oplog.Int("watermark_ms", int64(rep.WatermarkMillis)))
+	e.opts.Journal.Info(ctx, "stream.commit", oplog.JSON("report", rep))
 
 	return snap, rep
 }

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"encoding/json"
 	"net/netip"
 	"reflect"
 	"sort"
@@ -181,9 +182,9 @@ func TestCommitPhasesOneVocabulary(t *testing.T) {
 }
 
 // TestCommitReportSizesTheGraph: every report carries the size of the
-// graph steps 5–9 ran over — on the report, on /debug/epochs (the same
-// struct) and on the stream.commit journal event — and follows the
-// table as it shrinks.
+// graph steps 5–9 ran over — on the report and on the stream.commit
+// journal event, whose one attribute is the report itself — and follows
+// the table as it shrinks.
 func TestCommitReportSizesTheGraph(t *testing.T) {
 	journal := oplog.New(oplog.Options{RingSize: 8})
 	e := New(Options{Journal: journal})
@@ -198,11 +199,14 @@ func TestCommitReportSizesTheGraph(t *testing.T) {
 		t.Errorf("after the withdraw: %d links, %d ASes, want 2 and 3", rep.Links, rep.ASes)
 	}
 	last := journal.Recent()[len(journal.Recent())-1]
-	got := map[string]int64{}
-	for _, a := range last.Attrs {
-		got[a.Key] = a.Int
+	if last.Name != "stream.commit" || len(last.Attrs) != 1 || last.Attrs[0].Key != "report" || !last.Attrs[0].JSON {
+		t.Fatalf("journaled %s with attrs %+v, want stream.commit with one JSON attribute, report", last.Name, last.Attrs)
 	}
-	if last.Name != "stream.commit" || got["links"] != 2 || got["ases"] != 3 {
-		t.Errorf("journaled %s with links=%d ases=%d, want stream.commit with 2 and 3", last.Name, got["links"], got["ases"])
+	var got CommitReport
+	if err := json.Unmarshal([]byte(last.Attrs[0].Str), &got); err != nil {
+		t.Fatal(err)
+	}
+	if got != rep {
+		t.Errorf("journaled report %+v, CommitEpoch returned %+v", got, rep)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"net/http"
 
 	"github.com/asrank-go/asrank/internal/obs"
+	"github.com/asrank-go/asrank/internal/oplog"
 )
 
 // This file is the engine's provenance layer. The paper the pipeline
@@ -13,11 +14,7 @@ import (
 // operational decisions — every epoch records whether the clique held
 // or every path's poisoned flag had to be re-evaluated, why, what
 // region was dirty, and where the time went, so "why was epoch 412
-// slow" is answered by a ring lookup instead of a reconstruction.
-
-// maxReports bounds the in-engine report ring; /debug/epochs serves at
-// most this many trailing epochs.
-const maxReports = 64
+// slow" is answered by a journal lookup instead of a reconstruction.
 
 // Decision values for CommitReport. Both run the same commit path;
 // "rebuild" marks the epochs that re-evaluated every entry's poisoned
@@ -61,9 +58,9 @@ type PhaseMillis struct {
 // held (Decision, Reason), the dirty-region counts — populated on
 // every epoch, clique churn included — per-phase durations, and the
 // update-to-serve watermark (how stale the oldest unserved route event
-// was when the epoch began serving). Reports are journaled, appended to
-// the warehouse manifest as an opaque annotation, and served on
-// /debug/epochs.
+// was when the epoch began serving). Each report is journaled whole,
+// appended to the warehouse manifest as an opaque annotation, and served
+// from the journal on /debug/epochs.
 type CommitReport struct {
 	Epoch    int    `json:"epoch"`
 	Decision string `json:"decision"`
@@ -108,23 +105,27 @@ type CommitReport struct {
 	WatermarkMillis float64     `json:"watermarkMillis"` // 0 when no events were pending
 }
 
-// Reports returns the engine's trailing commit reports, oldest first.
-func (e *Engine) Reports() []CommitReport {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]CommitReport(nil), e.reports...)
-}
-
-// EpochsHandler serves the engine's commit-report ring as JSON — the
-// /debug/epochs timeline. Shape: {"reports":[{...},...]}, oldest
-// first, at most maxReports entries.
-func EpochsHandler(e *Engine) http.Handler {
+// EpochsHandler serves the stream.commit reports still in the journal's
+// ring as JSON — the /debug/epochs timeline. Shape:
+// {"reports":[{...},...]}, oldest first.
+func EpochsHandler(j *oplog.Journal) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var reports []json.RawMessage
+		for _, ev := range j.Recent() {
+			if ev.Name != "stream.commit" {
+				continue
+			}
+			for _, a := range ev.Attrs {
+				if a.Key == "report" && a.JSON {
+					reports = append(reports, json.RawMessage(a.Str))
+				}
+			}
+		}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(struct {
-			Reports []CommitReport `json:"reports"`
-		}{Reports: e.Reports()})
+			Reports []json.RawMessage `json:"reports"`
+		}{Reports: reports})
 	})
 }

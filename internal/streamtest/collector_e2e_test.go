@@ -36,8 +36,8 @@ func (s *teeSink) Withdraw(collector string, vp uint32, prefix netip.Prefix) {
 }
 
 // TestCollectorToEngineThroughChaos closes the live loop under fire:
-// a simulated collection replayed over real BGP sessions through a
-// fault-injecting proxy (resets, short writes, corruption, delays)
+// a simulated collection replayed over real BGP sessions dialed
+// through the fault injector (resets, short writes, corruption, delays)
 // into a collector whose route sink is the streaming engine. Once the
 // retries settle, the engine's committed epoch must be bit-identical
 // to a batch run over the corpus the collector archived — the
@@ -77,12 +77,6 @@ func TestCollectorToEngineThroughChaos(t *testing.T) {
 		FaultBudget:    32,
 		Registry:       reg,
 	})
-	px, err := inj.Proxy("127.0.0.1:0", srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer px.Close()
-
 	// Commit mid-flight epochs while routes are still arriving: the
 	// engine must stay consistent under concurrent ingestion (the final
 	// equality proves none of these partial epochs corrupted state).
@@ -95,22 +89,23 @@ func TestCollectorToEngineThroughChaos(t *testing.T) {
 		}
 	}()
 
-	if err := collector.ReplayAll(px.Addr().String(), sim, collector.ReplayOptions{
+	if err := collector.ReplayAll(srv.Addr().String(), sim, collector.ReplayOptions{
 		Timeout:    20 * time.Second,
 		MaxRetries: 64,
 		RetryBase:  time.Millisecond,
 		RetryMax:   20 * time.Millisecond,
 		Workers:    4,
+		Dial:       inj.Dialer(nil),
 		Registry:   reg,
 	}); err != nil {
-		t.Fatalf("chaos-proxied ReplayAll never settled: %v", err)
+		t.Fatalf("chaos-dialed ReplayAll never settled: %v", err)
 	}
 	<-done
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if inj.FaultsInjected() == 0 {
-		t.Error("chaos proxy injected no faults; the test proved nothing")
+		t.Error("chaos injector injected no faults; the test proved nothing")
 	}
 
 	inc := eng.Commit(context.Background())

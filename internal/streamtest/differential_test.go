@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/asrank-go/asrank/internal/bgpsim"
+	"github.com/asrank-go/asrank/internal/oplog"
 	"github.com/asrank-go/asrank/internal/paths"
 	"github.com/asrank-go/asrank/internal/stream"
 	"github.com/asrank-go/asrank/internal/topology"
@@ -49,14 +50,14 @@ func TestDifferentialStreamVsBatch(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			sched := NewSchedule(seed, base, 4, 15)
-			opts := stream.Options{}
+			opts := stream.Options{Journal: oplog.New(oplog.Options{RingSize: 64})}
 			eng := stream.New(opts)
 			_, st, err := RunScheduleOn(context.Background(), eng, sched, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			rebuilds.Add(int64(st.FullRebuilds))
-			for _, rep := range eng.Reports() {
+			for _, rep := range journaledReports(t, opts.Journal) {
 				if rep.Decision == stream.DecisionIncremental {
 					incremental.Add(1)
 					walked.Add(int64(rep.RecreditedPaths + rep.NewlyCredited))
@@ -159,12 +160,13 @@ func TestRowIdentityIsSanitizes(t *testing.T) {
 		{{Withdraw: true, Key: RouteKey{Collector: "rc0", VP: 10, Prefix: bad6}}, route(10, bad2, 10, 21, 30)},
 		{{Withdraw: true, Key: RouteKey{Collector: "rc0", VP: 10, Prefix: netip.Prefix{}}}},
 	}}
-	eng := stream.New(stream.Options{})
-	if _, _, err := RunScheduleOn(context.Background(), eng, sched, stream.Options{}); err != nil {
+	opts := stream.Options{Journal: oplog.New(oplog.Options{})}
+	eng := stream.New(opts)
+	if _, _, err := RunScheduleOn(context.Background(), eng, sched, opts); err != nil {
 		t.Fatal(err)
 	}
 	var rows, routes []int
-	for _, rep := range eng.Reports() {
+	for _, rep := range journaledReports(t, opts.Journal) {
 		rows, routes = append(rows, rep.Entries), append(routes, rep.RIBRoutes)
 	}
 	if want := []int{4, 4, 5, 4}; !slices.Equal(rows, want) {

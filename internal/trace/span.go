@@ -18,6 +18,9 @@ type Attr struct {
 	// IsInt selects which value field is live; keeps Attr flat so a
 	// span's attribute slice stays pointer-free after the keys.
 	IsInt bool
+	// JSON marks Str as an encoded JSON value, which the journal's NDJSON
+	// sink nests as is instead of quoting it.
+	JSON bool
 }
 
 // Event is a timestamped point annotation inside a span — a chaos fault
