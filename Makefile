@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check fmt-check lint examples ledger metrics-lint fuzz-smoke trace-demo size results-check cover-programs
+.PHONY: build test check fmt-check lint examples ledger metrics-lint doc-check fuzz-smoke trace-demo size results-check cover-programs
 
 build:
 	$(GO) build ./...
@@ -72,6 +72,25 @@ results-check:
 metrics-lint:
 	$(GO) test -count=1 -run 'TestExposition|TestLint' ./internal/obs
 	$(GO) test -count=1 -run TestMetricsEndToEnd ./internal/apiserver
+
+# The docs name only what exists: every Test*, Fuzz* or Benchmark* name
+# DESIGN.md, README.md or EXPERIMENTS.md cites is defined by a _test.go
+# file, and every asrank_* metric family they cite (a _bucket, _count or
+# _sum suffix stripped; a file name such as asrank_test.go is not one) is
+# a string literal in a non-test Go file outside testdata/, where the
+# families are registered. Lists each miss; exit 1
+# if there is any.
+DOCS = DESIGN.md README.md EXPERIMENTS.md
+
+doc-check:
+	@fail=0; \
+	for n in $$(grep -ohE '\b(Test|Fuzz|Benchmark)[A-Z0-9_][A-Za-z0-9_]*' $(DOCS) | sort -u); do \
+		grep -rqE --include='*_test.go' "^func $$n\(" . || { echo "doc-check: no _test.go defines $$n"; fail=1; }; \
+	done; \
+	for n in $$(grep -ohE '\basrank_[a-z0-9_]*[a-z0-9](\.go)?\b' $(DOCS) | grep -v '\.go$$' | sed -E 's/_(bucket|count|sum)$$//' | sort -u); do \
+		grep -rqF --include='*.go' --exclude='*_test.go' --exclude-dir=testdata "\"$$n\"" . || { echo "doc-check: no Go file registers $$n"; fail=1; }; \
+	done; \
+	exit $$fail
 
 # End-to-end span-trace demo (DESIGN.md §12): simulate a seed topology,
 # replay it into a live collector through chaos-injected dials, run

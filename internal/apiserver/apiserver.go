@@ -71,7 +71,7 @@ type Config struct {
 	// shedding (use DefaultShedPolicy for production limits).
 	Shed ShedPolicy
 	// Metrics, when non-nil, is the metric handle every built handler
-	// records into — inject it to read the SLO counters and in-flight
+	// records into — inject it to read the SLO objective and in-flight
 	// gauge from outside (health checks, drain loops). Nil binds a
 	// handle to Registry on each build; the underlying families are the
 	// same either way.
@@ -140,14 +140,6 @@ func (lv *Live) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	lv.mux.ServeHTTP(w, r)
-}
-
-// NewServer is NewLive plus the first Swap: the production read path
-// over one snapshot d.
-func NewServer(d *Data, st *warehouse.Store, cfg Config) http.Handler {
-	lv := NewLive(st, cfg)
-	lv.Swap(d)
-	return lv
 }
 
 // bufPool recycles response staging buffers across requests, so the

@@ -12,6 +12,7 @@ import (
 	"github.com/asrank-go/asrank/internal/core"
 	"github.com/asrank-go/asrank/internal/paths"
 	"github.com/asrank-go/asrank/internal/topology"
+	"github.com/asrank-go/asrank/internal/warehouse"
 )
 
 func testServer(t *testing.T) (*httptest.Server, *core.Result, *topology.Topology) {
@@ -27,7 +28,9 @@ func testServer(t *testing.T) (*httptest.Server, *core.Result, *topology.Topolog
 	}
 	clean, _ := paths.Sanitize(sim.Dataset, paths.SanitizeOptions{})
 	res := core.Infer(clean, core.Options{})
-	srv := httptest.NewServer(NewServer(Build(res), nil, Config{Shed: DefaultShedPolicy()}))
+	lv := NewLive(nil, Config{Shed: DefaultShedPolicy()})
+	lv.Swap(BuildSnapshot(warehouse.FromResult(res)))
+	srv := httptest.NewServer(lv)
 	t.Cleanup(srv.Close)
 	return srv, res, topo
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/asrank-go/asrank/internal/obs"
+	"github.com/asrank-go/asrank/internal/warehouse"
 )
 
 // e2eServer serves a built snapshot through the full production stack
@@ -18,7 +19,9 @@ import (
 func e2eServer(t *testing.T, d *Data, shed ShedPolicy) (*httptest.Server, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	srv := httptest.NewServer(NewServer(d, nil, Config{Registry: reg, Shed: shed}))
+	lv := NewLive(nil, Config{Registry: reg, Shed: shed})
+	lv.Swap(d)
+	srv := httptest.NewServer(lv)
 	t.Cleanup(srv.Close)
 	return srv, reg
 }
@@ -46,7 +49,7 @@ func fetch(t *testing.T, url string, hdr map[string]string) *http.Response {
 // responses are compact by default with ?pretty=1 opt-in.
 func TestReadPathAcceptance(t *testing.T) {
 	res := inferSeed(t, 81, 300)
-	d := Build(res)
+	d := BuildSnapshot(warehouse.FromResult(res))
 	srv, _ := e2eServer(t, d, DefaultShedPolicy())
 	top := itoa(res.Clique[0])
 
@@ -100,7 +103,7 @@ func TestReadPathAcceptance(t *testing.T) {
 
 	// A different snapshot produces a different validator, so clients
 	// revalidating against the old tag get fresh bodies.
-	d2 := Build(inferSeed(t, 82, 310))
+	d2 := BuildSnapshot(warehouse.FromResult(inferSeed(t, 82, 310)))
 	srv2, _ := e2eServer(t, d2, DefaultShedPolicy())
 	resp := fetch(t, srv2.URL+"/api/v1/asns", map[string]string{"If-None-Match": d.ETag()})
 	if resp.StatusCode != 200 {
@@ -127,7 +130,7 @@ func TestReadPathAcceptance(t *testing.T) {
 // TestBulkAndCursorPagination covers the two new listing modes.
 func TestBulkAndCursorPagination(t *testing.T) {
 	res := inferSeed(t, 81, 300)
-	d := Build(res)
+	d := BuildSnapshot(warehouse.FromResult(res))
 	rank := rankOrder(d)
 	srv, _ := e2eServer(t, d, DefaultShedPolicy())
 
@@ -204,7 +207,7 @@ func TestBulkAndCursorPagination(t *testing.T) {
 // TestConeContainsEndpoint covers the bitset probe route.
 func TestConeContainsEndpoint(t *testing.T) {
 	res := inferSeed(t, 81, 300)
-	d := Build(res)
+	d := BuildSnapshot(warehouse.FromResult(res))
 	srv, _ := e2eServer(t, d, DefaultShedPolicy())
 	top := res.Clique[0]
 
@@ -252,7 +255,7 @@ func TestConeContainsEndpoint(t *testing.T) {
 // TestLinksNeverNull: an AS whose links row is empty serializes as [].
 func TestLinksNeverNull(t *testing.T) {
 	res := inferSeed(t, 81, 300)
-	d := Build(res)
+	d := BuildSnapshot(warehouse.FromResult(res))
 	// Every interned AS has at least one link by construction, so force
 	// the edge case the normalization guards: a nil row.
 	pos := d.rankPos[0]
@@ -284,17 +287,19 @@ func (l slowClientListener) Accept() (net.Conn, error) {
 // production gets there — slow clients that request large pages and
 // never read, pinning the route's admission slot and queue — then
 // asserts the next client is shed with 429 + Retry-After, the
-// rejection is visible in asrank_http_requests_total and
-// asrank_http_requests_shed_total, and the route recovers once the
+// rejection is visible in asrank_http_request_duration_seconds (class
+// 4xx) and asrank_http_requests_shed_total, and the route recovers once the
 // slow clients are gone. Deterministic on any core count: the hold is
 // a blocked socket write, not a scheduling race.
 func TestShedVisibleEndToEnd(t *testing.T) {
 	res := inferSeed(t, 81, 300)
-	d := Build(res)
+	d := BuildSnapshot(warehouse.FromResult(res))
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
 	shed := ShedPolicy{MaxConcurrent: 1, MaxQueue: 1, QueueTimeout: 30 * time.Second, RetryAfter: 2 * time.Second}
-	srv := httptest.NewUnstartedServer(NewServer(d, nil, Config{Registry: reg, Shed: shed}))
+	lv := NewLive(nil, Config{Registry: reg, Shed: shed})
+	lv.Swap(d)
+	srv := httptest.NewUnstartedServer(lv)
 	srv.Listener = slowClientListener{srv.Listener}
 	srv.Start()
 	t.Cleanup(srv.Close)
@@ -345,8 +350,8 @@ func TestShedVisibleEndToEnd(t *testing.T) {
 	}
 
 	// The rejection shows up in the families asrankd exposes.
-	if got := counterValue(reg, "/api/v1/asns", "4xx"); got != 1 {
-		t.Errorf("requests_total 4xx = %d, want 1", got)
+	if got := servedCount(reg, "/api/v1/asns", "4xx"); got != 1 {
+		t.Errorf("served 4xx = %d, want 1", got)
 	}
 	if got := m.shed.With("/api/v1/asns", "queue_full").Value(); got != 1 {
 		t.Errorf("shed queue_full = %d, want 1", got)
@@ -376,8 +381,8 @@ func TestShedVisibleEndToEnd(t *testing.T) {
 	if !recovered {
 		t.Fatal("gate never recovered after slow clients disconnected")
 	}
-	if got := counterValue(reg, "/api/v1/asns", "2xx"); got == 0 {
-		t.Error("recovered 200 not counted in requests_total")
+	if got := servedCount(reg, "/api/v1/asns", "2xx"); got == 0 {
+		t.Error("recovered 200 not counted in the latency histogram")
 	}
 }
 
@@ -400,7 +405,7 @@ func (w *nullWriter) WriteHeader(int) {}
 // 304 revalidations, and for cone membership probes.
 func TestPointLookupZeroAlloc(t *testing.T) {
 	res := inferSeed(t, 81, 300)
-	d := Build(res)
+	d := BuildSnapshot(warehouse.FromResult(res))
 	top := itoa(res.Clique[0])
 
 	req := httptest.NewRequest("GET", "/api/v1/asns/"+top, nil)
@@ -435,7 +440,7 @@ func TestPointLookupZeroAlloc(t *testing.T) {
 // isolation (the transport-independent cost a tuned server pays).
 func BenchmarkPointLookup(b *testing.B) {
 	res := inferSeed(b, 81, 300)
-	d := Build(res)
+	d := BuildSnapshot(warehouse.FromResult(res))
 	top := itoa(res.Clique[0])
 	req := httptest.NewRequest("GET", "/api/v1/asns/"+top, nil)
 	req.SetPathValue("asn", top)
@@ -451,7 +456,7 @@ func BenchmarkPointLookup(b *testing.B) {
 // BenchmarkConeContains measures the bitset membership probe.
 func BenchmarkConeContains(b *testing.B) {
 	res := inferSeed(b, 81, 300)
-	d := Build(res)
+	d := BuildSnapshot(warehouse.FromResult(res))
 	top := itoa(res.Clique[0])
 	req := httptest.NewRequest("GET", "/api/v1/asns/"+top+"/cone/contains/"+top, nil)
 	req.SetPathValue("asn", top)

@@ -10,20 +10,19 @@ import (
 	"github.com/asrank-go/asrank/internal/trace"
 )
 
-// Metrics records per-route HTTP telemetry: request counts and latency
-// histograms labeled by route pattern and status class, plus an
-// in-flight gauge. Routes are labeled at registration time (the mux
-// pattern), so label cardinality is fixed regardless of request URLs.
+// Metrics records per-route HTTP telemetry: latency histograms labeled
+// by route pattern and status class, whose counts are the responses
+// served, plus an in-flight gauge. Routes are labeled at registration
+// time (the mux pattern), so label cardinality is fixed regardless of
+// request URLs.
 type Metrics struct {
-	requests  *obs.CounterVec   // route, class
 	latency   *obs.HistogramVec // route, class
 	inFlight  *obs.Gauge
 	shed      *obs.CounterVec // route, reason
 	shedQueue *obs.GaugeVec   // route
-	// SLO event counters: every response a route writes counts toward
-	// sloTotal; server faults (5xx) and shed rejections (429) count
-	// toward sloErrors. The availability objective reads both.
-	sloTotal  *obs.Counter
+	// sloErrors counts the SLO-burning responses: server faults (5xx)
+	// and shed rejections (429). The availability objective reads it
+	// against the latency family's count, which is every response.
 	sloErrors *obs.Counter
 }
 
@@ -37,10 +36,8 @@ var writeFailures = obs.Default().Counter("asrank_http_write_failures_total",
 // families in reg.
 func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
-		requests: reg.CounterVec("asrank_http_requests_total",
-			"HTTP requests served, by route pattern and status class.", "route", "class"),
 		latency: reg.HistogramVec("asrank_http_request_duration_seconds",
-			"HTTP request latency, by route pattern and status class.",
+			"HTTP request latency, by route pattern and status class; the _count is the responses served.",
 			obs.DurationBuckets, "route", "class"),
 		inFlight: reg.Gauge("asrank_http_in_flight_requests",
 			"Requests currently being served."),
@@ -49,8 +46,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"route", "reason"),
 		shedQueue: reg.GaugeVec("asrank_http_shed_queue_depth",
 			"Requests waiting for an admission slot, by route pattern.", "route"),
-		sloTotal: reg.Counter("asrank_slo_requests_total",
-			"Responses counted toward the availability SLO."),
 		sloErrors: reg.Counter("asrank_slo_request_errors_total",
 			"SLO-burning responses: server faults (5xx) and shed rejections (429)."),
 	}
@@ -63,10 +58,11 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 // and class attributes, and is echoed back in the response traceparent
 // (a nil tr times the request without a span). The route's admission
 // gate then runs h or answers 429/503 itself, and the response — shed
-// rejections included — is counted once, by status class, into the
-// request counter, the latency histogram (with the span's trace ID as
-// the bucket's exemplar) and the SLO counters. A client that hangs up
-// while queued wrote nothing and is counted only as shed.
+// rejections included — is counted once, by status class, as one
+// latency observation (with the span's trace ID as the bucket's
+// exemplar); an SLO-burning response is counted into sloErrors first.
+// A client that hangs up while queued wrote nothing and is counted
+// only as shed.
 func serveRoute(route string, policy ShedPolicy, m *Metrics, tr *trace.Tracer, h http.Handler) http.Handler {
 	g := newGate(route, policy, m)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -91,41 +87,43 @@ func serveRoute(route string, policy ShedPolicy, m *Metrics, tr *trace.Tracer, h
 			return
 		}
 		code := sw.Status()
+		// The error before the observation that makes the response part
+		// of the SLO's total: a reader of total then errors never sees
+		// this response counted without its error.
+		if code >= 500 || code == http.StatusTooManyRequests {
+			m.sloErrors.Inc()
+		}
 		class := statusClass(code)
-		m.requests.With(route, class).Inc()
 		ph.Span.SetAttrInt("status", int64(code))
 		ph.Span.SetAttrInt("bytes", int64(sw.bytes))
 		ph.Span.SetAttr("class", class)
 		ph.End(m.latency.With(route, class), nil)
-		m.sloTotal.Inc()
-		if code >= 500 || code == http.StatusTooManyRequests {
-			m.sloErrors.Inc()
-		}
 	})
 }
 
 // Objectives returns the declarative SLO set backed by these metrics —
 // today a single availability objective (non-error responses over all
-// responses) at the given target ratio. Pass the result to
-// obs.NewSLOTracker.
+// responses, the latency family's count) at the given target ratio.
+// Pass the result to obs.NewSLOTracker.
 func (m *Metrics) Objectives(target float64) []obs.Objective {
 	return []obs.Objective{{
 		Name:   "api_availability",
 		Target: target,
-		// Good is derived from two separate atomic reads that race with
-		// live traffic: an error counted between them can make errors
-		// exceed the earlier total read, and an unsigned subtraction
-		// would wrap to a huge value and flip the burn math negative for
-		// a window. Saturate at zero instead — momentarily under-counting
-		// goodness only ever makes the burn look worse, never hides it.
+		// Good reads total, then errors, while traffic goes on. serveRoute
+		// counts a response's error before its observation, so every
+		// error in the total read is in the later errors read, and
+		// errors counted in between can exceed the total: saturate at
+		// zero. Goodness is only ever under-counted — the burn can look
+		// worse, never better.
 		Good: func() uint64 {
-			total, errors := m.sloTotal.Value(), m.sloErrors.Value()
+			total := m.latency.Count()
+			errors := m.sloErrors.Value()
 			if errors >= total {
 				return 0
 			}
 			return total - errors
 		},
-		Total: func() uint64 { return m.sloTotal.Value() },
+		Total: m.latency.Count,
 	}}
 }
 

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/asrank-go/asrank/internal/bgpsim"
@@ -15,6 +16,7 @@ import (
 	"github.com/asrank-go/asrank/internal/stream"
 	"github.com/asrank-go/asrank/internal/topology"
 	"github.com/asrank-go/asrank/internal/trace"
+	"github.com/asrank-go/asrank/internal/warehouse"
 )
 
 // metricsServer builds a handler over a small simulated topology with
@@ -33,7 +35,9 @@ func metricsServer(t *testing.T) (*httptest.Server, *obs.Registry) {
 	clean, _ := paths.Sanitize(sim.Dataset, paths.SanitizeOptions{})
 	res := core.Infer(clean, core.Options{})
 	reg := obs.NewRegistry()
-	srv := httptest.NewServer(NewServer(Build(res), nil, Config{Registry: reg, Shed: DefaultShedPolicy()}))
+	lv := NewLive(nil, Config{Registry: reg, Shed: DefaultShedPolicy()})
+	lv.Swap(BuildSnapshot(warehouse.FromResult(res)))
+	srv := httptest.NewServer(lv)
 	t.Cleanup(srv.Close)
 	return srv, reg
 }
@@ -48,10 +52,11 @@ func get(t *testing.T, url string) int {
 	return resp.StatusCode
 }
 
-func counterValue(reg *obs.Registry, route, class string) uint64 {
-	return reg.CounterVec("asrank_http_requests_total",
-		"HTTP requests served, by route pattern and status class.", "route", "class").
-		With(route, class).Value()
+// servedCount reads the responses a route wrote in one status class:
+// the count of its latency histogram.
+func servedCount(reg *obs.Registry, route, class string) uint64 {
+	return reg.HistogramVec("asrank_http_request_duration_seconds", "",
+		obs.DurationBuckets, "route", "class").With(route, class).Count()
 }
 
 func TestErrorPathsRecordStatusClasses(t *testing.T) {
@@ -79,28 +84,17 @@ func TestErrorPathsRecordStatusClasses(t *testing.T) {
 		t.Fatalf("health status = %d", code)
 	}
 
-	if got := counterValue(reg, "/api/v1/asns/{asn}", "4xx"); got != 2 {
+	if got := servedCount(reg, "/api/v1/asns/{asn}", "4xx"); got != 2 {
 		t.Errorf("asns/{asn} 4xx = %d, want 2", got)
 	}
-	if got := counterValue(reg, "/api/v1/asns", "4xx"); got != 5 {
+	if got := servedCount(reg, "/api/v1/asns", "4xx"); got != 5 {
 		t.Errorf("asns 4xx = %d, want 5", got)
 	}
-	if got := counterValue(reg, "/api/v1/asns", "2xx"); got != 1 {
+	if got := servedCount(reg, "/api/v1/asns", "2xx"); got != 1 {
 		t.Errorf("asns 2xx = %d, want 1", got)
 	}
-	if got := counterValue(reg, "/api/v1/health", "2xx"); got != 1 {
+	if got := servedCount(reg, "/api/v1/health", "2xx"); got != 1 {
 		t.Errorf("health 2xx = %d, want 1", got)
-	}
-
-	// The latency histogram saw the same route/class pairs.
-	lat := reg.HistogramVec("asrank_http_request_duration_seconds",
-		"HTTP request latency, by route pattern and status class.",
-		obs.DurationBuckets, "route", "class")
-	if got := lat.With("/api/v1/asns/{asn}", "4xx").Count(); got != 2 {
-		t.Errorf("latency asns/{asn} 4xx count = %d, want 2", got)
-	}
-	if got := lat.With("/api/v1/health", "2xx").Count(); got != 1 {
-		t.Errorf("latency health 2xx count = %d, want 1", got)
 	}
 
 	if errs := obs.Lint(reg.Expose()); len(errs) != 0 {
@@ -182,9 +176,11 @@ func TestStatusClass(t *testing.T) {
 
 // TestMetricsEndToEnd runs the real pipeline against the default
 // registry and asserts the full /metrics surface the daemon serves:
-// sanitize drop counters, per-inference-step durations, pool task and
-// steal counters, and per-route HTTP latency histograms with status
-// classes — all in lint-clean Prometheus text format.
+// sanitize drop counters, per-inference-step durations, pool task
+// histograms and steal counters, warehouse segment sizes, and per-route
+// HTTP latency histograms with status classes — all in lint-clean
+// Prometheus text format, and each event counted once: no family
+// repeats a count another series already carries.
 func TestMetricsEndToEnd(t *testing.T) {
 	p := topology.DefaultParams(19)
 	p.ASes = 200
@@ -196,11 +192,22 @@ func TestMetricsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Sanitize + infer inside Infer (records sanitize and step metrics),
-	// Build (cone + pool metrics), then serve requests through the
-	// default-registry handler exactly as asrankd wires it.
+	// the snapshot build (cone + pool metrics), one warehouse append,
+	// then serve requests through the default-registry handler exactly
+	// as asrankd wires it.
 	res := core.Infer(sim.Dataset, core.Options{Sanitize: true})
-	data := Build(res)
-	srv := httptest.NewServer(LogRequests(NewServer(data, nil, Config{Shed: DefaultShedPolicy()})))
+	snap := warehouse.FromResult(res)
+	data := BuildSnapshot(snap)
+	st, err := warehouse.Open(t.TempDir(), warehouse.Options{Registry: obs.Default()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Append(snap, "e0", data.ETag()); err != nil {
+		t.Fatal(err)
+	}
+	lv := NewLive(st, Config{Shed: DefaultShedPolicy()})
+	lv.Swap(data)
+	srv := httptest.NewServer(LogRequests(lv))
 	defer srv.Close()
 	for _, path := range []string{"/api/v1/health", "/api/v1/asns?limit=5", "/api/v1/asns/0"} {
 		get(t, srv.URL+path)
@@ -231,31 +238,100 @@ func TestMetricsEndToEnd(t *testing.T) {
 	out := string(raw)
 
 	for _, want := range []string{
+		"asrank_sanitize_paths_kept_total",
 		`asrank_sanitize_paths_dropped_total{reason="loop"}`,
 		`asrank_sanitize_paths_dropped_total{reason="duplicate"}`,
 		"asrank_sanitize_duration_seconds_count",
+		"asrank_infer_duration_seconds_count",
 		`asrank_infer_step_duration_seconds_count{step="sanitize"}`,
 		`asrank_infer_step_duration_seconds_count{step="top-down"}`,
 		`asrank_infer_step_duration_seconds_count{step="peer-default"}`,
 		`asrank_infer_links_labeled_total{step="peer-default"}`,
 		"asrank_infer_clique_size",
-		`asrank_pool_tasks_total{mode="range"}`,
+		`asrank_pool_task_duration_seconds_count{mode="range"}`,
 		"asrank_pool_steals_total",
-		"asrank_pool_task_duration_seconds_count",
+		"asrank_warehouse_segment_bytes_count",
 		`asrank_cone_build_duration_seconds_count{engine="pp"}`,
 		`asrank_stream_commit_phase_duration_seconds_count{phase="rank_clique"}`,
 		`asrank_stream_commit_phase_duration_seconds_count{phase="infer"}`,
 		`asrank_stream_commit_phase_duration_seconds_count{phase="credit"}`,
 		`asrank_stream_commit_phase_duration_seconds_count{phase="slab"}`,
 		`asrank_stream_commit_phase_duration_seconds_count{phase="compose"}`,
-		`asrank_http_requests_total{route="/api/v1/health",class="2xx"}`,
+		`asrank_http_request_duration_seconds_count{route="/api/v1/health",class="2xx"}`,
 		`asrank_http_request_duration_seconds_bucket{route="/api/v1/health",class="2xx",le="+Inf"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
+	// Each of these repeated a count the series in the comment carries.
+	for _, gone := range []string{
+		"asrank_http_requests_total",        // http_request_duration_seconds_count
+		"asrank_slo_requests_total",         // Σ http_request_duration_seconds_count
+		"asrank_infer_runs_total",           // infer_duration_seconds_count
+		"asrank_warehouse_appends_total",    // warehouse_segment_bytes_count
+		"asrank_sanitize_paths_input_total", // sanitize_paths_kept_total + Σ dropped
+		"asrank_pool_tasks_total",           // pool_task_duration_seconds_count
+	} {
+		if strings.Contains(out, gone+" ") || strings.Contains(out, gone+"{") {
+			t.Errorf("/metrics still carries %s", gone)
+		}
+	}
 	if errs := obs.Lint(out); len(errs) != 0 {
 		t.Fatalf("/metrics exposition invalid: %v", errs)
+	}
+}
+
+// TestSLOGoodNeverCountsAnError hammers a route that always answers
+// 500 while a sampler reads the availability objective: every response
+// is an error, so Good must read 0 on every sample. serveRoute counts a
+// response's error before the observation that puts it in the total,
+// and Good reads the total first, so no sample can catch a response in
+// the total without its error. Objectives' Total is the latency
+// family's count, summed over its series.
+func TestSLOGoodNeverCountsAnError(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := NewMetrics(reg)
+	h := serveRoute("/fail", ShedPolicy{}, m, nil, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.WriteHeader(http.StatusInternalServerError)
+	}))
+	obj := m.Objectives(0.999)[0]
+
+	const workers, each = 4, 2000
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req := httptest.NewRequest("GET", "/fail", nil)
+			for i := 0; i < each; i++ {
+				h.ServeHTTP(httptest.NewRecorder(), req)
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	samples, bad := 0, 0
+	for running := true; running; samples++ {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if obj.Good() != 0 {
+			bad++
+		}
+	}
+	if bad != 0 {
+		t.Errorf("Good read > 0 on %d of %d samples of an all-5xx route", bad, samples)
+	}
+	if got := obj.Total(); got != workers*each {
+		t.Errorf("Total = %d, want %d", got, workers*each)
+	}
+	if got := servedCount(reg, "/fail", "5xx"); got != obj.Total() {
+		t.Errorf("latency 5xx count = %d, Total = %d", got, obj.Total())
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"github.com/asrank-go/asrank/internal/obs"
 	"github.com/asrank-go/asrank/internal/oplog"
 	"github.com/asrank-go/asrank/internal/trace"
+	"github.com/asrank-go/asrank/internal/warehouse"
 )
 
 // exemplarRe matches a latency bucket carrying an exemplar and captures
@@ -32,10 +33,12 @@ var exemplarRe = regexp.MustCompile(
 // caused it.
 func TestExemplarResolvesToFlightRecorder(t *testing.T) {
 	res := inferSeed(t, 81, 300)
-	d := Build(res)
+	d := BuildSnapshot(warehouse.FromResult(res))
 	reg := obs.NewRegistry()
 	tracer := trace.New()
-	srv := httptest.NewServer(NewServer(d, nil, Config{Registry: reg, Tracer: tracer, Shed: DefaultShedPolicy()}))
+	lv := NewLive(nil, Config{Registry: reg, Tracer: tracer, Shed: DefaultShedPolicy()})
+	lv.Swap(d)
+	srv := httptest.NewServer(lv)
 	t.Cleanup(srv.Close)
 
 	resp := fetch(t, srv.URL+"/api/v1/asns/"+itoa(res.Clique[0]), nil)
@@ -117,7 +120,7 @@ func TestExemplarResolvesToFlightRecorder(t *testing.T) {
 // manually with a synthetic clock so the burn math is deterministic.
 func TestReadyzUnderShedStorm(t *testing.T) {
 	res := inferSeed(t, 81, 300)
-	d := Build(res)
+	d := BuildSnapshot(warehouse.FromResult(res))
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
 	journal := oplog.New(oplog.Options{RingSize: 128})
@@ -139,7 +142,9 @@ func TestReadyzUnderShedStorm(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.Handle("GET /healthz", health.Healthz())
 	mux.Handle("GET /readyz", health.Readyz())
-	mux.Handle("/", NewServer(d, nil, Config{Registry: reg, Metrics: m, Shed: shed}))
+	lv := NewLive(nil, Config{Registry: reg, Metrics: m, Shed: shed})
+	lv.Swap(d)
+	mux.Handle("/", lv)
 	srv := httptest.NewUnstartedServer(mux)
 	srv.Listener = slowClientListener{srv.Listener}
 	srv.Start()
@@ -281,9 +286,11 @@ func TestReadyzUnderShedStorm(t *testing.T) {
 	}
 
 	// The whole episode left a lintable exposition: burn-rate gauges,
-	// shed counters, SLO counters.
+	// shed counters, the SLO error counter and the latency family whose
+	// count is the SLO's total.
 	exposed := reg.Expose()
-	for _, fam := range []string{"asrank_slo_burn_rate", "asrank_slo_requests_total", "asrank_http_requests_shed_total"} {
+	for _, fam := range []string{"asrank_slo_burn_rate", "asrank_slo_request_errors_total",
+		"asrank_http_request_duration_seconds_count", "asrank_http_requests_shed_total"} {
 		if !strings.Contains(exposed, fam) {
 			t.Errorf("exposition missing %s", fam)
 		}

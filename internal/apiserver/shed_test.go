@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/asrank-go/asrank/internal/obs"
+	"github.com/asrank-go/asrank/internal/warehouse"
 )
 
 // shedHarness wraps a handler whose completion the test controls, so
@@ -108,11 +109,11 @@ func TestShedQueueFull429(t *testing.T) {
 		t.Errorf("queue_full count = %d, want 1", got)
 	}
 	// The metrics middleware saw the shed status too.
-	if got := counterValue(hs.reg, "/test", "4xx"); got != 1 {
-		t.Errorf("requests_total 4xx = %d, want 1", got)
+	if got := servedCount(hs.reg, "/test", "4xx"); got != 1 {
+		t.Errorf("served 4xx = %d, want 1", got)
 	}
-	if got := counterValue(hs.reg, "/test", "2xx"); got != 2 {
-		t.Errorf("requests_total 2xx = %d, want 2 (gate did not recover)", got)
+	if got := servedCount(hs.reg, "/test", "2xx"); got != 2 {
+		t.Errorf("served 2xx = %d, want 2 (gate did not recover)", got)
 	}
 	if errs := obs.Lint(hs.reg.Expose()); len(errs) != 0 {
 		t.Fatalf("shed metrics exposition invalid: %v", errs)
@@ -147,8 +148,8 @@ func TestShedQueueTimeout503(t *testing.T) {
 	if got := shedCount(hs.reg, "queue_timeout"); got != 1 {
 		t.Errorf("queue_timeout count = %d, want 1", got)
 	}
-	if got := counterValue(hs.reg, "/test", "5xx"); got != 1 {
-		t.Errorf("requests_total 5xx = %d, want 1", got)
+	if got := servedCount(hs.reg, "/test", "5xx"); got != 1 {
+		t.Errorf("served 5xx = %d, want 1", got)
 	}
 	// Recovered: the slot is free again.
 	if rr := hs.do(t); rr.Code != http.StatusOK {
@@ -194,13 +195,10 @@ func TestShedCanceledWhileQueued(t *testing.T) {
 		t.Errorf("%d extra handler entries; the canceled request must not run", got)
 	}
 	// Only the occupant was served.
-	if got := counterValue(hs.reg, "/test", "2xx"); got != 1 {
-		t.Errorf("requests_total 2xx = %d, want 1 (the canceled request counted as served)", got)
+	if got := servedCount(hs.reg, "/test", "2xx"); got != 1 {
+		t.Errorf("served 2xx = %d, want 1 (the canceled request counted as served)", got)
 	}
-	if got := hs.m.latency.With("/test", "2xx").Count(); got != 1 {
-		t.Errorf("latency 2xx count = %d, want 1", got)
-	}
-	if got := hs.m.sloTotal.Value(); got != 1 {
+	if got := hs.m.Objectives(0.999)[0].Total(); got != 1 {
 		t.Errorf("SLO total = %d, want 1", got)
 	}
 	if got := hs.m.sloErrors.Value(); got != 0 {
@@ -250,7 +248,7 @@ func (w *parkedWriter) Write(b []byte) (int, error) {
 // started with while the queued one serves the new epoch.
 func TestLiveSwapKeepsAdmissionGate(t *testing.T) {
 	const route = "/api/v1/clique"
-	before, after := Build(inferSeed(t, 81, 120)), Build(inferSeed(t, 82, 120))
+	before, after := BuildSnapshot(warehouse.FromResult(inferSeed(t, 81, 120))), BuildSnapshot(warehouse.FromResult(inferSeed(t, 82, 120)))
 	if before.ETag() == after.ETag() {
 		t.Fatal("test snapshots share an ETag")
 	}

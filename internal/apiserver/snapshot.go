@@ -9,7 +9,6 @@ import (
 
 	"github.com/asrank-go/asrank/internal/asindex"
 	"github.com/asrank-go/asrank/internal/cone"
-	"github.com/asrank-go/asrank/internal/core"
 	"github.com/asrank-go/asrank/internal/pool"
 	"github.com/asrank-go/asrank/internal/topology"
 	"github.com/asrank-go/asrank/internal/warehouse"
@@ -51,20 +50,12 @@ type Data struct {
 // none; the bare-/asns response at this size is pre-serialized.
 const listDefaultLimit = 50
 
-// Build precomputes the API snapshot from an inference result. The
-// result's Dataset must be populated (as core.Infer leaves it). Build
-// is the only expensive call — handlers never recompute. It is now a
-// thin composition over the warehouse's columnar form, which is what
-// guarantees that a snapshot persisted to the epoch store and decoded
-// back serves byte-identical responses (same ETag): both paths flow
-// through BuildSnapshot.
-func Build(res *core.Result) *Data {
-	return BuildSnapshot(warehouse.FromResult(res))
-}
-
 // BuildSnapshot precomputes the API snapshot from a columnar warehouse
-// snapshot — freshly converted from an inference result or decoded
-// from the epoch store; the two are indistinguishable here.
+// snapshot — freshly converted from an inference result
+// (warehouse.FromResult) or decoded from the epoch store; the two are
+// indistinguishable here, which is what guarantees that a persisted
+// snapshot serves byte-identical responses (same ETag). It is the only
+// expensive call — handlers never recompute.
 func BuildSnapshot(snap *warehouse.Snapshot) *Data {
 	idx := asindex.FromSorted(snap.ASNs)
 	bits := cone.FromSlab(idx, snap.ConeWords)

@@ -46,7 +46,7 @@ func rankOrder(d *Data) []uint32 {
 // by scanning the full relationship map.
 func TestSnapshotMatchesNaiveComputation(t *testing.T) {
 	res := inferSeed(t, 81, 300)
-	d := Build(res)
+	d := BuildSnapshot(warehouse.FromResult(res))
 
 	rels := cone.NewRelations(res.Rels)
 	cones := rels.ProviderPeerObservedBits(res.Dataset)
@@ -89,7 +89,7 @@ func TestSnapshotMatchesNaiveComputation(t *testing.T) {
 // against the result's per-AS scans.
 func TestSnapshotLinksMatchResult(t *testing.T) {
 	res := inferSeed(t, 81, 300)
-	d := Build(res)
+	d := BuildSnapshot(warehouse.FromResult(res))
 	top := res.Clique[0]
 	pos, ok := d.idx.Pos(top)
 	if !ok {
@@ -117,14 +117,14 @@ func TestSnapshotLinksMatchResult(t *testing.T) {
 // carry the same validator; a different corpus carries a different one.
 func TestETagStableAndSnapshotSensitive(t *testing.T) {
 	res := inferSeed(t, 81, 300)
-	a, b := Build(res), Build(res)
+	a, b := BuildSnapshot(warehouse.FromResult(res)), BuildSnapshot(warehouse.FromResult(res))
 	if a.ETag() == "" || a.ETag()[0] != '"' {
 		t.Fatalf("ETag %q not a quoted validator", a.ETag())
 	}
 	if a.ETag() != b.ETag() {
 		t.Errorf("same result, different ETags: %s vs %s", a.ETag(), b.ETag())
 	}
-	other := Build(inferSeed(t, 82, 310))
+	other := BuildSnapshot(warehouse.FromResult(inferSeed(t, 82, 310)))
 	if other.ETag() == a.ETag() {
 		t.Errorf("different snapshots share ETag %s", a.ETag())
 	}
@@ -182,7 +182,7 @@ func TestHandBuiltServesLikeComposed(t *testing.T) {
 func TestNilCliqueSerializesAsEmptyArray(t *testing.T) {
 	res := inferSeed(t, 81, 300)
 	res.Clique = nil
-	d := Build(res)
+	d := BuildSnapshot(warehouse.FromResult(res))
 	if !bytes.Contains(d.healthJSON, []byte(`"clique":[]`)) {
 		t.Errorf("health JSON = %s, want clique:[]", d.healthJSON)
 	}
@@ -196,7 +196,7 @@ func TestNilCliqueSerializesAsEmptyArray(t *testing.T) {
 // back to the summary they were built from.
 func TestSummaryJSONCompact(t *testing.T) {
 	res := inferSeed(t, 81, 300)
-	d := Build(res)
+	d := BuildSnapshot(warehouse.FromResult(res))
 	for i, raw := range d.summaryJSON {
 		if bytes.ContainsAny(raw, "\n ") {
 			t.Fatalf("summary %d not compact: %q", i, raw)
@@ -215,7 +215,7 @@ func TestSummaryJSONCompact(t *testing.T) {
 // freshly computed cone's member list.
 func TestConeContains(t *testing.T) {
 	res := inferSeed(t, 81, 300)
-	d := Build(res)
+	d := BuildSnapshot(warehouse.FromResult(res))
 	cones := cone.NewRelations(res.Rels).ProviderPeerObservedBits(res.Dataset)
 	top := res.Clique[0]
 	for _, member := range cones.Members(top) {

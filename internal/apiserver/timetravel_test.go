@@ -41,7 +41,9 @@ func timeTravelServer(t *testing.T) (*httptest.Server, *warehouse.Store) {
 			t.Fatal(err)
 		}
 	}
-	srv := httptest.NewServer(NewServer(head, st, Config{}))
+	lv := NewLive(st, Config{})
+	lv.Swap(head)
+	srv := httptest.NewServer(lv)
 	t.Cleanup(srv.Close)
 	return srv, st
 }

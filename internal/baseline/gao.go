@@ -22,19 +22,17 @@ import (
 
 // GaoOptions tunes the Gao (2001) heuristics.
 type GaoOptions struct {
-	// SiblingRatio L: links with transit evidence in both directions and
-	// a vote ratio below L are siblings (default 1, i.e. equal votes).
-	SiblingRatio float64
 	// PeeringDegreeRatio R: neighbors of a path's top provider whose
 	// degree ratio is below R may be inferred as peers (default 60, the
 	// paper's value).
 	PeeringDegreeRatio float64
 }
 
+// siblingRatio is Gao's L: links with transit evidence in both
+// directions and a vote ratio of at most L are siblings (1: equal votes).
+const siblingRatio = 1
+
 func (o GaoOptions) withDefaults() GaoOptions {
-	if o.SiblingRatio <= 0 {
-		o.SiblingRatio = 1
-	}
 	if o.PeeringDegreeRatio <= 0 {
 		o.PeeringDegreeRatio = 60
 	}
@@ -99,7 +97,7 @@ func Gao(ds *paths.Dataset, opts GaoOptions) map[paths.Link]topology.Relationshi
 			if lo > hi {
 				hi, lo = lo, hi
 			}
-			if hi <= opts.SiblingRatio*lo {
+			if hi <= siblingRatio*lo {
 				out[l] = topology.P2P // sibling, mapped to p2p
 			} else if ab > ba {
 				setP2C(l.A, l.B)

@@ -237,7 +237,6 @@ func Infer(ds *paths.Dataset, opts Options) *Result {
 // the per-step metrics.
 func InferCtx(ctx context.Context, ds *paths.Dataset, opts Options) *Result {
 	opts = opts.withDefaults()
-	inferRuns.Inc()
 	ctx, run := trace.StartPhase(ctx, "core.infer")
 	defer run.End(inferDuration, nil)
 	run.Span.SetAttrInt("paths", int64(len(ds.Paths)))

@@ -246,7 +246,7 @@ func TestFoldAtBirthBuildsThePerRowIndex(t *testing.T) {
 			if opts.Sanitize {
 				clean, _ = paths.Sanitize(raw, paths.SanitizeOptions{})
 			}
-			for _, hops := range paths.GroupByHops(clean.Paths).Hops {
+			for _, hops := range paths.GroupByHopsFeed(clean.Paths, nil).Hops {
 				sequences++
 				if Poisoned(hops, map[uint32]bool{1: true, 2: true, 3: true, 4: true}) {
 					poisonedSeqs++

@@ -13,10 +13,8 @@ import (
 // write-back into the Result; fold is step 8. Stages that label links
 // additionally count them into inferStepLinks under the same label.
 var (
-	inferRuns = obs.Default().Counter("asrank_infer_runs_total",
-		"Full inference pipeline runs.")
 	inferDuration = obs.Default().Histogram("asrank_infer_duration_seconds",
-		"End-to-end wall time of one Infer call.", obs.DurationBuckets)
+		"End-to-end wall time of one Infer call; the _count is the runs.", obs.DurationBuckets)
 	inferStepDuration = obs.Default().HistogramVec("asrank_infer_step_duration_seconds",
 		"Wall time of one pipeline stage.", obs.DurationBuckets, "step")
 	inferStepLinks = obs.Default().CounterVec("asrank_infer_links_labeled_total",

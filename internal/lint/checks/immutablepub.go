@@ -23,7 +23,7 @@ import (
 //  2. Inside the type's own package, an intraprocedural value-flow walk
 //     tracks each frozen value from the point it flows into a publish
 //     sink (Live.Swap, Store.Append, warehouse.Compose's return,
-//     apiserver.Build/BuildSnapshot); writes through the value — or any
+//     apiserver.BuildSnapshot); writes through the value — or any
 //     alias taken after publication — at a later position are flagged.
 //
 // The escape hatch is the suite's one suppression,
@@ -32,7 +32,7 @@ import (
 var ImmutablePub = &analysis.Analyzer{
 	Name: "immutablepub",
 	Doc: "flags writes through publish-frozen snapshot types after they flow " +
-		"into a publish sink (Live.Swap, Store.Append, Build)",
+		"into a publish sink (Live.Swap, Store.Append, BuildSnapshot)",
 	Run: runImmutablePub,
 }
 
@@ -51,7 +51,6 @@ var frozenTypes = []struct{ pkg, name string }{
 var publishSinks = []struct{ pkg, recv, name string }{
 	{"internal/apiserver", "Live", "Swap"},
 	{"internal/warehouse", "Store", "Append"},
-	{"internal/apiserver", "", "Build"},
 	{"internal/apiserver", "", "BuildSnapshot"},
 	{"internal/warehouse", "", "Compose"},
 }

@@ -37,8 +37,8 @@ import (
 // held, calling a publish sink that performs I/O or a live swap
 // (Live.Swap, Store.Append) is flagged — publishing under a lock
 // stalls every reader behind disk or handler-build latency.
-// In-memory constructors (warehouse.Compose, apiserver.Build) are
-// deliberately not in this set.
+// In-memory constructors (warehouse.Compose, apiserver.BuildSnapshot)
+// are deliberately not in this set.
 var LockDiscipline = &analysis.Analyzer{
 	Name: "lockdiscipline",
 	Doc: "enforces //asrank:guardedby annotations: guarded fields only " +

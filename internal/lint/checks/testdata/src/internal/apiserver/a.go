@@ -1,6 +1,6 @@
 // Stub of the production apiserver package for the immutablepub and
 // lockdiscipline goldens: the frozen Data type, the Live.Swap publish
-// sink, and the Build/BuildSnapshot constructors.
+// sink, and the BuildSnapshot constructor.
 package apiserver
 
 import "internal/warehouse"
@@ -16,8 +16,5 @@ type Live struct{}
 // Swap is the publish sink: d is read lock-free by every request after.
 func (l *Live) Swap(d *Data) {}
 
-// Build is a publish sink: its argument becomes served state.
-func Build(sn *warehouse.Snapshot) *Data { return &Data{} }
-
-// BuildSnapshot is the warehouse-snapshot flavor of Build.
+// BuildSnapshot is a publish sink: its argument becomes served state.
 func BuildSnapshot(sn *warehouse.Snapshot) *Data { return &Data{} }

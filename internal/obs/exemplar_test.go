@@ -67,15 +67,20 @@ func TestObserveExemplar(t *testing.T) {
 	}
 }
 
-// TestVecAggregation covers the family-wide sums the SLO layer reads.
+// TestVecAggregation covers the family-wide aggregates the SLO layer
+// and the readiness checks read.
 func TestVecAggregation(t *testing.T) {
 	reg := NewRegistry()
 
-	cv := reg.CounterVec("asrank_test_events_total", "Test.", "kind")
-	cv.With("a").Add(3)
-	cv.With("b").Add(4)
-	if got := cv.Sum(); got != 7 {
-		t.Errorf("CounterVec.Sum = %d, want 7", got)
+	hv := reg.HistogramVec("asrank_test_event_seconds", "Test.", DurationBuckets, "kind")
+	for i := 0; i < 3; i++ {
+		hv.With("a").Observe(0.01)
+	}
+	for i := 0; i < 4; i++ {
+		hv.With("b").Observe(100)
+	}
+	if got := hv.Count(); got != 7 {
+		t.Errorf("HistogramVec.Count = %d, want 7", got)
 	}
 
 	gv := reg.GaugeVec("asrank_test_depth", "Test.", "route")

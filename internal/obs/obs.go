@@ -5,7 +5,7 @@
 // registries for tests, and Prometheus text-format exposition.
 //
 // Metric names follow the scheme asrank_<subsystem>_<name>, e.g.
-// asrank_pool_tasks_total or asrank_http_request_duration_seconds.
+// asrank_pool_steals_total or asrank_http_request_duration_seconds.
 // Registration is idempotent: asking a registry for an already-known
 // family returns the existing metric, and conflicting re-registration
 // (different type, label set, or buckets under one name) panics at
@@ -240,16 +240,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return v.f.childFor(values).(*Counter)
 }
 
-// Sum returns the total across every series in the family — the
-// aggregate an SLO reads without caring how the family is labeled.
-func (v *CounterVec) Sum() uint64 {
-	var n uint64
-	for _, c := range v.f.snapshotChildren() {
-		n += c.metric.(*Counter).Value()
-	}
-	return n
-}
-
 // GaugeVec is a gauge family with labels.
 type GaugeVec struct{ f *family }
 
@@ -274,6 +264,17 @@ type HistogramVec struct{ f *family }
 // With returns the histogram for the given label values.
 func (v *HistogramVec) With(values ...string) *Histogram {
 	return v.f.childFor(values).(*Histogram)
+}
+
+// Count returns the observations across every series in the family —
+// the event count an SLO reads without caring how the family is
+// labeled.
+func (v *HistogramVec) Count() uint64 {
+	var n uint64
+	for _, c := range v.f.snapshotChildren() {
+		n += c.metric.(*Histogram).Count()
+	}
+	return n
 }
 
 // joinValues builds the child map key; NUL never appears in our label

@@ -54,7 +54,7 @@ func (r *Registry) WriteReport(w io.Writer) error {
 	return bw.Flush()
 }
 
-// subsystemOf extracts the grouping key: "asrank_pool_tasks_total" →
+// subsystemOf extracts the grouping key: "asrank_pool_steals_total" →
 // "asrank_pool".
 func subsystemOf(name string) string {
 	parts := strings.SplitN(name, "_", 3)

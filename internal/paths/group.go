@@ -12,12 +12,9 @@ type Groups struct {
 	Hops [][]uint32 // Hops[g] is group g's hop sequence; shared with a row, read-only
 }
 
-// GroupByHops groups rows by hop sequence, numbering groups in
-// first-seen row order.
-func GroupByHops(rows []Path) *Groups { return GroupByHopsFeed(rows, nil) }
-
-// GroupByHopsFeed is GroupByHops handing each group's hop sequence to
-// feed (which may be nil) as the group is born, and closing it.
+// GroupByHopsFeed groups rows by hop sequence, numbering groups in
+// first-seen row order, handing each group's hop sequence to feed
+// (which may be nil) as the group is born, and closing it.
 func GroupByHopsFeed(rows []Path, feed *Feed) *Groups {
 	seqs, of := NewSequences(), make([]int32, len(rows))
 	for i, p := range rows {
@@ -52,7 +49,7 @@ func NewFeed() *Feed {
 	return f
 }
 
-// intern is the step GroupByHops and Sanitize share: seqs.Intern, with
+// intern is the step GroupByHopsFeed and Sanitize share: seqs.Intern, with
 // the table — which nothing is released from, so its hops by id are the
 // groups — published at every feedBatch-th birth.
 func (f *Feed) intern(seqs *Sequences, hops []uint32, scratch bool) int32 {

@@ -13,12 +13,11 @@ var (
 
 // Sanitization metrics, recorded into the process-global registry on
 // every Sanitize call. Drop reasons mirror the SanitizeStats fields so
-// the /metrics surface and the R1 experiment table agree.
+// the /metrics surface and the R1 experiment table agree; the paths fed
+// in are kept + Σ dropped, as SanitizeStats.Input is.
 var (
 	sanDuration = obs.Default().Histogram("asrank_sanitize_duration_seconds",
 		"Wall time of one Sanitize pass over a path corpus.", obs.DurationBuckets)
-	sanInput = obs.Default().Counter("asrank_sanitize_paths_input_total",
-		"Paths fed into sanitization.")
 	sanKept = obs.Default().Counter("asrank_sanitize_paths_kept_total",
 		"Paths surviving sanitization.")
 	sanDropped = obs.Default().CounterVec("asrank_sanitize_paths_dropped_total",
@@ -29,7 +28,6 @@ var (
 
 // record publishes one pass's counts.
 func (st SanitizeStats) record() {
-	sanInput.Add(uint64(st.Input))
 	sanKept.Add(uint64(st.Kept))
 	sanDropped.With("reserved").Add(uint64(st.ReservedDiscarded))
 	sanDropped.With("loop").Add(uint64(st.LoopDiscarded))

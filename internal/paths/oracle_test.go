@@ -465,8 +465,8 @@ func TestSanitizeMatchesOracle(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: rows differ from the oracle's\n got %+v\nwant %+v", seed, got.Paths, want.Paths)
 		}
-		if again := GroupByHops(got.Paths); !reflect.DeepEqual(groups, again) {
-			t.Fatalf("seed %d: Sanitize's grouping %+v, GroupByHops of its output %+v", seed, groups, again)
+		if again := GroupByHopsFeed(got.Paths, nil); !reflect.DeepEqual(groups, again) {
+			t.Fatalf("seed %d: Sanitize's grouping %+v, GroupByHopsFeed of its output %+v", seed, groups, again)
 		}
 		for i, p := range got.Paths {
 			if unsafe.SliceData(p.ASNs) != unsafe.SliceData(groups.Hops[groups.Of[i]]) {

@@ -49,8 +49,8 @@ func Sanitize(ds *Dataset, opts SanitizeOptions) (*Dataset, SanitizeStats) {
 // SanitizeCtx is Sanitize with a context for tracing: when ctx carries
 // a span, the pass records a "paths.sanitize" span with input/kept
 // counts as attributes. It also returns the grouping of the output rows
-// by hop sequence — equal to GroupByHops(out.Paths), which the interning
-// has already computed.
+// by hop sequence — equal to GroupByHopsFeed(out.Paths, nil), which the
+// interning has already computed.
 func SanitizeCtx(ctx context.Context, ds *Dataset, opts SanitizeOptions) (*Dataset, SanitizeStats, *Groups) {
 	return SanitizeFeed(ctx, ds, opts, nil)
 }

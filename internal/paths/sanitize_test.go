@@ -85,7 +85,7 @@ func TestSanitizeParallelDeterministic(t *testing.T) {
 }
 
 // diffSanitize fails unless Sanitize and the per-row oracle agree on ds:
-// rows and their order, stats, and a grouping equal to GroupByHops of
+// rows and their order, stats, and a grouping equal to GroupByHopsFeed of
 // the output.
 func diffSanitize(t *testing.T, ds *Dataset, opts SanitizeOptions) (*Dataset, SanitizeStats) {
 	t.Helper()
@@ -97,8 +97,8 @@ func diffSanitize(t *testing.T, ds *Dataset, opts SanitizeOptions) (*Dataset, Sa
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("rows differ from the oracle's\n got %+v\nwant %+v", got.Paths, want.Paths)
 	}
-	if again := GroupByHops(got.Paths); !reflect.DeepEqual(groups, again) {
-		t.Fatalf("Sanitize's grouping %+v, GroupByHops of its output %+v", groups, again)
+	if again := GroupByHopsFeed(got.Paths, nil); !reflect.DeepEqual(groups, again) {
+		t.Fatalf("Sanitize's grouping %+v, GroupByHopsFeed of its output %+v", groups, again)
 	}
 	return got, gotStats
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // Sequences interns hop sequences under dense ids — the one sequence
-// table of the pipeline (Sanitize, GroupByHops, the MRT producers and
+// table of the pipeline (Sanitize, GroupByHopsFeed, the MRT producers and
 // stream.Engine all number sequences here). A released id goes to the
 // next new sequence, so ids stay dense under churn. Not safe for
 // concurrent use.

@@ -4,11 +4,11 @@
 // can be merged in a fixed order regardless of scheduling.
 //
 // Every task execution is instrumented into the default obs registry:
-// asrank_pool_tasks_total (by scheduling mode), asrank_pool_steals_total
-// (chunks a worker claimed beyond its first), asrank_pool_queue_depth
-// (unclaimed chunks across running Chunks calls, approximate when calls
-// overlap), and asrank_pool_task_duration_seconds, whose _sum is total
-// worker-busy time.
+// asrank_pool_task_duration_seconds (by scheduling mode), whose _count
+// is the tasks executed and whose _sum is total worker-busy time,
+// asrank_pool_steals_total (chunks a worker claimed beyond its first),
+// and asrank_pool_queue_depth (unclaimed chunks across running Chunks
+// calls, approximate when calls overlap).
 //
 // The Ctx variants additionally carry a context into each task: when it
 // holds a trace span, every shard or chunk executes under a child
@@ -29,17 +29,15 @@ import (
 )
 
 var (
-	poolTasks = obs.Default().CounterVec("asrank_pool_tasks_total",
-		"Tasks executed by the worker pool, by scheduling mode.", "mode")
+	poolTasks = obs.Default().HistogramVec("asrank_pool_task_duration_seconds",
+		"Wall time spent inside one pool task (shard or chunk), by scheduling mode; the _count is the tasks executed, the _sum total worker-busy seconds.",
+		obs.DurationBuckets, "mode")
 	poolRangeTasks = poolTasks.With("range")
 	poolChunkTasks = poolTasks.With("chunks")
 	poolSteals     = obs.Default().Counter("asrank_pool_steals_total",
 		"Chunks a worker claimed beyond its first — work moved between workers by the stealing scheduler.")
 	poolQueueDepth = obs.Default().Gauge("asrank_pool_queue_depth",
 		"Chunks not yet claimed across currently running Chunks calls.")
-	poolBusy = obs.Default().Histogram("asrank_pool_task_duration_seconds",
-		"Wall time spent inside one pool task (shard or chunk); the _sum is total worker-busy seconds.",
-		obs.DurationBuckets)
 )
 
 // Resolve normalizes a Workers option: values <= 0 select
@@ -79,8 +77,7 @@ func RangeCtx(ctx context.Context, workers, n int, fn func(ctx context.Context, 
 			span.SetAttrInt("hi", int64(hi))
 		}
 		fn(tctx, shard, lo, hi)
-		ph.End(poolBusy, nil)
-		poolRangeTasks.Inc()
+		ph.End(poolRangeTasks, nil)
 	}
 	if workers <= 1 {
 		if n > 0 {
@@ -132,12 +129,11 @@ func ChunksCtx(ctx context.Context, workers, n, chunk int, fn func(ctx context.C
 			span.SetAttrInt("hi", int64(hi))
 		}
 		fn(tctx, lo, hi)
-		ph.End(poolBusy, nil)
+		ph.End(poolChunkTasks, nil)
 	}
 	if workers <= 1 {
 		if n > 0 {
 			run(0, n)
-			poolChunkTasks.Inc()
 		}
 		return
 	}
@@ -162,7 +158,6 @@ func ChunksCtx(ctx context.Context, workers, n, chunk int, fn func(ctx context.C
 				run(lo, hi)
 				executed++
 			}
-			poolChunkTasks.Add(uint64(executed))
 			if executed > 1 {
 				poolSteals.Add(uint64(executed - 1))
 			}

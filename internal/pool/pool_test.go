@@ -49,7 +49,7 @@ func TestRangeShardIDsAreStable(t *testing.T) {
 // acceptance gate for the atomic instrumentation: it must pass under
 // go test -race (the make check target).
 func TestMetricsRecordedAndRaceWithGather(t *testing.T) {
-	tasksBefore := poolChunkTasks.Value() + poolRangeTasks.Value()
+	tasksBefore := poolChunkTasks.Count() + poolRangeTasks.Count()
 
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -84,7 +84,7 @@ func TestMetricsRecordedAndRaceWithGather(t *testing.T) {
 	wg.Wait()
 	<-done
 
-	if got := poolChunkTasks.Value() + poolRangeTasks.Value(); got <= tasksBefore {
+	if got := poolChunkTasks.Count() + poolRangeTasks.Count(); got <= tasksBefore {
 		t.Errorf("pool task counter did not advance: %d -> %d", tasksBefore, got)
 	}
 	if errs := obs.Lint(obs.Default().Expose()); len(errs) != 0 {

@@ -52,7 +52,7 @@ func TestDifferentialStreamVsBatch(t *testing.T) {
 			sched := NewSchedule(seed, base, 4, 15)
 			opts := stream.Options{Journal: oplog.New(oplog.Options{RingSize: 64})}
 			eng := stream.New(opts)
-			_, st, err := RunScheduleOn(context.Background(), eng, sched, opts)
+			_, st, err := RunScheduleOn(context.Background(), eng, sched)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,7 +162,7 @@ func TestRowIdentityIsSanitizes(t *testing.T) {
 	}}
 	opts := stream.Options{Journal: oplog.New(oplog.Options{})}
 	eng := stream.New(opts)
-	if _, _, err := RunScheduleOn(context.Background(), eng, sched, opts); err != nil {
+	if _, _, err := RunScheduleOn(context.Background(), eng, sched); err != nil {
 		t.Fatal(err)
 	}
 	var rows, routes []int
@@ -186,7 +186,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 	var ref []string
 	for _, workers := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(workers)
-		etags, _, err := RunSchedule(context.Background(), sched, stream.Options{})
+		etags, _, err := RunScheduleOn(context.Background(), stream.New(stream.Options{}), sched)
 		if err != nil {
 			t.Fatalf("GOMAXPROCS=%d: %v", workers, err)
 		}

@@ -44,7 +44,7 @@ func TestCommitReportsMatchStats(t *testing.T) {
 	opts := stream.Options{Journal: journal}
 	eng := stream.New(opts)
 	sched := NewSchedule(7, baseCorpus(), 6, 20)
-	etags, _, err := RunScheduleOn(context.Background(), eng, sched, opts)
+	etags, _, err := RunScheduleOn(context.Background(), eng, sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestStatsCompleteness(t *testing.T) {
 	opts := stream.Options{}
 	eng := stream.New(opts)
 	sched := NewSchedule(11, baseCorpus(), 6, 20)
-	if _, _, err := RunScheduleOn(context.Background(), eng, sched, opts); err != nil {
+	if _, _, err := RunScheduleOn(context.Background(), eng, sched); err != nil {
 		t.Fatal(err)
 	}
 	st := eng.Stats()

@@ -286,21 +286,14 @@ func applyBoth(eng *stream.Engine, m Mirror, ev Event) {
 	}
 }
 
-// RunSchedule drives one schedule through a fresh engine and, at every
-// epoch boundary, through the batch reference, asserting equivalence
-// with EquivCheck. It returns the per-epoch serving ETags and the
-// engine's final stats; a non-nil error names the first divergent
-// epoch and column.
-func RunSchedule(ctx context.Context, sched *Schedule, opts stream.Options) ([]string, stream.Stats, error) {
-	return RunScheduleOn(ctx, stream.New(opts), sched, opts)
-}
-
-// RunScheduleOn is RunSchedule against a caller-owned engine, so tests
-// can inspect engine state the differential run leaves behind (commit
-// reports, stats) or continue driving the same engine afterwards. opts
-// must match the options the engine was built with — the batch
-// reference derives its pipeline configuration from them.
-func RunScheduleOn(ctx context.Context, eng *stream.Engine, sched *Schedule, opts stream.Options) ([]string, stream.Stats, error) {
+// RunScheduleOn drives one schedule through eng and, at every epoch
+// boundary, through the batch reference, asserting equivalence with
+// EquivCheck. It returns the per-epoch serving ETags and the engine's
+// final stats; a non-nil error names the first divergent epoch and
+// column. The engine is the caller's, so tests can inspect the state
+// the differential run leaves behind (commit reports, stats) or go on
+// driving it afterwards.
+func RunScheduleOn(ctx context.Context, eng *stream.Engine, sched *Schedule) ([]string, stream.Stats, error) {
 	mirror := make(Mirror)
 	etags := make([]string, 0, len(sched.Epochs))
 	for ep, evs := range sched.Epochs {
@@ -308,7 +301,7 @@ func RunScheduleOn(ctx context.Context, eng *stream.Engine, sched *Schedule, opt
 			applyBoth(eng, mirror, ev)
 		}
 		inc := eng.Commit(ctx)
-		batch := BatchReference(mirror, opts)
+		batch := BatchReference(mirror, stream.Options{})
 		if err := EquivCheck(inc, batch); err != nil {
 			return etags, eng.Stats(), fmt.Errorf("epoch %d (seed %d): %w", ep, sched.Seed, err)
 		}

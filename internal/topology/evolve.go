@@ -14,33 +14,24 @@ type EvolveParams struct {
 	// Snapshots is the number of snapshots to produce (including the
 	// initial topology).
 	Snapshots int
-	// GrowthPerSnapshot is the fraction of new ASes added each step,
-	// relative to the current size.
-	GrowthPerSnapshot float64
-	// PeeringGrowth is the number of new peering links added per step,
-	// as a fraction of current link count.
-	PeeringGrowth float64
 	// CliquePromotions is the total number of transit ASes promoted to
 	// the clique across the series.
 	CliquePromotions int
-	// ProviderChurn is the fraction of stubs that switch one provider
-	// each step.
-	ProviderChurn float64
 }
 
+// Each step of a series grows the previous snapshot by these fractions.
+// Peering links are added faster than the AS population grows,
+// reproducing the flattening trend of the paper's study window.
+const (
+	growthPerSnapshot = 0.08 // new ASes, relative to the current size
+	peeringGrowth     = 0.10 // new peering links, relative to the current link count
+	providerChurn     = 0.02 // stubs that switch one provider
+)
+
 // DefaultEvolveParams returns the series parameters used by the
-// longitudinal experiments: 16 snapshots, ~8% AS growth and densifying
-// peering per step.
+// longitudinal experiments: 16 snapshots and 4 clique promotions.
 func DefaultEvolveParams() EvolveParams {
-	return EvolveParams{
-		Snapshots:         16,
-		GrowthPerSnapshot: 0.08,
-		// Peering links are added faster than the AS population grows,
-		// reproducing the flattening trend of the paper's study window.
-		PeeringGrowth:    0.10,
-		CliquePromotions: 4,
-		ProviderChurn:    0.02,
-	}
+	return EvolveParams{Snapshots: 16, CliquePromotions: 4}
 }
 
 // Clone deep-copies a topology.
@@ -83,9 +74,9 @@ func GenerateSeries(p Params, e EvolveParams) []*Topology {
 		next := cur.Clone()
 		ev := &evolver{topo: next, rng: rng.Split(int64(i)), params: p}
 		ev.index()
-		ev.grow(e.GrowthPerSnapshot)
-		ev.densifyPeering(e.PeeringGrowth)
-		ev.churnProviders(e.ProviderChurn)
+		ev.grow()
+		ev.densifyPeering()
+		ev.churnProviders()
 		if promotionsLeft > 0 && i%(max(1, e.Snapshots/max(1, e.CliquePromotions))) == 0 {
 			if ev.promoteToClique() {
 				promotionsLeft--
@@ -166,8 +157,8 @@ func (e *evolver) pickProviders(candidates []uint32, region, n int) []uint32 {
 
 // grow adds new ASes: mostly stubs, some transit and content, matching
 // the historical mix.
-func (e *evolver) grow(frac float64) {
-	n := int(float64(e.topo.NumASes()) * frac)
+func (e *evolver) grow() {
+	n := int(float64(e.topo.NumASes()) * growthPerSnapshot)
 	for i := 0; i < n; i++ {
 		region := e.rng.Intn(max(1, e.params.Regions))
 		r := e.rng.Float64()
@@ -206,8 +197,8 @@ func (e *evolver) grow(frac float64) {
 
 // densifyPeering adds peering links between transit/content ASes,
 // modeling the flattening of the hierarchy over time.
-func (e *evolver) densifyPeering(frac float64) {
-	n := int(float64(e.topo.NumLinks()) * frac)
+func (e *evolver) densifyPeering() {
+	n := int(float64(e.topo.NumLinks()) * peeringGrowth)
 	pool := append(append([]uint32(nil), e.transits...), e.contents...)
 	if len(pool) < 2 {
 		return
@@ -227,8 +218,8 @@ func (e *evolver) densifyPeering(frac float64) {
 // churnProviders makes a fraction of stubs switch one provider,
 // preserving acyclicity by only selecting providers created earlier
 // than the customer.
-func (e *evolver) churnProviders(frac float64) {
-	n := int(float64(len(e.stubs)) * frac)
+func (e *evolver) churnProviders() {
+	n := int(float64(len(e.stubs)) * providerChurn)
 	for i := 0; i < n && len(e.transits) > 1; i++ {
 		asn := e.stubs[e.rng.Intn(len(e.stubs))]
 		a := e.topo.AS(asn)

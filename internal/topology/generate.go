@@ -42,10 +42,10 @@ type Params struct {
 	// ProviderlessContentFrac is the fraction of content networks with
 	// no providers at all (reachable only via peering).
 	ProviderlessContentFrac float64
-
-	// MaxPrefixes bounds the per-AS prefix count.
-	MaxPrefixes int
 }
+
+// maxPrefixes scales the per-class bound on an AS's prefix count.
+const maxPrefixes = 48
 
 // DefaultParams returns the baseline parameters used by the experiments.
 func DefaultParams(seed int64) Params {
@@ -61,7 +61,6 @@ func DefaultParams(seed int64) Params {
 		IXPPeerProb:             0.35,
 		ContentPeerFrac:         0.35,
 		ProviderlessContentFrac: 0.4,
-		MaxPrefixes:             48,
 	}
 }
 
@@ -278,11 +277,11 @@ func (g *generator) assignPrefixes() {
 		var count int
 		switch a.Class {
 		case ClassTier1:
-			count = g.rng.Pareto(1.8, 8, 2*g.p.MaxPrefixes)
+			count = g.rng.Pareto(1.8, 8, 2*maxPrefixes)
 		case ClassTransit:
-			count = g.rng.Pareto(1.8, 2, g.p.MaxPrefixes)
+			count = g.rng.Pareto(1.8, 2, maxPrefixes)
 		case ClassContent:
-			count = g.rng.Pareto(1.5, 4, 4*g.p.MaxPrefixes)
+			count = g.rng.Pareto(1.5, 4, 4*maxPrefixes)
 		default:
 			count = 1 + g.rng.Geometric(0.6)
 		}

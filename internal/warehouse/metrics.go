@@ -12,7 +12,6 @@ var segmentByteBuckets = []float64{
 // Metrics is the warehouse's instrumentation surface. All series
 // follow the house grammar: asrank_warehouse_<what>[_total|_seconds|_bytes].
 type Metrics struct {
-	appends       *obs.Counter
 	appendSeconds *obs.Histogram
 	decodeSeconds *obs.Histogram
 	segmentBytes  *obs.Histogram
@@ -29,14 +28,12 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		return nil
 	}
 	return &Metrics{
-		appends: reg.Counter("asrank_warehouse_appends_total",
-			"Epochs appended to the warehouse since process start."),
 		appendSeconds: reg.Histogram("asrank_warehouse_append_seconds",
 			"Wall time to encode, write, and publish one epoch.", obs.DurationBuckets),
 		decodeSeconds: reg.Histogram("asrank_warehouse_decode_seconds",
 			"Wall time to materialize one snapshot from its segment chain.", obs.DurationBuckets),
 		segmentBytes: reg.Histogram("asrank_warehouse_segment_bytes",
-			"On-disk size of appended segments (full and delta).", segmentByteBuckets),
+			"On-disk size of appended segments (full and delta); the _count is the epochs appended since process start.", segmentByteBuckets),
 		epochs: reg.Gauge("asrank_warehouse_epochs_live",
 			"Epochs currently readable from the store."),
 		storeBytes: reg.Gauge("asrank_warehouse_store_bytes",
@@ -50,7 +47,6 @@ func (m *Metrics) observeAppend(bytes int) {
 	if m == nil {
 		return
 	}
-	m.appends.Inc()
 	m.segmentBytes.Observe(float64(bytes))
 }
 

@@ -82,10 +82,8 @@ func (s *Snapshot) setConeSizes(sizes []int32) {
 }
 
 // FromResult converts an inference result into its columnar snapshot:
-// the same cone product and per-AS aggregates the API snapshot builder
-// consumed before the warehouse existed, so apiserver.Build(res) and
-// apiserver.BuildSnapshot(FromResult(res)) serve byte-identical
-// responses. Deterministic at any worker count (the cone engine
+// the cone product and per-AS aggregates apiserver.BuildSnapshot
+// serves. Deterministic at any worker count (the cone engine
 // guarantees it; everything else is sorted). The cone
 // product and the prefix counts only read res, so they are two tasks of
 // one pool call: the serial prefix count runs beside the cone crediting
