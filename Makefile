@@ -121,12 +121,15 @@ trace-demo:
 # `go test -cover` says what the tests reach. Builds every cmd/ binary
 # and the benchmark with -cover -coverpkg=./..., runs a fixed program
 # set — every benchmark workload for 3 s, untraced and traced;
-# cmd/experiments; the trace-demo pipeline, chaos replay included; the
-# examples through `go run -cover` — then prints `go tool covdata
+# cmd/experiments; the trace-demo pipeline, chaos replay included;
+# asrankd over the pipeline's corpus with a warehouse, its debug
+# listener and a streaming collector fed by one more bgpsim replay,
+# every API, health and debug route fetched once (/metrics in both
+# exposition formats), then SIGINT so it drains and writes its data;
+# the examples through `go run -cover` — then prints `go tool covdata
 # percent`, the total, and every function no program ran (0.0 %, also
-# written to zero.txt). asrankd is left out: it serves until signalled,
-# and a listener the set would have to drive is not a fixed program
-# run. A program that exits non-zero is reported and the pass goes on.
+# written to zero.txt). A program that exits non-zero, or a route that
+# cannot be fetched, is reported and the pass goes on.
 # COVERDIR keeps the build, raw data and listings (default: a temp dir).
 COVERDIR ?=
 
@@ -142,6 +145,21 @@ cover-programs:
 	run "$$b/bgpsim" -topo "$$r/topo.txt" -vps 8 -seed 42 -o "$$r/paths.txt" -trace "$$r/bgpsim-trace.json"; \
 	"$$b/collector" -listen 127.0.0.1:17911 -paths "$$r/collected.txt" 2> "$$r/collector.log" & pid=$$!; sleep 1; \
 	run "$$b/bgpsim" -topo "$$r/topo.txt" -vps 8 -seed 42 -replay 127.0.0.1:17911 -chaos-seed 42 -retries 16 -trace "$$r/replay-trace.json"; \
+	kill -INT $$pid; wait $$pid; \
+	"$$b/asrankd" -paths "$$r/paths.txt" -warehouse "$$r/wh" -listen 127.0.0.1:18921 \
+		-debug-listen 127.0.0.1:16921 -stream-listen 127.0.0.1:17921 -epoch-interval 1s \
+		2> "$$r/asrankd.log" & pid=$$!; sleep 2; \
+	run "$$b/bgpsim" -topo "$$r/topo.txt" -vps 6 -seed 43 -replay 127.0.0.1:17921 -retries 16; sleep 2; \
+	get() { curl -sf -o /dev/null "$$@" || echo "cover-programs: GET $$* failed"; }; \
+	api=http://127.0.0.1:18921; dbg=http://127.0.0.1:16921; \
+	asn=$$(curl -s "$$api/api/v1/clique" | grep -oE '"asn":[0-9]+' | head -n 1 | cut -d: -f2); \
+	for u in api/v1/health api/v1/clique api/v1/asns "api/v1/asns?limit=5&offset=5&pretty" "api/v1/asns?ids=$$asn,1" \
+		api/v1/asns/$$asn api/v1/asns/$$asn/links api/v1/asns/$$asn/cone api/v1/asns/$$asn/cone/contains/$$asn \
+		api/v1/epochs api/v1/asns/$$asn/history "api/v1/diff?from=0&to=1" healthz readyz; do get "$$api/$$u"; done; \
+	for u in metrics debug/pprof/ debug/pprof/cmdline debug/pprof/symbol "debug/pprof/profile?seconds=1" \
+		"debug/pprof/trace?seconds=1" "debug/trace?sec=1" debug/flight "debug/flight?format=tree" \
+		debug/oplog "debug/oplog?format=json" debug/epochs; do get "$$dbg/$$u"; done; \
+	get -H 'Accept: application/openmetrics-text; version=1.0.0' "$$dbg/metrics"; \
 	kill -INT $$pid; wait $$pid; \
 	run "$$b/asrank" -paths "$$r/paths.txt" -o "$$r/rels.txt" -trace "$$r/asrank-trace.json"; \
 	run "$$b/ascone" -paths "$$r/paths.txt" -method pp -ppdc "$$r/ppdc.txt" -trace "$$r/ascone-trace.json"; \

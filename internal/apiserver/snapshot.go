@@ -30,8 +30,7 @@ type Data struct {
 
 	rankPos []int32 // rank index → interned position (AS Rank order, best first)
 
-	summaries   []asnSummary // by interned position
-	summaryJSON [][]byte     // by interned position, compact, newline-free
+	summaryJSON [][]byte // by interned position, compact, newline-free
 	links       [][]linkEntry
 	clique      []uint32 // never nil
 
@@ -71,18 +70,26 @@ func BuildSnapshot(snap *warehouse.Snapshot) *Data {
 	// endpoints' rows. The column is sorted by (A, B) with A < B, so
 	// each row comes out ascending: AS x receives its smaller neighbors
 	// from the links (n, x) as A ascends to x, then its larger ones from
-	// the run of links (x, m).
+	// the run of links (x, m). The same pass counts each AS's
+	// providers, customers and peers.
 	links := make([][]linkEntry, n)
+	roles := make([]roleCounts, n)
 	for _, l := range snap.Links {
 		step := l.Step.String()
 		var roleB, roleA string // role of the neighbor, relative to the queried AS
 		switch l.Rel {
 		case topology.P2C:
 			roleB, roleA = "customer", "provider"
+			roles[l.A].customers++
+			roles[l.B].providers++
 		case topology.C2P:
 			roleB, roleA = "provider", "customer"
+			roles[l.A].providers++
+			roles[l.B].customers++
 		case topology.P2P:
 			roleB, roleA = "peer", "peer"
+			roles[l.A].peers++
+			roles[l.B].peers++
 		default:
 			continue
 		}
@@ -99,42 +106,27 @@ func BuildSnapshot(snap *warehouse.Snapshot) *Data {
 		cliqueSet[m] = true
 	}
 
+	// Pre-serialize every summary (compact); the bytes are all the
+	// snapshot keeps of it. ~100 B per AS; the whole slab for an 80k-AS
+	// Internet is a few MB — cheap insurance that point lookups never
+	// touch the encoder.
 	coneASes := snap.ConeSizes()
-	summaries := make([]asnSummary, n)
-	for i := 0; i < n; i++ {
-		var prov, cust, peer int
-		for _, l := range links[i] {
-			switch l.Relationship {
-			case "provider":
-				prov++
-			case "customer":
-				cust++
-			case "peer":
-				peer++
-			}
-		}
-		asn := snap.ASNs[i]
-		summaries[i] = asnSummary{
-			ASN:           asn,
-			Rank:          rankOf[i],
-			ConeASes:      int(coneASes[i]),
-			ConePrefixes:  int(snap.ConePrefixes[i]),
-			TransitDegree: int(snap.TransitDegree[i]),
-			Degree:        int(snap.Degree[i]),
-			Providers:     prov,
-			Customers:     cust,
-			Peers:         peer,
-			InClique:      cliqueSet[asn],
-		}
-	}
-
-	// Pre-serialize every summary (compact). ~100 B per AS; the whole
-	// slab for an 80k-AS Internet is a few MB — cheap insurance that
-	// point lookups never touch the encoder.
 	summaryJSON := make([][]byte, n)
 	pool.Chunks(0, n, 256, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			b, err := json.Marshal(summaries[i])
+			asn := snap.ASNs[i]
+			b, err := json.Marshal(asnSummary{
+				ASN:           asn,
+				Rank:          rankOf[i],
+				ConeASes:      int(coneASes[i]),
+				ConePrefixes:  int(snap.ConePrefixes[i]),
+				TransitDegree: int(snap.TransitDegree[i]),
+				Degree:        int(snap.Degree[i]),
+				Providers:     roles[i].providers,
+				Customers:     roles[i].customers,
+				Peers:         roles[i].peers,
+				InClique:      cliqueSet[asn],
+			})
 			if err != nil { // asnSummary is plain ints/bools; cannot fail
 				panic("apiserver: summary marshal: " + err.Error())
 			}
@@ -146,7 +138,6 @@ func BuildSnapshot(snap *warehouse.Snapshot) *Data {
 		idx:         idx,
 		bits:        bits,
 		rankPos:     rankPos,
-		summaries:   summaries,
 		summaryJSON: summaryJSON,
 		links:       links,
 		clique:      clique,
@@ -158,6 +149,9 @@ func BuildSnapshot(snap *warehouse.Snapshot) *Data {
 	d.serializeHot()
 	return d
 }
+
+// roleCounts is one AS's neighbors by their role relative to it.
+type roleCounts struct{ providers, customers, peers int }
 
 // computeETag derives the snapshot's strong validator: FNV-1a over
 // every pre-serialized summary in rank order plus the clique and
@@ -252,13 +246,4 @@ func (d *Data) ConeContains(asn, member uint32) bool {
 // coneMembers returns asn's cone membership, ascending.
 func (d *Data) coneMembers(asn uint32) []uint32 {
 	return d.bits.Members(asn)
-}
-
-// Summary returns one AS's precomputed summary and whether it exists.
-func (d *Data) Summary(asn uint32) (asnSummary, bool) {
-	p, ok := d.idx.Pos(asn)
-	if !ok {
-		return asnSummary{}, false
-	}
-	return d.summaries[p], true
 }

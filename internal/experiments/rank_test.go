@@ -2,12 +2,15 @@ package experiments
 
 import (
 	"cmp"
+	"encoding/json"
+	"net/http/httptest"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"github.com/asrank-go/asrank/internal/apiserver"
+	"github.com/asrank-go/asrank/internal/obs"
 	"github.com/asrank-go/asrank/internal/topology"
 	"github.com/asrank-go/asrank/internal/warehouse"
 )
@@ -54,6 +57,20 @@ func referenceRanks(sizes, transitDegree []int32) []int {
 	return ranks
 }
 
+// servedRank is the rank /api/v1/asns/{asn} serves for asn.
+func servedRank(t *testing.T, live *apiserver.Live, asn uint32) int {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	live.ServeHTTP(rec, httptest.NewRequest("GET", "/api/v1/asns/"+strconv.FormatUint(uint64(asn), 10), nil))
+	var sum struct {
+		Rank int `json:"rank"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &sum); rec.Code != 200 || err != nil {
+		t.Fatalf("AS%d: status %d, %v: %s", asn, rec.Code, err, rec.Body)
+	}
+	return sum.Rank
+}
+
 // TestRankReadersAgreeOnTies: over epochs whose cone-size ties only
 // transit degree breaks, every reader of an epoch's rank — the served
 // summary, History before and after a reopen, and R9's trajectory table
@@ -94,12 +111,13 @@ func TestRankReadersAgreeOnTies(t *testing.T) {
 		}
 	}
 
+	live := apiserver.NewLive(nil, apiserver.Config{Registry: obs.NewRegistry()})
 	for e, s := range snaps {
-		d := apiserver.BuildSnapshot(s)
+		live.Swap(apiserver.BuildSnapshot(s))
 		for p, asn := range s.ASNs {
 			w := want[e][p]
-			if sum, ok := d.Summary(asn); !ok || sum.Rank != w {
-				t.Errorf("epoch %d AS%d: summary rank %d, want %d", e, asn, sum.Rank, w)
+			if got := servedRank(t, live, asn); got != w {
+				t.Errorf("epoch %d AS%d: summary rank %d, want %d", e, asn, got, w)
 			}
 			for name, h := range map[string]*warehouse.History{"appended": st.History(), "reopened": re.History()} {
 				if got := h.ASN(asn)[e].Rank; int(got) != w {

@@ -3,22 +3,26 @@ package warehouse
 import (
 	"cmp"
 	"fmt"
-	"hash/fnv"
 	"slices"
 	"sort"
+	"strconv"
 
 	"github.com/asrank-go/asrank/internal/cone"
 	"github.com/asrank-go/asrank/internal/topology"
 )
 
 // History is the immutable in-memory time-travel index the API layer
-// serves from: per-epoch rank/degree/cone columns plus the
+// serves from, and the store's one list of its epochs: the manifest
+// entries, per-epoch rank/degree/cone columns plus the
 // relationship-change list against each epoch's predecessor. Each
-// Append publishes a new History value (sharing all prior per-epoch
-// data), so readers never observe a half-extended index.
+// Append publishes a new History value whose epochs and series arrays
+// are its predecessor's, grown in place by one entry; every published
+// value keeps its own length, so none ever sees an entry appended after
+// it, and readers never observe a half-extended index.
 type History struct {
 	epochs []EpochInfo
 	series []epochSeries
+	chain  uint64 // running FNV-1a state over every epoch's "id:hash;"
 	etag   string
 }
 
@@ -45,8 +49,11 @@ type RelChange struct {
 	Step string                `json:"step,omitempty"`
 }
 
+// The chain ETag's hash is 64-bit FNV-1a, kept as a running state.
+const fnvOffset64, fnvPrime64 = 14695981039346656037, 1099511628211
+
 func newHistory() *History {
-	return &History{etag: chainETag(nil)}
+	return &History{chain: fnvOffset64, etag: chainTag(fnvOffset64)}
 }
 
 // extend returns a new History with snap appended as epoch info.ID.
@@ -55,6 +62,12 @@ func newHistory() *History {
 // relationship-change list against the preceding epoch (nil for the
 // first). The series keeps snap's columns, coneASes and changes, none of
 // which may be written afterwards.
+//
+// The new History appends to h's arrays rather than copying them, so
+// only the latest History may be extended, and only by its store: under
+// the store's write lock, or inside Open before the store is shared. A
+// History extended but never published (a manifest write failed) is
+// dropped, and the next extend of h writes over the slot it used.
 func (h *History) extend(info EpochInfo, snap *Snapshot, coneASes []int32, changes []RelChange) *History {
 	rank := cone.RankPositions(coneASes, snap.TransitDegree)
 	s := epochSeries{
@@ -70,9 +83,13 @@ func (h *History) extend(info EpochInfo, snap *Snapshot, coneASes []int32, chang
 		s.rankOf[p] = int32(r) + 1
 	}
 
-	epochs := append(append([]EpochInfo(nil), h.epochs...), info)
-	series := append(append([]epochSeries(nil), h.series...), s)
-	return &History{epochs: epochs, series: series, etag: chainETag(epochs)}
+	chain := chainStep(h.chain, info)
+	return &History{
+		epochs: append(h.epochs, info),
+		series: append(h.series, s),
+		chain:  chain,
+		etag:   chainTag(chain),
+	}
 }
 
 // relChanges renders the link diff between consecutive snapshots in
@@ -116,16 +133,22 @@ func posOf(asns []uint32, asn uint32) (int32, bool) {
 	return 0, false
 }
 
-// chainETag derives the strong ETag the time-travel routes serve
-// under: a hash over every epoch's (id, content hash) pair, so any
+// chainStep folds one epoch's "id:hash;" into the running FNV-1a state
+// of the chain ETag: the strong ETag the time-travel routes serve under,
+// a hash over every epoch's (id, content hash) pair in order, so any
 // append or recovery truncation changes it.
-func chainETag(epochs []EpochInfo) string {
-	h := fnv.New64a()
-	for _, e := range epochs {
-		fmt.Fprintf(h, "%d:%s;", e.ID, e.Hash)
+func chainStep(h uint64, e EpochInfo) uint64 {
+	var buf [64]byte
+	b := strconv.AppendUint(buf[:0], uint64(e.ID), 10)
+	b = append(append(append(b, ':'), e.Hash...), ';')
+	for _, c := range b {
+		h = (h ^ uint64(c)) * fnvPrime64
 	}
-	return fmt.Sprintf("\"wh-%016x\"", h.Sum64())
+	return h
 }
+
+// chainTag renders a chain hash state as the quoted ETag.
+func chainTag(h uint64) string { return fmt.Sprintf("\"wh-%016x\"", h) }
 
 // ETag returns the chain ETag over all epochs in this History.
 func (h *History) ETag() string { return h.etag }
@@ -134,8 +157,10 @@ func (h *History) ETag() string { return h.etag }
 func (h *History) Len() int { return len(h.epochs) }
 
 // Epochs returns the indexed manifest entries, oldest first (shared;
-// callers must not modify).
-func (h *History) Epochs() []EpochInfo { return h.epochs }
+// callers must not modify). Its capacity is its length: the array
+// behind it is the one the store appends its next epoch to, and a
+// caller's append must copy rather than write there.
+func (h *History) Epochs() []EpochInfo { return slices.Clip(h.epochs) }
 
 // ASNEpoch is one epoch's view of one AS, as served by
 // /asns/{asn}/history.

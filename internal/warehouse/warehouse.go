@@ -78,11 +78,9 @@ type Store struct {
 
 	mu sync.RWMutex
 	//asrank:guardedby mu
-	epochs []EpochInfo
-	//asrank:guardedby mu
 	last *Snapshot // latest epoch, decoded — the delta base for the next Append
 	//asrank:guardedby mu
-	hist *History
+	hist *History // the readable epochs: the store's only list of them
 }
 
 // Open opens (or creates) a warehouse at dir and validates every epoch
@@ -139,7 +137,6 @@ func Open(dir string, opts Options) (*Store, error) {
 			span.SetAttr("recovery_error", err.Error())
 			break
 		}
-		st.epochs = append(st.epochs, info)
 		st.hist = st.hist.extend(info, rp.cur, slices.Clone(rp.sizes), relChanges(prev, rp.cur, diffLinks(prev, rp.cur)))
 	}
 	if rp.cur != nil {
@@ -148,8 +145,8 @@ func Open(dir string, opts Options) (*Store, error) {
 		st.last = rp.snapshot()
 	}
 	st.metrics.addTruncations(dropped)
-	st.metrics.setLive(len(st.epochs), st.totalBytesLocked())
-	span.SetAttrInt("epochs", int64(len(st.epochs)))
+	st.metrics.setLive(st.hist.Len(), st.totalBytesLocked())
+	span.SetAttrInt("epochs", int64(st.hist.Len()))
 	span.SetAttrInt("dropped", int64(dropped))
 	_ = ctx
 	return st, nil
@@ -229,12 +226,12 @@ func kindName(kind byte) string {
 
 // Append persists snap as the next epoch and publishes it to readers
 // atomically: the segment file is written and synced first, the
-// manifest is atomically replaced second, and the in-memory history is
-// swapped last — a crash between any two steps leaves a store that
-// reopens at the previous epoch. label names the epoch (a corpus path,
-// a date); etag optionally records the serving ETag of the snapshot so
-// the API layer can prove round-trip identity. snap must not be
-// mutated after Append.
+// manifest — written from the extended history — is atomically
+// replaced second, and that history is published last — a crash
+// between any two steps leaves a store that reopens at the previous
+// epoch. label names the epoch (a corpus path, a date); etag optionally
+// records the serving ETag of the snapshot so the API layer can prove
+// round-trip identity. snap must not be mutated after Append.
 func (st *Store) Append(snap *Snapshot, label, etag string) (EpochInfo, error) {
 	return st.AppendNote(snap, label, etag, nil)
 }
@@ -251,7 +248,7 @@ func (st *Store) AppendNote(snap *Snapshot, label, etag string, note json.RawMes
 	st.mu.Lock()
 	defer st.mu.Unlock()
 
-	id := uint32(len(st.epochs))
+	id := uint32(st.hist.Len())
 	kind := byte(kindFull)
 	base := id
 	if st.last != nil && int(id)%st.opts.CheckpointEvery != 0 {
@@ -281,17 +278,15 @@ func (st *Store) AppendNote(snap *Snapshot, label, etag string, note json.RawMes
 		ETag: etag, ASes: snap.NumASes(), Links: len(snap.Links),
 		Note: note,
 	}
-	next := append(append([]EpochInfo(nil), st.epochs...), info)
-	if err := st.writeManifest(next); err != nil {
+	next := st.hist.extend(info, snap, snap.ConeSizes(), relChanges(st.last, snap, diff))
+	if err := st.writeManifest(next.epochs); err != nil {
 		return EpochInfo{}, err
 	}
-
-	st.hist = st.hist.extend(info, snap, snap.ConeSizes(), relChanges(st.last, snap, diff))
-	st.epochs = next
+	st.hist = next
 	st.last = snap
 
 	st.metrics.observeAppend(len(img))
-	st.metrics.setLive(len(st.epochs), st.totalBytesLocked())
+	st.metrics.setLive(next.Len(), st.totalBytesLocked())
 	ph.Span.SetAttrInt("epoch", int64(id))
 	ph.Span.SetAttr("kind", info.Kind)
 	ph.Span.SetAttrInt("bytes", int64(len(img)))
@@ -341,17 +336,13 @@ func writeFileSync(path string, data []byte) error {
 
 // Len returns the number of readable epochs.
 func (st *Store) Len() int {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return len(st.epochs)
+	return st.History().Len()
 }
 
 // Epochs returns the manifest entries of all readable epochs, oldest
 // first. The slice is a copy.
 func (st *Store) Epochs() []EpochInfo {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return append([]EpochInfo(nil), st.epochs...)
+	return slices.Clone(st.History().epochs)
 }
 
 // Latest returns the most recent epoch's decoded snapshot and its
@@ -363,7 +354,7 @@ func (st *Store) Latest() (*Snapshot, EpochInfo, bool) {
 	if st.last == nil {
 		return nil, EpochInfo{}, false
 	}
-	return st.last, st.epochs[len(st.epochs)-1], true
+	return st.last, st.hist.epochs[st.hist.Len()-1], true
 }
 
 // Snapshot materializes epoch id by decoding from the nearest full
@@ -377,27 +368,23 @@ func (st *Store) Snapshot(id uint32) (*Snapshot, error) {
 	ph.Span.SetAttrInt("epoch", int64(id))
 
 	st.mu.RLock()
-	if int(id) >= len(st.epochs) {
-		n := len(st.epochs)
-		st.mu.RUnlock()
-		return nil, fmt.Errorf("warehouse: epoch %d out of range [0,%d)", id, n)
+	epochs, last := st.hist.epochs, st.last
+	st.mu.RUnlock()
+	if int(id) >= len(epochs) {
+		return nil, fmt.Errorf("warehouse: epoch %d out of range [0,%d)", id, len(epochs))
 	}
-	if st.last != nil && int(id) == len(st.epochs)-1 {
-		snap := st.last
-		st.mu.RUnlock()
-		return snap, nil
+	if int(id) == len(epochs)-1 {
+		return last, nil
 	}
 	// The chain starts where the segments say it does (loadEpoch held
 	// each entry's kind to its segment header; epoch 0 is always full),
-	// not where the manifest's cadence would put a checkpoint.
+	// not where the manifest's cadence would put a checkpoint. Decoding
+	// runs without the lock: appends never rewrite a published epoch.
 	start := id
-	for start > 0 && st.epochs[start].Kind != "full" {
+	for start > 0 && epochs[start].Kind != "full" {
 		start--
 	}
-	// Copy the chain's manifest entries so decoding runs without the
-	// lock (appends never rewrite published epochs).
-	chain := append([]EpochInfo(nil), st.epochs[start:id+1]...)
-	st.mu.RUnlock()
+	chain := epochs[start : id+1]
 
 	rp := newReplayer(chain)
 	for _, info := range chain {
@@ -427,7 +414,7 @@ func (st *Store) Dir() string { return st.dir }
 
 func (st *Store) totalBytesLocked() int64 {
 	var sum int64
-	for _, e := range st.epochs {
+	for _, e := range st.hist.epochs {
 		sum += e.Bytes
 	}
 	return sum
