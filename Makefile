@@ -58,7 +58,7 @@ size:
 			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", total }' | sort -k2
 
 # The committed results/ are what the code produces: regenerate every
-# experiment at full scale into a temp dir (~25 s) and diff it against
+# experiment at full scale into a temp dir (~10 s) and diff it against
 # the tree. A diff means a change moved a generated corpus or an
 # inference — regenerate results/ on purpose and re-read
 # EXPERIMENTS.md's shape checks, or fix the change.

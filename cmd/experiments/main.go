@@ -1,5 +1,5 @@
 // Command experiments regenerates every table and figure of the
-// paper's evaluation (R1–R12, see DESIGN.md) end to end: synthetic
+// paper's evaluation (R1–R14, see DESIGN.md) end to end: synthetic
 // topology → route propagation → sanitization → inference → cones →
 // validation.
 //
@@ -25,7 +25,7 @@ import (
 func main() {
 	def := experiments.DefaultConfig()
 	var (
-		run       = flag.String("run", "all", "comma-separated experiment IDs (R1..R12) or 'all'")
+		run       = flag.String("run", "all", "comma-separated experiment IDs (R1..R14) or 'all'")
 		seed      = flag.Int64("seed", def.Seed, "deterministic seed")
 		scale     = flag.Int("scale", def.Scale, "base topology size (ASes)")
 		vps       = flag.Int("vps", def.VPs, "vantage points")
@@ -41,17 +41,20 @@ func main() {
 	if *run != "all" {
 		ids = strings.Split(*run, ",")
 	}
+	// Resolve every ID before running any, so a typo fails at once.
+	fns := make([]func(*experiments.Lab) *experiments.Report, len(ids))
+	for i, id := range ids {
+		id = strings.TrimSpace(id)
+		if fns[i] = experiments.ByID(id); fns[i] == nil {
+			fatal(fmt.Errorf("unknown experiment %q (have %v)", id, experiments.IDs()))
+		}
+	}
 	if *out != "" {
 		if err := os.MkdirAll(*out, 0o755); err != nil {
 			fatal(err)
 		}
 	}
-	for _, id := range ids {
-		id = strings.TrimSpace(id)
-		fn := experiments.ByID(id)
-		if fn == nil {
-			fatal(fmt.Errorf("unknown experiment %q (have %v)", id, experiments.IDs()))
-		}
+	for _, fn := range fns {
 		start := time.Now()
 		rep := fn(lab)
 		elapsed := time.Since(start).Round(time.Millisecond)

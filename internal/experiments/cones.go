@@ -6,8 +6,6 @@ import (
 
 	"github.com/asrank-go/asrank/internal/bgpsim"
 	"github.com/asrank-go/asrank/internal/cone"
-	"github.com/asrank-go/asrank/internal/core"
-	"github.com/asrank-go/asrank/internal/paths"
 	"github.com/asrank-go/asrank/internal/stats"
 	"github.com/asrank-go/asrank/internal/topology"
 )
@@ -191,24 +189,20 @@ func R09RankStability(l *Lab) *Report {
 // share and mean path length over time.
 func R10Flattening(l *Lab) *Report {
 	series := l.Series()
+	snaps := l.EpochSnapshots()
 	labels := l.SeriesLabels()
 	truePeer := make([]float64, len(series))
 	inferredPeer := make([]float64, len(series))
-	pathLen := make([]float64, len(series))
 	for i, topo := range series {
 		st := topo.Stats()
 		truePeer[i] = float64(st.P2PLinks) / float64(st.Links)
-		sim := mustRun(topo, simOptsFor(l, int64(i)))
-		clean, _ := paths.Sanitize(sim.Dataset, paths.SanitizeOptions{})
-		res := core.Infer(clean, core.Options{})
 		peers := 0
-		for _, rel := range res.Rels {
-			if rel == topology.P2P {
+		for _, rec := range snaps[i].Links {
+			if rec.Rel == topology.P2P {
 				peers++
 			}
 		}
-		inferredPeer[i] = float64(peers) / float64(len(res.Rels))
-		pathLen[i] = clean.MeanPathLength()
+		inferredPeer[i] = float64(peers) / float64(len(snaps[i].Links))
 	}
 	return &Report{
 		ID:    "R10",
@@ -216,7 +210,7 @@ func R10Flattening(l *Lab) *Report {
 		Sections: []fmt.Stringer{
 			stats.Series{Label: "true p2p link share", XLabel: labels, Y: truePeer},
 			stats.Series{Label: "inferred p2p link share", XLabel: labels, Y: inferredPeer},
-			stats.Series{Label: "mean AS path length", XLabel: labels, Y: pathLen},
+			stats.Series{Label: "mean AS path length", XLabel: labels, Y: l.snapPathLen},
 		},
 	}
 }

@@ -178,8 +178,9 @@ func R06Baselines(l *Lab) *Report {
 	observed := clean.Links()
 	rng := stats.NewRNG(l.Cfg.Seed + 6)
 	seed := map[paths.Link]topology.Relationship{}
+	validated := l.Corpus().Entries()
 	for _, link := range paths.SortedLinks(observed) {
-		if e, ok := l.Corpus().Entries()[link]; ok && rng.Bool(0.5) {
+		if e, ok := validated[link]; ok && rng.Bool(0.5) {
 			seed[link] = e.Rel
 		}
 	}

@@ -1,5 +1,5 @@
 // Package experiments implements the reproduction of the paper's
-// evaluation: every table and figure (R1–R12 in DESIGN.md) is a
+// evaluation: every table and figure (R1–R14 in DESIGN.md) is a
 // function that builds its workload, runs the system, and renders a
 // plain-text table or series. The cmd/experiments binary and the
 // top-level benchmarks both drive this package.
@@ -48,8 +48,11 @@ type Lab struct {
 	res    *core.Result
 	series []*topology.Topology
 	snaps  []*warehouse.Snapshot
-	corpus *validation.Corpus
-	mrtRIB []byte
+	// snapPathLen is the mean AS path length of each series snapshot's
+	// sanitized corpus, recorded as EpochSnapshots builds it.
+	snapPathLen []float64
+	corpus      *validation.Corpus
+	mrtRIB      []byte
 }
 
 // NewLab returns a lab for the given configuration.
@@ -115,18 +118,21 @@ func (l *Lab) Series() []*topology.Topology {
 
 // EpochSnapshots returns the longitudinal inference series in columnar
 // (warehouse) form: each series topology simulated, sanitized and
-// inferred, one snapshot per topology.
+// inferred, one snapshot per topology. It is the only place the series
+// pipeline runs.
 func (l *Lab) EpochSnapshots() []*warehouse.Snapshot {
 	if l.snaps != nil {
 		return l.snaps
 	}
 	series := l.Series()
 	out := make([]*warehouse.Snapshot, len(series))
+	l.snapPathLen = make([]float64, len(series))
 	for i, topo := range series {
 		sim := mustRun(topo, simOptsFor(l, int64(i)))
 		clean, _ := paths.Sanitize(sim.Dataset, paths.SanitizeOptions{})
 		res := core.Infer(clean, core.Options{})
 		out[i] = warehouse.FromResult(res)
+		l.snapPathLen[i] = clean.MeanPathLength()
 	}
 	l.snaps = out
 	return out

@@ -2,8 +2,8 @@ package topology
 
 import (
 	"net/netip"
+	"slices"
 
-	"github.com/asrank-go/asrank/internal/paths"
 	"github.com/asrank-go/asrank/internal/stats"
 )
 
@@ -58,158 +58,81 @@ func (t *Topology) Clone() *Topology {
 }
 
 // GenerateSeries produces a sequence of evolving snapshots. The first
-// snapshot is Generate(p); each subsequent snapshot grows the previous
-// one. AS identities are stable across snapshots, so rank trajectories
-// are meaningful.
+// snapshot is Generate(p); each subsequent snapshot grows a clone of
+// the previous one with the builder that made it, so AS numbers and
+// /24s carry on where the last step left them. AS identities are
+// stable across snapshots, so rank trajectories are meaningful.
 func GenerateSeries(p Params, e EvolveParams) []*Topology {
 	if e.Snapshots < 1 {
 		e.Snapshots = 1
 	}
+	b := generate(p)
 	out := make([]*Topology, 0, e.Snapshots)
-	cur := Generate(p)
-	out = append(out, cur)
+	out = append(out, b.topo)
 	rng := stats.NewRNG(p.Seed + 1)
 	promotionsLeft := e.CliquePromotions
 	for i := 1; i < e.Snapshots; i++ {
-		next := cur.Clone()
-		ev := &evolver{topo: next, rng: rng.Split(int64(i)), params: p}
-		ev.index()
-		ev.grow()
-		ev.densifyPeering()
-		ev.churnProviders()
+		b.topo, b.rng = b.topo.Clone(), rng.Split(int64(i))
+		born := len(b.topo.order)
+		b.grow()
+		b.densifyPeering()
+		b.churnProviders()
 		if promotionsLeft > 0 && i%(max(1, e.Snapshots/max(1, e.CliquePromotions))) == 0 {
-			if ev.promoteToClique() {
+			if b.promoteToClique() {
 				promotionsLeft--
 			}
 		}
-		ev.assignNewPrefixes()
-		out = append(out, next)
-		cur = next
-	}
-	return out
-}
-
-type evolver struct {
-	topo   *Topology
-	rng    *stats.RNG
-	params Params
-
-	tier1s, transits, contents, stubs []uint32
-	pos                               map[uint32]int
-	nextASN                           uint32
-	newASes                           []uint32
-}
-
-func (e *evolver) index() {
-	e.pos = make(map[uint32]int, len(e.topo.order))
-	for i, asn := range e.topo.order {
-		e.pos[asn] = i
-		if asn > e.nextASN {
-			e.nextASN = asn
-		}
-		switch e.topo.AS(asn).Class {
-		case ClassTier1:
-			e.tier1s = append(e.tier1s, asn)
-		case ClassTransit:
-			e.transits = append(e.transits, asn)
-		case ClassContent:
-			e.contents = append(e.contents, asn)
-		case ClassStub:
-			e.stubs = append(e.stubs, asn)
-		}
-	}
-}
-
-func (e *evolver) newAS(class Class, region int) *AS {
-	e.nextASN += uint32(1 + e.rng.Intn(12))
-	a := &AS{ASN: e.nextASN, Class: class, Region: region}
-	e.pos[a.ASN] = len(e.topo.order)
-	e.topo.AddAS(a)
-	e.newASes = append(e.newASes, a.ASN)
-	return a
-}
-
-func (e *evolver) pickProviders(candidates []uint32, region, n int) []uint32 {
-	if n > len(candidates) {
-		n = len(candidates)
-	}
-	chosen := make(map[uint32]bool, n)
-	out := make([]uint32, 0, n)
-	for len(out) < n {
-		weights := make([]float64, len(candidates))
-		for i, asn := range candidates {
-			if chosen[asn] {
-				continue
+		for _, asn := range b.topo.order[born:] {
+			a := b.topo.AS(asn)
+			for n := 1 + b.rng.Geometric(0.6); n > 0; n-- {
+				a.Prefixes = append(a.Prefixes, b.allocPrefix())
 			}
-			cand := e.topo.AS(asn)
-			w := float64(len(cand.Customers) + 1)
-			if cand.Region == region {
-				w *= 3
-			}
-			weights[i] = w
 		}
-		asn := candidates[e.rng.WeightedIndex(weights)]
-		chosen[asn] = true
-		out = append(out, asn)
+		out = append(out, b.topo)
 	}
 	return out
 }
 
 // grow adds new ASes: mostly stubs, some transit and content, matching
 // the historical mix.
-func (e *evolver) grow() {
-	n := int(float64(e.topo.NumASes()) * growthPerSnapshot)
+func (b *builder) grow() {
+	n := int(float64(b.topo.NumASes()) * growthPerSnapshot)
 	for i := 0; i < n; i++ {
-		region := e.rng.Intn(max(1, e.params.Regions))
-		r := e.rng.Float64()
-		switch {
+		region := b.rng.Intn(b.p.Regions)
+		switch r := b.rng.Float64(); {
 		case r < 0.08:
-			a := e.newAS(ClassTransit, region)
-			cands := append(append([]uint32(nil), e.tier1s...), e.transits...)
-			for _, prov := range e.pickProviders(cands, region, 1+e.rng.Geometric(e.params.MultihomeP)) {
-				mustLink(e.topo.AddP2C(prov, a.ASN))
-			}
-			e.transits = append(e.transits, a.ASN)
+			b.addTransit(region, regionalWeight(region))
 		case r < 0.12:
-			a := e.newAS(ClassContent, region)
-			cands := append(append([]uint32(nil), e.tier1s...), e.transits...)
-			for _, prov := range e.pickProviders(cands, region, 1) {
-				mustLink(e.topo.AddP2C(prov, a.ASN))
+			// A newcomer content network buys from exactly one provider
+			// and peers with half the base share of the transit tier.
+			a := b.newAS(ClassContent, region)
+			candidates := append(append([]uint32(nil), b.tier1s...), b.transits...)
+			for _, prov := range b.pickProviders(candidates, 1, regionalWeight(region)) {
+				mustLink(b.topo.AddP2C(prov, a.ASN))
 			}
-			nPeers := int(float64(len(e.transits)) * e.params.ContentPeerFrac / 2)
-			for _, idx := range e.rng.SampleInts(len(e.transits), nPeers) {
-				tr := e.transits[idx]
-				if !e.topo.HasLink(tr, a.ASN) {
-					mustLink(e.topo.AddP2P(tr, a.ASN))
-				}
-			}
-			e.contents = append(e.contents, a.ASN)
+			b.peerWithTransits(a.ASN, int(float64(len(b.transits))*b.p.ContentPeerFrac/2))
+			b.contents = append(b.contents, a.ASN)
 		default:
-			a := e.newAS(ClassStub, region)
-			cands := append(append([]uint32(nil), e.transits...), e.tier1s...)
-			for _, prov := range e.pickProviders(cands, region, 1+e.rng.Geometric(e.params.MultihomeP)) {
-				mustLink(e.topo.AddP2C(prov, a.ASN))
-			}
-			e.stubs = append(e.stubs, a.ASN)
+			b.addStub(region, regionalWeight(region))
 		}
 	}
 }
 
 // densifyPeering adds peering links between transit/content ASes,
 // modeling the flattening of the hierarchy over time.
-func (e *evolver) densifyPeering() {
-	n := int(float64(e.topo.NumLinks()) * peeringGrowth)
-	pool := append(append([]uint32(nil), e.transits...), e.contents...)
+func (b *builder) densifyPeering() {
+	n := int(float64(b.topo.NumLinks()) * peeringGrowth)
+	pool := append(append([]uint32(nil), b.transits...), b.contents...)
 	if len(pool) < 2 {
 		return
 	}
 	for added, attempts := 0, 0; added < n && attempts < 20*n; attempts++ {
-		x := pool[e.rng.Intn(len(pool))]
-		y := pool[e.rng.Intn(len(pool))]
-		if x == y || e.topo.HasLink(x, y) {
+		x := pool[b.rng.Intn(len(pool))]
+		y := pool[b.rng.Intn(len(pool))]
+		if x == y || b.topo.HasLink(x, y) {
 			continue
 		}
-		if e.topo.AddP2P(x, y) == nil {
+		if b.topo.AddP2P(x, y) == nil {
 			added++
 		}
 	}
@@ -217,40 +140,40 @@ func (e *evolver) densifyPeering() {
 
 // churnProviders makes a fraction of stubs switch one provider,
 // preserving acyclicity by only selecting providers created earlier
-// than the customer.
-func (e *evolver) churnProviders() {
-	n := int(float64(len(e.stubs)) * providerChurn)
-	for i := 0; i < n && len(e.transits) > 1; i++ {
-		asn := e.stubs[e.rng.Intn(len(e.stubs))]
-		a := e.topo.AS(asn)
+// than the customer — that is, with a lower ASN.
+func (b *builder) churnProviders() {
+	n := int(float64(len(b.stubs)) * providerChurn)
+	for i := 0; i < n && len(b.transits) > 1; i++ {
+		asn := b.stubs[b.rng.Intn(len(b.stubs))]
+		a := b.topo.AS(asn)
 		if len(a.Providers) == 0 {
 			continue
 		}
 		// Pick a replacement transit created before this stub.
 		var cands []uint32
-		for _, tr := range e.transits {
-			if e.pos[tr] < e.pos[asn] && !e.topo.HasLink(tr, asn) {
+		for _, tr := range b.transits {
+			if tr < asn && !b.topo.HasLink(tr, asn) {
 				cands = append(cands, tr)
 			}
 		}
 		if len(cands) == 0 {
 			continue
 		}
-		old := a.Providers[e.rng.Intn(len(a.Providers))]
-		e.removeLink(old, asn)
-		repl := cands[e.rng.Intn(len(cands))]
-		mustLink(e.topo.AddP2C(repl, asn))
+		old := a.Providers[b.rng.Intn(len(a.Providers))]
+		b.topo.removeLink(old, asn)
+		repl := cands[b.rng.Intn(len(cands))]
+		mustLink(b.topo.AddP2C(repl, asn))
 	}
 }
 
 // promoteToClique turns the biggest non-member transit AS into a tier-1:
 // it sheds its providers (converting those links to peering) and peers
-// with every clique member.
-func (e *evolver) promoteToClique() bool {
+// with every clique member. The class lists stay in creation order.
+func (b *builder) promoteToClique() bool {
 	var best uint32
 	bestCustomers := -1
-	for _, tr := range e.transits {
-		a := e.topo.AS(tr)
+	for _, tr := range b.transits {
+		a := b.topo.AS(tr)
 		if len(a.Customers) > bestCustomers {
 			best, bestCustomers = tr, len(a.Customers)
 		}
@@ -258,85 +181,25 @@ func (e *evolver) promoteToClique() bool {
 	if bestCustomers < 0 {
 		return false
 	}
-	a := e.topo.AS(best)
+	a := b.topo.AS(best)
 	for _, prov := range append([]uint32(nil), a.Providers...) {
-		e.removeLink(prov, best)
-		if !e.topo.HasLink(prov, best) {
-			mustLink(e.topo.AddP2P(prov, best))
+		b.topo.removeLink(prov, best)
+		if !b.topo.HasLink(prov, best) {
+			mustLink(b.topo.AddP2P(prov, best))
 		}
 	}
-	for _, t1 := range e.tier1s {
-		if !e.topo.HasLink(t1, best) {
-			mustLink(e.topo.AddP2P(t1, best))
-		} else if e.topo.Rel(t1, best) != P2P {
-			e.removeLink(t1, best)
-			mustLink(e.topo.AddP2P(t1, best))
+	for _, t1 := range b.tier1s {
+		if !b.topo.HasLink(t1, best) {
+			mustLink(b.topo.AddP2P(t1, best))
+		} else if b.topo.Rel(t1, best) != P2P {
+			b.topo.removeLink(t1, best)
+			mustLink(b.topo.AddP2P(t1, best))
 		}
 	}
 	a.Class = ClassTier1
-	e.tier1s = append(e.tier1s, best)
-	for i, tr := range e.transits {
-		if tr == best {
-			e.transits = append(e.transits[:i], e.transits[i+1:]...)
-			break
-		}
-	}
+	i, _ := slices.BinarySearch(b.transits, best)
+	b.transits = slices.Delete(b.transits, i, i+1)
+	i, _ = slices.BinarySearch(b.tier1s, best)
+	b.tier1s = slices.Insert(b.tier1s, i, best)
 	return true
-}
-
-// removeLink deletes whatever relationship exists between x and y,
-// fixing up both adjacency lists.
-func (e *evolver) removeLink(x, y uint32) {
-	rel := e.topo.Rel(x, y)
-	if rel == None {
-		return
-	}
-	delete(e.topo.rels, paths.NewLink(x, y))
-	ax, ay := e.topo.AS(x), e.topo.AS(y)
-	switch rel {
-	case P2C:
-		ax.Customers = remove(ax.Customers, y)
-		ay.Providers = remove(ay.Providers, x)
-	case C2P:
-		ax.Providers = remove(ax.Providers, y)
-		ay.Customers = remove(ay.Customers, x)
-	case P2P:
-		ax.Peers = remove(ax.Peers, y)
-		ay.Peers = remove(ay.Peers, x)
-	}
-}
-
-func (e *evolver) assignNewPrefixes() {
-	// Continue the /24 allocation after the highest existing prefix.
-	var maxIdx uint32
-	for _, asn := range e.topo.order {
-		for _, p := range e.topo.AS(asn).Prefixes {
-			b := p.Addr().As4()
-			idx := (uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8) - 0x01000000
-			idx /= 256
-			if idx >= maxIdx {
-				maxIdx = idx + 1
-			}
-		}
-	}
-	for _, asn := range e.newASes {
-		a := e.topo.AS(asn)
-		count := 1 + e.rng.Geometric(0.6)
-		for i := 0; i < count; i++ {
-			base := uint32(0x01000000) + maxIdx*256
-			maxIdx++
-			a.Prefixes = append(a.Prefixes, netip.PrefixFrom(netip.AddrFrom4([4]byte{
-				byte(base >> 24), byte(base >> 16), byte(base >> 8), byte(base),
-			}), 24))
-		}
-	}
-}
-
-func remove(s []uint32, v uint32) []uint32 {
-	for i, x := range s {
-		if x == v {
-			return append(s[:i], s[i+1:]...)
-		}
-	}
-	return s
 }

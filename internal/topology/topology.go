@@ -204,6 +204,37 @@ func (t *Topology) AddP2P(x, y uint32) error {
 	return nil
 }
 
+// removeLink deletes whatever relationship exists between x and y,
+// fixing up both adjacency lists; an absent link is a no-op.
+func (t *Topology) removeLink(x, y uint32) {
+	rel := t.Rel(x, y)
+	if rel == None {
+		return
+	}
+	delete(t.rels, paths.NewLink(x, y))
+	ax, ay := t.ases[x], t.ases[y]
+	switch rel {
+	case P2C:
+		ax.Customers = remove(ax.Customers, y)
+		ay.Providers = remove(ay.Providers, x)
+	case C2P:
+		ax.Providers = remove(ax.Providers, y)
+		ay.Customers = remove(ay.Customers, x)
+	case P2P:
+		ax.Peers = remove(ax.Peers, y)
+		ay.Peers = remove(ay.Peers, x)
+	}
+}
+
+func remove(s []uint32, v uint32) []uint32 {
+	for i, x := range s {
+		if x == v {
+			return append(s[:i], s[i+1:]...)
+		}
+	}
+	return s
+}
+
 // HasLink reports whether any relationship exists between x and y.
 func (t *Topology) HasLink(x, y uint32) bool {
 	_, ok := t.rels[paths.NewLink(x, y)]

@@ -2,7 +2,11 @@ package topology
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -112,6 +116,49 @@ func TestAddErrors(t *testing.T) {
 		}
 	}()
 	topo.AddAS(&AS{ASN: 1})
+}
+
+func TestRemoveLink(t *testing.T) {
+	topo := tiny(t)
+	for _, c := range []struct {
+		x, y uint32
+		was  Relationship
+	}{
+		{1, 3, P2C}, // provider first
+		{5, 4, C2P}, // customer first
+		{3, 4, P2P},
+		{1, 5, None}, // absent: a no-op
+	} {
+		if got := topo.Rel(c.x, c.y); got != c.was {
+			t.Fatalf("before removeLink(%d, %d): rel %v, want %v", c.x, c.y, got, c.was)
+		}
+		links := topo.NumLinks()
+		topo.removeLink(c.x, c.y)
+		if topo.Rel(c.x, c.y) != None || topo.HasLink(c.x, c.y) {
+			t.Errorf("removeLink(%d, %d): link still there", c.x, c.y)
+		}
+		want := links - 1
+		if c.was == None {
+			want = links
+		}
+		if topo.NumLinks() != want {
+			t.Errorf("removeLink(%d, %d): %d links, want %d", c.x, c.y, topo.NumLinks(), want)
+		}
+		for _, pair := range [][2]uint32{{c.x, c.y}, {c.y, c.x}} {
+			a := topo.AS(pair[0])
+			for _, list := range [][]uint32{a.Providers, a.Customers, a.Peers} {
+				if slices.Contains(list, pair[1]) {
+					t.Errorf("removeLink(%d, %d): AS %d still lists %d", c.x, c.y, pair[0], pair[1])
+				}
+			}
+		}
+		if err := topo.Validate(); err != nil {
+			t.Errorf("removeLink(%d, %d): %v", c.x, c.y, err)
+		}
+	}
+	if topo.NumLinks() != 4 {
+		t.Errorf("%d links left of 7, want 4", topo.NumLinks())
+	}
 }
 
 func TestTrueCone(t *testing.T) {
@@ -426,4 +473,45 @@ func FuzzRead(f *testing.F) {
 			t.Fatalf("accepted %q: links %v, %v after Write and Read", data, topo.Links(), again.Links())
 		}
 	})
+}
+
+// TestGenerateSeriesPinned holds every snapshot of two default-evolution
+// series to the bytes Write produced before the base generator and the
+// series step shared one builder, and checks on each snapshot the
+// invariant the builder relies on: creation order is ascending-ASN
+// order.
+func TestGenerateSeriesPinned(t *testing.T) {
+	for _, c := range []struct {
+		seed int64
+		ases int
+	}{{42, 300}, {7, 1500}} {
+		p := DefaultParams(c.seed)
+		p.ASes = c.ases
+		key := fmt.Sprintf("seed%d/%d", c.seed, c.ases)
+		var got []string
+		for i, topo := range GenerateSeries(p, DefaultEvolveParams()) {
+			if err := topo.Validate(); err != nil {
+				t.Fatalf("%s snapshot %d: %v", key, i, err)
+			}
+			asns := topo.ASNs()
+			for j := 1; j < len(asns); j++ {
+				if asns[j] <= asns[j-1] {
+					t.Fatalf("%s snapshot %d: ASN %d created after %d", key, i, asns[j], asns[j-1])
+				}
+			}
+			h := sha256.New()
+			if err := topo.Write(h); err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, hex.EncodeToString(h.Sum(nil))[:16])
+		}
+		if want := pinnedSeries[key]; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: series moved\n got  %q\n want %q", key, got, want)
+		}
+	}
+}
+
+var pinnedSeries = map[string][]string{
+	"seed42/300": {"d526edcd3ec1b39f", "227801ac12223906", "9b04cccb117b2cb4", "78cff58bbc6c005b", "80106f3c8b6367fa", "1c6f3845f3fd1a1c", "7af1acd9497be462", "887ed996fdca57a0", "3602cfcf7e70c24b", "6ea5a80be64ae005", "8fe57d4418f8f19e", "2c390e93a59ac16c", "d9e18aeba73e0490", "37d48619132eccc9", "fd1863172c96c5fa", "d636ecd93c3fafd2"},
+	"seed7/1500": {"ab757153678a23d8", "87ac62ee80662cc4", "df825164588bf6de", "52a4a100e2290dd4", "a193d286d367bac3", "2cacc7af4ec6b9c9", "e0c9006fad4cc545", "2dd04ceb80cc058d", "2a76e416d0cbf13f", "7f458d91898fc840", "2bb59cdced735f1e", "26a557dc74b69cef", "d16052db3a71f851", "8ae167098b8a689c", "3356b440c690784c", "3f4a0d3f6ecc068c"},
 }
