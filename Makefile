@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check fmt-check lint examples ledger metrics-lint doc-check fuzz-smoke trace-demo size results-check cover-programs
+.PHONY: build test check fmt-check lint examples ledger metrics-lint doc-check fuzz-smoke fuzz-check trace-demo size results-check cover-programs
 
 build:
 	$(GO) build ./...
@@ -206,3 +206,17 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime $(FUZZTIME) ./internal/warehouse
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzCorpusMutator$$' -fuzztime $(FUZZTIME) ./internal/streamtest
+
+# fuzz-smoke's list is kept by hand: every func Fuzz* a _test.go file
+# outside testdata/ defines must have its `-fuzz '^Name$$'` line above,
+# naming its package. Lists each target without one; exit 1 if there is
+# any.
+fuzz-check:
+	@listed=$$(sed -nE 's/.*-fuzz .\^(Fuzz[A-Za-z0-9_]*)\$$\$$. .* (\.\/[^ ]+)$$/\2 \1/p' Makefile); fail=0; \
+	for f in $$(grep -rlE --include='*_test.go' --exclude-dir=testdata '^func Fuzz' .); do \
+		for n in $$(sed -nE 's/^func (Fuzz[A-Za-z0-9_]*)\(.*/\1/p' "$$f"); do \
+			echo "$$listed" | grep -qxF "$$(dirname "$$f") $$n" || \
+				{ echo "fuzz-check: $$n ($$(dirname "$$f")) has no fuzz-smoke line"; fail=1; }; \
+		done; \
+	done; \
+	[ $$fail = 0 ] && echo "fuzz-check: every fuzz target is in fuzz-smoke"; exit $$fail

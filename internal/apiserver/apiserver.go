@@ -434,17 +434,18 @@ type coneResponse struct {
 
 // handleCone lists cone membership, ascending. Large cones can be
 // paged with ?limit= and ?cursor= (member offset); the default is the
-// whole cone, preserving the v1 shape.
+// whole cone, preserving the v1 shape. The size is the row's length,
+// and only the page's positions are mapped to ASNs.
 func (d *Data) handleCone(w http.ResponseWriter, r *http.Request) {
-	asn, _, ok := d.asnParam(w, r)
+	asn, pos, ok := d.asnParam(w, r)
 	if !ok {
 		return
 	}
 	if notModified(w, r, d.etagHeader) {
 		return
 	}
-	members := d.coneMembers(asn)
-	resp := coneResponse{ASN: asn, Size: len(members), Members: members}
+	row := d.cones.Row(pos)
+	resp := coneResponse{ASN: asn, Size: len(row)}
 	if r.URL.RawQuery != "" {
 		q := r.URL.Query()
 		limit, err := intParam(q.Get("limit"), 0)
@@ -457,18 +458,17 @@ func (d *Data) handleCone(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "bad cursor; use the nextCursor of a previous page")
 			return
 		}
-		if offset > len(members) {
-			offset = len(members)
-		}
-		end := len(members)
+		offset = min(offset, len(row))
+		end := len(row)
 		if limit > 0 && limit < end-offset { // offset+limit may overflow
 			end = offset + limit
 			resp.NextCursor = strconv.Itoa(end)
 		}
-		resp.Members = members[offset:end]
+		row = row[offset:end]
 	}
-	if resp.Members == nil {
-		resp.Members = []uint32{}
+	resp.Members = make([]uint32, len(row))
+	for i, m := range row {
+		resp.Members[i] = d.idx.ASN(m)
 	}
 	setTag(w.Header(), d.etagHeader)
 	writeJSON(w, wantPretty(r), resp)

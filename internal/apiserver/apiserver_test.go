@@ -1,9 +1,11 @@
 package apiserver
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"slices"
 	"strconv"
 	"testing"
@@ -193,3 +195,77 @@ func TestCliqueEndpoint(t *testing.T) {
 }
 
 func itoa(v uint32) string { return strconv.FormatUint(uint64(v), 10) }
+
+// oracleHandleCone is handleCone as it stood before it paged from the
+// row: every member mapped to its ASN, then the page sliced out.
+func (d *Data) oracleHandleCone(w http.ResponseWriter, r *http.Request) {
+	asn, _, ok := d.asnParam(w, r)
+	if !ok {
+		return
+	}
+	if notModified(w, r, d.etagHeader) {
+		return
+	}
+	members := d.cones.Members(asn)
+	resp := coneResponse{ASN: asn, Size: len(members), Members: members}
+	if r.URL.RawQuery != "" {
+		q := r.URL.Query()
+		limit, err := intParam(q.Get("limit"), 0)
+		if err != nil || limit < 0 {
+			writeError(w, http.StatusBadRequest, "limit must be >= 0")
+			return
+		}
+		offset, err := intParam(q.Get("cursor"), 0)
+		if err != nil || offset < 0 {
+			writeError(w, http.StatusBadRequest, "bad cursor; use the nextCursor of a previous page")
+			return
+		}
+		if offset > len(members) {
+			offset = len(members)
+		}
+		end := len(members)
+		if limit > 0 && limit < end-offset { // offset+limit may overflow
+			end = offset + limit
+			resp.NextCursor = strconv.Itoa(end)
+		}
+		resp.Members = members[offset:end]
+	}
+	if resp.Members == nil {
+		resp.Members = []uint32{}
+	}
+	setTag(w.Header(), d.etagHeader)
+	writeJSON(w, wantPretty(r), resp)
+}
+
+// TestConePagesFromTheRow holds /asns/{asn}/cone, which maps only the
+// page's positions to ASNs, to the handler that mapped the whole cone
+// first: for every AS of a snapshot and every page shape — the whole
+// cone, empty and one-member pages, cursors inside, at and past the end,
+// MaxInt limits, pretty output and refused parameters — the status,
+// headers and body bytes are the same.
+func TestConePagesFromTheRow(t *testing.T) {
+	d := BuildSnapshot(warehouse.FromResult(inferSeed(t, 81, 300)))
+	for p, asn := range d.idx.ASNs() {
+		size := len(d.cones.Row(int32(p)))
+		for _, q := range []string{
+			"", "limit=0", "limit=1", "cursor=1", "limit=3&cursor=2", "limit=2&cursor=" + strconv.Itoa(size-1),
+			"cursor=" + strconv.Itoa(size), "cursor=" + strconv.Itoa(size+5) + "&limit=2",
+			"limit=9223372036854775807", "cursor=1&limit=9223372036854775807", "cursor=9223372036854775807",
+			"limit=2&pretty=1", "limit=-1", "cursor=x", "limit=1&cursor=-3",
+		} {
+			var rec [2]*httptest.ResponseRecorder
+			for i, h := range []func(http.ResponseWriter, *http.Request){d.handleCone, d.oracleHandleCone} {
+				r := httptest.NewRequest("GET", "/api/v1/asns/"+itoa(asn)+"/cone?"+q, nil)
+				if q == "" {
+					r.URL.RawQuery = ""
+				}
+				r.SetPathValue("asn", itoa(asn))
+				rec[i] = httptest.NewRecorder()
+				h(rec[i], r)
+			}
+			if rec[0].Code != rec[1].Code || !reflect.DeepEqual(rec[0].Header(), rec[1].Header()) || !bytes.Equal(rec[0].Body.Bytes(), rec[1].Body.Bytes()) {
+				t.Fatalf("AS%d ?%s: %d %s, the whole-cone handler %d %s", asn, q, rec[0].Code, rec[0].Body, rec[1].Code, rec[1].Body)
+			}
+		}
+	}
+}

@@ -204,7 +204,7 @@ func TestBulkAndCursorPagination(t *testing.T) {
 	}
 }
 
-// TestConeContainsEndpoint covers the bitset probe route.
+// TestConeContainsEndpoint covers the cone membership probe route.
 func TestConeContainsEndpoint(t *testing.T) {
 	res := inferSeed(t, 81, 300)
 	d := BuildSnapshot(warehouse.FromResult(res))
@@ -212,7 +212,7 @@ func TestConeContainsEndpoint(t *testing.T) {
 	top := res.Clique[0]
 
 	var member uint32
-	for _, m := range d.coneMembers(top) {
+	for _, m := range d.cones.Members(top) {
 		if m != top {
 			member = m
 			break

@@ -17,16 +17,16 @@ import (
 // Data is the immutable snapshot the handlers serve. Everything a
 // request can ask for is computed once in Build — per-AS summaries
 // (including the cone-prefix sums that used to be re-walked per
-// request), sorted neighbor lists, cone bitsets for O(1) membership
-// probes — and the hot responses (every point-lookup summary, the
-// clique, health, the default first list page) are serialized to bytes
-// up front, so the steady-state point-lookup path performs zero
-// allocations. A snapshot-derived strong ETag validates every
+// request), sorted neighbor lists, the cones as sorted member lists for
+// binary-search membership probes — and the hot responses (every
+// point-lookup summary, the clique, health, the default first list
+// page) are serialized to bytes up front, so the steady-state
+// point-lookup path performs zero allocations. A snapshot-derived strong ETag validates every
 // response; swapping in a new snapshot changes the ETag and invalidates
 // client caches atomically.
 type Data struct {
-	idx  *asindex.Index
-	bits *cone.BitSets
+	idx   *asindex.Index
+	cones *cone.Rows // the snapshot's cone columns, uncopied
 
 	rankPos []int32 // rank index → interned position (AS Rank order, best first)
 
@@ -57,7 +57,7 @@ const listDefaultLimit = 50
 // expensive call — handlers never recompute.
 func BuildSnapshot(snap *warehouse.Snapshot) *Data {
 	idx := asindex.FromSorted(snap.ASNs)
-	bits := cone.FromSlab(idx, snap.ConeWords)
+	cones := cone.NewRows(idx, snap.ConeStart, snap.ConeMembers)
 	n := idx.Len()
 
 	rankPos := snap.Rank()
@@ -136,7 +136,7 @@ func BuildSnapshot(snap *warehouse.Snapshot) *Data {
 
 	d := &Data{
 		idx:         idx,
-		bits:        bits,
+		cones:       cones,
 		rankPos:     rankPos,
 		summaryJSON: summaryJSON,
 		links:       links,
@@ -238,12 +238,7 @@ func (d *Data) page(offset, limit int) listPage {
 }
 
 // ConeContains reports whether member is in asn's customer cone — a
-// two-probe bitset lookup, no allocation.
+// binary search of asn's member list, no allocation.
 func (d *Data) ConeContains(asn, member uint32) bool {
-	return d.bits.Contains(asn, member)
-}
-
-// coneMembers returns asn's cone membership, ascending.
-func (d *Data) coneMembers(asn uint32) []uint32 {
-	return d.bits.Members(asn)
+	return d.cones.Contains(asn, member)
 }

@@ -134,7 +134,7 @@ func TestETagStableAndSnapshotSensitive(t *testing.T) {
 }
 
 // TestHandBuiltServesLikeComposed: a snapshot assembled by hand from its
-// stored columns — ASNs, degrees, cone prefixes, slab, links, scalars,
+// stored columns — ASNs, degrees, cone prefixes, cone lists, links, scalars,
 // nothing derived — serves the same /api/v1/asns order, bytes and ETag
 // as its Compose twin: the rank is computed where it is read.
 func TestHandBuiltServesLikeComposed(t *testing.T) {
@@ -147,7 +147,8 @@ func TestHandBuiltServesLikeComposed(t *testing.T) {
 		Clique:        slices.Clone(composed.Clique),
 		PathCount:     composed.PathCount,
 		Links:         slices.Clone(composed.Links),
-		ConeWords:     slices.Clone(composed.ConeWords),
+		ConeStart:     slices.Clone(composed.ConeStart),
+		ConeMembers:   slices.Clone(composed.ConeMembers),
 	}
 	var bodies [2][]byte
 	var etags [2]string

@@ -8,11 +8,12 @@ import (
 	"github.com/asrank-go/asrank/internal/pool"
 )
 
-// BitSets is the one cone product: the interned AS index and one
-// contiguous word slab holding a bitset row of interned positions per
-// AS. Row i occupies words [i*wps, (i+1)*wps) with wps = (Len()+63)/64
-// — the layout the epoch warehouse persists and the API serves from, so
-// handing a product to a snapshot is reading Slab, not copying it.
+// BitSets is the crediting engines' working form of a cone product:
+// the interned AS index and one contiguous word slab holding a bitset
+// row of interned positions per AS. Row i occupies words [i*wps,
+// (i+1)*wps) with wps = (Len()+63)/64. It is n × n bits whatever the
+// cones hold, so a product that outlives its computation is packed into
+// member lists (Rows) instead of kept.
 type BitSets struct {
 	idx   *asindex.Index
 	words []uint64
@@ -25,23 +26,11 @@ func newBitSets(idx *asindex.Index) *BitSets {
 	return &BitSets{idx: idx, words: make([]uint64, idx.Len()*wps), wps: wps}
 }
 
-// FromSlab views a contiguous word slab (idx.Len() rows of
-// (idx.Len()+63)/64 words) as a BitSets over idx. Nothing is copied;
-// the slab must not be written afterwards.
-func FromSlab(idx *asindex.Index, words []uint64) *BitSets {
-	return &BitSets{idx: idx, words: words, wps: (idx.Len() + 63) / 64}
-}
-
 // Index returns the dense ASN index the cones are expressed in.
 func (bs *BitSets) Index() *asindex.Index { return bs.idx }
 
 // Len returns the number of ASes with a cone.
 func (bs *BitSets) Len() int { return bs.idx.Len() }
-
-// Slab returns the product's word slab. It is shared, not copied: a
-// caller that stores it (warehouse.Snapshot.ConeWords) owns the product
-// from then on, and nobody may write to it.
-func (bs *BitSets) Slab() []uint64 { return bs.words }
 
 // row views position i's cone.
 func (bs *BitSets) row(i int32) asindex.Bitset {
@@ -58,30 +47,11 @@ func (bs *BitSets) Contains(asn, member uint32) bool {
 	return ok1 && ok2 && bs.row(ai).Contains(mi)
 }
 
-// RowSizes popcounts each row of a cone slab of len(sizes) rows into
-// sizes and returns it — the one cone-size rule, filling a caller's
-// buffer so a replayed warehouse chain sizes every epoch without
-// allocating.
-func RowSizes(sizes []int32, words []uint64) []int32 {
-	if len(sizes) == 0 {
-		return sizes
-	}
-	wps := len(words) / len(sizes)
-	for p := range sizes {
-		c := 0
-		for _, w := range words[p*wps : (p+1)*wps] {
-			c += bits.OnesCount64(w)
-		}
-		sizes[p] = int32(c)
-	}
-	return sizes
-}
-
 // Sizes returns per-AS cone sizes in number of ASes.
 func (bs *BitSets) Sizes() map[uint32]int {
 	out := make(map[uint32]int, bs.Len())
-	for i, c := range RowSizes(make([]int32, bs.Len()), bs.words) {
-		out[bs.idx.ASN(int32(i))] = int(c)
+	for i, asn := range bs.idx.ASNs() {
+		out[asn] = bs.row(int32(i)).Count()
 	}
 	return out
 }

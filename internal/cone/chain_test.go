@@ -127,8 +127,11 @@ func TestCreditingRule(t *testing.T) {
 
 			pc := NewPairCounts()
 			pc.Credit(rels, tc.path, 1)
-			if got := members(FromSlab(r.Index(), pc.Slab(r.Index()))); !reflect.DeepEqual(got, want(tc.pp)) {
-				t.Errorf("refcount sink = %v, want %v", got, want(tc.pp))
+			if got := members(pc.dense(r.Index())); !reflect.DeepEqual(got, want(tc.pp)) {
+				t.Errorf("refcount sink, dense = %v, want %v", got, want(tc.pp))
+			}
+			if got := rowSets(pc.Rows(r.Index())); !reflect.DeepEqual(got, want(tc.pp)) {
+				t.Errorf("refcount sink, rows = %v, want %v", got, want(tc.pp))
 			}
 			pc.Credit(rels, tc.path, -1)
 			if len(pc.counts) != 0 {

@@ -363,7 +363,7 @@ func TestRelOrientationAndASes(t *testing.T) {
 // TestConeNesting holds the paper's containment and the product's own
 // invariants on the rows themselves, over 20 generated Internets: PP ⊆
 // BGP-observed ⊆ recursive word for word, the self bit set in every row
-// of every product (the refcounted PairCounts slab included), the
+// of every product (the refcounted PairCounts rows included), the
 // recursive closure monotone under one added p2c link, and every engine
 // call returning a slab nobody else holds.
 func TestConeNesting(t *testing.T) {
@@ -378,25 +378,25 @@ func TestConeNesting(t *testing.T) {
 		for _, p := range res.Dataset.Paths {
 			pc.Credit(res.Rels, p.ASNs, 1)
 		}
-		counted := FromSlab(r.Index(), pc.Slab(r.Index()))
+		counted := pc.Rows(r.Index())
 
-		for i, w := range pp.Slab() {
-			if w&^bgp.Slab()[i] != 0 || bgp.Slab()[i]&^rec.Slab()[i] != 0 {
+		for i, w := range pp.words {
+			if w&^bgp.words[i] != 0 || bgp.words[i]&^rec.words[i] != 0 {
 				t.Fatalf("seed %d: word %d breaks PP ⊆ BGP-observed ⊆ recursive", seed, i)
 			}
 		}
 		for _, asn := range r.ASes() {
-			for _, bs := range []*BitSets{rec, bgp, pp, counted} {
+			for _, bs := range []interface{ Contains(asn, member uint32) bool }{rec, bgp, pp, counted} {
 				if !bs.Contains(asn, asn) {
 					t.Fatalf("seed %d: AS %d missing from its own cone", seed, asn)
 				}
 			}
 		}
-		for _, c := range RowSizes(make([]int32, rec.Len()), rec.Slab()) {
-			recTotal += int(c)
+		for _, c := range rec.Sizes() {
+			recTotal += c
 		}
-		for _, c := range RowSizes(make([]int32, pp.Len()), pp.Slab()) {
-			ppTotal += int(c)
+		for _, c := range pp.Sizes() {
+			ppTotal += c
 		}
 
 		// One more p2c link between two interned, so far unlinked ASes
@@ -415,17 +415,17 @@ func TestConeNesting(t *testing.T) {
 			}
 		}
 		after := NewRelations(grown).RecursiveBits()
-		for i, w := range rec.Slab() {
-			if w&^after.Slab()[i] != 0 {
+		for i, w := range rec.words {
+			if w&^after.words[i] != 0 {
 				t.Fatalf("seed %d: adding a p2c link cleared a bit in word %d of the recursive slab", seed, i)
 			}
 		}
 
 		again := r.ProviderPeerObservedBits(res.Dataset)
-		if !reflect.DeepEqual(again.Slab(), pp.Slab()) {
+		if !reflect.DeepEqual(again.words, pp.words) {
 			t.Fatalf("seed %d: a second ProviderPeerObservedBits call computed a different slab", seed)
 		}
-		if &again.Slab()[0] == &pp.Slab()[0] {
+		if &again.words[0] == &pp.words[0] {
 			t.Fatalf("seed %d: two ProviderPeerObservedBits calls share one slab", seed)
 		}
 	}

@@ -1,6 +1,8 @@
 package cone
 
 import (
+	"slices"
+
 	"github.com/asrank-go/asrank/internal/asindex"
 	"github.com/asrank-go/asrank/internal/paths"
 	"github.com/asrank-go/asrank/internal/topology"
@@ -12,8 +14,8 @@ import (
 // walk the batch engine runs with needEntry=true. Credits commute, so a
 // streaming engine can apply path adds and removes in any order and the
 // pair state is a pure function of the current (path set, relationship
-// set): the slab built from the counts is bit-identical to
-// ProviderPeerObservedBits over the equivalent batch corpus.
+// set): the rows built from the counts equal ProviderPeerObservedBits
+// over the equivalent batch corpus, packed.
 //
 // PairCounts is not safe for concurrent use; the streaming engine
 // serializes all mutations.
@@ -34,8 +36,8 @@ func pairKey(owner, member uint32) uint64 {
 // Credit walks one path under rels (canonical orientation, as
 // core.Infer produces) and adjusts the pair refcounts by d (+1 when the
 // path enters the corpus, -1 when it leaves). Self membership is not
-// refcounted — Slab sets every position's self bit unconditionally, as
-// the batch merge does.
+// refcounted — Rows puts every position in its own cone
+// unconditionally, as the batch merge does.
 //
 // A path must be uncredited with the same relationships it was credited
 // under; the streaming engine guarantees this by re-crediting affected
@@ -64,19 +66,19 @@ func (pc *PairCounts) add(owner, member uint32, d int) {
 	}
 }
 
-// Slab builds the provider/peer-observed cone slab over idx in the
-// BitSets layout: idx.Len() cones of (idx.Len()+63)/64 words each,
-// self bit always set. It reads only the current refcounts, so the
-// order in which credits were applied cannot matter. Every refcounted
-// pair's owner and member must be interned in idx — a miss means the
-// caller's index is stale relative to the credited relationships, a
-// programming error.
-func (pc *PairCounts) Slab(idx *asindex.Index) []uint64 {
+// Rows builds the provider/peer-observed cones over idx as member
+// lists, self always a member: a counting sort of the refcounted pairs
+// by owner, then each row sorted. It reads only the current refcounts,
+// so the order in which credits were applied cannot matter. Every
+// refcounted pair's owner and member must be interned in idx — a miss
+// means the caller's index is stale relative to the credited
+// relationships, a programming error.
+func (pc *PairCounts) Rows(idx *asindex.Index) *Rows {
 	n := idx.Len()
-	wps := (n + 63) / 64
-	slab := make([]uint64, n*wps)
-	for i := 0; i < n; i++ {
-		slab[i*wps+i/64] |= 1 << uint(i%64)
+	owner, member := make([]int32, 0, len(pc.counts)), make([]int32, 0, len(pc.counts))
+	start := make([]int32, n+1)
+	for p := range n {
+		start[p+1] = 1 // self
 	}
 	for k := range pc.counts {
 		oi, ok1 := idx.Pos(uint32(k >> 32))
@@ -84,7 +86,29 @@ func (pc *PairCounts) Slab(idx *asindex.Index) []uint64 {
 		if !ok1 || !ok2 {
 			panic("cone: credited pair references an AS outside the index")
 		}
-		slab[int(oi)*wps+int(mi)/64] |= 1 << uint(mi%64)
+		if oi == mi {
+			continue // a looped path credits an AS to itself; self is in already
+		}
+		owner, member = append(owner, oi), append(member, mi)
+		start[oi+1]++
 	}
-	return slab
+	for p := range n {
+		start[p+1] += start[p]
+	}
+	members := make([]int32, start[n])
+	at := slices.Clone(start[:n])
+	for p := range n {
+		members[at[p]] = int32(p)
+		at[p]++
+	}
+	for i, o := range owner {
+		members[at[o]] = member[i]
+		at[o]++
+	}
+	for p := range n {
+		if row := members[start[p]:start[p+1]]; len(row) > 1 {
+			slices.Sort(row)
+		}
+	}
+	return &Rows{idx: idx, start: start, members: members}
 }

@@ -28,20 +28,23 @@ func creditCorpus(t *testing.T, seed int64, ases int) (*paths.Dataset, *core.Res
 
 // TestPairCountsMatchesBatch proves the refcounted crediting walk is
 // bit-identical to the batch provider/peer-observed engine: crediting
-// every post-discard path +1 and building the slab must equal
-// ProviderPeerObservedBits' slab over the same corpus.
+// every post-discard path +1 and building the dense slab must equal
+// ProviderPeerObservedBits' slab over the same corpus, and the rows
+// built from the counts must equal that product packed.
 func TestPairCountsMatchesBatch(t *testing.T) {
 	ds, res := creditCorpus(t, 77, 400)
 	r := NewRelations(res.Rels)
-	wantSlab := r.ProviderPeerObservedBits(ds).Slab()
+	batch := r.ProviderPeerObservedBits(ds)
 
 	pc := NewPairCounts()
 	for _, p := range ds.Paths {
 		pc.Credit(res.Rels, p.ASNs, 1)
 	}
-	got := pc.Slab(r.Index())
-	if !reflect.DeepEqual(got, wantSlab) {
+	if got := pc.dense(r.Index()); !reflect.DeepEqual(got.words, batch.words) {
 		t.Fatal("incremental slab differs from batch ProviderPeerObservedBits")
+	}
+	if got := pc.Rows(r.Index()); !reflect.DeepEqual(got, batch.Rows()) {
+		t.Fatal("incremental rows differ from batch ProviderPeerObservedBits packed")
 	}
 }
 

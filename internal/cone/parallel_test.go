@@ -218,7 +218,7 @@ func TestBitSetsAccessors(t *testing.T) {
 	if bits.Len() != 5 || bits.Index().Len() != 5 {
 		t.Errorf("Len = %d, Index().Len() = %d", bits.Len(), bits.Index().Len())
 	}
-	if again := FromSlab(bits.Index(), bits.Slab()); !reflect.DeepEqual(members(again), members(bits)) {
-		t.Error("FromSlab over a product's own index and slab reads different cones")
+	if got := rowSets(bits.Rows()); !reflect.DeepEqual(got, members(bits)) {
+		t.Error("the product packed into rows reads different cones")
 	}
 }

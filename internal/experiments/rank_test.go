@@ -27,13 +27,13 @@ func tiedSnapshot(sizes, transitDegree []int32) *warehouse.Snapshot {
 		ConePrefixes:  make([]int64, n),
 		PathCount:     int64(n),
 	}
-	wps := (n + 63) / 64
-	s.ConeWords = make([]uint64, n*wps)
+	s.ConeStart = []int32{0}
 	for p := range n {
 		s.ASNs = append(s.ASNs, uint32(100*(p+1)))
-		for m := range int(sizes[p]) {
-			s.ConeWords[p*wps+m>>6] |= 1 << (m & 63)
+		for m := range sizes[p] {
+			s.ConeMembers = append(s.ConeMembers, m)
 		}
+		s.ConeStart = append(s.ConeStart, int32(len(s.ConeMembers)))
 	}
 	return s
 }

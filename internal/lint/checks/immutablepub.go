@@ -15,7 +15,7 @@ import (
 // goroutine without synchronization, so a single write through it after
 // publication is a data race the type system cannot see. The analyzer
 // registers the publish-frozen types (warehouse.Snapshot, cone.BitSets,
-// cone.Relations, apiserver.Data) and applies two rules:
+// cone.Rows, cone.Relations, apiserver.Data) and applies two rules:
 //
 //  1. Outside the type's own package, a write through a frozen value's
 //     fields is always flagged — construction happens in-package, so a
@@ -42,6 +42,7 @@ var ImmutablePub = &analysis.Analyzer{
 var frozenTypes = []struct{ pkg, name string }{
 	{"internal/warehouse", "Snapshot"},
 	{"internal/cone", "BitSets"},
+	{"internal/cone", "Rows"},
 	{"internal/cone", "Relations"},
 	{"internal/apiserver", "Data"},
 }

@@ -10,10 +10,11 @@ import (
 	"internal/warehouse"
 )
 
-func mutateForeign(sn *warehouse.Snapshot, bs *cone.BitSets, d *apiserver.Data) {
-	sn.Rel = nil    // want "write to Snapshot.Rel outside package warehouse"
-	bs.Words[0] = 1 // want "write to BitSets.Words outside package cone"
-	d.Etag = ""     // want "write to Data.Etag outside package apiserver"
+func mutateForeign(sn *warehouse.Snapshot, bs *cone.BitSets, rs *cone.Rows, d *apiserver.Data) {
+	sn.Rel = nil      // want "write to Snapshot.Rel outside package warehouse"
+	bs.Words[0] = 1   // want "write to BitSets.Words outside package cone"
+	rs.Members[0] = 1 // want "write to Rows.Members outside package cone"
+	d.Etag = ""       // want "write to Data.Etag outside package apiserver"
 }
 
 func mutateMap(r *cone.Relations) {

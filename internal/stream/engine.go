@@ -20,7 +20,7 @@
 //     and the inputs inference sees do not.
 //  2. Cone credits (cone.PairCounts) are commutative refcounts of the
 //     same crediting walk the batch engine shards, read at their final
-//     state — and only as count > 0 — when the slab is built, so
+//     state — and only as count > 0 — when the cones are built, so
 //     neither within-epoch event order nor crediting a sequence once
 //     for all its rows can matter. Between any two calls the table
 //     holds exactly the walks of every live kept sequence under the
@@ -523,7 +523,7 @@ func (e *Engine) reflagLocked(clique []uint32) {
 
 // Commit converges the current RIB into one epoch: re-runs the
 // affected region of the 11-step inference over the refcounted
-// aggregates, builds the cone slab from the credit table, and composes
+// aggregates, builds the cones from the credit table, and composes
 // the immutable columnar snapshot — bit-identical to a batch run over
 // the same routes. The returned snapshot is immutable and safe to
 // publish.
@@ -637,15 +637,16 @@ func (e *Engine) CommitEpoch(ctx context.Context) (*warehouse.Snapshot, CommitRe
 	e.rels, e.labels = res.Rels, res.Labels
 	ph.End(commitPhaseDuration.With("credit"), &rep.Phases.Credit)
 
-	// The slab is laid out on the labeled links' endpoints, the index
-	// cone.NewRelations interns batch-side.
+	// The cones are laid out on the labeled links' endpoints, the index
+	// cone.NewRelations interns batch-side, as member lists built
+	// straight from the credit table.
 	_, ph = trace.StartPhase(ctx, "stream.commit.slab")
 	ends := make([]uint32, 0, 2*len(res.Labels))
 	for _, l := range res.Labels {
 		ends = append(ends, l.Link.A, l.Link.B)
 	}
 	idx := asindex.New(ends)
-	cones := cone.FromSlab(idx, e.pc.Slab(idx))
+	cones := e.pc.Rows(idx)
 	ph.End(commitPhaseDuration.With("slab"), &rep.Phases.Slab)
 
 	_, ph = trace.StartPhase(ctx, "stream.commit.compose")

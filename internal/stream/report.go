@@ -31,8 +31,8 @@ const (
 	ReasonSteady      = "steady"       // clique held, dirty links only
 )
 
-// SlabFull is the only CommitReport.Slab value: every epoch builds the
-// cone slab from the credit table.
+// SlabFull is the only CommitReport.Slab value: every epoch builds its
+// cones in full from the credit table.
 const SlabFull = "full"
 
 // commitPhaseDuration is the /metrics view of PhaseMillis: one series
@@ -50,7 +50,7 @@ type PhaseMillis struct {
 	RankClique float64 `json:"rankCliqueMillis"` // steps 2–3 + flag flips when the clique changed
 	Infer      float64 `json:"inferMillis"`      // steps 5–9 over the kept layer
 	Credit     float64 `json:"creditMillis"`     // re-credit walks over the dirty links
-	Slab       float64 `json:"slabMillis"`       // cone slab build from the credit table
+	Slab       float64 `json:"slabMillis"`       // cone member lists built from the credit table
 	Compose    float64 `json:"composeMillis"`    // columnar snapshot composition
 }
 
@@ -66,8 +66,9 @@ type CommitReport struct {
 	Decision string `json:"decision"`
 	Reason   string `json:"reason"`
 	// Slab is the constant SlabFull: patching or reusing the previous
-	// epoch's slab saved 0.4 ms of a 114 ms commit at 5k ASes and was
-	// removed. The field stays for readers of the report's JSON shape.
+	// epoch's cone slab saved 0.4 ms of a 114 ms commit at 5k ASes and
+	// was removed. The field stays for readers of the report's JSON
+	// shape, as the phase keeps its name.
 	Slab string `json:"slab"`
 
 	// Accounting for the dirty region. Events counts route events

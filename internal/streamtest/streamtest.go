@@ -29,7 +29,7 @@ import (
 
 // EquivCheck compares two epoch snapshots for bit-identity: every
 // column (relationships, degrees, cone-prefix weights, rank
-// permutation, clique, provenance, cone slabs and sizes) plus the serving ETag
+// permutation, clique, provenance, cone member lists and sizes) plus the serving ETag
 // each would carry once built into an API snapshot. It returns nil
 // when they are indistinguishable, else an error naming the first
 // divergent column. It is the reusable oracle every streaming test —
@@ -47,7 +47,8 @@ func EquivCheck(inc, batch *warehouse.Snapshot) error {
 		{"Clique", inc.Clique, batch.Clique},
 		{"PathCount", inc.PathCount, batch.PathCount},
 		{"Links", inc.Links, batch.Links},
-		{"ConeWords", inc.ConeWords, batch.ConeWords},
+		{"ConeStart", inc.ConeStart, batch.ConeStart},
+		{"ConeMembers", inc.ConeMembers, batch.ConeMembers},
 		{"ConeSizes", inc.ConeSizes(), batch.ConeSizes()},
 	}
 	for _, c := range cols {

@@ -27,6 +27,23 @@ func churnedSeries(t testing.TB, order []int, scale int) ([]*warehouse.Snapshot,
 	return snaps, etags
 }
 
+// toggled returns s's cone columns, copied, with member m of position
+// p's cone flipped: taken out if it is in, put in its place if not.
+func toggled(s *warehouse.Snapshot, p, m int32) (start, members []int32) {
+	row := slices.Clone(s.ConeMembers[s.ConeStart[p]:s.ConeStart[p+1]])
+	if i, in := slices.BinarySearch(row, m); in {
+		row = slices.Delete(row, i, i+1)
+	} else {
+		row = slices.Insert(row, i, m)
+	}
+	members = slices.Concat(s.ConeMembers[:s.ConeStart[p]], row, s.ConeMembers[s.ConeStart[p+1]:])
+	start = slices.Clone(s.ConeStart)
+	for q := p + 1; int(q) < len(start); q++ {
+		start[q] += int32(len(row)) - (s.ConeStart[p+1] - s.ConeStart[p])
+	}
+	return start, members
+}
+
 // manifestFile is MANIFEST.json as the tests that craft one read and
 // write it.
 type manifestFile struct {
@@ -70,9 +87,9 @@ func appendManifestEntry(t *testing.T, dir string, info warehouse.EpochInfo) {
 // decodes column by column, but fails late in the replay, must leave
 // the working epoch exactly at its predecessor — Open serves that
 // predecessor, byte for byte, and the store appends on from there. The
-// predecessor is reached through in-place deltas (every 16) and through
+// predecessor is reached through a run of deltas (every 16) and through
 // a checkpoint plus one delta (every 3); the failing epoch either moves
-// the AS set (remap path) or keeps it (XOR in place).
+// the AS set or keeps it.
 func TestFailedDeltaLeavesPredecessor(t *testing.T) {
 	snaps, etags := churnedSeries(t, []int{0, 2, 1, 4, 3, 5}, 300)
 	good, tail := len(snaps)-1, uint32(len(snaps)-1)
@@ -85,8 +102,7 @@ func TestFailedDeltaLeavesPredecessor(t *testing.T) {
 	still.Degree[0]++
 	still.Links = slices.Clone(prev.Links)
 	still.Links[0].Rel = still.Links[0].Rel%3 + 1
-	still.ConeWords = slices.Clone(prev.ConeWords)
-	still.ConeWords[0] ^= 2
+	still.ConeStart, still.ConeMembers = toggled(prev, 0, 1)
 
 	for _, every := range []int{3, 16} {
 		for name, next := range map[string]*warehouse.Snapshot{"churn": snaps[good], "still": &still} {
@@ -143,7 +159,7 @@ func TestFailedDeltaLeavesPredecessor(t *testing.T) {
 // snapshots handed to Append, a reopened store's from the replayer's
 // working epoch. Over a series whose ASes enter and leave, the two must
 // answer every query alike, every decoded epoch must equal the appended
-// one down to its size column, and no two results may share a slab.
+// one, and no two results may share a cone column.
 func TestReopenedEqualsAppended(t *testing.T) {
 	snaps, etags := churnedSeries(t, []int{0, 3, 1, 5, 2, 6, 4}, 300)
 	dir := t.TempDir()
@@ -193,12 +209,16 @@ func TestReopenedEqualsAppended(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if &got.ConeWords[0] == &twin.ConeWords[0] || &got.ConeWords[0] == &latest.ConeWords[0] {
-				t.Errorf("epoch %d: two results share a cone slab", id)
+			for _, other := range []*warehouse.Snapshot{twin, latest} {
+				if &got.ConeStart[0] == &other.ConeStart[0] || &got.ConeMembers[0] == &other.ConeMembers[0] {
+					t.Errorf("epoch %d: two results share a cone column", id)
+				}
 			}
-			if cap(got.ConeWords) != len(got.ConeWords) || cap(got.Links) != len(got.Links) || cap(got.ASNs) != len(got.ASNs) {
-				t.Errorf("epoch %d pins spare capacity: slab %d/%d, links %d/%d, ASNs %d/%d", id,
-					len(got.ConeWords), cap(got.ConeWords), len(got.Links), cap(got.Links), len(got.ASNs), cap(got.ASNs))
+			if cap(got.ConeStart) != len(got.ConeStart) || cap(got.ConeMembers) != len(got.ConeMembers) ||
+				cap(got.Links) != len(got.Links) || cap(got.ASNs) != len(got.ASNs) {
+				t.Errorf("epoch %d pins spare capacity: cone offsets %d/%d, members %d/%d, links %d/%d, ASNs %d/%d", id,
+					len(got.ConeStart), cap(got.ConeStart), len(got.ConeMembers), cap(got.ConeMembers),
+					len(got.Links), cap(got.Links), len(got.ASNs), cap(got.ASNs))
 			}
 		}
 	}

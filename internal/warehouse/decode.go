@@ -322,105 +322,135 @@ func decodePosPairs(payload []byte, n int) ([]posPair, error) {
 	return out, nil
 }
 
-// checkWordsRLE walks a zero-run-length slab column (colConeWords) once
-// for every error it can hold — a total other than want, the word count
-// the already-decoded AS count implies; an unknown run flag; a run that
-// is empty, overruns the total or is cut short — and returns the runs,
-// which decodeWordsRLE may then write without a check.
-func checkWordsRLE(payload []byte, want int, id byte) ([]byte, error) {
+// paddingBits returns the bits of word i of an n-AS cone slab that lie
+// past the row's last member, n-1: none unless i is the last word of a
+// row and n is no multiple of 64. No writer sets one, and a member list
+// has nowhere to put one.
+func paddingBits(i, n int) uint64 {
+	if wps := wordsPerRow(n); i%wps != wps-1 || n&63 == 0 {
+		return 0
+	}
+	return ^uint64(0) << (uint(n) & 63)
+}
+
+// checkWordsRLE walks a zero-run-length slab column (colConeWords) of
+// an n-AS epoch once for every error it can hold — a total other than
+// the n·wordsPerRow(n) words the already-decoded AS count implies; an
+// unknown run flag; a run that is empty, overruns the total or is cut
+// short; a set bit in a row's padding — and returns the runs, which
+// decodeWordsRLE may then read without a check, and the number of set
+// bits, the length of the member column they decode to.
+func checkWordsRLE(payload []byte, n int, id byte) (runs []byte, set int, err error) {
 	r := &decodeReader{buf: payload}
 	total, err := r.uvarint()
 	if err != nil {
-		return nil, fmt.Errorf("warehouse: slab column %d count: %w", id, err)
+		return nil, 0, fmt.Errorf("warehouse: slab column %d count: %w", id, err)
 	}
-	if total != uint64(want) {
-		return nil, fmt.Errorf("warehouse: slab column %d has %d words, want %d", id, total, want)
+	if want := n * wordsPerRow(n); total != uint64(want) {
+		return nil, 0, fmt.Errorf("warehouse: slab column %d has %d words, want %d", id, total, want)
 	}
-	runs := r.buf[r.off:]
+	runs = r.buf[r.off:]
 	for at := uint64(0); at < total; {
 		flag, err := r.bytes(1)
 		if err != nil {
-			return nil, fmt.Errorf("warehouse: slab column %d run flag: %w", id, err)
+			return nil, 0, fmt.Errorf("warehouse: slab column %d run flag: %w", id, err)
 		}
 		run, err := r.uvarint()
 		if err != nil {
-			return nil, fmt.Errorf("warehouse: slab column %d run length: %w", id, err)
+			return nil, 0, fmt.Errorf("warehouse: slab column %d run length: %w", id, err)
 		}
 		if run == 0 || run > total-at {
-			return nil, fmt.Errorf("warehouse: slab column %d run of %d words overruns total %d at word %d", id, run, total, at)
+			return nil, 0, fmt.Errorf("warehouse: slab column %d run of %d words overruns total %d at word %d", id, run, total, at)
 		}
 		switch flag[0] {
 		case 0:
 		case 1:
-			if _, err := r.bytes(int(run) * 8); err != nil {
-				return nil, fmt.Errorf("warehouse: slab column %d literal run: %w", id, err)
+			words, err := r.bytes(int(run) * 8)
+			if err != nil {
+				return nil, 0, fmt.Errorf("warehouse: slab column %d literal run: %w", id, err)
+			}
+			for k := 0; k < int(run); k++ {
+				w, i := binary.LittleEndian.Uint64(words[8*k:]), int(at)+k
+				if pad := w & paddingBits(i, n); pad != 0 {
+					return nil, 0, fmt.Errorf("warehouse: slab column %d: bit %d is padding past the last of %d ASes", id, i<<6+bits.TrailingZeros64(pad), n)
+				}
+				set += bits.OnesCount64(w)
 			}
 		default:
-			return nil, fmt.Errorf("warehouse: slab column %d: unknown run flag %d", id, flag[0])
+			return nil, 0, fmt.Errorf("warehouse: slab column %d: unknown run flag %d", id, flag[0])
 		}
 		at += run
 	}
-	return runs, nil
+	return runs, set, nil
 }
 
-// decodeWordsRLE writes the runs checkWordsRLE passed over dst, a slab
-// of the word count it checked. sizes, one entry per row, receives the
-// rows' popcounts, counted from the literal runs as they are written, so
-// the slab is never read back. zeroed says dst holds zeros already, as a
-// slab just made does: a zero run then writes nothing.
-func decodeWordsRLE(runs []byte, dst []uint64, sizes []int32, zeroed bool) {
-	clear(sizes)
-	wps := (len(sizes) + 63) / 64
-	for at, off := 0, 0; at < len(dst); {
+// decodeWordsRLE reads the runs checkWordsRLE passed as the member
+// lists of an n-AS epoch: start (n+1 entries) receives the offsets and
+// members (as many entries as the check counted set bits) each row's
+// member positions. The literal words arrive in slab order, so each
+// row's members are appended in ascending order after the rows before
+// it; zero runs are skipped.
+func decodeWordsRLE(runs []byte, n int, start, members []int32) {
+	wps := wordsPerRow(n)
+	clear(start)
+	k := 0
+	for at, off := 0, 0; at < n*wps; {
 		literal := runs[off] == 1
-		run, k := binary.Uvarint(runs[off+1:])
-		off += 1 + k
-		words := dst[at : at+int(run)]
-		switch {
-		case literal:
-			for i := range words {
-				w := binary.LittleEndian.Uint64(runs[off:])
-				words[i] = w
-				sizes[(at+i)/wps] += int32(bits.OnesCount64(w))
+		run, adv := binary.Uvarint(runs[off+1:])
+		off += 1 + adv
+		if literal {
+			for i := at; i < at+int(run); i++ {
+				p, base := i/wps, int32(i%wps)<<6
+				for w := binary.LittleEndian.Uint64(runs[off:]); w != 0; w &= w - 1 {
+					members[k] = base + int32(bits.TrailingZeros64(w))
+					k++
+					start[p+1]++
+				}
 				off += 8
 			}
-		case !zeroed:
-			clear(words)
 		}
-		at += len(words)
+		at += int(run)
+	}
+	for p := 0; p < n; p++ {
+		start[p+1] += start[p]
 	}
 }
 
 // checkBitGaps walks a flipped-bit gap list (the dcolConeXor encoding)
-// once for range and duplicate errors and returns the gap bytes, which
-// the replayer may then apply without a check. want bounds the stored
-// total exactly as in decodeWordsRLE.
-func checkBitGaps(payload []byte, want int, id byte) ([]byte, error) {
+// of an n-AS epoch once for range, duplicate and padding errors and
+// returns the gap bytes, which the replayer may then apply without a
+// check, and the number of flipped bits. The stored total must be the
+// slab's word count, as in checkWordsRLE.
+func checkBitGaps(payload []byte, n int, id byte) (gaps []byte, flips int, err error) {
 	r := &decodeReader{buf: payload}
 	total, err := r.uvarint()
 	if err != nil {
-		return nil, fmt.Errorf("warehouse: bit column %d count: %w", id, err)
+		return nil, 0, fmt.Errorf("warehouse: bit column %d count: %w", id, err)
 	}
-	if total != uint64(want) {
-		return nil, fmt.Errorf("warehouse: bit column %d has %d words, want %d", id, total, want)
+	if want := n * wordsPerRow(n); total != uint64(want) {
+		return nil, 0, fmt.Errorf("warehouse: bit column %d has %d words, want %d", id, total, want)
 	}
-	gaps := r.buf[r.off:]
-	limit := total * 64
+	gaps = r.buf[r.off:]
+	limit, rowBits := total*64, uint64(wordsPerRow(n))<<6
 	prev, first := uint64(0), true
 	for r.off < len(r.buf) {
 		gap, err := r.uvarint()
 		if err != nil {
-			return nil, fmt.Errorf("warehouse: bit column %d gap: %w", id, err)
+			return nil, 0, fmt.Errorf("warehouse: bit column %d gap: %w", id, err)
 		}
 		if !first && gap == 0 {
-			return nil, fmt.Errorf("warehouse: bit column %d: duplicate bit %d", id, prev)
+			return nil, 0, fmt.Errorf("warehouse: bit column %d: duplicate bit %d", id, prev)
 		}
 		if gap >= limit-prev {
-			return nil, fmt.Errorf("warehouse: bit column %d: bit %d+%d out of range [0,%d)", id, prev, gap, limit)
+			return nil, 0, fmt.Errorf("warehouse: bit column %d: bit %d+%d out of range [0,%d)", id, prev, gap, limit)
 		}
 		prev, first = prev+gap, false
+		if prev%rowBits >= uint64(n) {
+			return nil, 0, fmt.Errorf("warehouse: bit column %d: bit %d is padding past the last of %d ASes", id, prev, n)
+		}
+		flips++
 	}
-	return gaps, nil
+	return gaps, flips, nil
 }
 
 // applySparse adds a sparse column delta to vals, the successor's

@@ -15,7 +15,6 @@ import (
 
 	"github.com/asrank-go/asrank/internal/bgpsim"
 	"github.com/asrank-go/asrank/internal/chaos"
-	"github.com/asrank-go/asrank/internal/cone"
 	"github.com/asrank-go/asrank/internal/core"
 	"github.com/asrank-go/asrank/internal/paths"
 	"github.com/asrank-go/asrank/internal/topology"
@@ -64,7 +63,7 @@ func replayerAt(t testing.TB, s *Snapshot) *replayer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp := newReplayer(nil)
+	rp := new(replayer)
 	if err := rp.full(cols); err != nil {
 		t.Fatal(err)
 	}
@@ -419,10 +418,12 @@ func TestOpenRecoversFromCorruptLength(t *testing.T) {
 // against a real base epoch. Any input may be refused; none may panic,
 // a refused one must leave the working epoch exactly at the base, and
 // whatever decodes must survive a full re-encode unchanged. The bases
-// carry crafted rows (craftRows), and "cone sizes drifted from the slab"
-// is the invariant the {self} predicate rests on: a delta with an even
-// base replays on the first epoch, one with an odd base on the second,
-// so seeds can move the AS set both ways.
+// carry crafted rows (craftRows), and whatever decodes must pass the
+// shape check Append holds snapshots to — rows strictly ascending,
+// members below n — the invariant the merge and the encoders rest on: a
+// delta with an even base replays on the first epoch, one with an odd
+// base on the second, so seeds can move the AS set both ways. Two seeds
+// carry a padding bit, one in a full literal run and one in a delta gap.
 func FuzzParseSegment(f *testing.F) {
 	s0, s1 := twoEpochs(f)
 	gone := droppedBy(s1, s0)
@@ -470,6 +471,17 @@ func FuzzParseSegment(f *testing.F) {
 		img, _ := encodeSegment(seed.kind, 1, 0, seed.cols)
 		f.Add(img)
 	}
+	for _, seed := range []struct {
+		kind byte
+		cols []segColumn
+	}{
+		{kindFull, withColumn(encodeFull(bases[1]), colConeWords, oracleWordsRLE(nil, padded(bases[1])))},
+		{kindDelta, withColumn(deltaCols(bases[0], bases[1]), dcolConeXor,
+			oracleConeXor(nil, denseSlab(bases[0]), padded(bases[1]), mapIndexes(bases[0].ASNs, bases[1].ASNs)))},
+	} {
+		img, _ := encodeSegment(seed.kind, 1, 0, seed.cols)
+		f.Add(img)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		hdr, cols, _, err := parseSegment(data)
@@ -477,28 +489,28 @@ func FuzzParseSegment(f *testing.F) {
 			return
 		}
 		rp := replayerAt(t, bases[hdr.base%2])
-		before, sizes := rp.snapshot(), slices.Clone(rp.sizes)
+		before := rp.snapshot()
 		if hdr.kind == kindFull {
 			err = rp.full(cols)
 		} else {
 			err = rp.delta(cols)
 		}
 		if err != nil {
-			if !reflect.DeepEqual(rp.snapshot(), before) || !slices.Equal(rp.sizes, sizes) {
+			if !reflect.DeepEqual(rp.snapshot(), before) {
 				t.Fatalf("refused segment (%v) moved the working epoch", err)
 			}
 			return
 		}
 		s := rp.snapshot()
-		if !slices.Equal(rp.sizes, cone.RowSizes(make([]int32, s.NumASes()), s.ConeWords)) {
-			t.Fatal("cone sizes drifted from the slab")
+		if err := s.check(); err != nil {
+			t.Fatalf("decoded a snapshot the store refuses: %v", err)
 		}
 		img, _ := encodeSegment(kindFull, hdr.epoch, hdr.epoch, encodeFull(s))
 		_, cols, _, err = parseSegment(img)
 		if err != nil {
 			t.Fatalf("re-encoded segment does not parse: %v", err)
 		}
-		again := newReplayer(nil)
+		again := new(replayer)
 		if err := again.full(cols); err != nil {
 			t.Fatalf("re-encoded segment does not decode: %v", err)
 		}

@@ -4,7 +4,8 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"hash/fnv"
-	"math/bits"
+	"math"
+	"slices"
 
 	"github.com/asrank-go/asrank/internal/core"
 	"github.com/asrank-go/asrank/internal/topology"
@@ -49,7 +50,7 @@ const (
 	colClique       = 6  // uvarint count, then ascending uvarint deltas
 	colStepNames    = 7  // uvarint count, then (uvarint len, bytes) each: stepTable.names
 	colLinks        = 8  // uvarint count, then (uvarint dA, uvarint B, uvarint code) with code = stepTable index<<2 | rel
-	colConeWords    = 9  // zero-run-length words: (flag 0, uvarint zeroRun) | (flag 1, uvarint n, n×u64le)
+	colConeWords    = 9  // cone slab (wordsPerRow layout) in zero-run-length words: (flag 0, uvarint zeroRun) | (flag 1, uvarint n, n×u64le)
 	colScalars      = 10 // uvarint pathCount, uvarint len(Links)
 
 	dcolRemovedASNs = 11 // uvarint count, ascending uvarint deltas (ASNs leaving the index)
@@ -188,80 +189,126 @@ func encodePosPairs(out []byte, pairs []LinkRec) []byte {
 	return out
 }
 
-// encodeWordsRLE writes a word slab as alternating zero runs and
-// literal runs — cone slabs (and especially cone XOR deltas) are
-// overwhelmingly zero words, so a year of epochs costs a small multiple
-// of one.
-func encodeWordsRLE(out []byte, words []uint64) []byte {
-	out = binary.AppendUvarint(out, uint64(len(words)))
-	for i := 0; i < len(words); {
-		j := i
-		if words[i] == 0 {
-			for j < len(words) && words[j] == 0 {
-				j++
-			}
-			out = append(out, 0)
-			out = binary.AppendUvarint(out, uint64(j-i))
-		} else {
-			for j < len(words) && words[j] != 0 {
-				j++
-			}
-			out = append(out, 1)
-			out = binary.AppendUvarint(out, uint64(j-i))
-			for _, w := range words[i:j] {
-				out = binary.LittleEndian.AppendUint64(out, w)
-			}
-		}
-		i = j
+// wordsPerRow is the width in words of one row of an n-AS cone slab,
+// the layout the cone columns are written in: member m of row p is bit
+// m&63 of word p·wordsPerRow(n) + m>>6, and a row's last word holds no
+// bit past member n-1.
+func wordsPerRow(n int) int { return (n + 63) / 64 }
+
+// wordRuns writes a word slab as alternating zero runs and literal runs,
+// given only its non-zero words in ascending order: the words it is
+// given gather into a literal run starting at word at, which is written,
+// followed by a zero run, when a word arrives past its end.
+type wordRuns struct {
+	out []byte
+	at  int
+	lit []uint64
+}
+
+// word adds word i, non-zero, past every word added before.
+func (r *wordRuns) word(i int, w uint64) {
+	if i > r.at+len(r.lit) {
+		r.zerosTo(i)
 	}
-	return out
+	r.lit = append(r.lit, w)
 }
 
-// selfOnly reports that row, position p's cone row, is exactly {p} — a
-// stub's cone, which is almost every row of a real slab (DESIGN.md §14).
-// size is the row's popcount. A popcount of one may be any bit in a
-// crafted slab, so the self word is compared too: one bit in the row,
-// and that word holding the self bit alone, leaves nothing else set.
-func selfOnly(row []uint64, size int32, p int) bool {
-	return size == 1 && row[p>>6] == 1<<(uint(p)&63)
+// zerosTo writes the gathered literal run, then the words from its end
+// up to word i as one zero run.
+func (r *wordRuns) zerosTo(i int) {
+	if len(r.lit) > 0 {
+		r.out = append(r.out, 1)
+		r.out = binary.AppendUvarint(r.out, uint64(len(r.lit)))
+		for _, w := range r.lit {
+			r.out = binary.LittleEndian.AppendUint64(r.out, w)
+		}
+		r.at += len(r.lit)
+		r.lit = r.lit[:0]
+	}
+	if i > r.at {
+		r.out = append(r.out, 0)
+		r.out = binary.AppendUvarint(r.out, uint64(i-r.at))
+		r.at = i
+	}
 }
 
-// encodeConeXor writes the bits in which cur's cone slab differs from
-// old's slab projected into cur's index, as ascending uvarint gaps over
-// the global bit index (word*64 + bit). An epoch's cone XOR flips a few
-// hundred bits in a multi-megabit slab, so gaps beat even
-// zero-run-length words by ~3x: each flipped bit costs the varint of its
-// distance to the previous one, and untouched regions cost nothing at
-// all. A row that is {self} on both sides is not read: its projection
-// lands on the new self bit, so it flips nothing. Any other row is
-// projected over a one-row scratch; neither the remapped slab nor the
-// XOR slab is ever materialised.
+// encodeWordsRLE writes a snapshot's cones as the words of the n × n-bit
+// slab whose set bits they are, in alternating zero runs and literal
+// runs — cone slabs are overwhelmingly zero words, so a year of epochs
+// costs a small multiple of one. The slab is never built: each row's
+// members are gathered into the words they land in, which come out
+// ascending because the rows and each row's members do.
+func encodeWordsRLE(out []byte, s *Snapshot) []byte {
+	n := len(s.ASNs)
+	wps := wordsPerRow(n)
+	total := n * wps
+	r := wordRuns{out: binary.AppendUvarint(out, uint64(total))}
+	for p := 0; p < n; p++ {
+		word, w := -1, uint64(0)
+		for _, m := range s.coneRow(p) {
+			if i := p*wps + int(m>>6); i != word {
+				if w != 0 {
+					r.word(word, w)
+				}
+				word, w = i, 0
+			}
+			w |= 1 << (uint(m) & 63)
+		}
+		if w != 0 {
+			r.word(word, w)
+		}
+	}
+	r.zerosTo(total)
+	return r.out
+}
+
+// encodeConeXor writes the bits in which cur's cones differ from old's
+// projected into cur's index, as ascending uvarint gaps over the global
+// bit index of cur's slab layout (p·wordsPerRow·64 + m). An epoch's cone
+// XOR flips a few hundred bits in a multi-megabit slab, so gaps beat
+// even zero-run-length words by ~3x: each flipped bit costs the varint
+// of its distance to the previous one, and untouched regions cost
+// nothing at all. Each new row is merged with its predecessor row mapped
+// through oldToNew, which keeps it ascending (both indexes are in ASN
+// order) and drops the members that left, so the pass is one step per
+// member and the slab is never built.
 func encodeConeXor(out []byte, old, cur *Snapshot, m *indexMap) []byte {
-	n, wps, wpsOld := len(cur.ASNs), cur.WordsPerCone(), old.WordsPerCone()
-	oldSizes, curSizes := old.ConeSizes(), cur.ConeSizes()
-	out = binary.AppendUvarint(out, uint64(wps*n))
-	scratch, identity := make([]uint64, wps), m.identity()
+	n := len(cur.ASNs)
+	rowBits := uint64(wordsPerRow(n)) << 6
+	out = binary.AppendUvarint(out, uint64(wordsPerRow(n)*n))
 	prev := uint64(0)
 	for np := 0; np < n; np++ {
-		op := int(m.newToOld[np])
-		if op >= 0 && selfOnly(cur.ConeWords[np*wps:], curSizes[np], np) && selfOnly(old.ConeWords[op*wpsOld:], oldSizes[op], op) {
-			continue
+		row, was := cur.coneRow(np), []int32(nil)
+		if op := m.newToOld[np]; op >= 0 {
+			was = old.coneRow(int(op))
 		}
-		row := scratch
-		if identity {
-			row = old.ConeWords[op*wpsOld : (op+1)*wpsOld]
-		} else {
-			clear(scratch)
-			if op >= 0 {
-				remapRow(scratch, old.ConeWords[op*wpsOld:(op+1)*wpsOld], m.oldToNew)
+		for i, j := 0, 0; ; {
+			for j < len(was) && m.oldToNew[was[j]] < 0 {
+				j++
 			}
-		}
-		for wi, w := range cur.ConeWords[np*wps : (np+1)*wps] {
-			for w ^= row[wi]; w != 0; w &= w - 1 {
-				idx := uint64(np*wps+wi)<<6 + uint64(bits.TrailingZeros64(w))
-				out = binary.AppendUvarint(out, idx-prev)
-				prev = idx
+			a, b := int32(math.MaxInt32), int32(math.MaxInt32)
+			if i < len(row) {
+				a = row[i]
 			}
+			if j < len(was) {
+				b = m.oldToNew[was[j]]
+			}
+			if a == b {
+				if a == math.MaxInt32 {
+					break
+				}
+				i, j = i+1, j+1
+				continue
+			}
+			flipped := min(a, b)
+			if a < b {
+				i++
+			} else {
+				j++
+			}
+			idx := uint64(np)*rowBits + uint64(flipped)
+			out = binary.AppendUvarint(out, idx-prev)
+			prev = idx
 		}
 	}
 	return out
@@ -302,7 +349,7 @@ func encodeFull(s *Snapshot) []segColumn {
 		{colClique, encodeAscendingU32(nil, s.Clique)},
 		{colStepNames, encodeStepNames(nil, steps.names)},
 		{colLinks, encodeLinks(nil, s.Links, steps)},
-		{colConeWords, encodeWordsRLE(nil, s.ConeWords)},
+		{colConeWords, encodeWordsRLE(nil, s)},
 		{colScalars, encodeScalars(nil, s)},
 	}
 }
@@ -316,15 +363,15 @@ type indexMap struct {
 }
 
 func mapIndexes(oldASNs, newASNs []uint32) *indexMap {
-	return new(indexMap).align(oldASNs, newASNs, 0)
+	return new(indexMap).align(oldASNs, newASNs)
 }
 
-// align points m at a new pair of indexes, reusing its slices (grown to
-// at least hint when they must grow); whatever an earlier pair left in
-// them is overwritten.
-func (m *indexMap) align(oldASNs, newASNs []uint32, hint int) *indexMap {
-	m.oldToNew = fit(m.oldToNew, len(oldASNs), hint)
-	m.newToOld = fit(m.newToOld, len(newASNs), hint)
+// align points m at a new pair of indexes, reusing its slices where
+// they are long enough; whatever an earlier pair left in them is
+// overwritten.
+func (m *indexMap) align(oldASNs, newASNs []uint32) *indexMap {
+	m.oldToNew = slices.Grow(m.oldToNew[:0], len(oldASNs))[:len(oldASNs)]
+	m.newToOld = slices.Grow(m.newToOld[:0], len(newASNs))[:len(newASNs)]
 	m.removed, m.added = m.removed[:0], m.added[:0]
 	i, j := 0, 0
 	for i < len(oldASNs) || j < len(newASNs) {
@@ -345,41 +392,6 @@ func (m *indexMap) align(oldASNs, newASNs []uint32, hint int) *indexMap {
 		}
 	}
 	return m
-}
-
-// identity reports that the two indexes hold the same AS set, so every
-// position maps to itself.
-func (m *indexMap) identity() bool { return len(m.removed) == 0 && len(m.added) == 0 }
-
-// firstMoved returns the first position that does not map to itself —
-// the same in both indexes, whose positions below it hold the same ASes
-// — or the shorter index's length when every position of it does.
-func (m *indexMap) firstMoved() int {
-	f := 0
-	for f < len(m.newToOld) && m.newToOld[f] == int32(f) {
-		f++
-	}
-	return f
-}
-
-// remapRow projects one old cone row into the new index: surviving
-// members keep their bit at the remapped position, departed members
-// vanish. dst must be zero; the number of bits set in it is returned.
-// A bit in the row's padding (a crafted slab) names no AS and vanishes
-// too.
-func remapRow(dst, cone []uint64, oldToNew []int32) int {
-	set := 0
-	for wi, w := range cone {
-		for ; w != 0; w &= w - 1 {
-			bit := wi<<6 + bits.TrailingZeros64(w)
-			if bit < len(oldToNew) && oldToNew[bit] >= 0 {
-				nb := uint(oldToNew[bit])
-				dst[nb>>6] |= 1 << (nb & 63)
-				set++
-			}
-		}
-	}
-	return set
 }
 
 // sparseDiff computes the sparse delta of an int64-view column aligned

@@ -28,7 +28,7 @@ func SealedFaultyDelta(prev, next *Snapshot, id uint32, fault string) (img []byt
 // fault in it.
 func faultyCols(prev, next *Snapshot, fault string) []segColumn {
 	n := len(next.ASNs)
-	words := uint64(next.WordsPerCone() * n)
+	words := uint64(wordsPerRow(n) * n)
 	var col byte
 	var payload []byte
 	switch fault {

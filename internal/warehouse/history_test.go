@@ -173,7 +173,8 @@ func TestPublishedHistoryNeverChanges(t *testing.T) {
 func oneASSnapshot() *Snapshot {
 	return &Snapshot{
 		ASNs:          []uint32{64500},
-		ConeWords:     []uint64{1},
+		ConeStart:     []int32{0, 1},
+		ConeMembers:   []int32{0},
 		ConePrefixes:  []int64{1},
 		Degree:        []int32{0},
 		TransitDegree: []int32{0},

@@ -22,13 +22,15 @@ func allocatedBy(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestManifestASCountIsOnlyAHint: the manifest's "ases" sizes the
-// replayer's buffers and nothing checksums it. A manifest that claims
-// no ASes, a negative count, 2^32 or 200 000 of them — on one epoch or
-// on all — opens to the store the honest manifest opens to, every epoch
-// included, and allocates no more than a small multiple of what the
-// honest one does (2^32 used to panic in makeslice; 200 000 asked for a
-// 5 GB slab).
+// TestManifestASCountIsOnlyAHint: nothing checksums the manifest's
+// "ases", so nothing may be sized by it — the replayer sizes its cone
+// lists by what each segment decodes to and does not read it. A
+// manifest that claims no ASes, a negative count, 2^32 or 200 000 of
+// them — on one epoch or on all — opens to the store the honest
+// manifest opens to, every epoch included, and allocates no more than a
+// small multiple of what the honest one does (while the number sized
+// the replayer's slab, 2^32 panicked in makeslice and 200 000 asked for
+// a 5 GB slab).
 func TestManifestASCountIsOnlyAHint(t *testing.T) {
 	snaps, etags := buildSeries(t, 3, 300, 6)
 	src := t.TempDir()

@@ -9,102 +9,164 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
-	"github.com/asrank-go/asrank/internal/cone"
+	"github.com/asrank-go/asrank/internal/asindex"
 	"github.com/asrank-go/asrank/internal/topology"
 )
 
-// The passes below are the warehouse's cone-slab passes as they stood
-// before rows that are exactly {self} were skipped and before the remap
-// worked in place (DESIGN.md §14): each walks every word of the slab.
-// They are the oracles the skipping, in-place versions are held to —
-// byte-identical XOR columns, word-identical slabs, equal sizes. Beside
-// them, History.Diff's map fold is the oracle of the merge.
+// The warehouse held its cones as one dense n × n-bit slab before they
+// were member lists (DESIGN.md §14). That layout lives on here as the
+// oracle of the list passes: denseSlab lays a snapshot's cones out as
+// the slab the cone columns describe, and the passes below are the
+// encoders and the replayer as they stood over it, each walking every
+// word. The list passes are held to them — byte-identical columns, equal
+// cones. Beside them, History.Diff's map fold is the oracle of the merge.
 
-// oracleConeXor is encodeConeXor reading every row.
-func oracleConeXor(out []byte, old, cur *Snapshot, m *indexMap) []byte {
-	n, wps, wpsOld := len(cur.ASNs), cur.WordsPerCone(), old.WordsPerCone()
-	out = binary.AppendUvarint(out, uint64(wps*n))
-	scratch, identity := make([]uint64, wps), m.identity()
-	prev := uint64(0)
-	for np := 0; np < n; np++ {
-		row := scratch
-		if op := int(m.newToOld[np]); identity {
-			row = old.ConeWords[op*wpsOld : (op+1)*wpsOld]
+// denseSlab returns s's cones as the slab the cone columns are written
+// in: row p is words [p·wps, (p+1)·wps) with wps = wordsPerRow(n).
+func denseSlab(s *Snapshot) []uint64 {
+	n := len(s.ASNs)
+	wps := wordsPerRow(n)
+	slab := make([]uint64, n*wps)
+	for p := 0; p < n; p++ {
+		for _, m := range s.coneRow(p) {
+			slab[p*wps+int(m)>>6] |= 1 << (uint(m) & 63)
+		}
+	}
+	return slab
+}
+
+// denseLists reads an n-AS slab back as member lists, padding bits
+// included as members ≥ n — which no list the store accepts holds.
+func denseLists(slab []uint64, n int) (start, members []int32) {
+	start = []int32{0}
+	if n > 0 {
+		wps := len(slab) / n
+		for p := 0; p < n; p++ {
+			asindex.Bitset(slab[p*wps : (p+1)*wps]).ForEach(func(m int32) { members = append(members, m) })
+			start = append(start, int32(len(members)))
+		}
+	}
+	return start, members
+}
+
+// oracleWordsRLE is the zero-run-length encoder over a dense slab.
+func oracleWordsRLE(out []byte, words []uint64) []byte {
+	out = binary.AppendUvarint(out, uint64(len(words)))
+	for i := 0; i < len(words); {
+		j := i
+		if words[i] == 0 {
+			for j < len(words) && words[j] == 0 {
+				j++
+			}
+			out = append(out, 0)
+			out = binary.AppendUvarint(out, uint64(j-i))
 		} else {
-			clear(scratch)
-			if op >= 0 {
-				remapRow(scratch, old.ConeWords[op*wpsOld:(op+1)*wpsOld], m.oldToNew)
+			for j < len(words) && words[j] != 0 {
+				j++
+			}
+			out = append(out, 1)
+			out = binary.AppendUvarint(out, uint64(j-i))
+			for _, w := range words[i:j] {
+				out = binary.LittleEndian.AppendUint64(out, w)
 			}
 		}
-		for wi, w := range cur.ConeWords[np*wps : (np+1)*wps] {
-			for w ^= row[wi]; w != 0; w &= w - 1 {
-				idx := uint64(np*wps+wi)<<6 + uint64(bits.TrailingZeros64(w))
-				out = binary.AppendUvarint(out, idx-prev)
-				prev = idx
+		i = j
+	}
+	return out
+}
+
+// remapRow projects one old cone row into the new index: surviving
+// members keep their bit at the remapped position, departed members
+// vanish. dst must be zero; the number of bits set in it is returned.
+// A bit in the row's padding names no AS and vanishes too.
+func remapRow(dst, cone []uint64, oldToNew []int32) int {
+	set := 0
+	for wi, w := range cone {
+		for ; w != 0; w &= w - 1 {
+			bit := wi<<6 + bits.TrailingZeros64(w)
+			if bit < len(oldToNew) && oldToNew[bit] >= 0 {
+				nb := uint(oldToNew[bit])
+				dst[nb>>6] |= 1 << (nb & 63)
+				set++
 			}
+		}
+	}
+	return set
+}
+
+// oracleRemapSlab projects an old slab into the new index m aligns it
+// to, every row of dst cleared and every row of src re-scanned.
+func oracleRemapSlab(dst, src []uint64, m *indexMap) {
+	n, nOld := len(m.newToOld), len(m.oldToNew)
+	wps, wpsOld := wordsPerRow(n), wordsPerRow(nOld)
+	for np := 0; np < n; np++ {
+		row := dst[np*wps : (np+1)*wps]
+		clear(row)
+		if op := int(m.newToOld[np]); op >= 0 {
+			remapRow(row, src[op*wpsOld:(op+1)*wpsOld], m.oldToNew)
+		}
+	}
+}
+
+// oracleConeXor is the XOR column over dense slabs: every new row
+// against its remapped predecessor row, word by word.
+func oracleConeXor(out []byte, oldSlab, curSlab []uint64, m *indexMap) []byte {
+	n := len(m.newToOld)
+	wps := wordsPerRow(n)
+	out = binary.AppendUvarint(out, uint64(wps*n))
+	remapped := make([]uint64, wps*n)
+	oracleRemapSlab(remapped, oldSlab, m)
+	prev := uint64(0)
+	for wi, w := range curSlab {
+		for w ^= remapped[wi]; w != 0; w &= w - 1 {
+			idx := uint64(wi)<<6 + uint64(bits.TrailingZeros64(w))
+			out = binary.AppendUvarint(out, idx-prev)
+			prev = idx
 		}
 	}
 	return out
 }
 
-// oracleRemapSlab is replayer.remap as a second slab: every row of it
-// cleared and every row of src re-scanned, none left in place.
-func oracleRemapSlab(dst []uint64, dstSizes []int32, src []uint64, m *indexMap) {
-	n, nOld := len(m.newToOld), len(m.oldToNew)
-	wps, wpsOld := (n+63)/64, (nOld+63)/64
-	for np := 0; np < n; np++ {
-		row := dst[np*wps : (np+1)*wps]
-		clear(row)
-		dstSizes[np] = 0
-		if op := int(m.newToOld[np]); op >= 0 {
-			dstSizes[np] = int32(remapRow(row, src[op*wpsOld:(op+1)*wpsOld], m.oldToNew))
-		}
-	}
+// denseReplayer is the replayer's cone state as one slab: a full
+// epoch's column decodes word by word, a delta remaps the slab into a
+// second one and flips its bits there. It trusts its input; the list
+// replayer's checks have passed it first.
+type denseReplayer struct {
+	n    int
+	slab []uint64
 }
 
-// oracleWordsRLE is decodeWordsRLE without the size count: the slab is
-// decoded, then popcounted by cone.RowSizes.
-func oracleWordsRLE(payload []byte, dst []uint64, sizes []int32) error {
+func (d *denseReplayer) full(payload []byte, n int) {
 	r := &decodeReader{buf: payload}
-	total, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	if total != uint64(len(dst)) {
-		return fmt.Errorf("slab total %d, want %d", total, len(dst))
-	}
+	total, _ := r.uvarint()
+	d.n, d.slab = n, make([]uint64, total)
 	for at := uint64(0); at < total; {
-		flag, err := r.bytes(1)
-		if err != nil {
-			return err
-		}
-		run, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		if run == 0 || run > total-at {
-			return fmt.Errorf("run of %d words at word %d of %d", run, at, total)
-		}
-		switch flag[0] {
-		case 0:
-			clear(dst[at : at+run])
-		case 1:
-			raw, err := r.bytes(int(run) * 8)
-			if err != nil {
-				return err
-			}
+		flag, _ := r.bytes(1)
+		run, _ := r.uvarint()
+		if flag[0] == 1 {
+			raw, _ := r.bytes(int(run) * 8)
 			for i := uint64(0); i < run; i++ {
-				dst[at+i] = binary.LittleEndian.Uint64(raw[i*8:])
+				d.slab[at+i] = binary.LittleEndian.Uint64(raw[i*8:])
 			}
-		default:
-			return fmt.Errorf("unknown run flag %d", flag[0])
 		}
 		at += run
 	}
-	cone.RowSizes(sizes, dst)
-	return nil
+}
+
+func (d *denseReplayer) delta(payload []byte, m *indexMap) {
+	r := &decodeReader{buf: payload}
+	total, _ := r.uvarint()
+	next := make([]uint64, total)
+	oracleRemapSlab(next, d.slab, m)
+	for idx := uint64(0); r.off < len(r.buf); {
+		gap, _ := r.uvarint()
+		idx += gap
+		next[idx>>6] ^= 1 << (idx & 63)
+	}
+	d.n, d.slab = len(m.newToOld), next
 }
 
 // oracleDiff is History.Diff as a fold through a map keyed by link, the
@@ -201,49 +263,52 @@ func TestDiffMergeEqualsMapFold(t *testing.T) {
 	}
 }
 
-// craftRows returns a hand-built copy of s (no size column) in which
-// five rows that were {self} hold what a real slab never does, so the
-// {self} predicate is probed where a popcount alone would be fooled:
-// one bit that is not the self bit, no bit at all, the self bit plus a
-// padding bit, a padding bit alone, and — given the position of an AS
-// the next epoch drops — that AS as the row's only member.
-func craftRows(t testing.TB, s *Snapshot, dropped int) *Snapshot {
-	t.Helper()
+// rowsOf returns s's cones as one slice per position, copied.
+func rowsOf(s *Snapshot) [][]int32 {
+	rows := make([][]int32, len(s.ASNs))
+	for p := range rows {
+		rows[p] = slices.Clone(s.coneRow(p))
+	}
+	return rows
+}
+
+// withRows returns a copy of s holding the given cones.
+func withRows(s *Snapshot, rows [][]int32) *Snapshot {
 	c := *s
-	c.ConeWords = slices.Clone(s.ConeWords) // and with the slab goes the size column
-	n, wps, sizes := len(s.ASNs), s.WordsPerCone(), s.ConeSizes()
-	var rows []int
-	for p := n - 1; p >= 0 && len(rows) < 5; p-- {
-		if p != dropped && selfOnly(s.ConeWords[p*wps:], sizes[p], p) {
-			rows = append(rows, p)
-		}
-	}
-	if len(rows) < 5 || n%64 == 0 {
-		t.Fatalf("snapshot of %d ASes has %d {self} rows to craft and %d padding bits", n, len(rows), wps*64-n)
-	}
-	row := func(i int, members ...int) {
-		r := c.ConeWords[rows[i]*wps : (rows[i]+1)*wps]
-		clear(r)
-		for _, b := range members {
-			r[b>>6] |= 1 << (uint(b) & 63)
-		}
-	}
-	row(0, (rows[0]+1)%n)
-	row(1)
-	row(2, rows[2], n)
-	row(3, wps*64-1)
-	if dropped >= 0 {
-		row(4, dropped)
+	c.ConeStart, c.ConeMembers = []int32{0}, nil
+	for _, row := range rows {
+		c.ConeMembers = append(c.ConeMembers, row...)
+		c.ConeStart = append(c.ConeStart, int32(len(c.ConeMembers)))
 	}
 	return &c
 }
 
-// sized returns a copy of s carrying the size column an independent
-// count gives it — what a snapshot out of Compose or the replayer holds.
-func sized(s *Snapshot) *Snapshot {
-	c := *s
-	c.setConeSizes(cone.RowSizes(make([]int32, len(s.ASNs)), s.ConeWords))
-	return &c
+// craftRows returns a copy of s in which five rows that were {self}
+// hold what an inferred product never does: one member that is not the
+// AS itself, no member at all, the AS and the last position, the last
+// position alone, and — given the position of an AS the next epoch
+// drops — that AS as the row's only member. n is held off a multiple of
+// 64, so the last position shares its word with padding bits.
+func craftRows(t testing.TB, s *Snapshot, dropped int) *Snapshot {
+	t.Helper()
+	n, rows := len(s.ASNs), rowsOf(s)
+	var self []int
+	for p := n - 1; p >= 0 && len(self) < 5; p-- {
+		if p != dropped && slices.Equal(rows[p], []int32{int32(p)}) {
+			self = append(self, p)
+		}
+	}
+	if len(self) < 5 || n%64 == 0 {
+		t.Fatalf("snapshot of %d ASes has %d {self} rows to craft and %d padding bits", n, len(self), wordsPerRow(n)*64-n)
+	}
+	rows[self[0]] = []int32{int32((self[0] + 1) % n)}
+	rows[self[1]] = nil
+	rows[self[2]] = []int32{int32(self[2]), int32(n - 1)}
+	rows[self[3]] = []int32{int32(n - 1)}
+	if dropped >= 0 {
+		rows[self[4]] = []int32{int32(dropped)}
+	}
+	return withRows(s, rows)
 }
 
 // droppedBy returns the old position of an AS that cur no longer holds,
@@ -252,75 +317,71 @@ func droppedBy(old, cur *Snapshot) int {
 	return slices.Index(mapIndexes(old.ASNs, cur.ASNs).oldToNew, -1)
 }
 
-// TestSkippingPassesEqualFullSweeps holds the three passes that skip
-// {self} rows to the full sweeps they replaced, over a series whose ASes
-// enter and leave (and two epochs that keep their AS set), with crafted
-// rows on either side, the size column both present and absent, and
-// every destination buffer as dirty as its pass allows.
+// padded returns cur's dense slab with one padding bit set: the last
+// bit of row 0, which names no AS when n is no multiple of 64.
+func padded(cur *Snapshot) []uint64 {
+	slab := denseSlab(cur)
+	slab[wordsPerRow(len(cur.ASNs))-1] |= 1 << 63
+	return slab
+}
+
+// TestSkippingPassesEqualFullSweeps holds the list passes to the dense
+// sweeps they replaced, over a series whose ASes enter and leave (and
+// two epochs that keep their AS set), with crafted rows on either side:
+// the full and delta cone columns are byte-identical to the dense
+// encoders', the full column decodes over a dirty spare pair to the
+// lists the dense decode reads, and the delta, replayed, lands on the
+// appended lists. A padding bit, which no member list can hold, is
+// refused in either column, and the refused epoch leaves the replayer
+// where it was.
 func TestSkippingPassesEqualFullSweeps(t *testing.T) {
 	series := synthSeries(300, 9, 7, 3, 4)
-	dirty := func(n int) ([]uint64, []int32) {
-		words, sizes := make([]uint64, (n+63)/64*n), make([]int32, n)
-		for i := range words {
-			words[i] = 0xDEADBEEFDEADBEEF
-		}
-		for i := range sizes {
-			sizes[i] = -1
-		}
-		return words, sizes
-	}
 	for e := 1; e < len(series); e++ {
 		gone := droppedBy(series[e-1], series[e])
 		pairs := map[string][2]*Snapshot{
 			"plain":     {series[e-1], series[e]},
-			"sized":     {sized(series[e-1]), sized(series[e])},
 			"crafted":   {craftRows(t, series[e-1], gone), craftRows(t, series[e], -1)},
-			"craftedL":  {craftRows(t, series[e-1], gone), sized(series[e])},
-			"craftedR":  {sized(series[e-1]), sized(craftRows(t, series[e], -1))},
-			"unchanged": {sized(craftRows(t, series[e], -1)), craftRows(t, series[e], -1)},
+			"craftedL":  {craftRows(t, series[e-1], gone), series[e]},
+			"craftedR":  {series[e-1], craftRows(t, series[e], -1)},
+			"unchanged": {series[e], craftRows(t, series[e], -1)},
 		}
 		for name, pair := range pairs {
 			old, cur := pair[0], pair[1]
 			m := mapIndexes(old.ASNs, cur.ASNs)
 			n := len(cur.ASNs)
+			oldSlab, curSlab := denseSlab(old), denseSlab(cur)
 
-			if got, want := encodeConeXor(nil, old, cur, m), oracleConeXor(nil, old, cur, m); !bytes.Equal(got, want) {
-				t.Errorf("epoch %d %s: XOR column of %d bytes, the full sweep writes %d", e, name, len(got), len(want))
+			full := encodeWordsRLE(nil, cur)
+			if want := oracleWordsRLE(nil, curSlab); !bytes.Equal(full, want) {
+				t.Errorf("epoch %d %s: slab column of %d bytes, the dense encoder writes %d", e, name, len(full), len(want))
+			}
+			if got, want := encodeConeXor(nil, old, cur, m), oracleConeXor(nil, oldSlab, curSlab, m); !bytes.Equal(got, want) {
+				t.Errorf("epoch %d %s: XOR column of %d bytes, the dense sweep writes %d", e, name, len(got), len(want))
 			}
 
-			rp := &replayer{slab: slices.Clone(old.ConeWords), sizes: slices.Clone(old.ConeSizes()), capacity: len(old.ASNs)}
-			rp.remap(m)
-			wantSlab, wantSizes := dirty(n)
-			oracleRemapSlab(wantSlab, wantSizes, old.ConeWords, m)
-			if !slices.Equal(rp.slab, wantSlab) || !slices.Equal(rp.sizes, wantSizes) {
-				t.Errorf("epoch %d %s: remapped slab or sizes differ from the row-by-row remap", e, name)
-			}
-
-			// The slab column decodes over a reused slab, stale words and
-			// all, and over one just made, which it only writes literals to.
-			payload := encodeWordsRLE(nil, cur.ConeWords)
-			runs, err := checkWordsRLE(payload, len(cur.ConeWords), colConeWords)
+			runs, set, err := checkWordsRLE(full, n, colConeWords)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantSlab, wantSizes = dirty(n)
-			if err := oracleWordsRLE(payload, wantSlab, wantSizes); err != nil {
-				t.Fatal(err)
+			start, members := make([]int32, n+1), make([]int32, set)
+			for i := range members {
+				members[i] = -1
 			}
-			for _, zeroed := range []bool{false, true} {
-				gotSlab, gotSizes := dirty(n)
-				if zeroed {
-					clear(gotSlab)
-				}
-				decodeWordsRLE(runs, gotSlab, gotSizes, zeroed)
-				if !slices.Equal(gotSlab, cur.ConeWords) || !slices.Equal(gotSlab, wantSlab) || !slices.Equal(gotSizes, wantSizes) {
-					t.Errorf("epoch %d %s, zeroed %v: decoded slab or sizes differ from decode-then-count", e, name, zeroed)
-				}
+			for i := range start {
+				start[i] = -1
+			}
+			decodeWordsRLE(runs, n, start, members)
+			var d denseReplayer
+			d.full(full, n)
+			wantStart, wantMembers := denseLists(d.slab, n)
+			if !slices.Equal(start, wantStart) || !slices.Equal(members, wantMembers) ||
+				!slices.Equal(start, cur.ConeStart) || !slices.Equal(members, cur.ConeMembers) {
+				t.Errorf("epoch %d %s: decoded lists differ from the dense decode or the encoded lists", e, name)
 			}
 
 			// End to end: the delta the encoder writes, replayed on the old
 			// epoch, is the new epoch, crafted rows and all.
-			rp = replayerAt(t, old)
+			rp := replayerAt(t, old)
 			img, _ := encodeSegment(kindDelta, 1, 0, deltaCols(old, cur))
 			_, cols, _, err := parseSegment(img)
 			if err != nil {
@@ -329,25 +390,65 @@ func TestSkippingPassesEqualFullSweeps(t *testing.T) {
 			if err := rp.delta(cols); err != nil {
 				t.Fatalf("epoch %d %s: %v", e, name, err)
 			}
-			if !slices.Equal(rp.slab, cur.ConeWords) || !slices.Equal(rp.sizes, sized(cur).coneSizes) {
-				t.Errorf("epoch %d %s: the replayed delta does not land on the appended slab and sizes", e, name)
+			if got := rp.snapshot(); !slices.Equal(got.ConeStart, cur.ConeStart) || !slices.Equal(got.ConeMembers, cur.ConeMembers) {
+				t.Errorf("epoch %d %s: the replayed delta does not land on the appended lists", e, name)
+			}
+		}
+
+		old, cur := series[e-1], craftRows(t, series[e], -1)
+		slab := padded(cur)
+		for kind, cols := range map[byte][]segColumn{
+			kindFull:  withColumn(encodeFull(cur), colConeWords, oracleWordsRLE(nil, slab)),
+			kindDelta: withColumn(deltaCols(old, cur), dcolConeXor, oracleConeXor(nil, denseSlab(old), slab, mapIndexes(old.ASNs, cur.ASNs))),
+		} {
+			err := refusal(t, old, kind, cols)
+			want := fmt.Sprintf("bit %d is padding", wordsPerRow(len(cur.ASNs))*64-1)
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("epoch %d, kind %d: padding bit refused with %q, want it named (%q)", e, kind, err, want)
 			}
 		}
 	}
 }
 
-// TestRemapInPlaceEqualsOracle holds the in-place remap to the one that
-// rebuilds every row in a second slab: word-identical slabs, equal
-// sizes. The predecessor has ASN 100(i+1) at position i; each case names
+// randomFlips returns a dcolConeXor payload for an n-AS epoch flipping
+// a random sixth of the rows' positions around each flipped row's own,
+// and the flipped bits as one ascending list of bit indexes.
+func randomFlips(rng *rand.Rand, n int) (payload []byte, flipped []uint64) {
+	rowBits := uint64(wordsPerRow(n)) << 6
+	payload = binary.AppendUvarint(nil, uint64(wordsPerRow(n)*n))
+	prev := uint64(0)
+	for p := 0; p < n; p++ {
+		if rng.Intn(6) > 0 {
+			continue
+		}
+		var ms []int
+		for k := rng.Intn(4); k >= 0; k-- {
+			ms = append(ms, rng.Intn(n))
+		}
+		slices.Sort(ms)
+		for _, m := range slices.Compact(ms) {
+			idx := uint64(p)*rowBits + uint64(m)
+			payload = binary.AppendUvarint(payload, idx-prev)
+			prev = idx
+			flipped = append(flipped, idx)
+		}
+	}
+	return payload, flipped
+}
+
+// TestRemapInPlaceEqualsOracle holds the merge that carries a
+// predecessor's cones into a delta's index to the dense remap that
+// rebuilds every row in a second slab, with and without flipped bits on
+// top. The predecessor has ASN 100(i+1) at position i; each case names
 // the positions that leave and, per old position, how many ASes enter
 // just before it (nOld: at the tail). The cases put the first moved
 // position at 0, mid-index and the tail, on and off a word boundary,
-// with rows that widen, narrow or keep their width; each runs with
-// buffers to spare and with buffers exactly as long as the predecessor,
-// as a manifest whose "ases" is too small leaves them. Every slab holds
-// {self} rows, empty rows, random cones and, on both sides of the first
-// moved position, crafted rows: one whose only member leaves, one with a
-// padding bit, and one whose one bit is not its own.
+// with rows that widen, narrow or keep their width; each runs with no
+// spare pair and with a spare pair too long and full of stale entries.
+// Every predecessor holds {self} rows, empty rows, random cones and, on
+// both sides of the first moved position, crafted rows: one whose only
+// member leaves, one holding its last position, and one whose one
+// member is not its own.
 func TestRemapInPlaceEqualsOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	for _, tc := range []struct {
@@ -383,22 +484,23 @@ func TestRemapInPlaceEqualsOracle(t *testing.T) {
 			}
 		}
 		m := mapIndexes(oldASNs, newASNs)
-		f := m.firstMoved()
+		f := 0
+		for f < len(m.newToOld) && m.newToOld[f] == int32(f) {
+			f++
+		}
 		if f != tc.first || len(newASNs) != tc.nNew {
 			t.Fatalf("%s: first moved position %d of %d ASes, want %d of %d", tc.name, f, len(newASNs), tc.first, tc.nNew)
 		}
 
-		wpsOld := (tc.nOld + 63) / 64
-		slab := make([]uint64, wpsOld*tc.nOld)
-		set := func(p, member int) { slab[p*wpsOld+member>>6] |= 1 << (uint(member) & 63) }
-		for p := 0; p < tc.nOld; p++ {
+		rows := make([][]int32, tc.nOld)
+		for p := range rows {
 			switch r := rng.Intn(10); {
 			case r < 6:
-				set(p, p)
+				rows[p] = []int32{int32(p)}
 			case r < 7:
 			default:
 				for k := rng.Intn(12); k >= 0; k-- {
-					set(p, rng.Intn(tc.nOld))
+					rows[p] = append(rows[p], int32(rng.Intn(tc.nOld)))
 				}
 			}
 		}
@@ -410,44 +512,190 @@ func TestRemapInPlaceEqualsOracle(t *testing.T) {
 			if p < 0 || p >= tc.nOld {
 				continue
 			}
-			clear(slab[p*wpsOld : (p+1)*wpsOld])
 			switch i % 3 {
 			case 0:
-				set(p, leaving)
+				rows[p] = []int32{int32(leaving)}
 			case 1:
-				set(p, p)
-				set(p, wpsOld*64-1) // a padding bit where nOld is no multiple of 64
+				rows[p] = []int32{int32(p), int32(tc.nOld - 1)}
 			case 2:
-				set(p, (p+1)%tc.nOld)
+				rows[p] = []int32{int32((p + 1) % tc.nOld)}
 			}
 		}
-		sizes := cone.RowSizes(make([]int32, tc.nOld), slab)
+		for p := range rows {
+			slices.Sort(rows[p])
+			rows[p] = slices.Compact(rows[p])
+		}
+		old := withRows(&Snapshot{ASNs: oldASNs}, rows)
+		oldSlab := denseSlab(old)
 
 		n := len(newASNs)
-		wantSlab, wantSizes := make([]uint64, (n+63)/64*n), make([]int32, n)
-		oracleRemapSlab(wantSlab, wantSizes, slab, m)
-		for _, spare := range []bool{true, false} {
-			rp := &replayer{slab: slices.Clip(slices.Clone(slab)), sizes: slices.Clip(slices.Clone(sizes)), capacity: tc.nOld}
-			if spare {
-				rp.capacity = max(tc.nOld, n) + 64
-				rp.slab = append(make([]uint64, 0, slabWords(rp.capacity)), slab...)
-				rp.sizes = append(make([]int32, 0, rp.capacity), sizes...)
+		for _, flipping := range []bool{false, true} {
+			gaps, flipped := binary.AppendUvarint(nil, uint64(wordsPerRow(n)*n)), []uint64(nil)
+			if flipping {
+				gaps, flipped = randomFlips(rng, n)
 			}
-			rp.remap(m)
-			if !slices.Equal(rp.slab, wantSlab) || !slices.Equal(rp.sizes, wantSizes) {
-				t.Errorf("%s, buffers to spare %v: the in-place remap differs from the row-by-row one", tc.name, spare)
+			want := make([]uint64, wordsPerRow(n)*n)
+			oracleRemapSlab(want, oldSlab, m)
+			for _, idx := range flipped {
+				want[idx>>6] ^= 1 << (idx & 63)
+			}
+			wantStart, wantMembers := denseLists(want, n)
+			for _, spare := range []bool{false, true} {
+				rp := &replayer{cur: old, start: old.ConeStart, members: old.ConeMembers}
+				if spare {
+					rp.spareStart, rp.spareMembers = make([]int32, 3*n), make([]int32, 4*len(old.ConeMembers))
+					for i := range rp.spareMembers {
+						rp.spareMembers[i] = -7
+					}
+				}
+				payload, count, err := checkBitGaps(gaps, n, dcolConeXor)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rp.mergeCones(payload, count, m)
+				if !slices.Equal(rp.start, wantStart) || !slices.Equal(rp.members, wantMembers) {
+					t.Errorf("%s, flipped %v, spare pair %v: the merge differs from the dense remap", tc.name, flipping, spare)
+				}
 			}
 		}
 	}
 }
 
-// TestRefusedEpochLeavesWorkingPair: the replayer has one slab and one
-// sizes column, and a full epoch refused in its slab column after
-// literal runs, or a delta refused at its last check, writes nothing to
-// either — they are the same memory holding the same words.
+// edgeSeries returns a chain of snapshots of 62, 65, 67, 63, 63, 133,
+// 128, 128, 64, 1 and 71 ASes with random cones, whose AS set moves at the front, the middle
+// and the tail of the index and whose size crosses word boundaries both
+// ways — down to one AS and back — with one step that keeps it.
+func edgeSeries(rng *rand.Rand) []*Snapshot {
+	asns := make([]uint32, 62)
+	for i := range asns {
+		asns[i] = uint32(100000 + 1000*i)
+	}
+	steps := []func([]uint32) []uint32{
+		func(a []uint32) []uint32 { return append(a, a[len(a)-1]+10, a[len(a)-1]+20, a[len(a)-1]+30) }, // tail: 62 → 65
+		func(a []uint32) []uint32 { return append([]uint32{a[0] - 20, a[0] - 10}, a...) },              // front: 67
+		func(a []uint32) []uint32 { return slices.Delete(slices.Clone(a), 30, 34) },                    // middle: 63
+		func(a []uint32) []uint32 { return append(slices.Clone(a[1:]), a[len(a)-1]+10) },               // both ends: 63
+		func(a []uint32) []uint32 { // 70 into the middle: 133
+			out := slices.Clone(a[:40])
+			for k := 1; k <= 70; k++ {
+				out = append(out, a[39]+uint32(10*k))
+			}
+			return append(out, a[40:]...)
+		},
+		func(a []uint32) []uint32 { return a[:len(a)-5] }, // tail, down to 128
+		func(a []uint32) []uint32 { return a },            // AS set kept
+		func(a []uint32) []uint32 { // every other one: 64
+			var out []uint32
+			for i := 0; i < len(a); i += 2 {
+				out = append(out, a[i])
+			}
+			return out
+		},
+		func(a []uint32) []uint32 { return a[20:21] }, // one AS
+		func(a []uint32) []uint32 { // and 70 again, around it
+			out := []uint32{}
+			for k := 0; k < 70; k++ {
+				out = append(out, uint32(5+7*k))
+			}
+			return append(out, a[0])
+		},
+	}
+	var out []*Snapshot
+	for e := 0; e <= len(steps); e++ {
+		if e > 0 {
+			asns = steps[e-1](asns)
+			slices.Sort(asns)
+			asns = slices.Compact(asns)
+		}
+		n := len(asns)
+		rows := make([][]int32, n)
+		for p := range rows {
+			switch r := rng.Intn(20); {
+			case r < 12:
+				rows[p] = []int32{int32(p)}
+			case r < 14:
+			case r < 15:
+				for m := range n {
+					rows[p] = append(rows[p], int32(m))
+				}
+			default:
+				for k := rng.Intn(10); k >= 0; k-- {
+					rows[p] = append(rows[p], int32(rng.Intn(n)))
+				}
+				slices.Sort(rows[p])
+				rows[p] = slices.Compact(rows[p])
+			}
+		}
+		out = append(out, withRows(&Snapshot{
+			ASNs:          slices.Clone(asns),
+			TransitDegree: make([]int32, n),
+			Degree:        make([]int32, n),
+			ConePrefixes:  make([]int64, n),
+		}, rows))
+	}
+	return out
+}
+
+// TestMergeReplayEqualsDenseReplayer replays a chain whose AS set moves
+// at the front, the middle and the tail and whose row width changes,
+// stored as one full epoch and deltas, through the replayer and through
+// the dense one: every delta column is byte-identical to the dense
+// sweep's, and after every epoch the replayer's lists are the appended
+// ones and what the dense replayer's slab holds.
+func TestMergeReplayEqualsDenseReplayer(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for round := 0; round < 4; round++ {
+		series := edgeSeries(rng)
+		var sizes []int
+		for _, s := range series {
+			sizes = append(sizes, len(s.ASNs))
+		}
+		if want := []int{62, 65, 67, 63, 63, 133, 128, 128, 64, 1, 71}; !slices.Equal(sizes, want) {
+			t.Fatalf("series of %v ASes, want %v", sizes, want)
+		}
+		rp, d := new(replayer), new(denseReplayer)
+		for e, cur := range series {
+			kind, cols := byte(kindFull), encodeFull(cur)
+			if e > 0 {
+				old := series[e-1]
+				m := mapIndexes(old.ASNs, cur.ASNs)
+				kind, cols = kindDelta, deltaCols(old, cur)
+				xor := cols[slices.IndexFunc(cols, func(c segColumn) bool { return c.id == dcolConeXor })].payload
+				if want := oracleConeXor(nil, denseSlab(old), denseSlab(cur), m); !bytes.Equal(xor, want) {
+					t.Fatalf("round %d epoch %d: XOR column differs from the dense sweep's", round, e)
+				}
+				d.delta(xor, m)
+			}
+			img, _ := encodeSegment(kind, uint32(e), uint32(max(e-1, 0)), cols)
+			_, parsed, _, err := parseSegment(img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if kind == kindFull {
+				err = rp.full(parsed)
+				d.full(parsed[colConeWords], len(cur.ASNs))
+			} else {
+				err = rp.delta(parsed)
+			}
+			if err != nil {
+				t.Fatalf("round %d epoch %d (%d ASes): %v", round, e, len(cur.ASNs), err)
+			}
+			wantStart, wantMembers := denseLists(d.slab, d.n)
+			if !slices.Equal(rp.start, cur.ConeStart) || !slices.Equal(rp.members, cur.ConeMembers) ||
+				!slices.Equal(rp.start, wantStart) || !slices.Equal(rp.members, wantMembers) {
+				t.Fatalf("round %d epoch %d (%d ASes): replayed lists differ from the appended ones or the dense replayer's", round, e, len(cur.ASNs))
+			}
+		}
+	}
+}
+
+// TestRefusedEpochLeavesWorkingPair: a full epoch refused in its slab
+// column after literal runs, or a delta refused at its last check,
+// writes nothing to the replayer's working pair of cone arrays and
+// swaps nothing in: they are the same memory holding the same entries.
 func TestRefusedEpochLeavesWorkingPair(t *testing.T) {
 	series := synthSeries(300, 3, 7)
-	s0, s1, s2 := series[0], series[1], series[2]
+	s0, s1, s2 := series[0], series[1], craftRows(t, series[2], -1)
 	rp := replayerAt(t, s0)
 	load := func(kind byte, cols []segColumn) error {
 		img, _ := encodeSegment(kind, 1, 0, cols)
@@ -460,39 +708,46 @@ func TestRefusedEpochLeavesWorkingPair(t *testing.T) {
 		}
 		return rp.delta(parsed)
 	}
-	// One churned delta first, so the working buffers have been remapped.
+	// One churned delta first, so the working pair has been merged into.
 	if err := load(kindDelta, deltaCols(s0, s1)); err != nil {
 		t.Fatal(err)
 	}
-	slab, sizes := slices.Clone(rp.slab), slices.Clone(rp.sizes)
-	slab0, sizes0, cur := &rp.slab[0], &rp.sizes[0], rp.cur
+	start, members := slices.Clone(rp.start), slices.Clone(rp.members)
+	start0, members0, cur := &rp.start[0], &rp.members[0], rp.cur
 
-	rle := encodeWordsRLE(nil, s2.ConeWords)
+	rle := encodeWordsRLE(nil, s2)
+	m := mapIndexes(s1.ASNs, s2.ASNs)
 	refused := map[string]func() error{
 		"full, slab cut short": func() error { return load(kindFull, withColumn(encodeFull(s2), colConeWords, rle[:len(rle)-3])) },
 		"full, bad run flag": func() error {
 			return load(kindFull, withColumn(encodeFull(s2), colConeWords, append(rle[:len(rle)-10:len(rle)-10], 7, 1)))
 		},
-		"delta, duplicate bit":   func() error { return load(kindDelta, faultyCols(s1, s2, "duplicate xor bit")) },
-		"delta, bit past slab":   func() error { return load(kindDelta, faultyCols(s1, s2, "xor bit out of range")) },
+		"full, padding bit": func() error {
+			return load(kindFull, withColumn(encodeFull(s2), colConeWords, oracleWordsRLE(nil, padded(s2))))
+		},
+		"delta, duplicate bit": func() error { return load(kindDelta, faultyCols(s1, s2, "duplicate xor bit")) },
+		"delta, bit past slab": func() error { return load(kindDelta, faultyCols(s1, s2, "xor bit out of range")) },
+		"delta, padding bit": func() error {
+			return load(kindDelta, withColumn(deltaCols(s1, s2), dcolConeXor, oracleConeXor(nil, denseSlab(s1), padded(s2), m)))
+		},
 		"delta, link not in old": func() error { return load(kindDelta, faultyCols(s1, s2, "changed link absent")) },
 	}
 	for name, run := range refused {
 		if err := run(); err == nil {
 			t.Fatalf("%s: decoded without error", name)
 		}
-		if rp.cur != cur || &rp.slab[0] != slab0 || &rp.sizes[0] != sizes0 {
-			t.Errorf("%s: the working epoch, slab or sizes were swapped", name)
+		if rp.cur != cur || &rp.start[0] != start0 || &rp.members[0] != members0 {
+			t.Errorf("%s: the working epoch or a working array was swapped", name)
 		}
-		if !slices.Equal(rp.slab, slab) || !slices.Equal(rp.sizes, sizes) {
-			t.Errorf("%s: the working slab or sizes were written", name)
+		if !slices.Equal(rp.start, start) || !slices.Equal(rp.members, members) {
+			t.Errorf("%s: the working pair was written", name)
 		}
 	}
 	// And the replayer goes on from where it stood.
 	if err := load(kindDelta, deltaCols(s1, s2)); err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(rp.slab, s2.ConeWords) || !slices.Equal(rp.sizes, sized(s2).coneSizes) {
+	if !slices.Equal(rp.start, s2.ConeStart) || !slices.Equal(rp.members, s2.ConeMembers) {
 		t.Error("the epoch after the refused ones decodes differently")
 	}
 }

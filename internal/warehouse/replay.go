@@ -2,7 +2,7 @@ package warehouse
 
 import (
 	"encoding/binary"
-	"math/bits"
+	"math"
 	"slices"
 )
 
@@ -12,57 +12,34 @@ import (
 //
 // The small columns of cur are immutable values, replaced whole by each
 // epoch, so a predecessor's columns stay readable after the next epoch
-// lands (History keeps them). The cone slab and its row sizes are the
-// only state written in place: a delta whose AS set is unchanged XORs
-// its flipped bits straight into slab and steps sizes with them, a delta
-// that adds or removes ASes first remaps both in place from the first
-// position it moves (remap), and a full epoch decodes over them. Every
-// epoch is applied validate-then-mutate — all columns decoded and
-// cross-checked before the first write to slab or sizes — so an epoch
-// that fails leaves the replayer exactly at its predecessor.
+// lands (History keeps them). The cones are the only state the replayer
+// reuses memory for: the working epoch's member lists (start, members)
+// and a spare pair of arrays. A full epoch decodes into the spare pair;
+// a delta merges the working lists, relabelled into the new index, with
+// its flipped bits into the spare pair. Either then swaps the two pairs,
+// and that swap is the epoch's only write to what the replayer holds:
+// every epoch is applied validate-then-mutate — all columns decoded and
+// cross-checked before it — so an epoch that fails leaves the replayer
+// exactly at its predecessor.
 type replayer struct {
-	cur   *Snapshot // columns of the working epoch; ConeWords and coneSizes stay nil
-	slab  []uint64  // cur's cone slab
-	sizes []int32   // cone size by position, kept current from the flipped bits
-	// Scratch for remap: the predecessor's rows from the first moved
-	// position on, and their sizes, set aside while the rows below move.
-	aside              []uint64
-	asideSizes         []int32
-	m                  indexMap // scratch: the alignment of the delta being applied
-	promised, capacity int      // AS counts: the manifest's claim for the chain, and what the buffers are made for
+	cur            *Snapshot // columns of the working epoch; ConeStart and ConeMembers stay nil
+	start, members []int32   // cur's cones
+	spareStart     []int32   // the arrays the next epoch's cones are written into
+	spareMembers   []int32
+	m              indexMap // scratch: the alignment of the delta being applied
 }
 
-// newReplayer notes the largest AS count the chain's manifest entries
-// promise. Nothing has validated that number, so it sizes no buffer by
-// itself: full bounds it by what the chain's own checkpoint decodes to.
-func newReplayer(chain []EpochInfo) *replayer {
-	r := &replayer{}
-	for _, info := range chain {
-		r.promised = max(r.promised, info.ASes)
-	}
-	return r
+// spare returns the spare pair resized to n+1 offsets and k members,
+// its contents unspecified.
+func (r *replayer) spare(n, k int) (start, members []int32) {
+	return slices.Grow(r.spareStart[:0], n+1)[:n+1], slices.Grow(r.spareMembers[:0], k)[:k]
 }
 
-// slabWords is the length of an n-AS cone slab.
-func slabWords(n int) int { return (n + 63) / 64 * n }
-
-// fit reslices buf to n elements, replacing it (with at least hint
-// capacity) when it is too small. The contents are unspecified; a
-// replacement is zero.
-func fit[T any](buf []T, n, hint int) []T {
-	if cap(buf) < n {
-		return make([]T, n, max(n, hint))
-	}
-	return buf[:n]
-}
-
-// grow is fit keeping buf's contents: a replacement starts with a copy
-// of them. Elements past buf's length are unspecified.
-func grow[T any](buf []T, n, hint int) []T {
-	if cap(buf) < n {
-		return append(make([]T, 0, max(n, hint)), buf...)[:n]
-	}
-	return buf[:n]
+// swap makes start and members the working cones and the pair they
+// replace the spare one.
+func (r *replayer) swap(start, members []int32) {
+	r.spareStart, r.spareMembers = r.start, r.members
+	r.start, r.members = start, members
 }
 
 // full replaces the working epoch with a full epoch's columns.
@@ -112,22 +89,15 @@ func (r *replayer) full(cols map[byte][]byte) error {
 	if p, err = col(cols, colConeWords); err != nil {
 		return err
 	}
-	words := slabWords(n)
-	runs, err := checkWordsRLE(p, words, colConeWords)
+	runs, set, err := checkWordsRLE(p, n, colConeWords)
 	if err != nil {
 		return err
 	}
 
-	// Nothing below can fail. The working buffers are made for the
-	// chain's largest epoch, so no epoch of it reallocates them — as far
-	// as the manifest's promise can be believed: at most twice what this
-	// checkpoint holds (fit and grow replace a buffer on demand should
-	// the chain really outgrow that).
-	r.capacity = min(max(r.promised, n), 2*n)
-	zeroed := cap(r.slab) < words // a slab made now holds zeros already
-	r.slab = fit(r.slab, words, slabWords(r.capacity))
-	r.sizes = fit(r.sizes, n, r.capacity)
-	decodeWordsRLE(runs, r.slab, r.sizes, zeroed)
+	// Nothing below can fail.
+	start, members := r.spare(n, set)
+	decodeWordsRLE(runs, n, start, members)
+	r.swap(start, members)
 	r.cur = s
 	return nil
 }
@@ -160,7 +130,7 @@ func (r *replayer) delta(cols map[byte][]byte) error {
 			return err
 		}
 	}
-	m := r.m.align(old.ASNs, asns, r.capacity)
+	m := r.m.align(old.ASNs, asns)
 	n := len(asns)
 	s := &Snapshot{ASNs: asns}
 
@@ -231,139 +201,87 @@ func (r *replayer) delta(cols map[byte][]byte) error {
 	if p, err = col(cols, dcolConeXor); err != nil {
 		return err
 	}
-	wps := s.WordsPerCone()
-	gaps, err := checkBitGaps(p, wps*n, dcolConeXor)
+	gaps, flips, err := checkBitGaps(p, n, dcolConeXor)
 	if err != nil {
 		return err
 	}
 
-	// Nothing below can fail. Cone slab: project the predecessor's rows
-	// into the new index if the AS set moved, then flip the stored bits.
-	if !m.identity() {
-		r.remap(m)
-	}
-	for idx := uint64(0); len(gaps) > 0; {
-		gap, k := binary.Uvarint(gaps)
-		gaps = gaps[k:]
-		idx += gap
-		w, bit := int(idx>>6), uint64(1)<<(idx&63)
-		r.slab[w] ^= bit
-		if r.slab[w]&bit != 0 {
-			r.sizes[w/wps]++
-		} else {
-			r.sizes[w/wps]--
-		}
-	}
+	// Nothing below can fail.
+	r.mergeCones(gaps, flips, m)
 	r.cur = s
 	return nil
 }
 
-// remap projects the working slab and sizes, in place, into the index m
-// aligns the working epoch's to (DESIGN.md §14). The first position m
-// does not map to itself, f, splits the rows. A row below f keeps its
-// position and every member below f, so only its words from f>>6 on are
-// read and only a member there is remapped. The rows from f on are set
-// aside and rebuilt at their new positions, a {self} row as one bit.
-// When the row width changes, the rows below f move to the new one —
-// walking down when rows widen and up when they narrow, so no row is
-// overwritten before it is read. New ASes carry new, high numbers, so f
-// is usually near the end of the index and most rows are not touched.
-func (r *replayer) remap(m *indexMap) {
-	n, nOld := len(m.newToOld), len(m.oldToNew)
-	wps, wpsOld := (n+63)/64, (nOld+63)/64
-	f := m.firstMoved()
-
-	// The scratch is made once per chain where it can be: twice the rows
-	// this delta moves, up to a whole slab, so a later delta that moves
-	// somewhat more reuses it.
-	moved := nOld - f
-	r.aside = fit(r.aside, moved*wpsOld, min(2*moved*wpsOld, slabWords(r.capacity)))
-	copy(r.aside, r.slab[f*wpsOld:nOld*wpsOld])
-	r.asideSizes = fit(r.asideSizes, moved, min(2*moved, r.capacity))
-	copy(r.asideSizes, r.sizes[f:nOld])
-	// Both layouts must fit while the rows below f move between them.
-	r.slab = grow(r.slab, max(n*wps, nOld*wpsOld), slabWords(r.capacity))
-	r.sizes = grow(r.sizes, max(n, nOld), r.capacity)
-
-	lo, under := f>>6, uint64(1)<<(uint(f)&63)-1 // the word holding f, and its bits below f
-	tail := make([]uint64, wpsOld-lo)
-	np, end, step := 0, f, 1
-	if wps > wpsOld {
-		np, end, step = f-1, -1, -1
+// mergeCones writes the successor's cones into the spare pair and swaps
+// them in: each new row is its predecessor row relabelled through m
+// (members that left drop out; the map is monotone, so the row stays
+// ascending) merged with the row's flipped bits, a member on one side
+// only being kept and one on both dropped. gaps, holding flips bits,
+// has passed checkBitGaps for m's new index.
+func (r *replayer) mergeCones(gaps []byte, flips int, m *indexMap) {
+	n := len(m.newToOld)
+	rowBits := uint64(wordsPerRow(n)) << 6
+	start, members := r.spare(n, len(r.members)+flips)
+	members = members[:0]
+	bit, more := uint64(0), false // the next flipped bit, if any
+	next := func() {
+		if more = len(gaps) > 0; more {
+			gap, k := binary.Uvarint(gaps)
+			gaps = gaps[k:]
+			bit += gap
+		}
 	}
-	for ; np != end; np += step {
-		src := r.slab[np*wpsOld : (np+1)*wpsOld]
-		hit := false // a member at f or past it
-		for i, w := range src[lo:] {
-			if i == 0 {
-				w &^= under
+	next()
+	for np := 0; np < n; np++ {
+		start[np] = int32(len(members))
+		var was []int32
+		if op := m.newToOld[np]; op >= 0 {
+			was = r.members[r.start[op]:r.start[op+1]]
+		}
+		rowEnd := uint64(np+1) * rowBits
+		if !more || bit >= rowEnd { // no flip in this row: relabel it
+			for _, o := range was {
+				if q := m.oldToNew[o]; q >= 0 {
+					members = append(members, q)
+				}
 			}
-			if w != 0 {
-				hit = true
+			continue
+		}
+		for j := 0; ; {
+			for j < len(was) && m.oldToNew[was[j]] < 0 {
+				j++
+			}
+			a, b := int32(math.MaxInt32), int32(math.MaxInt32)
+			if j < len(was) {
+				a = m.oldToNew[was[j]]
+			}
+			if more && bit < rowEnd {
+				b = int32(bit - uint64(np)*rowBits)
+			}
+			if a == math.MaxInt32 && b == math.MaxInt32 {
 				break
 			}
-		}
-		if !hit && wps == wpsOld {
-			continue
-		}
-		copy(tail, src[lo:])
-		dst := r.slab[np*wps : (np+1)*wps]
-		copy(dst[:lo], src[:lo])
-		clear(dst[lo:])
-		if len(tail) > 0 {
-			if lo < wps {
-				dst[lo] = tail[0] & under
+			if a <= b {
+				j++
 			}
-			tail[0] &^= under
-			members := 0
-			for _, w := range tail {
-				members += bits.OnesCount64(w)
+			if b <= a {
+				next()
 			}
-			r.sizes[np] -= int32(members - remapRow(dst, tail, m.oldToNew[lo<<6:]))
+			if a != b {
+				members = append(members, min(a, b))
+			}
 		}
 	}
-
-	clear(r.slab[f*wps : n*wps])
-	for np := f; np < n; np++ {
-		op := int(m.newToOld[np])
-		if op < 0 {
-			r.sizes[np] = 0
-			continue
-		}
-		row, size := r.aside[(op-f)*wpsOld:(op-f+1)*wpsOld], r.asideSizes[op-f]
-		if selfOnly(row, size, op) {
-			r.slab[np*wps+np>>6] = 1 << (uint(np) & 63)
-			r.sizes[np] = 1
-		} else {
-			r.sizes[np] = int32(remapRow(r.slab[np*wps:(np+1)*wps], row, m.oldToNew))
-		}
-	}
-	r.slab, r.sizes = r.slab[:n*wps], r.sizes[:n]
+	start[n] = int32(len(members))
+	r.swap(start, members)
 }
 
 // snapshot hands out a copy of the working epoch: the result owns its
-// slab and sizes (at exact capacity) and the replayer can go on to later
+// member lists, at exact size, and the replayer can go on to later
 // epochs.
 func (r *replayer) snapshot() *Snapshot {
-	return r.handOut(slices.Clone(r.slab), slices.Clone(r.sizes))
-}
-
-// release hands out the working epoch itself. A replayer that has
-// reached the epoch it was made for is spent, so the result takes its
-// working slab and sizes instead of a copy of them, resliced to exact
-// length and capacity — the arrays behind them may be as large as the
-// chain's largest epoch. The replayer must not be used afterwards.
-func (r *replayer) release() *Snapshot {
-	s := r.handOut(r.slab[:len(r.slab):len(r.slab)], r.sizes[:len(r.sizes):len(r.sizes)])
-	*r = replayer{}
-	return s
-}
-
-// handOut completes the working epoch's columns with a slab and its
-// sizes.
-func (r *replayer) handOut(slab []uint64, sizes []int32) *Snapshot {
 	s := *r.cur
-	s.ConeWords = slab
-	s.setConeSizes(sizes)
+	s.ConeStart = append(make([]int32, 0, len(r.start)), r.start...)
+	s.ConeMembers = append(make([]int32, 0, len(r.members)), r.members...)
 	return &s
 }

@@ -13,7 +13,6 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/asrank-go/asrank/internal/cone"
 	"github.com/asrank-go/asrank/internal/core"
 	"github.com/asrank-go/asrank/internal/topology"
 )
@@ -22,9 +21,9 @@ import (
 // without running inference, so chain-depth tests and benchmarks set up
 // in milliseconds. Every epoch retires and admits a few ASes, redraws a
 // few metrics, drops, adds and relabels links and toggles a few hundred
-// cone members — the drift the delta columns exist for, with every
-// replay path (remap, in-place XOR) taken. Epochs listed in still keep
-// their AS set.
+// cone members — the drift the delta columns exist for, with the AS
+// set moved under the merge and kept. Epochs listed in still keep their
+// AS set.
 func synthSeries(n, epochs int, seed int64, still ...int) []*Snapshot {
 	return synthChain(n, epochs, seed, false, still)
 }
@@ -122,18 +121,20 @@ func synthChain(n, epochs int, seed int64, tail bool, still []int) []*Snapshot {
 			}
 		}
 
-		s := &Snapshot{ASNs: asns, Clique: slices.Clone(asns[:5]), PathCount: int64(1000 + e)}
-		wps := s.WordsPerCone()
-		s.ConeWords = make([]uint64, wps*len(asns))
-		for p, asn := range asns {
+		s := &Snapshot{ASNs: asns, Clique: slices.Clone(asns[:5]), PathCount: int64(1000 + e), ConeStart: []int32{0}}
+		for _, asn := range asns {
 			a := ases[asn]
 			s.TransitDegree = append(s.TransitDegree, a.td)
 			s.Degree = append(s.Degree, a.deg)
 			s.ConePrefixes = append(s.ConePrefixes, a.pref)
+			row := make([]int32, 0, len(a.cone))
 			for member := range a.cone {
 				q, _ := posOf(asns, member)
-				s.ConeWords[p*wps+int(q)>>6] |= 1 << (uint(q) & 63)
+				row = append(row, q)
 			}
+			slices.Sort(row)
+			s.ConeMembers = append(s.ConeMembers, row...)
+			s.ConeStart = append(s.ConeStart, int32(len(s.ConeMembers)))
 		}
 		for k, l := range links {
 			a, _ := posOf(asns, k[0])
@@ -171,14 +172,13 @@ func synthStore(t testing.TB, snaps []*Snapshot, checkpointEvery int) (appended,
 
 // TestSynthSeriesRoundTrip keeps the fabricated series honest: ASes
 // enter and leave, some epochs keep their AS set, and every epoch
-// decodes back deep-equal at two checkpoint cadences — to the appended
-// snapshot plus the size column the replayer kept beside it, which must
-// be what an independent count of the slab gives.
+// decodes back deep-equal to the appended snapshot at two checkpoint
+// cadences.
 func TestSynthSeriesRoundTrip(t *testing.T) {
 	snaps := synthSeries(300, 9, 7, 3, 4)
 	churned, kept := 0, 0
 	for i := 1; i < len(snaps); i++ {
-		if m := mapIndexes(snaps[i-1].ASNs, snaps[i].ASNs); m.identity() {
+		if m := mapIndexes(snaps[i-1].ASNs, snaps[i].ASNs); len(m.removed)+len(m.added) == 0 {
 			kept++
 		} else if len(m.removed) > 0 && len(m.added) > 0 {
 			churned++
@@ -194,7 +194,7 @@ func TestSynthSeriesRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, sized(want)) {
+			if !reflect.DeepEqual(got, want) {
 				t.Errorf("checkpointEvery=%d epoch %d: decoded snapshot differs from the appended one", every, i)
 			}
 		}
@@ -202,16 +202,16 @@ func TestSynthSeriesRoundTrip(t *testing.T) {
 }
 
 // TestSnapshotChainAllocBound is the machine-independent guard on the
-// replayer, counted in slabs: Snapshot(id) may allocate the columns of
-// the epochs it replays (their segment images and decoded columns) plus
-// one cone slab for an epoch stored full or reached through deltas that
-// keep the AS set — the one it hands over — and two when deltas of the
-// chain move the AS set anywhere, the second being the rows they set
-// aside. Where they move it only at the tail, the set-aside rows of the
-// largest move are allowed instead of the second slab. A quarter slab of
-// slack is anything short of one more. (With a copy handed out the first
-// three cases allocated 1 218, 3 302 and 2 630 KB; with a slab pair per
-// delta the second was ~30x the first.)
+// replayer, counted in bytes: Snapshot(id) may allocate the columns of
+// the epochs it replays (their segment images and decoded columns) and,
+// for the cones, their member lists four times over at the chain's
+// largest epoch — the working and the spare pair, each grown at most
+// once more as the chain grows, and the exact-size copy it hands over —
+// with a quarter of that and 8 KB per replayed epoch as slack (a -race
+// build allocates ≈ 5 KB more per epoch). Nothing in it is sized by the
+// n × n-bit slab the cone columns describe: with that slab one replay
+// of these chains allocated 1 218, 3 302 and 2 630 KB against budgets
+// of one or two slabs (500–529 KB each at 2k ASes) plus the columns.
 func TestSnapshotChainAllocBound(t *testing.T) {
 	var still []int
 	for e := 1; e < 17; e++ {
@@ -219,15 +219,14 @@ func TestSnapshotChainAllocBound(t *testing.T) {
 	}
 	churned, kept := synthSeries(2000, 17, 11), synthSeries(2000, 17, 11, still...)
 	for _, tc := range []struct {
-		name            string
-		snaps           []*Snapshot
-		every, maxSlabs int
-		movedRows       bool
+		name  string
+		snaps []*Snapshot
+		every int
 	}{
-		{"stored full", churned, 1, 1, false},
-		{"depth 15", churned, 16, 2, false},
-		{"depth 15, AS set kept", kept, 16, 1, false},
-		{"depth 15, AS set moved at the tail", tailSeries(2000, 17, 11), 16, 1, true},
+		{"stored full", churned, 1},
+		{"depth 15", churned, 16},
+		{"depth 15, AS set kept", kept, 16},
+		{"depth 15, AS set moved at the tail", tailSeries(2000, 17, 11), 16},
 	} {
 		_, st := synthStore(t, tc.snaps, tc.every)
 		const runs = 4
@@ -243,29 +242,27 @@ func TestSnapshotChainAllocBound(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		got := int((after.TotalAlloc - before.TotalAlloc) / runs)
 
-		slab, columns, moved := 8*len(tc.snaps[15].ConeWords), 0, 0
+		columns, lists, epochs := 0, 0, 0
 		for id := 15 - 15%tc.every; id <= 15; id++ {
+			epochs++
 			s := tc.snaps[id]
 			columns += int(st.Epochs()[id].Bytes) + 28*len(s.ASNs) + 12*len(s.Links)
-			if tc.movedRows && id%tc.every > 0 {
-				old := tc.snaps[id-1]
-				rows := len(old.ASNs) - mapIndexes(old.ASNs, s.ASNs).firstMoved()
-				moved = max(moved, rows*(8*old.WordsPerCone()+4))
-			}
+			lists = max(lists, 4*(len(s.ConeStart)+len(s.ConeMembers)))
 		}
-		budget := tc.maxSlabs*slab + columns + moved + slab/4
-		t.Logf("Snapshot(15), %s: %d KB; %d slab(s) of %d KB + %d KB of columns + %d KB of moved rows allow %d KB",
-			tc.name, got/1024, tc.maxSlabs, slab/1024, columns/1024, moved/1024, budget/1024)
+		slab := 8 * len(tc.snaps[15].ASNs) * wordsPerRow(len(tc.snaps[15].ASNs))
+		budget := columns + 4*lists + lists/4 + 8<<10*epochs
+		t.Logf("Snapshot(15), %s: %d KB; %d KB of columns + 4 × %d KB of cone lists allow %d KB (one dense slab: %d KB)",
+			tc.name, got/1024, columns/1024, lists/1024, budget/1024, slab/1024)
 		if got > budget {
-			t.Errorf("Snapshot(15), %s: allocates %d KB, want <= %d KB (%d slab(s) + columns + moved rows)", tc.name, got/1024, budget/1024, tc.maxSlabs)
+			t.Errorf("Snapshot(15), %s: allocates %d KB, want <= %d KB (columns + 4 × cone lists)", tc.name, got/1024, budget/1024)
 		}
 	}
 }
 
-// TestHandBuiltAppendsLikeComposed: the size column is a by-product, not
-// an input. A snapshot out of Compose and the same snapshot without the
-// column (as hand-built ones are) append to the same segment bytes and
-// manifest hashes, and the two stores' histories hold the same columns.
+// TestHandBuiltAppendsLikeComposed: a snapshot out of Compose and a copy
+// of its columns built by hand, in arrays of its own, append to the same
+// segment bytes and manifest hashes, and the two stores' histories hold
+// the same columns — nothing but the columns reaches the store.
 func TestHandBuiltAppendsLikeComposed(t *testing.T) {
 	composed := inferEpochs(t, 3)
 	dirs := [2]string{t.TempDir(), t.TempDir()}
@@ -276,13 +273,16 @@ func TestHandBuiltAppendsLikeComposed(t *testing.T) {
 			t.Fatal(err)
 		}
 		for e, s := range composed {
-			if s.sizedSlab == nil || !slices.Equal(s.coneSizes, sized(s).coneSizes) {
-				t.Fatal("Compose left the size column empty or wrong")
-			}
 			if i == 1 {
-				bare := *s
-				bare.coneSizes, bare.sizedSlab = nil, nil
-				s = &bare
+				s = withRows(&Snapshot{
+					ASNs:          slices.Clone(s.ASNs),
+					TransitDegree: slices.Clone(s.TransitDegree),
+					Degree:        slices.Clone(s.Degree),
+					ConePrefixes:  slices.Clone(s.ConePrefixes),
+					Clique:        slices.Clone(s.Clique),
+					PathCount:     s.PathCount,
+					Links:         slices.Clone(s.Links),
+				}, rowsOf(s))
 			}
 			if _, err := st.Append(s, fmt.Sprintf("epoch-%d", e), ""); err != nil {
 				t.Fatal(err)
@@ -306,27 +306,26 @@ func TestHandBuiltAppendsLikeComposed(t *testing.T) {
 	}
 }
 
-// TestAppendRanksWhatItIsNotHanded: a snapshot carries no rank, so
-// Append ranks every epoch from the sizes its slab gives, as Open ranks
-// every epoch it replays. The one derived column a snapshot may carry,
-// its cone sizes, answers only for the slab it was counted from: a
-// series of copies given slabs of their own, each still holding a
-// column that is empty, reversed, cut short or names one size twice,
+// TestAppendRanksWhatItIsNotHanded: a snapshot carries no rank and no
+// size column, so Append ranks every epoch from the sizes its cone
+// lists give, as Open ranks every epoch it replays. ConeSizes is
+// counted on every call and hands its caller a column of its own: a
+// series whose callers spoilt the sizes they read — emptied, reversed,
+// cut short (the last entry), one size named twice — before appending
 // answers History.ASN for every AS as the reopened store does.
 func TestAppendRanksWhatItIsNotHanded(t *testing.T) {
 	snaps := synthSeries(300, 5, 13)
-	for name, spoil := range map[string]func([]int32) []int32{
-		"nil":       func([]int32) []int32 { return nil },
-		"reversed":  func(r []int32) []int32 { r = slices.Clone(r); slices.Reverse(r); return r },
-		"truncated": func(r []int32) []int32 { return r[:len(r)-1] },
-		"repeated":  func(r []int32) []int32 { r = slices.Clone(r); r[1] = r[0]; return r },
+	for name, spoil := range map[string]func([]int32){
+		"nil":       func(r []int32) { clear(r) },
+		"reversed":  func(r []int32) { slices.Reverse(r) },
+		"truncated": func(r []int32) { r[len(r)-1] = -1 },
+		"repeated":  func(r []int32) { r[1] = r[0] },
 	} {
 		t.Run(name, func(t *testing.T) {
 			spoilt := make([]*Snapshot, len(snaps))
 			for i, s := range snaps {
-				c := *sized(s)
-				c.coneSizes = spoil(c.coneSizes)
-				c.ConeWords = slices.Clone(s.ConeWords)
+				c := *s
+				spoil(c.ConeSizes())
 				spoilt[i] = &c
 			}
 			appended, reopened := synthStore(t, spoilt, 3)
@@ -342,25 +341,36 @@ func TestAppendRanksWhatItIsNotHanded(t *testing.T) {
 	}
 }
 
-// TestConeSizesFollowTheSlab: the size column answers for the slab it
-// was counted from and no other — a copy of a snapshot given a slab of
-// its own is counted afresh, not trusted.
+// TestConeSizesFollowTheSlab: the sizes answer for the cone lists the
+// snapshot holds when it is asked and no other — each row's length — so
+// a copy given lists of its own is counted from them, and a caller that
+// writes to the sizes it was handed changes nothing the snapshot answers
+// next.
 func TestConeSizesFollowTheSlab(t *testing.T) {
 	s := inferEpochs(t, 1)[0]
-	if &s.ConeSizes()[0] != &s.coneSizes[0] {
-		t.Error("a composed snapshot recounts the slab its column was counted from")
+	want := make([]int32, len(s.ASNs))
+	for p := range want {
+		want[p] = int32(len(s.coneRow(p)))
 	}
-	moved := *s
-	moved.ConeWords = slices.Clone(s.ConeWords)
-	moved.ConeWords[0] ^= 2
-	want := cone.RowSizes(make([]int32, len(s.ASNs)), moved.ConeWords)
-	if got := moved.ConeSizes(); !slices.Equal(got, want) || slices.Equal(got, s.coneSizes) {
-		t.Error("a copy with another slab answers with the original's sizes")
+	got := s.ConeSizes()
+	if !slices.Equal(got, want) {
+		t.Error("a composed snapshot's sizes are not its rows' lengths")
+	}
+	clear(got)
+	if !slices.Equal(s.ConeSizes(), want) {
+		t.Error("a caller writing to the sizes it was handed changed the snapshot's answer")
+	}
+	rows := rowsOf(s)
+	rows[0] = append(rows[0], int32(len(s.ASNs)-1))
+	moved := withRows(s, rows)
+	want[0]++
+	if !slices.Equal(moved.ConeSizes(), want) {
+		t.Error("a copy with other lists answers with the original's sizes")
 	}
 }
 
-// TestSnapshotResultIsTheCallers: Snapshot(id) hands over the slab its
-// replayer worked in, so nobody else may hold it. A result stays intact
+// TestSnapshotResultIsTheCallers: Snapshot(id) hands over cone lists of
+// the caller's own, which nobody else holds. A result stays intact
 // through a hundred further Snapshot and Append calls (run beside each
 // other under -race), and a caller scribbling over its result changes
 // nothing the store answers afterwards.
@@ -372,7 +382,7 @@ func TestSnapshotResultIsTheCallers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(held, sized(snaps[id])) {
+	if !reflect.DeepEqual(held, snaps[id]) {
 		t.Fatal("epoch 7 decodes differently from the snapshot appended")
 	}
 
@@ -384,7 +394,7 @@ func TestSnapshotResultIsTheCallers(t *testing.T) {
 			for i := 0; i < 25; i++ {
 				at := (r + 3*i) % 10
 				got, err := st.Snapshot(uint32(at))
-				if err != nil || !reflect.DeepEqual(got, sized(snaps[at])) {
+				if err != nil || !reflect.DeepEqual(got, snaps[at]) {
 					t.Errorf("epoch %d beside appends: differs from the snapshot appended (%v)", at, err)
 					return
 				}
@@ -397,17 +407,17 @@ func TestSnapshotResultIsTheCallers(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	if !reflect.DeepEqual(held, sized(snaps[id])) {
+	if !reflect.DeepEqual(held, snaps[id]) {
 		t.Error("a held result changed while the store went on")
 	}
 
-	for i := range held.ConeWords {
-		held.ConeWords[i] = ^uint64(0)
+	for i := range held.ConeMembers {
+		held.ConeMembers[i] = -1
 	}
-	clear(held.coneSizes)
+	clear(held.ConeStart)
 	for _, at := range []uint32{id, id - 1, id + 1, 58} {
 		got, err := st.Snapshot(at)
-		if err != nil || !reflect.DeepEqual(got, sized(snaps[at])) {
+		if err != nil || !reflect.DeepEqual(got, snaps[at]) {
 			t.Errorf("epoch %d after a caller wrote to its result: differs from the snapshot appended (%v)", at, err)
 		}
 	}
@@ -471,6 +481,126 @@ func BenchmarkOpenChain(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Open(dir, Options{}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// cloneSnapshot copies every column of s into arrays of its own.
+func cloneSnapshot(s *Snapshot) *Snapshot {
+	return &Snapshot{
+		ASNs:          slices.Clone(s.ASNs),
+		TransitDegree: slices.Clone(s.TransitDegree),
+		Degree:        slices.Clone(s.Degree),
+		ConePrefixes:  slices.Clone(s.ConePrefixes),
+		Clique:        slices.Clone(s.Clique),
+		PathCount:     s.PathCount,
+		Links:         slices.Clone(s.Links),
+		ConeStart:     slices.Clone(s.ConeStart),
+		ConeMembers:   slices.Clone(s.ConeMembers),
+	}
+}
+
+// dirImage reads every file of a store directory, by name.
+func dirImage(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(raw)
+	}
+	return out
+}
+
+// TestAppendRefusesMalformedSnapshots: a snapshot the store could not
+// read back as it was handed over — a column of the wrong length, cone
+// lists that are not n+1 offsets over strictly ascending rows of
+// positions below n, a column out of order, a negative count, a link
+// out of order, out of range or unlabelled — is refused before anything
+// is written, as a full epoch and as a delta. Append returns an error,
+// Len and every file of the directory stay as they were, the next Open
+// reopens the same epochs, and the store appends the well-formed
+// snapshot after it. (A cone column one entry short used to be written,
+// and then dropped by the next Open with every epoch after it.)
+func TestAppendRefusesMalformedSnapshots(t *testing.T) {
+	snaps := synthSeries(300, 2, 21)
+	good := snaps[1]
+	n := len(good.ASNs)
+	wide := -1 // a position whose cone has two members or more
+	for p := 0; p < n; p++ {
+		if good.ConeStart[p+1]-good.ConeStart[p] >= 2 {
+			wide = p
+			break
+		}
+	}
+	if wide < 0 {
+		t.Fatal("no cone of two members to spoil")
+	}
+	row := func(s *Snapshot) []int32 { return s.ConeMembers[s.ConeStart[wide]:s.ConeStart[wide+1]] }
+	malformed := map[string]func(s *Snapshot){
+		"cone offsets one short":       func(s *Snapshot) { s.ConeStart = s.ConeStart[:n] },
+		"cone offsets one long":        func(s *Snapshot) { s.ConeStart = append(s.ConeStart, s.ConeStart[n]) },
+		"cone offsets not from zero":   func(s *Snapshot) { s.ConeStart[0] = 1 },
+		"cone offsets decrease":        func(s *Snapshot) { s.ConeStart[wide+1] = s.ConeStart[wide] - 1 },
+		"cone members one short":       func(s *Snapshot) { s.ConeMembers = s.ConeMembers[:len(s.ConeMembers)-1] },
+		"cone members one long":        func(s *Snapshot) { s.ConeMembers = append(s.ConeMembers, 0) },
+		"cone member repeated":         func(s *Snapshot) { row(s)[1] = row(s)[0] },
+		"cone row descending":          func(s *Snapshot) { slices.Reverse(row(s)) },
+		"cone member past the last AS": func(s *Snapshot) { row(s)[len(row(s))-1] = int32(n) },
+		"negative cone member":         func(s *Snapshot) { row(s)[0] = -1 },
+		"transit degree one short":     func(s *Snapshot) { s.TransitDegree = s.TransitDegree[:n-1] },
+		"degree one long":              func(s *Snapshot) { s.Degree = append(s.Degree, 0) },
+		"cone prefixes one short":      func(s *Snapshot) { s.ConePrefixes = s.ConePrefixes[:n-1] },
+		"negative degree":              func(s *Snapshot) { s.Degree[3] = -1 },
+		"negative cone prefixes":       func(s *Snapshot) { s.ConePrefixes[3] = -1 },
+		"negative path count":          func(s *Snapshot) { s.PathCount = -1 },
+		"ASNs not ascending":           func(s *Snapshot) { s.ASNs[1], s.ASNs[2] = s.ASNs[2], s.ASNs[1] },
+		"clique repeated":              func(s *Snapshot) { s.Clique[1] = s.Clique[0] },
+		"links out of order":           func(s *Snapshot) { s.Links[0], s.Links[1] = s.Links[1], s.Links[0] },
+		"link past the last AS":        func(s *Snapshot) { s.Links[len(s.Links)-1].B = int32(n) },
+		"link ends reversed":           func(s *Snapshot) { l := &s.Links[0]; l.A, l.B = l.B, l.A },
+		"link with no relationship":    func(s *Snapshot) { s.Links[0].Rel = topology.None },
+		"link with an unknown step":    func(s *Snapshot) { s.Links[0].Step = core.StepPeer + 1 },
+	}
+	for name, spoil := range malformed {
+		for _, kind := range []string{"full", "delta"} {
+			t.Run(name+"/"+kind, func(t *testing.T) {
+				dir := t.TempDir()
+				st, err := Open(dir, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if kind == "delta" {
+					if _, err := st.Append(snaps[0], "base", ""); err != nil {
+						t.Fatal(err)
+					}
+				}
+				held, files := st.Len(), dirImage(t, dir)
+				bad := cloneSnapshot(good)
+				spoil(bad)
+				if _, err := st.Append(bad, "bad", ""); err == nil {
+					t.Fatal("appended")
+				}
+				if st.Len() != held || !reflect.DeepEqual(dirImage(t, dir), files) {
+					t.Fatalf("the refused append left %d epochs (had %d) or changed the directory", st.Len(), held)
+				}
+				re, err := Open(dir, Options{})
+				if err != nil || re.Len() != held {
+					t.Fatalf("reopened %d epochs (%v), want %d", re.Len(), err, held)
+				}
+				if _, err := st.Append(good, "good", ""); err != nil {
+					t.Fatal(err)
+				}
+				if re, err = Open(dir, Options{}); err != nil || re.Len() != held+1 {
+					t.Fatalf("after the good append: reopened %d epochs (%v), want %d", re.Len(), err, held+1)
+				}
+			})
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package warehouse
 
 import (
+	"fmt"
+
 	"github.com/asrank-go/asrank/internal/cone"
 	"github.com/asrank-go/asrank/internal/core"
 	"github.com/asrank-go/asrank/internal/pool"
@@ -36,33 +38,33 @@ type Snapshot struct {
 	PathCount int64
 	// Links holds every labeled adjacency, sorted by (A, B).
 	Links []LinkRec
-	// ConeWords is the provider/peer-observed customer-cone slab: one
-	// bitset of WordsPerCone() words per position (cone.BitSets layout).
-	ConeWords []uint64
-	// coneSizes is the popcount of each ConeWords row, by position, and
-	// sizedSlab the slab it was counted from. Only the producers that
-	// count the slab anyway fill them (Compose; the replayer, bit by
-	// bit), so they are private: a hand-built snapshot, or a copy given
-	// another slab, has no column and ConeSizes counts.
-	coneSizes []int32
-	sizedSlab *uint64
+	// ConeStart and ConeMembers are the provider/peer-observed customer
+	// cones as member lists (cone.Rows layout): position p's cone is
+	// ConeMembers[ConeStart[p]:ConeStart[p+1]], ascending positions.
+	// ConeStart has NumASes()+1 entries, from 0 to len(ConeMembers).
+	ConeStart   []int32
+	ConeMembers []int32
 }
-
-// WordsPerCone returns the per-AS bitset width of ConeWords.
-func (s *Snapshot) WordsPerCone() int { return (len(s.ASNs) + 63) / 64 }
 
 // NumASes returns the interned AS count.
 func (s *Snapshot) NumASes() int { return len(s.ASNs) }
 
-// ConeSizes returns each position's cone size in ASes: the column that
-// rode along with the snapshot, or a fresh count of ConeWords when there
-// is none. Shared; callers must not modify it.
-func (s *Snapshot) ConeSizes() []int32 {
-	if len(s.coneSizes) == len(s.ASNs) && len(s.ConeWords) > 0 && &s.ConeWords[0] == s.sizedSlab {
-		return s.coneSizes
+// ConeSizes returns each position's cone size in ASes, the length of
+// its member list. The result is the caller's.
+func (s *Snapshot) ConeSizes() []int32 { return rowLengths(s.ConeStart) }
+
+// rowLengths returns the length of each row a cone offsets column
+// delimits.
+func rowLengths(start []int32) []int32 {
+	out := make([]int32, max(len(start)-1, 0))
+	for p := range out {
+		out[p] = start[p+1] - start[p]
 	}
-	return cone.RowSizes(make([]int32, len(s.ASNs)), s.ConeWords)
+	return out
 }
+
+// coneRow returns position p's member list.
+func (s *Snapshot) coneRow(p int) []int32 { return s.ConeMembers[s.ConeStart[p]:s.ConeStart[p+1]] }
 
 // Rank lists positions in AS Rank order, best first:
 // cone.RankPositions over ConeSizes and TransitDegree, computed on every
@@ -70,15 +72,6 @@ func (s *Snapshot) ConeSizes() []int32 {
 // order. The result is the caller's.
 func (s *Snapshot) Rank() []int32 {
 	return cone.RankPositions(s.ConeSizes(), s.TransitDegree)
-}
-
-// setConeSizes attaches the size column a producer counted from
-// s.ConeWords as it stands.
-func (s *Snapshot) setConeSizes(sizes []int32) {
-	s.coneSizes, s.sizedSlab = sizes, nil
-	if len(s.ConeWords) > 0 {
-		s.sizedSlab = &s.ConeWords[0]
-	}
 }
 
 // FromResult converts an inference result into its columnar snapshot:
@@ -89,10 +82,12 @@ func (s *Snapshot) setConeSizes(sizes []int32) {
 // one pool call: the serial prefix count runs beside the cone crediting
 // instead of after it. The cones are credited per distinct sequence
 // (res.Sequences), and per row when a hand-built res has none; the
-// prefix is per row, so the prefix count always reads the rows.
+// prefix is per row, so the prefix count always reads the rows. The
+// engine's dense product is packed into member lists as soon as it is
+// built; the snapshot never holds the slab.
 func FromResult(res *core.Result) *Snapshot {
 	var (
-		cones        *cone.BitSets
+		cones        *cone.Rows
 		prefixCounts map[uint32]int
 	)
 	pool.Chunks(0, 2, 1, func(lo, hi int) {
@@ -101,9 +96,9 @@ func FromResult(res *core.Result) *Snapshot {
 			case 0:
 				rels := cone.NewRelations(res.Rels)
 				if res.Sequences != nil {
-					cones = rels.ProviderPeerObservedSequences(res.Sequences)
+					cones = rels.ProviderPeerObservedSequences(res.Sequences).Rows()
 				} else {
-					cones = rels.ProviderPeerObservedBits(res.Dataset)
+					cones = rels.ProviderPeerObservedBits(res.Dataset).Rows()
 				}
 			case 1:
 				prefixCounts = cone.PrefixCounts(res.Dataset)
@@ -118,14 +113,14 @@ func FromResult(res *core.Result) *Snapshot {
 // sorted endpoints of the labeled links (the index cone.NewRelations
 // builds); prefixCounts, each origin's distinct
 // announced prefix count in the kept corpus (cone.PrefixCounts
-// semantics); and pathCount, the kept-corpus size. The slab of cones
-// passes to the snapshot uncopied; the caller must not write to it
+// semantics); and pathCount, the kept-corpus size. The columns of cones
+// pass to the snapshot uncopied; the caller must not write to them
 // afterwards. Batch (FromResult) and streaming epochs flow through this
 // one function, so a streaming epoch whose ingredients match a batch
 // run's is bit-identical to it — column for column, and therefore ETag
 // for ETag once built into an API snapshot.
-func Compose(res *core.Result, cones *cone.BitSets, prefixCounts map[uint32]int, pathCount int) *Snapshot {
-	idx, words := cones.Index(), cones.Slab()
+func Compose(res *core.Result, cones *cone.Rows, prefixCounts map[uint32]int, pathCount int) *Snapshot {
+	idx := cones.Index()
 	n := idx.Len()
 
 	snap := &Snapshot{
@@ -149,8 +144,7 @@ func Compose(res *core.Result, cones *cone.BitSets, prefixCounts map[uint32]int,
 		}
 	}
 	snap.ConePrefixes = cones.WeightedSizes(weights)
-	snap.ConeWords = words
-	snap.setConeSizes(cone.RowSizes(make([]int32, n), words))
+	snap.ConeStart, snap.ConeMembers = cones.Columns()
 
 	snap.Clique = append([]uint32{}, res.Clique...)
 
@@ -164,4 +158,67 @@ func Compose(res *core.Result, cones *cone.BitSets, prefixCounts map[uint32]int,
 		snap.Links[i] = LinkRec{A: pa, B: pb, Rel: l.Rel, Step: l.Step}
 	}
 	return snap
+}
+
+// check refuses a snapshot the store could not read back as it was
+// handed over — whatever the segment decoders refuse, and whatever would
+// crash the encoders: per-AS columns of the wrong length, an ASN or
+// clique column not strictly ascending, a negative count, links out of
+// order, out of range or with no relationship, and cone lists whose
+// offsets are not n+1 non-decreasing entries from 0 to the member
+// count or whose rows are not strictly ascending positions below n.
+func (s *Snapshot) check() error {
+	n := len(s.ASNs)
+	for _, c := range []struct {
+		name string
+		len  int
+	}{{"transit degree", len(s.TransitDegree)}, {"degree", len(s.Degree)}, {"cone prefixes", len(s.ConePrefixes)}, {"cone offsets", len(s.ConeStart) - 1}} {
+		if c.len != n {
+			return fmt.Errorf("warehouse: snapshot of %d ASes has %d %s entries", n, c.len, c.name)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		col  []uint32
+	}{{"ASN", s.ASNs}, {"clique", s.Clique}} {
+		for i := 1; i < len(c.col); i++ {
+			if c.col[i] <= c.col[i-1] {
+				return fmt.Errorf("warehouse: snapshot %s column is not strictly ascending at entry %d", c.name, i)
+			}
+		}
+	}
+	for p := range n {
+		if s.TransitDegree[p] < 0 || s.Degree[p] < 0 || s.ConePrefixes[p] < 0 {
+			return fmt.Errorf("warehouse: snapshot holds a negative count at position %d", p)
+		}
+	}
+	if s.PathCount < 0 {
+		return fmt.Errorf("warehouse: snapshot path count %d is negative", s.PathCount)
+	}
+	for i, l := range s.Links {
+		prev := LinkRec{}
+		if i > 0 {
+			prev = s.Links[i-1]
+		}
+		if l.B >= int32(n) || l.A < 0 || !pairAfter(l.A, l.B, prev.A, prev.B, i == 0) {
+			return fmt.Errorf("warehouse: snapshot link %d (%d,%d) is not an ordered pair of positions below %d sorting after its predecessor", i, l.A, l.B, n)
+		}
+		if l.Rel <= topology.None || l.Rel > topology.P2P || l.Step < core.StepNone || l.Step > core.StepPeer {
+			return fmt.Errorf("warehouse: snapshot link %d (%d,%d) has relationship %d, step %d", i, l.A, l.B, l.Rel, l.Step)
+		}
+	}
+	if s.ConeStart[0] != 0 || int(s.ConeStart[n]) != len(s.ConeMembers) {
+		return fmt.Errorf("warehouse: snapshot cone offsets run from %d to %d over %d members", s.ConeStart[0], s.ConeStart[n], len(s.ConeMembers))
+	}
+	for p := range n {
+		if s.ConeStart[p+1] < s.ConeStart[p] {
+			return fmt.Errorf("warehouse: snapshot cone offsets decrease at position %d", p)
+		}
+		for i, m := range s.coneRow(p) {
+			if m < 0 || int(m) >= n || i > 0 && m <= s.coneRow(p)[i-1] {
+				return fmt.Errorf("warehouse: snapshot cone %d is not strictly ascending positions below %d at member %d", p, n, i)
+			}
+		}
+	}
+	return nil
 }

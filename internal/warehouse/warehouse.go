@@ -120,7 +120,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 
 	dropped := 0
-	rp := newReplayer(man.Epochs)
+	rp := new(replayer)
 	for i, info := range man.Epochs {
 		prev := rp.cur
 		var err error
@@ -137,11 +137,9 @@ func Open(dir string, opts Options) (*Store, error) {
 			span.SetAttr("recovery_error", err.Error())
 			break
 		}
-		st.hist = st.hist.extend(info, rp.cur, slices.Clone(rp.sizes), relChanges(prev, rp.cur, diffLinks(prev, rp.cur)))
+		st.hist = st.hist.extend(info, rp.cur, rowLengths(rp.start), relChanges(prev, rp.cur, diffLinks(prev, rp.cur)))
 	}
 	if rp.cur != nil {
-		// A copy at exact size, not the working slab: the store keeps its
-		// head for as long as it is open, the chain's largest epoch need not.
 		st.last = rp.snapshot()
 	}
 	st.metrics.addTruncations(dropped)
@@ -231,7 +229,10 @@ func kindName(kind byte) string {
 // between any two steps leaves a store that reopens at the previous
 // epoch. label names the epoch (a corpus path, a date); etag optionally
 // records the serving ETag of the snapshot so the API layer can prove
-// round-trip identity. snap must not be mutated after Append.
+// round-trip identity. snap must not be mutated after Append. A
+// snapshot the store could not read back as handed over (Snapshot.check)
+// is refused before anything is written: the error leaves the store's
+// epochs and its directory as they were.
 func (st *Store) Append(snap *Snapshot, label, etag string) (EpochInfo, error) {
 	return st.AppendNote(snap, label, etag, nil)
 }
@@ -244,6 +245,9 @@ func (st *Store) Append(snap *Snapshot, label, etag string) (EpochInfo, error) {
 func (st *Store) AppendNote(snap *Snapshot, label, etag string, note json.RawMessage) (EpochInfo, error) {
 	_, ph := st.tracer.StartPhase(context.Background(), "warehouse.append")
 	defer ph.End(nil, nil) // error returns and metric-less stores still close the span
+	if err := snap.check(); err != nil {
+		return EpochInfo{}, err
+	}
 
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -360,8 +364,8 @@ func (st *Store) Latest() (*Snapshot, EpochInfo, bool) {
 // Snapshot materializes epoch id by decoding from the nearest full
 // checkpoint at or below id and replaying the delta chain — bounded by
 // the checkpoint cadence, never by store length. A replayed result is
-// the caller's own — it shares no slab with the store or with any other
-// result; the head epoch is the shared value Latest returns.
+// the caller's own — it shares no cone column with the store or with any
+// other result; the head epoch is the shared value Latest returns.
 func (st *Store) Snapshot(id uint32) (*Snapshot, error) {
 	_, ph := st.tracer.StartPhase(context.Background(), "warehouse.snapshot")
 	defer ph.End(nil, nil) // only chain replays reach the histogram below
@@ -386,13 +390,13 @@ func (st *Store) Snapshot(id uint32) (*Snapshot, error) {
 	}
 	chain := epochs[start : id+1]
 
-	rp := newReplayer(chain)
+	rp := new(replayer)
 	for _, info := range chain {
 		if err := st.loadEpoch(info, rp); err != nil {
 			return nil, fmt.Errorf("warehouse: materialize epoch %d: %w", id, err)
 		}
 	}
-	snap := rp.release()
+	snap := rp.snapshot()
 	ph.Span.SetAttrInt("chain", int64(len(chain)))
 	if st.metrics != nil {
 		ph.End(st.metrics.decodeSeconds, nil)

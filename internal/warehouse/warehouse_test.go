@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/asrank-go/asrank/internal/apiserver"
@@ -131,9 +132,10 @@ func TestWorkerCountInvariance(t *testing.T) {
 }
 
 // TestFromResultOwnsItsSlab pins the hand-off FromResult relies on: the
-// cone engine gives every call a slab of its own, so a snapshot's
-// ConeWords — the engine's slab, uncopied — is neither shared with nor
-// written by a later conversion of the same result.
+// cone engine gives every call a product of its own, packed into lists
+// of its own, so a snapshot's cone columns — the packed product,
+// uncopied — are neither shared with nor written by a later conversion
+// of the same result.
 func TestFromResultOwnsItsSlab(t *testing.T) {
 	p := topology.DefaultParams(11)
 	p.ASes = 200
@@ -143,13 +145,13 @@ func TestFromResultOwnsItsSlab(t *testing.T) {
 	}
 	res := core.Infer(sim.Dataset, core.Options{Sanitize: true})
 	snap := warehouse.FromResult(res)
-	before := append([]uint64(nil), snap.ConeWords...)
+	start, members := slices.Clone(snap.ConeStart), slices.Clone(snap.ConeMembers)
 	again := warehouse.FromResult(res)
-	if &again.ConeWords[0] == &snap.ConeWords[0] {
-		t.Fatal("two FromResult snapshots share one cone slab")
+	if &again.ConeStart[0] == &snap.ConeStart[0] || &again.ConeMembers[0] == &snap.ConeMembers[0] {
+		t.Fatal("two FromResult snapshots share a cone column")
 	}
-	if !reflect.DeepEqual(snap.ConeWords, before) {
-		t.Fatal("a later FromResult call wrote to an earlier snapshot's cone slab")
+	if !slices.Equal(snap.ConeStart, start) || !slices.Equal(snap.ConeMembers, members) {
+		t.Fatal("a later FromResult call wrote to an earlier snapshot's cone columns")
 	}
 	if !reflect.DeepEqual(again, snap) {
 		t.Fatal("FromResult is not a function of the result")
