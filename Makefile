@@ -13,14 +13,17 @@ test:
 # ledger (`make ledger`), not from here. The GOMAXPROCS=1 line runs the
 # in-order, one-worker path of the batch fan-outs (Read's blocks,
 # foldAtBirth, FromResult and the cone crediting it drives), which a
-# multi-core runner never takes, and BenchmarkRead runs at one and two
-# CPUs for the same reason.
+# multi-core runner never takes, and the benchmarks of those paths —
+# Read's blocks, the grouped sanitize, the three-task foldAtBirth and
+# the crediting shards' merge — run at one and two CPUs for the same
+# reason.
 check: fmt-check lint examples
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	GOMAXPROCS=1 $(GO) test ./internal/paths/... ./internal/core/... ./internal/cone/... ./internal/warehouse/...
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
-	$(GO) test -run '^$$' -bench '^BenchmarkRead$$' -benchtime 1x -cpu 1,2 ./internal/paths
+	$(GO) test -run '^$$' -bench '^Benchmark(Read|Sanitize|InferBatch|FromResult)$$' -benchtime 1x -cpu 1,2 \
+		./internal/paths ./internal/core ./internal/warehouse
 
 # Every Go file outside testdata/ (whose analyzer fixtures pin their own
 # layout) is gofmt-clean; the target lists any that is not and fails.

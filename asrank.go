@@ -144,10 +144,10 @@ func ReadMRTUpdates(r io.Reader, collector string) (*Dataset, paths.UpdateStats,
 type (
 	// Relations indexes a relationship set for cone computation.
 	Relations = cone.Relations
-	// ConeBitSets is a cone product: one bitset row of interned AS
-	// positions per AS, queried through Sizes, Members, Contains and
-	// WeightedSizes.
-	ConeBitSets = cone.BitSets
+	// ConeRows is a cone product: each AS's cone as an ascending list
+	// of interned AS positions, queried through Sizes, Members,
+	// Contains and WeightedSizes.
+	ConeRows = cone.Rows
 )
 
 // NewRelations indexes an inferred or ground-truth relationship map.

@@ -55,27 +55,27 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	// Both selectors are resolved before the corpus is read, so a typo
 	// costs nothing and leaves no -ppdc file behind.
-	var engine func(*cone.Relations, *paths.Dataset) *cone.BitSets
+	var engine func(*cone.Relations, *paths.Dataset) *cone.Rows
 	switch *method {
 	case "pp":
 		engine = (*cone.Relations).ProviderPeerObservedBits
 	case "bgp":
 		engine = (*cone.Relations).BGPObservedBits
 	case "recursive":
-		engine = func(r *cone.Relations, _ *paths.Dataset) *cone.BitSets { return r.RecursiveBits() }
+		engine = func(r *cone.Relations, _ *paths.Dataset) *cone.Rows { return r.RecursiveBits() }
 	default:
 		return fmt.Errorf("unknown method %q (want pp, bgp, or recursive)", *method)
 	}
-	var weigh func(*cone.BitSets, *paths.Dataset) map[uint32]int
+	var weigh func(*cone.Rows, *paths.Dataset) map[uint32]int
 	switch *weight {
 	case "ases":
-		weigh = func(cones *cone.BitSets, _ *paths.Dataset) map[uint32]int { return cones.Sizes() }
+		weigh = func(cones *cone.Rows, _ *paths.Dataset) map[uint32]int { return cones.Sizes() }
 	case "prefixes":
-		weigh = func(cones *cone.BitSets, ds *paths.Dataset) map[uint32]int {
+		weigh = func(cones *cone.Rows, ds *paths.Dataset) map[uint32]int {
 			return weightedSizes(cones, cone.PrefixCounts(ds))
 		}
 	case "addresses":
-		weigh = func(cones *cone.BitSets, ds *paths.Dataset) map[uint32]int {
+		weigh = func(cones *cone.Rows, ds *paths.Dataset) map[uint32]int {
 			return weightedSizes(cones, cone.AddressCounts(ds))
 		}
 	default:
@@ -156,7 +156,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 // weightedSizes sums an origin-keyed weight (cone.PrefixCounts or
 // cone.AddressCounts) over every cone, keyed by ASN.
-func weightedSizes[V int | int64](cones *cone.BitSets, weight map[uint32]V) map[uint32]int {
+func weightedSizes[V int | int64](cones *cone.Rows, weight map[uint32]V) map[uint32]int {
 	idx := cones.Index()
 	w := make([]int64, idx.Len())
 	for asn, v := range weight {

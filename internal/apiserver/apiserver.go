@@ -9,7 +9,7 @@
 //	/api/v1/asns/{asn}                           one AS: rank, cone, degrees
 //	/api/v1/asns/{asn}/links                     neighbors with relationship + provenance
 //	/api/v1/asns/{asn}/cone                      customer cone membership
-//	/api/v1/asns/{asn}/cone/contains/{member}    bitset membership probe
+//	/api/v1/asns/{asn}/cone/contains/{member}    cone membership probe
 //
 // The handlers serve an immutable snapshot (see Build): every summary,
 // neighbor list, and cone-prefix sum is precomputed, point lookups
@@ -374,7 +374,8 @@ var coneContainsBufPool = sync.Pool{New: func() any {
 }}
 
 // handleConeContains answers "is member inside asn's customer cone" as
-// a two-probe bitset lookup. Unknown member ASes are a valid query
+// two index probes and a binary search of one member list. Unknown
+// member ASes are a valid query
 // (answer: false), unlike an unknown subject AS (404).
 //
 //asrank:hotpath

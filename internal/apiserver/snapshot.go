@@ -107,7 +107,7 @@ func BuildSnapshot(snap *warehouse.Snapshot) *Data {
 	}
 
 	// Pre-serialize every summary (compact); the bytes are all the
-	// snapshot keeps of it. ~100 B per AS; the whole slab for an 80k-AS
+	// snapshot keeps of it. ~100 B per AS; all of them for an 80k-AS
 	// Internet is a few MB — cheap insurance that point lookups never
 	// touch the encoder.
 	coneASes := snap.ConeSizes()

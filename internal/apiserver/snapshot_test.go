@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -232,5 +233,50 @@ func TestConeContains(t *testing.T) {
 	}
 	if d.ConeContains(top, 4294967294) {
 		t.Error("unknown member reported in cone")
+	}
+}
+
+// TestReadGroupingKeepsTheETag: step 1 cleans a read corpus once per
+// AS-path text, trusting the reader's grouping while it describes the
+// rows, and a corpus whose rows each hold a slice of their own once per
+// row. The served product must not tell them apart — one corpus read
+// and rebuilt unshared infers to the same ETag, and so does the read
+// corpus with its rows reordered, which takes the per-row path.
+func TestReadGroupingKeepsTheETag(t *testing.T) {
+	p := topology.DefaultParams(5)
+	p.ASes = 300
+	sim, err := bgpsim.Run(topology.Generate(p), bgpsim.DefaultOptions(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := paths.Write(&buf, sim.Dataset); err != nil {
+		t.Fatal(err)
+	}
+	read, err := paths.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unshared := &paths.Dataset{Paths: slices.Clone(read.Paths)}
+	for i := range unshared.Paths {
+		unshared.Paths[i].ASNs = slices.Clone(unshared.Paths[i].ASNs)
+	}
+	reordered := *read
+	reordered.Paths = slices.Clone(read.Paths)
+	slices.Reverse(reordered.Paths[:len(reordered.Paths)/2])
+	slices.Reverse(reordered.Paths[len(reordered.Paths)/2:])
+	etag := func(ds *paths.Dataset) (string, *core.Result) {
+		res := core.Infer(ds, core.Options{Sanitize: true})
+		return BuildSnapshot(warehouse.FromResult(res)).ETag(), res
+	}
+	want, wantRes := etag(unshared)
+	for name, ds := range map[string]*paths.Dataset{"read": read, "reordered": &reordered} {
+		got, res := etag(ds)
+		if got != want {
+			t.Errorf("%s corpus serves ETag %s, the unshared rows %s", name, got, want)
+		}
+		if name == "read" && !reflect.DeepEqual(res.Sequences, wantRes.Sequences) {
+			t.Errorf("read corpus infers other sequences than the unshared rows")
+		}
 	}
 }

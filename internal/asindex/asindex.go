@@ -1,15 +1,12 @@
 // Package asindex interns sparse 32-bit AS numbers into a dense
-// [0..n) index so that per-AS sets can be represented as bitsets and
-// per-AS tables as slices. At Internet scale (~50k ASes, ~500k links)
+// [0..n) index so that per-AS tables are slices and per-AS sets are
+// lists of int32 positions. At Internet scale (~50k ASes, ~500k links)
 // the dense representation is what makes cone closure and reachability
-// queries cache-friendly: a membership test is one shift and mask
-// instead of a map probe, and a whole cone fits in n/8 bytes.
+// queries cache-friendly: a customer list, a stamp array or a cone's
+// member list is indexed by position instead of probed by ASN.
 package asindex
 
-import (
-	"math/bits"
-	"slices"
-)
+import "slices"
 
 // Index is an immutable bijection between a set of ASNs and the dense
 // positions [0..Len()). Positions are assigned in ascending ASN order,
@@ -62,60 +59,3 @@ func (ix *Index) ASN(p int32) uint32 { return ix.asns[p] }
 // ASNs returns the interned ASNs in position (ascending) order. The
 // returned slice is shared; callers must not modify it.
 func (ix *Index) ASNs() []uint32 { return ix.asns }
-
-// Bitset is a fixed-capacity set of dense positions backed by packed
-// 64-bit words.
-type Bitset []uint64
-
-// NewBitset returns an empty bitset with capacity for n positions.
-func NewBitset(n int) Bitset { return make(Bitset, (n+63)/64) }
-
-// Set adds position i.
-func (b Bitset) Set(i int32) { b[i>>6] |= 1 << (uint(i) & 63) }
-
-// TrySet adds position i and reports whether it was newly added.
-func (b Bitset) TrySet(i int32) bool {
-	w, m := i>>6, uint64(1)<<(uint(i)&63)
-	if b[w]&m != 0 {
-		return false
-	}
-	b[w] |= m
-	return true
-}
-
-// Contains reports whether position i is in the set.
-func (b Bitset) Contains(i int32) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
-
-// Or merges o into b. The two bitsets must have equal capacity.
-func (b Bitset) Or(o Bitset) {
-	for i, w := range o {
-		b[i] |= w
-	}
-}
-
-// Count returns the number of set positions.
-func (b Bitset) Count() int {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// ForEach calls fn for every set position in ascending order.
-func (b Bitset) ForEach(fn func(i int32)) {
-	for wi, w := range b {
-		for w != 0 {
-			bit := bits.TrailingZeros64(w)
-			fn(int32(wi<<6 + bit))
-			w &= w - 1
-		}
-	}
-}
-
-// Clone returns an independent copy of b.
-func (b Bitset) Clone() Bitset {
-	out := make(Bitset, len(b))
-	copy(out, b)
-	return out
-}

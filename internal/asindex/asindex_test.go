@@ -26,44 +26,3 @@ func TestIndexInterning(t *testing.T) {
 		t.Error("Pos(99) should miss")
 	}
 }
-
-func TestBitsetBasics(t *testing.T) {
-	b := NewBitset(130)
-	for _, i := range []int32{0, 63, 64, 129} {
-		if b.Contains(i) {
-			t.Errorf("fresh bitset contains %d", i)
-		}
-		if !b.TrySet(i) {
-			t.Errorf("TrySet(%d) on empty = false", i)
-		}
-		if b.TrySet(i) {
-			t.Errorf("TrySet(%d) twice = true", i)
-		}
-		if !b.Contains(i) {
-			t.Errorf("missing %d after set", i)
-		}
-	}
-	if b.Count() != 4 {
-		t.Errorf("Count = %d, want 4", b.Count())
-	}
-	var got []int32
-	b.ForEach(func(i int32) { got = append(got, i) })
-	if !reflect.DeepEqual(got, []int32{0, 63, 64, 129}) {
-		t.Errorf("ForEach order = %v", got)
-	}
-}
-
-func TestBitsetOrClone(t *testing.T) {
-	a := NewBitset(100)
-	b := NewBitset(100)
-	a.Set(1)
-	b.Set(99)
-	c := a.Clone()
-	c.Or(b)
-	if !c.Contains(1) || !c.Contains(99) {
-		t.Errorf("Or/Clone lost bits: %v", c)
-	}
-	if a.Contains(99) {
-		t.Error("Clone aliases the original")
-	}
-}

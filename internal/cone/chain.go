@@ -6,7 +6,7 @@ import (
 )
 
 // chainWalk is the observed-cone crediting rule, implemented once: the
-// batch engine (Relations.addChains, bitset sink) and the streaming
+// batch engine (Relations.addChains, credit-list sink) and the streaming
 // engine (PairCounts.Credit, refcount sink) both consume its output, so
 // the two cannot disagree on which positions of a path are credited
 // with which members. It holds the per-path scratch; the zero value is

@@ -112,7 +112,7 @@ func TestCreditingRule(t *testing.T) {
 				name      string
 				needEntry bool
 				want      memberSets
-				batch     *BitSets
+				batch     *Rows
 			}{
 				{"pp", true, want(tc.pp), r.ProviderPeerObservedBits(ds)},
 				{"bgp", false, want(tc.bgp), r.BGPObservedBits(ds)},
@@ -121,7 +121,7 @@ func TestCreditingRule(t *testing.T) {
 					t.Errorf("%s: sequential reference = %v, want %v", rule.name, got, rule.want)
 				}
 				if got := members(rule.batch); !reflect.DeepEqual(got, rule.want) {
-					t.Errorf("%s: bitset sink = %v, want %v", rule.name, got, rule.want)
+					t.Errorf("%s: batch sink = %v, want %v", rule.name, got, rule.want)
 				}
 			}
 
@@ -130,7 +130,7 @@ func TestCreditingRule(t *testing.T) {
 			if got := members(pc.dense(r.Index())); !reflect.DeepEqual(got, want(tc.pp)) {
 				t.Errorf("refcount sink, dense = %v, want %v", got, want(tc.pp))
 			}
-			if got := rowSets(pc.Rows(r.Index())); !reflect.DeepEqual(got, want(tc.pp)) {
+			if got := members(pc.Rows(r.Index())); !reflect.DeepEqual(got, want(tc.pp)) {
 				t.Errorf("refcount sink, rows = %v, want %v", got, want(tc.pp))
 			}
 			pc.Credit(rels, tc.path, -1)

@@ -15,16 +15,20 @@
 // AS is always in its own cone.
 //
 // The engine interns ASNs into a dense index (internal/asindex) and
-// accumulates each cone as a bitset, fanning the closure and the
-// per-path chain crediting out over a worker pool sized from GOMAXPROCS
-// with a deterministic shard merge, so results are identical to a
-// sequential run at any setting of it.
+// builds every cone product as member lists (Rows): the closure lists
+// what each walk reaches, and the per-path chain crediting records
+// (owner, member) pairs that one counting sort turns into sorted,
+// deduplicated rows. Both fan out over a worker pool sized from
+// GOMAXPROCS, with a deterministic merge, so results are identical to a
+// sequential run at any setting of it. Nothing is sized n × n: a
+// product costs one offset per AS and one entry per member.
 package cone
 
 import (
 	"context"
 	"net/netip"
 	"slices"
+	"sync"
 
 	"github.com/asrank-go/asrank/internal/asindex"
 	"github.com/asrank-go/asrank/internal/paths"
@@ -33,25 +37,21 @@ import (
 	"github.com/asrank-go/asrank/internal/trace"
 )
 
-// v4Prefix normalizes a corpus prefix to plain IPv4, accepting the
-// IPv4-mapped-in-IPv6 form (::ffff:a.b.c.d/96+n) that MRT feeds can
-// legitimately carry. Everything else gives the invalid zero prefix.
+// v4Prefix is a corpus prefix's canonical form (paths.CanonicalPrefix)
+// when that is an IPv4 prefix, and the invalid zero prefix otherwise.
 func v4Prefix(p netip.Prefix) netip.Prefix {
-	addr, bits := p.Addr(), p.Bits()
-	if addr.Is4In6() && bits >= 96 {
-		addr, bits = addr.Unmap(), bits-96
-	}
-	if !p.IsValid() || !addr.Is4() {
+	if p = paths.CanonicalPrefix(p); !p.Addr().Is4() {
 		return netip.Prefix{}
 	}
-	return netip.PrefixFrom(addr, bits)
+	return p
 }
 
 // AddressCounts sums the address span of each origin's prefixes from a
 // path corpus: a /24 contributes 256 addresses. Overlapping prefixes
 // from the same origin are counted once per distinct prefix, which
-// matches how the paper counts routed space. IPv4-mapped IPv6 prefixes
-// are normalized to their embedded IPv4 prefix first.
+// matches how the paper counts routed space. A prefix counts in its
+// canonical form, so however it was written — IPv4-mapped, host bits
+// set — it spans its addresses once; IPv6 prefixes weigh nothing.
 func AddressCounts(ds *paths.Dataset) map[uint32]int64 {
 	return originWeights(ds, func(p netip.Prefix) (netip.Prefix, int64) {
 		p = v4Prefix(p)
@@ -59,9 +59,11 @@ func AddressCounts(ds *paths.Dataset) map[uint32]int64 {
 	})
 }
 
-// PrefixCounts counts each origin's distinct prefixes in a corpus.
+// PrefixCounts counts each origin's distinct prefixes in a corpus, each
+// in its canonical form (paths.CanonicalPrefix): one routed prefix is
+// one prefix however its rows wrote it.
 func PrefixCounts(ds *paths.Dataset) map[uint32]int {
-	return originWeights(ds, func(p netip.Prefix) (netip.Prefix, int) { return p, 1 })
+	return originWeights(ds, func(p netip.Prefix) (netip.Prefix, int) { return paths.CanonicalPrefix(p), 1 })
 }
 
 // originWeights sums, per origin, the weight of each distinct prefix it
@@ -92,7 +94,7 @@ func originWeights[W int | int64](ds *paths.Dataset, weigh func(netip.Prefix) (n
 //
 // Relations is immutable after construction. Every engine call computes
 // a fresh product the caller owns; a caller that needs one twice holds
-// the *BitSets.
+// the *Rows.
 type Relations struct {
 	rel     map[paths.Link]topology.Relationship
 	idx     *asindex.Index
@@ -160,115 +162,164 @@ func (r *Relations) Index() *asindex.Index { return r.idx }
 
 // build runs one engine as one timed "cone.build" phase carrying the
 // engine attribute.
-func (r *Relations) build(engine string, compute func(context.Context) *BitSets) *BitSets {
+func (r *Relations) build(engine string, compute func(context.Context) *Rows) *Rows {
 	ctx := r.ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	ctx, ph := trace.StartPhase(ctx, "cone.build")
 	ph.Span.SetAttr("engine", engine)
-	b := compute(ctx)
+	rows := compute(ctx)
 	ph.End(coneBuildDuration.With(engine), nil)
-	return b
+	return rows
 }
 
 // RecursiveBits computes the transitive-closure customer cone of every
 // AS.
-func (r *Relations) RecursiveBits() *BitSets { return r.build("recursive", r.closure) }
+func (r *Relations) RecursiveBits() *Rows { return r.build("recursive", r.closure) }
+
+// closureChunk is how many ASes one closure task walks.
+const closureChunk = 64
+
+// closureScratch is one worker's state for the closure walks: a visit
+// stamp per position and the walk's stack. A walk from position i
+// marks with i+1, which no other walk uses, so the stamps are never
+// cleared.
+type closureScratch struct {
+	stamp []int32
+	stack []int32
+}
 
 // closure is the recursive engine: each AS's cone is the set a
 // depth-first walk down its customer links reaches, one independent
-// walk per AS sharded across the worker pool. A walk stops at bits it
-// has already set, so a p2c cycle — possible when indexing an
-// arbitrary relationship file — puts the whole cycle in every member's
-// cone and terminates.
-func (r *Relations) closure(ctx context.Context) *BitSets {
-	cones := newBitSets(r.idx)
+// walk per AS sharded across the worker pool. A walk lists each
+// position it reaches the first time its stamp is set, so a p2c cycle
+// — possible when indexing an arbitrary relationship file — puts the
+// whole cycle in every member's cone and terminates. A task lists its
+// chunk's rows one after another, each sorted, and the lists are
+// copied into the product once every row's length is known.
+func (r *Relations) closure(ctx context.Context) *Rows {
+	n := r.idx.Len()
+	start := make([]int32, n+1)
+	parts := make([][]int32, (n+closureChunk-1)/closureChunk)
+	scratch := sync.Pool{New: func() any { return &closureScratch{stamp: make([]int32, n)} }}
 	closureCtx, closureSpan := trace.StartSpan(ctx, "cone.closure")
 	defer closureSpan.End()
-	pool.ChunksCtx(closureCtx, 0, r.idx.Len(), 64, func(_ context.Context, lo, hi int) {
-		var stack []int32
+	pool.ChunksCtx(closureCtx, 0, n, closureChunk, func(_ context.Context, lo, hi int) {
+		s := scratch.Get().(*closureScratch)
+		var out []int32
 		for i := int32(lo); i < int32(hi); i++ {
-			b := cones.row(i)
-			b.Set(i)
-			stack = append(stack[:0], i)
-			for len(stack) > 0 {
-				x := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
+			row := len(out)
+			s.stamp[i] = i + 1
+			out = append(out, i)
+			s.stack = append(s.stack[:0], i)
+			for len(s.stack) > 0 {
+				x := s.stack[len(s.stack)-1]
+				s.stack = s.stack[:len(s.stack)-1]
 				for _, c := range r.custIdx[x] {
-					if b.TrySet(c) {
-						stack = append(stack, c)
+					if s.stamp[c] != i+1 {
+						s.stamp[c] = i + 1
+						out = append(out, c)
+						s.stack = append(s.stack, c)
 					}
 				}
 			}
+			slices.Sort(out[row:])
+			start[i+1] = int32(len(out) - row)
+		}
+		parts[lo/closureChunk] = out
+		scratch.Put(s)
+	})
+	for p := range n {
+		start[p+1] += start[p]
+	}
+	members := make([]int32, start[n])
+	pool.Chunks(0, len(parts), 16, func(lo, hi int) {
+		for c := lo; c < hi; c++ {
+			copy(members[start[c*closureChunk]:], parts[c])
 		}
 	})
-	return cones
+	return &Rows{idx: r.idx, start: start, members: members}
 }
 
 // BGPObservedBits computes cones from observed paths: starting at each
 // position where the next hop is one of the AS's customers, every AS on
 // the maximal descending (p2c) chain is in the cone.
-func (r *Relations) BGPObservedBits(ds *paths.Dataset) *BitSets {
-	return r.observedBits(len(ds.Paths), func(i int) []uint32 { return ds.Paths[i].ASNs }, false)
+func (r *Relations) BGPObservedBits(ds *paths.Dataset) *Rows {
+	return r.observed(len(ds.Paths), func(i int) []uint32 { return ds.Paths[i].ASNs }, false)
 }
 
 // ProviderPeerObservedBits computes the PP cone: like BGPObservedBits,
 // but a position only contributes when the path entered the AS from one
 // of its providers or peers — third parties demonstrably routing
 // through the AS to reach the cone member.
-func (r *Relations) ProviderPeerObservedBits(ds *paths.Dataset) *BitSets {
-	return r.observedBits(len(ds.Paths), func(i int) []uint32 { return ds.Paths[i].ASNs }, true)
+func (r *Relations) ProviderPeerObservedBits(ds *paths.Dataset) *Rows {
+	return r.observed(len(ds.Paths), func(i int) []uint32 { return ds.Paths[i].ASNs }, true)
 }
 
 // ProviderPeerObservedSequences is ProviderPeerObservedBits over a
 // corpus's distinct hop sequences (core.Result.Sequences). Crediting is
-// a union, so a sequence credited once sets exactly the bits its rows
-// set, at a fraction of the walks.
-func (r *Relations) ProviderPeerObservedSequences(seqs [][]uint32) *BitSets {
-	return r.observedBits(len(seqs), func(i int) []uint32 { return seqs[i] }, true)
+// a union, so a sequence credited once lists exactly the members its
+// rows list, at a fraction of the walks.
+func (r *Relations) ProviderPeerObservedSequences(seqs [][]uint32) *Rows {
+	return r.observed(len(seqs), func(i int) []uint32 { return seqs[i] }, true)
 }
 
-// observedBits shards the count paths hops(0), hops(1), ... across the
-// worker pool, credits descending chains into per-shard cone
-// accumulators, and merges the shards in fixed shard order so the
-// result is independent of worker scheduling.
-func (r *Relations) observedBits(count int, hops func(int) []uint32, needEntry bool) *BitSets {
-	return r.build(engineName(needEntry), func(ctx context.Context) *BitSets {
+// observed shards the count paths hops(0), hops(1), ... across the
+// worker pool; each shard records every credited (owner, member)
+// position pair, a few per path, and the shards are merged in fixed
+// shard order by listRows, so the product is independent of worker
+// scheduling and costs what the credits and the cones hold, not n × n
+// bits.
+func (r *Relations) observed(count int, hops func(int) []uint32, needEntry bool) *Rows {
+	return r.build(engineName(needEntry), func(ctx context.Context) *Rows {
 		trace.FromContext(ctx).SetAttrInt("paths", int64(count))
-		n := r.idx.Len()
-		shards := make([][]asindex.Bitset, pool.NumShards(0, count))
+		shards := make([][]credit, pool.NumShards(0, count))
 		creditCtx, creditSpan := trace.StartSpan(ctx, "cone.credit")
 		pool.RangeCtx(creditCtx, 0, count, func(_ context.Context, shard, lo, hi int) {
-			local := make([]asindex.Bitset, n)
-			var walk chainWalk
+			var (
+				local creditSink
+				walk  chainWalk
+			)
 			for i := lo; i < hi; i++ {
-				r.addChains(local, hops(i), needEntry, &walk)
+				r.addChains(&local, hops(i), needEntry, &walk)
 			}
-			shards[shard] = local
+			shards[shard] = local.credits
 		})
 		creditSpan.End()
-		cones := newBitSets(r.idx)
-		mergeCtx, mergeSpan := trace.StartSpan(ctx, "cone.merge")
+		_, mergeSpan := trace.StartSpan(ctx, "cone.merge")
 		defer mergeSpan.End()
-		pool.ChunksCtx(mergeCtx, 0, n, 64, func(_ context.Context, lo, hi int) {
-			for i := int32(lo); i < int32(hi); i++ {
-				b := cones.row(i)
-				for _, local := range shards {
-					if local[i] != nil {
-						b.Or(local[i])
-					}
-				}
-				b.Set(i) // an AS is always in its own cone
-			}
-		})
-		return cones
+		return listRows(r.idx, shards...)
 	})
 }
 
+// creditSink is one shard's credits. Paths repeat chains — every
+// prefix of an origin's table descends the same way — so a credit is
+// first looked up in a small direct-mapped table of the pairs recorded
+// last, and a hit is dropped: the list holds few more credits than the
+// shard's distinct pairs. Dropping a repeat cannot change a row, which
+// is a set. The table starts zeroed, the key of position 0's credit to
+// itself, which every product holds anyway.
+type creditSink struct {
+	credits []credit
+	recent  [1 << 12]uint64 // owner<<32 | member of a recorded credit
+}
+
+// add records member in owner's cone unless it was recorded lately.
+func (s *creditSink) add(owner, member int32) {
+	k := uint64(owner)<<32 | uint64(uint32(member))
+	slot := &s.recent[(k*0x9e3779b97f4a7c15)>>52]
+	if *slot == k {
+		return
+	}
+	*slot = k
+	s.credits = append(s.credits, credit{owner: owner, member: member})
+}
+
 // addChains is the batch sink of the crediting walk: every credited
-// chain of one path is set into the owner's cone by interned position.
-func (r *Relations) addChains(cones []asindex.Bitset, asns []uint32, needEntry bool, w *chainWalk) {
+// chain of one path is recorded as one credit per member, by interned
+// position.
+func (r *Relations) addChains(sink *creditSink, asns []uint32, needEntry bool, w *chainWalk) {
 	for i, end := range w.credited(r.rel, asns, needEntry) {
 		if end == i {
 			continue
@@ -276,15 +327,9 @@ func (r *Relations) addChains(cones []asindex.Bitset, asns []uint32, needEntry b
 		// A p2c hop out of position i implies the link is in the
 		// relationship set, so every chain position is interned.
 		owner, _ := r.idx.Pos(asns[i])
-		cone := cones[owner]
-		if cone == nil {
-			cone = asindex.NewBitset(len(r.custIdx))
-			cone.Set(owner)
-			cones[owner] = cone
-		}
 		for _, member := range asns[i+1 : end+1] {
 			m, _ := r.idx.Pos(member)
-			cone.Set(m)
+			sink.add(owner, m)
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"testing"
 
+	"github.com/asrank-go/asrank/internal/asindex"
 	"github.com/asrank-go/asrank/internal/bgpsim"
 	"github.com/asrank-go/asrank/internal/core"
 	"github.com/asrank-go/asrank/internal/paths"
@@ -56,13 +57,28 @@ func set(asns ...uint32) map[uint32]bool {
 // compare against hand-written or reference cones.
 type memberSets map[uint32]map[uint32]bool
 
-// members reads every row of bs back through Members.
-func members(bs *BitSets) memberSets {
-	out := make(memberSets, bs.Len())
-	for _, asn := range bs.Index().ASNs() {
-		out[asn] = set(bs.Members(asn)...)
+// members reads every row of a product — the list engines' or a dense
+// oracle's — back through Members.
+func members(cones interface {
+	Index() *asindex.Index
+	Members(asn uint32) []uint32
+}) memberSets {
+	out := make(memberSets, cones.Index().Len())
+	for _, asn := range cones.Index().ASNs() {
+		out[asn] = set(cones.Members(asn)...)
 	}
 	return out
+}
+
+// subset reports whether every member of the ascending list a is in
+// the ascending list b.
+func subset(a, b []int32) bool {
+	for _, m := range a {
+		if _, ok := slices.BinarySearch(b, m); !ok {
+			return false
+		}
+	}
+	return true
 }
 
 func TestRecursive(t *testing.T) {
@@ -362,10 +378,10 @@ func TestRelOrientationAndASes(t *testing.T) {
 
 // TestConeNesting holds the paper's containment and the product's own
 // invariants on the rows themselves, over 20 generated Internets: PP ⊆
-// BGP-observed ⊆ recursive word for word, the self bit set in every row
-// of every product (the refcounted PairCounts rows included), the
+// BGP-observed ⊆ recursive row for row, self a member of every row of
+// every product (the refcounted PairCounts rows included), the
 // recursive closure monotone under one added p2c link, and every engine
-// call returning a slab nobody else holds.
+// call returning lists nobody else holds.
 func TestConeNesting(t *testing.T) {
 	var recTotal, ppTotal int
 	for seed := int64(1); seed <= 20; seed++ {
@@ -380,9 +396,9 @@ func TestConeNesting(t *testing.T) {
 		}
 		counted := pc.Rows(r.Index())
 
-		for i, w := range pp.words {
-			if w&^bgp.words[i] != 0 || bgp.words[i]&^rec.words[i] != 0 {
-				t.Fatalf("seed %d: word %d breaks PP ⊆ BGP-observed ⊆ recursive", seed, i)
+		for p := range int32(r.Index().Len()) {
+			if !subset(pp.Row(p), bgp.Row(p)) || !subset(bgp.Row(p), rec.Row(p)) {
+				t.Fatalf("seed %d: row %d breaks PP ⊆ BGP-observed ⊆ recursive", seed, p)
 			}
 		}
 		for _, asn := range r.ASes() {
@@ -415,18 +431,18 @@ func TestConeNesting(t *testing.T) {
 			}
 		}
 		after := NewRelations(grown).RecursiveBits()
-		for i, w := range rec.words {
-			if w&^after.words[i] != 0 {
-				t.Fatalf("seed %d: adding a p2c link cleared a bit in word %d of the recursive slab", seed, i)
+		for p := range int32(r.Index().Len()) {
+			if !subset(rec.Row(p), after.Row(p)) {
+				t.Fatalf("seed %d: adding a p2c link took a member out of recursive cone %d", seed, p)
 			}
 		}
 
 		again := r.ProviderPeerObservedBits(res.Dataset)
-		if !reflect.DeepEqual(again.words, pp.words) {
-			t.Fatalf("seed %d: a second ProviderPeerObservedBits call computed a different slab", seed)
+		if !reflect.DeepEqual(again, pp) {
+			t.Fatalf("seed %d: a second ProviderPeerObservedBits call computed different cones", seed)
 		}
-		if &again.words[0] == &pp.words[0] {
-			t.Fatalf("seed %d: two ProviderPeerObservedBits calls share one slab", seed)
+		if &again.members[0] == &pp.members[0] || &again.start[0] == &pp.start[0] {
+			t.Fatalf("seed %d: two ProviderPeerObservedBits calls share one product", seed)
 		}
 	}
 	// The gap must be real: total recursive mass strictly exceeds total
@@ -495,6 +511,44 @@ func TestAddressAndPrefixCounts(t *testing.T) {
 	}
 	if ac[6] != 65536 {
 		t.Errorf("addresses(6) = %d", ac[6])
+	}
+}
+
+// TestOneRoutedPrefixCountsOnce: a prefix counts in its canonical form,
+// so the ways one /24 can be written — plain, IPv4-mapped, host bits set,
+// both at once — are one prefix of 256 addresses, and only a prefix
+// that differs once canonical adds to the counts.
+func TestOneRoutedPrefixCountsOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		prefixes    []string
+		prefixCount int
+		addresses   int64
+	}{
+		{"plain", []string{"1.2.3.0/24"}, 1, 256},
+		{"plain and mapped", []string{"1.2.3.0/24", "::ffff:1.2.3.0/120"}, 1, 256},
+		{"plain and host bits", []string{"1.2.3.0/24", "1.2.3.4/24"}, 1, 256},
+		{"all three", []string{"1.2.3.0/24", "::ffff:1.2.3.0/120", "1.2.3.4/24"}, 1, 256},
+		{"mapped with host bits", []string{"::ffff:1.2.3.9/120", "1.2.3.0/24"}, 1, 256},
+		{"another length", []string{"1.2.3.0/24", "1.2.3.4/25"}, 2, 256 + 128},
+		{"IPv6 with host bits", []string{"2001:db8::1/32", "2001:db8::/32"}, 1, 0},
+		{"mapped shorter than /96", []string{"::ffff:0.0.0.0/64", "::/64"}, 1, 0},
+		{"invalid", []string{""}, 0, 0},
+	} {
+		ds := &paths.Dataset{}
+		for i, s := range tc.prefixes {
+			var p netip.Prefix
+			if s != "" {
+				p = netip.MustParsePrefix(s)
+			}
+			ds.Add(paths.Path{Collector: "c", Prefix: p, ASNs: []uint32{uint32(1 + i), 10, 20}})
+		}
+		if got := PrefixCounts(ds)[20]; got != tc.prefixCount {
+			t.Errorf("%s: %d prefixes for origin 20, want %d", tc.name, got, tc.prefixCount)
+		}
+		if got := AddressCounts(ds)[20]; got != tc.addresses {
+			t.Errorf("%s: %d addresses for origin 20, want %d", tc.name, got, tc.addresses)
+		}
 	}
 }
 

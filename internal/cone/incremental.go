@@ -1,8 +1,6 @@
 package cone
 
 import (
-	"slices"
-
 	"github.com/asrank-go/asrank/internal/asindex"
 	"github.com/asrank-go/asrank/internal/paths"
 	"github.com/asrank-go/asrank/internal/topology"
@@ -15,7 +13,7 @@ import (
 // streaming engine can apply path adds and removes in any order and the
 // pair state is a pure function of the current (path set, relationship
 // set): the rows built from the counts equal ProviderPeerObservedBits
-// over the equivalent batch corpus, packed.
+// over the equivalent batch corpus.
 //
 // PairCounts is not safe for concurrent use; the streaming engine
 // serializes all mutations.
@@ -67,48 +65,22 @@ func (pc *PairCounts) add(owner, member uint32, d int) {
 }
 
 // Rows builds the provider/peer-observed cones over idx as member
-// lists, self always a member: a counting sort of the refcounted pairs
-// by owner, then each row sorted. It reads only the current refcounts,
-// so the order in which credits were applied cannot matter. Every
-// refcounted pair's owner and member must be interned in idx — a miss
-// means the caller's index is stale relative to the credited
+// lists, self always a member, through the list-building rule the
+// batch engines merge with (listRows). It reads only the current
+// refcounts, so the order in which credits were applied cannot matter.
+// Every refcounted pair's owner and member must be interned in idx — a
+// miss means the caller's index is stale relative to the credited
 // relationships, a programming error.
 func (pc *PairCounts) Rows(idx *asindex.Index) *Rows {
-	n := idx.Len()
-	owner, member := make([]int32, 0, len(pc.counts)), make([]int32, 0, len(pc.counts))
-	start := make([]int32, n+1)
-	for p := range n {
-		start[p+1] = 1 // self
-	}
+	credits := make([]credit, 0, len(pc.counts))
 	for k := range pc.counts {
 		oi, ok1 := idx.Pos(uint32(k >> 32))
 		mi, ok2 := idx.Pos(uint32(k))
 		if !ok1 || !ok2 {
 			panic("cone: credited pair references an AS outside the index")
 		}
-		if oi == mi {
-			continue // a looped path credits an AS to itself; self is in already
-		}
-		owner, member = append(owner, oi), append(member, mi)
-		start[oi+1]++
+		//lint:ignore nodeterminismleak listRows sorts every row, so map order cannot leak
+		credits = append(credits, credit{owner: oi, member: mi})
 	}
-	for p := range n {
-		start[p+1] += start[p]
-	}
-	members := make([]int32, start[n])
-	at := slices.Clone(start[:n])
-	for p := range n {
-		members[at[p]] = int32(p)
-		at[p]++
-	}
-	for i, o := range owner {
-		members[at[o]] = member[i]
-		at[o]++
-	}
-	for p := range n {
-		if row := members[start[p]:start[p+1]]; len(row) > 1 {
-			slices.Sort(row)
-		}
-	}
-	return &Rows{idx: idx, start: start, members: members}
+	return listRows(idx, credits)
 }

@@ -27,24 +27,25 @@ func creditCorpus(t *testing.T, seed int64, ases int) (*paths.Dataset, *core.Res
 }
 
 // TestPairCountsMatchesBatch proves the refcounted crediting walk is
-// bit-identical to the batch provider/peer-observed engine: crediting
-// every post-discard path +1 and building the dense slab must equal
-// ProviderPeerObservedBits' slab over the same corpus, and the rows
-// built from the counts must equal that product packed.
+// identical to the batch provider/peer-observed engine: crediting every
+// post-discard path +1 and reading the counts back as a dense slab must
+// equal the dense oracle's slab over the same corpus, and the rows built
+// from the counts must equal ProviderPeerObservedBits' rows.
 func TestPairCountsMatchesBatch(t *testing.T) {
 	ds, res := creditCorpus(t, 77, 400)
 	r := NewRelations(res.Rels)
 	batch := r.ProviderPeerObservedBits(ds)
+	oracle := denseObserved(r, len(ds.Paths), func(i int) []uint32 { return ds.Paths[i].ASNs }, true)
 
 	pc := NewPairCounts()
 	for _, p := range ds.Paths {
 		pc.Credit(res.Rels, p.ASNs, 1)
 	}
-	if got := pc.dense(r.Index()); !reflect.DeepEqual(got.words, batch.words) {
-		t.Fatal("incremental slab differs from batch ProviderPeerObservedBits")
+	if got := pc.dense(r.Index()); !reflect.DeepEqual(got.words, oracle.words) {
+		t.Fatal("incremental slab differs from the dense provider/peer-observed oracle")
 	}
-	if got := pc.Rows(r.Index()); !reflect.DeepEqual(got, batch.Rows()) {
-		t.Fatal("incremental rows differ from batch ProviderPeerObservedBits packed")
+	if got := pc.Rows(r.Index()); !reflect.DeepEqual(got, batch) {
+		t.Fatal("incremental rows differ from batch ProviderPeerObservedBits")
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 )
 
 // seqRelations is a frozen copy of the seed's sequential map-based cone
-// engine, kept as the reference the parallel bitset engine must match
+// engine, kept as the reference the parallel list engines must match
 // exactly.
 type seqRelations struct {
 	customers map[uint32][]uint32
@@ -168,7 +168,7 @@ func TestParallelMatchesSequentialSeed(t *testing.T) {
 			if got := members(r.ProviderPeerObservedSequences(res.Sequences)); !reflect.DeepEqual(got, wantPP) {
 				t.Fatalf("seed %d GOMAXPROCS %d: ProviderPeerObservedSequences differs from sequential seed", seed, procs)
 			}
-			bgp := r.observedBits(len(res.Sequences), func(i int) []uint32 { return res.Sequences[i] }, false)
+			bgp := r.observed(len(res.Sequences), func(i int) []uint32 { return res.Sequences[i] }, false)
 			if got := members(bgp); !reflect.DeepEqual(got, wantBGP) {
 				t.Fatalf("seed %d GOMAXPROCS %d: BGP-observed crediting per sequence differs from sequential seed", seed, procs)
 			}
@@ -194,31 +194,5 @@ func TestParallelPPDCByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(out[0].Bytes(), out[1].Bytes()) {
 		t.Fatal("ppdc output at GOMAXPROCS 7 differs from GOMAXPROCS 1")
-	}
-}
-
-// TestBitSetsAccessors covers the product's query API.
-func TestBitSetsAccessors(t *testing.T) {
-	bits := hierarchy().RecursiveBits()
-	if got, want := bits.Sizes(), map[uint32]int{1: 4, 2: 2, 3: 2, 4: 1, 5: 1}; !reflect.DeepEqual(got, want) {
-		t.Errorf("Sizes() = %v, want %v", got, want)
-	}
-	if !bits.Contains(1, 5) || bits.Contains(5, 1) {
-		t.Error("Contains orientation wrong")
-	}
-	if bits.Contains(99, 1) || bits.Contains(1, 99) {
-		t.Error("Contains should miss unknown ASNs")
-	}
-	if got := bits.Members(1); !reflect.DeepEqual(got, []uint32{1, 3, 4, 5}) {
-		t.Errorf("Members(1) = %v", got)
-	}
-	if bits.Members(99) != nil {
-		t.Error("Members(99) should be nil")
-	}
-	if bits.Len() != 5 || bits.Index().Len() != 5 {
-		t.Errorf("Len = %d, Index().Len() = %d", bits.Len(), bits.Index().Len())
-	}
-	if got := rowSets(bits.Rows()); !reflect.DeepEqual(got, members(bits)) {
-		t.Error("the product packed into rows reads different cones")
 	}
 }

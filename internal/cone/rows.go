@@ -1,11 +1,9 @@
 package cone
 
 import (
-	"math/bits"
 	"slices"
 
 	"github.com/asrank-go/asrank/internal/asindex"
-	"github.com/asrank-go/asrank/internal/pool"
 )
 
 // Rows is a finished cone product at rest: each interned position's
@@ -13,8 +11,8 @@ import (
 // array. Row p is members[start[p]:start[p+1]], so a cone costs one
 // offset plus one entry per member — a stub's {self} cone, almost every
 // row of a real product, is one entry where a dense row is n bits.
-// Only the batch crediting engine builds a dense BitSets; what is
-// stored, served and handed between layers is Rows.
+// Every engine builds its product as Rows, and Rows is what is stored,
+// served and handed between layers: no layer holds an n × n slab.
 type Rows struct {
 	idx     *asindex.Index
 	start   []int32 // idx.Len()+1 offsets into members, ascending from 0
@@ -74,9 +72,19 @@ func (r *Rows) Members(asn uint32) []uint32 {
 	return out
 }
 
-// WeightedSizes sums a per-position weight over each cone, as
-// BitSets.WeightedSizes does: out[p] is the total weight of cone p's
-// members. w must have at least Len() entries.
+// Sizes returns per-AS cone sizes in number of ASes, keyed by ASN.
+func (r *Rows) Sizes() map[uint32]int {
+	out := make(map[uint32]int, r.Len())
+	for p, asn := range r.idx.ASNs() {
+		out[asn] = int(r.start[p+1] - r.start[p])
+	}
+	return out
+}
+
+// WeightedSizes sums a per-position weight over each cone: out[p] is
+// the total weight of cone p's members, where w is indexed by interned
+// position (w[p] = 0 for unweighted ASes) — prefix- or address-weighted
+// cone sizes. w must have at least Len() entries.
 func (r *Rows) WeightedSizes(w []int64) []int64 {
 	out := make([]int64, r.Len())
 	for p := range out {
@@ -89,31 +97,63 @@ func (r *Rows) WeightedSizes(w []int64) []int64 {
 	return out
 }
 
-// Rows packs the product into member lists: one parallel count of each
-// row's bits sizes the lists exactly, and one parallel pass writes
-// each row's members where its offset says.
-func (bs *BitSets) Rows() *Rows {
-	n := bs.Len()
+// credit is one crediting of member into owner's cone, by interned
+// position.
+type credit struct{ owner, member int32 }
+
+// listRows builds member lists over idx from credits, self always a
+// member: a counting sort by owner, reading the credit lists in the
+// order given, then each row sorted and its repeats dropped. A row is a
+// set, so neither the order of the credits nor how often one repeats
+// can change the product. It is the one list-building rule of the
+// package: the crediting engines' shard merge and PairCounts.Rows both
+// end here. When repeats were dropped the lists are copied once more,
+// into an array of the product's exact size, so what the product
+// retains is one entry per member.
+func listRows(idx *asindex.Index, credits ...[]credit) *Rows {
+	n := idx.Len()
 	start := make([]int32, n+1)
-	pool.Chunks(0, n, 256, func(lo, hi int) {
-		for p := lo; p < hi; p++ {
-			start[p+1] = int32(bs.row(int32(p)).Count())
+	for p := range n {
+		start[p+1] = 1 // self
+	}
+	for _, cs := range credits {
+		for _, c := range cs {
+			start[c.owner+1]++
 		}
-	})
-	for p := 0; p < n; p++ {
+	}
+	for p := range n {
 		start[p+1] += start[p]
 	}
 	members := make([]int32, start[n])
-	pool.Chunks(0, n, 256, func(lo, hi int) {
-		for p := lo; p < hi; p++ {
-			at := start[p]
-			for wi, w := range bs.row(int32(p)) {
-				for ; w != 0; w &= w - 1 {
-					members[at] = int32(wi<<6 + bits.TrailingZeros64(w))
-					at++
-				}
-			}
+	at := slices.Clone(start[:n])
+	for p := range n {
+		members[at[p]] = int32(p)
+		at[p]++
+	}
+	for _, cs := range credits {
+		for _, c := range cs {
+			members[at[c.owner]] = c.member
+			at[c.owner]++
 		}
-	})
-	return &Rows{idx: bs.idx, start: start, members: members}
+	}
+	// at[p] becomes row p's length once its repeats are dropped.
+	total := int32(0)
+	for p := range n {
+		row := members[start[p]:start[p+1]]
+		if len(row) > 1 {
+			slices.Sort(row)
+			row = slices.Compact(row)
+		}
+		at[p] = int32(len(row))
+		total += at[p]
+	}
+	if int(total) == len(members) {
+		return &Rows{idx: idx, start: start, members: members}
+	}
+	exact, packed := make([]int32, n+1), make([]int32, total)
+	for p := range n {
+		exact[p+1] = exact[p] + at[p]
+		copy(packed[exact[p]:exact[p+1]], members[start[p]:])
+	}
+	return &Rows{idx: idx, start: exact, members: packed}
 }

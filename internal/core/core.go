@@ -348,9 +348,10 @@ func indexCorpus(ctx context.Context, ds *paths.Dataset, opts Options) indexed {
 
 // foldAtBirth runs step 1 — or, over a caller's sanitized corpus, only
 // its grouping by hop sequence — with the index folding beside it: the
-// pass hands each sequence to a feed as it is born, and one folder
-// drains the feed into both layers at once, +1 per sequence, each hop
-// context probed once for the two. Inference reads key presence and the
+// pass hands each sequence to a feed as it is born, and two folders
+// drain the feed into both layers at once, +1 per sequence: one folds
+// the hop contexts (foldHops), each probed once for the two layers, the
+// other the path ends (foldEnds). Inference reads key presence and the
 // derived distinct-neighbour counts only, so +1 per sequence builds the
 // index a +1 per row would (DESIGN.md §5) — the rule the streaming
 // engine folds by.
@@ -359,13 +360,15 @@ func indexCorpus(ctx context.Context, ds *paths.Dataset, opts Options) indexed {
 // reserved (RFC 7607), step 1 drops it, and the index keeps it as the
 // first-hop sentinel.
 //
-// The two tasks go through the pool one chunk each: with two workers
-// they run side by side; with one they run in order, the folder finding
-// the feed already closed.
+// The three tasks go through the pool one chunk each, claimed in order:
+// with three workers they all run side by side; with two, step 1 and
+// the hop folder start together and whichever ends first folds the
+// ends; with one they run in order, the folders finding the feed
+// already closed.
 //
 // The "index" stage measures what step 1 did not hide: it starts where
-// step 1 ends, on the goroutine that ran it, and ends when the folder
-// has drained.
+// step 1 ends, on the goroutine that ran it, and ends when both folders
+// have drained.
 func foldAtBirth(ctx context.Context, ds *paths.Dataset, opts Options) (*CorpusIndex, *paths.Dataset, *paths.Groups, paths.SanitizeStats) {
 	var (
 		ix       = NewCorpusIndex()
@@ -373,7 +376,7 @@ func foldAtBirth(ctx context.Context, ds *paths.Dataset, opts Options) (*CorpusI
 		groups   *paths.Groups
 		sanStats paths.SanitizeStats
 		index    trace.Phase
-		foldMs   float64 // the folder's time in its task
+		foldMs   [2]float64 // each folder's time in its task
 		failed   any
 	)
 	stepOne := func() {
@@ -388,19 +391,23 @@ func foldAtBirth(ctx context.Context, ds *paths.Dataset, opts Options) (*CorpusI
 			ph.End(inferStepDuration.With("sanitize"), nil)
 		} else {
 			ds = withoutASZero(ds)
-			groups = paths.GroupByHopsFeed(ds.Paths, feed)
+			groups = paths.GroupByHopsFeed(ds, feed)
 		}
 		_, index = trace.StartPhase(ctx, "core.infer.index")
 	}
-	pool.ChunksCtx(ctx, 0, 2, 1, func(ctx context.Context, lo, hi int) {
+	pool.ChunksCtx(ctx, 0, 3, 1, func(ctx context.Context, lo, hi int) {
 		for task := lo; task < hi; task++ {
 			switch task {
 			case 0:
 				stepOne()
 			case 1:
 				_, ph := trace.StartPhase(ctx, "core.infer.index.fold")
-				feed.Each(func(hops []uint32) { ix.fold(hops, 1, 1) })
-				ph.End(nil, &foldMs)
+				feed.Each(func(hops []uint32) { ix.foldHops(hops, 1, 1) })
+				ph.End(nil, &foldMs[0])
+			case 2:
+				_, ph := trace.StartPhase(ctx, "core.infer.index.fold_ends")
+				feed.Each(func(hops []uint32) { ix.foldEnds(hops, 1, 1) })
+				ph.End(nil, &foldMs[1])
 			}
 		}
 	})
@@ -411,7 +418,8 @@ func foldAtBirth(ctx context.Context, ds *paths.Dataset, opts Options) (*CorpusI
 	index.Span.SetAttrInt("triples", int64(len(ix.triples)))
 	index.Span.SetAttrInt("links", int64(len(ix.links)))
 	index.Span.SetAttrInt("transit_pairs", int64(len(ix.transitPair)))
-	index.Span.SetAttrInt("fold_busy_ms", int64(foldMs))
+	index.Span.SetAttrInt("fold_busy_ms", int64(foldMs[0]))
+	index.Span.SetAttrInt("fold_ends_busy_ms", int64(foldMs[1]))
 	index.End(inferStepDuration.With("index"), nil)
 	return ix, ds, groups, sanStats
 }

@@ -202,7 +202,7 @@ func tables(ix *CorpusIndex) map[string]any {
 	settled(ix)
 	return map[string]any{
 		"triples": layers(ix.triples), "occur": keySet(ix.occur),
-		"origins": keySet(ix.origins), "vpOrigins": keySet(ix.vpOrigins),
+		"origins": keySet(ix.origins), "vpOrigins": keySet(ix.vpOrigins), "vpOriginCount": ix.vpOriginCount,
 		"links": ix.links, "deg": ix.deg, "transitPair": ix.transitPair, "transitDeg": ix.transitDeg,
 		"keptContexts": ix.keptContexts, "keptLinks": ix.keptLinks,
 	}
@@ -215,11 +215,13 @@ func tables(ix *CorpusIndex) map[string]any {
 // ones folded back out — has the key sets of the two passes over rows,
 // a poisoned sequence's kept-layer keys gone and not left at zero, and
 // their very tables where those count distinct hop contexts; and the
-// whole Result is equal. With one worker the two tasks run in order;
-// under -race the folder and step 1 are checked against each other.
+// whole Result is equal. With one worker the three tasks run in order,
+// with two the end folder waits for a worker, with three all run at
+// once; under -race the folders and step 1 are checked against each
+// other.
 func TestFoldAtBirthBuildsThePerRowIndex(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, procs := range []int{1, 2, 4} {
+	for _, procs := range []int{1, 2, 3, 4} {
 		runtime.GOMAXPROCS(procs)
 		sequences, poisonedSeqs := 0, 0
 		for seed := int64(0); seed < 30; seed++ {
@@ -246,7 +248,7 @@ func TestFoldAtBirthBuildsThePerRowIndex(t *testing.T) {
 			if opts.Sanitize {
 				clean, _ = paths.Sanitize(raw, paths.SanitizeOptions{})
 			}
-			for _, hops := range paths.GroupByHopsFeed(clean.Paths, nil).Hops {
+			for _, hops := range paths.GroupByHopsFeed(clean, nil).Hops {
 				sequences++
 				if Poisoned(hops, map[uint32]bool{1: true, 2: true, 3: true, 4: true}) {
 					poisonedSeqs++
@@ -259,17 +261,18 @@ func TestFoldAtBirthBuildsThePerRowIndex(t *testing.T) {
 	}
 }
 
-// TestFoldersDoNotOutliveInfer: the folder is a pool task, so Infer
-// returns — or panics — only after it has drained. A step 1 that panics
-// (here on a nil corpus row table) must still close the feed the folder
-// waits on, and re-raise on the caller's goroutine; a cancelled context
-// changes nothing, inference does not watch it.
+// TestFoldersDoNotOutliveInfer: the two folders are pool tasks, so
+// Infer returns — or panics — only after both have drained. A step 1
+// that panics (here on a nil corpus row table) must still close the
+// feed the folders wait on, and re-raise on the caller's goroutine, with
+// one, two or three workers; a cancelled context changes nothing,
+// inference does not watch it.
 func TestFoldersDoNotOutliveInfer(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	raw := duplicatedCorpus(stats.NewRNG(1))
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, procs := range []int{1, 3} {
+	for _, procs := range []int{1, 2, 3} {
 		runtime.GOMAXPROCS(procs)
 		before := runtime.NumGoroutine()
 		for _, sanitize := range []bool{true, false} {

@@ -74,11 +74,15 @@ type counts struct {
 // other counts. Nothing per-row lives here: the kept-row count and the
 // prefix counts are the caller's.
 type CorpusIndex struct {
-	// Folded per path.
+	// Folded per path: the hop contexts by foldHops, the ends by foldEnds.
 	triples   map[Triple]counts // hop contexts, incl. Prev==0 VP contexts
 	occur     map[uint32]int    // ranked one-hop paths' ASes
 	origins   map[uint32]int    // kept paths' origins (step 6 universe)
 	vpOrigins map[VPPair]int    // (VP, origin), kept paths of len>=2 only
+
+	// Counted over distinct (VP, origin) pairs: by VP, its distinct
+	// origins — step 6's per-VP figure, one entry per VP.
+	vpOriginCount map[uint32]int
 
 	// Counted over distinct contexts.
 	links       map[paths.Link]counts // contexts whose {Mid, Next} is the link
@@ -165,15 +169,16 @@ func (r *keptRun) settle() []uint64 {
 // NewCorpusIndex returns an empty index.
 func NewCorpusIndex() *CorpusIndex {
 	return &CorpusIndex{
-		triples:      make(map[Triple]counts),
-		occur:        make(map[uint32]int),
-		origins:      make(map[uint32]int),
-		vpOrigins:    make(map[VPPair]int),
-		links:        make(map[paths.Link]counts),
-		deg:          make(map[uint32]int),
-		transitPair:  make(map[pairKey]int),
-		transitDeg:   make(map[uint32]int),
-		keptContexts: make(map[uint32]*keptRun),
+		triples:       make(map[Triple]counts),
+		occur:         make(map[uint32]int),
+		origins:       make(map[uint32]int),
+		vpOrigins:     make(map[VPPair]int),
+		vpOriginCount: make(map[uint32]int),
+		links:         make(map[paths.Link]counts),
+		deg:           make(map[uint32]int),
+		transitPair:   make(map[pairKey]int),
+		transitDeg:    make(map[uint32]int),
+		keptContexts:  make(map[uint32]*keptRun),
 	}
 }
 
@@ -254,25 +259,39 @@ func (ix *CorpusIndex) AddPath(asns []uint32, d int) { ix.fold(asns, d, 0) }
 func (ix *CorpusIndex) AddKept(asns []uint32, d int) { ix.fold(asns, 0, d) }
 
 // fold folds dr occurrences of a path into the ranked layer and dk into
-// the kept layer. A path of L hops probes its L−1 contexts; a context
-// born or gone in a layer moves that layer's derived tables.
+// the kept layer: its two ends, then its hop contexts. The halves touch
+// disjoint tables, so one path set may be folded by a foldEnds and a
+// foldHops running side by side.
 func (ix *CorpusIndex) fold(asns []uint32, dr, dk int) {
 	if slices.Contains(asns, 0) {
 		panic("core: corpus index path holds AS 0")
 	}
-	if len(asns) == 0 {
-		return
-	}
+	ix.foldEnds(asns, dr, dk)
+	ix.foldHops(asns, dr, dk)
+}
+
+// foldEnds folds what a path's ends say: a one-hop ranked path's AS,
+// and a kept path's origin and (VP, origin) pair, whose crossings move
+// the VP's distinct-origin count.
+func (ix *CorpusIndex) foldEnds(asns []uint32, dr, dk int) {
 	if len(asns) == 1 && dr != 0 {
 		bump(ix.occur, asns[0], dr)
 	}
-	if dk != 0 {
+	if dk != 0 && len(asns) > 0 {
 		origin := asns[len(asns)-1]
 		bump(ix.origins, origin, dk)
 		if len(asns) >= 2 {
-			bump(ix.vpOrigins, VPPair{VP: asns[0], Other: origin}, dk)
+			if c := bump(ix.vpOrigins, VPPair{VP: asns[0], Other: origin}, dk); c != 0 {
+				bump(ix.vpOriginCount, asns[0], c)
+			}
 		}
 	}
+}
+
+// foldHops folds a path's hop contexts: a path of L hops probes its L−1
+// contexts, and a context born or gone in a layer moves that layer's
+// derived tables.
+func (ix *CorpusIndex) foldHops(asns []uint32, dr, dk int) {
 	var prev uint32
 	for i := 0; i+1 < len(asns); i++ {
 		t := Triple{Prev: prev, Mid: asns[i], Next: asns[i+1]}

@@ -198,6 +198,9 @@ func recount(pool [][]uint32, ranked, kept []int) (want *CorpusIndex, links map[
 		slices.Sort(r.keys)
 	}
 	slices.Sort(want.keptLinks.keys)
+	for k := range want.vpOrigins {
+		want.vpOriginCount[k.VP]++
+	}
 	want.deg, want.transitDeg = rankedDS.Degrees(), rankedDS.TransitDegrees()
 	slices.SortFunc(starts, func(a, b VPPair) int {
 		return cmp.Or(cmp.Compare(a.VP, b.VP), cmp.Compare(a.Other, b.Other))

@@ -391,12 +391,9 @@ const partialFeedOriginFrac = 0.25
 // (it treats the collector as a peer), so every unlabeled first hop of
 // its paths is one of its customers.
 func (in *inferencer) vpPass() {
-	// Distinct origins per VP: counting keys of the (VP, origin)
-	// refcount map is order-free (commutative increments).
-	vpOriginCount := make(map[uint32]int)
-	for k := range in.ix.vpOrigins {
-		vpOriginCount[k.VP]++
-	}
+	// Distinct origins per VP: the index keeps the count as (VP,
+	// origin) pairs are born and die, one entry per VP.
+	vpOriginCount := in.ix.vpOriginCount
 	// The VPs are those counts' keys. A VP's first hops are its
 	// triplets without a previous hop, which its bucket holds in
 	// ascending hop order; visiting VPs in ascending ASN order then

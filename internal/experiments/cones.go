@@ -78,8 +78,8 @@ func R07ConeDefinitions(l *Lab) *Report {
 }
 
 // snapshotCones reads each epoch snapshot (warehouse-backed when
-// configured) for R8/R9: its PP-cone sizes by ASN — the slab's row
-// sizes are the PP-observed definition the per-snapshot inference
+// configured) for R8/R9: its PP-cone sizes by ASN — the cone rows'
+// lengths are the PP-observed definition the per-snapshot inference
 // produced — and its ASes in AS Rank order, the order the API serves.
 func snapshotCones(l *Lab) (ppSizes []map[uint32]int, orders [][]uint32) {
 	snaps := l.EpochSnapshots()

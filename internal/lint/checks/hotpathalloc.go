@@ -11,7 +11,7 @@ import (
 // HotPathAlloc keeps the zero-allocation serving path actually
 // zero-allocation at the construct level, not just at the
 // AllocsPerRun-measured level: functions marked //asrank:hotpath (the
-// point-lookup handlers, the ETag comparator, the cone bitset probe,
+// point-lookup handlers, the ETag comparator, the cone membership probe,
 // the streaming credit walk) are scanned for constructs that force the
 // compiler to allocate, each with a fix hint:
 //

@@ -14,8 +14,8 @@ import (
 // the API snapshot builder — is read concurrently by every request
 // goroutine without synchronization, so a single write through it after
 // publication is a data race the type system cannot see. The analyzer
-// registers the publish-frozen types (warehouse.Snapshot, cone.BitSets,
-// cone.Rows, cone.Relations, apiserver.Data) and applies two rules:
+// registers the publish-frozen types (warehouse.Snapshot, cone.Rows,
+// cone.Relations, apiserver.Data) and applies two rules:
 //
 //  1. Outside the type's own package, a write through a frozen value's
 //     fields is always flagged — construction happens in-package, so a
@@ -41,7 +41,6 @@ var ImmutablePub = &analysis.Analyzer{
 // the same entries through pkgPathMatches.
 var frozenTypes = []struct{ pkg, name string }{
 	{"internal/warehouse", "Snapshot"},
-	{"internal/cone", "BitSets"},
 	{"internal/cone", "Rows"},
 	{"internal/cone", "Relations"},
 	{"internal/apiserver", "Data"},

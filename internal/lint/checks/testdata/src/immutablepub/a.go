@@ -10,9 +10,8 @@ import (
 	"internal/warehouse"
 )
 
-func mutateForeign(sn *warehouse.Snapshot, bs *cone.BitSets, rs *cone.Rows, d *apiserver.Data) {
+func mutateForeign(sn *warehouse.Snapshot, rs *cone.Rows, d *apiserver.Data) {
 	sn.Rel = nil      // want "write to Snapshot.Rel outside package warehouse"
-	bs.Words[0] = 1   // want "write to BitSets.Words outside package cone"
 	rs.Members[0] = 1 // want "write to Rows.Members outside package cone"
 	d.Etag = ""       // want "write to Data.Etag outside package apiserver"
 }
@@ -37,12 +36,12 @@ func reasonlessForeign(sn *warehouse.Snapshot) {
 	sn.Epoch = 10 // want "write to Snapshot.Epoch outside package warehouse"
 }
 
-func readOnly(sn *warehouse.Snapshot, bs *cone.BitSets) uint64 {
+func readOnly(sn *warehouse.Snapshot, rs *cone.Rows) uint64 {
 	// Reads and local copies are free; only writes through the frozen
 	// value are findings.
 	local := sn.Epoch
-	word := bs.Words[0]
-	return local + word
+	member := rs.Members[0]
+	return local + uint64(member)
 }
 
 func freshLocalType() {

@@ -1,11 +1,6 @@
-// Stub of the production cone package: the three frozen types the
+// Stub of the production cone package: the two frozen types the
 // immutablepub golden writes through from a foreign package.
 package cone
-
-// BitSets mirrors the packed customer-cone bitset matrix.
-type BitSets struct {
-	Words []uint64
-}
 
 // Rows mirrors the packed customer-cone member lists.
 type Rows struct {

@@ -95,7 +95,9 @@ const (
 // share one ASNs slice and rows from the same collector share one
 // Collector string: a RIB is a few paths repeated across many prefixes,
 // so each distinct path is parsed and allocated once, and no row pins
-// the line it was read from.
+// the line it was read from. The dataset keeps that grouping of its
+// rows by text, for Sanitize and GroupByHopsFeed to work per text
+// while it still describes the rows (see Dataset).
 func Read(r io.Reader) (*Dataset, error) {
 	return ReadCtx(context.Background(), r)
 }
@@ -109,7 +111,7 @@ func ReadCtx(ctx context.Context, r io.Reader) (*Dataset, error) {
 	ds, err := rd.read()
 	if err == nil {
 		ph.Span.SetAttrInt("rows", int64(len(ds.Paths)))
-		ph.Span.SetAttrInt("sequences", int64(rd.sequences))
+		ph.Span.SetAttrInt("sequences", int64(len(rd.texts)))
 		ph.Span.SetAttrInt("blocks", int64(len(rd.parsed)))
 		readRows.Add(uint64(len(ds.Paths)))
 	}
@@ -120,21 +122,21 @@ func ReadCtx(ctx context.Context, r io.Reader) (*Dataset, error) {
 // reader parses the text format a block of whole lines at a time, a
 // wave of blocks in parallel, each block interning collector names and
 // AS-path texts in tables of its own. When the input ends the blocks'
-// distinct texts — a third of the rows — are unified in file order, so
-// a text's rows share the slice of the first block that saw it, and the
-// rows are written, again in parallel, into a dataset allocated at its
-// size. The block buffers and intern tables belong to the wave's slots
-// and are reused by the next wave.
+// distinct texts — a third of the rows — are unified in file order into
+// groups, so a text's rows share the slice of the first block that saw
+// it, and the rows and their groups are written, again in parallel,
+// into a dataset allocated at its size. The block buffers and intern
+// tables belong to the wave's slots and are reused by the next wave.
 type reader struct {
 	src       io.Reader
 	blockSize int
 	srcErr    error  // what ended the input: io.EOF, or a read error
 	carry     []byte // read past the last block's end: the next block's start
 
-	wave      []block
-	parsed    []parsedBlock
-	lines     int // in parsed
-	sequences int // distinct AS-path texts, once unified
+	wave   []block
+	parsed []parsedBlock
+	lines  int        // in parsed
+	texts  [][]uint32 // by group: the distinct AS-path texts' hops in file order, once unified
 }
 
 func newReader(src io.Reader, blockSize int) *reader {
@@ -170,7 +172,7 @@ func (rd *reader) read() (*Dataset, error) {
 		return nil, fmt.Errorf("paths: line %d: %w", rd.lines+1, rd.srcErr)
 	}
 	rd.unify()
-	return &Dataset{Paths: rd.rows()}, nil
+	return rd.dataset(), nil
 }
 
 // fill reads the next block into buf: every whole line of the next
@@ -221,18 +223,20 @@ type block struct {
 }
 
 // text is one distinct AS-path text of a block and the hops it parsed
-// to — after unify, the hops every block's rows of that text share.
+// to; the first block's hops of a text are the ones every row of it
+// shares.
 type text struct {
 	key  string
 	hops []uint32
 }
 
 // parsedBlock is a block's rows and the tables their ids index, copied
-// out of the slot at their size.
+// out of the slot at their size; unify adds each text's group.
 type parsedBlock struct {
-	rows  []row
-	texts []text
-	names []string
+	rows   []row
+	texts  []text
+	names  []string
+	groups []int32 // by text: its group, numbered across blocks in file order
 }
 
 // row is a parsed line: ids index its block's tables.
@@ -309,23 +313,29 @@ func (b *block) parseLine(line []byte) (row, error) {
 }
 
 // unify makes equal texts and equal names of different blocks one slice
-// and one string: the first block's in file order. The table is sized
-// by the blocks' distinct texts, of which few repeat across blocks.
+// and one string: the first block's in file order. Each distinct text
+// is a group, numbered in file order, and a block's text records its
+// group. The table and the groups are sized by the blocks' distinct
+// texts, of which few repeat across blocks.
 func (rd *reader) unify() {
 	n := 0
 	for _, pb := range rd.parsed {
 		n += len(pb.texts)
 	}
-	hops := make(map[string][]uint32, n)
+	groups := make(map[string]int32, n)
+	rd.texts = make([][]uint32, 0, n)
 	collectors := make(map[string]string)
-	for _, pb := range rd.parsed {
-		for i := range pb.texts {
-			t := &pb.texts[i]
-			if shared, ok := hops[t.key]; ok {
-				t.hops = shared
-			} else {
-				hops[t.key] = t.hops
+	for k := range rd.parsed {
+		pb := &rd.parsed[k]
+		pb.groups = make([]int32, len(pb.texts))
+		for i, t := range pb.texts {
+			g, ok := groups[t.key]
+			if !ok {
+				g = int32(len(rd.texts))
+				groups[t.key] = g
+				rd.texts = append(rd.texts, t.hops)
 			}
+			pb.groups[i] = g
 		}
 		for i, name := range pb.names {
 			if shared, ok := collectors[name]; ok {
@@ -335,31 +345,33 @@ func (rd *reader) unify() {
 			}
 		}
 	}
-	rd.sequences = len(hops)
 }
 
-// rows writes the parsed blocks' rows into one slice of their size; nil
-// when there are none, as the dataset no row was added to.
-func (rd *reader) rows() []Path {
+// dataset writes the parsed blocks' rows into one slice of their size,
+// beside each row's group; Paths is nil when there are none, as in the
+// dataset no row was added to.
+func (rd *reader) dataset() *Dataset {
 	starts := make([]int, len(rd.parsed)+1)
 	for i, pb := range rd.parsed {
 		starts[i+1] = starts[i] + len(pb.rows)
 	}
 	total := starts[len(rd.parsed)]
 	if total == 0 {
-		return nil
+		return &Dataset{}
 	}
-	out := make([]Path, total)
+	out, of := make([]Path, total), make([]int32, total)
 	pool.Chunks(0, len(rd.parsed), 1, func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			pb := &rd.parsed[k]
-			dst := out[starts[k]:starts[k+1]]
+			dst, dstOf := out[starts[k]:starts[k+1]], of[starts[k]:starts[k+1]]
 			for i, r := range pb.rows {
-				dst[i] = Path{Collector: pb.names[r.collector], Prefix: r.prefix, ASNs: pb.texts[r.text].hops}
+				g := pb.groups[r.text]
+				dst[i] = Path{Collector: pb.names[r.collector], Prefix: r.prefix, ASNs: rd.texts[g]}
+				dstOf[i] = g
 			}
 		}
 	})
-	return out
+	return &Dataset{Paths: out, groups: &Groups{Of: of, Hops: rd.texts}}
 }
 
 // parseHops parses a white-space-separated AS path, cutting fields

@@ -12,17 +12,124 @@ type Groups struct {
 	Hops [][]uint32 // Hops[g] is group g's hop sequence; shared with a row, read-only
 }
 
-// GroupByHopsFeed groups rows by hop sequence, numbering groups in
+// GroupByHopsFeed groups ds's rows by hop sequence, numbering groups in
 // first-seen row order, handing each group's hop sequence to feed
-// (which may be nil) as the group is born, and closing it.
-func GroupByHopsFeed(rows []Path, feed *Feed) *Groups {
-	seqs, of := NewSequences(), make([]int32, len(rows))
-	for i, p := range rows {
-		of[i] = feed.intern(seqs, p.ASNs, false)
+// (which may be nil) as the group is born, and closing it. Like
+// Sanitize it interns each distinct sequence once: per text group of
+// the reader while ds carries a grouping that describes its rows.
+func GroupByHopsFeed(ds *Dataset, feed *Feed) *Groups {
+	gr := newGrouper(ds, feed, false, nil)
+	of := make([]int32, len(ds.Paths))
+	for i := range of {
+		of[i] = gr.verdict(i) >> rowInfoBits
 	}
-	feed.publish(seqs.hops)
-	feed.Close()
-	return &Groups{Of: of, Hops: seqs.hops}
+	return &Groups{Of: of, Hops: gr.seqs.hops}
+}
+
+// readGroups returns the reader's grouping of d's rows while it still
+// describes them, or nil: it was built for as many rows as d holds, and
+// every row's ASNs is its group's very slice — the same data pointer
+// and length. That is one pointer compare a row, no hashing; a row
+// appended, dropped, replaced or moved where another group's row was
+// fails it. Groups are numbered in the reader's first-seen row order,
+// which rows that each still hold their own group's slice keep.
+func (d *Dataset) readGroups() *Groups {
+	g := d.groups
+	if g == nil || len(g.Of) != len(d.Paths) {
+		return nil
+	}
+	for i, p := range d.Paths {
+		hops := g.Hops[g.Of[i]]
+		if len(p.ASNs) != len(hops) || len(hops) > 0 && &p.ASNs[0] != &hops[0] {
+			return nil
+		}
+	}
+	return g
+}
+
+// The verdicts of a group whose sequence step 1 discards, by reason.
+const (
+	groupReserved int32 = -1 - iota
+	groupLoop
+	groupTooShort
+)
+
+// grouper is what Sanitize and GroupByHopsFeed share: every distinct
+// input hop sequence — a group — goes through add once, in the order
+// the groups are born, and is cleaned (when sanitizing) and interned
+// there, so sequence ids keep first-seen row order whichever grouping
+// fed them. Only what a row's group says is left per row.
+type grouper struct {
+	seqs     *Sequences
+	feed     *Feed
+	sanitize bool
+	ixp      map[uint32]bool
+	buf      []uint32
+	of       []int32 // by input row: its group; nil when each row is its own
+	verdicts []int32 // by group: seq<<rowInfoBits | info, or a discard reason
+}
+
+// verdict returns the verdict of input row i's group.
+func (gr *grouper) verdict(i int) int32 {
+	if gr.of == nil {
+		return gr.verdicts[i]
+	}
+	return gr.verdicts[gr.of[i]]
+}
+
+// newGrouper runs the grouping pass over ds and closes feed. The
+// reader's grouping, while it holds, hands add every text group. Any
+// other dataset is grouped by content: each row is a group of its own,
+// added in row order, and the interning merges rows of equal hops — a
+// map of the rows' slices to find the rows that share one costs more
+// than the cleaning it would save. Either way the feed fills as the
+// pass goes.
+func newGrouper(ds *Dataset, feed *Feed, sanitize bool, ixp map[uint32]bool) *grouper {
+	gr := &grouper{feed: feed, sanitize: sanitize, ixp: ixp}
+	// Close on every path, a panicking pass included: a reader of the
+	// feed must not wait for a pass that is gone.
+	defer feed.Close()
+	if read := ds.readGroups(); read != nil {
+		gr.seqs = newSequences(len(read.Hops))
+		gr.verdicts = make([]int32, 0, len(read.Hops))
+		for _, hops := range read.Hops {
+			gr.add(hops)
+		}
+		gr.of = read.Of
+	} else {
+		gr.seqs = NewSequences()
+		gr.verdicts = make([]int32, 0, len(ds.Paths))
+		for _, p := range ds.Paths {
+			gr.add(p.ASNs)
+		}
+	}
+	feed.publish(gr.seqs.hops)
+	return gr
+}
+
+// add cleans and interns the next group's hops. A sequence cleaning
+// leaves as it was is interned as the input's own slice, uncopied.
+func (gr *grouper) add(hops []uint32) {
+	if !gr.sanitize {
+		gr.verdicts = append(gr.verdicts, gr.feed.intern(gr.seqs, hops, false)<<rowInfoBits)
+		return
+	}
+	var info pathInfo
+	gr.buf, info = sanitizePath(gr.buf[:0], hops, gr.ixp)
+	var v int32
+	switch {
+	case info == pathReserved:
+		v = groupReserved
+	case info == pathLoop:
+		v = groupLoop
+	case len(gr.buf) < 2:
+		v = groupTooShort
+	case info == 0:
+		v = gr.feed.intern(gr.seqs, hops, false) << rowInfoBits
+	default:
+		v = gr.feed.intern(gr.seqs, gr.buf, true)<<rowInfoBits | int32(info)
+	}
+	gr.verdicts = append(gr.verdicts, v)
 }
 
 // feedBatch is how many new sequences the interning pass gathers before

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -146,7 +147,8 @@ func oracleDupKey(p Path) string {
 
 // diffRead fails unless the reader, cutting its input into blocks of
 // blockSize bytes, and the oracle agree on input: the same error text,
-// or DeepEqual datasets.
+// or DeepEqual rows — and the reader's grouping of them by text
+// describes the rows, groups numbered in first-seen row order.
 func diffRead(t *testing.T, input []byte, blockSize int) {
 	t.Helper()
 	got, gotErr := newReader(bytes.NewReader(input), blockSize).read()
@@ -160,8 +162,21 @@ func diffRead(t *testing.T, input []byte, blockSize int) {
 		}
 	case gotErr != nil || wantErr != nil:
 		t.Fatalf("block size %d, Read(%q): error %v, oracle %v", blockSize, input, gotErr, wantErr)
-	case !reflect.DeepEqual(got, want):
+	case !reflect.DeepEqual(got.Paths, want.Paths):
 		t.Fatalf("block size %d, Read(%q):\n got %+v\nwant %+v", blockSize, input, got.Paths, want.Paths)
+	case len(got.Paths) > 0 && got.readGroups() == nil:
+		t.Fatalf("block size %d, Read(%q): the reader's grouping does not describe its rows", blockSize, input)
+	case len(got.Paths) > 0:
+		next := int32(0)
+		for i, g := range got.groups.Of {
+			if g > next {
+				t.Fatalf("block size %d, Read(%q): row %d opens group %d before group %d", blockSize, input, i, g, next)
+			}
+			next = max(next, g+1)
+		}
+		if int(next) != len(got.groups.Hops) {
+			t.Fatalf("block size %d, Read(%q): %d groups, rows in %d", blockSize, input, len(got.groups.Hops), next)
+		}
 	}
 }
 
@@ -259,8 +274,8 @@ func TestReadSharesAcrossBlocks(t *testing.T) {
 				t.Fatalf("block size %d: row %d does not share the first %q string", size, i, p.Collector)
 			}
 		}
-		if rd.sequences != len(hops) {
-			t.Errorf("block size %d: reader counts %d distinct texts, the rows hold %d", size, rd.sequences, len(hops))
+		if len(rd.texts) != len(hops) {
+			t.Errorf("block size %d: reader counts %d distinct texts, the rows hold %d", size, len(rd.texts), len(hops))
 		}
 	}
 }
@@ -465,7 +480,7 @@ func TestSanitizeMatchesOracle(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: rows differ from the oracle's\n got %+v\nwant %+v", seed, got.Paths, want.Paths)
 		}
-		if again := GroupByHopsFeed(got.Paths, nil); !reflect.DeepEqual(groups, again) {
+		if again := GroupByHopsFeed(got, nil); !reflect.DeepEqual(groups, again) {
 			t.Fatalf("seed %d: Sanitize's grouping %+v, GroupByHopsFeed of its output %+v", seed, groups, again)
 		}
 		for i, p := range got.Paths {
@@ -492,5 +507,64 @@ func TestSanitizeOneAllocs(t *testing.T) {
 	hops := []uint32{10, 10, 20, 30, 40}
 	if n := testing.AllocsPerRun(100, func() { SanitizeOne(hops) }); n > 1 {
 		t.Errorf("SanitizeOne allocates %v times per call, want at most 1", n)
+	}
+}
+
+// TestSanitizeFromReadGroups is the gate on cleaning per text group: a
+// corpus as Read returns it — rows sharing one slice per text, and two
+// texts that parse to one sequence — cleans to the oracle's rows and
+// stats, and to the very grouping the same rows give when every row
+// holds a slice of its own. Each way of changing the read rows (one
+// replaced, one appended, the rows reordered) leaves a grouping that no
+// longer describes them: the pass falls back to grouping by content and
+// still matches the oracle and the unshared rows changed alike.
+func TestSanitizeFromReadGroups(t *testing.T) {
+	edits := map[string]func(*Dataset, *rand.Rand){
+		"as read": func(*Dataset, *rand.Rand) {},
+		"row replaced": func(d *Dataset, rng *rand.Rand) {
+			d.Paths[rng.Intn(len(d.Paths))].ASNs = []uint32{7, 8, 9}
+		},
+		"row appended": func(d *Dataset, rng *rand.Rand) {
+			d.Add(Path{Collector: "rv9", ASNs: d.Paths[rng.Intn(len(d.Paths))].ASNs})
+		},
+		"rows reordered": func(d *Dataset, _ *rand.Rand) { slices.Reverse(d.Paths) },
+	}
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var buf bytes.Buffer
+		if err := Write(&buf, randomCorpus(rng, 20+rng.Intn(300))); err != nil {
+			t.Fatal(err)
+		}
+		buf.WriteString("rv1|192.0.2.0/24|1 2  3\nrv1|192.0.2.0/24|1 2 3\nrv2||01 2 3\n")
+		read, err := Read(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var opts SanitizeOptions
+		if seed%2 == 0 {
+			opts.IXPASes = map[uint32]bool{555: true}
+		}
+		for name, edit := range edits {
+			changed := *read // the reader's grouping is copied along
+			changed.Paths = slices.Clone(read.Paths)
+			unshared := &Dataset{Paths: slices.Clone(read.Paths)}
+			for i := range unshared.Paths {
+				unshared.Paths[i].ASNs = slices.Clone(unshared.Paths[i].ASNs)
+			}
+			edit(&changed, rand.New(rand.NewSource(seed)))
+			edit(unshared, rand.New(rand.NewSource(seed)))
+			if trusted := changed.readGroups() != nil; trusted != (name == "as read") {
+				t.Fatalf("seed %d %s: reader's grouping trusted = %v", seed, name, trusted)
+			}
+			got, gotStats := diffSanitize(t, &changed, opts)
+			_, _, groups := SanitizeCtx(context.Background(), &changed, opts)
+			want, wantStats, wantGroups := SanitizeCtx(context.Background(), unshared, opts)
+			if gotStats != wantStats || !reflect.DeepEqual(got.Paths, want.Paths) || !reflect.DeepEqual(groups, wantGroups) {
+				t.Fatalf("seed %d %s: the read rows clean to other rows or groups than unshared ones", seed, name)
+			}
+			if again, wantAgain := GroupByHopsFeed(&changed, nil), GroupByHopsFeed(unshared, nil); !reflect.DeepEqual(again, wantAgain) {
+				t.Fatalf("seed %d %s: GroupByHopsFeed of the read rows %+v, of unshared ones %+v", seed, name, again, wantAgain)
+			}
+		}
 	}
 }

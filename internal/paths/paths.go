@@ -59,8 +59,18 @@ func (l Link) String() string { return fmt.Sprintf("%d-%d", l.A, l.B) }
 
 // Dataset is a corpus of AS paths: one row per (collector, prefix,
 // path) observation. Rows may share one ASNs slice (see Path).
+//
+// A dataset Read returns also remembers which rows carry the same
+// AS-path text, so that Sanitize and GroupByHopsFeed work once per
+// text. Paths stays the caller's to append to, replace or reorder, so
+// the grouping is trusted only while it still describes the rows — as
+// many rows as it was built for, each still holding its text's very
+// slice; otherwise the rows are grouped by content, as for any dataset
+// built by hand.
 type Dataset struct {
 	Paths []Path
+
+	groups *Groups // the reader's grouping of Paths by text; nil unless Read built the dataset
 }
 
 // Add appends a path to the dataset.

@@ -57,6 +57,24 @@ func FlatPrefix(p netip.Prefix) PrefixKey {
 	return k
 }
 
+// CanonicalPrefix is the prefix p announces in the one form the cone
+// weights count it under: an IPv4-mapped IPv6 prefix
+// (::ffff:a.b.c.d/96+n, which an MRT feed may carry) unmapped to
+// a.b.c.d/n, and host bits masked off — so a.b.c.0/24,
+// ::ffff:a.b.c.0/120 and a.b.c.d/24 are one prefix. An invalid prefix
+// stays invalid.
+func CanonicalPrefix(p netip.Prefix) netip.Prefix {
+	if !p.IsValid() {
+		return netip.Prefix{}
+	}
+	addr, bits := p.Addr(), p.Bits()
+	if addr.Is4In6() && bits >= 96 {
+		addr, bits = addr.Unmap(), bits-96
+	}
+	canon, _ := addr.Prefix(bits) // bits fits addr's family: p was valid
+	return canon
+}
+
 // IsValid reports whether k flattens a valid prefix.
 func (k PrefixKey) IsValid() bool { return k.Bits >= 0 }
 

@@ -37,7 +37,8 @@ type SanitizeStats struct {
 // exact duplicates.
 //
 // Cleaned hop sequences are interned: output rows that carry the same
-// path share one ASNs slice (see Path). PrependingRemoved and IXPSpliced
+// path share one ASNs slice (see Path) — an input row's own slice when
+// cleaning left its hops as they were. PrependingRemoved and IXPSpliced
 // count kept paths only, preserving Input == Kept + ReservedDiscarded +
 // LoopDiscarded + TooShort + Duplicates with each kept row attributable
 // to the corpus that inference actually sees.
@@ -49,7 +50,7 @@ func Sanitize(ds *Dataset, opts SanitizeOptions) (*Dataset, SanitizeStats) {
 // SanitizeCtx is Sanitize with a context for tracing: when ctx carries
 // a span, the pass records a "paths.sanitize" span with input/kept
 // counts as attributes. It also returns the grouping of the output rows
-// by hop sequence — equal to GroupByHopsFeed(out.Paths, nil), which the
+// by hop sequence — equal to GroupByHopsFeed(out, nil), which the
 // interning has already computed.
 func SanitizeCtx(ctx context.Context, ds *Dataset, opts SanitizeOptions) (*Dataset, SanitizeStats, *Groups) {
 	return SanitizeFeed(ctx, ds, opts, nil)
@@ -60,40 +61,35 @@ func SanitizeCtx(ctx context.Context, ds *Dataset, opts SanitizeOptions) (*Datas
 // once the last is known — before the duplicate collapse, so a reader
 // has every sequence while the pass still works.
 //
-// The pass runs in three sweeps. The first cleans and interns each row
-// and records its sequence. The second finds duplicates: two rows are
-// duplicates only if they clean to the same sequence, so the rows of
-// each sequence (a handful) are ordered by prefix and collector and the
-// equal runs collapsed — no corpus-wide set of row keys. The third
-// emits the survivors in input order.
+// The pass runs in three sweeps. The first cleans and interns each
+// group of the input once — a text group of the reader while the
+// dataset still carries a grouping that describes its rows, else each
+// row on its own — and records each row's cleaned sequence through its
+// group. The second
+// finds duplicates: two rows are duplicates only if they clean to the
+// same sequence, so the rows of each sequence (a handful) are ordered by
+// prefix and collector and the equal runs collapsed — no corpus-wide set
+// of row keys. The third emits the survivors in input order.
 func SanitizeFeed(ctx context.Context, ds *Dataset, opts SanitizeOptions, feed *Feed) (*Dataset, SanitizeStats, *Groups) {
 	_, ph := trace.StartPhase(ctx, "paths.sanitize")
 	stats := SanitizeStats{Input: len(ds.Paths)}
-	var (
-		seqs = NewSequences()
-		rows = make([]int32, len(ds.Paths)) // per input row: seq<<rowInfoBits | info, or rowDropped
-		buf  []uint32
-	)
-	for i, p := range ds.Paths {
-		var info pathInfo
-		buf, info = sanitizePath(buf[:0], p.ASNs, opts.IXPASes)
+	gr := newGrouper(ds, feed, true, opts.IXPASes)
+	rows := make([]int32, len(ds.Paths)) // per input row: seq<<rowInfoBits | info, or rowDropped
+	for i := range rows {
+		v := gr.verdict(i)
 		rows[i] = rowDropped
-		switch {
-		case info == pathReserved:
+		switch v {
+		case groupReserved:
 			stats.ReservedDiscarded++
-			continue
-		case info == pathLoop:
+		case groupLoop:
 			stats.LoopDiscarded++
-			continue
-		case len(buf) < 2:
+		case groupTooShort:
 			stats.TooShort++
-			continue
+		default:
+			rows[i] = v
 		}
-		rows[i] = feed.intern(seqs, buf, true)<<rowInfoBits | int32(info)
 	}
-	feed.publish(seqs.hops)
-	feed.Close()
-	groups := &Groups{Hops: seqs.hops}
+	groups := &Groups{Hops: gr.seqs.hops}
 
 	stats.Duplicates = dropDuplicates(ds.Paths, rows, len(groups.Hops))
 

@@ -97,7 +97,7 @@ func diffSanitize(t *testing.T, ds *Dataset, opts SanitizeOptions) (*Dataset, Sa
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("rows differ from the oracle's\n got %+v\nwant %+v", got.Paths, want.Paths)
 	}
-	if again := GroupByHopsFeed(got.Paths, nil); !reflect.DeepEqual(groups, again) {
+	if again := GroupByHopsFeed(got, nil); !reflect.DeepEqual(groups, again) {
 		t.Fatalf("Sanitize's grouping %+v, GroupByHopsFeed of its output %+v", groups, again)
 	}
 	return got, gotStats
@@ -249,7 +249,8 @@ func FuzzSanitize(f *testing.F) {
 		if !noIXP {
 			opts.IXPASes = map[uint32]bool{555: true}
 		}
-		diffSanitize(t, ds, opts)
+		diffSanitize(t, ds, opts)                        // per text, through the reader's grouping
+		diffSanitize(t, &Dataset{Paths: ds.Paths}, opts) // per row, grouped by content
 	})
 }
 
@@ -273,7 +274,7 @@ func TestFeedReadersSeeEverySequence(t *testing.T) {
 			feed.Each(func(hops []uint32) { got[r] = append(got[r], hops) })
 		}()
 	}
-	groups := GroupByHopsFeed(rows, feed)
+	groups := GroupByHopsFeed(&Dataset{Paths: rows}, feed)
 	wg.Wait()
 	for r := range got {
 		if !reflect.DeepEqual(got[r], groups.Hops) {

@@ -40,8 +40,16 @@ const (
 var hashKey = maphash.Bytes
 
 // NewSequences returns an empty table.
-func NewSequences() *Sequences {
-	return &Sequences{seed: maphash.MakeSeed(), ids: make(map[uint64]int32)}
+func NewSequences() *Sequences { return newSequences(0) }
+
+// newSequences returns an empty table sized for n sequences.
+func newSequences(n int) *Sequences {
+	return &Sequences{
+		seed: maphash.MakeSeed(),
+		ids:  make(map[uint64]int32, n),
+		next: make([]int32, 0, n),
+		hops: make([][]uint32, 0, n),
+	}
 }
 
 func (t *Sequences) hash(hops []uint32) uint64 {

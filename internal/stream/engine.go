@@ -100,15 +100,20 @@ type rowKey struct {
 	seq       int32  // Engine.seqs id
 }
 
-// prefixSlot is one id of the engine's prefix table. The two forms a
-// prefix takes differ only for an invalid prefix, whose Route form is
-// its own route but whose flat form is the one {Bits: -1} row key, so a
-// Route form holds a reference on the flat form's id. A row needs no
-// reference of its own: some route of the row's holds one.
+// prefixSlot is one id of the engine's prefix table. A prefix takes up
+// to three forms. The Route and flat forms differ only for an invalid
+// prefix, whose Route form is its own route but whose flat form is the
+// one {Bits: -1} row key, so a Route form holds a reference on the flat
+// form's id. The flat and canonical forms (paths.CanonicalPrefix, the
+// key the prefix counts follow, as cone.PrefixCounts does) differ only
+// for a valid prefix written IPv4-mapped or with host bits set, whose
+// flat form holds a reference on the canonical form's id. A row needs
+// no reference of its own: some route of the row's holds one.
 type prefixSlot struct {
-	key  paths.PrefixKey
-	flat uint32 // id of key's FlatPrefix form: the slot's own id but for an invalid Route form
-	refs int32  // RIB routes keyed by the id, plus Route forms whose flat form it is; 0 marks a released id
+	key   paths.PrefixKey
+	flat  uint32 // id of key's FlatPrefix form: the slot's own id but for an invalid Route form
+	canon uint32 // id of key's canonical form: the slot's own id when key is one
+	refs  int32  // RIB routes keyed by the id, plus forms whose flat or canonical form it is; 0 marks a released id
 }
 
 // sequence is what the engine knows of one distinct cleaned hop
@@ -166,7 +171,7 @@ type Engine struct {
 	//asrank:guardedby mu
 	keptRows int // rows of non-poisoned sequences: the snapshot's PathCount
 	//asrank:guardedby mu
-	pfxRef map[uint64]int32 // kept rows announcing (flat prefix id << 32 | origin)
+	pfxRef map[uint64]int32 // kept rows announcing (canonical prefix id << 32 | origin)
 	//asrank:guardedby mu
 	pfxCount map[uint32]int
 
@@ -235,7 +240,7 @@ func (e *Engine) Announce(collector string, vp uint32, prefix netip.Prefix, asns
 		e.collectors[collector] = c
 	}
 	flat := paths.FlatPrefix(prefix)
-	p := e.internPrefixLocked(flat.Route(prefix), flat)
+	p := e.internPrefixLocked(flat.Route(prefix), flat, paths.FlatPrefix(paths.CanonicalPrefix(prefix)))
 	rk := ribKey{prefix: p, collector: c, vp: vp}
 	old, had := e.rib[rk]
 	if !had {
@@ -293,10 +298,12 @@ func (e *Engine) Withdraw(collector string, vp uint32, prefix netip.Prefix) {
 }
 
 // internPrefixLocked returns the id of route, a prefix's Route form
-// whose FlatPrefix form is flat, assigning one — and, for an invalid
-// prefix, a reference on flat's — when no route holds it. A fresh id
-// holds no reference yet: the caller's new RIB route takes the first.
-func (e *Engine) internPrefixLocked(route, flat paths.PrefixKey) uint32 {
+// whose FlatPrefix form is flat and whose canonical form is canon,
+// assigning one when no route holds it — with a reference on flat's id
+// for an invalid prefix, or on canon's for a flat form that is not
+// canonical. A fresh id holds no reference yet: the caller's new RIB
+// route takes the first.
+func (e *Engine) internPrefixLocked(route, flat, canon paths.PrefixKey) uint32 {
 	if id, ok := e.prefixIDs[route]; ok {
 		return id
 	}
@@ -308,28 +315,37 @@ func (e *Engine) internPrefixLocked(route, flat paths.PrefixKey) uint32 {
 		e.prefixes = append(e.prefixes, prefixSlot{})
 	}
 	e.prefixIDs[route] = id
-	f := id
-	if route != flat {
-		f = e.internPrefixLocked(flat, flat)
+	f, c := id, id
+	switch {
+	case route != flat:
+		f = e.internPrefixLocked(flat, flat, canon)
 		e.prefixes[f].refs++
+		c = e.prefixes[f].canon
+	case flat != canon:
+		c = e.internPrefixLocked(canon, canon, canon)
+		e.prefixes[c].refs++
 	}
-	e.prefixes[id] = prefixSlot{key: route, flat: f}
+	e.prefixes[id] = prefixSlot{key: route, flat: f, canon: c}
 	return id
 }
 
 // releasePrefixLocked drops one reference on prefix id, retiring the id
-// at zero — and with it a Route form's reference on its flat form.
+// at zero — and with it the reference it holds on its flat or its
+// canonical form.
 func (e *Engine) releasePrefixLocked(id uint32) {
 	s := &e.prefixes[id]
 	if s.refs--; s.refs > 0 {
 		return
 	}
 	delete(e.prefixIDs, s.key)
-	f := s.flat
+	f, c := s.flat, s.canon
 	*s = prefixSlot{}
 	e.freePrefixes = append(e.freePrefixes, id)
-	if f != id {
+	switch {
+	case f != id:
 		e.releasePrefixLocked(f)
+	case c != id:
+		e.releasePrefixLocked(c)
 	}
 }
 
@@ -401,14 +417,16 @@ func (e *Engine) releaseLocked(k rowKey) {
 // (d = -1) the two aggregates that follow rows: the kept-row count and
 // the prefix count of the row's origin. Rows without a valid prefix
 // weigh nothing there, as in cone.PrefixCounts. prefix is the row's
-// flat prefix id, which no other prefix holds while the row lives.
+// flat prefix id, which no other prefix holds while the row lives; the
+// count follows its canonical form, as cone.PrefixCounts does, so one
+// routed prefix written several ways counts once.
 func (e *Engine) countRowLocked(hops []uint32, prefix uint32, d int32) {
 	e.keptRows += int(d)
 	if !e.prefixes[prefix].key.IsValid() {
 		return
 	}
 	origin := hops[len(hops)-1]
-	k := uint64(prefix)<<32 | uint64(origin)
+	k := uint64(e.prefixes[prefix].canon)<<32 | uint64(origin)
 	n := e.pfxRef[k] + d
 	if n > 0 {
 		e.pfxRef[k] = n

@@ -87,9 +87,10 @@ func checkSequenceTable(t *testing.T, e *Engine) {
 // checkPrefixTable asserts the prefix table's invariants: every live id
 // is filed under its own key, its flat form is itself unless the key is
 // an invalid prefix's Route form (whose flat form is the one {Bits: -1}
-// key), it holds exactly one reference per RIB route keyed by it and per
-// Route form whose flat form it is, and every row's prefix is a live
-// flat form. Every other id is zeroed and on the free list.
+// key), its canonical form is its flat form's, itself or a canonical id,
+// it holds exactly one reference per RIB route keyed by it and per
+// form whose flat or canonical form it is, and every row's prefix is a
+// live flat form. Every other id is zeroed and on the free list.
 func checkPrefixTable(t *testing.T, e *Engine) {
 	t.Helper()
 	e.mu.Lock()
@@ -114,6 +115,14 @@ func checkPrefixTable(t *testing.T, e *Engine) {
 			refs[s.flat]++
 			if s.key.IsValid() || e.prefixes[s.flat].key != (paths.PrefixKey{Bits: -1}) {
 				t.Errorf("prefix id %d %+v has flat form %d %+v", id, s.key, s.flat, e.prefixes[s.flat].key)
+			}
+			if s.canon != e.prefixes[s.flat].canon {
+				t.Errorf("prefix id %d %+v has canonical form %d, its flat form %d", id, s.key, s.canon, e.prefixes[s.flat].canon)
+			}
+		} else if s.canon != uint32(id) {
+			refs[s.canon]++
+			if c := e.prefixes[s.canon]; !s.key.IsValid() || c.canon != s.canon || c.flat != s.canon {
+				t.Errorf("prefix id %d %+v has canonical form %d %+v", id, s.key, s.canon, c)
 			}
 		}
 	}
@@ -159,6 +168,36 @@ func TestSecondPrefixOnHeldSequence(t *testing.T) {
 	if got := tablesOf(e); got != (tables{rib: 1, entries: 1, seqs: 1, paths: 1}) || e.pfxCount[30] != 1 {
 		t.Errorf("tables = %+v, prefix counts %v, want one row left", got, e.pfxCount)
 	}
+}
+
+// TestOneRoutedPrefixCountsOnce: one /24 announced in three forms — plain,
+// IPv4-mapped, host bits set — is three routes and three rows (Sanitize
+// keeps them apart too), but one prefix of its origin, as
+// cone.PrefixCounts counts the same rows; and the forms go as they came.
+func TestOneRoutedPrefixCountsOnce(t *testing.T) {
+	e := New(Options{})
+	hops := []uint32{10, 20, 30}
+	forms := []netip.Prefix{
+		netip.MustParsePrefix("1.2.3.0/24"),
+		netip.MustParsePrefix("::ffff:1.2.3.0/120"),
+		netip.MustParsePrefix("1.2.3.4/24"),
+	}
+	for i := range forms {
+		for _, p := range forms[i:] {
+			e.Announce("rc0", uint32(10+i), p, append([]uint32{uint32(10 + i)}, hops[1:]...))
+		}
+		checkPrefixTable(t, e)
+		if len(e.pfxRef) != 1 || e.pfxCount[30] != 1 {
+			t.Fatalf("forms %v: prefix counts %v / %v, want one prefix for origin 30", forms[i:], e.pfxRef, e.pfxCount)
+		}
+	}
+	for i := range forms {
+		for _, p := range forms[i:] {
+			e.Withdraw("rc0", uint32(10+i), p)
+		}
+		checkPrefixTable(t, e)
+	}
+	checkDrained(t, e)
 }
 
 // TestRouteSwapRetiresOneSequenceAndBearsAnother: one Announce takes

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/asrank-go/asrank/internal/asindex"
 	"github.com/asrank-go/asrank/internal/topology"
 )
 
@@ -45,7 +44,11 @@ func denseLists(slab []uint64, n int) (start, members []int32) {
 	if n > 0 {
 		wps := len(slab) / n
 		for p := 0; p < n; p++ {
-			asindex.Bitset(slab[p*wps : (p+1)*wps]).ForEach(func(m int32) { members = append(members, m) })
+			for wi, w := range slab[p*wps : (p+1)*wps] {
+				for ; w != 0; w &= w - 1 {
+					members = append(members, int32(wi<<6+bits.TrailingZeros64(w)))
+				}
+			}
 			start = append(start, int32(len(members)))
 		}
 	}

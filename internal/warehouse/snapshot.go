@@ -83,8 +83,8 @@ func (s *Snapshot) Rank() []int32 {
 // instead of after it. The cones are credited per distinct sequence
 // (res.Sequences), and per row when a hand-built res has none; the
 // prefix is per row, so the prefix count always reads the rows. The
-// engine's dense product is packed into member lists as soon as it is
-// built; the snapshot never holds the slab.
+// engine builds the product as member lists, which pass to the snapshot
+// uncopied; nothing on the way is sized n × n.
 func FromResult(res *core.Result) *Snapshot {
 	var (
 		cones        *cone.Rows
@@ -96,9 +96,9 @@ func FromResult(res *core.Result) *Snapshot {
 			case 0:
 				rels := cone.NewRelations(res.Rels)
 				if res.Sequences != nil {
-					cones = rels.ProviderPeerObservedSequences(res.Sequences).Rows()
+					cones = rels.ProviderPeerObservedSequences(res.Sequences)
 				} else {
-					cones = rels.ProviderPeerObservedBits(res.Dataset).Rows()
+					cones = rels.ProviderPeerObservedBits(res.Dataset)
 				}
 			case 1:
 				prefixCounts = cone.PrefixCounts(res.Dataset)
