@@ -129,7 +129,9 @@ trace-demo:
 # listener and a streaming collector fed by one more bgpsim replay,
 # every API, health and debug route fetched once (/metrics in both
 # exposition formats), then SIGINT so it drains and writes its data;
-# the examples through `go run -cover` — then prints `go tool covdata
+# ascone's BGP-observed cones weighted by addresses and its cones over
+# asrank's relationship file; bgpsim's MRT RIB snapshot inferred by
+# asrank -mrt; the examples through `go run -cover` — then prints `go tool covdata
 # percent`, the total, and every function no program ran (0.0 %, also
 # written to zero.txt). A program that exits non-zero, or a route that
 # cannot be fetched, is reported and the pass goes on.
@@ -166,6 +168,10 @@ cover-programs:
 	kill -INT $$pid; wait $$pid; \
 	run "$$b/asrank" -paths "$$r/paths.txt" -o "$$r/rels.txt" -trace "$$r/asrank-trace.json"; \
 	run "$$b/ascone" -paths "$$r/paths.txt" -method pp -ppdc "$$r/ppdc.txt" -trace "$$r/ascone-trace.json"; \
+	run "$$b/ascone" -paths "$$r/paths.txt" -method bgp -weight addresses; \
+	run "$$b/ascone" -paths "$$r/paths.txt" -rels "$$r/rels.txt"; \
+	run "$$b/bgpsim" -topo "$$r/topo.txt" -vps 8 -seed 42 -format mrt -o "$$r/rib.mrt"; \
+	run "$$b/asrank" -mrt "$$r/rib.mrt" -o "$$r/rels-mrt.txt"; \
 	for e in examples/*/; do run $(GO) run -cover -coverpkg=./... ./$$e; done; \
 	$(GO) tool covdata percent -i "$$dir/data"; \
 	$(GO) tool covdata textfmt -i "$$dir/data" -o "$$dir/cover.out" && \

@@ -93,7 +93,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	ds, _, _ = paths.SanitizeCtx(tr.Context(), ds, paths.SanitizeOptions{})
+	ds, _, _ = paths.SanitizeCtx(tr.Context(), ds, paths.SanitizeOptions{}, nil)
 
 	var rels map[paths.Link]topology.Relationship
 	var transitDegree map[uint32]int

@@ -275,7 +275,7 @@ func TestReadGroupingKeepsTheETag(t *testing.T) {
 		if got != want {
 			t.Errorf("%s corpus serves ETag %s, the unshared rows %s", name, got, want)
 		}
-		if name == "read" && !reflect.DeepEqual(res.Sequences, wantRes.Sequences) {
+		if name == "read" && !reflect.DeepEqual(res.Dataset.Groups(), wantRes.Dataset.Groups()) {
 			t.Errorf("read corpus infers other sequences than the unshared rows")
 		}
 	}

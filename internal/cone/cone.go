@@ -18,9 +18,12 @@
 // builds every cone product as member lists (Rows): the closure lists
 // what each walk reaches, and the per-path chain crediting records
 // (owner, member) pairs that one counting sort turns into sorted,
-// deduplicated rows. Both fan out over a worker pool sized from
-// GOMAXPROCS, with a deterministic merge, so results are identical to a
-// sequential run at any setting of it. Nothing is sized n × n: a
+// deduplicated rows. An observed cone is a union over paths, so the
+// crediting walks each distinct path of a dataset's grouping once
+// (paths.Dataset.Groups) and every row of a dataset without one. Both
+// fan out over a worker pool sized from GOMAXPROCS, with a
+// deterministic merge, so results are identical to a sequential run at
+// any setting of it. Nothing is sized n × n: a
 // product costs one offset per AS and one entry per member.
 package cone
 
@@ -140,14 +143,16 @@ func NewRelations(rels map[paths.Link]topology.Relationship) *Relations {
 	return r
 }
 
-// WithContext sets the context cone builds start their trace spans
-// from and returns r for chaining (this tunes observability, never what
-// is computed). When the context carries a trace span, each build
-// records a "cone.build" span (engine attribute: recursive/bgp/pp) with
-// closure/credit/merge children and per-shard pool.task spans.
+// WithContext returns a copy of r whose cone builds start their trace
+// spans from ctx (this tunes observability, never what is computed); r
+// itself is left as it was, so it stays safe to share. When the context
+// carries a trace span, each build records a "cone.build" span (engine
+// attribute: recursive/bgp/pp) with closure/credit/merge children and
+// per-shard pool.task spans.
 func (r *Relations) WithContext(ctx context.Context) *Relations {
-	r.ctx = ctx
-	return r
+	c := *r
+	c.ctx = ctx
+	return &c
 }
 
 // Rel returns the relationship of x relative to y (P2C: x provides to y).
@@ -245,34 +250,31 @@ func (r *Relations) closure(ctx context.Context) *Rows {
 // BGPObservedBits computes cones from observed paths: starting at each
 // position where the next hop is one of the AS's customers, every AS on
 // the maximal descending (p2c) chain is in the cone.
-func (r *Relations) BGPObservedBits(ds *paths.Dataset) *Rows {
-	return r.observed(len(ds.Paths), func(i int) []uint32 { return ds.Paths[i].ASNs }, false)
-}
+//
+// A cone is a union over paths, so a dataset that carries its grouping
+// (paths.Dataset.Groups) is credited once per group — the members its
+// rows would list, at a fraction of the walks — and any other row by
+// row.
+func (r *Relations) BGPObservedBits(ds *paths.Dataset) *Rows { return r.observed(ds, false) }
 
 // ProviderPeerObservedBits computes the PP cone: like BGPObservedBits,
 // but a position only contributes when the path entered the AS from one
 // of its providers or peers — third parties demonstrably routing
 // through the AS to reach the cone member.
-func (r *Relations) ProviderPeerObservedBits(ds *paths.Dataset) *Rows {
-	return r.observed(len(ds.Paths), func(i int) []uint32 { return ds.Paths[i].ASNs }, true)
-}
+func (r *Relations) ProviderPeerObservedBits(ds *paths.Dataset) *Rows { return r.observed(ds, true) }
 
-// ProviderPeerObservedSequences is ProviderPeerObservedBits over a
-// corpus's distinct hop sequences (core.Result.Sequences). Crediting is
-// a union, so a sequence credited once lists exactly the members its
-// rows list, at a fraction of the walks.
-func (r *Relations) ProviderPeerObservedSequences(seqs [][]uint32) *Rows {
-	return r.observed(len(seqs), func(i int) []uint32 { return seqs[i] }, true)
-}
-
-// observed shards the count paths hops(0), hops(1), ... across the
-// worker pool; each shard records every credited (owner, member)
-// position pair, a few per path, and the shards are merged in fixed
-// shard order by listRows, so the product is independent of worker
-// scheduling and costs what the credits and the cones hold, not n × n
-// bits.
-func (r *Relations) observed(count int, hops func(int) []uint32, needEntry bool) *Rows {
+// observed shards ds's paths — its groups' hops, or its rows' —
+// across the worker pool; each shard records every credited (owner,
+// member) position pair, a few per path, and the shards are merged in
+// fixed shard order by listRows, so the product is independent of
+// worker scheduling and costs what the credits and the cones hold, not
+// n × n bits.
+func (r *Relations) observed(ds *paths.Dataset, needEntry bool) *Rows {
 	return r.build(engineName(needEntry), func(ctx context.Context) *Rows {
+		count, hops := len(ds.Paths), func(i int) []uint32 { return ds.Paths[i].ASNs }
+		if g := ds.Groups(); g != nil {
+			count, hops = len(g.Hops), func(i int) []uint32 { return g.Hops[i] }
+		}
 		trace.FromContext(ctx).SetAttrInt("paths", int64(count))
 		shards := make([][]credit, pool.NumShards(0, count))
 		creditCtx, creditSpan := trace.StartSpan(ctx, "cone.credit")

@@ -2,8 +2,11 @@ package cone
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 
 	"github.com/asrank-go/asrank/internal/bgpsim"
@@ -164,18 +167,90 @@ func TestParallelMatchesSequentialSeed(t *testing.T) {
 			if got := members(r.ProviderPeerObservedBits(res.Dataset)); !reflect.DeepEqual(got, wantPP) {
 				t.Fatalf("seed %d GOMAXPROCS %d: ProviderPeerObservedBits differs from sequential seed", seed, procs)
 			}
-			// Credited once per distinct sequence, the cones are the rows'.
-			if got := members(r.ProviderPeerObservedSequences(res.Sequences)); !reflect.DeepEqual(got, wantPP) {
-				t.Fatalf("seed %d GOMAXPROCS %d: ProviderPeerObservedSequences differs from sequential seed", seed, procs)
+			// Credited row by row, the cones are the distinct paths'.
+			rows := &paths.Dataset{Paths: res.Dataset.Paths}
+			if got := members(r.ProviderPeerObservedBits(rows)); !reflect.DeepEqual(got, wantPP) {
+				t.Fatalf("seed %d GOMAXPROCS %d: ProviderPeerObservedBits over the rows differs from sequential seed", seed, procs)
 			}
-			bgp := r.observed(len(res.Sequences), func(i int) []uint32 { return res.Sequences[i] }, false)
-			if got := members(bgp); !reflect.DeepEqual(got, wantBGP) {
-				t.Fatalf("seed %d GOMAXPROCS %d: BGP-observed crediting per sequence differs from sequential seed", seed, procs)
+			if got := members(r.BGPObservedBits(rows)); !reflect.DeepEqual(got, wantBGP) {
+				t.Fatalf("seed %d GOMAXPROCS %d: BGPObservedBits over the rows differs from sequential seed", seed, procs)
 			}
 		}
-		if len(res.Sequences) >= len(res.Dataset.Paths) {
-			t.Fatalf("seed %d: %d sequences for %d rows, want rows that share a sequence", seed, len(res.Sequences), len(res.Dataset.Paths))
+		if g := res.Dataset.Groups(); g == nil || len(g.Hops) >= len(res.Dataset.Paths) {
+			t.Fatalf("seed %d: the kept corpus's %d rows carry no grouping, or no row shares a path", seed, len(res.Dataset.Paths))
 		}
+	}
+}
+
+// TestEditedCorpusIsCreditedByRow: a grouping describes its rows only
+// until they change. One row appended or replaced (by a path the corpus
+// does not hold: a row's hops reversed), or the rows reordered, leave
+// Sanitize's output and core.Infer's kept corpus without a trusted
+// grouping, and both observed engines credit the edited rows one by
+// one: the cones the sequential reference gives over the same rows.
+// Unedited, the grouping holds and gives those cones too.
+func TestEditedCorpusIsCreditedByRow(t *testing.T) {
+	reversed := func(hops []uint32) []uint32 { out := slices.Clone(hops); slices.Reverse(out); return out }
+	edits := map[string]func(*paths.Dataset){
+		"as produced":    func(*paths.Dataset) {},
+		"row appended":   func(d *paths.Dataset) { d.Add(paths.Path{ASNs: reversed(d.Paths[len(d.Paths)/2].ASNs)}) },
+		"row replaced":   func(d *paths.Dataset) { d.Paths[0].ASNs = reversed(d.Paths[len(d.Paths)-1].ASNs) },
+		"rows reordered": func(d *paths.Dataset) { slices.Reverse(d.Paths) },
+	}
+	for _, seed := range []int64{2, 5} {
+		p := topology.DefaultParams(seed)
+		p.ASes = 200
+		sim, err := bgpsim.Run(topology.Generate(p), bgpsim.DefaultOptions(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		clean, _ := paths.Sanitize(sim.Dataset, paths.SanitizeOptions{})
+		res := core.Infer(sim.Dataset, core.Options{Sanitize: true})
+		r, ref := NewRelations(res.Rels), newSeqRelations(res.Rels)
+		for corpus, ds := range map[string]*paths.Dataset{"sanitized": clean, "kept": res.Dataset} {
+			for name, edit := range edits {
+				changed := *ds // the grouping is copied along
+				changed.Paths = slices.Clone(ds.Paths)
+				edit(&changed)
+				if trusted := changed.Groups() != nil; trusted != (name == "as produced") {
+					t.Fatalf("seed %d %s %s: grouping trusted = %v", seed, corpus, name, trusted)
+				}
+				if got, want := members(r.BGPObservedBits(&changed)), ref.observed(&changed, false); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d %s %s: BGP-observed cones differ from the rows'", seed, corpus, name)
+				}
+				if got, want := members(r.ProviderPeerObservedBits(&changed)), ref.observed(&changed, true); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d %s %s: PP cones differ from the rows'", seed, corpus, name)
+				}
+			}
+		}
+	}
+}
+
+// TestWithContextLeavesRelationsShared: Relations is immutable after
+// construction, so WithContext returns a copy and one goroutine may
+// trace its builds while another builds on the original — `make check`
+// runs this under the race detector.
+func TestWithContextLeavesRelationsShared(t *testing.T) {
+	r := NewRelations(inferredCorpus(t, 3, 150).Rels)
+	want := members(r.RecursiveBits())
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for range 20 {
+			if traced := r.WithContext(context.Background()); traced == r {
+				t.Error("WithContext returned the shared Relations itself")
+			}
+		}
+	}()
+	for range 5 {
+		if got := members(r.RecursiveBits()); !reflect.DeepEqual(got, want) {
+			t.Error("a build beside WithContext differs from one alone")
+		}
+	}
+	wg.Wait()
+	if r.ctx != nil {
+		t.Error("WithContext set the context of the Relations it was called on")
 	}
 }
 

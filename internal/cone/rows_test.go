@@ -92,9 +92,8 @@ func randomRelations(rng *rand.Rand, n int, linkP float64) map[paths.Link]topolo
 
 // randomWalks draws count paths as walks over the links of rels, each
 // repeated a random number of times, so rows share hop sequences as a
-// RIB's do; a walk may revisit an AS. It returns the rows and their
-// distinct sequences.
-func randomWalks(rng *rand.Rand, rels map[paths.Link]topology.Relationship, count int) (*paths.Dataset, [][]uint32) {
+// RIB's do; a walk may revisit an AS.
+func randomWalks(rng *rand.Rand, rels map[paths.Link]topology.Relationship, count int) *paths.Dataset {
 	nbrs := make(map[uint32][]uint32)
 	links := make([]paths.Link, 0, len(rels))
 	for l := range rels {
@@ -106,27 +105,26 @@ func randomWalks(rng *rand.Rand, rels map[paths.Link]topology.Relationship, coun
 		nbrs[l.B] = append(nbrs[l.B], l.A)
 	}
 	ds := &paths.Dataset{}
-	var seqs [][]uint32
-	for len(seqs) < count && len(links) > 0 {
+	for walks := 0; walks < count && len(links) > 0; walks++ {
 		l := links[rng.Intn(len(links))]
 		hops := []uint32{l.A, l.B}
 		for len(hops) < 8 && rng.Intn(4) > 0 {
 			next := nbrs[hops[len(hops)-1]]
 			hops = append(hops, next[rng.Intn(len(next))])
 		}
-		seqs = append(seqs, hops)
 		for k := rng.Intn(3); k >= 0; k-- {
 			ds.Add(paths.Path{ASNs: hops})
 		}
 	}
-	return ds, seqs
+	return ds
 }
 
 // TestEnginesEqualDenseOracles holds every list engine to the dense
-// engine it replaced, row for row: the closure, the BGP-observed and
-// the provider/peer-observed crediting over rows, and the latter over
-// distinct sequences — on random relationship sets holding p2c cycles
-// and on generated Internets, at one to four workers.
+// engine it replaced, row for row: the closure, and the BGP-observed
+// and provider/peer-observed crediting over a corpus's rows and over
+// the distinct paths of its grouping (Groups.Filter's, as core.Infer's
+// kept corpus carries) — on random relationship sets holding p2c
+// cycles and on generated Internets, at one to four workers.
 func TestEnginesEqualDenseOracles(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(45))
@@ -134,21 +132,29 @@ func TestEnginesEqualDenseOracles(t *testing.T) {
 		name string
 		rels map[paths.Link]topology.Relationship
 		ds   *paths.Dataset
-		seqs [][]uint32
 	}
 	var corpora []corpus
 	for k, n := range []int{2, 5, 9, 30, 70, 140} {
 		rels := randomRelations(rng, n, min(1, 8/float64(n)))
-		ds, seqs := randomWalks(rng, rels, 3*n)
-		corpora = append(corpora, corpus{fmt.Sprintf("random %d (%d ASes)", k, n), rels, ds, seqs})
+		walks := randomWalks(rng, rels, 3*n)
+		grouped := paths.GroupByHopsFeed(walks, nil).Filter(walks, func([]uint32) bool { return true })
+		corpora = append(corpora, corpus{fmt.Sprintf("random %d (%d ASes)", k, n), rels, grouped})
 	}
 	for seed := int64(1); seed <= 2; seed++ {
 		res := inferredCorpus(t, seed, 150)
-		corpora = append(corpora, corpus{fmt.Sprintf("generated seed %d", seed), res.Rels, res.Dataset, res.Sequences})
+		corpora = append(corpora, corpus{fmt.Sprintf("generated seed %d", seed), res.Rels, res.Dataset})
 	}
-	cyclic := 0
+	cyclic, shared := 0, 0
 	for _, c := range corpora {
+		g := c.ds.Groups()
+		if g == nil {
+			t.Fatalf("%s: the corpus carries no grouping", c.name)
+		}
+		if len(g.Hops) < len(c.ds.Paths) {
+			shared++
+		}
 		r := NewRelations(c.rels)
+		rows := &paths.Dataset{Paths: c.ds.Paths} // no grouping: credited row by row
 		rowHops := func(i int) []uint32 { return c.ds.Paths[i].ASNs }
 		want := map[string]*bitSets{
 			"recursive": denseClosure(r),
@@ -161,12 +167,13 @@ func TestEnginesEqualDenseOracles(t *testing.T) {
 		for procs := 1; procs <= 4; procs++ {
 			runtime.GOMAXPROCS(procs)
 			for name, got := range map[string]*Rows{
-				"recursive":    r.RecursiveBits(),
-				"bgp":          r.BGPObservedBits(c.ds),
-				"pp":           r.ProviderPeerObservedBits(c.ds),
-				"pp sequences": r.ProviderPeerObservedSequences(c.seqs),
+				"recursive": r.RecursiveBits(),
+				"bgp":       r.BGPObservedBits(c.ds),
+				"pp":        r.ProviderPeerObservedBits(c.ds),
+				"bgp rows":  r.BGPObservedBits(rows),
+				"pp rows":   r.ProviderPeerObservedBits(rows),
 			} {
-				oracle := want[strings.TrimSuffix(name, " sequences")]
+				oracle := want[strings.TrimSuffix(name, " rows")]
 				if diff := equalDense(t, got, oracle, rng); diff != "" {
 					t.Errorf("%s, %d workers, %s: %s", c.name, procs, name, diff)
 				}
@@ -175,6 +182,9 @@ func TestEnginesEqualDenseOracles(t *testing.T) {
 	}
 	if cyclic < 4 {
 		t.Errorf("%d corpora hold a p2c cycle, want the random ones to", cyclic)
+	}
+	if shared < len(corpora)-1 {
+		t.Errorf("%d of %d corpora have rows sharing a path, want all but the smallest to", shared, len(corpora))
 	}
 }
 

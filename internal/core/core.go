@@ -146,14 +146,11 @@ type Result struct {
 	Providerless []uint32
 	// SanitizeStats reports step 1 when Options.Sanitize was set.
 	SanitizeStats paths.SanitizeStats
-	// Dataset is the post-step-4 corpus the inference actually used.
+	// Dataset is the post-step-4 corpus the inference actually used,
+	// carrying its grouping by hop sequence (paths.Dataset.Groups), so
+	// consumers that work per path do each distinct path once.
+	// InferIndexed, which has no corpus, leaves it nil.
 	Dataset *paths.Dataset
-	// Sequences are Dataset's distinct hop sequences in first-seen row
-	// order, each the slice its first row holds: the grouping step 1
-	// computed, for consumers that work per sequence. InferIndexed, which
-	// has no corpus, leaves it nil; a caller that edits Dataset must
-	// set it to nil or recompute it.
-	Sequences [][]uint32
 }
 
 // Rel returns the inferred relationship of x relative to y: P2C means x
@@ -248,7 +245,6 @@ func InferCtx(ctx context.Context, ds *paths.Dataset, opts Options) *Result {
 	res := InferIndexed(ctx, in.ix, in.rank, in.clique, opts)
 	res.PoisonedPaths = in.poisoned
 	res.Dataset = in.kept
-	res.Sequences = in.keptSeqs
 	res.SanitizeStats = in.sanStats
 	return res
 }
@@ -281,13 +277,11 @@ func (st *stager) run(spanName, step string, fn func()) {
 
 // indexed is what steps 1–4 leave: the index InferIndexed reads, the
 // ranking and clique taken from its ranked layer, and the post-step-4
-// corpus and its distinct sequences beside the number of rows step 4
-// discarded.
+// corpus beside the number of rows step 4 discarded.
 type indexed struct {
 	ix           *CorpusIndex
 	rank, clique []uint32
 	kept         *paths.Dataset
-	keptSeqs     [][]uint32
 	poisoned     int
 	sanStats     paths.SanitizeStats
 }
@@ -297,7 +291,7 @@ type indexed struct {
 // sequence is folded once. Their metric stages label no links.
 func indexCorpus(ctx context.Context, ds *paths.Dataset, opts Options) indexed {
 	ix, ds, groups, sanStats := foldAtBirth(ctx, ds, opts)
-	in := indexed{ix: ix, kept: &paths.Dataset{}, sanStats: sanStats}
+	in := indexed{ix: ix, sanStats: sanStats}
 	stages := stager{ctx: ctx}
 
 	// Step 2: ranking.
@@ -317,30 +311,16 @@ func indexCorpus(ctx context.Context, ds *paths.Dataset, opts Options) indexed {
 	// route leak that would corrupt top-down inference. The kept layer
 	// was folded over every sequence, before there was a clique to test
 	// them against: kept = ranked − poisoned, so the few poisoned ones
-	// are folded back out. The rest are compacted in place into the
-	// kept sequences: every group has a row, so they are exactly the
-	// kept rows' distinct sequences.
+	// are folded back out. The rows are filtered by their group, which
+	// leaves the kept corpus grouped.
 	stages.run("core.infer.poison", "poison", func() {
-		drop := make([]bool, len(groups.Hops))
-		in.keptSeqs = groups.Hops[:0]
-		for g, hops := range groups.Hops {
-			if drop[g] = poisoned(hops, cliqueSet); drop[g] {
+		in.kept = groups.Filter(ds, func(hops []uint32) bool {
+			if poisoned(hops, cliqueSet) {
 				ix.AddKept(hops, -1)
-				continue
+				return false
 			}
-			in.keptSeqs = append(in.keptSeqs, hops)
-		}
-		// A corpus this run sanitized is its own to filter in place; a
-		// caller's is copied.
-		in.kept.Paths = ds.Paths[:0]
-		if !opts.Sanitize {
-			in.kept.Paths = make([]paths.Path, 0, len(ds.Paths))
-		}
-		for i, p := range ds.Paths {
-			if !drop[groups.Of[i]] {
-				in.kept.Paths = append(in.kept.Paths, p)
-			}
-		}
+			return true
+		})
 	})
 	in.poisoned = len(ds.Paths) - len(in.kept.Paths)
 	return in
@@ -354,7 +334,8 @@ func indexCorpus(ctx context.Context, ds *paths.Dataset, opts Options) indexed {
 // other the path ends (foldEnds). Inference reads key presence and the
 // derived distinct-neighbour counts only, so +1 per sequence builds the
 // index a +1 per row would (DESIGN.md §5) — the rule the streaming
-// engine folds by.
+// engine folds by. The grouping it returns is the pass's own — never
+// the one a caller's dataset carries — so step 4 compacts it in place.
 //
 // A caller's corpus loses its rows holding AS 0 first: the number is
 // reserved (RFC 7607), step 1 drops it, and the index keeps it as the
@@ -387,7 +368,7 @@ func foldAtBirth(ctx context.Context, ds *paths.Dataset, opts Options) (*CorpusI
 		defer func() { failed = recover() }()
 		if opts.Sanitize {
 			sctx, ph := trace.StartPhase(ctx, "core.infer.sanitize")
-			ds, sanStats, groups = paths.SanitizeFeed(sctx, ds, paths.SanitizeOptions{}, feed)
+			ds, sanStats, groups = paths.SanitizeCtx(sctx, ds, paths.SanitizeOptions{}, feed)
 			ph.End(inferStepDuration.With("sanitize"), nil)
 		} else {
 			ds = withoutASZero(ds)

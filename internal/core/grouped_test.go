@@ -24,15 +24,46 @@ import (
 func inferPerRow(ds *paths.Dataset, opts Options) *Result {
 	ix, res := indexPerRow(ds, opts)
 	out := InferIndexed(context.Background(), ix, res.Rank, res.Clique, opts)
-	out.PoisonedPaths, out.Dataset, out.Sequences, out.SanitizeStats = res.PoisonedPaths, res.Dataset, res.Sequences, res.SanitizeStats
+	out.PoisonedPaths, out.Dataset, out.SanitizeStats = res.PoisonedPaths, res.Dataset, res.SanitizeStats
 	return out
+}
+
+// resultDiff reports how got, an Infer result, differs from want, the
+// per-row pipeline's: got's kept corpus must carry a grouping equal to
+// its rows' grouping by content (GroupByHopsFeed of the same rows built
+// by hand), the kept rows must equal want's, and every other field too.
+func resultDiff(got, want *Result) error {
+	if err := groupedByHops(got.Dataset); err != nil {
+		return err
+	}
+	if !reflect.DeepEqual(got.Dataset.Paths, want.Dataset.Paths) {
+		return fmt.Errorf("kept rows\n got %+v\nwant %+v", got.Dataset.Paths, want.Dataset.Paths)
+	}
+	g, w := *got, *want
+	g.Dataset, w.Dataset = nil, nil
+	if !reflect.DeepEqual(g, w) {
+		return fmt.Errorf("\n got %+v\nwant %+v", g, w)
+	}
+	return nil
+}
+
+// groupedByHops reports how ds's grouping fails to describe its rows
+// and equal their grouping by content.
+func groupedByHops(ds *paths.Dataset) error {
+	g := ds.Groups()
+	if g == nil {
+		return fmt.Errorf("the %d kept rows carry no grouping that describes them", len(ds.Paths))
+	}
+	if want := paths.GroupByHopsFeed(&paths.Dataset{Paths: ds.Paths}, nil); !reflect.DeepEqual(g, want) {
+		return fmt.Errorf("kept grouping %+v, the rows group by content as %+v", g, want)
+	}
+	return nil
 }
 
 // indexPerRow is inferPerRow's steps 1–4: the index two passes over the
 // rows build — the ranked layer, then, with the clique known, the kept
 // layer over the rows that are not poisoned — and, in a Result with
-// nothing labelled yet, what those steps decide, the kept rows' distinct
-// hop sequences in first-seen order among them.
+// nothing labelled yet, what those steps decide.
 func indexPerRow(ds *paths.Dataset, opts Options) (*CorpusIndex, *Result) {
 	res := &Result{}
 	if opts.Sanitize {
@@ -57,9 +88,6 @@ func indexPerRow(ds *paths.Dataset, opts Options) (*CorpusIndex, *Result) {
 		}
 		res.Dataset.Paths = append(res.Dataset.Paths, p)
 		ix.AddKept(p.ASNs, 1)
-		if !slices.ContainsFunc(res.Sequences, func(seq []uint32) bool { return slices.Equal(seq, p.ASNs) }) {
-			res.Sequences = append(res.Sequences, p.ASNs)
-		}
 	}
 	res.PoisonedPaths = len(ds.Paths) - len(res.Dataset.Paths)
 	return ix, res
@@ -125,10 +153,10 @@ func duplicatedCorpus(rng *stats.RNG) *paths.Dataset {
 // TestInferGroupedEqualsPerRow licenses folding each distinct hop
 // sequence once: over corpora with planted duplication the whole
 // Result — relationships, steps, rank, clique, the kept rows and their
-// order, their distinct sequences, the poisoned count, the sanitize
-// stats — equals the per-row pipeline's, from both entries (sanitizing,
-// and over a caller's dataset that still holds duplicate rows and a row
-// holding AS 0).
+// order, the poisoned count, the sanitize stats — equals the per-row
+// pipeline's, and the kept rows carry their grouping by hop sequence,
+// from both entries (sanitizing, and over a caller's dataset that still
+// holds duplicate rows and a row holding AS 0).
 func TestInferGroupedEqualsPerRow(t *testing.T) {
 	multiRowPoison := 0
 	for seed := int64(0); seed < 60; seed++ {
@@ -139,9 +167,9 @@ func TestInferGroupedEqualsPerRow(t *testing.T) {
 		}
 
 		opts.Sanitize = true
-		got, want := Infer(raw, opts), inferPerRow(raw, opts)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: Infer{Sanitize} differs from the per-row pipeline:\n got %+v\nwant %+v", seed, got, want)
+		got := Infer(raw, opts)
+		if err := resultDiff(got, inferPerRow(raw, opts)); err != nil {
+			t.Fatalf("seed %d: Infer{Sanitize} differs from the per-row pipeline: %v", seed, err)
 		}
 		if got.PoisonedPaths > 1 {
 			multiRowPoison++
@@ -150,8 +178,8 @@ func TestInferGroupedEqualsPerRow(t *testing.T) {
 		opts.Sanitize = false
 		dup := sanitizedRows(raw)
 		dup.Paths = slices.Insert(dup.Paths, len(dup.Paths)/2, paths.Path{Collector: "rv0", ASNs: []uint32{110, 0, 10, 1}})
-		if got, want := Infer(dup, opts), inferPerRow(dup, opts); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: Infer over duplicate rows differs from the per-row pipeline:\n got %+v\nwant %+v", seed, got, want)
+		if err := resultDiff(Infer(dup, opts), inferPerRow(dup, opts)); err != nil {
+			t.Fatalf("seed %d: Infer over duplicate rows differs from the per-row pipeline: %v", seed, err)
 		}
 		if len(dup.Paths)-1 == got.SanitizeStats.Kept {
 			t.Fatalf("seed %d: corpus has no duplicate rows", seed)
@@ -238,11 +266,14 @@ func TestFoldAtBirthBuildsThePerRowIndex(t *testing.T) {
 					t.Fatalf("GOMAXPROCS=%d seed %d: table %s\n got %v\nwant %v", procs, seed, name, table, wantTables[name])
 				}
 			}
-			if !reflect.DeepEqual(got.kept, want.Dataset) || !reflect.DeepEqual(got.keptSeqs, want.Sequences) || got.poisoned != want.PoisonedPaths {
+			if !reflect.DeepEqual(got.kept.Paths, want.Dataset.Paths) || got.poisoned != want.PoisonedPaths {
 				t.Fatalf("GOMAXPROCS=%d seed %d: kept rows differ from the per-row passes'", procs, seed)
 			}
-			if res, want := Infer(raw, opts), inferPerRow(raw, opts); !reflect.DeepEqual(res, want) {
-				t.Fatalf("GOMAXPROCS=%d seed %d: Infer differs from the per-row pipeline:\n got %+v\nwant %+v", procs, seed, res, want)
+			if err := groupedByHops(got.kept); err != nil {
+				t.Fatalf("GOMAXPROCS=%d seed %d: %v", procs, seed, err)
+			}
+			if err := resultDiff(Infer(raw, opts), inferPerRow(raw, opts)); err != nil {
+				t.Fatalf("GOMAXPROCS=%d seed %d: Infer differs from the per-row pipeline: %v", procs, seed, err)
 			}
 			clean := raw
 			if opts.Sanitize {
@@ -286,8 +317,8 @@ func TestFoldersDoNotOutliveInfer(t *testing.T) {
 			}()
 		}
 		opts := Options{Sanitize: true}
-		if got, want := InferCtx(cancelled, raw, opts), inferPerRow(raw, opts); !reflect.DeepEqual(got, want) {
-			t.Errorf("GOMAXPROCS=%d: Infer under a cancelled context differs from the per-row pipeline", procs)
+		if err := resultDiff(InferCtx(cancelled, raw, opts), inferPerRow(raw, opts)); err != nil {
+			t.Errorf("GOMAXPROCS=%d: Infer under a cancelled context differs from the per-row pipeline: %v", procs, err)
 		}
 		// A pool worker that has signalled its WaitGroup may not have
 		// left the scheduler's count yet.

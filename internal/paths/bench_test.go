@@ -5,17 +5,18 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/asrank-go/asrank/internal/bgpsim"
 	"github.com/asrank-go/asrank/internal/paths"
 	"github.com/asrank-go/asrank/internal/topology"
 )
 
-// batchCorpus is the corpus core's BenchmarkInferBatch runs over (same
+// batchSim is the collection core's BenchmarkInferBatch runs over (same
 // generator, same parameters): a simulated collection with a RIB's
 // duplication, about three rows per distinct path. It lives in the
 // external test package because bgpsim imports paths.
-func batchCorpus(b testing.TB) []byte {
+func batchSim(b testing.TB) *bgpsim.Result {
 	p := topology.DefaultParams(1)
 	p.ASes = 2000
 	so := bgpsim.DefaultOptions(1)
@@ -24,8 +25,13 @@ func batchCorpus(b testing.TB) []byte {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return sim
+}
+
+// batchCorpus is batchSim's corpus in the text format.
+func batchCorpus(b testing.TB) []byte {
 	var buf bytes.Buffer
-	if err := paths.Write(&buf, sim.Dataset); err != nil {
+	if err := paths.Write(&buf, batchSim(b).Dataset); err != nil {
 		b.Fatal(err)
 	}
 	return buf.Bytes()
@@ -74,16 +80,29 @@ func TestReadConcurrently(t *testing.T) {
 // TABLE_DUMP_V2 file has (prefix-major: a path's rows lie scattered).
 // The first is the dataset Read returned, cleaned per text group; the
 // second has its rows reordered, so it is cleaned per row, grouped by
-// content.
+// content; the third is the same collection as FromMRT loads its RIB
+// snapshot, prefix-major and cleaned per group of the loader's grouping.
 func BenchmarkSanitize(b *testing.B) {
-	ds, err := paths.Read(bytes.NewReader(batchCorpus(b)))
+	sim := batchSim(b)
+	var text, rib bytes.Buffer
+	if err := paths.Write(&text, sim.Dataset); err != nil {
+		b.Fatal(err)
+	}
+	if err := bgpsim.ExportMRT(&rib, sim, time.Date(2013, 4, 1, 0, 0, 0, 0, time.UTC)); err != nil {
+		b.Fatal(err)
+	}
+	ds, err := paths.Read(&text)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mrt, _, err := paths.FromMRT(&rib, sim.Dataset.Paths[0].Collector)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, order := range []struct {
 		name string
 		ds   *paths.Dataset
-	}{{"origin-major", ds}, {"prefix-major", paths.PrefixMajor(ds)}} {
+	}{{"origin-major", ds}, {"prefix-major", paths.PrefixMajor(ds)}, {"mrt", mrt}} {
 		b.Run(order.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

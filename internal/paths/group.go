@@ -2,21 +2,23 @@ package paths
 
 import "sync"
 
-// Groups partitions rows by hop sequence. Steps 1–4 of the pipeline are
-// functions of a path's hops, never of the prefix or collector that
-// carried it, and a RIB is a few paths repeated across many prefixes:
-// a fold over Hops does a fraction of the work of a fold over rows and
-// builds an index with the same keys.
+// Groups partitions a dataset's rows by path, in first-seen row order;
+// every group has a row, and only Read's (by text) may hold equal hops
+// in two. Steps 1–4 and the observed cones are functions of a path's
+// hops, never of the prefix or collector that carried it, and a RIB is
+// a few paths repeated across many prefixes: a pass over Hops does a
+// fraction of the work of a pass over rows and gives the same result.
 type Groups struct {
 	Of   []int32    // Of[i] is the group of row i
-	Hops [][]uint32 // Hops[g] is group g's hop sequence; shared with a row, read-only
+	Hops [][]uint32 // Hops[g] is group g's hop sequence; the very slice its rows hold, read-only
 }
 
 // GroupByHopsFeed groups ds's rows by hop sequence, numbering groups in
 // first-seen row order, handing each group's hop sequence to feed
-// (which may be nil) as the group is born, and closing it. Like
-// Sanitize it interns each distinct sequence once: per text group of
-// the reader while ds carries a grouping that describes its rows.
+// (which may be nil) as the group is born, and closing it. The grouping
+// is new, the caller's to change. Like Sanitize it interns each
+// distinct sequence once: per group of ds's own grouping while that
+// describes its rows.
 func GroupByHopsFeed(ds *Dataset, feed *Feed) *Groups {
 	gr := newGrouper(ds, feed, false, nil)
 	of := make([]int32, len(ds.Paths))
@@ -26,14 +28,16 @@ func GroupByHopsFeed(ds *Dataset, feed *Feed) *Groups {
 	return &Groups{Of: of, Hops: gr.seqs.hops}
 }
 
-// readGroups returns the reader's grouping of d's rows while it still
-// describes them, or nil: it was built for as many rows as d holds, and
-// every row's ASNs is its group's very slice — the same data pointer
-// and length. That is one pointer compare a row, no hashing; a row
+// Groups returns the grouping d carries while it still describes d's
+// rows, or nil: it was built for as many rows as d holds, and every
+// row's ASNs is its group's very slice — the same data pointer and
+// length. That is one pointer compare a row, no hashing; a row
 // appended, dropped, replaced or moved where another group's row was
-// fails it. Groups are numbered in the reader's first-seen row order,
-// which rows that each still hold their own group's slice keep.
-func (d *Dataset) readGroups() *Groups {
+// fails it, and rows that each still hold their own group's slice can
+// only have moved among their group's rows, which keeps first-seen
+// order. A nil result means the rows are to be taken one by one. The
+// grouping is d's: read-only.
+func (d *Dataset) Groups() *Groups {
 	g := d.groups
 	if g == nil || len(g.Of) != len(d.Paths) {
 		return nil
@@ -45,6 +49,41 @@ func (d *Dataset) readGroups() *Groups {
 		}
 	}
 	return g
+}
+
+// Filter returns ds's rows whose group keep accepts, in row order, each
+// holding its group's very slice, grouped by g's kept groups renumbered
+// in order. keep sees each group's hops once, in group order. g must
+// group ds's rows — a Sanitize or GroupByHopsFeed result — and is given
+// up: the kept groups are compacted into it in place. The rows are
+// filtered in place when ds carries g, as Sanitize's output does, for
+// then they are the same run's; any other ds's rows are a caller's and
+// are copied.
+func (g *Groups) Filter(ds *Dataset, keep func(hops []uint32) bool) *Dataset {
+	id := make([]int32, len(g.Hops)) // by old group: its new number, or -1
+	kept := int32(0)
+	for old, hops := range g.Hops {
+		if !keep(hops) {
+			id[old] = -1
+			continue
+		}
+		id[old], g.Hops[kept] = kept, hops
+		kept++
+	}
+	g.Hops = g.Hops[:kept]
+	out := ds.Paths[:0]
+	if ds.groups != g {
+		out = make([]Path, 0, len(ds.Paths))
+	}
+	of := g.Of[:0]
+	for i, p := range ds.Paths {
+		if k := id[g.Of[i]]; k >= 0 {
+			p.ASNs = g.Hops[k]
+			out, of = append(out, p), append(of, k)
+		}
+	}
+	g.Of = of
+	return &Dataset{Paths: out, groups: g}
 }
 
 // The verdicts of a group whose sequence step 1 discards, by reason.
@@ -77,9 +116,9 @@ func (gr *grouper) verdict(i int) int32 {
 	return gr.verdicts[gr.of[i]]
 }
 
-// newGrouper runs the grouping pass over ds and closes feed. The
-// reader's grouping, while it holds, hands add every text group. Any
-// other dataset is grouped by content: each row is a group of its own,
+// newGrouper runs the grouping pass over ds and closes feed. ds's own
+// grouping, while it holds, hands add every group. Any other dataset
+// is grouped by content: each row is a group of its own,
 // added in row order, and the interning merges rows of equal hops — a
 // map of the rows' slices to find the rows that share one costs more
 // than the cleaning it would save. Either way the feed fills as the
@@ -89,13 +128,13 @@ func newGrouper(ds *Dataset, feed *Feed, sanitize bool, ixp map[uint32]bool) *gr
 	// Close on every path, a panicking pass included: a reader of the
 	// feed must not wait for a pass that is gone.
 	defer feed.Close()
-	if read := ds.readGroups(); read != nil {
-		gr.seqs = newSequences(len(read.Hops))
-		gr.verdicts = make([]int32, 0, len(read.Hops))
-		for _, hops := range read.Hops {
+	if own := ds.Groups(); own != nil {
+		gr.seqs = newSequences(len(own.Hops))
+		gr.verdicts = make([]int32, 0, len(own.Hops))
+		for _, hops := range own.Hops {
 			gr.add(hops)
 		}
-		gr.of = read.Of
+		gr.of = own.Of
 	} else {
 		gr.seqs = NewSequences()
 		gr.verdicts = make([]int32, 0, len(ds.Paths))

@@ -15,14 +15,19 @@ type MRTStats struct {
 
 // FromMRT flattens a TABLE_DUMP_V2 RIB snapshot into a path dataset,
 // one row per entry whose AS path WireHops can use. Rows with equal hops
-// share one slice (see Path).
+// share one slice (see Path), and the dataset carries that grouping of
+// its rows by hop sequence (see Dataset).
 func FromMRT(r io.Reader, collector string) (*Dataset, MRTStats, error) {
 	ds, seqs := &Dataset{}, NewSequences()
-	var stats MRTStats
+	var (
+		of    []int32 // by row: its sequence, numbered in first-seen order (nothing is released)
+		stats MRTStats
+	)
 	rr := mrt.NewRIBReader(r)
 	for {
 		e, err := rr.Next()
 		if err == io.EOF {
+			ds.groups = &Groups{Of: of, Hops: seqs.hops}
 			return ds, stats, nil
 		}
 		if err != nil {
@@ -39,5 +44,6 @@ func FromMRT(r io.Reader, collector string) (*Dataset, MRTStats, error) {
 		}
 		id, _ := seqs.Intern(hops, false)
 		ds.Add(Path{Collector: collector, Prefix: e.Prefix, ASNs: seqs.Hops(id)})
+		of = append(of, id)
 	}
 }

@@ -15,7 +15,9 @@ import (
 // FuzzFromMRT feeds arbitrary bytes to the RIB loader, seeded with a
 // simulated collection's TABLE_DUMP_V2 snapshot, its BGP4MP update trace
 // and the shared chaos corruptions of both. The loader never panics; a
-// stream it accepts accounts for every entry it read; and the
+// stream it accepts accounts for every entry it read, and the dataset
+// carries a grouping of its rows by hop sequence that describes them and
+// cleans to the very rows the same rows do ungrouped; and the
 // uncorrupted snapshot loads as exactly the simulated rows, in the
 // snapshot's prefix-major order, while the uncorrupted update trace is
 // refused.
@@ -41,6 +43,8 @@ func FuzzFromMRT(f *testing.F) {
 
 	f.Add(rib.Bytes())
 	f.Add(updates.Bytes())
+	// A peer index table and no RIB entry: no rows, an empty grouping.
+	f.Add([]byte("0000\x00\r\x00\x01\x00\x00\x00)0000\x00\a0000000\x00\x0100000000000000000000000000"))
 	f.Add([]byte{})
 	for _, v := range chaos.CorruptVariants(20130401, rib.Bytes(), 8) {
 		f.Add(v)
@@ -54,7 +58,7 @@ func FuzzFromMRT(f *testing.F) {
 			if err != nil {
 				t.Fatalf("the uncorrupted snapshot: %v", err)
 			}
-			if !reflect.DeepEqual(ds, want) {
+			if !reflect.DeepEqual(ds.Paths, want.Paths) {
 				t.Fatalf("the uncorrupted snapshot loads %d rows unlike the %d simulated ones", ds.NumPaths(), want.NumPaths())
 			}
 		}
@@ -71,6 +75,15 @@ func FuzzFromMRT(f *testing.F) {
 			if len(row.ASNs) == 0 {
 				t.Fatalf("row %v has no hops", row)
 			}
+		}
+		if err := paths.GroupedByHops(ds); err != nil {
+			t.Fatal(err)
+		}
+		grouped, groupedStats := paths.Sanitize(ds, paths.SanitizeOptions{})
+		rows, rowStats := paths.Sanitize(&paths.Dataset{Paths: ds.Paths}, paths.SanitizeOptions{})
+		if groupedStats != rowStats || !reflect.DeepEqual(grouped.Paths, rows.Paths) {
+			t.Fatalf("the grouped rows sanitize to %d rows (%+v), the same rows ungrouped to %d (%+v)",
+				grouped.NumPaths(), groupedStats, rows.NumPaths(), rowStats)
 		}
 	})
 }

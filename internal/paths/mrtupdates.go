@@ -17,7 +17,11 @@ type UpdateStats struct {
 }
 
 // FromMRTUpdates flattens a BGP4MP update trace into a path corpus: the
-// RIB the trace converges to.
+// RIB the trace converges to. Rows with equal hops share one slice, but
+// the dataset carries no grouping (see Dataset): RIB.Dataset sorts the
+// rows it returns, so the interning order is not their first-seen order,
+// and a withdrawn route's sequence may have no row left. Its consumers
+// take the rows one by one.
 func FromMRTUpdates(r io.Reader, collector string) (*Dataset, UpdateStats, error) {
 	var stats UpdateStats
 	rib, seqs := NewRIB(), NewSequences() // equal hops share one slice across the trace

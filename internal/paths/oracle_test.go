@@ -3,7 +3,6 @@ package paths
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -164,7 +163,7 @@ func diffRead(t *testing.T, input []byte, blockSize int) {
 		t.Fatalf("block size %d, Read(%q): error %v, oracle %v", blockSize, input, gotErr, wantErr)
 	case !reflect.DeepEqual(got.Paths, want.Paths):
 		t.Fatalf("block size %d, Read(%q):\n got %+v\nwant %+v", blockSize, input, got.Paths, want.Paths)
-	case len(got.Paths) > 0 && got.readGroups() == nil:
+	case len(got.Paths) > 0 && got.Groups() == nil:
 		t.Fatalf("block size %d, Read(%q): the reader's grouping does not describe its rows", blockSize, input)
 	case len(got.Paths) > 0:
 		next := int32(0)
@@ -472,17 +471,8 @@ func TestSanitizeMatchesOracle(t *testing.T) {
 		if seed%2 == 0 {
 			opts.IXPASes = map[uint32]bool{555: true}
 		}
-		got, gotStats, groups := SanitizeCtx(context.Background(), ds, opts)
-		want, wantStats := oracleSanitize(ds, opts)
-		if gotStats != wantStats {
-			t.Fatalf("seed %d: stats %+v, oracle %+v", seed, gotStats, wantStats)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: rows differ from the oracle's\n got %+v\nwant %+v", seed, got.Paths, want.Paths)
-		}
-		if again := GroupByHopsFeed(got, nil); !reflect.DeepEqual(groups, again) {
-			t.Fatalf("seed %d: Sanitize's grouping %+v, GroupByHopsFeed of its output %+v", seed, groups, again)
-		}
+		got, gotStats := diffSanitize(t, ds, opts)
+		groups := got.Groups()
 		for i, p := range got.Paths {
 			if unsafe.SliceData(p.ASNs) != unsafe.SliceData(groups.Hops[groups.Of[i]]) {
 				t.Fatalf("seed %d: row %d does not share its group's hop slice", seed, i)
@@ -553,13 +543,12 @@ func TestSanitizeFromReadGroups(t *testing.T) {
 			}
 			edit(&changed, rand.New(rand.NewSource(seed)))
 			edit(unshared, rand.New(rand.NewSource(seed)))
-			if trusted := changed.readGroups() != nil; trusted != (name == "as read") {
+			if trusted := changed.Groups() != nil; trusted != (name == "as read") {
 				t.Fatalf("seed %d %s: reader's grouping trusted = %v", seed, name, trusted)
 			}
 			got, gotStats := diffSanitize(t, &changed, opts)
-			_, _, groups := SanitizeCtx(context.Background(), &changed, opts)
-			want, wantStats, wantGroups := SanitizeCtx(context.Background(), unshared, opts)
-			if gotStats != wantStats || !reflect.DeepEqual(got.Paths, want.Paths) || !reflect.DeepEqual(groups, wantGroups) {
+			want, wantStats := Sanitize(unshared, opts)
+			if gotStats != wantStats || !reflect.DeepEqual(got.Paths, want.Paths) || !reflect.DeepEqual(got.Groups(), want.Groups()) {
 				t.Fatalf("seed %d %s: the read rows clean to other rows or groups than unshared ones", seed, name)
 			}
 			if again, wantAgain := GroupByHopsFeed(&changed, nil), GroupByHopsFeed(unshared, nil); !reflect.DeepEqual(again, wantAgain) {

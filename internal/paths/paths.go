@@ -60,17 +60,17 @@ func (l Link) String() string { return fmt.Sprintf("%d-%d", l.A, l.B) }
 // Dataset is a corpus of AS paths: one row per (collector, prefix,
 // path) observation. Rows may share one ASNs slice (see Path).
 //
-// A dataset Read returns also remembers which rows carry the same
-// AS-path text, so that Sanitize and GroupByHopsFeed work once per
-// text. Paths stays the caller's to append to, replace or reorder, so
-// the grouping is trusted only while it still describes the rows — as
-// many rows as it was built for, each still holding its text's very
-// slice; otherwise the rows are grouped by content, as for any dataset
-// built by hand.
+// A dataset that Read, FromMRT, Sanitize or core's step 4 returns also
+// carries a grouping of its rows by path (see Groups), so that step 1,
+// the corpus index and the observed cones work once per distinct path,
+// not once per row. Paths stays the caller's to append to, replace or
+// reorder, so the grouping is trusted only while it still describes the
+// rows (Dataset.Groups); otherwise the rows are taken one by one, as
+// for any dataset built by hand.
 type Dataset struct {
 	Paths []Path
 
-	groups *Groups // the reader's grouping of Paths by text; nil unless Read built the dataset
+	groups *Groups // the producer's grouping of Paths; nil for a dataset built by hand
 }
 
 // Add appends a path to the dataset.

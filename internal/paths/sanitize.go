@@ -38,39 +38,34 @@ type SanitizeStats struct {
 //
 // Cleaned hop sequences are interned: output rows that carry the same
 // path share one ASNs slice (see Path) — an input row's own slice when
-// cleaning left its hops as they were. PrependingRemoved and IXPSpliced
-// count kept paths only, preserving Input == Kept + ReservedDiscarded +
-// LoopDiscarded + TooShort + Duplicates with each kept row attributable
-// to the corpus that inference actually sees.
+// cleaning left its hops as they were — and the output carries that
+// grouping of its rows by hop sequence (see Dataset). PrependingRemoved
+// and IXPSpliced count kept paths only, preserving Input == Kept +
+// ReservedDiscarded + LoopDiscarded + TooShort + Duplicates with each
+// kept row attributable to the corpus that inference actually sees.
 func Sanitize(ds *Dataset, opts SanitizeOptions) (*Dataset, SanitizeStats) {
-	out, stats, _ := SanitizeCtx(context.Background(), ds, opts)
+	out, stats, _ := SanitizeCtx(context.Background(), ds, opts, nil)
 	return out, stats
 }
 
-// SanitizeCtx is Sanitize with a context for tracing: when ctx carries
+// SanitizeCtx is Sanitize with a context for tracing — when ctx carries
 // a span, the pass records a "paths.sanitize" span with input/kept
-// counts as attributes. It also returns the grouping of the output rows
-// by hop sequence — equal to GroupByHopsFeed(out, nil), which the
-// interning has already computed.
-func SanitizeCtx(ctx context.Context, ds *Dataset, opts SanitizeOptions) (*Dataset, SanitizeStats, *Groups) {
-	return SanitizeFeed(ctx, ds, opts, nil)
-}
-
-// SanitizeFeed is SanitizeCtx handing each distinct cleaned hop sequence
-// to feed (which may be nil) as it is first seen, and closing the feed
-// once the last is known — before the duplicate collapse, so a reader
-// has every sequence while the pass still works.
+// counts as attributes — handing each distinct cleaned hop sequence to
+// feed (which may be nil) as it is first seen, and closing the feed
+// once the last is known: before the duplicate collapse, so a reader
+// has every sequence while the pass still works. It also returns the
+// output's grouping, equal to GroupByHopsFeed(out, nil) and the
+// dataset's own: read-only.
 //
 // The pass runs in three sweeps. The first cleans and interns each
-// group of the input once — a text group of the reader while the
-// dataset still carries a grouping that describes its rows, else each
-// row on its own — and records each row's cleaned sequence through its
-// group. The second
+// group of the input once — a group of the dataset's own grouping
+// while that describes its rows, else each row on its own — and
+// records each row's cleaned sequence through its group. The second
 // finds duplicates: two rows are duplicates only if they clean to the
 // same sequence, so the rows of each sequence (a handful) are ordered by
 // prefix and collector and the equal runs collapsed — no corpus-wide set
 // of row keys. The third emits the survivors in input order.
-func SanitizeFeed(ctx context.Context, ds *Dataset, opts SanitizeOptions, feed *Feed) (*Dataset, SanitizeStats, *Groups) {
+func SanitizeCtx(ctx context.Context, ds *Dataset, opts SanitizeOptions, feed *Feed) (*Dataset, SanitizeStats, *Groups) {
 	_, ph := trace.StartPhase(ctx, "paths.sanitize")
 	stats := SanitizeStats{Input: len(ds.Paths)}
 	gr := newGrouper(ds, feed, true, opts.IXPASes)
@@ -96,7 +91,7 @@ func SanitizeFeed(ctx context.Context, ds *Dataset, opts SanitizeOptions, feed *
 	// The first row of a sequence is never a duplicate, so every
 	// interned sequence keeps at least one row.
 	stats.Kept = stats.Input - stats.ReservedDiscarded - stats.LoopDiscarded - stats.TooShort - stats.Duplicates
-	out := &Dataset{Paths: make([]Path, 0, stats.Kept)}
+	out := &Dataset{Paths: make([]Path, 0, stats.Kept), groups: groups}
 	groups.Of = make([]int32, 0, stats.Kept)
 	for i, row := range rows {
 		if row == rowDropped {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/netip"
@@ -86,21 +87,40 @@ func TestSanitizeParallelDeterministic(t *testing.T) {
 
 // diffSanitize fails unless Sanitize and the per-row oracle agree on ds:
 // rows and their order, stats, and a grouping equal to GroupByHopsFeed of
-// the output.
+// the output, which the output carries.
 func diffSanitize(t *testing.T, ds *Dataset, opts SanitizeOptions) (*Dataset, SanitizeStats) {
 	t.Helper()
-	got, gotStats, groups := SanitizeCtx(context.Background(), ds, opts)
+	got, gotStats, groups := SanitizeCtx(context.Background(), ds, opts, nil)
 	want, wantStats := oracleSanitize(ds, opts)
 	if gotStats != wantStats {
 		t.Fatalf("stats %+v, oracle %+v", gotStats, wantStats)
 	}
-	if !reflect.DeepEqual(got, want) {
+	if !reflect.DeepEqual(got.Paths, want.Paths) {
 		t.Fatalf("rows differ from the oracle's\n got %+v\nwant %+v", got.Paths, want.Paths)
 	}
-	if again := GroupByHopsFeed(got, nil); !reflect.DeepEqual(groups, again) {
-		t.Fatalf("Sanitize's grouping %+v, GroupByHopsFeed of its output %+v", groups, again)
+	if err := GroupedByHops(got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Groups() != groups {
+		t.Fatal("Sanitize returned another grouping than its output carries")
 	}
 	return got, gotStats
+}
+
+// GroupedByHops reports how ds's grouping fails to be what Sanitize and
+// FromMRT attach: one that describes ds's rows (Dataset.Groups) and
+// equals GroupByHopsFeed of the same rows built by hand — groups of
+// equal hops, numbered in first-seen row order.
+func GroupedByHops(ds *Dataset) error {
+	g := ds.Groups()
+	if g == nil {
+		return fmt.Errorf("the grouping of the %d rows does not describe them", len(ds.Paths))
+	}
+	// By content: an empty column is one whether it is nil or not.
+	if want := GroupByHopsFeed(&Dataset{Paths: ds.Paths}, nil); !slices.Equal(g.Of, want.Of) || !slices.EqualFunc(g.Hops, want.Hops, slices.Equal) {
+		return fmt.Errorf("grouping %+v, the rows group by content as %+v", g, want)
+	}
+	return nil
 }
 
 // PrefixMajor returns ds's rows ordered by prefix, ties in input order:
@@ -287,5 +307,50 @@ func TestFeedReadersSeeEverySequence(t *testing.T) {
 	feed.Each(func([]uint32) { late++ })
 	if late != len(groups.Hops) {
 		t.Errorf("a reader started after the close saw %d sequences, want %d", late, len(groups.Hops))
+	}
+}
+
+// TestFilterOverwritesOnlyItsOwnRows holds Filter's ownership rule:
+// rows that carry the grouping filtered (Sanitize's output) are
+// filtered in place, a caller's rows grouped afresh are copied and left
+// as they were, and either way the kept rows carry the kept grouping.
+func TestFilterOverwritesOnlyItsOwnRows(t *testing.T) {
+	pfx := func(i int) netip.Prefix { return netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 0, 0, byte(i)}), 32) }
+	seqs := [][]uint32{{1, 2, 3}, {4, 5}, {1, 2, 3}, {6, 7}, {4, 5}, {8, 9}}
+	input := &Dataset{}
+	for i, hops := range seqs {
+		input.Add(Path{Collector: "rv", Prefix: pfx(i), ASNs: slices.Clone(hops)})
+	}
+	dropFour := func(hops []uint32) bool { return hops[0] != 4 }
+	wantKept := [][]uint32{{1, 2, 3}, {1, 2, 3}, {6, 7}, {8, 9}}
+	check := func(name string, kept *Dataset) {
+		t.Helper()
+		var got [][]uint32
+		for _, p := range kept.Paths {
+			got = append(got, p.ASNs)
+		}
+		if !reflect.DeepEqual(got, wantKept) {
+			t.Errorf("%s: kept %v, want %v", name, got, wantKept)
+		}
+		if err := GroupedByHops(kept); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+
+	san, _, g := SanitizeCtx(context.Background(), input, SanitizeOptions{}, nil)
+	if san.groups != g {
+		t.Fatal("Sanitize's output does not carry the grouping it returns")
+	}
+	kept := g.Filter(san, dropFour)
+	check("sanitized", kept)
+	if &kept.Paths[0] != &san.Paths[0] {
+		t.Error("Sanitize's output was copied, want it filtered in place")
+	}
+
+	before := slices.Clone(input.Paths)
+	kept = GroupByHopsFeed(input, nil).Filter(input, dropFour)
+	check("caller's", kept)
+	if &kept.Paths[0] == &input.Paths[0] || !reflect.DeepEqual(input.Paths, before) {
+		t.Error("the caller's rows were overwritten")
 	}
 }

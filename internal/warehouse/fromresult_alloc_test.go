@@ -43,7 +43,7 @@ func TestFromResultAllocatesWhatTheConesHold(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	snap := warehouse.FromResult(res)
 	runtime.ReadMemStats(&after)
-	n, members, credits := len(snap.ASNs), len(snap.ConeMembers), creditedPairs(res, res.Sequences)
+	n, members, credits := len(snap.ASNs), len(snap.ConeMembers), creditedPairs(res, res.Dataset.Groups().Hops)
 	bound := perUnit * uint64(n+members+credits)
 	if slab := uint64(n) * uint64(n) / 8; bound >= slab {
 		t.Fatalf("bound %d B is not below one %d-AS slab (%d B): the corpus is too small to tell", bound, n, slab)

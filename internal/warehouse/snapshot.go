@@ -80,11 +80,11 @@ func (s *Snapshot) Rank() []int32 {
 // guarantees it; everything else is sorted). The cone
 // product and the prefix counts only read res, so they are two tasks of
 // one pool call: the serial prefix count runs beside the cone crediting
-// instead of after it. The cones are credited per distinct sequence
-// (res.Sequences), and per row when a hand-built res has none; the
-// prefix is per row, so the prefix count always reads the rows. The
-// engine builds the product as member lists, which pass to the snapshot
-// uncopied; nothing on the way is sized n × n.
+// instead of after it. The cones are credited per distinct path while
+// res.Dataset carries its grouping (core.Infer's does), and per row
+// otherwise; the prefix is per row, so the prefix count always reads
+// the rows. The engine builds the product as member lists, which pass
+// to the snapshot uncopied; nothing on the way is sized n × n.
 func FromResult(res *core.Result) *Snapshot {
 	var (
 		cones        *cone.Rows
@@ -94,12 +94,7 @@ func FromResult(res *core.Result) *Snapshot {
 		for task := lo; task < hi; task++ {
 			switch task {
 			case 0:
-				rels := cone.NewRelations(res.Rels)
-				if res.Sequences != nil {
-					cones = rels.ProviderPeerObservedSequences(res.Sequences)
-				} else {
-					cones = rels.ProviderPeerObservedBits(res.Dataset)
-				}
+				cones = cone.NewRelations(res.Rels).ProviderPeerObservedBits(res.Dataset)
 			case 1:
 				prefixCounts = cone.PrefixCounts(res.Dataset)
 			}

@@ -173,29 +173,52 @@ func inferredCorpus(tb testing.TB, seed int64, ases, vps int) *core.Result {
 	return core.Infer(sim.Dataset, core.Options{Sanitize: true})
 }
 
-// TestFromResultCreditsSequencesAsRows: crediting each distinct sequence
-// once sets the cones crediting every row sets, so a Result built by
-// hand, which has no Sequences, gives the snapshot Infer's does.
+// TestFromResultCreditsSequencesAsRows: crediting each distinct path
+// of the kept corpus's grouping once sets the cones crediting every row
+// sets, so a Result whose corpus was built by hand, with no grouping,
+// gives the snapshot Infer's does.
 func TestFromResultCreditsSequencesAsRows(t *testing.T) {
 	for _, seed := range []int64{3, 12} {
 		res := inferredCorpus(t, seed, 400, 8)
-		if len(res.Sequences) == 0 || len(res.Sequences) >= len(res.Dataset.Paths) {
-			t.Fatalf("seed %d: %d sequences for %d kept rows, want rows that share one", seed, len(res.Sequences), len(res.Dataset.Paths))
+		if g := res.Dataset.Groups(); g == nil || len(g.Hops) >= len(res.Dataset.Paths) {
+			t.Fatalf("seed %d: the %d kept rows carry no grouping, or no row shares a path", seed, len(res.Dataset.Paths))
 		}
 		byHand := *res
-		byHand.Sequences = nil
+		byHand.Dataset = &paths.Dataset{Paths: res.Dataset.Paths}
 		if !reflect.DeepEqual(warehouse.FromResult(&byHand), warehouse.FromResult(res)) {
 			t.Errorf("seed %d: the snapshot credited per row differs from the one credited per sequence", seed)
 		}
 	}
 }
 
+// TestFromResultAfterRowsAreFiltered: a caller may edit the kept corpus
+// after Infer. Dropping one vantage point's rows leaves a grouping that
+// no longer describes them, and FromResult credits the rows that are
+// left: the snapshot of the same rows built by hand, which holds fewer
+// cone members than the whole corpus's.
+func TestFromResultAfterRowsAreFiltered(t *testing.T) {
+	res := inferredCorpus(t, 5, 400, 8)
+	whole := warehouse.FromResult(res)
+	vp := res.Dataset.Paths[0].VP()
+	res.Dataset.Paths = slices.DeleteFunc(res.Dataset.Paths, func(p paths.Path) bool { return p.VP() == vp })
+	byHand := *res
+	byHand.Dataset = &paths.Dataset{Paths: res.Dataset.Paths}
+	got, want := warehouse.FromResult(res), warehouse.FromResult(&byHand)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("without VP %d's rows, %d cone members; the same rows built by hand give %d", vp, len(got.ConeMembers), len(want.ConeMembers))
+	}
+	if len(want.ConeMembers) >= len(whole.ConeMembers) {
+		t.Errorf("VP %d's rows hold no cone member of their own (%d members with them, %d without)", vp, len(whole.ConeMembers), len(want.ConeMembers))
+	}
+}
+
 // BenchmarkFromResult converts one 2k-AS inference, credited per
-// distinct sequence as Infer's Result is and per row as a hand-built one.
+// distinct sequence as Infer's Result is and per row as one whose
+// corpus carries no grouping.
 func BenchmarkFromResult(b *testing.B) {
 	res := inferredCorpus(b, 1, 2000, 12)
 	byHand := *res
-	byHand.Sequences = nil
+	byHand.Dataset = &paths.Dataset{Paths: res.Dataset.Paths}
 	for _, tc := range []struct {
 		name string
 		res  *core.Result
