@@ -37,7 +37,9 @@ import (
 	"github.com/asrank-go/asrank/internal/warehouse"
 )
 
-// asnSummary is the JSON shape of one ranked AS.
+// asnSummary is the JSON shape of one ranked AS. BuildSnapshot writes it
+// by hand (appendSummary), field for field in this order;
+// TestSummariesMatchEncodingJSON holds those bytes to encoding/json's.
 type asnSummary struct {
 	ASN           uint32 `json:"asn"`
 	Rank          int    `json:"rank"`

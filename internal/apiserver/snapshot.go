@@ -70,26 +70,44 @@ func BuildSnapshot(snap *warehouse.Snapshot) *Data {
 	// endpoints' rows. The column is sorted by (A, B) with A < B, so
 	// each row comes out ascending: AS x receives its smaller neighbors
 	// from the links (n, x) as A ascends to x, then its larger ones from
-	// the run of links (x, m). The same pass counts each AS's
-	// providers, customers and peers.
-	links := make([][]linkEntry, n)
+	// the run of links (x, m). A first pass counts each AS's providers,
+	// customers and peers, which size its row: the rows are carved out
+	// of one array, and an AS without links keeps a nil row.
 	roles := make([]roleCounts, n)
+	total := 0
+	for _, l := range snap.Links {
+		switch l.Rel {
+		case topology.P2C:
+			roles[l.A].customers++
+			roles[l.B].providers++
+		case topology.C2P:
+			roles[l.A].providers++
+			roles[l.B].customers++
+		case topology.P2P:
+			roles[l.A].peers++
+			roles[l.B].peers++
+		default:
+			continue
+		}
+		total += 2
+	}
+	links := make([][]linkEntry, n)
+	entries := make([]linkEntry, total)
+	for i, rc := range roles {
+		if k := rc.providers + rc.customers + rc.peers; k > 0 {
+			links[i], entries = entries[:0:k], entries[k:]
+		}
+	}
 	for _, l := range snap.Links {
 		step := l.Step.String()
 		var roleB, roleA string // role of the neighbor, relative to the queried AS
 		switch l.Rel {
 		case topology.P2C:
 			roleB, roleA = "customer", "provider"
-			roles[l.A].customers++
-			roles[l.B].providers++
 		case topology.C2P:
 			roleB, roleA = "provider", "customer"
-			roles[l.A].providers++
-			roles[l.B].customers++
 		case topology.P2P:
 			roleB, roleA = "peer", "peer"
-			roles[l.A].peers++
-			roles[l.B].peers++
 		default:
 			continue
 		}
@@ -107,16 +125,19 @@ func BuildSnapshot(snap *warehouse.Snapshot) *Data {
 	}
 
 	// Pre-serialize every summary (compact); the bytes are all the
-	// snapshot keeps of it. ~100 B per AS; all of them for an 80k-AS
+	// snapshot keeps of it. ~140 B per AS; all of them for an 80k-AS
 	// Internet is a few MB — cheap insurance that point lookups never
-	// touch the encoder.
+	// touch the encoder. A chunk of ASes writes its summaries into one
+	// buffer, each capped at its end, byte for byte what
+	// json.Marshal(asnSummary{…}) writes.
 	coneASes := snap.ConeSizes()
 	summaryJSON := make([][]byte, n)
 	pool.Chunks(0, n, 256, func(lo, hi int) {
+		buf := make([]byte, 0, (hi-lo)*summarySizeHint)
+		ends := make([]int, hi-lo)
 		for i := lo; i < hi; i++ {
-			asn := snap.ASNs[i]
-			b, err := json.Marshal(asnSummary{
-				ASN:           asn,
+			buf = appendSummary(buf, asnSummary{
+				ASN:           snap.ASNs[i],
 				Rank:          rankOf[i],
 				ConeASes:      int(coneASes[i]),
 				ConePrefixes:  int(snap.ConePrefixes[i]),
@@ -125,12 +146,14 @@ func BuildSnapshot(snap *warehouse.Snapshot) *Data {
 				Providers:     roles[i].providers,
 				Customers:     roles[i].customers,
 				Peers:         roles[i].peers,
-				InClique:      cliqueSet[asn],
+				InClique:      cliqueSet[snap.ASNs[i]],
 			})
-			if err != nil { // asnSummary is plain ints/bools; cannot fail
-				panic("apiserver: summary marshal: " + err.Error())
-			}
-			summaryJSON[i] = b
+			ends[i-lo] = len(buf)
+		}
+		from := 0
+		for i, to := range ends {
+			summaryJSON[lo+i] = buf[from:to:to]
+			from = to
 		}
 	})
 
@@ -144,7 +167,7 @@ func BuildSnapshot(snap *warehouse.Snapshot) *Data {
 		pathCount:   int(snap.PathCount),
 		numLinks:    len(snap.Links),
 	}
-	d.etag = d.computeETag()
+	d.etag = d.computeETag(snap)
 	d.etagHeader = []string{d.etag}
 	d.serializeHot()
 	return d
@@ -153,23 +176,74 @@ func BuildSnapshot(snap *warehouse.Snapshot) *Data {
 // roleCounts is one AS's neighbors by their role relative to it.
 type roleCounts struct{ providers, customers, peers int }
 
+// summarySizeHint is a summary's length in bytes with a five-digit ASN
+// and rank and one- to three-digit counts, rounded up: what a chunk's
+// buffer is sized for, so that most chunks never regrow it.
+const summarySizeHint = 160
+
+// appendSummary appends s's JSON encoding, the bytes json.Marshal(s)
+// returns, to buf.
+func appendSummary(buf []byte, s asnSummary) []byte {
+	buf = append(buf, `{"asn":`...)
+	buf = strconv.AppendUint(buf, uint64(s.ASN), 10)
+	buf = append(buf, `,"rank":`...)
+	buf = strconv.AppendInt(buf, int64(s.Rank), 10)
+	buf = append(buf, `,"coneASes":`...)
+	buf = strconv.AppendInt(buf, int64(s.ConeASes), 10)
+	buf = append(buf, `,"conePrefixes":`...)
+	buf = strconv.AppendInt(buf, int64(s.ConePrefixes), 10)
+	buf = append(buf, `,"transitDegree":`...)
+	buf = strconv.AppendInt(buf, int64(s.TransitDegree), 10)
+	buf = append(buf, `,"degree":`...)
+	buf = strconv.AppendInt(buf, int64(s.Degree), 10)
+	buf = append(buf, `,"providers":`...)
+	buf = strconv.AppendInt(buf, int64(s.Providers), 10)
+	buf = append(buf, `,"customers":`...)
+	buf = strconv.AppendInt(buf, int64(s.Customers), 10)
+	buf = append(buf, `,"peers":`...)
+	buf = strconv.AppendInt(buf, int64(s.Peers), 10)
+	buf = append(buf, `,"inClique":`...)
+	buf = strconv.AppendBool(buf, s.InClique)
+	return append(buf, '}')
+}
+
 // computeETag derives the snapshot's strong validator: FNV-1a over
-// every pre-serialized summary in rank order plus the clique and
-// corpus dimensions. Any change to ranks, cones, relationships, or the
+// every pre-serialized summary in rank order, the clique, the corpus
+// dimensions, the link column — both ends, relationship and the step
+// that labeled it, all /links serves — and the cone member lists /cone
+// serves. Any change to ranks, cones, relationships, provenance or the
 // corpus changes the tag; two identical snapshots produce identical
 // tags regardless of build parallelism.
-func (d *Data) computeETag() string {
+func (d *Data) computeETag(snap *warehouse.Snapshot) string {
 	h := fnv.New64a()
-	var num [8]byte
 	for _, p := range d.rankPos {
 		h.Write(d.summaryJSON[p])
 	}
-	for _, m := range d.clique {
-		binary.LittleEndian.PutUint32(num[:4], m)
-		h.Write(num[:4])
+	// The columns are written through one buffer, flushed as it fills.
+	buf := make([]byte, 0, 4096)
+	put := func(b []byte) []byte {
+		if len(b) > cap(b)-16 {
+			h.Write(b)
+			b = b[:0]
+		}
+		return b
 	}
-	binary.LittleEndian.PutUint64(num[:], uint64(d.pathCount))
-	h.Write(num[:])
+	for _, m := range d.clique {
+		buf = binary.LittleEndian.AppendUint32(put(buf), m)
+	}
+	buf = binary.LittleEndian.AppendUint64(put(buf), uint64(d.pathCount))
+	for _, l := range snap.Links {
+		buf = binary.LittleEndian.AppendUint32(put(buf), uint32(l.A))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(l.B))
+		buf = append(buf, byte(l.Rel), byte(l.Step))
+	}
+	start, members := d.cones.Columns()
+	for _, col := range [][]int32{start, members} {
+		for _, v := range col {
+			buf = binary.LittleEndian.AppendUint32(put(buf), uint32(v))
+		}
+	}
+	h.Write(buf)
 	return `"` + strconv.FormatUint(h.Sum64(), 16) + `"`
 }
 

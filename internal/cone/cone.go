@@ -29,6 +29,7 @@ package cone
 
 import (
 	"context"
+	"encoding/binary"
 	"net/netip"
 	"slices"
 	"sync"
@@ -72,21 +73,41 @@ func PrefixCounts(ds *paths.Dataset) map[uint32]int {
 // originWeights sums, per origin, the weight of each distinct prefix it
 // announces. weigh returns the prefix a row counts as — an invalid one
 // counts for nothing — and its weight.
+//
+// The distinct (origin, prefix) pairs are kept in two sets. An IPv4
+// prefix — every prefix of a typical corpus — is an 8-byte key in v4,
+// whose value is the first origin seen announcing it; only a second
+// origin of the same prefix (MOAS) and prefixes of other families take
+// the 24-byte OriginPrefix keys of rest.
 func originWeights[W int | int64](ds *paths.Dataset, weigh func(netip.Prefix) (netip.Prefix, W)) map[uint32]W {
-	seen := make(map[paths.OriginPrefix]struct{})
+	v4 := make(map[uint64]uint32)
+	rest := make(map[paths.OriginPrefix]struct{})
 	out := make(map[uint32]W)
 	for _, p := range ds.Paths {
 		prefix, w := weigh(p.Prefix)
-		fp := paths.FlatPrefix(prefix)
-		if !fp.IsValid() {
+		if !prefix.IsValid() {
 			continue
 		}
-		k := fp.WithOrigin(p.Origin())
-		if _, dup := seen[k]; dup {
+		origin := p.Origin()
+		if addr := prefix.Addr(); addr.Is4() {
+			a := addr.As4()
+			key := uint64(binary.BigEndian.Uint32(a[:]))<<8 | uint64(prefix.Bits())
+			first, seen := v4[key]
+			if !seen {
+				v4[key] = origin
+				out[origin] += w
+				continue
+			}
+			if first == origin {
+				continue
+			}
+		}
+		k := paths.FlatPrefix(prefix).WithOrigin(origin)
+		if _, dup := rest[k]; dup {
 			continue
 		}
-		seen[k] = struct{}{}
-		out[k.Origin] += w
+		rest[k] = struct{}{}
+		out[origin] += w
 	}
 	return out
 }

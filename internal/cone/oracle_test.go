@@ -2,10 +2,14 @@ package cone
 
 import (
 	"math/bits"
+	"math/rand"
+	"net/netip"
+	"reflect"
 	"slices"
 	"testing"
 
 	"github.com/asrank-go/asrank/internal/asindex"
+	"github.com/asrank-go/asrank/internal/paths"
 	"github.com/asrank-go/asrank/internal/pool"
 )
 
@@ -202,5 +206,81 @@ func TestBitsetBasics(t *testing.T) {
 	b.ForEach(func(i int32) { got = append(got, i) })
 	if !slices.Equal(got, []int32{0, 1, 63, 64, 129}) {
 		t.Errorf("ForEach order = %v", got)
+	}
+}
+
+// oracleOriginWeights is originWeights as one set of 24-byte
+// (origin, prefix) keys, every family alike: the implementation the
+// two-level set replaced.
+func oracleOriginWeights[W int | int64](ds *paths.Dataset, weigh func(netip.Prefix) (netip.Prefix, W)) map[uint32]W {
+	seen := make(map[paths.OriginPrefix]struct{})
+	out := make(map[uint32]W)
+	for _, p := range ds.Paths {
+		prefix, w := weigh(p.Prefix)
+		fp := paths.FlatPrefix(prefix)
+		if !fp.IsValid() {
+			continue
+		}
+		k := fp.WithOrigin(p.Origin())
+		if _, dup := seen[k]; dup {
+			continue
+		}
+		seen[k] = struct{}{}
+		out[k.Origin] += w
+	}
+	return out
+}
+
+// mixedPrefixCorpus draws n rows over a few origins and prefixes of
+// every shape the weights tell apart: IPv4 prefixes several origins
+// announce (MOAS), one prefix written plain, with host bits and
+// IPv4-mapped, mapped prefixes shorter than /96, IPv6, and invalid
+// prefixes with and without an address.
+func mixedPrefixCorpus(rng *rand.Rand, n int) *paths.Dataset {
+	prefixes := []netip.Prefix{
+		{},
+		netip.PrefixFrom(netip.MustParseAddr("10.0.0.0"), 99),
+		netip.PrefixFrom(netip.MustParseAddr("2001:db8::"), 200),
+		netip.MustParsePrefix("10.0.0.0/24"),
+		netip.MustParsePrefix("10.0.0.7/24"),
+		netip.MustParsePrefix("::ffff:10.0.0.0/120"),
+		netip.MustParsePrefix("::ffff:10.0.0.0/24"),
+		netip.MustParsePrefix("::ffff:10.0.0.0/96"),
+		netip.MustParsePrefix("0.0.0.0/0"),
+		netip.MustParsePrefix("255.255.255.255/32"),
+		netip.MustParsePrefix("2001:db8::/32"),
+		netip.MustParsePrefix("2001:db8::1/32"),
+	}
+	for i := 0; i < 40; i++ {
+		prefixes = append(prefixes, netip.PrefixFrom(netip.AddrFrom4([4]byte{192, 0, byte(i), byte(rng.Intn(2))}), 16+rng.Intn(17)))
+	}
+	ds := &paths.Dataset{}
+	for i := 0; i < n; i++ {
+		hops := []uint32{uint32(1 + rng.Intn(5)), uint32(10 + rng.Intn(6))}
+		ds.Add(paths.Path{Collector: "c", Prefix: prefixes[rng.Intn(len(prefixes))], ASNs: hops})
+	}
+	return ds
+}
+
+// TestOriginWeightsMatchOracle diffs PrefixCounts and AddressCounts
+// against the one-set implementation, on corpora of every prefix shape
+// and on a simulated one, whose prefixes are all IPv4.
+func TestOriginWeightsMatchOracle(t *testing.T) {
+	corpora := []*paths.Dataset{inferredCorpus(t, 3, 300).Dataset}
+	for seed := int64(1); seed <= 20; seed++ {
+		corpora = append(corpora, mixedPrefixCorpus(rand.New(rand.NewSource(seed)), 1+int(seed)*40))
+	}
+	prefixes := func(p netip.Prefix) (netip.Prefix, int) { return paths.CanonicalPrefix(p), 1 }
+	addresses := func(p netip.Prefix) (netip.Prefix, int64) {
+		p = v4Prefix(p)
+		return p, int64(1) << (32 - p.Bits())
+	}
+	for i, ds := range corpora {
+		if got, want := PrefixCounts(ds), oracleOriginWeights(ds, prefixes); !reflect.DeepEqual(got, want) {
+			t.Errorf("corpus %d: PrefixCounts = %v, oracle %v", i, got, want)
+		}
+		if got, want := AddressCounts(ds), oracleOriginWeights(ds, addresses); !reflect.DeepEqual(got, want) {
+			t.Errorf("corpus %d: AddressCounts = %v, oracle %v", i, got, want)
+		}
 	}
 }

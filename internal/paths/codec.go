@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/netip"
 	"slices"
 	"strconv"
@@ -296,8 +297,10 @@ func (b *block) parseLine(line []byte) (row, error) {
 	}
 	if i+1 < j {
 		var err error
-		if r.prefix, err = netip.ParsePrefix(string(line[i+1 : j])); err != nil {
-			return row{}, err
+		if r.prefix, ok = parsePrefix4(line[i+1 : j]); !ok {
+			if r.prefix, err = netip.ParsePrefix(string(line[i+1 : j])); err != nil {
+				return row{}, err
+			}
 		}
 	}
 	if r.text, ok = b.textIDs[string(line[j+1:])]; !ok {
@@ -374,9 +377,85 @@ func (rd *reader) dataset() *Dataset {
 	return &Dataset{Paths: out, groups: &Groups{Of: of, Hops: rd.texts}}
 }
 
+// parsePrefix4 parses the one spelling of an IPv4 prefix a RIB dump
+// writes — dotted quad, no leading zeros, a length of at most 32 — from
+// the line's bytes, with no string made of them. It reports false for
+// any other text, which netip.ParsePrefix then parses or words the
+// error for; what it accepts, ParsePrefix parses to the same prefix.
+func parsePrefix4(text []byte) (netip.Prefix, bool) {
+	var quad [4]byte
+	for k := range quad {
+		v, n := parseDecimal(text, 255)
+		if n == 0 || n == len(text) || text[n] != ".../"[k] {
+			return netip.Prefix{}, false
+		}
+		quad[k], text = byte(v), text[n+1:]
+	}
+	bits, n := parseDecimal(text, 32)
+	if n == 0 || n != len(text) {
+		return netip.Prefix{}, false
+	}
+	return netip.PrefixFrom(netip.AddrFrom4(quad), int(bits)), true
+}
+
+// parseDecimal reads the decimal number text starts with, if it is
+// written without leading zeros and is at most limit (below 1000), and
+// returns it and its length in bytes; the length is 0 when it is not.
+func parseDecimal(text []byte, limit uint32) (uint32, int) {
+	var v uint32
+	n := 0
+	for ; n < len(text) && n < 3 && '0' <= text[n] && text[n] <= '9'; n++ {
+		v = 10*v + uint32(text[n]-'0')
+	}
+	if n == 0 || n > 1 && text[0] == '0' || v > limit || n < len(text) && '0' <= text[n] && text[n] <= '9' {
+		return 0, 0
+	}
+	return v, n
+}
+
 // parseHops parses a white-space-separated AS path, cutting fields
-// where strings.Fields would.
+// where strings.Fields would. A path of ASCII digits and ASCII white
+// space is read in one pass over its bytes; any other — and every
+// malformed one — goes through the general parser, which words the
+// error.
 func parseHops(text []byte) ([]uint32, error) {
+	if asns, ok := parseHopsASCII(text); ok {
+		return asns, nil
+	}
+	return parseHopsSlow(text)
+}
+
+// parseHopsASCII is parseHops for a text of ASCII digits and ASCII
+// white space holding at least one ASN, each at most math.MaxUint32. It
+// reports false for any other text.
+func parseHopsASCII(text []byte) ([]uint32, bool) {
+	asns := make([]uint32, 0, bytes.Count(text, []byte{' '})+1)
+	var v uint64
+	in := false // inside a field
+	for _, c := range text {
+		switch {
+		case '0' <= c && c <= '9':
+			if v = 10*v + uint64(c-'0'); v > math.MaxUint32 {
+				return nil, false
+			}
+			in = true
+		case c == ' ' || '\t' <= c && c <= '\r': // where strings.Fields cuts below utf8.RuneSelf
+			if in {
+				asns, v, in = append(asns, uint32(v)), 0, false
+			}
+		default:
+			return nil, false
+		}
+	}
+	if in {
+		asns = append(asns, uint32(v))
+	}
+	return asns, len(asns) > 0
+}
+
+// parseHopsSlow is the general parser: fields cut at unicode.IsSpace,
+// each parsed by strconv.ParseUint.
+func parseHopsSlow(text []byte) ([]uint32, error) {
 	asns := make([]uint32, 0, bytes.Count(text, []byte{' '})+1)
 	for {
 		text = bytes.TrimLeftFunc(text, unicode.IsSpace)

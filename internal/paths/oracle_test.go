@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -201,6 +202,34 @@ var readSeeds = []string{
 	"c1|192.0.2.0/24| \t ",
 	"c1|192.0.2.0/24|10 20|extra",
 	"ok|192.0.2.0/24|1 2\nc1|192.0.2.0/24|1 \xff 2\n",
+	// Both sides of the IPv4 prefix fast path: what it parses, and
+	// what it leaves to netip.ParsePrefix to parse or refuse.
+	"c1|0.0.0.0/0|1 2\nc1|255.255.255.255/32|1 2\nc1|10.0.0.0/8|1 2\nc1|1.20.255.0/24|1 2\n",
+	"c1|010.0.0.0/8|1 2",
+	"c1|10.0.0.0/08|1 2",
+	"c1|10.0.0.0/33|1 2",
+	"c1|10.0.0.0/100|1 2",
+	"c1|256.0.0.0/8|1 2",
+	"c1|1000.0.0.0/8|1 2",
+	"c1|1.2.3.4|1 2",
+	"c1|1.2.3.4/|1 2",
+	"c1|1.2.3.4.5/8|1 2",
+	"c1|1.2.3/8|1 2",
+	"c1|1..3.4/8|1 2",
+	"c1|1.2.3.4/24x|1 2",
+	"c1|1.2.3.4/+8|1 2",
+	"c1|1.2.3.4/24 |1 2",
+	// Both sides of the AS-path fast path: ASCII white space of every
+	// kind, and white space and digits it leaves to the general parser.
+	"c1|192.0.2.0/24|1\v2\f3\t4\r5\n",
+	"c1|192.0.2.0/24|1\u00a02",
+	"c1|192.0.2.0/24|1\u00852",
+	"c1|192.0.2.0/24|1\xa02",
+	"c1|192.0.2.0/24|1\u20002",
+	"c1|192.0.2.0/24|0042 7",
+	"c1|192.0.2.0/24|04294967295",
+	"c1|192.0.2.0/24|4294967295 04294967296",
+	"c1|192.0.2.0/24|1 \x002",
 }
 
 func TestReadMatchesOracle(t *testing.T) {
@@ -555,5 +584,38 @@ func TestSanitizeFromReadGroups(t *testing.T) {
 				t.Fatalf("seed %d %s: GroupByHopsFeed of the read rows %+v, of unshared ones %+v", seed, name, again, wantAgain)
 			}
 		}
+	}
+}
+
+// TestReadAllocatesPerTextNotPerRow: a row's prefix and AS path are
+// parsed from the line's bytes, so what a read allocates grows with its
+// blocks and its distinct texts, not with its rows. Rows of 16 texts
+// over 2 collectors and distinct prefixes: a string made per row, as
+// netip.ParsePrefix needs, is a hundred times the bound.
+func TestReadAllocatesPerTextNotPerRow(t *testing.T) {
+	var in bytes.Buffer
+	for i := 0; i < 100000; i++ {
+		fmt.Fprintf(&in, "rv%d|10.%d.%d.0/24|%d 20 30\n", i%2, i>>8&255, i&255, 100+i%16)
+	}
+	read := func() (*reader, uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rd := newReader(bytes.NewReader(in.Bytes()), readBlockSize)
+		if _, err := rd.read(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return rd, after.Mallocs - before.Mallocs
+	}
+	read() // warm the pool's workers
+	rd, got := read()
+	texts := 0
+	for _, pb := range rd.parsed {
+		texts += len(pb.texts) + len(pb.names)
+	}
+	bound := 24*uint64(len(rd.parsed)) + 3*uint64(texts) + 64
+	t.Logf("%d rows in %d blocks, %d block texts and names: %d allocations, bound %d", 100000, len(rd.parsed), texts, got, bound)
+	if got > bound {
+		t.Errorf("Read of 100000 rows allocated %d times, more than 24 a block and 3 a text (%d)", got, bound)
 	}
 }
