@@ -129,10 +129,15 @@ func BuildSnapshot(snap *warehouse.Snapshot) *Data {
 	// Internet is a few MB — cheap insurance that point lookups never
 	// touch the encoder. A chunk of ASes writes its summaries into one
 	// buffer, each capped at its end, byte for byte what
-	// json.Marshal(asnSummary{…}) writes.
+	// json.Marshal(asnSummary{…}) writes, and hashes them a segment at
+	// a time for the ETag. pool.Chunks cuts at multiples of the chunk
+	// size, or runs one (0, n) chunk on one worker: either way each
+	// segment lies whole in one chunk, so its digest does not depend on
+	// the worker count.
 	coneASes := snap.ConeSizes()
 	summaryJSON := make([][]byte, n)
-	pool.Chunks(0, n, 256, func(lo, hi int) {
+	digests := make([]uint64, (n+etagSegment-1)/etagSegment)
+	pool.Chunks(0, n, etagSegment, func(lo, hi int) {
 		buf := make([]byte, 0, (hi-lo)*summarySizeHint)
 		ends := make([]int, hi-lo)
 		for i := lo; i < hi; i++ {
@@ -155,6 +160,13 @@ func BuildSnapshot(snap *warehouse.Snapshot) *Data {
 			summaryJSON[lo+i] = buf[from:to:to]
 			from = to
 		}
+		for seg := lo; seg < hi; seg += etagSegment {
+			from, to := 0, ends[min(seg+etagSegment, hi)-lo-1]
+			if seg > lo {
+				from = ends[seg-lo-1]
+			}
+			digests[seg/etagSegment] = fnv1a(buf[from:to])
+		}
 	})
 
 	d := &Data{
@@ -167,7 +179,7 @@ func BuildSnapshot(snap *warehouse.Snapshot) *Data {
 		pathCount:   int(snap.PathCount),
 		numLinks:    len(snap.Links),
 	}
-	d.etag = d.computeETag(snap)
+	d.etag = d.computeETag(snap, digests)
 	d.etagHeader = []string{d.etag}
 	d.serializeHot()
 	return d
@@ -207,18 +219,29 @@ func appendSummary(buf []byte, s asnSummary) []byte {
 	return append(buf, '}')
 }
 
-// computeETag derives the snapshot's strong validator: FNV-1a over
-// every pre-serialized summary in rank order, the clique, the corpus
-// dimensions, the link column — both ends, relationship and the step
-// that labeled it, all /links serves — and the cone member lists /cone
-// serves. Any change to ranks, cones, relationships, provenance or the
-// corpus changes the tag; two identical snapshots produce identical
-// tags regardless of build parallelism.
-func (d *Data) computeETag(snap *warehouse.Snapshot) string {
-	h := fnv.New64a()
-	for _, p := range d.rankPos {
-		h.Write(d.summaryJSON[p])
+// etagSegment is how many summaries, in position order, one ETag digest
+// covers: the unit BuildSnapshot's pool pass hashes them in.
+const etagSegment = 256
+
+// fnv1a is the 64-bit FNV-1a hash of b.
+func fnv1a(b []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range b {
+		h = (h ^ uint64(c)) * 1099511628211
 	}
+	return h
+}
+
+// computeETag derives the snapshot's strong validator: FNV-1a over the
+// digests of the pre-serialized summaries, one per etagSegment of them
+// in position order (each summary holds the AS's rank), the clique, the
+// corpus dimensions, the link column — both ends, relationship and the
+// step that labeled it, all /links serves — and the cone member lists
+// /cone serves. Any change to ranks, cones, relationships, provenance or
+// the corpus changes the tag; two identical snapshots produce identical
+// tags regardless of build parallelism.
+func (d *Data) computeETag(snap *warehouse.Snapshot, digests []uint64) string {
+	h := fnv.New64a()
 	// The columns are written through one buffer, flushed as it fills.
 	buf := make([]byte, 0, 4096)
 	put := func(b []byte) []byte {
@@ -227,6 +250,9 @@ func (d *Data) computeETag(snap *warehouse.Snapshot) string {
 			b = b[:0]
 		}
 		return b
+	}
+	for _, dg := range digests {
+		buf = binary.LittleEndian.AppendUint64(put(buf), dg)
 	}
 	for _, m := range d.clique {
 		buf = binary.LittleEndian.AppendUint32(put(buf), m)

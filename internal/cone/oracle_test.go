@@ -264,11 +264,25 @@ func mixedPrefixCorpus(rng *rand.Rand, n int) *paths.Dataset {
 
 // TestOriginWeightsMatchOracle diffs PrefixCounts and AddressCounts
 // against the one-set implementation, on corpora of every prefix shape
-// and on a simulated one, whose prefixes are all IPv4.
+// and on a simulated one, whose prefixes are all IPv4. Each corpus is
+// also counted shuffled, where few rows repeat the one before, and
+// sorted by prefix, where most do.
 func TestOriginWeightsMatchOracle(t *testing.T) {
 	corpora := []*paths.Dataset{inferredCorpus(t, 3, 300).Dataset}
 	for seed := int64(1); seed <= 20; seed++ {
 		corpora = append(corpora, mixedPrefixCorpus(rand.New(rand.NewSource(seed)), 1+int(seed)*40))
+	}
+	rng := rand.New(rand.NewSource(21))
+	for _, ds := range corpora {
+		shuffled := &paths.Dataset{Paths: slices.Clone(ds.Paths)}
+		rng.Shuffle(len(shuffled.Paths), func(i, j int) {
+			shuffled.Paths[i], shuffled.Paths[j] = shuffled.Paths[j], shuffled.Paths[i]
+		})
+		sorted := &paths.Dataset{Paths: slices.Clone(ds.Paths)}
+		slices.SortStableFunc(sorted.Paths, func(a, b paths.Path) int {
+			return paths.FlatPrefix(a.Prefix).Compare(paths.FlatPrefix(b.Prefix))
+		})
+		corpora = append(corpora, shuffled, sorted)
 	}
 	prefixes := func(p netip.Prefix) (netip.Prefix, int) { return paths.CanonicalPrefix(p), 1 }
 	addresses := func(p netip.Prefix) (netip.Prefix, int64) {

@@ -331,10 +331,12 @@ func indexCorpus(ctx context.Context, ds *paths.Dataset, opts Options) indexed {
 // pass hands each sequence to a feed as it is born, and two folders
 // drain the feed into both layers at once, +1 per sequence: one folds
 // the hop contexts (foldHops), each probed once for the two layers, the
-// other the path ends (foldEnds). Inference reads key presence and the
-// derived distinct-neighbour counts only, so +1 per sequence builds the
-// index a +1 per row would (DESIGN.md §5) — the rule the streaming
-// engine folds by. The grouping it returns is the pass's own — never
+// other the path ends (foldEnds). Each first sizes its largest table by
+// the number of groups the pass announces it was handed (Feed.SizeHint):
+// no second pass over the rows, and no table regrown from empty.
+// Inference reads key presence and the derived distinct-neighbour
+// counts only, so +1 per sequence builds the index a +1 per row would
+// (DESIGN.md §5) — the rule the streaming engine folds by. The grouping it returns is the pass's own — never
 // the one a caller's dataset carries — so step 4 compacts it in place.
 //
 // A caller's corpus loses its rows holding AS 0 first: the number is
@@ -383,10 +385,12 @@ func foldAtBirth(ctx context.Context, ds *paths.Dataset, opts Options) (*CorpusI
 				stepOne()
 			case 1:
 				_, ph := trace.StartPhase(ctx, "core.infer.index.fold")
+				ix.sizeHops(feed.SizeHint())
 				feed.Each(func(hops []uint32) { ix.foldHops(hops, 1, 1) })
 				ph.End(nil, &foldMs[0])
 			case 2:
 				_, ph := trace.StartPhase(ctx, "core.infer.index.fold_ends")
+				ix.sizeEnds(feed.SizeHint())
 				feed.Each(func(hops []uint32) { ix.foldEnds(hops, 1, 1) })
 				ph.End(nil, &foldMs[1])
 			}

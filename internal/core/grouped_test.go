@@ -246,7 +246,8 @@ func tables(ix *CorpusIndex) map[string]any {
 // whole Result is equal. With one worker the three tasks run in order,
 // with two the end folder waits for a worker, with three all run at
 // once; under -race the folders and step 1 are checked against each
-// other.
+// other. Each corpus is folded as built, into unsized tables, and read
+// back through Read, into tables sized by the grouping it carries.
 func TestFoldAtBirthBuildsThePerRowIndex(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 3, 4} {
@@ -259,18 +260,23 @@ func TestFoldAtBirthBuildsThePerRowIndex(t *testing.T) {
 				raw = sanitizedRows(raw)
 			}
 			wantIx, want := indexPerRow(raw, opts)
-			got := indexCorpus(context.Background(), raw, opts.withDefaults())
 			wantTables := tables(wantIx)
-			for name, table := range tables(got.ix) {
-				if !reflect.DeepEqual(table, wantTables[name]) {
-					t.Fatalf("GOMAXPROCS=%d seed %d: table %s\n got %v\nwant %v", procs, seed, name, table, wantTables[name])
+			for _, in := range []struct {
+				name string
+				ds   *paths.Dataset
+			}{{"rows", raw}, {"read", readBack(t, raw)}} {
+				got := indexCorpus(context.Background(), in.ds, opts.withDefaults())
+				for name, table := range tables(got.ix) {
+					if !reflect.DeepEqual(table, wantTables[name]) {
+						t.Fatalf("GOMAXPROCS=%d seed %d %s: table %s\n got %v\nwant %v", procs, seed, in.name, name, table, wantTables[name])
+					}
 				}
-			}
-			if !reflect.DeepEqual(got.kept.Paths, want.Dataset.Paths) || got.poisoned != want.PoisonedPaths {
-				t.Fatalf("GOMAXPROCS=%d seed %d: kept rows differ from the per-row passes'", procs, seed)
-			}
-			if err := groupedByHops(got.kept); err != nil {
-				t.Fatalf("GOMAXPROCS=%d seed %d: %v", procs, seed, err)
+				if !reflect.DeepEqual(got.kept.Paths, want.Dataset.Paths) || got.poisoned != want.PoisonedPaths {
+					t.Fatalf("GOMAXPROCS=%d seed %d %s: kept rows differ from the per-row passes'", procs, seed, in.name)
+				}
+				if err := groupedByHops(got.kept); err != nil {
+					t.Fatalf("GOMAXPROCS=%d seed %d %s: %v", procs, seed, in.name, err)
+				}
 			}
 			if err := resultDiff(Infer(raw, opts), inferPerRow(raw, opts)); err != nil {
 				t.Fatalf("GOMAXPROCS=%d seed %d: Infer differs from the per-row pipeline: %v", procs, seed, err)
@@ -290,6 +296,24 @@ func TestFoldAtBirthBuildsThePerRowIndex(t *testing.T) {
 			t.Errorf("GOMAXPROCS=%d: %d of %d sequences poisoned, want a tenth or more", procs, poisonedSeqs, sequences)
 		}
 	}
+}
+
+// readBack writes ds in the text format and reads it back: the same
+// rows, grouped by Read.
+func readBack(t *testing.T, ds *paths.Dataset) *paths.Dataset {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := paths.Write(&buf, ds); err != nil {
+		t.Fatal(err)
+	}
+	read, err := paths.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if read.Groups() == nil {
+		t.Fatal("a dataset Read returned carries no grouping of its rows")
+	}
+	return read
 }
 
 // TestFoldersDoNotOutliveInfer: the two folders are pool tasks, so
@@ -366,7 +390,7 @@ func prefixMajor(ds *paths.Dataset) *paths.Dataset {
 // BenchmarkInferBatch runs the corpus in the order bgpsim writes it
 // (origin-major: consecutive rows share a path) and in a RIB dump's.
 func BenchmarkInferBatch(b *testing.B) {
-	file, _ := batchCorpus(b)
+	file, rows := batchCorpus(b)
 	ds, err := paths.Read(bytes.NewReader(file))
 	if err != nil {
 		b.Fatal(err)
@@ -377,9 +401,15 @@ func BenchmarkInferBatch(b *testing.B) {
 	}{{"origin-major", ds}, {"prefix-major", prefixMajor(ds)}} {
 		b.Run(order.name, func(b *testing.B) {
 			b.ReportAllocs()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				Infer(order.ds, Options{Sanitize: true})
 			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*rows), "B/row")
 		})
 	}
 }

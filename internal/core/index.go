@@ -182,6 +182,17 @@ func NewCorpusIndex() *CorpusIndex {
 	}
 }
 
+// sizeHops and sizeEnds size the largest table of each folder — the hop
+// contexts and the (VP, origin) pairs — for the distinct paths a batch
+// fold is about to fold, before it folds any: a RIB's paths add about
+// one new context and one pair each (63 467 contexts and 79 125 pairs
+// of 79 125 sequences at 10k ASes). They touch disjoint tables, as the
+// folders do, and replace tables nothing was folded into. The streaming
+// engine's index, whose paths come and go, stays unsized.
+func (ix *CorpusIndex) sizeHops(n int) { ix.triples = make(map[Triple]counts, n) }
+
+func (ix *CorpusIndex) sizeEnds(n int) { ix.vpOrigins = make(map[VPPair]int, n) }
+
 // bump adjusts a reference count, deleting the key at zero so key
 // presence always means "at least one backing occurrence", and reports
 // the key's birth (1), death (-1) or neither (0). The invariant lets an

@@ -3,6 +3,7 @@ package paths_test
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -37,16 +38,26 @@ func batchCorpus(b testing.TB) []byte {
 	return buf.Bytes()
 }
 
+// BenchmarkRead reports, beside B/op, the bytes a read allocates per
+// row it returns.
 func BenchmarkRead(b *testing.B) {
 	file := batchCorpus(b)
 	b.SetBytes(int64(len(file)))
 	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	b.ResetTimer()
+	rows := 0
 	for i := 0; i < b.N; i++ {
-		if _, err := paths.Read(bytes.NewReader(file)); err != nil {
+		ds, err := paths.Read(bytes.NewReader(file))
+		if err != nil {
 			b.Fatal(err)
 		}
+		rows += len(ds.Paths)
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(rows), "B/row")
 }
 
 // TestReadConcurrently: a Read shares nothing with another — its wave
@@ -78,7 +89,7 @@ func TestReadConcurrently(t *testing.T) {
 // BenchmarkSanitize runs the corpus in the order bgpsim writes it
 // (origin-major: consecutive rows share a path) and in the order an MRT
 // TABLE_DUMP_V2 file has (prefix-major: a path's rows lie scattered).
-// The first is the dataset Read returned, cleaned per text group; the
+// The first is the dataset Read returned, cleaned per path group; the
 // second has its rows reordered, so it is cleaned per row, grouped by
 // content; the third is the same collection as FromMRT loads its RIB
 // snapshot, prefix-major and cleaned per group of the loader's grouping.

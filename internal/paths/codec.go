@@ -6,6 +6,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"math"
 	"net/netip"
@@ -92,13 +93,14 @@ const (
 	readBlockSize = 256 << 10
 )
 
-// Read parses the text format. Rows that carry the same AS-path text
-// share one ASNs slice and rows from the same collector share one
-// Collector string: a RIB is a few paths repeated across many prefixes,
-// so each distinct path is parsed and allocated once, and no row pins
-// the line it was read from. The dataset keeps that grouping of its
-// rows by text, for Sanitize and GroupByHopsFeed to work per text
-// while it still describes the rows (see Dataset).
+// Read parses the text format. Rows that carry the same AS path — in
+// any spelling — share one ASNs slice and rows from the same collector
+// share one Collector string: a RIB is a few paths repeated across many
+// prefixes, so each distinct text is parsed once, each distinct path
+// allocated once, and no row pins the line it was read from. The
+// dataset keeps that grouping of its rows by path, for Sanitize and
+// GroupByHopsFeed to work per path while it still describes the rows
+// (see Dataset).
 func Read(r io.Reader) (*Dataset, error) {
 	return ReadCtx(context.Background(), r)
 }
@@ -124,10 +126,11 @@ func ReadCtx(ctx context.Context, r io.Reader) (*Dataset, error) {
 // wave of blocks in parallel, each block interning collector names and
 // AS-path texts in tables of its own. When the input ends the blocks'
 // distinct texts — a third of the rows — are unified in file order into
-// groups, so a text's rows share the slice of the first block that saw
-// it, and the rows and their groups are written, again in parallel,
-// into a dataset allocated at its size. The block buffers and intern
-// tables belong to the wave's slots and are reused by the next wave.
+// groups by the hops they parsed to, so a path's rows share the slice
+// of the first block that saw it, and the rows and their groups are
+// written, again in parallel, into a dataset allocated at its size. The
+// block buffers and intern tables belong to the wave's slots and are
+// reused by the next wave.
 type reader struct {
 	src       io.Reader
 	blockSize int
@@ -137,7 +140,7 @@ type reader struct {
 	wave   []block
 	parsed []parsedBlock
 	lines  int        // in parsed
-	texts  [][]uint32 // by group: the distinct AS-path texts' hops in file order, once unified
+	texts  [][]uint32 // by group: the distinct AS paths' hops in file order, once unified
 }
 
 func newReader(src io.Reader, blockSize int) *reader {
@@ -211,9 +214,16 @@ func (rd *reader) fill(buf []byte) []byte {
 
 // block is one slot of a wave: a buffer of whole lines, the tables its
 // parse interns through, and what the parse leaves for the dataset.
+//
+// An AS-path text is found by a seeded hash of its bytes: textIDs maps
+// a hash to the newest text with it, each text chains to the older
+// ones, and a text matches only when its bytes equal the probe's. A
+// text's bytes are the buffer's own, alive while the block parses, so
+// interning a text copies nothing of it.
 type block struct {
 	buf        []byte
-	textIDs    map[string]uint32 // AS-path text → index in texts
+	seed       maphash.Seed
+	textIDs    map[uint64]uint32 // hash of an AS-path text → its newest index in texts
 	texts      []text
 	collectors map[string]uint32 // collector name → index in names
 	names      []string
@@ -223,42 +233,56 @@ type block struct {
 	out   parsedBlock
 }
 
-// text is one distinct AS-path text of a block and the hops it parsed
-// to; the first block's hops of a text are the ones every row of it
-// shares.
+// text is one distinct AS-path text of a block while it parses: its
+// bytes in the block's buffer, the next older text with its hash, and
+// the hops it parsed to.
 type text struct {
-	key  string
+	key  []byte
+	next uint32 // noText at the oldest text of its hash
 	hops []uint32
 }
+
+// noText ends a chain of texts with one hash.
+const noText = math.MaxUint32
 
 // parsedBlock is a block's rows and the tables their ids index, copied
 // out of the slot at their size; unify adds each text's group.
 type parsedBlock struct {
 	rows   []row
-	texts  []text
-	names  []string
-	groups []int32 // by text: its group, numbered across blocks in file order
+	texts  [][]uint32     // by text: the hops it parsed to
+	names  []string       // by collector id
+	others []netip.Prefix // the prefixes parsePrefix4 left to netip.ParsePrefix
+	groups []int32        // by text: its group, numbered across blocks in file order
 }
 
-// row is a parsed line: ids index its block's tables.
+// row is a parsed line: ids index its block's tables. Its prefix is
+// packed: a canonical IPv4 prefix as parsePrefix4 packs it, or
+// otherPrefix | i for the block's others[i] — any other spelling, IPv6
+// and the empty field included. Sixteen bytes a row, where a
+// netip.Prefix alone is thirty-two.
 type row struct {
-	prefix    netip.Prefix
+	prefix    uint64
 	collector uint32
 	text      uint32
 }
+
+// otherPrefix tags a row's prefix as an index into its block's others;
+// a packed IPv4 prefix uses the low 40 bits only.
+const otherPrefix = 1 << 63
 
 func (b *block) parse() {
 	// Every line could be a row and every row a new text, so tables of
 	// that many entries are sized once; a slot's later blocks reuse them.
 	n := bytes.Count(b.buf, []byte{'\n'}) + 1
 	if b.textIDs == nil {
-		b.textIDs, b.collectors = make(map[string]uint32, n), make(map[string]uint32)
+		b.seed = maphash.MakeSeed()
+		b.textIDs, b.collectors = make(map[uint64]uint32, n), make(map[string]uint32)
 	}
 	clear(b.textIDs)
 	clear(b.collectors)
 	b.texts, b.names = slices.Grow(b.texts[:0], n), b.names[:0]
 	b.lines, b.err = 0, nil
-	rows := make([]row, 0, n)
+	b.out = parsedBlock{rows: make([]row, 0, n)}
 	for rest := b.buf; len(rest) > 0 && b.err == nil; {
 		line := rest
 		if i := bytes.IndexByte(rest, '\n'); i >= 0 {
@@ -277,10 +301,14 @@ func (b *block) parse() {
 		}
 		var r row
 		if r, b.err = b.parseLine(line); b.err == nil {
-			rows = append(rows, r)
+			b.out.rows = append(b.out.rows, r)
 		}
 	}
-	b.out = parsedBlock{rows: rows, texts: slices.Clone(b.texts), names: slices.Clone(b.names)}
+	b.out.texts = make([][]uint32, len(b.texts))
+	for i, t := range b.texts {
+		b.out.texts[i] = t.hops
+	}
+	b.out.names = slices.Clone(b.names)
 }
 
 func (b *block) parseLine(line []byte) (row, error) {
@@ -295,50 +323,57 @@ func (b *block) parseLine(line []byte) (row, error) {
 		b.names = append(b.names, string(line[:i]))
 		b.collectors[b.names[r.collector]] = r.collector
 	}
-	if i+1 < j {
-		var err error
-		if r.prefix, ok = parsePrefix4(line[i+1 : j]); !ok {
-			if r.prefix, err = netip.ParsePrefix(string(line[i+1 : j])); err != nil {
+	if r.prefix, ok = parsePrefix4(line[i+1 : j]); !ok {
+		var p netip.Prefix
+		if i+1 < j {
+			var err error
+			if p, err = netip.ParsePrefix(string(line[i+1 : j])); err != nil {
 				return row{}, err
 			}
 		}
+		r.prefix = otherPrefix | uint64(len(b.out.others))
+		b.out.others = append(b.out.others, p)
 	}
-	if r.text, ok = b.textIDs[string(line[j+1:])]; !ok {
-		hops, err := parseHops(line[j+1:])
-		if err != nil {
-			return row{}, err
+	key := line[j+1:]
+	h := maphash.Bytes(b.seed, key)
+	head, seen := b.textIDs[h]
+	if !seen {
+		head = noText
+	}
+	for id := head; id != noText; id = b.texts[id].next {
+		if bytes.Equal(b.texts[id].key, key) {
+			r.text = id
+			return r, nil
 		}
-		r.text = uint32(len(b.texts))
-		b.texts = append(b.texts, text{key: string(line[j+1:]), hops: hops})
-		b.textIDs[b.texts[r.text].key] = r.text
 	}
+	hops, err := parseHops(key)
+	if err != nil {
+		return row{}, err
+	}
+	r.text = uint32(len(b.texts))
+	b.texts = append(b.texts, text{key: key, next: head, hops: hops})
+	b.textIDs[h] = r.text
 	return r, nil
 }
 
-// unify makes equal texts and equal names of different blocks one slice
-// and one string: the first block's in file order. Each distinct text
-// is a group, numbered in file order, and a block's text records its
-// group. The table and the groups are sized by the blocks' distinct
-// texts, of which few repeat across blocks.
+// unify makes equal paths and equal names of different blocks one slice
+// and one string: the first block's in file order. Each distinct path —
+// not text: two spellings of one path are one — is a group, numbered in
+// file order, and a block's text records its group. The table and the
+// groups are sized by the blocks' distinct texts, of which few repeat
+// across blocks.
 func (rd *reader) unify() {
 	n := 0
 	for _, pb := range rd.parsed {
 		n += len(pb.texts)
 	}
-	groups := make(map[string]int32, n)
-	rd.texts = make([][]uint32, 0, n)
+	groups := newSequences(n)
 	collectors := make(map[string]string)
 	for k := range rd.parsed {
 		pb := &rd.parsed[k]
 		pb.groups = make([]int32, len(pb.texts))
-		for i, t := range pb.texts {
-			g, ok := groups[t.key]
-			if !ok {
-				g = int32(len(rd.texts))
-				groups[t.key] = g
-				rd.texts = append(rd.texts, t.hops)
-			}
-			pb.groups[i] = g
+		for i, hops := range pb.texts {
+			pb.groups[i], _ = groups.Intern(hops, false)
 		}
 		for i, name := range pb.names {
 			if shared, ok := collectors[name]; ok {
@@ -348,6 +383,7 @@ func (rd *reader) unify() {
 			}
 		}
 	}
+	rd.texts = groups.hops
 }
 
 // dataset writes the parsed blocks' rows into one slice of their size,
@@ -369,8 +405,13 @@ func (rd *reader) dataset() *Dataset {
 			dst, dstOf := out[starts[k]:starts[k+1]], of[starts[k]:starts[k+1]]
 			for i, r := range pb.rows {
 				g := pb.groups[r.text]
-				dst[i] = Path{Collector: pb.names[r.collector], Prefix: r.prefix, ASNs: rd.texts[g]}
-				dstOf[i] = g
+				p := Path{Collector: pb.names[r.collector], ASNs: rd.texts[g]}
+				if r.prefix&otherPrefix != 0 {
+					p.Prefix = pb.others[r.prefix&^otherPrefix]
+				} else {
+					p.Prefix = prefix4(r.prefix)
+				}
+				dst[i], dstOf[i] = p, g
 			}
 		}
 	})
@@ -379,23 +420,30 @@ func (rd *reader) dataset() *Dataset {
 
 // parsePrefix4 parses the one spelling of an IPv4 prefix a RIB dump
 // writes — dotted quad, no leading zeros, a length of at most 32 — from
-// the line's bytes, with no string made of them. It reports false for
+// the line's bytes, with no string made of them, and packs it as the
+// address above the length: address<<8 | length. It reports false for
 // any other text, which netip.ParsePrefix then parses or words the
-// error for; what it accepts, ParsePrefix parses to the same prefix.
-func parsePrefix4(text []byte) (netip.Prefix, bool) {
-	var quad [4]byte
-	for k := range quad {
+// error for; what it accepts, ParsePrefix parses to prefix4 of it.
+func parsePrefix4(text []byte) (uint64, bool) {
+	var addr uint64
+	for k := range 4 {
 		v, n := parseDecimal(text, 255)
 		if n == 0 || n == len(text) || text[n] != ".../"[k] {
-			return netip.Prefix{}, false
+			return 0, false
 		}
-		quad[k], text = byte(v), text[n+1:]
+		addr, text = addr<<8|uint64(v), text[n+1:]
 	}
 	bits, n := parseDecimal(text, 32)
 	if n == 0 || n != len(text) {
-		return netip.Prefix{}, false
+		return 0, false
 	}
-	return netip.PrefixFrom(netip.AddrFrom4(quad), int(bits)), true
+	return addr<<8 | uint64(bits), true
+}
+
+// prefix4 unpacks a prefix parsePrefix4 packed.
+func prefix4(packed uint64) netip.Prefix {
+	a := uint32(packed >> 8)
+	return netip.PrefixFrom(netip.AddrFrom4([4]byte{byte(a >> 24), byte(a >> 16), byte(a >> 8), byte(a)}), int(packed&0xff))
 }
 
 // parseDecimal reads the decimal number text starts with, if it is

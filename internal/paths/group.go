@@ -3,8 +3,10 @@ package paths
 import "sync"
 
 // Groups partitions a dataset's rows by path, in first-seen row order;
-// every group has a row, and only Read's (by text) may hold equal hops
-// in two. Steps 1–4 and the observed cones are functions of a path's
+// every group has a row, and no two groups hold equal hops — Read's
+// included: its blocks intern AS-path texts, but two spellings of one
+// path ("1 2" and "1  2") are one group, whose slice both rows hold.
+// Steps 1–4 and the observed cones are functions of a path's
 // hops, never of the prefix or collector that carried it, and a RIB is
 // a few paths repeated across many prefixes: a pass over Hops does a
 // fraction of the work of a pass over rows and gives the same result.
@@ -121,14 +123,16 @@ func (gr *grouper) verdict(i int) int32 {
 // is grouped by content: each row is a group of its own,
 // added in row order, and the interning merges rows of equal hops — a
 // map of the rows' slices to find the rows that share one costs more
-// than the cleaning it would save. Either way the feed fills as the
-// pass goes.
+// than the cleaning it would save. Either way the feed first learns how
+// many groups an own grouping handed the pass (0 without one), then
+// fills as the pass goes.
 func newGrouper(ds *Dataset, feed *Feed, sanitize bool, ixp map[uint32]bool) *grouper {
 	gr := &grouper{feed: feed, sanitize: sanitize, ixp: ixp}
 	// Close on every path, a panicking pass included: a reader of the
 	// feed must not wait for a pass that is gone.
 	defer feed.Close()
 	if own := ds.Groups(); own != nil {
+		feed.announce(len(own.Hops))
 		gr.seqs = newSequences(len(own.Hops))
 		gr.verdicts = make([]int32, 0, len(own.Hops))
 		for _, hops := range own.Hops {
@@ -136,6 +140,7 @@ func newGrouper(ds *Dataset, feed *Feed, sanitize bool, ixp map[uint32]bool) *gr
 		}
 		gr.of = own.Of
 	} else {
+		feed.announce(0)
 		gr.seqs = NewSequences()
 		gr.verdicts = make([]int32, 0, len(ds.Paths))
 		for _, p := range ds.Paths {
@@ -181,11 +186,17 @@ const feedBatch = 256
 // reader: publishing swaps in a longer prefix of the writer's own slice
 // (Groups.Hops), whose published elements nobody writes again, so the
 // feed copies nothing and holds no queue of its own.
+//
+// Before the first sequence, the pass announces how many groups it was
+// handed: a bound on what it will publish, for readers to size their
+// tables by.
 type Feed struct {
-	mu     sync.Mutex
-	grew   sync.Cond // signalled by publish and Close
-	seqs   [][]uint32
-	closed bool
+	mu        sync.Mutex
+	grew      sync.Cond // signalled by announce, publish and Close
+	seqs      [][]uint32
+	size      int  // the announced bound; 0 when the pass had no grouping to count
+	announced bool // size is set
+	closed    bool
 }
 
 // NewFeed returns an empty, open feed.
@@ -204,6 +215,32 @@ func (f *Feed) intern(seqs *Sequences, hops []uint32, scratch bool) int32 {
 		f.publish(seqs.hops)
 	}
 	return id
+}
+
+// announce sets the bound SizeHint returns: the number of groups of the
+// grouping the pass was handed, or 0 when it had none that holds.
+func (f *Feed) announce(n int) {
+	if f == nil {
+		return
+	}
+	f.mu.Lock()
+	f.size, f.announced = n, true
+	f.mu.Unlock()
+	f.grew.Broadcast()
+}
+
+// SizeHint waits for the pass to start and returns how many groups the
+// dataset's own grouping handed it (Dataset.Groups), so that no more
+// sequences than that are published; 0 when the dataset carried none
+// that holds, or the pass ended before it started. Knowing it costs
+// the pass nothing: it checks the grouping anyway.
+func (f *Feed) SizeHint() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for !f.announced && !f.closed {
+		f.grew.Wait()
+	}
+	return f.size
 }
 
 // publish makes seqs — every sequence interned so far, each call a

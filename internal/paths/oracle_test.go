@@ -147,8 +147,9 @@ func oracleDupKey(p Path) string {
 
 // diffRead fails unless the reader, cutting its input into blocks of
 // blockSize bytes, and the oracle agree on input: the same error text,
-// or DeepEqual rows — and the reader's grouping of them by text
-// describes the rows, groups numbered in first-seen row order.
+// or DeepEqual rows — and the reader's grouping of them by path
+// describes the rows, groups numbered in first-seen row order, no two
+// holding equal hops.
 func diffRead(t *testing.T, input []byte, blockSize int) {
 	t.Helper()
 	got, gotErr := newReader(bytes.NewReader(input), blockSize).read()
@@ -176,6 +177,13 @@ func diffRead(t *testing.T, input []byte, blockSize int) {
 		}
 		if int(next) != len(got.groups.Hops) {
 			t.Fatalf("block size %d, Read(%q): %d groups, rows in %d", blockSize, input, len(got.groups.Hops), next)
+		}
+		seen := make(map[string]int)
+		for g, hops := range got.groups.Hops {
+			if first, dup := seen[fmt.Sprint(hops)]; dup {
+				t.Fatalf("block size %d, Read(%q): groups %d and %d hold the same path %v", blockSize, input, first, g, hops)
+			}
+			seen[fmt.Sprint(hops)] = g
 		}
 	}
 }
@@ -230,6 +238,8 @@ var readSeeds = []string{
 	"c1|192.0.2.0/24|04294967295",
 	"c1|192.0.2.0/24|4294967295 04294967296",
 	"c1|192.0.2.0/24|1 \x002",
+	// Spellings of one path: one group, in a block and across blocks.
+	"c1|192.0.2.0/24|1 2\nc2|192.0.2.0/24|1  2\nc1|198.51.100.0/24|01 2\nc1|203.0.113.0/24|1\t2\n",
 }
 
 func TestReadMatchesOracle(t *testing.T) {
@@ -529,9 +539,9 @@ func TestSanitizeOneAllocs(t *testing.T) {
 	}
 }
 
-// TestSanitizeFromReadGroups is the gate on cleaning per text group: a
-// corpus as Read returns it — rows sharing one slice per text, and two
-// texts that parse to one sequence — cleans to the oracle's rows and
+// TestSanitizeFromReadGroups is the gate on cleaning per path group: a
+// corpus as Read returns it — rows sharing one slice per path, two
+// texts that parse to one sequence among them — cleans to the oracle's rows and
 // stats, and to the very grouping the same rows give when every row
 // holds a slice of its own. Each way of changing the read rows (one
 // replaced, one appended, the rows reordered) leaves a grouping that no
@@ -617,5 +627,40 @@ func TestReadAllocatesPerTextNotPerRow(t *testing.T) {
 	t.Logf("%d rows in %d blocks, %d block texts and names: %d allocations, bound %d", 100000, len(rd.parsed), texts, got, bound)
 	if got > bound {
 		t.Errorf("Read of 100000 rows allocated %d times, more than 24 a block and 3 a text (%d)", got, bound)
+	}
+}
+
+// TestReadAllocatesRowsOfSixteenBytes: what a read allocates beyond its
+// tables is what it returns — a 72-byte Path and a 4-byte group number
+// a row — and one 16-byte parse row a row until the dataset is written:
+// 92 bytes. The bound is 100 bytes a row plus five block sizes for one
+// slot's buffer and intern tables (a single worker reads every block
+// through one slot; they take about 1.15 MB here). A parse row that
+// holds a whole netip.Prefix is 40 bytes, 116 a row in all, and
+// exceeds the bound by 1.4 MB over these 100 000 rows. Rows of 16 texts
+// over 2 collectors and distinct prefixes, as in the count above.
+func TestReadAllocatesRowsOfSixteenBytes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const rows = 100000
+	var in bytes.Buffer
+	for i := 0; i < rows; i++ {
+		fmt.Fprintf(&in, "rv%d|10.%d.%d.0/24|%d 20 30\n", i%2, i>>8&255, i&255, 100+i%16)
+	}
+	read := func() (*reader, uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rd := newReader(bytes.NewReader(in.Bytes()), readBlockSize)
+		if _, err := rd.read(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return rd, after.TotalAlloc - before.TotalAlloc
+	}
+	read() // warm the pool
+	rd, got := read()
+	const bound = 100*rows + 5*readBlockSize
+	t.Logf("%d rows in %d blocks: %d bytes, %.1f a row; bound %d", rows, len(rd.parsed), got, float64(got)/rows, bound)
+	if got > bound {
+		t.Errorf("Read of %d rows allocated %d bytes, more than 100 a row and five block sizes (%d)", rows, got, bound)
 	}
 }

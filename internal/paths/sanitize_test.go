@@ -269,7 +269,7 @@ func FuzzSanitize(f *testing.F) {
 		if !noIXP {
 			opts.IXPASes = map[uint32]bool{555: true}
 		}
-		diffSanitize(t, ds, opts)                        // per text, through the reader's grouping
+		diffSanitize(t, ds, opts)                        // per path, through the reader's grouping
 		diffSanitize(t, &Dataset{Paths: ds.Paths}, opts) // per row, grouped by content
 	})
 }
@@ -307,6 +307,42 @@ func TestFeedReadersSeeEverySequence(t *testing.T) {
 	feed.Each(func([]uint32) { late++ })
 	if late != len(groups.Hops) {
 		t.Errorf("a reader started after the close saw %d sequences, want %d", late, len(groups.Hops))
+	}
+}
+
+// TestFeedSizeHintIsTheGroupingHandedIn: a reader waiting beside the
+// pass learns how many groups the dataset's own grouping handed it — a
+// bound on the sequences published — and 0 for rows with no grouping
+// that holds, or for a pass that ended before it began.
+func TestFeedSizeHintIsTheGroupingHandedIn(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, randomCorpus(rand.New(rand.NewSource(4)), 300)); err != nil {
+		t.Fatal(err)
+	}
+	read, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		ds   *Dataset
+		want int
+	}{{"read", read, len(read.groups.Hops)}, {"rows", &Dataset{Paths: read.Paths[1:]}, 0}} {
+		feed := NewFeed()
+		hint := make(chan int)
+		go func() { hint <- feed.SizeHint() }()
+		groups := GroupByHopsFeed(tc.ds, feed)
+		if got := <-hint; got != tc.want || got > 0 && len(groups.Hops) > got {
+			t.Errorf("%s: SizeHint %d, want %d; %d sequences published", tc.name, got, tc.want, len(groups.Hops))
+		}
+	}
+	feed := NewFeed()
+	func() {
+		defer func() { _ = recover() }()
+		GroupByHopsFeed(nil, feed)
+	}()
+	if got := feed.SizeHint(); got != 0 {
+		t.Errorf("a pass that panicked before it began: SizeHint %d, want 0", got)
 	}
 }
 

@@ -13,11 +13,13 @@
 package streamtest
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"net/netip"
 	"reflect"
-	"sort"
+	"slices"
+	"strings"
 
 	"github.com/asrank-go/asrank/internal/apiserver"
 	"github.com/asrank-go/asrank/internal/core"
@@ -244,21 +246,17 @@ func (m Mirror) Apply(ev Event) {
 }
 
 // Dataset materializes the mirror as a raw batch corpus in
-// deterministic (collector, vp, prefix) order.
+// deterministic (collector, vp, prefix) order, prefixes compared by
+// their route keys (paths.PrefixKey.Route): numerically, and two
+// distinct routes never equal.
 func (m Mirror) Dataset() *paths.Dataset {
 	keys := make([]RouteKey, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Collector != b.Collector {
-			return a.Collector < b.Collector
-		}
-		if a.VP != b.VP {
-			return a.VP < b.VP
-		}
-		return a.Prefix.String() < b.Prefix.String()
+	slices.SortFunc(keys, func(a, b RouteKey) int {
+		return cmp.Or(strings.Compare(a.Collector, b.Collector), cmp.Compare(a.VP, b.VP),
+			paths.FlatPrefix(a.Prefix).Route(a.Prefix).Compare(paths.FlatPrefix(b.Prefix).Route(b.Prefix)))
 	})
 	ds := &paths.Dataset{}
 	for _, k := range keys {
