@@ -93,28 +93,27 @@ const (
 	readBlockSize = 256 << 10
 )
 
-// Read parses the text format. Rows that carry the same AS path — in
-// any spelling — share one ASNs slice and rows from the same collector
-// share one Collector string: a RIB is a few paths repeated across many
-// prefixes, so each distinct text is parsed once, each distinct path
-// allocated once, and no row pins the line it was read from. The
-// dataset keeps that grouping of its rows by path, for Sanitize and
-// GroupByHopsFeed to work per path while it still describes the rows
+// Read parses the text format. Each block of lines parses each
+// distinct AS-path text once, and its rows with that text share one
+// ASNs slice; rows from the same collector share one Collector string,
+// and no row pins the line it was read from. The dataset keeps that
+// grouping of its rows, one group per block and text, for Sanitize and
+// GroupByHopsFeed to work per group while it still describes the rows
 // (see Dataset).
 func Read(r io.Reader) (*Dataset, error) {
 	return ReadCtx(context.Background(), r)
 }
 
 // ReadCtx is Read with a context for tracing: when ctx carries a span,
-// the read records a "paths.read" span with its row, distinct AS-path
-// text and block counts as attributes.
+// the read records a "paths.read" span with its row, group and block
+// counts as attributes.
 func ReadCtx(ctx context.Context, r io.Reader) (*Dataset, error) {
 	_, ph := trace.StartPhase(ctx, "paths.read")
 	rd := newReader(r, readBlockSize)
 	ds, err := rd.read()
 	if err == nil {
 		ph.Span.SetAttrInt("rows", int64(len(ds.Paths)))
-		ph.Span.SetAttrInt("sequences", int64(len(rd.texts)))
+		ph.Span.SetAttrInt("groups", int64(rd.groups))
 		ph.Span.SetAttrInt("blocks", int64(len(rd.parsed)))
 		readRows.Add(uint64(len(ds.Paths)))
 	}
@@ -124,13 +123,12 @@ func ReadCtx(ctx context.Context, r io.Reader) (*Dataset, error) {
 
 // reader parses the text format a block of whole lines at a time, a
 // wave of blocks in parallel, each block interning collector names and
-// AS-path texts in tables of its own. When the input ends the blocks'
-// distinct texts — a third of the rows — are unified in file order into
-// groups by the hops they parsed to, so a path's rows share the slice
-// of the first block that saw it, and the rows and their groups are
-// written, again in parallel, into a dataset allocated at its size. The
-// block buffers and intern tables belong to the wave's slots and are
-// reused by the next wave.
+// AS-path texts in tables of its own. A block's distinct texts — a
+// third of its rows — are its groups, numbered across blocks in file
+// order; when the input ends the blocks' collector names are shared and
+// the rows and their groups are written, again in parallel, into a
+// dataset allocated at its size. The block buffers and intern tables
+// belong to the wave's slots and are reused by the next wave.
 type reader struct {
 	src       io.Reader
 	blockSize int
@@ -139,8 +137,8 @@ type reader struct {
 
 	wave   []block
 	parsed []parsedBlock
-	lines  int        // in parsed
-	texts  [][]uint32 // by group: the distinct AS paths' hops in file order, once unified
+	lines  int // in parsed
+	groups int // in parsed: their distinct texts
 }
 
 func newReader(src io.Reader, blockSize int) *reader {
@@ -169,13 +167,14 @@ func (rd *reader) read() (*Dataset, error) {
 				return nil, fmt.Errorf("paths: line %d: %w", rd.lines+b.lines, b.err)
 			}
 			rd.lines += b.lines
+			rd.groups += len(b.out.texts)
 			rd.parsed = append(rd.parsed, b.out)
 		}
 	}
 	if rd.srcErr != io.EOF {
 		return nil, fmt.Errorf("paths: line %d: %w", rd.lines+1, rd.srcErr)
 	}
-	rd.unify()
+	rd.shareNames()
 	return rd.dataset(), nil
 }
 
@@ -246,13 +245,12 @@ type text struct {
 const noText = math.MaxUint32
 
 // parsedBlock is a block's rows and the tables their ids index, copied
-// out of the slot at their size; unify adds each text's group.
+// out of the slot at their size.
 type parsedBlock struct {
 	rows   []row
 	texts  [][]uint32     // by text: the hops it parsed to
 	names  []string       // by collector id
 	others []netip.Prefix // the prefixes parsePrefix4 left to netip.ParsePrefix
-	groups []int32        // by text: its group, numbered across blocks in file order
 }
 
 // row is a parsed line: ids index its block's tables. Its prefix is
@@ -356,25 +354,11 @@ func (b *block) parseLine(line []byte) (row, error) {
 	return r, nil
 }
 
-// unify makes equal paths and equal names of different blocks one slice
-// and one string: the first block's in file order. Each distinct path —
-// not text: two spellings of one path are one — is a group, numbered in
-// file order, and a block's text records its group. The table and the
-// groups are sized by the blocks' distinct texts, of which few repeat
-// across blocks.
-func (rd *reader) unify() {
-	n := 0
-	for _, pb := range rd.parsed {
-		n += len(pb.texts)
-	}
-	groups := newSequences(n)
+// shareNames makes equal collector names of different blocks one
+// string: the first block's in file order.
+func (rd *reader) shareNames() {
 	collectors := make(map[string]string)
-	for k := range rd.parsed {
-		pb := &rd.parsed[k]
-		pb.groups = make([]int32, len(pb.texts))
-		for i, hops := range pb.texts {
-			pb.groups[i], _ = groups.Intern(hops, false)
-		}
+	for _, pb := range rd.parsed {
 		for i, name := range pb.names {
 			if shared, ok := collectors[name]; ok {
 				pb.names[i] = shared
@@ -383,16 +367,20 @@ func (rd *reader) unify() {
 			}
 		}
 	}
-	rd.texts = groups.hops
 }
 
 // dataset writes the parsed blocks' rows into one slice of their size,
-// beside each row's group; Paths is nil when there are none, as in the
-// dataset no row was added to.
+// beside each row's group — its block's first group plus its text —
+// and the blocks' texts into one table of groups; Paths is nil when
+// there are none, as in the dataset no row was added to.
 func (rd *reader) dataset() *Dataset {
 	starts := make([]int, len(rd.parsed)+1)
+	bases := make([]int32, len(rd.parsed))
+	hops := make([][]uint32, 0, rd.groups)
 	for i, pb := range rd.parsed {
 		starts[i+1] = starts[i] + len(pb.rows)
+		bases[i] = int32(len(hops))
+		hops = append(hops, pb.texts...)
 	}
 	total := starts[len(rd.parsed)]
 	if total == 0 {
@@ -404,18 +392,17 @@ func (rd *reader) dataset() *Dataset {
 			pb := &rd.parsed[k]
 			dst, dstOf := out[starts[k]:starts[k+1]], of[starts[k]:starts[k+1]]
 			for i, r := range pb.rows {
-				g := pb.groups[r.text]
-				p := Path{Collector: pb.names[r.collector], ASNs: rd.texts[g]}
+				p := Path{Collector: pb.names[r.collector], ASNs: pb.texts[r.text]}
 				if r.prefix&otherPrefix != 0 {
 					p.Prefix = pb.others[r.prefix&^otherPrefix]
 				} else {
 					p.Prefix = prefix4(r.prefix)
 				}
-				dst[i], dstOf[i] = p, g
+				dst[i], dstOf[i] = p, bases[k]+int32(r.text)
 			}
 		}
 	})
-	return &Dataset{Paths: out, groups: &Groups{Of: of, Hops: rd.texts}}
+	return &Dataset{Paths: out, groups: &Groups{Of: of, Hops: hops}}
 }
 
 // parsePrefix4 parses the one spelling of an IPv4 prefix a RIB dump

@@ -2,11 +2,11 @@ package paths
 
 import "sync"
 
-// Groups partitions a dataset's rows by path, in first-seen row order;
-// every group has a row, and no two groups hold equal hops — Read's
-// included: its blocks intern AS-path texts, but two spellings of one
-// path ("1 2" and "1  2") are one group, whose slice both rows hold.
-// Steps 1–4 and the observed cones are functions of a path's
+// Groups partitions a dataset's rows, in first-seen row order; every
+// group has a row, and a group's rows share one slice. Read's groups
+// are its blocks' AS-path texts, so one path ("1 2", "1  2") may be
+// several groups, which step 1 merges; other producers' hold a path
+// once. Steps 1–4 and the observed cones are functions of a path's
 // hops, never of the prefix or collector that carried it, and a RIB is
 // a few paths repeated across many prefixes: a pass over Hops does a
 // fraction of the work of a pass over rows and gives the same result.
@@ -95,11 +95,12 @@ const (
 	groupTooShort
 )
 
-// grouper is what Sanitize and GroupByHopsFeed share: every distinct
-// input hop sequence — a group — goes through add once, in the order
-// the groups are born, and is cleaned (when sanitizing) and interned
-// there, so sequence ids keep first-seen row order whichever grouping
-// fed them. Only what a row's group says is left per row.
+// grouper is what Sanitize and GroupByHopsFeed share: every group of
+// the input goes through add once, in the order the groups are born,
+// and is cleaned (when sanitizing) and interned there, which merges
+// groups of equal hops, so sequence ids keep first-seen row order
+// whichever grouping fed them. Only what a row's group says is left
+// per row.
 type grouper struct {
 	seqs     *Sequences
 	feed     *Feed

@@ -25,9 +25,11 @@ import (
 // are the per-row implementations they replaced, kept as the oracles
 // the replacements are diffed against.
 
-// oracleRead is the Split/Fields reader.
-func oracleRead(r io.Reader) (*Dataset, error) {
+// oracleRead is the Split/Fields reader. It also returns each row's
+// AS-path text.
+func oracleRead(r io.Reader) (*Dataset, []string, error) {
 	ds := &Dataset{}
+	var texts []string
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	lineno := 0
@@ -39,32 +41,33 @@ func oracleRead(r io.Reader) (*Dataset, error) {
 		}
 		parts := strings.Split(line, "|")
 		if len(parts) != 3 {
-			return nil, fmt.Errorf("paths: line %d: want 3 |-separated fields, got %d", lineno, len(parts))
+			return nil, nil, fmt.Errorf("paths: line %d: want 3 |-separated fields, got %d", lineno, len(parts))
 		}
 		p := Path{Collector: parts[0]}
 		if parts[1] != "" {
 			prefix, err := netip.ParsePrefix(parts[1])
 			if err != nil {
-				return nil, fmt.Errorf("paths: line %d: %w", lineno, err)
+				return nil, nil, fmt.Errorf("paths: line %d: %w", lineno, err)
 			}
 			p.Prefix = prefix
 		}
 		for _, f := range strings.Fields(parts[2]) {
 			v, err := strconv.ParseUint(f, 10, 32)
 			if err != nil {
-				return nil, fmt.Errorf("paths: line %d: bad ASN %q", lineno, f)
+				return nil, nil, fmt.Errorf("paths: line %d: bad ASN %q", lineno, f)
 			}
 			p.ASNs = append(p.ASNs, uint32(v))
 		}
 		if len(p.ASNs) == 0 {
-			return nil, fmt.Errorf("paths: line %d: empty AS path", lineno)
+			return nil, nil, fmt.Errorf("paths: line %d: empty AS path", lineno)
 		}
 		ds.Add(p)
+		texts = append(texts, parts[2])
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return ds, nil
+	return ds, texts, nil
 }
 
 // oracleSanitize is the per-row sanitizer: a fresh slice and a loop set
@@ -147,13 +150,15 @@ func oracleDupKey(p Path) string {
 
 // diffRead fails unless the reader, cutting its input into blocks of
 // blockSize bytes, and the oracle agree on input: the same error text,
-// or DeepEqual rows — and the reader's grouping of them by path
-// describes the rows, groups numbered in first-seen row order, no two
-// holding equal hops.
+// or DeepEqual rows — and the reader's grouping describes the rows, one
+// group per block and AS-path text, numbered in first-seen row order.
+// Step 1 over the read rows must merge those groups into one group and
+// one slice per path: the grouping of the oracle's rows.
 func diffRead(t *testing.T, input []byte, blockSize int) {
 	t.Helper()
-	got, gotErr := newReader(bytes.NewReader(input), blockSize).read()
-	want, wantErr := oracleRead(bytes.NewReader(input))
+	rd := newReader(bytes.NewReader(input), blockSize)
+	got, gotErr := rd.read()
+	want, texts, wantErr := oracleRead(bytes.NewReader(input))
 	switch {
 	case gotErr != nil && wantErr != nil:
 		// A scanner failure is the one error Read words differently:
@@ -178,13 +183,41 @@ func diffRead(t *testing.T, input []byte, blockSize int) {
 		if int(next) != len(got.groups.Hops) {
 			t.Fatalf("block size %d, Read(%q): %d groups, rows in %d", blockSize, input, len(got.groups.Hops), next)
 		}
+		type blockText struct {
+			block int
+			text  string
+		}
+		groupOf := make(map[blockText]int32)
+		i := 0
+		for k, pb := range rd.parsed {
+			for range pb.rows {
+				key := blockText{k, texts[i]}
+				g, seen := groupOf[key]
+				if !seen {
+					g = got.groups.Of[i]
+					groupOf[key] = g
+				}
+				if got.groups.Of[i] != g {
+					t.Fatalf("block size %d, Read(%q): row %d is in group %d, an earlier row of block %d with text %q in %d", blockSize, input, i, got.groups.Of[i], k, texts[i], g)
+				}
+				i++
+			}
+		}
+		if len(groupOf) != len(got.groups.Hops) {
+			t.Fatalf("block size %d, Read(%q): %d groups for %d block texts", blockSize, input, len(got.groups.Hops), len(groupOf))
+		}
+		merged := GroupByHopsFeed(got, nil)
+		if want := GroupByHopsFeed(want, nil); !reflect.DeepEqual(merged, want) {
+			t.Fatalf("block size %d, Read(%q): step 1 groups the read rows as %+v, the oracle's as %+v", blockSize, input, merged, want)
+		}
 		seen := make(map[string]int)
-		for g, hops := range got.groups.Hops {
+		for g, hops := range merged.Hops {
 			if first, dup := seen[fmt.Sprint(hops)]; dup {
-				t.Fatalf("block size %d, Read(%q): groups %d and %d hold the same path %v", blockSize, input, first, g, hops)
+				t.Fatalf("block size %d, Read(%q): step 1's groups %d and %d hold the same path %v", blockSize, input, first, g, hops)
 			}
 			seen[fmt.Sprint(hops)] = g
 		}
+		diffSanitize(t, got, SanitizeOptions{}) // one slice a path, grouped as the oracle's rows
 	}
 }
 
@@ -238,7 +271,8 @@ var readSeeds = []string{
 	"c1|192.0.2.0/24|04294967295",
 	"c1|192.0.2.0/24|4294967295 04294967296",
 	"c1|192.0.2.0/24|1 \x002",
-	// Spellings of one path: one group, in a block and across blocks.
+	// Spellings of one path: a group each, in a block and across
+	// blocks, which step 1 merges.
 	"c1|192.0.2.0/24|1 2\nc2|192.0.2.0/24|1  2\nc1|198.51.100.0/24|01 2\nc1|203.0.113.0/24|1\t2\n",
 }
 
@@ -278,9 +312,11 @@ func ragged(file []byte) []byte {
 }
 
 // TestReadSharesAcrossBlocks: the interning contract holds however the
-// input is cut — rows with one AS-path text share one slice and rows of
-// one collector one string, though the first and the last sit blocks
-// apart and every block interned them on its own.
+// input is cut. In Read's rows, rows of one block with one AS-path text
+// share one slice, and rows of one collector one string though the
+// first and the last sit blocks apart and every block interned them on
+// its own. Step 1 merges the blocks' groups: over the read rows, one
+// group a path and one slice a path, grouped as the written rows.
 func TestReadSharesAcrossBlocks(t *testing.T) {
 	ds := randomCorpus(rand.New(rand.NewSource(3)), 2000)
 	ds.Add(ds.Paths[0]) // first seen in the first block, again in the last
@@ -288,6 +324,7 @@ func TestReadSharesAcrossBlocks(t *testing.T) {
 	if err := Write(&buf, ds); err != nil {
 		t.Fatal(err)
 	}
+	want := GroupByHopsFeed(&Dataset{Paths: ds.Paths}, nil)
 	for _, size := range readBlockSizes {
 		rd := newReader(bytes.NewReader(buf.Bytes()), size)
 		got, err := rd.read()
@@ -297,24 +334,36 @@ func TestReadSharesAcrossBlocks(t *testing.T) {
 		if blocks := len(rd.parsed); size <= 4096 && blocks < 10 {
 			t.Fatalf("block size %d: %d blocks, want the corpus cut into 10 or more", size, blocks)
 		}
-		hops := map[string]*uint32{}
 		names := map[string]*byte{}
 		for i, p := range got.Paths {
-			text := fmt.Sprint(p.ASNs)
-			if first, ok := hops[text]; !ok {
-				hops[text] = unsafe.SliceData(p.ASNs)
-			} else if first != unsafe.SliceData(p.ASNs) {
-				t.Fatalf("block size %d: row %d does not share the hop slice of the first row with %s", size, i, text)
-			}
 			if first, ok := names[p.Collector]; !ok {
 				names[p.Collector] = unsafe.StringData(p.Collector)
 			} else if first != unsafe.StringData(p.Collector) {
 				t.Fatalf("block size %d: row %d does not share the first %q string", size, i, p.Collector)
 			}
 		}
-		if len(rd.texts) != len(hops) {
-			t.Errorf("block size %d: reader counts %d distinct texts, the rows hold %d", size, len(rd.texts), len(hops))
+		// Write spells each path one way, so a block's texts are its paths.
+		texts, i := 0, 0
+		for _, pb := range rd.parsed {
+			hops := map[string]*uint32{}
+			for _, p := range got.Paths[i : i+len(pb.rows)] {
+				text := fmt.Sprint(p.ASNs)
+				if first, ok := hops[text]; !ok {
+					hops[text] = unsafe.SliceData(p.ASNs)
+				} else if first != unsafe.SliceData(p.ASNs) {
+					t.Fatalf("block size %d: row %d does not share the hop slice of its block's first row with %s", size, i, text)
+				}
+				i++
+			}
+			texts += len(hops)
 		}
+		if rd.groups != texts || len(got.groups.Hops) != texts {
+			t.Errorf("block size %d: reader counts %d groups and holds %d, its blocks %d distinct texts", size, rd.groups, len(got.groups.Hops), texts)
+		}
+		if merged := GroupByHopsFeed(got, nil); !reflect.DeepEqual(merged, want) {
+			t.Fatalf("block size %d: step 1 groups the read rows as %+v, the written ones as %+v", size, merged, want)
+		}
+		diffSanitize(t, got, SanitizeOptions{}) // one slice a path, grouped by content
 	}
 }
 
@@ -418,23 +467,33 @@ func FuzzRead(f *testing.F) {
 
 // TestReadInternsCollectors pins the fix for the reader pinning every
 // line: a row's Collector used to be a substring of the line's text.
+// The read rows hold one hop slice per block and path, and step 1's
+// rows one per path.
 func TestReadInternsCollectors(t *testing.T) {
 	var in strings.Builder
 	for i := 0; i < 10000; i++ {
 		fmt.Fprintf(&in, "rv%d|10.%d.%d.0/24|%d 20 30\n", i%2, i>>8&255, i&255, 100+i%7)
 	}
-	ds, err := Read(strings.NewReader(in.String()))
+	rd := newReader(strings.NewReader(in.String()), readBlockSize)
+	ds, err := rd.read()
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := map[*byte]bool{}
-	hops := map[*uint32]bool{}
-	for _, p := range ds.Paths {
-		names[unsafe.StringData(p.Collector)] = true
-		hops[unsafe.SliceData(p.ASNs)] = true
-	}
-	if len(ds.Paths) != 10000 || len(names) != 2 || len(hops) != 7 {
-		t.Errorf("%d rows hold %d collector strings and %d hop slices, want 10000, 2 and 7", len(ds.Paths), len(names), len(hops))
+	sanitized, _ := Sanitize(ds, SanitizeOptions{})
+	for _, c := range []struct {
+		name        string
+		ds          *Dataset
+		slicesAPath int
+	}{{"read", ds, len(rd.parsed)}, {"sanitized", sanitized, 1}} {
+		names := map[*byte]bool{}
+		hops := map[*uint32]bool{}
+		for _, p := range c.ds.Paths {
+			names[unsafe.StringData(p.Collector)] = true
+			hops[unsafe.SliceData(p.ASNs)] = true
+		}
+		if len(c.ds.Paths) != 10000 || len(names) != 2 || len(hops) != 7*c.slicesAPath {
+			t.Errorf("%s: %d rows hold %d collector strings and %d hop slices, want 10000, 2 and %d", c.name, len(c.ds.Paths), len(names), len(hops), 7*c.slicesAPath)
+		}
 	}
 }
 
@@ -539,10 +598,11 @@ func TestSanitizeOneAllocs(t *testing.T) {
 	}
 }
 
-// TestSanitizeFromReadGroups is the gate on cleaning per path group: a
-// corpus as Read returns it — rows sharing one slice per path, two
-// texts that parse to one sequence among them — cleans to the oracle's rows and
-// stats, and to the very grouping the same rows give when every row
+// TestSanitizeFromReadGroups is the gate on cleaning per group: a corpus
+// as Read returns it at every block size — rows sharing one slice per
+// block and text, so one path's rows sit in several groups, two texts
+// that parse to one sequence among them — cleans to the oracle's rows
+// and stats, and to the very grouping the same rows give when every row
 // holds a slice of its own. Each way of changing the read rows (one
 // replaced, one appended, the rows reordered) leaves a grouping that no
 // longer describes them: the pass falls back to grouping by content and
@@ -565,34 +625,47 @@ func TestSanitizeFromReadGroups(t *testing.T) {
 			t.Fatal(err)
 		}
 		buf.WriteString("rv1|192.0.2.0/24|1 2  3\nrv1|192.0.2.0/24|1 2 3\nrv2||01 2 3\n")
-		read, err := Read(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var opts SanitizeOptions
 		if seed%2 == 0 {
 			opts.IXPASes = map[uint32]bool{555: true}
 		}
-		for name, edit := range edits {
-			changed := *read // the reader's grouping is copied along
-			changed.Paths = slices.Clone(read.Paths)
-			unshared := &Dataset{Paths: slices.Clone(read.Paths)}
-			for i := range unshared.Paths {
-				unshared.Paths[i].ASNs = slices.Clone(unshared.Paths[i].ASNs)
-			}
-			edit(&changed, rand.New(rand.NewSource(seed)))
-			edit(unshared, rand.New(rand.NewSource(seed)))
-			if trusted := changed.Groups() != nil; trusted != (name == "as read") {
-				t.Fatalf("seed %d %s: reader's grouping trusted = %v", seed, name, trusted)
-			}
-			got, gotStats := diffSanitize(t, &changed, opts)
-			want, wantStats := Sanitize(unshared, opts)
-			if gotStats != wantStats || !reflect.DeepEqual(got.Paths, want.Paths) || !reflect.DeepEqual(got.Groups(), want.Groups()) {
-				t.Fatalf("seed %d %s: the read rows clean to other rows or groups than unshared ones", seed, name)
-			}
-			if again, wantAgain := GroupByHopsFeed(&changed, nil), GroupByHopsFeed(unshared, nil); !reflect.DeepEqual(again, wantAgain) {
-				t.Fatalf("seed %d %s: GroupByHopsFeed of the read rows %+v, of unshared ones %+v", seed, name, again, wantAgain)
-			}
+		for _, size := range readBlockSizes {
+			diffSanitizeRead(t, buf.Bytes(), size, seed, opts, edits)
+		}
+	}
+}
+
+// diffSanitizeRead reads file at blockSize and holds Sanitize and
+// GroupByHopsFeed over the rows, as read and changed by each edit
+// (drawing from seed), to the same rows with no slice shared.
+func diffSanitizeRead(t *testing.T, file []byte, blockSize int, seed int64, opts SanitizeOptions, edits map[string]func(*Dataset, *rand.Rand)) {
+	t.Helper()
+	read, err := newReader(bytes.NewReader(file), blockSize).read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if groups, paths := len(read.groups.Hops), len(GroupByHopsFeed(read, nil).Hops); groups <= paths {
+		t.Fatalf("seed %d block size %d: %d read groups for %d paths, want a path in two groups", seed, blockSize, groups, paths)
+	}
+	for name, edit := range edits {
+		changed := *read // the reader's grouping is copied along
+		changed.Paths = slices.Clone(read.Paths)
+		unshared := &Dataset{Paths: slices.Clone(read.Paths)}
+		for i := range unshared.Paths {
+			unshared.Paths[i].ASNs = slices.Clone(unshared.Paths[i].ASNs)
+		}
+		edit(&changed, rand.New(rand.NewSource(seed)))
+		edit(unshared, rand.New(rand.NewSource(seed)))
+		if trusted := changed.Groups() != nil; trusted != (name == "as read") {
+			t.Fatalf("seed %d block size %d %s: reader's grouping trusted = %v", seed, blockSize, name, trusted)
+		}
+		got, gotStats := diffSanitize(t, &changed, opts)
+		want, wantStats := Sanitize(unshared, opts)
+		if gotStats != wantStats || !reflect.DeepEqual(got.Paths, want.Paths) || !reflect.DeepEqual(got.Groups(), want.Groups()) {
+			t.Fatalf("seed %d block size %d %s: the read rows clean to other rows or groups than unshared ones", seed, blockSize, name)
+		}
+		if again, wantAgain := GroupByHopsFeed(&changed, nil), GroupByHopsFeed(unshared, nil); !reflect.DeepEqual(again, wantAgain) {
+			t.Fatalf("seed %d block size %d %s: GroupByHopsFeed of the read rows %+v, of unshared ones %+v", seed, blockSize, name, again, wantAgain)
 		}
 	}
 }

@@ -16,9 +16,9 @@ import (
 // collector's BGP peer) and ASNs[len-1] is the origin AS of Prefix.
 //
 // ASNs is read-only: a RIB is a few paths repeated across many
-// prefixes, so Read and Sanitize hand every row that carries the same
-// path one shared slice. Give a row new hops by assigning a new slice,
-// never by writing through the old one.
+// prefixes, so Read and Sanitize hand rows that carry the same path a
+// shared slice. Give a row new hops by assigning a new slice, never by
+// writing through the old one.
 type Path struct {
 	Collector string
 	Prefix    netip.Prefix
@@ -61,9 +61,9 @@ func (l Link) String() string { return fmt.Sprintf("%d-%d", l.A, l.B) }
 // path) observation. Rows may share one ASNs slice (see Path).
 //
 // A dataset that Read, FromMRT, Sanitize or core's step 4 returns also
-// carries a grouping of its rows by path (see Groups), so that step 1,
-// the corpus index and the observed cones work once per distinct path,
-// not once per row. Paths stays the caller's to append to, replace or
+// carries a grouping of its rows (see Groups), so that step 1, the
+// corpus index and the observed cones work once per group, not once
+// per row. Paths stays the caller's to append to, replace or
 // reorder, so the grouping is trusted only while it still describes the
 // rows (Dataset.Groups); otherwise the rows are taken one by one, as
 // for any dataset built by hand.

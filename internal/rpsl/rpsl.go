@@ -57,7 +57,8 @@ func (o *Object) All(name string) []string {
 
 // Parse reads RPSL objects from r. Objects are separated by blank
 // lines; '#' starts a comment; lines beginning with whitespace or '+'
-// continue the previous attribute.
+// continue the previous attribute, so an attribute name that starts
+// with '+' is refused: Write could not render it back.
 func Parse(r io.Reader) ([]*Object, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -93,13 +94,16 @@ func Parse(r io.Reader) ([]*Object, error) {
 		if !ok {
 			return nil, fmt.Errorf("rpsl: line %d: missing colon in %q", lineno, raw)
 		}
+		name = strings.ToLower(strings.TrimSpace(name))
+		if strings.HasPrefix(name, "+") {
+			// Only white space Write does not write (a vertical tab, say)
+			// keeps such a line from reading as a continuation.
+			return nil, fmt.Errorf("rpsl: line %d: attribute name %q starts with '+'", lineno, name)
+		}
 		if cur == nil {
 			cur = &Object{}
 		}
-		cur.Attrs = append(cur.Attrs, Attr{
-			Name:  strings.ToLower(strings.TrimSpace(name)),
-			Value: strings.TrimSpace(value),
-		})
+		cur.Attrs = append(cur.Attrs, Attr{Name: name, Value: strings.TrimSpace(value)})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
