@@ -65,7 +65,8 @@ type (
 	SanitizeOptions = paths.SanitizeOptions
 	// SanitizeStats counts what sanitization did.
 	SanitizeStats = paths.SanitizeStats
-	// InferOptions tunes the inference pipeline.
+	// InferOptions tunes the inference pipeline. With Sanitize set,
+	// Infer takes the dataset it is handed (see core.Options.Sanitize).
 	InferOptions = core.Options
 	// Inference is the result of relationship inference.
 	Inference = core.Result
@@ -99,6 +100,8 @@ func MustSanitize(ds *Dataset) *Dataset {
 }
 
 // Infer runs the ASRank inference pipeline over a (sanitized) corpus.
+// With opts.Sanitize it cleans ds's rows in place, and ds means nothing
+// after the call (see core.Options.Sanitize); pass ds.Clone() to keep it.
 func Infer(ds *Dataset, opts InferOptions) *Inference {
 	return core.Infer(ds, opts)
 }

@@ -30,7 +30,7 @@ func TestPrefixWeightsCountTheInferenceCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds := sim.Dataset
-	clique := core.Infer(ds, core.Options{Sanitize: true}).Clique
+	clique := core.Infer(ds.Clone(), core.Options{Sanitize: true}).Clique
 	inClique := map[uint32]bool{}
 	for _, c := range clique {
 		inClique[c] = true
@@ -43,7 +43,7 @@ func TestPrefixWeightsCountTheInferenceCorpus(t *testing.T) {
 	planted := netip.MustParsePrefix("203.0.113.0/24")
 	ds.Add(paths.Path{Collector: "planted", Prefix: planted, ASNs: []uint32{clique[0], outsider, clique[1], origin}})
 
-	res := core.Infer(ds, core.Options{Sanitize: true})
+	res := core.Infer(ds.Clone(), core.Options{Sanitize: true})
 	for _, kept := range res.Dataset.Paths {
 		if kept.Prefix == planted {
 			t.Fatal("the planted path survived step 4; the test plants nothing")

@@ -195,7 +195,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	// the snapshot build (cone + pool metrics), one warehouse append,
 	// then serve requests through the default-registry handler exactly
 	// as asrankd wires it.
-	res := core.Infer(sim.Dataset, core.Options{Sanitize: true})
+	res := core.Infer(sim.Dataset.Clone(), core.Options{Sanitize: true})
 	snap := warehouse.FromResult(res)
 	data := BuildSnapshot(snap)
 	st, err := warehouse.Open(t.TempDir(), warehouse.Options{Registry: obs.Default()})

@@ -98,6 +98,12 @@ type Options struct {
 	// Sanitize, when set, runs path sanitization first (step 1) with no
 	// IXP route servers to splice; a caller that has some runs
 	// paths.Sanitize itself. Most callers pass already-sanitized data.
+	//
+	// Step 1 then takes the corpus, as paths.SanitizeCtx does: it writes
+	// the cleaned rows into the ones it is handed, so Result.Dataset.Paths
+	// shares the caller's array and the dataset handed in means nothing
+	// after the call. A caller that needs its rows afterwards passes
+	// ds.Clone(). Without Sanitize the corpus is only read.
 	Sanitize bool
 }
 
@@ -148,8 +154,9 @@ type Result struct {
 	SanitizeStats paths.SanitizeStats
 	// Dataset is the post-step-4 corpus the inference actually used,
 	// carrying its grouping by hop sequence (paths.Dataset.Groups), so
-	// consumers that work per path do each distinct path once.
-	// InferIndexed, which has no corpus, leaves it nil.
+	// consumers that work per path do each distinct path once. With
+	// Options.Sanitize its rows are written into the array Infer was
+	// handed. InferIndexed, which has no corpus, leaves it nil.
 	Dataset *paths.Dataset
 }
 
@@ -222,7 +229,8 @@ func (r *Result) CountsByStep() []StepCounts {
 	return out
 }
 
-// Infer runs the full pipeline over a path corpus.
+// Infer runs the full pipeline over a path corpus. With
+// Options.Sanitize it takes ds (see there).
 func Infer(ds *paths.Dataset, opts Options) *Result {
 	return InferCtx(context.Background(), ds, opts)
 }
@@ -231,7 +239,7 @@ func Infer(ds *paths.Dataset, opts Options) *Result {
 // span, the run records a "core.infer" span with one child per
 // pipeline step (core.infer.rank, core.infer.top_down, ...) carrying
 // the links each step labeled as attributes — the trace-side view of
-// the per-step metrics.
+// the per-step metrics. With Options.Sanitize it takes ds (see there).
 func InferCtx(ctx context.Context, ds *paths.Dataset, opts Options) *Result {
 	opts = opts.withDefaults()
 	ctx, run := trace.StartPhase(ctx, "core.infer")

@@ -569,7 +569,15 @@ func TestSanitizeMatchesOracle(t *testing.T) {
 		if seed%2 == 0 {
 			opts.IXPASes = map[uint32]bool{555: true}
 		}
+		before := deepCopy(ds)
+		copied, copiedStats := Sanitize(ds, opts)
+		if !reflect.DeepEqual(ds, before) {
+			t.Fatalf("seed %d: Sanitize changed its input", seed)
+		}
 		got, gotStats := diffSanitize(t, ds, opts)
+		if copiedStats != gotStats || !reflect.DeepEqual(copied.Paths, got.Paths) {
+			t.Fatalf("seed %d: Sanitize and SanitizeCtx clean the rows apart", seed)
+		}
 		groups := got.Groups()
 		for i, p := range got.Paths {
 			if unsafe.SliceData(p.ASNs) != unsafe.SliceData(groups.Hops[groups.Of[i]]) {
@@ -659,7 +667,7 @@ func diffSanitizeRead(t *testing.T, file []byte, blockSize int, seed int64, opts
 		if trusted := changed.Groups() != nil; trusted != (name == "as read") {
 			t.Fatalf("seed %d block size %d %s: reader's grouping trusted = %v", seed, blockSize, name, trusted)
 		}
-		got, gotStats := diffSanitize(t, &changed, opts)
+		got, gotStats := diffSanitize(t, changed.Clone(), opts)
 		want, wantStats := Sanitize(unshared, opts)
 		if gotStats != wantStats || !reflect.DeepEqual(got.Paths, want.Paths) || !reflect.DeepEqual(got.Groups(), want.Groups()) {
 			t.Fatalf("seed %d block size %d %s: the read rows clean to other rows or groups than unshared ones", seed, blockSize, name)

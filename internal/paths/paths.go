@@ -58,7 +58,9 @@ func NewLink(x, y uint32) Link {
 func (l Link) String() string { return fmt.Sprintf("%d-%d", l.A, l.B) }
 
 // Dataset is a corpus of AS paths: one row per (collector, prefix,
-// path) observation. Rows may share one ASNs slice (see Path).
+// path) observation. Rows may share one ASNs slice (see Path). The rows
+// a producer returns are the caller's; SanitizeCtx, and core.Infer with
+// Options.Sanitize, take the rows they are handed (see SanitizeCtx).
 //
 // A dataset that Read, FromMRT, Sanitize or core's step 4 returns also
 // carries a grouping of its rows (see Groups), so that step 1, the
@@ -71,6 +73,14 @@ type Dataset struct {
 	Paths []Path
 
 	groups *Groups // the producer's grouping of Paths; nil for a dataset built by hand
+}
+
+// Clone returns d's rows in an array of their own, carrying d's
+// grouping; the hops stay shared, as they are read-only (see Path).
+// SanitizeCtx and core.Infer with Options.Sanitize take the rows they
+// are handed: a caller that needs d afterwards hands them d.Clone().
+func (d *Dataset) Clone() *Dataset {
+	return &Dataset{Paths: slices.Clone(d.Paths), groups: d.groups}
 }
 
 // Add appends a path to the dataset.

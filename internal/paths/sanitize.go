@@ -34,28 +34,32 @@ type SanitizeStats struct {
 // Sanitize applies the paper's step-1 cleaning to ds and returns a new
 // dataset: prepending is compressed, IXP route-server ASNs are spliced
 // out, and paths containing reserved ASNs or loops are discarded, as are
-// exact duplicates.
+// exact duplicates. ds is left as it was: Sanitize cleans ds.Clone()
+// with SanitizeCtx, whose output is described there.
+func Sanitize(ds *Dataset, opts SanitizeOptions) (*Dataset, SanitizeStats) {
+	out, stats, _ := SanitizeCtx(context.Background(), ds.Clone(), opts, nil)
+	return out, stats
+}
+
+// SanitizeCtx is Sanitize without the copy: it writes its output into
+// ds's rows, so ds is given up — after the call it means nothing, and
+// the output's Paths shares its array. Read's rows are the caller's to
+// give; a caller that still needs them calls Sanitize. When ctx carries
+// a span, the pass records a "paths.sanitize" span with input/kept
+// counts as attributes. It hands each distinct cleaned hop sequence to
+// feed (which may be nil) as it is first seen, and closes the feed
+// once the last is known: before the duplicate collapse, so a reader
+// has every sequence while the pass still works.
 //
 // Cleaned hop sequences are interned: output rows that carry the same
 // path share one ASNs slice (see Path) — an input row's own slice when
 // cleaning left its hops as they were — and the output carries that
-// grouping of its rows by hop sequence (see Dataset). PrependingRemoved
-// and IXPSpliced count kept paths only, preserving Input == Kept +
-// ReservedDiscarded + LoopDiscarded + TooShort + Duplicates with each
-// kept row attributable to the corpus that inference actually sees.
-func Sanitize(ds *Dataset, opts SanitizeOptions) (*Dataset, SanitizeStats) {
-	out, stats, _ := SanitizeCtx(context.Background(), ds, opts, nil)
-	return out, stats
-}
-
-// SanitizeCtx is Sanitize with a context for tracing — when ctx carries
-// a span, the pass records a "paths.sanitize" span with input/kept
-// counts as attributes — handing each distinct cleaned hop sequence to
-// feed (which may be nil) as it is first seen, and closing the feed
-// once the last is known: before the duplicate collapse, so a reader
-// has every sequence while the pass still works. It also returns the
-// output's grouping, equal to GroupByHopsFeed(out, nil) and the
-// dataset's own: read-only.
+// grouping of its rows by hop sequence (see Dataset), which SanitizeCtx
+// also returns: equal to GroupByHopsFeed(out, nil), read-only.
+// PrependingRemoved and IXPSpliced count kept paths only, preserving
+// Input == Kept + ReservedDiscarded + LoopDiscarded + TooShort +
+// Duplicates with each kept row attributable to the corpus that
+// inference actually sees.
 //
 // The pass runs in three sweeps. The first cleans and interns each
 // group of the input once — a group of the dataset's own grouping
@@ -64,7 +68,10 @@ func Sanitize(ds *Dataset, opts SanitizeOptions) (*Dataset, SanitizeStats) {
 // finds duplicates: two rows are duplicates only if they clean to the
 // same sequence, so the rows of each sequence (a handful) are ordered by
 // prefix and collector and the equal runs collapsed — no corpus-wide set
-// of row keys. The third emits the survivors in input order.
+// of row keys. The third compacts the survivors forward, in input
+// order, into ds's rows and their sequences into the per-row verdicts
+// the first sweep filled: the write index never passes the read index,
+// and the second sweep has read every prefix and collector.
 func SanitizeCtx(ctx context.Context, ds *Dataset, opts SanitizeOptions, feed *Feed) (*Dataset, SanitizeStats, *Groups) {
 	_, ph := trace.StartPhase(ctx, "paths.sanitize")
 	stats := SanitizeStats{Input: len(ds.Paths)}
@@ -91,8 +98,7 @@ func SanitizeCtx(ctx context.Context, ds *Dataset, opts SanitizeOptions, feed *F
 	// The first row of a sequence is never a duplicate, so every
 	// interned sequence keeps at least one row.
 	stats.Kept = stats.Input - stats.ReservedDiscarded - stats.LoopDiscarded - stats.TooShort - stats.Duplicates
-	out := &Dataset{Paths: make([]Path, 0, stats.Kept), groups: groups}
-	groups.Of = make([]int32, 0, stats.Kept)
+	kept, of := ds.Paths[:0], rows[:0]
 	for i, row := range rows {
 		if row == rowDropped {
 			continue
@@ -103,10 +109,16 @@ func SanitizeCtx(ctx context.Context, ds *Dataset, opts SanitizeOptions, feed *F
 		if pathInfo(row)&pathIXP != 0 {
 			stats.IXPSpliced++
 		}
-		p, seq := &ds.Paths[i], row>>rowInfoBits
-		out.Paths = append(out.Paths, Path{Collector: p.Collector, Prefix: p.Prefix, ASNs: groups.Hops[seq]})
-		groups.Of = append(groups.Of, seq)
+		p, seq := ds.Paths[i], row>>rowInfoBits
+		p.ASNs = groups.Hops[seq]
+		kept, of = append(kept, p), append(of, seq)
 	}
+	// Zero the rows past the kept ones: a caller that reads ds after
+	// giving it up meets empty rows, not stale copies of kept ones, and
+	// the array keeps no dropped row's hops alive.
+	clear(ds.Paths[len(kept):])
+	groups.Of = of
+	out := &Dataset{Paths: kept, groups: groups}
 	if span := ph.Span; span != nil {
 		span.SetAttrInt("input", int64(stats.Input))
 		span.SetAttrInt("kept", int64(stats.Kept))

@@ -85,18 +85,25 @@ func TestSanitizeParallelDeterministic(t *testing.T) {
 	}
 }
 
-// diffSanitize fails unless Sanitize and the per-row oracle agree on ds:
-// rows and their order, stats, and a grouping equal to GroupByHopsFeed of
-// the output, which the output carries.
+// diffSanitize fails unless SanitizeCtx and the per-row oracle agree on
+// ds: rows and their order, stats, and a grouping equal to
+// GroupByHopsFeed of the output, which the output carries. SanitizeCtx
+// takes ds, so the oracle reads a copy of its rows made before, and the
+// output must be written into ds's own rows.
 func diffSanitize(t *testing.T, ds *Dataset, opts SanitizeOptions) (*Dataset, SanitizeStats) {
 	t.Helper()
+	want, wantStats := oracleSanitize(&Dataset{Paths: slices.Clone(ds.Paths)}, opts)
+	rows := ds.Paths
 	got, gotStats, groups := SanitizeCtx(context.Background(), ds, opts, nil)
-	want, wantStats := oracleSanitize(ds, opts)
 	if gotStats != wantStats {
 		t.Fatalf("stats %+v, oracle %+v", gotStats, wantStats)
 	}
-	if !reflect.DeepEqual(got.Paths, want.Paths) {
+	// By content: no rows are none whether the table is nil or not.
+	if len(got.Paths) != len(want.Paths) || len(want.Paths) > 0 && !reflect.DeepEqual(got.Paths, want.Paths) {
 		t.Fatalf("rows differ from the oracle's\n got %+v\nwant %+v", got.Paths, want.Paths)
+	}
+	if len(got.Paths) > 0 && &got.Paths[0] != &rows[0] {
+		t.Fatal("SanitizeCtx copied the rows, want them cleaned in place")
 	}
 	if err := GroupedByHops(got); err != nil {
 		t.Fatal(err)
@@ -105,6 +112,22 @@ func diffSanitize(t *testing.T, ds *Dataset, opts SanitizeOptions) (*Dataset, Sa
 		t.Fatal("Sanitize returned another grouping than its output carries")
 	}
 	return got, gotStats
+}
+
+// deepCopy returns a copy of ds that shares nothing with it: its rows,
+// their hops and its grouping are copied.
+func deepCopy(ds *Dataset) *Dataset {
+	out := &Dataset{Paths: slices.Clone(ds.Paths)}
+	for i := range out.Paths {
+		out.Paths[i].ASNs = slices.Clone(out.Paths[i].ASNs)
+	}
+	if g := ds.groups; g != nil {
+		out.groups = &Groups{Of: slices.Clone(g.Of), Hops: slices.Clone(g.Hops)}
+		for i := range out.groups.Hops {
+			out.groups.Hops[i] = slices.Clone(out.groups.Hops[i])
+		}
+	}
+	return out
 }
 
 // GroupedByHops reports how ds's grouping fails to be what Sanitize and
@@ -269,8 +292,14 @@ func FuzzSanitize(f *testing.F) {
 		if !noIXP {
 			opts.IXPASes = map[uint32]bool{555: true}
 		}
-		diffSanitize(t, ds, opts)                        // per path, through the reader's grouping
-		diffSanitize(t, &Dataset{Paths: ds.Paths}, opts) // per row, grouped by content
+		rows := &Dataset{Paths: slices.Clone(ds.Paths)}
+		before := deepCopy(ds)
+		Sanitize(ds, opts)
+		if !reflect.DeepEqual(ds, before) {
+			t.Fatal("Sanitize changed its input")
+		}
+		diffSanitize(t, ds, opts)   // per path, through the reader's grouping
+		diffSanitize(t, rows, opts) // per row, grouped by content
 	})
 }
 
@@ -373,7 +402,7 @@ func TestFilterOverwritesOnlyItsOwnRows(t *testing.T) {
 		}
 	}
 
-	san, _, g := SanitizeCtx(context.Background(), input, SanitizeOptions{}, nil)
+	san, _, g := SanitizeCtx(context.Background(), input.Clone(), SanitizeOptions{}, nil)
 	if san.groups != g {
 		t.Fatal("Sanitize's output does not carry the grouping it returns")
 	}
