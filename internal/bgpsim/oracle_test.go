@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"github.com/asrank-go/asrank/internal/stats"
 	"github.com/asrank-go/asrank/internal/topology"
 )
 
@@ -14,7 +15,7 @@ import (
 // is sorted so that "lowest exporter wins a tie" falls out of
 // first-writer-wins, the route table, the offer map and the bucket
 // queue are allocated per call. It survives only here, as the thing
-// propagate is diffed against.
+// the resolver is diffed against.
 func oracleRoutesTo(s *Sim, dst uint32) ([]Route, error) {
 	d, ok := s.idx[dst]
 	if !ok {
@@ -148,28 +149,39 @@ func (c *tieCensus) observe(s *Sim, routes []Route) error {
 	return nil
 }
 
-// diffKernels propagates every destination of topo on one reused
-// scratch and holds the result to the sorted oracle Route by Route
-// (type, length, next hop), and pathFrom's walk over the dense next-hop
-// column to Path's walk over ASNs for every AS holding a route.
-func diffKernels(t *testing.T, name string, topo *topology.Topology, ties *tieCensus) {
+// vpCensus counts the VPs diffKernels' VP-only resolution was asked
+// about, by kind: the destination itself, a partial feed the climb
+// settled either way (a customer route it exports, a route it does not),
+// an AS whose route crosses a peer link, and a stub (no customers) whose
+// route comes from a provider.
+type vpCensus struct{ dest, partialCustomer, partialHidden, peer, stub int }
+
+// diffKernels holds the resolver to the sorted oracle for every
+// destination of topo, Route by Route (type, length, next hop) and path
+// by path (pathFrom's walk over the dense next-hop column against
+// Path's walk over ASNs), asked in the two ways its callers ask: every
+// AS, as RoutesTo does, and a few VPs, as Run does — each way on its own
+// scratch, reused from destination to destination as a Run worker
+// reuses one.
+func diffKernels(t *testing.T, name string, topo *topology.Topology, ties *tieCensus, census *vpCensus) {
 	t.Helper()
 	s := New(topo)
-	sc := s.newScratch()
+	all, some := s.newScratch(), s.newScratch()
+	rng := stats.NewRNG(int64(len(s.asns)))
 	for d, dst := range s.asns {
 		want, err := oracleRoutesTo(s, dst)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.propagate(sc, int32(d))
+		s.routesTo(all, int32(d))
 		for x := range want {
-			if sc.routes[x] != want[x] {
-				t.Fatalf("%s: route of AS %d toward %d = %+v, oracle %+v", name, s.asns[x], dst, sc.routes[x], want[x])
+			if all.routes[x] != want[x] {
+				t.Fatalf("%s: route of AS %d toward %d = %+v, oracle %+v", name, s.asns[x], dst, all.routes[x], want[x])
 			}
 			if !want[x].Valid() {
 				continue
 			}
-			got, wantPath := s.pathFrom(sc, int32(x)), s.Path(want, s.asns[x])
+			got, wantPath := s.pathFrom(all, int32(x)), s.Path(want, s.asns[x])
 			if !slices.Equal(got, wantPath) {
 				t.Fatalf("%s: path %d -> %d = %v, oracle %v", name, s.asns[x], dst, got, wantPath)
 			}
@@ -184,7 +196,70 @@ func diffKernels(t *testing.T, name string, topo *topology.Topology, ties *tieCe
 				t.Fatalf("%s: RoutesTo(%d) differs from the oracle (err %v)", name, dst, err)
 			}
 		}
+
+		vps, partial := vpSubset(rng, s, want, int32(d), census)
+		got := make([][]uint32, len(vps))
+		s.exports(some, int32(d), vps, partial, func(j int, path []uint32) { got[j] = path })
+		for j, v := range vps {
+			typ := want[v].Type
+			var wantPath []uint32
+			if v != int32(d) && typ != rtNone && (!partial[j] || typ == rtCustomer) {
+				wantPath = s.Path(want, s.asns[v])
+			}
+			if (got[j] == nil) != (wantPath == nil) || !slices.Equal(got[j], wantPath) {
+				t.Fatalf("%s: VP %d (partial %v) exports %v toward %d, oracle %v", name, s.asns[v], partial[j], got[j], dst, wantPath)
+			}
+			if (!partial[j] || want[v].Type == rtOwn || want[v].Type == rtCustomer) && some.routes[v] != want[v] {
+				t.Fatalf("%s: VP %d's route toward %d = %+v, oracle %+v", name, s.asns[v], dst, some.routes[v], want[v])
+			}
+		}
 	}
+}
+
+// vpSubset draws the VPs diffKernels asks about toward destination d:
+// d itself, an AS whose route crosses a peer link and a stub whose route
+// comes from a provider (one each, where want has one), and up to four
+// more at random, shuffled, each a partial feed with probability 1/3.
+func vpSubset(rng *stats.RNG, s *Sim, want []Route, d int32, census *vpCensus) ([]int32, []bool) {
+	var peer, stub []int32
+	for x, r := range want {
+		switch {
+		case r.Type == rtPeer:
+			peer = append(peer, int32(x))
+		case r.Type == rtProvider && len(s.customers[x]) == 0:
+			stub = append(stub, int32(x))
+		}
+	}
+	vps := []int32{d}
+	for _, kind := range [][]int32{peer, stub} {
+		if len(kind) > 0 {
+			vps = append(vps, kind[rng.Intn(len(kind))])
+		}
+	}
+	for range 4 {
+		if x := int32(rng.Intn(len(want))); !slices.Contains(vps, x) {
+			vps = append(vps, x)
+		}
+	}
+	rng.Shuffle(len(vps), func(i, j int) { vps[i], vps[j] = vps[j], vps[i] })
+	partial := make([]bool, len(vps))
+	for j, v := range vps {
+		partial[j] = rng.Bool(1.0 / 3)
+		r := want[v]
+		switch {
+		case v == d:
+			census.dest++
+		case partial[j] && r.Type == rtCustomer:
+			census.partialCustomer++
+		case partial[j] && r.Valid():
+			census.partialHidden++
+		case r.Type == rtPeer:
+			census.peer++
+		case r.Type == rtProvider && len(s.customers[v]) == 0:
+			census.stub++
+		}
+	}
+	return vps, partial
 }
 
 // tieTopology is built so that each tie rule meets its two candidates
@@ -225,9 +300,11 @@ func TestTieRulesMeetInDescendingOrder(t *testing.T) {
 	}
 }
 
-// TestPropagateEqualsSortedOracle is the licence for the order-free
-// kernel: every destination of 60 generated topologies (five sizes,
-// three seeds, four generator settings) and of the hand-built ones.
+// TestPropagateEqualsSortedOracle is the licence for the resolver:
+// every destination of 60 generated topologies (five sizes, three
+// seeds, four generator settings) and of the hand-built ones, with
+// every AS resolved and with a few VPs of each kind (vpCensus) resolved
+// alone.
 func TestPropagateEqualsSortedOracle(t *testing.T) {
 	settings := []struct {
 		name string
@@ -241,6 +318,7 @@ func TestPropagateEqualsSortedOracle(t *testing.T) {
 		}},
 	}
 	var total tieCensus
+	var vps vpCensus
 	topologies := 0
 	for _, cfg := range settings {
 		var ties tieCensus
@@ -249,7 +327,7 @@ func TestPropagateEqualsSortedOracle(t *testing.T) {
 				p := topology.DefaultParams(seed)
 				p.ASes = ases
 				cfg.set(&p)
-				diffKernels(t, fmt.Sprintf("%s/%d/seed%d", cfg.name, ases, seed), topology.Generate(p), &ties)
+				diffKernels(t, fmt.Sprintf("%s/%d/seed%d", cfg.name, ases, seed), topology.Generate(p), &ties, &vps)
 				topologies++
 			}
 		}
@@ -264,11 +342,19 @@ func TestPropagateEqualsSortedOracle(t *testing.T) {
 	if total.customer == 0 || total.peer == 0 || total.provider == 0 {
 		t.Fatalf("tie rules exercised %+v: each of the three must have decided something", total)
 	}
+	t.Logf("VPs resolved alone: %+v", vps)
+	if vps.dest == 0 || vps.partialCustomer == 0 || vps.partialHidden == 0 || vps.peer == 0 || vps.stub == 0 {
+		t.Fatalf("VP kinds resolved alone %+v: each must have been asked about", vps)
+	}
 
 	var hand tieCensus
-	diffKernels(t, "toy", toy(t), &hand)
-	diffKernels(t, "ties", tieTopology(t), &hand)
+	var handVPs vpCensus
+	diffKernels(t, "toy", toy(t), &hand, &handVPs)
+	diffKernels(t, "ties", tieTopology(t), &hand, &handVPs)
 	if hand.customer == 0 || hand.peer == 0 || hand.provider == 0 {
 		t.Fatalf("hand-built tie rules exercised %+v: each of the three must have decided something", hand)
+	}
+	if handVPs.dest == 0 || handVPs.peer == 0 || handVPs.stub == 0 {
+		t.Fatalf("hand-built VP kinds resolved alone %+v: the destination, a peer route and a stub must each have been asked about", handVPs)
 	}
 }

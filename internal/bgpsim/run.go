@@ -97,14 +97,18 @@ type ArtifactStats struct {
 	RouteServers int // paths with an IXP route-server hop inserted
 }
 
-// Run propagates routes from every AS and assembles the collector's
-// path corpus. Propagation uses every core (GOMAXPROCS); the corpus —
-// rows, their order, the artifact counters — is the same at any count.
+// Run resolves every VP's route toward every AS and assembles the
+// collector's path corpus. Resolution uses every core (GOMAXPROCS); the
+// corpus — rows, their order, the artifact counters — is the same at any
+// count. Run refuses a topology with a provider (p2c) cycle.
 func Run(topo *topology.Topology, opts Options) (*Result, error) {
 	if opts.Collector == "" {
 		opts.Collector = "sim-rv"
 	}
 	sim := New(topo)
+	if sim.cycle != nil {
+		return nil, sim.cycle
+	}
 	vps := opts.VPs
 	if vps == nil {
 		n := opts.NumVPs
@@ -182,29 +186,27 @@ func Run(topo *topology.Topology, opts Options) (*Result, error) {
 		art.routeServers = res.RouteServerASNs
 	}
 
-	// Propagation is the expensive part and depends on nothing but the
-	// topology, so destinations fan out: each worker propagates one
-	// destination at a time on its chunk's scratch and records the base
-	// path of every VP that exports a route (slot i*len(vps)+j for
-	// destination i, VP j; nil when the VP exports none).
+	// Resolving routes depends on nothing but the topology, so
+	// destinations fan out: each worker takes one destination at a time
+	// on its chunk's scratch and records the base path of every VP that
+	// exports a route (slot i*len(vps)+j for destination i, VP j; nil
+	// when the VP exports none).
 	base := make([][]uint32, len(dsts)*len(vps))
+	partialIdx := make([]bool, len(vps))
+	for j, vp := range vps {
+		partialIdx[j] = partial[vp]
+	}
 	var rows atomic.Int64 // corpus rows the base paths will become
 	chunk := max(1, len(dsts)/(8*pool.Resolve(0)))
 	pool.Chunks(0, len(dsts), chunk, func(lo, hi int) {
 		sc := sim.newScratch()
 		n := 0
 		for i := lo; i < hi; i++ {
-			sim.propagate(sc, int32(i))
-			for j, v := range vpIdx {
-				// A VP does not report its own prefixes, and a
-				// partial feed carries customer routes only.
-				typ := sc.routes[v].Type
-				if int(v) == i || typ == rtNone || partial[vps[j]] && typ != rtCustomer {
-					continue
-				}
-				base[i*len(vps)+j] = sim.pathFrom(sc, v)
-				n += len(topo.AS(dsts[i]).Prefixes)
-			}
+			prefixes := len(topo.AS(dsts[i]).Prefixes)
+			sim.exports(sc, int32(i), vpIdx, partialIdx, func(j int, path []uint32) {
+				base[i*len(vps)+j] = path
+				n += prefixes
+			})
 		}
 		rows.Add(int64(n))
 	})
@@ -230,6 +232,27 @@ func Run(topo *topology.Topology, opts Options) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// exports calls emit with the position j and the AS path of each VP in
+// vps (dense indices) that exports a route toward the AS at dense index
+// d, in order, resolving only the routes those paths run through. A VP
+// does not report its own prefixes, and a partial feed (partial[j])
+// carries customer routes only, which the climb alone settles.
+func (s *Sim) exports(sc *scratch, d int32, vps []int32, partial []bool, emit func(j int, path []uint32)) {
+	s.climb(sc, d)
+	for j, v := range vps {
+		if v == d {
+			continue
+		}
+		if !partial[j] {
+			s.resolve(sc, v)
+		}
+		if typ := sc.routes[v].Type; typ == rtNone || partial[j] && typ != rtCustomer {
+			continue
+		}
+		emit(j, s.pathFrom(sc, v))
+	}
 }
 
 // nonCliqueTransits lists transit ASes outside the clique, candidates

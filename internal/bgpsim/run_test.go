@@ -127,22 +127,52 @@ func TestRunRefusesRepeatedVP(t *testing.T) {
 	}
 }
 
+// TestRunRefusesProviderCycle holds Run and RoutesTo to refusing a
+// provider (p2c) cycle with an error naming an AS on it. ASes 2 and 3
+// are each other's provider, built by hand because AddP2C refuses the
+// second link of a 2-cycle; 1 buys from 2, so it is below the cycle but
+// not on it, and it is the lowest AS the cycle leaves unresolvable.
+func TestRunRefusesProviderCycle(t *testing.T) {
+	topo := topology.New()
+	topo.AddAS(&topology.AS{ASN: 1, Class: topology.ClassStub, Providers: []uint32{2}})
+	topo.AddAS(&topology.AS{ASN: 2, Class: topology.ClassTransit, Providers: []uint32{3}, Customers: []uint32{1, 3}})
+	topo.AddAS(&topology.AS{ASN: 3, Class: topology.ClassTransit, Providers: []uint32{2}, Customers: []uint32{2}})
+	topo.AddAS(&topology.AS{ASN: 4, Class: topology.ClassTransit})
+	const want = "bgpsim: AS 2 is on a provider (p2c) cycle"
+	for _, vps := range [][]uint32{nil, {1, 4}} {
+		opts := DefaultOptions(1)
+		opts.VPs = vps
+		if res, err := Run(topo, opts); err == nil || err.Error() != want {
+			t.Errorf("Run with VPs %v: err = %v (result %v), want %q", vps, err, res != nil, want)
+		}
+	}
+	for _, dst := range []uint32{1, 4} {
+		if _, err := New(topo).RoutesTo(dst); err == nil || err.Error() != want {
+			t.Errorf("RoutesTo(%d): err = %v, want %q", dst, err, want)
+		}
+	}
+}
+
 // BenchmarkRun is the generator's share of every benchmark set-up at a
-// fifth of batch_10k's size; `-cpuprofile` on it is the profile ISSUE 26
-// was sized from.
+// fifth of batch_10k's size. Run resolves only the routes its VPs' paths
+// run through, so its cost follows the VP count: 12 VPs is what every
+// benchmark corpus has, 200 is a collector's worth at this size.
 func BenchmarkRun(b *testing.B) {
 	p := topology.DefaultParams(1)
 	p.ASes = 2000
 	topo := topology.Generate(p)
-	opts := DefaultOptions(1)
-	opts.NumVPs = 12
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := Run(topo, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.Dataset.NumPaths()), "paths")
+	for _, vps := range []int{12, 200} {
+		b.Run(fmt.Sprintf("vps=%d", vps), func(b *testing.B) {
+			opts := DefaultOptions(1)
+			opts.NumVPs = vps
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := Run(topo, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(res.Dataset.NumPaths()), "paths")
+			}
+		})
 	}
 }

@@ -52,6 +52,11 @@ type Sim struct {
 	providers [][]int32 // dense adjacency
 	customers [][]int32
 	peers     [][]int32
+
+	// cycle names an AS on a provider (p2c) cycle, if the topology has
+	// one: Run and RoutesTo refuse such a topology, for which a route
+	// that descends provider edges is not defined by its providers'.
+	cycle error
 }
 
 // New indexes a topology for propagation.
@@ -83,67 +88,124 @@ func New(topo *topology.Topology) *Sim {
 		s.customers[i] = toIdx(a.Customers)
 		s.peers[i] = toIdx(a.Peers)
 	}
+	if x := s.providerCycle(); x >= 0 {
+		s.cycle = fmt.Errorf("bgpsim: AS %d is on a provider (p2c) cycle", asns[x])
+	}
 	return s
+}
+
+// providerCycle returns the dense index of an AS on a provider cycle,
+// or -1 if the provider digraph is acyclic. It peels the ASes whose
+// providers are all peeled, from the provider-free ones down; every AS
+// left has a provider left, so a walk from the lowest one, each step to
+// the lowest remaining provider, meets some AS twice, and the first it
+// meets twice is on a cycle.
+func (s *Sim) providerCycle() int32 {
+	waiting := make([]int32, len(s.asns)) // providers not yet peeled
+	var peeled []int32
+	for x, ps := range s.providers {
+		if waiting[x] = int32(len(ps)); len(ps) == 0 {
+			peeled = append(peeled, int32(x))
+		}
+	}
+	for i := 0; i < len(peeled); i++ {
+		for _, c := range s.customers[peeled[i]] {
+			if waiting[c]--; waiting[c] == 0 {
+				peeled = append(peeled, c)
+			}
+		}
+	}
+	if len(peeled) == len(s.asns) {
+		return -1
+	}
+	left := func(x int32) bool { return waiting[x] > 0 }
+	x := int32(slices.IndexFunc(waiting, func(w int32) bool { return w > 0 }))
+	met := make([]bool, len(s.asns))
+	for !met[x] {
+		met[x] = true
+		x = s.providers[x][slices.IndexFunc(s.providers[x], left)]
+	}
+	return x
 }
 
 // NumASes returns the number of ASes in the indexed topology.
 func (s *Sim) NumASes() int { return len(s.asns) }
 
-// RoutesTo computes every AS's best route toward destination dst using
-// three-phase valley-free propagation. The returned slice is indexed by
-// the simulator's dense AS index; use Path to extract a full AS path.
+// RoutesTo computes every AS's best route toward destination dst. The
+// returned slice is indexed by the simulator's dense AS index; use Path
+// to extract a full AS path. It refuses a topology with a provider cycle.
 func (s *Sim) RoutesTo(dst uint32) ([]Route, error) {
 	d, ok := s.idx[dst]
 	if !ok {
 		return nil, fmt.Errorf("bgpsim: unknown destination AS %d", dst)
 	}
+	if s.cycle != nil {
+		return nil, s.cycle
+	}
 	sc := s.newScratch()
-	s.propagate(sc, int32(d))
+	s.routesTo(sc, int32(d))
 	return sc.routes, nil
 }
 
-// scratch is the state of one propagation, reused from destination to
-// destination by the worker that owns it: propagate clears the route
-// table and truncates the queues, and allocates only while a queue is
-// still growing toward its high-water mark.
+// routesTo settles every AS's route toward the AS at dense index d.
+func (s *Sim) routesTo(sc *scratch, d int32) {
+	s.climb(sc, d)
+	for y := range s.asns {
+		s.resolve(sc, int32(y))
+	}
+}
+
+// scratch is the routes toward one destination, settled as they are
+// asked for and reused from destination to destination by the worker
+// that owns it: climb clears only the entries the previous destination
+// touched, and nothing allocates once the lists have grown to their
+// high-water marks.
 type scratch struct {
 	routes []Route
 	// next is the next hop as a dense index, beside routes[x].Next (its
 	// ASN): meaningful only where routes[x] is a learned route. Tie
 	// rules compare it and path extraction walks it, so neither probes
 	// s.idx.
-	next []int32
-	// routed lists every AS holding a route in the order it got one:
-	// the destination, phase 1's BFS levels, then phase 2's peers.
-	routed []int32
-	// buckets is phase 3's queue: buckets[n] holds the ASes whose route
-	// is n hops long, in push order.
-	buckets [][]int32
+	next  []int32
+	state []settleState
+	// touched lists every AS whose entries are not zero, in the order it
+	// was reached: the destination, the climb's BFS levels, then the
+	// ASes resolve visited.
+	touched []int32
+	stack   []int32 // resolve's ASes waiting on their providers
 }
+
+// settleState is how far resolve has got with one AS's route.
+type settleState uint8
+
+const (
+	unsettled settleState = iota
+	waiting               // no peer offer: its route is its providers' best
+	settled               // routes[x] is final
+)
 
 func (s *Sim) newScratch() *scratch {
 	return &scratch{
 		routes: make([]Route, len(s.asns)),
 		next:   make([]int32, len(s.asns)),
+		state:  make([]settleState, len(s.asns)),
 	}
 }
 
-// propagate fills sc.routes with every AS's best route toward the AS
-// at dense index d. Within one route type and length the exporter with
-// the lower dense index — the lower ASN, asns being ascending — wins,
-// and the rule is applied as a comparison wherever two candidates can
-// meet, so no level is ever sorted and the order in which a level is
-// walked does not show in the result.
-func (s *Sim) propagate(sc *scratch, d int32) {
-	routes, next := sc.routes, sc.next
-	clear(routes)
-	routes[d] = Route{Type: rtOwn}
-
-	// Phase 1: customer routes climb provider edges, BFS by level so
-	// shorter paths win. A provider already holding a customer route of
-	// this level's length got it from another exporter of this level:
-	// the lower exporter keeps it.
-	q := append(sc.routed[:0], d)
+// climb starts the routes toward the AS at dense index d: it clears what
+// the previous destination touched and settles the climb set, the ASes
+// holding their own or a customer route. Customer routes climb provider
+// edges, BFS by level so shorter paths win. A provider already holding a
+// customer route of this level's length got it from another exporter of
+// this level: the lower exporter — the lower dense index, which is the
+// lower ASN — keeps it, so the order a level is walked in does not show.
+func (s *Sim) climb(sc *scratch, d int32) {
+	routes, next, state := sc.routes, sc.next, sc.state
+	for _, x := range sc.touched {
+		routes[x], state[x] = Route{}, unsettled
+	}
+	routes[d], state[d] = Route{Type: rtOwn}, settled
+	q := append(sc.touched[:0], d)
 	for lo, length := 0, 1; lo < len(q); length++ {
 		hi := len(q)
 		for _, x := range q[lo:hi] {
@@ -151,7 +213,7 @@ func (s *Sim) propagate(sc *scratch, d int32) {
 				switch r := &routes[p]; {
 				case r.Type == rtNone:
 					*r = Route{Type: rtCustomer, Len: length, Next: s.asns[x]}
-					next[p] = x
+					next[p], state[p] = x, settled
 					q = append(q, p)
 				case r.Type == rtCustomer && r.Len == length && x < next[p]:
 					r.Next, next[p] = s.asns[x], x
@@ -160,64 +222,77 @@ func (s *Sim) propagate(sc *scratch, d int32) {
 		}
 		lo = hi
 	}
-
-	// Phase 2: one peer hop. Every AS with an own/customer route — q,
-	// exactly — offers it to its peers; a peer without one takes the
-	// best offer (shortest, then lowest exporter). Receivers join q
-	// behind the exporters, which the loop does not reach, so offers
-	// are based on phase-1 state only and no peer route is re-exported.
-	for _, x := range q {
-		length := routes[x].Len + 1
-		for _, y := range s.peers[x] {
-			switch r := &routes[y]; {
-			case r.Type == rtNone:
-				*r = Route{Type: rtPeer, Len: length, Next: s.asns[x]}
-				next[y] = x
-				q = append(q, y)
-			case r.Type == rtPeer && (length < r.Len || length == r.Len && x < next[y]):
-				r.Len, r.Next, next[y] = length, s.asns[x], x
-			}
-		}
-	}
-	sc.routed = q
-
-	// Phase 3: routes descend customer edges (provider routes). A
-	// bucket queue by path length implements multi-source BFS; existing
-	// routes of any type are never displaced (type precedence), and a
-	// provider route of this level's length + 1 was assigned within
-	// this level, where again the lower exporter keeps it.
-	for i := range sc.buckets {
-		sc.buckets[i] = sc.buckets[i][:0]
-	}
-	for _, x := range q {
-		sc.push(x, routes[x].Len)
-	}
-	for length := 0; length < len(sc.buckets); length++ {
-		for _, x := range sc.buckets[length] {
-			for _, c := range s.customers[x] {
-				switch r := &routes[c]; {
-				case r.Type == rtNone:
-					*r = Route{Type: rtProvider, Len: length + 1, Next: s.asns[x]}
-					next[c] = x
-					sc.push(c, length+1)
-				case r.Type == rtProvider && r.Len == length+1 && x < next[c]:
-					r.Next, next[c] = s.asns[x], x
-				}
-			}
-		}
-	}
+	sc.touched = q
 }
 
-func (sc *scratch) push(x int32, length int) {
-	for len(sc.buckets) <= length {
-		sc.buckets = append(sc.buckets, nil)
+// resolve settles routes[y] after climb, and every route it runs
+// through. An AS outside the climb set takes the best peer offer —
+// shortest, then lowest exporter — from a peer in the climb set: a peer
+// route crosses one peer link and is never re-exported. Failing that it
+// takes the best of its providers' settled routes one hop longer —
+// shortest, then lowest provider — or none. A provider not yet settled
+// is settled first, from sc.stack rather than by recursion, so a long
+// provider chain costs no goroutine stack; New refused provider cycles,
+// so the walk ends. Each AS is settled once per destination, so the
+// ASes asked about share the providers they have in common.
+func (s *Sim) resolve(sc *scratch, y int32) {
+	routes, next, state := sc.routes, sc.next, sc.state
+	if state[y] == settled {
+		return
 	}
-	sc.buckets[length] = append(sc.buckets[length], x)
+	stack := append(sc.stack[:0], y)
+	for len(stack) > 0 {
+		x := stack[len(stack)-1]
+		switch state[x] {
+		case settled:
+			stack = stack[:len(stack)-1]
+			continue
+		case unsettled:
+			sc.touched = append(sc.touched, x)
+			if best := bestExporter(routes, s.peers[x], rtCustomer); best >= 0 {
+				routes[x] = Route{Type: rtPeer, Len: routes[best].Len + 1, Next: s.asns[best]}
+				next[x], state[x] = best, settled
+				stack = stack[:len(stack)-1]
+				continue
+			}
+			state[x] = waiting
+			n := len(stack)
+			for _, p := range s.providers[x] {
+				if state[p] == unsettled {
+					stack = append(stack, p)
+				}
+			}
+			if len(stack) > n {
+				continue // back to x once they are settled
+			}
+		}
+		if best := bestExporter(routes, s.providers[x], rtProvider); best >= 0 {
+			routes[x] = Route{Type: rtProvider, Len: routes[best].Len + 1, Next: s.asns[best]}
+			next[x] = best
+		}
+		state[x] = settled
+		stack = stack[:len(stack)-1]
+	}
+	sc.stack = stack
+}
+
+// bestExporter returns the neighbour in from (ascending) holding the
+// shortest route of a type up to worst, the lowest of equals; -1 if
+// none holds one. Peers export only own and customer routes (worst =
+// rtCustomer), providers any (rtProvider).
+func bestExporter(routes []Route, from []int32, worst routeType) int32 {
+	best := int32(-1)
+	for _, x := range from {
+		if r := routes[x]; r.Type != rtNone && r.Type <= worst && (best < 0 || r.Len < routes[best].Len) {
+			best = x
+		}
+	}
+	return best
 }
 
 // pathFrom is Path on a scratch: it walks the dense next-hop column
-// from index x to the destination sc was propagated for. routes[x] must
-// be valid.
+// from index x to the destination sc was climbed for. routes[x] must be
+// settled and valid, which settles every AS on its path.
 func (s *Sim) pathFrom(sc *scratch, x int32) []uint32 {
 	path := make([]uint32, 0, sc.routes[x].Len+1)
 	for ; sc.routes[x].Type != rtOwn; x = sc.next[x] {

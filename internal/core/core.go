@@ -101,9 +101,10 @@ type Options struct {
 	//
 	// Step 1 then takes the corpus, as paths.SanitizeCtx does: it writes
 	// the cleaned rows into the ones it is handed, so Result.Dataset.Paths
-	// shares the caller's array and the dataset handed in means nothing
-	// after the call. A caller that needs its rows afterwards passes
-	// ds.Clone(). Without Sanitize the corpus is only read.
+	// shares the caller's array, and it empties the dataset handed in,
+	// which reads as no rows after the call. A caller that needs its rows
+	// afterwards passes ds.Clone(). Without Sanitize the corpus is only
+	// read.
 	Sanitize bool
 }
 

@@ -206,17 +206,45 @@ func TestInferCleansRowsInPlace(t *testing.T) {
 		}
 		ds, copied := readBack(t, raw), readBack(t, raw)
 		opts := Options{Sanitize: true}
+		first := &ds.Paths[0]
 		got := Infer(ds, opts)
 		st := got.SanitizeStats
 		if st.PrependingRemoved == 0 || st.Duplicates == 0 || st.ReservedDiscarded == 0 {
 			t.Fatalf("seed %d: step 1 rewrote and dropped too little to tell: %+v", seed, st)
 		}
-		if &got.Dataset.Paths[0] != &ds.Paths[0] {
+		if &got.Dataset.Paths[0] != first {
 			t.Fatalf("seed %d: the kept corpus is a copy, want it written into the rows Read returned", seed)
 		}
 		if err := resultDiff(got, Infer(copied, opts)); err != nil {
 			t.Fatalf("seed %d: Infer over the read rows differs from Infer over a copy: %v", seed, err)
 		}
+	}
+}
+
+// TestInferEmptiesTheDatasetItTakes holds the other half of the rule: a
+// dataset Infer{Sanitize} took reads as empty afterwards — no rows, no
+// grouping, no links — so reusing it cannot read rows that are no longer
+// the caller's, while Infer without Sanitize leaves its input as it was.
+func TestInferEmptiesTheDatasetItTakes(t *testing.T) {
+	raw := duplicatedCorpus(stats.NewRNG(1))
+	ds := readBack(t, raw)
+	res := Infer(ds, Options{Sanitize: true})
+	if res.Dataset.NumPaths() == 0 {
+		t.Fatal("Infer kept no rows: nothing to tell")
+	}
+	if ds.NumPaths() != 0 || ds.Groups() != nil || len(ds.Links()) != 0 {
+		t.Fatalf("the dataset Infer{Sanitize} took reads %d rows, %d links (grouped %v), want none",
+			ds.NumPaths(), len(ds.Links()), ds.Groups() != nil)
+	}
+	if again := Infer(ds, Options{Sanitize: true}); again.Dataset.NumPaths() != 0 || len(again.Rels) != 0 {
+		t.Fatalf("Infer over the taken dataset read %d rows and %d links, want none", again.Dataset.NumPaths(), len(again.Rels))
+	}
+
+	kept := readBack(t, raw)
+	n := kept.NumPaths()
+	Infer(kept, Options{})
+	if kept.NumPaths() != n {
+		t.Fatalf("Infer without Sanitize left %d of %d rows, want its input as it was", kept.NumPaths(), n)
 	}
 }
 

@@ -42,9 +42,11 @@ func Sanitize(ds *Dataset, opts SanitizeOptions) (*Dataset, SanitizeStats) {
 }
 
 // SanitizeCtx is Sanitize without the copy: it writes its output into
-// ds's rows, so ds is given up — after the call it means nothing, and
-// the output's Paths shares its array. Read's rows are the caller's to
-// give; a caller that still needs them calls Sanitize. When ctx carries
+// ds's rows, so ds is given up — the output's Paths shares its array,
+// and ds itself is left empty, no rows and no grouping, so a caller
+// that reads it afterwards reads an empty dataset rather than rows that
+// are no longer its own. Read's rows are the caller's to give; a caller
+// that still needs them calls Sanitize. When ctx carries
 // a span, the pass records a "paths.sanitize" span with input/kept
 // counts as attributes. It hands each distinct cleaned hop sequence to
 // feed (which may be nil) as it is first seen, and closes the feed
@@ -113,10 +115,10 @@ func SanitizeCtx(ctx context.Context, ds *Dataset, opts SanitizeOptions, feed *F
 		p.ASNs = groups.Hops[seq]
 		kept, of = append(kept, p), append(of, seq)
 	}
-	// Zero the rows past the kept ones: a caller that reads ds after
-	// giving it up meets empty rows, not stale copies of kept ones, and
-	// the array keeps no dropped row's hops alive.
+	// Zero the rows past the kept ones, so the array keeps no dropped
+	// row's hops alive, and empty ds: it was given up.
 	clear(ds.Paths[len(kept):])
+	*ds = Dataset{}
 	groups.Of = of
 	out := &Dataset{Paths: kept, groups: groups}
 	if span := ph.Span; span != nil {

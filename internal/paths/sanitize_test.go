@@ -105,6 +105,9 @@ func diffSanitize(t *testing.T, ds *Dataset, opts SanitizeOptions) (*Dataset, Sa
 	if len(got.Paths) > 0 && &got.Paths[0] != &rows[0] {
 		t.Fatal("SanitizeCtx copied the rows, want them cleaned in place")
 	}
+	if ds.NumPaths() != 0 || ds.Groups() != nil {
+		t.Fatalf("SanitizeCtx left the dataset it took with %d rows (grouped %v), want it empty", ds.NumPaths(), ds.Groups() != nil)
+	}
 	if err := GroupedByHops(got); err != nil {
 		t.Fatal(err)
 	}
