@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"github.com/asrank-go/asrank/internal/bgpsim"
@@ -29,9 +30,20 @@ import (
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
-		fmt.Fprintln(os.Stderr, "bgpsim:", err)
+		fmt.Fprintln(os.Stderr, errorLine(err))
 		os.Exit(1)
 	}
+}
+
+// errorLine is err as bgpsim reports it: behind the command's name,
+// which the simulator's own errors already begin with.
+func errorLine(err error) string {
+	const prefix = "bgpsim: "
+	msg := err.Error()
+	if strings.HasPrefix(msg, prefix) {
+		return msg
+	}
+	return prefix + msg
 }
 
 // run is one bgpsim invocation: the corpus goes to -o (stdout for "-",

@@ -71,3 +71,29 @@ func TestBothFormatsStillWrite(t *testing.T) {
 		t.Fatal("-format mrt wrote nothing to stdout")
 	}
 }
+
+// TestCycleErrorNamesTheCommandOnce: the simulator's errors begin with
+// "bgpsim:" already, so the line a refused -topo prints must carry it
+// once, where it used to read "bgpsim: bgpsim: AS 2 is on ...". An
+// error of the command's own still gets the prefix.
+func TestCycleErrorNamesTheCommandOnce(t *testing.T) {
+	dir := t.TempDir()
+	// AS 1 is a stub below the provider cycle 2 > 3 > 4 > 2.
+	topoFile := filepath.Join(dir, "topo.txt")
+	text := "A|1|stub|0\nA|2|transit|0\nA|3|transit|0\nA|4|transit|0\n" +
+		"R|2|1|p2c\nR|2|3|p2c\nR|3|4|p2c\nR|4|2|p2c\n"
+	if err := os.WriteFile(topoFile, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	err := run([]string{"-topo", topoFile, "-vps", "2", "-o", filepath.Join(dir, "paths.txt")}, nopCloser{io.Discard}, io.Discard)
+	if err == nil {
+		t.Fatal("a topology with a provider cycle was simulated")
+	}
+	if got, want := errorLine(err), "bgpsim: AS 2 is on a provider (p2c) cycle"; got != want {
+		t.Errorf("error line %q, want %q", got, want)
+	}
+	if got, want := errorLine(run(nil, nopCloser{io.Discard}, io.Discard)), "bgpsim: -topo is required"; got != want {
+		t.Errorf("error line %q, want %q", got, want)
+	}
+}

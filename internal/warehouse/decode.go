@@ -250,13 +250,15 @@ func pairAfter(a, b, prevA, prevB int32, first bool) bool {
 	return a < b && (first || a > prevA || a == prevA && b > prevB)
 }
 
-func decodeLinks(payload []byte, n int, steps []core.Step, id byte) ([]LinkRec, error) {
+// decodeLinks reads a link column of an n-AS epoch into dst's array,
+// grown if the column holds more links than it has room for.
+func decodeLinks(payload []byte, n int, steps []core.Step, id byte, dst []LinkRec) ([]LinkRec, error) {
 	r := &decodeReader{buf: payload}
 	cnt, err := r.count()
 	if err != nil {
 		return nil, fmt.Errorf("warehouse: link column %d count: %w", id, err)
 	}
-	out := make([]LinkRec, 0, cnt)
+	out := reuse(dst, int(cnt))
 	prevA, prevB := int32(0), int32(0)
 	for i := uint64(0); i < cnt; i++ {
 		dA, err := r.uvarint()
@@ -569,17 +571,24 @@ func mergeASNs(old, removed, added []uint32) ([]uint32, error) {
 	return append(out, added[j:]...), nil
 }
 
-// rebuildLinks reassembles the successor link list: old links survive
-// unless removed or touching a departed AS, translated to new positions
-// and relabeled by the change set; added links merge in sorted, and one
-// the predecessor still holds is refused.
-func rebuildLinks(old *Snapshot, m *indexMap, removed []posPair, added, changed []LinkRec) ([]LinkRec, error) {
+// rebuildLinks reassembles the successor link list in dst's array,
+// grown if it has too little room: old links survive unless removed or
+// touching a departed AS, translated to new positions and relabeled by
+// the change set; added links merge in sorted, and one the predecessor
+// still holds is refused. dst must not share old.Links' array. Into a
+// dst with room for the successor it allocates nothing, so a replay
+// rebuilds every delta's links in one spare array
+// (TestRebuildLinksIntoWarmPairAllocatesNothing).
+//
+//asrank:hotpath
+func rebuildLinks(old *Snapshot, m *indexMap, removed []posPair, added, changed []LinkRec, dst []LinkRec) ([]LinkRec, error) {
 	// The removed set, the change set and the added list are consulted
 	// during a single ordered sweep; all are sorted the same way as the
 	// link lists, and old→new translation is monotonic (both indexes are
-	// ASN-ordered), so the output stays sorted.
+	// ASN-ordered), so the output stays sorted. The result holds exactly
+	// the old links less the removed ones plus the added ones.
 	ri, ci, ai := 0, 0, 0
-	out := make([]LinkRec, 0, max(len(old.Links)-len(removed), 0)+len(added))
+	out := reuse(dst, max(len(old.Links)-len(removed), 0)+len(added))
 	for _, l := range old.Links {
 		if ri < len(removed) && removed[ri].A == l.A && removed[ri].B == l.B {
 			ri++
@@ -587,7 +596,7 @@ func rebuildLinks(old *Snapshot, m *indexMap, removed []posPair, added, changed 
 		}
 		na, nb := m.oldToNew[l.A], m.oldToNew[l.B]
 		if na < 0 || nb < 0 {
-			return nil, fmt.Errorf("warehouse: link (%d,%d) touches a removed AS but is not in the removed set", l.A, l.B)
+			return nil, errLinkTouchesRemoved(l.A, l.B)
 		}
 		nl := LinkRec{A: na, B: nb, Rel: l.Rel, Step: l.Step}
 		if ci < len(changed) && changed[ci].A == na && changed[ci].B == nb {
@@ -596,17 +605,32 @@ func rebuildLinks(old *Snapshot, m *indexMap, removed []posPair, added, changed 
 		}
 		for ; ai < len(added) && (added[ai].A < na || (added[ai].A == na && added[ai].B <= nb)); ai++ {
 			if added[ai].A == na && added[ai].B == nb {
-				return nil, fmt.Errorf("warehouse: added link (%d,%d) is already in predecessor", na, nb)
+				return nil, errAddedLinkHeld(na, nb)
 			}
 			out = append(out, added[ai])
 		}
 		out = append(out, nl)
 	}
 	if ri != len(removed) {
-		return nil, fmt.Errorf("warehouse: %d removed links not found in predecessor (first miss (%d,%d))", len(removed)-ri, removed[ri].A, removed[ri].B)
+		return nil, errLinksNotFound("removed", len(removed)-ri, removed[ri].A, removed[ri].B)
 	}
 	if ci != len(changed) {
-		return nil, fmt.Errorf("warehouse: %d changed links not found in predecessor (first miss (%d,%d))", len(changed)-ci, changed[ci].A, changed[ci].B)
+		return nil, errLinksNotFound("changed", len(changed)-ci, changed[ci].A, changed[ci].B)
 	}
 	return append(out, added[ai:]...), nil
+}
+
+// The errors rebuildLinks refuses a delta with, formatted out of its
+// loop.
+
+func errLinkTouchesRemoved(a, b int32) error {
+	return fmt.Errorf("warehouse: link (%d,%d) touches a removed AS but is not in the removed set", a, b)
+}
+
+func errAddedLinkHeld(a, b int32) error {
+	return fmt.Errorf("warehouse: added link (%d,%d) is already in predecessor", a, b)
+}
+
+func errLinksNotFound(kind string, missed int, a, b int32) error {
+	return fmt.Errorf("warehouse: %d %s links not found in predecessor (first miss (%d,%d))", missed, kind, a, b)
 }

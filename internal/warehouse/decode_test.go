@@ -49,6 +49,11 @@ func twoEpochs(t testing.TB) (s0, s1 *Snapshot) {
 	return snaps[0], snaps[1]
 }
 
+// mapIndexes aligns two indexes in a map of their own.
+func mapIndexes(oldASNs, newASNs []uint32) *indexMap {
+	return new(indexMap).align(oldASNs, newASNs)
+}
+
 // deltaCols encodes cur as a delta against old the way Append does.
 func deltaCols(old, cur *Snapshot) []segColumn {
 	return encodeDelta(old, cur, mapIndexes(old.ASNs, cur.ASNs), diffLinks(old, cur))
@@ -296,7 +301,7 @@ func refusal(t *testing.T, s0 *Snapshot, kind byte, crafted []segColumn) error {
 		t.Fatalf("crafted image must frame cleanly: %v", err)
 	}
 	rp := replayerAt(t, s0)
-	before := rp.snapshot()
+	before := cloneSnapshot(rp.snapshot()) // a snapshot holds the working links, so keep a copy
 	if kind == kindFull {
 		err = rp.full(cols)
 	} else {
@@ -489,7 +494,7 @@ func FuzzParseSegment(f *testing.F) {
 			return
 		}
 		rp := replayerAt(t, bases[hdr.base%2])
-		before := rp.snapshot()
+		before := cloneSnapshot(rp.snapshot())
 		if hdr.kind == kindFull {
 			err = rp.full(cols)
 		} else {

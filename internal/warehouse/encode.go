@@ -362,10 +362,6 @@ type indexMap struct {
 	removed, added     []uint32
 }
 
-func mapIndexes(oldASNs, newASNs []uint32) *indexMap {
-	return new(indexMap).align(oldASNs, newASNs)
-}
-
 // align points m at a new pair of indexes, reusing its slices where
 // they are long enough; whatever an earlier pair left in them is
 // overwritten.

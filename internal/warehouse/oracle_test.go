@@ -693,8 +693,10 @@ func TestMergeReplayEqualsDenseReplayer(t *testing.T) {
 }
 
 // TestRefusedEpochLeavesWorkingPair: a full epoch refused in its slab
-// column after literal runs, or a delta refused at its last check,
-// writes nothing to the replayer's working pair of cone arrays and
+// column after literal runs (its links already decoded into the spare
+// array), a delta refused midway through rebuilding its links into the
+// spare array, or one refused at its last check, writes nothing to the
+// replayer's working link column or its working pair of cone arrays and
 // swaps nothing in: they are the same memory holding the same entries.
 func TestRefusedEpochLeavesWorkingPair(t *testing.T) {
 	series := synthSeries(300, 3, 7)
@@ -715,11 +717,17 @@ func TestRefusedEpochLeavesWorkingPair(t *testing.T) {
 	if err := load(kindDelta, deltaCols(s0, s1)); err != nil {
 		t.Fatal(err)
 	}
-	start, members := slices.Clone(rp.start), slices.Clone(rp.members)
-	start0, members0, cur := &rp.start[0], &rp.members[0], rp.cur
+	start, members, links := slices.Clone(rp.start), slices.Clone(rp.members), slices.Clone(rp.cur.Links)
+	start0, members0, links0, cur := &rp.start[0], &rp.members[0], &rp.cur.Links[0], rp.cur
 
 	rle := encodeWordsRLE(nil, s2)
 	m := mapIndexes(s1.ASNs, s2.ASNs)
+	// A link from the second half of s2 that s1 holds too, listed as
+	// added: the rebuild has written the links before it to the spare
+	// array when it meets it.
+	added := diffLinks(s1, s2).added
+	held := s2.Links[len(s2.Links)/2:]
+	held = held[slices.IndexFunc(held, func(l LinkRec) bool { return !slices.Contains(added, l) }):]
 	refused := map[string]func() error{
 		"full, slab cut short": func() error { return load(kindFull, withColumn(encodeFull(s2), colConeWords, rle[:len(rle)-3])) },
 		"full, bad run flag": func() error {
@@ -734,23 +742,29 @@ func TestRefusedEpochLeavesWorkingPair(t *testing.T) {
 			return load(kindDelta, withColumn(deltaCols(s1, s2), dcolConeXor, oracleConeXor(nil, denseSlab(s1), padded(s2), m)))
 		},
 		"delta, link not in old": func() error { return load(kindDelta, faultyCols(s1, s2, "changed link absent")) },
+		"delta, added link held": func() error {
+			return load(kindDelta, withColumn(deltaCols(s1, s2), dcolLinksAdd, encodeLinks(nil, held[:1], newStepTable(s2.Links))))
+		},
 	}
 	for name, run := range refused {
 		if err := run(); err == nil {
 			t.Fatalf("%s: decoded without error", name)
 		}
-		if rp.cur != cur || &rp.start[0] != start0 || &rp.members[0] != members0 {
+		if rp.cur != cur || &rp.cur.Links[0] != links0 || &rp.start[0] != start0 || &rp.members[0] != members0 {
 			t.Errorf("%s: the working epoch or a working array was swapped", name)
 		}
 		if !slices.Equal(rp.start, start) || !slices.Equal(rp.members, members) {
 			t.Errorf("%s: the working pair was written", name)
+		}
+		if !slices.Equal(rp.cur.Links, links) {
+			t.Errorf("%s: the working links were written", name)
 		}
 	}
 	// And the replayer goes on from where it stood.
 	if err := load(kindDelta, deltaCols(s1, s2)); err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(rp.start, s2.ConeStart) || !slices.Equal(rp.members, s2.ConeMembers) {
+	if !slices.Equal(rp.start, s2.ConeStart) || !slices.Equal(rp.members, s2.ConeMembers) || !slices.Equal(rp.cur.Links, s2.Links) {
 		t.Error("the epoch after the refused ones decodes differently")
 	}
 }

@@ -3,36 +3,59 @@ package warehouse
 import (
 	"encoding/binary"
 	"math"
-	"slices"
 )
 
 // replayer is the one mutable working epoch a chain of segments is
 // replayed into (DESIGN.md §14): Open, Store.Snapshot and the fuzz
 // target each make their own and feed it one segment after another.
 //
-// The small columns of cur are immutable values, replaced whole by each
-// epoch, so a predecessor's columns stay readable after the next epoch
-// lands (History keeps them). The cones are the only state the replayer
-// reuses memory for: the working epoch's member lists (start, members)
-// and a spare pair of arrays. A full epoch decodes into the spare pair;
-// a delta merges the working lists, relabelled into the new index, with
-// its flipped bits into the spare pair. Either then swaps the two pairs,
-// and that swap is the epoch's only write to what the replayer holds:
-// every epoch is applied validate-then-mutate — all columns decoded and
-// cross-checked before it — so an epoch that fails leaves the replayer
-// exactly at its predecessor.
+// The AS, metric and clique columns of cur are immutable values,
+// replaced whole by each epoch, so a predecessor's columns stay readable
+// after the next epoch lands (History keeps them). The links and the
+// cones are reused: each is a working column and a spare one. A full
+// epoch decodes its links and cones into the spares; a delta rebuilds
+// the working links, relabelled into the new index, with its removed,
+// added and changed links into the spare array, and merges the working
+// member lists (start, members) with its flipped bits into the spare
+// pair. Either then swaps working and spare, and that swap is the
+// epoch's only write to what the replayer holds: every epoch is applied
+// validate-then-mutate — all columns decoded and cross-checked before
+// it — so an epoch that fails leaves the replayer exactly at its
+// predecessor. The predecessor's links stay readable until the epoch
+// after its successor is written, which is as long as Open diffs them.
+// A working link column handed out by snapshot is the caller's: it is
+// not made the spare when the next epoch lands.
 type replayer struct {
-	cur            *Snapshot // columns of the working epoch; ConeStart and ConeMembers stay nil
+	cur            *Snapshot // columns of the working epoch; cur.Links is the working link column, ConeStart and ConeMembers stay nil
+	spareLinks     []LinkRec // the array the next epoch's links are written into
+	lent           bool      // cur.Links was handed out by snapshot
 	start, members []int32   // cur's cones
 	spareStart     []int32   // the arrays the next epoch's cones are written into
 	spareMembers   []int32
-	m              indexMap // scratch: the alignment of the delta being applied
+	seg            []byte    // the segment image being replayed; no column aliases it
+	added, changed []LinkRec // scratch: the link columns of the delta being applied
+	m              indexMap  // scratch: the alignment of the delta being applied
+}
+
+// reuse returns buf emptied, with room for n elements: buf's own array
+// if it has the room, else a new one with a quarter more, so a column
+// that grows along a chain moves rarely. The first array is made a
+// quarter over as well: the replayer writes into each array again at
+// later epochs, and an exact first array is outgrown by the second
+// epoch after it (DESIGN.md §14). Nothing is copied, as the replayer
+// keeps nothing of what a spare array held (slices.Grow would copy, and
+// in a -race build allocate twice).
+func reuse[T any](buf []T, n int) []T {
+	if n <= cap(buf) {
+		return buf[:0]
+	}
+	return make([]T, 0, n+n/4)
 }
 
 // spare returns the spare pair resized to n+1 offsets and k members,
 // its contents unspecified.
 func (r *replayer) spare(n, k int) (start, members []int32) {
-	return slices.Grow(r.spareStart[:0], n+1)[:n+1], slices.Grow(r.spareMembers[:0], k)[:k]
+	return reuse(r.spareStart, n+1)[:n+1], reuse(r.spareMembers, k)[:k]
 }
 
 // swap makes start and members the working cones and the pair they
@@ -40,6 +63,19 @@ func (r *replayer) spare(n, k int) (start, members []int32) {
 func (r *replayer) swap(start, members []int32) {
 	r.spareStart, r.spareMembers = r.start, r.members
 	r.start, r.members = start, members
+}
+
+// land makes s, whose links were written into the spare array, the
+// working epoch, and the link column it replaces the spare one unless
+// that column was handed out.
+func (r *replayer) land(s *Snapshot) {
+	switch {
+	case r.lent:
+		r.spareLinks, r.lent = nil, false
+	case r.cur != nil:
+		r.spareLinks = r.cur.Links
+	}
+	r.cur = s
 }
 
 // full replaces the working epoch with a full epoch's columns.
@@ -80,7 +116,7 @@ func (r *replayer) full(cols map[byte][]byte) error {
 	if p, err = col(cols, colLinks); err != nil {
 		return err
 	}
-	if s.Links, err = decodeLinks(p, n, steps, colLinks); err != nil {
+	if s.Links, err = decodeLinks(p, n, steps, colLinks, r.spareLinks); err != nil {
 		return err
 	}
 	if err = checkLinkCount(links, s.Links); err != nil {
@@ -98,7 +134,7 @@ func (r *replayer) full(cols map[byte][]byte) error {
 	start, members := r.spare(n, set)
 	decodeWordsRLE(runs, n, start, members)
 	r.swap(start, members)
-	r.cur = s
+	r.land(s)
 	return nil
 }
 
@@ -180,18 +216,16 @@ func (r *replayer) delta(cols map[byte][]byte) error {
 	if p, err = col(cols, dcolLinksAdd); err != nil {
 		return err
 	}
-	addLinks, err := decodeLinks(p, n, steps, dcolLinksAdd)
-	if err != nil {
+	if r.added, err = decodeLinks(p, n, steps, dcolLinksAdd, r.added); err != nil {
 		return err
 	}
 	if p, err = col(cols, dcolLinksChg); err != nil {
 		return err
 	}
-	chgLinks, err := decodeLinks(p, n, steps, dcolLinksChg)
-	if err != nil {
+	if r.changed, err = decodeLinks(p, n, steps, dcolLinksChg, r.changed); err != nil {
 		return err
 	}
-	if s.Links, err = rebuildLinks(old, m, remLinks, addLinks, chgLinks); err != nil {
+	if s.Links, err = rebuildLinks(old, m, remLinks, r.added, r.changed, r.spareLinks); err != nil {
 		return err
 	}
 	if err = checkLinkCount(links, s.Links); err != nil {
@@ -208,7 +242,7 @@ func (r *replayer) delta(cols map[byte][]byte) error {
 
 	// Nothing below can fail.
 	r.mergeCones(gaps, flips, m)
-	r.cur = s
+	r.land(s)
 	return nil
 }
 
@@ -276,11 +310,16 @@ func (r *replayer) mergeCones(gaps []byte, flips int, m *indexMap) {
 	r.swap(start, members)
 }
 
-// snapshot hands out a copy of the working epoch: the result owns its
-// member lists, at exact size, and the replayer can go on to later
-// epochs.
+// snapshot hands out the working epoch: the result owns its link
+// column, which the replayer stops writing into, and an exact-size copy
+// of its member lists, and the replayer can go on to later epochs. The
+// links are handed over, not copied, because both callers drop the
+// replayer next: a copy would be one more link column per replay, and
+// its source garbage at once.
 func (r *replayer) snapshot() *Snapshot {
 	s := *r.cur
+	s.Links = s.Links[:len(s.Links):len(s.Links)] // an append by the caller moves, never writes past the links
+	r.lent = true
 	s.ConeStart = append(make([]int32, 0, len(r.start)), r.start...)
 	s.ConeMembers = append(make([]int32, 0, len(r.members)), r.members...)
 	return &s

@@ -12,6 +12,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"github.com/asrank-go/asrank/internal/core"
 	"github.com/asrank-go/asrank/internal/topology"
@@ -203,15 +204,22 @@ func TestSynthSeriesRoundTrip(t *testing.T) {
 
 // TestSnapshotChainAllocBound is the machine-independent guard on the
 // replayer, counted in bytes: Snapshot(id) may allocate the columns of
-// the epochs it replays (their segment images and decoded columns) and,
-// for the cones, their member lists four times over at the chain's
+// the epochs it replays (their segment images and decoded AS-sized
+// columns); for the links, three columns at the chain's largest epoch
+// — the working and the spare array, each a quarter over size, and the
+// scratch a delta's added and changed links are read into — but never
+// more than one column for each epoch replayed; and, for the cones, their member lists four times over at the chain's
 // largest epoch — the working and the spare pair, each grown at most
-// once more as the chain grows, and the exact-size copy it hands over —
-// with a quarter of that and 8 KB per replayed epoch as slack (a -race
-// build allocates ≈ 5 KB more per epoch). Nothing in it is sized by the
-// n × n-bit slab the cone columns describe: with that slab one replay
-// of these chains allocated 1 218, 3 302 and 2 630 KB against budgets
-// of one or two slabs (500–529 KB each at 2k ASes) plus the columns.
+// once more as the chain grows, and the exact-size copy — with a quarter
+// of the lists and 8 KB per replayed epoch as slack (a -race build
+// allocates ≈ 1 KB more per epoch). Nothing in it is sized by the n ×
+// n-bit slab the cone columns describe: with that slab one replay of
+// these chains allocated 1 218, 3 302 and 2 630 KB against budgets of
+// one or two slabs (500–529 KB each at 2k ASes) plus the columns. Nor is
+// anything sized by the links of every epoch: while each delta rebuilt
+// its links into a column of its own, a depth-15 replay allocated
+// 1 720–1 897 KB against budgets of 1 400–1 422 KB. The result's link
+// column is the replayer's working array, handed over, not copied.
 func TestSnapshotChainAllocBound(t *testing.T) {
 	var still []int
 	for e := 1; e < 17; e++ {
@@ -242,20 +250,144 @@ func TestSnapshotChainAllocBound(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		got := int((after.TotalAlloc - before.TotalAlloc) / runs)
 
-		columns, lists, epochs := 0, 0, 0
+		columns, links, perEpoch, lists, epochs := 0, 0, 0, 0, 0
 		for id := 15 - 15%tc.every; id <= 15; id++ {
 			epochs++
 			s := tc.snaps[id]
-			columns += int(st.Epochs()[id].Bytes) + 28*len(s.ASNs) + 12*len(s.Links)
+			columns += int(st.Epochs()[id].Bytes) + 28*len(s.ASNs)
+			links = max(links, 12*len(s.Links))
+			perEpoch += 12 * len(s.Links)
 			lists = max(lists, 4*(len(s.ConeStart)+len(s.ConeMembers)))
 		}
+		links = min(3*links, perEpoch)
 		slab := 8 * len(tc.snaps[15].ASNs) * wordsPerRow(len(tc.snaps[15].ASNs))
-		budget := columns + 4*lists + lists/4 + 8<<10*epochs
-		t.Logf("Snapshot(15), %s: %d KB; %d KB of columns + 4 × %d KB of cone lists allow %d KB (one dense slab: %d KB)",
-			tc.name, got/1024, columns/1024, lists/1024, budget/1024, slab/1024)
+		budget := columns + links + 4*lists + lists/4 + 8<<10*epochs
+		t.Logf("Snapshot(15), %s: %d KB; %d KB of columns + %d KB of links + 4 × %d KB of cone lists allow %d KB (one dense slab: %d KB)",
+			tc.name, got/1024, columns/1024, links/1024, lists/1024, budget/1024, slab/1024)
 		if got > budget {
-			t.Errorf("Snapshot(15), %s: allocates %d KB, want <= %d KB (columns + 4 × cone lists)", tc.name, got/1024, budget/1024)
+			t.Errorf("Snapshot(15), %s: allocates %d KB, want <= %d KB (columns + links + 4 × cone lists)", tc.name, got/1024, budget/1024)
 		}
+	}
+}
+
+// TestOpenAllocBound is the byte-counted guard on a cold Open, as
+// TestSnapshotChainAllocBound is on Snapshot. Open may allocate, for
+// every epoch, the columns History keeps of it — the AS, metric, rank
+// and cone-size columns, 28 bytes an AS, and its change list — and the
+// rank sort's two scratch columns, 8 bytes an AS. For the chain it may
+// allocate, at the chain's largest epoch, six link columns (working and
+// spare, each made at most twice a quarter over size, and the scratch a
+// delta's added and changed links are read into) and six times the cone
+// lists (the same pair and the head's exact-size copy); one segment
+// buffer a quarter over the largest segment; and 8 KB per epoch as
+// slack. Nothing in it is sized
+// by the links of every epoch: while each delta rebuilt its links into a
+// column of its own and each segment was read into an image of its own,
+// an Open of these chains allocated 2 738 and 2 774 KB against budgets
+// of 2 059 and 2 062 KB.
+func TestOpenAllocBound(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		snaps []*Snapshot
+	}{
+		{"AS set moved anywhere", synthSeries(2000, 17, 11)},
+		{"AS set moved at the tail", tailSeries(2000, 17, 11)},
+	} {
+		st, _ := synthStore(t, tc.snaps, 16)
+		const runs = 4
+		var before, after runtime.MemStats
+		for i := 0; i <= runs; i++ {
+			if i == 1 { // the first call is a warm-up
+				runtime.ReadMemStats(&before)
+			}
+			if _, err := Open(st.Dir(), Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		got := int((after.TotalAlloc - before.TotalAlloc) / runs)
+
+		h, change := st.History(), int(unsafe.Sizeof(RelChange{}))
+		epochs, links, lists, seg := 0, 0, 0, 0
+		for id, s := range tc.snaps {
+			epochs += 36*len(s.ASNs) + change*len(h.series[id].changes)
+			links = max(links, 12*len(s.Links))
+			lists = max(lists, 4*(len(s.ConeStart)+len(s.ConeMembers)))
+			seg = max(seg, int(h.epochs[id].Bytes))
+		}
+		budget := epochs + 6*links + 6*lists + seg + seg/4 + 8<<10*len(tc.snaps)
+		t.Logf("Open, %s: %d KB; %d KB for the epochs + 6 × %d KB of links + 6 × %d KB of cone lists + a %d KB segment allow %d KB",
+			tc.name, got/1024, epochs/1024, links/1024, lists/1024, seg/1024, budget/1024)
+		if got > budget {
+			t.Errorf("Open, %s: allocates %d KB, want <= %d KB (epochs + 6 × links + 6 × cone lists + one segment)", tc.name, got/1024, budget/1024)
+		}
+	}
+}
+
+// TestReplayerSnapshotsOutliveTheReplay: the link column snapshot hands
+// out is the replayer's working array, so the replayer must not make it
+// the spare the next epochs are written into. Snapshots taken at every
+// other epoch of a chain still equal their epochs after the whole chain
+// is replayed, and so does the head's.
+func TestReplayerSnapshotsOutliveTheReplay(t *testing.T) {
+	series := synthSeries(300, 8, 7)
+	rp := replayerAt(t, series[0])
+	held := map[int]*Snapshot{0: rp.snapshot()}
+	for i := 1; i < len(series); i++ {
+		img, _ := encodeSegment(kindDelta, uint32(i), 0, deltaCols(series[i-1], series[i]))
+		_, cols, _, err := parseSegment(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rp.delta(cols); err != nil {
+			t.Fatalf("epoch %d: %v", i, err)
+		}
+		if i%2 == 0 || i == len(series)-1 {
+			held[i] = rp.snapshot()
+		}
+	}
+	for i, s := range held {
+		if !reflect.DeepEqual(s, series[i]) {
+			t.Errorf("snapshot of epoch %d changed while the replayer went on", i)
+		}
+	}
+}
+
+// TestRebuildLinksIntoWarmPairAllocatesNothing pins what the hotpath
+// mark on rebuildLinks promises: a delta's links rebuilt into the
+// replayer's spare array, once it has room for them, allocate nothing.
+func TestRebuildLinksIntoWarmPairAllocatesNothing(t *testing.T) {
+	series := synthSeries(300, 3, 7)
+	s1, s2 := series[1], cloneSnapshot(series[2])
+	for i := 0; i < len(s2.Links); i += 40 { // some carried links relabelled too
+		s2.Links[i].Rel = s2.Links[i].Rel%3 + 1
+	}
+	rp := replayerAt(t, series[0])
+	cols := deltaCols(series[0], s1)
+	img, _ := encodeSegment(kindDelta, 1, 0, cols)
+	_, parsed, _, err := parseSegment(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rp.delta(parsed); err != nil {
+		t.Fatal(err)
+	}
+	m, d := mapIndexes(s1.ASNs, s2.ASNs), diffLinks(s1, s2)
+	removed := make([]posPair, len(d.removed))
+	for i, l := range d.removed {
+		removed[i] = posPair{A: l.A, B: l.B}
+	}
+	if len(removed) == 0 || len(d.added) == 0 || len(d.changed) == 0 {
+		t.Fatalf("delta removes %d, adds %d and relabels %d links; want some of each", len(removed), len(d.added), len(d.changed))
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		rp.spareLinks, err = rebuildLinks(rp.cur, m, removed, d.added, d.changed, rp.spareLinks)
+	})
+	if err != nil || !slices.Equal(rp.spareLinks, s2.Links) {
+		t.Fatalf("rebuilt links differ from the successor's (%v)", err)
+	}
+	if allocs != 0 {
+		t.Errorf("rebuildLinks into a warm pair: %.1f allocations, want 0", allocs)
 	}
 }
 
@@ -369,11 +501,12 @@ func TestConeSizesFollowTheSlab(t *testing.T) {
 	}
 }
 
-// TestSnapshotResultIsTheCallers: Snapshot(id) hands over cone lists of
-// the caller's own, which nobody else holds. A result stays intact
-// through a hundred further Snapshot and Append calls (run beside each
-// other under -race), and a caller scribbling over its result changes
-// nothing the store answers afterwards.
+// TestSnapshotResultIsTheCallers: Snapshot(id) hands over a link column
+// and cone lists of the caller's own, which nobody else holds. A result
+// stays intact through a hundred further Snapshot and Append calls (run
+// beside each other under -race), and a caller scribbling over its
+// result changes nothing the store answers afterwards, nor another
+// result of the same epoch.
 func TestSnapshotResultIsTheCallers(t *testing.T) {
 	snaps := synthSeries(300, 60, 5)
 	_, st := synthStore(t, snaps[:10], 4)
@@ -411,11 +544,21 @@ func TestSnapshotResultIsTheCallers(t *testing.T) {
 		t.Error("a held result changed while the store went on")
 	}
 
+	twin, err := st.Snapshot(id)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range held.ConeMembers {
 		held.ConeMembers[i] = -1
 	}
 	clear(held.ConeStart)
-	for _, at := range []uint32{id, id - 1, id + 1, 58} {
+	for i := range held.Links {
+		held.Links[i] = LinkRec{A: -1, B: -1}
+	}
+	if !reflect.DeepEqual(twin, snaps[id]) {
+		t.Error("a caller's write to its result reached another result of the same epoch")
+	}
+	for _, at := range []uint32{id, id - 1, id + 1, 58, 59} {
 		got, err := st.Snapshot(at)
 		if err != nil || !reflect.DeepEqual(got, snaps[at]) {
 			t.Errorf("epoch %d after a caller wrote to its result: differs from the snapshot appended (%v)", at, err)

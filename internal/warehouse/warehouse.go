@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -81,6 +82,8 @@ type Store struct {
 	last *Snapshot // latest epoch, decoded — the delta base for the next Append
 	//asrank:guardedby mu
 	hist *History // the readable epochs: the store's only list of them
+	//asrank:guardedby mu
+	m indexMap // scratch: Append's alignment of a delta against last
 }
 
 // Open opens (or creates) a warehouse at dir and validates every epoch
@@ -137,6 +140,8 @@ func Open(dir string, opts Options) (*Store, error) {
 			span.SetAttr("recovery_error", err.Error())
 			break
 		}
+		// prev's links are the replayer's spare array now, intact until
+		// the next epoch is written into it.
 		st.hist = st.hist.extend(info, rp.cur, rowLengths(rp.start), relChanges(prev, rp.cur, diffLinks(prev, rp.cur)))
 	}
 	if rp.cur != nil {
@@ -181,10 +186,11 @@ func (st *Store) loadEpoch(info EpochInfo, rp *replayer) error {
 	if want := segmentName(info.ID); info.File != want {
 		return fmt.Errorf("warehouse: manifest names segment %q for epoch %d, want %s", info.File, info.ID, want)
 	}
-	raw, err := os.ReadFile(filepath.Join(st.dir, info.File))
+	raw, err := readSegment(rp.seg, filepath.Join(st.dir, info.File))
 	if err != nil {
 		return fmt.Errorf("warehouse: read segment %s: %w", info.File, err)
 	}
+	rp.seg = raw
 	hdr, cols, hash, err := parseSegment(raw)
 	if err != nil {
 		return fmt.Errorf("warehouse: segment %s: %w", info.File, err)
@@ -210,6 +216,28 @@ func (st *Store) loadEpoch(info EpochInfo, rp *replayer) error {
 		}
 		return rp.delta(cols)
 	}
+}
+
+// readSegment reads the file at path into buf's array, grown if the
+// file does not fit, and returns the image. A segment is never
+// rewritten once published, so its size is its length; an image that
+// is not the one published fails parseSegment or the hash check.
+func readSegment(buf []byte, path string) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	size := int(fi.Size())
+	buf = reuse(buf, size)[:size]
+	if _, err := io.ReadFull(f, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }
 
 func segmentName(id uint32) string { return fmt.Sprintf("epoch-%06d.seg", id) }
@@ -267,7 +295,7 @@ func (st *Store) AppendNote(snap *Snapshot, label, etag string, note json.RawMes
 	if kind == kindFull {
 		cols = encodeFull(snap)
 	} else {
-		cols = encodeDelta(st.last, snap, mapIndexes(st.last.ASNs, snap.ASNs), diff)
+		cols = encodeDelta(st.last, snap, st.m.align(st.last.ASNs, snap.ASNs), diff)
 	}
 	img, hash := encodeSegment(kind, id, base, cols)
 
@@ -364,8 +392,9 @@ func (st *Store) Latest() (*Snapshot, EpochInfo, bool) {
 // Snapshot materializes epoch id by decoding from the nearest full
 // checkpoint at or below id and replaying the delta chain — bounded by
 // the checkpoint cadence, never by store length. A replayed result is
-// the caller's own — it shares no cone column with the store or with any
-// other result; the head epoch is the shared value Latest returns.
+// the caller's own — it shares no link or cone column with the store or
+// with any other result; the head epoch is the shared value Latest
+// returns.
 func (st *Store) Snapshot(id uint32) (*Snapshot, error) {
 	_, ph := st.tracer.StartPhase(context.Background(), "warehouse.snapshot")
 	defer ph.End(nil, nil) // only chain replays reach the histogram below
