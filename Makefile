@@ -16,11 +16,14 @@ test:
 # multi-core runner never takes, and the benchmarks of those paths —
 # Read's blocks, the grouped sanitize, the three-task foldAtBirth and
 # the crediting shards' merge — run at one and two CPUs for the same
-# reason.
+# reason. The stream and trace line runs, without the race detector, the
+# heap and allocation pins that skip under it: the engine's bytes per
+# route and the untraced phase and span costs.
 check: fmt-check lint examples
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	GOMAXPROCS=1 $(GO) test ./internal/paths/... ./internal/core/... ./internal/cone/... ./internal/warehouse/...
+	$(GO) test ./internal/stream/... ./internal/trace/...
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 	$(GO) test -run '^$$' -bench '^Benchmark(Read|Sanitize|InferBatch|FromResult)$$' -benchtime 1x -cpu 1,2 \
 		./internal/paths ./internal/core ./internal/warehouse

@@ -13,7 +13,13 @@ import "slices"
 // whose ascending order is the value's descending one. It allocates the
 // result and one scratch of the same length, nothing else.
 func RankPositions[T int32 | int](sizes, transitDegree []T) []int32 {
-	rank, scratch := make([]int32, len(sizes)), make([]int32, len(sizes))
+	return RankPositionsInto(make([]int32, len(sizes)), make([]int32, len(sizes)), sizes, transitDegree)
+}
+
+// RankPositionsInto is RankPositions over the caller's buffers, each
+// len(sizes) long: it returns one of them holding the ranking, and
+// leaves the other's contents unspecified. It allocates nothing.
+func RankPositionsInto[T int32 | int](rank, scratch []int32, sizes, transitDegree []T) []int32 {
 	for i := range rank {
 		rank[i] = int32(i)
 	}

@@ -63,12 +63,12 @@ type Options struct {
 }
 
 // Stats counts what the engine has done and what it holds. RIBRoutes and
-// Entries are the lengths of the two maps that grow with the feed; their
-// keys name a prefix by its prefix-table id, so each route and each row
-// is one 16-byte map slot, and each distinct prefix is held once beside
-// them. How much of the table an epoch really walked is read off its
-// CommitReport (sequences re-walked against live sequences), which the
-// differential harness asserts on.
+// Entries count what grows with the feed: routes, each one int32 slot of
+// its session's column, and rows, which mostly take no space of their
+// own (the engine derives them from the columns). How much of the table
+// an epoch really walked is read off its CommitReport (sequences
+// re-walked against live sequences), which the differential harness
+// asserts on.
 type Stats struct {
 	Epochs       int // Commit calls
 	FullRebuilds int // DecisionRebuild epochs: the first, and each whose clique changed (every poisoned flag re-evaluated)
@@ -78,22 +78,34 @@ type Stats struct {
 	LinkIndex    int // link-index memberships: (kept link, sequence crossing it) pairs
 }
 
-// dropped is the RIB value of a route sanitize discarded: the slot is
-// remembered so the route's withdrawal is not a miss, but it carries no
-// row.
-const dropped int32 = -1
+// A column slot holds a route's sequence id or one of two sentinels.
+const (
+	// dropped is a route sanitize discarded: the slot is remembered so
+	// the route's withdrawal is not a miss, but it carries no row.
+	dropped int32 = -1
+	// noRoute is a slot no route holds.
+	noRoute int32 = -2
+)
 
-// ribKey identifies one vantage point's route to one prefix — the unit
-// BGP announce/withdraw semantics operate on.
-type ribKey struct {
-	prefix    uint32 // Engine.prefixes id of the PrefixKey.Route form: invalid prefixes stay distinct routes
+// session is one (collector, vantage point) pair's routes: a column
+// indexed by the prefix-table id of each route's PrefixKey.Route form
+// (invalid prefixes stay distinct routes), holding the route's sequence
+// id, dropped or noRoute — the unit BGP announce/withdraw semantics
+// operate on.
+type session struct {
 	collector uint32 // Engine.collectors id
 	vp        uint32
+	routes    []int32 // by prefix id; shorter than the prefix table until a route needs the room
 }
 
 // rowKey identifies one corpus row. Sanitize collapses duplicate
 // (collector, prefix, cleaned-path) rows under the same prefix key, so
-// the engine refcounts the routes announcing each.
+// a row lives while some route announces it. A route is the row's
+// native one when its prefix is valid and its cleaned hops lead with its
+// own vantage point, as every route off the wire does: a row has at most
+// one, in column (collector, hops[0]) at the row's prefix id. Every
+// other route is foreign — a vantage point relaying another's hops
+// verbatim, or any invalid prefix form — and is counted per row.
 type rowKey struct {
 	prefix    uint32 // Engine.prefixes id of the FlatPrefix form
 	collector uint32 // Engine.collectors id
@@ -113,7 +125,7 @@ type prefixSlot struct {
 	key   paths.PrefixKey
 	flat  uint32 // id of key's FlatPrefix form: the slot's own id but for an invalid Route form
 	canon uint32 // id of key's canonical form: the slot's own id when key is one
-	refs  int32  // RIB routes keyed by the id, plus forms whose flat or canonical form it is; 0 marks a released id
+	refs  int32  // routes in the id's column slot of some session, plus forms whose flat or canonical form it is; 0 marks a released id
 }
 
 // sequence is what the engine knows of one distinct cleaned hop
@@ -130,15 +142,17 @@ type sequence struct {
 // All methods are safe for concurrent use; Commit serializes against
 // event ingestion.
 //
-// Three tables hold the route state, keyed by plain integers so the big
-// maps carry no pointers: rib (route → sequence), rows (row → routes
-// announcing it) and seqs (sequence ⇄ id) with held (id → rows carrying
-// it, flags). A prefix enters their keys as an id of the prefix table,
-// which holds each distinct prefix once however many routes name it and
-// frees the id with the last of them. The corpus index, the link index
-// and the credit table follow a sequence's birth and death — first row
-// appears, last row goes — and only the kept-row count and the prefix
-// counts follow rows.
+// The route state is dense columns, one per (collector, vantage point)
+// session, indexed by prefix-table id and holding sequence ids, beside
+// seqs (sequence ⇄ id) with held (id → rows carrying it, flags). The
+// prefix table holds each distinct prefix once however many routes name
+// it and frees the id with the last of them, so no column holds a freed
+// id and the columns never outgrow the table. A row has no entry of its
+// own: it lives while its native route is in its column or foreign
+// counts some other route announcing it (see rowKey). The corpus index,
+// the link index and the credit table follow a sequence's birth and
+// death — first row appears, last row goes — and only the kept-row count
+// and the prefix counts follow rows.
 type Engine struct {
 	mu   sync.Mutex
 	opts Options // immutable after New
@@ -154,9 +168,15 @@ type Engine struct {
 	//asrank:guardedby mu
 	freePrefixes []uint32 // released ids
 	//asrank:guardedby mu
-	rib map[ribKey]int32 // sequence id, or dropped
+	sessionIDs map[uint64]int32 // collector id << 32 | vp → index into sessions; none is retired
 	//asrank:guardedby mu
-	rows map[rowKey]int32 // routes announcing the row
+	sessions []session
+	//asrank:guardedby mu
+	foreign map[rowKey]int32 // foreign routes announcing the row, when any
+	//asrank:guardedby mu
+	routes int // live routes, dropped ones included
+	//asrank:guardedby mu
+	rows int // live rows
 	//asrank:guardedby mu
 	seqs *paths.Sequences
 	//asrank:guardedby mu
@@ -209,8 +229,8 @@ func New(opts Options) *Engine {
 		ix:         core.NewCorpusIndex(),
 		collectors: make(map[string]uint32),
 		prefixIDs:  make(map[paths.PrefixKey]uint32),
-		rib:        make(map[ribKey]int32),
-		rows:       make(map[rowKey]int32),
+		sessionIDs: make(map[uint64]int32),
+		foreign:    make(map[rowKey]int32),
 		seqs:       paths.NewSequences(),
 		linkIndex:  make(map[paths.Link][]int32),
 		pc:         cone.NewPairCounts(),
@@ -241,32 +261,32 @@ func (e *Engine) Announce(collector string, vp uint32, prefix netip.Prefix, asns
 	}
 	flat := paths.FlatPrefix(prefix)
 	p := e.internPrefixLocked(flat.Route(prefix), flat, paths.FlatPrefix(paths.CanonicalPrefix(prefix)))
-	rk := ribKey{prefix: p, collector: c, vp: vp}
-	old, had := e.rib[rk]
-	if !had {
+	ses := e.sessionLocked(c, vp, p)
+	slot := &ses.routes[p]
+	old := *slot
+	if old == noRoute {
 		e.prefixes[p].refs++ // the route's own
+		e.routes++
 	}
-	had = had && old != dropped
-	f := e.prefixes[p].flat
 	if !keep {
-		if had {
-			e.releaseLocked(rowKey{prefix: f, collector: c, seq: old})
+		if old >= 0 {
+			e.releaseLocked(ses, p, old)
 		}
-		e.rib[rk] = dropped
+		*slot = dropped
 		return
 	}
 	id, fresh := e.seqs.Intern(cleaned, false)
 	if fresh {
 		e.bornLocked(id, cleaned)
 	}
-	if had {
+	if old >= 0 {
 		if id == old {
 			return // same route re-announced
 		}
-		e.releaseLocked(rowKey{prefix: f, collector: c, seq: old})
+		e.releaseLocked(ses, p, old)
 	}
-	e.rib[rk] = id
-	e.acquireLocked(rowKey{prefix: f, collector: c, seq: id})
+	*slot = id
+	e.acquireLocked(ses, p, id)
 }
 
 // Withdraw folds one route withdrawal. Withdrawing a prefix the
@@ -285,16 +305,44 @@ func (e *Engine) Withdraw(collector string, vp uint32, prefix netip.Prefix) {
 	if !ok {
 		return
 	}
-	rk := ribKey{prefix: p, collector: c, vp: vp}
-	old, had := e.rib[rk]
-	if !had {
+	s, ok := e.sessionIDs[uint64(c)<<32|uint64(vp)]
+	if !ok {
 		return
 	}
-	delete(e.rib, rk)
-	if old != dropped {
-		e.releaseLocked(rowKey{prefix: e.prefixes[p].flat, collector: c, seq: old})
+	ses := &e.sessions[s]
+	if int(p) >= len(ses.routes) || ses.routes[p] == noRoute {
+		return
 	}
+	if old := ses.routes[p]; old != dropped {
+		e.releaseLocked(ses, p, old)
+	}
+	ses.routes[p] = noRoute
+	e.routes--
 	e.releasePrefixLocked(p)
+}
+
+// sessionLocked returns collector c's session with vantage point vp,
+// opening it on its first route, with a column long enough to hold
+// prefix id p. A column grows to the prefix table's capacity, so it is
+// reallocated only as often as the table is.
+func (e *Engine) sessionLocked(c, vp, p uint32) *session {
+	k := uint64(c)<<32 | uint64(vp)
+	s, ok := e.sessionIDs[k]
+	if !ok {
+		s = int32(len(e.sessions))
+		e.sessionIDs[k] = s
+		e.sessions = append(e.sessions, session{collector: c, vp: vp})
+	}
+	ses := &e.sessions[s]
+	if int(p) >= len(ses.routes) {
+		grown := make([]int32, cap(e.prefixes))
+		n := copy(grown, ses.routes)
+		for i := n; i < len(grown); i++ {
+			grown[i] = noRoute
+		}
+		ses.routes = grown
+	}
+	return ses
 }
 
 // internPrefixLocked returns the id of route, a prefix's Route form
@@ -374,14 +422,45 @@ func (e *Engine) bornLocked(id int32, hops []uint32) {
 	}
 }
 
-// acquireLocked adds one route to row k, whose sequence exists; the
-// first route creates the row.
-func (e *Engine) acquireLocked(k rowKey) {
-	n := e.rows[k] + 1
-	e.rows[k] = n
-	if n > 1 {
-		return
+// rowOfLocked returns the row session ses's route to prefix id p
+// announces with sequence id, and whether the route is the row's native
+// one.
+func (e *Engine) rowOfLocked(ses *session, p uint32, id int32) (rowKey, bool) {
+	pfx := &e.prefixes[p]
+	k := rowKey{prefix: pfx.flat, collector: ses.collector, seq: id}
+	return k, pfx.key.IsValid() && e.seqs.Hops(id)[0] == ses.vp
+}
+
+// nativeHeldLocked reports whether row k's native route is live: the
+// one slot it can be in holds the row's sequence.
+func (e *Engine) nativeHeldLocked(k rowKey) bool {
+	if !e.prefixes[k.prefix].key.IsValid() {
+		return false
 	}
+	s, ok := e.sessionIDs[uint64(k.collector)<<32|uint64(e.seqs.Hops(k.seq)[0])]
+	if !ok {
+		return false
+	}
+	col := e.sessions[s].routes
+	return int(k.prefix) < len(col) && col[k.prefix] == k.seq
+}
+
+// acquireLocked adds session ses's route to prefix id p, whose sequence
+// id exists, to the row it announces; the first route creates the row.
+func (e *Engine) acquireLocked(ses *session, p uint32, id int32) {
+	k, native := e.rowOfLocked(ses, p, id)
+	if native {
+		if e.foreign[k] > 0 {
+			return
+		}
+	} else {
+		n := e.foreign[k] + 1
+		e.foreign[k] = n
+		if n > 1 || e.nativeHeldLocked(k) {
+			return
+		}
+	}
+	e.rows++
 	s := &e.held[k.seq]
 	s.rows++
 	if !s.poisoned {
@@ -389,14 +468,27 @@ func (e *Engine) acquireLocked(k rowKey) {
 	}
 }
 
-// releaseLocked drops one route from row k, retiring the row at zero —
-// and, when it was the sequence's last row, the sequence.
-func (e *Engine) releaseLocked(k rowKey) {
-	if n := e.rows[k]; n > 1 {
-		e.rows[k] = n - 1
-		return
+// releaseLocked drops session ses's route to prefix id p, still in its
+// slot with sequence id, from the row it announces, retiring the row
+// when no other route announces it — and, when that was the sequence's
+// last row, the sequence.
+func (e *Engine) releaseLocked(ses *session, p uint32, id int32) {
+	k, native := e.rowOfLocked(ses, p, id)
+	if native {
+		if e.foreign[k] > 0 {
+			return
+		}
+	} else {
+		if n := e.foreign[k]; n > 1 {
+			e.foreign[k] = n - 1
+			return
+		}
+		delete(e.foreign, k)
+		if e.nativeHeldLocked(k) {
+			return
+		}
 	}
-	delete(e.rows, k)
+	e.rows--
 	s, hops := &e.held[k.seq], e.seqs.Hops(k.seq)
 	s.rows--
 	if !s.poisoned {
@@ -495,8 +587,10 @@ func (e *Engine) unkeepLocked(id int32) {
 // cut through keepLocked/unkeepLocked. The kept layer and the credit
 // table are refcounts, so the result is what folding the new kept set
 // from scratch would give. Rows are visited only when some flag flipped,
-// in one pass that moves the flipped sequences' rows into or out of the
-// per-row aggregates.
+// in one pass over the columns and the foreign counts that moves each of
+// the flipped sequences' rows into or out of the per-row aggregates
+// once: from its native route's slot when that is live, else from its
+// foreign count.
 func (e *Engine) reflagLocked(clique []uint32) {
 	e.clique = append([]uint32(nil), clique...)
 	e.cliqueSet = make(map[uint32]bool, len(clique))
@@ -527,14 +621,27 @@ func (e *Engine) reflagLocked(clique []uint32) {
 	if flipped == nil {
 		return
 	}
-	for k := range e.rows {
-		if !flipped[k.seq] {
-			continue
-		}
+	move := func(k rowKey) {
 		if hops := e.seqs.Hops(k.seq); e.held[k.seq].poisoned {
 			e.countRowLocked(hops, k.prefix, -1)
 		} else {
 			e.countRowLocked(hops, k.prefix, 1)
+		}
+	}
+	for i := range e.sessions {
+		ses := &e.sessions[i]
+		for p, id := range ses.routes {
+			if id < 0 || !flipped[id] {
+				continue
+			}
+			if k, native := e.rowOfLocked(ses, uint32(p), id); native {
+				move(k)
+			}
+		}
+	}
+	for k := range e.foreign {
+		if flipped[k.seq] && !e.nativeHeldLocked(k) {
+			move(k)
 		}
 	}
 }
@@ -694,8 +801,8 @@ func (e *Engine) Stats() Stats {
 // for every CommitReport.
 func (e *Engine) statsLocked() Stats {
 	s := e.stats
-	s.Entries = len(e.rows)
-	s.RIBRoutes = len(e.rib)
+	s.Entries = e.rows
+	s.RIBRoutes = e.routes
 	s.Sequences = e.seqs.Len()
 	s.LinkIndex = e.linkMembers
 	return s

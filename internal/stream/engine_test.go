@@ -20,7 +20,8 @@ var (
 )
 
 // tables is the engine state the event-folding tests assert on: routes,
-// rows, live sequences and kept rows.
+// rows, live sequences and kept rows. Routes and rows are counted from
+// routeTables' rebuild, not read off the engine's counters.
 type tables struct {
 	rib, entries, seqs, paths int
 }
@@ -28,7 +29,8 @@ type tables struct {
 func tablesOf(e *Engine) tables {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return tables{rib: len(e.rib), entries: len(e.rows), seqs: e.seqs.Len(), paths: e.keptRows}
+	rib, rows := routeTables(e)
+	return tables{rib: len(rib), entries: len(rows), seqs: e.seqs.Len(), paths: e.keptRows}
 }
 
 // soleEntryRefs returns the route count of the engine's only row.
@@ -36,10 +38,11 @@ func soleEntryRefs(t *testing.T, e *Engine) int32 {
 	t.Helper()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if len(e.rows) != 1 {
-		t.Fatalf("engine holds %d rows, want 1", len(e.rows))
+	_, rows := routeTables(e)
+	if len(rows) != 1 {
+		t.Fatalf("engine holds %d rows, want 1", len(rows))
 	}
-	for _, refs := range e.rows {
+	for _, refs := range rows {
 		return refs
 	}
 	return 0

@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"fmt"
+	"maps"
 	"net/netip"
 	"reflect"
 	"runtime"
@@ -51,15 +52,47 @@ func creditCounts(pc *cone.PairCounts) string {
 	return fmt.Sprint(reflect.ValueOf(pc).Elem().FieldByName("counts"))
 }
 
+// ribKey names one route as the tests rebuild the RIB: a vantage
+// point's route to one prefix id of the Route form.
+type ribKey struct {
+	prefix, collector, vp uint32
+}
+
+// routeTables rebuilds, with plain maps and from a walk of every
+// session's column, the route → sequence table (dropped routes
+// included) and the row → routes-announcing-it table the engine derives
+// from its columns and its foreign counts. It trusts nothing but the
+// column slots: which route is native is not asked. Call with e.mu held.
+func routeTables(e *Engine) (rib map[ribKey]int32, rows map[rowKey]int32) {
+	rib, rows = make(map[ribKey]int32), make(map[rowKey]int32)
+	for _, ses := range e.sessions {
+		for p, id := range ses.routes {
+			if id == noRoute {
+				continue
+			}
+			rib[ribKey{prefix: uint32(p), collector: ses.collector, vp: ses.vp}] = id
+			if id != dropped {
+				rows[rowKey{prefix: e.prefixes[p].flat, collector: ses.collector, seq: id}]++
+			}
+		}
+	}
+	return rib, rows
+}
+
 // checkSequenceTable asserts the sequence table's invariants: every live
-// id is findable under its own hops, carries exactly the rows the row
-// table says, and every other id is zeroed and released.
+// id is findable under its own hops, carries exactly the rows the
+// rebuilt row table says, and every other id is zeroed and released;
+// and the row table's: Stats.Entries and Stats.RIBRoutes count the
+// rebuilt tables, every column slot holds a sentinel or a live sequence,
+// the foreign counts are each row's routes but its native one, and the
+// kept-row count and prefix counts are a recount over the kept rows.
 func checkSequenceTable(t *testing.T, e *Engine) {
 	t.Helper()
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	rib, rowTable := routeTables(e)
 	rows := make(map[int32]int32)
-	for k := range e.rows {
+	for k := range rowTable {
 		rows[k.seq]++
 	}
 	live := 0
@@ -82,6 +115,56 @@ func checkSequenceTable(t *testing.T, e *Engine) {
 	if live != e.seqs.Len() {
 		t.Errorf("%d ids carry rows, the table holds %d sequences", live, e.seqs.Len())
 	}
+	if st := e.statsLocked(); st.Entries != len(rowTable) || st.RIBRoutes != len(rib) {
+		t.Errorf("stats count %d rows and %d routes, the columns hold %d and %d", st.Entries, st.RIBRoutes, len(rowTable), len(rib))
+	}
+	native := make(map[rowKey]int32)
+	for k, id := range rib {
+		if id == dropped {
+			continue
+		}
+		if id < 0 || int(id) >= len(e.held) || e.held[id].rows == 0 {
+			t.Fatalf("route %+v holds %d, neither a sentinel nor a live sequence", k, id)
+		}
+		if e.prefixes[k.prefix].key.IsValid() && e.seqs.Hops(id)[0] == k.vp {
+			native[rowKey{prefix: k.prefix, collector: k.collector, seq: id}]++
+		}
+	}
+	for k, n := range rowTable {
+		if native[k] > 1 || e.foreign[k] != n-native[k] {
+			t.Errorf("row %+v: %d routes, %d native, foreign count %d", k, n, native[k], e.foreign[k])
+		}
+	}
+	for k := range e.foreign {
+		if _, ok := rowTable[k]; !ok {
+			t.Errorf("foreign count %d for row %+v, which no route announces", e.foreign[k], k)
+		}
+	}
+	kept, pfxRef, pfxCount := 0, make(map[uint64]int32), make(map[uint32]int)
+	for k := range rowTable {
+		if e.held[k.seq].poisoned {
+			continue
+		}
+		kept++
+		if e.prefixes[k.prefix].key.IsValid() {
+			hops := e.seqs.Hops(k.seq)
+			origin := hops[len(hops)-1]
+			pk := uint64(e.prefixes[k.prefix].canon)<<32 | uint64(origin)
+			if pfxRef[pk] == 0 {
+				pfxCount[origin]++
+			}
+			pfxRef[pk]++
+		}
+	}
+	if kept != e.keptRows || !maps.Equal(pfxRef, e.pfxRef) || !maps.Equal(pfxCount, e.pfxCount) {
+		t.Errorf("the rows recount %d kept, prefix counts %v / %v; the engine holds %d, %v / %v",
+			kept, pfxRef, pfxCount, e.keptRows, e.pfxRef, e.pfxCount)
+	}
+	for i, ses := range e.sessions {
+		if len(ses.routes) > cap(e.prefixes) {
+			t.Errorf("session %d's column has %d slots, the prefix table room for %d", i, len(ses.routes), cap(e.prefixes))
+		}
+	}
 }
 
 // checkPrefixTable asserts the prefix table's invariants: every live id
@@ -95,8 +178,9 @@ func checkPrefixTable(t *testing.T, e *Engine) {
 	t.Helper()
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	rib, rows := routeTables(e)
 	refs := make(map[uint32]int32)
-	for k := range e.rib {
+	for k := range rib {
 		refs[k.prefix]++
 	}
 	live := 0
@@ -134,7 +218,7 @@ func checkPrefixTable(t *testing.T, e *Engine) {
 	if live != len(e.prefixIDs) || live+len(e.freePrefixes) != len(e.prefixes) {
 		t.Errorf("%d live prefix ids, %d filed, %d free of %d", live, len(e.prefixIDs), len(e.freePrefixes), len(e.prefixes))
 	}
-	for k := range e.rows {
+	for k := range rows {
 		if s := e.prefixes[k.prefix]; s.refs == 0 || s.flat != k.prefix {
 			t.Fatalf("row %+v names prefix id %d, which is %+v", k, k.prefix, s)
 		}
@@ -297,6 +381,143 @@ func TestInvalidRouteFormsHoldTheirFlatForm(t *testing.T) {
 	checkDrained(t, e)
 }
 
+// checkRoutes runs the route, row, sequence and prefix table checks.
+func checkRoutes(t *testing.T, e *Engine) {
+	t.Helper()
+	checkSequenceTable(t, e)
+	checkPrefixTable(t, e)
+}
+
+// TestRelayedHopsWithdrawnInBothOrders: VP 11 relaying VP 10's hops
+// verbatim under VP 10's prefix is a foreign route, alone on its row
+// until VP 10's native route joins it. Announced in either order and
+// withdrawn in either order, the two are one row until the second goes.
+func TestRelayedHopsWithdrawnInBothOrders(t *testing.T) {
+	hops := []uint32{10, 20, 30}
+	for _, announceNativeFirst := range []bool{false, true} {
+		for _, withdrawNativeFirst := range []bool{false, true} {
+			vps := []uint32{11, 10} // foreign, native
+			if announceNativeFirst {
+				vps = []uint32{10, 11}
+			}
+			e := New(Options{})
+			for i, vp := range vps {
+				e.Announce("rc0", vp, pfxA, hops)
+				checkRoutes(t, e)
+				if got := tablesOf(e); got != (tables{rib: i + 1, entries: 1, seqs: 1, paths: 1}) {
+					t.Fatalf("after VP %d's announce: tables = %+v", vp, got)
+				}
+			}
+			if refs := soleEntryRefs(t, e); refs != 2 {
+				t.Fatalf("relayed row refs = %d, want 2", refs)
+			}
+			e.Commit(context.Background())
+			vps = []uint32{11, 10}
+			if withdrawNativeFirst {
+				vps = []uint32{10, 11}
+			}
+			e.Withdraw("rc0", vps[0], pfxA)
+			checkRoutes(t, e)
+			if got := tablesOf(e); got != (tables{rib: 1, entries: 1, seqs: 1, paths: 1}) || e.pfxCount[30] != 1 {
+				t.Fatalf("after VP %d's withdraw: tables = %+v, prefix counts %v, want the row held by VP %d", vps[0], got, e.pfxCount, vps[1])
+			}
+			e.Withdraw("rc0", vps[1], pfxA)
+			checkDrained(t, e)
+		}
+	}
+}
+
+// TestNativeAndForeignRouteShareARow: a native and a foreign route on one
+// row, each rerouted in turn. The row outlives the native route's
+// reroute on the foreign one alone, and goes with the foreign route's,
+// taking its sequence with it; the other collector's copy of the same
+// route is another row.
+func TestNativeAndForeignRouteShareARow(t *testing.T) {
+	e := New(Options{})
+	a, b := []uint32{10, 20, 30}, []uint32{10, 21, 30}
+	e.Announce("rc0", 10, pfxA, a)
+	e.Announce("rc0", 11, pfxA, a)
+	e.Announce("rc1", 11, pfxA, a) // foreign, and its collector holds no native route for it
+	checkRoutes(t, e)
+	if got := tablesOf(e); got != (tables{rib: 3, entries: 2, seqs: 1, paths: 2}) {
+		t.Fatalf("tables = %+v, want three routes on two rows", got)
+	}
+	e.Commit(context.Background())
+	e.Announce("rc0", 10, pfxA, b) // the native route moves to b's row
+	checkRoutes(t, e)
+	if got := tablesOf(e); got != (tables{rib: 3, entries: 3, seqs: 2, paths: 3}) {
+		t.Fatalf("after the native reroute: tables = %+v, want a's rows held and b's born", got)
+	}
+	e.Announce("rc0", 11, pfxA, b) // the foreign route joins it
+	e.Announce("rc1", 11, pfxA, b)
+	checkRoutes(t, e)
+	if got := tablesOf(e); got != (tables{rib: 3, entries: 2, seqs: 1, paths: 2}) || e.entered != 1 || e.left != 1 {
+		t.Fatalf("after the foreign reroutes: tables = %+v, %d entered, %d left, want b alone on two rows", got, e.entered, e.left)
+	}
+	if len(e.pfxRef) != 1 || e.pfxCount[30] != 1 {
+		t.Errorf("prefix counts = %v / %v, want one prefix for origin 30", e.pfxRef, e.pfxCount)
+	}
+	snap := e.Commit(context.Background())
+	if snap.PathCount != 2 {
+		t.Errorf("snapshot counts %d paths, want 2", snap.PathCount)
+	}
+	e.Withdraw("rc1", 11, pfxA)
+	e.Withdraw("rc0", 10, pfxA)
+	checkRoutes(t, e)
+	if got := tablesOf(e); got != (tables{rib: 1, entries: 1, seqs: 1, paths: 1}) {
+		t.Fatalf("with the relayed route alone: tables = %+v", got)
+	}
+	e.Withdraw("rc0", 11, pfxA)
+	checkDrained(t, e)
+}
+
+// TestFlagFlipsMoveEachRowOnce: a clique change flips two sequences'
+// poisoned flags, each carried by a row no native route holds and a row
+// whose native route shares it with a foreign one. reflagLocked's row
+// pass finds the first in the foreign counts and the second in its
+// native slot, and moves each once. The routes are FuzzCorpusMutator's
+// clique-change seed: {1, 2} under the first commit, {10, 11} under the
+// second, with a 1–7–8–2 sandwich the change un-poisons and a
+// 10–20–22–11 one it poisons.
+func TestFlagFlipsMoveEachRowOnce(t *testing.T) {
+	e := New(Options{})
+	pfx := func(hi, lo byte) netip.Prefix { return netip.PrefixFrom(netip.AddrFrom4([4]byte{10, hi, lo, 0}), 24) }
+	native := func(hi, lo byte, hops ...uint32) { e.Announce("rc0", hops[0], pfx(hi, lo), hops) }
+	sandwich := func(hi byte, hops ...uint32) {
+		e.Announce("rc0", 99, pfx(hi, 9), hops) // relayed: its row's only route
+		native(hi, 8, hops...)
+		e.Announce("rc0", 98, pfx(hi, 8), hops) // relayed onto the native route's row
+	}
+	native(0, 1, 1, 2, 3)
+	native(0, 2, 4, 2, 5)
+	sandwich(0, 6, 1, 7, 8, 2, 9)
+	if _, rep := e.CommitEpoch(context.Background()); !slices.Equal(e.clique, []uint32{1, 2}) || rep.Reason != ReasonInitial {
+		t.Fatalf("first commit: clique %v (%s), want [1 2]", e.clique, rep.Reason)
+	}
+	checkRoutes(t, e)
+	native(1, 1, 11, 10, 12)
+	native(1, 2, 13, 10, 14)
+	native(1, 3, 15, 10, 16)
+	native(1, 4, 17, 10, 18)
+	sandwich(1, 19, 10, 20, 22, 11, 21)
+	before := tablesOf(e)
+	if _, rep := e.CommitEpoch(context.Background()); !slices.Equal(e.clique, []uint32{10, 11}) || rep.Reason != ReasonCliqueChurn {
+		t.Fatalf("second commit: clique %v (%s), want [10 11] from clique churn", e.clique, rep.Reason)
+	}
+	checkRoutes(t, e)
+	if after := tablesOf(e); after != before || before != (tables{rib: 12, entries: 10, seqs: 8, paths: 8}) {
+		t.Errorf("the flips moved the tables %+v → %+v, want 12 routes on 10 rows, two kept rows in and two out", before, after)
+	}
+	e.mu.Lock()
+	up, _ := e.seqs.Intern([]uint32{6, 1, 7, 8, 2, 9}, true)
+	down, _ := e.seqs.Intern([]uint32{19, 10, 20, 22, 11, 21}, true)
+	flipped := !e.held[up].poisoned && e.held[down].poisoned
+	e.mu.Unlock()
+	if !flipped {
+		t.Errorf("the clique change flipped neither sandwich")
+	}
+}
+
 // mapSizes returns the length of every map field of the struct v points
 // to, unexported ones included.
 func mapSizes(v any) (sizes []int) {
@@ -319,9 +540,11 @@ func checkDrained(t *testing.T, e *Engine) {
 	checkSequenceTable(t, e)
 	checkPrefixTable(t, e)
 	e.mu.Lock()
+	rib, rows := routeTables(e)
 	for name, n := range map[string]int{
-		"rib": len(e.rib), "rows": len(e.rows), "live sequences": e.seqs.Len(),
-		"linkIndex": len(e.linkIndex), "linkMembers": e.linkMembers, "keptRows": e.keptRows,
+		"rib": len(rib), "rows": len(rows), "routes": e.routes, "row count": e.rows, "foreign": len(e.foreign),
+		"live sequences": e.seqs.Len(),
+		"linkIndex":      len(e.linkIndex), "linkMembers": e.linkMembers, "keptRows": e.keptRows,
 		"pfxRef": len(e.pfxRef), "pfxCount": len(e.pfxCount), "prefixIDs": len(e.prefixIDs),
 	} {
 		if n != 0 {
@@ -358,9 +581,9 @@ type route struct {
 
 // churn drives e through a simulated table — withdrawals,
 // resurrections, reroutes, shared sequences under new prefixes,
-// garbage, a clique member torn out and restored, a commit after each
-// round — calling after once after every route event. It returns every
-// route it ever announced.
+// garbage, routes relayed by another VP, a clique member torn out and
+// restored, a commit after each round — calling after once after every
+// route event. It returns every route it ever announced.
 func churn(t *testing.T, e *Engine, after func()) []route {
 	t.Helper()
 	var routes []route
@@ -382,7 +605,7 @@ func churn(t *testing.T, e *Engine, after func()) []route {
 	for round := 0; round < 6; round++ {
 		for m := 0; m < 120; m++ {
 			r := &routes[rng.Intn(len(routes))]
-			switch rng.Intn(5) {
+			switch rng.Intn(6) {
 			case 0:
 				withdraw(*r)
 			case 1:
@@ -398,6 +621,11 @@ func churn(t *testing.T, e *Engine, after func()) []route {
 				announce(nr)
 			case 4: // garbage: the slot holds a dropped route
 				announce(route{r.collector, r.vp, r.prefix, append(slices.Clone(r.hops), 64512)})
+			case 5: // another VP relays the route verbatim: a foreign route on its row
+				nr := *r
+				nr.vp = routes[rng.Intn(len(routes))].vp
+				routes = append(routes, nr)
+				announce(nr)
 			}
 		}
 		snap := e.Commit(ctx)
@@ -408,6 +636,7 @@ func churn(t *testing.T, e *Engine, after func()) []route {
 				}
 			}
 			e.Commit(ctx)
+			checkSequenceTable(t, e) // the flag flips moved the torn-out sequences' rows
 			recycled = recycled || e.seqs.Len() < len(e.held)
 			for _, r := range routes {
 				if slices.Contains(r.hops, snap.Clique[0]) {
@@ -546,11 +775,15 @@ func TestAnnounceHeldSequenceAllocates(t *testing.T) {
 
 // TestHeapPerRoute pins what the engine holds per RIB route after a
 // bootstrap and one commit. At 1k ASes and 12 vantage points (25k
-// routes over 8k distinct hop sequences) it measures 134 B per route,
-// and 166 B at 5k ASes; route and row keys that each carried their own
-// 24-byte PrefixKey measured 204 B and 280 B, and the per-row entry
-// objects keyed by netip.Prefix and strings before them 459 B and
-// 584 B. The bound leaves ≈ 25 %.
+// routes over 8k distinct hop sequences) it measures 95 B per route, and
+// at 5k ASes and 40 vantage points (360k routes over 112k sequences)
+// 70 B: the routes are int32 slots of dense per-session columns and most
+// rows are derived from them, where a route map and a row map of 16-byte
+// slots measured 136 B and 117 B. Route and row keys that each carried
+// their own 24-byte PrefixKey measured 204 B at 1k ASes, and the per-row
+// entry objects keyed by netip.Prefix and strings before them 459 B.
+// Each bound leaves ≈ 25 %. The 5k-AS case takes a few seconds and
+// skips under -short.
 func TestHeapPerRoute(t *testing.T) {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range bi.Settings {
@@ -559,25 +792,37 @@ func TestHeapPerRoute(t *testing.T) {
 			}
 		}
 	}
-	ds := simCorpus(t, 1000, 12, 1)
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	e := New(Options{})
-	for _, p := range ds.Paths {
-		e.Announce(p.Collector, p.ASNs[0], p.Prefix, p.ASNs)
+	for _, tc := range []struct {
+		ases, vps int
+		bound     float64
+	}{
+		{1000, 12, 120},
+		{5000, 40, 88},
+	} {
+		t.Run(fmt.Sprintf("%dx%d", tc.ases, tc.vps), func(t *testing.T) {
+			if tc.ases > 1000 && testing.Short() {
+				t.Skip("a 5k-AS table under -short")
+			}
+			ds := simCorpus(t, tc.ases, tc.vps, 1)
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			e := New(Options{})
+			for _, p := range ds.Paths {
+				e.Announce(p.Collector, p.ASNs[0], p.Prefix, p.ASNs)
+			}
+			e.Commit(context.Background())
+			runtime.GC()
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			st := e.Stats()
+			perRoute := float64(after.HeapAlloc-before.HeapAlloc) / float64(st.RIBRoutes)
+			t.Logf("%d routes, %d rows, %d sequences: %.0f B of heap per route", st.RIBRoutes, st.Entries, st.Sequences, perRoute)
+			if perRoute > tc.bound {
+				t.Errorf("engine holds %.0f B per RIB route, bound %.0f", perRoute, tc.bound)
+			}
+			runtime.KeepAlive(ds)
+		})
 	}
-	e.Commit(context.Background())
-	runtime.GC()
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	st := e.Stats()
-	perRoute := float64(after.HeapAlloc-before.HeapAlloc) / float64(st.RIBRoutes)
-	t.Logf("%d routes, %d rows, %d sequences: %.0f B of heap per route", st.RIBRoutes, st.Entries, st.Sequences, perRoute)
-	const bound = 168
-	if perRoute > bound {
-		t.Errorf("engine holds %.0f B per RIB route, bound %d", perRoute, bound)
-	}
-	runtime.KeepAlive(ds)
 }

@@ -155,6 +155,34 @@ func FuzzCorpusMutator(f *testing.F) {
 		1, 0, 0, 0, 0,
 		0, 0, 251, 0, 0,
 	})
+	// A program about relayed routes. The ASN a path byte b picks is
+	// b+1, so VP 1 at collector b leads its own path only with byte 0:
+	// its 1–2–3 under 10.0.1.0/24 is the row's native route, and VP 3's
+	// copy of it there is foreign. VP 3 relays first (alone on the row),
+	// VP 1 joins, a commit; VP 1 withdraws first, then VP 3; then the
+	// two come back in the other order and go in the other order. Last,
+	// both share the row again and VP 1 reroutes to 1–2–4–3, leaving the
+	// row to VP 3's copy alone.
+	f.Add([]byte{
+		2, 3, 0, 1, 3, 0, 1, 2,
+		2, 1, 0, 1, 3, 0, 1, 2,
+		1, 0, 0, 0, 0,
+		0, 1, 0, 1, 0,
+		1, 0, 0, 0, 0,
+		0, 3, 0, 1, 0,
+		1, 0, 0, 0, 0,
+		2, 1, 0, 1, 3, 0, 1, 2,
+		2, 3, 0, 1, 3, 0, 1, 2,
+		1, 0, 0, 0, 0,
+		0, 3, 0, 1, 0,
+		1, 0, 0, 0, 0,
+		0, 1, 0, 1, 0,
+		1, 0, 0, 0, 0,
+		2, 1, 0, 1, 3, 0, 1, 2,
+		2, 3, 0, 1, 3, 0, 1, 2,
+		1, 0, 0, 0, 0,
+		2, 1, 0, 1, 4, 0, 1, 3, 2,
+	})
 	for _, v := range chaos.CorruptVariants(20130401, base, 8) {
 		f.Add(v)
 	}

@@ -68,8 +68,10 @@ func newHistory() *History {
 // the store's write lock, or inside Open before the store is shared. A
 // History extended but never published (a manifest write failed) is
 // dropped, and the next extend of h writes over the slot it used.
-func (h *History) extend(info EpochInfo, snap *Snapshot, coneASes []int32, changes []RelChange) *History {
-	rank := cone.RankPositions(coneASes, snap.TransitDegree)
+// scratch is the writer's, reused epoch to epoch: the ranking is read
+// out of it into the series' own rankOf, so no History shares it.
+func (h *History) extend(info EpochInfo, snap *Snapshot, coneASes []int32, changes []RelChange, scratch *rankScratch) *History {
+	rank := scratch.rank(coneASes, snap.TransitDegree)
 	s := epochSeries{
 		asns:          snap.ASNs,
 		rankOf:        make([]int32, len(rank)),
@@ -90,6 +92,20 @@ func (h *History) extend(info EpochInfo, snap *Snapshot, coneASes []int32, chang
 		chain:  chain,
 		etag:   chainTag(chain),
 	}
+}
+
+// rankScratch is the pair of position arrays extend ranks an epoch in:
+// the writer's own, under the store's lock or inside Open.
+type rankScratch struct {
+	a, b []int32
+}
+
+// rank returns the positions of sizes in rank order (cone.RankPositions),
+// in one of the pair's arrays, valid until the next call.
+func (r *rankScratch) rank(sizes, transitDegree []int32) []int32 {
+	n := len(sizes)
+	r.a, r.b = reuse(r.a, n)[:n], reuse(r.b, n)[:n]
+	return cone.RankPositionsInto(r.a, r.b, sizes, transitDegree)
 }
 
 // relChanges renders the link diff between consecutive snapshots in

@@ -57,12 +57,13 @@ func TestRunningChainETagEqualsWholeChainHash(t *testing.T) {
 
 	one := oneASSnapshot()
 	h := newHistory()
+	var ranks rankScratch
 	for i := range 200 {
 		hash := make([]byte, rng.Intn(100))
 		for j := range hash {
 			hash[j] = byte(rng.Intn(256))
 		}
-		h = h.extend(EpochInfo{ID: rng.Uint32(), Hash: string(hash)}, one, []int32{1}, nil)
+		h = h.extend(EpochInfo{ID: rng.Uint32(), Hash: string(hash)}, one, []int32{1}, nil, &ranks)
 		if got, want := h.ETag(), wholeChainETag(h.Epochs()); got != want {
 			t.Fatalf("entry %d (hash of %d bytes): running ETag %s, whole-chain hash %s", i, len(hash), got, want)
 		}
@@ -192,8 +193,9 @@ func TestHistoryGrowthIsLinear(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		h := newHistory()
+		var ranks rankScratch
 		for i := range n {
-			h = h.extend(EpochInfo{ID: uint32(i), Label: "epoch", Kind: "delta", Hash: "0123456789abcdef"}, one, []int32{1}, nil)
+			h = h.extend(EpochInfo{ID: uint32(i), Label: "epoch", Kind: "delta", Hash: "0123456789abcdef"}, one, []int32{1}, nil, &ranks)
 		}
 		runtime.ReadMemStats(&after)
 		if h.Len() != n {

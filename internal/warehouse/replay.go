@@ -32,9 +32,10 @@ type replayer struct {
 	start, members []int32   // cur's cones
 	spareStart     []int32   // the arrays the next epoch's cones are written into
 	spareMembers   []int32
-	seg            []byte    // the segment image being replayed; no column aliases it
-	added, changed []LinkRec // scratch: the link columns of the delta being applied
-	m              indexMap  // scratch: the alignment of the delta being applied
+	seg            []byte      // the segment image being replayed; no column aliases it
+	added, changed []LinkRec   // scratch: the link columns of the delta being applied
+	m              indexMap    // scratch: the alignment of the delta being applied
+	ranks          rankScratch // scratch: Open's ranking of each epoch it indexes
 }
 
 // reuse returns buf emptied, with room for n elements: buf's own array

@@ -21,10 +21,10 @@ import (
 // synthSeries fabricates a chain of valid snapshots around n ASes
 // without running inference, so chain-depth tests and benchmarks set up
 // in milliseconds. Every epoch retires and admits a few ASes, redraws a
-// few metrics, drops, adds and relabels links and toggles a few hundred
-// cone members — the drift the delta columns exist for, with the AS
-// set moved under the merge and kept. Epochs listed in still keep their
-// AS set.
+// few metrics, drops and adds links, relabels one in a hundred and
+// toggles a few hundred cone members — the drift the delta columns
+// exist for, with the AS set moved under the merge and kept. Epochs
+// listed in still keep their AS set.
 func synthSeries(n, epochs int, seed int64, still ...int) []*Snapshot {
 	return synthChain(n, epochs, seed, false, still)
 }
@@ -120,6 +120,20 @@ func synthChain(n, epochs int, seed int64, tail bool, still []int) []*Snapshot {
 					top.cone[b] = true
 				}
 			}
+			// A random pair above is rarely a link already, so relabel a
+			// fixed share of the links there are: every delta then
+			// carries changed links as well as added and removed ones.
+			keys := make([][2]uint32, 0, len(links))
+			for k := range links {
+				keys = append(keys, k)
+			}
+			slices.SortFunc(keys, func(x, y [2]uint32) int { return cmp.Or(cmp.Compare(x[0], y[0]), cmp.Compare(x[1], y[1])) })
+			for i := 0; i < 1+len(keys)/100; i++ {
+				k := keys[rng.Intn(len(keys))]
+				l := links[k]
+				l.rel = l.rel%3 + 1 // another of the three relationships
+				links[k] = l
+			}
 		}
 
 		s := &Snapshot{ASNs: asns, Clique: slices.Clone(asns[:5]), PathCount: int64(1000 + e), ConeStart: []int32{0}}
@@ -172,9 +186,9 @@ func synthStore(t testing.TB, snaps []*Snapshot, checkpointEvery int) (appended,
 }
 
 // TestSynthSeriesRoundTrip keeps the fabricated series honest: ASes
-// enter and leave, some epochs keep their AS set, and every epoch
-// decodes back deep-equal to the appended snapshot at two checkpoint
-// cadences.
+// enter and leave, some epochs keep their AS set, every epoch relabels
+// links, and every epoch decodes back deep-equal to the appended
+// snapshot at two checkpoint cadences.
 func TestSynthSeriesRoundTrip(t *testing.T) {
 	snaps := synthSeries(300, 9, 7, 3, 4)
 	churned, kept := 0, 0
@@ -183,6 +197,9 @@ func TestSynthSeriesRoundTrip(t *testing.T) {
 			kept++
 		} else if len(m.removed) > 0 && len(m.added) > 0 {
 			churned++
+		}
+		if d := diffLinks(snaps[i-1], snaps[i]); len(d.changed) == 0 {
+			t.Errorf("epoch %d relabels no link (%d removed, %d added)", i, len(d.removed), len(d.added))
 		}
 	}
 	if kept != 2 || churned != len(snaps)-3 {

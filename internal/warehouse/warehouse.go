@@ -84,6 +84,8 @@ type Store struct {
 	hist *History // the readable epochs: the store's only list of them
 	//asrank:guardedby mu
 	m indexMap // scratch: Append's alignment of a delta against last
+	//asrank:guardedby mu
+	ranks rankScratch // scratch: Append's ranking of the epoch it extends the history by
 }
 
 // Open opens (or creates) a warehouse at dir and validates every epoch
@@ -142,7 +144,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		}
 		// prev's links are the replayer's spare array now, intact until
 		// the next epoch is written into it.
-		st.hist = st.hist.extend(info, rp.cur, rowLengths(rp.start), relChanges(prev, rp.cur, diffLinks(prev, rp.cur)))
+		st.hist = st.hist.extend(info, rp.cur, rowLengths(rp.start), relChanges(prev, rp.cur, diffLinks(prev, rp.cur)), &rp.ranks)
 	}
 	if rp.cur != nil {
 		st.last = rp.snapshot()
@@ -310,7 +312,7 @@ func (st *Store) AppendNote(snap *Snapshot, label, etag string, note json.RawMes
 		ETag: etag, ASes: snap.NumASes(), Links: len(snap.Links),
 		Note: note,
 	}
-	next := st.hist.extend(info, snap, snap.ConeSizes(), relChanges(st.last, snap, diff))
+	next := st.hist.extend(info, snap, snap.ConeSizes(), relChanges(st.last, snap, diff), &st.ranks)
 	if err := st.writeManifest(next.epochs); err != nil {
 		return EpochInfo{}, err
 	}
