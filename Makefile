@@ -193,6 +193,8 @@ cover-programs:
 # replaced, FuzzCorpusIndex the corpus index after any add/remove
 # program against a naive recount,
 # FuzzManifest a store's honest segments against any manifest at all,
+# FuzzHistory the History's per-epoch moved lists against the dense
+# per-AS columns it replaced, over ASes that leave and return,
 # FuzzParseTraceparent the API's traceparent request header, and the
 # RPSL and topology-text readers of the shipped CLIs through a write
 # and a second read). Each target gets FUZZTIME; `go test`
@@ -216,6 +218,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME) ./internal/topology
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSegment$$' -fuzztime $(FUZZTIME) ./internal/warehouse
 	$(GO) test -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime $(FUZZTIME) ./internal/warehouse
+	$(GO) test -run '^$$' -fuzz '^FuzzHistory$$' -fuzztime $(FUZZTIME) ./internal/warehouse
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzCorpusMutator$$' -fuzztime $(FUZZTIME) ./internal/streamtest
 

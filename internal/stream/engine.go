@@ -91,11 +91,14 @@ const (
 // indexed by the prefix-table id of each route's PrefixKey.Route form
 // (invalid prefixes stay distinct routes), holding the route's sequence
 // id, dropped or noRoute — the unit BGP announce/withdraw semantics
-// operate on.
+// operate on. A session lives from its first route to the withdrawal of
+// its last; a retired slot holds no column and waits on the free list
+// for the next session opened.
 type session struct {
 	collector uint32 // Engine.collectors id
 	vp        uint32
-	routes    []int32 // by prefix id; shorter than the prefix table until a route needs the room
+	routes    []int32 // by prefix id; shorter than the prefix table until a route needs the room; nil in a retired slot
+	live      int32   // slots of routes holding a route, dropped ones included
 }
 
 // rowKey identifies one corpus row. Sanitize collapses duplicate
@@ -168,9 +171,11 @@ type Engine struct {
 	//asrank:guardedby mu
 	freePrefixes []uint32 // released ids
 	//asrank:guardedby mu
-	sessionIDs map[uint64]int32 // collector id << 32 | vp → index into sessions; none is retired
+	sessionIDs map[uint64]int32 // collector id << 32 | vp → index into sessions, for live sessions only
 	//asrank:guardedby mu
 	sessions []session
+	//asrank:guardedby mu
+	freeSessions []int32 // retired indexes into sessions
 	//asrank:guardedby mu
 	foreign map[rowKey]int32 // foreign routes announcing the row, when any
 	//asrank:guardedby mu
@@ -267,6 +272,7 @@ func (e *Engine) Announce(collector string, vp uint32, prefix netip.Prefix, asns
 	if old == noRoute {
 		e.prefixes[p].refs++ // the route's own
 		e.routes++
+		ses.live++
 	}
 	if !keep {
 		if old >= 0 {
@@ -319,19 +325,28 @@ func (e *Engine) Withdraw(collector string, vp uint32, prefix netip.Prefix) {
 	ses.routes[p] = noRoute
 	e.routes--
 	e.releasePrefixLocked(p)
+	ses.live--
+	if ses.live == 0 {
+		e.retireSessionLocked(s)
+	}
 }
 
 // sessionLocked returns collector c's session with vantage point vp,
-// opening it on its first route, with a column long enough to hold
-// prefix id p. A column grows to the prefix table's capacity, so it is
-// reallocated only as often as the table is.
+// opening it on its first route, in a retired slot if there is one, with
+// a column long enough to hold prefix id p. A column grows to the prefix
+// table's capacity, so it is reallocated only as often as the table is.
 func (e *Engine) sessionLocked(c, vp, p uint32) *session {
 	k := uint64(c)<<32 | uint64(vp)
 	s, ok := e.sessionIDs[k]
 	if !ok {
-		s = int32(len(e.sessions))
+		if n := len(e.freeSessions); n > 0 {
+			s, e.freeSessions = e.freeSessions[n-1], e.freeSessions[:n-1]
+			e.sessions[s] = session{collector: c, vp: vp}
+		} else {
+			s = int32(len(e.sessions))
+			e.sessions = append(e.sessions, session{collector: c, vp: vp})
+		}
 		e.sessionIDs[k] = s
-		e.sessions = append(e.sessions, session{collector: c, vp: vp})
 	}
 	ses := &e.sessions[s]
 	if int(p) >= len(ses.routes) {
@@ -343,6 +358,17 @@ func (e *Engine) sessionLocked(c, vp, p uint32) *session {
 		ses.routes = grown
 	}
 	return ses
+}
+
+// retireSessionLocked closes session s, whose last route was just
+// withdrawn: its column is dropped and its slot freed for the next
+// session opened, so a feed whose vantage points come and go holds
+// columns for the live ones only.
+func (e *Engine) retireSessionLocked(s int32) {
+	ses := &e.sessions[s]
+	delete(e.sessionIDs, uint64(ses.collector)<<32|uint64(ses.vp))
+	*ses = session{}
+	e.freeSessions = append(e.freeSessions, s)
 }
 
 // internPrefixLocked returns the id of route, a prefix's Route form
@@ -630,6 +656,9 @@ func (e *Engine) reflagLocked(clique []uint32) {
 	}
 	for i := range e.sessions {
 		ses := &e.sessions[i]
+		if ses.routes == nil {
+			continue // a retired slot
+		}
 		for p, id := range ses.routes {
 			if id < 0 || !flipped[id] {
 				continue

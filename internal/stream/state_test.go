@@ -556,6 +556,14 @@ func checkDrained(t *testing.T, e *Engine) {
 			t.Errorf("drained engine's prefix id %d still holds %+v", id, s)
 		}
 	}
+	if len(e.sessionIDs) != 0 || len(e.freeSessions) != len(e.sessions) {
+		t.Errorf("drained engine still holds %d sessions; %d of %d slots are free", len(e.sessionIDs), len(e.freeSessions), len(e.sessions))
+	}
+	for i, ses := range e.sessions {
+		if ses.routes != nil || ses.live != 0 {
+			t.Errorf("drained engine's session slot %d still holds a column of %d slots, %d routes", i, len(ses.routes), ses.live)
+		}
+	}
 	if sizes, tables := mapSizes(e.ix), mapSizes(core.NewCorpusIndex()); len(sizes) != len(tables) || slices.Max(sizes) != 0 {
 		t.Errorf("drained CorpusIndex tables hold %v entries, want %d empty tables", sizes, len(tables))
 	}
@@ -665,6 +673,55 @@ func TestDrainToEmpty(t *testing.T) {
 	if st := e.Stats(); st.Entries+st.RIBRoutes+st.Sequences+st.LinkIndex != 0 {
 		t.Errorf("drained engine reports %+v", st)
 	}
+}
+
+// TestDrainedSessionIsRetired: a session whose last route is withdrawn
+// drops its column and frees its slot while the other sessions keep
+// theirs; re-announcing to it opens a new column in that slot, and a
+// session opened next takes a slot of its own.
+func TestDrainedSessionIsRetired(t *testing.T) {
+	e := New(Options{})
+	e.Announce("rc0", 10, pfxA, []uint32{10, 20, 30})
+	e.Announce("rc0", 10, pfxB, []uint32{10, 21, 30})
+	e.Announce("rc0", 11, pfxA, []uint32{11, 20, 30})
+	e.mu.Lock()
+	retired := e.sessionIDs[10]
+	old := &e.sessions[retired].routes[0]
+	e.mu.Unlock()
+
+	e.Withdraw("rc0", 10, pfxA)
+	e.Withdraw("rc0", 10, pfxB)
+	e.Withdraw("rc0", 10, pfxB) // the session is gone: a miss, as for a prefix never announced
+	checkSequenceTable(t, e)
+	e.mu.Lock()
+	if _, ok := e.sessionIDs[10]; ok || e.sessions[retired].routes != nil || !slices.Equal(e.freeSessions, []int32{retired}) {
+		t.Errorf("drained session: filed %v, column of %d slots, free slots %v; want it retired into slot %d",
+			ok, len(e.sessions[retired].routes), e.freeSessions, retired)
+	}
+	if s, ok := e.sessionIDs[11]; !ok || e.sessions[s].live != 1 {
+		t.Errorf("the other session is filed %v with %d routes, want 1", ok, e.sessions[s].live)
+	}
+	e.mu.Unlock()
+
+	e.Announce("rc0", 10, pfxB, []uint32{10, 22, 30})
+	e.Announce("rc0", 12, pfxB, []uint32{12, 22, 30})
+	checkSequenceTable(t, e)
+	checkPrefixTable(t, e)
+	e.mu.Lock()
+	s, ok := e.sessionIDs[10]
+	if !ok || s != retired || e.sessions[s].live != 1 || len(e.freeSessions) != 0 || len(e.sessions) != 3 {
+		t.Errorf("re-announced session in slot %d (filed %v) with %d routes over %d slots, %d free; want slot %d, 1 route, 3 slots, none free",
+			s, ok, e.sessions[s].live, len(e.sessions), len(e.freeSessions), retired)
+	}
+	if ok && &e.sessions[s].routes[0] == old {
+		t.Error("the re-announced session writes into the column it was retired with")
+	}
+	e.mu.Unlock()
+
+	e.Withdraw("rc0", 10, pfxB)
+	e.Withdraw("rc0", 11, pfxA)
+	e.Withdraw("rc0", 12, pfxB)
+	checkDrained(t, e)
 }
 
 // TestPrefixIDsAreReused drains churn's table, then runs churn again on

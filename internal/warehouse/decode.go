@@ -182,24 +182,23 @@ func decodeAscendingU32(payload []byte, id byte) ([]uint32, error) {
 	return out, nil
 }
 
-// decodeCounts reads a column of n counts — degrees, cone-prefix totals
-// — refusing a negative value or one the column's type cannot hold
+// decodeCounts reads a column of len(out) counts — degrees, cone-prefix
+// totals — into out, refusing a negative value or one the column's type cannot hold
 // rather than narrowing it.
-func decodeCounts[T int32 | int64](payload []byte, n int, id byte) ([]T, error) {
+func decodeCounts[T int32 | int64](payload []byte, out []T, id byte) error {
 	r := &decodeReader{buf: payload}
-	out := make([]T, n)
 	for i := range out {
 		at := r.off
 		v, err := r.varint()
 		if err != nil {
-			return nil, fmt.Errorf("warehouse: column %d entry %d: %w", id, i, err)
+			return fmt.Errorf("warehouse: column %d entry %d: %w", id, i, err)
 		}
 		if v < 0 || int64(T(v)) != v {
-			return nil, fmt.Errorf("warehouse: column %d entry %d at offset %d: count %d out of range", id, i, at, v)
+			return fmt.Errorf("warehouse: column %d entry %d at offset %d: count %d out of range", id, i, at, v)
 		}
 		out[i] = T(v)
 	}
-	return out, nil
+	return nil
 }
 
 // decodeStepNames reads the step-name column as the steps the link

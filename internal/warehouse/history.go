@@ -13,12 +13,13 @@ import (
 
 // History is the immutable in-memory time-travel index the API layer
 // serves from, and the store's one list of its epochs: the manifest
-// entries, per-epoch rank/degree/cone columns plus the
-// relationship-change list against each epoch's predecessor. Each
-// Append publishes a new History value whose epochs and series arrays
-// are its predecessor's, grown in place by one entry; every published
-// value keeps its own length, so none ever sees an entry appended after
-// it, and readers never observe a half-extended index.
+// entries, each epoch's series (its rank column, its AS column and the
+// ASes whose metrics moved) plus the relationship-change list against
+// each epoch's predecessor. Each Append publishes a new History value
+// whose epochs and series arrays are its predecessor's, grown in place
+// by one entry; every published value keeps its own length, so none
+// ever sees an entry appended after it, and readers never observe a
+// half-extended index.
 type History struct {
 	epochs []EpochInfo
 	series []epochSeries
@@ -26,15 +27,39 @@ type History struct {
 	etag   string
 }
 
-// epochSeries is one epoch's queryable column set.
+// epochSeries is one epoch's queryable columns. Rank is dense: it moves
+// for nearly every AS every epoch. The four metrics beside it move for a
+// small share of the ASes, so an epoch keeps only those: moved lists, by
+// ascending ASN, every AS of the epoch whose (cone size, cone prefixes,
+// degree, transit degree) differs from the predecessor's, an AS the
+// predecessor lacks counting as all zero (so the first epoch lists
+// every AS with a non-zero metric). An AS's metrics at an epoch are
+// those of the last list naming it since it was last absent, or zero.
 type epochSeries struct {
-	asns          []uint32 // shared with the decoded snapshot; never mutated
-	rankOf        []int32  // position → 1-based rank
-	coneASes      []int32  // position → cone size in ASes
-	conePrefixes  []int64  // position → prefix-weighted cone size
-	degree        []int32
-	transitDegree []int32
-	changes       []RelChange // vs predecessor, sorted by (A, B) ASN; empty for epoch 0
+	asns    []uint32    // the predecessor's column when the AS set did not move; never mutated
+	rankOf  []int32     // position → 1-based rank
+	moved   []asMetrics // vs predecessor, by ascending ASN
+	changes []RelChange // vs predecessor, sorted by (A, B) ASN; empty for epoch 0
+}
+
+// asMetrics is one AS's metrics at one epoch.
+type asMetrics struct {
+	asn           uint32
+	coneASes      int32 // cone size in ASes
+	conePrefixes  int64 // prefix-weighted cone size
+	degree        int32
+	transitDegree int32
+}
+
+// metricsAt returns position p's metrics in s, whose ConeStart is set.
+func metricsAt(s *Snapshot, p int) asMetrics {
+	return asMetrics{
+		asn:           s.ASNs[p],
+		coneASes:      s.ConeStart[p+1] - s.ConeStart[p],
+		conePrefixes:  s.ConePrefixes[p],
+		degree:        s.Degree[p],
+		transitDegree: s.TransitDegree[p],
+	}
 }
 
 // RelChange is one link whose relationship differs from the previous
@@ -57,32 +82,41 @@ func newHistory() *History {
 }
 
 // extend returns a new History with snap appended as epoch info.ID.
-// coneASes is snap's cone sizes by position, from which the epoch is
-// ranked by the rule Snapshot.Rank applies; changes is the
-// relationship-change list against the preceding epoch (nil for the
-// first). The series keeps snap's columns, coneASes and changes, none of
-// which may be written afterwards.
+// prev is the epoch h ends with (nil for the first), still readable:
+// the store's last snapshot in Append, the replayer's previous epoch in
+// Open. Both are read for their AS, metric and cone-offset columns; snap
+// is ranked from its cone sizes by the rule Snapshot.Rank applies, and
+// its metrics are diffed against prev's in one merge walk of the two AS
+// columns. changes is the relationship-change list against prev (nil for
+// the first epoch). The series keeps snap's AS column, unless prev's set
+// is the same, and changes, neither of which may be written afterwards.
 //
 // The new History appends to h's arrays rather than copying them, so
 // only the latest History may be extended, and only by its store: under
 // the store's write lock, or inside Open before the store is shared. A
 // History extended but never published (a manifest write failed) is
 // dropped, and the next extend of h writes over the slot it used.
-// scratch is the writer's, reused epoch to epoch: the ranking is read
-// out of it into the series' own rankOf, so no History shares it.
-func (h *History) extend(info EpochInfo, snap *Snapshot, coneASes []int32, changes []RelChange, scratch *rankScratch) *History {
-	rank := scratch.rank(coneASes, snap.TransitDegree)
-	s := epochSeries{
-		asns:          snap.ASNs,
-		rankOf:        make([]int32, len(rank)),
-		coneASes:      coneASes,
-		conePrefixes:  snap.ConePrefixes,
-		degree:        snap.Degree,
-		transitDegree: snap.TransitDegree,
-		changes:       changes,
-	}
+// scratch is the writer's, reused epoch to epoch: the ranking and the
+// moved positions are read out of it into the series' own rankOf and
+// moved list, so no History shares it.
+func (h *History) extend(info EpochInfo, prev, snap *Snapshot, changes []RelChange, scratch *rankScratch) *History {
+	n := len(snap.ASNs)
+	scratch.sizes = rowLengths(reuse(scratch.sizes, n)[:n], snap.ConeStart)
+	rank := scratch.rank(scratch.sizes, snap.TransitDegree)
+	s := epochSeries{asns: snap.ASNs, rankOf: make([]int32, n), changes: changes}
 	for r, p := range rank {
 		s.rankOf[p] = int32(r) + 1
+	}
+	var setMoved bool
+	scratch.moved, setMoved = movedSince(reuse(scratch.moved, n), prev, snap)
+	if len(scratch.moved) > 0 {
+		s.moved = make([]asMetrics, len(scratch.moved))
+		for i, p := range scratch.moved {
+			s.moved[i] = metricsAt(snap, int(p))
+		}
+	}
+	if !setMoved && len(h.series) > 0 {
+		s.asns = h.series[len(h.series)-1].asns
 	}
 
 	chain := chainStep(h.chain, info)
@@ -94,10 +128,46 @@ func (h *History) extend(info EpochInfo, snap *Snapshot, coneASes []int32, chang
 	}
 }
 
-// rankScratch is the pair of position arrays extend ranks an epoch in:
-// the writer's own, under the store's lock or inside Open.
+// movedSince appends to moved, ascending, the position in snap of every
+// AS whose metrics differ from prev's, an AS prev lacks (or a nil prev)
+// counting as all zero, and reports whether the two AS sets differ. It
+// is one merge walk of the two AS columns.
+func movedSince(moved []int32, prev, snap *Snapshot) ([]int32, bool) {
+	var old []uint32
+	if prev != nil {
+		old = prev.ASNs
+	}
+	setMoved := len(old) != len(snap.ASNs)
+	start, prefixes, degree, transit := snap.ConeStart, snap.ConePrefixes, snap.Degree, snap.TransitDegree
+	q := 0
+	for p, asn := range snap.ASNs {
+		for q < len(old) && old[q] < asn {
+			q++
+			setMoved = true
+		}
+		// Each metric less its value at prev, where prev holds the AS.
+		size, pref, deg, td := start[p+1]-start[p], prefixes[p], degree[p], transit[p]
+		if q < len(old) && old[q] == asn {
+			size -= prev.ConeStart[q+1] - prev.ConeStart[q]
+			pref -= prev.ConePrefixes[q]
+			deg -= prev.Degree[q]
+			td -= prev.TransitDegree[q]
+			q++
+		} else {
+			setMoved = true
+		}
+		if size|deg|td != 0 || pref != 0 {
+			moved = append(moved, int32(p))
+		}
+	}
+	return moved, setMoved || q < len(old)
+}
+
+// rankScratch is what extend works in: the cone sizes and the pair of
+// position arrays it ranks an epoch in, and the positions whose metrics
+// moved — the writer's own, under the store's lock or inside Open.
 type rankScratch struct {
-	a, b []int32
+	a, b, sizes, moved []int32
 }
 
 // rank returns the positions of sizes in rank order (cone.RankPositions),
@@ -149,6 +219,11 @@ func posOf(asns []uint32, asn uint32) (int32, bool) {
 	return 0, false
 }
 
+// movedAt binary-searches a moved list for asn's entry.
+func movedAt(moved []asMetrics, asn uint32) (int, bool) {
+	return slices.BinarySearchFunc(moved, asn, func(m asMetrics, asn uint32) int { return cmp.Compare(m.asn, asn) })
+}
+
 // chainStep folds one epoch's "id:hash;" into the running FNV-1a state
 // of the chain ETag: the strong ETag the time-travel routes serve under,
 // a hash over every epoch's (id, content hash) pair in order, so any
@@ -194,19 +269,27 @@ type ASNEpoch struct {
 
 // ASN returns asn's trajectory across every epoch, oldest first —
 // rank, cone size, degree, and the relationship changes touching it.
-// Epochs where the AS is absent report Present == false.
+// Epochs where the AS is absent report Present == false. The metrics are
+// carried from epoch to epoch, taken from each epoch's moved list where
+// it names the AS and reset while the AS is absent.
 func (h *History) ASN(asn uint32) []ASNEpoch {
 	out := make([]ASNEpoch, 0, len(h.series))
+	var m asMetrics // asn's metrics as of the epoch before, zero while absent
 	for i := range h.series {
 		s := &h.series[i]
 		e := ASNEpoch{Epoch: h.epochs[i].ID, Label: h.epochs[i].Label}
 		if p, ok := posOf(s.asns, asn); ok {
+			if j, ok := movedAt(s.moved, asn); ok {
+				m = s.moved[j]
+			}
 			e.Present = true
 			e.Rank = s.rankOf[p]
-			e.ConeASes = s.coneASes[p]
-			e.ConePrefixes = s.conePrefixes[p]
-			e.Degree = s.degree[p]
-			e.TransitDegree = s.transitDegree[p]
+			e.ConeASes = m.coneASes
+			e.ConePrefixes = m.conePrefixes
+			e.Degree = m.degree
+			e.TransitDegree = m.transitDegree
+		} else {
+			m = asMetrics{}
 		}
 		for _, c := range s.changes {
 			if c.A == asn || c.B == asn {

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/asrank-go/asrank/internal/cone"
 	"github.com/asrank-go/asrank/internal/topology"
 )
 
@@ -264,6 +265,133 @@ func TestDiffMergeEqualsMapFold(t *testing.T) {
 			}
 		}
 	}
+}
+
+// oracleHistory is History as it stood before it kept only what
+// changed: every epoch holds its own AS column and five dense per-AS
+// columns — rank, cone size, cone prefixes, degree and transit degree —
+// and ASN reads each epoch's entry at the AS's position. It is the
+// oracle of the moved lists.
+type oracleHistory struct {
+	epochs []EpochInfo
+	series []oracleSeries
+}
+
+type oracleSeries struct {
+	asns          []uint32
+	rankOf        []int32
+	coneASes      []int32
+	conePrefixes  []int64
+	degree        []int32
+	transitDegree []int32
+	changes       []RelChange
+}
+
+// extend appends snap as the next epoch, copying every column it keeps.
+func (h *oracleHistory) extend(info EpochInfo, snap *Snapshot, changes []RelChange) {
+	s := oracleSeries{
+		asns:          slices.Clone(snap.ASNs),
+		rankOf:        make([]int32, len(snap.ASNs)),
+		coneASes:      snap.ConeSizes(),
+		conePrefixes:  slices.Clone(snap.ConePrefixes),
+		degree:        slices.Clone(snap.Degree),
+		transitDegree: slices.Clone(snap.TransitDegree),
+		changes:       changes,
+	}
+	for r, p := range cone.RankPositions(s.coneASes, s.transitDegree) {
+		s.rankOf[p] = int32(r) + 1
+	}
+	h.epochs = append(h.epochs, info)
+	h.series = append(h.series, s)
+}
+
+// ASN is History.ASN over the dense columns.
+func (h *oracleHistory) ASN(asn uint32) []ASNEpoch {
+	out := make([]ASNEpoch, 0, len(h.series))
+	for i := range h.series {
+		s := &h.series[i]
+		e := ASNEpoch{Epoch: h.epochs[i].ID, Label: h.epochs[i].Label}
+		if p, ok := posOf(s.asns, asn); ok {
+			e.Present = true
+			e.Rank = s.rankOf[p]
+			e.ConeASes = s.coneASes[p]
+			e.ConePrefixes = s.conePrefixes[p]
+			e.Degree = s.degree[p]
+			e.TransitDegree = s.transitDegree[p]
+		}
+		for _, c := range s.changes {
+			if c.A == asn || c.B == asn {
+				e.Changes = append(e.Changes, c)
+			}
+		}
+		out = append(out, e)
+	}
+	return out
+}
+
+// historyUniverse is the ASNs FuzzHistory's snapshots draw from.
+var historyUniverse = []uint32{3, 7, 8, 20, 21, 64, 100, 101, 4000, 65536, 70000, 4200000000}
+
+// historyInput reads a fuzz input as a chain of small snapshots over
+// historyUniverse, at most 24 epochs: per epoch, two bytes whose low 12
+// bits say which ASes are present, then one byte per present AS holding
+// its transit degree, degree and cone prefixes (two bits each, so zero
+// is frequent and values repeat) and its cone size (the top two bits,
+// capped at the AS count). A short input ends the chain.
+func historyInput(data []byte) []*Snapshot {
+	var out []*Snapshot
+	for len(data) >= 2 && len(out) < 24 {
+		mask := uint16(data[0]) | uint16(data[1])<<8
+		data = data[2:]
+		s := &Snapshot{ConeStart: []int32{0}}
+		for i, asn := range historyUniverse {
+			if mask&(1<<i) != 0 {
+				s.ASNs = append(s.ASNs, asn)
+			}
+		}
+		for range s.ASNs {
+			var b byte
+			if len(data) > 0 {
+				b, data = data[0], data[1:]
+			}
+			s.TransitDegree = append(s.TransitDegree, int32(b&3))
+			s.Degree = append(s.Degree, int32(b>>2&3))
+			s.ConePrefixes = append(s.ConePrefixes, int64(b>>4&3))
+			for m := range min(int(b>>6), len(s.ASNs)) {
+				s.ConeMembers = append(s.ConeMembers, int32(m))
+			}
+			s.ConeStart = append(s.ConeStart, int32(len(s.ConeMembers)))
+		}
+		out = append(out, s)
+	}
+	return out
+}
+
+// FuzzHistory holds History.ASN to the dense oracle over any chain of
+// small snapshots whose ASes leave and return and whose metrics hit
+// zero, stay put or move: after every extend, the trajectory of every
+// AS of the universe, and of two never seen, is the oracle's.
+func FuzzHistory(f *testing.F) {
+	f.Add([]byte{0xff, 0x0f, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 0xff, 0x0f, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	f.Add([]byte{0x05, 0x00, 0xc1, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x05, 0x00, 0xc1, 0x00})
+	f.Add([]byte{0x0f, 0x00, 0x55, 0xaa, 0x00, 0xff, 0xf0, 0x00, 0x55, 0xaa, 0x00, 0xff, 0x0f, 0x00, 0x55, 0xaa, 0x00, 0xff})
+	f.Add([]byte{0x00, 0x00, 0x01, 0x08, 0x40, 0x00, 0x00, 0x01, 0x08, 0x00})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, oracle := newHistory(), new(oracleHistory)
+		var ranks rankScratch
+		var prev *Snapshot
+		for e, snap := range historyInput(data) {
+			info := EpochInfo{ID: uint32(e), Label: fmt.Sprint("epoch-", e)}
+			h = h.extend(info, prev, snap, nil, &ranks)
+			oracle.extend(info, snap, nil)
+			prev = snap
+			for _, asn := range append([]uint32{1, 5000}, historyUniverse...) {
+				if got, want := h.ASN(asn), oracle.ASN(asn); !reflect.DeepEqual(got, want) {
+					t.Fatalf("epoch %d, AS%d: History answers %+v, the dense oracle %+v", e, asn, got, want)
+				}
+			}
+		}
+	})
 }
 
 // rowsOf returns s's cones as one slice per position, copied.
@@ -693,10 +821,11 @@ func TestMergeReplayEqualsDenseReplayer(t *testing.T) {
 }
 
 // TestRefusedEpochLeavesWorkingPair: a full epoch refused in its slab
-// column after literal runs (its links already decoded into the spare
-// array), a delta refused midway through rebuilding its links into the
-// spare array, or one refused at its last check, writes nothing to the
-// replayer's working link column or its working pair of cone arrays and
+// column after literal runs (its metrics and links already decoded into
+// the spare arrays), a delta refused midway through rebuilding its links
+// into the spare array (its metrics already carried into theirs), or
+// one refused at its last check, writes nothing to the replayer's
+// working metric and link columns or its working pair of cone arrays and
 // swaps nothing in: they are the same memory holding the same entries.
 func TestRefusedEpochLeavesWorkingPair(t *testing.T) {
 	series := synthSeries(300, 3, 7)
@@ -719,6 +848,8 @@ func TestRefusedEpochLeavesWorkingPair(t *testing.T) {
 	}
 	start, members, links := slices.Clone(rp.start), slices.Clone(rp.members), slices.Clone(rp.cur.Links)
 	start0, members0, links0, cur := &rp.start[0], &rp.members[0], &rp.cur.Links[0], rp.cur
+	working := *rp.cur // the column headers: which arrays the working epoch reads
+	transit, degree, prefixes := slices.Clone(rp.cur.TransitDegree), slices.Clone(rp.cur.Degree), slices.Clone(rp.cur.ConePrefixes)
 
 	rle := encodeWordsRLE(nil, s2)
 	m := mapIndexes(s1.ASNs, s2.ASNs)
@@ -759,12 +890,27 @@ func TestRefusedEpochLeavesWorkingPair(t *testing.T) {
 		if !slices.Equal(rp.cur.Links, links) {
 			t.Errorf("%s: the working links were written", name)
 		}
+		if &rp.cur.TransitDegree[0] != &working.TransitDegree[0] || &rp.cur.Degree[0] != &working.Degree[0] || &rp.cur.ConePrefixes[0] != &working.ConePrefixes[0] {
+			t.Errorf("%s: a working metric column was swapped", name)
+		}
+		if !slices.Equal(rp.cur.TransitDegree, transit) || !slices.Equal(rp.cur.Degree, degree) || !slices.Equal(rp.cur.ConePrefixes, prefixes) {
+			t.Errorf("%s: the working metrics were written", name)
+		}
+		for _, spare := range [][]int32{rp.spareTransit, rp.spareDegree} {
+			if len(spare) > 0 && (&spare[0] == &working.TransitDegree[0] || &spare[0] == &working.Degree[0]) {
+				t.Errorf("%s: a working metric column is a spare one", name)
+			}
+		}
+		if len(rp.sparePrefixes) > 0 && &rp.sparePrefixes[0] == &working.ConePrefixes[0] {
+			t.Errorf("%s: the working prefix column is the spare one", name)
+		}
 	}
 	// And the replayer goes on from where it stood.
 	if err := load(kindDelta, deltaCols(s1, s2)); err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(rp.start, s2.ConeStart) || !slices.Equal(rp.members, s2.ConeMembers) || !slices.Equal(rp.cur.Links, s2.Links) {
+	if !slices.Equal(rp.start, s2.ConeStart) || !slices.Equal(rp.members, s2.ConeMembers) || !slices.Equal(rp.cur.Links, s2.Links) ||
+		!slices.Equal(rp.cur.TransitDegree, s2.TransitDegree) || !slices.Equal(rp.cur.Degree, s2.Degree) || !slices.Equal(rp.cur.ConePrefixes, s2.ConePrefixes) {
 		t.Error("the epoch after the refused ones decodes differently")
 	}
 }

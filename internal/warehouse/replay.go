@@ -3,17 +3,19 @@ package warehouse
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 )
 
 // replayer is the one mutable working epoch a chain of segments is
 // replayed into (DESIGN.md §14): Open, Store.Snapshot and the fuzz
 // target each make their own and feed it one segment after another.
 //
-// The AS, metric and clique columns of cur are immutable values,
-// replaced whole by each epoch, so a predecessor's columns stay readable
-// after the next epoch lands (History keeps them). The links and the
-// cones are reused: each is a working column and a spare one. A full
-// epoch decodes its links and cones into the spares; a delta rebuilds
+// The AS and clique columns of cur are immutable values, replaced whole
+// by each epoch (an unchanged AS set shares the predecessor's column).
+// The metric columns, the links and the cones are reused: each is a
+// working column and a spare one. A full epoch decodes its metrics,
+// links and cones into the spares; a delta carries the working metrics
+// into the spare columns and applies its sparse diffs there, rebuilds
 // the working links, relabelled into the new index, with its removed,
 // added and changed links into the spare array, and merges the working
 // member lists (start, members) with its flipped bits into the spare
@@ -21,16 +23,20 @@ import (
 // epoch's only write to what the replayer holds: every epoch is applied
 // validate-then-mutate — all columns decoded and cross-checked before
 // it — so an epoch that fails leaves the replayer exactly at its
-// predecessor. The predecessor's links stay readable until the epoch
-// after its successor is written, which is as long as Open diffs them.
-// A working link column handed out by snapshot is the caller's: it is
-// not made the spare when the next epoch lands.
+// predecessor. The predecessor's columns stay readable until the epoch
+// after its successor is written, which is as long as Open diffs them
+// and extends the History by them. Metric and link columns handed out
+// by snapshot are the caller's: they are not made the spares when the
+// next epoch lands.
 type replayer struct {
-	cur            *Snapshot // columns of the working epoch; cur.Links is the working link column, ConeStart and ConeMembers stay nil
+	cur            *Snapshot // the working epoch; its metric, link and cone columns are the working ones
 	spareLinks     []LinkRec // the array the next epoch's links are written into
-	lent           bool      // cur.Links was handed out by snapshot
-	start, members []int32   // cur's cones
-	spareStart     []int32   // the arrays the next epoch's cones are written into
+	spareTransit   []int32   // the arrays the next epoch's metrics are written into
+	spareDegree    []int32
+	sparePrefixes  []int64
+	lent           bool    // cur's metric and link columns were handed out by snapshot
+	start, members []int32 // cur's cones
+	spareStart     []int32 // the arrays the next epoch's cones are written into
 	spareMembers   []int32
 	seg            []byte      // the segment image being replayed; no column aliases it
 	added, changed []LinkRec   // scratch: the link columns of the delta being applied
@@ -59,6 +65,15 @@ func (r *replayer) spare(n, k int) (start, members []int32) {
 	return reuse(r.spareStart, n+1)[:n+1], reuse(r.spareMembers, k)[:k]
 }
 
+// spareMetrics resizes the spare metric columns to n entries, contents
+// unspecified, and hands them to s.
+func (r *replayer) spareMetrics(s *Snapshot, n int) {
+	r.spareTransit = reuse(r.spareTransit, n)[:n]
+	r.spareDegree = reuse(r.spareDegree, n)[:n]
+	r.sparePrefixes = reuse(r.sparePrefixes, n)[:n]
+	s.TransitDegree, s.Degree, s.ConePrefixes = r.spareTransit, r.spareDegree, r.sparePrefixes
+}
+
 // swap makes start and members the working cones and the pair they
 // replace the spare one.
 func (r *replayer) swap(start, members []int32) {
@@ -66,16 +81,17 @@ func (r *replayer) swap(start, members []int32) {
 	r.start, r.members = start, members
 }
 
-// land makes s, whose links were written into the spare array, the
-// working epoch, and the link column it replaces the spare one unless
-// that column was handed out.
+// land makes s, whose metrics and links were written into the spare
+// arrays, the working epoch with the working cones, and the metric and
+// link columns it replaces the spare ones unless they were handed out.
 func (r *replayer) land(s *Snapshot) {
-	switch {
-	case r.lent:
-		r.spareLinks, r.lent = nil, false
-	case r.cur != nil:
-		r.spareLinks = r.cur.Links
+	var was Snapshot // nothing to reuse: no working epoch yet, or its columns are the caller's
+	if r.cur != nil && !r.lent {
+		was = *r.cur
 	}
+	r.spareLinks, r.lent = was.Links, false
+	r.spareTransit, r.spareDegree, r.sparePrefixes = was.TransitDegree, was.Degree, was.ConePrefixes
+	s.ConeStart, s.ConeMembers = r.start, r.members
 	r.cur = s
 }
 
@@ -91,23 +107,24 @@ func (r *replayer) full(cols map[byte][]byte) error {
 	}
 	n := len(asns)
 	s := &Snapshot{ASNs: asns}
+	r.spareMetrics(s, n)
 
 	if p, err = col(cols, colTransitDeg); err != nil {
 		return err
 	}
-	if s.TransitDegree, err = decodeCounts[int32](p, n, colTransitDeg); err != nil {
+	if err = decodeCounts(p, s.TransitDegree, colTransitDeg); err != nil {
 		return err
 	}
 	if p, err = col(cols, colDegree); err != nil {
 		return err
 	}
-	if s.Degree, err = decodeCounts[int32](p, n, colDegree); err != nil {
+	if err = decodeCounts(p, s.Degree, colDegree); err != nil {
 		return err
 	}
 	if p, err = col(cols, colConePrefixes); err != nil {
 		return err
 	}
-	if s.ConePrefixes, err = decodeCounts[int64](p, n, colConePrefixes); err != nil {
+	if err = decodeCounts(p, s.ConePrefixes, colConePrefixes); err != nil {
 		return err
 	}
 	steps, links, err := decodeShared(cols, s)
@@ -171,17 +188,17 @@ func (r *replayer) delta(cols map[byte][]byte) error {
 	n := len(asns)
 	s := &Snapshot{ASNs: asns}
 
-	// Dense columns: carry old values across surviving positions, then
-	// apply sparse diffs in new positions.
-	s.TransitDegree = make([]int32, n)
-	s.Degree = make([]int32, n)
-	s.ConePrefixes = make([]int64, n)
+	// Dense columns: carry old values across surviving positions (an
+	// admitted AS starts at zero), then apply sparse diffs in new
+	// positions.
+	r.spareMetrics(s, n)
 	for np := 0; np < n; np++ {
+		var td, deg int32
+		var pref int64
 		if op := m.newToOld[np]; op >= 0 {
-			s.TransitDegree[np] = old.TransitDegree[op]
-			s.Degree[np] = old.Degree[op]
-			s.ConePrefixes[np] = old.ConePrefixes[op]
+			td, deg, pref = old.TransitDegree[op], old.Degree[op], old.ConePrefixes[op]
 		}
+		s.TransitDegree[np], s.Degree[np], s.ConePrefixes[np] = td, deg, pref
 	}
 	if p, err = col(cols, dcolTransitDeg); err != nil {
 		return err
@@ -311,15 +328,17 @@ func (r *replayer) mergeCones(gaps []byte, flips int, m *indexMap) {
 	r.swap(start, members)
 }
 
-// snapshot hands out the working epoch: the result owns its link
-// column, which the replayer stops writing into, and an exact-size copy
-// of its member lists, and the replayer can go on to later epochs. The
-// links are handed over, not copied, because both callers drop the
-// replayer next: a copy would be one more link column per replay, and
-// its source garbage at once.
+// snapshot hands out the working epoch: the result owns its metric and
+// link columns, which the replayer stops writing into, and an exact-size
+// copy of its member lists, and the replayer can go on to later epochs.
+// The metrics and links are handed over, not copied, because both
+// callers drop the replayer next: a copy would be four more columns per
+// replay, and their sources garbage at once.
 func (r *replayer) snapshot() *Snapshot {
 	s := *r.cur
-	s.Links = s.Links[:len(s.Links):len(s.Links)] // an append by the caller moves, never writes past the links
+	// An append by the caller moves, never writes past a lent column.
+	s.Links = slices.Clip(s.Links)
+	s.TransitDegree, s.Degree, s.ConePrefixes = slices.Clip(s.TransitDegree), slices.Clip(s.Degree), slices.Clip(s.ConePrefixes)
 	r.lent = true
 	s.ConeStart = append(make([]int32, 0, len(r.start)), r.start...)
 	s.ConeMembers = append(make([]int32, 0, len(r.members)), r.members...)

@@ -289,19 +289,24 @@ func TestSnapshotChainAllocBound(t *testing.T) {
 
 // TestOpenAllocBound is the byte-counted guard on a cold Open, as
 // TestSnapshotChainAllocBound is on Snapshot. Open may allocate, for
-// every epoch, the columns History keeps of it — the AS, metric, rank
-// and cone-size columns, 28 bytes an AS, and its change list — and the
-// rank sort's two scratch columns, 8 bytes an AS. For the chain it may
-// allocate, at the chain's largest epoch, six link columns (working and
-// spare, each made at most twice a quarter over size, and the scratch a
-// delta's added and changed links are read into) and six times the cone
-// lists (the same pair and the head's exact-size copy); one segment
-// buffer a quarter over the largest segment; and 8 KB per epoch as
-// slack. Nothing in it is sized
+// every epoch, what History keeps of it — the rank column and an AS
+// column, 8 bytes an AS, 24 bytes an AS whose metrics moved, and its
+// change list — and once more the change list's size for the link diff
+// it is rendered from. For the chain it may allocate, at the chain's
+// largest epoch, six link columns (working and spare, each made at most
+// twice a quarter over size, and the scratch a delta's added and changed
+// links are read into), six times the cone lists (the same pair and the
+// head's exact-size copy), the metric pair and the rank sort's three
+// scratch columns (each made at most twice a quarter over size: 56 bytes
+// an AS); one segment buffer a quarter over the largest segment; and
+// 8 KB per epoch as slack. Nothing in it is sized
 // by the links of every epoch: while each delta rebuilt its links into a
 // column of its own and each segment was read into an image of its own,
 // an Open of these chains allocated 2 738 and 2 774 KB against budgets
-// of 2 059 and 2 062 KB.
+// of 2 059 and 2 062 KB. Nor is anything sized by five dense per-AS
+// columns an epoch: while History kept them (28 bytes an AS, 952 KB over
+// these chains) and the replayer decoded each epoch's metrics into
+// columns of their own, an Open allocated 1 634 and 1 712 KB.
 func TestOpenAllocBound(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -324,19 +329,21 @@ func TestOpenAllocBound(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		got := int((after.TotalAlloc - before.TotalAlloc) / runs)
 
-		h, change := st.History(), int(unsafe.Sizeof(RelChange{}))
-		epochs, links, lists, seg := 0, 0, 0, 0
+		h := st.History()
+		change, moved := int(unsafe.Sizeof(RelChange{})), int(unsafe.Sizeof(asMetrics{}))
+		epochs, links, lists, ases, seg := 0, 0, 0, 0, 0
 		for id, s := range tc.snaps {
-			epochs += 36*len(s.ASNs) + change*len(h.series[id].changes)
+			epochs += 8*len(s.ASNs) + moved*len(h.series[id].moved) + 2*change*len(h.series[id].changes)
 			links = max(links, 12*len(s.Links))
 			lists = max(lists, 4*(len(s.ConeStart)+len(s.ConeMembers)))
+			ases = max(ases, len(s.ASNs))
 			seg = max(seg, int(h.epochs[id].Bytes))
 		}
-		budget := epochs + 6*links + 6*lists + seg + seg/4 + 8<<10*len(tc.snaps)
-		t.Logf("Open, %s: %d KB; %d KB for the epochs + 6 × %d KB of links + 6 × %d KB of cone lists + a %d KB segment allow %d KB",
-			tc.name, got/1024, epochs/1024, links/1024, lists/1024, seg/1024, budget/1024)
+		budget := epochs + 6*links + 6*lists + 56*ases + seg + seg/4 + 8<<10*len(tc.snaps)
+		t.Logf("Open, %s: %d KB; %d KB for the epochs + 6 × %d KB of links + 6 × %d KB of cone lists + %d KB of metric and rank columns + a %d KB segment allow %d KB",
+			tc.name, got/1024, epochs/1024, links/1024, lists/1024, 56*ases/1024, seg/1024, budget/1024)
 		if got > budget {
-			t.Errorf("Open, %s: allocates %d KB, want <= %d KB (epochs + 6 × links + 6 × cone lists + one segment)", tc.name, got/1024, budget/1024)
+			t.Errorf("Open, %s: allocates %d KB, want <= %d KB (epochs + 6 × links + 6 × cone lists + metric and rank columns + one segment)", tc.name, got/1024, budget/1024)
 		}
 	}
 }
@@ -630,6 +637,28 @@ func BenchmarkHistoryDiff(b *testing.B) {
 			if _, err := h.Diff(from, last); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+// BenchmarkHistoryASN answers History.ASN on a cold-opened store of a
+// 49-epoch chain at 5k ASes (store_5k's shape), one AS an op, every AS
+// any epoch holds in turn.
+func BenchmarkHistoryASN(b *testing.B) {
+	snaps := synthSeries(5000, 49, 42)
+	var asns []uint32
+	for _, s := range snaps {
+		asns = append(asns, s.ASNs...)
+	}
+	slices.Sort(asns)
+	asns = slices.Compact(asns)
+	_, st := synthStore(b, snaps, DefaultCheckpointEvery)
+	h := st.History()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := h.ASN(asns[i%len(asns)]); len(got) != len(snaps) {
+			b.Fatalf("trajectory of %d epochs, want %d", len(got), len(snaps))
 		}
 	}
 }

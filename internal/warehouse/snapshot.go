@@ -51,12 +51,13 @@ func (s *Snapshot) NumASes() int { return len(s.ASNs) }
 
 // ConeSizes returns each position's cone size in ASes, the length of
 // its member list. The result is the caller's.
-func (s *Snapshot) ConeSizes() []int32 { return rowLengths(s.ConeStart) }
+func (s *Snapshot) ConeSizes() []int32 {
+	return rowLengths(make([]int32, max(len(s.ConeStart)-1, 0)), s.ConeStart)
+}
 
-// rowLengths returns the length of each row a cone offsets column
-// delimits.
-func rowLengths(start []int32) []int32 {
-	out := make([]int32, max(len(start)-1, 0))
+// rowLengths writes into out, and returns, the length of each of the
+// len(out) rows a cone offsets column delimits.
+func rowLengths(out, start []int32) []int32 {
 	for p := range out {
 		out[p] = start[p+1] - start[p]
 	}

@@ -142,9 +142,9 @@ func Open(dir string, opts Options) (*Store, error) {
 			span.SetAttr("recovery_error", err.Error())
 			break
 		}
-		// prev's links are the replayer's spare array now, intact until
-		// the next epoch is written into it.
-		st.hist = st.hist.extend(info, rp.cur, rowLengths(rp.start), relChanges(prev, rp.cur, diffLinks(prev, rp.cur)), &rp.ranks)
+		// prev's metric, link and cone columns are the replayer's spares
+		// now, intact until the next epoch is written into them.
+		st.hist = st.hist.extend(info, prev, rp.cur, relChanges(prev, rp.cur, diffLinks(prev, rp.cur)), &rp.ranks)
 	}
 	if rp.cur != nil {
 		st.last = rp.snapshot()
@@ -312,7 +312,7 @@ func (st *Store) AppendNote(snap *Snapshot, label, etag string, note json.RawMes
 		ETag: etag, ASes: snap.NumASes(), Links: len(snap.Links),
 		Note: note,
 	}
-	next := st.hist.extend(info, snap, snap.ConeSizes(), relChanges(st.last, snap, diff), &st.ranks)
+	next := st.hist.extend(info, st.last, snap, relChanges(st.last, snap, diff), &st.ranks)
 	if err := st.writeManifest(next.epochs); err != nil {
 		return EpochInfo{}, err
 	}
